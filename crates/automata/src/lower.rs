@@ -53,8 +53,6 @@
 //! assert_eq!(deliveries[0].1.as_int(), Some(7));
 //! ```
 
-use std::fmt::Write as _;
-
 use crate::assign::Dst;
 use crate::automaton::{Automaton, StateId, Transition};
 use crate::fire::UnresolvedPort;
@@ -702,135 +700,6 @@ impl Lowered {
         }
         Ok(Some(t.target))
     }
-
-    /// Emit the lowered program as readable, self-contained Rust source —
-    /// the ahead-of-time codegen artifact the `reo-codegen` bin writes for
-    /// the Fig. 12 families. The emitted `try_fire` mirrors
-    /// [`Lowered::try_fire`] with every opcode unrolled into straight-line
-    /// statements; `Func`/`Pred` closures cannot be serialized, so the
-    /// generated function takes them as slices, in pool order.
-    pub fn emit_rust(&self, fn_name: &str) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "//! Generated by `reo-codegen` from automaton `{}`:\n\
-             //! {} states, {} transitions, {} registers, {} constants.\n\
-             //! Straight-line stepping program — no `Term` interpretation.",
-            self.name,
-            self.state_count(),
-            self.transition_count(),
-            self.reg_count,
-            self.consts.len(),
-        );
-        let _ = writeln!(
-            s,
-            "use reo_automata::{{Cmp, Func, MemId, PortId, Pred, StateId, Store, Value}};\n\
-             use reo_automata::fire::UnresolvedPort;\n"
-        );
-        let _ = writeln!(
-            s,
-            "pub const INITIAL: StateId = StateId({});",
-            self.initial.0
-        );
-        let _ = writeln!(s, "pub const REGS: usize = {};\n", self.reg_count);
-        let _ = writeln!(
-            s,
-            "#[allow(unused_variables, clippy::too_many_arguments)]\n\
-             pub fn {fn_name}(\n\
-             \x20   state: StateId,\n\
-             \x20   transition: usize,\n\
-             \x20   input: &dyn Fn(PortId) -> Option<Value>,\n\
-             \x20   store: &mut Store,\n\
-             \x20   regs: &mut [Value],\n\
-             \x20   deliver: &mut dyn FnMut(PortId, Value),\n\
-             \x20   funcs: &[Func],\n\
-             \x20   preds: &[Pred],\n\
-             ) -> Result<Option<StateId>, UnresolvedPort> {{\n\
-             \x20   match (state.0, transition) {{"
-        );
-        for (si, trans) in self.states.iter().enumerate() {
-            for (ti, t) in trans.iter().enumerate() {
-                let _ = writeln!(s, "        ({si}, {ti}) => {{");
-                if let Some(p) = t.unresolved {
-                    let _ = writeln!(
-                        s,
-                        "            // statically unresolvable dataflow\n\
-                         \x20           Err(UnresolvedPort(PortId({})))",
-                        p.0
-                    );
-                    let _ = writeln!(s, "        }}");
-                    continue;
-                }
-                for op in t.ops.iter() {
-                    let _ = writeln!(s, "            {}", emit_op(op, &self.consts));
-                }
-                let _ = writeln!(s, "            Ok(Some(StateId({})))", t.target.0);
-                let _ = writeln!(s, "        }}");
-            }
-        }
-        let _ = writeln!(
-            s,
-            "        _ => unreachable!(\"no such transition\"),\n    }}\n}}"
-        );
-        s
-    }
-}
-
-fn emit_op(op: &Op, consts: &[Value]) -> String {
-    match op {
-        Op::Seed { port, dst } => format!(
-            "regs[{dst}] = input(PortId({})).ok_or(UnresolvedPort(PortId({})))?;",
-            port.0, port.0
-        ),
-        Op::Const { ix, dst } => format!(
-            "regs[{dst}] = {}; // pool[{ix}]",
-            emit_const(&consts[*ix as usize])
-        ),
-        Op::MemPeek { mem, dst } => format!(
-            "regs[{dst}] = store.peek(MemId({})).cloned().expect(\"non-empty cell\");",
-            mem.0
-        ),
-        Op::Copy { src, dst } => format!("regs[{dst}] = regs[{src}].clone();"),
-        Op::Apply { func, args, dst } => {
-            let list: Vec<String> = args.iter().map(|a| format!("regs[{a}].clone()")).collect();
-            format!("regs[{dst}] = funcs[{func}].call(&[{}]);", list.join(", "))
-        }
-        Op::GuardCmp { a, b, expect_eq } => format!(
-            "if regs[{a}].structurally_eq(&regs[{b}]) != {expect_eq} {{ return Ok(None); }}"
-        ),
-        Op::GuardEqInt { a, rhs, expect_eq } => format!(
-            "if matches!(regs[{a}], Value::Int(x) if x == {rhs}) != {expect_eq} {{ return Ok(None); }}"
-        ),
-        Op::GuardMemLen { mem, cmp, rhs } => format!(
-            "if !Cmp::{cmp:?}.holds(store.len(MemId({})) as i64, {rhs}) {{ return Ok(None); }}",
-            mem.0
-        ),
-        Op::GuardPred { pred, arg, expect } => format!(
-            "if preds[{pred}].test(&regs[{arg}]) != {expect} {{ return Ok(None); }}"
-        ),
-        Op::Never => "return Ok(None); // guard folded to false".to_string(),
-        Op::Deliver { port, src } => {
-            format!("deliver(PortId({}), regs[{src}].clone());", port.0)
-        }
-        Op::MemSet { mem, src } => {
-            format!("store.set(MemId({}), regs[{src}].clone());", mem.0)
-        }
-        Op::MemPush { mem, src } => {
-            format!("store.push(MemId({}), regs[{src}].clone());", mem.0)
-        }
-        Op::MemPop { mem } => format!("store.pop(MemId({}));", mem.0),
-    }
-}
-
-fn emit_const(v: &Value) -> String {
-    match v {
-        Value::Unit => "Value::Unit".to_string(),
-        Value::Bool(b) => format!("Value::Bool({b})"),
-        Value::Int(i) => format!("Value::Int({i})"),
-        Value::Float(f) => format!("Value::Float(f64::from_bits({}))", f.to_bits()),
-        Value::Str(s) => format!("Value::Str({s:?}.into())"),
-        other => format!("/* structured constant */ {other:?}.clone()"),
-    }
 }
 
 #[cfg(test)]
@@ -1109,16 +978,5 @@ mod tests {
             lower(&aut),
             Err(LowerError::RegisterOverflow { .. })
         ));
-    }
-
-    #[test]
-    fn emitted_rust_is_straight_line() {
-        let aut = crate::primitives::fifo1(PortId(0), PortId(1), MemId(0));
-        let src = lower(&aut).unwrap().emit_rust("step_fifo1");
-        assert!(src.contains("pub fn step_fifo1"));
-        assert!(src.contains("match (state.0, transition)"));
-        assert!(src.contains("store.set"));
-        assert!(src.contains("store.pop"));
-        assert!(!src.contains("Term::"), "no interpretation in emitted code");
     }
 }

@@ -119,7 +119,7 @@ fn bench_partition_ablation(c: &mut Criterion) {
                     let results = session.inports("res").unwrap().pop().unwrap();
                     let work_in = session.inports("w").unwrap();
                     let work_out = session.outports("v").unwrap();
-                    // Workers: each echoes its items back.
+                    // Slaves: each echoes its items back.
                     let workers: Vec<_> = work_in
                         .into_iter()
                         .zip(work_out)

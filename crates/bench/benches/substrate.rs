@@ -90,11 +90,8 @@ fn bench_fire(c: &mut Criterion) {
 fn bench_port_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("port_roundtrip");
     let program = parse_program("Buf(a;b) = Fifo1(a;m) mult Fifo1(m;b)").unwrap();
-    for (label, mode) in [
-        ("jit", Mode::jit()),
-        ("existing", Mode::existing()),
-        ("aot", Mode::AotCompose { simplify: true }),
-    ] {
+    // The three single-engine cores, by their `Mode::grid()` names.
+    for (label, mode) in Mode::grid_subset(&["mono", "jit", "comp"]) {
         group.bench_function(label, |b| {
             let connector = Connector::builder(&program, "Buf")
                 .mode(mode)

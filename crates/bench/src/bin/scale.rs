@@ -3,17 +3,15 @@
 //! ```text
 //! cargo run --release -p reo-bench --bin scale -- \
 //!     [--secs 0.2] [--ns 1,2,4,8,16] [--families channels,relay,…] \
-//!     [--workers 2] [--session-ns 1000,10000,100000] \
-//!     [--json [BENCH_scale.json]]
+//!     [--session-ns 1000,10000,100000] [--json [BENCH_scale.json]]
 //! ```
 //!
 //! For every family × task count, the connector is driven by no-compute
-//! tasks for a fixed window under the four parametrized runtimes (`jit`,
-//! `partitioned`, `partitioned+workers`, `partitioned+auto`); the report
-//! records steps/second, the engine contention counters (targeted wakeups
-//! vs the broadcast baseline, spurious wakeups, lock acquisitions), the
-//! scheduler counters (kicks, kick-queue wakeups vs the global-generation
-//! baseline, steals) and per-op latency percentiles. With `--json` the
+//! tasks for a fixed window under three runtimes of `Mode::grid()` (`jit`,
+//! `part`, `comp-part`); the report records steps/second, the engine
+//! contention counters (targeted wakeups vs the broadcast baseline,
+//! spurious wakeups, lock acquisitions), counted kicks and per-op latency
+//! percentiles. With `--json` the
 //! grid is written as `BENCH_scale.json` (schema in `reo_bench::json`);
 //! the report header records `available_parallelism` so readers can tell
 //! algorithmic wins from parallel ones.
@@ -39,7 +37,6 @@ fn main() {
     let mut config = Config {
         window: Duration::from_secs_f64(args.f64("secs", 0.2)),
         ns: args.usize_list("ns", &[1, 2, 4, 8, 16]),
-        workers: args.usize("workers", 2),
         session_counts: args.usize_list("session-ns", &[1_000, 10_000, 100_000]),
         churn_counts: args.usize_list("churn-ns", &[2, 8]),
         fault_iters: args.usize("fault-iters", 40),
@@ -50,15 +47,15 @@ fn main() {
     }
 
     println!(
-        "Scale sweep: {:.2}s window per cell, tasks N in {:?}, jit vs partitioned vs \
-         partitioned+{} workers vs partitioned+auto ({} core(s) available)",
+        "Scale sweep: {:.2}s window per cell, tasks N in {:?}, modes {:?} \
+         ({} core(s) available)",
         config.window.as_secs_f64(),
         config.ns,
-        config.workers,
+        reo_bench::scale::SWEEP_MODES,
         available_parallelism()
     );
     println!(
-        "{:<16}{:>4}  {:<20}{:>8}  {:>12}  {:>10}  {:>10}  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>9}",
+        "{:<16}{:>4}  {:<20}{:>8}  {:>12}  {:>10}  {:>10}  {:>8}  {:>8}  {:>8}  {:>9}",
         "connector",
         "N",
         "mode",
@@ -67,8 +64,6 @@ fn main() {
         "wakeups",
         "bcast-est",
         "kicks",
-        "k-wakes",
-        "steals",
         "b-moves",
         "b-vals",
         "p99-us"
@@ -96,7 +91,7 @@ fn main() {
             .map(|l| format!("{:.1}", l.p99_us))
             .unwrap_or_else(|| "-".into());
         println!(
-            "{:<16}{:>4}  {:<20}{:>8}  {:>12.0}  {:>10}  {:>10}  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>9}",
+            "{:<16}{:>4}  {:<20}{:>8}  {:>12.0}  {:>10}  {:>10}  {:>8}  {:>8}  {:>8}  {:>9}",
             cell.family,
             cell.n,
             cell.mode,
@@ -105,8 +100,6 @@ fn main() {
             stats.wakeups,
             cell.broadcast_baseline_wakeups,
             stats.kicks,
-            stats.kick_wakeups,
-            stats.steals,
             stats.batch_moves,
             stats.batched_values,
             p99
@@ -225,21 +218,13 @@ fn main() {
         "\nverdict: targeted wakeups below broadcast baseline (channels, threads>2): {}",
         v.wakeups_below_broadcast
     );
-    println!(
-        "verdict: worker-pool runtimes >= jit on a multi-region family at N>=8: {}",
-        v.workers_reach_jit
-    );
-    println!(
-        "verdict: kick-queue wakeups below the global-generation baseline (kicks): {}",
-        v.kick_wakeups_below_kicks
-    );
     // The eligible-cell count makes a false verdict diagnosable: 0
     // eligible cells means the sweep produced no burst traffic (window
     // too short / family filtered out), not a lock-amortization
     // regression.
     let eligible = cells
         .iter()
-        .filter(|c| c.family == "burst" && c.mode == "partitioned" && c.locks_per_value().is_some())
+        .filter(|c| c.family == "burst" && c.mode == "part" && c.locks_per_value().is_some())
         .count();
     println!(
         "verdict: burst locks per value below the unbatched seed baseline ({}): {} \
@@ -300,11 +285,8 @@ fn to_json(
         r#"  "benchmark": "scale",
   "window_secs": {},
   "ns": {:?},
-  "workers": {},
   "available_parallelism": {},
   "wakeups_below_broadcast": {},
-  "workers_reach_jit": {},
-  "kick_wakeups_below_kicks": {},
   "locks_per_value_below_seed": {},
   "codegen_beats_jit": {},
   "async_sessions_scale": {},
@@ -313,11 +295,8 @@ fn to_json(
   "codegen": ["#,
         config.window.as_secs_f64(),
         config.ns,
-        config.workers,
         available_parallelism(),
         v.wakeups_below_broadcast,
-        v.workers_reach_jit,
-        v.kick_wakeups_below_kicks,
         v.locks_per_value_below_seed,
         v.codegen_beats_jit,
         v.async_sessions_scale,
@@ -418,7 +397,7 @@ fn to_json(
         };
         let _ = write!(
             s,
-            r#"    {{"family":{},"n":{},"mode":{},"threads":{},"steps":{},"steps_per_sec":{:.1},"wakeups":{},"spurious_wakeups":{},"completions":{},"lock_acquisitions":{},"broadcast_baseline_wakeups":{},"batch_moves":{},"batched_values":{},"locks_per_value":{},"kicks":{},"kick_wakeups":{},"steals":{},"p50_us":{},"p95_us":{},"p99_us":{},"connect_ms":{:.3},"failure":{}}}"#,
+            r#"    {{"family":{},"n":{},"mode":{},"threads":{},"steps":{},"steps_per_sec":{:.1},"wakeups":{},"spurious_wakeups":{},"completions":{},"lock_acquisitions":{},"broadcast_baseline_wakeups":{},"batch_moves":{},"batched_values":{},"locks_per_value":{},"kicks":{},"p50_us":{},"p95_us":{},"p99_us":{},"connect_ms":{:.3},"failure":{}}}"#,
             json_str(c.family),
             c.n,
             json_str(c.mode),
@@ -434,8 +413,6 @@ fn to_json(
             stats.batched_values,
             locks_per_value,
             stats.kicks,
-            stats.kick_wakeups,
-            stats.steals,
             p50,
             p95,
             p99,

@@ -420,8 +420,6 @@ pub fn validate(doc: &Json, kind: Kind) -> Result<usize, String> {
                 require_num(cell, "batch_moves", &ctx)?;
                 require_num(cell, "batched_values", &ctx)?;
                 require_num(cell, "kicks", &ctx)?;
-                require_num(cell, "kick_wakeups", &ctx)?;
-                require_num(cell, "steals", &ctx)?;
                 // `locks_per_value` is defined only for the burst cells in
                 // the partitioned modes; null everywhere else.
                 for key in ["locks_per_value", "p50_us", "p95_us", "p99_us"] {
@@ -983,8 +981,7 @@ mod tests {
                 "completions":20,"lock_acquisitions":40,
                 "broadcast_baseline_wakeups":20,"batch_moves":0,
                 "batched_values":0,"locks_per_value":null,"kicks":0,
-                "kick_wakeups":0,"steals":0,"p50_us":1.0,"p95_us":2.0,
-                "p99_us":3.0,"failure":null}}]}}"#
+                "p50_us":1.0,"p95_us":2.0,"p99_us":3.0,"failure":null}}]}}"#
         )
     }
 

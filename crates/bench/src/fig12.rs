@@ -144,7 +144,7 @@ pub fn run(config: &Config, mut progress: impl FnMut(&Cell)) -> Vec<Cell> {
                 &program,
                 &family,
                 n,
-                Mode::ExistingMonolithic { simplify: true },
+                Mode::existing(),
                 config.window,
                 config.limits,
             );

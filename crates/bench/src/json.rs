@@ -45,9 +45,8 @@
 //!
 //! ```json
 //! { "benchmark": "scale", "window_secs": 0.2, "ns": [1, 2, 4, 8, 16],
-//!   "workers": 2, "available_parallelism": 8,
-//!   "wakeups_below_broadcast": true, "workers_reach_jit": true,
-//!   "kick_wakeups_below_kicks": true, "locks_per_value_below_seed": true,
+//!   "available_parallelism": 8,
+//!   "wakeups_below_broadcast": true, "locks_per_value_below_seed": true,
 //!   "codegen_beats_jit": true, "async_sessions_scale": true,
 //!   "reconfig_churn_scale": true, "fault_recovery_bounded": true,
 //!   "sessions": [
@@ -58,7 +57,7 @@
 //!       "wake_precision": 0.25, "rss_per_session_kib": 4.95,
 //!       "failure": null } ],
 //!   "churn": [
-//!     { "family": "churn", "n": 8, "mode": "partitioned+auto",
+//!     { "family": "churn", "n": 8, "mode": "part",
 //!       "splices": 46, "splices_per_sec": 230.0,
 //!       "values": 5012, "received": 5012, "values_per_sec": 25060.0,
 //!       "window_secs": 0.2, "failure": null } ],
@@ -67,26 +66,23 @@
 //!       "iters": 40, "typed_errors": 40, "stranded": 0,
 //!       "p50_us": 57.0, "p99_us": 180.0, "failure": null } ],
 //!   "cells": [
-//!     { "family": "burst", "n": 8, "mode": "partitioned",
+//!     { "family": "burst", "n": 8, "mode": "part",
 //!       "threads": 9, "steps": 10917, "steps_per_sec": 54585.0,
 //!       "wakeups": 11071, "spurious_wakeups": 0, "completions": 21834,
 //!       "lock_acquisitions": 76893, "broadcast_baseline_wakeups": 152838,
 //!       "batch_moves": 10917, "batched_values": 13404,
 //!       "locks_per_value": 14.087,
-//!       "kicks": 0, "kick_wakeups": 0, "steals": 0,
+//!       "kicks": 0,
 //!       "p50_us": 8.192, "p95_us": 61.44, "p99_us": 122.88,
 //!       "connect_ms": 0.2, "failure": null } ] }
 //! ```
 //!
-//! `mode` is one of `jit`, `partitioned`, `partitioned+workers`,
-//! `partitioned+auto`; the counter fields mirror
-//! [`reo_runtime::EngineStats`]. Three baselines are embedded:
+//! `mode` is one of [`crate::scale::SWEEP_MODES`] (`jit`, `part`,
+//! `comp-part` — names from `Mode::grid()`); the counter fields mirror
+//! [`reo_runtime::EngineStats`]. Two baselines are embedded:
 //! `broadcast_baseline_wakeups` is the `steps × (threads − 2)` estimate
-//! of what a per-engine broadcast condvar would have woken; `kicks`
-//! doubles as the *global-generation baseline* for `kick_wakeups` (the
-//! PR 3 scheduler signalled the worker pool once per kick; the per-link
-//! kick queues must wake strictly less often — see [`crate::scale`]);
-//! and `locks_per_value` (engine-lock acquisitions per cross-link value,
+//! of what a per-engine broadcast condvar would have woken; and
+//! `locks_per_value` (engine-lock acquisitions per cross-link value,
 //! defined only on the `burst` family's partitioned cells where every
 //! value costs exactly four completions, `null` elsewhere) is gated
 //! against the unbatched-protocol seed constant
@@ -94,9 +90,9 @@
 //! `batched_values` are the batched link-transfer counters: engine-lock
 //! holds that moved ≥ 1 value, and the values they moved (each crossing
 //! counts once per side); their ratio is the measured amortization.
-//! `kicks` counts only operations that went through the kick machinery —
-//! regions bordering exactly one link take the kick-free fast path and
-//! report 0. `steals` counts links pumped by a non-owner worker. The
+//! `kicks` counts only operations on regions bordering two or more links
+//! (one counted inline cascade each) — regions bordering exactly one
+//! link pump it uncounted and report 0. The
 //! latency percentiles `p50_us`/`p95_us`/`p99_us` come from the driver's
 //! per-operation histogram with four linear sub-buckets per log₂ bucket
 //! ([`reo_connectors::LatencyHistogram`]): values are the *upper bound*

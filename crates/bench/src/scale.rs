@@ -2,46 +2,33 @@
 //!
 //! Fig. 12 measures one connector family per cell with a handful of
 //! no-compute tasks; this harness instead sweeps the **task count** and
-//! compares the four parametrized runtimes side by side —
+//! compares three runtimes of [`Mode::grid`] side by side
+//! ([`SWEEP_MODES`]) —
 //!
 //! * `jit` — one engine, one lock, all tasks contending on it;
-//! * `partitioned` — one engine per synchronous region, tasks pump the
-//!   links bordering their own region after each operation
-//!   (caller-thread scheduler);
-//! * `partitioned+workers` — same regions, plus a static fire-worker
-//!   pool: kicks go onto per-link kick queues owned by workers, with
-//!   idle-time stealing;
-//! * `partitioned+auto` — the adaptive pool
-//!   (`Mode::partitioned_auto()`): sized as the minimum of
-//!   `available_parallelism()`, the region count and the link count,
-//!   shrinking to one worker when quiescent.
+//! * `part` — one engine per synchronous region, tasks pump the links
+//!   bordering their own region after each operation;
+//! * `comp-part` — the same regions and scheduler, each region stepped by
+//!   a lowered flat program instead of the interpreter.
 //!
 //! Besides steps/second it records the engine contention counters
 //! ([`reo_runtime::EngineStats`]): targeted wakeups, spurious wakeups,
 //! completions, lock acquisitions, the batched link-transfer counters
-//! (`batch_moves`, `batched_values`), and the scheduler counters (kicks,
-//! kick-queue wakeups, steals), plus per-operation latency percentiles
-//! from the driver ([`reo_connectors::LatencySummary`]). Three baselines
-//! anchor the verdicts:
+//! (`batch_moves`, `batched_values`) and counted kicks, plus
+//! per-operation latency percentiles from the driver
+//! ([`reo_connectors::LatencySummary`]). Two baselines anchor the
+//! verdicts:
 //!
 //! * `broadcast_baseline_wakeups` — the wakeups a per-engine broadcast
 //!   condvar (the pre-PR 3 design: `notify_all` on every step) would have
 //!   issued, estimated as `steps × (task threads − 2)`. Targeted wakeups
 //!   must come in strictly below it on the disjoint-port workload
 //!   (`channels`).
-//! * the **global-generation baseline** for worker wakeups is simply
-//!   `kicks`: the PR 3 scheduler bumped one shared generation counter and
-//!   signalled the pool on *every* kick, so per-link routing must wake
-//!   workers strictly less often than `kicks` wherever real kick traffic
-//!   remains — since the kick-free fast path, that is the fifo-ring
-//!   `sequencer` (its regions border two links each), not `relay` (whose
-//!   single-link regions no longer kick at all) — that is
-//!   [`Verdict::kick_wakeups_below_kicks`].
 //! * the **unbatched-protocol baseline** for lock traffic is the seed
 //!   measurement [`SEED_BURST_LOCKS_PER_VALUE`]: engine-lock
 //!   acquisitions per cross-link value on the deep-backlog `burst`
-//!   family under the caller-thread scheduler, *before* batched pumping.
-//!   The batched runtime must come in strictly below it — that is
+//!   family under `part`, *before* batched pumping. The batched runtime
+//!   must come in strictly below it — that is
 //!   [`Verdict::locks_per_value_below_seed`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,7 +46,7 @@ use reo_runtime::{stepping_run, Connector, Limits, Mode, SteppingMode};
 /// since the kick-free fast path, also the witness that single-link
 /// chains stop kicking), the deep-backlog batched-pumping workload
 /// (`burst`), the fifo-ring `sequencer` (every region borders *two*
-/// links, so the kick-queue/steal machinery stays exercised), three
+/// links, so the counted kick cascade stays exercised), three
 /// multi-region shapes (`token_ring`, `ordered`, `scatter_gather`), a
 /// fifo `pipeline`, and one single-region control (`merger`, where
 /// partitioning cannot help).
@@ -75,30 +62,15 @@ pub const DEFAULT_FAMILIES: &[&str] = &[
     "merger",
 ];
 
-/// The five runtimes compared per cell, with their report labels. The
-/// `compiled` series runs the lowered flat stepping programs behind the
-/// same region partitioning as `partitioned` (monolithic
-/// `Mode::compiled()` would explode on the exponential-fanout families),
-/// so the column isolates the stepping-core swap, scheduler held fixed.
-pub fn mode_grid(workers: usize) -> Vec<(&'static str, Mode)> {
-    vec![
-        ("jit", Mode::jit()),
-        ("partitioned", Mode::partitioned()),
-        (
-            "partitioned+workers",
-            Mode::partitioned_with_workers(workers),
-        ),
-        ("partitioned+auto", Mode::partitioned_auto()),
-        ("compiled", Mode::compiled_partitioned()),
-    ]
-}
-
-/// Report labels of the modes that run a fire-worker pool.
-pub const WORKER_MODES: &[&str] = &["partitioned+workers", "partitioned+auto"];
+/// The [`Mode::grid`] names compared per cell (also the report labels).
+/// `comp-part` rather than monolithic `comp` (which would explode on the
+/// exponential-fanout families), so the column isolates the stepping-core
+/// swap with regions and scheduler held fixed.
+pub const SWEEP_MODES: &[&str] = &["jit", "part", "comp-part"];
 
 /// Seed (pre-batching, PR 4 tree) engine-lock acquisitions per cross-link
-/// value on the `burst` family under the caller-thread `partitioned`
-/// scheduler — the unbatched four-acquisitions-per-pump protocol.
+/// value on the `burst` family under `part` — the unbatched
+/// four-acquisitions-per-pump protocol.
 /// Measured on the single-core container over n ∈ {1, 2, 4, 8, 16} with
 /// 0.15 s windows: {22.60, 22.54, 22.49, 22.45, 22.40}; this constant is
 /// the sweep's *minimum*, so "strictly below" beats the unbatched
@@ -114,8 +86,6 @@ pub struct Config {
     /// Task-count sweep (the `N` of each family).
     pub ns: Vec<usize>,
     pub family_filter: Option<Vec<String>>,
-    /// Fire-worker pool size of the `partitioned+workers` series.
-    pub workers: usize,
     /// Session-count sweep of the async `sessions` family
     /// ([`run_sessions`]). Unlike the task-count sweep, these cells do a
     /// fixed amount of work instead of filling a time window.
@@ -137,7 +107,6 @@ impl Default for Config {
             window: Duration::from_millis(200),
             ns: vec![1, 2, 4, 8, 16],
             family_filter: None,
-            workers: 2,
             session_counts: vec![1_000, 10_000, 100_000],
             churn_counts: vec![2, 8],
             fault_iters: 40,
@@ -157,8 +126,7 @@ impl Default for Config {
 pub struct Cell {
     pub family: &'static str,
     pub n: usize,
-    /// Report label of the runtime (`jit`, `partitioned`,
-    /// `partitioned+workers`, `partitioned+auto`).
+    /// Report label of the runtime (one of [`SWEEP_MODES`]).
     pub mode: &'static str,
     /// No-compute task threads the driver spawned for this cell.
     pub threads: usize,
@@ -206,7 +174,7 @@ pub fn selected_families(config: &Config) -> Vec<Family> {
         .collect()
 }
 
-/// Run the whole grid: families × task counts × the four runtimes.
+/// Run the whole grid: families × task counts × [`SWEEP_MODES`].
 pub fn run(config: &Config, mut progress: impl FnMut(&Cell)) -> Vec<Cell> {
     let mut cells = Vec::new();
     for family in selected_families(config) {
@@ -218,7 +186,7 @@ pub fn run(config: &Config, mut progress: impl FnMut(&Cell)) -> Vec<Cell> {
             if n < 2 && matches!(family.name, "exchanger" | "token_ring" | "sequencer") {
                 continue;
             }
-            for (label, mode) in mode_grid(config.workers) {
+            for (label, mode) in Mode::grid_subset(SWEEP_MODES) {
                 let outcome =
                     drive_with_limits(&program, &family, n, mode, config.window, config.limits);
                 let threads = outcome.threads;
@@ -597,7 +565,7 @@ pub const CHURN_SRC: &str =
 pub struct ChurnCell {
     /// Initial (static) producer branches.
     pub n: usize,
-    /// Report label of the runtime (the [`mode_grid`] labels).
+    /// Report label of the runtime (one of [`SWEEP_MODES`]).
     pub mode: &'static str,
     /// Successful splices — the final session epoch (attach + detach
     /// each count one).
@@ -630,7 +598,7 @@ impl ChurnCell {
 }
 
 /// Run the reconfiguration `churn` sweep over `config.churn_counts` ×
-/// [`mode_grid`].
+/// [`SWEEP_MODES`].
 ///
 /// Each cell connects [`CHURN_SRC`] with `n` branches as a
 /// *reconfigurable* session, spawns one producer thread per static
@@ -644,7 +612,7 @@ pub fn run_churn(config: &Config, mut progress: impl FnMut(&ChurnCell)) -> Vec<C
     let program = reo_dsl::parse_program(CHURN_SRC).expect("churn family program parses");
     let mut cells = Vec::new();
     for &n in &config.churn_counts {
-        for (label, mode) in mode_grid(config.workers) {
+        for (label, mode) in Mode::grid_subset(SWEEP_MODES) {
             let connector = match Connector::builder(&program, "M")
                 .mode(mode)
                 .limits(config.limits)
@@ -847,7 +815,7 @@ const FAULT_STRANDED_BOUND: Duration = Duration::from_secs(5);
 pub struct FaultCell {
     /// One of [`FAULT_KINDS`].
     pub kind: &'static str,
-    /// Report label of the runtime (the [`mode_grid`] labels).
+    /// Report label of the runtime (one of [`SWEEP_MODES`]).
     pub mode: &'static str,
     /// Injections performed.
     pub iters: usize,
@@ -863,7 +831,7 @@ pub struct FaultCell {
     pub failure: Option<String>,
 }
 
-/// Run the fault-recovery sweep: [`FAULT_KINDS`] × [`mode_grid`].
+/// Run the fault-recovery sweep: [`FAULT_KINDS`] × [`SWEEP_MODES`].
 ///
 /// Each iteration opens a fresh `Fifo1` session, parks a deadline-bounded
 /// receive on the empty buffer, injects the cell's fault, and measures
@@ -878,7 +846,7 @@ pub fn run_faults(config: &Config, mut progress: impl FnMut(&FaultCell)) -> Vec<
     // the default hook so contained backtraces don't bury the report.
     std::panic::set_hook(Box::new(|_| {}));
     for &kind in FAULT_KINDS {
-        for (label, mode) in mode_grid(config.workers) {
+        for (label, mode) in Mode::grid_subset(SWEEP_MODES) {
             let connector = match Connector::builder(&program, "P")
                 .mode(mode)
                 .limits(config.limits)
@@ -948,9 +916,10 @@ fn fault_cell(
         match kind {
             "drop" => drop(tx.take()),
             "panic" => {
-                // The very next firing panics inside the engine; the
-                // send that triggers it resolves `Poisoned` itself.
-                reo_runtime::fault::arm_panic_after_steps(0);
+                // The very next firing of *this session* panics inside
+                // the engine; the send that triggers it resolves
+                // `Poisoned` itself.
+                handle.arm_panic_after_steps(0);
                 let _ = tx.as_ref().expect("tx live").try_send(1);
             }
             "poison" => handle.poison("bench: scripted poison"),
@@ -958,7 +927,6 @@ fn fault_cell(
             other => unreachable!("unknown fault kind {other}"),
         }
         let (result, t_done) = waiter.join().expect("victim thread never panics");
-        reo_runtime::fault::disarm();
         handle.close();
 
         let expected = matches!(
@@ -1006,25 +974,20 @@ fn fault_cell(
 ///
 /// 1. on the disjoint-port workload, targeted wakeups stay strictly below
 ///    the broadcast baseline wherever that baseline is non-trivial;
-/// 2. at high task counts, the worker-pool runtimes reach at least `jit`
-///    throughput on some multi-region family;
-/// 3. on every worker-pool cell with non-trivial kick traffic, kick-queue
-///    wakeups stay strictly below the kick count — the wakeups the PR 3
-///    global-generation scheduler would have signalled;
-/// 4. on every caller-thread `partitioned` `burst` cell with real
-///    traffic, engine-lock acquisitions per moved value stay strictly
-///    below the unbatched-protocol seed measurement
+/// 2. on every `part` `burst` cell with real traffic, engine-lock
+///    acquisitions per moved value stay strictly below the
+///    unbatched-protocol seed measurement
 ///    ([`SEED_BURST_LOCKS_PER_VALUE`]);
-/// 5. on every codegen duel, the lowered stepping program completes at
+/// 3. on every codegen duel, the lowered stepping program completes at
 ///    least [`CODEGEN_SPEEDUP_FLOOR`]× the boundary operations of the jit
 ///    interpreter;
-/// 6. every async `sessions` cell completes all its values with wake
+/// 4. every async `sessions` cell completes all its values with wake
 ///    precision `waker_wakes / completions` at most
 ///    [`SESSIONS_WAKE_PRECISION_CEILING`];
-/// 7. every reconfiguration `churn` cell survives its window of
+/// 5. every reconfiguration `churn` cell survives its window of
 ///    join/leave splices with exactly-once delivery and an epoch equal
 ///    to the splice count;
-/// 8. every fault-recovery `faults` cell resolves every injected fault
+/// 6. every fault-recovery `faults` cell resolves every injected fault
 ///    with the expected typed error — zero stranded ops — and its p99
 ///    time-to-typed-error stays under
 ///    [`FAULT_RECOVERY_P99_CEILING_US`].
@@ -1033,20 +996,16 @@ pub struct Verdict {
     /// Check 1, over every `channels` cell with `threads > 2` and
     /// `steps > 0`.
     pub wakeups_below_broadcast: bool,
-    /// Check 2, over every multi-region family at `n ≥ 8`.
-    pub workers_reach_jit: bool,
-    /// Check 3, over every worker-mode cell with `kicks > 100`.
-    pub kick_wakeups_below_kicks: bool,
-    /// Check 4, over every `burst`/`partitioned` cell with
-    /// `completions > 400` (≥ 100 moved values).
+    /// Check 2, over every `burst`/`part` cell with `completions > 400`
+    /// (≥ 100 moved values).
     pub locks_per_value_below_seed: bool,
-    /// Check 5, over every [`CodegenCell`]; false when none ran.
+    /// Check 3, over every [`CodegenCell`]; false when none ran.
     pub codegen_beats_jit: bool,
-    /// Check 6, over every [`SessionsCell`]; false when none ran.
+    /// Check 4, over every [`SessionsCell`]; false when none ran.
     pub async_sessions_scale: bool,
-    /// Check 7, over every [`ChurnCell`]; false when none ran.
+    /// Check 5, over every [`ChurnCell`]; false when none ran.
     pub reconfig_churn_scale: bool,
-    /// Check 8, over every [`FaultCell`]; false when none ran.
+    /// Check 6, over every [`FaultCell`]; false when none ran.
     pub fault_recovery_bounded: bool,
 }
 
@@ -1069,51 +1028,13 @@ pub fn verdict(
                 .unwrap_or(false)
         });
 
-    // The jit reference must itself be a healthy, progressing run — a
-    // failed or zero-step jit cell would let the check pass trivially.
-    let jit_steps = |family: &str, n: usize| {
-        cells
-            .iter()
-            .find(|c| {
-                c.family == family
-                    && c.n == n
-                    && c.mode == "jit"
-                    && c.outcome.failure.is_none()
-                    && c.outcome.steps > 0
-            })
-            .map(|c| c.outcome.steps)
-    };
-    let workers_reach_jit = cells.iter().any(|c| {
-        WORKER_MODES.contains(&c.mode)
-            && c.n >= 8
-            && c.family != "merger" // single-region control
-            && c.outcome.failure.is_none()
-            && jit_steps(c.family, c.n).is_some_and(|jit| c.outcome.steps >= jit)
-    });
-
-    // Check 3: every worker-pool cell with real kick traffic must wake
-    // strictly less often than it kicked (the global-generation baseline).
-    let kicked: Vec<&Cell> = cells
-        .iter()
-        .filter(|c| {
-            WORKER_MODES.contains(&c.mode)
-                && c.outcome.failure.is_none()
-                && c.outcome.stats.is_some_and(|s| s.kicks > 100)
-        })
-        .collect();
-    let kick_wakeups_below_kicks = !kicked.is_empty()
-        && kicked.iter().all(|c| {
-            let s = c.outcome.stats.expect("filtered on stats above");
-            s.kick_wakeups < s.kicks
-        });
-
-    // Check 4: batched pumping must beat the unbatched protocol's lock
+    // Check 2: batched pumping must beat the unbatched protocol's lock
     // traffic on the deep-backlog workload, mode against like mode.
     let burst_caller: Vec<&Cell> = cells
         .iter()
         .filter(|c| {
             c.family == "burst"
-                && c.mode == "partitioned"
+                && c.mode == "part"
                 && c.outcome.failure.is_none()
                 && c.outcome.stats.is_some_and(|s| s.completions > 400)
         })
@@ -1124,12 +1045,12 @@ pub fn verdict(
                 .is_some_and(|l| l < SEED_BURST_LOCKS_PER_VALUE)
         });
 
-    // Check 5: the compiled stepping core must beat the interpreter by
+    // Check 3: the compiled stepping core must beat the interpreter by
     // the floor multiple on every duel that ran.
     let codegen_beats_jit =
         !codegen.is_empty() && codegen.iter().all(|c| c.ratio() >= CODEGEN_SPEEDUP_FLOOR);
 
-    // Check 6: every async sessions cell delivered every value and the
+    // Check 4: every async sessions cell delivered every value and the
     // engines woke futures with per-completion precision.
     let async_sessions_scale = !sessions.is_empty()
         && sessions.iter().all(|c| {
@@ -1138,7 +1059,7 @@ pub fn verdict(
                 && c.wake_precision() <= SESSIONS_WAKE_PRECISION_CEILING
         });
 
-    // Check 7: every churn cell must finish its window clean — its
+    // Check 5: every churn cell must finish its window clean — its
     // `failure` already folds in exactly-once accounting and a minimum
     // of one full join/leave cycle; the epoch/splice identity is
     // restated here so a miscounting epoch cannot hide behind a clean
@@ -1148,7 +1069,7 @@ pub fn verdict(
             c.failure.is_none() && c.splices >= 2 && c.values > 0 && c.received == c.values
         });
 
-    // Check 8: every injected fault produced its promised typed error
+    // Check 6: every injected fault produced its promised typed error
     // (no stranded ops, no misclassified resolutions) and the p99
     // injection-to-error latency is bounded.
     let fault_recovery_bounded = !faults.is_empty()
@@ -1161,8 +1082,6 @@ pub fn verdict(
 
     Verdict {
         wakeups_below_broadcast,
-        workers_reach_jit,
-        kick_wakeups_below_kicks,
         locks_per_value_below_seed,
         codegen_beats_jit,
         async_sessions_scale,
@@ -1176,16 +1095,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_grid_produces_all_five_modes_and_stats() {
+    fn tiny_grid_produces_every_sweep_mode_and_stats() {
         let config = Config {
             window: Duration::from_millis(50),
             ns: vec![2],
             family_filter: Some(vec!["channels".into()]),
-            workers: 1,
             ..Config::default()
         };
         let cells = run(&config, |_| {});
-        assert_eq!(cells.len(), 5);
+        assert_eq!(
+            cells.iter().map(|c| c.mode).collect::<Vec<_>>(),
+            SWEEP_MODES,
+            "every sweep mode must name a Mode::grid() entry"
+        );
         for c in &cells {
             assert!(c.outcome.failure.is_none(), "{}: {:?}", c.mode, c.outcome);
             assert!(c.outcome.steps > 0, "{} made no progress", c.mode);
@@ -1205,7 +1127,6 @@ mod tests {
             window: Duration::from_millis(120),
             ns: vec![4],
             family_filter: Some(vec!["channels".into()]),
-            workers: 1,
             ..Config::default()
         };
         let cells = run(&config, |_| {});
@@ -1221,32 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn sequencer_workload_beats_global_generation_baseline_in_miniature() {
-        // The multi-link-border workload (each sequencer region borders
-        // two ring links, so its kicks still go through the kick queues):
-        // worker-pool kick-queue wakeups must come in strictly below the
-        // kick count (what the PR 3 global-generation scheduler would
-        // have signalled).
-        let config = Config {
-            window: Duration::from_millis(150),
-            ns: vec![4],
-            family_filter: Some(vec!["sequencer".into()]),
-            workers: 2,
-            ..Config::default()
-        };
-        let cells = run(&config, |_| {});
-        let v = verdict(&cells, &[], &[], &[], &[]);
-        assert!(
-            v.kick_wakeups_below_kicks,
-            "kick-queue wakeups not below the kick baseline: {:?}",
-            cells
-                .iter()
-                .map(|c| (c.mode, c.outcome.stats))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn relay_workload_is_kick_free_in_miniature() {
         // Every relay region borders exactly one link: the kick-free fast
         // path must keep the kick counter at zero in every partitioned
@@ -1255,7 +1150,6 @@ mod tests {
             window: Duration::from_millis(120),
             ns: vec![4],
             family_filter: Some(vec!["relay".into()]),
-            workers: 2,
             ..Config::default()
         };
         let cells = run(&config, |_| {});
@@ -1305,7 +1199,7 @@ mod tests {
     #[test]
     fn sessions_sweep_completes_with_precise_wakes_in_miniature() {
         // A small fleet must deliver every value, keep the wake count
-        // within the precision ceiling, and satisfy the sixth verdict.
+        // within the precision ceiling, and satisfy the sessions verdict.
         let config = Config {
             session_counts: vec![64],
             ..Config::default()
@@ -1333,16 +1227,20 @@ mod tests {
 
     #[test]
     fn churn_sweep_survives_join_leave_in_miniature() {
-        // A short window across the full mode grid: every cell must
+        // A short window across the sweep modes: every cell must
         // complete at least one join/leave cycle with exactly-once
-        // delivery, satisfying the seventh verdict.
+        // delivery, satisfying the churn verdict.
         let config = Config {
             window: Duration::from_millis(60),
             churn_counts: vec![2],
             ..Config::default()
         };
         let cells = run_churn(&config, |_| {});
-        assert_eq!(cells.len(), 5, "one churn cell per runtime mode");
+        assert_eq!(
+            cells.len(),
+            SWEEP_MODES.len(),
+            "one churn cell per runtime mode"
+        );
         for c in &cells {
             assert!(c.failure.is_none(), "{}: {:?}", c.mode, c);
             assert!(c.splices >= 2, "{}: no full churn cycle: {c:?}", c.mode);
@@ -1361,7 +1259,7 @@ mod tests {
     fn fault_sweep_resolves_typed_errors_in_miniature() {
         // A few injections per (kind, mode) cell: every parked receive
         // must resolve to the expected typed error within the stranded
-        // bound, satisfying the eighth verdict.
+        // bound, satisfying the fault verdict.
         let config = Config {
             fault_iters: 3,
             ..Config::default()
@@ -1369,7 +1267,7 @@ mod tests {
         let cells = run_faults(&config, |_| {});
         assert_eq!(
             cells.len(),
-            FAULT_KINDS.len() * 5,
+            FAULT_KINDS.len() * SWEEP_MODES.len(),
             "one cell per fault kind per runtime mode"
         );
         for c in &cells {
@@ -1395,7 +1293,6 @@ mod tests {
             window: Duration::from_millis(150),
             ns: vec![8],
             family_filter: Some(vec!["burst".into()]),
-            workers: 2,
             ..Config::default()
         };
         let cells = run(&config, |_| {});
@@ -1410,14 +1307,13 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // Batch sizes above 1 are a concurrency phenomenon (ops pile up
-        // while another thread holds the link or a worker coalesces
-        // kicks), so a single-core sweep only guarantees the counters
-        // move; the deterministic >1 cases live in the partition unit
-        // tests and the worker-mode equivalence stress.
+        // while another thread holds the link), so a single-core sweep
+        // only guarantees the counters move; the deterministic >1 cases
+        // live in the partition unit tests.
         let caller = cells
             .iter()
-            .find(|c| c.mode == "partitioned")
-            .expect("caller-thread cell present");
+            .find(|c| c.mode == "part")
+            .expect("partitioned cell present");
         let stats = caller.outcome.stats.expect("stats recorded");
         assert!(stats.batch_moves > 0, "no batched transfer ran: {stats:?}");
         assert!(

@@ -149,7 +149,7 @@ pub struct RunOutcome {
     pub failure: Option<String>,
     /// Engine contention counters at the end of the window (wakeups,
     /// spurious wakeups, lock acquisitions, completions, scheduler
-    /// kicks/steals) — `None` for failed runs. The `scale` harness builds
+    /// kicks) — `None` for failed runs. The `scale` harness builds
     /// on these.
     pub stats: Option<reo_runtime::EngineStats>,
     /// No-compute task threads this driver actually spawned (0 when
@@ -477,12 +477,7 @@ mod tests {
 
     #[test]
     fn ordered_family_is_live_in_all_modes() {
-        for mode in [
-            Mode::jit(),
-            Mode::existing(),
-            Mode::AotCompose { simplify: true },
-            Mode::partitioned(),
-        ] {
+        for &(_, mode) in Mode::grid() {
             assert_progress(&family("ordered"), 3, mode, 6);
         }
     }

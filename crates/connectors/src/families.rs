@@ -367,7 +367,7 @@ fn n_only_t() -> fn(usize) -> Vec<(&'static str, usize)> {
 /// what turns it into a link instead of region-internal state. Both of a
 /// channel's regions border exactly one link, so this is the showcase for
 /// the *kick-free* fast path: steady-state relays pump their own link
-/// inline and never touch the kick queue (`EngineStats::kicks` stays 0).
+/// inline, uncounted (`EngineStats::kicks` stays 0).
 pub fn relay_family() -> Family {
     Family {
         name: "relay",

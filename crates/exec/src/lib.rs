@@ -20,9 +20,9 @@
 //! * **Global + local run queues** — ready tasks go to the worker's own
 //!   local queue when woken from a worker thread (cache affinity, no
 //!   cross-thread handoff on ping-pong wakes), to the shared injector
-//!   queue otherwise. Workers drain local first, then the injector, then
-//!   *steal* from sibling locals, so a skewed wake pattern cannot strand
-//!   ready tasks behind one busy worker.
+//!   queue otherwise. Worker threads drain local first, then the
+//!   injector, then *steal* from sibling locals, so a skewed wake pattern
+//!   cannot strand ready tasks behind one busy worker.
 //! * **Parker** — idle workers sleep on one condvar guarded by a
 //!   generation counter: every schedule bumps the generation, and a
 //!   worker re-checks it between its last failed pop and the wait, so a
@@ -244,7 +244,7 @@ struct Shared {
     locals: Box<[Mutex<VecDeque<Arc<Task>>>]>,
     /// Bumped on every schedule; the parker's lost-wakeup guard.
     generation: AtomicU64,
-    /// Workers currently inside the park protocol.
+    /// Worker threads currently inside the park protocol.
     sleepers: AtomicUsize,
     /// Guards the park condvar; the flag is the shutdown signal.
     park_lock: Mutex<bool>,

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! * `diff` generates structured scenarios and runs each across the full
-//!   10-mode grid (see `reo_fuzz::diff`), stopping at the time box or
+//!   `Mode::grid()` (see `reo_fuzz::diff`), stopping at the time box or
 //!   the scenario budget, whichever comes first. Scenario counting is
-//!   grid-wide: one generated case counts as 10 executed scenarios, one
-//!   per mode.
+//!   grid-wide: one generated case counts as one executed scenario per
+//!   mode of the grid.
 //! * `faults` generates *fault-injection* scenarios — dropped ports,
 //!   panics injected into firings, scripted poisons, close races — and
 //!   checks graceful degradation across the same grid: typed errors
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use reo_bench::cli::Args;
 use reo_fuzz::{
     check_source, diff_case, fault_case, generate, generate_fault, hostile_source, load_dir,
-    minimize_case, minimize_source, mode_grid, replay, to_text, CaseOutcome, CorpusCase, Rng,
+    minimize_case, minimize_source, replay, to_text, CaseOutcome, CorpusCase, Rng,
 };
 
 fn main() {
@@ -63,7 +63,7 @@ fn write_case(dir: &PathBuf, name: &str, case: &CorpusCase, provenance: &str) ->
 fn run_diff(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
     let deadline = Instant::now() + Duration::from_secs_f64(args.f64("seconds", 60.0));
     let budget = args.usize("scenarios", usize::MAX);
-    let grid = mode_grid().len();
+    let grid = reo_runtime::Mode::grid().len();
     let mut executed = 0usize; // scenario-runs: cases × modes
     let mut agreed = 0usize;
     let mut refused = 0usize;
@@ -118,7 +118,7 @@ fn run_diff(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
 fn run_faults(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
     let deadline = Instant::now() + Duration::from_secs_f64(args.f64("seconds", 60.0));
     let budget = args.usize("scenarios", usize::MAX);
-    let grid = mode_grid().len();
+    let grid = reo_runtime::Mode::grid().len();
     let mut executed = 0usize;
     let mut graceful = 0usize;
     let mut refused = 0usize;

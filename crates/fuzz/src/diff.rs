@@ -1,6 +1,6 @@
-//! The differential harness: one scenario, the whole 10-mode grid.
+//! The differential harness: one scenario, the whole [`Mode::grid`].
 //!
-//! Every generated case runs under each mode of [`mode_grid`] with the
+//! Every generated case runs under each mode of the grid with the
 //! case's driver; the resulting [`Observation`]s are normalized according
 //! to the case's [`Agreement`] and compared pairwise against the first
 //! mode's. Any discrepancy — a diverging trace, a value delivered zero or
@@ -16,30 +16,6 @@
 use reo_runtime::{run_scenario, Mode, Observation, OpResult};
 
 use crate::gen::{Agreement, GenCase};
-
-/// The full runtime-mode grid, with stable display names. Must stay in
-/// sync with `tests/mode_equivalence.rs` — the fuzzer's whole claim is
-/// "every mode the equivalence suite covers, the fuzzer covers".
-pub fn mode_grid() -> Vec<(&'static str, Mode)> {
-    use reo_runtime::CachePolicy;
-    vec![
-        ("mono", Mode::ExistingMonolithic { simplify: true }),
-        ("mono-raw", Mode::ExistingMonolithic { simplify: false }),
-        ("aot", Mode::AotCompose { simplify: true }),
-        ("jit", Mode::jit()),
-        (
-            "jit-lru1",
-            Mode::Jit {
-                cache: CachePolicy::BoundedLru { capacity: 1 },
-            },
-        ),
-        ("part", Mode::partitioned()),
-        ("part-2", Mode::partitioned_with_workers(2)),
-        ("part-auto", Mode::partitioned_auto()),
-        ("comp", Mode::compiled()),
-        ("comp-part", Mode::compiled_partitioned()),
-    ]
-}
 
 /// What the differential check concluded about one case.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -197,7 +173,7 @@ pub fn diff_case(case: &GenCase) -> Result<CaseOutcome, Finding> {
     let mut baseline: Option<(&'static str, Normalized)> = None;
     let mut first_error: Option<(&'static str, String)> = None;
     let mut ran = 0usize;
-    for (name, mode) in mode_grid() {
+    for &(name, mode) in Mode::grid() {
         match run_scenario(&case.scenario, mode, case.driver) {
             Err(e) => {
                 let msg = e.to_string();
@@ -289,7 +265,7 @@ pub fn diff_case(case: &GenCase) -> Result<CaseOutcome, Finding> {
 pub fn fault_case(case: &GenCase) -> Result<CaseOutcome, Finding> {
     let mut first_error: Option<(&'static str, String)> = None;
     let mut ran = 0usize;
-    for (name, mode) in mode_grid() {
+    for &(name, mode) in Mode::grid() {
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_scenario(&case.scenario, mode, case.driver)
         }));
@@ -375,10 +351,5 @@ mod tests {
             .find(|c| c.shape == "pipeline")
             .expect("pipeline shape within 16 draws");
         assert_eq!(diff_case(&case), Ok(CaseOutcome::Agreed));
-    }
-
-    #[test]
-    fn the_grid_is_the_documented_ten() {
-        assert_eq!(mode_grid().len(), 10);
     }
 }

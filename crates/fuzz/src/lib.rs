@@ -9,8 +9,9 @@
 //!    sequencer) plus churn scripts exercising the reconfiguration API.
 //!    Every scenario is constructed together with a driving script the
 //!    generator can prove live, so a timeout is evidence, not noise.
-//! 2. [`diff`] — the differential harness: each scenario runs under all
-//!    ten runtime modes and both port front-ends; observations must
+//! 2. [`diff`] — the differential harness: each scenario runs under
+//!    every runtime of [`reo_runtime::Mode::grid`] and both port
+//!    front-ends; observations must
 //!    agree modulo the scenario's documented scheduling freedom, every
 //!    value must arrive exactly once, and nothing may hang.
 //! 3. [`pipeline`] — a front-end fuzzer feeding mutated and synthetic
@@ -37,7 +38,7 @@ pub mod pipeline;
 pub mod rng;
 
 pub use corpus::{from_text, load_dir, replay, to_text, CorpusCase};
-pub use diff::{diff_case, fault_case, mode_grid, CaseOutcome, Finding, FindingKind};
+pub use diff::{diff_case, fault_case, CaseOutcome, Finding, FindingKind};
 pub use gen::{generate, generate_fault, Agreement, GenCase};
 pub use minimize::{minimize_case, minimize_source};
 pub use pipeline::{check_source, hostile_source, PipeFinding, PipeStage};

@@ -66,17 +66,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The representative mode slice for pipeline fuzzing: the three distinct
-/// compilation strategies (monolithic elaboration, lazy medium automata,
-/// whole-region lowering). Running all ten would only re-lower the same
-/// automata; the grid belongs to the differential harness.
-fn build_modes() -> [(&'static str, Mode); 3] {
-    [
-        ("mono", Mode::ExistingMonolithic { simplify: true }),
-        ("jit", Mode::jit()),
-        ("comp", Mode::compiled()),
-    ]
-}
+/// The representative slice of [`Mode::grid`] for pipeline fuzzing: the
+/// three distinct compilation strategies (monolithic elaboration, lazy
+/// medium automata, whole-region lowering). Running the rest would only
+/// re-lower the same automata; the full grid belongs to the differential
+/// harness.
+const BUILD_MODES: [&str; 3] = ["mono", "jit", "comp"];
 
 /// Push one source through parse → build → connect under every build
 /// mode. Returns the first escaped panic, `None` when the pipeline
@@ -97,7 +92,7 @@ pub fn check_source(src: &str) -> Option<PipeFinding> {
     // Every definition is an entry-point candidate; small programs only
     // have a few.
     for def in &program.defs {
-        for (mode_name, mode) in build_modes() {
+        for (mode_name, mode) in Mode::grid_subset(&BUILD_MODES) {
             let built = catch_unwind(AssertUnwindSafe(|| {
                 Connector::builder(&program, &def.name).mode(mode).build()
             }));

@@ -349,13 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn reo_partitioned_with_workers_bcast_gather_round_trip() {
-        // Fire workers pump the cross-region links; `close()` inside
-        // `exercise` must join the pool cleanly.
-        exercise(ReoComm::new(3, Mode::partitioned_with_workers(2)).unwrap());
-    }
-
-    #[test]
     fn pipelines_carry_values_forward_and_backward() {
         for comm in [
             HandWritten::new(2) as Arc<dyn Comm>,

@@ -1,23 +1,23 @@
-//! Ahead-of-time composition (Sect. IV-D, first approach).
+//! The interpreting executor of one fully composed automaton — the
+//! Fig. 12 baseline.
 //!
-//! All medium automata are composed into the one large automaton *before*
-//! the actual computations start. "The advantage is that it is easy to
-//! implement; the disadvantage is that resources may be spent unnecessarily"
-//! — including, for exponential state spaces, failing outright, which this
-//! module reports as [`RuntimeError::Explosion`].
+//! The *existing approach* (monolithic compilation) produces one large
+//! automaton; this core walks it, evaluating guard and assignment `Term`s
+//! through the same `fire_one` the JIT core fires through, so `existing`
+//! and `jit` differ only in *when* the product is built. The paper's own
+//! ahead-of-time composition of medium automata (Sect. IV-D, first
+//! approach) is [`crate::Mode::compiled`]: same eager product, lowered to
+//! a flat program ([`crate::compiled::CompiledCore`]) instead of
+//! interpreted.
 
 use reo_automata::{
-    product_all, product_all_traced, simplify, Automaton, PortId, PortSet, ProductOptions, StateId,
-    Store,
+    product_all_traced, Automaton, PortId, PortSet, ProductOptions, StateId, Store,
 };
-use reo_core::ConnectorInstance;
 
 use crate::engine::{fire_one, op_enabled, EngineCore, PendingTable};
 use crate::error::RuntimeError;
 
-/// Sequential state machine over one fully composed automaton. Also the
-/// executor for the *existing approach* (monolithic compilation), which
-/// produces the identical artifact at compile time.
+/// Sequential state machine over one fully composed automaton.
 pub struct AotCore {
     automaton: Automaton,
     state: StateId,
@@ -32,23 +32,6 @@ pub struct AotCore {
 }
 
 impl AotCore {
-    /// Compose the instance's automata now; optionally label-simplify the
-    /// result down to the boundary ports.
-    pub fn compose(
-        instance: &ConnectorInstance,
-        opts: &ProductOptions,
-        apply_simplify: bool,
-    ) -> Result<Self, RuntimeError> {
-        let large = product_all(&instance.automata, opts)?;
-        let boundary: PortSet = instance.boundary.values().flatten().copied().collect();
-        let large = if apply_simplify {
-            simplify(&large, &boundary)
-        } else {
-            large
-        };
-        Ok(Self::from_automaton(large))
-    }
-
     /// Wrap an already-composed automaton (the monolithic path).
     pub fn from_automaton(automaton: Automaton) -> Self {
         let inputs = automaton.inputs().clone();
@@ -156,10 +139,10 @@ impl EngineCore for AotCore {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use reo_automata::{MemLayout, PortAllocator, PortId, Value};
+    use reo_automata::{product_all, simplify, MemLayout, PortAllocator, PortId, Value};
     use reo_core::{compile, examples, instantiate, Binding};
 
-    fn build_ex11(n: usize, simplify: bool) -> (Engine, Vec<PortId>, Vec<PortId>) {
+    fn build_ex11(n: usize, apply_simplify: bool) -> (Engine, Vec<PortId>, Vec<PortId>) {
         let prog = examples::paper_program();
         let cc = compile(&prog, "ConnectorEx11N").unwrap();
         let mut alloc = PortAllocator::new();
@@ -171,7 +154,12 @@ mod tests {
         ]
         .into();
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
-        let core = AotCore::compose(&inst, &ProductOptions::default(), simplify).unwrap();
+        let mut large = product_all(&inst.automata, &ProductOptions::default()).unwrap();
+        if apply_simplify {
+            let boundary: PortSet = inst.boundary.values().flatten().copied().collect();
+            large = simplify(&large, &boundary);
+        }
+        let core = AotCore::from_automaton(large);
         let mut layout = MemLayout::cells(alloc.mem_count());
         layout.merge(&inst.mem_layout);
         let engine = Engine::new(
@@ -223,43 +211,5 @@ mod tests {
             eng.wait_send(tl[1], None).unwrap();
             eng.wait_send(tl[2], None).unwrap();
         }
-    }
-
-    #[test]
-    fn composition_failure_reports_explosion() {
-        // Wide unsynchronized connector: AOT must fail within budget.
-        use reo_core::ir::*;
-        let def = ConnectorDef {
-            name: "Buffers".into(),
-            tails: vec![Param::array("a")],
-            heads: vec![Param::array("b")],
-            body: CExpr::prod(
-                "i",
-                IExpr::Const(1),
-                IExpr::len("a"),
-                CExpr::Inst(Inst::new(
-                    "Fifo1",
-                    vec![PortRef::indexed("a", IExpr::var("i"))],
-                    vec![PortRef::indexed("b", IExpr::var("i"))],
-                )),
-            ),
-        };
-        let prog = reo_core::Program::new(vec![def]);
-        let cc = compile(&prog, "Buffers").unwrap();
-        let mut alloc = PortAllocator::new();
-        let binding: Binding = [
-            ("a".to_string(), alloc.fresh_ports(20)),
-            ("b".to_string(), alloc.fresh_ports(20)),
-        ]
-        .into();
-        let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
-        let opts = ProductOptions {
-            max_states: 1 << 12,
-            max_transitions: 1 << 14,
-        };
-        assert!(matches!(
-            AotCore::compose(&inst, &opts, true),
-            Err(RuntimeError::Explosion(_))
-        ));
     }
 }

@@ -92,8 +92,8 @@ pub struct CompiledCore {
 
 impl CompiledCore {
     /// Compose the instance's automata now, optionally label-simplify down
-    /// to the boundary, then lower the result. The counterpart of
-    /// [`crate::aot::AotCore::compose`] for the compiled mode.
+    /// to the boundary, then lower the result. This is the paper's
+    /// ahead-of-time composition ([`crate::Mode::compiled`]).
     pub fn compose(
         instance: &ConnectorInstance,
         opts: &ProductOptions,
@@ -432,5 +432,51 @@ impl EngineCore for CompiledCore {
                     .collect()
             },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reo_automata::PortAllocator;
+    use reo_core::{compile, instantiate, Binding};
+
+    #[test]
+    fn composition_failure_reports_explosion() {
+        // Wide unsynchronized connector: the eager product must fail
+        // within budget, typed.
+        use reo_core::ir::*;
+        let def = ConnectorDef {
+            name: "Buffers".into(),
+            tails: vec![Param::array("a")],
+            heads: vec![Param::array("b")],
+            body: CExpr::prod(
+                "i",
+                IExpr::Const(1),
+                IExpr::len("a"),
+                CExpr::Inst(Inst::new(
+                    "Fifo1",
+                    vec![PortRef::indexed("a", IExpr::var("i"))],
+                    vec![PortRef::indexed("b", IExpr::var("i"))],
+                )),
+            ),
+        };
+        let prog = reo_core::Program::new(vec![def]);
+        let cc = compile(&prog, "Buffers").unwrap();
+        let mut alloc = PortAllocator::new();
+        let binding: Binding = [
+            ("a".to_string(), alloc.fresh_ports(20)),
+            ("b".to_string(), alloc.fresh_ports(20)),
+        ]
+        .into();
+        let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
+        let opts = ProductOptions {
+            max_states: 1 << 12,
+            max_transitions: 1 << 14,
+        };
+        assert!(matches!(
+            CompiledCore::compose(&inst, &opts, true),
+            Err(RuntimeError::Explosion(_))
+        ));
     }
 }

@@ -8,13 +8,18 @@
 //!   primitive for the now-known N, compose one large automaton, run it.
 //!   Work that the existing Reo compiler did at compile time happens inside
 //!   `connect`; the harness times it separately.
-//! * [`Mode::AotCompose`] — the *new* approach with ahead-of-time
-//!   composition of the medium automata at `connect` time.
+//! * [`Mode::Compiled`] — the *new* approach with ahead-of-time
+//!   composition of the medium automata at `connect` time, lowered to a
+//!   flat stepping program.
 //! * [`Mode::Jit`] — the new approach with just-in-time composition.
-//! * [`Mode::JitPartitioned`] — JIT plus the partitioning optimization of
-//!   reference \[32\], scheduled by [`Workers`]: caller-thread pumping,
-//!   a static fire-worker pool, or an adaptive one
-//!   ([`Mode::partitioned_auto`]).
+//! * [`Mode::JitPartitioned`] / [`Mode::CompiledPartitioned`] — either
+//!   core per synchronous region, plus the partitioning optimization of
+//!   reference \[32\]. Links are pumped by the calling task's own thread
+//!   (see [`crate::partition`]) — as in the paper's runtime, there are no
+//!   helper threads.
+//!
+//! [`Mode::grid`] is the one list of runtimes every test, fuzzer and
+//! sweep iterates.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,75 +37,33 @@ use reo_core::{
 use crate::aot::AotCore;
 use crate::cache::{CachePolicy, CacheStats};
 use crate::compiled::CompiledCore;
-use crate::engine::{Engine, EngineStats, PortMap};
+use crate::engine::{Engine, EngineCore, EngineStats, PortMap};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
-use crate::partition::{partition, partition_with_opts, Partitioned, RegionEngine};
+use crate::partition::{partition_with_opts, Partitioned, RegionEngine};
 use crate::port::{Backend, Inport, Outport};
 use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
-
-/// Start the fire-worker pool selected by `workers` (shared by both
-/// partitioned modes).
-fn spawn_partition_workers(parts: &Arc<Partitioned>, workers: Workers) {
-    match workers {
-        Workers::Caller | Workers::Fixed(0) => {}
-        Workers::Fixed(n) => parts.spawn_workers(n),
-        Workers::Auto => {
-            let n = parts.auto_worker_count();
-            parts.spawn_workers_adaptive(n);
-        }
-    }
-}
-
-/// Fire-worker scheduling of a partitioned connector (see
-/// [`crate::partition`] for the protocol).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workers {
-    /// Caller-thread scheduler: every task pumps the links bordering its
-    /// own region after each of its operations.
-    Caller,
-    /// Static pool of exactly `n` fire workers (`Fixed(0)` ≡ `Caller`).
-    /// The explicit override for when the adaptive sizing is wrong.
-    Fixed(usize),
-    /// Size the pool from `available_parallelism()`, the region count and
-    /// the link count, and let idle workers retire down to one
-    /// (quiescence-based shrink). A connector with no cross-region links
-    /// spawns no workers at all.
-    Auto,
-}
 
 /// Execution mode (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    ExistingMonolithic {
-        simplify: bool,
-    },
-    AotCompose {
-        simplify: bool,
-    },
-    Jit {
-        cache: CachePolicy,
-    },
+    /// The Fig. 12 baseline: one monolithic product, interpreted.
+    ExistingMonolithic { simplify: bool },
+    /// Just-in-time composition on one engine.
+    Jit { cache: CachePolicy },
     /// Partitioned JIT: one engine per synchronous region, cut fifos as
-    /// links, and the region-owned kick/steal scheduler of
-    /// [`crate::partition`] — with the scheduler selected by [`Workers`].
-    JitPartitioned {
-        cache: CachePolicy,
-        workers: Workers,
-    },
-    /// AOT composition lowered to a flat stepping program
-    /// ([`crate::compiled::CompiledCore`]): register bytecode instead of
-    /// `Term` interpretation, table dispatch instead of sync-set scans.
-    Compiled {
-        simplify: bool,
-    },
+    /// links pumped by the calling task ([`crate::partition`]).
+    JitPartitioned { cache: CachePolicy },
+    /// Ahead-of-time composition — compose, simplify, lower to a flat
+    /// stepping program ([`crate::compiled::CompiledCore`]): register
+    /// bytecode instead of `Term` interpretation, table dispatch instead
+    /// of sync-set scans.
+    Compiled,
     /// Partitioned execution with one *compiled* core per synchronous
     /// region: each region's product is lowered at `connect` time and the
     /// regions exchange values over the same batched links as
     /// [`Mode::JitPartitioned`].
-    CompiledPartitioned {
-        workers: Workers,
-    },
+    CompiledPartitioned,
 }
 
 impl Mode {
@@ -111,28 +74,10 @@ impl Mode {
         }
     }
 
-    /// Partitioned JIT with the caller-thread scheduler.
+    /// Partitioned JIT.
     pub fn partitioned() -> Self {
         Mode::JitPartitioned {
             cache: CachePolicy::Unbounded,
-            workers: Workers::Caller,
-        }
-    }
-
-    /// Partitioned JIT with a static pool of `workers` fire workers.
-    pub fn partitioned_with_workers(workers: usize) -> Self {
-        Mode::JitPartitioned {
-            cache: CachePolicy::Unbounded,
-            workers: Workers::Fixed(workers),
-        }
-    }
-
-    /// Partitioned JIT with an adaptively sized, quiescence-shrinking
-    /// fire-worker pool (see [`Workers::Auto`]).
-    pub fn partitioned_auto() -> Self {
-        Mode::JitPartitioned {
-            cache: CachePolicy::Unbounded,
-            workers: Workers::Auto,
         }
     }
 
@@ -141,16 +86,65 @@ impl Mode {
         Mode::ExistingMonolithic { simplify: true }
     }
 
-    /// Single-engine compiled mode: compose, simplify, lower.
+    /// The paper's ahead-of-time composition, on one engine.
     pub fn compiled() -> Self {
-        Mode::Compiled { simplify: true }
+        Mode::Compiled
     }
 
-    /// Partitioned compiled mode with the caller-thread scheduler.
+    /// Ahead-of-time composition per synchronous region.
     pub fn compiled_partitioned() -> Self {
-        Mode::CompiledPartitioned {
-            workers: Workers::Caller,
+        Mode::CompiledPartitioned
+    }
+
+    /// Every runtime there is to differ, with stable display names: the
+    /// five constructors plus the two non-default knob settings
+    /// (`mono-raw`: the baseline without label simplification; `jit-lru1`:
+    /// a one-entry state cache, so every revisit re-expands). The single
+    /// source for the differential fuzzer, the equivalence tests and the
+    /// bench sweeps — select a subset by name ([`Mode::grid_subset`]),
+    /// never by copying entries.
+    pub fn grid() -> &'static [(&'static str, Mode)] {
+        const GRID: [(&str, Mode); 7] = [
+            ("mono", Mode::ExistingMonolithic { simplify: true }),
+            ("mono-raw", Mode::ExistingMonolithic { simplify: false }),
+            (
+                "jit",
+                Mode::Jit {
+                    cache: CachePolicy::Unbounded,
+                },
+            ),
+            (
+                "jit-lru1",
+                Mode::Jit {
+                    cache: CachePolicy::BoundedLru { capacity: 1 },
+                },
+            ),
+            (
+                "part",
+                Mode::JitPartitioned {
+                    cache: CachePolicy::Unbounded,
+                },
+            ),
+            ("comp", Mode::Compiled),
+            ("comp-part", Mode::CompiledPartitioned),
+        ];
+        &GRID
+    }
+
+    /// The [`Mode::grid`] entries called `names`, in grid order. Panics on
+    /// a name the grid does not have — callers pass literals, so a miss is
+    /// a typo that would otherwise silently shrink a sweep.
+    pub fn grid_subset<'a>(names: &'a [&str]) -> impl Iterator<Item = (&'static str, Mode)> + 'a {
+        for name in names {
+            assert!(
+                Self::grid().iter().any(|(n, _)| n == name),
+                "no runtime mode named `{name}` in Mode::grid()"
+            );
         }
+        Self::grid()
+            .iter()
+            .copied()
+            .filter(move |(name, _)| names.contains(name))
     }
 
     pub fn is_parametrized(&self) -> bool {
@@ -399,11 +393,7 @@ impl Connector {
             None
         };
 
-        let backend = if reconfigurable {
-            self.reconfigurable_backend(instance, &mut alloc, &layout)?
-        } else {
-            self.static_backend(instance, &alloc, &layout)?
-        };
+        let backend = self.backend(instance, &alloc, &layout, reconfigurable)?;
 
         // Fault containment wiring: one region's contained panic poisons
         // the whole partition (peers in other regions fail fast instead
@@ -487,134 +477,79 @@ impl Connector {
         })
     }
 
-    /// The engine(s) of a non-reconfigurable session (the historical
-    /// `connect` path, untraced cores, dense single-engine port maps).
-    fn static_backend(
-        &self,
-        instance: ConnectorInstance,
-        alloc: &PortAllocator,
-        layout: &MemLayout,
-    ) -> Result<Backend, RuntimeError> {
-        Ok(match self.mode {
-            Mode::ExistingMonolithic { .. } => {
-                let [large] = <[_; 1]>::try_from(instance.automata)
-                    .expect("monolithic instance has exactly one automaton");
-                let core = AotCore::from_automaton(large);
-                Backend::Single(Arc::new(Engine::new(
-                    Box::new(core),
-                    PortMap::dense(alloc.port_count()),
-                    Store::new(layout),
-                )))
-            }
-            Mode::AotCompose { simplify } => {
-                let core = AotCore::compose(&instance, &self.limits.product, simplify)?;
-                Backend::Single(Arc::new(Engine::new(
-                    Box::new(core),
-                    PortMap::dense(alloc.port_count()),
-                    Store::new(layout),
-                )))
-            }
-            Mode::Jit { cache } => {
-                let core = JitCore::new(
-                    instance.automata,
-                    cache.build(),
-                    self.limits.expansion_budget,
-                );
-                Backend::Single(Arc::new(Engine::new(
-                    Box::new(core),
-                    PortMap::dense(alloc.port_count()),
-                    Store::new(layout),
-                )))
-            }
-            Mode::Compiled { simplify } => {
-                let core = CompiledCore::compose(&instance, &self.limits.product, simplify)?;
-                Backend::Single(Arc::new(Engine::new(
-                    Box::new(core),
-                    PortMap::dense(alloc.port_count()),
-                    Store::new(layout),
-                )))
-            }
-            Mode::JitPartitioned { cache, workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition(
-                    instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    cache,
-                    self.limits.expansion_budget,
-                )?);
-                // Deterministic initial arming (tokens reach link heads)
-                // before any worker can race it.
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
-            }
-            Mode::CompiledPartitioned { workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
-                    instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    RegionEngine::Compiled(self.limits.product),
-                    self.limits.expansion_budget,
-                    false,
-                )?);
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
-            }
-        })
-    }
-
-    /// The engine(s) of a reconfigurable session: every core is
+    /// Build the engine(s) of a session.
+    ///
+    /// `traced` is set for reconfigurable sessions: every core is
     /// state-traced (a splice reads constituent states back out of it),
     /// label simplification is skipped (it would orphan the trace), and
     /// single-engine port maps are sparse so a detached port is *unknown*
     /// to the engine ([`RuntimeError::Detached`]) rather than a silent
-    /// dead slot. The monolithic mode runs its composition through the
-    /// same traced product — identical behaviour, splice-able artifact.
-    fn reconfigurable_backend(
+    /// dead slot. The monolithic mode then runs its composition through
+    /// the same traced product — identical behaviour, splice-able
+    /// artifact. Untraced sessions get the cheaper cores and dense
+    /// single-engine port maps.
+    fn backend(
         &self,
         instance: ConnectorInstance,
-        alloc: &mut PortAllocator,
+        alloc: &PortAllocator,
         layout: &MemLayout,
+        traced: bool,
     ) -> Result<Backend, RuntimeError> {
-        Ok(match self.mode {
-            Mode::JitPartitioned { cache, workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
+        let region_engine = match self.mode {
+            Mode::JitPartitioned { cache } => Some(RegionEngine::Jit(cache)),
+            Mode::CompiledPartitioned => Some(RegionEngine::Compiled(self.limits.product)),
+            _ => None,
+        };
+        if let Some(engine) = region_engine {
+            let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
+                instance.automata,
+                layout,
+                engine,
+                self.limits.expansion_budget,
+                traced,
+            )?);
+            // Deterministic initial arming: tokens reach link heads
+            // before any task operates.
+            parts.pump();
+            return Ok(Backend::Multi(parts));
+        }
+        let (core, ports): (Box<dyn EngineCore>, PortMap) = if traced {
+            let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
+            let core =
+                reconfig::single_core_traced(self.mode, &self.limits, &instance.automata, &starts)?;
+            let ports = PortMap::sparse(instance.automata.iter().flat_map(|a| {
+                let ps = a.ports();
+                ps.iter().collect::<Vec<_>>()
+            }));
+            (core, ports)
+        } else {
+            let core: Box<dyn EngineCore> = match self.mode {
+                Mode::ExistingMonolithic { .. } => {
+                    let [large] = <[_; 1]>::try_from(instance.automata)
+                        .expect("monolithic instance has exactly one automaton");
+                    Box::new(AotCore::from_automaton(large))
+                }
+                Mode::Jit { cache } => Box::new(JitCore::new(
                     instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    RegionEngine::Jit(cache),
+                    cache.build(),
                     self.limits.expansion_budget,
+                )),
+                Mode::Compiled => Box::new(CompiledCore::compose(
+                    &instance,
+                    &self.limits.product,
                     true,
-                )?);
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
-            }
-            Mode::CompiledPartitioned { workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
-                    instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    RegionEngine::Compiled(self.limits.product),
-                    self.limits.expansion_budget,
-                    true,
-                )?);
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
-            }
-            mode => {
-                let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-                let core =
-                    reconfig::single_core_traced(mode, &self.limits, &instance.automata, &starts)?;
-                let ports = PortMap::sparse(instance.automata.iter().flat_map(|a| {
-                    let ps = a.ports();
-                    ps.iter().collect::<Vec<_>>()
-                }));
-                Backend::Single(Arc::new(Engine::new(core, ports, Store::new(layout))))
-            }
-        })
+                )?),
+                Mode::JitPartitioned { .. } | Mode::CompiledPartitioned => {
+                    unreachable!("partitioned modes returned above")
+                }
+            };
+            (core, PortMap::dense(alloc.port_count()))
+        };
+        Ok(Backend::Single(Arc::new(Engine::new(
+            core,
+            ports,
+            Store::new(layout),
+        ))))
     }
 }
 
@@ -838,6 +773,27 @@ impl ConnectorHandle {
         self.backend.poison(msg);
     }
 
+    /// Make the `n`-th step fired from now (0 = the very next one; counted
+    /// per region engine) panic *inside the firing*, to exercise panic
+    /// containment (catch → poison → wake). Armed on this session only,
+    /// so harnesses sharing a process cannot consume each other's fault.
+    /// A fault-injection hook for harnesses, not part of the stable API.
+    #[doc(hidden)]
+    pub fn arm_panic_after_steps(&self, n: u64) {
+        self.backend.arm_panic_after_steps(n);
+    }
+
+    /// A weak reference that dies with this session's engine(s): lets a
+    /// test assert that dropping every port and handle really frees them.
+    /// A leak probe for tests, not part of the stable API.
+    #[doc(hidden)]
+    pub fn backend_probe(&self) -> std::sync::Weak<dyn std::any::Any + Send + Sync> {
+        match &self.backend {
+            Backend::Single(e) => Arc::downgrade(e) as _,
+            Backend::Multi(m) => Arc::downgrade(m) as _,
+        }
+    }
+
     /// The most recent stall report assembled by this session's watchdog
     /// ([`SessionSpec::watchdog`]), or `None` without a watchdog or
     /// before any stall was detected. The report is retained after
@@ -875,16 +831,6 @@ impl ConnectorHandle {
         match &self.backend {
             Backend::Single(_) => 0,
             Backend::Multi(m) => m.link_count(),
-        }
-    }
-
-    /// Live fire workers pumping this connector's links right now (0 for
-    /// the single-engine modes and the caller-thread scheduler; an
-    /// adaptive pool shrinks this while quiescent).
-    pub fn worker_count(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 0,
-            Backend::Multi(m) => m.worker_count(),
         }
     }
 
@@ -1033,5 +979,39 @@ fn detach_blocking(
             }
             Err(e) => return Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn grid_names_are_unique_and_cover_every_constructor() {
+        let grid = Mode::grid();
+        for (i, (name, mode)) in grid.iter().enumerate() {
+            for (other_name, other_mode) in &grid[i + 1..] {
+                assert_ne!(name, other_name, "duplicate grid name");
+                assert_ne!(
+                    mode, other_mode,
+                    "`{name}` and `{other_name}` are one runtime"
+                );
+            }
+        }
+        for ctor in [
+            Mode::existing(),
+            Mode::jit(),
+            Mode::partitioned(),
+            Mode::compiled(),
+            Mode::compiled_partitioned(),
+        ] {
+            assert!(
+                grid.iter().any(|(_, m)| *m == ctor),
+                "{ctor:?} is missing from Mode::grid()"
+            );
+        }
+        // Subsets come back in grid order, whatever order they are named in.
+        let subset: Vec<_> = Mode::grid_subset(&["comp", "jit"]).collect();
+        assert_eq!(subset, [("jit", Mode::jit()), ("comp", Mode::compiled())]);
     }
 }

@@ -252,22 +252,15 @@ impl PendingTable {
 ///   anything above 1 is amortization the old one-value-per-hold
 ///   protocol could not express.
 ///
-/// The last three counters belong to the **partitioned scheduler**, not
-/// to any single engine; they are zero in the single-engine modes and
-/// filled in by the partition when aggregating:
+/// The last counter belongs to the **partitioned scheduler**, not to any
+/// single engine; it is zero in the single-engine modes and filled in by
+/// the partition when aggregating:
 ///
-/// * `kicks` — kick requests that named at least one cross-region link
-///   *and went through the kick machinery*. Regions bordering exactly
-///   one link take the kick-free fast path (they pump their own link
-///   inline) and do not count. Under the PR 3 global-generation
-///   scheduler every counted kick bumped one shared counter and could
-///   wake a worker, so `kicks` doubles as the *global-generation
-///   baseline* for `kick_wakeups`.
-/// * `kick_wakeups` — times a fire worker actually woke from its
-///   per-worker kick-queue condvar to find work. Per-link deduplication
-///   and batch draining keep this far below `kicks` under load.
-/// * `steals` — links pumped by a worker that does not own them (taken
-///   from another worker's kick queue at idle time).
+/// * `kicks` — kick requests from a region bordering **two or more**
+///   cross-region links: the operation's task ran a counted inline pump
+///   cascade over them. Regions bordering exactly one link pump it inline
+///   uncounted (the kick-free fast path), and regions bordering none
+///   return at once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Global execution steps fired (the Fig. 12 metric).
@@ -299,17 +292,10 @@ pub struct EngineStats {
     /// counts twice, once per side (see type docs). 0 outside
     /// partitioned mode.
     pub batched_values: u64,
-    /// Scheduler: kick requests naming ≥ 1 link that went through the
-    /// kick machinery (single-link-border regions pump inline and do not
-    /// count) — also the PR 3 global-generation wakeup baseline (see
-    /// type docs). 0 outside partitioned mode.
+    /// Scheduler: counted inline pump cascades, one per operation on a
+    /// region bordering ≥ 2 links (see type docs). 0 outside partitioned
+    /// mode.
     pub kicks: u64,
-    /// Scheduler: fire-worker wakeups out of kick-queue waits. 0 without
-    /// a worker pool.
-    pub kick_wakeups: u64,
-    /// Scheduler: links pumped by a non-owner worker. 0 without a worker
-    /// pool.
-    pub steals: u64,
 }
 
 impl EngineStats {
@@ -324,8 +310,6 @@ impl EngineStats {
         self.batch_moves += other.batch_moves;
         self.batched_values += other.batched_values;
         self.kicks += other.kicks;
-        self.kick_wakeups += other.kick_wakeups;
-        self.steals += other.steals;
     }
 }
 
@@ -470,6 +454,10 @@ pub(crate) struct EngineInner {
     /// [`RuntimeError::Hangup`](crate::RuntimeError::Hangup) instead of
     /// blocking forever. Always a superset of `hungup`.
     dead: PortSet,
+    /// Fault injection ([`Engine::arm_panic_after_steps`]): fired steps
+    /// left before a firing panics. `None` (always, outside harnesses) is
+    /// disarmed.
+    panic_after: Option<u64>,
 }
 
 /// The cross-engine fault fan-out callback (see `Engine::fault_notify`).
@@ -529,6 +517,7 @@ impl Engine {
                 poisoned: None,
                 hungup: PortSet::new(),
                 dead: PortSet::new(),
+                panic_after: None,
             }),
             port_cvs: RwLock::new((0..n).map(|_| Arc::new(Condvar::new())).collect()),
             lock_acquisitions: AtomicU64::new(0),
@@ -564,8 +553,6 @@ impl Engine {
             batch_moves: inner.batch_moves,
             batched_values: inner.batched_values,
             kicks: 0,
-            kick_wakeups: 0,
-            steals: 0,
         }
     }
 
@@ -612,6 +599,16 @@ impl Engine {
         inner.poisoned = Some(msg.to_string());
         inner.closed = true;
         self.wake_all(&mut inner);
+    }
+
+    /// Test-only fault injection: the `n`-th step this engine fires from
+    /// now (0 = the very next one) panics *inside the firing* — with the
+    /// engine lock held and peers parked, the worst interleaving for the
+    /// containment layer (catch → poison → wake). The countdown disarms
+    /// itself when it fires; it lives on the engine, so concurrent
+    /// sessions in one process cannot consume each other's fault.
+    pub(crate) fn arm_panic_after_steps(&self, n: u64) {
+        self.lock().panic_after = Some(n);
     }
 
     /// Wire the cross-engine fault notifier (first caller wins). Called
@@ -794,8 +791,8 @@ impl Engine {
     /// like a typed firing error. The core's state may be torn mid-step —
     /// poisoning makes that unobservable. Containing the panic at the
     /// step boundary protects *whichever* thread drove the loop: a task
-    /// calling `register_*`, a fire worker pumping links, or an executor
-    /// polling a future.
+    /// calling `register_*` or pumping a link, or an executor polling a
+    /// future.
     fn fire_loop(&self, inner: &mut EngineInner) {
         if inner.poisoned.is_some() || inner.closed {
             return;
@@ -812,15 +809,23 @@ impl Engine {
                 pending,
                 store,
                 completed,
+                panic_after,
                 ..
             } = inner;
             completed.clear();
             let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let r = core.try_step(pending, store, completed);
                 if matches!(r, Ok(true)) {
-                    // The injection hook panics at a step boundary, inside
+                    // The injected panic fires at a step boundary, inside
                     // the catch — the worst-case interleaving for peers.
-                    crate::fault::tick_fired_step();
+                    match panic_after {
+                        Some(0) => {
+                            *panic_after = None;
+                            panic!("injected fault: panic in firing");
+                        }
+                        Some(left) => *left -= 1,
+                        None => {}
+                    }
                 }
                 r
             }));

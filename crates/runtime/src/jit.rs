@@ -288,28 +288,46 @@ impl EngineCore for JitCore {
 
     fn dead_ports(&self, hungup: &PortSet) -> PortSet {
         // Per-constituent reachability: a local transition is dead when it
-        // synchronizes a hung-up port, and local states reachable from the
+        // synchronizes a dead port, and local states reachable from the
         // current one via live transitions over-approximate the global
         // reach (every global step either idles a constituent or takes one
         // of its local transitions). So a port that *some* constituent can
         // no longer synchronize on any reachable live local transition is
         // dead for the whole product — sound, and it never builds the
         // product the JIT exists to avoid.
+        //
+        // Deadness crosses internal vertices (a `Merg2` chain's `m[i]`):
+        // a port proved dead in one constituent kills the transitions of
+        // its neighbour, so iterate to a fixpoint, feeding newly dead
+        // ports back in. Only constituents touching a newly dead port are
+        // (re-)analyzed — a port drop costs its own neighbourhood, not
+        // the whole connector.
         let mut dead = hungup.clone();
-        for (i, a) in self.automata.iter().enumerate() {
-            let local = crate::engine::dead_ports_reach(
-                a.state_count(),
-                self.states[i],
-                hungup,
-                &self.ports[i],
-                &|s| {
-                    a.transitions_from(s)
-                        .iter()
-                        .map(|t| (t.sync.clone(), t.target))
-                        .collect()
-                },
-            );
-            dead = dead.union(&local);
+        let mut frontier = hungup.clone();
+        while !frontier.is_empty() {
+            let mut newly = PortSet::new();
+            for (i, a) in self.automata.iter().enumerate() {
+                if self.ports[i].is_disjoint(&frontier) {
+                    continue;
+                }
+                let local = crate::engine::dead_ports_reach(
+                    a.state_count(),
+                    self.states[i],
+                    &dead,
+                    &self.ports[i],
+                    &|s| {
+                        a.transitions_from(s)
+                            .iter()
+                            .map(|t| (t.sync.clone(), t.target))
+                            .collect()
+                    },
+                );
+                for p in local.iter().filter(|p| !dead.contains(*p)) {
+                    newly.insert(p);
+                }
+            }
+            dead = dead.union(&newly);
+            frontier = newly;
         }
         dead
     }

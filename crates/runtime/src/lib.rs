@@ -2,23 +2,25 @@
 //!
 //! Parametrized execution (Sect. IV-D of van Veen & Jongmans, IPDPSW 2018):
 //! blocking ports in the generalized Foster–Chandy model, a sequential
-//! protocol engine, and four execution modes —
+//! protocol engine, and the paper's execution modes —
 //!
-//! * the **existing approach** (one large automaton composed from fully
-//!   elaborated primitives),
-//! * **ahead-of-time composition** of medium automata at `connect` time,
-//! * **just-in-time composition** with an unbounded or bounded-LRU state
-//!   cache, and
-//! * **partitioned just-in-time composition** (the optimization of the
-//!   paper's reference \[32\], which fixes Fig. 13's finding 3) — with
-//!   the caller-thread scheduler ([`Mode::partitioned`]), a static
-//!   fire-worker pool ([`Mode::partitioned_with_workers`]), or an
-//!   adaptively sized, quiescence-shrinking pool
-//!   ([`Mode::partitioned_auto`]) pumping the cross-region links through
-//!   per-link kick queues with work stealing. Link pumping is *batched*
-//!   (one engine-lock hold per side moves a whole backlog) and
-//!   single-link-border regions skip the kick machinery entirely (see
-//!   [`partition`]).
+//! * the **existing approach** ([`Mode::existing`]: one large automaton
+//!   composed from fully elaborated primitives — the Fig. 12 baseline),
+//! * **ahead-of-time composition** of medium automata at `connect` time
+//!   ([`Mode::compiled`], lowered to a flat stepping program),
+//! * **just-in-time composition** ([`Mode::jit`]) with an unbounded or
+//!   bounded-LRU state cache, and
+//! * either core **partitioned** ([`Mode::partitioned`],
+//!   [`Mode::compiled_partitioned`] — the optimization of the paper's
+//!   reference \[32\], which fixes Fig. 13's finding 3): one engine per
+//!   synchronous region, cut fifos as links.
+//!
+//! There is one scheduler: as in the paper, the task that calls
+//! `send`/`recv` steps the connector itself — and, in the partitioned
+//! modes, pumps the links bordering its region. Link pumping is *batched*
+//! (one engine-lock hold per side moves a whole backlog) and
+//! single-link-border regions pump uncounted (see [`partition`]).
+//! [`Mode::grid`] lists every runtime for tests, fuzzers and sweeps.
 //!
 //! Engines block tasks on *per-port* wait queues (a completed transition
 //! wakes only the ports that fired — no thundering herd) and expose
@@ -73,8 +75,6 @@ pub mod compiled;
 pub mod connector;
 pub mod engine;
 pub mod error;
-#[doc(hidden)]
-pub mod fault;
 pub mod jit;
 pub mod partition;
 pub mod port;
@@ -89,7 +89,6 @@ pub use cache::{CachePolicy, CacheStats};
 pub use compiled::CompiledCore;
 pub use connector::{
     Branch, Connector, ConnectorBuilder, ConnectorHandle, Limits, Mode, Session, SessionSpec,
-    Workers,
 };
 pub use engine::EngineStats;
 pub use error::RuntimeError;

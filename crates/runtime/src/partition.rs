@@ -46,66 +46,42 @@
 //! [`EngineStats::batch_moves`]: crate::EngineStats::batch_moves
 //! [`EngineStats::batched_values`]: crate::EngineStats::batched_values
 //!
-//! # Region-owned scheduling, and when it is skipped
+//! # Caller-thread scheduling, and when it is skipped
 //!
-//! Moving values across links ("pumping") is work that someone has to do,
-//! and — since PR 4 — it is *routed*, not broadcast. The partition keeps a
-//! static adjacency (`region → bordering links`); a task operation on a
-//! port of region `r` can only ever enable the links bordering `r`, so a
-//! kick names exactly those links. Pumping then *cascades*: when a pump
-//! step of link `l` makes progress, it may have enabled the links
-//! bordering `l`'s two regions, and only those are revisited — a worklist
-//! traversal of the link graph that reaches quiescence without ever
-//! touching unaffected links.
+//! Moving values across links ("pumping") is work that someone has to do.
+//! As in the paper's runtime (Sect. IV-D) there are no helper threads:
+//! the task that calls `send`/`recv` pumps, and the pumping is *routed*,
+//! not broadcast. The partition keeps a static adjacency (`region →
+//! bordering links`); a task operation on a port of region `r` can only
+//! ever enable the links bordering `r`, so a kick names exactly those
+//! links. Pumping then *cascades*: when a pump step of link `l` makes
+//! progress, it may have enabled the links bordering `l`'s two regions,
+//! and only those are revisited — a worklist traversal of the link graph
+//! that reaches quiescence without ever touching unaffected links.
 //!
-//! **The kick-free fast path.** A region whose border is exactly one
-//! link never uses that machinery at all: its operations pump the sole
-//! link inline — uncounted, unqueued, no worker wakeup. The link is
-//! armed at connect time ([`Partitioned::pump`]) and the batched pump
-//! keeps it armed (the drain re-arms inside the engine's own completion
-//! step while credit remains; the offer leaves a front offered), so a
-//! steady-state single-link chain such as the `relay` family's
-//! `Sync – Fifo1 – Sync` runs with [`EngineStats::kicks`] pinned at
-//! zero. Regions bordering no link return before touching the counter —
-//! a pure intra-region connector pays nothing per operation.
+//! [`Partitioned::kick`] has three cases, cheapest first:
+//!
+//! * a region bordering **no link** returns before touching anything — a
+//!   pure intra-region connector pays nothing per operation;
+//! * a region bordering **exactly one link** pumps it inline, uncounted —
+//!   the kick-free fast path. The link is armed at connect time
+//!   ([`Partitioned::pump`]) and the batched pump keeps it armed (the
+//!   drain re-arms inside the engine's own completion step while credit
+//!   remains; the offer leaves a front offered), so a steady-state
+//!   single-link chain such as the `relay` family's `Sync – Fifo1 – Sync`
+//!   runs with [`EngineStats::kicks`] pinned at zero;
+//! * a region bordering **two or more links** runs the cascade over them
+//!   inline and counts one kick — exactly the cost model of the paper's
+//!   sequential runtime, but bounded by the affected links, not the full
+//!   link list.
 //!
 //! [`EngineStats::kicks`]: crate::EngineStats::kicks
 //!
-//! Regions bordering **two or more** links kick, and two schedulers
-//! execute those kicks:
-//!
-//! * **caller-thread** (no workers): the kicking task runs the cascade
-//!   inline, exactly the cost model of the paper's sequential runtime —
-//!   but now bounded by the affected links, not the full link list.
-//! * **fire-worker pool** (workers > 0): each worker *owns* the regions
-//!   `r` with `r ≡ slot (mod workers)` and with them every link heading
-//!   into an owned region. A kick enqueues the link on its owner's
-//!   private kick queue (deduplicated by a per-link flag: a link sits in
-//!   at most one queue at a time) and wakes only that owner — there is no
-//!   global generation counter and no shared wakeup channel.
-//!
-//! **Work stealing.** A worker that drains its own queue pops from the
-//!   *back* of its neighbours' queues before sleeping; a kick that finds
-//!   the owner busy also pokes one idle neighbour so backlog migrates
-//!   without scanning. Steals are counted in
-//!   [`EngineStats::steals`](crate::EngineStats).
-//!
-//! **Adaptive sizing.** [`Mode::partitioned_auto`](crate::Mode) sizes the
-//!   pool from `available_parallelism()`, the region count, and the link
-//!   count, and lets idle workers retire: a worker whose timed wait
-//!   expires with an empty queue exits (never below one worker), and
-//!   kicks to a retired slot fall over to the next live one — a fully
-//!   quiescent pool still services a late kick.
-//!
-//! Workers hold only a [`Weak`] reference, and shutdown is wired through
-//! [`Partitioned::close`] (and a `Drop` safety net), so a forgotten
-//! session cannot leak spinning threads.
-//!
 //! Each link's queue and its armed flag live behind **one** mutex
 //! (`LinkState`) and every pump step holds it across the whole
-//! take/arm/acknowledge sequence, so concurrent pumpers (several tasks, or
-//! several fire workers) can never tear an arm/consume pair apart or
-//! reorder two values of the same link.
+//! take/arm/acknowledge sequence, so concurrent pumpers (several tasks)
+//! can never tear an arm/consume pair apart or reorder two values of the
+//! same link.
 //!
 //! # Example
 //!
@@ -124,7 +100,7 @@
 //!        mult prod (i:1..#a) Sync(n[i];b[i])",
 //! ).unwrap();
 //! let connector = Connector::builder(&program, "P")
-//!     .mode(Mode::partitioned_auto())
+//!     .mode(Mode::partitioned())
 //!     .build()
 //!     .unwrap();
 //! let mut session = connector.session().replicate("a", 2).replicate("b", 2).connect().unwrap();
@@ -138,21 +114,19 @@
 //! assert_eq!(rxs[0].recv().unwrap(), 5);
 //!
 //! // Every region here borders exactly one link, so the kick-free fast
-//! // path pumps inline: the kick machinery is never touched, and the
-//! // value crossed the link through batched transfers.
+//! // path pumps inline, uncounted, and the value crossed the link
+//! // through batched transfers.
 //! let stats = handle.stats();
 //! assert_eq!(stats.kicks, 0, "single-link chains must not kick");
 //! assert!(stats.batched_values > 0, "the value crossed via batched pumps");
-//! handle.close(); // joins the pool
-//! assert_eq!(handle.worker_count(), 0);
 //! ```
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, Weak};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use reo_automata::{Automaton, MemLayout, PortId, PortSet, ProductOptions, StateId, Store, Value};
 
 use crate::cache::CachePolicy;
@@ -161,13 +135,9 @@ use crate::engine::{Engine, EngineCore, EngineInner, EngineStats, PortMap};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 
-/// How long an adaptive fire worker stays parked with an empty queue
-/// before retiring (see module docs).
-const IDLE_SHRINK_TIMEOUT: Duration = Duration::from_millis(10);
-
 thread_local! {
-    /// Reusable in-worklist marks for the inline cascades (caller-thread
-    /// kicks and try-probes). [`Partitioned::pump_cascade`] leaves every
+    /// Reusable in-worklist marks for the inline cascades (kicks and
+    /// try-probes). [`Partitioned::pump_cascade`] leaves every
     /// mark false on exit, so the buffer only ever grows — no per-kick
     /// allocation, no O(links) re-zeroing on the operation hot path.
     static CASCADE_SCRATCH: std::cell::RefCell<Vec<bool>> =
@@ -211,11 +181,6 @@ pub struct Link {
     pub to: usize,
     capacity: Option<usize>,
     state: Arc<Mutex<LinkState>>,
-    /// True while this link sits in some worker's kick queue — the
-    /// deduplication flag of the kick protocol: set by the first enqueue,
-    /// cleared by the dequeuing worker *before* it pumps, so a kick that
-    /// races the pump re-enqueues and is never lost.
-    queued: AtomicBool,
     /// The contention-handoff flag: a pumper that finds the link lock
     /// held raises it and leaves (the holder is already in a pump step
     /// and re-pumps on its way out) instead of convoying on the lock.
@@ -253,7 +218,6 @@ impl Link {
                     armed: false,
                 }))
             }),
-            queued: AtomicBool::new(false),
             repump: AtomicBool::new(false),
             hangup_fwd: AtomicBool::new(false),
             hangup_back: AtomicBool::new(false),
@@ -261,72 +225,11 @@ impl Link {
     }
 }
 
-/// One fire worker's kick queue (the worker and any kicker lock it).
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-struct SlotState {
-    /// Pending `(topology version, link index)` pairs, owner pops front /
-    /// stealers pop back. The version tag makes entries that survive a
-    /// reconfiguration splice self-invalidating: a worker that dequeues a
-    /// stale pair (its version no longer matches the live topology's)
-    /// drops it — the splice finishes with a full pump, so no work is
-    /// lost with it.
-    queue: std::collections::VecDeque<(u64, usize)>,
-    /// Worker parked on `cv` right now (a kick then notifies it).
-    waiting: bool,
-    /// Worker attached; false once the worker retired (adaptive shrink).
-    active: bool,
-    shutdown: bool,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(SlotState {
-                queue: std::collections::VecDeque::new(),
-                waiting: false,
-                active: true,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// The region-owned scheduler state shared by kickers and fire workers.
-///
-/// There is deliberately *no* static link → owner table here: the owner
-/// of link `l` is computed on the fly as `topology.links[l].to % slots`,
-/// so a reconfiguration splice that renumbers regions (or adds/removes
-/// links) rebalances kick ownership across the live workers for free.
-struct Pool {
-    slots: Box<[Slot]>,
-    /// Idle workers may retire down to one (quiescence-based shrink).
-    adaptive: bool,
-    idle_timeout: Duration,
-    /// Live (non-retired) workers.
-    live: AtomicUsize,
-    /// Workers currently parked on their condvar. Gates the busy-owner
-    /// steal-hint scan: when nobody is parked (the saturated regime), a
-    /// kick skips the O(workers) slot-lock probe entirely.
-    idle: AtomicUsize,
-    /// Worker wakeups out of kick-queue waits ([`EngineStats::kick_wakeups`]).
-    kick_wakeups: AtomicU64,
-    /// Links pumped by a non-owner worker ([`EngineStats::steals`]).
-    steals: AtomicU64,
-    /// Panics caught inside a worker's pump (the worker survives; the
-    /// session is poisoned so tasks get a typed error, not a hang).
-    contained_panics: AtomicU64,
-}
-
 /// One immutable snapshot of the partition's structure: regions, links,
 /// routing. Hot paths clone an `Arc<Topology>` out of
 /// [`Partitioned::topo`] and run against the snapshot lock-free; a
-/// reconfiguration splice builds a successor snapshot (bumping
-/// [`Topology::version`]) and swaps it in atomically. Engines of
+/// reconfiguration splice builds a successor snapshot and swaps it in
+/// atomically. Engines of
 /// surviving regions are carried over **by `Arc` identity** — blocked
 /// tasks hold `Arc<Engine>` clones, so the engine they sleep in must be
 /// the engine the new topology routes to.
@@ -349,27 +252,19 @@ pub struct Topology {
     region_constituents: Vec<Vec<usize>>,
     /// Constituent index → its region; `None` for a cut queue (a link).
     automaton_region: Vec<Option<usize>>,
-    /// Bumped by every splice; tags kick-queue entries so stale ones are
-    /// dropped instead of pumping a renumbered link.
-    pub version: u64,
 }
 
 /// The result of partitioning a set of medium automata. Structure lives
-/// in a swappable [`Topology`] snapshot; the scheduler (kick counter,
-/// worker pool) persists across reconfigurations.
+/// in a swappable [`Topology`] snapshot; the kick counter persists across
+/// reconfigurations.
 pub struct Partitioned {
     topo: RwLock<Arc<Topology>>,
     /// What steps each region (needed again when a splice rebuilds one).
     engine_kind: RegionEngine,
     expansion_budget: usize,
-    /// Kick requests naming ≥ 1 link ([`EngineStats::kicks`]; also counted
-    /// with the caller-thread scheduler).
+    /// Counted kicks: operations on a region bordering ≥ 2 links
+    /// ([`EngineStats::kicks`]).
     kicks: AtomicU64,
-    /// Present once a worker pool was spawned.
-    pool: OnceLock<Arc<Pool>>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Cached "pool is up", readable without locks on the hot kick path.
-    has_workers: AtomicBool,
     /// Back-reference for fault fan-out, set once the partition is behind
     /// an `Arc` ([`Partitioned::wire_fault_fanout`]); splices use it to
     /// wire fresh region engines the same way.
@@ -411,26 +306,27 @@ struct Plan {
 pub enum RegionEngine {
     /// Just-in-time composition with the given state-cache policy.
     Jit(CachePolicy),
-    /// Eager per-region product, lowered at build time (the budget bounds
-    /// each region's product, not the whole connector's).
+    /// Eager per-region product, lowered at build time — the paper's
+    /// ahead-of-time composition, per region (the budget bounds each
+    /// region's product, not the whole connector's).
     Compiled(ProductOptions),
 }
 
-/// Split `automata` into synchronous regions connected by queue links,
-/// stepping each region with a JIT core — see [`partition_with`].
+/// [`partition_with_opts`] with the defaults of [`crate::Mode::partitioned`]:
+/// a JIT core per region under the given state-cache policy, untraced.
 pub fn partition(
     automata: Vec<Automaton>,
-    port_count: usize,
+    _port_count: usize,
     mem_layout: &MemLayout,
     cache: CachePolicy,
     expansion_budget: usize,
 ) -> Result<Partitioned, RuntimeError> {
-    partition_with(
+    partition_with_opts(
         automata,
-        port_count,
         mem_layout,
         RegionEngine::Jit(cache),
         expansion_budget,
+        false,
     )
 }
 
@@ -441,24 +337,6 @@ pub fn partition(
 /// sides touch different regions becomes a [`Link`]; one with both sides in
 /// the same region (or dangling sides) stays an ordinary automaton of that
 /// region. `engine` selects each region's stepping core.
-pub fn partition_with(
-    automata: Vec<Automaton>,
-    port_count: usize,
-    mem_layout: &MemLayout,
-    engine: RegionEngine,
-    expansion_budget: usize,
-) -> Result<Partitioned, RuntimeError> {
-    partition_with_opts(
-        automata,
-        port_count,
-        mem_layout,
-        engine,
-        expansion_budget,
-        false,
-    )
-}
-
-/// [`partition_with`], optionally building *state-traced* region cores.
 ///
 /// `traced` must be set for sessions that intend to reconfigure: a splice
 /// reads each affected region's per-constituent control states back out
@@ -469,13 +347,11 @@ pub fn partition_with(
 /// keep the cheaper untraced build.
 pub fn partition_with_opts(
     automata: Vec<Automaton>,
-    port_count: usize,
     mem_layout: &MemLayout,
     engine: RegionEngine,
     expansion_budget: usize,
     traced: bool,
 ) -> Result<Partitioned, RuntimeError> {
-    let _ = port_count; // regions shard to their own ports (kept for API stability)
     let plan = plan_partition(&automata);
 
     // One engine per region, sharded to the region's own ports. The store
@@ -514,14 +390,10 @@ pub fn partition_with_opts(
             link_neighbors: plan.link_neighbors,
             region_constituents: plan.regions,
             automaton_region: plan.automaton_region,
-            version: 0,
         })),
         engine_kind: engine,
         expansion_budget,
         kicks: AtomicU64::new(0),
-        pool: OnceLock::new(),
-        workers: Mutex::new(Vec::new()),
-        has_workers: AtomicBool::new(false),
         fanout: OnceLock::new(),
         watchdog_state: OnceLock::new(),
         lock_poison_noted: AtomicBool::new(false),
@@ -845,11 +717,11 @@ impl Partitioned {
 
     /// Move values across every link until quiescent. Used for
     /// connect-time initial arming and by the synchronous try-probe paths
-    /// (a probe cannot wait for an asynchronous worker, and a value
-    /// parked behind an unserviced kick on an upstream link would be
-    /// unreachable from a targeted cascade — only the full sweep
-    /// guarantees the probe observes everything already in flight). Safe
-    /// to run concurrently from any thread.
+    /// (a value another task's cascade is still moving along an upstream
+    /// link is unreachable from a targeted cascade, which only expands
+    /// on progress — only the full sweep guarantees the probe observes
+    /// everything already in flight). Safe to run concurrently from any
+    /// thread.
     pub fn pump(&self) {
         let topo = self.topo();
         CASCADE_SCRATCH.with(|s| {
@@ -857,27 +729,25 @@ impl Partitioned {
         });
     }
 
-    /// Request pumping after an operation on port `p`: only the links
-    /// bordering `p`'s region can have been enabled, so only those are
-    /// considered.
+    /// Pump after an operation on port `p`, on the calling task's own
+    /// thread: only the links bordering `p`'s region can have been
+    /// enabled, so only those are considered.
     ///
-    /// Three tiers, cheapest first:
+    /// Three cases, cheapest first:
     ///
     /// * **zero links anywhere / zero links on this region's border** —
     ///   return immediately, uncounted. A pure intra-region connector
     ///   pays nothing beyond the (skipped-entirely when the partition has
     ///   no links at all) router lookup.
-    /// * **exactly one bordering link — the kick-free fast path.** The
-    ///   caller pumps that link inline, right now: no kick counter, no
-    ///   worker queue, no wakeup. Combined with connect-time arming and
-    ///   the batched pump's keep-armed discipline, a steady-state
-    ///   single-link chain (`Sync – Fifo1 – Sync`) never touches the kick
-    ///   machinery at all — `EngineStats::kicks` flatlines. When the
-    ///   link's cascade frontier is itself alone, the pump loops in place;
-    ///   otherwise the inline cascade covers downstream links.
-    /// * **two or more bordering links** — the counted kick path: inline
-    ///   cascade without a worker pool, otherwise enqueue onto the links'
-    ///   owning workers' kick queues.
+    /// * **exactly one bordering link — the kick-free fast path.** Pump
+    ///   that link inline, uncounted. Combined with connect-time arming
+    ///   and the batched pump's keep-armed discipline, a steady-state
+    ///   single-link chain (`Sync – Fifo1 – Sync`) keeps
+    ///   `EngineStats::kicks` at zero. When the link's cascade frontier
+    ///   is itself alone, the pump loops in place; otherwise the inline
+    ///   cascade covers downstream links.
+    /// * **two or more bordering links** — one counted kick: an inline
+    ///   cascade starting from all of them.
     pub fn kick(&self, p: PortId) {
         let topo = self.topo();
         if topo.links.is_empty() {
@@ -901,180 +771,10 @@ impl Partitioned {
             }
             _ => {
                 self.kicks.fetch_add(1, Ordering::Relaxed);
-                if self.has_workers.load(Ordering::Relaxed) {
-                    if let Some(pool) = self.pool.get() {
-                        for &l in adjacent {
-                            self.enqueue_kick(pool, &topo, l);
-                        }
-                        return;
-                    }
-                }
                 CASCADE_SCRATCH.with(|s| {
                     self.pump_cascade(&topo, adjacent.iter().copied(), &mut s.borrow_mut());
                 });
             }
-        }
-    }
-
-    /// Put link `l` on its owner's kick queue (deduplicated by the link's
-    /// `queued` flag) and wake the owner — or, if the owner slot retired,
-    /// the next live slot. A kick that finds the owner busy pokes one idle
-    /// neighbour so it can come steal the backlog.
-    fn enqueue_kick(&self, pool: &Pool, topo: &Topology, l: usize) {
-        if topo.links[l].queued.swap(true, Ordering::SeqCst) {
-            return; // already queued: the pending pump covers this kick
-        }
-        let n = pool.slots.len();
-        // Ownership is computed from the *live* topology (no static
-        // table): a splice that renumbers regions rebalances links across
-        // the workers the moment it swaps the snapshot in.
-        let owner = topo.links[l].to % n;
-        for off in 0..n {
-            let idx = (owner + off) % n;
-            let slot = &pool.slots[idx];
-            let mut st = slot.state.lock();
-            if st.shutdown {
-                // Closing: engines are already shut, nothing left to pump.
-                topo.links[l].queued.store(false, Ordering::SeqCst);
-                return;
-            }
-            if !st.active {
-                continue; // retired slot: fall over to the next live one
-            }
-            st.queue.push_back((topo.version, l));
-            let owner_waiting = st.waiting;
-            if owner_waiting {
-                slot.cv.notify_one();
-            }
-            drop(st);
-            if !owner_waiting && pool.idle.load(Ordering::SeqCst) > 0 {
-                // Owner is busy pumping and someone is parked: hint one
-                // parked neighbour so the backlog can be stolen instead of
-                // waiting for the owner. (With nobody parked — the
-                // saturated regime — the probe is skipped entirely.)
-                for hop in 1..n {
-                    let v = (idx + hop) % n;
-                    let vs = pool.slots[v].state.lock();
-                    if vs.active && vs.waiting {
-                        pool.slots[v].cv.notify_one();
-                        break;
-                    }
-                }
-            }
-            return;
-        }
-        // No live slot (fully shrunk pool racing a respawn-less close):
-        // service the kick inline so it cannot be lost.
-        topo.links[l].queued.store(false, Ordering::SeqCst);
-        CASCADE_SCRATCH.with(|s| {
-            self.pump_cascade(topo, std::iter::once(l), &mut s.borrow_mut());
-        });
-    }
-
-    /// Dequeue-side half of the kick protocol: clear the dedup flag first
-    /// (a kick racing this pump re-enqueues), then cascade from the link.
-    fn process_link(&self, topo: &Topology, l: usize, scratch: &mut Vec<bool>) {
-        topo.links[l].queued.store(false, Ordering::SeqCst);
-        self.pump_cascade(topo, std::iter::once(l), scratch);
-    }
-
-    /// [`Partitioned::process_link`] with panic containment for fire
-    /// workers: a panic that escapes the pump (the firing loop catches its
-    /// own, so this is pump-protocol or wake-path code) is caught, the
-    /// session is poisoned so every parked task resolves with a typed
-    /// error, and the worker *survives* — its kick slot keeps draining, so
-    /// no ownership redistribution is needed.
-    fn process_link_contained(
-        &self,
-        topo: &Topology,
-        l: usize,
-        scratch: &mut Vec<bool>,
-        pool: &Pool,
-    ) {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.process_link(topo, l, scratch)
-        }));
-        if let Err(payload) = caught {
-            pool.contained_panics.fetch_add(1, Ordering::Relaxed);
-            // The unwound cascade left in-worklist marks set; restore the
-            // all-false invariant before the scratch is reused.
-            scratch.iter_mut().for_each(|m| *m = false);
-            self.poison_all(&format!(
-                "panic in fire worker pump: {}",
-                crate::engine::panic_message(payload.as_ref())
-            ));
-        }
-    }
-
-    /// Spawn a static pool of `n` fire workers that pump kicked links.
-    /// Workers hold only a [`Weak`] reference to the partition, so they
-    /// can never keep a dropped connector alive; they exit on
-    /// [`Partitioned::close`] (or drop).
-    pub fn spawn_workers(self: &Arc<Self>, n: usize) {
-        self.spawn_pool(n, false);
-    }
-
-    /// Spawn an *adaptive* pool: workers idle past the shrink timeout
-    /// retire (never below one), and a retired slot's kicks fall over to
-    /// the live workers — see the module docs.
-    pub fn spawn_workers_adaptive(self: &Arc<Self>, n: usize) {
-        self.spawn_pool(n, true);
-    }
-
-    /// Pool size for `Mode::partitioned_auto`: bounded by the machine's
-    /// `available_parallelism`, the region count, and the link count
-    /// (workers beyond either have nothing of their own to do); 0 when
-    /// there are no links at all — nothing to pump, so no pool.
-    pub fn auto_worker_count(&self) -> usize {
-        let topo = self.topo();
-        if topo.links.is_empty() {
-            return 0;
-        }
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        avail.min(topo.engines.len()).min(topo.links.len()).max(1)
-    }
-
-    fn spawn_pool(self: &Arc<Self>, n: usize, adaptive: bool) {
-        if n == 0 {
-            return;
-        }
-        let pool = Arc::new(Pool {
-            slots: (0..n).map(|_| Slot::new()).collect(),
-            adaptive,
-            idle_timeout: IDLE_SHRINK_TIMEOUT,
-            live: AtomicUsize::new(n),
-            idle: AtomicUsize::new(0),
-            kick_wakeups: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            contained_panics: AtomicU64::new(0),
-        });
-        assert!(
-            self.pool.set(Arc::clone(&pool)).is_ok(),
-            "worker pool spawned twice"
-        );
-        let mut handles = self.workers.lock();
-        for i in 0..n {
-            let weak = Arc::downgrade(self);
-            let pool = Arc::clone(&pool);
-            let handle = std::thread::Builder::new()
-                .name(format!("reo-fire-{i}"))
-                .spawn(move || worker_loop(weak, pool, i))
-                .expect("spawn fire worker");
-            handles.push(handle);
-        }
-        drop(handles);
-        self.has_workers.store(true, Ordering::SeqCst);
-    }
-
-    /// Number of live (non-retired) fire workers.
-    pub fn worker_count(&self) -> usize {
-        match self.pool.get() {
-            Some(pool) if self.has_workers.load(Ordering::SeqCst) => {
-                pool.live.load(Ordering::SeqCst)
-            }
-            _ => 0,
         }
     }
 
@@ -1094,17 +794,13 @@ impl Partitioned {
     }
 
     /// Aggregated contention counters over all region engines, plus the
-    /// scheduler counters (kicks / kick-queue wakeups / steals).
+    /// partition's own kick counter.
     pub fn stats(&self) -> EngineStats {
         let mut acc = EngineStats::default();
         for e in &self.topo().engines {
             acc.merge(&e.stats());
         }
         acc.kicks = self.kicks.load(Ordering::Relaxed);
-        if let Some(pool) = self.pool.get() {
-            acc.kick_wakeups = pool.kick_wakeups.load(Ordering::Relaxed);
-            acc.steals = pool.steals.load(Ordering::Relaxed);
-        }
         acc
     }
 
@@ -1121,13 +817,6 @@ impl Partitioned {
         for e in &self.topo().engines {
             e.poison(msg);
         }
-    }
-
-    /// Panics caught (and contained) inside fire workers' pump cascades.
-    pub fn contained_panics(&self) -> u64 {
-        self.pool
-            .get()
-            .map_or(0, |p| p.contained_panics.load(Ordering::Relaxed))
     }
 
     /// Wire each region engine's fault notifier to poison the *whole*
@@ -1243,37 +932,6 @@ impl Partitioned {
         for e in &self.topo().engines {
             e.close();
         }
-        self.shutdown_workers();
-    }
-
-    /// Signal shutdown and join the fire workers (idempotent).
-    ///
-    /// A worker that is mid-pump holds a temporary `Arc` to the partition;
-    /// if the application drops its last handle right then, `Drop` (and
-    /// thus this function) runs *on that worker's own thread*. Joining
-    /// one's own thread deadlocks, so the current thread's handle is
-    /// detached (dropped) instead of joined — that worker exits on its
-    /// own via the shutdown flag it just set.
-    fn shutdown_workers(&self) {
-        let handles: Vec<_> = std::mem::take(&mut *self.workers.lock());
-        self.has_workers.store(false, Ordering::SeqCst);
-        if handles.is_empty() {
-            return;
-        }
-        if let Some(pool) = self.pool.get() {
-            for slot in pool.slots.iter() {
-                let mut st = slot.state.lock();
-                st.shutdown = true;
-                slot.cv.notify_all();
-            }
-            pool.live.store(0, Ordering::SeqCst);
-        }
-        let me = std::thread::current().id();
-        for h in handles {
-            if h.thread().id() != me {
-                let _ = h.join();
-            }
-        }
     }
 
     /// Which engine serves port `p` (boundary ports of cut links route to
@@ -1363,12 +1021,10 @@ impl Partitioned {
     ///    regions wake in the engine the new topology routes to. Fresh
     ///    regions get fresh engines; untouched regions are not even
     ///    locked.
-    /// 4. **Swap** in the successor [`Topology`] (version + 1): kick
-    ///    ownership rebalances (owner = `to % workers`), queued kicks for
-    ///    the old version become self-invalidating, surviving links carry
+    /// 4. **Swap** in the successor [`Topology`]: surviving links carry
     ///    their in-flight values over via the shared `LinkState`.
     /// 5. **Re-pump** everything once, inline — nothing enabled by the
-    ///    splice waits for a lost kick.
+    ///    splice waits for the next task operation.
     ///
     /// On any error the live topology and every engine are left exactly
     /// as they were (all mutations happen after the last fallible step).
@@ -1608,7 +1264,6 @@ impl Partitioned {
             link_neighbors: plan.link_neighbors,
             region_constituents: plan.regions,
             automaton_region: plan.automaton_region,
-            version: old.version + 1,
         };
         let next = Arc::new(next);
         // A poisoned write lock means a reader panicked (the write section
@@ -1628,8 +1283,7 @@ impl Partitioned {
         // re-establishes cross-link deadness before the pump runs.
         self.propagate_hangups(&next);
         // One full pump covers everything the splice may have enabled
-        // (fresh links arm, carried tokens reach new heads) and replaces
-        // any version-dropped kick.
+        // (fresh links arm, carried tokens reach new heads).
         self.pump();
         Ok(())
     }
@@ -1737,105 +1391,6 @@ pub(crate) fn constituent_at_rest(
     Ok(())
 }
 
-impl Drop for Partitioned {
-    /// Safety net for sessions dropped without `close()`: workers hold
-    /// only `Weak` references, so this `Drop` can run — wake them up and
-    /// join, or they would sleep on their kick queues forever.
-    fn drop(&mut self) {
-        self.shutdown_workers();
-    }
-}
-
-/// A fire worker bound to kick-queue slot `idx`: drain the own queue,
-/// steal from neighbours when idle, park on the slot's condvar otherwise.
-/// In an adaptive pool a timed-out park with an empty queue retires the
-/// worker (never below one live worker).
-fn worker_loop(part: Weak<Partitioned>, pool: Arc<Pool>, idx: usize) {
-    let n = pool.slots.len();
-    let mut scratch: Vec<bool> = Vec::new();
-    'outer: loop {
-        // Drain the own queue (front; stealers take the back).
-        loop {
-            let next = {
-                let mut st = pool.slots[idx].state.lock();
-                if st.shutdown {
-                    return;
-                }
-                st.queue.pop_front()
-            };
-            let Some((ver, l)) = next else { break };
-            let Some(part) = part.upgrade() else { return };
-            let topo = part.topo();
-            // A stale entry names a link of a superseded topology: drop
-            // it — the splice that superseded it re-pumped everything.
-            if ver == topo.version {
-                part.process_link_contained(&topo, l, &mut scratch, &pool);
-            }
-        }
-        // Idle: steal one backlog link from a neighbour.
-        for off in 1..n {
-            let victim = (idx + off) % n;
-            let stolen = {
-                let mut st = pool.slots[victim].state.lock();
-                if st.shutdown {
-                    return;
-                }
-                st.queue.pop_back()
-            };
-            if let Some((ver, l)) = stolen {
-                pool.steals.fetch_add(1, Ordering::Relaxed);
-                let Some(part) = part.upgrade() else { return };
-                let topo = part.topo();
-                if ver == topo.version {
-                    part.process_link_contained(&topo, l, &mut scratch, &pool);
-                }
-                continue 'outer;
-            }
-        }
-        // Nothing anywhere: park on the own slot.
-        let mut st = pool.slots[idx].state.lock();
-        if st.shutdown {
-            return;
-        }
-        if !st.queue.is_empty() {
-            continue; // a kick slipped in between the drain and the lock
-        }
-        st.waiting = true;
-        pool.idle.fetch_add(1, Ordering::SeqCst);
-        let timed_out = if pool.adaptive && pool.live.load(Ordering::SeqCst) > 1 {
-            pool.slots[idx]
-                .cv
-                .wait_for(&mut st, pool.idle_timeout)
-                .timed_out()
-        } else {
-            pool.slots[idx].cv.wait(&mut st);
-            false
-        };
-        pool.idle.fetch_sub(1, Ordering::SeqCst);
-        st.waiting = false;
-        if st.shutdown {
-            return;
-        }
-        if timed_out {
-            // Quiescence-based shrink: retire unless this is the last
-            // live worker (the `fetch_update` loses the race benignly).
-            if st.queue.is_empty()
-                && pool
-                    .live
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                        (v > 1).then(|| v - 1)
-                    })
-                    .is_ok()
-            {
-                st.active = false;
-                return;
-            }
-        } else {
-            pool.kick_wakeups.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 struct UnionFind {
     parent: Vec<usize>,
 }
@@ -1932,9 +1487,8 @@ mod tests {
     }
 
     /// Replicator → two parallel fifo links → merger: both regions border
-    /// *two* links, so operations go through the counted kick machinery
-    /// (the two_region_pipeline above takes the kick-free fast path
-    /// instead). Every value sent at port 0 arrives twice at port 5.
+    /// *two* links, so operations run the counted kick cascade (the
+    /// two_region_pipeline above takes the kick-free fast path instead). Every value sent at port 0 arrives twice at port 5.
     fn dual_link_pipeline() -> Partitioned {
         let autos = vec![
             primitives::replicator(p(0), &[p(1), p(2)]),
@@ -2075,6 +1629,9 @@ mod tests {
                 "cascade left a worklist mark set at round {k}"
             );
         }
+        // Both regions border two links, so every operation above was a
+        // counted kick (the fast path would have left the counter at 0).
+        assert!(part.stats().kicks > 0, "multi-link regions count kicks");
     }
 
     /// Satellite (emit-before-drain credit): on a *full* bounded link, one
@@ -2282,110 +1839,5 @@ mod tests {
         for t in pumpers {
             t.join().unwrap();
         }
-    }
-
-    #[test]
-    fn fire_workers_pump_links_off_the_caller_thread() {
-        // Multi-link borders are required: single-link regions pump
-        // inline (kick-free) and would never hand the pool any work.
-        let part = Arc::new(dual_link_pipeline());
-        part.pump();
-        part.spawn_workers(2);
-        assert_eq!(part.worker_count(), 2);
-
-        const K: i64 = 200;
-        let part_tx = Arc::clone(&part);
-        let tx = std::thread::spawn(move || {
-            let e = part_tx.engine_for(p(0));
-            for k in 0..K {
-                e.register_send(p(0), Value::Int(k)).unwrap();
-                part_tx.kick(p(0));
-                e.wait_send(p(0), None).unwrap();
-                part_tx.kick(p(0));
-            }
-        });
-        let e = part.engine_for(p(5));
-        for _ in 0..2 * K {
-            e.register_recv(p(5)).unwrap();
-            part.kick(p(5));
-            e.wait_recv(p(5), None).unwrap();
-            part.kick(p(5));
-        }
-        tx.join().unwrap();
-        let stats = part.stats();
-        assert!(stats.kicks > 0, "worker mode still counts kicks");
-        assert!(stats.kick_wakeups > 0, "workers woke from their queues");
-        // Strict below-baseline is asserted at scale (thousands of kicks,
-        // huge coalescing margins) in the scale sweep and the
-        // mode-equivalence stress test; here just sanity-bound it.
-        assert!(
-            stats.kick_wakeups <= stats.kicks + 8,
-            "wakeups cannot exceed kicks (modulo OS-spurious wakes): {stats:?}"
-        );
-        part.close();
-        assert_eq!(part.worker_count(), 0, "close joins the pool");
-    }
-
-    /// A static (non-adaptive) pool never shrinks; an adaptive pool
-    /// retires idle workers down to one, and a late kick after full
-    /// quiescence is still serviced (the shrink-then-wake regression).
-    #[test]
-    fn adaptive_pool_shrinks_when_quiescent_and_still_serves_late_kicks() {
-        // Dual-link borders so the late kick really lands on the shrunk
-        // pool (single-link regions would bypass it via the fast path).
-        let part = Arc::new(dual_link_pipeline());
-        part.pump();
-        part.spawn_workers_adaptive(4);
-        assert!(part.worker_count() >= 1);
-
-        // Idle well past the shrink timeout: the pool must retire workers
-        // down to exactly one survivor.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while part.worker_count() > 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "pool never shrank: {} workers live",
-                part.worker_count()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(part.worker_count(), 1, "shrink must stop at one worker");
-
-        // The quiescent pool must still move a value end to end.
-        let part_rx = Arc::clone(&part);
-        let rx = std::thread::spawn(move || {
-            let e = part_rx.engine_for(p(5));
-            let mut got = Vec::new();
-            for _ in 0..2 {
-                e.register_recv(p(5)).unwrap();
-                part_rx.kick(p(5));
-                got.push(e.wait_recv(p(5), None).unwrap());
-                part_rx.kick(p(5));
-            }
-            got
-        });
-        let e = part.engine_for(p(0));
-        e.register_send(p(0), Value::Int(77)).unwrap();
-        part.kick(p(0));
-        e.wait_send(p(0), None).unwrap();
-        part.kick(p(0));
-        let got = rx.join().unwrap();
-        assert!(got.iter().all(|v| v.as_int() == Some(77)), "{got:?}");
-        part.close();
-        assert_eq!(part.worker_count(), 0);
-    }
-
-    #[test]
-    fn close_joins_workers_and_drop_is_safe_without_close() {
-        let part = Arc::new(two_region_pipeline());
-        part.spawn_workers(3);
-        assert_eq!(part.worker_count(), 3);
-        part.close();
-        assert_eq!(part.worker_count(), 0);
-
-        // And a pool that is never closed is reaped by Drop.
-        let part = Arc::new(two_region_pipeline());
-        part.spawn_workers(2);
-        drop(part); // must not hang or leak
     }
 }

@@ -50,10 +50,9 @@ use crate::partition::Partitioned;
 /// How a port reaches its engine(s). In the `Multi` (partitioned) case
 /// every operation *kicks* the partition after registering/completing —
 /// naming its own port, so only the links bordering that port's region
-/// are considered: none (free return), exactly one (the kick-free fast
-/// path pumps it inline, batched, without touching the kick machinery),
-/// or several (pumped inline with the caller-thread scheduler, enqueued
-/// onto their owning fire workers otherwise — see [`Partitioned::kick`]).
+/// are considered: none (free return), exactly one (pumped inline,
+/// batched, uncounted), or several (one counted inline cascade — see
+/// [`Partitioned::kick`]).
 #[derive(Clone)]
 pub(crate) enum Backend {
     Single(Arc<Engine>),
@@ -104,14 +103,12 @@ impl Backend {
             Backend::Multi(m) => {
                 let e = m.engine_for(p);
                 e.register_send(p, v)?;
-                // One-shot probe: pump *all* links inline even with a
-                // worker pool — an asynchronous kick might not be serviced
-                // before the probe, which would spuriously retract an
-                // operation that caller-thread partitioned mode completes.
-                // The full sweep (not the targeted cascade) is required: a
-                // value parked behind an unserviced kick on an *upstream*
-                // link of a chain is unreachable from this port's adjacent
-                // links, since the cascade only expands on progress.
+                // One-shot probe: the full sweep (not the targeted
+                // cascade) is required. A value another task's cascade is
+                // still moving along an *upstream* link of a chain is
+                // unreachable from this port's adjacent links, since the
+                // cascade only expands on progress — and a probe gets no
+                // second chance.
                 m.pump();
                 let r = e.finish_or_retract_send(p);
                 m.kick(p);
@@ -129,9 +126,8 @@ impl Backend {
             Backend::Multi(m) => {
                 let e = m.engine_for(p);
                 e.register_recv(p)?;
-                // See try_send: the probe must not race the worker pool,
-                // and must sweep the whole link set, not just this
-                // region's border.
+                // See try_send: the probe must sweep the whole link set,
+                // not just this region's border.
                 m.pump();
                 let r = e.finish_or_retract_recv(p);
                 m.kick(p);
@@ -265,6 +261,17 @@ impl Backend {
         }
     }
 
+    pub(crate) fn arm_panic_after_steps(&self, n: u64) {
+        match self {
+            Backend::Single(e) => e.arm_panic_after_steps(n),
+            Backend::Multi(m) => {
+                for e in &m.topo().engines {
+                    e.arm_panic_after_steps(n);
+                }
+            }
+        }
+    }
+
     pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
         match self {
             Backend::Single(e) => e.cache_stats(),
@@ -295,23 +302,23 @@ fn deadline_in(timeout: Duration) -> Option<Instant> {
 /// the paper's original semantics. Obtain typed handles from
 /// [`crate::Session::typed_outports`] or via [`Outport::typed`].
 pub struct Outport<T = Value> {
-    pub(crate) backend: Backend,
-    pub(crate) port: PortId,
-    pub(crate) _payload: PhantomData<fn(T) -> T>,
+    reg: Registration,
+    _payload: PhantomData<fn(T) -> T>,
 }
 
 impl<T: IntoValue> Outport<T> {
     pub(crate) fn new(backend: Backend, port: PortId) -> Self {
         Outport {
-            backend,
-            port,
+            reg: Registration { backend, port },
             _payload: PhantomData,
         }
     }
 
     /// Blocking send: returns once the connector has accepted the message.
     pub fn send(&self, v: impl Into<T>) -> Result<(), RuntimeError> {
-        self.backend.send(self.port, v.into().into_value(), None)
+        self.reg
+            .backend
+            .send(self.reg.port, v.into().into_value(), None)
     }
 
     /// Non-blocking send: `Ok(true)` if the connector accepted the message
@@ -321,7 +328,9 @@ impl<T: IntoValue> Outport<T> {
     /// is consumed either way — retry with a clone or a fresh value
     /// ([`Value`] clones are cheap, bulk data is `Arc`-shared).
     pub fn try_send(&self, v: impl Into<T>) -> Result<bool, RuntimeError> {
-        self.backend.try_send(self.port, v.into().into_value())
+        self.reg
+            .backend
+            .try_send(self.reg.port, v.into().into_value())
     }
 
     /// Deadline-bounded send: blocks up to `timeout`, then retracts and
@@ -329,8 +338,9 @@ impl<T: IntoValue> Outport<T> {
     /// accepted, so retrying cannot duplicate a message; as with
     /// [`Outport::try_send`], retry with a clone or a fresh value.
     pub fn send_timeout(&self, v: impl Into<T>, timeout: Duration) -> Result<(), RuntimeError> {
-        self.backend
-            .send(self.port, v.into().into_value(), deadline_in(timeout))
+        self.reg
+            .backend
+            .send(self.reg.port, v.into().into_value(), deadline_in(timeout))
     }
 
     /// Async send: resolves once the connector has accepted the message.
@@ -344,8 +354,8 @@ impl<T: IntoValue> Outport<T> {
     /// already taken by a transition counts as delivered (exactly once).
     pub fn send_async(&self, v: impl Into<T>) -> SendFuture<'_> {
         SendFuture {
-            backend: &self.backend,
-            port: self.port,
+            backend: &self.reg.backend,
+            port: self.reg.port,
             value: Some(v.into().into_value()),
             done: false,
         }
@@ -365,16 +375,19 @@ impl<T: IntoValue> Outport<T> {
         cx: &mut Context<'_>,
         value: &mut Option<Value>,
     ) -> Poll<Result<(), RuntimeError>> {
-        self.backend.poll_send(self.port, value, cx)
+        self.reg.backend.poll_send(self.reg.port, value, cx)
     }
 
     /// Re-type the handle; the connector itself is data-agnostic, so this
     /// only changes what the `send` signature accepts.
     pub fn typed<U: IntoValue>(self) -> Outport<U> {
-        // Re-typing is not a departure: defuse this handle's hangup-on-
-        // drop, the new handle carries the registration on.
-        let this = std::mem::ManuallyDrop::new(self);
-        Outport::new(this.backend.clone(), this.port)
+        // Re-typing is not a departure: the registration (and with it the
+        // one backend reference) moves into the new handle, so nothing is
+        // dropped and no hangup fires.
+        Outport {
+            reg: self.reg,
+            _payload: PhantomData,
+        }
     }
 
     /// Back to the untyped handle.
@@ -384,7 +397,7 @@ impl<T: IntoValue> Outport<T> {
 
     /// The underlying vertex (diagnostics).
     pub fn id(&self) -> PortId {
-        self.port
+        self.reg.port
     }
 }
 
@@ -395,9 +408,8 @@ impl<T: IntoValue> Outport<T> {
 /// report a [`RuntimeError::TypeMismatch`] (carrying the value) on the
 /// wrong shape.
 pub struct Inport<T = Value> {
-    pub(crate) backend: Backend,
-    pub(crate) port: PortId,
-    pub(crate) _payload: PhantomData<fn(T) -> T>,
+    reg: Registration,
+    _payload: PhantomData<fn(T) -> T>,
 }
 
 fn convert<T: FromValue>(v: Value) -> Result<T, RuntimeError> {
@@ -410,29 +422,32 @@ fn convert<T: FromValue>(v: Value) -> Result<T, RuntimeError> {
 impl<T: FromValue> Inport<T> {
     pub(crate) fn new(backend: Backend, port: PortId) -> Self {
         Inport {
-            backend,
-            port,
+            reg: Registration { backend, port },
             _payload: PhantomData,
         }
     }
 
     /// Blocking receive: returns the delivered message.
     pub fn recv(&self) -> Result<T, RuntimeError> {
-        convert(self.backend.recv(self.port, None)?)
+        convert(self.reg.backend.recv(self.reg.port, None)?)
     }
 
     /// Non-blocking receive: `Ok(Some(v))` if a delivery was ready within
     /// one engine step, `Ok(None)` if the operation would have blocked
     /// (it is retracted; the port is immediately reusable).
     pub fn try_recv(&self) -> Result<Option<T>, RuntimeError> {
-        self.backend.try_recv(self.port)?.map(convert).transpose()
+        self.reg
+            .backend
+            .try_recv(self.reg.port)?
+            .map(convert)
+            .transpose()
     }
 
     /// Deadline-bounded receive: blocks up to `timeout`, then retracts and
     /// returns [`RuntimeError::Timeout`]. A delivery that races the
     /// deadline is still handed out — never dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RuntimeError> {
-        convert(self.backend.recv(self.port, deadline_in(timeout))?)
+        convert(self.reg.backend.recv(self.reg.port, deadline_in(timeout))?)
     }
 
     /// Iterate over deliveries until the connector closes (or a typed
@@ -457,8 +472,8 @@ impl<T: FromValue> Inport<T> {
     /// the port's slot and satisfies the next receive on this port.
     pub fn recv_async(&self) -> RecvFuture<'_, T> {
         RecvFuture {
-            backend: &self.backend,
-            port: self.port,
+            backend: &self.reg.backend,
+            port: self.reg.port,
             registered: false,
             done: false,
             _payload: PhantomData,
@@ -476,7 +491,7 @@ impl<T: FromValue> Inport<T> {
         cx: &mut Context<'_>,
         registered: &mut bool,
     ) -> Poll<Result<T, RuntimeError>> {
-        match self.backend.poll_recv(self.port, registered, cx) {
+        match self.reg.backend.poll_recv(self.reg.port, registered, cx) {
             Poll::Ready(r) => Poll::Ready(r.and_then(convert)),
             Poll::Pending => Poll::Pending,
         }
@@ -485,8 +500,10 @@ impl<T: FromValue> Inport<T> {
     /// Re-type the handle: subsequent receives unwrap into `U`.
     pub fn typed<U: FromValue>(self) -> Inport<U> {
         // Not a departure — see `Outport::typed`.
-        let this = std::mem::ManuallyDrop::new(self);
-        Inport::new(this.backend.clone(), this.port)
+        Inport {
+            reg: self.reg,
+            _payload: PhantomData,
+        }
     }
 
     /// Back to the untyped handle.
@@ -495,7 +512,7 @@ impl<T: FromValue> Inport<T> {
     }
 
     pub fn id(&self) -> PortId {
-        self.port
+        self.reg.port
     }
 }
 
@@ -504,7 +521,7 @@ impl Inport<Value> {
     /// delivery into `U` without re-typing the port. Handy where handles
     /// arrive untyped (e.g. [`crate::TaskCtx`]) but payloads are known.
     pub fn recv_as<U: FromValue>(&self) -> Result<U, RuntimeError> {
-        convert(self.backend.recv(self.port, None)?)
+        convert(self.reg.backend.recv(self.reg.port, None)?)
     }
 }
 
@@ -658,23 +675,26 @@ impl<T> std::fmt::Debug for RecvFuture<'_, T> {
     }
 }
 
-/// Hangup on drop (phaser-style deregistration): a departed producer can
+/// A port handle's claim on its vertex: the route to the engine(s) plus
+/// the hangup-on-drop duty. Typed handles wrap it and move it whole when
+/// re-typed, so exactly one hangup fires per port — when the last-typed
+/// handle is dropped — and a handle never holds more than one backend
+/// reference.
+///
+/// Hangup on drop is phaser-style deregistration: a departed producer can
 /// never offer again, so transitions synchronizing this port are dead
 /// from here on. Peers left with only dead transitions are woken with
-/// [`RuntimeError::Hangup`] instead of blocking forever. Values already
-/// *inside* the connector (buffers, link queues) still deliver — only
-/// after they drain does deadness propagate downstream.
-impl<T> Drop for Outport<T> {
-    fn drop(&mut self) {
-        self.backend.hangup(self.port);
-    }
+/// [`RuntimeError::Hangup`] instead of blocking forever — a producer
+/// blocked on (or later attempting) a send that requires a departed
+/// consumer's port included. Values already *inside* the connector
+/// (buffers, link queues) still deliver — only after they drain does
+/// deadness propagate downstream.
+struct Registration {
+    backend: Backend,
+    port: PortId,
 }
 
-/// Hangup on drop — see [`Outport`]'s `Drop`. A departed consumer frees
-/// its rendezvous partners immediately: a producer blocked on (or later
-/// attempting) a send that requires this port gets
-/// [`RuntimeError::Hangup`].
-impl<T> Drop for Inport<T> {
+impl Drop for Registration {
     fn drop(&mut self) {
         self.backend.hangup(self.port);
     }
@@ -682,12 +702,12 @@ impl<T> Drop for Inport<T> {
 
 impl<T> std::fmt::Debug for Outport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Outport({})", self.port)
+        write!(f, "Outport({})", self.reg.port)
     }
 }
 
 impl<T> std::fmt::Debug for Inport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Inport({})", self.port)
+        write!(f, "Inport({})", self.reg.port)
     }
 }

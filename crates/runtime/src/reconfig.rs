@@ -263,17 +263,15 @@ pub(crate) fn single_core_traced(
     };
     Ok(match mode {
         Mode::Jit { cache } => jit(cache),
-        Mode::ExistingMonolithic { .. } | Mode::AotCompose { .. } => {
+        Mode::ExistingMonolithic { .. } => {
             Box::new(AotCore::compose_traced(automata, starts, &limits.product)?)
         }
-        Mode::Compiled { .. } => {
-            match CompiledCore::compose_traced(automata, starts, &limits.product) {
-                Ok(core) => Box::new(core),
-                Err(RuntimeError::Explosion(_)) => jit(CachePolicy::Unbounded),
-                Err(e) => return Err(e),
-            }
-        }
-        Mode::JitPartitioned { .. } | Mode::CompiledPartitioned { .. } => {
+        Mode::Compiled => match CompiledCore::compose_traced(automata, starts, &limits.product) {
+            Ok(core) => Box::new(core),
+            Err(RuntimeError::Explosion(_)) => jit(CachePolicy::Unbounded),
+            Err(e) => return Err(e),
+        },
+        Mode::JitPartitioned { .. } | Mode::CompiledPartitioned => {
             unreachable!("partitioned sessions splice through Partitioned::splice")
         }
     })

@@ -10,7 +10,7 @@
 //!
 //! This is the common substrate of the differential test harness: the
 //! `reo-fuzz` crate generates scenarios, runs them across the whole
-//! 10-mode grid and diffs the observations; the corpus replay tests
+//! [`Mode::grid`] and diffs the observations; the corpus replay tests
 //! re-run checked-in scenarios the same way. Everything here is
 //! single-process and timeout-protected — a scenario can *report* a hang
 //! (as [`OpResult::TimedOut`]) but cannot cause one.
@@ -97,9 +97,10 @@ pub enum Step {
     /// port must resolve `RuntimeError::Hangup` promptly instead of
     /// blocking to the deadline.
     DropPort { port: PortRef },
-    /// Fault: arm the test-only panic hook — the `after`-th step fired
-    /// from now (0 = the very next one) panics *inside the firing*,
-    /// exercising panic containment (catch → poison → wake).
+    /// Fault: arm the session's test-only panic countdown — the
+    /// `after`-th step fired from now (0 = the very next one; counted per
+    /// region engine) panics *inside the firing*, exercising panic
+    /// containment (catch → poison → wake).
     InjectPanic { after: u64 },
     /// Fault: poison the session directly, as a contained engine failure
     /// would. Every subsequent (and parked) op must resolve
@@ -384,17 +385,6 @@ pub fn run_scenario(
     // the observation is assembled so their effect is part of the run.
     let mut closers: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
-    // A scripted panic that never fired (script ended or errored first)
-    // must not leak into the next scenario run in this process — the
-    // hook is process-global. Disarm on every exit path.
-    struct FaultGuard;
-    impl Drop for FaultGuard {
-        fn drop(&mut self) {
-            crate::fault::disarm();
-        }
-    }
-    let _fault_guard = FaultGuard;
-
     let mut results: Vec<Vec<OpResult>> = Vec::with_capacity(scenario.steps.len());
     for step in &scenario.steps {
         match step {
@@ -402,7 +392,7 @@ pub fn run_scenario(
                 results.push(vec![ports.drop_port(port)]);
             }
             Step::InjectPanic { after } => {
-                crate::fault::arm_panic_after_steps(*after);
+                handle.arm_panic_after_steps(*after);
                 results.push(vec![OpResult::Done]);
             }
             Step::Poison => {
@@ -639,36 +629,27 @@ mod tests {
     use super::*;
 
     fn fifo_scenario() -> Scenario {
+        let port = |name: &str| PortRef::Param {
+            name: name.into(),
+            index: 0,
+        };
+        let batch = |op: Op| Step::Batch {
+            ops: vec![op],
+            quorum: None,
+        };
         let mut s = Scenario::new("P(a;b) = Fifo1(a;m) mult Fifo1(m;b)", "P");
+        // One send per batch: two sends armed on the same port in one
+        // batch would race for the slot under the threads driver.
         s.steps = vec![
-            Step::Batch {
-                ops: vec![
-                    Op::Send {
-                        port: PortRef::Param {
-                            name: "a".into(),
-                            index: 0,
-                        },
-                        value: 7,
-                    },
-                    Op::Send {
-                        port: PortRef::Param {
-                            name: "a".into(),
-                            index: 0,
-                        },
-                        value: 8,
-                    },
-                ],
-                quorum: None,
-            },
-            Step::Batch {
-                ops: vec![Op::Recv {
-                    port: PortRef::Param {
-                        name: "b".into(),
-                        index: 0,
-                    },
-                }],
-                quorum: None,
-            },
+            batch(Op::Send {
+                port: port("a"),
+                value: 7,
+            }),
+            batch(Op::Send {
+                port: port("a"),
+                value: 8,
+            }),
+            batch(Op::Recv { port: port("b") }),
         ];
         s
     }
@@ -682,7 +663,8 @@ mod tests {
         assert_eq!(
             threads.results,
             vec![
-                vec![OpResult::Sent, OpResult::Sent],
+                vec![OpResult::Sent],
+                vec![OpResult::Sent],
                 vec![OpResult::Received(7)],
             ]
         );

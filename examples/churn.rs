@@ -75,7 +75,7 @@ fn main() {
 
     let program = reo::dsl::parse_program(SRC).unwrap();
     let connector = Connector::builder(&program, "M")
-        .mode(Mode::partitioned_auto())
+        .mode(Mode::partitioned())
         .build()
         .unwrap();
 
@@ -125,9 +125,10 @@ fn main() {
     // runs to completion, and leaves again. Attach and detach each bump
     // the epoch exactly once.
     println!(
-        "merger live with {initial} producers (epoch {}, {} workers)",
+        "merger live with {initial} producers (epoch {}, {} regions, {} links)",
         handle.epoch(),
-        handle.worker_count()
+        handle.region_count(),
+        handle.link_count()
     );
     for j in 0..joins {
         let mut branch = handle.attach("src").unwrap();

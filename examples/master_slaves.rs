@@ -12,7 +12,8 @@
 //! `try_recv` polling loop, overlapping scatter and gather.
 //!
 //! Run: `cargo run --example master_slaves -- 5 jit`
-//! (modes: `jit`, `existing`, `partitioned`, `workers`)
+//! (modes: `jit`, `existing`, `partitioned`, `compiled` — the last is the
+//! paper's ahead-of-time composition, `Mode::compiled()`, here per region)
 
 use std::thread;
 
@@ -26,13 +27,13 @@ fn main() {
         .unwrap_or(4);
     let mode = match std::env::args().nth(2).as_deref() {
         Some("existing") => Mode::existing(),
+        // One engine per synchronous region; the master and slave
+        // threads pump the links bordering their own region (see
+        // `reo::runtime::partition`).
         Some("partitioned") => Mode::partitioned(),
-        // Partitioned plus a fire-worker pool: cross-region propagation
-        // runs off the task threads (see `reo::runtime::partition`).
-        Some("workers") => Mode::partitioned_with_workers(2),
-        // Adaptive pool: min(available_parallelism, regions, links)
-        // workers, shrinking to one when the links are quiescent.
-        Some("auto") => Mode::partitioned_auto(),
+        // Ahead-of-time composition, per region (the whole-connector
+        // product of `Mode::compiled()` explodes on this family).
+        Some("compiled") => Mode::compiled_partitioned(),
         _ => Mode::jit(),
     };
 
@@ -58,7 +59,7 @@ fn main() {
     let work_out = session.typed_outports::<(i64, i64)>("v").unwrap();
     let handle = session.handle();
 
-    // Workers: receive an item, compute, send the tagged result back. The
+    // Slaves: receive an item, compute, send the tagged result back. The
     // iterator form drains work items until the connector closes.
     let workers: Vec<_> = work_in
         .into_iter()

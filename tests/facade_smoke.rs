@@ -63,12 +63,13 @@ fn untyped_handles_still_speak_raw_values() {
     assert_eq!(consumers[0].recv().unwrap().as_int(), Some(99));
 }
 
-/// The AOT path must work through the same facade surface as the JIT path.
+/// The ahead-of-time composition path (`Mode::compiled()`) must work
+/// through the same facade surface as the JIT path.
 #[test]
 fn facade_exposes_aot_mode_too() {
     let program = reo::dsl::parse_program(reo::dsl::stdlib::FIG9_SOURCE).unwrap();
     let connector = Connector::builder(&program, "ConnectorEx11N")
-        .mode(Mode::AotCompose { simplify: true })
+        .mode(Mode::compiled())
         .build()
         .unwrap();
     let mut session = connector

@@ -2,7 +2,10 @@
 //! engine(s) and wake every parked waiter, dropped ports hang up their
 //! peers, poison fans out across regions and reconfiguration splices, and
 //! the opt-in watchdog turns silent stalls into wait-for snapshots — all
-//! across the full runtime-mode grid.
+//! across the full runtime-mode grid (`Mode::grid()`: fault containment
+//! is a per-backend property — the interpreting cores, the partitioned
+//! link pumps and the compiled stepping programs each have their own
+//! firing path to protect).
 //!
 //! The containment contract under test: **no fault strands an
 //! operation**. Whatever goes wrong — a panicked firing, a vanished
@@ -14,34 +17,13 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use reo::runtime::{CachePolicy, Connector, Mode};
+use reo::runtime::{Connector, Mode};
 use reo::RuntimeError;
-
-/// The full 10-mode grid (mirrors `tests/mode_equivalence.rs`): fault
-/// containment is a per-backend property — the caller-thread JIT, the
-/// worker pool, and the compiled stepping programs each have their own
-/// firing path to protect.
-fn modes() -> Vec<Mode> {
-    vec![
-        Mode::ExistingMonolithic { simplify: true },
-        Mode::ExistingMonolithic { simplify: false },
-        Mode::AotCompose { simplify: true },
-        Mode::jit(),
-        Mode::Jit {
-            cache: CachePolicy::BoundedLru { capacity: 1 },
-        },
-        Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
-        Mode::compiled(),
-        Mode::compiled_partitioned(),
-    ]
-}
 
 /// A waker that records it fired — for polling port futures by hand.
 struct FlagWaker(AtomicBool);
@@ -77,10 +59,6 @@ fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
-/// The panic-injection hook is process-global; tests that arm it must
-/// not interleave.
-static PANIC_HOOK_LOCK: Mutex<()> = Mutex::new(());
-
 /// A panic injected into a firing poisons the engine and resolves every
 /// parked party — the blocking sender whose firing blew up, a sync
 /// receiver parked on a *different* fifo (a different region under the
@@ -89,10 +67,9 @@ static PANIC_HOOK_LOCK: Mutex<()> = Mutex::new(());
 /// panic never escapes the containment boundary.
 #[test]
 fn injected_panic_poisons_all_regions_and_wakes_parked_waiters() {
-    let _serial = PANIC_HOOK_LOCK.lock().unwrap();
     let program =
         reo::dsl::parse_program("Buf(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])").unwrap();
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "Buf")
             .mode(mode)
             .build()
@@ -116,9 +93,8 @@ fn injected_panic_poisons_all_regions_and_wakes_parked_waiters() {
 
         // Both fifos are empty and the receiver is parked: the next fired
         // step is exactly the armed fill firing.
-        reo::runtime::fault::arm_panic_after_steps(0);
+        handle.arm_panic_after_steps(0);
         let sent = tx_boom.send(7);
-        reo::runtime::fault::disarm();
         // The injected panic strikes *after* the step commits, so the
         // triggering send either completed just-in-time or observed the
         // poison — both are inside the containment contract.
@@ -161,10 +137,9 @@ fn injected_panic_poisons_all_regions_and_wakes_parked_waiters() {
 /// poison fan-out — not discovered stale at some later poll.
 #[test]
 fn injected_panic_wakes_a_parked_async_waker() {
-    let _serial = PANIC_HOOK_LOCK.lock().unwrap();
     let program =
         reo::dsl::parse_program("Buf(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])").unwrap();
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "Buf")
             .mode(mode)
             .build()
@@ -186,9 +161,8 @@ fn injected_panic_wakes_a_parked_async_waker() {
         assert!(Pin::new(&mut recv).poll(&mut cx).is_pending());
         assert!(!flag.woken());
 
-        reo::runtime::fault::arm_panic_after_steps(0);
+        session.handle().arm_panic_after_steps(0);
         let _ = tx_boom.send(7);
-        reo::runtime::fault::disarm();
 
         assert!(
             eventually(Duration::from_secs(2), || flag.woken()),
@@ -211,7 +185,7 @@ fn injected_panic_wakes_a_parked_async_waker() {
 #[test]
 fn dropping_a_rendezvous_partner_resolves_parked_recv_to_hangup() {
     let program = reo::dsl::parse_program("S(a;b) = Sync(a;b)").unwrap();
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "S")
             .mode(mode)
             .build()
@@ -235,13 +209,52 @@ fn dropping_a_rendezvous_partner_resolves_parked_recv_to_hangup() {
     }
 }
 
+/// Hangup-on-drop across internal vertices: the `merger` family chains
+/// `Merg2`s through internal nodes `m[i]`, so the head port only dies
+/// once deadness has crossed every one of them. With all eight senders
+/// gone, the parked receive must resolve `Hangup` well inside its
+/// deadline in every mode — the lazy cores analyze per constituent and
+/// have to iterate to a fixpoint to see it.
+#[test]
+fn dropping_every_merger_sender_hangs_up_the_parked_head() {
+    let family = reo::connectors::families()
+        .into_iter()
+        .find(|f| f.name == "merger")
+        .expect("merger family");
+    let program = family.program();
+    for &(name, mode) in Mode::grid() {
+        let connector = Connector::builder(&program, family.def)
+            .mode(mode)
+            .build()
+            .unwrap();
+        let mut session = connector.session().replicate("tl", 8).connect().unwrap();
+        let txs = session.typed_outports::<i64>("tl").unwrap();
+        let rx = session.typed_inport::<i64>("hd").unwrap();
+        let waiter = thread::spawn(move || {
+            let started = Instant::now();
+            (rx.recv_timeout(Duration::from_secs(5)), started.elapsed())
+        });
+        thread::sleep(Duration::from_millis(10));
+        drop(txs);
+        let (got, waited) = waiter.join().unwrap();
+        assert!(
+            matches!(got, Err(RuntimeError::Hangup(_))),
+            "{name}: parked merger head resolved {got:?}, not Hangup"
+        );
+        assert!(
+            waited < Duration::from_secs(2),
+            "{name}: hangup took {waited:?} — rescued by the deadline, not the drops"
+        );
+    }
+}
+
 /// Hangup-on-drop, async + buffered flavour: a buffered value keeps the
 /// fifo's drain transition live (drop is a clean end-of-stream, not data
 /// loss), and only once drained does the parked waker resolve `Hangup`.
 #[test]
 fn dropped_sender_drains_the_buffer_then_hangs_up_async_receivers() {
     let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "Buf")
             .mode(mode)
             .build()
@@ -291,7 +304,7 @@ fn poison_fans_out_to_spliced_branches() {
         "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) mult Merger(m[1..#src];c)",
     )
     .unwrap();
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "M")
             .mode(mode)
             .build()

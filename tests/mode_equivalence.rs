@@ -1,5 +1,5 @@
-//! Property tests: the execution approaches (existing, aot, jit,
-//! partitioned, compiled) are observationally equivalent. The paper's
+//! Property tests: the execution approaches (every runtime of
+//! `Mode::grid()`) are observationally equivalent. The paper's
 //! correctness claim for parametrized compilation is that it "strictly
 //! generalizes the existing compilation approach"; here random connector
 //! programs are generated and driven end to end, and every mode must
@@ -11,7 +11,7 @@ use std::task::{Context, Poll, Waker};
 
 use proptest::prelude::*;
 
-use reo::runtime::{CachePolicy, Connector, Mode};
+use reo::runtime::{Connector, Mode};
 use reo::Value;
 
 /// A do-nothing waker for polling port futures by hand (the poll-once
@@ -72,22 +72,10 @@ fn pipeline_program(stages: &[Stage]) -> String {
     format!("P(a;b) = {}", parts.join(" mult "))
 }
 
-fn modes() -> Vec<Mode> {
-    vec![
-        Mode::ExistingMonolithic { simplify: true },
-        Mode::ExistingMonolithic { simplify: false },
-        Mode::AotCompose { simplify: true },
-        Mode::jit(),
-        Mode::Jit {
-            cache: CachePolicy::BoundedLru { capacity: 1 },
-        },
-        Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
-        Mode::compiled(),
-        Mode::compiled_partitioned(),
-    ]
-}
+/// The parametrized runtimes: everything but the monolithic baseline
+/// (which composes the whole-connector product and explodes on the wide
+/// stress workloads below).
+const PARAMETRIZED: &[&str] = &["jit", "part", "comp", "comp-part"];
 
 /// Push `k` messages through a pipeline; they must come out in order, in
 /// every mode. (At least one buffered stage is required: an all-sync
@@ -220,7 +208,7 @@ fn async_driving_matches_the_sync_reference_across_all_modes() {
     ];
     let reference: Vec<i64> = (0..K as i64).collect();
     for src in srcs {
-        for mode in modes() {
+        for &(_, mode) in Mode::grid() {
             let got = run_pipeline_async(src, K, mode);
             assert_eq!(got, reference, "{mode:?} on {src}: async trace diverged");
         }
@@ -236,7 +224,7 @@ fn async_driving_matches_the_sync_reference_across_all_modes() {
 #[test]
 fn cancelled_recv_futures_lose_nothing_across_the_runtime_grid() {
     const K: i64 = 400;
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let program = reo::dsl::parse_program("P(a;b) = Fifo1(a;b)").unwrap();
         let connector = Connector::builder(&program, "P")
             .mode(mode)
@@ -284,7 +272,7 @@ fn cancelled_recv_futures_lose_nothing_across_the_runtime_grid() {
 }
 
 /// The contended stress case: 16 tasks, > 10k port operations, on a
-/// disjoint-port workload (8 independent fifo channels). All three
+/// disjoint-port workload (8 independent fifo channels). All
 /// parametrized runtimes must produce identical per-port observable
 /// traces, and targeted wakeups must stay bounded — no thundering herd:
 /// with per-port wait queues, wakeups stay within 2× completions, where
@@ -294,16 +282,8 @@ fn cancelled_recv_futures_lose_nothing_across_the_runtime_grid() {
 fn contended_disjoint_channels_agree_and_wakeups_stay_bounded() {
     const CHANNELS: usize = 8;
     const K: usize = 700; // 8×700 sends + 8×700 recvs = 11 200 ops
-    let grid = [
-        ("jit", Mode::jit()),
-        ("partitioned", Mode::partitioned()),
-        ("partitioned+workers", Mode::partitioned_with_workers(2)),
-        ("partitioned+auto", Mode::partitioned_auto()),
-        ("compiled", Mode::compiled()),
-        ("compiled+partitioned", Mode::compiled_partitioned()),
-    ];
     let reference: Vec<Vec<i64>> = (0..CHANNELS).map(|_| (0..K as i64).collect()).collect();
-    for (label, mode) in grid {
+    for (label, mode) in Mode::grid_subset(PARAMETRIZED) {
         let (traces, stats) = channel_traces(mode, CHANNELS, K);
         assert_eq!(traces, reference, "{label}: per-port traces diverged");
         let ops = (2 * CHANNELS * K) as u64;
@@ -323,8 +303,8 @@ fn contended_disjoint_channels_agree_and_wakeups_stay_bounded() {
 
 /// Per channel `Sync – Fifo1 – Sync`: two synchronous regions joined by
 /// one cut link, channels fully disjoint. Since the kick-free fast path,
-/// this is the workload that proves single-link chains never touch the
-/// kick machinery at all. (The fifo must sit in its own iteration section
+/// this is the workload that proves single-link chains never count a
+/// kick. (The fifo must sit in its own iteration section
 /// to become a link; see `reo_runtime::partition`.)
 const RELAY_SRC: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
     mult prod (i:1..#a) Fifo1(m[i];n[i]) \
@@ -340,8 +320,7 @@ const DEEP_RELAY_SRC: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
 
 /// Per channel `Repl2 – (FifoN<4> ∥ FifoN<4>) – Merg2`: every region
 /// borders **two** capacity-4 links, so — unlike the relays above —
-/// operations go through the counted kick path and, with a pool, the
-/// per-worker kick queues. Every sent value arrives at the consumer
+/// operations go through the counted kick cascade. Every sent value arrives at the consumer
 /// exactly twice, once through each fifo, each copy stream in FIFO order.
 const DUAL_RELAY_SRC: &str = "P(a[];b[]) = prod (i:1..#a) Repl2(a[i];m[i],u[i]) \
     mult prod (i:1..#a) FifoN<4>(m[i];n[i]) \
@@ -370,29 +349,22 @@ fn is_merge_of_two_ordered_copies(trace: &[i64], k: i64) -> bool {
     trace.len() == 2 * k as usize
 }
 
-/// The steal-under-contention stress: skewed load over channels whose
-/// regions border two cross-region links each, with a 2-worker pool.
-/// Channel 0 carries 8× the traffic of the others, so its owner's kick
-/// queue backs up and the other worker must steal. Assert (a) every
-/// channel's trace is a merge of two FIFO copy streams — stealing never
-/// reorders or loses; (b) kick-queue wakeups stay below the
-/// global-generation baseline (= kicks); (c) the steal counter moved and
-/// (d) batched transfers actually amortized (more values than lock
-/// holds — workers coalesce deduplicated kicks into multi-value pumps
-/// over the capacity-4 links). (c) and (d) are scheduling-dependent, so
-/// they accumulate over a few retries.
+/// Skewed load over channels whose regions border two cross-region links
+/// each (channel 0 carries 8× the traffic of the others), in both
+/// partitioned runtimes: every operation is a counted kick whose cascade
+/// may race other tasks' cascades over the same links, and every
+/// channel's trace must still be a merge of two FIFO copy streams —
+/// concurrent cascades never reorder or lose.
 #[test]
-fn skewed_load_steals_across_workers_without_reordering() {
+fn dual_link_regions_kick_and_keep_both_copy_streams_fifo() {
     const CHANNELS: usize = 4;
     const K_HOT: usize = 1200; // channel 0
     const K_COLD: usize = 150; // channels 1..
 
-    let mut total_steals = 0u64;
-    let mut total_batch_surplus = 0u64; // batched_values - batch_moves
-    for _attempt in 0..5 {
+    for (label, mode) in Mode::grid_subset(&["part", "comp-part"]) {
         let program = reo::dsl::parse_program(DUAL_RELAY_SRC).unwrap();
         let connector = Connector::builder(&program, "P")
-            .mode(Mode::partitioned_with_workers(2))
+            .mode(mode)
             .build()
             .unwrap();
         let mut session = connector
@@ -437,90 +409,51 @@ fn skewed_load_steals_across_workers_without_reordering() {
             let trace = r.join().unwrap();
             assert!(
                 is_merge_of_two_ordered_copies(&trace, k_of(ch) as i64),
-                "channel {ch}: trace diverged under stealing: {trace:?}"
+                "{label}, channel {ch}: trace diverged: {trace:?}"
             );
         }
         let stats = handle.stats();
-        assert!(stats.kicks > 0, "dual-link regions must kick");
-        assert!(
-            stats.kick_wakeups < stats.kicks,
-            "kick-queue wakeups must stay below the global-generation \
-             baseline (= kicks): {stats:?}"
-        );
-        total_steals += stats.steals;
-        total_batch_surplus += stats.batched_values - stats.batch_moves;
+        assert!(stats.kicks > 0, "{label}: dual-link regions must kick");
         handle.close();
-        if total_steals > 0 && total_batch_surplus > 0 {
-            break;
-        }
     }
-    assert!(
-        total_steals > 0,
-        "no steal observed across 5 skewed runs — idle workers never \
-         took over the hot owner's backlog"
-    );
-    assert!(
-        total_batch_surplus > 0,
-        "no batched transfer ever moved more than one value across 5 \
-         skewed runs — kick coalescing never amortized"
-    );
 }
 
-/// The steady-state relay: per-port traces identical across all four
-/// runtimes, and — since the kick-free fast path — the partitioned
+/// The steady-state relay: per-port traces identical across the
+/// parametrized runtimes, and — since the kick-free fast path — the partitioned
 /// modes complete the whole run without a single counted kick (the PR 4
 /// scheduler counted one per port operation here).
 #[test]
 fn relay_chains_run_kick_free_with_identical_traces() {
     const CHANNELS: usize = 4;
     const K: usize = 400;
-    let grid = [
-        ("jit", Mode::jit()),
-        ("partitioned", Mode::partitioned()),
-        ("partitioned+workers", Mode::partitioned_with_workers(2)),
-        ("partitioned+auto", Mode::partitioned_auto()),
-        ("compiled", Mode::compiled()),
-        ("compiled+partitioned", Mode::compiled_partitioned()),
-    ];
     let reference: Vec<Vec<i64>> = (0..CHANNELS).map(|_| (0..K as i64).collect()).collect();
-    for (label, mode) in grid {
+    for (label, mode) in Mode::grid_subset(PARAMETRIZED) {
         let (traces, stats) = traces_for(RELAY_SRC, mode, CHANNELS, K);
         assert_eq!(traces, reference, "{label}: per-port traces diverged");
-        if label.contains("partitioned") {
+        if label.contains("part") {
             assert_eq!(
                 stats.kicks, 0,
-                "{label}: relay chains must skip the kick machinery: {stats:?}"
-            );
-            assert_eq!(
-                stats.kick_wakeups, 0,
-                "{label}: no kicks, no worker wakeups"
+                "{label}: relay chains must pump uncounted: {stats:?}"
             );
         }
     }
 }
 
 /// Deep producer bursts through capacity-4 links: per-port traces stay
-/// identical (and strictly FIFO) across all four runtimes even though
+/// identical (and strictly FIFO) across the runtimes even though
 /// the batched drains move multi-value backlogs, and the single-link
 /// chains stay entirely kick-free in every partitioned mode.
 #[test]
 fn deep_bursts_through_capacity_links_agree_and_stay_fifo() {
     const CHANNELS: usize = 6;
     const K: usize = 700;
-    // No monolithic `Mode::compiled()` here: like ExistingMonolithic it
-    // composes the full 18-automaton product, which explodes at this size.
-    let grid = [
-        ("jit", Mode::jit()),
-        ("partitioned", Mode::partitioned()),
-        ("partitioned+workers", Mode::partitioned_with_workers(2)),
-        ("partitioned+auto", Mode::partitioned_auto()),
-        ("compiled+partitioned", Mode::compiled_partitioned()),
-    ];
+    // No monolithic `comp` here: like the baseline it composes the full
+    // 18-automaton product, which explodes at this size.
     let reference: Vec<Vec<i64>> = (0..CHANNELS).map(|_| (0..K as i64).collect()).collect();
-    for (label, mode) in grid {
+    for (label, mode) in Mode::grid_subset(&["jit", "part", "comp-part"]) {
         let (traces, stats) = traces_for(DEEP_RELAY_SRC, mode, CHANNELS, K);
         assert_eq!(traces, reference, "{label}: per-port traces diverged");
-        if label.contains("partitioned") {
+        if label.contains("part") {
             assert_eq!(
                 stats.kicks, 0,
                 "{label}: single-link chains must stay kick-free: {stats:?}"
@@ -539,7 +472,7 @@ fn deep_bursts_through_capacity_links_agree_and_stay_fifo() {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12, // each case spins up 10 modes x threads; keep it lean
+        cases: 12, // each case spins up the whole grid x threads; keep it lean
         .. ProptestConfig::default()
     })]
 
@@ -555,7 +488,7 @@ proptest! {
         }
         let src = pipeline_program(&stages);
         let reference: Vec<i64> = (0..k as i64).collect();
-        for mode in modes() {
+        for &(_, mode) in Mode::grid() {
             let got = run_pipeline(&src, k, mode);
             prop_assert_eq!(&got, &reference, "mode {:?} on {}", mode, src);
         }
@@ -577,14 +510,7 @@ proptest! {
         );
         let reference: Vec<Vec<i64>> =
             (0..channels).map(|_| (0..k as i64).collect()).collect();
-        for (label, mode) in [
-            ("jit", Mode::jit()),
-            ("partitioned", Mode::partitioned()),
-            ("partitioned+workers", Mode::partitioned_with_workers(2)),
-            ("partitioned+auto", Mode::partitioned_auto()),
-            ("compiled", Mode::compiled()),
-            ("compiled+partitioned", Mode::compiled_partitioned()),
-        ] {
+        for (label, mode) in Mode::grid_subset(PARAMETRIZED) {
             let (traces, _) = traces_for(&src, mode, channels, k);
             prop_assert_eq!(
                 &traces, &reference,
@@ -607,7 +533,7 @@ proptest! {
         ";
         // #legs is not a real parameter above; build the program textually.
         let src = src.replace("#legs", &n.to_string());
-        for mode in modes() {
+        for &(_, mode) in Mode::grid() {
             let program = reo::dsl::parse_program(&src).unwrap();
             let connector = Connector::builder(&program, "F").mode(mode).build().unwrap();
             let mut connected = connector.session().connect().unwrap();

@@ -4,28 +4,15 @@
 use std::sync::Arc;
 use std::thread;
 
-use reo::runtime::{CachePolicy, Connector, Mode};
+use reo::runtime::{Connector, Mode};
 use reo::Value;
-
-fn all_modes() -> Vec<Mode> {
-    vec![
-        Mode::ExistingMonolithic { simplify: true },
-        Mode::ExistingMonolithic { simplify: false },
-        Mode::AotCompose { simplify: true },
-        Mode::jit(),
-        Mode::Jit {
-            cache: CachePolicy::BoundedLru { capacity: 2 },
-        },
-        Mode::partitioned(),
-    ]
-}
 
 /// Example 1, enforced by ConnectorEx11a (Fig. 8): C receives A's message
 /// strictly before B's, without any auxiliary communication in the tasks.
 #[test]
 fn example1_order_enforced_in_every_mode() {
     let program = reo::dsl::parse_program(reo::dsl::stdlib::FIG8_SOURCE).unwrap();
-    for mode in all_modes() {
+    for &(_, mode) in Mode::grid() {
         for def in ["ConnectorEx11a", "ConnectorEx11b"] {
             let connector = Connector::builder(&program, def)
                 .mode(mode)
@@ -87,7 +74,7 @@ fn example9_a_and_b_have_equal_medium_structure() {
 #[test]
 fn example8_parametrized_order_all_modes() {
     let program = reo::dsl::parse_program(reo::dsl::stdlib::FIG9_SOURCE).unwrap();
-    for mode in all_modes() {
+    for &(_, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "ConnectorEx11N")
             .mode(mode)
             .build()

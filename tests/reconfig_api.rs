@@ -14,7 +14,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use reo::runtime::{CachePolicy, Connector, Mode};
+use reo::runtime::{Connector, Mode};
 use reo::{RuntimeError, Value};
 
 /// One `Fifo1` per producer branch feeding a variadic stateless
@@ -27,23 +27,6 @@ use reo::{RuntimeError, Value};
 /// set and its kick routing.
 const MERGER: &str = "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) \
     mult Merger(m[1..#src];c)";
-
-fn modes() -> Vec<Mode> {
-    vec![
-        Mode::ExistingMonolithic { simplify: true },
-        Mode::ExistingMonolithic { simplify: false },
-        Mode::AotCompose { simplify: true },
-        Mode::jit(),
-        Mode::Jit {
-            cache: CachePolicy::BoundedLru { capacity: 1 },
-        },
-        Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
-        Mode::compiled(),
-        Mode::compiled_partitioned(),
-    ]
-}
 
 fn connect_merger(
     src: &str,
@@ -70,7 +53,7 @@ fn connect_merger(
 /// exactly once, and the epoch counter ticks once per splice.
 #[test]
 fn attach_and_detach_round_trip_in_every_mode() {
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let (mut session, handle) = connect_merger(MERGER, mode, 2);
         assert!(handle.is_reconfigurable());
         assert_eq!(handle.epoch(), 0);
@@ -120,7 +103,7 @@ fn attach_and_detach_round_trip_in_every_mode() {
 /// in-flight values buffered in *unaffected* links must survive.
 #[test]
 fn attach_and_detach_round_trip_across_region_links() {
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let (mut session, handle) = connect_merger(MERGER, mode, 2);
         let txs = session.outports("src").unwrap();
         let rx = session.typed_inport::<i64>("c").unwrap();
@@ -178,7 +161,7 @@ fn detach_waits_for_the_branch_to_drain() {
 /// [`RuntimeError::Detached`] — a typed error, not a panic or a hang.
 #[test]
 fn detached_branch_port_reports_detached() {
-    for mode in modes() {
+    for &(_, mode) in Mode::grid() {
         let (mut session, handle) = connect_merger(MERGER, mode, 1);
         let rx = session.typed_inport::<i64>("c").unwrap();
 
@@ -262,57 +245,6 @@ fn concurrent_attaches_serialize_on_the_reconfig_lock() {
     handle.close();
 }
 
-/// Satellite regression: under `partitioned_auto` the adaptive pool
-/// retires idle workers down to one, and `worker_count` must report the
-/// *post-shrink* live count, not the spawn-time width.
-#[test]
-fn worker_count_tracks_adaptive_pool_shrink() {
-    const RELAY: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
-        mult prod (i:1..#a) Fifo1(m[i];n[i]) \
-        mult prod (i:1..#a) Sync(n[i];b[i])";
-    let program = reo::dsl::parse_program(RELAY).unwrap();
-    let connector = Connector::builder(&program, "P")
-        .mode(Mode::partitioned_auto())
-        .build()
-        .unwrap();
-    let mut session = connector
-        .session()
-        .replicate("a", 4)
-        .replicate("b", 4)
-        .connect()
-        .unwrap();
-    let handle = session.handle();
-    assert!(
-        handle.link_count() >= 4,
-        "every channel contributes a cut link"
-    );
-
-    // Traffic wakes the pool, then silence lets it retire. Each relay
-    // channel buffers one value in its cut fifo, then the matching
-    // receiver drains it (a send and its recv rendezvous through the
-    // fifo, so buffer-then-drain needs no helper threads).
-    let txs = session.outports("a").unwrap();
-    let rxs = session.inports("b").unwrap();
-    for (i, tx) in txs.iter().enumerate() {
-        tx.send(Value::Int(i as i64)).unwrap();
-    }
-    for rx in &rxs {
-        rx.recv().unwrap();
-    }
-
-    // The idle-shrink timeout is 10 ms; give the pool a generous window.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while handle.worker_count() > 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    assert_eq!(
-        handle.worker_count(),
-        1,
-        "post-shrink live count must be reported"
-    );
-    handle.close();
-}
-
 /// The deprecated stringly entry points still work (they delegate to the
 /// builder path) — kept until the next breaking release.
 #[test]
@@ -380,7 +312,7 @@ proptest! {
         initial in 1usize..3,
         script in proptest::collection::vec(churn_strategy(), 1..5),
     ) {
-        for mode in modes() {
+        for &(_, mode) in Mode::grid() {
             let (mut session, handle) = connect_merger(MERGER, mode, initial);
             let initial_txs = session.outports("src").unwrap();
             let rx = session.typed_inport::<i64>("c").unwrap();

@@ -151,12 +151,7 @@ fn recv_timeout_expires_within_twice_the_deadline_under_contention() {
 /// single-engine and the partitioned backend.
 #[test]
 fn timed_out_sends_retract_cleanly_with_no_loss_or_duplication() {
-    for mode in [
-        Mode::jit(),
-        Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
-    ] {
+    for mode in [Mode::jit(), Mode::partitioned()] {
         let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
         let connector = Connector::builder(&program, "Buf")
             .mode(mode)
@@ -232,12 +227,7 @@ fn timed_out_sends_retract_cleanly_with_no_loss_or_duplication() {
 /// value must appear exactly once.
 #[test]
 fn dropped_pending_futures_retract_atomically_with_no_loss_or_duplication() {
-    for mode in [
-        Mode::jit(),
-        Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
-    ] {
+    for mode in [Mode::jit(), Mode::partitioned()] {
         let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
         let connector = Connector::builder(&program, "Buf")
             .mode(mode)
@@ -522,23 +512,18 @@ fn try_send_accepts_into_buffer_and_retracts_when_full() {
 }
 
 /// A one-shot `try_recv` must observe a value already queued in a
-/// cross-region link — in *both* partitioned schedulers. With a fire-worker
-/// pool the probe cannot rely on an asynchronous kick being serviced in
-/// time, so the try paths pump the links inline (regression for the
-/// kick-vs-probe race).
+/// cross-region link — in both partitioned runtimes: a probe gets no
+/// second chance, so the try paths pump the links inline before they
+/// retract.
 #[test]
-fn one_shot_try_recv_sees_cross_region_value_in_all_schedulers() {
+fn one_shot_try_recv_sees_cross_region_value_in_both_partitioned_modes() {
     // Each constituent in its own iteration section, so the fifo is a
     // genuine cut link between two regions (a single-section program
     // composes into one region and would test nothing cross-region).
     let src = "P(a;b) = prod (i:1..1) Sync(a;m) \
                mult prod (i:1..1) Fifo1(m;n) \
                mult prod (i:1..1) Sync(n;b)";
-    for mode in [
-        Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
-    ] {
+    for mode in [Mode::partitioned(), Mode::compiled_partitioned()] {
         let program = reo::dsl::parse_program(src).unwrap();
         let connector = Connector::builder(&program, "P")
             .mode(mode)
@@ -624,12 +609,11 @@ fn select_takes_the_ready_port_and_losers_retract_without_loss() {
 }
 
 /// Regression for the targeted-probe race: with a *chain* of two links
-/// (A –l1– M –l2– B), a value can sit behind an unserviced kick on the
-/// upstream link l1, where a cascade started from B's region never
-/// reaches it (l2 makes no progress, so the cascade stops). The probe
-/// must therefore sweep the whole link set synchronously — a one-shot
-/// `try_recv` at the far end has to pull the value across *both* links,
-/// in every scheduler, with no worker given a chance to run first.
+/// (A –l1– M –l2– B), a value can sit on the upstream link l1, where a
+/// cascade started from B's region never reaches it (l2 makes no
+/// progress, so the cascade stops). The probe must therefore sweep the
+/// whole link set synchronously — a one-shot `try_recv` at the far end
+/// has to pull the value across *both* links.
 #[test]
 fn one_shot_try_recv_crosses_a_two_link_chain() {
     let src = "P(a;b) = prod (i:1..1) Sync(a;m) \
@@ -637,11 +621,7 @@ fn one_shot_try_recv_crosses_a_two_link_chain() {
                mult prod (i:1..1) Sync(n;o) \
                mult prod (i:1..1) Fifo1(o;p) \
                mult prod (i:1..1) Sync(p;b)";
-    for mode in [
-        Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
-    ] {
+    for mode in [Mode::partitioned(), Mode::compiled_partitioned()] {
         let program = reo::dsl::parse_program(src).unwrap();
         let connector = Connector::builder(&program, "P")
             .mode(mode)
@@ -680,7 +660,7 @@ fn parked_delivery_belongs_to_the_live_receiver_not_a_late_rival() {
     assert!(Pin::new(&mut fut_a).poll(&mut cx).is_pending());
 
     // The send lets the fifo drain: the value parks on `b` for A, and
-    // A's waker fires. (Firing may happen on a worker thread.)
+    // A's waker fires.
     tx.send(41).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while !flag.woken() && Instant::now() < deadline {
@@ -724,4 +704,31 @@ fn parked_delivery_belongs_to_the_live_receiver_not_a_late_rival() {
     );
     drop(fut_c); // abandons the parked delivery mid-flight
     assert_eq!(rx.recv().unwrap(), 42, "abandoned delivery was lost");
+}
+
+/// Regression: re-typing a port handle must *move* its backend reference,
+/// not clone it past a `ManuallyDrop` — every `typed_outport` /
+/// `typed_inport` used to leak one reference, so no session that took a
+/// typed port ever freed its engine(s).
+#[test]
+fn sessions_with_typed_ports_free_their_engines_when_dropped() {
+    for mode in [Mode::jit(), Mode::partitioned()] {
+        let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
+        let connector = Connector::builder(&program, "Buf")
+            .mode(mode)
+            .build()
+            .unwrap();
+        let mut session = connector.session().connect().unwrap();
+        let tx = session.typed_outport::<i64>("a").unwrap();
+        let rx = session.typed_inport::<i64>("b").unwrap().untyped();
+        let probe = session.handle().backend_probe();
+        tx.send(3).unwrap();
+        assert_eq!(rx.recv().unwrap().as_int(), Some(3));
+        assert!(probe.upgrade().is_some(), "{mode:?}: engine alive in use");
+        drop((tx, rx, session));
+        assert!(
+            probe.upgrade().is_none(),
+            "{mode:?}: engine leaked past its last port and handle"
+        );
+    }
 }
