@@ -7,6 +7,13 @@
 //! of transitions exponential in the number of independent constituents
 //! (the paper's Fig. 13 finding 3).
 //!
+//! The eager product keeps those joint steps on purpose: it is Eq. 1 as
+//! written, the Fig. 12 baseline and `Mode::compiled()`. The just-in-time
+//! engine (`reo_runtime::jit`) expands only steps connected through fired
+//! shared ports — a joint step of port-disjoint parts equals firing the
+//! parts in any order — and `tests/connected_steps.rs` holds the two to
+//! each other with this module as the oracle.
+//!
 //! Construction is reachable-only, breadth-first from the initial pair, with
 //! a configurable state budget. Exceeding the budget is how "the existing
 //! compiler cannot handle" a connector manifests in this reproduction.

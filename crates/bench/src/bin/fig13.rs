@@ -6,8 +6,11 @@
 //!     [--timeout 120] [--large-n] [--json [BENCH_fig13.json]]
 //! ```
 //!
-//! `--large-n` switches to the finding-3 reproduction: N ∈ {16,32,64},
-//! Reo-JIT (expected DNF) vs Reo-partitioned (expected to finish).
+//! `--large-n` moves to N ∈ {16,32,64}, class S, 30 s timeout — the range
+//! of the paper's finding 3. On the 2-core reference host CG-S under
+//! `reo-jit` takes 0.39 s at N=16 and 8.3 s at N=32 and times out at N=64
+//! (`reo-part`: 0.19 s / 1.5 s / 5.2 s); before connected-step expansion
+//! every `reo-jit` cell from N=8 up was DNF.
 //!
 //! With `--json` the per-cell measurements are also written as a JSON
 //! document (default path `BENCH_fig13.json`), the NPB twin of the
@@ -19,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use reo_bench::fig13::{
-    large_n_backends, measure_cg, measure_lu, render, standard_backends, BackendKind, Measurement,
+    measure_cg, measure_lu, render, standard_backends, BackendKind, Measurement,
 };
 use reo_bench::json::{json_opt_str, json_path, json_str};
 use reo_bench::Args;
@@ -46,22 +49,11 @@ fn main() {
     let ns = args.usize_list("ns", default_ns);
     let classes = args.list("classes", if large_n { &["S"] } else { &["S", "C-scaled"] });
     let timeout = Duration::from_secs_f64(args.f64("timeout", if large_n { 30.0 } else { 600.0 }));
-    let backends: Vec<BackendKind> = if large_n {
-        large_n_backends()
-    } else {
-        standard_backends()
-    };
+    let backends = standard_backends();
 
     println!(
-        "Fig. 13 reproduction: programs {:?}, classes {:?}, N {:?} ({})",
-        progs,
-        classes,
-        ns,
-        if large_n {
-            "finding-3 mode: jit vs partitioned"
-        } else {
-            "original vs Reo-based"
-        }
+        "Fig. 13 reproduction: programs {progs:?}, classes {classes:?}, N {ns:?} \
+         (original vs Reo-based)"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -129,7 +121,9 @@ fn main() {
     println!(
         "\nPaper's Fig. 13 shape for reference: class S — Reo overhead dominates;\n\
          class C — comparable run times for N in {{2,4,8}}; N >= 16 without\n\
-         partitioning — DNF (exponentially many transitions in one state)."
+         partitioning — DNF in the paper (exponentially many transitions in one\n\
+         state). Here expansion keeps connected steps only, so reo-jit runs on;\n\
+         a DNF cell names its typed cause."
     );
 
     if let Some(value) = args.get("json") {

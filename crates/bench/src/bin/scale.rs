@@ -233,7 +233,8 @@ fn main() {
         v.locks_per_value_below_seed
     );
     println!(
-        "verdict: compiled stepping >= {}x jit boundary ops on every codegen duel: {} \
+        "verdict: compiled stepping >= {}x jit boundary ops on every codegen duel \
+         (3x before the jit dropped joint steps of independent constituents): {} \
          ({} duel(s))",
         reo_bench::scale::CODEGEN_SPEEDUP_FLOOR,
         v.codegen_beats_jit,

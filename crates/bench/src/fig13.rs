@@ -2,10 +2,12 @@
 //!
 //! Runs CG and LU for each workload class and slave count, once with the
 //! hand-written communication back end ("original program") and once with
-//! the Reo connector back end ("Reo-based program"), and reports run times.
-//! With `--large-n` it reproduces finding 3: for N ≥ 16 the non-partitioned
-//! run hits the exponential transition fan-out (reported as DNF), while
-//! `Mode::JitPartitioned` completes.
+//! the Reo connector back ends ("Reo-based program": one JIT engine, and
+//! the partitioned engines), and reports run times. `--large-n` moves the
+//! same comparison to N ∈ {16,32,64}, where the paper's finding 3 (N ≥ 16
+//! DNF without partitioning) used to reproduce: connected-step expansion
+//! (`reo_runtime::jit`) removed the exponential fan-out, so one engine now
+//! finishes N = 16 and 32 and partitioning is what buys parallelism.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -68,7 +70,14 @@ fn run_guarded<R: Send + 'static>(
     });
     match rx.recv_timeout(timeout) {
         Ok(Ok(r)) => Ok(r),
-        Ok(Err(_)) => Err("connector failure (state-space blow-up)".into()),
+        Ok(Err(panic)) => {
+            let cause = comm.failure().unwrap_or_else(|| {
+                (panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "run panicked".into())
+            });
+            Err(format!("connector failure: {cause}"))
+        }
         Err(_) => {
             // Unblock the runaway run, then wait briefly for it to unwind.
             comm.close();
@@ -158,14 +167,11 @@ pub fn measure_lu(
     }
 }
 
-/// The standard Fig. 13 backends: original vs Reo (JIT).
+/// The Fig. 13 backends: original vs Reo on one JIT engine vs Reo
+/// partitioned.
 pub fn standard_backends() -> Vec<BackendKind> {
-    vec![BackendKind::HandWritten, BackendKind::Reo(Mode::jit())]
-}
-
-/// The `--large-n` backends: JIT (expected DNF at N ≥ 16) vs partitioned.
-pub fn large_n_backends() -> Vec<BackendKind> {
     vec![
+        BackendKind::HandWritten,
         BackendKind::Reo(Mode::jit()),
         BackendKind::Reo(Mode::partitioned()),
     ]

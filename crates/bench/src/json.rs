@@ -37,7 +37,8 @@
 //!       "secs": 0.044, "dnf": null, "steps": 2848, "verified": true } ] }
 //! ```
 //!
-//! `secs` is `null` iff `dnf` is non-null (timeout / blow-up message);
+//! `backend` is `original`, `reo-jit` or `reo-part`. `secs` is `null` iff
+//! `dnf` is non-null (a timeout, or `connector failure: <typed cause>`);
 //! `verified` is the CG zeta check (`null` where no official value
 //! exists); `steps` is 0 for the hand-written backend.
 //!

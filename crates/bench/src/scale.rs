@@ -310,7 +310,14 @@ pub fn run_codegen(config: &Config, mut progress: impl FnMut(&CodegenCell)) -> V
 
 /// The multiple the compiled stepping core must reach over the jit
 /// interpreter on every codegen duel for [`Verdict::codegen_beats_jit`].
-pub const CODEGEN_SPEEDUP_FLOOR: f64 = 3.0;
+///
+/// 3× until connected-step expansion (`reo_runtime::jit`): the jit then
+/// stopped scanning joint steps of independent constituents and got up to
+/// 2× faster on the wide families (`scatter_gather`, `pipeline`) while the
+/// compiled core stood still, so `scatter_gather` fell to 2.2–2.8× over
+/// four runs on the reference host. The floor follows the faster jit
+/// rather than holding it back, with room for a noisy runner.
+pub const CODEGEN_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Executor threads of the `sessions` family — the "handful" the async
 /// backend must carry 100k+ sessions on.
@@ -1174,7 +1181,7 @@ mod tests {
     fn codegen_duel_runs_and_compiled_leads_in_miniature() {
         // One family, short window: both cores must make real progress
         // and the lowered program must already be ahead of the
-        // interpreter (the full-window BENCH run enforces the 3× floor).
+        // interpreter (the full-window BENCH run enforces the floor).
         let config = Config {
             window: Duration::from_millis(60),
             family_filter: Some(vec!["pipeline".into()]),

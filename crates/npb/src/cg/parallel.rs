@@ -179,6 +179,17 @@ mod tests {
     }
 
     #[test]
+    fn cg_class_s_verifies_at_n8_under_jit() {
+        // 32 medium automata on one engine: the cell that overflowed the
+        // expansion budget while expansion enumerated every ×-combination.
+        let class = CgClass::S;
+        let a = Arc::new(class_matrix(&class));
+        let comm = ReoComm::new(8, Mode::jit()).unwrap();
+        let par = run_parallel(a, &class, comm);
+        assert_eq!(par.verified, Some(true), "zeta = {:.13}", par.zeta);
+    }
+
+    #[test]
     fn parallel_reo_matches_sequential_bitwise() {
         let class = CgClass {
             name: "tiny",

@@ -11,7 +11,7 @@
 //! master to all slaves, tagged gather from slaves to master, plus — for
 //! LU — forward/backward pipelines between neighbouring slaves.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use reo_automata::Value;
@@ -55,6 +55,11 @@ pub trait Comm: Send + Sync {
     fn close(&self);
     /// Global connector steps (0 for the hand-written backend).
     fn steps(&self) -> u64;
+    /// Why the backend stopped serving, if it did: the typed cause a
+    /// harness reports when the run on top of it dies.
+    fn failure(&self) -> Option<String> {
+        None
+    }
 }
 
 /// Tag a payload with its slave id.
@@ -211,6 +216,9 @@ pub struct ReoComm {
     fin: Vec<Inport>,
     bwd: Vec<Outport>,
     bin: Vec<Inport>,
+    /// The first port error a [`Comm`] call absorbed (the trait is
+    /// infallible; later errors are its consequences).
+    failed: OnceLock<String>,
 }
 
 impl ReoComm {
@@ -240,7 +248,15 @@ impl ReoComm {
             fin: session.inports("fin")?,
             bwd: session.outports("bwd")?,
             bin: session.inports("bin")?,
+            failed: OnceLock::new(),
         }))
+    }
+
+    fn noted<T>(&self, r: Result<T, RuntimeError>) -> Option<T> {
+        if let Err(e) = &r {
+            self.failed.get_or_init(|| e.to_string());
+        }
+        r.ok()
     }
 
     pub fn handle(&self) -> &ConnectorHandle {
@@ -254,42 +270,42 @@ impl Comm for ReoComm {
     }
 
     fn bcast(&self, v: Value) {
-        let _ = self.m.send(v);
+        self.noted(self.m.send(v));
     }
 
     fn gather(&self) -> Vec<Value> {
         let mut out = Vec::with_capacity(self.n);
         for _ in 0..self.n {
-            match self.res.recv() {
-                Ok(v) => out.push(v),
-                Err(_) => break,
+            match self.noted(self.res.recv()) {
+                Some(v) => out.push(v),
+                None => break,
             }
         }
         out
     }
 
     fn recv_bcast(&self, id: usize) -> Value {
-        self.w[id].recv().unwrap_or_else(|_| stop_value())
+        self.noted(self.w[id].recv()).unwrap_or_else(stop_value)
     }
 
     fn send_master(&self, id: usize, payload: Value) {
-        let _ = self.v[id].send(tagged(id, payload));
+        self.noted(self.v[id].send(tagged(id, payload)));
     }
 
     fn send_next(&self, id: usize, v: Value) {
-        let _ = self.fwd[id].send(v);
+        self.noted(self.fwd[id].send(v));
     }
 
     fn recv_prev(&self, id: usize) -> Value {
-        self.fin[id].recv().unwrap_or_else(|_| stop_value())
+        self.noted(self.fin[id].recv()).unwrap_or_else(stop_value)
     }
 
     fn send_prev(&self, id: usize, v: Value) {
-        let _ = self.bwd[id].send(v);
+        self.noted(self.bwd[id].send(v));
     }
 
     fn recv_next(&self, id: usize) -> Value {
-        self.bin[id].recv().unwrap_or_else(|_| stop_value())
+        self.noted(self.bin[id].recv()).unwrap_or_else(stop_value)
     }
 
     fn close(&self) {
@@ -298,6 +314,10 @@ impl Comm for ReoComm {
 
     fn steps(&self) -> u64 {
         self.handle.steps()
+    }
+
+    fn failure(&self) -> Option<String> {
+        (self.failed.get().cloned()).or_else(|| self.handle.poison_message())
     }
 }
 
@@ -346,6 +366,17 @@ mod tests {
     #[test]
     fn reo_partitioned_bcast_gather_round_trip() {
         exercise(ReoComm::new(3, Mode::partitioned()).unwrap());
+    }
+
+    #[test]
+    fn reo_failure_names_the_typed_cause() {
+        let comm = ReoComm::new(2, Mode::jit()).unwrap();
+        assert_eq!(comm.failure(), None);
+        comm.handle().poison("expansion overflow: 5000 transitions");
+        comm.bcast(Value::Int(1));
+        assert!(comm.gather().is_empty());
+        let cause = comm.failure().expect("a poisoned connector reports why");
+        assert!(cause.contains("expansion overflow"), "{cause}");
     }
 
     #[test]

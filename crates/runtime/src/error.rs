@@ -16,7 +16,11 @@ pub enum RuntimeError {
     /// the "existing approach fails" outcome of Fig. 12.
     Explosion(reo_automata::Explosion),
     /// Just-in-time expansion of a single state exceeded the transition
-    /// budget — the "did not terminate" outcome of Fig. 13 finding 3.
+    /// budget. Expansion keeps only *connected* steps (`crate::jit`), so
+    /// independent constituents no longer get here — the paper's Fig. 13
+    /// finding 3 does not reproduce on them; what still does is fan-out
+    /// inside one synchronous component (a replicator feeding `k`
+    /// `LossySync`s has `2^k` steps in one state).
     ExpansionOverflow {
         state_transitions: usize,
         budget: usize,
@@ -94,8 +98,9 @@ impl fmt::Display for RuntimeError {
             } => write!(
                 f,
                 "just-in-time expansion overflow: a single state has more than {budget} \
-                 global transitions ({state_transitions} built) — consider partitioned \
-                 execution (Mode::JitPartitioned)"
+                 connected global transitions ({state_transitions} built); the fan-out \
+                 lies within one synchronous component, which partitioned execution \
+                 (Mode::JitPartitioned) splits only where a queue cuts it"
             ),
             RuntimeError::Core(e) => write!(f, "{e}"),
             RuntimeError::Lower(e) => write!(f, "{e}"),

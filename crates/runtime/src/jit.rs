@@ -6,12 +6,32 @@
 //! prescribed by ×). Only once a transition out of the initial state fires,
 //! that transition's target state is 'expanded' …— and so on."
 //!
-//! Expansion enumerates every ×-combination: for each medium automaton,
-//! either idle or one of its current-state transitions, such that all
-//! choices agree on shared ports. Because × also admits *joint* steps of
-//! independent constituents, a single state's fan-out can be exponential in
-//! the number of independent automata — Fig. 13 finding 3, reported here as
-//! [`RuntimeError::ExpansionOverflow`] when it exceeds the budget.
+//! # Connected-step expansion
+//!
+//! × (Eq. 1, [`mod@reo_automata::product`]) also admits *joint* steps of
+//! constituents that share no fired port, so a state's ×-fan-out is
+//! exponential in the number of independent constituents — Fig. 13
+//! finding 3. Expansion here emits only **connected** steps: a set of local
+//! transitions, one per participating automaton, that agree on shared
+//! ports, whose participants are linked to one another through *fired*
+//! shared ports, and that is closed (every automaton touching a fired port
+//! participates); everyone else idles. A step is grown from a seed
+//! transition through the port → owner index and kept only when the seed is
+//! its lowest-index participant, so each appears once and growing it costs
+//! its own neighbourhood rather than all `n` automata.
+//!
+//! Nothing is lost. A × step picks at most one local transition per
+//! automaton, so it falls apart into connected steps with pairwise disjoint
+//! participants — hence disjoint ports, disjoint memory cells, and guards
+//! that cannot see each other's writes — and its target tuple is the
+//! componentwise successor whichever part fires first. A joint step
+//! therefore equals firing its parts in any order: reachable tuples and
+//! per-port traces are those of ×, while fan-out is linear in the number
+//! of independent components (`tests/connected_steps.rs` checks both
+//! directions against the eager product). Fan-out that is genuinely
+//! connected — a replicator feeding `k` `LossySync`s is still `2^k` — is
+//! reported as [`RuntimeError::ExpansionOverflow`] when it exceeds the
+//! budget.
 
 use std::sync::Arc;
 
@@ -27,9 +47,11 @@ pub struct JitCore {
     /// Current local state per automaton.
     states: Box<[StateId]>,
     cache: Box<dyn StateCache>,
-    /// Per-automaton port signatures, and suffix unions for backtracking.
+    /// Per-automaton port signatures.
     ports: Vec<PortSet>,
-    suffix_ports: Vec<PortSet>,
+    /// Port → owner index: `(port, automaton)` pairs sorted by port, so a
+    /// step grows through its own neighbourhood, not all `n` automata.
+    owners: Vec<(PortId, usize)>,
     inputs: PortSet,
     outputs: PortSet,
     /// Maximum global transitions per expanded state.
@@ -61,17 +83,17 @@ impl JitCore {
     ) -> Self {
         let (inputs, outputs) = boundary_classes(&automata);
         let ports: Vec<PortSet> = automata.iter().map(|a| a.ports()).collect();
-        let mut suffix_ports = vec![PortSet::new(); automata.len() + 1];
-        for i in (0..automata.len()).rev() {
-            suffix_ports[i] = suffix_ports[i + 1].union(&ports[i]);
-        }
+        let mut owners: Vec<(PortId, usize)> = (ports.iter().enumerate())
+            .flat_map(|(i, ps)| ps.iter().map(move |p| (p, i)))
+            .collect();
+        owners.sort_unstable();
         let states: Box<[StateId]> = automata.iter().map(|a| a.initial()).collect();
         JitCore {
             automata,
             states,
             cache,
             ports,
-            suffix_ports,
+            owners,
             inputs,
             outputs,
             expansion_budget,
@@ -104,43 +126,47 @@ impl JitCore {
         self.expansions
     }
 
-    /// Expand the current state: enumerate all compatible combinations.
-    fn expand(&self) -> Result<Expanded, RuntimeError> {
-        let n = self.automata.len();
-        let locals: Vec<&[Transition]> = (0..n)
-            .map(|i| self.automata[i].transitions_from(self.states[i]))
-            .collect();
-        let mut chosen: Vec<Option<&Transition>> = vec![None; n];
+    /// Automata whose signature contains `p` (index range into `owners`).
+    fn owners_of(&self, p: PortId) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.owners.partition_point(|&(q, _)| q < p);
+        self.owners[lo..]
+            .iter()
+            .take_while(move |&&(q, _)| q == p)
+            .map(|&(_, i)| i)
+    }
+
+    /// Expand the current state: every connected step, each exactly once
+    /// (from the seed that is its lowest-index participant).
+    pub fn expand(&self) -> Result<Expanded, RuntimeError> {
+        let mut chosen: Vec<Option<&Transition>> = vec![None; self.automata.len()];
         let mut out: Vec<GlobalTransition> = Vec::new();
-        self.rec(
-            0,
-            &locals,
-            &PortSet::new(),
-            &PortSet::new(),
-            &mut chosen,
-            &mut out,
-        )?;
+        for seed in 0..self.automata.len() {
+            for t in self.automata[seed].transitions_from(self.states[seed]) {
+                chosen[seed] = Some(t);
+                self.grow(seed, &t.sync, &self.ports[seed], &mut chosen, &mut out)?;
+            }
+            chosen[seed] = None;
+        }
         Ok(Expanded { transitions: out })
     }
 
-    /// Backtracking over automata in index order.
-    ///
-    /// `must_fire`: ports already promised by chosen earlier transitions
-    /// that are shared with automata `>= i`. `must_not`: ports of earlier
-    /// automata shared with automata `>= i` that were *not* fired.
-    fn rec<'a>(
+    /// Close the partial step `chosen` under "every automaton touching a
+    /// fired port joins". `fired` is the union of the chosen labels,
+    /// `joined` the union of the chosen automata's signatures.
+    fn grow<'a>(
         &'a self,
-        i: usize,
-        locals: &[&'a [Transition]],
-        must_fire: &PortSet,
-        must_not: &PortSet,
+        seed: usize,
+        fired: &PortSet,
+        joined: &PortSet,
         chosen: &mut Vec<Option<&'a Transition>>,
         out: &mut Vec<GlobalTransition>,
     ) -> Result<(), RuntimeError> {
-        if i == locals.len() {
-            if chosen.iter().all(Option::is_none) {
-                return Ok(()); // the empty global step is not a step
-            }
+        let next = fired
+            .iter()
+            .flat_map(|p| self.owners_of(p))
+            .filter(|&j| chosen[j].is_none())
+            .min();
+        let Some(j) = next else {
             out.push(self.compose(chosen));
             if out.len() > self.expansion_budget {
                 return Err(RuntimeError::ExpansionOverflow {
@@ -149,36 +175,22 @@ impl JitCore {
                 });
             }
             return Ok(());
+        };
+        if j < seed {
+            return Ok(()); // emitted from seed `j`
         }
-        let pi = &self.ports[i];
-        let later = &self.suffix_ports[i + 1];
-        let required = must_fire.intersection(pi);
-        let forbidden = must_not.intersection(pi);
-
-        // Option 1: automaton i idles — allowed iff nothing requires it.
-        if required.is_empty() {
-            chosen[i] = None;
-            let shared_later = pi.intersection(later);
-            let must_not2 = must_not.union(&shared_later);
-            self.rec(i + 1, locals, must_fire, &must_not2, chosen, out)?;
-        }
-
-        // Option 2: automaton i takes one of its transitions.
-        for t in locals[i] {
-            if !required.is_subset(&t.sync) {
+        // `j` must fire exactly the fired ports it shares with the step so
+        // far, and no silent port of an automaton that already joined.
+        let required = fired.intersection(&self.ports[j]);
+        let with_j = joined.union(&self.ports[j]);
+        for u in self.automata[j].transitions_from(self.states[j]) {
+            if u.sync.intersection(joined) != required {
                 continue;
             }
-            if !t.sync.is_disjoint(&forbidden) {
-                continue;
-            }
-            chosen[i] = Some(t);
-            let fired_later = t.sync.intersection(later);
-            let silent_later = pi.intersection(later).difference(&t.sync);
-            let must_fire2 = must_fire.union(&fired_later);
-            let must_not2 = must_not.union(&silent_later);
-            self.rec(i + 1, locals, &must_fire2, &must_not2, chosen, out)?;
+            chosen[j] = Some(u);
+            self.grow(seed, &fired.union(&u.sync), &with_j, chosen, out)?;
         }
-        chosen[i] = None;
+        chosen[j] = None;
         Ok(())
     }
 
@@ -377,34 +389,65 @@ mod tests {
     }
 
     #[test]
-    fn independent_fifos_expand_with_joint_steps() {
+    fn independent_fifos_expand_to_their_two_fills() {
         let autos = vec![
             primitives::fifo1(p(0), p(1), MemId(0)),
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
         let core = JitCore::new(autos, CachePolicy::Unbounded.build(), 1 << 20);
         let expanded = core.expand().unwrap();
-        // fills of each + joint fill = 3 (matches the eager product).
-        assert_eq!(expanded.transitions.len(), 3);
+        // One fill each and no joint fill: the eager product keeps the
+        // third (`product.rs::independent_fifos_get_joint_and_interleaved_steps`),
+        // which here is the two fills fired in either order.
+        assert_eq!(expanded.transitions.len(), 2);
     }
 
     #[test]
     fn expansion_budget_reproduces_fig13_finding3() {
-        // 12 independent fifo1s: the initial state alone has 2^12 - 1
-        // combinations; with a budget of 1000 expansion must fail.
+        // A replicator feeding 12 lossy syncs is one connected component:
+        // each lossy independently passes or loses, so the initial state
+        // alone has 2^12 steps; with a budget of 1000 expansion must fail.
         let mut alloc = PortAllocator::new();
-        let autos: Vec<Automaton> = (0..12)
-            .map(|_| {
-                let a = alloc.fresh_port();
-                let b = alloc.fresh_port();
-                primitives::fifo1(a, b, alloc.fresh_mem())
-            })
-            .collect();
+        let tail = alloc.fresh_port();
+        let heads = alloc.fresh_ports(12);
+        let mut autos = vec![primitives::replicator(tail, &heads)];
+        for &h in &heads {
+            autos.push(primitives::lossy(h, alloc.fresh_port()));
+        }
         let core = JitCore::new(autos, CachePolicy::Unbounded.build(), 1000);
         assert!(matches!(
             core.expand(),
             Err(RuntimeError::ExpansionOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn npbcomm_initial_fanout_is_linear() {
+        use reo_core::{compile, instantiate, Binding};
+        // The Fig. 13 protocol (`reo_npb::comm::NPB_COMM_SOURCE`) at 4
+        // slaves: 16 medium automata whose initial ×-fan-out is 2,047.
+        let prog = reo_dsl::parse_program(
+            "NpbComm(m,v[],fwd[],bwd[];w[],res,fin[],bin[]) =
+               Replicator(m;c[1..#w])
+               mult prod (i:1..#w) Fifo1(c[i];w[i])
+               mult prod (i:1..#v) Fifo1(v[i];d[i])
+               mult Merger(d[1..#v];res)
+               mult prod (i:1..#fwd-1) Fifo(fwd[i];fin[i+1])
+               mult prod (i:2..#bwd) Fifo(bwd[i];bin[i-1])",
+        )
+        .unwrap();
+        let cc = compile(&prog, "NpbComm").unwrap();
+        let mut alloc = PortAllocator::new();
+        let arity = |name: &str| if name == "m" || name == "res" { 1 } else { 4 };
+        let binding: Binding = ["m", "v", "fwd", "bwd", "w", "res", "fin", "bin"]
+            .into_iter()
+            .map(|name| (name.to_string(), alloc.fresh_ports(arity(name))))
+            .collect();
+        let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
+        assert_eq!(inst.automata.len(), 16);
+        let core = JitCore::new(inst.automata, CachePolicy::Unbounded.build(), 1 << 20);
+        let fanout = core.expand().unwrap().transitions.len();
+        assert!(fanout <= 16, "initial fan-out {fanout}");
     }
 
     #[test]
