@@ -24,6 +24,13 @@
 //! `steps × blocked tasks`. The [`EngineStats`] counters make that
 //! observable.
 //!
+//! Wake-ups are *recorded* under the lock and *delivered* after it is
+//! released (`Engine::firing`): a woken task must re-take the engine mutex, so
+//! signalling while still holding it wakes the task into a lock it can only
+//! sleep on again. No wake-up is lost: the predicate (a `Done*` slot,
+//! `closed`, `dead`) is set under the lock and the waiter's check-and-wait
+//! is atomic under the same lock, so the signal may follow the unlock.
+//!
 //! # Port sharding
 //!
 //! An engine only allocates state for the ports it actually serves. The
@@ -55,7 +62,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 use std::time::Instant;
 
@@ -414,27 +421,70 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
+/// The wait state of one served port.
+#[derive(Default)]
+struct PortSlot {
+    /// The port's own condition variable: completing a transition signals
+    /// only the ports that fired. An `Arc` so a parked thread and a
+    /// recorded [`Wake`] keep it alive across a reconfiguration's remap.
+    cv: Arc<Condvar>,
+    /// Threads currently blocked on `cv` (a port with none gets no signal
+    /// and no wakeup count).
+    waiters: u32,
+    /// The *async* waiter: a future that polled while its operation was
+    /// still pending parks its `Waker` here instead of an OS thread on the
+    /// condvar. At most one pending operation exists per port (`PortBusy`
+    /// otherwise), so one suffices.
+    waker: Option<Waker>,
+    /// The parked `DoneRecv` in this slot belongs to a *cancelled* future
+    /// (see [`Engine::abandon_recv`]), so the next registration may absorb
+    /// it. Without this bit a new registrant could steal a delivery that a
+    /// still-blocked receiver owns, leaving it waiting on an empty slot.
+    abandoned: bool,
+}
+
+/// One recorded wake-up: a port's parked threads or its stored waker.
+enum Wake {
+    Threads(Arc<Condvar>),
+    Task(Waker),
+}
+
+/// The wake-ups one critical section decided. The first is held inline, so
+/// the common one-wake step never allocates.
+#[derive(Default)]
+struct WakeList {
+    first: Option<Wake>,
+    rest: Vec<Wake>,
+}
+
+impl WakeList {
+    fn push(&mut self, w: Wake) {
+        match self.first {
+            None => self.first = Some(w),
+            Some(_) => self.rest.push(w),
+        }
+    }
+
+    /// Signal everything recorded — the only place this module notifies a
+    /// condvar or wakes a `Waker`.
+    fn deliver(self) {
+        for w in self.first.into_iter().chain(self.rest) {
+            match w {
+                Wake::Threads(cv) => cv.notify_all(),
+                Wake::Task(w) => w.wake(),
+            }
+        }
+    }
+}
+
 pub(crate) struct EngineInner {
     pub core: Box<dyn EngineCore>,
     pub pending: PendingTable,
     pub store: Store,
-    /// Waiters currently blocked per local port slot (guards targeted
-    /// notifications: a port with zero waiters gets no notify call and no
-    /// wakeup count).
-    waiters: Vec<u32>,
-    /// The *async* waiter of each local port slot: a future that polled
-    /// while its operation was still pending parks its `Waker` here
-    /// instead of an OS thread on the condvar. At most one pending
-    /// operation exists per port (`PortBusy` otherwise), so one slot per
-    /// port suffices — no waker lists. A completed step takes and wakes
-    /// exactly the completed ports' wakers, mirroring the condvar path.
-    wakers: Vec<Option<Waker>>,
-    /// Per-slot: the parked `DoneRecv` in this slot belongs to a
-    /// *cancelled* future (see [`Engine::abandon_recv`]), so the next
-    /// registration may absorb it. Without this bit a new registrant
-    /// could steal a delivery that a still-blocked receiver owns, leaving
-    /// that receiver waiting on an empty slot.
-    abandoned: Vec<bool>,
+    /// Wait state per local port slot, remapped as one table by `install`.
+    slots: Vec<PortSlot>,
+    /// Wake-ups decided in this critical section and not yet delivered.
+    wakes: WakeList,
     /// Scratch buffer for the ports completed by one step (reused).
     completed: Vec<PortId>,
     pub steps: u64,
@@ -460,19 +510,50 @@ pub(crate) struct EngineInner {
     panic_after: Option<u64>,
 }
 
+impl EngineInner {
+    /// Record a wake-up for every port with a parked thread or a stored
+    /// waker (close/poison paths: a pending future polled after close must
+    /// resolve to `Closed`, not hang).
+    fn wake_all(&mut self) {
+        for slot in 0..self.slots.len() {
+            self.record_wakes(slot);
+        }
+    }
+
+    /// Re-run the hangup analysis and record a wake-up for every parked
+    /// operation on a newly dead port; returns the newly dead ports.
+    fn refresh_dead(&mut self) -> Vec<PortId> {
+        let dead = self.core.dead_ports(&self.hungup);
+        let newly: Vec<PortId> = dead.iter().filter(|p| !self.dead.contains(*p)).collect();
+        self.dead = dead;
+        for &p in &newly {
+            if let Some(slot) = self.pending.port_map().try_slot(p) {
+                self.record_wakes(slot);
+            }
+        }
+        newly
+    }
+
+    /// Record the wake-ups of everything parked on local slot `slot`.
+    fn record_wakes(&mut self, slot: usize) {
+        let s = &mut self.slots[slot];
+        if s.waiters > 0 {
+            self.wakeups += s.waiters as u64;
+            self.wakes.push(Wake::Threads(Arc::clone(&s.cv)));
+        }
+        if let Some(w) = s.waker.take() {
+            self.waker_wakes += 1;
+            self.wakes.push(Wake::Task(w));
+        }
+    }
+}
+
 /// The cross-engine fault fan-out callback (see `Engine::fault_notify`).
 type FaultNotify = Box<dyn Fn(&str) + Send + Sync>;
 
 /// One sequential protocol engine, shared by all ports it serves.
 pub struct Engine {
     inner: Mutex<EngineInner>,
-    /// One condition variable per *served* local port slot: completing a
-    /// transition notifies only the ports that fired. All share the one
-    /// engine mutex. Behind an `RwLock` so a reconfiguration can remap the
-    /// table (write) while the hot paths clone `Arc`s out of it (read);
-    /// every access happens with the engine mutex held, so the only lock
-    /// order is mutex → cv-table.
-    port_cvs: RwLock<Vec<Arc<Condvar>>>,
     /// Engine-mutex acquisitions (outside the lock, hence atomic).
     lock_acquisitions: AtomicU64,
     /// Mirrors `inner.closed`, but settable without the engine lock so that
@@ -502,9 +583,8 @@ impl Engine {
                 core,
                 pending: PendingTable::new(Arc::clone(&ports)),
                 store,
-                waiters: vec![0; n],
-                wakers: (0..n).map(|_| None).collect(),
-                abandoned: vec![false; n],
+                slots: (0..n).map(|_| PortSlot::default()).collect(),
+                wakes: WakeList::default(),
                 completed: Vec::new(),
                 steps: 0,
                 completions: 0,
@@ -519,7 +599,6 @@ impl Engine {
                 dead: PortSet::new(),
                 panic_after: None,
             }),
-            port_cvs: RwLock::new((0..n).map(|_| Arc::new(Condvar::new())).collect()),
             lock_acquisitions: AtomicU64::new(0),
             closing: AtomicBool::new(false),
             has_hungup: AtomicBool::new(false),
@@ -531,7 +610,37 @@ impl Engine {
     /// Take the engine lock, counting the acquisition.
     fn lock(&self) -> MutexGuard<'_, EngineInner> {
         self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock()
+        let inner = self.inner.lock();
+        debug_assert!(
+            inner.wakes.first.is_none(),
+            "a fire site released the engine lock without delivering its wake list"
+        );
+        inner
+    }
+
+    /// Run a port call that can fire: `f` under the engine lock, then — the
+    /// lock released — the wake-ups it recorded.
+    fn firing<R>(&self, f: impl FnOnce(&mut EngineInner) -> R) -> R {
+        let mut inner = self.lock();
+        let result = f(&mut inner);
+        let wakes = std::mem::take(&mut inner.wakes);
+        drop(inner);
+        wakes.deliver();
+        result
+    }
+
+    /// Deliver the wake list *before* releasing the guard: the two link
+    /// pumps' exit (and `install`, under guards the partitioned splice
+    /// holds several of at once). Deferring at the pumps made `links`
+    /// worse on one CPU (ops/s 371 k → 284 k, cpu/op 2.69 → 3.52 µs,
+    /// voluntary switches 1.37 M → 3.27 M, involuntary 0.64 M → 3.12 M):
+    /// the consumer of a buffered link then preempts the pumper after every
+    /// value and drains one value per wake (`wakeups_per_op` on `relay8`/
+    /// `burst8` 0.209 → ≈ 1). Today's 0.21 is a by-product of the woken
+    /// consumer stalling on the mutex while the producer runs ahead; a
+    /// deliberate wake policy for buffered links is ROADMAP's move (c).
+    fn deliver_under_lock(inner: &mut EngineInner) {
+        std::mem::take(&mut inner.wakes).deliver();
     }
 
     /// Number of global execution steps fired so far — the Fig. 12 metric.
@@ -567,14 +676,15 @@ impl Engine {
     /// enabled transition first.
     pub fn close(&self) {
         self.closing.store(true, Ordering::SeqCst);
-        let mut inner = self.lock();
         // An in-flight fire loop (or an earlier close) may have observed
         // the flag and already closed + woken everyone; waking again here
         // would double-count the still-registered waiters.
-        if !inner.closed {
-            inner.closed = true;
-            self.wake_all(&mut inner);
-        }
+        self.firing(|inner| {
+            if !inner.closed {
+                inner.closed = true;
+                inner.wake_all();
+            }
+        })
     }
 
     pub fn is_closed(&self) -> bool {
@@ -592,13 +702,13 @@ impl Engine {
     /// parked waiter and stored waker is woken. Idempotent; the first
     /// message wins, and an engine that is already closed stays closed.
     pub fn poison(&self, msg: &str) {
-        let mut inner = self.lock();
-        if inner.poisoned.is_some() || inner.closed {
-            return;
-        }
-        inner.poisoned = Some(msg.to_string());
-        inner.closed = true;
-        self.wake_all(&mut inner);
+        self.firing(|inner| {
+            if inner.poisoned.is_none() && !inner.closed {
+                inner.poisoned = Some(msg.to_string());
+                inner.closed = true;
+                inner.wake_all();
+            }
+        })
     }
 
     /// Test-only fault injection: the `n`-th step this engine fires from
@@ -642,47 +752,23 @@ impl Engine {
     /// propagates them across links. No-op on closed or poisoned
     /// engines, where everything already resolves with a typed error.
     pub(crate) fn hangup(&self, ports: &[PortId]) -> Vec<PortId> {
-        let mut inner = self.lock();
-        if inner.closed || inner.poisoned.is_some() {
-            return Vec::new();
-        }
-        let mut changed = false;
-        for &p in ports {
-            if inner.pending.port_map().try_slot(p).is_some() && !inner.hungup.contains(p) {
-                inner.hungup.insert(p);
-                changed = true;
+        self.firing(|inner| {
+            if inner.closed || inner.poisoned.is_some() {
+                return Vec::new();
             }
-        }
-        if !changed {
-            return Vec::new();
-        }
-        self.has_hungup.store(true, Ordering::Release);
-        self.refresh_dead(&mut inner)
-    }
-
-    /// Re-run the hangup analysis and wake every parked operation on a
-    /// newly dead port. Called with the lock held; returns the newly dead
-    /// ports.
-    fn refresh_dead(&self, inner: &mut EngineInner) -> Vec<PortId> {
-        let dead = inner.core.dead_ports(&inner.hungup);
-        let newly: Vec<PortId> = dead.iter().filter(|p| !inner.dead.contains(*p)).collect();
-        inner.dead = dead;
-        let cvs = self.port_cvs.read().unwrap();
-        for &p in &newly {
-            let Some(slot) = inner.pending.port_map().try_slot(p) else {
-                continue;
-            };
-            let w = inner.waiters[slot];
-            if w > 0 {
-                inner.wakeups += w as u64;
-                cvs[slot].notify_all();
+            let mut changed = false;
+            for &p in ports {
+                if inner.pending.port_map().try_slot(p).is_some() && !inner.hungup.contains(p) {
+                    inner.hungup.insert(p);
+                    changed = true;
+                }
             }
-            if let Some(w) = inner.wakers[slot].take() {
-                inner.waker_wakes += 1;
-                w.wake();
+            if !changed {
+                return Vec::new();
             }
-        }
-        newly
+            self.has_hungup.store(true, Ordering::Release);
+            inner.refresh_dead()
+        })
     }
 
     /// With an armed watchdog that currently flags a stall, a deadline
@@ -761,29 +847,9 @@ impl Engine {
         (parked, report)
     }
 
-    /// Notify every port with a registered waiter — condvar parkers *and*
-    /// stored wakers (close/poison paths: a pending future polled after
-    /// close must resolve to `Closed`, not hang). Called with the lock
-    /// held.
-    fn wake_all(&self, inner: &mut EngineInner) {
-        let cvs = self.port_cvs.read().unwrap();
-        for (i, &w) in inner.waiters.iter().enumerate() {
-            if w > 0 {
-                inner.wakeups += w as u64;
-                cvs[i].notify_all();
-            }
-        }
-        drop(cvs);
-        for slot in 0..inner.wakers.len() {
-            if let Some(w) = inner.wakers[slot].take() {
-                inner.waker_wakes += 1;
-                w.wake();
-            }
-        }
-    }
-
-    /// Fire transitions until quiescent, waking exactly the ports each step
-    /// completed. Called with the lock held.
+    /// Fire transitions until quiescent, recording a wake-up for exactly
+    /// the ports each step completed. Called with the lock held; the
+    /// caller delivers the list (`firing`, `deliver_under_lock`).
     ///
     /// A panicking core does **not** unwind out of here: the step runs
     /// under `catch_unwind`, and a caught panic poisons the engine with
@@ -801,7 +867,7 @@ impl Engine {
         loop {
             if self.closing.load(Ordering::Relaxed) {
                 inner.closed = true;
-                self.wake_all(inner);
+                inner.wake_all();
                 return;
             }
             let EngineInner {
@@ -834,22 +900,10 @@ impl Engine {
                     fired_any = true;
                     inner.steps += 1;
                     inner.completions += inner.completed.len() as u64;
-                    let completed = std::mem::take(&mut inner.completed);
-                    let cvs = self.port_cvs.read().unwrap();
-                    for &p in &completed {
-                        let slot = inner.pending.port_map().slot(p);
-                        let w = inner.waiters[slot];
-                        if w > 0 {
-                            inner.wakeups += w as u64;
-                            cvs[slot].notify_all();
-                        }
-                        if let Some(w) = inner.wakers[slot].take() {
-                            inner.waker_wakes += 1;
-                            w.wake();
-                        }
+                    for i in 0..inner.completed.len() {
+                        let slot = inner.pending.port_map().slot(inner.completed[i]);
+                        inner.record_wakes(slot);
                     }
-                    drop(cvs);
-                    inner.completed = completed;
                 }
                 Ok(Ok(false)) => break,
                 Ok(Err(e)) => {
@@ -867,7 +921,7 @@ impl Engine {
         // only alive through that state may now be dead — re-analyze so
         // their parked peers resolve `Hangup` instead of blocking.
         if fired_any && !inner.hungup.is_empty() {
-            self.refresh_dead(inner);
+            inner.refresh_dead();
         }
     }
 
@@ -876,7 +930,7 @@ impl Engine {
     fn poison_locked(&self, inner: &mut EngineInner, msg: String) {
         inner.poisoned = Some(msg.clone());
         inner.closed = true;
-        self.wake_all(inner);
+        inner.wake_all();
         if let Some(notify) = self.fault_notify.get() {
             notify(&msg);
         }
@@ -885,7 +939,7 @@ impl Engine {
     /// Poisoned/closed classification, shared by registration and by every
     /// retraction path (`expire_*`, `finish_or_retract_*`) so timeout and
     /// try-op semantics cannot drift apart between send and recv.
-    fn check_open(inner: &EngineInner) -> Result<(), RuntimeError> {
+    pub(crate) fn check_open(inner: &EngineInner) -> Result<(), RuntimeError> {
         if let Some(msg) = &inner.poisoned {
             return Err(RuntimeError::Poisoned(msg.clone()));
         }
@@ -906,19 +960,24 @@ impl Engine {
 
     /// Phase 1 of `send`: register the operation and fire what it enables.
     pub(crate) fn register_send(&self, p: PortId, v: Value) -> Result<(), RuntimeError> {
-        let mut inner = self.lock();
-        Self::check_open(&inner)?;
-        Self::check_served(&inner, p)?;
-        match inner.pending.get(p) {
-            Pending::None => {
-                if inner.dead.contains(p) {
-                    return Err(RuntimeError::Hangup(p));
-                }
-                inner.pending.set(p, Pending::Send(v))
-            }
-            _ => return Err(RuntimeError::PortBusy(p)),
+        self.firing(|inner| {
+            Self::check_open(inner)?;
+            Self::check_served(inner, p)?;
+            self.arm_send(inner, p, v)
+        })
+    }
+
+    /// Registration proper on an open engine that serves `p`, shared by
+    /// the blocking and the polling path.
+    fn arm_send(&self, inner: &mut EngineInner, p: PortId, v: Value) -> Result<(), RuntimeError> {
+        if !matches!(inner.pending.get(p), Pending::None) {
+            return Err(RuntimeError::PortBusy(p));
         }
-        self.fire_loop(&mut inner);
+        if inner.dead.contains(p) {
+            return Err(RuntimeError::Hangup(p));
+        }
+        inner.pending.set(p, Pending::Send(v));
+        self.fire_loop(inner);
         Ok(())
     }
 
@@ -940,48 +999,83 @@ impl Engine {
         p: PortId,
         deadline: Option<Instant>,
     ) -> Result<(), RuntimeError> {
+        self.wait(p, deadline, Self::settle_send, Self::expire_send)
+    }
+
+    /// The wait loop both phases 2 share: return the operation's outcome
+    /// once it has one, otherwise park on the port until signalled or
+    /// expired.
+    fn wait<T>(
+        &self,
+        p: PortId,
+        deadline: Option<Instant>,
+        settle: impl Fn(&mut EngineInner, PortId) -> Option<Result<T, RuntimeError>>,
+        expire: impl Fn(&mut EngineInner, PortId) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
         let mut inner = self.lock();
         let mut woken = false;
         loop {
-            if matches!(inner.pending.get(p), Pending::DoneSend) {
-                inner.pending.set(p, Pending::None);
-                return Ok(());
-            }
-            if let Some(msg) = &inner.poisoned {
-                return Err(RuntimeError::Poisoned(msg.clone()));
-            }
-            if inner.closed {
-                return Err(RuntimeError::Closed);
-            }
-            if inner.dead.contains(p) {
-                // A peer hung up and no reachable transition can ever
-                // complete this send: retract the value and report it.
-                inner.pending.set(p, Pending::None);
-                return Err(RuntimeError::Hangup(p));
+            if let Some(outcome) = settle(&mut inner, p) {
+                return outcome;
             }
             if woken {
                 inner.spurious_wakeups += 1;
             }
-            let timed_out = self.block_on_port(&mut inner, p, deadline);
+            let timed_out = Self::block_on_port(&mut inner, p, deadline);
             woken = true;
             if timed_out {
-                return Self::expire_send(&mut inner, p).map_err(|e| self.upgrade_timeout(e));
+                return expire(&mut inner, p).map_err(|e| self.upgrade_timeout(e));
             }
         }
+    }
+
+    /// The outcome of a registered send, once it has one: completed, or
+    /// failed by poison, close or hangup. Shared by the blocking and the
+    /// polling path so the two cannot drift apart.
+    fn settle_send(inner: &mut EngineInner, p: PortId) -> Option<Result<(), RuntimeError>> {
+        if matches!(inner.pending.get(p), Pending::DoneSend) {
+            inner.pending.set(p, Pending::None);
+            return Some(Ok(()));
+        }
+        Self::settle_failed(inner, p).map(Err)
+    }
+
+    /// Recv twin of [`Engine::settle_send`].
+    fn settle_recv(inner: &mut EngineInner, p: PortId) -> Option<Result<Value, RuntimeError>> {
+        if matches!(inner.pending.get(p), Pending::DoneRecv(_)) {
+            let Pending::DoneRecv(v) = inner.pending.take(p) else {
+                unreachable!("matched above");
+            };
+            return Some(Ok(v));
+        }
+        Self::settle_failed(inner, p).map(Err)
+    }
+
+    /// Why a still-incomplete operation at `p` never will complete, if so.
+    fn settle_failed(inner: &mut EngineInner, p: PortId) -> Option<RuntimeError> {
+        if let Err(e) = Self::check_open(inner) {
+            return Some(e);
+        }
+        if inner.dead.contains(p) {
+            // A peer hung up and no reachable transition can ever complete
+            // this operation: retract it and report it.
+            inner.pending.set(p, Pending::None);
+            return Some(RuntimeError::Hangup(p));
+        }
+        None
     }
 
     /// Register as a waiter of `p` and block on its condvar (optionally
     /// until `deadline`). Returns whether the wait timed out. Called with
     /// the lock held; the lock is released for the duration of the wait.
     fn block_on_port(
-        &self,
         inner: &mut MutexGuard<'_, EngineInner>,
         p: PortId,
         deadline: Option<Instant>,
     ) -> bool {
         let slot = inner.pending.port_map().slot(p);
-        let cv = Arc::clone(&self.port_cvs.read().unwrap()[slot]);
-        inner.waiters[slot] += 1;
+        let cv = Arc::clone(&inner.slots[slot].cv);
+        inner.slots[slot].waiters += 1;
         let timed_out = match deadline {
             None => {
                 cv.wait(inner);
@@ -994,7 +1088,7 @@ impl Engine {
         // remove a port with registered waiters, and the condvar `Arc` is
         // carried over per port, so the notify still reached us).
         let slot = inner.pending.port_map().slot(p);
-        inner.waiters[slot] -= 1;
+        inner.slots[slot].waiters -= 1;
         timed_out
     }
 
@@ -1007,7 +1101,7 @@ impl Engine {
                 Self::check_open(inner)?;
                 Err(RuntimeError::Timeout)
             }
-            other => unreachable!("send slot held {other:?} at expiry"),
+            other => unreachable!("send slot held {other:?} at expiry or try probe"),
         }
     }
 
@@ -1024,9 +1118,15 @@ impl Engine {
     ///
     /// [`abandon_recv`]: Engine::abandon_recv
     pub(crate) fn register_recv(&self, p: PortId) -> Result<(), RuntimeError> {
-        let mut inner = self.lock();
-        Self::check_open(&inner)?;
-        Self::check_served(&inner, p)?;
+        self.firing(|inner| {
+            Self::check_open(inner)?;
+            Self::check_served(inner, p)?;
+            self.arm_recv(inner, p)
+        })
+    }
+
+    /// Recv twin of [`Engine::arm_send`].
+    fn arm_recv(&self, inner: &mut EngineInner, p: PortId) -> Result<(), RuntimeError> {
         match inner.pending.get(p) {
             Pending::None => {
                 if inner.dead.contains(p) {
@@ -1036,15 +1136,14 @@ impl Engine {
             }
             Pending::DoneRecv(_) => {
                 let slot = inner.pending.port_map().slot(p);
-                if !inner.abandoned[slot] {
+                if !std::mem::take(&mut inner.slots[slot].abandoned) {
                     return Err(RuntimeError::PortBusy(p));
                 }
-                inner.abandoned[slot] = false;
                 return Ok(()); // abandoned delivery: take it in phase 2
             }
             _ => return Err(RuntimeError::PortBusy(p)),
         }
-        self.fire_loop(&mut inner);
+        self.fire_loop(inner);
         Ok(())
     }
 
@@ -1057,35 +1156,7 @@ impl Engine {
         p: PortId,
         deadline: Option<Instant>,
     ) -> Result<Value, RuntimeError> {
-        let mut inner = self.lock();
-        let mut woken = false;
-        loop {
-            if matches!(inner.pending.get(p), Pending::DoneRecv(_)) {
-                let Pending::DoneRecv(v) = inner.pending.take(p) else {
-                    unreachable!("matched above");
-                };
-                return Ok(v);
-            }
-            if let Some(msg) = &inner.poisoned {
-                return Err(RuntimeError::Poisoned(msg.clone()));
-            }
-            if inner.closed {
-                return Err(RuntimeError::Closed);
-            }
-            if inner.dead.contains(p) {
-                // A peer hung up: nothing can ever deliver here.
-                inner.pending.set(p, Pending::None);
-                return Err(RuntimeError::Hangup(p));
-            }
-            if woken {
-                inner.spurious_wakeups += 1;
-            }
-            let timed_out = self.block_on_port(&mut inner, p, deadline);
-            woken = true;
-            if timed_out {
-                return Self::expire_recv(&mut inner, p).map_err(|e| self.upgrade_timeout(e));
-            }
-        }
+        self.wait(p, deadline, Self::settle_recv, Self::expire_recv)
     }
 
     /// Recv twin of [`Engine::expire_send`]: a delivery that raced the
@@ -1097,7 +1168,7 @@ impl Engine {
                 Self::check_open(inner)?;
                 Err(RuntimeError::Timeout)
             }
-            other => unreachable!("recv slot held {other:?} at expiry"),
+            other => unreachable!("recv slot held {other:?} at expiry or try probe"),
         }
     }
 
@@ -1105,28 +1176,18 @@ impl Engine {
     /// was consumed, acknowledge it (`Ok(true)`); otherwise retract it
     /// (`Ok(false)`). Atomic with respect to firing — same lock.
     pub(crate) fn finish_or_retract_send(&self, p: PortId) -> Result<bool, RuntimeError> {
-        let mut inner = self.lock();
-        match inner.pending.take(p) {
-            Pending::DoneSend => Ok(true),
-            Pending::Send(_) => {
-                Self::check_open(&inner)?;
-                Ok(false)
-            }
-            other => unreachable!("send slot held {other:?} at try probe"),
+        match Self::expire_send(&mut self.lock(), p) {
+            Err(RuntimeError::Timeout) => Ok(false),
+            done => done.map(|()| true),
         }
     }
 
     /// Non-blocking completion probe for `try_recv`: a delivery is taken
     /// (`Ok(Some(v))`); an unserved registration is retracted (`Ok(None)`).
     pub(crate) fn finish_or_retract_recv(&self, p: PortId) -> Result<Option<Value>, RuntimeError> {
-        let mut inner = self.lock();
-        match inner.pending.take(p) {
-            Pending::DoneRecv(v) => Ok(Some(v)),
-            Pending::Recv => {
-                Self::check_open(&inner)?;
-                Ok(None)
-            }
-            other => unreachable!("recv slot held {other:?} at try probe"),
+        match Self::expire_recv(&mut self.lock(), p) {
+            Err(RuntimeError::Timeout) => Ok(None),
+            done => done.map(Some),
         }
     }
 
@@ -1152,37 +1213,22 @@ impl Engine {
         value: &mut Option<Value>,
         waker: &Waker,
     ) -> Option<Result<(), RuntimeError>> {
-        let mut inner = self.lock();
-        if let Err(e) = Self::check_served(&inner, p) {
-            return Some(Err(e));
-        }
-        if let Some(v) = value.take() {
-            if let Err(e) = Self::check_open(&inner) {
+        self.firing(|inner| {
+            if let Err(e) = Self::check_served(inner, p) {
                 return Some(Err(e));
             }
-            match inner.pending.get(p) {
-                Pending::None => inner.pending.set(p, Pending::Send(v)),
-                _ => return Some(Err(RuntimeError::PortBusy(p))),
+            if let Some(v) = value.take() {
+                if let Err(e) = Self::check_open(inner).and_then(|()| self.arm_send(inner, p, v)) {
+                    return Some(Err(e));
+                }
             }
-            self.fire_loop(&mut inner);
-        }
-        if matches!(inner.pending.get(p), Pending::DoneSend) {
-            inner.pending.set(p, Pending::None);
-            return Some(Ok(()));
-        }
-        if let Some(msg) = &inner.poisoned {
-            return Some(Err(RuntimeError::Poisoned(msg.clone())));
-        }
-        if inner.closed {
-            return Some(Err(RuntimeError::Closed));
-        }
-        if inner.dead.contains(p) {
-            inner.pending.set(p, Pending::None);
-            return Some(Err(RuntimeError::Hangup(p)));
-        }
-        let slot = inner.pending.port_map().slot(p);
-        inner.wakers[slot] = Some(waker.clone());
-        None
+            let outcome = Self::settle_send(inner, p);
+            if outcome.is_none() {
+                let slot = inner.pending.port_map().slot(p);
+                inner.slots[slot].waker = Some(waker.clone());
+            }
+            outcome
+        })
     }
 
     /// One poll of an async recv, under **one** engine-lock hold; the
@@ -1199,51 +1245,23 @@ impl Engine {
         registered: &mut bool,
         waker: &Waker,
     ) -> Option<Result<Value, RuntimeError>> {
-        let mut inner = self.lock();
-        if let Err(e) = Self::check_served(&inner, p) {
-            return Some(Err(e));
-        }
-        if !*registered {
-            if let Err(e) = Self::check_open(&inner) {
+        self.firing(|inner| {
+            if let Err(e) = Self::check_served(inner, p) {
                 return Some(Err(e));
             }
-            match inner.pending.get(p) {
-                Pending::None => {
-                    inner.pending.set(p, Pending::Recv);
-                    *registered = true;
-                    self.fire_loop(&mut inner);
+            if !*registered {
+                if let Err(e) = Self::check_open(inner).and_then(|()| self.arm_recv(inner, p)) {
+                    return Some(Err(e));
                 }
-                Pending::DoneRecv(_) => {
-                    let slot = inner.pending.port_map().slot(p);
-                    if !inner.abandoned[slot] {
-                        // A live receiver owns this delivery.
-                        return Some(Err(RuntimeError::PortBusy(p)));
-                    }
-                    inner.abandoned[slot] = false;
-                    *registered = true;
-                }
-                _ => return Some(Err(RuntimeError::PortBusy(p))),
+                *registered = true;
             }
-        }
-        if matches!(inner.pending.get(p), Pending::DoneRecv(_)) {
-            let Pending::DoneRecv(v) = inner.pending.take(p) else {
-                unreachable!("matched above");
-            };
-            return Some(Ok(v));
-        }
-        if let Some(msg) = &inner.poisoned {
-            return Some(Err(RuntimeError::Poisoned(msg.clone())));
-        }
-        if inner.closed {
-            return Some(Err(RuntimeError::Closed));
-        }
-        if inner.dead.contains(p) {
-            inner.pending.set(p, Pending::None);
-            return Some(Err(RuntimeError::Hangup(p)));
-        }
-        let slot = inner.pending.port_map().slot(p);
-        inner.wakers[slot] = Some(waker.clone());
-        None
+            let outcome = Self::settle_recv(inner, p);
+            if outcome.is_none() {
+                let slot = inner.pending.port_map().slot(p);
+                inner.slots[slot].waker = Some(waker.clone());
+            }
+            outcome
+        })
     }
 
     /// Drop-retraction of a registered async send: the cancellation twin
@@ -1263,7 +1281,7 @@ impl Engine {
         if matches!(inner.pending.get(p), Pending::Send(_) | Pending::DoneSend) {
             inner.pending.set(p, Pending::None);
         }
-        inner.wakers[slot] = None;
+        inner.slots[slot].waker = None;
     }
 
     /// Drop-retraction of a registered async recv. A pending `Recv` is
@@ -1285,23 +1303,12 @@ impl Engine {
             Pending::Recv => inner.pending.set(p, Pending::None),
             // Mark the parked delivery orphaned so the next registration
             // may absorb it.
-            Pending::DoneRecv(_) => inner.abandoned[slot] = true,
+            Pending::DoneRecv(_) => inner.slots[slot].abandoned = true,
             _ => {}
         }
-        inner.wakers[slot] = None;
+        inner.slots[slot].waker = None;
     }
 
-    /// Batched accept-side link transfer: under **one** engine-lock hold,
-    /// drain every delivery at `p` into `out` (at most `credit` values —
-    /// the link queue's free capacity) and keep the port's receive armed
-    /// while credit remains. Each drained delivery frees the slot, and the
-    /// immediate re-arm + fire can complete the *next* pending task send
-    /// in the same hold — so a backlog of `k` stuck producers costs one
-    /// acquisition instead of `k` cascade revisits at one acquisition
-    /// each.
-    ///
-    /// Returns `true` iff the call made progress (drained a value or
-    /// newly armed the receive) — the link pump's cascade trigger.
     /// True iff a fired-but-uncollected delivery is parked at `p` — the
     /// link pump has not yet moved it into the link queue. Forward hangup
     /// propagation must not cross a link while one exists: the value was
@@ -1314,6 +1321,18 @@ impl Engine {
         matches!(inner.pending.get(p), Pending::DoneRecv(_))
     }
 
+    /// Batched accept-side link transfer: under **one** engine-lock hold,
+    /// drain every delivery at `p` into `out` (at most `credit` values —
+    /// the link queue's free capacity) and keep the port's receive armed
+    /// while credit remains. Each drained delivery frees the slot, and the
+    /// immediate re-arm + fire can complete the *next* pending task send
+    /// in the same hold — so a backlog of `k` stuck producers costs one
+    /// acquisition instead of `k` cascade revisits at one acquisition
+    /// each.
+    ///
+    /// Returns `true` iff the call made progress (drained a value or
+    /// newly armed the receive) — the link pump's cascade trigger. Wake-ups
+    /// are delivered before the lock is released (see `deliver_under_lock`).
     pub(crate) fn link_drain_deliveries(
         &self,
         p: PortId,
@@ -1360,6 +1379,7 @@ impl Engine {
             inner.batch_moves += 1;
             inner.batched_values += drained as u64;
         }
+        Self::deliver_under_lock(&mut inner);
         drained > 0 || newly_armed
     }
 
@@ -1373,7 +1393,8 @@ impl Engine {
     /// `armed` is the link's own front-is-offered flag; the armed front
     /// stays in `queue` until acknowledged, so queue length keeps meaning
     /// "values resident in the link". Returns `true` iff the call made
-    /// progress (acknowledged a value or newly armed an offer).
+    /// progress (acknowledged a value or newly armed an offer). Wake-ups
+    /// are delivered before the lock is released, as in the drain.
     pub(crate) fn link_offer_batch(
         &self,
         p: PortId,
@@ -1415,6 +1436,7 @@ impl Engine {
             inner.batch_moves += 1;
             inner.batched_values += acked as u64;
         }
+        Self::deliver_under_lock(&mut inner);
         acked > 0 || progressed
     }
 
@@ -1431,11 +1453,6 @@ impl Engine {
     /// once (the link pumps never nest engine locks, so no cycle exists).
     pub(crate) fn lock_for_reconfig(&self) -> MutexGuard<'_, EngineInner> {
         self.lock()
-    }
-
-    /// Closed/poisoned classification, exposed for splice orchestration.
-    pub(crate) fn check_open_for_reconfig(inner: &EngineInner) -> Result<(), RuntimeError> {
-        Self::check_open(inner)
     }
 
     /// Every port in `removed` must be idle before a splice may drop it:
@@ -1456,7 +1473,7 @@ impl Engine {
                     "port {p} of the detaching branch has a pending operation"
                 )));
             }
-            if inner.waiters[slot] > 0 || inner.wakers[slot].is_some() {
+            if inner.slots[slot].waiters > 0 || inner.slots[slot].waker.is_some() {
                 return Err(RuntimeError::Reconfig(format!(
                     "port {p} of the detaching branch has a blocked task"
                 )));
@@ -1466,13 +1483,13 @@ impl Engine {
     }
 
     /// Swap in a new core and port map under an already-held engine lock,
-    /// carrying pending operations, waiter counts, parked wakers, and
-    /// condition variables **per global port** so blocked tasks survive
-    /// the slot renumbering; the store grows to `layout` (new constituents
+    /// carrying pending operations and each port's [`PortSlot`] **per
+    /// global port** so blocked tasks survive the slot renumbering; the store grows to `layout` (new constituents
     /// bring fresh cells, surviving cells never move). Ports only in the
     /// old map must have passed [`removal_quiescent`](Self::removal_quiescent).
-    /// Fires whatever the new core enables and wakes every waiter so
-    /// parked tasks re-evaluate against the new tables.
+    /// Fires whatever the new core enables and wakes every waiter — under
+    /// the lock, see `deliver_under_lock` — so parked tasks re-evaluate
+    /// against the new tables.
     pub(crate) fn install(
         &self,
         inner: &mut EngineInner,
@@ -1481,43 +1498,30 @@ impl Engine {
         layout: &MemLayout,
     ) {
         let new_ports = Arc::new(ports);
-        let n = new_ports.len();
         let mut pending = PendingTable::new(Arc::clone(&new_ports));
-        let mut waiters = vec![0u32; n];
-        let mut wakers: Vec<Option<Waker>> = (0..n).map(|_| None).collect();
-        let mut abandoned = vec![false; n];
-        let mut cvs: Vec<Arc<Condvar>> = (0..n).map(|_| Arc::new(Condvar::new())).collect();
-        {
-            let old_cvs = self.port_cvs.read().unwrap();
-            let old_ports = Arc::clone(inner.pending.port_map());
-            for p in old_ports.iter() {
-                let Some(new_slot) = new_ports.try_slot(p) else {
-                    continue; // removed port: verified idle by the caller
-                };
-                let old_slot = old_ports.slot(p);
-                pending.set(p, inner.pending.take(p));
-                waiters[new_slot] = inner.waiters[old_slot];
-                wakers[new_slot] = inner.wakers[old_slot].take();
-                abandoned[new_slot] = inner.abandoned[old_slot];
-                cvs[new_slot] = Arc::clone(&old_cvs[old_slot]);
-            }
+        let mut slots: Vec<PortSlot> = (0..new_ports.len()).map(|_| PortSlot::default()).collect();
+        let old_ports = Arc::clone(inner.pending.port_map());
+        for (old_slot, p) in old_ports.iter().enumerate() {
+            let Some(new_slot) = new_ports.try_slot(p) else {
+                continue; // removed port: verified idle by the caller
+            };
+            pending.set(p, inner.pending.take(p));
+            std::mem::swap(&mut slots[new_slot], &mut inner.slots[old_slot]);
         }
         inner.pending = pending;
-        inner.waiters = waiters;
-        inner.wakers = wakers;
-        inner.abandoned = abandoned;
+        inner.slots = slots;
         inner.store.grow(layout);
         inner.core = core;
-        *self.port_cvs.write().unwrap() = cvs;
         self.fire_loop(inner);
         // `hungup` holds global ids and survives the splice as-is; the
         // dead set depends on the (new) core and state, so recompute it —
         // a splice can revive a port (a fresh branch replaces a departed
         // peer) or kill one (its last live transition left with a branch).
         if !inner.hungup.is_empty() {
-            self.refresh_dead(inner);
+            inner.refresh_dead();
         }
-        self.wake_all(inner);
+        inner.wake_all();
+        Self::deliver_under_lock(inner);
     }
 
     /// Single-engine reconfiguration: validate the removed ports, build
@@ -1629,57 +1633,65 @@ mod tests {
     use super::*;
     use reo_automata::{primitives, Automaton, MemLayout, StateId};
 
-    /// Minimal core driving a single primitive automaton, for engine tests.
-    struct OneAutomaton {
-        aut: Automaton,
-        state: StateId,
+    /// Minimal core stepping independent automata side by side, for engine
+    /// tests.
+    struct Autos {
+        auts: Vec<Automaton>,
+        states: Vec<StateId>,
+        inputs: PortSet,
+        outputs: PortSet,
     }
 
-    impl EngineCore for OneAutomaton {
+    impl EngineCore for Autos {
         fn try_step(
             &mut self,
             pending: &mut PendingTable,
             store: &mut Store,
             completed: &mut Vec<PortId>,
         ) -> Result<bool, RuntimeError> {
-            let transitions = self.aut.transitions_from(self.state).to_vec();
-            for t in &transitions {
-                if op_enabled(t, self.aut.inputs(), self.aut.outputs(), pending)
-                    && fire_one(
-                        t,
-                        self.aut.inputs(),
-                        self.aut.outputs(),
-                        pending,
-                        store,
-                        completed,
-                    )?
-                {
-                    self.state = t.target;
-                    return Ok(true);
+            for (i, aut) in self.auts.iter().enumerate() {
+                let transitions = aut.transitions_from(self.states[i]).to_vec();
+                for t in &transitions {
+                    if op_enabled(t, &self.inputs, &self.outputs, pending)
+                        && fire_one(t, &self.inputs, &self.outputs, pending, store, completed)?
+                    {
+                        self.states[i] = t.target;
+                        return Ok(true);
+                    }
                 }
             }
             Ok(false)
         }
 
         fn boundary_inputs(&self) -> &PortSet {
-            self.aut.inputs()
+            &self.inputs
         }
 
         fn boundary_outputs(&self) -> &PortSet {
-            self.aut.outputs()
+            &self.outputs
         }
     }
 
-    fn engine_for(aut: Automaton, ports: usize) -> Engine {
+    fn engine_of(auts: Vec<Automaton>, ports: PortMap) -> Engine {
         let mut layout = MemLayout::cells(0);
-        layout.merge(aut.mem_layout());
-        let store = Store::new(&layout);
-        let state = aut.initial();
-        Engine::new(
-            Box::new(OneAutomaton { aut, state }),
-            PortMap::dense(ports),
-            store,
-        )
+        auts.iter().for_each(|a| layout.merge(a.mem_layout()));
+        let core = Autos {
+            states: auts.iter().map(|a| a.initial()).collect(),
+            inputs: auts.iter().flat_map(|a| a.inputs().iter()).collect(),
+            outputs: auts.iter().flat_map(|a| a.outputs().iter()).collect(),
+            auts,
+        };
+        Engine::new(Box::new(core), ports, Store::new(&layout))
+    }
+
+    fn engine_for(aut: Automaton, ports: usize) -> Engine {
+        engine_of(vec![aut], PortMap::dense(ports))
+    }
+
+    /// `n` independent fifo1s in one engine (disjoint ports 2i -> 2i+1).
+    fn fifos_engine(n: u32) -> Engine {
+        let fifo = |i| primitives::fifo1(PortId(2 * i), PortId(2 * i + 1), reo_automata::MemId(i));
+        engine_of((0..n).map(fifo).collect(), PortMap::dense(2 * n as usize))
     }
 
     #[test]
@@ -1701,15 +1713,11 @@ mod tests {
         // The same fifo behaviour, but through a sparse map over global
         // ids {3, 17} — the allocation is 2 slots, not 18.
         let aut = primitives::fifo1(PortId(3), PortId(17), reo_automata::MemId(0));
-        let mut layout = MemLayout::cells(0);
-        layout.merge(aut.mem_layout());
-        let store = Store::new(&layout);
-        let state = aut.initial();
         let map = PortMap::sparse([PortId(17), PortId(3)]);
         assert_eq!(map.len(), 2);
         assert_eq!(map.slot(PortId(3)), 0);
         assert_eq!(map.slot(PortId(17)), 1);
-        let eng = Engine::new(Box::new(OneAutomaton { aut, state }), map, store);
+        let eng = engine_of(vec![aut], map);
         eng.register_send(PortId(3), Value::Int(9)).unwrap();
         eng.wait_send(PortId(3), None).unwrap();
         eng.register_recv(PortId(17)).unwrap();
@@ -1732,22 +1740,6 @@ mod tests {
         let got = receiver.join().unwrap();
         assert_eq!(got.as_int(), Some(3));
         assert_eq!(eng.steps(), 1);
-    }
-
-    #[test]
-    fn close_unblocks_waiters_with_error() {
-        use std::sync::Arc;
-        let eng = Arc::new(engine_for(primitives::sync(PortId(0), PortId(1)), 2));
-        let e2 = Arc::clone(&eng);
-        let waiter = std::thread::spawn(move || {
-            e2.register_recv(PortId(1)).unwrap();
-            e2.wait_recv(PortId(1), None)
-        });
-        while !matches!(eng.inner.lock().pending.get(PortId(1)), Pending::Recv) {
-            std::thread::yield_now();
-        }
-        eng.close();
-        assert!(matches!(waiter.join().unwrap(), Err(RuntimeError::Closed)));
     }
 
     #[test]
@@ -1863,13 +1855,7 @@ mod tests {
         // Two independent fifos in one engine: a send on fifo A must not
         // wake the task blocked on fifo B's output.
         use std::sync::Arc;
-        let autos_core = TwoFifos::new();
-        let layout = MemLayout::cells(2);
-        let eng = Arc::new(Engine::new(
-            Box::new(autos_core),
-            PortMap::dense(4),
-            Store::new(&layout),
-        ));
+        let eng = Arc::new(fifos_engine(2));
 
         let e2 = Arc::clone(&eng);
         let blocked = std::thread::spawn(move || {
@@ -1878,7 +1864,7 @@ mod tests {
             e2.wait_recv(PortId(3), None)
         });
         // Wait until the B-receiver is actually blocked.
-        while eng.lock().waiters[3] == 0 {
+        while eng.lock().slots[3].waiters == 0 {
             std::thread::yield_now();
         }
         let before = eng.stats();
@@ -1901,59 +1887,70 @@ mod tests {
         assert_eq!(eng.stats().wakeups, after.wakeups + 1);
     }
 
-    /// Two independent fifo1s in one core (disjoint ports 0->1 and 2->3).
-    struct TwoFifos {
-        auts: Vec<Automaton>,
-        states: Vec<StateId>,
-        inputs: PortSet,
-        outputs: PortSet,
+    #[test]
+    fn close_wakes_each_parked_receiver_once() {
+        use std::sync::Arc;
+        let eng = Arc::new(fifos_engine(8));
+        let parked: Vec<_> = (0..8)
+            .map(|i| {
+                let eng = Arc::clone(&eng);
+                std::thread::spawn(move || {
+                    eng.register_recv(PortId(2 * i + 1)).unwrap();
+                    eng.wait_recv(PortId(2 * i + 1), None)
+                })
+            })
+            .collect();
+        while eng.lock().slots.iter().map(|s| s.waiters).sum::<u32>() < 8 {
+            std::thread::yield_now();
+        }
+        eng.close();
+        for t in parked {
+            assert!(matches!(t.join().unwrap(), Err(RuntimeError::Closed)));
+        }
+        let stats = eng.stats();
+        assert_eq!((stats.wakeups, stats.spurious_wakeups), (8, 0));
     }
 
-    impl TwoFifos {
-        fn new() -> Self {
-            let auts = vec![
-                primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
-                primitives::fifo1(PortId(2), PortId(3), reo_automata::MemId(1)),
-            ];
-            let states = auts.iter().map(|a| a.initial()).collect();
-            let inputs = [PortId(0), PortId(2)].into_iter().collect();
-            let outputs = [PortId(1), PortId(3)].into_iter().collect();
-            TwoFifos {
-                auts,
-                states,
-                inputs,
-                outputs,
-            }
+    /// A waker that records whether the engine mutex was free when it ran.
+    struct LockProbe {
+        eng: std::sync::Arc<Engine>,
+        free: Mutex<Vec<bool>>,
+    }
+
+    impl std::task::Wake for LockProbe {
+        fn wake(self: std::sync::Arc<Self>) {
+            let free = self.eng.inner.try_lock().is_some();
+            self.free.lock().push(free);
         }
     }
 
-    impl EngineCore for TwoFifos {
-        fn try_step(
-            &mut self,
-            pending: &mut PendingTable,
-            store: &mut Store,
-            completed: &mut Vec<PortId>,
-        ) -> Result<bool, RuntimeError> {
-            for (i, aut) in self.auts.iter().enumerate() {
-                let transitions = aut.transitions_from(self.states[i]).to_vec();
-                for t in &transitions {
-                    if op_enabled(t, &self.inputs, &self.outputs, pending)
-                        && fire_one(t, &self.inputs, &self.outputs, pending, store, completed)?
-                    {
-                        self.states[i] = t.target;
-                        return Ok(true);
-                    }
-                }
-            }
-            Ok(false)
-        }
+    #[test]
+    fn wakes_follow_the_unlock_except_at_the_link_pumps() {
+        use std::sync::Arc;
+        let eng = Arc::new(engine_for(primitives::sync(PortId(0), PortId(1)), 2));
+        let probe = Arc::new(LockProbe {
+            eng: Arc::clone(&eng),
+            free: Mutex::new(Vec::new()),
+        });
+        let waker = Waker::from(Arc::clone(&probe));
+        let park = || assert!(eng.poll_recv(PortId(1), &mut false, &waker).is_none());
+        let take = || match eng.poll_recv(PortId(1), &mut true, &waker) {
+            Some(Ok(v)) => v.as_int(),
+            other => panic!("no delivery: {other:?}"),
+        };
 
-        fn boundary_inputs(&self) -> &PortSet {
-            &self.inputs
-        }
+        park(); // a port call completes it: signalled after the unlock
+        eng.register_send(PortId(0), Value::Int(1)).unwrap();
+        assert_eq!(take(), Some(1));
+        eng.wait_send(PortId(0), None).unwrap();
 
-        fn boundary_outputs(&self) -> &PortSet {
-            &self.outputs
-        }
+        park(); // a link pump completes it: the documented exception
+        let mut queue = std::collections::VecDeque::from([Value::Int(2)]);
+        assert!(eng.link_offer_batch(PortId(0), &mut queue, &mut false));
+        assert_eq!(take(), Some(2));
+
+        park(); // close: after the unlock again
+        eng.close();
+        assert_eq!(*probe.free.lock(), [true, false, true]);
     }
 }

@@ -1169,7 +1169,7 @@ impl Partitioned {
         let mut guards: HashMap<usize, parking_lot::MutexGuard<'_, EngineInner>> = HashMap::new();
         for &r in &locked {
             let g = old.engines[r].lock_for_reconfig();
-            Engine::check_open_for_reconfig(&g)?;
+            Engine::check_open(&g)?;
             Engine::removal_quiescent(&g, &removed_ports)?;
             guards.insert(r, g);
         }
