@@ -3,28 +3,21 @@
 //!
 //! ```text
 //! cargo run --release -p reo-bench --bin bench_check -- \
-//!     --kind fig12 --new ci_fig12.json [--baseline BENCH_fig12.json] \
-//!     [--relaxed] [--track deltas.txt] [--require verdict_a,verdict_b]
+//!     --kind fig12|fig13 --new ci_fig12.json [--baseline BENCH_fig12.json] \
+//!     [--relaxed] [--track deltas.txt]
 //! ```
 //!
 //! Exit status 0 iff `--new` is schema-valid and no cell that has
-//! `failure: null` (fig12/scale) or `dnf: null` (fig13) in the baseline
-//! turned into a failure in the new report. Without `--baseline` only the
+//! `failure: null` (fig12) or `dnf: null` (fig13) in the baseline turned
+//! into a failure in the new report. Without `--baseline` only the
 //! schema is checked.
 //!
 //! `--relaxed` exempts the timing-sensitive cells (fig13 class S, whose
 //! DNF verdicts flap on noisy CI runners) from the regression gate —
 //! schema validation still covers them. `--track <path>` writes per-cell
-//! primary-metric deltas vs the baseline (steps, seconds, or steps/sec —
-//! plus, for scale reports, the batched-pumping counters and
-//! locks-per-value) to `<path>`; CI uploads that file as an artifact
-//! instead of gating on throughput, so runner noise stays reviewable
-//! without blocking merges. `--require <fields>` (comma-separated) gates
-//! on each listed top-level verdict boolean of the *new* report being
-//! `true` (e.g. `--require locks_per_value_below_seed,codegen_beats_jit`
-//! on scale reports — those verdicts are algorithmic counts or large
-//! ratio floors, not raw timing, so they are safe to enforce on noisy
-//! runners).
+//! primary-metric deltas vs the baseline (fig12 steps, fig13 seconds) to
+//! `<path>`; CI uploads that file as an artifact instead of gating on
+//! throughput, so runner noise stays reviewable without blocking merges.
 
 use reo_bench::check::{failure_regressions_gated, metric_deltas, validate, Json, Kind};
 use reo_bench::Args;
@@ -43,11 +36,11 @@ fn load(path: &str) -> Json {
 fn main() {
     let args = Args::from_env();
     let kind_name = args.get("kind").unwrap_or_else(|| {
-        eprintln!("bench_check: --kind fig12|fig13|scale is required");
+        eprintln!("bench_check: --kind fig12|fig13 is required");
         std::process::exit(2);
     });
     let kind = Kind::by_name(kind_name).unwrap_or_else(|| {
-        eprintln!("bench_check: unknown kind `{kind_name}`");
+        eprintln!("bench_check: unknown kind `{kind_name}` (expected fig12 or fig13)");
         std::process::exit(2);
     });
     let new_path = args.get("new").unwrap_or_else(|| {
@@ -61,26 +54,6 @@ fn main() {
         Err(e) => {
             eprintln!("bench_check: {new_path}: schema error: {e}");
             std::process::exit(1);
-        }
-    }
-
-    // Comma-separated: `--require locks_per_value_below_seed,codegen_beats_jit`.
-    for field in args.list("require", &[]) {
-        let field = field.as_str();
-        match new.get(field) {
-            Some(Json::Bool(true)) => {
-                println!("bench_check: {new_path}: required verdict `{field}` is true");
-            }
-            Some(other) => {
-                eprintln!(
-                    "bench_check: {new_path}: required verdict `{field}` is {other:?}, not true"
-                );
-                std::process::exit(1);
-            }
-            None => {
-                eprintln!("bench_check: {new_path}: required verdict `{field}` is missing");
-                std::process::exit(1);
-            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! Three checks are offered:
 //!
 //! * [`validate`] — structural schema validation per benchmark kind
-//!   (`fig12_connectors`, `fig13_npb`, `scale`): required top-level
+//!   (`fig12_connectors`, `fig13_npb`): required top-level
 //!   fields, required per-cell fields, right JSON types.
 //! * [`failure_regressions`] — the CI gate: for every cell key that has a
 //!   `null` failure in the checked-in *baseline*, the freshly produced
@@ -22,7 +22,7 @@
 //!   get schema validation, but their regressions only surface through
 //!   the tracking artifact.
 //! * [`metric_deltas`] — the tracking artifact: per-cell primary-metric
-//!   deltas (fig12/scale: steps or steps/sec, fig13: seconds) between a
+//!   deltas (fig12: steps, fig13: seconds) between a
 //!   fresh report and the baseline, as human-readable lines. CI uploads
 //!   this instead of gating on it, so throughput noise never blocks a
 //!   merge but stays reviewable.
@@ -296,7 +296,6 @@ impl Parser<'_> {
 pub enum Kind {
     Fig12,
     Fig13,
-    Scale,
 }
 
 impl Kind {
@@ -304,7 +303,6 @@ impl Kind {
         match name {
             "fig12" | "fig12_connectors" => Some(Kind::Fig12),
             "fig13" | "fig13_npb" => Some(Kind::Fig13),
-            "scale" => Some(Kind::Scale),
             _ => None,
         }
     }
@@ -313,7 +311,6 @@ impl Kind {
         match self {
             Kind::Fig12 => "fig12_connectors",
             Kind::Fig13 => "fig13_npb",
-            Kind::Scale => "scale",
         }
     }
 }
@@ -362,11 +359,6 @@ pub fn validate(doc: &Json, kind: Kind) -> Result<usize, String> {
             kind.benchmark_tag()
         ));
     }
-    if kind == Kind::Scale {
-        // Single-core sweeps only show algorithmic wins; readers need the
-        // core budget in-band to interpret the numbers.
-        require_num(doc, "available_parallelism", "document")?;
-    }
     let cells = require(doc, "cells", "document")?
         .as_arr()
         .ok_or("document: `cells` is not an array")?;
@@ -404,126 +396,6 @@ pub fn validate(doc: &Json, kind: Kind) -> Result<usize, String> {
                 if !secs.is_null() && secs.as_num().is_none() {
                     return Err(format!("{ctx}: `secs` is neither null nor a number"));
                 }
-            }
-            Kind::Scale => {
-                require_str(cell, "family", &ctx)?;
-                require_num(cell, "n", &ctx)?;
-                require_str(cell, "mode", &ctx)?;
-                require_num(cell, "threads", &ctx)?;
-                require_num(cell, "steps", &ctx)?;
-                require_num(cell, "steps_per_sec", &ctx)?;
-                require_num(cell, "wakeups", &ctx)?;
-                require_num(cell, "spurious_wakeups", &ctx)?;
-                require_num(cell, "completions", &ctx)?;
-                require_num(cell, "lock_acquisitions", &ctx)?;
-                require_num(cell, "broadcast_baseline_wakeups", &ctx)?;
-                require_num(cell, "batch_moves", &ctx)?;
-                require_num(cell, "batched_values", &ctx)?;
-                require_num(cell, "kicks", &ctx)?;
-                // `locks_per_value` is defined only for the burst cells in
-                // the partitioned modes; null everywhere else.
-                for key in ["locks_per_value", "p50_us", "p95_us", "p99_us"] {
-                    let v = require(cell, key, &ctx)?;
-                    if !v.is_null() && v.as_num().is_none() {
-                        return Err(format!("{ctx}: `{key}` is neither null nor a number"));
-                    }
-                }
-                check_failure(cell, "failure", &ctx)?;
-            }
-        }
-    }
-    if kind == Kind::Scale {
-        // Optional codegen-duel section (absent from pre-lowering
-        // baselines): raw stepping throughput (completed boundary
-        // operations), jit vs compiled.
-        if let Some(duels) = doc.get("codegen") {
-            let duels = duels
-                .as_arr()
-                .ok_or("document: `codegen` is not an array")?;
-            for (i, duel) in duels.iter().enumerate() {
-                let ctx = format!("codegen {i}");
-                require_str(duel, "family", &ctx)?;
-                require_num(duel, "n", &ctx)?;
-                require_num(duel, "jit_ops_per_sec", &ctx)?;
-                require_num(duel, "compiled_ops_per_sec", &ctx)?;
-                require_num(duel, "ratio", &ctx)?;
-            }
-        }
-        // Optional async-sessions section (absent from pre-async
-        // baselines): fixed-work fleet cells behind the
-        // `async_sessions_scale` verdict.
-        if let Some(fleet) = doc.get("sessions") {
-            let fleet = fleet
-                .as_arr()
-                .ok_or("document: `sessions` is not an array")?;
-            for (i, cell) in fleet.iter().enumerate() {
-                let ctx = format!("sessions {i}");
-                for key in [
-                    "sessions",
-                    "tasks",
-                    "threads",
-                    "values",
-                    "completions",
-                    "waker_wakes",
-                    "wakeups",
-                    "lock_acquisitions",
-                    "steps",
-                    "open_secs",
-                    "drain_secs",
-                    "values_per_sec",
-                    "wake_precision",
-                ] {
-                    require_num(cell, key, &ctx)?;
-                }
-                // Null off-Linux or when allocator reuse hides the delta.
-                let rss = require(cell, "rss_per_session_kib", &ctx)?;
-                if !rss.is_null() && rss.as_num().is_none() {
-                    return Err(format!(
-                        "{ctx}: `rss_per_session_kib` is neither null nor a number"
-                    ));
-                }
-                check_failure(cell, "failure", &ctx)?;
-            }
-        }
-        // Optional reconfiguration-churn section (absent from
-        // pre-reconfiguration baselines): windowed join/leave cells
-        // behind the `reconfig_churn_scale` verdict.
-        if let Some(churn) = doc.get("churn") {
-            let churn = churn.as_arr().ok_or("document: `churn` is not an array")?;
-            for (i, cell) in churn.iter().enumerate() {
-                let ctx = format!("churn {i}");
-                require_str(cell, "family", &ctx)?;
-                require_str(cell, "mode", &ctx)?;
-                for key in [
-                    "n",
-                    "splices",
-                    "splices_per_sec",
-                    "values",
-                    "received",
-                    "values_per_sec",
-                    "window_secs",
-                ] {
-                    require_num(cell, key, &ctx)?;
-                }
-                check_failure(cell, "failure", &ctx)?;
-            }
-        }
-        // Optional fault-recovery section (absent from pre-containment
-        // baselines): time-to-typed-error cells behind the
-        // `fault_recovery_bounded` verdict.
-        if let Some(faults) = doc.get("faults") {
-            let faults = faults
-                .as_arr()
-                .ok_or("document: `faults` is not an array")?;
-            for (i, cell) in faults.iter().enumerate() {
-                let ctx = format!("faults {i}");
-                require_str(cell, "family", &ctx)?;
-                require_str(cell, "kind", &ctx)?;
-                require_str(cell, "mode", &ctx)?;
-                for key in ["iters", "typed_errors", "stranded", "p50_us", "p99_us"] {
-                    require_num(cell, key, &ctx)?;
-                }
-                check_failure(cell, "failure", &ctx)?;
             }
         }
     }
@@ -564,62 +436,6 @@ fn failure_map(doc: &Json, kind: Kind) -> Result<HashMap<String, bool>, String> 
                 );
                 out.insert(key, check_failure(cell, "dnf", &ctx)?);
             }
-            Kind::Scale => {
-                let key = format!(
-                    "{}/n={}/{}",
-                    require_str(cell, "family", &ctx)?,
-                    require_num(cell, "n", &ctx)?,
-                    require_str(cell, "mode", &ctx)?
-                );
-                out.insert(key, check_failure(cell, "failure", &ctx)?);
-            }
-        }
-    }
-    if kind == Kind::Scale {
-        // Async-sessions cells (optional section) carry their own
-        // failure field and join the regression gate under distinct keys.
-        for (i, cell) in doc
-            .get("sessions")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("sessions {i}");
-            let key = format!("sessions/n={}/async", require_num(cell, "sessions", &ctx)?);
-            out.insert(key, check_failure(cell, "failure", &ctx)?);
-        }
-        // Reconfiguration-churn cells (optional section) likewise.
-        for (i, cell) in doc
-            .get("churn")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("churn {i}");
-            let key = format!(
-                "churn/n={}/{}",
-                require_num(cell, "n", &ctx)?,
-                require_str(cell, "mode", &ctx)?
-            );
-            out.insert(key, check_failure(cell, "failure", &ctx)?);
-        }
-        // Fault-recovery cells (optional section) likewise.
-        for (i, cell) in doc
-            .get("faults")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("faults {i}");
-            let key = format!(
-                "faults/{}/{}",
-                require_str(cell, "kind", &ctx)?,
-                require_str(cell, "mode", &ctx)?
-            );
-            out.insert(key, check_failure(cell, "failure", &ctx)?);
         }
     }
     Ok(out)
@@ -666,7 +482,7 @@ pub fn failure_regressions_gated(
 }
 
 /// Map every cell of a report to its primary metric: fig12 `steps` per
-/// series, fig13 `secs` (skipping DNF cells), scale `steps_per_sec`.
+/// series, fig13 `secs` (skipping DNF cells).
 fn metric_map(doc: &Json, kind: Kind) -> Result<HashMap<String, f64>, String> {
     let mut out = HashMap::new();
     let cells = require(doc, "cells", "document")?
@@ -702,84 +518,6 @@ fn metric_map(doc: &Json, kind: Kind) -> Result<HashMap<String, f64>, String> {
                     out.insert(key, secs);
                 }
             }
-            Kind::Scale => {
-                let key = format!(
-                    "{}/n={}/{}",
-                    require_str(cell, "family", &ctx)?,
-                    require_num(cell, "n", &ctx)?,
-                    require_str(cell, "mode", &ctx)?
-                );
-                out.insert(key.clone(), require_num(cell, "steps_per_sec", &ctx)?);
-                // Secondary tracked metrics of the batched link protocol:
-                // reviewable per-cell deltas for the amortization counters
-                // and the locks-per-value ratio. Optional here so a cell
-                // with a null `locks_per_value` (non-burst families)
-                // contributes only its primary metric — note that whole
-                // documents missing `batch_moves`/`batched_values` are
-                // rejected earlier by [`validate`] regardless.
-                for extra in ["batch_moves", "batched_values", "locks_per_value"] {
-                    if let Some(v) = cell.get(extra).and_then(Json::as_num) {
-                        out.insert(format!("{key}#{extra}"), v);
-                    }
-                }
-            }
-        }
-    }
-    if kind == Kind::Scale {
-        // Codegen-duel ratios (optional: absent pre-lowering). These show
-        // up as *new-only* delta lines against old baselines — see
-        // [`metric_deltas`].
-        for duel in doc
-            .get("codegen")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let ctx = "codegen";
-            let key = format!(
-                "codegen/{}/n={}",
-                require_str(duel, "family", ctx)?,
-                require_num(duel, "n", ctx)?
-            );
-            out.insert(format!("{key}#ratio"), require_num(duel, "ratio", ctx)?);
-            out.insert(
-                format!("{key}#compiled_ops_per_sec"),
-                require_num(duel, "compiled_ops_per_sec", ctx)?,
-            );
-        }
-        // Async-sessions cells (optional: absent pre-async). Primary
-        // metric is drain throughput; wake precision and the footprint
-        // estimate ride along as `#`-suffixed lines.
-        for cell in doc
-            .get("sessions")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let ctx = "sessions";
-            let key = format!("sessions/n={}/async", require_num(cell, "sessions", ctx)?);
-            out.insert(key.clone(), require_num(cell, "values_per_sec", ctx)?);
-            out.insert(
-                format!("{key}#wake_precision"),
-                require_num(cell, "wake_precision", ctx)?,
-            );
-            if let Some(r) = cell.get("rss_per_session_kib").and_then(Json::as_num) {
-                out.insert(format!("{key}#rss_per_session_kib"), r);
-            }
-        }
-        // Reconfiguration-churn cells (optional: absent
-        // pre-reconfiguration). Primary metric is the splice rate; the
-        // delivered-value rate rides along.
-        for cell in doc.get("churn").and_then(Json::as_arr).unwrap_or_default() {
-            let ctx = "churn";
-            let key = format!(
-                "churn/n={}/{}",
-                require_num(cell, "n", ctx)?,
-                require_str(cell, "mode", ctx)?
-            );
-            out.insert(key.clone(), require_num(cell, "splices_per_sec", ctx)?);
-            out.insert(
-                format!("{key}#values_per_sec"),
-                require_num(cell, "values_per_sec", ctx)?,
-            );
         }
     }
     Ok(out)
@@ -791,12 +529,9 @@ fn metric_map(doc: &Json, kind: Kind) -> Result<HashMap<String, f64>, String> {
 /// series or section — e.g. the `compiled` column — must surface in the
 /// artifact, not vanish into the intersection). Keys only the *baseline*
 /// has are still skipped: short CI sweeps legitimately cover fewer cells
-/// than the checked-in full run. Scale reports additionally track the
-/// batched-pumping metrics as `key#batch_moves` / `key#batched_values` /
-/// `key#locks_per_value` lines and the codegen duels as
-/// `codegen/…#ratio` lines. Timing deltas go here instead of into the
-/// gate, so runner noise never blocks a merge but stays reviewable in
-/// the uploaded artifact.
+/// than the checked-in full run. Timing deltas go here instead of into
+/// the gate, so runner noise never blocks a merge but stays reviewable
+/// in the uploaded artifact.
 pub fn metric_deltas(new: &Json, baseline: &Json, kind: Kind) -> Result<Vec<String>, String> {
     let new_map = metric_map(new, kind)?;
     let base_map = metric_map(baseline, kind)?;
@@ -860,7 +595,7 @@ mod tests {
     fn validates_fig12_schema_and_flags_wrong_tag() {
         let doc = Json::parse(&fig12_doc("null")).unwrap();
         assert_eq!(validate(&doc, Kind::Fig12), Ok(1));
-        assert!(validate(&doc, Kind::Scale).is_err());
+        assert!(validate(&doc, Kind::Fig13).is_err());
         // A missing per-cell field is caught.
         let broken =
             Json::parse(r#"{"benchmark":"fig12_connectors","cells":[{"family":"x","n":2}]}"#)
@@ -920,7 +655,7 @@ mod tests {
         );
         assert!(is_timing_sensitive(Kind::Fig13, "cg/S/n=2/reo-jit"));
         assert!(!is_timing_sensitive(Kind::Fig13, "cg/A/n=2/reo-jit"));
-        assert!(!is_timing_sensitive(Kind::Scale, "relay/n=2/jit"));
+        assert!(!is_timing_sensitive(Kind::Fig12, "merger/n=2/new"));
     }
 
     #[test]
@@ -944,92 +679,33 @@ mod tests {
         // column against a pre-lowering baseline) must emit a `(new)`
         // line instead of silently dropping out of the intersection;
         // baseline-only cells (short CI sweeps) must stay skipped.
-        let base = Json::parse(
-            r#"{"benchmark":"scale","cells":[
-              {"family":"relay","n":2,"mode":"jit","steps_per_sec":100.0},
-              {"family":"relay","n":16,"mode":"jit","steps_per_sec":90.0}]}"#,
-        )
-        .unwrap();
-        let fresh = Json::parse(
-            r#"{"benchmark":"scale","codegen":[
-               {"family":"relay","n":4,"jit_ops_per_sec":10.0,
-                "compiled_ops_per_sec":40.0,"ratio":4.0}],
-              "cells":[
-              {"family":"relay","n":2,"mode":"jit","steps_per_sec":110.0},
-              {"family":"relay","n":2,"mode":"compiled","steps_per_sec":400.0}]}"#,
-        )
-        .unwrap();
-        let lines = metric_deltas(&fresh, &base, Kind::Scale).unwrap();
+        let cell = |n: u32, new_steps: u32, compiled: &str| {
+            format!(
+                r#"{{"family":"merger","n":{n},"bin":"NEW-WINS",
+                  "existing":{{"steps":10,"connect_ms":0.1,"failure":null}},
+                  "new":{{"steps":{new_steps},"connect_ms":0.1,"failure":null}},
+                  "partitioned":null{compiled}}}"#
+            )
+        };
+        let doc = |cells: &[String]| {
+            let text = format!(
+                r#"{{"benchmark":"fig12_connectors","cells":[{}]}}"#,
+                cells.join(",")
+            );
+            Json::parse(&text).unwrap()
+        };
+        let base = doc(&[cell(2, 100, ""), cell(16, 90, "")]);
+        let compiled = r#","compiled":{"steps":400,"connect_ms":0.1,"failure":null}"#;
+        let fresh = doc(&[cell(2, 110, compiled)]);
+        let lines = metric_deltas(&fresh, &base, Kind::Fig12).unwrap();
         assert_eq!(
             lines,
             vec![
-                "codegen/relay/n=4#compiled_ops_per_sec: (new) -> 40.000".to_string(),
-                "codegen/relay/n=4#ratio: (new) -> 4.000".to_string(),
-                "relay/n=2/compiled: (new) -> 400.000".to_string(),
-                "relay/n=2/jit: 100.000 -> 110.000 (+10.0%)".to_string(),
+                "merger/n=2/compiled: (new) -> 400.000".to_string(),
+                "merger/n=2/existing: 10.000 -> 10.000 (+0.0%)".to_string(),
+                "merger/n=2/new: 100.000 -> 110.000 (+10.0%)".to_string(),
             ]
         );
-    }
-
-    fn scale_doc(sessions_cell: &str) -> String {
-        format!(
-            r#"{{"benchmark":"scale","available_parallelism":1,
-              "sessions":[{sessions_cell}],
-              "cells":[
-              {{"family":"relay","n":2,"mode":"jit","threads":4,"steps":10,
-                "steps_per_sec":100.0,"wakeups":5,"spurious_wakeups":0,
-                "completions":20,"lock_acquisitions":40,
-                "broadcast_baseline_wakeups":20,"batch_moves":0,
-                "batched_values":0,"locks_per_value":null,"kicks":0,
-                "p50_us":1.0,"p95_us":2.0,"p99_us":3.0,"failure":null}}]}}"#
-        )
-    }
-
-    fn sessions_cell(failure: &str) -> String {
-        format!(
-            r#"{{"sessions":1000,"tasks":2000,"threads":4,"values":2,
-               "completions":4000,"waker_wakes":1000,"wakeups":0,
-               "lock_acquisitions":9000,"steps":2000,"open_secs":0.1,
-               "drain_secs":0.2,"values_per_sec":10000.0,
-               "wake_precision":0.25,"rss_per_session_kib":4.9,
-               "failure":{failure}}}"#
-        )
-    }
-
-    #[test]
-    fn validates_and_tracks_the_async_sessions_section() {
-        let doc = Json::parse(&scale_doc(&sessions_cell("null"))).unwrap();
-        assert_eq!(validate(&doc, Kind::Scale), Ok(1));
-
-        // A sessions cell missing a required field is a schema error.
-        let broken = Json::parse(&scale_doc(
-            r#"{"sessions":1000,"tasks":2000,"failure":null}"#,
-        ))
-        .unwrap();
-        assert!(validate(&broken, Kind::Scale)
-            .unwrap_err()
-            .contains("threads"));
-
-        // An ok→fail transition on a sessions cell trips the gate under
-        // its own key.
-        let bad = Json::parse(&scale_doc(&sessions_cell(r#""stalled""#))).unwrap();
-        assert_eq!(
-            failure_regressions(&bad, &doc, Kind::Scale).unwrap(),
-            vec!["sessions/n=1000/async".to_string()]
-        );
-
-        // And the tracking artifact carries the throughput, precision and
-        // footprint lines.
-        let lines = metric_deltas(&doc, &doc, Kind::Scale).unwrap();
-        assert!(lines
-            .iter()
-            .any(|l| l.starts_with("sessions/n=1000/async: 10000.000 -> 10000.000")));
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("sessions/n=1000/async#wake_precision")));
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("sessions/n=1000/async#rss_per_session_kib")));
     }
 
     #[test]
@@ -1039,7 +715,6 @@ mod tests {
         for (file, kind) in [
             ("BENCH_fig12.json", Kind::Fig12),
             ("BENCH_fig13.json", Kind::Fig13),
-            ("BENCH_scale.json", Kind::Scale),
         ] {
             let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
             let text =

@@ -243,9 +243,6 @@ mod tests {
             steps,
             connect_time: Duration::ZERO,
             failure: fail.then(|| "boom".to_string()),
-            stats: None,
-            threads: 0,
-            latency: None,
         }
     }
 

@@ -8,20 +8,17 @@
 //! * `fig13` binary — the NPB benchmarks (Sect. V-C): CG/LU × class × N,
 //!   original vs Reo-based run times, plus the N ≥ 16 non-termination
 //!   reproduction and its partitioned-execution fix.
-//! * `scale` binary — throughput under task contention: tasks ×
-//!   {jit, partitioned, partitioned+workers}, with the engine wakeup/
-//!   lock counters ([`reo_runtime::EngineStats`]).
 //! * `bench_check` binary — schema validation and the CI
-//!   failure-regression gate over the `BENCH_*.json` reports (schemas
+//!   failure-regression gate over the two `BENCH_*.json` reports (schemas
 //!   documented in [`json`]).
-//! * criterion benches (`substrate`, `fig12_connectors`, `fig13_npb`,
-//!   `ablations`) — micro-level measurements and the DESIGN.md ablations.
+//!
+//! These reproduce the paper's figures. Changes to the repo are judged by
+//! the stand-alone package under `benchmark/` (`BENCHMARK.json`), not here.
 
 pub mod check;
 pub mod cli;
 pub mod fig12;
 pub mod fig13;
 pub mod json;
-pub mod scale;
 
 pub use cli::Args;

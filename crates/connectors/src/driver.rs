@@ -7,12 +7,6 @@
 //! operation until the connector is closed; the run lasts a fixed wall-clock
 //! window, and the metric is the number of global execution steps the
 //! connector made.
-//!
-//! Besides step counts, every driver thread records the wall-clock latency
-//! of each successful port operation into a log-bucketed
-//! [`LatencyHistogram`]; the merged per-cell histogram is summarized as
-//! p50/p95/p99 in [`RunOutcome::latency`], so scheduler improvements show
-//! up as *tail-latency* wins, not only as throughput.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,122 +15,6 @@ use reo_core::ir::Program;
 use reo_runtime::{Connector, ConnectorHandle, Limits, Mode, RuntimeError};
 
 use crate::families::{Family, Role};
-
-/// A log₂-bucketed latency histogram with **four linear sub-buckets per
-/// power of two** (HdrHistogram-style: two mantissa bits after the
-/// leading one), cheap enough to update on every port operation of a
-/// spinning driver. Quantiles are resolved to the upper bound of the
-/// containing sub-bucket, so they are exact to within a factor of
-/// `5/4 = 1.25` — tight enough that a p99 regression of 30 % cannot hide
-/// inside one bucket, where the earlier pure-log₂ buckets were only
-/// exact to 2×.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: [u64; Self::BUCKETS],
-    total: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; Self::BUCKETS],
-            total: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Mantissa bits kept after the leading one: `2^SUB_BITS` linear
-    /// sub-buckets per log₂ bucket.
-    const SUB_BITS: u32 = 2;
-    const SUB: usize = 1 << Self::SUB_BITS;
-    /// 0–3 ns exact, then 4 sub-buckets for each exponent up to 2⁶³.
-    const BUCKETS: usize = 64 * Self::SUB;
-
-    /// Sub-bucket index of a nanosecond value. Values below `SUB` get
-    /// exact singleton buckets; above, the index packs
-    /// `(exponent, top two mantissa bits)`, so consecutive buckets'
-    /// bounds are `2^e · {4,5,6,7,8}/4` — a 1.25× ratio.
-    fn index(ns: u64) -> usize {
-        if ns < Self::SUB as u64 {
-            return ns as usize;
-        }
-        let exp = 63 - ns.leading_zeros(); // ≥ SUB_BITS
-        let sub = ((ns >> (exp - Self::SUB_BITS)) & (Self::SUB as u64 - 1)) as usize;
-        (exp - Self::SUB_BITS + 1) as usize * Self::SUB + sub
-    }
-
-    /// Inclusive upper bound (in nanoseconds) of bucket `i` — what
-    /// quantiles resolve to.
-    fn upper_bound_ns(i: usize) -> u64 {
-        if i < Self::SUB {
-            return i as u64 + 1;
-        }
-        let exp = (i / Self::SUB) as u32 + Self::SUB_BITS - 1;
-        let sub = (i % Self::SUB) as u64;
-        let step = 1u64 << (exp - Self::SUB_BITS);
-        // The top sub-buckets' bound exceeds u64 — saturate, they only
-        // ever hold `Duration`s that were clamped to u64::MAX anyway.
-        (1u64 << exp).saturating_add((sub + 1) * step)
-    }
-
-    pub fn record(&mut self, d: Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.buckets[Self::index(ns)] += 1;
-        self.total += 1;
-    }
-
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// Recorded operations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) in microseconds — the upper bound
-    /// of the sub-bucket containing that rank (within 1.25× of the true
-    /// value). `None` if nothing was recorded.
-    pub fn quantile_us(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::upper_bound_ns(k) as f64 / 1e3);
-            }
-        }
-        None
-    }
-}
-
-/// Per-cell latency digest (see [`LatencyHistogram`] for precision).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencySummary {
-    /// Successful port operations measured.
-    pub ops: u64,
-    pub p50_us: f64,
-    pub p95_us: f64,
-    pub p99_us: f64,
-}
-
-impl LatencySummary {
-    fn from_histogram(h: &LatencyHistogram) -> Option<Self> {
-        Some(LatencySummary {
-            ops: h.count(),
-            p50_us: h.quantile_us(0.50)?,
-            p95_us: h.quantile_us(0.95)?,
-            p99_us: h.quantile_us(0.99)?,
-        })
-    }
-}
 
 /// Result of one measured cell.
 #[derive(Clone, Debug)]
@@ -147,17 +25,6 @@ pub struct RunOutcome {
     pub connect_time: Duration,
     /// Whether construction failed (the "existing approach fails" cells).
     pub failure: Option<String>,
-    /// Engine contention counters at the end of the window (wakeups,
-    /// spurious wakeups, lock acquisitions, completions, scheduler
-    /// kicks) — `None` for failed runs. The `scale` harness builds
-    /// on these.
-    pub stats: Option<reo_runtime::EngineStats>,
-    /// No-compute task threads this driver actually spawned (0 when
-    /// construction failed before any spawn).
-    pub threads: usize,
-    /// Per-operation latency percentiles merged over all driver threads —
-    /// `None` for failed runs or when no operation completed.
-    pub latency: Option<LatencySummary>,
 }
 
 impl RunOutcome {
@@ -166,9 +33,6 @@ impl RunOutcome {
             steps: 0,
             connect_time,
             failure: Some(msg),
-            stats: None,
-            threads: 0,
-            latency: None,
         }
     }
 
@@ -219,23 +83,16 @@ pub fn drive_with_limits(
     let handle = session.handle();
 
     // Port acquisition is fallible now; a family spec naming a missing
-    // parameter becomes a tabulated failure, not a crash. Every thread
-    // returns its local latency histogram when the connector closes.
-    let mut threads: Vec<std::thread::JoinHandle<LatencyHistogram>> = Vec::new();
+    // parameter becomes a tabulated failure, not a crash.
+    let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let spawn_result = (|| -> Result<(), reo_runtime::RuntimeError> {
         for (param, role) in family.drivers {
             match role {
                 Role::Send => {
                     for port in session.typed_outports::<i64>(param)? {
                         threads.push(std::thread::spawn(move || {
-                            let mut hist = LatencyHistogram::default();
                             let mut k: i64 = 0;
-                            loop {
-                                let t0 = Instant::now();
-                                if port.send(k).is_err() {
-                                    return hist;
-                                }
-                                hist.record(t0.elapsed());
+                            while port.send(k).is_ok() {
                                 k += 1;
                             }
                         }));
@@ -243,16 +100,7 @@ pub fn drive_with_limits(
                 }
                 Role::Recv => {
                     for port in session.inports(param)? {
-                        threads.push(std::thread::spawn(move || {
-                            let mut hist = LatencyHistogram::default();
-                            loop {
-                                let t0 = Instant::now();
-                                if port.recv().is_err() {
-                                    return hist;
-                                }
-                                hist.record(t0.elapsed());
-                            }
-                        }));
+                        threads.push(std::thread::spawn(move || while port.recv().is_ok() {}));
                     }
                 }
             }
@@ -262,19 +110,7 @@ pub fn drive_with_limits(
             let releases = session.typed_outports::<()>(rel)?;
             for (a, r) in acquires.into_iter().zip(releases) {
                 threads.push(std::thread::spawn(move || {
-                    let mut hist = LatencyHistogram::default();
-                    loop {
-                        let t0 = Instant::now();
-                        if a.send(()).is_err() {
-                            return hist;
-                        }
-                        hist.record(t0.elapsed());
-                        let t0 = Instant::now();
-                        if r.send(()).is_err() {
-                            return hist;
-                        }
-                        hist.record(t0.elapsed());
-                    }
+                    while a.send(()).is_ok() && r.send(()).is_ok() {}
                 }));
             }
         }
@@ -289,16 +125,11 @@ pub fn drive_with_limits(
     }
 
     std::thread::sleep(window);
-    // One snapshot for the whole cell (tasks are still firing): steps is
-    // read out of the same stats so the counters stay consistent with each
-    // other. Taken before close() adds its final wake-everyone burst.
-    let stats = handle.stats();
-    let steps = stats.steps;
+    // Read while the tasks are still firing, before close() ends the run.
+    let steps = handle.steps();
     handle.close();
-    let spawned = threads.len();
-    let mut hist = LatencyHistogram::default();
     for t in threads {
-        hist.merge(&t.join().expect("driver thread panicked"));
+        t.join().expect("driver thread panicked");
     }
     // Poisoned engines (e.g. expansion overflow mid-run) count as failures.
     let failure = probe_poisoned(&handle);
@@ -306,9 +137,6 @@ pub fn drive_with_limits(
         steps,
         connect_time,
         failure,
-        stats: Some(stats),
-        threads: spawned,
-        latency: LatencySummary::from_histogram(&hist),
     }
 }
 
@@ -316,7 +144,7 @@ fn probe_poisoned(handle: &ConnectorHandle) -> Option<String> {
     handle.poison_message()
 }
 
-/// Spawn-and-drive with a shared, pre-parsed program (used by criterion).
+/// Parse the family's program, then [`drive`] it.
 pub fn drive_family(family: &Family, n: usize, mode: Mode, window: Duration) -> RunOutcome {
     let program = family.program();
     drive(&program, family, n, mode, window)
@@ -371,66 +199,6 @@ mod tests {
         for mode in [Mode::jit(), Mode::existing()] {
             assert_progress(&family("merger"), 3, mode, 10);
         }
-    }
-
-    #[test]
-    fn latency_histogram_buckets_and_quantiles() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.quantile_us(0.5), None);
-        for _ in 0..90 {
-            h.record(Duration::from_nanos(900)); // sub-bucket [896, 1024) → 1.024 µs
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_micros(100)); // sub-bucket [98304, 114688)
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile_us(0.50).unwrap();
-        let p99 = h.quantile_us(0.99).unwrap();
-        assert!(p50 <= 1.1, "p50 {p50} µs should sit in the sub-µs bucket");
-        assert!(p99 >= 100.0, "p99 {p99} µs must see the slow tail");
-        assert!(
-            p99 <= 100.0 * 1.25,
-            "p99 {p99} µs exceeds the 1.25x sub-bucket bound"
-        );
-        // Merging two histograms adds counts bucket-wise.
-        let mut h2 = LatencyHistogram::default();
-        h2.record(Duration::from_nanos(900));
-        h2.merge(&h);
-        assert_eq!(h2.count(), 101);
-    }
-
-    /// Satellite: the linear sub-buckets bound every quantile by 1.25×
-    /// of the recorded value (the pure-log₂ scheme was only exact to
-    /// 2×), across the whole dynamic range.
-    #[test]
-    fn latency_histogram_sub_buckets_are_exact_to_a_quarter() {
-        for ns in [
-            1u64, 3, 4, 5, 7, 9, 100, 900, 4096, 5000, 123_456, 10_000_000,
-        ] {
-            let mut h = LatencyHistogram::default();
-            h.record(Duration::from_nanos(ns));
-            let q = h.quantile_us(1.0).unwrap() * 1e3; // back to ns
-            assert!(q > ns as f64, "upper bound must exceed the value: {ns}");
-            assert!(
-                q <= ns as f64 * 1.25 + 1.0,
-                "bound {q} too loose for {ns} ns"
-            );
-        }
-        // Adjacent values land in distinct sub-buckets once they differ
-        // by more than 25 %.
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(4000));
-        h.record(Duration::from_nanos(5200));
-        assert!(h.quantile_us(0.25).unwrap() < h.quantile_us(1.0).unwrap());
-    }
-
-    #[test]
-    fn driven_cells_report_latency_percentiles() {
-        let outcome = drive_family(&family("merger"), 2, Mode::jit(), Duration::from_millis(80));
-        assert!(outcome.failure.is_none());
-        let lat = outcome.latency.expect("successful run records latency");
-        assert!(lat.ops > 0);
-        assert!(lat.p50_us <= lat.p95_us && lat.p95_us <= lat.p99_us);
     }
 
     #[test]

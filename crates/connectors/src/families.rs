@@ -359,7 +359,7 @@ fn n_only_t() -> fn(usize) -> Vec<(&'static str, usize)> {
     |n| vec![("t", n)]
 }
 
-/// The **disjoint-region** scale workload, kept outside the paper's
+/// The **disjoint-region** link workload, kept outside the paper's
 /// eighteen: per channel a `Sync – Fifo1 – Sync` relay, so every channel
 /// is two synchronous regions joined by one cut link and channels share
 /// nothing. The fifo sits in its own iteration section — constituents of
@@ -389,7 +389,7 @@ RelayN(t[];hd[]) =
 /// the emit side can hold beyond the producers' pending sends.
 pub const BURST_LINK_CAPACITY: usize = 8;
 
-/// The **deep-backlog** scale workload: `n` producers fan into one
+/// The **deep-backlog** link workload: `n` producers fan into one
 /// merger region, a `FifoN<8>` cut link buffers up to
 /// [`BURST_LINK_CAPACITY`] values, and `n` consumers drain through one
 /// router region. The per-cell backlog depth is `n` — up to `n` producer

@@ -61,8 +61,7 @@ impl ConnectorInstance {
 /// Without it, an adversarial constant range (`prod (i:1..999999999) …`)
 /// turns `connect` into an effectively unbounded loop long before any
 /// product budget can intervene. The limit is far above real workloads
-/// (the session-scale sweep instantiates ~10⁵ constituents) and exceeding
-/// it returns [`CoreError::InstantiationBudget`].
+/// and exceeding it returns [`CoreError::InstantiationBudget`].
 pub const INSTANTIATION_BUDGET: usize = 1 << 21;
 
 /// Instantiate a compiled connector for the given boundary ports.

@@ -48,8 +48,9 @@ impl Connector {
     /// Statically analyse the connector at the given sizes: compose the
     /// instance (within `opts` budgets) and inspect the reachable space.
     ///
-    /// Uses the same instantiation path as [`Connector::connect`], so the
-    /// analysed artifact is exactly what would run.
+    /// Uses the same instantiation path as
+    /// [`SessionSpec::connect`](crate::SessionSpec::connect), so the analysed
+    /// artifact is exactly what would run.
     pub fn analyze(
         &self,
         sizes: &[(&str, usize)],

@@ -5,7 +5,7 @@
 //! *bounded* cache with eviction as future work — "the disadvantage is the
 //! possible need to recompute states …; the advantage is that arbitrarily
 //! large state spaces can be handled". [`BoundedLru`] implements that
-//! sketch; the `ablations` bench measures the recompute/memory trade-off.
+//! sketch.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

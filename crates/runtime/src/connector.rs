@@ -18,8 +18,8 @@
 //!   (see [`crate::partition`]) — as in the paper's runtime, there are no
 //!   helper threads.
 //!
-//! [`Mode::grid`] is the one list of runtimes every test, fuzzer and
-//! sweep iterates.
+//! [`Mode::grid`] is the one list of runtimes every test and the fuzzer
+//! iterate.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,9 +100,9 @@ impl Mode {
     /// five constructors plus the two non-default knob settings
     /// (`mono-raw`: the baseline without label simplification; `jit-lru1`:
     /// a one-entry state cache, so every revisit re-expands). The single
-    /// source for the differential fuzzer, the equivalence tests and the
-    /// bench sweeps — select a subset by name ([`Mode::grid_subset`]),
-    /// never by copying entries.
+    /// source for the differential fuzzer and the equivalence tests —
+    /// select a subset by name ([`Mode::grid_subset`]), never by copying
+    /// entries.
     pub fn grid() -> &'static [(&'static str, Mode)] {
         const GRID: [(&str, Mode); 7] = [
             ("mono", Mode::ExistingMonolithic { simplify: true }),
@@ -133,7 +133,7 @@ impl Mode {
 
     /// The [`Mode::grid`] entries called `names`, in grid order. Panics on
     /// a name the grid does not have — callers pass literals, so a miss is
-    /// a typo that would otherwise silently shrink a sweep.
+    /// a typo that would otherwise silently shrink a test.
     pub fn grid_subset<'a>(names: &'a [&str]) -> impl Iterator<Item = (&'static str, Mode)> + 'a {
         for name in names {
             assert!(
@@ -181,7 +181,7 @@ pub struct Connector {
 }
 
 /// Fluent entry point: `Connector::builder(&program, "Buf").mode(..)
-/// .limits(..).build()`. [`Connector::compile`] is a thin wrapper over it.
+/// .limits(..).build()`.
 ///
 /// Defaults: [`Mode::jit`] and [`Limits::default`].
 pub struct ConnectorBuilder<'p> {
@@ -212,7 +212,7 @@ impl ConnectorBuilder<'_> {
 
     /// Compile. For parametrized modes this performs the compile-time
     /// share now; for the existing approach compilation must wait for N
-    /// and happens in [`Connector::connect`].
+    /// and happens in [`SessionSpec::connect`].
     pub fn build(self) -> Result<Connector, RuntimeError> {
         let compiled = if self.mode.is_parametrized() {
             Some(compile(self.program, &self.name)?)
@@ -240,29 +240,6 @@ impl Connector {
             mode: Mode::jit(),
             limits: Limits::default(),
         }
-    }
-
-    /// Compile `name` from `program` for the given mode — shorthand for
-    /// [`Connector::builder`] with defaults.
-    #[deprecated(note = "use `Connector::builder(program, name).mode(mode).build()`")]
-    pub fn compile(program: &Program, name: &str, mode: Mode) -> Result<Self, RuntimeError> {
-        Self::builder(program, name).mode(mode).build()
-    }
-
-    /// Compile with explicit limits — shorthand for [`Connector::builder`].
-    #[deprecated(
-        note = "use `Connector::builder(program, name).mode(mode).limits(limits).build()`"
-    )]
-    pub fn compile_with_limits(
-        program: &Program,
-        name: &str,
-        mode: Mode,
-        limits: Limits,
-    ) -> Result<Self, RuntimeError> {
-        Self::builder(program, name)
-            .mode(mode)
-            .limits(limits)
-            .build()
     }
 
     pub fn name(&self) -> &str {
@@ -301,13 +278,6 @@ impl Connector {
     ///
     /// `sizes` gives the length per array parameter; scalar parameters
     /// default to 1 and may be omitted.
-    #[deprecated(
-        note = "use `Connector::session()` — e.g. `c.session().replicate(\"prod\", n).connect()`"
-    )]
-    pub fn connect(&self, sizes: &[(&str, usize)]) -> Result<Session, RuntimeError> {
-        self.connect_impl(sizes, false, None)
-    }
-
     fn connect_impl(
         &self,
         sizes: &[(&str, usize)],

@@ -281,9 +281,10 @@ pub struct EngineStats {
     /// async twin of `wakeups`. A future that polls `Pending` parks its
     /// waker in the port's slot; a step completing that port (or
     /// close/poison) takes and wakes it, counting one here. Like
-    /// `wakeups` this stays in the order of `completions` — the verdict
-    /// `async_sessions_scale` gates `waker_wakes ≤ 2 × completions`
-    /// (targeted wakeups, not polling).
+    /// `wakeups` this stays in the order of `completions` —
+    /// `tests/session_api.rs` and `examples/sessions.rs` hold a fleet of
+    /// async sessions to `waker_wakes ≤ 2 × completions` (targeted
+    /// wakeups, not polling).
     pub waker_wakes: u64,
     /// Wakeups after which the woken task found its operation still
     /// incomplete and had to block again.

@@ -20,7 +20,7 @@
 //! modes, pumps the links bordering its region. Link pumping is *batched*
 //! (one engine-lock hold per side moves a whole backlog) and
 //! single-link-border regions pump uncounted (see [`partition`]).
-//! [`Mode::grid`] lists every runtime for tests, fuzzers and sweeps.
+//! [`Mode::grid`] lists every runtime for the tests and the fuzzer.
 //!
 //! Engines block tasks on *per-port* wait queues (a completed transition
 //! wakes only the ports that fired — no thundering herd) and expose

@@ -13,9 +13,9 @@
 //! candidate tables reach the bigger combined transitions more often), so
 //! raw firing counts are not comparable across cores — a combined firing
 //! moves several values at once. Completed operations per second is the
-//! granularity-independent throughput measure, and it is what the
-//! `codegen_beats_jit` verdict of the scale sweep compares between
-//! [`SteppingMode::Compiled`] and [`SteppingMode::Jit`].
+//! granularity-independent throughput measure, and it is what the repo
+//! benchmark's `runtime.stepping.{jit,compiled}_ns_per_op` rows compare
+//! between [`SteppingMode::Jit`] and [`SteppingMode::Compiled`].
 //!
 //! ```
 //! use std::time::Duration;

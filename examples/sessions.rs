@@ -11,8 +11,8 @@
 //!
 //! Printed at the end: throughput, an RSS-per-session estimate (Linux
 //! `/proc/self/statm` delta; `n/a` elsewhere), and the wake-precision
-//! ratio `waker_wakes / completions` — the scale-sweep verdict
-//! `async_sessions_scale` requires it to stay ≤ 2.
+//! ratio `waker_wakes / completions`, which the example asserts stays
+//! ≤ 2 (as `tests/session_api.rs` does on a 64-session fleet).
 //!
 //! Run: `cargo run --release --example sessions [-- --sessions N --threads T --values K]`
 

@@ -11,6 +11,9 @@
 //! with a statically-sized reference connector between epochs.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -245,19 +248,94 @@ fn concurrent_attaches_serialize_on_the_reconfig_lock() {
     handle.close();
 }
 
-/// The deprecated stringly entry points still work (they delegate to the
-/// builder path) — kept until the next breaking release.
+/// Churn under live traffic: two producers never stop offering values
+/// while the main thread attaches a branch, pushes one value through it
+/// and detaches it again. Every value a port accepted reaches the sink
+/// exactly once, and the epoch counts every splice.
 #[test]
-#[allow(deprecated)]
-fn deprecated_connect_and_compile_still_work() {
-    let program = reo::dsl::parse_program(MERGER).unwrap();
-    let connector = Connector::compile(&program, "M", Mode::jit()).unwrap();
-    let mut session = connector.connect(&[("src", 2)]).unwrap();
-    let txs = session.outports("src").unwrap();
-    let rx = session.typed_inport::<i64>("c").unwrap();
-    txs[0].send(Value::Int(5)).unwrap();
-    assert_eq!(rx.recv().unwrap(), 5);
-    session.handle().close();
+fn churn_under_live_traffic_delivers_exactly_once() {
+    const CYCLES: u64 = 8;
+    for (label, mode) in Mode::grid_subset(&["jit", "part", "comp-part"]) {
+        let (mut session, handle) = connect_merger(MERGER, mode, 2);
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let sent = Arc::new(AtomicU64::new(0));
+        let received = Arc::new(AtomicU64::new(0));
+
+        // Non-blocking offers, counted on acceptance: a refused offer is
+        // retracted, so `sent` is exactly what the connector owes the sink.
+        let producers: Vec<_> = session
+            .outports("src")
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(p, tx)| {
+                let (stop, sent) = (Arc::clone(&stop), Arc::clone(&sent));
+                std::thread::spawn(move || {
+                    let mut k = 0i64;
+                    while !stop.load(Ordering::SeqCst) {
+                        if tx.try_send(Value::Int(p as i64 * 1_000_000 + k)).unwrap() {
+                            k += 1;
+                            sent.fetch_add(1, Ordering::SeqCst);
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let consumer = {
+            let received = Arc::clone(&received);
+            std::thread::spawn(move || {
+                let mut seen = HashSet::new();
+                let mut duplicates = 0u64;
+                while let Ok(v) = rx.recv() {
+                    duplicates += u64::from(!seen.insert(v));
+                    received.fetch_add(1, Ordering::SeqCst);
+                }
+                duplicates
+            })
+        };
+
+        for j in 0..CYCLES {
+            let mut branch = handle.attach("src").unwrap();
+            let tx = branch.outport().unwrap();
+            tx.send(Value::Int(900_000_000 + j as i64)).unwrap();
+            let mark = sent.fetch_add(1, Ordering::SeqCst) + 1;
+            // The static branches must move traffic while this one is
+            // spliced in, or the test would not be churning under load.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while sent.load(Ordering::SeqCst) == mark {
+                assert!(Instant::now() < deadline, "{label}: traffic stalled");
+                std::thread::yield_now();
+            }
+            drop(tx);
+            branch.detach().unwrap();
+        }
+        assert_eq!(handle.epoch(), 2 * CYCLES, "{label}: one epoch per splice");
+
+        stop.store(true, Ordering::SeqCst);
+        for p in producers {
+            p.join().unwrap();
+        }
+        let sent = sent.load(Ordering::SeqCst);
+        // A lost value never arrives: give up after a bound, don't hang.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while received.load(Ordering::SeqCst) < sent && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.close();
+        assert_eq!(
+            consumer.join().unwrap(),
+            0,
+            "{label}: a value arrived twice"
+        );
+        assert_eq!(
+            received.load(Ordering::SeqCst),
+            sent,
+            "{label}: accepted values lost across churn"
+        );
+    }
 }
 
 /// One churn step of the random script below.

@@ -732,3 +732,66 @@ fn sessions_with_typed_ports_free_their_engines_when_dropped() {
         );
     }
 }
+
+/// A fleet of async sessions on a two-thread executor: every session's
+/// stream arrives whole and in order, and a parked future is woken when
+/// its operation completed, not re-polled until it does — summed over the
+/// fleet, at most two waker wakes per completion.
+#[test]
+fn async_fleet_delivers_in_order_with_targeted_wakes() {
+    const SESSIONS: u64 = 64;
+    const VALUES: i64 = 2;
+    let exec = reo::exec::Executor::new(2);
+    let mut handles = Vec::new();
+    let mut producers = Vec::new();
+    let mut consumers = Vec::new();
+    for _ in 0..SESSIONS {
+        let mut session = fifo_session();
+        let tx = session.typed_outport::<i64>("a").unwrap();
+        let rx = session.typed_inport::<i64>("b").unwrap();
+        handles.push(session.handle());
+        producers.push(exec.spawn(async move {
+            for v in 0..VALUES {
+                tx.send_async(v).await.unwrap();
+            }
+        }));
+        consumers.push(exec.spawn(async move {
+            let mut got = Vec::new();
+            for _ in 0..VALUES {
+                got.push(rx.recv_async().await.unwrap());
+            }
+            got
+        }));
+    }
+
+    // A lost wake-up or a lost value parks a task for good: fail, don't
+    // hang.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !(producers.iter().all(|j| j.is_finished()) && consumers.iter().all(|j| j.is_finished()))
+    {
+        assert!(Instant::now() < deadline, "the fleet stalled");
+        thread::sleep(Duration::from_millis(1));
+    }
+    for j in producers {
+        j.join().unwrap();
+    }
+    for j in consumers {
+        assert_eq!(j.join().unwrap(), (0..VALUES).collect::<Vec<_>>());
+    }
+
+    let (mut completions, mut waker_wakes) = (0, 0);
+    for h in &handles {
+        let stats = h.stats();
+        completions += stats.completions;
+        waker_wakes += stats.waker_wakes;
+    }
+    assert_eq!(
+        completions,
+        2 * SESSIONS * VALUES as u64,
+        "one send and one receive complete per value"
+    );
+    assert!(
+        waker_wakes <= 2 * completions,
+        "waker storm: {waker_wakes} wakes for {completions} completions"
+    );
+}
