@@ -1,19 +1,24 @@
-//! Whole-automaton lowering: compile transitions to flat stepping programs.
+//! Lowering: compile transitions to flat stepping programs — a whole
+//! automaton at once ([`lower_with`]) or one transition at a time into
+//! shared pools ([`Pools::lower`], how the just-in-time core lowers each
+//! connected step on first use).
 //!
-//! The interpreting engines walk boxed [`Term`] trees on every firing: the
+//! The interpreter walks boxed [`Term`] trees on every firing: the
 //! valuation fixpoint of [`crate::fire::try_fire`] re-discovers the (static)
 //! dataflow order of the assignments, the guard is re-evaluated by recursion
 //! over its formula, and every firing allocates a fresh valuation, staging
 //! vector and delivery vector. None of that depends on runtime data — the
 //! sync set, the dependency order, the guard shape and the commit order are
-//! all fixed per transition. This module resolves them **once**, at build
-//! time, into a [`Lowered`] automaton whose transitions are straight-line
-//! register programs:
+//! all fixed per transition. This module resolves them **once** into
+//! straight-line register programs:
 //!
 //! * the valuation fixpoint becomes a topologically ordered instruction
 //!   sequence over a flat register file (statically detected causal cycles
 //!   become a per-transition [`LoweredTransition::unresolved`] marker that
-//!   reproduces the interpreter's [`UnresolvedPort`] error on attempt);
+//!   reproduces the interpreter's [`UnresolvedPort`] error on attempt); a
+//!   read of a port aliases the register that already holds the port's
+//!   value — registers are single-assignment and every use clones — so a
+//!   value crossing `k` synchronous hops is not copied `k` times;
 //! * guards become early-exit check opcodes in conjunct order (the
 //!   short-circuit of [`Guard::And`] is preserved), with integer immediates
 //!   riding in the instruction word (the `GuardEqInt` and `GuardMemLen`
@@ -22,7 +27,7 @@
 //!   opcodes in exactly the interpreter's order (all sources read against
 //!   the pre-state, pops before writes, deliveries in assignment order).
 //!
-//! Executing a lowered transition ([`Lowered::try_fire`]) allocates nothing:
+//! Executing a lowered transition ([`Pools::try_fire`]) allocates nothing:
 //! registers, `Apply` argument buffers and the delivery vector are reusable
 //! scratch owned by the caller. The observable contract is *identical* to
 //! [`crate::fire::try_fire`] — the differential tests in `reo-runtime`
@@ -76,8 +81,6 @@ enum Op {
     Const { ix: u16, dst: u16 },
     /// Peek the front of a memory cell (panics on empty, like [`Term::eval`]).
     MemPeek { mem: MemId, dst: u16 },
-    /// Copy a resolved port valuation register.
-    Copy { src: u16, dst: u16 },
     /// Call a pure [`Func`] on argument registers.
     Apply {
         func: u16,
@@ -122,7 +125,8 @@ pub struct LoweredTransition {
 }
 
 /// Reusable execution scratch: the register file and `Apply` argument
-/// buffer. One per executing core; no per-firing allocation.
+/// buffer. One per executing core ([`Pools::fit`] sizes it); no per-firing
+/// allocation.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     regs: Vec<Value>,
@@ -136,10 +140,7 @@ pub struct Lowered {
     name: String,
     initial: StateId,
     states: Vec<Box<[LoweredTransition]>>,
-    consts: Box<[Value]>,
-    funcs: Box<[Func]>,
-    preds: Box<[Pred]>,
-    reg_count: usize,
+    pools: Pools,
 }
 
 /// What the lowering pass assumes about the automaton's environment.
@@ -158,10 +159,8 @@ pub struct LowerOptions<'a> {
 /// Lowering refused the automaton: the flat instruction encoding packs
 /// register and pool indices into `u16`s, and one transition (or the
 /// shared pools) needed more than `u16::MAX` of them. Reachable only
-/// through adversarial shapes — e.g. a replicator with ~70 000 heads,
-/// whose single transition copies into one register per head. The
-/// interpreting engines ([`crate::fire::try_fire`]) have no such encoding
-/// limit and remain available as a fallback.
+/// through adversarial shapes — e.g. a function applied to ~70 000
+/// arguments, one register each. The interpreter ([`crate::fire::try_fire`]) has no such encoding limit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LowerError {
     /// One transition's stepping program needs more than `u16::MAX`
@@ -212,53 +211,68 @@ pub fn lower(a: &Automaton) -> Result<Lowered, LowerError> {
 /// classes so internal deliveries are dropped at build time).
 pub fn lower_with(a: &Automaton, opts: &LowerOptions<'_>) -> Result<Lowered, LowerError> {
     let mut pools = Pools::default();
-    let mut reg_count = 0usize;
-    let states: Vec<Box<[LoweredTransition]>> = a
+    let states = a
         .all_states()
         .map(|s| {
-            a.transitions_from(s)
-                .iter()
-                .map(|t| {
-                    let lt = lower_transition(t, opts, &mut pools);
-                    reg_count = reg_count.max(lt.1);
-                    lt.0
-                })
+            (a.transitions_from(s).iter())
+                .map(|t| pools.lower(a.name(), t, opts))
                 .collect()
         })
-        .collect();
-    if reg_count > u16::MAX as usize {
-        return Err(LowerError::RegisterOverflow {
-            automaton: a.name().to_string(),
-        });
-    }
-    if let Some(pool) = pools.overflowed {
-        return Err(LowerError::PoolOverflow {
-            automaton: a.name().to_string(),
-            pool,
-        });
-    }
+        .collect::<Result<_, _>>()?;
     Ok(Lowered {
         name: a.name().to_string(),
         initial: a.initial(),
         states,
-        consts: pools.consts.into_boxed_slice(),
-        funcs: pools.funcs.into_boxed_slice(),
-        preds: pools.preds.into_boxed_slice(),
-        reg_count,
+        pools,
     })
 }
 
-#[derive(Default)]
-struct Pools {
+/// The constant/function/predicate pools a set of stepping programs
+/// shares, and the executor over them. [`lower_with`] fills one per
+/// automaton; the just-in-time core keeps one per engine and
+/// [`lower`](Pools::lower)s each connected step into it on first use.
+#[derive(Debug, Default)]
+pub struct Pools {
     consts: Vec<Value>,
     funcs: Vec<Func>,
     preds: Vec<Pred>,
-    /// Set when any pool index no longer fits a `u16`; checked once at the
-    /// end of [`lower_with`] so the per-entry paths stay branch-light.
+    /// Set when any pool index no longer fits a `u16`.
     overflowed: Option<&'static str>,
+    /// Registers the widest program lowered so far needs.
+    reg_count: usize,
 }
 
 impl Pools {
+    /// Lower one transition into these pools; `owner` names it in errors.
+    pub fn lower(
+        &mut self,
+        owner: &str,
+        t: &Transition,
+        opts: &LowerOptions<'_>,
+    ) -> Result<LoweredTransition, LowerError> {
+        let (lowered, regs) = lower_transition(t, opts, self);
+        if regs > u16::MAX as usize {
+            return Err(LowerError::RegisterOverflow {
+                automaton: owner.to_string(),
+            });
+        }
+        if let Some(pool) = self.overflowed {
+            return Err(LowerError::PoolOverflow {
+                automaton: owner.to_string(),
+                pool,
+            });
+        }
+        self.reg_count = self.reg_count.max(regs);
+        Ok(lowered)
+    }
+
+    /// Grow `scratch` to hold the widest program lowered so far.
+    pub fn fit(&self, scratch: &mut ExecScratch) {
+        if scratch.regs.len() < self.reg_count {
+            scratch.regs.resize(self.reg_count, Value::Unit);
+        }
+    }
+
     fn clamp(&mut self, ix: usize, pool: &'static str) -> u16 {
         if ix > u16::MAX as usize {
             self.overflowed = Some(pool);
@@ -308,7 +322,7 @@ struct Ctx<'a> {
     /// Port valuation registers (first write wins, like the interpreter).
     port_regs: Vec<(PortId, u16)>,
     /// Registers handed out so far; `usize` so adversarial transitions
-    /// count past `u16::MAX` instead of wrapping — [`lower_with`] turns
+    /// count past `u16::MAX` instead of wrapping — [`Pools::lower`] turns
     /// any excess into [`LowerError::RegisterOverflow`].
     next_reg: usize,
     pools: &'a mut Pools,
@@ -331,12 +345,10 @@ impl Ctx<'_> {
     /// valued (the caller walks assignments in dependency order).
     fn term(&mut self, t: &Term) -> u16 {
         match t {
-            Term::Port(p) => {
-                let src = self.port_reg(*p).expect("caller checked readiness");
-                let dst = self.fresh();
-                self.ops.push(Op::Copy { src, dst });
-                dst
-            }
+            // A port read aliases the register already holding the port's
+            // value: registers are single-assignment within a program and
+            // every use clones, so no copy is needed.
+            Term::Port(p) => self.port_reg(*p).expect("caller checked readiness"),
             Term::Mem(m) => {
                 let dst = self.fresh();
                 self.ops.push(Op::MemPeek { mem: *m, dst });
@@ -594,7 +606,7 @@ impl Lowered {
 
     /// Registers a scratch file must hold (the max over all transitions).
     pub fn reg_count(&self) -> usize {
-        self.reg_count
+        self.pools.reg_count
     }
 
     pub fn transitions_from(&self, s: StateId) -> &[LoweredTransition] {
@@ -603,25 +615,13 @@ impl Lowered {
 
     /// Allocate the reusable register file for this program.
     pub fn new_scratch(&self) -> ExecScratch {
-        ExecScratch {
-            regs: vec![Value::Unit; self.reg_count],
-            args: Vec::new(),
-        }
+        let mut scratch = ExecScratch::default();
+        self.pools.fit(&mut scratch);
+        scratch
     }
 
-    /// Execute transition `index` out of `state` — the lowered equivalent
-    /// of [`crate::fire::try_fire`] plus the successor state.
-    ///
-    /// * `input_value(p)` must return the pending send on seed port `p`
-    ///   (the caller has checked operational enabledness).
-    /// * `Ok(None)`: guard false, store untouched, `deliveries` cleared.
-    /// * `Ok(Some(target))`: fired; `deliveries` holds the port deliveries
-    ///   in assignment order and the store is updated.
-    /// * `Err`: the dataflow is unresolvable (detected at lower time).
-    ///
-    /// The `input_value` closure is generic (monomorphized per caller):
-    /// seeds are read on the innermost hot path, where an indirect call
-    /// per port is measurable.
+    /// Execute transition `index` out of `state` — [`Pools::try_fire`] plus
+    /// the successor state (`Ok(None)` when the guard is false).
     #[inline]
     pub fn try_fire(
         &self,
@@ -633,6 +633,37 @@ impl Lowered {
         deliveries: &mut Vec<(PortId, Value)>,
     ) -> Result<Option<StateId>, UnresolvedPort> {
         let t = &self.states[state.index()][index];
+        let fired = self
+            .pools
+            .try_fire(t, input_value, store, scratch, deliveries)?;
+        Ok(fired.then_some(t.target))
+    }
+}
+
+impl Pools {
+    /// Execute a program lowered into these pools — the lowered equivalent
+    /// of [`crate::fire::try_fire`].
+    ///
+    /// * `input_value(p)` must return the pending send on seed port `p`
+    ///   (the caller has checked operational enabledness).
+    /// * `Ok(false)`: guard false, store untouched, `deliveries` cleared.
+    /// * `Ok(true)`: fired; `deliveries` holds the port deliveries in
+    ///   assignment order and the store is updated.
+    /// * `Err`: the dataflow is unresolvable (detected at lower time).
+    ///
+    /// The `input_value` closure is generic (monomorphized per caller):
+    /// seeds are read on the innermost hot path, where an indirect call
+    /// per port is measurable. `scratch` must have been [`fit`](Self::fit)
+    /// since `t` was lowered.
+    #[inline]
+    pub fn try_fire(
+        &self,
+        t: &LoweredTransition,
+        input_value: &(impl Fn(PortId) -> Option<Value> + ?Sized),
+        store: &mut Store,
+        scratch: &mut ExecScratch,
+        deliveries: &mut Vec<(PortId, Value)>,
+    ) -> Result<bool, UnresolvedPort> {
         if let Some(p) = t.unresolved {
             return Err(UnresolvedPort(p));
         }
@@ -652,9 +683,6 @@ impl Lowered {
                         .cloned()
                         .unwrap_or_else(|| panic!("read of empty memory cell {mem:?}"));
                 }
-                Op::Copy { src, dst } => {
-                    regs[*dst as usize] = regs[*src as usize].clone();
-                }
                 Op::Apply { func, args, dst } => {
                     scratch.args.clear();
                     for &a in args.iter() {
@@ -664,26 +692,26 @@ impl Lowered {
                 }
                 Op::GuardCmp { a, b, expect_eq } => {
                     if regs[*a as usize].structurally_eq(&regs[*b as usize]) != *expect_eq {
-                        return Ok(None);
+                        return Ok(false);
                     }
                 }
                 Op::GuardEqInt { a, rhs, expect_eq } => {
                     let eq = matches!(&regs[*a as usize], Value::Int(x) if x == rhs);
                     if eq != *expect_eq {
-                        return Ok(None);
+                        return Ok(false);
                     }
                 }
                 Op::GuardMemLen { mem, cmp, rhs } => {
                     if !cmp.holds(store.len(*mem) as i64, *rhs) {
-                        return Ok(None);
+                        return Ok(false);
                     }
                 }
                 Op::GuardPred { pred, arg, expect } => {
                     if self.preds[*pred as usize].test(&regs[*arg as usize]) != *expect {
-                        return Ok(None);
+                        return Ok(false);
                     }
                 }
-                Op::Never => return Ok(None),
+                Op::Never => return Ok(false),
                 Op::Deliver { port, src } => {
                     deliveries.push((*port, regs[*src as usize].clone()));
                 }
@@ -698,7 +726,7 @@ impl Lowered {
                 }
             }
         }
-        Ok(Some(t.target))
+        Ok(true)
     }
 }
 
@@ -753,6 +781,10 @@ mod tests {
         }
         for m in aut.mem_ids() {
             assert_eq!(store_i.len(*m), store_c.len(*m), "cell {m:?} length");
+            match (store_i.peek(*m), store_c.peek(*m)) {
+                (Some(x), Some(y)) => assert!(x.structurally_eq(y), "cell {m:?}: {x:?} != {y:?}"),
+                (x, y) => assert_eq!(x.is_none(), y.is_none(), "cell {m:?} front"),
+            }
         }
     }
 
@@ -808,6 +840,44 @@ mod tests {
         b.transition(s, t);
         let aut = b.build();
         roundtrip(&aut, s, 0, &send_on(PortId(0), 7));
+    }
+
+    /// Every transition out of the initial state of the product of
+    /// `parts` (later states need a store to match), against the
+    /// interpreter.
+    fn roundtrip_product(parts: &[Automaton], inputs: &dyn Fn(PortId) -> Option<Value>) -> Lowered {
+        let aut = crate::product::product_all(parts, &Default::default()).unwrap();
+        for index in 0..aut.transitions_from(aut.initial()).len() {
+            roundtrip(&aut, aut.initial(), index, inputs);
+        }
+        lower(&aut).unwrap()
+    }
+
+    #[test]
+    fn sync_chain_aliases_one_register_per_hop() {
+        // p0 -> p1 -> p2 -> p3 through three Syncs: each hop reads the
+        // port the hop before it wrote, so the whole chain is one seed
+        // register and one delivery.
+        use crate::primitives::sync;
+        let chain = [
+            sync(PortId(0), PortId(1)),
+            sync(PortId(1), PortId(2)),
+            sync(PortId(2), PortId(3)),
+        ];
+        let low = roundtrip_product(&chain, &send_on(PortId(0), 9));
+        assert_eq!(low.reg_count(), 1, "port reads alias, they do not copy");
+    }
+
+    #[test]
+    fn replicator_into_fifo_matches_interpreter() {
+        // p0 is replicated to the output p1 and, through the shared vertex
+        // p2, into a buffer: the delivery and the memory write read one
+        // aliased register.
+        let parts = [
+            crate::primitives::replicator(PortId(0), &[PortId(1), PortId(2)]),
+            crate::primitives::fifo1(PortId(2), PortId(3), MemId(0)),
+        ];
+        roundtrip_product(&parts, &send_on(PortId(0), 4));
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //!
 //! `--large-n` moves to N ∈ {16,32,64}, class S, 30 s timeout — the range
 //! of the paper's finding 3. On the 2-core reference host CG-S under
-//! `reo-jit` takes 0.39 s at N=16 and 8.3 s at N=32 and times out at N=64
-//! (`reo-part`: 0.19 s / 1.5 s / 5.2 s); before connected-step expansion
-//! every `reo-jit` cell from N=8 up was DNF.
+//! `reo-jit` takes 0.34 s at N=16, 2.4 s at N=32 and 17 s at N=64
+//! (`reo-part`: 0.18 s / 0.98 s / 3.9 s). At these sizes almost every
+//! step reaches a state nobody has expanded, so the time is expansion —
+//! N=64 can still run into the timeout on a busy host. Before steps were
+//! interned and lowered N=32 and N=64 were DNF, and before connected-step
+//! expansion every `reo-jit` cell from N=8 up was.
 //!
 //! With `--json` the per-cell measurements are also written as a JSON
 //! document (default path `BENCH_fig13.json`), the NPB twin of the

@@ -2,13 +2,16 @@
 //! Fig. 12 baseline.
 //!
 //! The *existing approach* (monolithic compilation) produces one large
-//! automaton; this core walks it, evaluating guard and assignment `Term`s
-//! through the same `fire_one` the JIT core fires through, so `existing`
-//! and `jit` differ only in *when* the product is built. The paper's own
-//! ahead-of-time composition of medium automata (Sect. IV-D, first
-//! approach) is [`crate::Mode::compiled`]: same eager product, lowered to
-//! a flat program ([`crate::compiled::CompiledCore`]) instead of
-//! interpreted.
+//! automaton; this core walks it, checking each transition's sync set
+//! against the pending table port by port (`op_enabled`) and evaluating
+//! its guard and assignment `Term`s through the valuation fixpoint
+//! (`fire_one`). It is the only core that still interprets: the
+//! just-in-time core ([`crate::jit`]) lowers each connected step on first
+//! use and the paper's own ahead-of-time composition of medium automata
+//! (Sect. IV-D, first approach; [`crate::Mode::compiled`],
+//! [`crate::compiled::CompiledCore`]) lowers the eager product whole, so
+//! `existing` differs from `jit` both in *when* the product is built and
+//! in *how* a step is fired — which is the comparison Fig. 12 makes.
 
 use reo_automata::{
     product_all_traced, Automaton, PortId, PortSet, ProductOptions, StateId, Store,

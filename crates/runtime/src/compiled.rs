@@ -1,23 +1,20 @@
-//! The compiled engine core: table dispatch over lowered stepping programs.
+//! The compiled engine core: the eager product, lowered whole.
 //!
 //! Where [`crate::aot::AotCore`] interprets the composed automaton's `Term`
 //! trees on every firing, `CompiledCore` lowers the (product) automaton
 //! **once** at build time ([`mod@reo_automata::lower`]) and then steps it with
 //!
-//! 1. a **pending-port mask**: one bit per boundary port, set when the port
-//!    is armed (a pending `Send` on an input, a pending `Recv` on an
-//!    output), rebuilt in one linear scan per step;
-//! 2. **dense transition tables** keyed by `(state, mask)` — for small
-//!    boundaries every `(state, mask)` pair is precomputed into the exact
-//!    candidate list, so operational-enabledness checking is a single
-//!    indexed load instead of a per-transition sync-set walk;
-//! 3. the **straight-line bytecode** of each transition: guards and
+//! 1. the table's **armed set** ([`PendingTable::armed`]): each transition's
+//!    sync set is resolved once into the send and receive bits it needs, so
+//!    operational enabledness is a few word compares per transition at any
+//!    boundary width — the same test the just-in-time core dispatches by;
+//! 2. the **straight-line bytecode** of each transition: guards and
 //!    assignments run over a flat register file with zero per-step
 //!    allocation, then deliveries/completions are written back to the
 //!    shared [`PendingTable`].
 //!
-//! The core implements the same [`EngineCore`] contract as the interpreting
-//! engines, so everything above it — the blocking port protocol, the PR 4
+//! The core implements the same [`EngineCore`] contract as the other
+//! cores, so everything above it — the blocking port protocol, the PR 4
 //! partitioned scheduler and the PR 5 batched link pumping
 //! (`link_drain_deliveries` / `link_offer_batch`) — works unchanged; the
 //! differential `mode_equivalence` suite pins the equivalence.
@@ -37,24 +34,16 @@
 //! assert_eq!(rx.recv().unwrap(), 7);
 //! ```
 
-use reo_automata::lower::{lower_with, ExecScratch, LowerOptions, Lowered};
+use reo_automata::lower::{lower_with, ExecScratch, LowerOptions, Lowered, LoweredTransition};
 use reo_automata::{
     product_all, product_all_traced, simplify, Automaton, PortId, PortSet, ProductOptions, StateId,
     Store, Value,
 };
 use reo_core::ConnectorInstance;
 
-use crate::engine::{EngineCore, Pending, PendingTable};
+use crate::engine::{EngineCore, Need, Pending, PendingTable};
 use crate::error::RuntimeError;
 use crate::jit::boundary_classes;
-
-/// Ceiling on boundary bits for the dense `(state, mask)` table.
-const DENSE_MAX_BITS: u32 = 10;
-/// Ceiling on total dense-table entries (states × 2^bits).
-const DENSE_MAX_ENTRIES: usize = 1 << 16;
-
-/// `table[state][mask]` = indices of the transitions enabled under `mask`.
-type DenseTable = Box<[Box<[Box<[u16]>]>]>;
 
 /// Sequential state machine over one lowered (product) automaton.
 pub struct CompiledCore {
@@ -62,25 +51,12 @@ pub struct CompiledCore {
     state: StateId,
     inputs: PortSet,
     outputs: PortSet,
-    /// Boundary ports in bit order; `true` marks an input.
-    mask_ports: Box<[(PortId, bool)]>,
-    /// Per state, per transition: the mask bits its sync set requires.
-    /// Empty (and unused) when the boundary exceeds 128 ports.
-    need: Box<[Box<[u128]>]>,
-    /// `dense[state][mask]` = indices of transitions enabled under `mask`,
-    /// when the `(state, mask)` space is small enough to precompute.
-    dense: Option<DenseTable>,
-    /// True when the boundary exceeds 128 ports: fall back to per-port
-    /// sync-set scanning (no such connector exists in the bench set).
-    wide: bool,
+    /// Per state, per transition: the armed-set test of its sync set.
+    /// Resolved against the pending table's port map on the first step (a
+    /// core is built before the engine that shards its ports).
+    need: Vec<Box<[Need]>>,
     /// Fairness: rotate the scan start so that no transition starves.
     rotation: usize,
-    /// Armed-mask cache: valid while `pending.version()` still equals
-    /// `mask_version`. A firing updates it in place (`mask & !need`), so
-    /// back-to-back `try_step` calls — the batched-drain hot path — skip
-    /// the per-port rescan entirely.
-    cached_mask: u128,
-    mask_version: u64,
     scratch: ExecScratch,
     deliveries: Vec<(PortId, Value)>,
     /// Product-state → constituent-tuple trace, present when built via
@@ -168,70 +144,14 @@ impl CompiledCore {
                 deliver: Some(&outputs),
             },
         )?;
-        let mask_ports: Box<[(PortId, bool)]> = inputs
-            .iter()
-            .map(|p| (p, true))
-            .chain(outputs.iter().map(|p| (p, false)))
-            .collect();
-        let bits = mask_ports.len();
-        let wide = bits > 128;
-        let bit_of = |p: PortId| mask_ports.iter().position(|&(q, _)| q == p);
-
-        let need: Box<[Box<[u128]>]> = if wide {
-            Box::new([])
-        } else {
-            a.all_states()
-                .map(|s| {
-                    lowered
-                        .transitions_from(s)
-                        .iter()
-                        .map(|t| {
-                            let mut m = 0u128;
-                            for p in t.sync.iter() {
-                                if let Some(b) = bit_of(p) {
-                                    m |= 1u128 << b;
-                                }
-                            }
-                            m
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-
-        let dense = (!wide
-            && bits as u32 <= DENSE_MAX_BITS
-            && a.state_count().saturating_mul(1usize << bits) <= DENSE_MAX_ENTRIES)
-            .then(|| {
-                need.iter()
-                    .map(|needs| {
-                        (0u128..1u128 << bits)
-                            .map(|mask| {
-                                needs
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, need)| **need & mask == **need)
-                                    .map(|(i, _)| i as u16)
-                                    .collect()
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-
         Ok(CompiledCore {
             state: a.initial(),
             scratch: lowered.new_scratch(),
             lowered,
             inputs,
             outputs,
-            mask_ports,
-            need,
-            dense,
-            wide,
+            need: Vec::new(),
             rotation: 0,
-            cached_mask: 0,
-            mask_version: u64::MAX,
             deliveries: Vec::new(),
             trace: None,
         })
@@ -245,48 +165,27 @@ impl CompiledCore {
         self.lowered.transition_count()
     }
 
-    /// True when `(state, mask)` dispatch is fully table-driven.
-    pub fn is_table_dispatched(&self) -> bool {
-        self.dense.is_some()
-    }
-
-    /// The armed-port mask: bit `i` set iff boundary port `i` can take part
-    /// in a firing right now.
-    fn armed_mask(&self, pending: &PendingTable) -> u128 {
-        let mut mask = 0u128;
-        for (i, &(p, is_input)) in self.mask_ports.iter().enumerate() {
-            let armed = match pending.get(p) {
-                Pending::Send(_) => is_input,
-                Pending::Recv => !is_input,
-                _ => false,
-            };
-            mask |= (armed as u128) << i;
+    /// The current state's armed-set tests (all states' are resolved on
+    /// the first call).
+    fn needs(&mut self, pending: &PendingTable) -> &[Need] {
+        if self.need.is_empty() {
+            self.need = (0..self.lowered.state_count())
+                .map(|s| {
+                    let from = self.lowered.transitions_from(StateId(s as u32));
+                    let need =
+                        |t: &LoweredTransition| pending.need(&t.sync, &self.inputs, &self.outputs);
+                    from.iter().map(need).collect()
+                })
+                .collect();
         }
-        mask
-    }
-
-    /// Per-port enabledness scan, used only for >128-port boundaries.
-    fn wide_enabled(&self, sync: &PortSet, pending: &PendingTable) -> bool {
-        sync.iter().all(|p| {
-            if self.inputs.contains(p) {
-                matches!(pending.get(p), Pending::Send(_))
-            } else if self.outputs.contains(p) {
-                matches!(pending.get(p), Pending::Recv)
-            } else {
-                true
-            }
-        })
+        &self.need[self.state.index()]
     }
 
     /// Attempt transition `index` from the current state; on success,
-    /// complete the fired sends and deliveries in `pending`. `mask` is the
-    /// armed mask the dispatch ran under (ignored on the wide path): a
-    /// firing completes exactly its `need` bits, so the post-fire mask is
-    /// `mask & !need` and can be cached against the table version.
+    /// complete the fired sends and deliveries in `pending`.
     fn fire_at(
         &mut self,
         index: usize,
-        mask: u128,
         pending: &mut PendingTable,
         store: &mut Store,
         completed: &mut Vec<PortId>,
@@ -319,10 +218,6 @@ impl CompiledCore {
             pending.set(p, Pending::DoneRecv(v));
             completed.push(p);
         }
-        if !self.wide && pending.version() != u64::MAX {
-            self.cached_mask = mask & !self.need[self.state.index()][index];
-            self.mask_version = pending.version();
-        }
         self.state = target;
         self.rotation = self.rotation.wrapping_add(1);
         Ok(true)
@@ -336,53 +231,12 @@ impl EngineCore for CompiledCore {
         store: &mut Store,
         completed: &mut Vec<PortId>,
     ) -> Result<bool, RuntimeError> {
-        let s = self.state.index();
-        if self.wide {
-            let n = self.lowered.transitions_from(self.state).len();
-            for k in 0..n {
-                let i = (k + self.rotation) % n;
-                let sync = self.lowered.transitions_from(self.state)[i].sync.clone();
-                if !self.wide_enabled(&sync, pending) {
-                    continue;
-                }
-                if self.fire_at(i, 0, pending, store, completed)? {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-
-        // The armed mask survives across calls when nobody wrote the table
-        // in between (the firing itself updated the cache to `mask & !need`).
-        let mask = if self.mask_version == pending.version() {
-            self.cached_mask
-        } else {
-            self.armed_mask(pending)
-        };
-        if let Some(dense) = &self.dense {
-            // Table dispatch: the candidate list is exact — every entry is
-            // operationally enabled under `mask`; only guards can reject.
-            let n = dense[s][mask as usize].len();
-            for k in 0..n {
-                // Re-borrow per iteration: `fire_at` needs `&mut self`.
-                let i = self.dense.as_ref().expect("checked above")[s][mask as usize]
-                    [(k + self.rotation) % n] as usize;
-                if self.fire_at(i, mask, pending, store, completed)? {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-
-        // Mask dispatch: one u128 comparison per transition.
-        let n = self.need[s].len();
+        let n = self.needs(pending).len();
         for k in 0..n {
             let i = (k + self.rotation) % n;
-            let need = self.need[s][i];
-            if need & mask != need {
-                continue;
-            }
-            if self.fire_at(i, mask, pending, store, completed)? {
+            if pending.armed(&self.need[self.state.index()][i])
+                && self.fire_at(i, pending, store, completed)?
+            {
                 return Ok(true);
             }
         }
@@ -402,17 +256,7 @@ impl EngineCore for CompiledCore {
     }
 
     fn any_enabled(&mut self, pending: &PendingTable) -> bool {
-        if self.wide {
-            return self
-                .lowered
-                .transitions_from(self.state)
-                .iter()
-                .any(|t| self.wide_enabled(&t.sync, pending));
-        }
-        let mask = self.armed_mask(pending);
-        self.need[self.state.index()]
-            .iter()
-            .any(|need| need & mask == *need)
+        self.needs(pending).iter().any(|need| pending.armed(need))
     }
 
     fn dead_ports(&self, hungup: &PortSet) -> PortSet {

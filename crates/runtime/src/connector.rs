@@ -49,15 +49,15 @@ use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
 pub enum Mode {
     /// The Fig. 12 baseline: one monolithic product, interpreted.
     ExistingMonolithic { simplify: bool },
-    /// Just-in-time composition on one engine.
+    /// Just-in-time composition on one engine: states expanded, and their
+    /// connected steps lowered, on first use ([`crate::jit::JitCore`]).
     Jit { cache: CachePolicy },
     /// Partitioned JIT: one engine per synchronous region, cut fifos as
     /// links pumped by the calling task ([`crate::partition`]).
     JitPartitioned { cache: CachePolicy },
-    /// Ahead-of-time composition — compose, simplify, lower to a flat
-    /// stepping program ([`crate::compiled::CompiledCore`]): register
-    /// bytecode instead of `Term` interpretation, table dispatch instead
-    /// of sync-set scans.
+    /// Ahead-of-time composition — compose, simplify, and lower the whole
+    /// product to a flat stepping program at `connect`
+    /// ([`crate::compiled::CompiledCore`]).
     Compiled,
     /// Partitioned execution with one *compiled* core per synchronous
     /// region: each region's product is lowered at `connect` time and the

@@ -169,19 +169,36 @@ impl PortMap {
 /// [`PortId`] but stored in per-engine local slots (see [`PortMap`]).
 /// [`EngineCore`] implementations read and write operations through this
 /// interface only, so they stay oblivious to the sharding.
+///
+/// The table also keeps the **armed set**: per 64 slots one word of
+/// "holds a `Send`" bits and one of "holds a `Recv`" bits, updated by
+/// every [`set`](Self::set) / [`take`](Self::take). A core resolves each
+/// transition's sync set into a [`Need`] once and tests operational
+/// enabledness with [`armed`](Self::armed) — a few word compares at any
+/// boundary width, with no per-step rescan of the ports.
 pub struct PendingTable {
     ports: Arc<PortMap>,
     slots: Box<[Pending]>,
-    version: u64,
+    /// Word `2w` holds the send bits of slots `64w..64w+64`, word `2w + 1`
+    /// their receive bits.
+    armed: Box<[u64]>,
 }
+
+/// The operations a transition needs pending before it can fire, as
+/// `(word, bits)` pairs over one table's armed set. Built by
+/// [`PendingTable::need`]; only meaningful against tables sharing that
+/// table's [`PortMap`] (an engine swaps core and map together).
+#[derive(Clone, Debug, Default)]
+pub struct Need(Box<[(u32, u64)]>);
 
 impl PendingTable {
     pub fn new(ports: Arc<PortMap>) -> Self {
         let slots = vec![Pending::None; ports.len()].into_boxed_slice();
+        let armed = vec![0; 2 * ports.len().div_ceil(64)].into_boxed_slice();
         PendingTable {
             ports,
             slots,
-            version: 0,
+            armed,
         }
     }
 
@@ -192,26 +209,51 @@ impl PendingTable {
 
     #[inline(always)]
     pub fn set(&mut self, p: PortId, v: Pending) {
-        let i = self.ports.slot(p);
-        self.slots[i] = v;
-        self.version = self.version.wrapping_add(1);
+        self.replace(p, v);
     }
 
     /// Replace the slot with `Pending::None`, returning the old value.
     #[inline(always)]
     pub fn take(&mut self, p: PortId) -> Pending {
-        let i = self.ports.slot(p);
-        self.version = self.version.wrapping_add(1);
-        std::mem::take(&mut self.slots[i])
+        self.replace(p, Pending::None)
     }
 
-    /// Mutation counter: bumped on every [`set`](Self::set) /
-    /// [`take`](Self::take). Cores use it to reuse dispatch state (e.g. the
-    /// compiled armed-port mask) across consecutive `try_step` calls that
-    /// nobody else interleaved a table write into.
     #[inline(always)]
-    pub fn version(&self) -> u64 {
-        self.version
+    fn replace(&mut self, p: PortId, v: Pending) -> Pending {
+        let i = self.ports.slot(p);
+        let (word, bit) = (2 * (i / 64), 1u64 << (i % 64));
+        self.armed[word] &= !bit;
+        self.armed[word + 1] &= !bit;
+        match v {
+            Pending::Send(_) => self.armed[word] |= bit,
+            Pending::Recv => self.armed[word + 1] |= bit,
+            _ => {}
+        }
+        std::mem::replace(&mut self.slots[i], v)
+    }
+
+    /// The [`Need`] of a transition labelled `sync`: a pending send on each
+    /// of its `inputs` ports, a pending receive on each of its `outputs`
+    /// ports (the rest of the label is internal).
+    pub fn need(&self, sync: &PortSet, inputs: &PortSet, outputs: &PortSet) -> Need {
+        let mut words: Vec<(u32, u64)> = Vec::new();
+        let sends = sync.iter().filter(|p| inputs.contains(*p));
+        let recvs = sync.iter().filter(|p| outputs.contains(*p));
+        for (p, half) in sends.map(|p| (p, 0)).chain(recvs.map(|p| (p, 1))) {
+            let i = self.ports.slot(p);
+            let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
+            match words.iter_mut().find(|(w, _)| *w == word) {
+                Some((_, bits)) => *bits |= bit,
+                None => words.push((word, bit)),
+            }
+        }
+        Need(words.into_boxed_slice())
+    }
+
+    /// Whether every operation `need` names is pending right now.
+    #[inline(always)]
+    pub fn armed(&self, need: &Need) -> bool {
+        (need.0.iter()).all(|&(word, bits)| self.armed[word as usize] & bits == bits)
     }
 
     /// The global → local port map this table is sharded by.

@@ -27,8 +27,9 @@ pub enum RuntimeError {
     },
     /// Compilation/instantiation failed.
     Core(reo_core::CoreError),
-    /// Whole-region lowering refused the automaton (its flat `u16`
-    /// register/pool encoding overflowed); interpreting modes still work.
+    /// Lowering refused a region's product or one connected step (the flat
+    /// `u16` register/pool encoding overflowed). Only the interpreting
+    /// baseline, `Mode::existing()`, has no such limit.
     Lower(reo_automata::LowerError),
     /// A port operation was issued on a port that already has one pending
     /// (ports are single-owner, one operation at a time).

@@ -32,21 +32,104 @@
 //! connected — a replicator feeding `k` `LossySync`s is still `2^k` — is
 //! reported as [`RuntimeError::ExpansionOverflow`] when it exceeds the
 //! budget.
+//!
+//! # Lowered steps
+//!
+//! Nothing is interpreted while stepping. A connected step is identified by
+//! its [`Choice`] vector — which local transition each participant takes —
+//! and the step table interns it: the first row that contains it records
+//! the [`Need`] its label puts on the armed set and its participants'
+//! `(index, target)` pairs, and every later row that contains the same
+//! step shares the entry (`NpbComm` has O(N) distinct steps under its 2^N
+//! tuples). The first time its need is met the step is composed and
+//! lowered ([`Pools::lower`], the compiled core's lowering) into a register
+//! program — once, for every row: "compile each module once, link at use".
+//! A state that is visited once therefore pays for the steps it tries, not
+//! for its whole row.
+//!
+//! An expanded state is then a [`Row`]: step ids in emission order, each
+//! with a memoised [`Link`] to its successor row. A steady-state
+//! `try_step` is: armed-set test per entry in `(k + rotation) % n` order →
+//! the step's program → patch the participants' states → follow the link.
+//! The tuple is hashed once per *edge* of the visited state graph (and on
+//! the lookups that follow an eviction), never per step. A step that
+//! cannot be lowered is [`RuntimeError::Lower`] and poisons the engine like
+//! an expansion overflow; there is no interpreting fallback. Evicting a row
+//! ([`CachePolicy::BoundedLru`](crate::cache::CachePolicy)) makes every
+//! link into it stale and drops the steps no resident row names any more
+//! (`tests/lowered_steps.rs` holds each lowered step to the interpreter's
+//! verdict, deliveries, completion order and store).
 
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use reo_automata::{automaton::Transition, Automaton, Guard, PortId, PortSet, StateId, Store};
+use reo_automata::lower::{ExecScratch, LowerOptions, LoweredTransition, Pools};
+use reo_automata::{Automaton, PortId, PortSet, StateId, Store, Transition, Value};
 
-use crate::cache::{CacheStats, Expanded, GlobalTransition, StateCache};
-use crate::engine::{fire_one, op_enabled, EngineCore, PendingTable};
+use crate::cache::{CacheStats, Link, Row, StateCache, TupleKey};
+use crate::engine::{EngineCore, Need, Pending, PendingTable};
 use crate::error::RuntimeError;
+
+/// One participant's part in a connected step: the automaton, the local
+/// state it leaves, and which of that state's transitions it takes.
+pub type Choice = (u32, StateId, u32);
+
+/// One connected step, shared by every row naming it.
+struct Step {
+    /// Its identity (what unlinks it from the table when its last row goes).
+    choice: Box<[Choice]>,
+    /// The operations that must be pending for it to fire.
+    need: Need,
+    /// Composed and lowered the first time `need` is met: a state visited
+    /// once pays for the steps it tries, not for its whole row.
+    program: Option<LoweredTransition>,
+    /// `(automaton, target)` per participant that changes state: the tuple
+    /// patch of a firing.
+    moves: Box<[(u32, StateId)]>,
+    /// Resident rows naming this step.
+    rows: u32,
+}
+
+/// The partial step an expansion is growing, and the steps it has found.
+struct Partial {
+    /// Per automaton, which of its transitions it takes in the partial step.
+    chosen: Vec<Option<u32>>,
+    /// The automata that have one, in joining order.
+    members: Vec<u32>,
+    out: Vec<Box<[Choice]>>,
+}
+
+impl Partial {
+    fn join(&mut self, automaton: usize, transition: usize) {
+        self.chosen[automaton] = Some(transition as u32);
+        self.members.push(automaton as u32);
+    }
+
+    fn leave(&mut self, automaton: usize) {
+        self.chosen[automaton] = None;
+        self.members.pop();
+    }
+}
 
 /// Tuple-of-medium-automata state machine with memoized lazy expansion.
 pub struct JitCore {
     automata: Vec<Automaton>,
     /// Current local state per automaton.
-    states: Box<[StateId]>,
-    cache: Box<dyn StateCache>,
+    states: TupleKey,
+    cache: StateCache,
+    /// The row of `states`, as the last step's link or lookup left it (a
+    /// stale or missing link falls back to a lookup).
+    current: Option<Link>,
+    /// The row entry the last step fired, until its successor is memoised.
+    edge: Option<(Link, usize)>,
+    /// The step table: `step_ids` interns by choice vector into `steps`,
+    /// whose freed slots `free_steps` recycles.
+    step_ids: HashMap<Box<[Choice]>, u32>,
+    steps: Vec<Step>,
+    free_steps: Vec<u32>,
+    /// Constant/function/predicate pools of every lowered step.
+    pools: Pools,
+    scratch: ExecScratch,
+    deliveries: Vec<(PortId, Value)>,
     /// Per-automaton port signatures.
     ports: Vec<PortSet>,
     /// Port → owner index: `(port, automaton)` pairs sorted by port, so a
@@ -57,7 +140,6 @@ pub struct JitCore {
     /// Maximum global transitions per expanded state.
     expansion_budget: usize,
     rotation: usize,
-    expansions: u64,
 }
 
 /// Compute global boundary classes from a set of medium automata: a port
@@ -76,29 +158,31 @@ pub fn boundary_classes(automata: &[Automaton]) -> (PortSet, PortSet) {
 }
 
 impl JitCore {
-    pub fn new(
-        automata: Vec<Automaton>,
-        cache: Box<dyn StateCache>,
-        expansion_budget: usize,
-    ) -> Self {
+    pub fn new(automata: Vec<Automaton>, cache: StateCache, expansion_budget: usize) -> Self {
         let (inputs, outputs) = boundary_classes(&automata);
         let ports: Vec<PortSet> = automata.iter().map(|a| a.ports()).collect();
         let mut owners: Vec<(PortId, usize)> = (ports.iter().enumerate())
             .flat_map(|(i, ps)| ps.iter().map(move |p| (p, i)))
             .collect();
         owners.sort_unstable();
-        let states: Box<[StateId]> = automata.iter().map(|a| a.initial()).collect();
         JitCore {
+            states: automata.iter().map(|a| a.initial()).collect(),
             automata,
-            states,
             cache,
+            current: None,
+            edge: None,
+            step_ids: HashMap::new(),
+            steps: Vec::new(),
+            free_steps: Vec::new(),
+            pools: Pools::default(),
+            scratch: ExecScratch::default(),
+            deliveries: Vec::new(),
             ports,
             owners,
             inputs,
             outputs,
             expansion_budget,
             rotation: 0,
-            expansions: 0,
         }
     }
 
@@ -109,21 +193,13 @@ impl JitCore {
     pub fn with_states(
         automata: Vec<Automaton>,
         states: &[StateId],
-        cache: Box<dyn StateCache>,
+        cache: StateCache,
         expansion_budget: usize,
     ) -> Self {
         assert_eq!(automata.len(), states.len(), "one state per automaton");
         let mut core = Self::new(automata, cache, expansion_budget);
-        core.states.copy_from_slice(states);
+        core.states = states.iter().copied().collect();
         core
-    }
-
-    pub fn automata_count(&self) -> usize {
-        self.automata.len()
-    }
-
-    pub fn expansions(&self) -> u64 {
-        self.expansions
     }
 
     /// Automata whose signature contains `p` (index range into `owners`).
@@ -137,40 +213,49 @@ impl JitCore {
 
     /// Expand the current state: every connected step, each exactly once
     /// (from the seed that is its lowest-index participant).
-    pub fn expand(&self) -> Result<Expanded, RuntimeError> {
-        let mut chosen: Vec<Option<&Transition>> = vec![None; self.automata.len()];
-        let mut out: Vec<GlobalTransition> = Vec::new();
+    pub fn expand(&self) -> Result<Vec<Box<[Choice]>>, RuntimeError> {
+        let mut partial = Partial {
+            chosen: vec![None; self.automata.len()],
+            members: Vec::new(),
+            out: Vec::new(),
+        };
         for seed in 0..self.automata.len() {
-            for t in self.automata[seed].transitions_from(self.states[seed]) {
-                chosen[seed] = Some(t);
-                self.grow(seed, &t.sync, &self.ports[seed], &mut chosen, &mut out)?;
+            let from = self.automata[seed].transitions_from(self.states.get(seed));
+            for (k, t) in from.iter().enumerate() {
+                partial.join(seed, k);
+                self.grow(seed, &t.sync, &self.ports[seed], &mut partial)?;
+                partial.leave(seed);
             }
-            chosen[seed] = None;
         }
-        Ok(Expanded { transitions: out })
+        Ok(partial.out)
     }
 
-    /// Close the partial step `chosen` under "every automaton touching a
-    /// fired port joins". `fired` is the union of the chosen labels,
-    /// `joined` the union of the chosen automata's signatures.
-    fn grow<'a>(
-        &'a self,
+    /// Close the partial step under "every automaton touching a fired port
+    /// joins". `fired` is the union of the chosen labels, `joined` the
+    /// union of the chosen automata's signatures.
+    fn grow(
+        &self,
         seed: usize,
         fired: &PortSet,
         joined: &PortSet,
-        chosen: &mut Vec<Option<&'a Transition>>,
-        out: &mut Vec<GlobalTransition>,
+        partial: &mut Partial,
     ) -> Result<(), RuntimeError> {
         let next = fired
             .iter()
             .flat_map(|p| self.owners_of(p))
-            .filter(|&j| chosen[j].is_none())
+            .filter(|&j| partial.chosen[j].is_none())
             .min();
         let Some(j) = next else {
-            out.push(self.compose(chosen));
-            if out.len() > self.expansion_budget {
+            let mut members = partial.members.clone();
+            members.sort_unstable();
+            let choice = members.into_iter().map(|i| {
+                let k = partial.chosen[i as usize].expect("members have chosen");
+                (i, self.states.get(i as usize), k)
+            });
+            partial.out.push(choice.collect());
+            if partial.out.len() > self.expansion_budget {
                 return Err(RuntimeError::ExpansionOverflow {
-                    state_transitions: out.len(),
+                    state_transitions: partial.out.len(),
                     budget: self.expansion_budget,
                 });
             }
@@ -183,48 +268,136 @@ impl JitCore {
         // far, and no silent port of an automaton that already joined.
         let required = fired.intersection(&self.ports[j]);
         let with_j = joined.union(&self.ports[j]);
-        for u in self.automata[j].transitions_from(self.states[j]) {
+        let from = self.automata[j].transitions_from(self.states.get(j));
+        for (k, u) in from.iter().enumerate() {
             if u.sync.intersection(joined) != required {
                 continue;
             }
-            chosen[j] = Some(u);
-            self.grow(seed, &fired.union(&u.sync), &with_j, chosen, out)?;
+            partial.join(j, k);
+            self.grow(seed, &fired.union(&u.sync), &with_j, partial)?;
+            partial.leave(j);
         }
-        chosen[j] = None;
         Ok(())
     }
 
-    /// Synthesize the composed transition for one choice vector.
-    fn compose(&self, chosen: &[Option<&Transition>]) -> GlobalTransition {
+    fn local(&self, (automaton, from, index): Choice) -> &Transition {
+        &self.automata[automaton as usize].transitions_from(from)[index as usize]
+    }
+
+    /// The label of one choice vector — the union of its participants'
+    /// sync sets — and the `(automaton, target)` pairs of the participants
+    /// it moves to another state; everyone else stays.
+    fn outline(&self, choice: &[Choice]) -> (PortSet, Box<[(u32, StateId)]>) {
         let mut sync = PortSet::new();
-        let mut guard = Guard::True;
-        let mut assigns = Vec::new();
-        let mut pops = Vec::new();
-        let mut targets = Vec::with_capacity(chosen.len());
-        for (i, choice) in chosen.iter().enumerate() {
-            match choice {
-                Some(t) => {
-                    sync = sync.union(&t.sync);
-                    guard = guard.and(t.guard.clone());
-                    assigns.extend(t.assigns.iter().cloned());
-                    pops.extend(t.pops.iter().copied());
-                    targets.push(t.target);
-                }
-                None => targets.push(self.states[i]),
+        let mut moves = Vec::new();
+        for &pick in choice {
+            let t = self.local(pick);
+            sync = sync.union(&t.sync);
+            if t.target != pick.1 {
+                moves.push((pick.0, t.target));
             }
         }
-        GlobalTransition {
-            trans: Transition {
-                sync,
-                guard,
-                assigns,
-                pops,
-                // Target within the synthesized transition is unused; the
-                // tuple successor lives in `targets`.
-                target: StateId(0),
-            },
-            targets: targets.into_boxed_slice(),
+        (sync, moves.into_boxed_slice())
+    }
+
+    /// Synthesize the composed transition of one choice vector — union
+    /// label, conjoined guard, concatenated assignments and pops (its
+    /// `target` is unused) — next to the moves of its outline.
+    pub fn compose(&self, choice: &[Choice]) -> (Transition, Box<[(u32, StateId)]>) {
+        let (sync, moves) = self.outline(choice);
+        let mut step = Transition::new(sync, StateId(0));
+        for &pick in choice {
+            let t = self.local(pick);
+            step.guard = std::mem::take(&mut step.guard).and(t.guard.clone());
+            step.assigns.extend(t.assigns.iter().cloned());
+            step.pops.extend(t.pops.iter().copied());
         }
+        (step, moves)
+    }
+
+    /// The step table entry of `choice`, made on first sight; counts one
+    /// more row naming it.
+    fn intern(&mut self, choice: Box<[Choice]>, pending: &PendingTable) -> u32 {
+        if let Some(&id) = self.step_ids.get(&choice) {
+            self.steps[id as usize].rows += 1;
+            return id;
+        }
+        let (sync, moves) = self.outline(&choice);
+        let step = Step {
+            need: pending.need(&sync, &self.inputs, &self.outputs),
+            choice: choice.clone(),
+            program: None,
+            moves,
+            rows: 1,
+        };
+        let id = match self.free_steps.pop() {
+            Some(id) => {
+                self.steps[id as usize] = step;
+                id
+            }
+            None => {
+                self.steps.push(step);
+                (self.steps.len() - 1) as u32
+            }
+        };
+        self.step_ids.insert(choice, id);
+        id
+    }
+
+    /// Compose and lower step `id`: sends seed the program, only
+    /// task-facing deliveries survive.
+    fn lower(&mut self, id: u32) -> Result<(), RuntimeError> {
+        let choice = &self.steps[id as usize].choice;
+        let (composed, _) = self.compose(choice);
+        let owner = self.automata[choice[0].0 as usize].name();
+        let boundary = LowerOptions {
+            seeds: &self.inputs,
+            deliver: Some(&self.outputs),
+        };
+        let program = self.pools.lower(owner, &composed, &boundary)?;
+        self.pools.fit(&mut self.scratch);
+        self.steps[id as usize].program = Some(program);
+        Ok(())
+    }
+
+    /// The row of the current state, if resident: through the link the
+    /// last step left, else by lookup.
+    fn resident(&mut self) -> Option<Link> {
+        if let Some(link) = self.current {
+            if self.cache.follow(link, &self.states) {
+                return Some(link);
+            }
+        }
+        let found = self.cache.lookup(&self.states)?;
+        self.arrive(found);
+        Some(found)
+    }
+
+    /// `row` is the current state's: memoise it on the edge that led here.
+    fn arrive(&mut self, row: Link) {
+        if let Some((from, entry)) = self.edge.take() {
+            self.cache.link(from, entry, row);
+        }
+        self.current = Some(row);
+    }
+
+    /// Expand the current state into a fresh row: intern its steps, cache
+    /// it, and drop the steps only an evicted row named.
+    fn expand_row(&mut self, pending: &PendingTable) -> Result<Link, RuntimeError> {
+        let steps = (self.expand()?.into_iter())
+            .map(|choice| (self.intern(choice, pending), None))
+            .collect();
+        let (row, evicted) = self.cache.insert(&self.states, Row { steps });
+        for &(id, _) in evicted.iter().flat_map(|row| row.steps.iter()) {
+            let step = &mut self.steps[id as usize];
+            step.rows -= 1;
+            if step.rows == 0 {
+                self.step_ids.remove(&step.choice);
+                self.free_steps.push(id);
+            }
+        }
+        self.arrive(row);
+        Ok(row)
     }
 }
 
@@ -235,36 +408,48 @@ impl EngineCore for JitCore {
         store: &mut Store,
         completed: &mut Vec<PortId>,
     ) -> Result<bool, RuntimeError> {
-        let expanded = match self.cache.get(&self.states) {
-            Some(e) => e,
-            None => {
-                let e = Arc::new(self.expand()?);
-                self.expansions += 1;
-                self.cache.put(self.states.clone(), Arc::clone(&e));
-                e
-            }
+        let row = match self.resident() {
+            Some(row) => row,
+            None => self.expand_row(pending)?,
         };
-        let n = expanded.transitions.len();
+        let n = self.cache.row(row).steps.len();
         for k in 0..n {
-            let gt = &expanded.transitions[(k + self.rotation) % n];
-            if !op_enabled(&gt.trans, &self.inputs, &self.outputs, pending) {
+            let at = (k + self.rotation) % n;
+            let (id, next) = self.cache.row(row).steps[at];
+            if !pending.armed(&self.steps[id as usize].need) {
                 continue;
             }
-            if fire_one(
-                &gt.trans,
-                &self.inputs,
-                &self.outputs,
-                pending,
-                store,
-                completed,
-            )? {
-                // In-place copy, not `clone()`: a step is the engine's
-                // innermost hot path (batched link drains fire many steps
-                // per lock hold), and the tuple size never changes.
-                self.states.copy_from_slice(&gt.targets);
-                self.rotation = self.rotation.wrapping_add(1);
-                return Ok(true);
+            if self.steps[id as usize].program.is_none() {
+                self.lower(id)?;
             }
+            let step = &self.steps[id as usize];
+            let program = step.program.as_ref().expect("lowered above");
+            let input = |p: PortId| match pending.get(p) {
+                Pending::Send(v) => Some(v.clone()),
+                _ => None,
+            };
+            let (scratch, deliveries) = (&mut self.scratch, &mut self.deliveries);
+            let fired = (self.pools)
+                .try_fire(program, &input, store, scratch, deliveries)
+                .map_err(RuntimeError::Unresolved)?;
+            if !fired {
+                continue;
+            }
+            for &p in program.send_ports.iter() {
+                pending.set(p, Pending::DoneSend);
+                completed.push(p);
+            }
+            for (p, v) in self.deliveries.drain(..) {
+                pending.set(p, Pending::DoneRecv(v));
+                completed.push(p);
+            }
+            for &(i, target) in step.moves.iter() {
+                self.states.set(i as usize, target);
+            }
+            self.rotation = self.rotation.wrapping_add(1);
+            self.current = next;
+            self.edge = Some((row, at));
+            return Ok(true);
         }
         Ok(false)
     }
@@ -278,24 +463,25 @@ impl EngineCore for JitCore {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.cache.stats())
+        Some(CacheStats {
+            steps: self.step_ids.len(),
+            ..self.cache.stats()
+        })
     }
 
     fn constituent_states(&self) -> Option<Vec<StateId>> {
-        Some(self.states.to_vec())
+        Some(self.states.iter().collect())
     }
 
     fn any_enabled(&mut self, pending: &PendingTable) -> bool {
         // Diagnostic only: consult the cache but do not expand — an
         // unexpanded current state reports not-enabled rather than paying
         // (or failing) an expansion inside a stall snapshot.
-        let Some(expanded) = self.cache.get(&self.states) else {
+        let Some(row) = self.resident() else {
             return false;
         };
-        expanded
-            .transitions
-            .iter()
-            .any(|gt| op_enabled(&gt.trans, &self.inputs, &self.outputs, pending))
+        let mut needs = (self.cache.row(row).steps.iter()).map(|&(id, _)| &self.steps[id as usize]);
+        needs.any(|step| pending.armed(&step.need))
     }
 
     fn dead_ports(&self, hungup: &PortSet) -> PortSet {
@@ -324,7 +510,7 @@ impl EngineCore for JitCore {
                 }
                 let local = crate::engine::dead_ports_reach(
                     a.state_count(),
-                    self.states[i],
+                    self.states.get(i),
                     &dead,
                     &self.ports[i],
                     &|s| {
@@ -395,11 +581,64 @@ mod tests {
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
         let core = JitCore::new(autos, CachePolicy::Unbounded.build(), 1 << 20);
-        let expanded = core.expand().unwrap();
         // One fill each and no joint fill: the eager product keeps the
         // third (`product.rs::independent_fifos_get_joint_and_interleaved_steps`),
         // which here is the two fills fired in either order.
-        assert_eq!(expanded.transitions.len(), 2);
+        assert_eq!(core.expand().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn rows_share_interned_steps_and_link_to_their_successors() {
+        // Two independent fifos: four tuples of two steps each, but only
+        // four distinct steps (fill and take, per fifo).
+        let autos = vec![
+            primitives::fifo1(p(0), p(1), MemId(0)),
+            primitives::fifo1(p(2), p(3), MemId(1)),
+        ];
+        let eng = engine_from(autos, 4, CachePolicy::Unbounded);
+        let fill = |port| {
+            eng.register_send(p(port), Value::Int(port as i64)).unwrap();
+            eng.wait_send(p(port), None).unwrap();
+        };
+        let take = |port| {
+            eng.register_recv(p(port)).unwrap();
+            eng.wait_recv(p(port), None).unwrap();
+        };
+        for _ in 0..3 {
+            fill(0);
+            fill(2);
+            take(1);
+            take(3);
+        }
+        let lap = eng.cache_stats().unwrap();
+        assert_eq!((lap.resident, lap.steps, lap.misses), (4, 4, 4));
+        // Every edge is linked by now: another lap looks nothing up, and
+        // each `try_step` call is still counted as served from a row.
+        fill(0);
+        fill(2);
+        take(1);
+        take(3);
+        let again = eng.cache_stats().unwrap();
+        assert_eq!((again.resident, again.steps, again.misses), (4, 4, 4));
+        assert!(again.hits >= lap.hits + 4);
+    }
+
+    #[test]
+    fn a_step_is_lowered_when_first_tried_not_when_its_row_is_expanded() {
+        use crate::engine::PortMap;
+        let autos = vec![
+            primitives::fifo1(p(0), p(1), MemId(0)),
+            primitives::fifo1(p(2), p(3), MemId(1)),
+        ];
+        let mut core = JitCore::new(autos, CachePolicy::Unbounded.build(), 1 << 20);
+        let mut pending = PendingTable::new(std::sync::Arc::new(PortMap::dense(4)));
+        let mut store = Store::new(&MemLayout::cells(2));
+        pending.set(p(0), Pending::Send(Value::Int(1)));
+        let fired = core.try_step(&mut pending, &mut store, &mut Vec::new());
+        assert!(fired.unwrap());
+        // Both fills are in the row; only the one that was armed has a program.
+        let lowered = core.steps.iter().filter(|s| s.program.is_some()).count();
+        assert_eq!((core.steps.len(), lowered), (2, 1));
     }
 
     #[test]
@@ -446,7 +685,7 @@ mod tests {
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
         assert_eq!(inst.automata.len(), 16);
         let core = JitCore::new(inst.automata, CachePolicy::Unbounded.build(), 1 << 20);
-        let fanout = core.expand().unwrap().transitions.len();
+        let fanout = core.expand().unwrap().len();
         assert!(fanout <= 16, "initial fan-out {fanout}");
     }
 

@@ -299,8 +299,8 @@ struct Plan {
     link_neighbors: Vec<Vec<usize>>,
 }
 
-/// What steps a synchronous region: the interpreting JIT core or a region
-/// product lowered to a flat stepping program
+/// What steps a synchronous region: the JIT core, lowering connected steps
+/// as states are first visited, or the region's product lowered whole
 /// ([`crate::compiled::CompiledCore`]).
 #[derive(Clone, Copy, Debug)]
 pub enum RegionEngine {

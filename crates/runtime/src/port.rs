@@ -284,6 +284,7 @@ impl Backend {
                         acc.misses += s.misses;
                         acc.evictions += s.evictions;
                         acc.resident += s.resident;
+                        acc.steps += s.steps;
                     }
                 }
                 Some(acc)

@@ -4,18 +4,20 @@
 //! blocking ports, wakeups, context switches — which on a single hardware
 //! thread is dominated by scheduling, not stepping: a core that fires 10×
 //! faster looks identical once every step costs two context switches. This
-//! module isolates the *stepping* cost the compiled mode attacks: one
+//! module isolates the *stepping* cost that lowering attacks: one
 //! thread owns the core, its pending table and its store, keeps every
 //! boundary port saturated (inputs armed with fresh sends, outputs armed
 //! with receives), and counts both `try_step` firings and **completed
-//! boundary operations** for a fixed window. The two cores step the same
-//! product but fire different transition mixes (the compiled core's exact
-//! candidate tables reach the bigger combined transitions more often), so
-//! raw firing counts are not comparable across cores — a combined firing
-//! moves several values at once. Completed operations per second is the
-//! granularity-independent throughput measure, and it is what the repo
-//! benchmark's `runtime.stepping.{jit,compiled}_ns_per_op` rows compare
-//! between [`SteppingMode::Jit`] and [`SteppingMode::Compiled`].
+//! boundary operations** for a fixed window. Both cores run lowered
+//! register programs behind the pending table's armed set; what differs is
+//! what they step. The compiled core steps the eager product, whose
+//! transitions include the joint firings of independent constituents; the
+//! JIT core fires connected steps only, so where the product moves several
+//! values in one firing it fires several times. Raw firing counts are
+//! therefore not comparable across cores. Completed operations per second
+//! is the granularity-independent throughput measure, and it is what the
+//! repo benchmark's `runtime.stepping.{jit,compiled}_ns_per_op` rows
+//! compare between [`SteppingMode::Jit`] and [`SteppingMode::Compiled`].
 //!
 //! ```
 //! use std::time::Duration;
@@ -52,7 +54,7 @@ use crate::jit::JitCore;
 pub enum SteppingMode {
     /// [`JitCore`] with an unbounded cache — the paper's default runtime.
     Jit,
-    /// [`CompiledCore`]: the lowered flat stepping program.
+    /// [`CompiledCore`]: the eager product, lowered whole.
     Compiled,
 }
 

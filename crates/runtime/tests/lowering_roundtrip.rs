@@ -1,7 +1,8 @@
-//! Differential test: every paper primitive, lowered and stepped by
-//! [`CompiledCore`], must fire exactly like the interpreting [`JitCore`].
+//! Differential test: every paper primitive must fire exactly like the
+//! interpreting [`AotCore`] whether it is lowered whole ahead of time
+//! ([`CompiledCore`]) or step by step on first use ([`JitCore`]).
 //!
-//! Both cores get the identical deterministic saturation protocol (arm all
+//! All three cores get the identical deterministic saturation protocol (arm all
 //! boundary inputs with sequential ints and all boundary outputs with
 //! receives, step to quiescence, repeat) and must produce the identical
 //! event trace — same ports completed in the same order with the same
@@ -10,6 +11,7 @@
 use std::sync::Arc;
 
 use reo_automata::{primitives, Automaton, MemId, MemLayout, PortId, Pred, Store, Value};
+use reo_runtime::aot::AotCore;
 use reo_runtime::cache::CachePolicy;
 use reo_runtime::compiled::CompiledCore;
 use reo_runtime::engine::{EngineCore, Pending, PendingTable, PortMap};
@@ -65,7 +67,7 @@ fn drive(core: &mut dyn EngineCore, port_count: usize, layout: &MemLayout) -> (V
     (trace, store)
 }
 
-/// Round-trip one automaton through both cores and compare everything.
+/// Round-trip one automaton through all three cores and compare everything.
 fn roundtrip(a: Automaton, port_count: usize) {
     let mut layout = MemLayout::cells(0);
     layout.merge(a.mem_layout());
@@ -73,28 +75,35 @@ fn roundtrip(a: Automaton, port_count: usize) {
     let name = a.name().to_string();
 
     let mut compiled = CompiledCore::from_automaton(&a).unwrap();
-    let mut jit = JitCore::new(vec![a], CachePolicy::Unbounded.build(), 1 << 20);
+    let mut jit = JitCore::new(vec![a.clone()], CachePolicy::Unbounded.build(), 1 << 20);
+    let mut interpreting = AotCore::from_automaton(a);
 
-    let (trace_j, store_j) = drive(&mut jit, port_count, &layout);
-    let (trace_c, store_c) = drive(&mut compiled, port_count, &layout);
-
+    let (trace_i, store_i) = drive(&mut interpreting, port_count, &layout);
     assert!(
-        !trace_j.is_empty(),
+        !trace_i.is_empty(),
         "{name}: the saturation protocol must fire something"
     );
-    assert_eq!(trace_j, trace_c, "{name}: event traces diverged");
-    for m in mem_ids {
-        assert_eq!(
-            store_j.len(m),
-            store_c.len(m),
-            "{name}: cell {m:?} lengths diverged"
-        );
-        match (store_j.peek(m), store_c.peek(m)) {
-            (None, None) => {}
-            (Some(x), Some(y)) => {
-                assert!(x.structurally_eq(y), "{name}: cell {m:?} fronts diverged")
+    let lowered: [(&str, &mut dyn EngineCore); 2] =
+        [("jit", &mut jit), ("compiled", &mut compiled)];
+    for (core, lowered) in lowered {
+        let (trace_l, store_l) = drive(lowered, port_count, &layout);
+        assert_eq!(trace_l, trace_i, "{name}: {core} event trace diverged");
+        for &m in &mem_ids {
+            assert_eq!(
+                store_l.len(m),
+                store_i.len(m),
+                "{name}: {core} cell {m:?} lengths diverged"
+            );
+            match (store_l.peek(m), store_i.peek(m)) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert!(
+                        x.structurally_eq(y),
+                        "{name}: {core} cell {m:?} fronts diverged"
+                    )
+                }
+                (x, y) => panic!("{name}: {core} cell {m:?} diverged: {x:?} vs {y:?}"),
             }
-            (x, y) => panic!("{name}: cell {m:?} diverged: {x:?} vs {y:?}"),
         }
     }
 }
@@ -104,7 +113,7 @@ fn p(i: u32) -> PortId {
 }
 
 /// The 18 paper primitives (the 16 builders, with the parametrized ones at
-/// two arities) — every one must step identically under both cores.
+/// two arities) — every one must step identically under all three cores.
 #[test]
 fn all_paper_primitives_roundtrip_through_lowering() {
     let even = || Pred::new("even", |v| v.as_int().is_some_and(|i| i % 2 == 0));
@@ -154,9 +163,10 @@ fn composed_products_roundtrip_through_lowering() {
 }
 
 /// An automaton whose stepping program cannot be encoded (one transition
-/// needing > u16::MAX registers) must surface as a typed `RuntimeError`
-/// from the compiled-core constructor, never a silently-wrapped register
-/// file. The interpreting JIT core keeps accepting the same automaton.
+/// needing > u16::MAX registers) must surface as a typed `RuntimeError`,
+/// never a silently-wrapped register file: from the compiled core's
+/// constructor, and from the JIT core the first time the step is tried —
+/// it lowers on first use and has no interpreting fallback.
 #[test]
 fn unencodable_automaton_is_a_typed_error() {
     use reo_automata::assign::Assign;
@@ -179,6 +189,13 @@ fn unencodable_automaton_is_a_typed_error() {
         .err()
         .expect("must refuse");
     assert!(matches!(err, RuntimeError::Lower(_)), "got: {err}");
-    // The interpreter has no u16 encoding and still builds.
-    let _jit = JitCore::new(vec![aut], CachePolicy::Unbounded.build(), 1 << 20);
+    let mut jit = JitCore::new(vec![aut], CachePolicy::Unbounded.build(), 1 << 20);
+    let mut pending = PendingTable::new(Arc::new(PortMap::dense(1)));
+    let mut store = Store::new(&MemLayout::cells(1));
+    // A step is lowered when first tried: arm its send.
+    pending.set(p(0), Pending::Send(Value::Int(1)));
+    let err = jit
+        .try_step(&mut pending, &mut store, &mut Vec::new())
+        .expect_err("must refuse");
+    assert!(matches!(err, RuntimeError::Lower(_)), "got: {err}");
 }

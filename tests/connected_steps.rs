@@ -196,9 +196,15 @@ fn check_connector(scenario: &Scenario) -> Result<Option<usize>, String> {
         );
         let expanded = core.expand().map_err(|e| e.to_string())?;
         Ok(expanded
-            .transitions
             .iter()
-            .map(|gt| normalise(&gt.trans, &gt.targets))
+            .map(|choice| {
+                let (composed, moves) = core.compose(choice);
+                let mut targets = tuple.to_vec();
+                for &(i, target) in moves.iter() {
+                    targets[i as usize] = target;
+                }
+                normalise(&composed, &targets)
+            })
             .collect())
     };
     let mut jit: HashMap<&[StateId], Vec<Step>> = HashMap::new();

@@ -470,6 +470,125 @@ fn deep_bursts_through_capacity_links_agree_and_stay_fifo() {
     }
 }
 
+/// One session over a connector family at `n` tasks.
+fn family_session(family: &reo::connectors::Family, n: usize, mode: Mode) -> reo::runtime::Session {
+    let connector = Connector::builder(&family.program(), family.def)
+        .mode(mode)
+        .build()
+        .unwrap();
+    (connector.session())
+        .replicate_all(&(family.sizes)(n))
+        .connect()
+        .unwrap()
+}
+
+/// The armed set has no width limit: 80 relays are 160 boundary ports (320
+/// table slots) on one jit engine, and every row has 80 steps. Filling all
+/// the buffers and then draining them walks states whose needs sit in
+/// every word of the armed set.
+#[test]
+fn wide_relay_delivers_every_value_in_per_port_order_under_jit() {
+    const N: usize = 80;
+    const ROUNDS: i64 = 4;
+    let mut session = family_session(&reo::connectors::relay_family(), N, Mode::jit());
+    let txs = session.typed_outports::<i64>("t").unwrap();
+    let rxs = session.typed_inports::<i64>("hd").unwrap();
+    for round in 0..ROUNDS {
+        for (i, tx) in txs.iter().enumerate() {
+            tx.send(round * 1000 + i as i64).unwrap();
+        }
+        // Every buffer is full: a second value is refused everywhere.
+        assert!(!txs[N - 1].try_send(-1).unwrap());
+        for (i, rx) in rxs.iter().enumerate().rev() {
+            assert_eq!(rx.recv().unwrap(), round * 1000 + i as i64, "port {i}");
+        }
+        assert_eq!(rxs[0].try_recv().unwrap(), None, "drained");
+    }
+}
+
+/// One state, 130 steps, the longest a chain of 130 participants: every
+/// sender's values reach the one receiver in that sender's order.
+#[test]
+fn wide_merger_delivers_every_value_in_per_port_order_under_jit() {
+    const N: usize = 130;
+    const K: i64 = 3;
+    let family = &reo::connectors::families()[0];
+    assert_eq!(family.name, "merger");
+    let mut session = family_session(family, N, Mode::jit());
+    let txs = session.typed_outports::<i64>("tl").unwrap();
+    let rx = session.typed_inport::<i64>("hd").unwrap();
+    let receiver = std::thread::spawn(move || {
+        (0..N as i64 * K)
+            .map(|_| rx.recv().unwrap())
+            .collect::<Vec<_>>()
+    });
+    for k in 0..K {
+        for (i, tx) in txs.iter().enumerate() {
+            tx.send(i as i64 * 100 + k).unwrap();
+        }
+    }
+    let got = receiver.join().unwrap();
+    for i in 0..N as i64 {
+        let from_i: Vec<i64> = got.iter().copied().filter(|v| v / 100 == i).collect();
+        let sent: Vec<i64> = (0..K).map(|k| i * 100 + k).collect();
+        assert_eq!(from_i, sent, "sender {i}");
+    }
+}
+
+/// A one-row cache recomputes every state it returns to, yet behaves like
+/// the unbounded one — and eviction frees what it evicts: at most one row
+/// resident, and a step table that stops growing after the first lap.
+#[test]
+fn one_row_lru_matches_unbounded_and_frees_rows_and_steps() {
+    use reo::runtime::CachePolicy;
+    const N: usize = 8;
+    const LAPS: usize = 4;
+    let family = (reo::connectors::families().into_iter())
+        .find(|f| f.name == "sequencer")
+        .unwrap();
+    // Every turn, offer on all ports from the last to the first: only the
+    // port whose turn it is accepts. The trace is who accepted when.
+    let run = |cache: CachePolicy| {
+        let mut session = family_session(&family, N, Mode::Jit { cache });
+        let txs = session.typed_outports::<i64>("t").unwrap();
+        let handle = session.handle();
+        let mut trace = Vec::new();
+        let mut steps_after_first_lap = 0;
+        for turn in 0..LAPS * N {
+            for (i, tx) in txs.iter().enumerate().rev() {
+                if tx.try_send(turn as i64).unwrap() {
+                    trace.push((turn, i));
+                }
+            }
+            if turn + 1 == N {
+                steps_after_first_lap = handle.cache_stats().unwrap().steps;
+            }
+        }
+        (trace, steps_after_first_lap, handle.cache_stats().unwrap())
+    };
+    let (reference, _, unbounded) = run(CachePolicy::Unbounded);
+    let accepted: Vec<usize> = reference.iter().map(|&(_, port)| port).collect();
+    let in_turn: Vec<usize> = (0..accepted.len()).map(|k| k % N).collect();
+    assert!(
+        accepted.len() >= LAPS * N && accepted == in_turn,
+        "{reference:?}"
+    );
+    assert_eq!(unbounded.evictions, 0);
+
+    let (trace, steps_after_first_lap, bounded) = run(CachePolicy::BoundedLru { capacity: 1 });
+    assert_eq!(trace, reference);
+    assert!(
+        bounded.resident <= 1 && bounded.evictions > 0,
+        "{bounded:?}"
+    );
+    assert!(bounded.misses > unbounded.misses, "revisits recompute");
+    assert!(
+        bounded.steps <= steps_after_first_lap && bounded.steps < unbounded.steps,
+        "the step table grew: {steps_after_first_lap} after one lap, {bounded:?} at the end \
+         ({unbounded:?} unbounded)"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12, // each case spins up the whole grid x threads; keep it lean
