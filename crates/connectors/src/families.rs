@@ -366,8 +366,9 @@ fn n_only_t() -> fn(usize) -> Vec<(&'static str, usize)> {
 /// one section compose into one medium automaton, so this placement is
 /// what turns it into a link instead of region-internal state. Both of a
 /// channel's regions border exactly one link, so this is the showcase for
-/// the *kick-free* fast path: steady-state relays pump their own link
-/// inline, uncounted (`EngineStats::kicks` stays 0).
+/// the link protocol at its leanest: a value costs six engine-lock holds
+/// (register, `Offer`, wait; register, `Rearm`, wait) and no operation
+/// counts as a kick (`EngineStats::kicks` stays 0).
 pub fn relay_family() -> Family {
     Family {
         name: "relay",
@@ -395,13 +396,13 @@ pub const BURST_LINK_CAPACITY: usize = 8;
 /// router region. The per-cell backlog depth is `n` — up to `n` producer
 /// sends pend at the merger while up to `n` consumer receives pend at
 /// the router, on both sides of one deep link. This is the showcase for
-/// *batched* cross-link pumping: a single engine-lock hold on the merger
-/// region drains every deliverable value (each re-arm immediately fires
-/// the next pending producer), and a single hold on the router region
-/// lands one value per pending receive (each acknowledgment immediately
-/// re-offers the next queue front) — observable as
-/// `EngineStats::batched_values / batch_moves > 1` and as engine-lock
-/// acquisitions per moved value strictly below the unbatched protocol's.
+/// link ports that serve themselves in the hold that completed them: a
+/// hold on the merger region moves every deliverable value (each re-arm
+/// of the tail immediately fires the next pending producer), and a hold
+/// on the router region lands one value per pending receive (each
+/// acknowledged front immediately offers the next) — while the link has
+/// credit and a front on offer, a send or a receive costs its own two
+/// holds and raises no event at all.
 pub fn burst_family() -> Family {
     Family {
         name: "burst",

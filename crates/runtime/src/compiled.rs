@@ -14,10 +14,10 @@
 //!    shared [`PendingTable`].
 //!
 //! The core implements the same [`EngineCore`] contract as the other
-//! cores, so everything above it — the blocking port protocol, the PR 4
-//! partitioned scheduler and the PR 5 batched link pumping
-//! (`link_drain_deliveries` / `link_offer_batch`) — works unchanged; the
-//! differential `mode_equivalence` suite pins the equivalence.
+//! cores, so everything above it — the blocking port protocol, the
+//! partitioned scheduler and the link protocol ([`crate::partition`]) —
+//! works unchanged; the differential `mode_equivalence` suite pins the
+//! equivalence.
 //!
 //! ```
 //! use reo_runtime::{Connector, Mode};

@@ -14,9 +14,9 @@
 //! * [`Mode::Jit`] — the new approach with just-in-time composition.
 //! * [`Mode::JitPartitioned`] / [`Mode::CompiledPartitioned`] — either
 //!   core per synchronous region, plus the partitioning optimization of
-//!   reference \[32\]. Links are pumped by the calling task's own thread
-//!   (see [`crate::partition`]) — as in the paper's runtime, there are no
-//!   helper threads.
+//!   reference \[32\]. Values cross links on the calling task's own
+//!   thread (see [`crate::partition`]) — as in the paper's runtime, there
+//!   are no helper threads.
 //!
 //! [`Mode::grid`] is the one list of runtimes every test and the fuzzer
 //! iterate.
@@ -53,7 +53,7 @@ pub enum Mode {
     /// connected steps lowered, on first use ([`crate::jit::JitCore`]).
     Jit { cache: CachePolicy },
     /// Partitioned JIT: one engine per synchronous region, cut fifos as
-    /// links pumped by the calling task ([`crate::partition`]).
+    /// links served by the calling task ([`crate::partition`]).
     JitPartitioned { cache: CachePolicy },
     /// Ahead-of-time composition — compose, simplify, and lower the whole
     /// product to a flat stepping program at `connect`
@@ -61,7 +61,7 @@ pub enum Mode {
     Compiled,
     /// Partitioned execution with one *compiled* core per synchronous
     /// region: each region's product is lowered at `connect` time and the
-    /// regions exchange values over the same batched links as
+    /// regions exchange values over the same links as
     /// [`Mode::JitPartitioned`].
     CompiledPartitioned,
 }
@@ -473,6 +473,7 @@ impl Connector {
         if let Some(engine) = region_engine {
             let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
                 instance.automata,
+                alloc.port_count(),
                 layout,
                 engine,
                 self.limits.expansion_budget,
@@ -689,7 +690,7 @@ impl Session {
     /// session runs (requires [`SessionSpec::reconfigurable`]).
     ///
     /// The splice quiesces only the affected region(s), recomposes them
-    /// from their current constituent states, and rebalances link/kick
+    /// from their current constituent states, and re-derives links and
     /// routing; traffic on unaffected regions never blocks. Serialized
     /// per session ([`RuntimeError::ReconfigInFlight`] if another splice
     /// is mid-flight); on success the session [`epoch`](ConnectorHandle::epoch)

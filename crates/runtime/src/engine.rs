@@ -31,6 +31,20 @@
 //! `closed`, `dead`) is set under the lock and the waiter's check-and-wait
 //! is atomic under the same lock, so the signal may follow the unlock.
 //!
+//! # Link ports
+//!
+//! A region engine of a partition is told which of its slots are the
+//! tails and heads of cut fifos (`LinkEnd`, with the link's shared
+//! `LinkShared` queue) and `fire_loop` serves such a port **in the hold
+//! that completed it**: a completed tail moves its delivery into the queue
+//! and re-arms the receive while credit remains, a completed head pops the
+//! acknowledged front and offers the next. The link mutex is a leaf, taken
+//! under this engine's lock for a push, a pop or a flag flip. What must
+//! happen on the *other* engine leaves the hold as [`LinkEvents`] next to
+//! the wake list; the partition drains them, one hold each
+//! (`Engine::serve`). Engines without link ends pay one never-taken
+//! branch per completed port.
+//!
 //! # Port sharding
 //!
 //! An engine only allocates state for the ports it actually serves. The
@@ -61,6 +75,7 @@
 //! assert_eq!(stats.kicks, 0); // single-engine mode: no links, no kicks
 //! ```
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::Waker;
@@ -270,7 +285,7 @@ impl PendingTable {
 /// * `steps` — global execution steps fired (the Fig. 12 metric): one per
 ///   committed transition of the protocol state machine.
 /// * `completions` — port operations completed by fired transitions, i.e.
-///   `DoneSend`/`DoneRecv` handed to tasks or link pumps. A step that
+///   `DoneSend`/`DoneRecv` handed to tasks or link ends. A step that
 ///   synchronizes a send with a receive counts two completions.
 /// * `wakeups` — *threads woken* by targeted notifications: whenever a
 ///   step completes an operation on a port with `w` registered waiters,
@@ -280,42 +295,37 @@ impl PendingTable {
 ///   blocked task on every step (`≈ steps × blocked tasks`).
 /// * `spurious_wakeups` — wakeups after which the woken task found its
 ///   operation still incomplete and had to block again.
-/// * `lock_acquisitions` — acquisitions of the engine mutex (every
-///   register/wait/probe/stat call takes it exactly once; fire loops run
-///   under the caller's acquisition).
+/// * `lock_acquisitions` — acquisitions of the engine mutex: every
+///   register/wait/probe/stat call and every serviced link event takes it
+///   exactly once; fire loops and link-port service run under the caller's
+///   acquisition.
 ///
-/// Two counters measure the **batched link-transfer protocol** (see
-/// `crate::partition`); they are zero in the single-engine modes, which
-/// have no links:
+/// Two counters measure the **link protocol** (see `crate::partition`);
+/// they are zero in the single-engine modes, which have no links:
 ///
-/// * `batch_moves` — batched link-transfer lock holds that moved at
-///   least one value: one per call of the engine's link drain/offer entry
-///   points (`link_drain_deliveries` / `link_offer_batch`) that
-///   transferred anything. Each such call acquires the engine mutex
-///   exactly once, however many values it moves.
-/// * `batched_values` — values moved by those calls. A value crossing a
-///   link contributes **twice**: once when the *from* engine's delivery
-///   is drained into the link queue, once when the *to* engine
-///   acknowledges its consumption. `batched_values / batch_moves` is the
-///   average batch size per engine-lock acquisition on the link path;
-///   anything above 1 is amortization the old one-value-per-hold
-///   protocol could not express.
+/// * `batch_moves` — holds whose fire loop moved at least one value across
+///   a link end of this engine (a completed tail pushed into the link
+///   queue, or a completed head popped from it).
+/// * `batched_values` — the values those holds moved. A value crossing a
+///   link counts **twice**, once at the tail's engine and once at the
+///   head's. `batched_values / batch_moves` is the values moved per hold
+///   that moved any; it exceeds 1 when one hold completes a backlog (each
+///   re-armed tail fires the next stuck producer in place).
 ///
-/// The last counter belongs to the **partitioned scheduler**, not to any
-/// single engine; it is zero in the single-engine modes and filled in by
-/// the partition when aggregating:
+/// The last counter belongs to the **partition**, not to any single
+/// engine; it is zero in the single-engine modes and filled in by the
+/// partition when aggregating:
 ///
-/// * `kicks` — kick requests from a region bordering **two or more**
-///   cross-region links: the operation's task ran a counted inline pump
-///   cascade over them. Regions bordering exactly one link pump it inline
-///   uncounted (the kick-free fast path), and regions bordering none
-///   return at once.
+/// * `kicks` — port operations on a region bordering **two or more**
+///   links whose hold left cross-region events to drain. Regions bordering
+///   one link drain theirs uncounted, regions bordering none raise no
+///   events.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Global execution steps fired (the Fig. 12 metric).
     pub steps: u64,
     /// Port operations completed by fired transitions (DoneSend/DoneRecv
-    /// handed to tasks or link pumps).
+    /// handed to tasks or link ends).
     pub completions: u64,
     /// Threads woken by targeted notifications (see type docs).
     pub wakeups: u64,
@@ -332,19 +342,17 @@ pub struct EngineStats {
     /// incomplete and had to block again.
     pub spurious_wakeups: u64,
     /// Acquisitions of the engine mutex (every register/wait/probe/stat
-    /// call takes it exactly once; fire loops run under the caller's
-    /// acquisition).
+    /// call and every serviced link event takes it exactly once).
     pub lock_acquisitions: u64,
-    /// Batched link-transfer lock holds that moved ≥ 1 value (see type
-    /// docs). 0 outside partitioned mode.
+    /// Holds that moved ≥ 1 value across a link end (see type docs). 0
+    /// outside partitioned mode.
     pub batch_moves: u64,
-    /// Values moved by batched link transfers — each cross-link value
-    /// counts twice, once per side (see type docs). 0 outside
-    /// partitioned mode.
+    /// Values moved across link ends — each cross-link value counts
+    /// twice, once per side (see type docs). 0 outside partitioned mode.
     pub batched_values: u64,
-    /// Scheduler: counted inline pump cascades, one per operation on a
-    /// region bordering ≥ 2 links (see type docs). 0 outside partitioned
-    /// mode.
+    /// Port operations on a region bordering ≥ 2 links that had
+    /// cross-region events to drain (see type docs). 0 outside
+    /// partitioned mode.
     pub kicks: u64,
 }
 
@@ -520,6 +528,128 @@ impl WakeList {
     }
 }
 
+/// Work a hold found for the *other* engine of a link. Each names the
+/// link port to serve there (`Engine::serve`); serving is idempotent, so
+/// a stale or repeated event costs one hold and changes nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LinkEvent {
+    /// The queue has a front that is not offered at this head port.
+    Offer(PortId),
+    /// A pop freed a slot while this tail port was left un-armed — or dried
+    /// the queue of a link whose tail is dead, and the head must hang up.
+    Rearm(PortId),
+}
+
+/// The link events holds raised, handed to whoever called into the engine
+/// once the lock is released — the worklist a port call drains. The first
+/// two are held inline, so the common hold never allocates.
+#[derive(Default)]
+pub struct LinkEvents {
+    head: [Option<LinkEvent>; 2],
+    rest: Vec<LinkEvent>,
+    /// Raised by a port call on a region bordering ≥ 2 links: the drain
+    /// counts as a kick ([`EngineStats::kicks`]).
+    pub(crate) counted: bool,
+}
+
+impl LinkEvents {
+    pub fn is_empty(&self) -> bool {
+        self.head[0].is_none()
+    }
+
+    /// Add `ev` unless it is already listed (one hold may complete a link
+    /// port several times).
+    pub(crate) fn push(&mut self, ev: LinkEvent) {
+        if self
+            .head
+            .iter()
+            .flatten()
+            .chain(&self.rest)
+            .any(|e| *e == ev)
+        {
+            return;
+        }
+        match self.head.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(ev),
+            None => self.rest.push(ev),
+        }
+    }
+
+    /// Inline slots fill front to back and empty back to front.
+    pub(crate) fn pop(&mut self) -> Option<LinkEvent> {
+        let inline = || self.head.iter_mut().rev().find_map(Option::take);
+        self.rest.pop().or_else(inline)
+    }
+
+    /// Move every event onto `out`.
+    fn drain_into(&mut self, out: &mut LinkEvents) {
+        while let Some(ev) = self.pop() {
+            out.push(ev);
+        }
+    }
+}
+
+/// A cut fifo's queue and the flags its two engines leave for each other.
+#[derive(Default)]
+pub(crate) struct LinkState {
+    pub queue: VecDeque<Value>,
+    /// The queue front is offered as a pending send at the head port; it
+    /// leaves the queue when the step that takes it completes the head.
+    pub offered: bool,
+    /// The tail was left un-armed for lack of credit: the pop that frees a
+    /// slot raises [`LinkEvent::Rearm`].
+    pub parked: bool,
+    /// The tail is dead on its engine: the pop that dries the queue raises
+    /// [`LinkEvent::Rearm`], whose service hangs up the head.
+    pub source_dead: bool,
+}
+
+/// What the two engines of a link share. The mutex is a leaf: taken under
+/// one engine lock (or none), held for a push, a pop or a flag flip.
+pub(crate) struct LinkShared {
+    pub capacity: Option<usize>,
+    pub state: Mutex<LinkState>,
+}
+
+impl LinkShared {
+    /// Nothing queued and nothing on offer.
+    pub fn dry(&self) -> bool {
+        let st = self.state.lock();
+        st.queue.is_empty() && !st.offered
+    }
+}
+
+/// One end of a link at a local port of this engine. The peer engine is
+/// not referenced: events name `peer` and the partition routes them.
+#[derive(Clone)]
+pub(crate) struct LinkEnd {
+    /// Head (an input of this engine, fed from the queue) or tail (an
+    /// output of this engine, drained into the queue).
+    pub head: bool,
+    /// The link's port on the other engine.
+    pub peer: PortId,
+    pub shared: Arc<LinkShared>,
+}
+
+impl LinkEnd {
+    /// What this end's idle port is armed with next, noted in the link
+    /// state: a head offers the front unless it is on offer already, a
+    /// tail receives while the queue has credit and is `parked` otherwise.
+    fn arm(&self, st: &mut LinkState) -> Option<Pending> {
+        if self.head {
+            let front = st.queue.front().filter(|_| !st.offered).cloned();
+            st.offered |= front.is_some();
+            front.map(Pending::Send)
+        } else {
+            st.parked = self
+                .shared
+                .capacity
+                .is_some_and(|cap| st.queue.len() >= cap);
+            (!st.parked).then_some(Pending::Recv)
+        }
+    }
+}
+
 pub(crate) struct EngineInner {
     pub core: Box<dyn EngineCore>,
     pub pending: PendingTable,
@@ -528,6 +658,10 @@ pub(crate) struct EngineInner {
     slots: Vec<PortSlot>,
     /// Wake-ups decided in this critical section and not yet delivered.
     wakes: WakeList,
+    /// The link end at each local slot; empty on an engine without links.
+    link_ends: Vec<Option<LinkEnd>>,
+    /// Link events raised in this critical section and not yet handed out.
+    events: LinkEvents,
     /// Scratch buffer for the ports completed by one step (reused).
     completed: Vec<PortId>,
     pub steps: u64,
@@ -537,6 +671,8 @@ pub(crate) struct EngineInner {
     spurious_wakeups: u64,
     batch_moves: u64,
     batched_values: u64,
+    /// At least two link ends: port calls that raise events count as kicks.
+    multi_link: bool,
     pub closed: bool,
     /// Set when a fire failed irrecoverably; all operations then error.
     pub poisoned: Option<String>,
@@ -564,7 +700,9 @@ impl EngineInner {
     }
 
     /// Re-run the hangup analysis and record a wake-up for every parked
-    /// operation on a newly dead port; returns the newly dead ports.
+    /// operation on a newly dead port; returns the newly dead ports. Each
+    /// link learns whether its tail is dead here, and a tail that died
+    /// raises [`LinkEvent::Rearm`] on itself: its link may be dry already.
     fn refresh_dead(&mut self) -> Vec<PortId> {
         let dead = self.core.dead_ports(&self.hungup);
         let newly: Vec<PortId> = dead.iter().filter(|p| !self.dead.contains(*p)).collect();
@@ -574,7 +712,45 @@ impl EngineInner {
                 self.record_wakes(slot);
             }
         }
+        for (p, end) in self.pending.port_map().iter().zip(&self.link_ends) {
+            let Some(tail) = end.as_ref().filter(|end| !end.head) else {
+                continue;
+            };
+            let dead = self.dead.contains(p);
+            let was_dead = std::mem::replace(&mut tail.shared.state.lock().source_dead, dead);
+            if dead && !was_dead {
+                self.events.push(LinkEvent::Rearm(p));
+            }
+        }
         newly
+    }
+
+    /// Serve the link end at `slot` in the hold whose step completed its
+    /// port `p`. A tail moves its delivery into the link queue and re-arms
+    /// the receive while credit remains; a head pops the acknowledged front
+    /// and offers the next. The caller's fire loop goes on from there.
+    fn serve_completed(&mut self, slot: usize, p: PortId) {
+        let end = self.link_ends[slot].as_ref().expect("a link end");
+        let mut st = end.shared.state.lock();
+        if end.head {
+            st.queue.pop_front();
+            st.offered = false;
+            let dry = st.source_dead && st.queue.is_empty();
+            if std::mem::take(&mut st.parked) || dry {
+                self.events.push(LinkEvent::Rearm(end.peer));
+            }
+        } else {
+            let Pending::DoneRecv(v) = self.pending.take(p) else {
+                unreachable!("a completed link tail holds its delivery");
+            };
+            st.queue.push_back(v);
+            if !st.offered {
+                self.events.push(LinkEvent::Offer(end.peer));
+            }
+        }
+        let next = end.arm(&mut st);
+        drop(st);
+        self.pending.set(p, next.unwrap_or_default());
     }
 
     /// Record the wake-ups of everything parked on local slot `slot`.
@@ -603,8 +779,8 @@ pub struct Engine {
     /// `close()` can interrupt a long fire loop instead of queueing behind
     /// it (a fire loop may expand large states under the lock).
     closing: AtomicBool,
-    /// Mirrors `!inner.hungup.is_empty()` without the lock, so link pumps
-    /// can skip dead-source probing entirely on healthy topologies.
+    /// Mirrors `!inner.hungup.is_empty()` without the lock, so hangup
+    /// propagation can skip dead-source probing on healthy topologies.
     has_hungup: AtomicBool,
     /// Cross-engine fault fan-out, wired by the partitioned backend: a
     /// poisoning firing calls it *with the engine lock held*, so the
@@ -628,6 +804,8 @@ impl Engine {
                 store,
                 slots: (0..n).map(|_| PortSlot::default()).collect(),
                 wakes: WakeList::default(),
+                link_ends: Vec::new(),
+                events: LinkEvents::default(),
                 completed: Vec::new(),
                 steps: 0,
                 completions: 0,
@@ -636,6 +814,7 @@ impl Engine {
                 spurious_wakeups: 0,
                 batch_moves: 0,
                 batched_values: 0,
+                multi_link: false,
                 closed: false,
                 poisoned: None,
                 hungup: PortSet::new(),
@@ -662,26 +841,40 @@ impl Engine {
     }
 
     /// Run a port call that can fire: `f` under the engine lock, then — the
-    /// lock released — the wake-ups it recorded.
-    fn firing<R>(&self, f: impl FnOnce(&mut EngineInner) -> R) -> R {
+    /// lock released — the wake-ups it recorded. The link events raised
+    /// are added to `events`, whose owner drains them
+    /// (`Partitioned::drain`). A caller outside a partition passes `None`
+    /// and pays nothing for them; so does a caller that pumps every link
+    /// next (events it leaves behind go out with the next hold's, and
+    /// serving one twice changes nothing).
+    fn firing<R>(
+        &self,
+        events: Option<&mut LinkEvents>,
+        f: impl FnOnce(&mut EngineInner) -> R,
+    ) -> R {
         let mut inner = self.lock();
         let result = f(&mut inner);
         let wakes = std::mem::take(&mut inner.wakes);
+        if let Some(out) = events {
+            out.counted |= inner.multi_link && !inner.events.is_empty();
+            inner.events.drain_into(out);
+        }
         drop(inner);
         wakes.deliver();
         result
     }
 
-    /// Deliver the wake list *before* releasing the guard: the two link
-    /// pumps' exit (and `install`, under guards the partitioned splice
-    /// holds several of at once). Deferring at the pumps made `links`
-    /// worse on one CPU (ops/s 371 k → 284 k, cpu/op 2.69 → 3.52 µs,
-    /// voluntary switches 1.37 M → 3.27 M, involuntary 0.64 M → 3.12 M):
-    /// the consumer of a buffered link then preempts the pumper after every
-    /// value and drains one value per wake (`wakeups_per_op` on `relay8`/
-    /// `burst8` 0.209 → ≈ 1). Today's 0.21 is a by-product of the woken
-    /// consumer stalling on the mutex while the producer runs ahead; a
-    /// deliberate wake policy for buffered links is ROADMAP's move (c).
+    /// Deliver the wake list *before* releasing the guard: the exit of a
+    /// cross-region service hold ([`Engine::serve`]) and of `install`
+    /// (under guards the partitioned splice holds several of at once).
+    /// Deferring at the link pumps this hold succeeds made `links` worse
+    /// on one CPU (ops/s 371 k → 284 k, cpu/op 2.69 → 3.52 µs, voluntary
+    /// switches 1.37 M → 3.27 M, involuntary 0.64 M → 3.12 M): the consumer
+    /// of a buffered link then preempts the server after every value and
+    /// drains one value per wake (`wakeups_per_op` on `relay8`/`burst8`
+    /// 0.209 → ≈ 1). The 0.2 kept is a by-product of the woken consumer
+    /// stalling on the mutex while the producer runs ahead; a deliberate
+    /// wake policy for buffered links is ROADMAP's move (c).
     fn deliver_under_lock(inner: &mut EngineInner) {
         std::mem::take(&mut inner.wakes).deliver();
     }
@@ -722,7 +915,7 @@ impl Engine {
         // An in-flight fire loop (or an earlier close) may have observed
         // the flag and already closed + woken everyone; waking again here
         // would double-count the still-registered waiters.
-        self.firing(|inner| {
+        self.firing(None, |inner| {
             if !inner.closed {
                 inner.closed = true;
                 inner.wake_all();
@@ -745,7 +938,7 @@ impl Engine {
     /// parked waiter and stored waker is woken. Idempotent; the first
     /// message wins, and an engine that is already closed stays closed.
     pub fn poison(&self, msg: &str) {
-        self.firing(|inner| {
+        self.firing(None, |inner| {
             if inner.poisoned.is_none() && !inner.closed {
                 inner.poisoned = Some(msg.to_string());
                 inner.closed = true;
@@ -776,8 +969,8 @@ impl Engine {
         let _ = self.watchdog.set(w);
     }
 
-    /// Whether any port of this engine has hung up — lock-free, so link
-    /// pumps can skip dead-source probing on healthy topologies.
+    /// Whether any port of this engine has hung up — lock-free, so hangup
+    /// propagation can skip dead-source probing on healthy topologies.
     pub(crate) fn any_hungup(&self) -> bool {
         self.has_hungup.load(Ordering::Acquire)
     }
@@ -792,10 +985,12 @@ impl Engine {
     /// port (the woken paths translate to
     /// [`RuntimeError::Hangup`](crate::RuntimeError::Hangup)). Returns
     /// the ports that *newly* became dead — the partitioned backend
-    /// propagates them across links. No-op on closed or poisoned
-    /// engines, where everything already resolves with a typed error.
+    /// propagates them across links and then pumps every link, which is
+    /// why the events of this hold are not collected. No-op on closed or
+    /// poisoned engines, where everything already resolves with a typed
+    /// error.
     pub(crate) fn hangup(&self, ports: &[PortId]) -> Vec<PortId> {
-        self.firing(|inner| {
+        self.firing(None, |inner| {
             if inner.closed || inner.poisoned.is_some() {
                 return Vec::new();
             }
@@ -831,8 +1026,8 @@ impl Engine {
 
     /// Watchdog sampling: the monotone progress counter (steps +
     /// completions) and the number of parked operations, excluding the
-    /// `exclude` ports (cross-region link ports, which the pumps keep
-    /// armed without any task behind them).
+    /// `exclude` ports (cross-region link ports, which the link protocol
+    /// keeps armed without any task behind them).
     pub(crate) fn sample_progress(&self, exclude: &PortSet) -> (u64, usize) {
         let inner = self.lock();
         let mut parked = 0usize;
@@ -900,13 +1095,15 @@ impl Engine {
     /// like a typed firing error. The core's state may be torn mid-step —
     /// poisoning makes that unobservable. Containing the panic at the
     /// step boundary protects *whichever* thread drove the loop: a task
-    /// calling `register_*` or pumping a link, or an executor polling a
+    /// calling `register_*` or serving a link event, or an executor polling a
     /// future.
     fn fire_loop(&self, inner: &mut EngineInner) {
         if inner.poisoned.is_some() || inner.closed {
             return;
         }
         let mut fired_any = false;
+        // Whether this hold has moved a value across a link end yet.
+        let mut moved = false;
         loop {
             if self.closing.load(Ordering::Relaxed) {
                 inner.closed = true;
@@ -944,8 +1141,16 @@ impl Engine {
                     inner.steps += 1;
                     inner.completions += inner.completed.len() as u64;
                     for i in 0..inner.completed.len() {
-                        let slot = inner.pending.port_map().slot(inner.completed[i]);
-                        inner.record_wakes(slot);
+                        let p = inner.completed[i];
+                        let slot = inner.pending.port_map().slot(p);
+                        if inner.link_ends.get(slot).is_some_and(Option::is_some) {
+                            inner.serve_completed(slot, p);
+                            inner.batch_moves += u64::from(!moved);
+                            inner.batched_values += 1;
+                            moved = true;
+                        } else {
+                            inner.record_wakes(slot);
+                        }
                     }
                 }
                 Ok(Ok(false)) => break,
@@ -1002,8 +1207,15 @@ impl Engine {
     }
 
     /// Phase 1 of `send`: register the operation and fire what it enables.
-    pub(crate) fn register_send(&self, p: PortId, v: Value) -> Result<(), RuntimeError> {
-        self.firing(|inner| {
+    /// The link events the hold raised are added to `events` (an engine
+    /// outside a partition raises none; its callers pass `None`).
+    pub(crate) fn register_send(
+        &self,
+        p: PortId,
+        v: Value,
+        events: Option<&mut LinkEvents>,
+    ) -> Result<(), RuntimeError> {
+        self.firing(events, |inner| {
             Self::check_open(inner)?;
             Self::check_served(inner, p)?;
             self.arm_send(inner, p, v)
@@ -1160,8 +1372,12 @@ impl Engine {
     /// an empty slot.
     ///
     /// [`abandon_recv`]: Engine::abandon_recv
-    pub(crate) fn register_recv(&self, p: PortId) -> Result<(), RuntimeError> {
-        self.firing(|inner| {
+    pub(crate) fn register_recv(
+        &self,
+        p: PortId,
+        events: Option<&mut LinkEvents>,
+    ) -> Result<(), RuntimeError> {
+        self.firing(events, |inner| {
             Self::check_open(inner)?;
             Self::check_served(inner, p)?;
             self.arm_recv(inner, p)
@@ -1237,7 +1453,7 @@ impl Engine {
     /// One poll of an async send, under **one** engine-lock hold.
     ///
     /// First poll (`value` is `Some`): registers `Pending::Send` (the
-    /// async twin of [`register_send`]) and fires what it enables — the
+    /// async twin of `register_send`) and fires what it enables — the
     /// common uncontended case completes right here without ever storing
     /// a waker. While the operation stays pending the task's `Waker` is
     /// parked in the port's waker slot (replacing any staler clone) and
@@ -1247,16 +1463,16 @@ impl Engine {
     ///
     /// Returns `Some(result)` when the future is ready, `None` when
     /// pending. After `Some`, the registration is consumed — a drop of
-    /// the future must no longer retract.
-    ///
-    /// [`register_send`]: Engine::register_send
-    pub(crate) fn poll_send(
+    /// the future must no longer retract. The link events of the hold are
+    /// added to `events` whatever the outcome.
+    pub fn poll_send(
         &self,
         p: PortId,
         value: &mut Option<Value>,
         waker: &Waker,
+        events: Option<&mut LinkEvents>,
     ) -> Option<Result<(), RuntimeError>> {
-        self.firing(|inner| {
+        self.firing(events, |inner| {
             if let Err(e) = Self::check_served(inner, p) {
                 return Some(Err(e));
             }
@@ -1278,17 +1494,17 @@ impl Engine {
     /// recv twin of [`poll_send`]. `registered` tracks whether phase 1
     /// already ran (the future's state, so a re-poll does not
     /// re-register). A pre-existing `DoneRecv` from an abandoned future
-    /// satisfies the first poll immediately (see [`register_recv`]).
+    /// satisfies the first poll immediately (see `register_recv`).
     ///
     /// [`poll_send`]: Engine::poll_send
-    /// [`register_recv`]: Engine::register_recv
-    pub(crate) fn poll_recv(
+    pub fn poll_recv(
         &self,
         p: PortId,
         registered: &mut bool,
         waker: &Waker,
+        events: Option<&mut LinkEvents>,
     ) -> Option<Result<Value, RuntimeError>> {
-        self.firing(|inner| {
+        self.firing(events, |inner| {
             if let Err(e) = Self::check_served(inner, p) {
                 return Some(Err(e));
             }
@@ -1352,135 +1568,43 @@ impl Engine {
         inner.slots[slot].waker = None;
     }
 
-    /// True iff a fired-but-uncollected delivery is parked at `p` — the
-    /// link pump has not yet moved it into the link queue. Forward hangup
-    /// propagation must not cross a link while one exists: the value was
-    /// produced before the hangup and is still deliverable downstream.
-    pub(crate) fn has_parked_delivery(&self, p: PortId) -> bool {
-        let inner = self.lock();
-        if Self::check_served(&inner, p).is_err() {
+    /// Serve one link event in a hold of its own — the cross-region half
+    /// of the link protocol, run by whoever drains the event. An `Offer`
+    /// puts the queue front at this head port, a `Rearm` arms this tail
+    /// port while the queue has credit; either then fires what that
+    /// enables, and what the fire loop completes it serves itself. The
+    /// events this hold raises are added to `events`. Idempotent: a stale
+    /// or repeated event (the port spliced out, already armed, the engine
+    /// closed) changes nothing. Wake-ups are delivered before the lock is
+    /// released (see `deliver_under_lock`).
+    ///
+    /// Returns `true` iff this is a tail that is dead with its link dry —
+    /// nothing will ever cross again, so the caller hangs up the head.
+    pub(crate) fn serve(&self, ev: LinkEvent, events: &mut LinkEvents) -> bool {
+        let (p, head) = match ev {
+            LinkEvent::Offer(p) => (p, true),
+            LinkEvent::Rearm(p) => (p, false),
+        };
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let Some(slot) = inner.pending.port_map().try_slot(p) else {
             return false;
+        };
+        let end = match inner.link_ends.get(slot) {
+            Some(Some(end)) if end.head == head && !inner.closed => end,
+            _ => return false,
+        };
+        let idle = matches!(inner.pending.get(p), Pending::None);
+        let arm = idle.then(|| end.arm(&mut end.shared.state.lock()));
+        if let Some(op) = arm.flatten() {
+            inner.pending.set(p, op);
+            self.fire_loop(inner);
         }
-        matches!(inner.pending.get(p), Pending::DoneRecv(_))
-    }
-
-    /// Batched accept-side link transfer: under **one** engine-lock hold,
-    /// drain every delivery at `p` into `out` (at most `credit` values —
-    /// the link queue's free capacity) and keep the port's receive armed
-    /// while credit remains. Each drained delivery frees the slot, and the
-    /// immediate re-arm + fire can complete the *next* pending task send
-    /// in the same hold — so a backlog of `k` stuck producers costs one
-    /// acquisition instead of `k` cascade revisits at one acquisition
-    /// each.
-    ///
-    /// Returns `true` iff the call made progress (drained a value or
-    /// newly armed the receive) — the link pump's cascade trigger. Wake-ups
-    /// are delivered before the lock is released (see `deliver_under_lock`).
-    pub(crate) fn link_drain_deliveries(
-        &self,
-        p: PortId,
-        out: &mut std::collections::VecDeque<Value>,
-        credit: usize,
-    ) -> bool {
-        let mut inner = self.lock();
-        if Self::check_served(&inner, p).is_err() {
-            return false; // stale pump on a spliced-out link port: no-op
-        }
-        let mut drained = 0usize;
-        let mut newly_armed = false;
-        loop {
-            match inner.pending.get(p) {
-                Pending::DoneRecv(_) => {
-                    if drained == credit {
-                        break; // no room left: the delivery stays parked
-                    }
-                    let Pending::DoneRecv(v) = inner.pending.take(p) else {
-                        unreachable!("matched above");
-                    };
-                    out.push_back(v);
-                    drained += 1;
-                }
-                Pending::None => {
-                    if drained == credit || inner.closed || inner.poisoned.is_some() {
-                        break;
-                    }
-                    inner.pending.set(p, Pending::Recv);
-                    self.fire_loop(&mut inner);
-                    if matches!(inner.pending.get(p), Pending::Recv) {
-                        newly_armed = true;
-                        break; // armed and quiescent: nothing more to take
-                    }
-                    // A delivery landed immediately: loop takes it next.
-                }
-                // Already armed (left so by an earlier drain) and nothing
-                // delivered since: quiescent.
-                Pending::Recv => break,
-                other => unreachable!("link in-port held {other:?} during drain"),
-            }
-        }
-        if drained > 0 {
-            inner.batch_moves += 1;
-            inner.batched_values += drained as u64;
-        }
-        Self::deliver_under_lock(&mut inner);
-        drained > 0 || newly_armed
-    }
-
-    /// Batched emit-side link transfer: under **one** engine-lock hold,
-    /// acknowledge a consumed send at `p` (popping the link `queue`'s
-    /// front), then re-offer queue fronts until one is left armed or the
-    /// queue runs dry. When the downstream region can consume immediately
-    /// (a receive is already pending), each offer fires in place and the
-    /// next front follows in the same hold.
-    ///
-    /// `armed` is the link's own front-is-offered flag; the armed front
-    /// stays in `queue` until acknowledged, so queue length keeps meaning
-    /// "values resident in the link". Returns `true` iff the call made
-    /// progress (acknowledged a value or newly armed an offer). Wake-ups
-    /// are delivered before the lock is released, as in the drain.
-    pub(crate) fn link_offer_batch(
-        &self,
-        p: PortId,
-        queue: &mut std::collections::VecDeque<Value>,
-        armed: &mut bool,
-    ) -> bool {
-        let mut inner = self.lock();
-        if Self::check_served(&inner, p).is_err() {
-            return false; // stale pump on a spliced-out link port: no-op
-        }
-        let mut acked = 0usize;
-        let mut progressed = false;
-        if *armed && matches!(inner.pending.get(p), Pending::DoneSend) {
-            inner.pending.set(p, Pending::None);
-            queue.pop_front();
-            *armed = false;
-            acked += 1;
-        }
-        while !*armed {
-            let Some(front) = queue.front() else { break };
-            if inner.closed || inner.poisoned.is_some() {
-                break;
-            }
-            if !matches!(inner.pending.get(p), Pending::None) {
-                break; // out-port busy (should not happen on a link port)
-            }
-            inner.pending.set(p, Pending::Send(front.clone()));
-            self.fire_loop(&mut inner);
-            if matches!(inner.pending.get(p), Pending::DoneSend) {
-                inner.pending.set(p, Pending::None);
-                queue.pop_front();
-                acked += 1;
-            } else {
-                *armed = true; // left offered; acknowledged on a later pump
-                progressed = true;
-            }
-        }
-        if acked > 0 {
-            inner.batch_moves += 1;
-            inner.batched_values += acked as u64;
-        }
-        Self::deliver_under_lock(&mut inner);
-        acked > 0 || progressed
+        let end = inner.link_ends[slot].as_ref();
+        let dead_and_dry = !head && inner.dead.contains(p) && end.is_some_and(|e| e.shared.dry());
+        inner.events.drain_into(events);
+        Self::deliver_under_lock(inner);
+        dead_and_dry
     }
 
     // ------------------------------------------------------------------
@@ -1493,7 +1617,7 @@ impl Engine {
 
     /// Take the engine lock for a reconfiguration step. `pub(crate)` so the
     /// partitioned splice can hold several affected engines' guards at
-    /// once (the link pumps never nest engine locks, so no cycle exists).
+    /// once (the link protocol never nests engine locks, so no cycle exists).
     pub(crate) fn lock_for_reconfig(&self) -> MutexGuard<'_, EngineInner> {
         self.lock()
     }
@@ -1525,20 +1649,37 @@ impl Engine {
         Ok(())
     }
 
+    /// Tell a locked engine which of its ports are link ends (all of them:
+    /// the table is replaced). A partition does this when it builds a
+    /// region and when a splice changes the region's border.
+    pub(crate) fn set_link_ends(inner: &mut EngineInner, ends: &[(PortId, LinkEnd)]) {
+        let ports = inner.pending.port_map();
+        let mut table = vec![None; if ends.is_empty() { 0 } else { ports.len() }];
+        for (p, end) in ends {
+            table[ports.slot(*p)] = Some(end.clone());
+        }
+        inner.link_ends = table;
+        inner.multi_link = ends.len() >= 2;
+    }
+
     /// Swap in a new core and port map under an already-held engine lock,
     /// carrying pending operations and each port's [`PortSlot`] **per
-    /// global port** so blocked tasks survive the slot renumbering; the store grows to `layout` (new constituents
+    /// global port** so blocked tasks survive the slot renumbering; the
+    /// link-end table is rebuilt from `ends` against the new slots; the
+    /// store grows to `layout` (new constituents
     /// bring fresh cells, surviving cells never move). Ports only in the
     /// old map must have passed [`removal_quiescent`](Self::removal_quiescent).
     /// Fires whatever the new core enables and wakes every waiter — under
     /// the lock, see `deliver_under_lock` — so parked tasks re-evaluate
-    /// against the new tables.
+    /// against the new tables. The link events of that firing are dropped:
+    /// a splice pumps every link once it has swapped the topology.
     pub(crate) fn install(
         &self,
         inner: &mut EngineInner,
         core: Box<dyn EngineCore>,
         ports: PortMap,
         layout: &MemLayout,
+        ends: &[(PortId, LinkEnd)],
     ) {
         let new_ports = Arc::new(ports);
         let mut pending = PendingTable::new(Arc::clone(&new_ports));
@@ -1553,6 +1694,7 @@ impl Engine {
         }
         inner.pending = pending;
         inner.slots = slots;
+        Self::set_link_ends(inner, ends);
         inner.store.grow(layout);
         inner.core = core;
         self.fire_loop(inner);
@@ -1564,6 +1706,7 @@ impl Engine {
             inner.refresh_dead();
         }
         inner.wake_all();
+        inner.events = LinkEvents::default();
         Self::deliver_under_lock(inner);
     }
 
@@ -1586,7 +1729,7 @@ impl Engine {
         Self::check_open(&inner)?;
         Self::removal_quiescent(&inner, removed)?;
         let core = build(&inner)?;
-        self.install(&mut inner, core, ports, layout);
+        self.install(&mut inner, core, ports, layout, &[]);
         Ok(())
     }
 }
@@ -1743,9 +1886,9 @@ mod tests {
             primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
             2,
         );
-        eng.register_send(PortId(0), Value::Int(7)).unwrap();
+        eng.register_send(PortId(0), Value::Int(7), None).unwrap();
         eng.wait_send(PortId(0), None).unwrap();
-        eng.register_recv(PortId(1)).unwrap();
+        eng.register_recv(PortId(1), None).unwrap();
         let v = eng.wait_recv(PortId(1), None).unwrap();
         assert_eq!(v.as_int(), Some(7));
         assert_eq!(eng.steps(), 2);
@@ -1761,9 +1904,9 @@ mod tests {
         assert_eq!(map.slot(PortId(3)), 0);
         assert_eq!(map.slot(PortId(17)), 1);
         let eng = engine_of(vec![aut], map);
-        eng.register_send(PortId(3), Value::Int(9)).unwrap();
+        eng.register_send(PortId(3), Value::Int(9), None).unwrap();
         eng.wait_send(PortId(3), None).unwrap();
-        eng.register_recv(PortId(17)).unwrap();
+        eng.register_recv(PortId(17), None).unwrap();
         assert_eq!(eng.wait_recv(PortId(17), None).unwrap().as_int(), Some(9));
     }
 
@@ -1773,12 +1916,12 @@ mod tests {
         let eng = Arc::new(engine_for(primitives::sync(PortId(0), PortId(1)), 2));
         let e2 = Arc::clone(&eng);
         let receiver = std::thread::spawn(move || {
-            e2.register_recv(PortId(1)).unwrap();
+            e2.register_recv(PortId(1), None).unwrap();
             e2.wait_recv(PortId(1), None).unwrap()
         });
         // Give the receiver a chance to block first (not strictly needed).
         std::thread::yield_now();
-        eng.register_send(PortId(0), Value::Int(3)).unwrap();
+        eng.register_send(PortId(0), Value::Int(3), None).unwrap();
         eng.wait_send(PortId(0), None).unwrap();
         let got = receiver.join().unwrap();
         assert_eq!(got.as_int(), Some(3));
@@ -1793,11 +1936,11 @@ mod tests {
         );
         // Fill the buffer, then a second send is *pending* (buffer full);
         // a third register on the same port must be refused.
-        eng.register_send(PortId(0), Value::Int(1)).unwrap();
+        eng.register_send(PortId(0), Value::Int(1), None).unwrap();
         eng.wait_send(PortId(0), None).unwrap();
-        eng.register_send(PortId(0), Value::Int(2)).unwrap();
+        eng.register_send(PortId(0), Value::Int(2), None).unwrap();
         assert!(matches!(
-            eng.register_send(PortId(0), Value::Int(3)),
+            eng.register_send(PortId(0), Value::Int(3), None),
             Err(RuntimeError::PortBusy(_))
         ));
     }
@@ -1805,7 +1948,7 @@ mod tests {
     #[test]
     fn lossy_completes_send_even_without_receiver() {
         let eng = engine_for(primitives::lossy(PortId(0), PortId(1)), 2);
-        eng.register_send(PortId(0), Value::Int(9)).unwrap();
+        eng.register_send(PortId(0), Value::Int(9), None).unwrap();
         eng.wait_send(PortId(0), None).unwrap();
         assert_eq!(eng.steps(), 1);
     }
@@ -1814,17 +1957,17 @@ mod tests {
     fn timed_out_send_is_retracted_and_port_reusable() {
         use std::time::Duration;
         let eng = engine_for(primitives::sync(PortId(0), PortId(1)), 2);
-        eng.register_send(PortId(0), Value::Int(1)).unwrap();
+        eng.register_send(PortId(0), Value::Int(1), None).unwrap();
         let deadline = Some(Instant::now() + Duration::from_millis(20));
         assert!(matches!(
             eng.wait_send(PortId(0), deadline),
             Err(RuntimeError::Timeout)
         ));
         // The slot is free again: a fresh registration must not be PortBusy.
-        eng.register_send(PortId(0), Value::Int(2)).unwrap();
+        eng.register_send(PortId(0), Value::Int(2), None).unwrap();
         // And the retracted value must not have leaked into the connector:
         // the receiver gets the *new* value.
-        eng.register_recv(PortId(1)).unwrap();
+        eng.register_recv(PortId(1), None).unwrap();
         assert_eq!(eng.wait_recv(PortId(1), None).unwrap().as_int(), Some(2));
         eng.wait_send(PortId(0), None).unwrap();
         assert_eq!(eng.steps(), 1, "exactly one firing: no loss, no duplicate");
@@ -1837,16 +1980,16 @@ mod tests {
             primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
             2,
         );
-        eng.register_recv(PortId(1)).unwrap();
+        eng.register_recv(PortId(1), None).unwrap();
         let deadline = Some(Instant::now() + Duration::from_millis(20));
         assert!(matches!(
             eng.wait_recv(PortId(1), deadline),
             Err(RuntimeError::Timeout)
         ));
         // Buffer a value, then receive it through the same (freed) port.
-        eng.register_send(PortId(0), Value::Int(5)).unwrap();
+        eng.register_send(PortId(0), Value::Int(5), None).unwrap();
         eng.wait_send(PortId(0), None).unwrap();
-        eng.register_recv(PortId(1)).unwrap();
+        eng.register_recv(PortId(1), None).unwrap();
         assert_eq!(eng.wait_recv(PortId(1), None).unwrap().as_int(), Some(5));
     }
 
@@ -1858,12 +2001,12 @@ mod tests {
             primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
             2,
         );
-        eng.register_send(PortId(0), Value::Int(7)).unwrap();
+        eng.register_send(PortId(0), Value::Int(7), None).unwrap();
         // The fifo accepted immediately: the slot already holds DoneSend.
         // An already-expired deadline must still report success.
         let past = Some(Instant::now() - std::time::Duration::from_millis(1));
         eng.wait_send(PortId(0), past).unwrap();
-        eng.register_recv(PortId(1)).unwrap();
+        eng.register_recv(PortId(1), None).unwrap();
         assert_eq!(eng.wait_recv(PortId(1), None).unwrap().as_int(), Some(7));
     }
 
@@ -1874,16 +2017,16 @@ mod tests {
             2,
         );
         // Empty buffer: a recv probe retracts.
-        eng.register_recv(PortId(1)).unwrap();
+        eng.register_recv(PortId(1), None).unwrap();
         assert!(eng.finish_or_retract_recv(PortId(1)).unwrap().is_none());
         // Send fills the buffer in one step: the probe acknowledges.
-        eng.register_send(PortId(0), Value::Int(3)).unwrap();
+        eng.register_send(PortId(0), Value::Int(3), None).unwrap();
         assert!(eng.finish_or_retract_send(PortId(0)).unwrap());
         // Full buffer: a second send probe retracts, value re-sendable.
-        eng.register_send(PortId(0), Value::Int(4)).unwrap();
+        eng.register_send(PortId(0), Value::Int(4), None).unwrap();
         assert!(!eng.finish_or_retract_send(PortId(0)).unwrap());
         // The buffered value is intact.
-        eng.register_recv(PortId(1)).unwrap();
+        eng.register_recv(PortId(1), None).unwrap();
         assert_eq!(
             eng.finish_or_retract_recv(PortId(1))
                 .unwrap()
@@ -1903,7 +2046,7 @@ mod tests {
         let e2 = Arc::clone(&eng);
         let blocked = std::thread::spawn(move || {
             // Blocks: fifo B (ports 2 -> 3) is empty and stays empty.
-            e2.register_recv(PortId(3)).unwrap();
+            e2.register_recv(PortId(3), None).unwrap();
             e2.wait_recv(PortId(3), None)
         });
         // Wait until the B-receiver is actually blocked.
@@ -1913,9 +2056,9 @@ mod tests {
         let before = eng.stats();
         // Traffic on fifo A (ports 0 -> 1): completes without waking B.
         for k in 0..50 {
-            eng.register_send(PortId(0), Value::Int(k)).unwrap();
+            eng.register_send(PortId(0), Value::Int(k), None).unwrap();
             eng.wait_send(PortId(0), None).unwrap();
-            eng.register_recv(PortId(1)).unwrap();
+            eng.register_recv(PortId(1), None).unwrap();
             eng.wait_recv(PortId(1), None).unwrap();
         }
         let after = eng.stats();
@@ -1938,7 +2081,7 @@ mod tests {
             .map(|i| {
                 let eng = Arc::clone(&eng);
                 std::thread::spawn(move || {
-                    eng.register_recv(PortId(2 * i + 1)).unwrap();
+                    eng.register_recv(PortId(2 * i + 1), None).unwrap();
                     eng.wait_recv(PortId(2 * i + 1), None)
                 })
             })
@@ -1967,6 +2110,8 @@ mod tests {
         }
     }
 
+    /// The exception is the hold that serves a link event for another
+    /// region (`Engine::serve`), the successor of the two link pumps.
     #[test]
     fn wakes_follow_the_unlock_except_at_the_link_pumps() {
         use std::sync::Arc;
@@ -1976,21 +2121,34 @@ mod tests {
             free: Mutex::new(Vec::new()),
         });
         let waker = Waker::from(Arc::clone(&probe));
-        let park = || assert!(eng.poll_recv(PortId(1), &mut false, &waker).is_none());
-        let take = || match eng.poll_recv(PortId(1), &mut true, &waker) {
+        let park = || assert!(eng.poll_recv(PortId(1), &mut false, &waker, None).is_none());
+        let take = || match eng.poll_recv(PortId(1), &mut true, &waker, None) {
             Some(Ok(v)) => v.as_int(),
             other => panic!("no delivery: {other:?}"),
         };
 
         park(); // a port call completes it: signalled after the unlock
-        eng.register_send(PortId(0), Value::Int(1)).unwrap();
+        eng.register_send(PortId(0), Value::Int(1), None).unwrap();
         assert_eq!(take(), Some(1));
         eng.wait_send(PortId(0), None).unwrap();
 
-        park(); // a link pump completes it: the documented exception
-        let mut queue = std::collections::VecDeque::from([Value::Int(2)]);
-        assert!(eng.link_offer_batch(PortId(0), &mut queue, &mut false));
+        park(); // a link service hold completes it: the documented exception
+        let shared = Arc::new(LinkShared {
+            capacity: Some(1),
+            state: Mutex::new(LinkState::default()),
+        });
+        shared.state.lock().queue.push_back(Value::Int(2));
+        let head = LinkEnd {
+            head: true,
+            peer: PortId(9),
+            shared: Arc::clone(&shared),
+        };
+        Engine::set_link_ends(&mut eng.lock(), &[(PortId(0), head)]);
+        let mut events = LinkEvents::default();
+        assert!(!eng.serve(LinkEvent::Offer(PortId(0)), &mut events));
         assert_eq!(take(), Some(2));
+        // The same hold acknowledged the front it offered.
+        assert!(shared.state.lock().queue.is_empty() && events.is_empty());
 
         park(); // close: after the unlock again
         eng.close();

@@ -565,10 +565,10 @@ mod tests {
         let eng = std::sync::Arc::new(engine_from(autos, 3, CachePolicy::Unbounded));
         let e2 = std::sync::Arc::clone(&eng);
         let rx = std::thread::spawn(move || {
-            e2.register_recv(p(2)).unwrap();
+            e2.register_recv(p(2), None).unwrap();
             e2.wait_recv(p(2), None).unwrap()
         });
-        eng.register_send(p(0), Value::Int(11)).unwrap();
+        eng.register_send(p(0), Value::Int(11), None).unwrap();
         eng.wait_send(p(0), None).unwrap();
         assert_eq!(rx.join().unwrap().as_int(), Some(11));
         assert_eq!(eng.steps(), 1); // one global step, not two
@@ -597,11 +597,12 @@ mod tests {
         ];
         let eng = engine_from(autos, 4, CachePolicy::Unbounded);
         let fill = |port| {
-            eng.register_send(p(port), Value::Int(port as i64)).unwrap();
+            eng.register_send(p(port), Value::Int(port as i64), None)
+                .unwrap();
             eng.wait_send(p(port), None).unwrap();
         };
         let take = |port| {
-            eng.register_recv(p(port)).unwrap();
+            eng.register_recv(p(port), None).unwrap();
             eng.wait_recv(p(port), None).unwrap();
         };
         for _ in 0..3 {
@@ -714,11 +715,12 @@ mod tests {
 
         // All three producers offer; only the first can complete.
         for (i, &t) in tl.iter().enumerate() {
-            eng.register_send(t, Value::Int(10 + i as i64)).unwrap();
+            eng.register_send(t, Value::Int(10 + i as i64), None)
+                .unwrap();
         }
         eng.wait_send(tl[0], None).unwrap();
         for (i, &h) in hd.iter().enumerate() {
-            eng.register_recv(h).unwrap();
+            eng.register_recv(h, None).unwrap();
             assert_eq!(
                 eng.wait_recv(h, None).unwrap().as_int(),
                 Some(10 + i as i64)
@@ -747,10 +749,10 @@ mod tests {
             let eng = engine_from(mk(), 4, policy);
             let mut log = Vec::new();
             for round in 0..3 {
-                eng.register_recv(p(1)).unwrap();
+                eng.register_recv(p(1), None).unwrap();
                 let v = eng.wait_recv(p(1), None).unwrap();
                 log.push(format!("{round}:{v}"));
-                eng.register_send(p(0), Value::Int(round)).unwrap();
+                eng.register_send(p(0), Value::Int(round), None).unwrap();
                 eng.wait_send(p(0), None).unwrap();
             }
             (log, eng.cache_stats().unwrap())

@@ -15,73 +15,59 @@
 //! ([`crate::engine::PortMap::Sparse`]), so memory also scales with the
 //! region, not with the whole connector.
 //!
-//! # Batched link pumping
+//! # The link protocol
 //!
-//! One pump step of a link makes exactly **two** engine-lock
-//! acquisitions — one per side — and each moves as many values as it
-//! can: the fix for per-boundary overhead is to make each boundary
-//! crossing do more work, not to dissolve the boundary.
+//! A cut fifo is two ports with a queue between them ("Modularizing and
+//! Specifying Protocols among Threads"), and each port serves itself.
+//! Every region engine knows which of its ports are link tails and heads
+//! (`LinkEnd`, set when the region is built and re-derived by a splice),
+//! and its fire loop finishes a link port **in the hold that completed
+//! it**: a completed tail moves the delivery into the link queue and
+//! re-arms its receive while the queue has credit (so a backlog of `k`
+//! stuck producers crosses in one hold), a completed head pops the
+//! acknowledged front and offers the next one. Nobody polls a link.
 //!
-//! Concretely:
+//! Two things cannot be done under that engine's lock, because they
+//! belong to the *other* engine of the link. They leave the hold as
+//! events ([`LinkEvent`]):
 //!
-//! * **Accept side** (`link_drain_deliveries`): under a single hold of
-//!   the *from* engine's lock, every delivery at the link's tail is
-//!   drained into the link queue, re-arming the receive between takes up
-//!   to the link's free capacity (the *credit*). Each re-arm fires the
-//!   engine in place, so the next stuck producer completes inside the
-//!   same hold — a backlog of `k` pending sends drains in one
-//!   acquisition.
-//! * **Emit side** (`link_offer_batch`): under a single hold of the *to*
-//!   engine's lock, a consumed front is acknowledged (popped) and queue
-//!   fronts are re-offered until one stays armed or the queue runs dry —
-//!   an eager downstream region swallows several values per acquisition.
+//! * `Offer(head)` — the queue got a front that is not offered at the
+//!   head port (a push onto a link whose front was not on offer);
+//! * `Rearm(tail)` — a pop freed a slot while the tail had been left
+//!   un-armed for lack of credit. The same event carries the deferred
+//!   forward hangup: a pop that dries the queue of a link whose tail is
+//!   dead raises it too, and its service reports "source dead, queue
+//!   dry", upon which the head port hangs up.
 //!
-//! The old protocol took four acquisitions to move at most one value, so
-//! a backlog of depth `k` cost `O(k)` cascade revisits and `O(4k)` lock
-//! round-trips. [`EngineStats::batch_moves`] counts transfer holds that
-//! moved anything and [`EngineStats::batched_values`] the values they
-//! moved (each crossing counts once per side); their ratio is the
-//! measured amortization.
+//! As in the paper's runtime (Sect. IV-D) there are no helper threads:
+//! the port operation whose hold raised the events drains them after it
+//! unlocked (`Partitioned::drain`), one hold of the target engine per
+//! event (`Engine::serve`), each hold possibly raising further events
+//! onto the same worklist — a value crosses a chain of links on the
+//! thread of the task that sent it. Serving is idempotent, so an event
+//! that went stale (a splice removed the port, someone else armed it)
+//! costs one hold and changes nothing; [`Partitioned::pump`] simply
+//! raises both events on every link and drains — connect, splice, hangup
+//! and the one-shot try-probes use it.
+//!
+//! **Lock order.** A thread never holds two engine locks. The link mutex
+//! (`LinkShared`) is a leaf: taken under at most one engine lock, held for
+//! a push, a pop or a flag flip. Because a link end is only ever touched
+//! under its own engine's lock, concurrent tasks cannot tear an
+//! offer/acknowledge pair apart or reorder two values of one link.
+//!
+//! **Counters.** [`EngineStats::batch_moves`] counts holds that moved a
+//! value across a link end and [`EngineStats::batched_values`] the values
+//! (each crossing counts once per side). [`EngineStats::kicks`] counts
+//! port operations on a region bordering two or more links that had
+//! events to drain; a single-link chain such as the `relay` family's
+//! `Sync – Fifo1 – Sync` keeps it at zero, and costs six engine-lock
+//! holds per value: register, `Offer`, wait on the sending side;
+//! register, `Rearm`, wait on the receiving side.
 //!
 //! [`EngineStats::batch_moves`]: crate::EngineStats::batch_moves
 //! [`EngineStats::batched_values`]: crate::EngineStats::batched_values
-//!
-//! # Caller-thread scheduling, and when it is skipped
-//!
-//! Moving values across links ("pumping") is work that someone has to do.
-//! As in the paper's runtime (Sect. IV-D) there are no helper threads:
-//! the task that calls `send`/`recv` pumps, and the pumping is *routed*,
-//! not broadcast. The partition keeps a static adjacency (`region →
-//! bordering links`); a task operation on a port of region `r` can only
-//! ever enable the links bordering `r`, so a kick names exactly those
-//! links. Pumping then *cascades*: when a pump step of link `l` makes
-//! progress, it may have enabled the links bordering `l`'s two regions,
-//! and only those are revisited — a worklist traversal of the link graph
-//! that reaches quiescence without ever touching unaffected links.
-//!
-//! [`Partitioned::kick`] has three cases, cheapest first:
-//!
-//! * a region bordering **no link** returns before touching anything — a
-//!   pure intra-region connector pays nothing per operation;
-//! * a region bordering **exactly one link** pumps it inline, uncounted —
-//!   the kick-free fast path. The link is armed at connect time
-//!   ([`Partitioned::pump`]) and the batched pump keeps it armed (the
-//!   drain re-arms inside the engine's own completion step while credit
-//!   remains; the offer leaves a front offered), so a steady-state
-//!   single-link chain such as the `relay` family's `Sync – Fifo1 – Sync`
-//!   runs with [`EngineStats::kicks`] pinned at zero;
-//! * a region bordering **two or more links** runs the cascade over them
-//!   inline and counts one kick — exactly the cost model of the paper's
-//!   sequential runtime, but bounded by the affected links, not the full
-//!   link list.
-//!
 //! [`EngineStats::kicks`]: crate::EngineStats::kicks
-//!
-//! Each link's queue and its armed flag live behind **one** mutex
-//! (`LinkState`) and every pump step holds it across the whole
-//! take/arm/acknowledge sequence, so concurrent pumpers (several tasks)
-//! can never tear an arm/consume pair apart or reorder two values of the
-//! same link.
 //!
 //! # Example
 //!
@@ -113,9 +99,8 @@
 //! txs[0].send(5).unwrap();
 //! assert_eq!(rxs[0].recv().unwrap(), 5);
 //!
-//! // Every region here borders exactly one link, so the kick-free fast
-//! // path pumps inline, uncounted, and the value crossed the link
-//! // through batched transfers.
+//! // Every region here borders exactly one link, so no operation counts
+//! // as a kick, and the value crossed the link end to end.
 //! let stats = handle.stats();
 //! assert_eq!(stats.kicks, 0, "single-link chains must not kick");
 //! assert!(stats.batched_values > 0, "the value crossed via batched pumps");
@@ -131,47 +116,20 @@ use reo_automata::{Automaton, MemLayout, PortId, PortSet, ProductOptions, StateI
 
 use crate::cache::CachePolicy;
 use crate::compiled::CompiledCore;
-use crate::engine::{Engine, EngineCore, EngineInner, EngineStats, PortMap};
+use crate::engine::{
+    Engine, EngineCore, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, PortMap,
+};
+pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 
-thread_local! {
-    /// Reusable in-worklist marks for the inline cascades (kicks and
-    /// try-probes). [`Partitioned::pump_cascade`] leaves every
-    /// mark false on exit, so the buffer only ever grows — no per-kick
-    /// allocation, no O(links) re-zeroing on the operation hot path.
-    static CASCADE_SCRATCH: std::cell::RefCell<Vec<bool>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// The cascade-scratch invariant, checkable only in test builds: between
-/// cascades every mark is false (each push's mark is cleared by its pop).
-/// The scan is O(links), so it is deliberately *not* a `debug_assert!` on
-/// the pump path — a debug `cargo test` pumps millions of cascades — and
-/// lives behind `cfg(test)` for the dedicated invariant test instead.
-#[cfg(test)]
-fn cascade_scratch_is_clean() -> bool {
-    CASCADE_SCRATCH.with(|s| s.borrow().iter().all(|&m| !m))
-}
-
-/// The queue of a cut fifo plus its arming flag — one lock for both, held
-/// across every pump step, because they are read and written as a pair
-/// (the front value stays queued while it is armed as a pending send).
-struct LinkState {
-    queue: std::collections::VecDeque<Value>,
-    /// True while the queue front is armed as a pending send on
-    /// [`Link::out_port`] (it leaves the queue only when the engine
-    /// acknowledges consumption).
-    armed: bool,
-}
-
 /// A cut fifo: an engine-to-engine queue.
 ///
-/// The queue itself (`state`) is `Arc`-shared so that a reconfiguration
-/// splice can carry a surviving link's in-flight values into the next
-/// [`Topology`] without draining them: the new topology gets a fresh
-/// `Link` record (region indices are renumbered by the splice) that
-/// points at the *same* `LinkState`.
+/// The queue itself (`shared`) is `Arc`-shared with the two engines'
+/// link-end tables, and so that a reconfiguration splice can carry a
+/// surviving link's in-flight values into the next [`Topology`] without
+/// draining them: the new topology gets a fresh `Link` record (region
+/// indices are renumbered by the splice) that points at the *same* state.
 pub struct Link {
     /// The fifo's tail vertex — a boundary *output* of engine `from`.
     pub in_port: PortId,
@@ -179,17 +137,7 @@ pub struct Link {
     pub out_port: PortId,
     pub from: usize,
     pub to: usize,
-    capacity: Option<usize>,
-    state: Arc<Mutex<LinkState>>,
-    /// The contention-handoff flag: a pumper that finds the link lock
-    /// held raises it and leaves (the holder is already in a pump step
-    /// and re-pumps on its way out) instead of convoying on the lock.
-    /// Raised *before* the `try_lock` attempt and cleared by the holder
-    /// only while it holds the lock, so a flag raised between the
-    /// holder's last in-lock clear and its release is always observed by
-    /// the holder's post-release re-check — a delegated pump cannot be
-    /// stranded.
-    repump: AtomicBool,
+    shared: Arc<LinkShared>,
     /// Hangup propagation latches (monotone; reset only by a splice,
     /// which re-runs the fixpoint). `hangup_fwd`: the *from* engine's
     /// tail port is dead and the queue drained, so the head port was
@@ -202,34 +150,56 @@ pub struct Link {
 
 impl Link {
     pub fn depth(&self) -> usize {
-        self.state.lock().queue.len()
+        self.shared.state.lock().queue.len()
     }
 
-    fn from_spec(spec: &LinkSpec, state: Option<Arc<Mutex<LinkState>>>) -> Link {
+    fn from_spec(spec: &LinkSpec, shared: Option<Arc<LinkShared>>) -> Link {
         Link {
             in_port: spec.in_port,
             out_port: spec.out_port,
             from: spec.from,
             to: spec.to,
-            capacity: spec.capacity,
-            state: state.unwrap_or_else(|| {
-                Arc::new(Mutex::new(LinkState {
-                    queue: spec.initial.iter().cloned().collect(),
-                    armed: false,
-                }))
+            shared: shared.unwrap_or_else(|| {
+                Arc::new(LinkShared {
+                    capacity: spec.capacity,
+                    state: Mutex::new(LinkState {
+                        queue: spec.initial.iter().cloned().collect(),
+                        ..LinkState::default()
+                    }),
+                })
             }),
-            repump: AtomicBool::new(false),
             hangup_fwd: AtomicBool::new(false),
             hangup_back: AtomicBool::new(false),
         }
     }
+
+    /// This link's end at region `r`, if it borders it.
+    fn end_at(&self, r: usize) -> Option<(PortId, LinkEnd)> {
+        let (port, head, peer) = if r == self.from {
+            (self.in_port, false, self.out_port)
+        } else if r == self.to {
+            (self.out_port, true, self.in_port)
+        } else {
+            return None;
+        };
+        let shared = Arc::clone(&self.shared);
+        Some((port, LinkEnd { head, peer, shared }))
+    }
 }
 
+/// The link-end table of region `r`: what its engine is told.
+fn link_ends(links: &[Link], r: usize) -> Vec<(PortId, LinkEnd)> {
+    links.iter().filter_map(|l| l.end_at(r)).collect()
+}
+
+/// Router entry of a port no region serves.
+const UNROUTED: u32 = u32::MAX;
+
 /// One immutable snapshot of the partition's structure: regions, links,
-/// routing. Hot paths clone an `Arc<Topology>` out of
-/// [`Partitioned::topo`] and run against the snapshot lock-free; a
-/// reconfiguration splice builds a successor snapshot and swaps it in
-/// atomically. Engines of
+/// routing. A port call clones an `Arc<Topology>` out of
+/// [`Partitioned::topo`] once and routes, and drains its link events,
+/// against that snapshot lock-free; a reconfiguration splice builds a
+/// successor snapshot and swaps it in atomically. Engines of
 /// surviving regions are carried over **by `Arc` identity** — blocked
 /// tasks hold `Arc<Engine>` clones, so the engine they sleep in must be
 /// the engine the new topology routes to.
@@ -237,21 +207,34 @@ pub struct Topology {
     /// One engine per synchronous region, each sharded to its own ports.
     pub engines: Vec<Arc<Engine>>,
     pub links: Vec<Link>,
-    /// Port → engine index (boundary and internal ports of each region).
-    pub router: HashMap<PortId, usize>,
+    /// Port index → engine index (boundary and internal ports of each
+    /// region), [`UNROUTED`] for ports no region serves.
+    router: Vec<u32>,
     pub region_sizes: Vec<usize>,
-    /// Region → indices of the links bordering it (either side). The
-    /// static routing table of the kick protocol.
-    region_links: Vec<Vec<usize>>,
-    /// Link → links bordering either of its regions (incl. itself): the
-    /// cascade frontier after a pump step of that link made progress.
-    link_neighbors: Vec<Vec<usize>>,
     /// Region → constituent indices (into the automata list this topology
     /// was planned from), in composition order — the order of the region
     /// core's constituent state tuple.
     region_constituents: Vec<Vec<usize>>,
     /// Constituent index → its region; `None` for a cut queue (a link).
     automaton_region: Vec<Option<usize>>,
+}
+
+impl Topology {
+    /// The region serving port `p`, if any.
+    pub fn region_of(&self, p: PortId) -> Option<usize> {
+        let r = *self.router.get(p.index())?;
+        (r != UNROUTED).then_some(r as usize)
+    }
+
+    /// Which engine serves port `p` (boundary ports of cut links route to
+    /// the engine that owns the surviving side). A port this topology does
+    /// not route (detached by a splice) falls back to an arbitrary engine,
+    /// whose port map then rejects the operation with
+    /// [`RuntimeError::Detached`] — detached handles fail, they don't
+    /// panic.
+    pub fn engine_for(&self, p: PortId) -> &Arc<Engine> {
+        &self.engines[self.region_of(p).unwrap_or(0)]
+    }
 }
 
 /// The result of partitioning a set of medium automata. Structure lives
@@ -294,9 +277,7 @@ struct Plan {
     regions: Vec<Vec<usize>>,
     automaton_region: Vec<Option<usize>>,
     links: Vec<LinkSpec>,
-    router: HashMap<PortId, usize>,
-    region_links: Vec<Vec<usize>>,
-    link_neighbors: Vec<Vec<usize>>,
+    router: Vec<u32>,
 }
 
 /// What steps a synchronous region: the JIT core, lowering connected steps
@@ -316,13 +297,14 @@ pub enum RegionEngine {
 /// a JIT core per region under the given state-cache policy, untraced.
 pub fn partition(
     automata: Vec<Automaton>,
-    _port_count: usize,
+    port_count: usize,
     mem_layout: &MemLayout,
     cache: CachePolicy,
     expansion_budget: usize,
 ) -> Result<Partitioned, RuntimeError> {
     partition_with_opts(
         automata,
+        port_count,
         mem_layout,
         RegionEngine::Jit(cache),
         expansion_budget,
@@ -336,7 +318,8 @@ pub fn partition(
 /// the connected components over shared ports. A queue automaton whose two
 /// sides touch different regions becomes a [`Link`]; one with both sides in
 /// the same region (or dangling sides) stays an ordinary automaton of that
-/// region. `engine` selects each region's stepping core.
+/// region. `engine` selects each region's stepping core; `port_count`
+/// sizes the port router (ports beyond it still route: the table grows).
 ///
 /// `traced` must be set for sessions that intend to reconfigure: a splice
 /// reads each affected region's per-constituent control states back out
@@ -347,18 +330,24 @@ pub fn partition(
 /// keep the cheaper untraced build.
 pub fn partition_with_opts(
     automata: Vec<Automaton>,
+    port_count: usize,
     mem_layout: &MemLayout,
     engine: RegionEngine,
     expansion_budget: usize,
     traced: bool,
 ) -> Result<Partitioned, RuntimeError> {
-    let plan = plan_partition(&automata);
+    let plan = plan_partition(&automata, port_count);
+    let links: Vec<Link> = plan
+        .links
+        .iter()
+        .map(|spec| Link::from_spec(spec, None))
+        .collect();
 
-    // One engine per region, sharded to the region's own ports. The store
-    // still shares the global layout (regions touch disjoint cells, so
-    // sharing it is safe and keeps ids global).
+    // One engine per region, sharded to the region's own ports and told
+    // its link ends. The store still shares the global layout (regions
+    // touch disjoint cells, so sharing it is safe and keeps ids global).
     let mut engines: Vec<Arc<Engine>> = Vec::with_capacity(plan.regions.len());
-    for members in &plan.regions {
+    for (r, members) in plan.regions.iter().enumerate() {
         let autos: Vec<Automaton> = members.iter().map(|&i| automata[i].clone()).collect();
         let ports = region_port_map(&autos);
         let core: Box<dyn EngineCore> = match engine {
@@ -371,14 +360,8 @@ pub fn partition_with_opts(
             }
             RegionEngine::Compiled(opts) => Box::new(CompiledCore::from_region(&autos, &opts)?),
         };
-        engines.push(Arc::new(Engine::new(core, ports, Store::new(mem_layout))));
+        engines.push(new_region_engine(core, ports, mem_layout, &links, r));
     }
-
-    let links: Vec<Link> = plan
-        .links
-        .iter()
-        .map(|spec| Link::from_spec(spec, None))
-        .collect();
 
     Ok(Partitioned {
         topo: RwLock::new(Arc::new(Topology {
@@ -386,8 +369,6 @@ pub fn partition_with_opts(
             links,
             router: plan.router,
             region_sizes: plan.regions.iter().map(Vec::len).collect(),
-            region_links: plan.region_links,
-            link_neighbors: plan.link_neighbors,
             region_constituents: plan.regions,
             automaton_region: plan.automaton_region,
         })),
@@ -400,6 +381,19 @@ pub fn partition_with_opts(
     })
 }
 
+/// A fresh engine for region `r`, told which of its ports end a link.
+fn new_region_engine(
+    core: Box<dyn EngineCore>,
+    ports: PortMap,
+    layout: &MemLayout,
+    links: &[Link],
+    r: usize,
+) -> Arc<Engine> {
+    let engine = Engine::new(core, ports, Store::new(layout));
+    Engine::set_link_ends(&mut engine.lock_for_reconfig(), &link_ends(links, r));
+    Arc::new(engine)
+}
+
 /// Sparse port map over a region's automata (its own ports only).
 fn region_port_map(autos: &[Automaton]) -> PortMap {
     PortMap::sparse(autos.iter().flat_map(|a| {
@@ -409,10 +403,11 @@ fn region_port_map(autos: &[Automaton]) -> PortMap {
 }
 
 /// The structural half of partitioning: regions as connected components
-/// over shared ports, cut queues as links, kick routing tables. Pure —
-/// no engines are built, so the splice path can re-plan a changed
-/// constituent list and diff the result against the live topology.
-fn plan_partition(automata: &[Automaton]) -> Plan {
+/// over shared ports, cut queues as links, the port router (at least
+/// `port_count` entries). Pure — no engines are built, so the splice path
+/// can re-plan a changed constituent list and diff the result against the
+/// live topology.
+fn plan_partition(automata: &[Automaton], port_count: usize) -> Plan {
     let n = automata.len();
     let is_queue: Vec<bool> = automata.iter().map(|a| a.queue_hint().is_some()).collect();
 
@@ -512,44 +507,25 @@ fn plan_partition(automata: &[Automaton]) -> Plan {
         });
     }
 
-    let mut router = HashMap::new();
+    let mut router = vec![UNROUTED; port_count];
     for (i, region) in automaton_region.iter().enumerate() {
         if let Some(r) = region {
             for p in automata[i].ports().iter() {
-                router.entry(p).or_insert(*r);
+                if router.len() <= p.index() {
+                    router.resize(p.index() + 1, UNROUTED);
+                }
+                if router[p.index()] == UNROUTED {
+                    router[p.index()] = *r as u32;
+                }
             }
         }
     }
-
-    // Static kick routing: region → bordering links, link → cascade set.
-    let mut region_links: Vec<Vec<usize>> = vec![Vec::new(); regions.len()];
-    for (l, link) in links.iter().enumerate() {
-        region_links[link.from].push(l);
-        if link.to != link.from {
-            region_links[link.to].push(l);
-        }
-    }
-    let link_neighbors: Vec<Vec<usize>> = links
-        .iter()
-        .map(|link| {
-            let mut ns: Vec<usize> = region_links[link.from]
-                .iter()
-                .chain(&region_links[link.to])
-                .copied()
-                .collect();
-            ns.sort_unstable();
-            ns.dedup();
-            ns
-        })
-        .collect();
 
     Plan {
         regions,
         automaton_region,
         links,
         router,
-        region_links,
-        link_neighbors,
     }
 }
 
@@ -579,203 +555,88 @@ impl Partitioned {
         }
     }
 
-    /// One **batched** pump step of one link, with the link's state locked
-    /// across the whole sequence (lock order is always link → engine;
-    /// engines never take link locks, so there is no cycle).
-    ///
-    /// **Contention-aware handoff:** the link lock is taken with a
-    /// `try_lock`. A pumper that finds it held does not convoy behind the
-    /// holder — it raises the link's `repump` flag and returns; the
-    /// holder is mid-pump-step and, seeing the flag on its way out,
-    /// re-pumps to cover the delegated work. The flag is raised *before*
-    /// the `try_lock` and the holder clears it only while holding the
-    /// lock, then re-checks it after every release: whichever side loses
-    /// the race, the flag is observed and the work is done (see `Link`).
-    ///
-    /// Returns `true` iff *this call* observed progress. A delegated call
-    /// returns `false` — the holder observes (and, in its own cascade,
-    /// propagates) the progress instead.
-    fn pump_link(&self, topo: &Topology, link: &Link) -> bool {
-        link.repump.store(true, Ordering::SeqCst);
-        let mut progressed = false;
-        loop {
-            let Some(mut st) = link.state.try_lock() else {
-                // Lock held: the holder's post-release re-check sees the
-                // flag we just raised and re-pumps on our behalf.
-                return progressed;
-            };
-            link.repump.store(false, Ordering::SeqCst);
-            progressed |= self.pump_link_locked(topo, link, &mut st);
-            drop(st);
-            if !link.repump.load(Ordering::SeqCst) {
-                return progressed;
-            }
-            // A contender delegated to us between our last in-lock clear
-            // and the release: loop and cover its pump.
-        }
-    }
-
-    /// The pump-step body, with the link state lock held.
-    ///
-    /// Exactly two engine-lock acquisitions, each moving as many values as
-    /// it can: the accept side drains every delivery the *from* engine can
-    /// produce (re-arming between takes, up to the link's free capacity —
-    /// the credit), the emit side acknowledges and re-offers queue fronts
-    /// until the *to* engine stops consuming. The old protocol made four
-    /// acquisitions to move at most one value, so a backlog of depth `k`
-    /// cost `O(k)` cascade revisits at `O(4k)` lock round-trips; now it is
-    /// one pump step at two.
-    fn pump_link_locked(&self, topo: &Topology, link: &Link, st: &mut LinkState) -> bool {
-        let LinkState { queue, armed } = st;
-        // Credit: free slots in the link queue (the armed front stays
-        // queued until acknowledged, so `len` counts resident values).
-        let len0 = queue.len();
-        let credit = link
-            .capacity
-            .map_or(usize::MAX, |cap| cap.saturating_sub(len0));
-        let mut progressed =
-            topo.engines[link.from].link_drain_deliveries(link.in_port, queue, credit);
-        // The drain was capacity-throttled iff it used up every free slot
-        // of a bounded queue — only then can an acknowledgment below free
-        // anything worth a second pass.
-        let throttled = link.capacity.is_some() && queue.len() - len0 == credit;
-        let len1 = queue.len();
-        progressed |= topo.engines[link.to].link_offer_batch(link.out_port, queue, armed);
-        // Emit-before-drain credit: acknowledgments during the offer freed
-        // queue slots, and the drain above had been starved of credit —
-        // use the freed slots in this same pump step instead of leaving
-        // them to the next one (one fewer pump per value on a full link).
-        if throttled && queue.len() < len1 {
-            let credit = link
-                .capacity
-                .map_or(usize::MAX, |cap| cap.saturating_sub(queue.len()));
-            progressed |=
-                topo.engines[link.from].link_drain_deliveries(link.in_port, queue, credit);
-        }
-        // Deferred hangup propagation: a link whose source port is dead
-        // keeps delivering its buffered values; the moment the queue runs
-        // dry (and no front is armed) the head port can never produce
-        // again either, so it hangs up on the downstream engine. The
-        // `any_hungup` probe is one atomic load, so the no-fault hot path
-        // pays nothing beyond it.
-        if queue.is_empty()
-            && !*armed
-            && !link.hangup_fwd.load(Ordering::Acquire)
-            && topo.engines[link.from].any_hungup()
-            && topo.engines[link.from].is_dead(link.in_port)
-            && !topo.engines[link.from].has_parked_delivery(link.in_port)
-        {
-            link.hangup_fwd.store(true, Ordering::Release);
-            topo.engines[link.to].hangup(&[link.out_port]);
-            progressed = true; // cascade: downstream links may now be dead too
-        }
-        progressed
-    }
-
-    /// Worklist pump: start from the given links, and whenever a link's
-    /// pump step makes progress, revisit the links bordering its regions
-    /// (only those can have been enabled — a pump step touches exactly two
-    /// engines). `scratch` marks in-worklist links; reaching an empty
-    /// worklist is quiescence over everything the starting set could
-    /// influence. Safe to run concurrently from any number of threads.
-    ///
-    /// `scratch` must be all-false on entry and is all-false again on
-    /// exit (every mark set by a push is cleared by its pop), so callers
-    /// reuse one buffer forever without re-zeroing; it only grows.
-    fn pump_cascade(
-        &self,
-        topo: &Topology,
-        start: impl IntoIterator<Item = usize>,
-        scratch: &mut Vec<bool>,
-    ) {
-        if scratch.len() < topo.links.len() {
-            scratch.resize(topo.links.len(), false);
-        }
-        // The all-false invariant is O(links) to scan, so it is *not*
-        // checked here even in debug builds (a debug `cargo test` pumps
-        // millions of cascades); `cascade_scratch_is_clean` + the
-        // dedicated invariant test cover it.
-        let mut work: Vec<usize> = Vec::new();
-        for l in start {
-            if !scratch[l] {
-                scratch[l] = true;
-                work.push(l);
+    /// Serve the next event of `work` in one hold of its target engine,
+    /// which may add further events; `false` once the list is empty. The
+    /// step a port call's drain is made of, public so a test can take the
+    /// protocol through every interleaving one hold at a time.
+    pub fn serve_one(&self, topo: &Topology, work: &mut LinkEvents) -> bool {
+        let Some(ev) = work.pop() else { return false };
+        let (LinkEvent::Offer(p) | LinkEvent::Rearm(p)) = ev;
+        // A hold that follows a splice can name a port younger than the
+        // caller's snapshot: look again before giving the event up (a port
+        // that is gone routes to an engine that does not serve it).
+        let fresh = topo.region_of(p).is_none().then(|| self.topo());
+        let topo = fresh.as_deref().unwrap_or(topo);
+        if topo.engine_for(p).serve(ev, work) {
+            // Source dead, queue dry: nothing will cross this link again.
+            let link = topo.links.iter().find(|l| l.in_port == p);
+            if let Some(link) = link.filter(|l| !l.hangup_fwd.swap(true, Ordering::AcqRel)) {
+                topo.engines[link.to].hangup(&[link.out_port]);
+                self.propagate_hangups(topo);
+                raise_all(topo, work); // downstream links may now be dead too
             }
         }
-        while let Some(i) = work.pop() {
-            scratch[i] = false;
-            if self.pump_link(topo, &topo.links[i]) {
-                for &j in &topo.link_neighbors[i] {
-                    if !scratch[j] {
-                        scratch[j] = true;
-                        work.push(j);
-                    }
-                }
-            }
-        }
+        true
     }
 
-    /// Move values across every link until quiescent. Used for
-    /// connect-time initial arming and by the synchronous try-probe paths
-    /// (a value another task's cascade is still moving along an upstream
-    /// link is unreachable from a targeted cascade, which only expands
-    /// on progress — only the full sweep guarantees the probe observes
-    /// everything already in flight). Safe to run concurrently from any
-    /// thread.
+    /// Run `hold` — a port call's registration in an engine of `topo` — and
+    /// then, that lock released, drain the link events it raised against
+    /// the snapshot the call was routed by: one hold of the target engine
+    /// per event, until no hold raises another. Never holds two engine
+    /// locks.
+    pub(crate) fn drain<R>(&self, topo: &Topology, hold: impl FnOnce(&mut LinkEvents) -> R) -> R {
+        let mut work = LinkEvents::default();
+        let result = hold(&mut work);
+        if work.counted {
+            self.kicks.fetch_add(1, Ordering::Relaxed);
+        }
+        while self.serve_one(topo, &mut work) {}
+        result
+    }
+
+    /// Raise both events on every link and drain: connect-time arming
+    /// (initial tokens reach their heads, every tail with credit is
+    /// armed), the end of a splice or a hangup, and the synchronous
+    /// try-probes, which get no second chance and so must see everything
+    /// already in flight, including what another task's drain has not
+    /// served yet. Safe to run concurrently from any thread.
     pub fn pump(&self) {
         let topo = self.topo();
-        CASCADE_SCRATCH.with(|s| {
-            self.pump_cascade(&topo, 0..topo.links.len(), &mut s.borrow_mut());
-        });
+        self.drain(&topo, |work| raise_all(&topo, work));
     }
 
-    /// Pump after an operation on port `p`, on the calling task's own
-    /// thread: only the links bordering `p`'s region can have been
-    /// enabled, so only those are considered.
-    ///
-    /// Three cases, cheapest first:
-    ///
-    /// * **zero links anywhere / zero links on this region's border** —
-    ///   return immediately, uncounted. A pure intra-region connector
-    ///   pays nothing beyond the (skipped-entirely when the partition has
-    ///   no links at all) router lookup.
-    /// * **exactly one bordering link — the kick-free fast path.** Pump
-    ///   that link inline, uncounted. Combined with connect-time arming
-    ///   and the batched pump's keep-armed discipline, a steady-state
-    ///   single-link chain (`Sync – Fifo1 – Sync`) keeps
-    ///   `EngineStats::kicks` at zero. When the link's cascade frontier
-    ///   is itself alone, the pump loops in place; otherwise the inline
-    ///   cascade covers downstream links.
-    /// * **two or more bordering links** — one counted kick: an inline
-    ///   cascade starting from all of them.
-    pub fn kick(&self, p: PortId) {
+    /// Test support: what the link protocol promises whenever no event is
+    /// outstanding, checked on every link — a queue front is on offer at
+    /// its head, a tail with credit is armed. One line per violation.
+    pub fn unserved_links(&self) -> Vec<String> {
         let topo = self.topo();
-        if topo.links.is_empty() {
-            return; // no links at all: nothing a kick could ever pump
-        }
-        let Some(&region) = topo.router.get(&p) else {
-            return;
-        };
-        let adjacent = &topo.region_links[region];
-        match adjacent.len() {
-            0 => (), // region borders no link: the engine already did it all
-            1 => {
-                let l = adjacent[0];
-                if topo.link_neighbors[l].len() == 1 {
-                    while self.pump_link(&topo, &topo.links[l]) {}
-                } else {
-                    CASCADE_SCRATCH.with(|s| {
-                        self.pump_cascade(&topo, std::iter::once(l), &mut s.borrow_mut());
-                    });
-                }
+        let mut faults = Vec::new();
+        for (i, link) in topo.links.iter().enumerate() {
+            let parked = |r: usize, p: PortId| {
+                let (ops, _) = topo.engines[r].sample_region(r, &PortSet::new());
+                ops.iter().any(|op| op.port == p)
+            };
+            let (tail_armed, head_armed) = (
+                parked(link.from, link.in_port),
+                parked(link.to, link.out_port),
+            );
+            let st = link.shared.state.lock();
+            if st.offered != head_armed || st.offered == st.queue.is_empty() {
+                faults.push(format!(
+                    "link {i}: {} queued, offered={}, head armed={head_armed}",
+                    st.queue.len(),
+                    st.offered
+                ));
             }
-            _ => {
-                self.kicks.fetch_add(1, Ordering::Relaxed);
-                CASCADE_SCRATCH.with(|s| {
-                    self.pump_cascade(&topo, adjacent.iter().copied(), &mut s.borrow_mut());
-                });
+            if tail_armed != link.shared.capacity.is_none_or(|cap| st.queue.len() < cap) {
+                faults.push(format!(
+                    "link {i}: {} queued of {:?}, tail armed={tail_armed}",
+                    st.queue.len(),
+                    link.shared.capacity
+                ));
             }
         }
+        faults
     }
 
     /// Sum of global steps over all regions.
@@ -867,7 +728,7 @@ impl Partitioned {
         let topo = self.topo();
         let mut any = false;
         for &p in ports {
-            if let Some(&r) = topo.router.get(&p) {
+            if let Some(r) = topo.region_of(p) {
                 topo.engines[r].hangup(&[p]);
                 any = true;
             }
@@ -881,8 +742,8 @@ impl Partitioned {
     /// Cross-link hangup fixpoint. Forward: a link whose tail port is
     /// dead on the *from* engine and whose queue is drained hangs up its
     /// head port on the *to* engine (buffered values still deliver — the
-    /// drained-later case is covered by the pump,
-    /// [`Partitioned::pump_link_locked`]). Backward: a link whose head
+    /// drained-later case is covered by the pop that dries the queue,
+    /// see [`LinkEvent::Rearm`]). Backward: a link whose head
     /// port is dead on the *to* engine (nothing will ever consume) hangs
     /// up its tail port on the *from* engine immediately — values parked
     /// behind it could never be delivered anyway. The latches are
@@ -896,22 +757,16 @@ impl Partitioned {
             for link in &topo.links {
                 let from = &topo.engines[link.from];
                 let to = &topo.engines[link.to];
+                // Dry is really drained: a tail's delivery enters the queue
+                // in the hold that fired it, so none is parked outside.
                 if !link.hangup_fwd.load(Ordering::Acquire)
                     && from.any_hungup()
                     && from.is_dead(link.in_port)
+                    && link.shared.dry()
                 {
-                    // Drained means *really* drained: the link queue is
-                    // empty, no front is offered, and no fired delivery
-                    // is still parked on the tail awaiting its pump.
-                    let drained = {
-                        let st = link.state.lock();
-                        st.queue.is_empty() && !st.armed
-                    } && !from.has_parked_delivery(link.in_port);
-                    if drained {
-                        link.hangup_fwd.store(true, Ordering::Release);
-                        to.hangup(&[link.out_port]);
-                        changed = true;
-                    }
+                    link.hangup_fwd.store(true, Ordering::Release);
+                    to.hangup(&[link.out_port]);
+                    changed = true;
                 }
                 if !link.hangup_back.load(Ordering::Acquire)
                     && to.any_hungup()
@@ -934,27 +789,13 @@ impl Partitioned {
         }
     }
 
-    /// Which engine serves port `p` (boundary ports of cut links route to
-    /// the engine that owns the surviving side). Returns an owned `Arc`
-    /// snapshot: the caller keeps a stable engine reference even if a
-    /// splice swaps the topology mid-operation (kept regions preserve
-    /// their engine's `Arc` identity, so a parked task wakes in the same
-    /// engine the new topology routes to).
-    ///
-    /// A port the live topology no longer routes (detached by a splice)
-    /// falls back to an arbitrary engine, whose port map then rejects the
-    /// operation with [`RuntimeError::Detached`] — detached handles fail,
-    /// they don't panic.
+    /// [`Topology::engine_for`] on the live topology, as an owned `Arc`:
+    /// the caller keeps a stable engine reference even if a splice swaps
+    /// the topology mid-operation (kept regions preserve their engine's
+    /// `Arc` identity, so a parked task wakes in the same engine the new
+    /// topology routes to).
     pub fn engine_for(&self, p: PortId) -> Arc<Engine> {
-        let topo = self.topo();
-        match topo.router.get(&p) {
-            Some(&r) => Arc::clone(&topo.engines[r]),
-            None => Arc::clone(
-                topo.engines
-                    .first()
-                    .expect("partition has at least one region"),
-            ),
-        }
+        Arc::clone(self.topo().engine_for(p))
     }
 
     /// A freshly composed region core for the splice path — always
@@ -1007,22 +848,26 @@ impl Partitioned {
     ///    share a kept constituent. Merges and splits of live regions are
     ///    rejected ([`RuntimeError::Reconfig`]) — v1 supports branch
     ///    churn, not arbitrary re-partitioning.
-    /// 2. **Quiesce**: lock removed links (link → engine is the pump's
-    ///    lock order, so link locks come first), then every affected
-    ///    engine. Verify removed ports are idle
-    ///    (`Engine::removal_quiescent`), removed links empty, and every
-    ///    detaching constituent at rest (initial control state, initial
-    ///    memory) — the zero-loss guarantee: a branch with an undelivered
-    ///    value refuses to detach.
-    /// 3. **Splice**: recompose each affected region's core *from the
-    ///    current constituent states* (kept constituents resume exactly
-    ///    where they were) and install it into the same engine —
-    ///    `Arc<Engine>` identity is preserved, so tasks parked in kept
-    ///    regions wake in the engine the new topology routes to. Fresh
-    ///    regions get fresh engines; untouched regions are not even
-    ///    locked.
+    /// 2. **Quiesce**: lock every affected engine — a region whose
+    ///    constituents change, leave, or whose *border* changes (it gains
+    ///    or loses a bordering link, with or without a change to its
+    ///    constituent list) — and only then look at the removed links:
+    ///    the link mutex is a leaf under the engine locks, and with both
+    ///    ends' engines held nothing can push or pop. Verify removed ports
+    ///    are idle (`Engine::removal_quiescent`), removed links empty, and
+    ///    every detaching constituent at rest (initial control state,
+    ///    initial memory) — the zero-loss guarantee: a branch with an
+    ///    undelivered value refuses to detach.
+    /// 3. **Splice**: recompose each region whose constituents changed
+    ///    *from the current constituent states* (kept constituents resume
+    ///    exactly where they were) and install it, with its re-derived
+    ///    link ends, into the same engine — `Arc<Engine>` identity is
+    ///    preserved, so tasks parked in kept regions wake in the engine
+    ///    the new topology routes to. A region that only changed its
+    ///    border gets the new link-end table. Fresh regions get fresh
+    ///    engines; untouched regions are not even locked.
     /// 4. **Swap** in the successor [`Topology`]: surviving links carry
-    ///    their in-flight values over via the shared `LinkState`.
+    ///    their in-flight values over via the shared link state.
     /// 5. **Re-pump** everything once, inline — nothing enabled by the
     ///    splice waits for the next task operation.
     ///
@@ -1037,7 +882,7 @@ impl Partitioned {
     ) -> Result<(), RuntimeError> {
         assert_eq!(new_automata.len(), old_of_new.len());
         let old = self.topo();
-        let plan = plan_partition(new_automata);
+        let plan = plan_partition(new_automata, old.router.len());
 
         // Kept constituents must keep their role: a queue that was a cut
         // link cannot re-enter a region mid-flight (its values live in
@@ -1109,19 +954,17 @@ impl Partitioned {
 
         // Surviving links keep their queue (matched by port pair — kept
         // constituents keep their ports, fresh ones get fresh ports).
-        let mut carried_state: Vec<Option<Arc<Mutex<LinkState>>>> = vec![None; plan.links.len()];
         let mut old_link_kept = vec![false; old.links.len()];
-        for (li, spec) in plan.links.iter().enumerate() {
-            if let Some((oli, ol)) = old
-                .links
-                .iter()
-                .enumerate()
-                .find(|(_, ol)| ol.in_port == spec.in_port && ol.out_port == spec.out_port)
-            {
-                carried_state[li] = Some(Arc::clone(&ol.state));
-                old_link_kept[oli] = true;
-            }
-        }
+        let links: Vec<Link> = (plan.links.iter())
+            .map(|spec| {
+                let same = |ol: &Link| ol.in_port == spec.in_port && ol.out_port == spec.out_port;
+                let carried = old.links.iter().position(same).map(|oli| {
+                    old_link_kept[oli] = true;
+                    Arc::clone(&old.links[oli].shared)
+                });
+                Link::from_spec(spec, carried)
+            })
+            .collect();
 
         // Affected kept regions: constituent list (or its order, which is
         // the state-tuple order) changed. Identical regions are reused
@@ -1141,27 +984,33 @@ impl Partitioned {
             }
         }
 
-        // ---- Quiesce (lock order: links, then engines). ----
-        let mut removed_link_guards = Vec::new();
+        // Kept regions whose border changes: they border a link that goes
+        // or a link that comes, whatever happens to their constituents.
+        let mut rebordered: Vec<usize> = Vec::new();
         for (oli, ol) in old.links.iter().enumerate() {
-            if old_link_kept[oli] {
-                continue;
+            if !old_link_kept[oli] {
+                rebordered.extend([ol.from, ol.to]);
             }
-            let g = ol.state.lock();
-            if !g.queue.is_empty() {
-                return Err(RuntimeError::Reconfig(format!(
-                    "link {} → {} of the detaching branch still holds {} undelivered value(s)",
-                    ol.in_port,
-                    ol.out_port,
-                    g.queue.len()
-                )));
+        }
+        for link in &links {
+            if !old
+                .links
+                .iter()
+                .any(|ol| Arc::ptr_eq(&ol.shared, &link.shared))
+            {
+                rebordered.extend(
+                    [link.from, link.to]
+                        .iter()
+                        .filter_map(|&nr| old_region_of[nr]),
+                );
             }
-            removed_link_guards.push(g);
         }
 
+        // ---- Quiesce (lock order: engines, then the leaf link locks). ----
         let mut locked: Vec<usize> = affected
             .iter()
             .chain(removed_regions.iter())
+            .chain(rebordered.iter())
             .copied()
             .collect();
         locked.sort_unstable();
@@ -1172,6 +1021,17 @@ impl Partitioned {
             Engine::check_open(&g)?;
             Engine::removal_quiescent(&g, &removed_ports)?;
             guards.insert(r, g);
+        }
+        // Both engines of a removed link are held, so its depth is final.
+        for (oli, ol) in old.links.iter().enumerate() {
+            if !old_link_kept[oli] && ol.depth() > 0 {
+                return Err(RuntimeError::Reconfig(format!(
+                    "link {} → {} of the detaching branch still holds {} undelivered value(s)",
+                    ol.in_port,
+                    ol.out_port,
+                    ol.depth()
+                )));
+            }
         }
 
         // Removed regions: *every* port idle, every constituent at rest.
@@ -1187,7 +1047,7 @@ impl Partitioned {
 
         // Affected kept regions: verify detaching members at rest, then
         // recompose from the live constituent states.
-        let mut installs: Vec<(usize, Box<dyn EngineCore>, PortMap)> = Vec::new();
+        let mut installs: HashMap<usize, (Box<dyn EngineCore>, PortMap)> = HashMap::new();
         let mut fresh: HashMap<usize, (Box<dyn EngineCore>, PortMap)> = HashMap::new();
         for (nr, members) in plan.regions.iter().enumerate() {
             let autos: Vec<Automaton> =
@@ -1215,7 +1075,7 @@ impl Partitioned {
                         })
                         .collect();
                     let core = self.build_region_core(&autos, &starts)?;
-                    installs.push((or, core, region_port_map(&autos)));
+                    installs.insert(or, (core, region_port_map(&autos)));
                 }
                 Some(_) => {} // untouched: engine reused as-is
                 None => {
@@ -1227,16 +1087,23 @@ impl Partitioned {
         }
 
         // ---- Point of no return: install, assemble, swap. ----
-        for (or, core, ports) in installs {
-            let g = guards.get_mut(&or).expect("affected region is locked");
-            old.engines[or].install(g, core, ports, layout);
+        for &or in &locked {
+            let Some(nr) = taken[or] else {
+                continue; // a removed region
+            };
+            let g = guards.get_mut(&or).expect("locked above");
+            let ends = link_ends(&links, nr);
+            match installs.remove(&or) {
+                Some((core, ports)) => old.engines[or].install(g, core, ports, layout, &ends),
+                None => Engine::set_link_ends(g, &ends), // only its border changed
+            }
         }
         let engines: Vec<Arc<Engine>> = (0..plan.regions.len())
             .map(|nr| match old_region_of[nr] {
                 Some(or) => Arc::clone(&old.engines[or]),
                 None => {
                     let (core, ports) = fresh.remove(&nr).expect("fresh region core built");
-                    let engine = Arc::new(Engine::new(core, ports, Store::new(layout)));
+                    let engine = new_region_engine(core, ports, layout, &links, nr);
                     // Fresh regions join the fault-containment fabric:
                     // poison fan-out and the shared stall watchdog.
                     if let Some(weak) = self.fanout.get() {
@@ -1249,19 +1116,11 @@ impl Partitioned {
                 }
             })
             .collect();
-        let links: Vec<Link> = plan
-            .links
-            .iter()
-            .enumerate()
-            .map(|(li, spec)| Link::from_spec(spec, carried_state[li].take()))
-            .collect();
         let next = Topology {
             engines,
             links,
             router: plan.router,
             region_sizes: plan.regions.iter().map(Vec::len).collect(),
-            region_links: plan.region_links,
-            link_neighbors: plan.link_neighbors,
             region_constituents: plan.regions,
             automaton_region: plan.automaton_region,
         };
@@ -1272,7 +1131,6 @@ impl Partitioned {
         // a splice that already passed its point of no return.
         *self.topo.write().unwrap_or_else(|p| p.into_inner()) = Arc::clone(&next);
         drop(guards);
-        drop(removed_link_guards);
         // Detached regions' engines are shut so any straggling reference
         // fails with `Closed` instead of stepping a zombie core.
         for &r in &removed_regions {
@@ -1283,13 +1141,22 @@ impl Partitioned {
         // re-establishes cross-link deadness before the pump runs.
         self.propagate_hangups(&next);
         // One full pump covers everything the splice may have enabled
-        // (fresh links arm, carried tokens reach new heads).
+        // (fresh links arm, carried tokens reach new heads) and whatever
+        // the installs' own firing raised.
         self.pump();
         Ok(())
     }
 }
 
-/// Per-region sets of link-protocol ports: the pump keeps a receive armed
+/// Raise both events on every link of `topo`.
+fn raise_all(topo: &Topology, work: &mut LinkEvents) {
+    for link in &topo.links {
+        work.push(LinkEvent::Rearm(link.in_port));
+        work.push(LinkEvent::Offer(link.out_port));
+    }
+}
+
+/// Per-region sets of link-protocol ports: the protocol keeps a receive armed
 /// on every tail and offers fronts on every head, so these show up as
 /// pending operations with no task behind them — the watchdog must not
 /// count them as parked work.
@@ -1427,6 +1294,24 @@ mod tests {
         PortId(i)
     }
 
+    /// A blocking send through the partition, as `Backend::Multi` does it.
+    fn send(part: &Partitioned, port: PortId, v: i64) {
+        let topo = part.topo();
+        let e = topo.engine_for(port);
+        part.drain(&topo, |ev| e.register_send(port, Value::Int(v), Some(ev)))
+            .unwrap();
+        e.wait_send(port, None).unwrap();
+    }
+
+    /// The receiving twin of [`send`].
+    fn recv(part: &Partitioned, port: PortId) -> Option<i64> {
+        let topo = part.topo();
+        let e = topo.engine_for(port);
+        part.drain(&topo, |ev| e.register_recv(port, Some(ev)))
+            .unwrap();
+        e.wait_recv(port, None).unwrap().as_int()
+    }
+
     #[test]
     fn fifo_between_regions_is_cut() {
         // merger(0,1;2) -> fifo(2;3) -> replicator(3;4,5): two synchronous
@@ -1443,10 +1328,10 @@ mod tests {
         assert_eq!(t.links.len(), 1);
         assert_eq!(t.region_sizes, vec![1, 1]);
         assert_ne!(t.links[0].from, t.links[0].to);
-        // The kick routing table covers both regions' borders.
-        assert_eq!(t.region_links[t.links[0].from], vec![0]);
-        assert_eq!(t.region_links[t.links[0].to], vec![0]);
-        assert_eq!(t.link_neighbors[0], vec![0]);
+        // The router covers both regions, link ports included.
+        assert_eq!(t.region_of(p(2)), Some(t.links[0].from));
+        assert_eq!(t.region_of(p(3)), Some(t.links[0].to));
+        assert_eq!(t.region_of(p(6)), None);
     }
 
     #[test]
@@ -1487,8 +1372,9 @@ mod tests {
     }
 
     /// Replicator → two parallel fifo links → merger: both regions border
-    /// *two* links, so operations run the counted kick cascade (the
-    /// two_region_pipeline above takes the kick-free fast path instead). Every value sent at port 0 arrives twice at port 5.
+    /// *two* links, so operations that raise events count as kicks (the
+    /// two_region_pipeline above never does). Every value sent at port 0
+    /// arrives twice at port 5.
     fn dual_link_pipeline() -> Partitioned {
         let autos = vec![
             primitives::replicator(p(0), &[p(1), p(2)]),
@@ -1507,39 +1393,38 @@ mod tests {
     fn values_flow_across_a_link_end_to_end() {
         let part = Arc::new(two_region_pipeline());
         part.pump(); // initial arming
-        let sender_engine = part.engine_for(p(0));
-        let recv_engine = part.engine_for(p(3));
-        assert!(!Arc::ptr_eq(&sender_engine, &recv_engine));
+        assert!(!Arc::ptr_eq(&part.engine_for(p(0)), &part.engine_for(p(3))));
 
         let part2 = Arc::clone(&part);
-        let rx = std::thread::spawn(move || {
-            let e = part2.engine_for(p(3));
-            e.register_recv(p(3)).unwrap();
-            part2.kick(p(3));
-            let v = e.wait_recv(p(3), None).unwrap();
-            part2.kick(p(3));
-            v
-        });
-        let e = part.engine_for(p(0));
-        e.register_send(p(0), Value::Int(21)).unwrap();
-        part.kick(p(0));
-        e.wait_send(p(0), None).unwrap();
-        part.kick(p(0));
-        assert_eq!(rx.join().unwrap().as_int(), Some(21));
+        let rx = std::thread::spawn(move || recv(&part2, p(3)));
+        send(&part, p(0), 21);
+        assert_eq!(rx.join().unwrap(), Some(21));
         let stats = part.stats();
+        assert_eq!(stats.kicks, 0, "single-link regions never kick: {stats:?}");
         assert_eq!(
-            stats.kicks, 0,
-            "single-link regions take the kick-free fast path: {stats:?}"
+            (stats.batch_moves, stats.batched_values),
+            (2, 2),
+            "the value crossed once per link end: {stats:?}"
         );
-        assert!(
-            stats.batched_values > 0,
-            "the value crossed via batched link transfers: {stats:?}"
-        );
+        assert_eq!(part.unserved_links(), Vec::<String>::new());
     }
 
-    /// Satellite: a partition without any links must early-return from
-    /// `kick` without counting — pure intra-region connectors pay no
-    /// per-operation kick bookkeeping.
+    /// Operations on regions that border two links count a kick when they
+    /// leave events to drain.
+    #[test]
+    fn multi_link_regions_count_kicks() {
+        let part = dual_link_pipeline();
+        part.pump();
+        for k in 0..20 {
+            send(&part, p(0), k);
+            assert_eq!((recv(&part, p(5)), recv(&part, p(5))), (Some(k), Some(k)));
+        }
+        assert!(part.stats().kicks > 0, "multi-link regions count kicks");
+        assert_eq!(part.unserved_links(), Vec::<String>::new());
+    }
+
+    /// A partition without links raises no events, so no operation on it
+    /// has anything to drain or counts as a kick.
     #[test]
     fn zero_link_partitions_skip_kicks_entirely() {
         let autos = vec![
@@ -1549,132 +1434,98 @@ mod tests {
         let layout = MemLayout::cells(1);
         let part = partition(autos, 3, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
         assert_eq!(part.link_count(), 0);
-        for _ in 0..10 {
-            part.kick(p(0));
-            part.kick(p(2));
+        part.pump();
+        for k in 0..10 {
+            send(&part, p(0), k);
+            assert_eq!(recv(&part, p(2)), Some(k));
         }
-        assert_eq!(part.stats().kicks, 0, "no-link kicks must stay uncounted");
+        assert_eq!(part.stats().kicks, 0, "no link, no kick");
     }
 
-    /// The tentpole in miniature: three producers stuck behind one merger
-    /// region drain across the link in a single accept-side engine-lock
-    /// hold — one batched transfer, three values.
+    /// Three producers behind one merger region all cross the link, in
+    /// order, without a fourth port call: each hold re-arms the tail after
+    /// its delivery while credit remains. A backlog that built up while
+    /// the tail was un-armed crosses in the one hold that arms it — each
+    /// re-arm fires the next stuck producer in place.
     #[test]
     fn batched_drain_moves_a_whole_backlog_in_one_lock_hold() {
-        let autos = vec![
-            primitives::merger(&[p(0), p(1), p(2)], p(3)),
-            primitives::fifo_n(p(3), p(4), MemId(0), 8),
-            primitives::sync(p(4), p(5)),
-        ];
-        let layout = MemLayout::cells(1);
-        let part = partition(autos, 6, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
-        let t = part.topo();
-        assert_eq!(t.links.len(), 1);
-        assert_eq!(t.links[0].capacity, Some(8));
-        part.pump(); // arm the accept side
-
-        // All three producers register; only the first fires immediately
-        // (the armed receive is single-slot), the rest pend.
-        let from = part.engine_for(p(0));
-        for (i, port) in [p(0), p(1), p(2)].into_iter().enumerate() {
-            from.register_send(port, Value::Int(i as i64)).unwrap();
-        }
-        let before = from.stats();
-        part.pump();
-        let after = from.stats();
-        assert_eq!(
-            after.batched_values - before.batched_values,
-            3,
-            "one pump drains the whole backlog: {after:?}"
-        );
-        assert_eq!(
-            after.batch_moves - before.batch_moves,
-            1,
-            "…in a single batched transfer: {after:?}"
-        );
-        assert_eq!(t.links[0].depth(), 3, "all three values reside in the link");
-
-        // And they come out strictly in producer order.
-        let to = part.engine_for(p(5));
-        for expect in 0..3i64 {
-            to.register_recv(p(5)).unwrap();
-            part.kick(p(5));
-            assert_eq!(to.wait_recv(p(5), None).unwrap().as_int(), Some(expect));
-            part.kick(p(5));
-        }
-    }
-
-    /// Satellite: the cascade scratch self-cleans (every mark set by a
-    /// push is cleared by its pop). The O(links) scan lives here, not on
-    /// the pump hot path.
-    #[test]
-    fn cascade_scratch_self_cleans_between_cascades() {
-        let part = Arc::new(dual_link_pipeline());
-        part.pump();
-        let tx = part.engine_for(p(0));
-        let rx = part.engine_for(p(5));
-        for k in 0..50i64 {
-            tx.register_send(p(0), Value::Int(k)).unwrap();
-            part.kick(p(0));
-            tx.wait_send(p(0), None).unwrap();
-            part.kick(p(0));
-            for _ in 0..2 {
-                rx.register_recv(p(5)).unwrap();
-                part.kick(p(5));
-                rx.wait_recv(p(5), None).unwrap();
-                part.kick(p(5));
+        let backlog = |armed_first: bool| {
+            let autos = vec![
+                primitives::merger(&[p(0), p(1), p(2)], p(3)),
+                primitives::fifo_n(p(3), p(4), MemId(0), 8),
+                primitives::sync(p(4), p(5)),
+            ];
+            let layout = MemLayout::cells(1);
+            let part = partition(autos, 6, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+            if armed_first {
+                part.pump();
             }
-            assert!(
-                cascade_scratch_is_clean(),
-                "cascade left a worklist mark set at round {k}"
-            );
+            let topo = part.topo();
+            let from = topo.engine_for(p(0));
+            for (i, port) in [p(0), p(1), p(2)].into_iter().enumerate() {
+                let v = Value::Int(i as i64);
+                part.drain(&topo, |ev| from.register_send(port, v, Some(ev)))
+                    .unwrap();
+            }
+            part
+        };
+
+        let part = backlog(true);
+        let t = part.topo();
+        assert_eq!(t.links[0].depth(), 3, "all three values reside in the link");
+        for port in [p(0), p(1), p(2)] {
+            t.engine_for(port).wait_send(port, None).unwrap();
         }
-        // Both regions border two links, so every operation above was a
-        // counted kick (the fast path would have left the counter at 0).
-        assert!(part.stats().kicks > 0, "multi-link regions count kicks");
+        for expect in 0..3 {
+            assert_eq!(recv(&part, p(5)), Some(expect), "producer order");
+        }
+        assert_eq!(part.unserved_links(), Vec::<String>::new());
+
+        let part = backlog(false);
+        let t = part.topo();
+        assert_eq!(t.links[0].depth(), 0, "tail un-armed: all three pend");
+        let before = t.engine_for(p(0)).stats();
+        part.pump();
+        let after = t.engine_for(p(0)).stats();
+        assert_eq!(after.batched_values - before.batched_values, 3, "{after:?}");
+        assert_eq!(after.batch_moves - before.batch_moves, 1, "in one hold");
+        for expect in 0..3 {
+            assert_eq!(recv(&part, p(5)), Some(expect), "producer order");
+        }
     }
 
-    /// Satellite (emit-before-drain credit): on a *full* bounded link, one
-    /// pump step must both acknowledge the consumed front (freeing a slot)
-    /// and refill that slot from the producer side — without the second
-    /// drain pass the refill costs an extra pump per value.
+    /// On a *full* bounded link the consumer's own call does it all: its
+    /// hold pops the consumed front, the `Rearm` it drains refills the
+    /// freed slot from the stuck producer, and the `Offer` that raises
+    /// puts the new front on offer — no later call is needed.
     #[test]
     fn freed_slot_is_reusable_within_the_same_pump_step() {
         let part = Arc::new(two_region_pipeline()); // fifo1 link: capacity 1
         part.pump();
         let t = part.topo();
-        assert_eq!(t.links[0].capacity, Some(1));
         let tx = part.engine_for(p(0));
-        let rx = part.engine_for(p(3));
 
-        // Fill the link to capacity.
-        tx.register_send(p(0), Value::Int(0)).unwrap();
-        part.pump();
-        tx.wait_send(p(0), None).unwrap();
+        send(&part, p(0), 0);
         assert_eq!(t.links[0].depth(), 1, "link full");
 
-        // The next value queues up behind the full link: pumping moves
-        // nothing (no credit).
-        tx.register_send(p(0), Value::Int(1)).unwrap();
-        part.pump();
-        assert_eq!(t.links[0].depth(), 1, "no credit: value 1 must wait");
+        // The next value queues up behind the full link.
+        let mut events = LinkEvents::default();
+        tx.register_send(p(0), Value::Int(1), Some(&mut events))
+            .unwrap();
+        assert!(events.is_empty(), "no credit: value 1 must wait");
+        assert_eq!(t.links[0].depth(), 1);
 
-        // The consumer takes the front; the acknowledgment (pop) is still
-        // pending inside the link.
-        rx.register_recv(p(3)).unwrap();
-        assert_eq!(rx.wait_recv(p(3), None).unwrap().as_int(), Some(0));
-        assert_eq!(t.links[0].depth(), 1, "front consumed but unacked");
-
-        // ONE pump step: the offer acknowledges (slot freed) and the
-        // second drain pass refills it immediately, completing the
-        // producer — one fewer pump per value.
-        assert!(part.pump_link(&t, &t.links[0]));
+        assert_eq!(recv(&part, p(3)), Some(0));
+        assert_eq!(t.links[0].depth(), 1, "freed slot refilled by the recv");
+        tx.wait_send(p(0), None).unwrap(); // already complete
+        assert_eq!(part.unserved_links(), Vec::<String>::new());
+        // …and on offer: the next receive completes in its own hold.
+        let rx = part.engine_for(p(3));
+        rx.register_recv(p(3), None).unwrap();
         assert_eq!(
-            t.links[0].depth(),
-            1,
-            "freed slot must be refilled within the same pump step"
+            rx.finish_or_retract_recv(p(3)).unwrap(),
+            Some(Value::Int(1))
         );
-        tx.wait_send(p(0), None).unwrap(); // already complete: no more pumps
     }
 
     #[test]
@@ -1689,17 +1540,14 @@ mod tests {
         let layout = MemLayout::cells(1);
         let part = partition(autos, 4, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
         part.pump();
-        let e = part.engine_for(p(3));
-        e.register_recv(p(3)).unwrap();
-        part.kick(p(3));
-        assert_eq!(e.wait_recv(p(3), None).unwrap().as_int(), Some(99));
+        assert_eq!(recv(&part, p(3)), Some(99));
     }
 
     /// Regression for the old split `queue`/`armed` mutex pair: concurrent
     /// pumpers racing the arm/consume sequence could reorder values or pop
-    /// a front that was never armed. With one `LinkState` lock held across
-    /// every pump step, any number of concurrent pumpers must preserve
-    /// per-link FIFO order exactly.
+    /// a front that was never armed. Every link end is now touched under
+    /// its own engine's lock only, so any number of threads raising and
+    /// serving spurious events must preserve per-link FIFO order exactly.
     #[test]
     fn concurrent_pumpers_cannot_tear_arm_consume_pairs() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -1722,122 +1570,15 @@ mod tests {
 
         const K: i64 = 500;
         let part_tx = Arc::clone(&part);
-        let tx = std::thread::spawn(move || {
-            let e = part_tx.engine_for(p(0));
-            for k in 0..K {
-                e.register_send(p(0), Value::Int(k)).unwrap();
-                part_tx.kick(p(0));
-                e.wait_send(p(0), None).unwrap();
-                part_tx.kick(p(0));
-            }
-        });
-        let e = part.engine_for(p(3));
+        let tx = std::thread::spawn(move || (0..K).for_each(|k| send(&part_tx, p(0), k)));
         for k in 0..K {
-            e.register_recv(p(3)).unwrap();
-            part.kick(p(3));
-            let v = e.wait_recv(p(3), None).unwrap();
-            part.kick(p(3));
-            assert_eq!(v.as_int(), Some(k), "link reordered or lost a value");
+            assert_eq!(recv(&part, p(3)), Some(k), "link reordered or lost a value");
         }
         tx.join().unwrap();
         stop.store(true, Ordering::Relaxed);
         for t in pumpers {
             t.join().unwrap();
         }
-    }
-
-    /// Satellite (contention-aware handoff): a pumper that finds the link
-    /// lock held must not convoy — it raises the `repump` flag and
-    /// returns immediately; the holder sees the flag on its way out and
-    /// performs the delegated pump itself.
-    #[test]
-    fn contended_pump_delegates_to_the_holder_via_the_repump_flag() {
-        use std::sync::atomic::Ordering;
-        let part = two_region_pipeline();
-        part.pump();
-        let t = part.topo();
-        let link = &t.links[0];
-
-        // A value is ready to cross: the drain side can arm + take it.
-        let tx = part.engine_for(p(0));
-        tx.register_send(p(0), Value::Int(7)).unwrap();
-
-        // Simulate a holder mid-pump-step: take the link state lock.
-        let guard = link.state.lock();
-        // The contender must neither block nor pump: it delegates.
-        assert!(
-            !part.pump_link(&t, link),
-            "a delegated pump reports no progress"
-        );
-        assert!(
-            link.repump.load(Ordering::SeqCst),
-            "the contender must leave the repump flag raised for the holder"
-        );
-        // Inspect through the held guard (`depth()` would self-deadlock).
-        assert_eq!(guard.queue.len(), 0, "the contender must not have pumped");
-        drop(guard);
-
-        // The holder's post-release re-check runs exactly this call: the
-        // raised flag routes the delegated work to it, it pumps, and the
-        // flag comes back down.
-        assert!(
-            part.pump_link(&t, link),
-            "the holder's re-pump covers the work"
-        );
-        assert_eq!(link.depth(), 1, "the delegated value crossed the link");
-        assert!(
-            !link.repump.load(Ordering::SeqCst),
-            "a completed pump leaves the flag clear"
-        );
-        tx.wait_send(p(0), None).unwrap(); // the producer was completed too
-    }
-
-    /// Satellite (contention-aware handoff), adversarially: two threads
-    /// hammer `pump_link` on the same link while a full stream crosses
-    /// it. Every overlap takes the delegation path; if a holder ever
-    /// missed a raised flag the stream would strand (both ends block
-    /// forever) — completion of all K values in order is the proof.
-    #[test]
-    fn delegated_pumps_are_never_stranded_under_contention() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let part = Arc::new(two_region_pipeline());
-        part.pump();
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let pumpers: Vec<_> = (0..2)
-            .map(|_| {
-                let part = Arc::clone(&part);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let t = part.topo();
-                    while !stop.load(Ordering::Relaxed) {
-                        part.pump_link(&t, &t.links[0]);
-                    }
-                })
-            })
-            .collect();
-
-        // No kicks anywhere: the contending pumpers are the only engine
-        // of progress, so a stranded delegation would hang this stream.
-        const K: i64 = 500;
-        let part_tx = Arc::clone(&part);
-        let tx = std::thread::spawn(move || {
-            let e = part_tx.engine_for(p(0));
-            for k in 0..K {
-                e.register_send(p(0), Value::Int(k)).unwrap();
-                e.wait_send(p(0), None).unwrap();
-            }
-        });
-        let e = part.engine_for(p(3));
-        for k in 0..K {
-            e.register_recv(p(3)).unwrap();
-            let v = e.wait_recv(p(3), None).unwrap();
-            assert_eq!(v.as_int(), Some(k), "contended link lost or reordered");
-        }
-        tx.join().unwrap();
-        stop.store(true, Ordering::Relaxed);
-        for t in pumpers {
-            t.join().unwrap();
-        }
+        assert_eq!(part.unserved_links(), Vec::<String>::new());
     }
 }

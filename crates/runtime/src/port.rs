@@ -47,12 +47,13 @@ use crate::engine::Engine;
 use crate::error::RuntimeError;
 use crate::partition::Partitioned;
 
-/// How a port reaches its engine(s). In the `Multi` (partitioned) case
-/// every operation *kicks* the partition after registering/completing —
-/// naming its own port, so only the links bordering that port's region
-/// are considered: none (free return), exactly one (pumped inline,
-/// batched, uncounted), or several (one counted inline cascade — see
-/// [`Partitioned::kick`]).
+/// How a port reaches its engine(s). In the `Multi` (partitioned) case a
+/// port call takes one topology snapshot, routes by it, and — the engine
+/// lock released — drains the link events its registration hold raised
+/// against the same snapshot ([`Partitioned::drain`]): one hold of the
+/// other engine per event. Regions that border no link raise none. The
+/// wait phase takes a settled result, which enables nothing, so nothing
+/// follows it.
 #[derive(Clone)]
 pub(crate) enum Backend {
     Single(Arc<Engine>),
@@ -63,16 +64,14 @@ impl Backend {
     fn send(&self, p: PortId, v: Value, deadline: Option<Instant>) -> Result<(), RuntimeError> {
         match self {
             Backend::Single(e) => {
-                e.register_send(p, v)?;
+                e.register_send(p, v, None)?;
                 e.wait_send(p, deadline)
             }
             Backend::Multi(m) => {
-                let e = m.engine_for(p);
-                e.register_send(p, v)?;
-                m.kick(p);
-                let r = e.wait_send(p, deadline);
-                m.kick(p);
-                r
+                let topo = m.topo();
+                let e = topo.engine_for(p);
+                m.drain(&topo, |events| e.register_send(p, v, Some(events)))?;
+                e.wait_send(p, deadline)
             }
         }
     }
@@ -80,16 +79,14 @@ impl Backend {
     fn recv(&self, p: PortId, deadline: Option<Instant>) -> Result<Value, RuntimeError> {
         match self {
             Backend::Single(e) => {
-                e.register_recv(p)?;
+                e.register_recv(p, None)?;
                 e.wait_recv(p, deadline)
             }
             Backend::Multi(m) => {
-                let e = m.engine_for(p);
-                e.register_recv(p)?;
-                m.kick(p);
-                let r = e.wait_recv(p, deadline);
-                m.kick(p);
-                r
+                let topo = m.topo();
+                let e = topo.engine_for(p);
+                m.drain(&topo, |events| e.register_recv(p, Some(events)))?;
+                e.wait_recv(p, deadline)
             }
         }
     }
@@ -97,22 +94,18 @@ impl Backend {
     fn try_send(&self, p: PortId, v: Value) -> Result<bool, RuntimeError> {
         match self {
             Backend::Single(e) => {
-                e.register_send(p, v)?;
+                e.register_send(p, v, None)?;
                 e.finish_or_retract_send(p)
             }
             Backend::Multi(m) => {
                 let e = m.engine_for(p);
-                e.register_send(p, v)?;
-                // One-shot probe: the full sweep (not the targeted
-                // cascade) is required. A value another task's cascade is
-                // still moving along an *upstream* link of a chain is
-                // unreachable from this port's adjacent links, since the
-                // cascade only expands on progress — and a probe gets no
-                // second chance.
+                e.register_send(p, v, None)?;
+                // One-shot probe: the full sweep (not this hold's events
+                // alone) is required. A value whose events another task's
+                // drain has not served yet is unreachable from here — and
+                // a probe gets no second chance.
                 m.pump();
-                let r = e.finish_or_retract_send(p);
-                m.kick(p);
-                r
+                e.finish_or_retract_send(p)
             }
         }
     }
@@ -120,81 +113,64 @@ impl Backend {
     fn try_recv(&self, p: PortId) -> Result<Option<Value>, RuntimeError> {
         match self {
             Backend::Single(e) => {
-                e.register_recv(p)?;
+                e.register_recv(p, None)?;
                 e.finish_or_retract_recv(p)
             }
             Backend::Multi(m) => {
                 let e = m.engine_for(p);
-                e.register_recv(p)?;
-                // See try_send: the probe must sweep the whole link set,
-                // not just this region's border.
-                m.pump();
-                let r = e.finish_or_retract_recv(p);
-                m.kick(p);
-                r
+                e.register_recv(p, None)?;
+                m.pump(); // see try_send
+                e.finish_or_retract_recv(p)
             }
         }
     }
 
-    /// One poll of an async send (see `Engine::poll_send`). In the
-    /// `Multi` case the partition is kicked after the first poll (the
-    /// registration may enable cross-region link traffic) and after
-    /// completion — mirroring the blocking path's register→kick→wait→kick
-    /// discipline. The waker is parked *before* the kick, so a completion
-    /// raced by the kick's own pump cannot be lost.
+    /// One poll of an async send (see `Engine::poll_send`): one hold, then
+    /// in the `Multi` case the drain of what it raised. The waker is
+    /// parked *before* the drain, so a completion the drain's own holds
+    /// bring about cannot be lost.
     fn poll_send(
         &self,
         p: PortId,
         value: &mut Option<Value>,
         cx: &mut Context<'_>,
     ) -> Poll<Result<(), RuntimeError>> {
-        let first = value.is_some();
         let r = match self {
-            Backend::Single(e) => e.poll_send(p, value, cx.waker()),
+            Backend::Single(e) => e.poll_send(p, value, cx.waker(), None),
             Backend::Multi(m) => {
-                let e = m.engine_for(p);
-                let r = e.poll_send(p, value, cx.waker());
-                if first || r.is_some() {
-                    m.kick(p);
-                }
-                r
+                let topo = m.topo();
+                let e = topo.engine_for(p);
+                m.drain(&topo, |events| {
+                    e.poll_send(p, value, cx.waker(), Some(events))
+                })
             }
         };
-        match r {
-            Some(res) => Poll::Ready(res),
-            None => Poll::Pending,
-        }
+        r.map_or(Poll::Pending, Poll::Ready)
     }
 
-    /// One poll of an async recv; kick discipline as in
-    /// [`Backend::poll_send`].
+    /// One poll of an async recv; as [`Backend::poll_send`].
     fn poll_recv(
         &self,
         p: PortId,
         registered: &mut bool,
         cx: &mut Context<'_>,
     ) -> Poll<Result<Value, RuntimeError>> {
-        let first = !*registered;
         let r = match self {
-            Backend::Single(e) => e.poll_recv(p, registered, cx.waker()),
+            Backend::Single(e) => e.poll_recv(p, registered, cx.waker(), None),
             Backend::Multi(m) => {
-                let e = m.engine_for(p);
-                let r = e.poll_recv(p, registered, cx.waker());
-                if first || r.is_some() {
-                    m.kick(p);
-                }
-                r
+                let topo = m.topo();
+                let e = topo.engine_for(p);
+                m.drain(&topo, |events| {
+                    e.poll_recv(p, registered, cx.waker(), Some(events))
+                })
             }
         };
-        match r {
-            Some(res) => Poll::Ready(res),
-            None => Poll::Pending,
-        }
+        r.map_or(Poll::Pending, Poll::Ready)
     }
 
     /// Drop-retraction of a cancelled async send (see
-    /// `Engine::abandon_send`). No kick: a retraction removes an
-    /// operation and cannot enable new transitions.
+    /// `Engine::abandon_send`). A retraction removes an operation and
+    /// cannot enable new transitions, so there is nothing to drain.
     fn abandon_send(&self, p: PortId) {
         match self {
             Backend::Single(e) => e.abandon_send(p),

@@ -65,7 +65,7 @@ pub struct RegionReport {
     /// Operations currently parked on this region's ports.
     pub parked_ops: usize,
     /// Whether some transition is operationally enabled *right now* —
-    /// `true` here with no progress means the scheduler lost a kick;
+    /// `true` here with no progress means the scheduler lost a link event;
     /// `false` everywhere means the session is genuinely wait-blocked.
     pub enabled: bool,
     /// The engine refused further work (shutdown).

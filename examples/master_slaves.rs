@@ -28,7 +28,7 @@ fn main() {
     let mode = match std::env::args().nth(2).as_deref() {
         Some("existing") => Mode::existing(),
         // One engine per synchronous region; the master and slave
-        // threads pump the links bordering their own region (see
+        // threads carry their own values across the links (see
         // `reo::runtime::partition`).
         Some("partitioned") => Mode::partitioned(),
         // Ahead-of-time composition, per region (the whole-connector

@@ -302,9 +302,8 @@ fn contended_disjoint_channels_agree_and_wakeups_stay_bounded() {
 }
 
 /// Per channel `Sync – Fifo1 – Sync`: two synchronous regions joined by
-/// one cut link, channels fully disjoint. Since the kick-free fast path,
-/// this is the workload that proves single-link chains never count a
-/// kick. (The fifo must sit in its own iteration section
+/// one cut link, channels fully disjoint: the workload that proves
+/// single-link chains never count a kick. (The fifo must sit in its own iteration section
 /// to become a link; see `reo_runtime::partition`.)
 const RELAY_SRC: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
     mult prod (i:1..#a) Fifo1(m[i];n[i]) \
@@ -312,16 +311,16 @@ const RELAY_SRC: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
 
 /// Per channel `Sync – FifoN<4> – Sync`: the deep-burst variant of the
 /// relay — a capacity-4 cut link lets each producer run ahead of its
-/// consumer by four values, so link pumps face real backlog and the
-/// batched drain/offer paths carry multi-value traffic.
+/// consumer by four values, so the link ends face real backlog.
 const DEEP_RELAY_SRC: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
     mult prod (i:1..#a) FifoN<4>(m[i];n[i]) \
     mult prod (i:1..#a) Sync(n[i];b[i])";
 
 /// Per channel `Repl2 – (FifoN<4> ∥ FifoN<4>) – Merg2`: every region
 /// borders **two** capacity-4 links, so — unlike the relays above —
-/// operations go through the counted kick cascade. Every sent value arrives at the consumer
-/// exactly twice, once through each fifo, each copy stream in FIFO order.
+/// operations that leave link events to drain count as kicks. Every
+/// sent value arrives at the consumer exactly twice, once through each
+/// fifo, each copy stream in FIFO order.
 const DUAL_RELAY_SRC: &str = "P(a[];b[]) = prod (i:1..#a) Repl2(a[i];m[i],u[i]) \
     mult prod (i:1..#a) FifoN<4>(m[i];n[i]) \
     mult prod (i:1..#a) FifoN<4>(u[i];v[i]) \
@@ -351,10 +350,10 @@ fn is_merge_of_two_ordered_copies(trace: &[i64], k: i64) -> bool {
 
 /// Skewed load over channels whose regions border two cross-region links
 /// each (channel 0 carries 8× the traffic of the others), in both
-/// partitioned runtimes: every operation is a counted kick whose cascade
-/// may race other tasks' cascades over the same links, and every
+/// partitioned runtimes: operations count kicks, their event drains
+/// race other tasks' drains over the same links, and every
 /// channel's trace must still be a merge of two FIFO copy streams —
-/// concurrent cascades never reorder or lose.
+/// concurrent drains never reorder or lose.
 #[test]
 fn dual_link_regions_kick_and_keep_both_copy_streams_fifo() {
     const CHANNELS: usize = 4;
@@ -419,9 +418,9 @@ fn dual_link_regions_kick_and_keep_both_copy_streams_fifo() {
 }
 
 /// The steady-state relay: per-port traces identical across the
-/// parametrized runtimes, and — since the kick-free fast path — the partitioned
-/// modes complete the whole run without a single counted kick (the PR 4
-/// scheduler counted one per port operation here).
+/// parametrized runtimes, and the partitioned modes complete the whole
+/// run without a single counted kick (the PR 4 scheduler counted one per
+/// port operation here).
 #[test]
 fn relay_chains_run_kick_free_with_identical_traces() {
     const CHANNELS: usize = 4;
@@ -441,7 +440,7 @@ fn relay_chains_run_kick_free_with_identical_traces() {
 
 /// Deep producer bursts through capacity-4 links: per-port traces stay
 /// identical (and strictly FIFO) across the runtimes even though
-/// the batched drains move multi-value backlogs, and the single-link
+/// the link ends move multi-value backlogs, and the single-link
 /// chains stay entirely kick-free in every partitioned mode.
 #[test]
 fn deep_bursts_through_capacity_links_agree_and_stay_fifo() {

@@ -1,5 +1,8 @@
 //! The engine records wake-ups under its mutex and delivers them after the
-//! unlock (docs/ARCHITECTURE.md, "wake protocol"). These tests hold the two
+//! unlock (docs/ARCHITECTURE.md, "wake protocol"; the one exception is the
+//! hold that serves a link event for another region, held by
+//! `engine::tests::wakes_follow_the_unlock_except_at_the_link_pumps`).
+//! These tests hold the two
 //! things that discipline could break: a wake-up lost or duplicated between
 //! two threads that park on each other, and a signal that lands after the
 //! timed wait it was meant for has already returned.
@@ -86,6 +89,9 @@ fn rendezvous_and_turns_lose_no_wakeup_on_any_mode() {
         });
         let stats = session.handle().stats();
         assert_eq!(stats.spurious_wakeups, 0, "{name}: sequencer");
+        // The partitioned modes cut the sequencer's ring into links, and a
+        // cross-region link service hold is the documented exception: it
+        // signals before it unlocks, so a task can be woken once more.
         if !matches!(
             mode,
             Mode::JitPartitioned { .. } | Mode::CompiledPartitioned
