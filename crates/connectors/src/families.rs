@@ -366,9 +366,9 @@ fn n_only_t() -> fn(usize) -> Vec<(&'static str, usize)> {
 /// one section compose into one medium automaton, so this placement is
 /// what turns it into a link instead of region-internal state. Both of a
 /// channel's regions border exactly one link, so this is the showcase for
-/// the link protocol at its leanest: a value costs six engine-lock holds
-/// (register, `Offer`, wait; register, `Rearm`, wait) and no operation
-/// counts as a kick (`EngineStats::kicks` stays 0).
+/// the link protocol at its leanest: a value costs four engine-lock holds
+/// (the send's poll and its `Offer`, the receive's poll and its `Rearm`)
+/// and no operation counts as a kick (`EngineStats::kicks` stays 0).
 pub fn relay_family() -> Family {
     Family {
         name: "relay",

@@ -179,40 +179,36 @@ mod tests {
         // received producer 1's message.
         let (eng, tl, hd) = build_ex11(2, true);
         // Producer 1 sends: completes (buffered).
-        eng.register_send(tl[0], Value::Int(1), None).unwrap();
-        eng.wait_send(tl[0], None).unwrap();
+        eng.send(tl[0], Value::Int(1)).unwrap();
         // Producer 2 registers a send; it must stay pending.
-        eng.register_send(tl[1], Value::Int(2), None).unwrap();
+        assert!(eng.offer(tl[1], Value::Int(2)).is_none());
         assert_eq!(eng.steps(), 1);
         // Consumer receives from hd[1]: value 1 arrives, and only then can
         // producer 2's send complete.
-        eng.register_recv(hd[0], None).unwrap();
-        let v1 = eng.wait_recv(hd[0], None).unwrap();
+        let v1 = eng.recv(hd[0]).unwrap();
         assert_eq!(v1.as_int(), Some(1));
-        eng.wait_send(tl[1], None).unwrap();
-        eng.register_recv(hd[1], None).unwrap();
-        assert_eq!(eng.wait_recv(hd[1], None).unwrap().as_int(), Some(2));
+        eng.send_until(tl[1], None, None).unwrap();
+        assert_eq!(eng.recv(hd[1]).unwrap().as_int(), Some(2));
     }
 
     #[test]
     fn simplified_and_unsimplified_agree_on_order() {
         for simplify in [false, true] {
             let (eng, tl, hd) = build_ex11(3, simplify);
-            for (i, &t) in tl.iter().enumerate() {
-                eng.register_send(t, Value::Int(i as i64), None).unwrap();
-            }
             // Only producer 1's send can complete before any receive.
-            eng.wait_send(tl[0], None).unwrap();
+            for (i, &t) in tl.iter().enumerate() {
+                let done = eng.offer(t, Value::Int(i as i64)).is_some();
+                assert_eq!(done, i == 0, "simplify={simplify}");
+            }
             for (i, &h) in hd.iter().enumerate() {
-                eng.register_recv(h, None).unwrap();
                 assert_eq!(
-                    eng.wait_recv(h, None).unwrap().as_int(),
+                    eng.recv(h).unwrap().as_int(),
                     Some(i as i64),
                     "simplify={simplify}"
                 );
             }
-            eng.wait_send(tl[1], None).unwrap();
-            eng.wait_send(tl[2], None).unwrap();
+            eng.send_until(tl[1], None, None).unwrap();
+            eng.send_until(tl[2], None, None).unwrap();
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The sequential protocol state machine and its blocking port operations.
+//! The sequential protocol state machine and the port operations polled on it.
 //!
 //! This is the run-time system of Sect. III-B/IV-D: a generated state
 //! machine "monitors the outports/inports linked to its vertices. Whenever a
@@ -15,21 +15,33 @@
 //!
 //! One mutex guards the whole engine state (pending table + store + core);
 //! transitions only ever fire inside the engine's fire loop with that lock
-//! held, which is what makes timeout retraction and try-probes atomic.
-//! Blocking is *per port*: each port has its own condition variable, and a
-//! completed transition wakes only the tasks whose ports actually fired —
-//! not every blocked task, as a single broadcast condvar would. Under
-//! contention (many tasks, disjoint ports) this removes the thundering
-//! herd: wakeups scale with completed operations, not with
-//! `steps × blocked tasks`. The [`EngineStats`] counters make that
-//! observable.
+//! held, which is what makes retraction atomic: an operation that is
+//! withdrawn can never be half-consumed by a concurrent step.
+//!
+//! # One wait protocol
+//!
+//! The engine never blocks anybody. A port operation is **polled**
+//! ([`Engine::poll_send`], [`Engine::poll_recv`]): one hold registers it,
+//! fires what it enables and returns its outcome, or — still pending —
+//! parks the caller's [`Waker`] in the port's slot. At most one operation
+//! is pending per port (`PortBusy` otherwise), so a slot holds one waker,
+//! and one bit saying whether a blocked *thread* stands behind it (the
+//! blocking calls of [`crate::port`] run this same protocol in place,
+//! under a waker that unparks the calling thread) or an async *task*. A
+//! step wakes only the ports it completed — not every blocked task, as a
+//! broadcast would — so wake-ups scale with completed operations, not
+//! with `steps × blocked tasks`; the [`EngineStats`] counters make that
+//! observable. Whoever gives up on a pending operation **retracts** it
+//! ([`Engine::retract_send`], [`Engine::retract_recv`]) in one more hold:
+//! complete if a step got there first, withdraw otherwise.
 //!
 //! Wake-ups are *recorded* under the lock and *delivered* after it is
-//! released (`Engine::firing`): a woken task must re-take the engine mutex, so
-//! signalling while still holding it wakes the task into a lock it can only
-//! sleep on again. No wake-up is lost: the predicate (a `Done*` slot,
-//! `closed`, `dead`) is set under the lock and the waiter's check-and-wait
-//! is atomic under the same lock, so the signal may follow the unlock.
+//! released (`Engine::firing`): a woken task's first act is to poll again,
+//! which takes the engine mutex, so waking it while still holding that
+//! mutex sends it into a lock it can only sleep on. No wake-up is lost:
+//! the outcome (a `Done*` slot, `closed`, `dead`) is set and the waker
+//! taken under the lock, and a poll checks the outcome and parks its waker
+//! under the same lock, so the wake may follow the unlock.
 //!
 //! # Link ports
 //!
@@ -50,7 +62,7 @@
 //! An engine only allocates state for the ports it actually serves. The
 //! single-engine modes pass a [`PortMap::Dense`] covering every vertex; the
 //! partitioned runtime gives each region engine a [`PortMap::Sparse`] over
-//! just that region's ports, so the pending/waiter/condvar tables scale
+//! just that region's ports, so the pending and waker tables scale
 //! with the *region*, not with the whole connector. All public and
 //! [`EngineCore`] interfaces keep speaking global [`PortId`]s; the
 //! [`PendingTable`] translates at the edge.
@@ -75,16 +87,14 @@
 //! assert_eq!(stats.kicks, 0); // single-engine mode: no links, no kicks
 //! ```
 
+use parking_lot::{Mutex, MutexGuard};
+use reo_automata::{
+    automaton::Transition, fire::try_fire, MemLayout, PortId, PortSet, StateId, Store, Value,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::Waker;
-use std::time::Instant;
-
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use reo_automata::{
-    automaton::Transition, fire::try_fire, MemLayout, PortId, PortSet, StateId, Store, Value,
-};
 
 use crate::error::RuntimeError;
 
@@ -278,81 +288,52 @@ impl PendingTable {
 }
 
 /// Contention counters of one engine (or the sum over a partition's
-/// engines), surfaced through `ConnectorHandle::stats()`.
-///
-/// Exact meanings:
-///
-/// * `steps` — global execution steps fired (the Fig. 12 metric): one per
-///   committed transition of the protocol state machine.
-/// * `completions` — port operations completed by fired transitions, i.e.
-///   `DoneSend`/`DoneRecv` handed to tasks or link ends. A step that
-///   synchronizes a send with a receive counts two completions.
-/// * `wakeups` — *threads woken* by targeted notifications: whenever a
-///   step completes an operation on a port with `w` registered waiters,
-///   the counter grows by `w` (closing the engine wakes every waiter once
-///   more). Under the per-port wakeup scheme `wakeups` stays in the order
-///   of `completions`; a broadcast condvar would instead wake every
-///   blocked task on every step (`≈ steps × blocked tasks`).
-/// * `spurious_wakeups` — wakeups after which the woken task found its
-///   operation still incomplete and had to block again.
-/// * `lock_acquisitions` — acquisitions of the engine mutex: every
-///   register/wait/probe/stat call and every serviced link event takes it
-///   exactly once; fire loops and link-port service run under the caller's
-///   acquisition.
-///
-/// Two counters measure the **link protocol** (see `crate::partition`);
-/// they are zero in the single-engine modes, which have no links:
-///
-/// * `batch_moves` — holds whose fire loop moved at least one value across
-///   a link end of this engine (a completed tail pushed into the link
-///   queue, or a completed head popped from it).
-/// * `batched_values` — the values those holds moved. A value crossing a
-///   link counts **twice**, once at the tail's engine and once at the
-///   head's. `batched_values / batch_moves` is the values moved per hold
-///   that moved any; it exceeds 1 when one hold completes a backlog (each
-///   re-armed tail fires the next stuck producer in place).
-///
-/// The last counter belongs to the **partition**, not to any single
-/// engine; it is zero in the single-engine modes and filled in by the
-/// partition when aggregating:
-///
-/// * `kicks` — port operations on a region bordering **two or more**
-///   links whose hold left cross-region events to drain. Regions bordering
-///   one link drain theirs uncounted, regions bordering none raise no
-///   events.
+/// engines), surfaced through `ConnectorHandle::stats()`. Each field says
+/// exactly what it counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Global execution steps fired (the Fig. 12 metric).
+    /// Global execution steps fired (the Fig. 12 metric): one per
+    /// committed transition of the protocol state machine.
     pub steps: u64,
-    /// Port operations completed by fired transitions (DoneSend/DoneRecv
-    /// handed to tasks or link ends).
+    /// Port operations completed by fired transitions, i.e.
+    /// `DoneSend`/`DoneRecv` handed to tasks or link ends. A step that
+    /// synchronizes a send with a receive counts two.
     pub completions: u64,
-    /// Threads woken by targeted notifications (see type docs).
+    /// Parked wakers woken that a blocked *thread* stands behind. A port
+    /// call that polls pending parks one waker in its port's slot; a step
+    /// that completes the port (or close, poison, the hangup that kills
+    /// it, a splice) takes and wakes it. So this stays in the order of
+    /// `completions`, where a broadcast would wake every blocked task on
+    /// every step (`≈ steps × blocked tasks`).
     pub wakeups: u64,
-    /// Stored [`std::task::Waker`]s woken by targeted notifications: the
-    /// async twin of `wakeups`. A future that polls `Pending` parks its
-    /// waker in the port's slot; a step completing that port (or
-    /// close/poison) takes and wakes it, counting one here. Like
-    /// `wakeups` this stays in the order of `completions` —
-    /// `tests/session_api.rs` and `examples/sessions.rs` hold a fleet of
-    /// async sessions to `waker_wakes ≤ 2 × completions` (targeted
-    /// wakeups, not polling).
+    /// The same for wakers an async *task* stands behind (a future, or any
+    /// caller of the poll API). `tests/session_api.rs` and
+    /// `examples/sessions.rs` hold a fleet of async sessions to
+    /// `waker_wakes ≤ 2 × completions` (targeted wake-ups, not polling).
     pub waker_wakes: u64,
-    /// Wakeups after which the woken task found its operation still
-    /// incomplete and had to block again.
+    /// Polls that found the operation still pending although the engine
+    /// had taken and woken its parked waker (thread or task).
     pub spurious_wakeups: u64,
-    /// Acquisitions of the engine mutex (every register/wait/probe/stat
-    /// call and every serviced link event takes it exactly once).
+    /// Acquisitions of the engine mutex: every poll, retraction and stat
+    /// call and every serviced link event takes it exactly once; fire
+    /// loops and link-port service run under the caller's acquisition. An
+    /// operation that completes in its first poll costs one.
     pub lock_acquisitions: u64,
-    /// Holds that moved ≥ 1 value across a link end (see type docs). 0
-    /// outside partitioned mode.
+    /// Link protocol (see `crate::partition`; 0 on a single engine): holds
+    /// whose fire loop moved at least one value across a link end of this
+    /// engine — a completed tail pushed into the link queue, or a
+    /// completed head popped from it.
     pub batch_moves: u64,
-    /// Values moved across link ends — each cross-link value counts
-    /// twice, once per side (see type docs). 0 outside partitioned mode.
+    /// Link protocol: the values those holds moved. A value crossing a
+    /// link counts **twice**, once at the tail's engine and once at the
+    /// head's. `batched_values / batch_moves` exceeds 1 when one hold
+    /// completes a backlog (each re-armed tail fires the next stuck
+    /// producer in place).
     pub batched_values: u64,
-    /// Port operations on a region bordering ≥ 2 links that had
-    /// cross-region events to drain (see type docs). 0 outside
-    /// partitioned mode.
+    /// Counted by the partition, not by any engine (0 on a single engine):
+    /// port operations on a region bordering **two or more** links whose
+    /// hold left cross-region events to drain. Regions bordering one link
+    /// drain theirs uncounted, regions bordering none raise no events.
     pub kicks: u64,
 }
 
@@ -376,7 +357,7 @@ pub trait EngineCore: Send {
     /// Try to fire one enabled transition given the pending operations and
     /// the store. `Ok(true)` iff something fired; the boundary ports whose
     /// operations completed in that step are appended to `completed` (the
-    /// engine wakes exactly those ports' waiters).
+    /// engine wakes exactly those ports' parked wakers).
     fn try_step(
         &mut self,
         pending: &mut PendingTable,
@@ -475,18 +456,17 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// The wait state of one served port.
 #[derive(Default)]
 struct PortSlot {
-    /// The port's own condition variable: completing a transition signals
-    /// only the ports that fired. An `Arc` so a parked thread and a
-    /// recorded [`Wake`] keep it alive across a reconfiguration's remap.
-    cv: Arc<Condvar>,
-    /// Threads currently blocked on `cv` (a port with none gets no signal
-    /// and no wakeup count).
-    waiters: u32,
-    /// The *async* waiter: a future that polled while its operation was
-    /// still pending parks its `Waker` here instead of an OS thread on the
-    /// condvar. At most one pending operation exists per port (`PortBusy`
-    /// otherwise), so one suffices.
+    /// Whoever polled this port's operation while it was still pending
+    /// parks a `Waker` here; completing the port takes and wakes it. At
+    /// most one pending operation exists per port (`PortBusy` otherwise),
+    /// so one suffices.
     waker: Option<Waker>,
+    /// A blocked thread parked `waker` (woken, it counts as a `wakeup`),
+    /// not an async task (a `waker_wake`).
+    thread: bool,
+    /// The engine took and woke `waker` and the operation was not polled
+    /// since: a poll that finds it still pending is a spurious wake-up.
+    woken: bool,
     /// The parked `DoneRecv` in this slot belongs to a *cancelled* future
     /// (see [`Engine::abandon_recv`]), so the next registration may absorb
     /// it. Without this bit a new registrant could steal a delivery that a
@@ -494,37 +474,29 @@ struct PortSlot {
     abandoned: bool,
 }
 
-/// One recorded wake-up: a port's parked threads or its stored waker.
-enum Wake {
-    Threads(Arc<Condvar>),
-    Task(Waker),
-}
-
-/// The wake-ups one critical section decided. The first is held inline, so
-/// the common one-wake step never allocates.
+/// The wakers one critical section took out of their slots. The first is
+/// held inline, so the common one-wake step never allocates.
 #[derive(Default)]
 struct WakeList {
-    first: Option<Wake>,
-    rest: Vec<Wake>,
+    first: Option<Waker>,
+    rest: Vec<Waker>,
 }
 
 impl WakeList {
-    fn push(&mut self, w: Wake) {
+    fn push(&mut self, w: Waker) {
         match self.first {
             None => self.first = Some(w),
             Some(_) => self.rest.push(w),
         }
     }
 
-    /// Signal everything recorded — the only place this module notifies a
-    /// condvar or wakes a `Waker`.
+    /// Wake everything recorded — the only place this module wakes a
+    /// `Waker`.
     fn deliver(self) {
-        for w in self.first.into_iter().chain(self.rest) {
-            match w {
-                Wake::Threads(cv) => cv.notify_all(),
-                Wake::Task(w) => w.wake(),
-            }
-        }
+        self.first
+            .into_iter()
+            .chain(self.rest)
+            .for_each(Waker::wake);
     }
 }
 
@@ -664,13 +636,9 @@ pub(crate) struct EngineInner {
     events: LinkEvents,
     /// Scratch buffer for the ports completed by one step (reused).
     completed: Vec<PortId>,
-    pub steps: u64,
-    completions: u64,
-    wakeups: u64,
-    waker_wakes: u64,
-    spurious_wakeups: u64,
-    batch_moves: u64,
-    batched_values: u64,
+    /// The counters this engine keeps under its lock (`lock_acquisitions`
+    /// is counted outside it, `kicks` by the partition).
+    stats: EngineStats,
     /// At least two link ends: port calls that raise events count as kicks.
     multi_link: bool,
     pub closed: bool,
@@ -690,9 +658,9 @@ pub(crate) struct EngineInner {
 }
 
 impl EngineInner {
-    /// Record a wake-up for every port with a parked thread or a stored
-    /// waker (close/poison paths: a pending future polled after close must
-    /// resolve to `Closed`, not hang).
+    /// Record a wake-up for every port with a parked waker (close/poison
+    /// paths: a pending operation polled after close must resolve to
+    /// `Closed`, not hang).
     fn wake_all(&mut self) {
         for slot in 0..self.slots.len() {
             self.record_wakes(slot);
@@ -753,17 +721,44 @@ impl EngineInner {
         self.pending.set(p, next.unwrap_or_default());
     }
 
-    /// Record the wake-ups of everything parked on local slot `slot`.
+    /// Take the waker parked on local slot `slot`, if any, to be woken
+    /// once the lock is released.
     fn record_wakes(&mut self, slot: usize) {
         let s = &mut self.slots[slot];
-        if s.waiters > 0 {
-            self.wakeups += s.waiters as u64;
-            self.wakes.push(Wake::Threads(Arc::clone(&s.cv)));
-        }
         if let Some(w) = s.waker.take() {
-            self.waker_wakes += 1;
-            self.wakes.push(Wake::Task(w));
+            s.woken = true;
+            if s.thread {
+                self.stats.wakeups += 1;
+            } else {
+                self.stats.waker_wakes += 1;
+            }
+            self.wakes.push(w);
         }
+    }
+
+    /// The end of every poll: an outcome leaves the slot clean, `None`
+    /// parks `waker` in it (replacing any staler one).
+    fn park<T>(
+        &mut self,
+        slot: usize,
+        outcome: Option<T>,
+        waker: &Waker,
+        thread: bool,
+    ) -> Option<T> {
+        let s = &mut self.slots[slot];
+        let woken = std::mem::take(&mut s.woken);
+        if outcome.is_none() {
+            self.stats.spurious_wakeups += u64::from(woken);
+            s.waker = Some(waker.clone());
+            s.thread = thread;
+        }
+        outcome
+    }
+
+    /// The end of every retraction: nobody waits on `slot` any more.
+    fn unpark(&mut self, slot: usize) {
+        let s = &mut self.slots[slot];
+        (s.waker, s.woken) = (None, false);
     }
 }
 
@@ -807,13 +802,7 @@ impl Engine {
                 link_ends: Vec::new(),
                 events: LinkEvents::default(),
                 completed: Vec::new(),
-                steps: 0,
-                completions: 0,
-                wakeups: 0,
-                waker_wakes: 0,
-                spurious_wakeups: 0,
-                batch_moves: 0,
-                batched_values: 0,
+                stats: EngineStats::default(),
                 multi_link: false,
                 closed: false,
                 poisoned: None,
@@ -829,8 +818,11 @@ impl Engine {
         }
     }
 
-    /// Take the engine lock, counting the acquisition.
-    fn lock(&self) -> MutexGuard<'_, EngineInner> {
+    /// Take the engine lock, counting the acquisition. `pub(crate)` for
+    /// the partitioned splice, which holds several affected engines' guards
+    /// at once (the link protocol never nests engine locks, so no cycle
+    /// exists).
+    pub(crate) fn lock(&self) -> MutexGuard<'_, EngineInner> {
         self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
         let inner = self.inner.lock();
         debug_assert!(
@@ -867,21 +859,17 @@ impl Engine {
     /// Deliver the wake list *before* releasing the guard: the exit of a
     /// cross-region service hold ([`Engine::serve`]) and of `install`
     /// (under guards the partitioned splice holds several of at once).
-    /// Deferring at the link pumps this hold succeeds made `links` worse
-    /// on one CPU (ops/s 371 k → 284 k, cpu/op 2.69 → 3.52 µs, voluntary
-    /// switches 1.37 M → 3.27 M, involuntary 0.64 M → 3.12 M): the consumer
-    /// of a buffered link then preempts the server after every value and
-    /// drains one value per wake (`wakeups_per_op` on `relay8`/`burst8`
-    /// 0.209 → ≈ 1). The 0.2 kept is a by-product of the woken consumer
-    /// stalling on the mutex while the producer runs ahead; a deliberate
-    /// wake policy for buffered links is ROADMAP's move (c).
+    /// Deferring in the service hold too measured worse on `links` — the
+    /// consumer of a buffered link then drains one value per wake; the
+    /// numbers are in docs/ARCHITECTURE.md, "wake protocol", and a
+    /// deliberate wake policy for buffered links is ROADMAP's move (c).
     fn deliver_under_lock(inner: &mut EngineInner) {
         std::mem::take(&mut inner.wakes).deliver();
     }
 
     /// Number of global execution steps fired so far — the Fig. 12 metric.
     pub fn steps(&self) -> u64 {
-        self.lock().steps
+        self.lock().stats.steps
     }
 
     /// Contention counters (see [`EngineStats`]). Reading the stats itself
@@ -889,15 +877,8 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let inner = self.lock();
         EngineStats {
-            steps: inner.steps,
-            completions: inner.completions,
-            wakeups: inner.wakeups,
-            waker_wakes: inner.waker_wakes,
-            spurious_wakeups: inner.spurious_wakeups,
             lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            batch_moves: inner.batch_moves,
-            batched_values: inner.batched_values,
-            kicks: 0,
+            ..inner.stats
         }
     }
 
@@ -913,18 +894,12 @@ impl Engine {
     pub fn close(&self) {
         self.closing.store(true, Ordering::SeqCst);
         // An in-flight fire loop (or an earlier close) may have observed
-        // the flag and already closed + woken everyone; waking again here
-        // would double-count the still-registered waiters.
+        // the flag and closed already: the wakers it took are not here to
+        // be woken, or counted, twice.
         self.firing(None, |inner| {
-            if !inner.closed {
-                inner.closed = true;
-                inner.wake_all();
-            }
+            inner.closed = true;
+            inner.wake_all();
         })
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// The message of the firing failure that poisoned this engine, if any
@@ -935,7 +910,7 @@ impl Engine {
 
     /// Poison the engine directly (fault fan-out, injected faults): every
     /// pending and future operation reports `Poisoned(msg)`, and every
-    /// parked waiter and stored waker is woken. Idempotent; the first
+    /// parked waker is woken. Idempotent; the first
     /// message wins, and an engine that is already closed stays closed.
     pub fn poison(&self, msg: &str) {
         self.firing(None, |inner| {
@@ -1011,7 +986,7 @@ impl Engine {
 
     /// With an armed watchdog that currently flags a stall, a deadline
     /// expiry carries the wait-for snapshot instead of a bare timeout.
-    fn upgrade_timeout(&self, e: RuntimeError) -> RuntimeError {
+    pub(crate) fn upgrade_timeout(&self, e: RuntimeError) -> RuntimeError {
         if matches!(e, RuntimeError::Timeout) {
             if let Some(w) = self.watchdog.get() {
                 if w.is_stalled() {
@@ -1039,7 +1014,7 @@ impl Engine {
                 parked += 1;
             }
         }
-        (inner.steps + inner.completions, parked)
+        (inner.stats.steps + inner.stats.completions, parked)
     }
 
     /// Watchdog snapshot of this engine as one region of the wait-for
@@ -1076,7 +1051,7 @@ impl Engine {
         };
         let report = RegionReport {
             region,
-            steps: inner.steps,
+            steps: inner.stats.steps,
             parked_ops: parked.len(),
             enabled,
             closed: inner.closed,
@@ -1095,7 +1070,7 @@ impl Engine {
     /// like a typed firing error. The core's state may be torn mid-step —
     /// poisoning makes that unobservable. Containing the panic at the
     /// step boundary protects *whichever* thread drove the loop: a task
-    /// calling `register_*` or serving a link event, or an executor polling a
+    /// in a port call or serving a link event, or an executor polling a
     /// future.
     fn fire_loop(&self, inner: &mut EngineInner) {
         if inner.poisoned.is_some() || inner.closed {
@@ -1138,15 +1113,15 @@ impl Engine {
             match step {
                 Ok(Ok(true)) => {
                     fired_any = true;
-                    inner.steps += 1;
-                    inner.completions += inner.completed.len() as u64;
+                    inner.stats.steps += 1;
+                    inner.stats.completions += inner.completed.len() as u64;
                     for i in 0..inner.completed.len() {
                         let p = inner.completed[i];
                         let slot = inner.pending.port_map().slot(p);
                         if inner.link_ends.get(slot).is_some_and(Option::is_some) {
                             inner.serve_completed(slot, p);
-                            inner.batch_moves += u64::from(!moved);
-                            inner.batched_values += 1;
+                            inner.stats.batch_moves += u64::from(!moved);
+                            inner.stats.batched_values += 1;
                             moved = true;
                         } else {
                             inner.record_wakes(slot);
@@ -1184,9 +1159,8 @@ impl Engine {
         }
     }
 
-    /// Poisoned/closed classification, shared by registration and by every
-    /// retraction path (`expire_*`, `finish_or_retract_*`) so timeout and
-    /// try-op semantics cannot drift apart between send and recv.
+    /// Poisoned/closed classification, shared by registration, settling
+    /// and the reconfiguration paths.
     pub(crate) fn check_open(inner: &EngineInner) -> Result<(), RuntimeError> {
         if let Some(msg) = &inner.poisoned {
             return Err(RuntimeError::Poisoned(msg.clone()));
@@ -1197,33 +1171,8 @@ impl Engine {
         Ok(())
     }
 
-    /// `Detached` classification: a port this engine no longer serves was
-    /// removed by a reconfiguration splice.
-    fn check_served(inner: &EngineInner, p: PortId) -> Result<(), RuntimeError> {
-        if inner.pending.port_map().try_slot(p).is_none() {
-            return Err(RuntimeError::Detached(p));
-        }
-        Ok(())
-    }
-
-    /// Phase 1 of `send`: register the operation and fire what it enables.
-    /// The link events the hold raised are added to `events` (an engine
-    /// outside a partition raises none; its callers pass `None`).
-    pub(crate) fn register_send(
-        &self,
-        p: PortId,
-        v: Value,
-        events: Option<&mut LinkEvents>,
-    ) -> Result<(), RuntimeError> {
-        self.firing(events, |inner| {
-            Self::check_open(inner)?;
-            Self::check_served(inner, p)?;
-            self.arm_send(inner, p, v)
-        })
-    }
-
-    /// Registration proper on an open engine that serves `p`, shared by
-    /// the blocking and the polling path.
+    /// Register a send on an open engine that serves `p` and fire what it
+    /// enables.
     fn arm_send(&self, inner: &mut EngineInner, p: PortId, v: Value) -> Result<(), RuntimeError> {
         if !matches!(inner.pending.get(p), Pending::None) {
             return Err(RuntimeError::PortBusy(p));
@@ -1236,57 +1185,42 @@ impl Engine {
         Ok(())
     }
 
-    /// Phase 2 of `send`: block until the operation completes, or — with a
-    /// deadline — until it expires. Blocks on the *port's own* condition
-    /// variable; only a step that completes this port (or close/poison)
-    /// wakes it.
+    /// Recv twin of [`Engine::arm_send`].
     ///
-    /// On expiry the registered `Pending::Send` is *retracted atomically
-    /// under the engine lock*: transitions only fire inside [`fire_loop`]
-    /// with this same lock held, so a retracted send can never be
-    /// half-consumed by a concurrent step. A `DoneSend` observed at
-    /// retraction time means a step already took the value — that send
-    /// completes successfully, deadline notwithstanding.
+    /// A pre-existing *abandoned* `DoneRecv` is not an error: a cancelled
+    /// [`RecvFuture`](crate::port::RecvFuture) leaves a delivery that
+    /// raced its drop parked in the slot (see [`abandon_recv`]), and this
+    /// registration is then already satisfied — the same poll takes it.
+    /// A `DoneRecv` whose receiver is alive but not yet woken is
+    /// [`PortBusy`](RuntimeError::PortBusy), exactly like its `Recv`
+    /// moments earlier — absorbing it here would strand that receiver on
+    /// an empty slot.
     ///
-    /// [`fire_loop`]: Engine::fire_loop
-    pub(crate) fn wait_send(
-        &self,
-        p: PortId,
-        deadline: Option<Instant>,
-    ) -> Result<(), RuntimeError> {
-        self.wait(p, deadline, Self::settle_send, Self::expire_send)
-    }
-
-    /// The wait loop both phases 2 share: return the operation's outcome
-    /// once it has one, otherwise park on the port until signalled or
-    /// expired.
-    fn wait<T>(
-        &self,
-        p: PortId,
-        deadline: Option<Instant>,
-        settle: impl Fn(&mut EngineInner, PortId) -> Option<Result<T, RuntimeError>>,
-        expire: impl Fn(&mut EngineInner, PortId) -> Result<T, RuntimeError>,
-    ) -> Result<T, RuntimeError> {
-        let mut inner = self.lock();
-        let mut woken = false;
-        loop {
-            if let Some(outcome) = settle(&mut inner, p) {
-                return outcome;
+    /// [`abandon_recv`]: Engine::abandon_recv
+    fn arm_recv(&self, inner: &mut EngineInner, p: PortId) -> Result<(), RuntimeError> {
+        match inner.pending.get(p) {
+            Pending::None => {
+                if inner.dead.contains(p) {
+                    return Err(RuntimeError::Hangup(p));
+                }
+                inner.pending.set(p, Pending::Recv)
             }
-            if woken {
-                inner.spurious_wakeups += 1;
+            Pending::DoneRecv(_) => {
+                let slot = inner.pending.port_map().slot(p);
+                if !std::mem::take(&mut inner.slots[slot].abandoned) {
+                    return Err(RuntimeError::PortBusy(p));
+                }
+                return Ok(()); // abandoned delivery: settled right away
             }
-            let timed_out = Self::block_on_port(&mut inner, p, deadline);
-            woken = true;
-            if timed_out {
-                return expire(&mut inner, p).map_err(|e| self.upgrade_timeout(e));
-            }
+            _ => return Err(RuntimeError::PortBusy(p)),
         }
+        self.fire_loop(inner);
+        Ok(())
     }
 
     /// The outcome of a registered send, once it has one: completed, or
-    /// failed by poison, close or hangup. Shared by the blocking and the
-    /// polling path so the two cannot drift apart.
+    /// failed by poison, close or hangup. Shared by polling and retraction
+    /// so the two cannot drift apart.
     fn settle_send(inner: &mut EngineInner, p: PortId) -> Option<Result<(), RuntimeError>> {
         if matches!(inner.pending.get(p), Pending::DoneSend) {
             inner.pending.set(p, Pending::None);
@@ -1320,181 +1254,42 @@ impl Engine {
         None
     }
 
-    /// Register as a waiter of `p` and block on its condvar (optionally
-    /// until `deadline`). Returns whether the wait timed out. Called with
-    /// the lock held; the lock is released for the duration of the wait.
-    fn block_on_port(
-        inner: &mut MutexGuard<'_, EngineInner>,
-        p: PortId,
-        deadline: Option<Instant>,
-    ) -> bool {
-        let slot = inner.pending.port_map().slot(p);
-        let cv = Arc::clone(&inner.slots[slot].cv);
-        inner.slots[slot].waiters += 1;
-        let timed_out = match deadline {
-            None => {
-                cv.wait(inner);
-                false
-            }
-            Some(d) => cv.wait_until(inner, d).timed_out(),
-        };
-        // Recompute: a reconfiguration may have renumbered the slots while
-        // this task slept (the port itself survives — a splice refuses to
-        // remove a port with registered waiters, and the condvar `Arc` is
-        // carried over per port, so the notify still reached us).
-        let slot = inner.pending.port_map().slot(p);
-        inner.slots[slot].waiters -= 1;
-        timed_out
-    }
-
-    /// Deadline expired while the lock was re-acquired: complete if a step
-    /// got there first, otherwise retract. Called with the lock held.
-    fn expire_send(inner: &mut EngineInner, p: PortId) -> Result<(), RuntimeError> {
-        match inner.pending.take(p) {
-            Pending::DoneSend => Ok(()),
-            Pending::Send(_) => {
-                Self::check_open(inner)?;
-                Err(RuntimeError::Timeout)
-            }
-            other => unreachable!("send slot held {other:?} at expiry or try probe"),
-        }
-    }
-
-    /// Phase 1 of `recv`.
+    /// One poll of a send, under **one** engine-lock hold — the whole wait
+    /// protocol as the engine sees it.
     ///
-    /// A pre-existing *abandoned* `DoneRecv` is not an error: a cancelled
-    /// [`RecvFuture`](crate::port::RecvFuture) leaves a delivery that
-    /// raced its drop parked in the slot (see [`abandon_recv`]), and this
-    /// registration is then already satisfied — the wait phase takes it.
-    /// A `DoneRecv` whose receiver is alive but not yet woken is
-    /// [`PortBusy`](RuntimeError::PortBusy), exactly like its `Recv`
-    /// moments earlier — absorbing it here would strand that receiver on
-    /// an empty slot.
+    /// First poll (`value` is `Some`): registers `Pending::Send` and fires
+    /// what it enables — the common uncontended case completes right here
+    /// without ever parking a waker. While the operation stays pending,
+    /// `waker` is parked in the port's slot and `None` is returned; a step
+    /// that completes the port takes and wakes it, counted as a `wakeup`
+    /// when `thread` says a blocked thread stands behind the waker and as
+    /// a `waker_wake` otherwise. Close, poison and hangup resolve the poll
+    /// with their errors.
     ///
-    /// [`abandon_recv`]: Engine::abandon_recv
-    pub(crate) fn register_recv(
-        &self,
-        p: PortId,
-        events: Option<&mut LinkEvents>,
-    ) -> Result<(), RuntimeError> {
-        self.firing(events, |inner| {
-            Self::check_open(inner)?;
-            Self::check_served(inner, p)?;
-            self.arm_recv(inner, p)
-        })
-    }
-
-    /// Recv twin of [`Engine::arm_send`].
-    fn arm_recv(&self, inner: &mut EngineInner, p: PortId) -> Result<(), RuntimeError> {
-        match inner.pending.get(p) {
-            Pending::None => {
-                if inner.dead.contains(p) {
-                    return Err(RuntimeError::Hangup(p));
-                }
-                inner.pending.set(p, Pending::Recv)
-            }
-            Pending::DoneRecv(_) => {
-                let slot = inner.pending.port_map().slot(p);
-                if !std::mem::take(&mut inner.slots[slot].abandoned) {
-                    return Err(RuntimeError::PortBusy(p));
-                }
-                return Ok(()); // abandoned delivery: take it in phase 2
-            }
-            _ => return Err(RuntimeError::PortBusy(p)),
-        }
-        self.fire_loop(inner);
-        Ok(())
-    }
-
-    /// Phase 2 of `recv`; deadline and wakeup semantics mirror
-    /// [`wait_send`].
-    ///
-    /// [`wait_send`]: Engine::wait_send
-    pub(crate) fn wait_recv(
-        &self,
-        p: PortId,
-        deadline: Option<Instant>,
-    ) -> Result<Value, RuntimeError> {
-        self.wait(p, deadline, Self::settle_recv, Self::expire_recv)
-    }
-
-    /// Recv twin of [`Engine::expire_send`]: a delivery that raced the
-    /// deadline is still handed out; an unserved registration is retracted.
-    fn expire_recv(inner: &mut EngineInner, p: PortId) -> Result<Value, RuntimeError> {
-        match inner.pending.take(p) {
-            Pending::DoneRecv(v) => Ok(v),
-            Pending::Recv => {
-                Self::check_open(inner)?;
-                Err(RuntimeError::Timeout)
-            }
-            other => unreachable!("recv slot held {other:?} at expiry or try probe"),
-        }
-    }
-
-    /// Non-blocking completion probe for `try_send`: if the registered send
-    /// was consumed, acknowledge it (`Ok(true)`); otherwise retract it
-    /// (`Ok(false)`). Atomic with respect to firing — same lock.
-    pub(crate) fn finish_or_retract_send(&self, p: PortId) -> Result<bool, RuntimeError> {
-        match Self::expire_send(&mut self.lock(), p) {
-            Err(RuntimeError::Timeout) => Ok(false),
-            done => done.map(|()| true),
-        }
-    }
-
-    /// Non-blocking completion probe for `try_recv`: a delivery is taken
-    /// (`Ok(Some(v))`); an unserved registration is retracted (`Ok(None)`).
-    pub(crate) fn finish_or_retract_recv(&self, p: PortId) -> Result<Option<Value>, RuntimeError> {
-        match Self::expire_recv(&mut self.lock(), p) {
-            Err(RuntimeError::Timeout) => Ok(None),
-            done => done.map(Some),
-        }
-    }
-
-    /// One poll of an async send, under **one** engine-lock hold.
-    ///
-    /// First poll (`value` is `Some`): registers `Pending::Send` (the
-    /// async twin of `register_send`) and fires what it enables — the
-    /// common uncontended case completes right here without ever storing
-    /// a waker. While the operation stays pending the task's `Waker` is
-    /// parked in the port's waker slot (replacing any staler clone) and
-    /// `None` is returned; a step that completes the port takes and
-    /// wakes it (counted as `waker_wakes`). Close/poison resolve the
-    /// poll with the same errors as the blocking path.
-    ///
-    /// Returns `Some(result)` when the future is ready, `None` when
-    /// pending. After `Some`, the registration is consumed — a drop of
-    /// the future must no longer retract. The link events of the hold are
-    /// added to `events` whatever the outcome.
+    /// Returns `Some(result)` when the operation has an outcome, `None`
+    /// when pending. After `Some`, the registration is consumed — there is
+    /// nothing left to retract. The link events of the hold are added to
+    /// `events` whatever the outcome (a caller outside a partition passes
+    /// `None`: its engine raises none).
     pub fn poll_send(
         &self,
         p: PortId,
         value: &mut Option<Value>,
         waker: &Waker,
+        thread: bool,
         events: Option<&mut LinkEvents>,
     ) -> Option<Result<(), RuntimeError>> {
-        self.firing(events, |inner| {
-            if let Err(e) = Self::check_served(inner, p) {
-                return Some(Err(e));
-            }
-            if let Some(v) = value.take() {
-                if let Err(e) = Self::check_open(inner).and_then(|()| self.arm_send(inner, p, v)) {
-                    return Some(Err(e));
-                }
-            }
-            let outcome = Self::settle_send(inner, p);
-            if outcome.is_none() {
-                let slot = inner.pending.port_map().slot(p);
-                inner.slots[slot].waker = Some(waker.clone());
-            }
-            outcome
-        })
+        let arm = |inner: &mut EngineInner| match value.take() {
+            Some(v) => Self::check_open(inner).and_then(|()| self.arm_send(inner, p, v)),
+            None => Ok(()),
+        };
+        self.poll(p, arm, Self::settle_send, waker, thread, events)
     }
 
-    /// One poll of an async recv, under **one** engine-lock hold; the
-    /// recv twin of [`poll_send`]. `registered` tracks whether phase 1
-    /// already ran (the future's state, so a re-poll does not
-    /// re-register). A pre-existing `DoneRecv` from an abandoned future
-    /// satisfies the first poll immediately (see `register_recv`).
+    /// One poll of a recv, under **one** engine-lock hold; the recv twin
+    /// of [`poll_send`]. `registered` tracks whether the operation is
+    /// registered already (the caller's state, so a re-poll does not
+    /// register again).
     ///
     /// [`poll_send`]: Engine::poll_send
     pub fn poll_recv(
@@ -1502,58 +1297,89 @@ impl Engine {
         p: PortId,
         registered: &mut bool,
         waker: &Waker,
+        thread: bool,
         events: Option<&mut LinkEvents>,
     ) -> Option<Result<Value, RuntimeError>> {
-        self.firing(events, |inner| {
-            if let Err(e) = Self::check_served(inner, p) {
-                return Some(Err(e));
-            }
+        let arm = |inner: &mut EngineInner| {
             if !*registered {
-                if let Err(e) = Self::check_open(inner).and_then(|()| self.arm_recv(inner, p)) {
-                    return Some(Err(e));
-                }
+                Self::check_open(inner).and_then(|()| self.arm_recv(inner, p))?;
                 *registered = true;
             }
-            let outcome = Self::settle_recv(inner, p);
-            if outcome.is_none() {
-                let slot = inner.pending.port_map().slot(p);
-                inner.slots[slot].waker = Some(waker.clone());
+            Ok(())
+        };
+        self.poll(p, arm, Self::settle_recv, waker, thread, events)
+    }
+
+    /// What the two polls share: register if that is still to do, settle,
+    /// and park the waker if there is no outcome yet.
+    fn poll<T>(
+        &self,
+        p: PortId,
+        arm: impl FnOnce(&mut EngineInner) -> Result<(), RuntimeError>,
+        settle: impl FnOnce(&mut EngineInner, PortId) -> Option<Result<T, RuntimeError>>,
+        waker: &Waker,
+        thread: bool,
+        events: Option<&mut LinkEvents>,
+    ) -> Option<Result<T, RuntimeError>> {
+        self.firing(events, |inner| {
+            // A port this engine no longer serves was spliced out.
+            let Some(slot) = inner.pending.port_map().try_slot(p) else {
+                return Some(Err(RuntimeError::Detached(p)));
+            };
+            if let Err(e) = arm(inner) {
+                return Some(Err(e));
             }
-            outcome
+            let outcome = settle(inner, p);
+            inner.park(slot, outcome, waker, thread)
         })
     }
 
-    /// Drop-retraction of a registered async send: the cancellation twin
-    /// of [`expire_send`], atomic under the same engine lock that fires
-    /// transitions, so a cancelled future can never leak a half-armed
-    /// operation. A `Send` still pending is retracted (the value never
-    /// entered the connector); a `DoneSend` is acknowledged (a step took
-    /// the value before the drop — it is *in* the connector, exactly
-    /// once). The parked waker, if any, is discarded.
-    ///
-    /// [`expire_send`]: Engine::expire_send
-    pub(crate) fn abandon_send(&self, p: PortId) {
+    /// Give up on the send a poll left pending at `p`, in one hold:
+    /// complete if a step got there first — a `DoneSend` means the value
+    /// is *in* the connector, exactly once, and the send succeeded,
+    /// whatever made the caller give up —, otherwise withdraw it and
+    /// answer [`RuntimeError::Timeout`] (the value never entered the
+    /// connector). Transitions only fire under this same lock, so a
+    /// withdrawn operation can never be half-consumed. An expired
+    /// deadline, a `try_send` that found no taker and a dropped
+    /// [`SendFuture`](crate::port::SendFuture) all end here.
+    pub fn retract_send(&self, p: PortId) -> Result<(), RuntimeError> {
+        self.retract(p, Self::settle_send)
+    }
+
+    /// Recv twin of [`retract_send`](Engine::retract_send): a delivery that
+    /// raced the retraction is handed out, never dropped. A caller with
+    /// nowhere to hand it uses [`abandon_recv`](Engine::abandon_recv).
+    pub fn retract_recv(&self, p: PortId) -> Result<Value, RuntimeError> {
+        self.retract(p, Self::settle_recv)
+    }
+
+    fn retract<T>(
+        &self,
+        p: PortId,
+        settle: impl FnOnce(&mut EngineInner, PortId) -> Option<Result<T, RuntimeError>>,
+    ) -> Result<T, RuntimeError> {
         let mut inner = self.lock();
         let Some(slot) = inner.pending.port_map().try_slot(p) else {
-            return; // detached by a reconfiguration: nothing to retract
+            return Err(RuntimeError::Detached(p));
         };
-        if matches!(inner.pending.get(p), Pending::Send(_) | Pending::DoneSend) {
+        inner.unpark(slot);
+        settle(&mut inner, p).unwrap_or_else(|| {
             inner.pending.set(p, Pending::None);
-        }
-        inner.slots[slot].waker = None;
+            Err(RuntimeError::Timeout)
+        })
     }
 
     /// Drop-retraction of a registered async recv. A pending `Recv` is
-    /// retracted; a `DoneRecv` is deliberately **left parked** — the
-    /// delivery was already committed by a fired step, so taking it out
-    /// here would lose the value. The next receive on this port absorbs
-    /// it instead ([`register_recv`] / [`poll_recv`] treat a parked
-    /// `DoneRecv` as an already-satisfied registration): no loss, no
-    /// duplication.
+    /// withdrawn; a `DoneRecv` is deliberately **left parked** — the
+    /// delivery was already committed by a fired step and a dropped future
+    /// has nowhere to hand it, so taking it out here would lose the value.
+    /// The next receive on this port absorbs it instead ([`poll_recv`]
+    /// treats an abandoned `DoneRecv` as an already-satisfied
+    /// registration): no loss, no duplication.
     ///
-    /// [`register_recv`]: Engine::register_recv
     /// [`poll_recv`]: Engine::poll_recv
-    pub(crate) fn abandon_recv(&self, p: PortId) {
+    pub fn abandon_recv(&self, p: PortId) {
         let mut inner = self.lock();
         let Some(slot) = inner.pending.port_map().try_slot(p) else {
             return; // detached by a reconfiguration: nothing to retract
@@ -1565,7 +1391,7 @@ impl Engine {
             Pending::DoneRecv(_) => inner.slots[slot].abandoned = true,
             _ => {}
         }
-        inner.slots[slot].waker = None;
+        inner.unpark(slot);
     }
 
     /// Serve one link event in a hold of its own — the cross-region half
@@ -1611,19 +1437,12 @@ impl Engine {
     // Dynamic reconfiguration (stage 8). The engine mutex *is* the region
     // quiesce: transitions only fire inside `fire_loop` with it held, so
     // holding it guarantees no in-flight firing. A splice validates, swaps
-    // the core/pending/store, and wakes everything; parked tasks recompute
-    // their slot and state on wake (`block_on_port` re-reads the map).
+    // the core/pending/store, and wakes everything; a woken task polls
+    // again, against the new tables.
     // ------------------------------------------------------------------
 
-    /// Take the engine lock for a reconfiguration step. `pub(crate)` so the
-    /// partitioned splice can hold several affected engines' guards at
-    /// once (the link protocol never nests engine locks, so no cycle exists).
-    pub(crate) fn lock_for_reconfig(&self) -> MutexGuard<'_, EngineInner> {
-        self.lock()
-    }
-
     /// Every port in `removed` must be idle before a splice may drop it:
-    /// no pending operation, no parked thread, no stored waker. The port
+    /// no pending operation, no parked waker. The port
     /// handles of a detaching branch are consumed before this runs, so a
     /// violation means the branch still has traffic — refuse, leave the
     /// engine untouched.
@@ -1640,7 +1459,7 @@ impl Engine {
                     "port {p} of the detaching branch has a pending operation"
                 )));
             }
-            if inner.slots[slot].waiters > 0 || inner.slots[slot].waker.is_some() {
+            if inner.slots[slot].waker.is_some() {
                 return Err(RuntimeError::Reconfig(format!(
                     "port {p} of the detaching branch has a blocked task"
                 )));
@@ -1669,9 +1488,9 @@ impl Engine {
     /// store grows to `layout` (new constituents
     /// bring fresh cells, surviving cells never move). Ports only in the
     /// old map must have passed [`removal_quiescent`](Self::removal_quiescent).
-    /// Fires whatever the new core enables and wakes every waiter — under
-    /// the lock, see `deliver_under_lock` — so parked tasks re-evaluate
-    /// against the new tables. The link events of that firing are dropped:
+    /// Fires whatever the new core enables and wakes every parked waker —
+    /// under the lock, see `deliver_under_lock` — so every pending
+    /// operation is polled again, against the new tables. The link events of that firing are dropped:
     /// a splice pumps every link once it has swapped the topology.
     pub(crate) fn install(
         &self,
@@ -1814,10 +1633,58 @@ pub(crate) fn fire_one(
     Ok(true)
 }
 
+/// Port calls on a bare engine, for this crate's unit tests: the blocking
+/// ones are [`crate::port::block_on`] — the loop the port handles run —
+/// without a backend in between.
+#[cfg(test)]
+impl Engine {
+    pub(crate) fn send(&self, p: PortId, v: Value) -> Result<(), RuntimeError> {
+        self.send_until(p, Some(v), None)
+    }
+
+    pub(crate) fn recv(&self, p: PortId) -> Result<Value, RuntimeError> {
+        self.recv_until(p, false, None)
+    }
+
+    /// `v` is `None` for a send that [`offer`](Self::offer) registered.
+    pub(crate) fn send_until(
+        &self,
+        p: PortId,
+        mut v: Option<Value>,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), RuntimeError> {
+        crate::port::block_on(
+            deadline,
+            |waker| self.poll_send(p, &mut v, waker, true, None),
+            || self.retract_send(p),
+        )
+    }
+
+    pub(crate) fn recv_until(
+        &self,
+        p: PortId,
+        mut registered: bool,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<Value, RuntimeError> {
+        crate::port::block_on(
+            deadline,
+            |waker| self.poll_recv(p, &mut registered, waker, true, None),
+            || self.retract_recv(p),
+        )
+    }
+
+    /// The first poll of a send and no more: `None` leaves it registered,
+    /// with nobody parked behind it.
+    pub(crate) fn offer(&self, p: PortId, v: Value) -> Option<Result<(), RuntimeError>> {
+        self.poll_send(p, &mut Some(v), Waker::noop(), false, None)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use reo_automata::{primitives, Automaton, MemLayout, StateId};
+    use std::time::Instant;
 
     /// Minimal core stepping independent automata side by side, for engine
     /// tests.
@@ -1886,10 +1753,8 @@ mod tests {
             primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
             2,
         );
-        eng.register_send(PortId(0), Value::Int(7), None).unwrap();
-        eng.wait_send(PortId(0), None).unwrap();
-        eng.register_recv(PortId(1), None).unwrap();
-        let v = eng.wait_recv(PortId(1), None).unwrap();
+        eng.send(PortId(0), Value::Int(7)).unwrap();
+        let v = eng.recv(PortId(1)).unwrap();
         assert_eq!(v.as_int(), Some(7));
         assert_eq!(eng.steps(), 2);
     }
@@ -1904,10 +1769,8 @@ mod tests {
         assert_eq!(map.slot(PortId(3)), 0);
         assert_eq!(map.slot(PortId(17)), 1);
         let eng = engine_of(vec![aut], map);
-        eng.register_send(PortId(3), Value::Int(9), None).unwrap();
-        eng.wait_send(PortId(3), None).unwrap();
-        eng.register_recv(PortId(17), None).unwrap();
-        assert_eq!(eng.wait_recv(PortId(17), None).unwrap().as_int(), Some(9));
+        eng.send(PortId(3), Value::Int(9)).unwrap();
+        assert_eq!(eng.recv(PortId(17)).unwrap().as_int(), Some(9));
     }
 
     #[test]
@@ -1915,14 +1778,10 @@ mod tests {
         use std::sync::Arc;
         let eng = Arc::new(engine_for(primitives::sync(PortId(0), PortId(1)), 2));
         let e2 = Arc::clone(&eng);
-        let receiver = std::thread::spawn(move || {
-            e2.register_recv(PortId(1), None).unwrap();
-            e2.wait_recv(PortId(1), None).unwrap()
-        });
+        let receiver = std::thread::spawn(move || e2.recv(PortId(1)).unwrap());
         // Give the receiver a chance to block first (not strictly needed).
         std::thread::yield_now();
-        eng.register_send(PortId(0), Value::Int(3), None).unwrap();
-        eng.wait_send(PortId(0), None).unwrap();
+        eng.send(PortId(0), Value::Int(3)).unwrap();
         let got = receiver.join().unwrap();
         assert_eq!(got.as_int(), Some(3));
         assert_eq!(eng.steps(), 1);
@@ -1936,20 +1795,18 @@ mod tests {
         );
         // Fill the buffer, then a second send is *pending* (buffer full);
         // a third register on the same port must be refused.
-        eng.register_send(PortId(0), Value::Int(1), None).unwrap();
-        eng.wait_send(PortId(0), None).unwrap();
-        eng.register_send(PortId(0), Value::Int(2), None).unwrap();
+        eng.send(PortId(0), Value::Int(1)).unwrap();
+        assert!(eng.offer(PortId(0), Value::Int(2)).is_none());
         assert!(matches!(
-            eng.register_send(PortId(0), Value::Int(3), None),
-            Err(RuntimeError::PortBusy(_))
+            eng.offer(PortId(0), Value::Int(3)),
+            Some(Err(RuntimeError::PortBusy(_)))
         ));
     }
 
     #[test]
     fn lossy_completes_send_even_without_receiver() {
         let eng = engine_for(primitives::lossy(PortId(0), PortId(1)), 2);
-        eng.register_send(PortId(0), Value::Int(9), None).unwrap();
-        eng.wait_send(PortId(0), None).unwrap();
+        eng.send(PortId(0), Value::Int(9)).unwrap();
         assert_eq!(eng.steps(), 1);
     }
 
@@ -1957,19 +1814,17 @@ mod tests {
     fn timed_out_send_is_retracted_and_port_reusable() {
         use std::time::Duration;
         let eng = engine_for(primitives::sync(PortId(0), PortId(1)), 2);
-        eng.register_send(PortId(0), Value::Int(1), None).unwrap();
         let deadline = Some(Instant::now() + Duration::from_millis(20));
         assert!(matches!(
-            eng.wait_send(PortId(0), deadline),
+            eng.send_until(PortId(0), Some(Value::Int(1)), deadline),
             Err(RuntimeError::Timeout)
         ));
         // The slot is free again: a fresh registration must not be PortBusy.
-        eng.register_send(PortId(0), Value::Int(2), None).unwrap();
+        assert!(eng.offer(PortId(0), Value::Int(2)).is_none());
         // And the retracted value must not have leaked into the connector:
         // the receiver gets the *new* value.
-        eng.register_recv(PortId(1), None).unwrap();
-        assert_eq!(eng.wait_recv(PortId(1), None).unwrap().as_int(), Some(2));
-        eng.wait_send(PortId(0), None).unwrap();
+        assert_eq!(eng.recv(PortId(1)).unwrap().as_int(), Some(2));
+        eng.send_until(PortId(0), None, None).unwrap();
         assert_eq!(eng.steps(), 1, "exactly one firing: no loss, no duplicate");
     }
 
@@ -1980,17 +1835,14 @@ mod tests {
             primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
             2,
         );
-        eng.register_recv(PortId(1), None).unwrap();
         let deadline = Some(Instant::now() + Duration::from_millis(20));
         assert!(matches!(
-            eng.wait_recv(PortId(1), deadline),
+            eng.recv_until(PortId(1), false, deadline),
             Err(RuntimeError::Timeout)
         ));
         // Buffer a value, then receive it through the same (freed) port.
-        eng.register_send(PortId(0), Value::Int(5), None).unwrap();
-        eng.wait_send(PortId(0), None).unwrap();
-        eng.register_recv(PortId(1), None).unwrap();
-        assert_eq!(eng.wait_recv(PortId(1), None).unwrap().as_int(), Some(5));
+        eng.send(PortId(0), Value::Int(5)).unwrap();
+        assert_eq!(eng.recv(PortId(1)).unwrap().as_int(), Some(5));
     }
 
     #[test]
@@ -2001,13 +1853,21 @@ mod tests {
             primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
             2,
         );
-        eng.register_send(PortId(0), Value::Int(7), None).unwrap();
-        // The fifo accepted immediately: the slot already holds DoneSend.
-        // An already-expired deadline must still report success.
+        // The fifo accepts in the first poll: an already-expired deadline
+        // must still report success.
         let past = Some(Instant::now() - std::time::Duration::from_millis(1));
-        eng.wait_send(PortId(0), past).unwrap();
-        eng.register_recv(PortId(1), None).unwrap();
-        assert_eq!(eng.wait_recv(PortId(1), None).unwrap().as_int(), Some(7));
+        eng.send_until(PortId(0), Some(Value::Int(7)), past)
+            .unwrap();
+        assert_eq!(eng.recv(PortId(1)).unwrap().as_int(), Some(7));
+        // The buffer is empty again: this receive is pending when its
+        // deadline passes, a step completes it, and then it is retracted.
+        assert!(eng
+            .poll_recv(PortId(1), &mut false, Waker::noop(), true, None)
+            .is_none());
+        eng.send(PortId(0), Value::Int(8)).unwrap();
+        assert_eq!(eng.retract_recv(PortId(1)).unwrap().as_int(), Some(8));
+        let stats = eng.stats();
+        assert_eq!((stats.wakeups, stats.spurious_wakeups), (1, 0));
     }
 
     #[test]
@@ -2016,24 +1876,23 @@ mod tests {
             primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
             2,
         );
+        // A probe is one poll and, if that is pending, a retraction.
+        let try_send = |v| {
+            eng.offer(PortId(0), Value::Int(v))
+                .unwrap_or_else(|| eng.retract_send(PortId(0)))
+        };
+        let try_recv = || {
+            eng.poll_recv(PortId(1), &mut false, Waker::noop(), false, None)
+                .unwrap_or_else(|| eng.retract_recv(PortId(1)))
+        };
         // Empty buffer: a recv probe retracts.
-        eng.register_recv(PortId(1), None).unwrap();
-        assert!(eng.finish_or_retract_recv(PortId(1)).unwrap().is_none());
+        assert!(matches!(try_recv(), Err(RuntimeError::Timeout)));
         // Send fills the buffer in one step: the probe acknowledges.
-        eng.register_send(PortId(0), Value::Int(3), None).unwrap();
-        assert!(eng.finish_or_retract_send(PortId(0)).unwrap());
+        try_send(3).unwrap();
         // Full buffer: a second send probe retracts, value re-sendable.
-        eng.register_send(PortId(0), Value::Int(4), None).unwrap();
-        assert!(!eng.finish_or_retract_send(PortId(0)).unwrap());
+        assert!(matches!(try_send(4), Err(RuntimeError::Timeout)));
         // The buffered value is intact.
-        eng.register_recv(PortId(1), None).unwrap();
-        assert_eq!(
-            eng.finish_or_retract_recv(PortId(1))
-                .unwrap()
-                .unwrap()
-                .as_int(),
-            Some(3)
-        );
+        assert_eq!(try_recv().unwrap().as_int(), Some(3));
     }
 
     #[test]
@@ -2046,20 +1905,17 @@ mod tests {
         let e2 = Arc::clone(&eng);
         let blocked = std::thread::spawn(move || {
             // Blocks: fifo B (ports 2 -> 3) is empty and stays empty.
-            e2.register_recv(PortId(3), None).unwrap();
-            e2.wait_recv(PortId(3), None)
+            e2.recv(PortId(3))
         });
         // Wait until the B-receiver is actually blocked.
-        while eng.lock().slots[3].waiters == 0 {
+        while eng.lock().slots[3].waker.is_none() {
             std::thread::yield_now();
         }
         let before = eng.stats();
         // Traffic on fifo A (ports 0 -> 1): completes without waking B.
         for k in 0..50 {
-            eng.register_send(PortId(0), Value::Int(k), None).unwrap();
-            eng.wait_send(PortId(0), None).unwrap();
-            eng.register_recv(PortId(1), None).unwrap();
-            eng.wait_recv(PortId(1), None).unwrap();
+            eng.send(PortId(0), Value::Int(k)).unwrap();
+            eng.recv(PortId(1)).unwrap();
         }
         let after = eng.stats();
         assert_eq!(
@@ -2080,13 +1936,17 @@ mod tests {
         let parked: Vec<_> = (0..8)
             .map(|i| {
                 let eng = Arc::clone(&eng);
-                std::thread::spawn(move || {
-                    eng.register_recv(PortId(2 * i + 1), None).unwrap();
-                    eng.wait_recv(PortId(2 * i + 1), None)
-                })
+                std::thread::spawn(move || eng.recv(PortId(2 * i + 1)))
             })
             .collect();
-        while eng.lock().slots.iter().map(|s| s.waiters).sum::<u32>() < 8 {
+        while eng
+            .lock()
+            .slots
+            .iter()
+            .filter(|s| s.waker.is_some())
+            .count()
+            < 8
+        {
             std::thread::yield_now();
         }
         eng.close();
@@ -2110,10 +1970,11 @@ mod tests {
         }
     }
 
-    /// The exception is the hold that serves a link event for another
-    /// region (`Engine::serve`), the successor of the two link pumps.
+    /// Whoever parked the waker, a blocking caller or a task. The exception
+    /// is the hold that serves a link event for another region
+    /// (`Engine::serve`).
     #[test]
-    fn wakes_follow_the_unlock_except_at_the_link_pumps() {
+    fn wakes_follow_the_unlock_except_in_serve() {
         use std::sync::Arc;
         let eng = Arc::new(engine_for(primitives::sync(PortId(0), PortId(1)), 2));
         let probe = Arc::new(LockProbe {
@@ -2121,18 +1982,24 @@ mod tests {
             free: Mutex::new(Vec::new()),
         });
         let waker = Waker::from(Arc::clone(&probe));
-        let park = || assert!(eng.poll_recv(PortId(1), &mut false, &waker, None).is_none());
-        let take = || match eng.poll_recv(PortId(1), &mut true, &waker, None) {
+        let park = |thread| {
+            let first = eng.poll_recv(PortId(1), &mut false, &waker, thread, None);
+            assert!(first.is_none());
+        };
+        let take = || match eng.poll_recv(PortId(1), &mut true, &waker, false, None) {
             Some(Ok(v)) => v.as_int(),
             other => panic!("no delivery: {other:?}"),
         };
 
-        park(); // a port call completes it: signalled after the unlock
-        eng.register_send(PortId(0), Value::Int(1), None).unwrap();
-        assert_eq!(take(), Some(1));
-        eng.wait_send(PortId(0), None).unwrap();
+        // A port call completes it: woken after the unlock, whether the
+        // waker stands for a blocked thread or for a task.
+        for (v, thread) in [(0, true), (1, false)] {
+            park(thread);
+            eng.send(PortId(0), Value::Int(v)).unwrap();
+            assert_eq!(take(), Some(v));
+        }
 
-        park(); // a link service hold completes it: the documented exception
+        park(true); // a link service hold completes it: the documented exception
         let shared = Arc::new(LinkShared {
             capacity: Some(1),
             state: Mutex::new(LinkState::default()),
@@ -2150,8 +2017,10 @@ mod tests {
         // The same hold acknowledged the front it offered.
         assert!(shared.state.lock().queue.is_empty() && events.is_empty());
 
-        park(); // close: after the unlock again
+        park(true); // close: after the unlock again
         eng.close();
-        assert_eq!(*probe.free.lock(), [true, false, true]);
+        assert_eq!(*probe.free.lock(), [true, true, false, true]);
+        let stats = eng.stats();
+        assert_eq!((stats.wakeups, stats.waker_wakes), (3, 1));
     }
 }

@@ -564,12 +564,8 @@ mod tests {
         let autos = vec![primitives::sync(p(0), p(1)), primitives::sync(p(1), p(2))];
         let eng = std::sync::Arc::new(engine_from(autos, 3, CachePolicy::Unbounded));
         let e2 = std::sync::Arc::clone(&eng);
-        let rx = std::thread::spawn(move || {
-            e2.register_recv(p(2), None).unwrap();
-            e2.wait_recv(p(2), None).unwrap()
-        });
-        eng.register_send(p(0), Value::Int(11), None).unwrap();
-        eng.wait_send(p(0), None).unwrap();
+        let rx = std::thread::spawn(move || e2.recv(p(2)).unwrap());
+        eng.send(p(0), Value::Int(11)).unwrap();
         assert_eq!(rx.join().unwrap().as_int(), Some(11));
         assert_eq!(eng.steps(), 1); // one global step, not two
     }
@@ -597,13 +593,10 @@ mod tests {
         ];
         let eng = engine_from(autos, 4, CachePolicy::Unbounded);
         let fill = |port| {
-            eng.register_send(p(port), Value::Int(port as i64), None)
-                .unwrap();
-            eng.wait_send(p(port), None).unwrap();
+            eng.send(p(port), Value::Int(port as i64)).unwrap();
         };
         let take = |port| {
-            eng.register_recv(p(port), None).unwrap();
-            eng.wait_recv(p(port), None).unwrap();
+            eng.recv(p(port)).unwrap();
         };
         for _ in 0..3 {
             fill(0);
@@ -715,19 +708,14 @@ mod tests {
 
         // All three producers offer; only the first can complete.
         for (i, &t) in tl.iter().enumerate() {
-            eng.register_send(t, Value::Int(10 + i as i64), None)
-                .unwrap();
+            let done = eng.offer(t, Value::Int(10 + i as i64)).is_some();
+            assert_eq!(done, i == 0);
         }
-        eng.wait_send(tl[0], None).unwrap();
         for (i, &h) in hd.iter().enumerate() {
-            eng.register_recv(h, None).unwrap();
-            assert_eq!(
-                eng.wait_recv(h, None).unwrap().as_int(),
-                Some(10 + i as i64)
-            );
+            assert_eq!(eng.recv(h).unwrap().as_int(), Some(10 + i as i64));
         }
-        eng.wait_send(tl[1], None).unwrap();
-        eng.wait_send(tl[2], None).unwrap();
+        eng.send_until(tl[1], None, None).unwrap();
+        eng.send_until(tl[2], None, None).unwrap();
         // States visited: a handful; the cache must have them resident.
         let stats = eng.cache_stats().unwrap();
         assert!(stats.resident >= 2);
@@ -749,11 +737,9 @@ mod tests {
             let eng = engine_from(mk(), 4, policy);
             let mut log = Vec::new();
             for round in 0..3 {
-                eng.register_recv(p(1), None).unwrap();
-                let v = eng.wait_recv(p(1), None).unwrap();
+                let v = eng.recv(p(1)).unwrap();
                 log.push(format!("{round}:{v}"));
-                eng.register_send(p(0), Value::Int(round), None).unwrap();
-                eng.wait_send(p(0), None).unwrap();
+                eng.send(p(0), Value::Int(round)).unwrap();
             }
             (log, eng.cache_stats().unwrap())
         };

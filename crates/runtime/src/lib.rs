@@ -16,17 +16,22 @@
 //!   synchronous region, cut fifos as links.
 //!
 //! There is one scheduler: as in the paper, the task that calls
-//! `send`/`recv` steps the connector itself — and, in the partitioned
-//! modes, pumps the links bordering its region. Link pumping is *batched*
-//! (one engine-lock hold per side moves a whole backlog) and
-//! single-link-border regions pump uncounted (see [`partition`]).
-//! [`Mode::grid`] lists every runtime for the tests and the fuzzer.
+//! `send`/`recv` steps the connector itself. In the partitioned modes a
+//! link port is finished in the engine-lock hold that completed it, and
+//! the two things that belong to the link's *other* engine leave that hold
+//! as events the calling port operation drains, one hold each — nobody
+//! polls a link (see [`partition`]). [`Mode::grid`] lists every runtime
+//! for the tests and the fuzzer.
 //!
-//! Engines block tasks on *per-port* wait queues (a completed transition
-//! wakes only the ports that fired — no thundering herd) and expose
-//! contention counters through [`ConnectorHandle::stats`]
-//! ([`EngineStats`]: steps, completions, targeted wakeups, spurious
-//! wakeups, lock acquisitions).
+//! There is one wait protocol, too: a port operation is *polled* — one
+//! hold registers it, fires what it enables and, if it has no outcome yet,
+//! parks a waker in its port's slot — and a completed transition wakes
+//! only the ports that fired (no thundering herd). A blocking `send` is
+//! that protocol run in place under a waker that unparks the calling
+//! thread; `send_async` is the same under the task's waker (see [`engine`]
+//! and [`port`]). Contention counters come through
+//! [`ConnectorHandle::stats`] ([`EngineStats`]: steps, completions, woken
+//! threads and tasks, spurious wake-ups, lock acquisitions).
 //!
 //! Compile with the builder, connect into a [`Session`], and take *typed*
 //! port handles — `recv()` returns `i64` here, not a raw `Value`:

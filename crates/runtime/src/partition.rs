@@ -11,7 +11,7 @@
 //! [`Link`] — an actual queue moving values from one engine's boundary to
 //! another's. Expansion work then scales with the largest *region*, not
 //! with the whole connector. Each region engine allocates its
-//! pending/waiter/condvar tables only for its own ports
+//! pending and waker tables only for its own ports
 //! ([`crate::engine::PortMap::Sparse`]), so memory also scales with the
 //! region, not with the whole connector.
 //!
@@ -61,9 +61,9 @@
 //! (each crossing counts once per side). [`EngineStats::kicks`] counts
 //! port operations on a region bordering two or more links that had
 //! events to drain; a single-link chain such as the `relay` family's
-//! `Sync – Fifo1 – Sync` keeps it at zero, and costs six engine-lock
-//! holds per value: register, `Offer`, wait on the sending side;
-//! register, `Rearm`, wait on the receiving side.
+//! `Sync – Fifo1 – Sync` keeps it at zero, and costs four engine-lock
+//! holds per value: the poll that completes the send and the `Offer` it
+//! raised; the poll that completes the receive and the `Rearm` it raised.
 //!
 //! [`EngineStats::batch_moves`]: crate::EngineStats::batch_moves
 //! [`EngineStats::batched_values`]: crate::EngineStats::batched_values
@@ -117,7 +117,7 @@ use reo_automata::{Automaton, MemLayout, PortId, PortSet, ProductOptions, StateI
 use crate::cache::CachePolicy;
 use crate::compiled::CompiledCore;
 use crate::engine::{
-    Engine, EngineCore, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, PortMap,
+    Engine, EngineCore, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Pending, PortMap,
 };
 pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
@@ -390,7 +390,7 @@ fn new_region_engine(
     r: usize,
 ) -> Arc<Engine> {
     let engine = Engine::new(core, ports, Store::new(layout));
-    Engine::set_link_ends(&mut engine.lock_for_reconfig(), &link_ends(links, r));
+    Engine::set_link_ends(&mut engine.lock(), &link_ends(links, r));
     Arc::new(engine)
 }
 
@@ -579,7 +579,7 @@ impl Partitioned {
         true
     }
 
-    /// Run `hold` — a port call's registration in an engine of `topo` — and
+    /// Run `hold` — a port call's poll in an engine of `topo` — and
     /// then, that lock released, drain the link events it raised against
     /// the snapshot the call was routed by: one hold of the target engine
     /// per event, until no hold raises another. Never holds two engine
@@ -601,8 +601,12 @@ impl Partitioned {
     /// already in flight, including what another task's drain has not
     /// served yet. Safe to run concurrently from any thread.
     pub fn pump(&self) {
-        let topo = self.topo();
-        self.drain(&topo, |work| raise_all(&topo, work));
+        self.pump_on(&self.topo());
+    }
+
+    /// [`pump`](Self::pump) against the snapshot a port call already took.
+    pub(crate) fn pump_on(&self, topo: &Topology) {
+        self.drain(topo, |work| raise_all(topo, work));
     }
 
     /// Test support: what the link protocol promises whenever no event is
@@ -672,8 +676,8 @@ impl Partitioned {
 
     /// Poison every region engine (fault fan-out): one region's panic
     /// must not strand tasks parked in *other* regions, so the poison is
-    /// spread session-wide and every parked waiter — condvar or async
-    /// waker — resolves with [`RuntimeError::Poisoned`]. Idempotent.
+    /// spread session-wide and every parked operation — thread or task —
+    /// resolves with [`RuntimeError::Poisoned`]. Idempotent.
     pub fn poison_all(&self, msg: &str) {
         for e in &self.topo().engines {
             e.poison(msg);
@@ -789,15 +793,6 @@ impl Partitioned {
         }
     }
 
-    /// [`Topology::engine_for`] on the live topology, as an owned `Arc`:
-    /// the caller keeps a stable engine reference even if a splice swaps
-    /// the topology mid-operation (kept regions preserve their engine's
-    /// `Arc` identity, so a parked task wakes in the same engine the new
-    /// topology routes to).
-    pub fn engine_for(&self, p: PortId) -> Arc<Engine> {
-        Arc::clone(self.topo().engine_for(p))
-    }
-
     /// A freshly composed region core for the splice path — always
     /// state-traced, so the *next* splice can read constituent states
     /// back out of it. A compiled re-lowering that blows its product
@@ -853,11 +848,13 @@ impl Partitioned {
     ///    or loses a bordering link, with or without a change to its
     ///    constituent list) — and only then look at the removed links:
     ///    the link mutex is a leaf under the engine locks, and with both
-    ///    ends' engines held nothing can push or pop. Verify removed ports
-    ///    are idle (`Engine::removal_quiescent`), removed links empty, and
-    ///    every detaching constituent at rest (initial control state,
-    ///    initial memory) — the zero-loss guarantee: a branch with an
-    ///    undelivered value refuses to detach.
+    ///    ends' engines held nothing can push or pop. Verify removed links
+    ///    empty, removed ports idle (`Engine::removal_quiescent` — but for
+    ///    the ports of an empty link that leaves: the receive its protocol
+    ///    keeps armed on the tail is not traffic), and every detaching
+    ///    constituent at rest (initial control state, initial memory) —
+    ///    the zero-loss guarantee: a branch with an undelivered value
+    ///    refuses to detach.
     /// 3. **Splice**: recompose each region whose constituents changed
     ///    *from the current constituent states* (kept constituents resume
     ///    exactly where they were) and install it, with its re-derived
@@ -1017,14 +1014,23 @@ impl Partitioned {
         locked.dedup();
         let mut guards: HashMap<usize, parking_lot::MutexGuard<'_, EngineInner>> = HashMap::new();
         for &r in &locked {
-            let g = old.engines[r].lock_for_reconfig();
+            let g = old.engines[r].lock();
             Engine::check_open(&g)?;
-            Engine::removal_quiescent(&g, &removed_ports)?;
             guards.insert(r, g);
         }
-        // Both engines of a removed link are held, so its depth is final.
-        for (oli, ol) in old.links.iter().enumerate() {
-            if !old_link_kept[oli] && ol.depth() > 0 {
+        // Both engines of a link that leaves are held, so its depth is
+        // final. Once it is empty, what is pending at its two ports is the
+        // link protocol's own — the receive it keeps armed on the tail — and
+        // not traffic: no task ever holds a link port. Those ports pass the
+        // quiescence checks unseen and are cleared past the point of no
+        // return, so a refused splice still leaves the link served.
+        let leaving = || {
+            let kept = old.links.iter().zip(&old_link_kept);
+            kept.filter_map(|(ol, kept)| (!kept).then_some(ol))
+        };
+        let mut own_ports = PortSet::new();
+        for ol in leaving() {
+            if ol.depth() > 0 {
                 return Err(RuntimeError::Reconfig(format!(
                     "link {} → {} of the detaching branch still holds {} undelivered value(s)",
                     ol.in_port,
@@ -1032,12 +1038,20 @@ impl Partitioned {
                     ol.depth()
                 )));
             }
+            own_ports.insert(ol.in_port);
+            own_ports.insert(ol.out_port);
+        }
+        removed_ports.retain(|p| !own_ports.contains(*p));
+        for g in guards.values() {
+            Engine::removal_quiescent(g, &removed_ports)?;
         }
 
         // Removed regions: *every* port idle, every constituent at rest.
         for &r in &removed_regions {
             let g = &guards[&r];
-            let all_ports: Vec<PortId> = g.pending.port_map().iter().collect();
+            let all_ports: Vec<PortId> = (g.pending.port_map().iter())
+                .filter(|p| !own_ports.contains(*p))
+                .collect();
             Engine::removal_quiescent(g, &all_ports)?;
             let states = constituent_states_of(g)?;
             for (pos, &oi) in old.region_constituents[r].iter().enumerate() {
@@ -1086,7 +1100,15 @@ impl Partitioned {
             }
         }
 
-        // ---- Point of no return: install, assemble, swap. ----
+        // ---- Point of no return: disarm, install, assemble, swap. ----
+        for ol in leaving() {
+            for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
+                let g = guards
+                    .get_mut(&r)
+                    .expect("a leaving link's regions are locked");
+                g.pending.set(port, Pending::None);
+            }
+        }
         for &or in &locked {
             let Some(nr) = taken[or] else {
                 continue; // a removed region
@@ -1289,6 +1311,7 @@ impl UnionFind {
 mod tests {
     use super::*;
     use reo_automata::{primitives, MemId};
+    use std::task::Waker;
 
     fn p(i: u32) -> PortId {
         PortId(i)
@@ -1297,19 +1320,29 @@ mod tests {
     /// A blocking send through the partition, as `Backend::Multi` does it.
     fn send(part: &Partitioned, port: PortId, v: i64) {
         let topo = part.topo();
-        let e = topo.engine_for(port);
-        part.drain(&topo, |ev| e.register_send(port, Value::Int(v), Some(ev)))
-            .unwrap();
-        e.wait_send(port, None).unwrap();
+        let (e, mut v) = (topo.engine_for(port), Some(Value::Int(v)));
+        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_send(port, &mut v, w, true, Some(ev)));
+        crate::port::block_on(None, poll, || unreachable!("no deadline")).unwrap()
     }
 
     /// The receiving twin of [`send`].
     fn recv(part: &Partitioned, port: PortId) -> Option<i64> {
         let topo = part.topo();
-        let e = topo.engine_for(port);
-        part.drain(&topo, |ev| e.register_recv(port, Some(ev)))
-            .unwrap();
-        e.wait_recv(port, None).unwrap().as_int()
+        let (e, mut reg) = (topo.engine_for(port), false);
+        let poll =
+            |w: &Waker| part.drain(&topo, |ev| e.poll_recv(port, &mut reg, w, true, Some(ev)));
+        let got = crate::port::block_on(None, poll, || unreachable!("no deadline"));
+        got.unwrap().as_int()
+    }
+
+    /// The first poll of a send and its drain; whether that completed it.
+    fn offer(part: &Partitioned, port: PortId, v: i64) -> bool {
+        let topo = part.topo();
+        let (e, mut v) = (topo.engine_for(port), Some(Value::Int(v)));
+        let first = part.drain(&topo, |ev| {
+            e.poll_send(port, &mut v, Waker::noop(), false, Some(ev))
+        });
+        first.map(Result::unwrap).is_some()
     }
 
     #[test]
@@ -1393,7 +1426,8 @@ mod tests {
     fn values_flow_across_a_link_end_to_end() {
         let part = Arc::new(two_region_pipeline());
         part.pump(); // initial arming
-        assert!(!Arc::ptr_eq(&part.engine_for(p(0)), &part.engine_for(p(3))));
+        let topo = part.topo();
+        assert!(!Arc::ptr_eq(topo.engine_for(p(0)), topo.engine_for(p(3))));
 
         let part2 = Arc::clone(&part);
         let rx = std::thread::spawn(move || recv(&part2, p(3)));
@@ -1460,12 +1494,8 @@ mod tests {
             if armed_first {
                 part.pump();
             }
-            let topo = part.topo();
-            let from = topo.engine_for(p(0));
             for (i, port) in [p(0), p(1), p(2)].into_iter().enumerate() {
-                let v = Value::Int(i as i64);
-                part.drain(&topo, |ev| from.register_send(port, v, Some(ev)))
-                    .unwrap();
+                assert_eq!(offer(&part, port, i as i64), armed_first);
             }
             part
         };
@@ -1473,9 +1503,6 @@ mod tests {
         let part = backlog(true);
         let t = part.topo();
         assert_eq!(t.links[0].depth(), 3, "all three values reside in the link");
-        for port in [p(0), p(1), p(2)] {
-            t.engine_for(port).wait_send(port, None).unwrap();
-        }
         for expect in 0..3 {
             assert_eq!(recv(&part, p(5)), Some(expect), "producer order");
         }
@@ -1503,29 +1530,22 @@ mod tests {
         let part = Arc::new(two_region_pipeline()); // fifo1 link: capacity 1
         part.pump();
         let t = part.topo();
-        let tx = part.engine_for(p(0));
+        let (tx, rx) = (t.engine_for(p(0)), t.engine_for(p(3)));
 
         send(&part, p(0), 0);
         assert_eq!(t.links[0].depth(), 1, "link full");
 
         // The next value queues up behind the full link.
-        let mut events = LinkEvents::default();
-        tx.register_send(p(0), Value::Int(1), Some(&mut events))
-            .unwrap();
-        assert!(events.is_empty(), "no credit: value 1 must wait");
+        assert!(!offer(&part, p(0), 1), "no credit: value 1 must wait");
         assert_eq!(t.links[0].depth(), 1);
 
         assert_eq!(recv(&part, p(3)), Some(0));
         assert_eq!(t.links[0].depth(), 1, "freed slot refilled by the recv");
-        tx.wait_send(p(0), None).unwrap(); // already complete
+        tx.retract_send(p(0)).unwrap(); // already complete
         assert_eq!(part.unserved_links(), Vec::<String>::new());
         // …and on offer: the next receive completes in its own hold.
-        let rx = part.engine_for(p(3));
-        rx.register_recv(p(3), None).unwrap();
-        assert_eq!(
-            rx.finish_or_retract_recv(p(3)).unwrap(),
-            Some(Value::Int(1))
-        );
+        let got = rx.poll_recv(p(3), &mut false, Waker::noop(), false, None);
+        assert_eq!(got.map(Result::unwrap), Some(Value::Int(1)));
     }
 
     #[test]

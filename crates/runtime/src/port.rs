@@ -7,53 +7,97 @@
 //! nonblocking — Footnote 1), and a `recv` completes only when the
 //! connector delivers one.
 //!
-//! On top of the blocking pair this module layers:
+//! Every operation here is one protocol, the engine's
+//! ([`crate::engine`], "One wait protocol"): **poll** — one hold that
+//! registers the operation, fires what it enables and, if there is no
+//! outcome yet, parks a [`Waker`] in the port's slot — poll again once
+//! woken, and **retract** when giving up, which still completes if a step
+//! got there first, so nothing is ever lost or duplicated. What differs is
+//! who stands behind the waker:
 //!
-//! * **typed handles** — [`Outport<T>`]/[`Inport<T>`] over the
-//!   [`IntoValue`]/[`FromValue`] conversion traits, so tasks send `i64`s
-//!   or `(i64, f64)` tuples directly and `recv()` returns `T`, not a raw
-//!   [`Value`]. The default `T = Value` keeps the untyped surface intact.
-//! * **non-blocking operations** — [`Outport::try_send`] and
-//!   [`Inport::try_recv`], which register the operation, give the engine
-//!   one chance to fire, and retract cleanly if nothing did.
-//! * **deadline-bounded operations** — [`Outport::send_timeout`] and
-//!   [`Inport::recv_timeout`], which block up to a [`Duration`] and then
-//!   retract atomically (see [`crate::engine`] for why retraction can
-//!   never lose or duplicate a message).
-//! * **iteration** — `for v in &inport { … }` drains deliveries until the
-//!   connector closes.
-//! * **async operations** — [`Outport::send_async`]/[`Inport::recv_async`]
-//!   return hand-rolled [`SendFuture`]/[`RecvFuture`]s (no external
-//!   runtime required; any executor works, e.g. `reo-exec`). A pending
-//!   future parks its [`Waker`](std::task::Waker) in the engine's
-//!   per-port waker slot and is woken exactly when its port completes —
-//!   the same targeted-wakeup discipline as the blocking path, counted
-//!   as `waker_wakes` in [`crate::EngineStats`]. Dropping a pending
-//!   future *retracts* its registered operation atomically under the
-//!   engine lock (the timeout-retraction path), so cancellation — e.g.
-//!   losing a [`crate::select::select2`] race — can never lose or
-//!   duplicate a message.
+//! * **blocking** [`Outport::send`]/[`Inport::recv`] run the protocol in
+//!   place (`block_on`): the waker unparks the calling thread, which parks
+//!   between polls. [`Outport::send_timeout`]/[`Inport::recv_timeout`]
+//!   park up to a [`Duration`] and then retract; `for v in &inport { … }`
+//!   receives until the connector closes.
+//! * **non-blocking** [`Outport::try_send`]/[`Inport::try_recv`] poll once
+//!   and retract at once if that is pending.
+//! * **async** [`Outport::send_async`]/[`Inport::recv_async`] return
+//!   hand-rolled [`SendFuture`]/[`RecvFuture`]s (no external runtime
+//!   required; any executor works, e.g. `reo-exec`) that park the task's
+//!   waker; dropping a pending future retracts it, so cancellation — e.g.
+//!   losing a [`crate::select::select2`] race — is safe.
+//!   [`crate::EngineStats`] counts woken threads as `wakeups` and woken
+//!   tasks as `waker_wakes`; either is woken exactly when its port
+//!   completes.
+//!
+//! Handles are **typed**: [`Outport<T>`]/[`Inport<T>`] over the
+//! [`IntoValue`]/[`FromValue`] conversion traits, so tasks send `i64`s or
+//! `(i64, f64)` tuples directly and `recv()` returns `T`, not a raw
+//! [`Value`]. The default `T = Value` keeps the untyped surface intact.
 
 use std::future::Future;
 use std::marker::PhantomData;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use reo_automata::{FromValue, IntoValue, PortId, Value};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, LinkEvents};
 use crate::error::RuntimeError;
 use crate::partition::Partitioned;
 
-/// How a port reaches its engine(s). In the `Multi` (partitioned) case a
-/// port call takes one topology snapshot, routes by it, and — the engine
-/// lock released — drains the link events its registration hold raised
-/// against the same snapshot ([`Partitioned::drain`]): one hold of the
-/// other engine per event. Regions that border no link raise none. The
-/// wait phase takes a settled result, which enables nothing, so nothing
-/// follows it.
+/// A thread as a [`Waker`]: waking it unparks the thread.
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+thread_local! {
+    /// The calling thread's waker, made once per thread: a blocking call
+    /// that has to park clones an `Arc`, not a thread handle.
+    static THREAD_WAKER: Waker = Waker::from(Arc::new(Unpark(thread::current())));
+}
+
+/// A blocking port call: the polling protocol run in place on the calling
+/// thread. `poll` once; while the operation is pending, park the thread —
+/// `poll` left this thread's waker in the port's slot, and an unpark that
+/// comes before the park makes it return at once, so no wake-up is lost —
+/// and `poll` again; `retract` the operation that is still pending when
+/// `deadline` has passed. A stale unpark (a wake that raced an expiry)
+/// costs one extra poll.
+pub(crate) fn block_on<T>(
+    deadline: Option<Instant>,
+    mut poll: impl FnMut(&Waker) -> Option<Result<T, RuntimeError>>,
+    retract: impl FnOnce() -> Result<T, RuntimeError>,
+) -> Result<T, RuntimeError> {
+    THREAD_WAKER.with(|waker| {
+        loop {
+            if let Some(outcome) = poll(waker) {
+                return outcome;
+            }
+            let Some(deadline) = deadline else {
+                thread::park();
+                continue;
+            };
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            thread::park_timeout(left);
+        }
+        retract()
+    })
+}
+
+/// How a port reaches its engine(s): [`Backend::hold`] is the one place
+/// that asks.
 #[derive(Clone)]
 pub(crate) enum Backend {
     Single(Arc<Engine>),
@@ -61,91 +105,110 @@ pub(crate) enum Backend {
 }
 
 impl Backend {
-    fn send(&self, p: PortId, v: Value, deadline: Option<Instant>) -> Result<(), RuntimeError> {
+    /// Run `f` against the engine that serves `p` — every port operation
+    /// is made of these. On a partition the call takes one topology
+    /// snapshot, routes by it, and once `f` is through drains the link
+    /// events its holds raised against the same snapshot
+    /// ([`Partitioned::drain`]): one hold of the other engine per event;
+    /// regions that border no link raise none. With `sweep`, every link is
+    /// served first: a one-shot probe gets no second chance, so it must
+    /// see everything already in flight, including what another task's
+    /// drain has not served yet.
+    fn hold<R>(
+        &self,
+        p: PortId,
+        sweep: bool,
+        f: impl FnOnce(&Engine, Option<&mut LinkEvents>) -> R,
+    ) -> R {
         match self {
-            Backend::Single(e) => {
-                e.register_send(p, v, None)?;
-                e.wait_send(p, deadline)
-            }
+            Backend::Single(e) => f(e, None),
             Backend::Multi(m) => {
                 let topo = m.topo();
-                let e = topo.engine_for(p);
-                m.drain(&topo, |events| e.register_send(p, v, Some(events)))?;
-                e.wait_send(p, deadline)
+                if sweep {
+                    m.pump_on(&topo);
+                }
+                m.drain(&topo, |events| f(topo.engine_for(p), Some(events)))
             }
         }
+    }
+
+    /// `send` is `send_async` run in place: polled with the thread's
+    /// waker, parked between polls (the waker is in its slot *before* the
+    /// drain, so a completion the drain's own holds bring about cannot be
+    /// lost), and retracted when the deadline passes — which still
+    /// succeeds if a step took the value first.
+    fn send(&self, p: PortId, v: Value, deadline: Option<Instant>) -> Result<(), RuntimeError> {
+        let mut value = Some(v);
+        let poll = |e: &Engine, w: &Waker, ev: Option<&mut LinkEvents>| {
+            e.poll_send(p, &mut value, w, true, ev)
+        };
+        self.block_on(p, deadline, poll, |e| e.retract_send(p))
     }
 
     fn recv(&self, p: PortId, deadline: Option<Instant>) -> Result<Value, RuntimeError> {
-        match self {
-            Backend::Single(e) => {
-                e.register_recv(p, None)?;
-                e.wait_recv(p, deadline)
-            }
-            Backend::Multi(m) => {
-                let topo = m.topo();
-                let e = topo.engine_for(p);
-                m.drain(&topo, |events| e.register_recv(p, Some(events)))?;
-                e.wait_recv(p, deadline)
-            }
-        }
+        let mut registered = false;
+        let poll = |e: &Engine, w: &Waker, ev: Option<&mut LinkEvents>| {
+            e.poll_recv(p, &mut registered, w, true, ev)
+        };
+        self.block_on(p, deadline, poll, |e| e.retract_recv(p))
     }
 
+    /// [`block_on`] with every hold routed by [`Backend::hold`]; a deadline
+    /// that expires on a session the watchdog flags answers `Stalled`.
+    fn block_on<T>(
+        &self,
+        p: PortId,
+        deadline: Option<Instant>,
+        mut poll: impl FnMut(
+            &Engine,
+            &Waker,
+            Option<&mut LinkEvents>,
+        ) -> Option<Result<T, RuntimeError>>,
+        retract: impl FnOnce(&Engine) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
+        let expire = |e: &Engine| retract(e).map_err(|err| e.upgrade_timeout(err));
+        block_on(
+            deadline,
+            |waker| self.hold(p, false, |e, ev| poll(e, waker, ev)),
+            || self.hold(p, false, |e, _| expire(e)),
+        )
+    }
+
+    /// One poll, and a retraction if it is pending: nobody parks behind a
+    /// probe, so the waker is a no-op.
     fn try_send(&self, p: PortId, v: Value) -> Result<bool, RuntimeError> {
-        match self {
-            Backend::Single(e) => {
-                e.register_send(p, v, None)?;
-                e.finish_or_retract_send(p)
-            }
-            Backend::Multi(m) => {
-                let e = m.engine_for(p);
-                e.register_send(p, v, None)?;
-                // One-shot probe: the full sweep (not this hold's events
-                // alone) is required. A value whose events another task's
-                // drain has not served yet is unreachable from here — and
-                // a probe gets no second chance.
-                m.pump();
-                e.finish_or_retract_send(p)
-            }
+        let sent = self.hold(p, true, |e, ev| {
+            e.poll_send(p, &mut Some(v), Waker::noop(), false, ev)
+                .unwrap_or_else(|| e.retract_send(p))
+        });
+        match sent {
+            Err(RuntimeError::Timeout) => Ok(false),
+            sent => sent.map(|()| true),
         }
     }
 
     fn try_recv(&self, p: PortId) -> Result<Option<Value>, RuntimeError> {
-        match self {
-            Backend::Single(e) => {
-                e.register_recv(p, None)?;
-                e.finish_or_retract_recv(p)
-            }
-            Backend::Multi(m) => {
-                let e = m.engine_for(p);
-                e.register_recv(p, None)?;
-                m.pump(); // see try_send
-                e.finish_or_retract_recv(p)
-            }
+        let got = self.hold(p, true, |e, ev| {
+            e.poll_recv(p, &mut false, Waker::noop(), false, ev)
+                .unwrap_or_else(|| e.retract_recv(p))
+        });
+        match got {
+            Err(RuntimeError::Timeout) => Ok(None),
+            got => got.map(Some),
         }
     }
 
-    /// One poll of an async send (see `Engine::poll_send`): one hold, then
-    /// in the `Multi` case the drain of what it raised. The waker is
-    /// parked *before* the drain, so a completion the drain's own holds
-    /// bring about cannot be lost.
+    /// One poll of an async send (see `Engine::poll_send`).
     fn poll_send(
         &self,
         p: PortId,
         value: &mut Option<Value>,
         cx: &mut Context<'_>,
     ) -> Poll<Result<(), RuntimeError>> {
-        let r = match self {
-            Backend::Single(e) => e.poll_send(p, value, cx.waker(), None),
-            Backend::Multi(m) => {
-                let topo = m.topo();
-                let e = topo.engine_for(p);
-                m.drain(&topo, |events| {
-                    e.poll_send(p, value, cx.waker(), Some(events))
-                })
-            }
-        };
-        r.map_or(Poll::Pending, Poll::Ready)
+        self.hold(p, false, |e, ev| {
+            e.poll_send(p, value, cx.waker(), false, ev)
+        })
+        .map_or(Poll::Pending, Poll::Ready)
     }
 
     /// One poll of an async recv; as [`Backend::poll_send`].
@@ -155,37 +218,10 @@ impl Backend {
         registered: &mut bool,
         cx: &mut Context<'_>,
     ) -> Poll<Result<Value, RuntimeError>> {
-        let r = match self {
-            Backend::Single(e) => e.poll_recv(p, registered, cx.waker(), None),
-            Backend::Multi(m) => {
-                let topo = m.topo();
-                let e = topo.engine_for(p);
-                m.drain(&topo, |events| {
-                    e.poll_recv(p, registered, cx.waker(), Some(events))
-                })
-            }
-        };
-        r.map_or(Poll::Pending, Poll::Ready)
-    }
-
-    /// Drop-retraction of a cancelled async send (see
-    /// `Engine::abandon_send`). A retraction removes an operation and
-    /// cannot enable new transitions, so there is nothing to drain.
-    fn abandon_send(&self, p: PortId) {
-        match self {
-            Backend::Single(e) => e.abandon_send(p),
-            Backend::Multi(m) => m.engine_for(p).abandon_send(p),
-        }
-    }
-
-    /// Drop-retraction of a cancelled async recv (see
-    /// `Engine::abandon_recv`; a raced delivery stays parked for the next
-    /// receive on the port).
-    fn abandon_recv(&self, p: PortId) {
-        match self {
-            Backend::Single(e) => e.abandon_recv(p),
-            Backend::Multi(m) => m.engine_for(p).abandon_recv(p),
-        }
+        self.hold(p, false, |e, ev| {
+            e.poll_recv(p, registered, cx.waker(), false, ev)
+        })
+        .map_or(Poll::Pending, Poll::Ready)
     }
 
     /// Phaser-style deregistration on handle drop: the task behind `p` is
@@ -591,9 +627,12 @@ impl Future for SendFuture<'_> {
 impl Drop for SendFuture<'_> {
     fn drop(&mut self) {
         // Registered (value taken by the first poll) but never resolved:
-        // retract. An unpolled future (value still Some) armed nothing.
+        // retract — withdrawn, or a step took the value first and it is
+        // delivered exactly once; either way there is nobody to tell. An
+        // unpolled future (value still Some) armed nothing.
         if !self.done && self.value.is_none() {
-            self.backend.abandon_send(self.port);
+            let p = self.port;
+            let _ = self.backend.hold(p, false, |e, _| e.retract_send(p));
         }
     }
 }
@@ -640,8 +679,11 @@ impl<T: FromValue> Future for RecvFuture<'_, T> {
 
 impl<T> Drop for RecvFuture<'_, T> {
     fn drop(&mut self) {
+        // A raced delivery has nobody to go to: it stays parked for the
+        // next receive on the port (`Engine::abandon_recv`).
         if self.registered && !self.done {
-            self.backend.abandon_recv(self.port);
+            let p = self.port;
+            self.backend.hold(p, false, |e, _| e.abandon_recv(p));
         }
     }
 }

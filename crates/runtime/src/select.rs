@@ -9,7 +9,7 @@
 //! future retracts its registered operation atomically under the engine
 //! lock, so a lost race can never leak a half-armed operation, lose a
 //! raced delivery, or duplicate a value (see `crate::engine`'s
-//! `abandon_send`/`abandon_recv` semantics).
+//! `retract_send`/`abandon_recv` semantics).
 //!
 //! The combinators are generic over any [`Unpin`] futures, not just port
 //! futures; the retraction guarantee is the port futures' own `Drop`.

@@ -6,8 +6,8 @@
 //! start gate so the peak (`sessions` open, `2 * sessions` live tasks) is
 //! *observed*, not inferred. Then the gate opens and a hand-rolled
 //! 4-thread executor drains the whole fleet; each blocked port operation
-//! parks a `Waker` inside the engine instead of a thread inside a
-//! condvar, which is the entire reason 100k sessions fit on 4 threads.
+//! parks a task's `Waker` inside the engine instead of one that unparks
+//! a thread, which is the entire reason 100k sessions fit on 4 threads.
 //!
 //! Printed at the end: throughput, an RSS-per-session estimate (Linux
 //! `/proc/self/statm` delta; `n/a` elsewhere), and the wake-precision

@@ -1,10 +1,12 @@
 //! Offline shim for `parking_lot` 0.12 backed by `std::sync`.
 //!
 //! Mirrors the subset the workspace uses: a non-poisoning [`Mutex`] whose
-//! `lock()` returns the guard directly, and a [`Condvar`] whose `wait`
-//! borrows the guard mutably instead of consuming it. Poisoning is
-//! erased by recovering the inner guard — parking_lot has no poisoning,
-//! so code written against it never handles that case.
+//! `lock()` returns the guard directly, and a [`Condvar`] with `wait` —
+//! which borrows the guard mutably instead of consuming it — and
+//! `notify_all`. Only `reo-exec` parks on a condvar; the runtime's engines
+//! hold none, so the timed waits and `notify_one` are not mirrored.
+//! Poisoning is erased by recovering the inner guard — parking_lot has no
+//! poisoning, so code written against it never handles that case.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
@@ -20,10 +22,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -37,10 +35,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -76,16 +70,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 #[derive(Default)]
 pub struct Condvar(std::sync::Condvar);
 
-/// Result of a timed wait: mirrors `parking_lot::WaitTimeoutResult`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 impl Condvar {
     pub const fn new() -> Self {
         Condvar(std::sync::Condvar::new())
@@ -95,43 +79,6 @@ impl Condvar {
         let inner = guard.0.take().expect("guard present before wait");
         let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
         guard.0 = Some(inner);
-    }
-
-    /// Wait with a relative timeout. Spurious wakeups are possible, as in
-    /// parking_lot; callers must re-check their predicate.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard present before wait");
-        let (inner, result) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Wait until an absolute deadline (already-past deadlines time out
-    /// immediately without releasing the lock to other waiters for long).
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: std::time::Instant,
-    ) -> WaitTimeoutResult {
-        let now = std::time::Instant::now();
-        let Some(remaining) = deadline
-            .checked_duration_since(now)
-            .filter(|d| !d.is_zero())
-        else {
-            return WaitTimeoutResult(true);
-        };
-        self.wait_for(guard, remaining)
-    }
-
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     pub fn notify_all(&self) {
@@ -168,47 +115,5 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         waiter.join().unwrap();
-    }
-
-    #[test]
-    fn timed_wait_reports_timeout_and_keeps_guard_usable() {
-        let m = Mutex::new(5);
-        let cv = Condvar::new();
-        let mut guard = m.lock();
-        let r = cv.wait_for(&mut guard, Duration::from_millis(5));
-        assert!(r.timed_out());
-        assert_eq!(*guard, 5); // guard survived the round trip
-
-        let past = std::time::Instant::now() - Duration::from_millis(1);
-        assert!(cv.wait_until(&mut guard, past).timed_out());
-        *guard += 1;
-        assert_eq!(*guard, 6);
-    }
-
-    #[test]
-    fn timed_wait_returns_early_on_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let waiter = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut ready = m.lock();
-            while !*ready {
-                if cv
-                    .wait_until(
-                        &mut ready,
-                        std::time::Instant::now() + Duration::from_secs(30),
-                    )
-                    .timed_out()
-                {
-                    return false;
-                }
-            }
-            true
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let (m, cv) = &*pair;
-        *m.lock() = true;
-        cv.notify_all();
-        assert!(waiter.join().unwrap(), "wait_until must see the notify");
     }
 }

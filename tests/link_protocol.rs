@@ -2,175 +2,21 @@
 //! "The link protocol").
 //!
 //! Every step of the protocol is one critical section: a port call's
-//! registration hold, or the service of one link event in a hold of the
-//! other engine. So a handful of logical tasks, each a script of sends and
-//! receives with its own event worklist, can be taken through **every**
-//! interleaving at hold granularity on one thread: a schedule is replayed
-//! from a fresh partition, the last choice with an untried alternative is
-//! advanced, until none is left. At the end of each schedule nothing may be
-//! stuck, every value arrived exactly once and in its sender's order, and
+//! poll, or the service of one link event in a hold of the other engine. So
+//! `schedules::explore` takes a handful of logical tasks, each a script of
+//! sends and receives with its own event worklist, through **every**
+//! interleaving at hold granularity. At the end of each schedule nothing may
+//! be stuck, every value arrived exactly once and in its sender's order, and
 //! every link is served: no queue front off offer, no tail with credit
 //! un-armed, no event outstanding.
 //!
 //! The file also holds the hold budget of a value as the facade sees it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::task::{Wake, Waker};
+mod schedules;
 
-use reo::automata::{primitives, Automaton, MemId, MemLayout, PortId, Value};
-use reo::runtime::partition::{partition, LinkEvents, Partitioned};
-use reo::runtime::{CachePolicy, Connector, Mode};
-
-fn p(i: u32) -> PortId {
-    PortId(i)
-}
-
-#[derive(Clone, Copy)]
-enum Op {
-    Send(PortId, i64),
-    Recv(PortId),
-}
-
-/// Set when the engine wakes the task's parked operation.
-#[derive(Default)]
-struct Woken(AtomicBool);
-
-impl Wake for Woken {
-    fn wake(self: Arc<Self>) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-}
-
-/// One logical task: a script, where it stands in it, and the events its
-/// own holds raised and it has not served yet.
-struct Task {
-    script: Vec<Op>,
-    pc: usize,
-    /// The current operation is registered and was pending at its last poll.
-    parked: bool,
-    woken: Arc<Woken>,
-    events: LinkEvents,
-    got: Vec<i64>,
-}
-
-struct World {
-    part: Partitioned,
-    tasks: Vec<Task>,
-}
-
-impl World {
-    fn new(autos: Vec<Automaton>, cells: usize, scripts: &[Vec<Op>]) -> World {
-        let ports = autos
-            .iter()
-            .flat_map(|a| a.ports().iter().collect::<Vec<_>>());
-        let port_count = ports.map(|p| p.index() + 1).max().unwrap_or(0);
-        let layout = MemLayout::cells(cells);
-        let part = partition(autos, port_count, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
-        part.pump(); // connect-time arming
-        let task = |script: &Vec<Op>| Task {
-            script: script.clone(),
-            pc: 0,
-            parked: false,
-            woken: Arc::default(),
-            events: LinkEvents::default(),
-            got: Vec::new(),
-        };
-        World {
-            part,
-            tasks: scripts.iter().map(task).collect(),
-        }
-    }
-
-    /// The tasks that have a hold to take: an event to serve first (a port
-    /// call drains before it goes on), else a parked operation that was
-    /// woken, else the next operation of the script.
-    fn enabled(&self) -> Vec<usize> {
-        let ready = |t: &Task| {
-            !t.events.is_empty()
-                || if t.parked {
-                    t.woken.0.load(Ordering::SeqCst)
-                } else {
-                    t.pc < t.script.len()
-                }
-        };
-        (0..self.tasks.len())
-            .filter(|&i| ready(&self.tasks[i]))
-            .collect()
-    }
-
-    /// One hold of task `i`.
-    fn step(&mut self, i: usize) {
-        let topo = self.part.topo();
-        let t = &mut self.tasks[i];
-        if self.part.serve_one(&topo, &mut t.events) {
-            return;
-        }
-        t.woken.0.store(false, Ordering::SeqCst);
-        let waker = Waker::from(Arc::clone(&t.woken));
-        let done = match t.script[t.pc] {
-            Op::Send(port, v) => {
-                let mut value = (!t.parked).then_some(Value::Int(v));
-                let engine = topo.engine_for(port);
-                let r = engine.poll_send(port, &mut value, &waker, Some(&mut t.events));
-                r.map(|r| r.expect("send failed"))
-            }
-            Op::Recv(port) => {
-                let mut registered = t.parked;
-                let engine = topo.engine_for(port);
-                let r = engine.poll_recv(port, &mut registered, &waker, Some(&mut t.events));
-                r.map(|r| t.got.push(r.expect("recv failed").as_int().unwrap()))
-            }
-        };
-        t.parked = done.is_none();
-        t.pc += usize::from(done.is_some());
-    }
-}
-
-/// Run every schedule of `build()`'s tasks and `check` each at its end.
-fn explore(name: &str, build: impl Fn() -> World, check: impl Fn(&World, &dyn Fn() -> String)) {
-    let mut prefix: Vec<usize> = Vec::new();
-    let mut schedules = 0;
-    loop {
-        let mut world = build();
-        // (choice taken, choices there were, task it named) per step.
-        let mut trail: Vec<(usize, usize, usize)> = Vec::new();
-        loop {
-            let enabled = world.enabled();
-            if enabled.is_empty() {
-                break;
-            }
-            let choice = prefix.get(trail.len()).copied().unwrap_or(0);
-            trail.push((choice, enabled.len(), enabled[choice]));
-            world.step(enabled[choice]);
-        }
-        let schedule = || format!("{:?}", trail.iter().map(|t| t.2).collect::<Vec<_>>());
-        for (i, t) in world.tasks.iter().enumerate() {
-            assert!(
-                t.pc == t.script.len() && !t.parked,
-                "task {i} is stuck at op {} under schedule {}",
-                t.pc,
-                schedule()
-            );
-        }
-        let unserved = world.part.unserved_links();
-        assert!(unserved.is_empty(), "{unserved:?} after {}", schedule());
-        check(&world, &schedule);
-        schedules += 1;
-        assert!(schedules <= 60_000, "the scripts outgrew the enumeration");
-        // Advance the deepest choice that has an alternative left.
-        while trail.last().is_some_and(|&(c, n, _)| c + 1 == n) {
-            trail.pop();
-        }
-        let Some((c, ..)) = trail.pop() else {
-            break;
-        };
-        prefix = trail.iter().map(|t| t.0).collect();
-        prefix.push(c + 1);
-    }
-    println!("{name}: {schedules} schedules");
-    assert!(schedules > 100, "{name}: nothing interleaved");
-}
+use reo::automata::{primitives, MemId, PortId};
+use reo::runtime::{Connector, Mode};
+use schedules::{explore, p, Op, World};
 
 /// Values are `sender * 100 + seq`: each sender's must arrive in order,
 /// `count` of them, none twice.
@@ -296,25 +142,27 @@ fn a_value_costs_a_fixed_number_of_holds() {
     };
     let relay = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
         mult prod (i:1..#a) Fifo1(m[i];n[i]) mult prod (i:1..#a) Sync(n[i];b[i])";
-    // register, Offer, wait; register, Rearm, wait (17 under the pump).
+    // The poll that completes the send and the Offer it raised; the poll
+    // that completes the receive and the Rearm it raised (6 while a
+    // blocking call was a register and a wait, 17 under the pump).
     assert_eq!(
         holds_per_value(relay, Mode::partitioned(), ["a", "b"], 2),
-        6
+        4
     );
     // Two holds per link on the way (Offer ahead, Rearm behind) on top of
-    // the four of the two port calls (50 under the pump; the budget is 16).
+    // the two polls (50 under the pump).
     let chain = CHAIN_SOURCE
         .replace("ChainN(t[];hd)", "P(t[];hd[])")
         .replace(";hd)", ";hd[1])");
     assert_eq!(
         holds_per_value(&chain, Mode::partitioned(), ["t", "hd"], 8),
-        12
+        10
     );
-    // No link, nothing added: register and wait, twice.
-    assert_eq!(holds_per_value(relay, Mode::jit(), ["a", "b"], 0), 4);
+    // No link, nothing added: one poll each, and each completes in it.
+    assert_eq!(holds_per_value(relay, Mode::jit(), ["a", "b"], 0), 2);
     let buffers = "P(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])";
     assert_eq!(
         holds_per_value(buffers, Mode::partitioned(), ["a", "b"], 0),
-        4
+        2
     );
 }

@@ -137,6 +137,63 @@ fn attach_and_detach_round_trip_across_region_links() {
     }
 }
 
+/// Every branch reaches the merger through a *cut* link here (its `Sync`
+/// is a region of its own), so the link protocol keeps a receive armed on
+/// the branch's side of the fifo. That receive is the protocol's, not
+/// traffic: a drained branch leaves at once — it used to be refused for the
+/// whole detach budget — while values parked in the other links stay put.
+const LINKED_MERGER: &str = "M(src[];c) = prod (i:1..#src) Sync(src[i];a[i]) \
+    mult prod (i:1..#src) Fifo1(a[i];m[i]) mult Merger(m[1..#src];x) mult Sync(x;c)";
+
+#[test]
+fn a_branch_joined_by_a_cut_link_detaches_once_drained() {
+    for (label, mode) in Mode::grid_subset(&["part", "comp-part"]) {
+        let (mut session, handle) = connect_merger(LINKED_MERGER, mode, 2);
+        assert_eq!(handle.link_count(), 2, "{label}: one cut link per branch");
+        let txs = session.outports("src").unwrap();
+        let rx = session.typed_inport::<i64>("c").unwrap();
+
+        txs[0].send(Value::Int(1)).unwrap(); // parked in branch 0's link
+        let mut branch = handle.attach("src").unwrap();
+        assert_eq!(
+            handle.link_count(),
+            3,
+            "{label}: the new branch brings its link"
+        );
+        let tx2 = branch.outport().unwrap();
+        tx2.send(Value::Int(2)).unwrap();
+        let mut got = vec![rx.recv().unwrap(), rx.recv().unwrap()];
+        txs[1].send(Value::Int(3)).unwrap(); // parked while the branch leaves
+
+        drop(tx2);
+        let asked = Instant::now();
+        branch.detach().unwrap();
+        let took = asked.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{label}: detach took {took:?}"
+        );
+        assert_eq!((handle.epoch(), handle.link_count()), (2, 2), "{label}");
+
+        got.push(rx.recv().unwrap());
+        txs[0].send(Value::Int(4)).unwrap();
+        got.push(rx.recv().unwrap());
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, 3, 4], "{label}: every value, once");
+
+        // A branch whose link still holds a value is traffic, and stays.
+        let mut branch = handle.attach("src").unwrap();
+        branch.outport().unwrap().send(Value::Int(5)).unwrap();
+        let drainer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            rx.recv().unwrap()
+        });
+        branch.detach().unwrap();
+        assert_eq!(drainer.join().unwrap(), 5, "{label}");
+        handle.close();
+    }
+}
+
 /// A branch that still buffers a value refuses to leave until the value
 /// drains: detach blocks, a late consumer frees it, and nothing is lost.
 #[test]

@@ -366,10 +366,10 @@ fn try_recv_on_closed_connector_returns_closed_not_a_hang() {
     ));
 }
 
-/// The async sibling of the test above: `close()` must fire the *stored
-/// wakers* as well as the condvar waiters, and a pending future polled
-/// after the close resolves to [`RuntimeError::Closed`] instead of
-/// parking forever on a connector that will never step again.
+/// The async sibling of the test above: `close()` must wake the wakers
+/// *tasks* parked as well as those of blocked threads, and a pending
+/// future polled after the close resolves to [`RuntimeError::Closed`]
+/// instead of parking forever on a connector that will never step again.
 #[test]
 fn close_wakes_parked_future_wakers_which_resolve_to_closed() {
     // Two disjoint fifos so both directions park at once: a receive on an

@@ -1,11 +1,10 @@
 //! The engine records wake-ups under its mutex and delivers them after the
 //! unlock (docs/ARCHITECTURE.md, "wake protocol"; the one exception is the
 //! hold that serves a link event for another region, held by
-//! `engine::tests::wakes_follow_the_unlock_except_at_the_link_pumps`).
-//! These tests hold the two
-//! things that discipline could break: a wake-up lost or duplicated between
-//! two threads that park on each other, and a signal that lands after the
-//! timed wait it was meant for has already returned.
+//! `engine::tests::wakes_follow_the_unlock_except_in_serve`). These tests
+//! hold the two things that discipline could break: a wake-up lost or
+//! duplicated between two threads that park on each other, and a wake that
+//! lands after the timed park it was meant for has already returned.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -63,10 +62,9 @@ fn rendezvous_and_turns_lose_no_wakeup_on_any_mode() {
         let stats = session.handle().stats();
         assert_eq!(stats.steps, OPS as u64, "{name}: one step per value");
         assert_eq!(stats.spurious_wakeups, 0, "{name}: rendezvous");
-        // Whoever arrives second fires; the first is woken, once — unless
-        // it was caught between registering and parking, which needs no
-        // wake-up at all. Pinned to one CPU (the benchmark) that window
-        // never opens and the count is exactly one per value.
+        // Whoever arrives second fires; the first — its waker parked in the
+        // hold that registered it — is woken, once. An operation that
+        // completes in its own first poll parks nothing.
         assert!(
             (1..=OPS as u64).contains(&stats.wakeups),
             "{name}: {} wake-ups for {OPS} values",
@@ -120,13 +118,14 @@ impl Wake for Stall {
     }
 }
 
-/// `done_at_expiry_still_completes`, with the signal landing after the timed
-/// wait returned: one step completes a stored waker and a thread parked
-/// with a deadline; the waker (delivered first) stalls the firer until that
-/// thread's deadline has expired. The thread must re-take the engine mutex
-/// — free, because signals follow the unlock —, find its delivery and
-/// return it; the signal that then arrives finds it parked in its *next*
-/// receive, which must shrug it off.
+/// `done_at_expiry_still_completes`, with the wake landing after the timed
+/// park returned: one step completes a task's waker and a thread parked
+/// with a deadline; the task's waker (delivered first) stalls the firer
+/// until that thread's deadline has expired. The thread must take the
+/// engine mutex for the poll that follows its park — free, because wakes
+/// follow the unlock —, find its delivery and return it; the unpark that
+/// then arrives finds it parked in its *next* receive, which must shrug it
+/// off.
 #[test]
 fn a_signal_that_lands_after_the_timed_wait_returned_is_harmless() {
     let mut session = open("Rep(a;b,c) = Repl2(a;b,c)", "Rep", Mode::jit(), &[]);
@@ -151,12 +150,13 @@ fn a_signal_that_lands_after_the_timed_wait_returned_is_harmless() {
         open_gate.send(()).unwrap();
         (first, timed.recv_timeout(DEADLINE))
     });
-    // Two acquisitions by the receiver (register, wait) on top of one per
-    // `stats()` call here: it is parked, or about to be, with its deadline.
+    // One acquisition by the receiver (the poll that registers it and parks
+    // its waker) on top of one per `stats()` call here: it is parked, or
+    // about to be, with its deadline.
     let mut polls = 0;
     loop {
         polls += 1;
-        if handle.stats().lock_acquisitions - locks_before - polls >= 2 {
+        if handle.stats().lock_acquisitions - locks_before - polls >= 1 {
             break;
         }
         thread::yield_now();
@@ -172,8 +172,8 @@ fn a_signal_that_lands_after_the_timed_wait_returned_is_harmless() {
         Poll::Ready(Ok(7))
     ));
 
-    // Second round: the late signal may cost the receiver one spurious
-    // wake-up, never a value.
+    // Second round: the late unpark may cost the receiver one extra poll,
+    // never a value.
     let mut registered = false;
     let second = polled.poll_recv(&mut Context::from_waker(Waker::noop()), &mut registered);
     assert!(second.is_pending());
