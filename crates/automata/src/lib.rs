@@ -43,9 +43,7 @@ pub use assign::{Assign, Dst};
 pub use automaton::{Automaton, AutomatonBuilder, StateId, Transition};
 pub use fire::{try_fire, Firing};
 pub use guard::{Cmp, Guard, Pred};
-pub use lower::{
-    lower, lower_with, ExecScratch, LowerError, LowerOptions, Lowered, LoweredTransition,
-};
+pub use lower::{lower, ExecScratch, LowerError, LowerOptions, Lowered, LoweredTransition};
 pub use port::{MemId, PortAllocator, PortId, PortSet};
 pub use product::{
     product, product_all, product_all_traced, product_from, Explosion, ProductOptions, StateTrace,

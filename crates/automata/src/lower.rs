@@ -1,5 +1,5 @@
 //! Lowering: compile transitions to flat stepping programs — a whole
-//! automaton at once ([`lower_with`]) or one transition at a time into
+//! automaton at once ([`lower`]) or one transition at a time into
 //! shared pools ([`Pools::lower`], how the just-in-time core lowers each
 //! connected step on first use).
 //!
@@ -195,27 +195,18 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// Lower with the engine's conventions: seeds = the automaton's inputs,
-/// all deliveries kept.
+/// Lower a whole automaton: seeds = its inputs, all deliveries kept.
 pub fn lower(a: &Automaton) -> Result<Lowered, LowerError> {
-    lower_with(
-        a,
-        &LowerOptions {
-            seeds: a.inputs(),
-            deliver: None,
-        },
-    )
-}
-
-/// Lower with explicit seed/delivery sets (engines pass their boundary
-/// classes so internal deliveries are dropped at build time).
-pub fn lower_with(a: &Automaton, opts: &LowerOptions<'_>) -> Result<Lowered, LowerError> {
+    let opts = LowerOptions {
+        seeds: a.inputs(),
+        deliver: None,
+    };
     let mut pools = Pools::default();
     let states = a
         .all_states()
         .map(|s| {
             (a.transitions_from(s).iter())
-                .map(|t| pools.lower(a.name(), t, opts))
+                .map(|t| pools.lower(a.name(), t, &opts))
                 .collect()
         })
         .collect::<Result<_, _>>()?;
@@ -228,7 +219,7 @@ pub fn lower_with(a: &Automaton, opts: &LowerOptions<'_>) -> Result<Lowered, Low
 }
 
 /// The constant/function/predicate pools a set of stepping programs
-/// shares, and the executor over them. [`lower_with`] fills one per
+/// shares, and the executor over them. [`lower`] fills one per
 /// automaton; the just-in-time core keeps one per engine and
 /// [`lower`](Pools::lower)s each connected step into it on first use.
 #[derive(Debug, Default)]
@@ -1004,27 +995,26 @@ mod tests {
         b.output(PortId(2));
         b.transition(s, t);
         let aut = b.build();
-        let low = lower_with(
-            &aut,
-            &LowerOptions {
-                seeds: aut.inputs(),
-                deliver: Some(aut.outputs()),
-            },
-        )
-        .unwrap();
+        let opts = LowerOptions {
+            seeds: aut.inputs(),
+            deliver: Some(aut.outputs()),
+        };
+        let mut pools = Pools::default();
+        let low = pools
+            .lower(aut.name(), &aut.transitions_from(s)[0], &opts)
+            .unwrap();
         let mut store = Store::new(&MemLayout::cells(0));
-        let mut scratch = low.new_scratch();
+        let mut scratch = ExecScratch::default();
+        pools.fit(&mut scratch);
         let mut deliveries = Vec::new();
-        low.try_fire(
-            s,
-            0,
+        let fired = pools.try_fire(
+            &low,
             &send_on(PortId(0), 3),
             &mut store,
             &mut scratch,
             &mut deliveries,
-        )
-        .unwrap()
-        .unwrap();
+        );
+        assert!(fired.unwrap());
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].0, PortId(2));
     }

@@ -29,7 +29,7 @@ use reo_bench::fig13::{
 };
 use reo_bench::json::{json_opt_str, json_path, json_str};
 use reo_bench::Args;
-use reo_npb::{cg, CgClass, LuClass};
+use reo_npb::{cg, lu, CgClass, LuClass};
 
 /// One measured cell, tagged with its coordinates for the JSON report.
 struct Row {
@@ -99,11 +99,12 @@ fn main() {
                         "\nLU (SSOR substitute), size {} ({}x{}, itmax={}):",
                         class.name, class.nx, class.ny, class.itmax
                     );
+                    let reference = lu::run_sequential(&class);
                     header(&backends);
                     for &n in &ns {
                         print!("{n:>4}  ");
                         for backend in &backends {
-                            let m = measure_lu(&class, n, *backend, timeout);
+                            let m = measure_lu(&class, &reference, n, *backend, timeout);
                             print!("{:>24}  ", render(&m));
                             rows.push(Row {
                                 prog,

@@ -34,7 +34,7 @@ pub struct Cell {
     pub existing: RunOutcome,
     pub new: RunOutcome,
     pub partitioned: Option<RunOutcome>,
-    /// `Mode::compiled()` — the whole-connector lowered stepping program
+    /// `Mode::compiled()` — the medium automata composed ahead of time
     /// (`--compiled`). Like the existing approach it composes the full
     /// product, so Explosion failures at large N on fanout families are
     /// expected and legitimate cells here.

@@ -54,7 +54,9 @@ pub struct Measurement {
     pub dnf: Option<String>,
     /// Connector steps (0 for the hand-written backend).
     pub steps: u64,
-    /// CG: zeta verification outcome, when the class has an official value.
+    /// Whether the run computed the right thing. CG: the zeta check, when
+    /// the class has an official value. LU: agreement with the sequential
+    /// reference of the class ([`lu::LuResult::agrees_with`]).
     pub verified: Option<bool>,
 }
 
@@ -128,9 +130,11 @@ pub fn measure_cg(
     }
 }
 
-/// Measure one LU cell.
+/// Measure one LU cell, and check its result against `reference` — the
+/// class's [`lu::run_sequential`], which callers compute once per class.
 pub fn measure_lu(
     class: &LuClass,
+    reference: &lu::LuResult,
     n: usize,
     backend: BackendKind,
     timeout: Duration,
@@ -152,11 +156,11 @@ pub fn measure_lu(
     match run_guarded(Arc::clone(&comm), timeout, move || {
         lu::run_parallel(&class2, comm_for_run)
     }) {
-        Ok(_result) => Measurement {
+        Ok(result) => Measurement {
             secs: Some(start.elapsed().as_secs_f64()),
             dnf: None,
             steps: comm.steps(),
-            verified: None,
+            verified: Some(result.agrees_with(reference)),
         },
         Err(reason) => Measurement {
             secs: None,
@@ -224,9 +228,11 @@ mod tests {
             omega: 1.2,
             jblock: 4,
         };
+        let reference = lu::run_sequential(&class);
         for backend in standard_backends() {
-            let m = measure_lu(&class, 2, backend, Duration::from_secs(30));
+            let m = measure_lu(&class, &reference, 2, backend, Duration::from_secs(30));
             assert!(m.secs.is_some(), "{}: {:?}", backend.label(), m.dnf);
+            assert_eq!(m.verified, Some(true), "{}", backend.label());
         }
     }
 

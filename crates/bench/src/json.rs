@@ -40,7 +40,8 @@
 //! `backend` is `original`, `reo-jit` or `reo-part`. `secs` is `null` iff
 //! `dnf` is non-null (a timeout, or `connector failure: <typed cause>`);
 //! `verified` is the CG zeta check (`null` where no official value
-//! exists); `steps` is 0 for the hand-written backend.
+//! exists) or, for LU, agreement with the class's sequential reference
+//! (`null` only in a DNF cell); `steps` is 0 for the hand-written backend.
 
 use std::fmt::Write as _;
 

@@ -9,9 +9,11 @@
 //!
 //! Modes are allowed to *refuse uniformly*: if every mode reports the
 //! same error the scenario is counted as [`CaseOutcome::Refused`], not a
-//! finding. A compiled mode may also individually refuse with the typed
+//! finding. A lowering mode may also individually refuse with the typed
 //! "cannot encode, use an interpreting mode" lowering error — that is a
 //! documented capability boundary, not a bug, and is skipped per mode.
+//! Steps are lowered when first tried, so that refusal arrives mid-run, as
+//! the poison of the firing that tried one, in every mode but `mono`.
 
 use reo_runtime::{run_scenario, Mode, Observation, OpResult};
 
@@ -65,8 +67,8 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// A mode-legitimate individual refusal: the compiled backends may reject
-/// automata their u16 encoding cannot hold, pointing at the interpreter,
+/// A mode-legitimate individual refusal: the lowering modes may reject
+/// steps their u16 encoding cannot hold, pointing at the interpreter,
 /// and eager composition strategies may hit the state-space budget on
 /// connectors the lazy modes handle fine. Budget messages embed the
 /// mode's own composition tree, so two modes refusing for the same
@@ -74,6 +76,13 @@ impl std::fmt::Display for Finding {
 /// category, not text.
 fn is_capability_refusal(msg: &str) -> bool {
     msg.contains("interpreting mode") || msg.contains("state-space explosion")
+}
+
+/// A run that a capability refusal cut short: some op resolved with the
+/// engine's poison, and the poison is the lowering refusal.
+fn refused_mid_run(obs: &Observation) -> bool {
+    let mut ops = obs.results.iter().flatten();
+    ops.any(|r| matches!(r, OpResult::Error(msg) if is_capability_refusal(msg)))
 }
 
 /// An [`Observation`] reduced to the comparison the agreement allows.
@@ -199,6 +208,7 @@ pub fn diff_case(case: &GenCase) -> Result<CaseOutcome, Finding> {
                     }
                 }
             }
+            Ok(obs) if refused_mid_run(&obs) => continue, // the same boundary
             Ok(obs) => {
                 if let Some((err_mode, err)) = &first_error {
                     return Err(Finding {
@@ -351,5 +361,32 @@ mod tests {
             .find(|c| c.shape == "pipeline")
             .expect("pipeline shape within 16 draws");
         assert_eq!(diff_case(&case), Ok(CaseOutcome::Agreed));
+    }
+
+    #[test]
+    fn a_lowering_refusal_is_the_same_boundary_at_connect_and_mid_run() {
+        use reo_automata::LowerError;
+        use reo_runtime::RuntimeError;
+        let refusal = RuntimeError::Lower(LowerError::RegisterOverflow {
+            automaton: "wide".into(),
+        });
+        assert!(is_capability_refusal(&refusal.to_string()));
+        // What a task sees once the firing that tried the step poisoned
+        // the engine with it.
+        let poisoned = RuntimeError::Poisoned(refusal.to_string());
+        let cut_short = Observation {
+            results: vec![
+                vec![OpResult::Sent],
+                vec![OpResult::Error(poisoned.to_string())],
+            ],
+            residual: Vec::new(),
+            epoch: 0,
+        };
+        assert!(refused_mid_run(&cut_short));
+        let closed = Observation {
+            results: vec![vec![OpResult::Error(RuntimeError::Closed.to_string())]],
+            ..cut_short
+        };
+        assert!(!refused_mid_run(&closed));
     }
 }

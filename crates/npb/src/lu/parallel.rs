@@ -188,10 +188,6 @@ mod tests {
     use crate::lu::run_sequential;
     use reo_runtime::Mode;
 
-    fn close(a: f64, b: f64, tol: f64) -> bool {
-        (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-300)
-    }
-
     #[test]
     fn blocks_cover_columns_exactly() {
         let bs = blocks(33, 8);
@@ -211,19 +207,7 @@ mod tests {
         let seq = run_sequential(&class);
         for n in [1usize, 2, 3] {
             let par = run_parallel(&class, HandWritten::new(n));
-            // Field identical (same dependencies); residual differs only by
-            // partial-sum grouping, centre must match bitwise.
-            assert_eq!(
-                seq.center.to_bits(),
-                par.center.to_bits(),
-                "centre mismatch at n={n}"
-            );
-            assert!(
-                close(seq.residual, par.residual, 1e-12),
-                "residual {} vs {} at n={n}",
-                seq.residual,
-                par.residual
-            );
+            assert!(par.agrees_with(&seq), "{par:?} vs {seq:?} at n={n}");
         }
     }
 
@@ -241,8 +225,7 @@ mod tests {
         for mode in [Mode::jit(), Mode::partitioned()] {
             let comm = ReoComm::new(2, mode).unwrap();
             let par = run_parallel(&class, comm);
-            assert_eq!(seq.center.to_bits(), par.center.to_bits());
-            assert!(close(seq.residual, par.residual, 1e-12));
+            assert!(par.agrees_with(&seq), "{par:?} vs {seq:?} under {mode:?}");
         }
     }
 }

@@ -12,6 +12,18 @@ pub struct LuResult {
     pub center: f64,
 }
 
+impl LuResult {
+    /// Whether two runs of one class computed the same field. Every
+    /// decomposition relaxes the points in the same dependency order, so the
+    /// centre must match bitwise; the residual is a sum whose grouping
+    /// follows the decomposition, so it may differ in the last bits.
+    pub fn agrees_with(&self, other: &LuResult) -> bool {
+        let scale = self.residual.abs().max(other.residual.abs()).max(1e-300);
+        self.center.to_bits() == other.center.to_bits()
+            && (self.residual - other.residual).abs() <= 1e-12 * scale
+    }
+}
+
 /// Dense (nx+2)×(ny+2) grid with a zero ghost boundary.
 pub struct Grid {
     pub nx: usize,

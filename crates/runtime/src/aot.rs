@@ -5,13 +5,12 @@
 //! automaton; this core walks it, checking each transition's sync set
 //! against the pending table port by port (`op_enabled`) and evaluating
 //! its guard and assignment `Term`s through the valuation fixpoint
-//! (`fire_one`). It is the only core that still interprets: the
-//! just-in-time core ([`crate::jit`]) lowers each connected step on first
-//! use and the paper's own ahead-of-time composition of medium automata
-//! (Sect. IV-D, first approach; [`crate::Mode::compiled`],
-//! [`crate::compiled::CompiledCore`]) lowers the eager product whole, so
-//! `existing` differs from `jit` both in *when* the product is built and
-//! in *how* a step is fired — which is the comparison Fig. 12 makes.
+//! (`fire_one`). It is the core that interprets; the other one
+//! ([`crate::jit`]) lowers each step on first use, whether it composes the
+//! medium automata just in time or steps their eager product (Sect. IV-D,
+//! first approach; [`crate::Mode::compiled`]), so `existing` differs from
+//! `jit` both in *when* the product is built and in *how* a step is fired
+//! — which is the comparison Fig. 12 makes.
 
 use reo_automata::{
     product_all_traced, Automaton, PortId, PortSet, ProductOptions, StateId, Store,

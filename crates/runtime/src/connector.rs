@@ -9,17 +9,17 @@
 //!   Work that the existing Reo compiler did at compile time happens inside
 //!   `connect`; the harness times it separately.
 //! * [`Mode::Compiled`] — the *new* approach with ahead-of-time
-//!   composition of the medium automata at `connect` time, lowered to a
-//!   flat stepping program.
+//!   composition of the medium automata at `connect` time; the product's
+//!   steps are lowered as they are first tried.
 //! * [`Mode::Jit`] — the new approach with just-in-time composition.
 //! * [`Mode::JitPartitioned`] / [`Mode::CompiledPartitioned`] — either
-//!   core per synchronous region, plus the partitioning optimization of
-//!   reference \[32\]. Values cross links on the calling task's own
-//!   thread (see [`crate::partition`]) — as in the paper's runtime, there
-//!   are no helper threads.
+//!   composition per synchronous region, plus the partitioning
+//!   optimization of reference \[32\]. Values cross links on the calling
+//!   task's own thread (see [`crate::partition`]) — as in the paper's
+//!   runtime, there are no helper threads.
 //!
 //! [`Mode::grid`] is the one list of runtimes every test and the fuzzer
-//! iterate.
+//! iterate; `core_for` is the one place a mode becomes a stepping core.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +27,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reo_automata::{
-    FromValue, IntoValue, MemLayout, PortAllocator, PortId, ProductOptions, StateId, Store,
+    Automaton, FromValue, IntoValue, MemLayout, PortAllocator, PortId, PortSet, ProductOptions,
+    StateId, Store,
 };
 use reo_core::{
     compile, compile_monolithic, instantiate, Binding, CompiledConnector, ConnectorInstance,
@@ -36,11 +37,10 @@ use reo_core::{
 
 use crate::aot::AotCore;
 use crate::cache::{CachePolicy, CacheStats};
-use crate::compiled::CompiledCore;
 use crate::engine::{Engine, EngineCore, EngineStats, PortMap};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
-use crate::partition::{partition_with_opts, Partitioned, RegionEngine};
+use crate::partition::{partition_with_opts, Partitioned};
 use crate::port::{Backend, Inport, Outport};
 use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
 
@@ -55,14 +55,15 @@ pub enum Mode {
     /// Partitioned JIT: one engine per synchronous region, cut fifos as
     /// links served by the calling task ([`crate::partition`]).
     JitPartitioned { cache: CachePolicy },
-    /// Ahead-of-time composition — compose, simplify, and lower the whole
-    /// product to a flat stepping program at `connect`
-    /// ([`crate::compiled::CompiledCore`]).
+    /// Ahead-of-time composition — compose and simplify the whole product
+    /// at `connect`, failing there with [`RuntimeError::Explosion`] if it
+    /// outgrows [`Limits::product`] — stepped by the same core as
+    /// [`Mode::Jit`], over that one automaton
+    /// ([`crate::jit::JitCore::compose_to`]).
     Compiled,
-    /// Partitioned execution with one *compiled* core per synchronous
-    /// region: each region's product is lowered at `connect` time and the
-    /// regions exchange values over the same links as
-    /// [`Mode::JitPartitioned`].
+    /// Partitioned execution with one eagerly composed product per
+    /// synchronous region; the regions exchange values over the same links
+    /// as [`Mode::JitPartitioned`].
     CompiledPartitioned,
 }
 
@@ -87,6 +88,21 @@ impl Mode {
     }
 
     /// The paper's ahead-of-time composition, on one engine.
+    ///
+    /// ```
+    /// use reo_runtime::{Connector, Mode};
+    ///
+    /// let program = reo_dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
+    /// let connector = Connector::builder(&program, "Buf")
+    ///     .mode(Mode::compiled())
+    ///     .build()
+    ///     .unwrap();
+    /// let mut session = connector.session().connect().unwrap();
+    /// let tx = session.typed_outport::<i64>("a").unwrap();
+    /// let rx = session.typed_inport::<i64>("b").unwrap();
+    /// tx.send(7).unwrap();
+    /// assert_eq!(rx.recv().unwrap(), 7);
+    /// ```
     pub fn compiled() -> Self {
         Mode::Compiled
     }
@@ -168,6 +184,45 @@ impl Default for Limits {
             expansion_budget: 1 << 20,
         }
     }
+}
+
+/// Which core steps `automata` from `starts` under `mode` — the one place
+/// that decides, for `connect`, both reconfiguration splices and the
+/// stepping microbench alike. The partitioned modes ask per region.
+///
+/// `keep` is given by sessions that are never spliced: they start at the
+/// initial states and nobody reads the state tuple back, so an eager
+/// composition may hide every port but these — the ones tasks hold — from
+/// its labels (and the monolithic mode, whose elaboration has composed and
+/// simplified already, arrives as one automaton). Without it the core keeps
+/// the constituent tuple readable ([`EngineCore::constituent_states`]) and
+/// label simplification is skipped.
+pub(crate) fn core_for(
+    mode: Mode,
+    limits: &Limits,
+    automata: Vec<Automaton>,
+    starts: &[StateId],
+    keep: Option<&PortSet>,
+) -> Result<Box<dyn EngineCore>, RuntimeError> {
+    Ok(match (mode, keep) {
+        (Mode::Jit { cache } | Mode::JitPartitioned { cache }, _) => Box::new(
+            JitCore::with_states(automata, starts, cache.build(), limits.expansion_budget),
+        ),
+        (Mode::Compiled | Mode::CompiledPartitioned, Some(_)) => {
+            Box::new(JitCore::compose_to(&automata, &limits.product, keep)?)
+        }
+        (Mode::Compiled | Mode::CompiledPartitioned, None) => {
+            Box::new(JitCore::compose_from(&automata, starts, &limits.product)?)
+        }
+        (Mode::ExistingMonolithic { .. }, Some(_)) => {
+            let [large] = <[_; 1]>::try_from(automata)
+                .expect("monolithic instance has exactly one automaton");
+            Box::new(AotCore::from_automaton(large))
+        }
+        (Mode::ExistingMonolithic { .. }, None) => {
+            Box::new(AotCore::compose_traced(&automata, starts, &limits.product)?)
+        }
+    })
 }
 
 /// A compiled connector, ready to be connected for any number of tasks.
@@ -449,15 +504,14 @@ impl Connector {
 
     /// Build the engine(s) of a session.
     ///
-    /// `traced` is set for reconfigurable sessions: every core is
-    /// state-traced (a splice reads constituent states back out of it),
-    /// label simplification is skipped (it would orphan the trace), and
+    /// `traced` is set for reconfigurable sessions: every core keeps its
+    /// constituent states readable for the next splice ([`core_for`]), and
     /// single-engine port maps are sparse so a detached port is *unknown*
     /// to the engine ([`RuntimeError::Detached`]) rather than a silent
     /// dead slot. The monolithic mode then runs its composition through
-    /// the same traced product — identical behaviour, splice-able
-    /// artifact. Untraced sessions get the cheaper cores and dense
-    /// single-engine port maps.
+    /// the traced product — identical behaviour, splice-able artifact.
+    /// Untraced single-engine sessions get label simplification and dense
+    /// port maps.
     fn backend(
         &self,
         instance: ConnectorInstance,
@@ -465,57 +519,40 @@ impl Connector {
         layout: &MemLayout,
         traced: bool,
     ) -> Result<Backend, RuntimeError> {
-        let region_engine = match self.mode {
-            Mode::JitPartitioned { cache } => Some(RegionEngine::Jit(cache)),
-            Mode::CompiledPartitioned => Some(RegionEngine::Compiled(self.limits.product)),
-            _ => None,
-        };
-        if let Some(engine) = region_engine {
+        if matches!(
+            self.mode,
+            Mode::JitPartitioned { .. } | Mode::CompiledPartitioned
+        ) {
             let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
                 instance.automata,
                 alloc.port_count(),
                 layout,
-                engine,
-                self.limits.expansion_budget,
-                traced,
+                self.mode,
+                self.limits,
             )?);
             // Deterministic initial arming: tokens reach link heads
             // before any task operates.
             parts.pump();
             return Ok(Backend::Multi(parts));
         }
-        let (core, ports): (Box<dyn EngineCore>, PortMap) = if traced {
-            let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-            let core =
-                reconfig::single_core_traced(self.mode, &self.limits, &instance.automata, &starts)?;
-            let ports = PortMap::sparse(instance.automata.iter().flat_map(|a| {
+        let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
+        let (keep, ports) = if traced {
+            let ports = instance.automata.iter().flat_map(|a| {
                 let ps = a.ports();
                 ps.iter().collect::<Vec<_>>()
-            }));
-            (core, ports)
+            });
+            (None, PortMap::sparse(ports))
         } else {
-            let core: Box<dyn EngineCore> = match self.mode {
-                Mode::ExistingMonolithic { .. } => {
-                    let [large] = <[_; 1]>::try_from(instance.automata)
-                        .expect("monolithic instance has exactly one automaton");
-                    Box::new(AotCore::from_automaton(large))
-                }
-                Mode::Jit { cache } => Box::new(JitCore::new(
-                    instance.automata,
-                    cache.build(),
-                    self.limits.expansion_budget,
-                )),
-                Mode::Compiled => Box::new(CompiledCore::compose(
-                    &instance,
-                    &self.limits.product,
-                    true,
-                )?),
-                Mode::JitPartitioned { .. } | Mode::CompiledPartitioned => {
-                    unreachable!("partitioned modes returned above")
-                }
-            };
-            (core, PortMap::dense(alloc.port_count()))
+            let keep: PortSet = instance.boundary.values().flatten().copied().collect();
+            (Some(keep), PortMap::dense(alloc.port_count()))
         };
+        let core = core_for(
+            self.mode,
+            &self.limits,
+            instance.automata,
+            &starts,
+            keep.as_ref(),
+        )?;
         Ok(Backend::Single(Arc::new(Engine::new(
             core,
             ports,
@@ -552,9 +589,9 @@ impl SessionSpec<'_> {
         self
     }
 
-    /// Allow runtime branch churn on this session: cores are built
-    /// state-traced so later splices can read constituent states, at the
-    /// cost of skipping label simplification.
+    /// Allow runtime branch churn on this session: cores keep their
+    /// constituent states readable for later splices, at the cost of
+    /// skipping label simplification.
     pub fn reconfigurable(mut self) -> Self {
         self.reconfigurable = true;
         self

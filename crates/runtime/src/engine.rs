@@ -378,10 +378,11 @@ pub trait EngineCore: Send {
 
     /// The constituent control-state tuple behind the current global state
     /// (one entry per medium automaton, in composition order), when this
-    /// core can recover it. JIT cores track the tuple natively; AOT and
-    /// compiled cores built with a product *trace* recover it from the
-    /// trace. Cores without a trace return `None` — such an engine cannot
-    /// take part in a dynamic reconfiguration.
+    /// core can recover it. The JIT core tracks the tuple natively and, over
+    /// an eager product, reads it from the product's *trace*; the
+    /// interpreting core has it only through a trace and returns `None`
+    /// without one — such an engine cannot take part in a dynamic
+    /// reconfiguration.
     fn constituent_states(&self) -> Option<Vec<StateId>> {
         None
     }
@@ -407,7 +408,7 @@ pub trait EngineCore: Send {
 }
 
 /// Reachability-based hangup analysis over one flat state machine, shared
-/// by the AOT, compiled, and (per constituent) JIT cores: walk the states
+/// by the AOT and (per constituent) JIT cores: walk the states
 /// reachable from `start` via *live* transitions — those whose sync set
 /// avoids every hung-up port — and collect the ports they synchronize.
 /// Every `boundary` port never synchronized by a reachable live

@@ -27,9 +27,12 @@ pub enum RuntimeError {
     },
     /// Compilation/instantiation failed.
     Core(reo_core::CoreError),
-    /// Lowering refused a region's product or one connected step (the flat
-    /// `u16` register/pool encoding overflowed). Only the interpreting
-    /// baseline, `Mode::existing()`, has no such limit.
+    /// Lowering refused a step (the flat `u16` register/pool encoding
+    /// overflowed). A step is lowered when it is first tried, in every mode
+    /// but the interpreting baseline `Mode::existing()` — the compiled
+    /// modes compose eagerly but lower as lazily as `Mode::jit()` — so
+    /// this never comes from `connect`: the firing that tried the step
+    /// fails, and the engine poisons itself with this error's text.
     Lower(reo_automata::LowerError),
     /// A port operation was issued on a port that already has one pending
     /// (ports are single-owner, one operation at a time).

@@ -42,10 +42,9 @@
 //! `(index, target)` pairs, and every later row that contains the same
 //! step shares the entry (`NpbComm` has O(N) distinct steps under its 2^N
 //! tuples). The first time its need is met the step is composed and
-//! lowered ([`Pools::lower`], the compiled core's lowering) into a register
-//! program — once, for every row: "compile each module once, link at use".
-//! A state that is visited once therefore pays for the steps it tries, not
-//! for its whole row.
+//! lowered ([`Pools::lower`]) into a register program — once, for every
+//! row: "compile each module once, link at use". A state that is visited
+//! once therefore pays for the steps it tries, not for its whole row.
 //!
 //! An expanded state is then a [`Row`]: step ids in emission order, each
 //! with a memoised [`Link`] to its successor row. A steady-state
@@ -59,13 +58,22 @@
 //! link into it stale and drops the steps no resident row names any more
 //! (`tests/lowered_steps.rs` holds each lowered step to the interpreter's
 //! verdict, deliveries, completion order and store).
+//!
+//! Over one automaton this is the paper's ahead-of-time core (Sect. IV-D,
+//! first approach; [`crate::Mode::compiled`]): [`JitCore::compose_to`] and
+//! [`JitCore::compose_from`] build the product eagerly and step it as a
+//! list of length one, whose rows are the product's own transition lists.
 
 use std::collections::HashMap;
 
 use reo_automata::lower::{ExecScratch, LowerOptions, LoweredTransition, Pools};
-use reo_automata::{Automaton, PortId, PortSet, StateId, Store, Transition, Value};
+use reo_automata::{
+    product_all, product_all_traced, simplify, Automaton, PortId, PortSet, ProductOptions, StateId,
+    StateTrace, Store, Transition, Value,
+};
+use reo_core::ConnectorInstance;
 
-use crate::cache::{CacheStats, Link, Row, StateCache, TupleKey};
+use crate::cache::{CachePolicy, CacheStats, Link, Row, StateCache, TupleKey};
 use crate::engine::{EngineCore, Need, Pending, PendingTable};
 use crate::error::RuntimeError;
 
@@ -140,6 +148,9 @@ pub struct JitCore {
     /// Maximum global transitions per expanded state.
     expansion_budget: usize,
     rotation: usize,
+    /// Over a traced product ([`JitCore::compose_from`]): product state →
+    /// the constituent tuple it stands for, which a splice reads back.
+    trace: Option<StateTrace>,
 }
 
 /// Compute global boundary classes from a set of medium automata: a port
@@ -183,13 +194,56 @@ impl JitCore {
             outputs,
             expansion_budget,
             rotation: 0,
+            trace: None,
         }
+    }
+
+    /// Ahead-of-time composition: compose `automata` now, label-simplify
+    /// down to the ports tasks hold if `keep` names them, and step the one
+    /// resulting automaton. The cache is unbounded and rows need no budget:
+    /// the product's own bounded them.
+    pub fn compose_to(
+        automata: &[Automaton],
+        opts: &ProductOptions,
+        keep: Option<&PortSet>,
+    ) -> Result<Self, RuntimeError> {
+        let mut large = product_all(automata, opts)?;
+        if let Some(keep) = keep {
+            large = simplify(&large, keep);
+        }
+        let cache = CachePolicy::Unbounded.build();
+        Ok(Self::new(vec![large], cache, usize::MAX))
+    }
+
+    /// [`compose_to`](Self::compose_to) the boundary of an instance.
+    pub fn compose(
+        instance: &ConnectorInstance,
+        opts: &ProductOptions,
+        apply_simplify: bool,
+    ) -> Result<Self, RuntimeError> {
+        let keep: PortSet = instance.boundary.values().flatten().copied().collect();
+        Self::compose_to(&instance.automata, opts, apply_simplify.then_some(&keep))
+    }
+
+    /// Compose from an explicit constituent tuple, which stays readable
+    /// ([`EngineCore::constituent_states`]) from any later product state —
+    /// so no label simplification. The boundary classes are the
+    /// constituents' own: a region's link-facing ports keep their roles.
+    pub fn compose_from(
+        automata: &[Automaton],
+        starts: &[StateId],
+        opts: &ProductOptions,
+    ) -> Result<Self, RuntimeError> {
+        let (product, trace) = product_all_traced(automata, starts, opts)?;
+        let mut core = Self::new(vec![product], CachePolicy::Unbounded.build(), usize::MAX);
+        (core.inputs, core.outputs) = boundary_classes(automata);
+        core.trace = Some(trace);
+        Ok(core)
     }
 
     /// Like [`new`](Self::new), but resume from an explicit constituent
     /// state tuple instead of the initials — the dynamic-reconfiguration
-    /// splice re-creates a region's core mid-run this way (and it is the
-    /// fallback when re-lowering a compiled region explodes).
+    /// splice re-creates a region's core mid-run this way.
     pub fn with_states(
         automata: Vec<Automaton>,
         states: &[StateId],
@@ -303,7 +357,7 @@ impl JitCore {
     /// Synthesize the composed transition of one choice vector — union
     /// label, conjoined guard, concatenated assignments and pops (its
     /// `target` is unused) — next to the moves of its outline.
-    pub fn compose(&self, choice: &[Choice]) -> (Transition, Box<[(u32, StateId)]>) {
+    pub fn compose_step(&self, choice: &[Choice]) -> (Transition, Box<[(u32, StateId)]>) {
         let (sync, moves) = self.outline(choice);
         let mut step = Transition::new(sync, StateId(0));
         for &pick in choice {
@@ -348,7 +402,7 @@ impl JitCore {
     /// task-facing deliveries survive.
     fn lower(&mut self, id: u32) -> Result<(), RuntimeError> {
         let choice = &self.steps[id as usize].choice;
-        let (composed, _) = self.compose(choice);
+        let (composed, _) = self.compose_step(choice);
         let owner = self.automata[choice[0].0 as usize].name();
         let boundary = LowerOptions {
             seeds: &self.inputs,
@@ -413,8 +467,9 @@ impl EngineCore for JitCore {
             None => self.expand_row(pending)?,
         };
         let n = self.cache.row(row).steps.len();
-        for k in 0..n {
-            let at = (k + self.rotation) % n;
+        // `(k + rotation) % n` order, at one division per call, not per entry.
+        let start = self.rotation % n.max(1);
+        for at in (start..n).chain(0..start) {
             let (id, next) = self.cache.row(row).steps[at];
             if !pending.armed(&self.steps[id as usize].need) {
                 continue;
@@ -470,7 +525,10 @@ impl EngineCore for JitCore {
     }
 
     fn constituent_states(&self) -> Option<Vec<StateId>> {
-        Some(self.states.iter().collect())
+        Some(match &self.trace {
+            Some(trace) => trace[self.states.get(0).index()].to_vec(),
+            None => self.states.iter().collect(),
+        })
     }
 
     fn any_enabled(&mut self, pending: &PendingTable) -> bool {
@@ -720,6 +778,79 @@ mod tests {
         let stats = eng.cache_stats().unwrap();
         assert!(stats.resident >= 2);
         assert!(stats.hits + stats.misses > 0);
+    }
+
+    #[test]
+    fn a_core_over_a_traced_product_answers_with_the_constituent_tuple() {
+        use crate::engine::PortMap;
+        use reo_automata::ProductOptions;
+        // fifo1(0;1) · sync(1;2), composed with the buffer *full*: the
+        // product has its own state numbering, the splice wants the tuple.
+        let autos = [
+            primitives::fifo1(p(0), p(1), MemId(0)),
+            primitives::sync(p(1), p(2)),
+        ];
+        let full = StateId(1);
+        let starts = [full, autos[1].initial()];
+        let mut core = JitCore::compose_from(&autos, &starts, &ProductOptions::default()).unwrap();
+        assert_eq!(core.states.iter().count(), 1, "one automaton: the product");
+        assert_eq!(core.constituent_states().unwrap(), starts);
+
+        let mut pending = PendingTable::new(std::sync::Arc::new(PortMap::dense(3)));
+        let mut store = Store::new(&MemLayout::cells(1));
+        store.push(MemId(0), Value::Int(4));
+        let mut step = |core: &mut JitCore, port: u32, op: Pending| {
+            pending.set(p(port), op);
+            assert!(core
+                .try_step(&mut pending, &mut store, &mut Vec::new())
+                .unwrap());
+        };
+        step(&mut core, 2, Pending::Recv);
+        let empty = autos[0].initial();
+        assert_eq!(core.constituent_states().unwrap(), [empty, starts[1]]);
+        step(&mut core, 0, Pending::Send(Value::Int(5)));
+        assert_eq!(core.constituent_states().unwrap(), starts);
+    }
+
+    #[test]
+    fn composition_failure_reports_explosion() {
+        // Wide unsynchronized connector: the eager product must fail
+        // within budget, typed.
+        use reo_automata::ProductOptions;
+        use reo_core::ir::*;
+        use reo_core::{compile, instantiate, Binding};
+        let def = ConnectorDef {
+            name: "Buffers".into(),
+            tails: vec![Param::array("a")],
+            heads: vec![Param::array("b")],
+            body: CExpr::prod(
+                "i",
+                IExpr::Const(1),
+                IExpr::len("a"),
+                CExpr::Inst(Inst::new(
+                    "Fifo1",
+                    vec![PortRef::indexed("a", IExpr::var("i"))],
+                    vec![PortRef::indexed("b", IExpr::var("i"))],
+                )),
+            ),
+        };
+        let prog = reo_core::Program::new(vec![def]);
+        let cc = compile(&prog, "Buffers").unwrap();
+        let mut alloc = PortAllocator::new();
+        let binding: Binding = [
+            ("a".to_string(), alloc.fresh_ports(20)),
+            ("b".to_string(), alloc.fresh_ports(20)),
+        ]
+        .into();
+        let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
+        let opts = ProductOptions {
+            max_states: 1 << 12,
+            max_transitions: 1 << 14,
+        };
+        assert!(matches!(
+            JitCore::compose(&inst, &opts, true),
+            Err(RuntimeError::Explosion(_))
+        ));
     }
 
     #[test]

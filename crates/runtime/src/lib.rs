@@ -7,10 +7,12 @@
 //! * the **existing approach** ([`Mode::existing`]: one large automaton
 //!   composed from fully elaborated primitives — the Fig. 12 baseline),
 //! * **ahead-of-time composition** of medium automata at `connect` time
-//!   ([`Mode::compiled`], lowered to a flat stepping program),
+//!   ([`Mode::compiled`]),
 //! * **just-in-time composition** ([`Mode::jit`]) with an unbounded or
-//!   bounded-LRU state cache, and
-//! * either core **partitioned** ([`Mode::partitioned`],
+//!   bounded-LRU state cache — one core ([`jit::JitCore`]) steps both, over
+//!   the eager product or over the medium automata, lowering each step to
+//!   a register program when it is first tried — and
+//! * either composition **partitioned** ([`Mode::partitioned`],
 //!   [`Mode::compiled_partitioned`] — the optimization of the paper's
 //!   reference \[32\], which fixes Fig. 13's finding 3): one engine per
 //!   synchronous region, cut fifos as links.
@@ -76,7 +78,6 @@
 pub mod analyze;
 pub mod aot;
 pub mod cache;
-pub mod compiled;
 pub mod connector;
 pub mod engine;
 pub mod error;
@@ -91,7 +92,6 @@ pub mod stepping;
 pub mod watchdog;
 
 pub use cache::{CachePolicy, CacheStats};
-pub use compiled::CompiledCore;
 pub use connector::{
     Branch, Connector, ConnectorBuilder, ConnectorHandle, Limits, Mode, Session, SessionSpec,
 };
@@ -106,3 +106,8 @@ pub use scenario::{
 pub use select::{select2, select_slice, Either, Select2, SelectSlice};
 pub use stepping::{stepping_run, SteppingMode, SteppingRun};
 pub use watchdog::{LinkReport, ParkedKind, ParkedOp, RegionReport, StallReport};
+
+/// The ahead-of-time core is [`jit::JitCore`] over one eagerly composed
+/// automaton ([`jit::JitCore::compose`]). The name is what `benchmark/`
+/// calls it by and goes with the benchmark re-base (ROADMAP direction 3(a)).
+pub type CompiledCore = jit::JitCore;

@@ -112,16 +112,16 @@ use std::sync::{Arc, OnceLock, RwLock, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use reo_automata::{Automaton, MemLayout, PortId, PortSet, ProductOptions, StateId, Store, Value};
+use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
 
 use crate::cache::CachePolicy;
-use crate::compiled::CompiledCore;
+use crate::connector::{core_for, Limits, Mode};
 use crate::engine::{
     Engine, EngineCore, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Pending, PortMap,
 };
 pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
-use crate::jit::JitCore;
+use crate::reconfig::splice_core;
 
 /// A cut fifo: an engine-to-engine queue.
 ///
@@ -243,8 +243,8 @@ impl Topology {
 pub struct Partitioned {
     topo: RwLock<Arc<Topology>>,
     /// What steps each region (needed again when a splice rebuilds one).
-    engine_kind: RegionEngine,
-    expansion_budget: usize,
+    mode: Mode,
+    limits: Limits,
     /// Counted kicks: operations on a region bordering ≥ 2 links
     /// ([`EngineStats::kicks`]).
     kicks: AtomicU64,
@@ -280,21 +280,8 @@ struct Plan {
     router: Vec<u32>,
 }
 
-/// What steps a synchronous region: the JIT core, lowering connected steps
-/// as states are first visited, or the region's product lowered whole
-/// ([`crate::compiled::CompiledCore`]).
-#[derive(Clone, Copy, Debug)]
-pub enum RegionEngine {
-    /// Just-in-time composition with the given state-cache policy.
-    Jit(CachePolicy),
-    /// Eager per-region product, lowered at build time — the paper's
-    /// ahead-of-time composition, per region (the budget bounds each
-    /// region's product, not the whole connector's).
-    Compiled(ProductOptions),
-}
-
 /// [`partition_with_opts`] with the defaults of [`crate::Mode::partitioned`]:
-/// a JIT core per region under the given state-cache policy, untraced.
+/// a JIT core per region under the given state-cache policy.
 pub fn partition(
     automata: Vec<Automaton>,
     port_count: usize,
@@ -302,14 +289,12 @@ pub fn partition(
     cache: CachePolicy,
     expansion_budget: usize,
 ) -> Result<Partitioned, RuntimeError> {
-    partition_with_opts(
-        automata,
-        port_count,
-        mem_layout,
-        RegionEngine::Jit(cache),
+    let limits = Limits {
         expansion_budget,
-        false,
-    )
+        ..Limits::default()
+    };
+    let mode = Mode::JitPartitioned { cache };
+    partition_with_opts(automata, port_count, mem_layout, mode, limits)
 }
 
 /// Split `automata` into synchronous regions connected by queue links.
@@ -318,23 +303,18 @@ pub fn partition(
 /// the connected components over shared ports. A queue automaton whose two
 /// sides touch different regions becomes a [`Link`]; one with both sides in
 /// the same region (or dangling sides) stays an ordinary automaton of that
-/// region. `engine` selects each region's stepping core; `port_count`
-/// sizes the port router (ports beyond it still route: the table grows).
+/// region. `mode` selects each region's stepping core (`connector::core_for`);
+/// `port_count` sizes the port router (ports beyond it still route: the
+/// table grows).
 ///
-/// `traced` must be set for sessions that intend to reconfigure: a splice
-/// reads each affected region's per-constituent control states back out
-/// of its core ([`EngineCore::constituent_states`]), which a compiled
-/// region only records when composed via
-/// [`CompiledCore::from_region_traced`] (JIT cores always track them).
-/// Tracing skips label simplification, so non-reconfigurable sessions
-/// keep the cheaper untraced build.
+/// Every region core keeps its constituent states readable
+/// ([`EngineCore::constituent_states`]), so any partition can be spliced.
 pub fn partition_with_opts(
     automata: Vec<Automaton>,
     port_count: usize,
     mem_layout: &MemLayout,
-    engine: RegionEngine,
-    expansion_budget: usize,
-    traced: bool,
+    mode: Mode,
+    limits: Limits,
 ) -> Result<Partitioned, RuntimeError> {
     let plan = plan_partition(&automata, port_count);
     let links: Vec<Link> = plan
@@ -350,16 +330,8 @@ pub fn partition_with_opts(
     for (r, members) in plan.regions.iter().enumerate() {
         let autos: Vec<Automaton> = members.iter().map(|&i| automata[i].clone()).collect();
         let ports = region_port_map(&autos);
-        let core: Box<dyn EngineCore> = match engine {
-            RegionEngine::Jit(cache) => {
-                Box::new(JitCore::new(autos, cache.build(), expansion_budget))
-            }
-            RegionEngine::Compiled(opts) if traced => {
-                let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-                Box::new(CompiledCore::from_region_traced(&autos, &starts, &opts)?)
-            }
-            RegionEngine::Compiled(opts) => Box::new(CompiledCore::from_region(&autos, &opts)?),
-        };
+        let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
+        let core = core_for(mode, &limits, autos, &starts, None)?;
         engines.push(new_region_engine(core, ports, mem_layout, &links, r));
     }
 
@@ -372,8 +344,8 @@ pub fn partition_with_opts(
             region_constituents: plan.regions,
             automaton_region: plan.automaton_region,
         })),
-        engine_kind: engine,
-        expansion_budget,
+        mode,
+        limits,
         kicks: AtomicU64::new(0),
         fanout: OnceLock::new(),
         watchdog_state: OnceLock::new(),
@@ -793,36 +765,6 @@ impl Partitioned {
         }
     }
 
-    /// A freshly composed region core for the splice path — always
-    /// state-traced, so the *next* splice can read constituent states
-    /// back out of it. A compiled re-lowering that blows its product
-    /// budget falls back to a JIT core for this region instead of
-    /// failing the splice ("re-lowering deferred").
-    fn build_region_core(
-        &self,
-        autos: &[Automaton],
-        starts: &[StateId],
-    ) -> Result<Box<dyn EngineCore>, RuntimeError> {
-        let jit = |cache: CachePolicy| -> Box<dyn EngineCore> {
-            Box::new(JitCore::with_states(
-                autos.to_vec(),
-                starts,
-                cache.build(),
-                self.expansion_budget,
-            ))
-        };
-        Ok(match self.engine_kind {
-            RegionEngine::Jit(cache) => jit(cache),
-            RegionEngine::Compiled(opts) => {
-                match CompiledCore::from_region_traced(autos, starts, &opts) {
-                    Ok(core) => Box::new(core),
-                    Err(RuntimeError::Explosion(_)) => jit(CachePolicy::Unbounded),
-                    Err(e) => return Err(e),
-                }
-            }
-        })
-    }
-
     /// Splice the live topology from the `old_automata` constituent list
     /// to `new_automata` — the partitioned half of a dynamic
     /// reconfiguration (attach/leave of a replicated branch).
@@ -1088,13 +1030,13 @@ impl Partitioned {
                             None => new_automata[ni].initial(),
                         })
                         .collect();
-                    let core = self.build_region_core(&autos, &starts)?;
+                    let core = splice_core(self.mode, &self.limits, &autos, &starts)?;
                     installs.insert(or, (core, region_port_map(&autos)));
                 }
                 Some(_) => {} // untouched: engine reused as-is
                 None => {
                     let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-                    let core = self.build_region_core(&autos, &starts)?;
+                    let core = splice_core(self.mode, &self.limits, &autos, &starts)?;
                     fresh.insert(nr, (core, region_port_map(&autos)));
                 }
             }

@@ -37,13 +37,9 @@ use parking_lot::Mutex;
 use reo_automata::{remap::remap, Automaton, MemId, MemLayout, PortAllocator, PortId, StateId};
 use reo_core::{instantiate, Binding, CompiledConnector};
 
-use crate::aot::AotCore;
-use crate::cache::CachePolicy;
-use crate::compiled::CompiledCore;
-use crate::connector::{Limits, Mode};
+use crate::connector::{core_for, Limits, Mode};
 use crate::engine::{EngineCore, PortMap};
 use crate::error::RuntimeError;
-use crate::jit::JitCore;
 use crate::partition::{constituent_at_rest, constituent_states_of};
 use crate::port::Backend;
 
@@ -235,46 +231,28 @@ fn splice_single(
                 None => a.initial(),
             })
             .collect();
-        single_core_traced(st.mode, &st.limits, &d.automata, &starts)
+        splice_core(st.mode, &st.limits, &d.automata, &starts)
     })
 }
 
-/// A state-traced whole-session core for the single-engine modes; also
-/// the connect-time builder of reconfigurable single-engine sessions
-/// (with every start at its initial state).
-///
-/// Label simplification is always skipped — merging product states would
-/// orphan the constituent trace — and a compiled re-lowering that blows
-/// its product budget falls back to a JIT core for this epoch instead of
-/// failing the splice ("re-lowering deferred").
-pub(crate) fn single_core_traced(
+/// The core a splice installs: [`core_for`] from the current constituent
+/// states, kept readable for the next splice. An eager re-composition that
+/// blows its product budget mid-run steps just-in-time for this epoch
+/// instead of failing the splice — `connect` reports the same explosion.
+pub(crate) fn splice_core(
     mode: Mode,
     limits: &Limits,
     automata: &[Automaton],
     starts: &[StateId],
 ) -> Result<Box<dyn EngineCore>, RuntimeError> {
-    let jit = |cache: CachePolicy| -> Box<dyn EngineCore> {
-        Box::new(JitCore::with_states(
-            automata.to_vec(),
-            starts,
-            cache.build(),
-            limits.expansion_budget,
-        ))
-    };
-    Ok(match mode {
-        Mode::Jit { cache } => jit(cache),
-        Mode::ExistingMonolithic { .. } => {
-            Box::new(AotCore::compose_traced(automata, starts, &limits.product)?)
+    match core_for(mode, limits, automata.to_vec(), starts, None) {
+        Err(RuntimeError::Explosion(_))
+            if matches!(mode, Mode::Compiled | Mode::CompiledPartitioned) =>
+        {
+            core_for(Mode::jit(), limits, automata.to_vec(), starts, None)
         }
-        Mode::Compiled => match CompiledCore::compose_traced(automata, starts, &limits.product) {
-            Ok(core) => Box::new(core),
-            Err(RuntimeError::Explosion(_)) => jit(CachePolicy::Unbounded),
-            Err(e) => return Err(e),
-        },
-        Mode::JitPartitioned { .. } | Mode::CompiledPartitioned => {
-            unreachable!("partitioned sessions splice through Partitioned::splice")
-        }
-    })
+        core => core,
+    }
 }
 
 /// The template diff: the new constituent list with live identities

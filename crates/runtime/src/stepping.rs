@@ -1,4 +1,5 @@
-//! Raw stepping microbench: drive an [`EngineCore`] directly, no tasks.
+//! Raw stepping microbench: drive an [`EngineCore`](crate::engine::EngineCore)
+//! directly, no tasks.
 //!
 //! The task-driven harness (`reo-connectors`) measures the whole stack —
 //! blocking ports, wakeups, context switches — which on a single hardware
@@ -8,16 +9,17 @@
 //! thread owns the core, its pending table and its store, keeps every
 //! boundary port saturated (inputs armed with fresh sends, outputs armed
 //! with receives), and counts both `try_step` firings and **completed
-//! boundary operations** for a fixed window. Both cores run lowered
-//! register programs behind the pending table's armed set; what differs is
-//! what they step. The compiled core steps the eager product, whose
-//! transitions include the joint firings of independent constituents; the
-//! JIT core fires connected steps only, so where the product moves several
-//! values in one firing it fires several times. Raw firing counts are
-//! therefore not comparable across cores. Completed operations per second
-//! is the granularity-independent throughput measure, and it is what the
-//! repo benchmark's `runtime.stepping.{jit,compiled}_ns_per_op` rows
-//! compare between [`SteppingMode::Jit`] and [`SteppingMode::Compiled`].
+//! boundary operations** for a fixed window. Both modes run the same core
+//! ([`JitCore`](crate::jit::JitCore): lowered register programs behind the
+//! pending table's armed set); what differs is what it steps. Over the
+//! eager product, transitions include the joint firings of independent
+//! constituents; over the medium automata it fires connected steps only,
+//! so where the product moves several values in one firing it fires
+//! several times. Raw firing counts are therefore not comparable across
+//! modes. Completed operations per second is the granularity-independent
+//! throughput measure, and it is what the repo benchmark's
+//! `runtime.stepping.{jit,compiled}_ns_per_op` rows compare between
+//! [`SteppingMode::Jit`] and [`SteppingMode::Compiled`].
 //!
 //! ```
 //! use std::time::Duration;
@@ -39,22 +41,19 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reo_automata::{MemLayout, PortAllocator, PortId, PortSet, Store, Value};
+use reo_automata::{MemLayout, PortAllocator, PortId, PortSet, StateId, Store, Value};
 use reo_core::{compile, instantiate, Binding, Program};
 
-use crate::cache::CachePolicy;
-use crate::compiled::CompiledCore;
-use crate::connector::Limits;
-use crate::engine::{EngineCore, Pending, PendingTable, PortMap};
+use crate::connector::{core_for, Limits, Mode};
+use crate::engine::{Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
-use crate::jit::JitCore;
 
-/// Which stepping core the microbench drives.
+/// What the microbench's core steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SteppingMode {
-    /// [`JitCore`] with an unbounded cache — the paper's default runtime.
+    /// The medium automata, composed just in time ([`Mode::jit`]).
     Jit,
-    /// [`CompiledCore`]: the eager product, lowered whole.
+    /// Their eager, label-simplified product ([`Mode::compiled`]).
     Compiled,
 }
 
@@ -71,7 +70,7 @@ pub struct SteppingRun {
 }
 
 /// Instantiate `def` from `program` for the given array `sizes`, then step
-/// the chosen core flat-out for `window`, keeping every boundary port
+/// its core flat-out for `window`, keeping every boundary port
 /// saturated. Returns the firing and completed-operation counts.
 ///
 /// Saturation protocol, applied whenever the core stops progressing: every
@@ -105,16 +104,13 @@ pub fn stepping_run(
     let mut layout = MemLayout::cells(alloc.mem_count());
     layout.merge(&instance.mem_layout);
 
-    let mut core: Box<dyn EngineCore> = match mode {
-        SteppingMode::Jit => Box::new(JitCore::new(
-            instance.automata,
-            CachePolicy::Unbounded.build(),
-            limits.expansion_budget,
-        )),
-        SteppingMode::Compiled => {
-            Box::new(CompiledCore::compose(&instance, &limits.product, true)?)
-        }
+    let mode = match mode {
+        SteppingMode::Jit => Mode::jit(),
+        SteppingMode::Compiled => Mode::compiled(),
     };
+    let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
+    let keep: PortSet = instance.boundary.values().flatten().copied().collect();
+    let mut core = core_for(mode, &limits, instance.automata, &starts, Some(&keep))?;
 
     let inputs: PortSet = core.boundary_inputs().clone();
     let outputs: PortSet = core.boundary_outputs().clone();
@@ -194,14 +190,21 @@ mod tests {
 
     #[test]
     fn quiescent_connector_terminates_early() {
-        // A lone SyncDrain needs both inputs every step — saturation keeps
-        // it firing; a Fifo1 chain with no consumer would wedge. Use a
-        // connector whose single transition can never fire: an empty-start
-        // sequencer token loop has no boundary… simplest honest check:
-        // drive a Fifo1 whose output port is also saturated, so it always
-        // progresses, and just assert the call returns.
-        let src = "Buf(a;b) = Fifo1(a;b)";
-        let r = run(src, "Buf", &[], SteppingMode::Compiled);
-        assert!(r.firings > 0);
+        // `Repl3(c;x,y,j) · Fifo1(x;z) · SyncDrain(y,z;)` can never fire —
+        // the buffer would have to fill and empty in one step — so `j`
+        // never refills the token `k` that the first `a → b` drains. One
+        // firing, two operations, and then the connector is wedged however
+        // saturated its boundary is: the run must end there, not at the
+        // end of its window.
+        let src = "Once(a,c;b) = Repl2(a;b,t) mult SyncDrain(t,k;) mult Fifo1Full(j;k)
+                     mult Repl3(c;x,y,j) mult Fifo1(x;z) mult SyncDrain(y,z;)";
+        let program = reo_dsl::parse_program(src).unwrap();
+        for mode in [SteppingMode::Jit, SteppingMode::Compiled] {
+            let window = Duration::from_secs(30);
+            let start = Instant::now();
+            let r = stepping_run(&program, "Once", &[], mode, Limits::default(), window).unwrap();
+            assert_eq!((r.firings, r.ops), (1, 2), "{mode:?}");
+            assert!(start.elapsed() < window / 2, "{mode:?} ran its window out");
+        }
     }
 }

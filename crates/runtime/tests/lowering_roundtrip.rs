@@ -1,8 +1,9 @@
-//! Differential test: every paper primitive must fire exactly like the
-//! interpreting [`AotCore`] whether it is lowered whole ahead of time
-//! ([`CompiledCore`]) or step by step on first use ([`JitCore`]).
+//! Differential test: every paper primitive must fire under the lowering
+//! [`JitCore`] exactly as under the interpreting [`AotCore`] — over one
+//! automaton (which is all `Mode::compiled` hands it) and over a region's
+//! traced product.
 //!
-//! All three cores get the identical deterministic saturation protocol (arm all
+//! Both cores get the identical deterministic saturation protocol (arm all
 //! boundary inputs with sequential ints and all boundary outputs with
 //! receives, step to quiescence, repeat) and must produce the identical
 //! event trace — same ports completed in the same order with the same
@@ -13,7 +14,6 @@ use std::sync::Arc;
 use reo_automata::{primitives, Automaton, MemId, MemLayout, PortId, Pred, Store, Value};
 use reo_runtime::aot::AotCore;
 use reo_runtime::cache::CachePolicy;
-use reo_runtime::compiled::CompiledCore;
 use reo_runtime::engine::{EngineCore, Pending, PendingTable, PortMap};
 use reo_runtime::jit::JitCore;
 
@@ -67,45 +67,54 @@ fn drive(core: &mut dyn EngineCore, port_count: usize, layout: &MemLayout) -> (V
     (trace, store)
 }
 
-/// Round-trip one automaton through all three cores and compare everything.
+/// Drive both cores and compare everything: event trace and final store.
+fn agree(
+    name: &str,
+    interpreting: &mut dyn EngineCore,
+    lowered: &mut dyn EngineCore,
+    port_count: usize,
+    layout: &MemLayout,
+    mem_ids: &[MemId],
+) {
+    let (trace_i, store_i) = drive(interpreting, port_count, layout);
+    assert!(
+        !trace_i.is_empty(),
+        "{name}: the saturation protocol must fire something"
+    );
+    let (trace_l, store_l) = drive(lowered, port_count, layout);
+    assert_eq!(trace_l, trace_i, "{name}: event trace diverged");
+    for &m in mem_ids {
+        assert_eq!(
+            store_l.len(m),
+            store_i.len(m),
+            "{name}: cell {m:?} lengths diverged"
+        );
+        match (store_l.peek(m), store_i.peek(m)) {
+            (None, None) => {}
+            (Some(x), Some(y)) => {
+                assert!(x.structurally_eq(y), "{name}: cell {m:?} fronts diverged")
+            }
+            (x, y) => panic!("{name}: cell {m:?} diverged: {x:?} vs {y:?}"),
+        }
+    }
+}
+
+/// Round-trip one automaton through both cores.
 fn roundtrip(a: Automaton, port_count: usize) {
     let mut layout = MemLayout::cells(0);
     layout.merge(a.mem_layout());
     let mem_ids: Vec<MemId> = a.mem_ids().to_vec();
     let name = a.name().to_string();
-
-    let mut compiled = CompiledCore::from_automaton(&a).unwrap();
     let mut jit = JitCore::new(vec![a.clone()], CachePolicy::Unbounded.build(), 1 << 20);
     let mut interpreting = AotCore::from_automaton(a);
-
-    let (trace_i, store_i) = drive(&mut interpreting, port_count, &layout);
-    assert!(
-        !trace_i.is_empty(),
-        "{name}: the saturation protocol must fire something"
+    agree(
+        &name,
+        &mut interpreting,
+        &mut jit,
+        port_count,
+        &layout,
+        &mem_ids,
     );
-    let lowered: [(&str, &mut dyn EngineCore); 2] =
-        [("jit", &mut jit), ("compiled", &mut compiled)];
-    for (core, lowered) in lowered {
-        let (trace_l, store_l) = drive(lowered, port_count, &layout);
-        assert_eq!(trace_l, trace_i, "{name}: {core} event trace diverged");
-        for &m in &mem_ids {
-            assert_eq!(
-                store_l.len(m),
-                store_i.len(m),
-                "{name}: {core} cell {m:?} lengths diverged"
-            );
-            match (store_l.peek(m), store_i.peek(m)) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert!(
-                        x.structurally_eq(y),
-                        "{name}: {core} cell {m:?} fronts diverged"
-                    )
-                }
-                (x, y) => panic!("{name}: {core} cell {m:?} diverged: {x:?} vs {y:?}"),
-            }
-        }
-    }
 }
 
 fn p(i: u32) -> PortId {
@@ -113,7 +122,7 @@ fn p(i: u32) -> PortId {
 }
 
 /// The 18 paper primitives (the 16 builders, with the parametrized ones at
-/// two arities) — every one must step identically under all three cores.
+/// two arities) — every one must step identically under both cores.
 #[test]
 fn all_paper_primitives_roundtrip_through_lowering() {
     let even = || Pred::new("even", |v| v.as_int().is_some_and(|i| i % 2 == 0));
@@ -148,8 +157,8 @@ fn all_paper_primitives_roundtrip_through_lowering() {
     }
 }
 
-/// The compiled core must also agree on *composed* automata (the product
-/// path used by `Mode::Compiled` regions), not just on primitives.
+/// The cores must also agree on *composed* automata (what `Mode::compiled`
+/// steps), not just on primitives.
 #[test]
 fn composed_products_roundtrip_through_lowering() {
     use reo_automata::{product_all, ProductOptions};
@@ -162,11 +171,62 @@ fn composed_products_roundtrip_through_lowering() {
     roundtrip(product, 5);
 }
 
+/// A partition *region* under `Mode::compiled_partitioned`: the cut fifos
+/// are gone, so the ports that faced them — 0 and 1 as link heads, 3 and 6
+/// as link tails — are boundary ports no task holds, and a buffer that
+/// stays inside the region starts full. `JitCore` steps the traced product
+/// with the boundary classes of the *constituents*; it must agree with the
+/// interpreter on classes, events, store and the tuple read back.
+#[test]
+fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
+    use reo_automata::{ProductOptions, StateId};
+    use reo_runtime::jit::boundary_classes;
+    let autos = vec![
+        primitives::merger(&[p(0), p(1)], p(2)),
+        primitives::replicator(p(2), &[p(3), p(4)]),
+        primitives::fifo1_full(p(4), p(5), MemId(0), Value::Int(9)),
+        primitives::sync(p(5), p(6)),
+    ];
+    let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
+    let opts = ProductOptions::default();
+    let mut jit = JitCore::compose_from(&autos, &starts, &opts).unwrap();
+    let mut interpreting = AotCore::compose_traced(&autos, &starts, &opts).unwrap();
+
+    let (inputs, outputs) = boundary_classes(&autos);
+    assert_eq!(inputs.iter().collect::<Vec<_>>(), [p(0), p(1)]);
+    assert_eq!(outputs.iter().collect::<Vec<_>>(), [p(3), p(6)]);
+    for core in [&jit as &dyn EngineCore, &interpreting] {
+        assert_eq!(
+            (core.boundary_inputs(), core.boundary_outputs()),
+            (&inputs, &outputs)
+        );
+    }
+    assert_eq!(jit.constituent_states(), Some(starts));
+
+    let mut layout = MemLayout::cells(0);
+    for a in &autos {
+        layout.merge(a.mem_layout());
+    }
+    agree(
+        "region",
+        &mut interpreting,
+        &mut jit,
+        7,
+        &layout,
+        &[MemId(0)],
+    );
+    // Saturation leaves the buffer empty or full; either way both cores
+    // stand in the same four local states.
+    assert_eq!(jit.constituent_states(), interpreting.constituent_states());
+}
+
 /// An automaton whose stepping program cannot be encoded (one transition
 /// needing > u16::MAX registers) must surface as a typed `RuntimeError`,
-/// never a silently-wrapped register file: from the compiled core's
-/// constructor, and from the JIT core the first time the step is tried —
-/// it lowers on first use and has no interpreting fallback.
+/// never a silently-wrapped register file — the first time the step is
+/// tried, which is when it is lowered (there is no interpreting fallback);
+/// the engine above poisons itself with the error's "use an interpreting
+/// mode" text. `Mode::compiled` sessions report it there too, not at
+/// `connect`: they run this core over their product.
 #[test]
 fn unencodable_automaton_is_a_typed_error() {
     use reo_automata::assign::Assign;
@@ -185,10 +245,6 @@ fn unencodable_automaton_is_a_typed_error() {
     b.transition(s, t);
     let aut = b.build();
 
-    let err = CompiledCore::from_automaton(&aut)
-        .err()
-        .expect("must refuse");
-    assert!(matches!(err, RuntimeError::Lower(_)), "got: {err}");
     let mut jit = JitCore::new(vec![aut], CachePolicy::Unbounded.build(), 1 << 20);
     let mut pending = PendingTable::new(Arc::new(PortMap::dense(1)));
     let mut store = Store::new(&MemLayout::cells(1));

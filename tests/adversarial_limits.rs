@@ -104,3 +104,45 @@ fn deep_nesting_is_a_typed_parse_error() {
     let err = reo::dsl::parse_program(&src).unwrap_err();
     assert!(err.to_string().contains("nesting"), "got: {err}");
 }
+
+/// Ahead-of-time composition that outgrows its product budget is refused at
+/// `connect`, typed, however the session is spelled: twenty buffers behind
+/// one merger are one synchronous region of 2^20 states, on one engine or
+/// partitioned, reconfigurable or not. (Only a *splice* of a running
+/// session steps just-in-time for the epoch instead of failing.)
+#[test]
+fn eager_composition_past_its_budget_is_an_explosion_at_connect() {
+    use reo::automata::ProductOptions;
+    use reo::runtime::Limits;
+    let program = reo::dsl::parse_program(
+        "Gather(a[];b) = prod (i:1..#a) Fifo1(a[i];m[i]) mult Merger(m[1..#a];b)",
+    )
+    .unwrap();
+    let limits = Limits {
+        product: ProductOptions {
+            max_states: 1 << 12,
+            max_transitions: 1 << 14,
+        },
+        ..Limits::default()
+    };
+    for mode in [Mode::compiled(), Mode::compiled_partitioned()] {
+        let connector = Connector::builder(&program, "Gather")
+            .mode(mode)
+            .limits(limits)
+            .build()
+            .unwrap();
+        for reconfigurable in [false, true] {
+            let mut spec = connector.session().replicate("a", 20);
+            if reconfigurable {
+                spec = spec.reconfigurable();
+            }
+            let err = spec.connect().err().unwrap_or_else(|| {
+                panic!("{mode:?}, reconfigurable={reconfigurable}: connect must fail")
+            });
+            assert!(
+                matches!(err, RuntimeError::Explosion(_)),
+                "{mode:?}, reconfigurable={reconfigurable}: got {err}"
+            );
+        }
+    }
+}

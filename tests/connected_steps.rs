@@ -198,7 +198,7 @@ fn check_connector(scenario: &Scenario) -> Result<Option<usize>, String> {
         Ok(expanded
             .iter()
             .map(|choice| {
-                let (composed, moves) = core.compose(choice);
+                let (composed, moves) = core.compose_step(choice);
                 let mut targets = tuple.to_vec();
                 for &(i, target) in moves.iter() {
                     targets[i as usize] = target;

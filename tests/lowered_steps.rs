@@ -1,7 +1,7 @@
 //! Lowered connected steps against the interpreter.
 //!
 //! The just-in-time core interprets nothing: a connected step is composed
-//! and lowered once (`JitCore::compose`, `Pools::lower`) and every row that
+//! and lowered once (`JitCore::compose_step`, `Pools::lower`) and every row that
 //! contains it runs that program. Here each connected step at each
 //! reachable state tuple is fired twice from the same store, every
 //! boundary input saturated with a send — once by `fire::try_fire` over
@@ -96,7 +96,7 @@ fn check_connector(
     while let Some((tuple, store)) = queue.pop_front() {
         let core = core_at(&tuple);
         for choice in core.expand().unwrap() {
-            let (composed, moves) = core.compose(&choice);
+            let (composed, moves) = core.compose_step(&choice);
             let at = || format!("{label} at {tuple:?}, step {choice:?}");
 
             let mut interpreted_store = store.clone();
