@@ -12,11 +12,13 @@
 //! `jit` both in *when* the product is built and in *how* a step is fired
 //! — which is the comparison Fig. 12 makes.
 
+use std::collections::HashSet;
+
 use reo_automata::{
     product_all_traced, Automaton, PortId, PortSet, ProductOptions, StateId, Store,
 };
 
-use crate::engine::{fire_one, op_enabled, EngineCore, PendingTable};
+use crate::engine::{fire_one, op_enabled, unsynced_ports, EngineCore, PendingTable};
 use crate::error::RuntimeError;
 
 /// Sequential state machine over one fully composed automaton.
@@ -31,6 +33,9 @@ pub struct AotCore {
     trace: Option<Vec<Box<[StateId]>>>,
     /// Fairness: rotate the scan start so that no transition starves.
     rotation: usize,
+    /// Hangup analysis: the product states whose walk under the current
+    /// dead set added nothing to it.
+    walked: HashSet<StateId>,
 }
 
 impl AotCore {
@@ -46,6 +51,7 @@ impl AotCore {
             outputs,
             trace: None,
             rotation: 0,
+            walked: HashSet::new(),
         }
     }
 
@@ -116,24 +122,39 @@ impl EngineCore for AotCore {
             .any(|t| op_enabled(t, &self.inputs, &self.outputs, pending))
     }
 
+    fn grow_dead(&mut self, dead: &mut PortSet, frontier: PortSet, walks: &mut u64) -> PortSet {
+        if !frontier.is_empty() {
+            self.walked.clear();
+        }
+        let mut grown = frontier;
+        if !dead.is_empty() && !self.walked.contains(&self.state) {
+            *walks += 1;
+            let found = self.unsynced(dead).difference(dead);
+            if !found.is_empty() {
+                self.walked.clear();
+            }
+            // Found or not, a second walk from here would add nothing.
+            self.walked.insert(self.state);
+            for p in found.iter() {
+                dead.insert(p);
+                grown.insert(p);
+            }
+        }
+        grown
+    }
+
+    #[cfg(debug_assertions)]
     fn dead_ports(&self, hungup: &PortSet) -> PortSet {
-        // Product-level reachability from the current state via live
-        // transitions; the boundary ports none of them synchronize are
-        // dead.
+        hungup.union(&self.unsynced(hungup))
+    }
+}
+
+impl AotCore {
+    /// Product-level reachability from the current state via live
+    /// transitions; the boundary ports none of them synchronizes are dead.
+    fn unsynced(&self, dead: &PortSet) -> PortSet {
         let boundary = self.inputs.union(&self.outputs);
-        crate::engine::dead_ports_reach(
-            self.automaton.state_count(),
-            self.state,
-            hungup,
-            &boundary,
-            &|s| {
-                self.automaton
-                    .transitions_from(s)
-                    .iter()
-                    .map(|t| (t.sync.clone(), t.target))
-                    .collect()
-            },
-        )
+        unsynced_ports(&self.automaton, self.state, dead, &boundary)
     }
 }
 

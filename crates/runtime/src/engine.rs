@@ -89,7 +89,8 @@
 
 use parking_lot::{Mutex, MutexGuard};
 use reo_automata::{
-    automaton::Transition, fire::try_fire, MemLayout, PortId, PortSet, StateId, Store, Value,
+    automaton::Transition, fire::try_fire, Automaton, MemLayout, PortId, PortSet, StateId, Store,
+    Value,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -335,6 +336,10 @@ pub struct EngineStats {
     /// hold left cross-region events to drain. Regions bordering one link
     /// drain theirs uncounted, regions bordering none raise no events.
     pub kicks: u64,
+    /// Reachability walks the hangup analysis ran, one per constituent
+    /// examined (see [`EngineCore::grow_dead`]): 0 while nobody hangs up,
+    /// and 0 for hangups whose answer nobody asked for.
+    pub hangup_walks: u64,
 }
 
 impl EngineStats {
@@ -349,6 +354,7 @@ impl EngineStats {
         self.batch_moves += other.batch_moves;
         self.batched_values += other.batched_values;
         self.kicks += other.kicks;
+        self.hangup_walks += other.hangup_walks;
     }
 }
 
@@ -395,54 +401,58 @@ pub trait EngineCore: Send {
         false
     }
 
-    /// Hangup analysis: given the hung-up (departed) ports, return every
-    /// port that can never take part in a firing again — no transition
-    /// reachable from the current state without crossing a hung-up port
-    /// synchronizes it. The conservative default declares only the
-    /// departed ports themselves dead (peers keep blocking); the real
-    /// cores override this with reachability so peers resolve
-    /// [`RuntimeError::Hangup`].
+    /// Hangup analysis, incremental. `dead` holds the ports that can never
+    /// take part in a firing again — no transition reachable from the
+    /// current state without crossing a dead port synchronizes them — as of
+    /// the last call, plus the `frontier` ports the engine has added since
+    /// (they hung up). Add what follows: from the frontier, and from the
+    /// local states this core's steps moved to since the last call (a
+    /// drained buffer may leave a port with no live transition). Deadness
+    /// only grows from there (where it may have shrunk, the engine starts
+    /// over from an empty set), so nothing else is re-examined, and a
+    /// (constituent, local state) pair is walked once per `dead` set.
+    /// Returns the ports added, the frontier included, and counts the
+    /// reachability walks it ran. The conservative default declares only
+    /// the departed ports dead (peers keep blocking); the real cores walk,
+    /// so peers resolve [`RuntimeError::Hangup`].
+    fn grow_dead(&mut self, _dead: &mut PortSet, frontier: PortSet, _walks: &mut u64) -> PortSet {
+        frontier
+    }
+
+    /// The same analysis from scratch and memo-free: the oracle every
+    /// [`grow_dead`](Self::grow_dead) answer is held to in debug builds.
+    #[cfg(debug_assertions)]
     fn dead_ports(&self, hungup: &PortSet) -> PortSet {
         hungup.clone()
     }
 }
 
-/// Reachability-based hangup analysis over one flat state machine, shared
-/// by the AOT and (per constituent) JIT cores: walk the states
-/// reachable from `start` via *live* transitions — those whose sync set
-/// avoids every hung-up port — and collect the ports they synchronize.
-/// Every `boundary` port never synchronized by a reachable live
-/// transition is dead, as are the hung-up ports themselves.
-pub(crate) fn dead_ports_reach(
-    state_count: usize,
+/// The reachability walk of the hangup analysis, shared by both cores: visit
+/// the states of `a` reachable from `start` via *live* transitions — those
+/// whose sync set avoids every `dead` port — and return the ports of `scope`
+/// none of them synchronizes. No firing can involve those again.
+pub(crate) fn unsynced_ports(
+    a: &Automaton,
     start: StateId,
-    hungup: &PortSet,
-    boundary: &PortSet,
-    transitions: &dyn Fn(StateId) -> Vec<(PortSet, StateId)>,
+    dead: &PortSet,
+    scope: &PortSet,
 ) -> PortSet {
-    let mut seen = vec![false; state_count];
+    let mut seen = vec![false; a.state_count()];
     let mut stack = vec![start];
     seen[start.index()] = true;
     let mut synced = PortSet::new();
     while let Some(s) = stack.pop() {
-        for (sync, target) in transitions(s) {
-            if !sync.is_disjoint(hungup) {
+        for t in a.transitions_from(s) {
+            if !t.sync.is_disjoint(dead) {
                 continue; // dead transition: requires a departed port
             }
-            synced = synced.union(&sync);
-            if !seen[target.index()] {
-                seen[target.index()] = true;
-                stack.push(target);
+            t.sync.iter().for_each(|p| synced.insert(p));
+            if !std::mem::replace(&mut seen[t.target.index()], true) {
+                stack.push(t.target);
             }
         }
     }
-    let mut dead = hungup.clone();
-    for p in boundary.iter() {
-        if !synced.contains(p) {
-            dead.insert(p);
-        }
-    }
-    dead
+    scope.difference(&synced)
 }
 
 /// Best-effort extraction of a panic payload's message for poison text.
@@ -650,8 +660,15 @@ pub(crate) struct EngineInner {
     /// Ports the core's hangup analysis proved can never fire again;
     /// operations on them resolve
     /// [`RuntimeError::Hangup`](crate::RuntimeError::Hangup) instead of
-    /// blocking forever. Always a superset of `hungup`.
+    /// blocking forever. A superset of `hungup` when fresh, and stale while
+    /// `unseen` is not empty. **Stale ⇒ no waker is parked on this engine**
+    /// (nor does it border a link): a hangup that finds one runs the
+    /// analysis in its own hold and wakes whom it kills, and every hold
+    /// that reads `dead` — so every poll, before it can park — starts with
+    /// [`freshen`](Self::freshen).
     dead: PortSet,
+    /// Hung up since `dead` was last brought up to date.
+    unseen: PortSet,
     /// Fault injection ([`Engine::arm_panic_after_steps`]): fired steps
     /// left before a firing panics. `None` (always, outside harnesses) is
     /// disarmed.
@@ -668,15 +685,33 @@ impl EngineInner {
         }
     }
 
-    /// Re-run the hangup analysis and record a wake-up for every parked
-    /// operation on a newly dead port; returns the newly dead ports. Each
-    /// link learns whether its tail is dead here, and a tail that died
-    /// raises [`LinkEvent::Rearm`] on itself: its link may be dry already.
-    fn refresh_dead(&mut self) -> Vec<PortId> {
-        let dead = self.core.dead_ports(&self.hungup);
-        let newly: Vec<PortId> = dead.iter().filter(|p| !self.dead.contains(*p)).collect();
-        self.dead = dead;
-        for &p in &newly {
+    /// What a hold that reads `dead` starts with: the analysis of every
+    /// hangup nobody has asked about yet, once for all of them.
+    fn freshen(&mut self) {
+        if !self.unseen.is_empty() {
+            self.refresh_dead();
+        }
+    }
+
+    /// Bring `dead` up to date and record a wake-up for every parked
+    /// operation on a newly dead port. Incremental: the analysis goes on
+    /// from `dead` with the `unseen` ports as frontier, and looks again at
+    /// the constituents the steps since the last call moved
+    /// ([`EngineCore::grow_dead`]) — nothing hung up and nothing moved,
+    /// nothing to do. Each link learns whether its tail is dead here, and a
+    /// tail that died raises [`LinkEvent::Rearm`] on itself: its link may
+    /// be dry already.
+    fn refresh_dead(&mut self) {
+        let frontier = std::mem::take(&mut self.unseen);
+        frontier.iter().for_each(|p| self.dead.insert(p));
+        let walks = &mut self.stats.hangup_walks;
+        let newly = self.core.grow_dead(&mut self.dead, frontier, walks);
+        #[cfg(debug_assertions)]
+        assert_eq!(self.dead, self.core.dead_ports(&self.hungup), "the oracle");
+        if newly.is_empty() {
+            return;
+        }
+        for p in newly.iter() {
             if let Some(slot) = self.pending.port_map().try_slot(p) {
                 self.record_wakes(slot);
             }
@@ -691,7 +726,16 @@ impl EngineInner {
                 self.events.push(LinkEvent::Rearm(p));
             }
         }
-        newly
+    }
+
+    /// The analysis from scratch, where deadness may have *shrunk*: a
+    /// splice can revive a port, and a step that completed a hung-up port
+    /// (the stale operation of a departed task let a dead transition fire)
+    /// may have left the states the last answer reasoned about.
+    fn rebuild_dead(&mut self) {
+        self.dead = PortSet::new();
+        self.unseen = self.hungup.clone();
+        self.refresh_dead();
     }
 
     /// Serve the link end at `slot` in the hold whose step completed its
@@ -749,6 +793,7 @@ impl EngineInner {
         let s = &mut self.slots[slot];
         let woken = std::mem::take(&mut s.woken);
         if outcome.is_none() {
+            debug_assert!(self.unseen.is_empty(), "a waker parks under a stale `dead`");
             self.stats.spurious_wakeups += u64::from(woken);
             s.waker = Some(waker.clone());
             s.thread = thread;
@@ -809,6 +854,7 @@ impl Engine {
                 poisoned: None,
                 hungup: PortSet::new(),
                 dead: PortSet::new(),
+                unseen: PortSet::new(),
                 panic_after: None,
             }),
             lock_acquisitions: AtomicU64::new(0),
@@ -951,37 +997,43 @@ impl Engine {
         self.has_hungup.load(Ordering::Acquire)
     }
 
-    /// Whether the hangup analysis proved `p` can never fire again.
-    pub(crate) fn is_dead(&self, p: PortId) -> bool {
-        self.lock().dead.contains(p)
+    /// The link ports of this engine the hangup analysis proved can never
+    /// fire again — what hangup propagation asks, in one hold.
+    pub(crate) fn dead_link_ports(&self) -> PortSet {
+        let mut inner = self.lock();
+        inner.freshen();
+        let ends = inner.pending.port_map().iter().zip(&inner.link_ends);
+        let dead = ends.filter(|(p, end)| end.is_some() && inner.dead.contains(*p));
+        dead.map(|(p, _)| p).collect()
     }
 
-    /// Phaser-style deregistration: mark `ports` hung up, rerun the
-    /// core's hangup analysis, and wake every operation parked on a dead
-    /// port (the woken paths translate to
-    /// [`RuntimeError::Hangup`](crate::RuntimeError::Hangup)). Returns
-    /// the ports that *newly* became dead — the partitioned backend
-    /// propagates them across links and then pumps every link, which is
-    /// why the events of this hold are not collected. No-op on closed or
-    /// poisoned engines, where everything already resolves with a typed
-    /// error.
-    pub(crate) fn hangup(&self, ports: &[PortId]) -> Vec<PortId> {
-        self.firing(None, |inner| {
+    /// Phaser-style deregistration: mark `ports` hung up. When somebody
+    /// may be waiting for the consequences — a waker is parked here, or
+    /// the region borders a link and so a neighbour — the hangup analysis
+    /// runs in this hold and every operation parked on a port it kills is
+    /// woken (the woken paths translate to [`RuntimeError::Hangup`]).
+    /// Otherwise the ports are only noted: the next hold that reads `dead`
+    /// analyses them (`EngineInner::freshen`), and a teardown that drops
+    /// every handle analyses nothing. No-op on closed or poisoned engines,
+    /// where everything already resolves with a typed error.
+    pub fn hangup(&self, ports: &[PortId], events: Option<&mut LinkEvents>) {
+        self.firing(events, |inner| {
             if inner.closed || inner.poisoned.is_some() {
-                return Vec::new();
+                return;
             }
-            let mut changed = false;
             for &p in ports {
                 if inner.pending.port_map().try_slot(p).is_some() && !inner.hungup.contains(p) {
                     inner.hungup.insert(p);
-                    changed = true;
+                    inner.unseen.insert(p);
                 }
             }
-            if !changed {
-                return Vec::new();
+            if inner.unseen.is_empty() {
+                return;
             }
             self.has_hungup.store(true, Ordering::Release);
-            inner.refresh_dead()
+            if !inner.link_ends.is_empty() || inner.slots.iter().any(|s| s.waker.is_some()) {
+                inner.refresh_dead();
+            }
         })
     }
 
@@ -1078,6 +1130,9 @@ impl Engine {
             return;
         }
         let mut fired_any = false;
+        // Whether a hung-up port completed: its departed task's operation
+        // let a dead transition fire.
+        let mut revived = false;
         // Whether this hold has moved a value across a link end yet.
         let mut moved = false;
         loop {
@@ -1118,6 +1173,7 @@ impl Engine {
                     inner.stats.completions += inner.completed.len() as u64;
                     for i in 0..inner.completed.len() {
                         let p = inner.completed[i];
+                        revived |= inner.hungup.contains(p);
                         let slot = inner.pending.port_map().slot(p);
                         if inner.link_ends.get(slot).is_some_and(Option::is_some) {
                             inner.serve_completed(slot, p);
@@ -1142,9 +1198,12 @@ impl Engine {
             }
         }
         // Steps drained state (e.g. a buffer emptied): ports that were
-        // only alive through that state may now be dead — re-analyze so
-        // their parked peers resolve `Hangup` instead of blocking.
-        if fired_any && !inner.hungup.is_empty() {
+        // only alive through that state may now be dead — look again at
+        // what moved, so their parked peers resolve `Hangup` instead of
+        // blocking.
+        if revived {
+            inner.rebuild_dead();
+        } else if fired_any && !inner.hungup.is_empty() {
             inner.refresh_dead();
         }
     }
@@ -1327,6 +1386,7 @@ impl Engine {
             let Some(slot) = inner.pending.port_map().try_slot(p) else {
                 return Some(Err(RuntimeError::Detached(p)));
             };
+            inner.freshen();
             if let Err(e) = arm(inner) {
                 return Some(Err(e));
             }
@@ -1365,6 +1425,7 @@ impl Engine {
             return Err(RuntimeError::Detached(p));
         };
         inner.unpark(slot);
+        inner.freshen();
         settle(&mut inner, p).unwrap_or_else(|| {
             inner.pending.set(p, Pending::None);
             Err(RuntimeError::Timeout)
@@ -1417,6 +1478,7 @@ impl Engine {
         let Some(slot) = inner.pending.port_map().try_slot(p) else {
             return false;
         };
+        inner.freshen();
         let end = match inner.link_ends.get(slot) {
             Some(Some(end)) if end.head == head && !inner.closed => end,
             _ => return false,
@@ -1517,14 +1579,12 @@ impl Engine {
         Self::set_link_ends(inner, ends);
         inner.store.grow(layout);
         inner.core = core;
-        self.fire_loop(inner);
         // `hungup` holds global ids and survives the splice as-is; the
         // dead set depends on the (new) core and state, so recompute it —
         // a splice can revive a port (a fresh branch replaces a departed
         // peer) or kill one (its last live transition left with a branch).
-        if !inner.hungup.is_empty() {
-            inner.refresh_dead();
-        }
+        inner.rebuild_dead();
+        self.fire_loop(inner);
         inner.wake_all();
         inner.events = LinkEvents::default();
         Self::deliver_under_lock(inner);

@@ -64,7 +64,7 @@
 //! [`JitCore::compose_from`] build the product eagerly and step it as a
 //! list of length one, whose rows are the product's own transition lists.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use reo_automata::lower::{ExecScratch, LowerOptions, LoweredTransition, Pools};
 use reo_automata::{
@@ -74,7 +74,7 @@ use reo_automata::{
 use reo_core::ConnectorInstance;
 
 use crate::cache::{CachePolicy, CacheStats, Link, Row, StateCache, TupleKey};
-use crate::engine::{EngineCore, Need, Pending, PendingTable};
+use crate::engine::{unsynced_ports, EngineCore, Need, Pending, PendingTable};
 use crate::error::RuntimeError;
 
 /// One participant's part in a connected step: the automaton, the local
@@ -151,6 +151,12 @@ pub struct JitCore {
     /// Over a traced product ([`JitCore::compose_from`]): product state →
     /// the constituent tuple it stands for, which a splice reads back.
     trace: Option<StateTrace>,
+    /// Hangup analysis ([`EngineCore::grow_dead`]). `moved`: the automata
+    /// steps have moved since the last call, recorded only once a port is
+    /// dead. `walked`: the (automaton, local state) pairs whose walk under
+    /// the current dead set added nothing to it.
+    moved: Option<Vec<u32>>,
+    walked: HashSet<(u32, StateId)>,
 }
 
 /// Compute global boundary classes from a set of medium automata: a port
@@ -195,6 +201,8 @@ impl JitCore {
             expansion_budget,
             rotation: 0,
             trace: None,
+            moved: None,
+            walked: HashSet::new(),
         }
     }
 
@@ -501,6 +509,9 @@ impl EngineCore for JitCore {
             for &(i, target) in step.moves.iter() {
                 self.states.set(i as usize, target);
             }
+            if let Some(moved) = &mut self.moved {
+                moved.extend(step.moves.iter().map(|&(i, _)| i));
+            }
             self.rotation = self.rotation.wrapping_add(1);
             self.current = next;
             self.edge = Some((row, at));
@@ -542,50 +553,82 @@ impl EngineCore for JitCore {
         needs.any(|step| pending.armed(&step.need))
     }
 
+    fn grow_dead(&mut self, dead: &mut PortSet, frontier: PortSet, walks: &mut u64) -> PortSet {
+        if frontier.is_empty() && self.moved.as_ref().is_none_or(Vec::is_empty) {
+            return frontier; // nothing hung up, nothing moved
+        }
+        let due = self.moved.take().unwrap_or_default();
+        let mut walked = std::mem::take(&mut self.walked);
+        let grown = self.spread_dead(dead, frontier, due, Some(&mut walked), walks);
+        self.walked = walked;
+        self.moved = (!dead.is_empty()).then(Vec::new);
+        grown
+    }
+
+    #[cfg(debug_assertions)]
     fn dead_ports(&self, hungup: &PortSet) -> PortSet {
-        // Per-constituent reachability: a local transition is dead when it
-        // synchronizes a dead port, and local states reachable from the
-        // current one via live transitions over-approximate the global
-        // reach (every global step either idles a constituent or takes one
-        // of its local transitions). So a port that *some* constituent can
-        // no longer synchronize on any reachable live local transition is
-        // dead for the whole product — sound, and it never builds the
-        // product the JIT exists to avoid.
-        //
-        // Deadness crosses internal vertices (a `Merg2` chain's `m[i]`):
-        // a port proved dead in one constituent kills the transitions of
-        // its neighbour, so iterate to a fixpoint, feeding newly dead
-        // ports back in. Only constituents touching a newly dead port are
-        // (re-)analyzed — a port drop costs its own neighbourhood, not
-        // the whole connector.
         let mut dead = hungup.clone();
-        let mut frontier = hungup.clone();
-        while !frontier.is_empty() {
-            let mut newly = PortSet::new();
-            for (i, a) in self.automata.iter().enumerate() {
-                if self.ports[i].is_disjoint(&frontier) {
+        self.spread_dead(&mut dead, hungup.clone(), Vec::new(), None, &mut 0);
+        dead
+    }
+}
+
+impl JitCore {
+    /// Per-constituent reachability: a local transition is dead when it
+    /// synchronizes a dead port, and local states reachable from the
+    /// current one via live transitions over-approximate the global reach
+    /// (every global step either idles a constituent or takes one of its
+    /// local transitions). So a port that *some* constituent can no longer
+    /// synchronize on any reachable live local transition is dead for the
+    /// whole product — sound, and it never builds the product the JIT
+    /// exists to avoid.
+    ///
+    /// Deadness crosses internal vertices (a `Merg2` chain's `m[i]`): a
+    /// port proved dead in one constituent kills the transitions of its
+    /// neighbour, so iterate to a fixpoint, feeding newly dead ports back
+    /// in. Only the `due` constituents and the owners of a `frontier` port
+    /// are examined, and of those only the ones touching a dead port — a
+    /// port drop costs its own neighbourhood, not the whole connector.
+    /// `walked` (none for the oracle) spares the walk of a pair that added
+    /// nothing under this very `dead`. Returns every port added to `dead`,
+    /// `frontier` included.
+    fn spread_dead(
+        &self,
+        dead: &mut PortSet,
+        mut frontier: PortSet,
+        mut due: Vec<u32>,
+        mut walked: Option<&mut HashSet<(u32, StateId)>>,
+        walks: &mut u64,
+    ) -> PortSet {
+        let mut grown = frontier.clone();
+        while !(due.is_empty() && frontier.is_empty()) {
+            if let (Some(walked), false) = (walked.as_mut(), frontier.is_empty()) {
+                walked.clear();
+            }
+            due.extend(
+                frontier
+                    .iter()
+                    .flat_map(|p| self.owners_of(p))
+                    .map(|i| i as u32),
+            );
+            due.sort_unstable();
+            due.dedup();
+            frontier = PortSet::new();
+            for i in due.drain(..) {
+                let (ports, at) = (&self.ports[i as usize], self.states.get(i as usize));
+                if ports.is_disjoint(dead) || !walked.as_mut().is_none_or(|w| w.insert((i, at))) {
                     continue;
                 }
-                let local = crate::engine::dead_ports_reach(
-                    a.state_count(),
-                    self.states.get(i),
-                    &dead,
-                    &self.ports[i],
-                    &|s| {
-                        a.transitions_from(s)
-                            .iter()
-                            .map(|t| (t.sync.clone(), t.target))
-                            .collect()
-                    },
-                );
-                for p in local.iter().filter(|p| !dead.contains(*p)) {
-                    newly.insert(p);
-                }
+                *walks += 1;
+                let local = unsynced_ports(&self.automata[i as usize], at, dead, ports);
+                (local.iter().filter(|p| !dead.contains(*p))).for_each(|p| frontier.insert(p));
             }
-            dead = dead.union(&newly);
-            frontier = newly;
+            for p in frontier.iter() {
+                dead.insert(p);
+                grown.insert(p);
+            }
         }
-        dead
+        grown
     }
 }
 
@@ -851,6 +894,38 @@ mod tests {
             JitCore::compose(&inst, &opts, true),
             Err(RuntimeError::Explosion(_))
         ));
+    }
+
+    /// The raw poll API lets a task leave with its operation still
+    /// registered. A hung-up port that then completes let a dead transition
+    /// fire, and the state it leads to may revive a port: `live` below is dead
+    /// while the automaton sits in `s0` and alive in `s1`, which only the
+    /// departed `h` leads to. The dead set is rebuilt, not grown (in debug
+    /// builds `refresh_dead` also holds it to the from-scratch analysis).
+    #[test]
+    fn a_hung_up_port_that_completes_rebuilds_the_dead_set() {
+        use reo_automata::automaton::AutomatonBuilder;
+        let (h, q, live) = (p(0), p(1), p(2));
+        let mut builder = AutomatonBuilder::new("Revive");
+        let (s0, s1) = (builder.state(), builder.state());
+        [h, q, live]
+            .into_iter()
+            .for_each(|port| builder.input(port));
+        builder.transition(s0, Transition::new(PortSet::from_iter([h, q]), s1));
+        builder.transition(s0, Transition::new(PortSet::singleton(q), s0));
+        builder.transition(s1, Transition::new(PortSet::singleton(live), s1));
+        let eng = engine_from(vec![builder.build()], 3, CachePolicy::Unbounded);
+
+        assert!(eng.offer(h, Value::Unit).is_none());
+        eng.hangup(&[h], None);
+        // From `s0` only `q` can still fire: `live` is beyond the dead step.
+        let refused = eng.offer(live, Value::Unit);
+        assert!(matches!(refused, Some(Err(RuntimeError::Hangup(_)))));
+        // The stale send on `h` lets `{h, q}` fire all the same.
+        assert!(matches!(eng.offer(q, Value::Unit), Some(Ok(()))));
+        assert!(matches!(eng.offer(live, Value::Unit), Some(Ok(()))));
+        let refused = eng.offer(q, Value::Unit);
+        assert!(matches!(refused, Some(Err(RuntimeError::Hangup(_)))));
     }
 
     #[test]

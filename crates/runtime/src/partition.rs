@@ -47,8 +47,8 @@
 //! thread of the task that sent it. Serving is idempotent, so an event
 //! that went stale (a splice removed the port, someone else armed it)
 //! costs one hold and changes nothing; [`Partitioned::pump`] simply
-//! raises both events on every link and drains — connect, splice, hangup
-//! and the one-shot try-probes use it.
+//! raises both events on every link and drains — connect, splice and the
+//! one-shot try-probes use it.
 //!
 //! **Lock order.** A thread never holds two engine locks. The link mutex
 //! (`LinkShared`) is a leaf: taken under at most one engine lock, held for
@@ -543,7 +543,7 @@ impl Partitioned {
             // Source dead, queue dry: nothing will cross this link again.
             let link = topo.links.iter().find(|l| l.in_port == p);
             if let Some(link) = link.filter(|l| !l.hangup_fwd.swap(true, Ordering::AcqRel)) {
-                topo.engines[link.to].hangup(&[link.out_port]);
+                topo.engines[link.to].hangup(&[link.out_port], None);
                 self.propagate_hangups(topo);
                 raise_all(topo, work); // downstream links may now be dead too
             }
@@ -568,7 +568,7 @@ impl Partitioned {
 
     /// Raise both events on every link and drain: connect-time arming
     /// (initial tokens reach their heads, every tail with credit is
-    /// armed), the end of a splice or a hangup, and the synchronous
+    /// armed), the end of a splice, and the synchronous
     /// try-probes, which get no second chance and so must see everything
     /// already in flight, including what another task's drain has not
     /// served yet. Safe to run concurrently from any thread.
@@ -697,22 +697,17 @@ impl Partitioned {
         }
     }
 
-    /// Hang up the given ports (their tasks dropped the handles) and
-    /// propagate deadness across links to a fixpoint, then pump so any
-    /// transition enabled by the wake-ups runs.
+    /// Hang up the given ports (their tasks dropped the handles), drain
+    /// the link events those holds raised (a tail that died, its link
+    /// dry), and propagate deadness across links to a fixpoint. A region
+    /// that borders no link raises nothing and has nothing to propagate.
     pub fn hangup(&self, ports: &[PortId]) {
         let topo = self.topo();
-        let mut any = false;
-        for &p in ports {
-            if let Some(r) = topo.region_of(p) {
-                topo.engines[r].hangup(&[p]);
-                any = true;
-            }
-        }
-        if any {
-            self.propagate_hangups(&topo);
-            self.pump();
-        }
+        // A port no region serves routes to an engine that ignores it.
+        self.drain(&topo, |work| {
+            (ports.iter()).for_each(|&p| topo.engine_for(p).hangup(&[p], Some(&mut *work)));
+        });
+        self.propagate_hangups(&topo);
     }
 
     /// Cross-link hangup fixpoint. Forward: a link whose tail port is
@@ -723,33 +718,32 @@ impl Partitioned {
     /// port is dead on the *to* engine (nothing will ever consume) hangs
     /// up its tail port on the *from* engine immediately — values parked
     /// behind it could never be delivered anyway. The latches are
-    /// monotone and finite, so the loop terminates.
-    fn propagate_hangups(&self, topo: &Topology) {
-        if !topo.engines.iter().any(|e| e.any_hungup()) {
-            return;
-        }
+    /// monotone and finite, so the loop terminates. Each round asks an
+    /// engine once, in one hold, which of its link ports are dead — and
+    /// only an engine with a hangup that some link still waits on.
+    pub fn propagate_hangups(&self, topo: &Topology) {
         loop {
+            let mut asked: HashMap<usize, PortSet> = HashMap::new();
+            let mut is_dead = |r: usize, p: PortId| {
+                let engine = &topo.engines[r];
+                let ask = || engine.dead_link_ports();
+                engine.any_hungup() && asked.entry(r).or_insert_with(ask).contains(p)
+            };
             let mut changed = false;
             for link in &topo.links {
-                let from = &topo.engines[link.from];
-                let to = &topo.engines[link.to];
                 // Dry is really drained: a tail's delivery enters the queue
                 // in the hold that fired it, so none is parked outside.
                 if !link.hangup_fwd.load(Ordering::Acquire)
-                    && from.any_hungup()
-                    && from.is_dead(link.in_port)
+                    && is_dead(link.from, link.in_port)
                     && link.shared.dry()
                 {
                     link.hangup_fwd.store(true, Ordering::Release);
-                    to.hangup(&[link.out_port]);
+                    topo.engines[link.to].hangup(&[link.out_port], None);
                     changed = true;
                 }
-                if !link.hangup_back.load(Ordering::Acquire)
-                    && to.any_hungup()
-                    && to.is_dead(link.out_port)
-                {
+                if !link.hangup_back.load(Ordering::Acquire) && is_dead(link.to, link.out_port) {
                     link.hangup_back.store(true, Ordering::Release);
-                    from.hangup(&[link.in_port]);
+                    topo.engines[link.from].hangup(&[link.in_port], None);
                     changed = true;
                 }
             }

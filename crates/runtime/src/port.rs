@@ -231,9 +231,7 @@ impl Backend {
     /// partitioned backend also propagates deadness across drained links.
     fn hangup(&self, p: PortId) {
         match self {
-            Backend::Single(e) => {
-                e.hangup(&[p]);
-            }
+            Backend::Single(e) => e.hangup(&[p], None),
             Backend::Multi(m) => m.hangup(&[p]),
         }
     }

@@ -1,9 +1,10 @@
 //! Every interleaving of a few logical tasks, one engine-lock hold at a time
-//! — shared by `tests/link_protocol.rs` and `tests/wait_protocol.rs`.
+//! — shared by `tests/link_protocol.rs`, `tests/wait_protocol.rs` and
+//! `tests/hangup_protocol.rs`.
 //!
 //! Every step of the port protocol is one critical section: a poll, a
-//! retraction, a close, or the service of one link event in a hold of the
-//! other engine. So a handful of logical tasks, each a script of port
+//! retraction, a close, a hangup, or the service of one link event in a
+//! hold of the other engine. So a handful of logical tasks, each a script of port
 //! operations with its own waker and its own event worklist, can be taken
 //! through **every** interleaving at hold granularity on one thread: a
 //! schedule is replayed from a fresh partition, the last choice with an
@@ -44,6 +45,10 @@ pub enum Op {
     TrySend(PortId, i64),
     TryRecv(PortId),
     Close,
+    /// The task drops its handle of the port: the hangup's own hold (the
+    /// events it raises are served like any other), then the propagation
+    /// across links.
+    Hangup(PortId),
 }
 
 impl Op {
@@ -94,6 +99,17 @@ pub struct Task {
     pub unsent: Vec<i64>,
     /// Receives that answered `Timeout` or `Closed`.
     pub empty: usize,
+    /// Per finished send or receive, in script order.
+    pub answers: Vec<Answer>,
+}
+
+/// How one operation ended, and how many hangups had had their hold by then.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Answer {
+    /// Sent, or received a value.
+    pub ok: bool,
+    pub hangup: bool,
+    pub drops_before: usize,
 }
 
 pub struct World {
@@ -103,6 +119,8 @@ pub struct World {
     /// woken once, as a thread (the timed ones) or as a task.
     woken_threads: u64,
     woken_tasks: u64,
+    /// `Op::Hangup`s that have had their hold.
+    drops: usize,
 }
 
 impl World {
@@ -124,12 +142,14 @@ impl World {
             sent: Vec::new(),
             unsent: Vec::new(),
             empty: 0,
+            answers: Vec::new(),
         };
         World {
             part,
             tasks: scripts.iter().map(task).collect(),
             woken_threads: 0,
             woken_tasks: 0,
+            drops: 0,
         }
     }
 
@@ -147,7 +167,8 @@ impl World {
                 continue;
             }
             let op = t.script[t.pc];
-            if op.probe() || t.woken.0.load(Ordering::SeqCst) {
+            let dropping = matches!(op, Op::Hangup(_));
+            if op.probe() || dropping || t.woken.0.load(Ordering::SeqCst) {
                 moves.push((i, Move::Go));
             }
             if op.timed() {
@@ -170,6 +191,19 @@ impl World {
             Op::Recv(port) | Op::RecvBy(port) | Op::TryRecv(port) => (port, None),
             Op::Close => {
                 self.part.close();
+                t.pc += 1;
+                return;
+            }
+            // `parked` here: the hangup has had its hold, propagation is due.
+            Op::Hangup(port) if !t.parked => {
+                (topo.engine_for(port)).hangup(&[port], Some(&mut t.events));
+                self.drops += 1;
+                t.parked = true;
+                return;
+            }
+            Op::Hangup(_) => {
+                self.part.propagate_hangups(&topo);
+                t.parked = false;
                 t.pc += 1;
                 return;
             }
@@ -209,7 +243,13 @@ impl World {
                 false => self.woken_tasks += 1,
             }
         }
+        t.answers.push(Answer {
+            ok: answer.is_ok(),
+            hangup: matches!(answer, Err(RuntimeError::Hangup(_))),
+            drops_before: self.drops,
+        });
         match (sending, answer) {
+            (_, Err(RuntimeError::Hangup(_))) => {}
             (Some(v), Ok(_)) => t.sent.push(v),
             (Some(v), Err(RuntimeError::Timeout | RuntimeError::Closed)) => t.unsent.push(v),
             (None, Ok(v)) => t.got.push(v.and_then(|v| v.as_int()).expect("an integer")),
