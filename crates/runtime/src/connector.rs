@@ -420,12 +420,6 @@ impl Connector {
 
         let backend = self.backend(instance, &alloc, &layout, reconfigurable)?;
 
-        // Fault containment wiring: one region's contained panic poisons
-        // the whole partition (peers in other regions fail fast instead
-        // of waiting on a dead rendezvous).
-        if let Backend::Multi(m) = &backend {
-            m.wire_fault_fanout();
-        }
         // Opt-in stall watchdog: a sampler thread holding only a `Weak`
         // to the backend, so it can never keep a dropped session alive.
         let watchdog = watchdog.map(|deadline| {

@@ -51,11 +51,13 @@
 //! that completed it**: a completed tail moves its delivery into the queue
 //! and re-arms the receive while credit remains, a completed head pops the
 //! acknowledged front and offers the next. The link mutex is a leaf, taken
-//! under this engine's lock for a push, a pop or a flag flip. What must
-//! happen on the *other* engine leaves the hold as [`LinkEvents`] next to
-//! the wake list; the partition drains them, one hold each
-//! (`Engine::serve`). Engines without link ends pay one never-taken
-//! branch per completed port.
+//! under this engine's lock for a push, a pop or a flag flip — whether
+//! the port is dead here is such a flag, written by the hangup analysis.
+//! What must happen on the *other* engine leaves the hold as
+//! [`LinkEvents`] next to the wake list ("look at your end again"; beside
+//! them the fault, if the firing poisoned this engine); the partition
+//! drains them, one hold each (`Engine::serve`). Engines without link
+//! ends pay one never-taken branch per completed port.
 //!
 //! # Port sharding
 //!
@@ -511,21 +513,22 @@ impl WakeList {
     }
 }
 
-/// Work a hold found for the *other* engine of a link. Each names the
-/// link port to serve there (`Engine::serve`); serving is idempotent, so
-/// a stale or repeated event costs one hold and changes nothing.
+/// Work a hold found for the *other* engine of a link: look at this end
+/// again. What there is to do — arm the port, or hang it up because the far
+/// side is dead — is read from the link's state when the event is served
+/// (`Engine::serve`); serving is idempotent, so a stale or repeated event
+/// costs one hold and changes nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkEvent {
-    /// The queue has a front that is not offered at this head port.
+    /// This head: the queue got a front that is not on offer, or the tail died.
     Offer(PortId),
-    /// A pop freed a slot while this tail port was left un-armed — or dried
-    /// the queue of a link whose tail is dead, and the head must hang up.
+    /// This tail: a pop freed a slot while it was un-armed, or the head died.
     Rearm(PortId),
 }
 
-/// The link events holds raised, handed to whoever called into the engine
-/// once the lock is released — the worklist a port call drains. The first
-/// two are held inline, so the common hold never allocates.
+/// What a hold leaves for other engines, handed to whoever called into the
+/// engine once the lock is released — the worklist a port call drains. The
+/// first two events are held inline, so the common hold never allocates.
 #[derive(Default)]
 pub struct LinkEvents {
     head: [Option<LinkEvent>; 2],
@@ -533,11 +536,15 @@ pub struct LinkEvents {
     /// Raised by a port call on a region bordering ≥ 2 links: the drain
     /// counts as a kick ([`EngineStats::kicks`]).
     pub(crate) counted: bool,
+    /// A firing failed and poisoned its engine with this message: the
+    /// drain poisons every other region before it serves anything.
+    pub(crate) fault: Option<String>,
 }
 
 impl LinkEvents {
+    /// Nothing to serve and no fault to spread.
     pub fn is_empty(&self) -> bool {
-        self.head[0].is_none()
+        self.head[0].is_none() && self.fault.is_none()
     }
 
     /// Add `ev` unless it is already listed (one hold may complete a link
@@ -564,11 +571,12 @@ impl LinkEvents {
         self.rest.pop().or_else(inline)
     }
 
-    /// Move every event onto `out`.
-    fn drain_into(&mut self, out: &mut LinkEvents) {
+    /// Move every event, and the fault, onto `out`.
+    pub(crate) fn drain_into(&mut self, out: &mut LinkEvents) {
         while let Some(ev) = self.pop() {
             out.push(ev);
         }
+        out.fault = out.fault.take().or(self.fault.take());
     }
 }
 
@@ -582,9 +590,13 @@ pub(crate) struct LinkState {
     /// The tail was left un-armed for lack of credit: the pop that frees a
     /// slot raises [`LinkEvent::Rearm`].
     pub parked: bool,
-    /// The tail is dead on its engine: the pop that dries the queue raises
-    /// [`LinkEvent::Rearm`], whose service hangs up the head.
+    /// The tail is dead on its engine (whose hangup analysis writes this):
+    /// the head hangs up once the queue is dry — in the hold whose pop
+    /// dries it, or serving the [`LinkEvent::Offer`] the flag raised.
     pub source_dead: bool,
+    /// The head is dead on its engine: the tail hangs up at once
+    /// ([`LinkEvent::Rearm`]) — what is queued could never be delivered.
+    pub sink_dead: bool,
 }
 
 /// What the two engines of a link share. The mutex is a leaf: taken under
@@ -592,14 +604,6 @@ pub(crate) struct LinkState {
 pub(crate) struct LinkShared {
     pub capacity: Option<usize>,
     pub state: Mutex<LinkState>,
-}
-
-impl LinkShared {
-    /// Nothing queued and nothing on offer.
-    pub fn dry(&self) -> bool {
-        let st = self.state.lock();
-        st.queue.is_empty() && !st.offered
-    }
 }
 
 /// One end of a link at a local port of this engine. The peer engine is
@@ -698,9 +702,10 @@ impl EngineInner {
     /// from `dead` with the `unseen` ports as frontier, and looks again at
     /// the constituents the steps since the last call moved
     /// ([`EngineCore::grow_dead`]) — nothing hung up and nothing moved,
-    /// nothing to do. Each link learns whether its tail is dead here, and a
-    /// tail that died raises [`LinkEvent::Rearm`] on itself: its link may
-    /// be dry already.
+    /// nothing to do. Each link learns here whether its end on this engine
+    /// is dead (`source_dead` for a tail, `sink_dead` for a head), and a
+    /// flag that changed raises the peer's event: the other engine looks at
+    /// its end again and hangs it up when there is nothing left to wait for.
     fn refresh_dead(&mut self) {
         let frontier = std::mem::take(&mut self.unseen);
         frontier.iter().for_each(|p| self.dead.insert(p));
@@ -717,14 +722,33 @@ impl EngineInner {
             }
         }
         for (p, end) in self.pending.port_map().iter().zip(&self.link_ends) {
-            let Some(tail) = end.as_ref().filter(|end| !end.head) else {
-                continue;
-            };
+            let Some(end) = end else { continue };
             let dead = self.dead.contains(p);
-            let was_dead = std::mem::replace(&mut tail.shared.state.lock().source_dead, dead);
-            if dead && !was_dead {
-                self.events.push(LinkEvent::Rearm(p));
+            let mut st = end.shared.state.lock();
+            let (flag, peer) = match end.head {
+                true => (&mut st.sink_dead, LinkEvent::Rearm(end.peer)),
+                false => (&mut st.source_dead, LinkEvent::Offer(end.peer)),
+            };
+            if std::mem::replace(flag, dead) != dead {
+                self.events.push(peer);
             }
+        }
+    }
+
+    /// [`Engine::hangup`] under the lock; `serve` hangs up link ports by it.
+    fn hang_up(&mut self, ports: &[PortId]) {
+        if self.closed {
+            return;
+        }
+        for &p in ports {
+            if self.pending.port_map().try_slot(p).is_some() && !self.hungup.contains(p) {
+                self.hungup.insert(p);
+                self.unseen.insert(p);
+            }
+        }
+        let awaited = || !self.link_ends.is_empty() || self.slots.iter().any(|s| s.waker.is_some());
+        if !self.unseen.is_empty() && awaited() {
+            self.refresh_dead();
         }
     }
 
@@ -741,15 +765,18 @@ impl EngineInner {
     /// Serve the link end at `slot` in the hold whose step completed its
     /// port `p`. A tail moves its delivery into the link queue and re-arms
     /// the receive while credit remains; a head pops the acknowledged front
-    /// and offers the next. The caller's fire loop goes on from there.
+    /// and offers the next — or, its tail dead and the queue now dry, hangs
+    /// up: nothing will cross this link again (the end of the fire loop
+    /// analyses it). The caller's fire loop goes on from there.
     fn serve_completed(&mut self, slot: usize, p: PortId) {
         let end = self.link_ends[slot].as_ref().expect("a link end");
         let mut st = end.shared.state.lock();
+        let mut dried = false;
         if end.head {
             st.queue.pop_front();
             st.offered = false;
-            let dry = st.source_dead && st.queue.is_empty();
-            if std::mem::take(&mut st.parked) || dry {
+            dried = st.source_dead && st.queue.is_empty();
+            if std::mem::take(&mut st.parked) {
                 self.events.push(LinkEvent::Rearm(end.peer));
             }
         } else {
@@ -764,6 +791,10 @@ impl EngineInner {
         let next = end.arm(&mut st);
         drop(st);
         self.pending.set(p, next.unwrap_or_default());
+        if dried {
+            self.hungup.insert(p);
+            self.unseen.insert(p);
+        }
     }
 
     /// Take the waker parked on local slot `slot`, if any, to be woken
@@ -808,9 +839,6 @@ impl EngineInner {
     }
 }
 
-/// The cross-engine fault fan-out callback (see `Engine::fault_notify`).
-type FaultNotify = Box<dyn Fn(&str) + Send + Sync>;
-
 /// One sequential protocol engine, shared by all ports it serves.
 pub struct Engine {
     inner: Mutex<EngineInner>,
@@ -820,15 +848,6 @@ pub struct Engine {
     /// `close()` can interrupt a long fire loop instead of queueing behind
     /// it (a fire loop may expand large states under the lock).
     closing: AtomicBool,
-    /// Mirrors `!inner.hungup.is_empty()` without the lock, so hangup
-    /// propagation can skip dead-source probing on healthy topologies.
-    has_hungup: AtomicBool,
-    /// Cross-engine fault fan-out, wired by the partitioned backend: a
-    /// poisoning firing calls it *with the engine lock held*, so the
-    /// callback must defer real work (e.g. to a thread) — it exists so
-    /// sibling regions poison too instead of stranding their parked
-    /// tasks.
-    fault_notify: OnceLock<FaultNotify>,
     /// The session's stall watchdog, when armed (`SessionSpec::watchdog`):
     /// deadline expiries consult it to upgrade `Timeout` to `Stalled`.
     watchdog: OnceLock<Arc<crate::watchdog::WatchdogState>>,
@@ -859,8 +878,6 @@ impl Engine {
             }),
             lock_acquisitions: AtomicU64::new(0),
             closing: AtomicBool::new(false),
-            has_hungup: AtomicBool::new(false),
-            fault_notify: OnceLock::new(),
             watchdog: OnceLock::new(),
         }
     }
@@ -880,12 +897,10 @@ impl Engine {
     }
 
     /// Run a port call that can fire: `f` under the engine lock, then — the
-    /// lock released — the wake-ups it recorded. The link events raised
-    /// are added to `events`, whose owner drains them
-    /// (`Partitioned::drain`). A caller outside a partition passes `None`
-    /// and pays nothing for them; so does a caller that pumps every link
-    /// next (events it leaves behind go out with the next hold's, and
-    /// serving one twice changes nothing).
+    /// lock released — the wake-ups it recorded. The link events raised,
+    /// and the fault if the firing poisoned the engine, are added to
+    /// `events`, whose owner drains them (`Partitioned::drain`). A caller
+    /// outside a partition passes `None` and pays nothing for them.
     fn firing<R>(
         &self,
         events: Option<&mut LinkEvents>,
@@ -955,7 +970,7 @@ impl Engine {
         self.lock().poisoned.clone()
     }
 
-    /// Poison the engine directly (fault fan-out, injected faults): every
+    /// Poison this engine directly (fault fan-out, injected faults): every
     /// pending and future operation reports `Poisoned(msg)`, and every
     /// parked waker is woken. Idempotent; the first
     /// message wins, and an engine that is already closed stays closed.
@@ -975,15 +990,9 @@ impl Engine {
     /// containment layer (catch → poison → wake). The countdown disarms
     /// itself when it fires; it lives on the engine, so concurrent
     /// sessions in one process cannot consume each other's fault.
-    pub(crate) fn arm_panic_after_steps(&self, n: u64) {
+    #[doc(hidden)]
+    pub fn arm_panic_after_steps(&self, n: u64) {
         self.lock().panic_after = Some(n);
-    }
-
-    /// Wire the cross-engine fault notifier (first caller wins). Called
-    /// by a poisoning fire loop *with the engine lock held*; the callback
-    /// must defer real work.
-    pub(crate) fn set_fault_notifier(&self, f: Box<dyn Fn(&str) + Send + Sync>) {
-        let _ = self.fault_notify.set(f);
     }
 
     /// Arm the stall watchdog (first caller wins).
@@ -991,50 +1000,18 @@ impl Engine {
         let _ = self.watchdog.set(w);
     }
 
-    /// Whether any port of this engine has hung up — lock-free, so hangup
-    /// propagation can skip dead-source probing on healthy topologies.
-    pub(crate) fn any_hungup(&self) -> bool {
-        self.has_hungup.load(Ordering::Acquire)
-    }
-
-    /// The link ports of this engine the hangup analysis proved can never
-    /// fire again — what hangup propagation asks, in one hold.
-    pub(crate) fn dead_link_ports(&self) -> PortSet {
-        let mut inner = self.lock();
-        inner.freshen();
-        let ends = inner.pending.port_map().iter().zip(&inner.link_ends);
-        let dead = ends.filter(|(p, end)| end.is_some() && inner.dead.contains(*p));
-        dead.map(|(p, _)| p).collect()
-    }
-
     /// Phaser-style deregistration: mark `ports` hung up. When somebody
     /// may be waiting for the consequences — a waker is parked here, or
     /// the region borders a link and so a neighbour — the hangup analysis
     /// runs in this hold and every operation parked on a port it kills is
-    /// woken (the woken paths translate to [`RuntimeError::Hangup`]).
-    /// Otherwise the ports are only noted: the next hold that reads `dead`
-    /// analyses them (`EngineInner::freshen`), and a teardown that drops
-    /// every handle analyses nothing. No-op on closed or poisoned engines,
-    /// where everything already resolves with a typed error.
+    /// woken (the woken paths translate to [`RuntimeError::Hangup`]); a
+    /// link end it kills leaves as the neighbour's event. Otherwise the
+    /// ports are only noted: the next hold that reads `dead` analyses them
+    /// (`EngineInner::freshen`), and a teardown that drops every handle
+    /// analyses nothing. No-op on closed or poisoned engines, where
+    /// everything already resolves with a typed error.
     pub fn hangup(&self, ports: &[PortId], events: Option<&mut LinkEvents>) {
-        self.firing(events, |inner| {
-            if inner.closed || inner.poisoned.is_some() {
-                return;
-            }
-            for &p in ports {
-                if inner.pending.port_map().try_slot(p).is_some() && !inner.hungup.contains(p) {
-                    inner.hungup.insert(p);
-                    inner.unseen.insert(p);
-                }
-            }
-            if inner.unseen.is_empty() {
-                return;
-            }
-            self.has_hungup.store(true, Ordering::Release);
-            if !inner.link_ends.is_empty() || inner.slots.iter().any(|s| s.waker.is_some()) {
-                inner.refresh_dead();
-            }
-        })
+        self.firing(events, |inner| inner.hang_up(ports))
     }
 
     /// With an armed watchdog that currently flags a stall, a deadline
@@ -1119,7 +1096,7 @@ impl Engine {
     ///
     /// A panicking core does **not** unwind out of here: the step runs
     /// under `catch_unwind`, and a caught panic poisons the engine with
-    /// the payload message (then fans out via the fault notifier) exactly
+    /// the payload message (and leaves the hold as its fault) exactly
     /// like a typed firing error. The core's state may be torn mid-step —
     /// poisoning makes that unobservable. Containing the panic at the
     /// step boundary protects *whichever* thread drove the loop: a task
@@ -1186,14 +1163,10 @@ impl Engine {
                     }
                 }
                 Ok(Ok(false)) => break,
-                Ok(Err(e)) => {
-                    self.poison_locked(inner, e.to_string());
-                    return;
-                }
+                Ok(Err(e)) => return Self::poison_locked(inner, e.to_string()),
                 Err(payload) => {
                     let msg = format!("panic in firing: {}", panic_message(payload.as_ref()));
-                    self.poison_locked(inner, msg);
-                    return;
+                    return Self::poison_locked(inner, msg);
                 }
             }
         }
@@ -1208,15 +1181,14 @@ impl Engine {
         }
     }
 
-    /// Poison under an already-held lock and fan out through the fault
-    /// notifier (which must defer real work — this lock is held).
-    fn poison_locked(&self, inner: &mut EngineInner, msg: String) {
-        inner.poisoned = Some(msg.clone());
+    /// A firing failed: poison under the already-held lock, and mark the
+    /// hold's events so that whoever drains them — this lock released —
+    /// poisons the other regions of the session too.
+    fn poison_locked(inner: &mut EngineInner, msg: String) {
+        inner.events.fault = Some(msg.clone());
+        inner.poisoned = Some(msg);
         inner.closed = true;
         inner.wake_all();
-        if let Some(notify) = self.fault_notify.get() {
-            notify(&msg);
-        }
     }
 
     /// Poisoned/closed classification, shared by registration, settling
@@ -1457,18 +1429,18 @@ impl Engine {
     }
 
     /// Serve one link event in a hold of its own — the cross-region half
-    /// of the link protocol, run by whoever drains the event. An `Offer`
-    /// puts the queue front at this head port, a `Rearm` arms this tail
-    /// port while the queue has credit; either then fires what that
+    /// of the link protocol, run by whoever drains the event: look at this
+    /// end of the link again. A head whose tail is dead and whose queue is
+    /// dry, and a tail whose head is dead, hang up, which may kill this
+    /// engine's other link ends and so raise the next events. Otherwise an
+    /// `Offer` puts the queue front at this head port, a `Rearm` arms this
+    /// tail port while the queue has credit; either then fires what that
     /// enables, and what the fire loop completes it serves itself. The
     /// events this hold raises are added to `events`. Idempotent: a stale
-    /// or repeated event (the port spliced out, already armed, the engine
-    /// closed) changes nothing. Wake-ups are delivered before the lock is
-    /// released (see `deliver_under_lock`).
-    ///
-    /// Returns `true` iff this is a tail that is dead with its link dry —
-    /// nothing will ever cross again, so the caller hangs up the head.
-    pub(crate) fn serve(&self, ev: LinkEvent, events: &mut LinkEvents) -> bool {
+    /// or repeated event (the port spliced out, already armed or hung up,
+    /// the engine closed) changes nothing. Wake-ups are delivered before
+    /// the lock is released (see `deliver_under_lock`).
+    pub(crate) fn serve(&self, ev: LinkEvent, events: &mut LinkEvents) {
         let (p, head) = match ev {
             LinkEvent::Offer(p) => (p, true),
             LinkEvent::Rearm(p) => (p, false),
@@ -1476,24 +1448,28 @@ impl Engine {
         let mut guard = self.lock();
         let inner = &mut *guard;
         let Some(slot) = inner.pending.port_map().try_slot(p) else {
-            return false;
+            return;
         };
-        inner.freshen();
         let end = match inner.link_ends.get(slot) {
             Some(Some(end)) if end.head == head && !inner.closed => end,
-            _ => return false,
+            _ => return,
         };
-        let idle = matches!(inner.pending.get(p), Pending::None);
-        let arm = idle.then(|| end.arm(&mut end.shared.state.lock()));
-        if let Some(op) = arm.flatten() {
+        let mut st = end.shared.state.lock();
+        let gone = match head {
+            true => st.source_dead && st.queue.is_empty(),
+            false => st.sink_dead,
+        };
+        let idle = !gone && matches!(inner.pending.get(p), Pending::None);
+        let arm = idle.then(|| end.arm(&mut st)).flatten();
+        drop(st);
+        if gone {
+            inner.hang_up(&[p]);
+        } else if let Some(op) = arm {
             inner.pending.set(p, op);
             self.fire_loop(inner);
         }
-        let end = inner.link_ends[slot].as_ref();
-        let dead_and_dry = !head && inner.dead.contains(p) && end.is_some_and(|e| e.shared.dry());
         inner.events.drain_into(events);
         Self::deliver_under_lock(inner);
-        dead_and_dry
     }
 
     // ------------------------------------------------------------------
@@ -1544,6 +1520,19 @@ impl Engine {
         inner.multi_link = ends.len() >= 2;
     }
 
+    /// A splice changed no more than this locked engine's border: new link
+    /// ends, and the hangup analysis over, which writes every end's flag.
+    pub(crate) fn reborder(
+        inner: &mut EngineInner,
+        ends: &[(PortId, LinkEnd)],
+        events: &mut LinkEvents,
+    ) {
+        Self::set_link_ends(inner, ends);
+        inner.rebuild_dead();
+        inner.events.drain_into(events);
+        Self::deliver_under_lock(inner);
+    }
+
     /// Swap in a new core and port map under an already-held engine lock,
     /// carrying pending operations and each port's [`PortSlot`] **per
     /// global port** so blocked tasks survive the slot renumbering; the
@@ -1553,8 +1542,9 @@ impl Engine {
     /// old map must have passed [`removal_quiescent`](Self::removal_quiescent).
     /// Fires whatever the new core enables and wakes every parked waker —
     /// under the lock, see `deliver_under_lock` — so every pending
-    /// operation is polled again, against the new tables. The link events of that firing are dropped:
-    /// a splice pumps every link once it has swapped the topology.
+    /// operation is polled again, against the new tables. What that firing
+    /// leaves for other engines goes onto `events`: the partitioned splice
+    /// drains them once its guards are dropped.
     pub(crate) fn install(
         &self,
         inner: &mut EngineInner,
@@ -1562,6 +1552,7 @@ impl Engine {
         ports: PortMap,
         layout: &MemLayout,
         ends: &[(PortId, LinkEnd)],
+        events: &mut LinkEvents,
     ) {
         let new_ports = Arc::new(ports);
         let mut pending = PendingTable::new(Arc::clone(&new_ports));
@@ -1586,7 +1577,7 @@ impl Engine {
         inner.rebuild_dead();
         self.fire_loop(inner);
         inner.wake_all();
-        inner.events = LinkEvents::default();
+        inner.events.drain_into(events);
         Self::deliver_under_lock(inner);
     }
 
@@ -1609,7 +1600,8 @@ impl Engine {
         Self::check_open(&inner)?;
         Self::removal_quiescent(&inner, removed)?;
         let core = build(&inner)?;
-        self.install(&mut inner, core, ports, layout, &[]);
+        let mut nobody = LinkEvents::default(); // one engine: no link, no sibling
+        self.install(&mut inner, core, ports, layout, &[], &mut nobody);
         Ok(())
     }
 }
@@ -2073,7 +2065,7 @@ mod tests {
         };
         Engine::set_link_ends(&mut eng.lock(), &[(PortId(0), head)]);
         let mut events = LinkEvents::default();
-        assert!(!eng.serve(LinkEvent::Offer(PortId(0)), &mut events));
+        eng.serve(LinkEvent::Offer(PortId(0)), &mut events);
         assert_eq!(take(), Some(2));
         // The same hold acknowledged the front it offered.
         assert!(shared.state.lock().queue.is_empty() && events.is_empty());

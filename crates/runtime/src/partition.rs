@@ -27,34 +27,45 @@
 //! stuck producers crosses in one hold), a completed head pops the
 //! acknowledged front and offers the next one. Nobody polls a link.
 //!
-//! Two things cannot be done under that engine's lock, because they
-//! belong to the *other* engine of the link. They leave the hold as
-//! events ([`LinkEvent`]):
+//! What belongs to the *other* engine of the link leaves the hold as an
+//! event ([`LinkEvent`]) that says no more than **look at this end of your
+//! link again**; what to do there is read from the link's state
+//! (`LinkState`, under the link mutex) when the event is served:
 //!
-//! * `Offer(head)` — the queue got a front that is not offered at the
-//!   head port (a push onto a link whose front was not on offer);
+//! * `Offer(head)` — a push onto a link whose front was not on offer, or
+//!   the tail died (`source_dead`). A head whose source is dead and whose
+//!   queue is dry hangs up (buffered values deliver first; a head whose
+//!   own pop dries such a queue hangs up in that hold, with no event);
+//!   otherwise the front is put on offer.
 //! * `Rearm(tail)` — a pop freed a slot while the tail had been left
-//!   un-armed for lack of credit. The same event carries the deferred
-//!   forward hangup: a pop that dries the queue of a link whose tail is
-//!   dead raises it too, and its service reports "source dead, queue
-//!   dry", upon which the head port hangs up.
+//!   un-armed for lack of credit, or the head died (`sink_dead`). A tail
+//!   whose sink is dead hangs up at once; otherwise it is armed while
+//!   credit remains.
+//!
+//! A port that hangs up may kill its engine's other link ends, whose
+//! flags change and raise the next events: deadness crosses a chain of
+//! links as a value does. A fault leaves the same way: a firing that
+//! fails poisons its engine and marks the hold's events, and the drain
+//! first poisons every other region ([`Partitioned::poison_all`]) — when
+//! an operation answers `Poisoned`, the whole session is.
 //!
 //! As in the paper's runtime (Sect. IV-D) there are no helper threads:
-//! the port operation whose hold raised the events drains them after it
-//! unlocked (`Partitioned::drain`), one hold of the target engine per
-//! event (`Engine::serve`), each hold possibly raising further events
-//! onto the same worklist — a value crosses a chain of links on the
-//! thread of the task that sent it. Serving is idempotent, so an event
-//! that went stale (a splice removed the port, someone else armed it)
-//! costs one hold and changes nothing; [`Partitioned::pump`] simply
-//! raises both events on every link and drains — connect, splice and the
-//! one-shot try-probes use it.
+//! whoever's hold raised the events — a port call, a dropped handle —
+//! drains them after it unlocked (`Partitioned::drain`), one hold of the
+//! target engine per event (`Engine::serve`), each hold possibly raising
+//! further events onto the same worklist — a value crosses a chain of
+//! links on the thread of the task that sent it. Serving is idempotent,
+//! so an event that went stale (a splice removed the port, someone else
+//! armed it) costs one hold and changes nothing; [`Partitioned::pump`]
+//! simply raises both events on every link and drains — connect, splice
+//! and the one-shot try-probes use it.
 //!
 //! **Lock order.** A thread never holds two engine locks. The link mutex
 //! (`LinkShared`) is a leaf: taken under at most one engine lock, held for
 //! a push, a pop or a flag flip. Because a link end is only ever touched
 //! under its own engine's lock, concurrent tasks cannot tear an
-//! offer/acknowledge pair apart or reorder two values of one link.
+//! offer/acknowledge pair apart or reorder two values of one link, and
+//! "dead and dry" is one look under one mutex, whoever comes last.
 //!
 //! **Counters.** [`EngineStats::batch_moves`] counts holds that moved a
 //! value across a link end and [`EngineStats::batched_values`] the values
@@ -103,12 +114,12 @@
 //! // as a kick, and the value crossed the link end to end.
 //! let stats = handle.stats();
 //! assert_eq!(stats.kicks, 0, "single-link chains must not kick");
-//! assert!(stats.batched_values > 0, "the value crossed via batched pumps");
+//! assert!(stats.batched_values > 0, "the value crossed the link, counted at both ends");
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{btree_map::Entry, BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock, Weak};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -138,19 +149,17 @@ pub struct Link {
     pub from: usize,
     pub to: usize,
     shared: Arc<LinkShared>,
-    /// Hangup propagation latches (monotone; reset only by a splice,
-    /// which re-runs the fixpoint). `hangup_fwd`: the *from* engine's
-    /// tail port is dead and the queue drained, so the head port was
-    /// hung up on the *to* engine. `hangup_back`: the head port is dead
-    /// (nothing downstream will ever consume), so the tail port was
-    /// hung up on the *from* engine.
-    hangup_fwd: AtomicBool,
-    hangup_back: AtomicBool,
 }
 
 impl Link {
     pub fn depth(&self) -> usize {
         self.shared.state.lock().queue.len()
+    }
+
+    /// Deadness has crossed this link, in either direction.
+    fn crossed(&self) -> bool {
+        let st = self.shared.state.lock();
+        st.source_dead || st.sink_dead
     }
 
     fn from_spec(spec: &LinkSpec, shared: Option<Arc<LinkShared>>) -> Link {
@@ -168,8 +177,6 @@ impl Link {
                     }),
                 })
             }),
-            hangup_fwd: AtomicBool::new(false),
-            hangup_back: AtomicBool::new(false),
         }
     }
 
@@ -248,10 +255,6 @@ pub struct Partitioned {
     /// Counted kicks: operations on a region bordering ≥ 2 links
     /// ([`EngineStats::kicks`]).
     kicks: AtomicU64,
-    /// Back-reference for fault fan-out, set once the partition is behind
-    /// an `Arc` ([`Partitioned::wire_fault_fanout`]); splices use it to
-    /// wire fresh region engines the same way.
-    fanout: OnceLock<Weak<Partitioned>>,
     /// Shared stall-watchdog state, mirrored into every region engine so
     /// a deadline expiry anywhere can upgrade to [`RuntimeError::Stalled`].
     watchdog_state: OnceLock<Arc<crate::watchdog::WatchdogState>>,
@@ -347,7 +350,6 @@ pub fn partition_with_opts(
         mode,
         limits,
         kicks: AtomicU64::new(0),
-        fanout: OnceLock::new(),
         watchdog_state: OnceLock::new(),
         lock_poison_noted: AtomicBool::new(false),
     })
@@ -528,10 +530,14 @@ impl Partitioned {
     }
 
     /// Serve the next event of `work` in one hold of its target engine,
-    /// which may add further events; `false` once the list is empty. The
-    /// step a port call's drain is made of, public so a test can take the
-    /// protocol through every interleaving one hold at a time.
+    /// which may add further events — a fault first, one hold of every
+    /// engine; `false` once the list is empty. The step a drain is made
+    /// of, public so a test can take it through every interleaving.
     pub fn serve_one(&self, topo: &Topology, work: &mut LinkEvents) -> bool {
+        if let Some(msg) = work.fault.take() {
+            self.poison_all(&msg);
+            return true;
+        }
         let Some(ev) = work.pop() else { return false };
         let (LinkEvent::Offer(p) | LinkEvent::Rearm(p)) = ev;
         // A hold that follows a splice can name a port younger than the
@@ -539,23 +545,15 @@ impl Partitioned {
         // that is gone routes to an engine that does not serve it).
         let fresh = topo.region_of(p).is_none().then(|| self.topo());
         let topo = fresh.as_deref().unwrap_or(topo);
-        if topo.engine_for(p).serve(ev, work) {
-            // Source dead, queue dry: nothing will cross this link again.
-            let link = topo.links.iter().find(|l| l.in_port == p);
-            if let Some(link) = link.filter(|l| !l.hangup_fwd.swap(true, Ordering::AcqRel)) {
-                topo.engines[link.to].hangup(&[link.out_port], None);
-                self.propagate_hangups(topo);
-                raise_all(topo, work); // downstream links may now be dead too
-            }
-        }
+        topo.engine_for(p).serve(ev, work);
         true
     }
 
     /// Run `hold` — a port call's poll in an engine of `topo` — and
-    /// then, that lock released, drain the link events it raised against
-    /// the snapshot the call was routed by: one hold of the target engine
-    /// per event, until no hold raises another. Never holds two engine
-    /// locks.
+    /// then, that lock released, drain what it left for other engines
+    /// against the snapshot the call was routed by: one hold of the target
+    /// engine per event, until no hold raises another. Never holds two
+    /// engine locks; when the call returns, what it caused is done.
     pub(crate) fn drain<R>(&self, topo: &Topology, hold: impl FnOnce(&mut LinkEvents) -> R) -> R {
         let mut work = LinkEvents::default();
         let result = hold(&mut work);
@@ -583,7 +581,8 @@ impl Partitioned {
 
     /// Test support: what the link protocol promises whenever no event is
     /// outstanding, checked on every link — a queue front is on offer at
-    /// its head, a tail with credit is armed. One line per violation.
+    /// its head, a tail with credit is armed unless its head is dead. One
+    /// line per violation.
     pub fn unserved_links(&self) -> Vec<String> {
         let topo = self.topo();
         let mut faults = Vec::new();
@@ -604,7 +603,8 @@ impl Partitioned {
                     st.offered
                 ));
             }
-            if tail_armed != link.shared.capacity.is_none_or(|cap| st.queue.len() < cap) {
+            let credit = link.shared.capacity.is_none_or(|cap| st.queue.len() < cap);
+            if tail_armed != credit && !st.sink_dead {
                 faults.push(format!(
                     "link {i}: {} queued of {:?}, tail armed={tail_armed}",
                     st.queue.len(),
@@ -649,42 +649,12 @@ impl Partitioned {
     /// Poison every region engine (fault fan-out): one region's panic
     /// must not strand tasks parked in *other* regions, so the poison is
     /// spread session-wide and every parked operation — thread or task —
-    /// resolves with [`RuntimeError::Poisoned`]. Idempotent.
+    /// resolves with [`RuntimeError::Poisoned`]. On the calling thread,
+    /// one hold per engine. Idempotent.
     pub fn poison_all(&self, msg: &str) {
         for e in &self.topo().engines {
             e.poison(msg);
         }
-    }
-
-    /// Wire each region engine's fault notifier to poison the *whole*
-    /// partition: a panic contained in one region's firing loop fans out
-    /// so peers in other regions fail fast instead of waiting forever.
-    /// Must be called once the partition sits behind its final `Arc`;
-    /// splices reuse the stored back-reference for fresh regions.
-    ///
-    /// The notifier runs with the panicking engine's lock held, so the
-    /// fan-out is deferred to a detached thread (lock order: never take
-    /// another engine's lock while holding one).
-    pub fn wire_fault_fanout(self: &Arc<Self>) {
-        let _ = self.fanout.set(Arc::downgrade(self));
-        for e in &self.topo().engines {
-            Self::wire_engine_fanout(self.fanout.get().expect("fanout just set"), e);
-        }
-    }
-
-    fn wire_engine_fanout(weak: &Weak<Partitioned>, engine: &Arc<Engine>) {
-        let weak = weak.clone();
-        engine.set_fault_notifier(Box::new(move |msg| {
-            let weak = weak.clone();
-            let msg = msg.to_string();
-            // Deferred: the notifier fires under the poisoned engine's
-            // lock; poisoning the siblings needs their locks.
-            std::thread::spawn(move || {
-                if let Some(part) = weak.upgrade() {
-                    part.poison_all(&msg);
-                }
-            });
-        }));
     }
 
     /// Arm the shared stall watchdog: every region engine gets the same
@@ -694,62 +664,6 @@ impl Partitioned {
         let _ = self.watchdog_state.set(Arc::clone(&w));
         for e in &self.topo().engines {
             e.set_watchdog(Arc::clone(&w));
-        }
-    }
-
-    /// Hang up the given ports (their tasks dropped the handles), drain
-    /// the link events those holds raised (a tail that died, its link
-    /// dry), and propagate deadness across links to a fixpoint. A region
-    /// that borders no link raises nothing and has nothing to propagate.
-    pub fn hangup(&self, ports: &[PortId]) {
-        let topo = self.topo();
-        // A port no region serves routes to an engine that ignores it.
-        self.drain(&topo, |work| {
-            (ports.iter()).for_each(|&p| topo.engine_for(p).hangup(&[p], Some(&mut *work)));
-        });
-        self.propagate_hangups(&topo);
-    }
-
-    /// Cross-link hangup fixpoint. Forward: a link whose tail port is
-    /// dead on the *from* engine and whose queue is drained hangs up its
-    /// head port on the *to* engine (buffered values still deliver — the
-    /// drained-later case is covered by the pop that dries the queue,
-    /// see [`LinkEvent::Rearm`]). Backward: a link whose head
-    /// port is dead on the *to* engine (nothing will ever consume) hangs
-    /// up its tail port on the *from* engine immediately — values parked
-    /// behind it could never be delivered anyway. The latches are
-    /// monotone and finite, so the loop terminates. Each round asks an
-    /// engine once, in one hold, which of its link ports are dead — and
-    /// only an engine with a hangup that some link still waits on.
-    pub fn propagate_hangups(&self, topo: &Topology) {
-        loop {
-            let mut asked: HashMap<usize, PortSet> = HashMap::new();
-            let mut is_dead = |r: usize, p: PortId| {
-                let engine = &topo.engines[r];
-                let ask = || engine.dead_link_ports();
-                engine.any_hungup() && asked.entry(r).or_insert_with(ask).contains(p)
-            };
-            let mut changed = false;
-            for link in &topo.links {
-                // Dry is really drained: a tail's delivery enters the queue
-                // in the hold that fired it, so none is parked outside.
-                if !link.hangup_fwd.load(Ordering::Acquire)
-                    && is_dead(link.from, link.in_port)
-                    && link.shared.dry()
-                {
-                    link.hangup_fwd.store(true, Ordering::Release);
-                    topo.engines[link.to].hangup(&[link.out_port], None);
-                    changed = true;
-                }
-                if !link.hangup_back.load(Ordering::Acquire) && is_dead(link.to, link.out_port) {
-                    link.hangup_back.store(true, Ordering::Release);
-                    topo.engines[link.from].hangup(&[link.in_port], None);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return;
-            }
         }
     }
 
@@ -776,13 +690,15 @@ impl Partitioned {
     ///
     /// 1. **Plan** the new partition and match it against the live
     ///    topology: a new region inherits an old region's engine iff they
-    ///    share a kept constituent. Merges and splits of live regions are
-    ///    rejected ([`RuntimeError::Reconfig`]) — v1 supports branch
-    ///    churn, not arbitrary re-partitioning.
+    ///    share a kept constituent or an end of a surviving link. Merges
+    ///    and splits of live regions are rejected
+    ///    ([`RuntimeError::Reconfig`]) — v1 supports branch churn, not
+    ///    arbitrary re-partitioning.
     /// 2. **Quiesce**: lock every affected engine — a region whose
     ///    constituents change, leave, or whose *border* changes (it gains
     ///    or loses a bordering link, with or without a change to its
-    ///    constituent list) — and only then look at the removed links:
+    ///    constituent list), and both regions of every link that deadness
+    ///    has crossed — and only then look at the removed links:
     ///    the link mutex is a leaf under the engine locks, and with both
     ///    ends' engines held nothing can push or pop. Verify removed links
     ///    empty, removed ports idle (`Engine::removal_quiescent` — but for
@@ -797,12 +713,15 @@ impl Partitioned {
     ///    link ends, into the same engine — `Arc<Engine>` identity is
     ///    preserved, so tasks parked in kept regions wake in the engine
     ///    the new topology routes to. A region that only changed its
-    ///    border gets the new link-end table. Fresh regions get fresh
-    ///    engines; untouched regions are not even locked.
+    ///    border gets the new link-end table. Hangups that crossed a link
+    ///    are derived, so forgotten here and recomputed from the task
+    ///    hangups alone. Fresh regions get fresh engines; untouched
+    ///    regions are not even locked.
     /// 4. **Swap** in the successor [`Topology`]: surviving links carry
     ///    their in-flight values over via the shared link state.
     /// 5. **Re-pump** everything once, inline — nothing enabled by the
-    ///    splice waits for the next task operation.
+    ///    splice waits for the next task operation, and a fault in an
+    ///    install's own firing poisons every region.
     ///
     /// On any error the live topology and every engine are left exactly
     /// as they were (all mutations happen after the last fallible step).
@@ -830,29 +749,41 @@ impl Partitioned {
             }
         }
 
-        // Match regions old ↔ new through their kept constituents.
+        // Match regions old ↔ new: through their kept constituents, and
+        // through the ends of surviving links (same port pair) — a region
+        // whose only member was re-shaped (a variadic node gaining an
+        // input) is still the region at that end of the link, and the
+        // receive armed on the tail moves with it instead of reading as
+        // traffic on a region that leaves.
+        let carried: Vec<Option<usize>> = (plan.links.iter())
+            .map(|spec| {
+                let same = |ol: &Link| ol.in_port == spec.in_port && ol.out_port == spec.out_port;
+                old.links.iter().position(same)
+            })
+            .collect();
         let mut old_region_of: Vec<Option<usize>> = vec![None; plan.regions.len()];
         let mut taken: Vec<Option<usize>> = vec![None; old.engines.len()];
-        for (nr, members) in plan.regions.iter().enumerate() {
-            for &ni in members {
-                let Some(oi) = old_of_new[ni] else { continue };
-                let or = old.automaton_region[oi].expect("role checked above");
-                match old_region_of[nr] {
-                    None => old_region_of[nr] = Some(or),
-                    Some(prev) if prev != or => {
-                        return Err(RuntimeError::Reconfig(
-                            "the reconfiguration would merge two live regions (unsupported)".into(),
-                        ))
-                    }
-                    Some(_) => {}
-                }
+        let mut bind = |nr: usize, or: usize| {
+            let unsupported = |what| {
+                RuntimeError::Reconfig(format!("the reconfiguration would {what} (unsupported)"))
+            };
+            if old_region_of[nr].replace(or).is_some_and(|prev| prev != or) {
+                return Err(unsupported("merge two live regions"));
             }
-            if let Some(or) = old_region_of[nr] {
-                if taken[or].replace(nr).is_some() {
-                    return Err(RuntimeError::Reconfig(
-                        "the reconfiguration would split a live region (unsupported)".into(),
-                    ));
-                }
+            if taken[or].replace(nr).is_some_and(|prev| prev != nr) {
+                return Err(unsupported("split a live region"));
+            }
+            Ok(())
+        };
+        for (nr, members) in plan.regions.iter().enumerate() {
+            for oi in members.iter().filter_map(|&ni| old_of_new[ni]) {
+                bind(nr, old.automaton_region[oi].expect("role checked above"))?;
+            }
+        }
+        for (spec, oli) in plan.links.iter().zip(&carried) {
+            if let Some(ol) = oli.map(|oli| &old.links[oli]) {
+                bind(spec.from, ol.from)?;
+                bind(spec.to, ol.to)?;
             }
         }
         let removed_regions: Vec<usize> = (0..old.engines.len())
@@ -888,14 +819,13 @@ impl Partitioned {
         // Surviving links keep their queue (matched by port pair — kept
         // constituents keep their ports, fresh ones get fresh ports).
         let mut old_link_kept = vec![false; old.links.len()];
-        let links: Vec<Link> = (plan.links.iter())
-            .map(|spec| {
-                let same = |ol: &Link| ol.in_port == spec.in_port && ol.out_port == spec.out_port;
-                let carried = old.links.iter().position(same).map(|oli| {
+        let links: Vec<Link> = (plan.links.iter().zip(&carried))
+            .map(|(spec, oli)| {
+                let shared = oli.map(|oli| {
                     old_link_kept[oli] = true;
                     Arc::clone(&old.links[oli].shared)
                 });
-                Link::from_spec(spec, carried)
+                Link::from_spec(spec, shared)
             })
             .collect();
 
@@ -940,19 +870,29 @@ impl Partitioned {
         }
 
         // ---- Quiesce (lock order: engines, then the leaf link locks). ----
-        let mut locked: Vec<usize> = affected
-            .iter()
-            .chain(removed_regions.iter())
-            .chain(rebordered.iter())
-            .copied()
-            .collect();
-        locked.sort_unstable();
-        locked.dedup();
-        let mut guards: HashMap<usize, parking_lot::MutexGuard<'_, EngineInner>> = HashMap::new();
-        for &r in &locked {
-            let g = old.engines[r].lock();
-            Engine::check_open(&g)?;
-            guards.insert(r, g);
+        let mut guards = BTreeMap::new();
+        for &r in affected.iter().chain(&removed_regions).chain(&rebordered) {
+            hold_region(&mut guards, &old.engines, r)?;
+        }
+        // A link port only ever hangs up because the far end of its link is
+        // dead: derived state, whose cause the splice may take away (a
+        // sender joins a merger all of whose senders had left). So it is
+        // recomputed, not inherited: both engines of every link deadness
+        // has crossed are held too, and past the point of no return those
+        // flags are cleared and the ports leave the engines' `hungup`.
+        let mut derived: Vec<&Link> = Vec::new();
+        loop {
+            let found = derived.len(); // a held engine's flags are final
+            for ol in &old.links {
+                if ol.crossed() && !derived.iter().any(|d| std::ptr::eq(*d, ol)) {
+                    derived.push(ol);
+                    hold_region(&mut guards, &old.engines, ol.from)?;
+                    hold_region(&mut guards, &old.engines, ol.to)?;
+                }
+            }
+            if derived.len() == found {
+                break;
+            }
         }
         // Both engines of a link that leaves are held, so its depth is
         // final. Once it is empty, what is pending at its two ports is the
@@ -1045,15 +985,27 @@ impl Partitioned {
                 g.pending.set(port, Pending::None);
             }
         }
-        for &or in &locked {
+        for ol in derived {
+            let mut st = ol.shared.state.lock();
+            (st.source_dead, st.sink_dead) = (false, false);
+            for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
+                let g = guards.get_mut(&r).expect("held above");
+                g.hungup.remove(port);
+            }
+        }
+        // Every held engine redoes its hangup analysis against its new link
+        // ends; what it leaves for others (a fault first) is drained below.
+        let mut work = LinkEvents::default();
+        for (&or, g) in guards.iter_mut() {
             let Some(nr) = taken[or] else {
                 continue; // a removed region
             };
-            let g = guards.get_mut(&or).expect("locked above");
             let ends = link_ends(&links, nr);
             match installs.remove(&or) {
-                Some((core, ports)) => old.engines[or].install(g, core, ports, layout, &ends),
-                None => Engine::set_link_ends(g, &ends), // only its border changed
+                Some((core, ports)) => {
+                    old.engines[or].install(g, core, ports, layout, &ends, &mut work)
+                }
+                None => Engine::reborder(g, &ends, &mut work),
             }
         }
         let engines: Vec<Arc<Engine>> = (0..plan.regions.len())
@@ -1062,11 +1014,7 @@ impl Partitioned {
                 None => {
                     let (core, ports) = fresh.remove(&nr).expect("fresh region core built");
                     let engine = new_region_engine(core, ports, layout, &links, nr);
-                    // Fresh regions join the fault-containment fabric:
-                    // poison fan-out and the shared stall watchdog.
-                    if let Some(weak) = self.fanout.get() {
-                        Self::wire_engine_fanout(weak, &engine);
-                    }
+                    // Fresh regions share the stall watchdog.
                     if let Some(w) = self.watchdog_state.get() {
                         engine.set_watchdog(Arc::clone(w));
                     }
@@ -1094,16 +1042,30 @@ impl Partitioned {
         for &r in &removed_regions {
             old.engines[r].close();
         }
-        // The fresh `Link` records reset the hangup-propagation latches;
-        // surviving engines keep their hungup sets, so one fixpoint pass
-        // re-establishes cross-link deadness before the pump runs.
-        self.propagate_hangups(&next);
-        // One full pump covers everything the splice may have enabled
-        // (fresh links arm, carried tokens reach new heads) and whatever
-        // the installs' own firing raised.
-        self.pump();
+        // One full pump covers everything the splice may have enabled:
+        // fresh links arm, carried tokens reach new heads, and deadness
+        // crosses again where it still holds.
+        self.drain(&next, |out| {
+            work.drain_into(out);
+            raise_all(&next, out)
+        });
         Ok(())
     }
+}
+
+/// Lock region `r`'s engine for a splice unless it is held already; a
+/// closed or poisoned engine refuses the splice.
+fn hold_region<'a>(
+    guards: &mut BTreeMap<usize, parking_lot::MutexGuard<'a, EngineInner>>,
+    engines: &'a [Arc<Engine>],
+    r: usize,
+) -> Result<(), RuntimeError> {
+    if let Entry::Vacant(slot) = guards.entry(r) {
+        let g = engines[r].lock();
+        Engine::check_open(&g)?;
+        slot.insert(g);
+    }
+    Ok(())
 }
 
 /// Raise both events on every link of `topo`.

@@ -224,16 +224,10 @@ impl Backend {
         .map_or(Poll::Pending, Poll::Ready)
     }
 
-    /// Phaser-style deregistration on handle drop: the task behind `p` is
-    /// gone, so transitions that synchronize `p` can never fire again.
-    /// The engine's hangup analysis wakes every peer whose remaining
-    /// transitions are all dead with [`RuntimeError::Hangup`]; the
-    /// partitioned backend also propagates deadness across drained links.
+    /// The hangup a dropped handle owes (see `Registration`): one hold, and
+    /// the drain of what it raised — deadness crosses links like a value.
     fn hangup(&self, p: PortId) {
-        match self {
-            Backend::Single(e) => e.hangup(&[p], None),
-            Backend::Multi(m) => m.hangup(&[p]),
-        }
+        self.hold(p, false, |e, ev| e.hangup(&[p], ev))
     }
 
     pub(crate) fn steps(&self) -> u64 {
@@ -703,9 +697,9 @@ impl<T> std::fmt::Debug for RecvFuture<'_, T> {
 /// from here on. Peers left with only dead transitions are woken with
 /// [`RuntimeError::Hangup`] instead of blocking forever — a producer
 /// blocked on (or later attempting) a send that requires a departed
-/// consumer's port included. Values already *inside* the connector
-/// (buffers, link queues) still deliver — only after they drain does
-/// deadness propagate downstream.
+/// consumer's port included —, in other regions too, before the drop
+/// returns. Values already *inside* the connector (buffers, link queues)
+/// still deliver — only after they drain does deadness go downstream.
 struct Registration {
     backend: Backend,
     port: PortId,

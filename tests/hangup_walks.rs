@@ -201,3 +201,34 @@ fn a_buffered_value_drains_before_the_unwalked_hangup_shows() {
         );
     }
 }
+
+/// (v) Teardown across links is linear. `Relay` is `Sync – Fifo1 – Sync`
+/// per channel, cut at the fifo: one value, then every handle is dropped
+/// with nobody parked. A drop takes its own hold and, where deadness
+/// crosses the link, one hold per event — the head's `Offer` and the
+/// tail's `Rearm` for the first end of a channel to go, nothing for the
+/// second: two engine-lock holds per dropped handle, whatever `n` (a
+/// fixpoint over every link after every drop made it `4 + n`).
+#[test]
+fn a_teardown_across_links_takes_a_constant_number_of_holds_per_handle() {
+    let relay = "Relay(tl[];hd[]) = prod (i:1..#tl) Sync(tl[i];m[i]) \
+        mult prod (i:1..#tl) Fifo1(m[i];n[i]) mult prod (i:1..#tl) Sync(n[i];hd[i])";
+    for n in [16, 64] {
+        for (name, mode) in Mode::grid_subset(&["part", "comp-part"]) {
+            let mut session = connect(relay, "Relay", mode, &[("tl", n), ("hd", n)]);
+            let handle = session.handle();
+            assert_eq!(handle.link_count(), n, "{name}");
+            let txs = session.typed_outports::<i64>("tl").unwrap();
+            let rxs = session.typed_inports::<i64>("hd").unwrap();
+            exchange(&txs[0], &rxs[0], 7);
+            let before = handle.stats().lock_acquisitions;
+            drop((txs, rxs));
+            // Reading the counters takes every engine's lock once more.
+            let stats = handle.region_count() as u64;
+            let holds = handle.stats().lock_acquisitions - before - stats;
+            let handles = 2 * n as u64;
+            println!("{name} n={n}: {holds} holds for {handles} handles");
+            assert!(holds <= 3 * handles, "{name} n={n}: {holds} holds");
+        }
+    }
+}

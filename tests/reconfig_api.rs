@@ -194,6 +194,85 @@ fn a_branch_joined_by_a_cut_link_detaches_once_drained() {
     }
 }
 
+/// The merger is the only member of its region here and borders a cut
+/// link that survives the splice. Attaching re-shapes the merger, so no
+/// constituent of the region is kept: the region is still the one at the
+/// tail of that link, keeps its engine, and the receive the link protocol
+/// has armed there moves with it (it used to read as traffic on a region
+/// that leaves, and the attach was refused for ever).
+const FUNNEL: &str = "M(src[];c) = Merger(src[1..#src];m[1]) \
+    mult prod (i:1..1) Fifo1(m[i];n[i]) mult prod (i:1..1) Sync(n[i];c)";
+
+#[test]
+fn a_branch_joins_a_merger_that_feeds_a_cut_link() {
+    for &(label, mode) in Mode::grid() {
+        let (mut session, handle) = connect_merger(FUNNEL, mode, 2);
+        let partitioned = handle.link_count() > 0;
+        assert_eq!(partitioned, label.ends_with("part"), "{label}");
+        let txs = session.typed_outports::<i64>("src").unwrap();
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        txs[0].send(1).unwrap();
+        assert_eq!(rx.recv().unwrap(), 1, "{label}");
+
+        let mut branch = handle
+            .attach("src")
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let tx2 = branch.outport().unwrap();
+        tx2.send(Value::Int(2)).unwrap();
+        assert_eq!(rx.recv().unwrap(), 2, "{label}: through the new branch");
+        drop(tx2);
+        branch.detach().unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(handle.epoch(), 2, "{label}");
+        if partitioned {
+            assert_eq!(handle.link_count(), 1, "{label}: the link survived both");
+        }
+        txs[1].send(3).unwrap();
+        assert_eq!(
+            rx.recv().unwrap(),
+            3,
+            "{label}: the old branches still work"
+        );
+        handle.close();
+    }
+}
+
+/// Once every sender has left, the sink answers `Hangup` — across the cut
+/// link too. A link port is hung up only because the far end of its link is
+/// dead, so a splice that takes the cause away takes the hangup away: a
+/// sender attached afterwards gets its value through in every mode (the
+/// partitioned ones used to keep the link ports in their monotone hangup
+/// sets and answer `Hangup` for ever).
+#[test]
+fn a_sender_attached_after_every_sender_left_revives_the_path() {
+    const WAIT: Duration = Duration::from_secs(5);
+    let source = "M(src[];c) = prod (i:1..#src) Sync(src[i];a[i]) \
+        mult Merger(a[1..#src];m[1]) mult prod (i:1..1) Fifo1(m[i];n[i]) \
+        mult prod (i:1..1) Sync(n[i];c)";
+    for &(label, mode) in Mode::grid() {
+        let (mut session, handle) = connect_merger(source, mode, 2);
+        let txs = session.typed_outports::<i64>("src").unwrap();
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        txs[0].send(1).unwrap();
+        assert_eq!(rx.recv().unwrap(), 1, "{label}");
+        drop(txs);
+        let gone = rx.recv_timeout(WAIT);
+        assert!(
+            matches!(gone, Err(RuntimeError::Hangup(_))),
+            "{label}: {gone:?}"
+        );
+
+        let mut branch = handle
+            .attach("src")
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let tx = branch.outport().unwrap();
+        let sent = tx.send_timeout(Value::Int(2), WAIT);
+        assert!(sent.is_ok(), "{label}: send {sent:?}");
+        let got = rx.recv_timeout(WAIT);
+        assert!(matches!(got, Ok(2)), "{label}: recv {got:?}");
+        handle.close();
+    }
+}
+
 /// A branch that still buffers a value refuses to leave until the value
 /// drains: detach blocks, a late consumer frees it, and nothing is lost.
 #[test]

@@ -4,10 +4,12 @@
 //!
 //! Every step of the port protocol is one critical section: a poll, a
 //! retraction, a close, a hangup, or the service of one link event in a
-//! hold of the other engine. So a handful of logical tasks, each a script of port
-//! operations with its own waker and its own event worklist, can be taken
-//! through **every** interleaving at hold granularity on one thread: a
-//! schedule is replayed from a fresh partition, the last choice with an
+//! hold of the other engine — deadness crosses a link as such an event, and
+//! a fault's fan-out is one move as well (a hold of every engine in turn,
+//! nothing held in between). So a handful of logical tasks, each a script
+//! of port operations with its own waker and its own event worklist, can be
+//! taken through **every** interleaving at hold granularity on one thread:
+//! a schedule is replayed from a fresh partition, the last choice with an
 //! untried alternative is advanced, until none is left. A *timed* operation
 //! adds a choice of its own: while it is parked its deadline may pass at any
 //! point, woken or not, and the task then retracts instead of polling again.
@@ -45,10 +47,13 @@ pub enum Op {
     TrySend(PortId, i64),
     TryRecv(PortId),
     Close,
-    /// The task drops its handle of the port: the hangup's own hold (the
-    /// events it raises are served like any other), then the propagation
-    /// across links.
+    /// The task drops its handle of the port: the hangup's own hold; the
+    /// events it raises are served like any other.
     Hangup(PortId),
+    /// Inject a fault into the region serving the port: the next step its
+    /// engine fires panics inside the firing (`arm_panic_after_steps(0)`),
+    /// in whoever's hold that is — a poll or the service of a link event.
+    Poison(PortId),
 }
 
 impl Op {
@@ -109,6 +114,7 @@ pub struct Answer {
     /// Sent, or received a value.
     pub ok: bool,
     pub hangup: bool,
+    pub poisoned: bool,
     pub drops_before: usize,
 }
 
@@ -167,8 +173,7 @@ impl World {
                 continue;
             }
             let op = t.script[t.pc];
-            let dropping = matches!(op, Op::Hangup(_));
-            if op.probe() || dropping || t.woken.0.load(Ordering::SeqCst) {
+            if op.probe() || t.woken.0.load(Ordering::SeqCst) {
                 moves.push((i, Move::Go));
             }
             if op.timed() {
@@ -194,16 +199,14 @@ impl World {
                 t.pc += 1;
                 return;
             }
-            // `parked` here: the hangup has had its hold, propagation is due.
-            Op::Hangup(port) if !t.parked => {
+            Op::Hangup(port) => {
                 (topo.engine_for(port)).hangup(&[port], Some(&mut t.events));
                 self.drops += 1;
-                t.parked = true;
+                t.pc += 1;
                 return;
             }
-            Op::Hangup(_) => {
-                self.part.propagate_hangups(&topo);
-                t.parked = false;
+            Op::Poison(port) => {
+                topo.engine_for(port).arm_panic_after_steps(0);
                 t.pc += 1;
                 return;
             }
@@ -246,10 +249,11 @@ impl World {
         t.answers.push(Answer {
             ok: answer.is_ok(),
             hangup: matches!(answer, Err(RuntimeError::Hangup(_))),
+            poisoned: matches!(answer, Err(RuntimeError::Poisoned(_))),
             drops_before: self.drops,
         });
         match (sending, answer) {
-            (_, Err(RuntimeError::Hangup(_))) => {}
+            (_, Err(RuntimeError::Hangup(_) | RuntimeError::Poisoned(_))) => {}
             (Some(v), Ok(_)) => t.sent.push(v),
             (Some(v), Err(RuntimeError::Timeout | RuntimeError::Closed)) => t.unsent.push(v),
             (None, Ok(v)) => t.got.push(v.and_then(|v| v.as_int()).expect("an integer")),
@@ -309,7 +313,11 @@ pub fn explore(
                 schedule()
             );
         }
-        let unserved = world.part.unserved_links();
+        // A poisoned session serves nothing any more.
+        let unserved = match world.part.poison_message() {
+            Some(_) => Vec::new(),
+            None => world.part.unserved_links(),
+        };
         assert!(unserved.is_empty(), "{unserved:?} after {}", schedule());
         let stats = world.part.stats();
         assert_eq!(
@@ -332,6 +340,6 @@ pub fn explore(
         prefix.push(c + 1);
     }
     println!("{name}: {schedules} schedules");
-    assert!(schedules > 100, "{name}: nothing interleaved");
+    assert!(schedules >= 25, "{name}: nothing interleaved");
     schedules
 }
