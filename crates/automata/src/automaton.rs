@@ -265,6 +265,10 @@ impl AutomatonBuilder {
         }
     }
 
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// Mark the automaton under construction as a plain queue.
     pub fn queue_hint(&mut self, hint: QueueHint) {
         self.queue_hint = Some(hint);

@@ -15,7 +15,8 @@
 //!   cells ([`store`]) so that automata are directly *executable*;
 //! * builders for the full primitive set ([`primitives`]);
 //! * the product × with reachable-only construction and explosion budgets
-//!   ([`product()`]);
+//!   ([`product()`] for two automata, [`product_all`] for a list), over the
+//!   connected-step enumerator it shares with the JIT ([`connected`]);
 //! * the transition-label simplification optimization of reference \[30\]
 //!   ([`simplify()`]);
 //! * exploration/analysis helpers ([`explore`]).
@@ -26,6 +27,8 @@
 
 pub mod assign;
 pub mod automaton;
+mod buckets;
+pub mod connected;
 pub mod explore;
 pub mod fire;
 pub mod guard;
@@ -41,6 +44,7 @@ pub mod value;
 
 pub use assign::{Assign, Dst};
 pub use automaton::{Automaton, AutomatonBuilder, StateId, Transition};
+pub use connected::{Choice, PortOwners};
 pub use fire::{try_fire, Firing};
 pub use guard::{Cmp, Guard, Pred};
 pub use lower::{lower, ExecScratch, LowerError, LowerOptions, Lowered, LoweredTransition};

@@ -7,24 +7,56 @@
 //! of transitions exponential in the number of independent constituents
 //! (the paper's Fig. 13 finding 3).
 //!
-//! The eager product keeps those joint steps on purpose: it is Eq. 1 as
-//! written, the Fig. 12 baseline and `Mode::compiled()`. The just-in-time
-//! engine (`reo_runtime::jit`) expands only steps connected through fired
-//! shared ports — a joint step of port-disjoint parts equals firing the
-//! parts in any order — and `tests/connected_steps.rs` holds the two to
-//! each other with this module as the oracle.
+//! The eager product keeps those joint steps on purpose: it is Eq. 1, the
+//! Fig. 12 baseline and `Mode::compiled()`. The just-in-time engine
+//! (`reo_runtime::jit`) fires only steps connected through fired shared
+//! ports — a joint step of port-disjoint parts equals firing the parts in
+//! any order.
 //!
-//! Construction is reachable-only, breadth-first from the initial pair, with
-//! a configurable state budget. Exceeding the budget is how "the existing
-//! compiler cannot handle" a connector manifests in this reproduction.
+//! # A list of automata: one construction over state tuples
+//!
+//! [`product_all`] and [`product_all_traced`] compose all constituents at
+//! once. States are the constituent state **tuples** reachable from the
+//! start tuple, interned breadth-first into one flat arena — which is also
+//! the queue and, for the traced variant, the trace. At a tuple the
+//! connected steps come from the enumerator the JIT expands with
+//! ([`mod@crate::connected`]), and the transitions are every non-empty set
+//! of them with pairwise disjoint participants: exactly Eq. 1's, since a
+//! closed step fires no port of a non-participant. Each is composed once,
+//! from its participants in ascending constituent order, so the work done
+//! follows the states and transitions that come out. State and transition
+//! order are a function of the input alone.
+//!
+//! Folding the binary product over the list arrives at the same automaton
+//! (`tests/product_nary.rs`), but every intermediate keeps the joint steps
+//! of constituents that only a later operand synchronises: `ordered` at
+//! n = 8 passed through 908,896 transitions on its way to 16.
+//!
+//! The [`ProductOptions`] budgets are tested after every interned state
+//! and every emitted transition, and they bound **the product that is
+//! returned**: an [`Explosion`] says the connector's own × is too large,
+//! which is how "the existing compiler cannot handle" a connector shows in
+//! this reproduction — never that a partial product on the way was.
+//!
+//! # Two automata: Eq. 1 as written
+//!
+//! [`product`] and [`product_from`] are the definition — pairs of states,
+//! independent steps of either side, joint steps that agree on the shared
+//! window. No runtime path calls them; they contain neither the enumerator
+//! nor the union search, and the tests fold them as the oracle both are
+//! held to (`tests/product_nary.rs`, `tests/connected_steps.rs`).
 
 use std::collections::HashMap;
 
 use crate::automaton::{Automaton, AutomatonBuilder, StateId, Transition};
+use crate::buckets::Buckets;
+use crate::connected::{compose, Choice, PortOwners};
 use crate::port::PortSet;
 use crate::store::MemLayout;
 
-/// Options for product construction.
+/// Options for product construction: how large the product that is
+/// returned may be. Both budgets are tested after every state and every
+/// transition of it; nothing else is ever built (module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct ProductOptions {
     /// Maximum number of (reachable) product states before giving up.
@@ -44,9 +76,11 @@ impl Default for ProductOptions {
     }
 }
 
-/// Product construction failed: the state space or transition count exceeded
-/// the budget. Carries enough context for benchmark harnesses to report
-/// *which* composition failed, as Fig. 12's "existing approach fails" cells.
+/// Product construction failed: the reachable states or the transitions of
+/// the product itself exceeded the budget (the counts are of that product,
+/// as far as it got). Carries enough context for benchmark harnesses to
+/// report *which* composition failed, as Fig. 12's "existing approach
+/// fails" cells.
 #[derive(Debug, Clone)]
 pub struct Explosion {
     pub automaton: String,
@@ -87,10 +121,8 @@ pub fn product(
 /// for every product state the `(a, b)` state pair it stands for.
 ///
 /// `pairs[s.index()]` is the constituent pair of product state `s`; the
-/// product's initial state is `(sa, sb)`. This is the building block of
-/// [`product_all_traced`], which the dynamic-reconfiguration splice uses to
-/// re-compose a region *from its current state tuple* while keeping the
-/// tuple recoverable from any later product state.
+/// product's initial state is `(sa, sb)`. The tests fold this over a list
+/// as the oracle of [`product_all_traced`].
 pub fn product_from(
     a: &Automaton,
     b: &Automaton,
@@ -288,17 +320,17 @@ fn copy_mems(result: &mut Automaton, _mems: &MemLayout, a: &Automaton, b: &Autom
     result.replace_mems(layout, ids);
 }
 
-/// Compose a list of automata with ×, folding left to right.
+/// Compose a list of automata with × in one n-ary construction (module
+/// docs), from their initial states.
 ///
 /// An empty list is invalid (× has no neutral element in this encoding);
 /// a singleton list returns a clone.
 pub fn product_all(autos: &[Automaton], opts: &ProductOptions) -> Result<Automaton, Explosion> {
-    assert!(!autos.is_empty(), "product of zero automata");
-    let mut acc = autos[0].clone();
-    for next in &autos[1..] {
-        acc = product(&acc, next, opts)?;
+    if let [only] = autos {
+        return Ok(only.clone());
     }
-    Ok(acc)
+    let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
+    Ok(TupleSpace::explore(autos, &starts, opts)?.0)
 }
 
 /// Per-product-state constituent tuples: `trace[s.index()]` is the tuple
@@ -308,7 +340,8 @@ pub type StateTrace = Vec<Box<[StateId]>>;
 /// Compose a list of automata with ×, starting each constituent from the
 /// given state, and return alongside the product a **trace**:
 /// `trace[s.index()]` is the constituent state tuple that product state `s`
-/// stands for (one entry per input automaton, in input order).
+/// stands for (one entry per input automaton, in input order) — the tuples
+/// the construction ran over, in discovery order.
 ///
 /// The product's initial state corresponds exactly to `starts`. Label
 /// simplification must **not** be applied to a traced product — merging
@@ -321,24 +354,200 @@ pub fn product_all_traced(
     starts: &[StateId],
     opts: &ProductOptions,
 ) -> Result<(Automaton, StateTrace), Explosion> {
-    assert!(!autos.is_empty(), "product of zero automata");
     assert_eq!(autos.len(), starts.len(), "one start state per automaton");
-    let mut acc = autos[0].with_initial(starts[0]);
-    // Identity trace over the first constituent.
-    let mut trace: Vec<Box<[StateId]>> = acc.all_states().map(|s| Box::from([s])).collect();
-    for (next, &start) in autos[1..].iter().zip(&starts[1..]) {
-        let (prod, pairs) = product_from(&acc, next, acc.initial(), start, opts)?;
-        trace = pairs
-            .iter()
-            .map(|&(sa, sb)| {
-                let mut tuple = trace[sa.index()].to_vec();
-                tuple.push(sb);
-                tuple.into_boxed_slice()
-            })
-            .collect();
-        acc = prod;
+    if let [only] = autos {
+        // Itself, unreachable states and queue hint included.
+        let trace = only.all_states().map(|s| Box::from([s])).collect();
+        return Ok((only.with_initial(starts[0]), trace));
     }
-    Ok((acc, trace))
+    let (product, tuples) = TupleSpace::explore(autos, starts, opts)?;
+    let trace = tuples.chunks(autos.len()).map(Box::from).collect();
+    Ok((product, trace))
+}
+
+/// The states of an n-ary product under construction: constituent tuples,
+/// interned in discovery order.
+struct TupleSpace<'a> {
+    autos: &'a [Automaton],
+    opts: &'a ProductOptions,
+    builder: AutomatonBuilder,
+    /// The tuple of product state `s` is `tuples[s * n..][..n]`; `index`
+    /// finds a tuple's state.
+    tuples: Vec<StateId>,
+    index: Buckets,
+    transitions: usize,
+    /// Scratch of [`unions`](Self::unions): which automata the steps picked
+    /// so far move, and which steps those are.
+    taken: Vec<bool>,
+    picked: Vec<usize>,
+}
+
+impl<'a> TupleSpace<'a> {
+    /// Breadth-first over the tuples reachable from `starts`. Returns the
+    /// product and its tuple arena.
+    fn explore(
+        autos: &'a [Automaton],
+        starts: &[StateId],
+        opts: &'a ProductOptions,
+    ) -> Result<(Automaton, Vec<StateId>), Explosion> {
+        let n = autos.len();
+        assert!(n > 0, "product of zero automata");
+        let names: Vec<&str> = autos.iter().map(|a| a.name()).collect();
+        let mut space = TupleSpace {
+            autos,
+            opts,
+            builder: AutomatonBuilder::new(format!("({})", names.join(" x "))),
+            tuples: Vec::new(),
+            index: Buckets::default(),
+            transitions: 0,
+            taken: vec![false; n],
+            picked: Vec::new(),
+        };
+        let owners = PortOwners::new(autos);
+        space.intern(starts)?;
+        let mut from = Vec::with_capacity(n);
+        let mut s = 0;
+        while s * n < space.tuples.len() {
+            from.clear();
+            from.extend_from_slice(&space.tuples[s * n..][..n]);
+            // A connected step is a product transition, so whatever of the
+            // budget is left bounds the enumeration too.
+            let left = opts.max_transitions - space.transitions;
+            let steps = owners
+                .connected_steps(autos, |i| from[i], left)
+                .map_err(|found| space.explosion(found))?;
+            // Steps come sorted by lowest participant: `group_end[k]` is
+            // where the steps that share step `k`'s end.
+            let mut group_end = vec![steps.len(); steps.len()];
+            for k in (0..steps.len().saturating_sub(1)).rev() {
+                let same = steps[k][0].0 == steps[k + 1][0].0;
+                group_end[k] = if same { group_end[k + 1] } else { k + 1 };
+            }
+            space.unions(StateId(s as u32), &from, &steps, &group_end, 0)?;
+            s += 1;
+        }
+        Ok((finish(space.builder, autos), space.tuples))
+    }
+
+    /// Emit every non-empty set of steps at or after `at` with pairwise
+    /// disjoint participants, joined to the steps already picked. Two steps
+    /// of one group share their lowest participant, so a set takes at most
+    /// one step per group and the search resumes past the group it took
+    /// from — 2^k mutually exclusive steps are scanned once, not per step.
+    fn unions(
+        &mut self,
+        from: StateId,
+        tuple: &[StateId],
+        steps: &[Box<[Choice]>],
+        group_end: &[usize],
+        at: usize,
+    ) -> Result<(), Explosion> {
+        for k in at..steps.len() {
+            if steps[k].iter().any(|c| self.taken[c.0 as usize]) {
+                continue;
+            }
+            self.picked.push(k);
+            (steps[k].iter()).for_each(|c| self.taken[c.0 as usize] = true);
+            self.emit(from, tuple, steps)?;
+            self.unions(from, tuple, steps, group_end, group_end[k])?;
+            (steps[k].iter()).for_each(|c| self.taken[c.0 as usize] = false);
+            self.picked.pop();
+        }
+        Ok(())
+    }
+
+    /// The product transition that fires the picked steps together,
+    /// composed once from its participants in ascending constituent order.
+    fn emit(
+        &mut self,
+        from: StateId,
+        tuple: &[StateId],
+        steps: &[Box<[Choice]>],
+    ) -> Result<(), Explosion> {
+        let mut choice: Vec<Choice> = (self.picked.iter())
+            .flat_map(|&k| steps[k].iter().copied())
+            .collect();
+        choice.sort_unstable();
+        let mut transition = compose(self.autos, &choice);
+        let mut target = tuple.to_vec();
+        for &(i, at, k) in &choice {
+            target[i as usize] = self.autos[i as usize].transitions_from(at)[k as usize].target;
+        }
+        transition.target = self.intern(&target)?;
+        self.builder.transition(from, transition);
+        self.transitions += 1;
+        self.check()
+    }
+
+    /// The product state of `tuple`, made (and queued: the arena is the
+    /// queue) on first sight.
+    fn intern(&mut self, tuple: &[StateId]) -> Result<StateId, Explosion> {
+        let n = self.autos.len();
+        let hash = Buckets::hash(0, tuple.iter().map(|s| s.0));
+        let known = |s: &usize| &self.tuples[s * n..][..n] == tuple;
+        if let Some(s) = self.index.under(hash).find(known) {
+            return Ok(StateId(s as u32));
+        }
+        self.index.push(hash);
+        self.tuples.extend_from_slice(tuple);
+        let fresh = self.builder.state();
+        self.check().map(|()| fresh)
+    }
+
+    /// Both budgets, after every interned state and emitted transition: a
+    /// single state can fan out exponentially many joint transitions
+    /// (Fig. 13 finding 3), so checking once per state is not enough.
+    fn check(&self) -> Result<(), Explosion> {
+        let (states, opts) = (self.index.len(), self.opts);
+        if states > opts.max_states || self.transitions > opts.max_transitions {
+            return Err(self.explosion(0));
+        }
+        Ok(())
+    }
+
+    /// The budget is spent, counting `pending` steps found but not emitted.
+    fn explosion(&self, pending: usize) -> Explosion {
+        Explosion {
+            automaton: self.builder.name().to_string(),
+            states_built: self.index.len(),
+            transitions_built: self.transitions + pending,
+            limit_states: self.opts.max_states,
+            limit_transitions: self.opts.max_transitions,
+        }
+    }
+}
+
+/// Port classes and memory of the product: a port that is input of one
+/// constituent and output of another is internal (data flows through it
+/// inside the product); memory layouts share one global id space.
+fn finish(builder: AutomatonBuilder, autos: &[Automaton]) -> Automaton {
+    let class = |of: fn(&Automaton) -> &PortSet| -> PortSet {
+        autos.iter().flat_map(|a| of(a).iter()).collect()
+    };
+    let (inputs, outputs) = (class(Automaton::inputs), class(Automaton::outputs));
+    let total = |of: fn(&Automaton) -> &PortSet| autos.iter().map(|a| of(a).len()).sum();
+    debug_assert_eq!(
+        inputs.len(),
+        total(Automaton::inputs),
+        "vertex is tail of two arcs"
+    );
+    debug_assert_eq!(
+        outputs.len(),
+        total(Automaton::outputs),
+        "vertex is head of two arcs"
+    );
+    let matched = inputs.intersection(&outputs);
+    let mut result = builder.build();
+    result.set_port_classes(
+        inputs.difference(&matched),
+        outputs.difference(&matched),
+        class(Automaton::internals).union(&matched),
+    );
+    let mut layout = MemLayout::cells(0);
+    autos.iter().for_each(|a| layout.merge(a.mem_layout()));
+    let ids = autos.iter().flat_map(|a| a.mem_ids()).copied().collect();
+    result.replace_mems(layout, ids);
+    result
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 
 use crate::assign::{Assign, Dst};
 use crate::automaton::{Automaton, AutomatonBuilder, Transition};
+use crate::buckets::Buckets;
 use crate::port::PortSet;
 
 /// Simplify every transition of `aut`, hiding all ports *not* in `keep`.
@@ -28,8 +29,12 @@ pub fn simplify(aut: &Automaton, keep: &PortSet) -> Automaton {
     }
     builder.set_initial(aut.initial());
 
+    // Per state, the kept transitions by a hash of `(target, sync, pops)`:
+    // a duplicate costs its bucket, not the state's fan-out.
+    let mut kept = Buckets::default();
     for s in aut.all_states() {
         let mut simplified: Vec<Transition> = Vec::new();
+        kept.clear();
         for t in aut.transitions_from(s) {
             let new_t = simplify_transition(t, keep);
             // Drop no-op τ self-loops: they would make engines spin.
@@ -40,8 +45,12 @@ pub fn simplify(aut: &Automaton, keep: &PortSet) -> Automaton {
             {
                 continue;
             }
-            // Deduplicate transitions that became observably identical.
-            let duplicate = simplified.iter().any(|u| {
+            // Deduplicate transitions that became observably identical;
+            // the first occurrence stays where it was.
+            let ids = new_t.sync.iter().map(|p| p.0);
+            let hash = Buckets::hash(new_t.target.0, ids.chain(new_t.pops.iter().map(|m| m.0)));
+            let duplicate = kept.under(hash).any(|i| {
+                let u = &simplified[i];
                 u.target == new_t.target
                     && u.sync == new_t.sync
                     && u.pops == new_t.pops
@@ -53,6 +62,7 @@ pub fn simplify(aut: &Automaton, keep: &PortSet) -> Automaton {
                         .all(|(x, y)| x.structurally_eq(y))
             });
             if !duplicate {
+                kept.push(hash);
                 simplified.push(new_t);
             }
         }
@@ -214,6 +224,19 @@ mod tests {
         let keep = PortSet::singleton(p(0));
         let simple = simplify(&aut, &keep);
         assert_eq!(simple.transition_count(), 1);
+    }
+
+    #[test]
+    fn duplicates_that_are_not_adjacent_collapse_and_order_is_kept() {
+        // Heads 1 and 3 hidden, 2 kept: transitions 0 and 2 of the router
+        // become the same `{0}` step with the `{0,2}` step between them.
+        let aut = router(p(0), &[p(1), p(2), p(3)]);
+        let keep = PortSet::from_iter([p(0), p(2)]);
+        let simple = simplify(&aut, &keep);
+        let labels: Vec<&[PortId]> = (simple.transitions_from(simple.initial()).iter())
+            .map(|t| t.sync.as_slice())
+            .collect();
+        assert_eq!(labels, [&[p(0)][..], &[p(0), p(2)][..]]);
     }
 
     #[test]

@@ -77,12 +77,10 @@ impl Connector {
         let deadlocks = deadlock_states(&composed).len();
 
         let boundary: PortSet = binding.values().flatten().copied().collect();
-        let mut mentioned = PortSet::new();
-        for s in composed.all_states() {
-            for t in composed.transitions_from(s) {
-                mentioned = mentioned.union(&t.sync);
-            }
-        }
+        let mentioned: PortSet = (composed.all_states())
+            .flat_map(|s| composed.transitions_from(s))
+            .flat_map(|t| t.sync.iter())
+            .collect();
         let dead_ports: Vec<PortId> = boundary
             .iter()
             .filter(|p| !mentioned.contains(*p))

@@ -171,7 +171,8 @@ impl Mode {
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
-    /// Budget for any eager product (monolithic / AOT composition).
+    /// Budget for any eager product (monolithic / AOT composition): the
+    /// size the product that comes out may have.
     pub product: ProductOptions,
     /// Budget for JIT expansion of a single state.
     pub expansion_budget: usize,

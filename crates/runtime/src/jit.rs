@@ -11,27 +11,18 @@
 //! × (Eq. 1, [`mod@reo_automata::product`]) also admits *joint* steps of
 //! constituents that share no fired port, so a state's ×-fan-out is
 //! exponential in the number of independent constituents — Fig. 13
-//! finding 3. Expansion here emits only **connected** steps: a set of local
-//! transitions, one per participating automaton, that agree on shared
-//! ports, whose participants are linked to one another through *fired*
-//! shared ports, and that is closed (every automaton touching a fired port
-//! participates); everyone else idles. A step is grown from a seed
-//! transition through the port → owner index and kept only when the seed is
-//! its lowest-index participant, so each appears once and growing it costs
-//! its own neighbourhood rather than all `n` automata.
-//!
-//! Nothing is lost. A × step picks at most one local transition per
-//! automaton, so it falls apart into connected steps with pairwise disjoint
-//! participants — hence disjoint ports, disjoint memory cells, and guards
-//! that cannot see each other's writes — and its target tuple is the
-//! componentwise successor whichever part fires first. A joint step
-//! therefore equals firing its parts in any order: reachable tuples and
-//! per-port traces are those of ×, while fan-out is linear in the number
-//! of independent components (`tests/connected_steps.rs` checks both
-//! directions against the eager product). Fan-out that is genuinely
-//! connected — a replicator feeding `k` `LossySync`s is still `2^k` — is
-//! reported as [`RuntimeError::ExpansionOverflow`] when it exceeds the
-//! budget.
+//! finding 3. Expansion here emits only the **connected** steps of the
+//! current tuple, from the enumerator the eager product is built on
+//! ([`mod@reo_automata::connected`], which says what they are and why
+//! nothing is lost): a × step is a set of them with pairwise disjoint
+//! participants — disjoint ports, disjoint memory cells, guards that cannot
+//! see each other's writes — so it equals firing its parts in any order.
+//! Reachable tuples and per-port traces are those of ×, while fan-out is
+//! linear in the number of independent components
+//! (`tests/connected_steps.rs` checks both directions against a fold of
+//! binary products). Fan-out that is genuinely connected — a replicator
+//! feeding `k` `LossySync`s is still `2^k` — is reported as
+//! [`RuntimeError::ExpansionOverflow`] when it exceeds the budget.
 //!
 //! # Lowered steps
 //!
@@ -68,18 +59,14 @@ use std::collections::{HashMap, HashSet};
 
 use reo_automata::lower::{ExecScratch, LowerOptions, LoweredTransition, Pools};
 use reo_automata::{
-    product_all, product_all_traced, simplify, Automaton, PortId, PortSet, ProductOptions, StateId,
-    StateTrace, Store, Transition, Value,
+    connected, product_all, product_all_traced, simplify, Automaton, Choice, PortId, PortOwners,
+    PortSet, ProductOptions, StateId, StateTrace, Store, Transition, Value,
 };
 use reo_core::ConnectorInstance;
 
 use crate::cache::{CachePolicy, CacheStats, Link, Row, StateCache, TupleKey};
 use crate::engine::{unsynced_ports, EngineCore, Need, Pending, PendingTable};
 use crate::error::RuntimeError;
-
-/// One participant's part in a connected step: the automaton, the local
-/// state it leaves, and which of that state's transitions it takes.
-pub type Choice = (u32, StateId, u32);
 
 /// One connected step, shared by every row naming it.
 struct Step {
@@ -95,27 +82,6 @@ struct Step {
     moves: Box<[(u32, StateId)]>,
     /// Resident rows naming this step.
     rows: u32,
-}
-
-/// The partial step an expansion is growing, and the steps it has found.
-struct Partial {
-    /// Per automaton, which of its transitions it takes in the partial step.
-    chosen: Vec<Option<u32>>,
-    /// The automata that have one, in joining order.
-    members: Vec<u32>,
-    out: Vec<Box<[Choice]>>,
-}
-
-impl Partial {
-    fn join(&mut self, automaton: usize, transition: usize) {
-        self.chosen[automaton] = Some(transition as u32);
-        self.members.push(automaton as u32);
-    }
-
-    fn leave(&mut self, automaton: usize) {
-        self.chosen[automaton] = None;
-        self.members.pop();
-    }
 }
 
 /// Tuple-of-medium-automata state machine with memoized lazy expansion.
@@ -138,11 +104,8 @@ pub struct JitCore {
     pools: Pools,
     scratch: ExecScratch,
     deliveries: Vec<(PortId, Value)>,
-    /// Per-automaton port signatures.
-    ports: Vec<PortSet>,
-    /// Port → owner index: `(port, automaton)` pairs sorted by port, so a
-    /// step grows through its own neighbourhood, not all `n` automata.
-    owners: Vec<(PortId, usize)>,
+    /// Port signatures and the port → owner index steps grow through.
+    owners: PortOwners,
     inputs: PortSet,
     outputs: PortSet,
     /// Maximum global transitions per expanded state.
@@ -177,12 +140,8 @@ pub fn boundary_classes(automata: &[Automaton]) -> (PortSet, PortSet) {
 impl JitCore {
     pub fn new(automata: Vec<Automaton>, cache: StateCache, expansion_budget: usize) -> Self {
         let (inputs, outputs) = boundary_classes(&automata);
-        let ports: Vec<PortSet> = automata.iter().map(|a| a.ports()).collect();
-        let mut owners: Vec<(PortId, usize)> = (ports.iter().enumerate())
-            .flat_map(|(i, ps)| ps.iter().map(move |p| (p, i)))
-            .collect();
-        owners.sort_unstable();
         JitCore {
+            owners: PortOwners::new(&automata),
             states: automata.iter().map(|a| a.initial()).collect(),
             automata,
             cache,
@@ -194,8 +153,6 @@ impl JitCore {
             pools: Pools::default(),
             scratch: ExecScratch::default(),
             deliveries: Vec::new(),
-            ports,
-            owners,
             inputs,
             outputs,
             expansion_budget,
@@ -264,82 +221,16 @@ impl JitCore {
         core
     }
 
-    /// Automata whose signature contains `p` (index range into `owners`).
-    fn owners_of(&self, p: PortId) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.owners.partition_point(|&(q, _)| q < p);
-        self.owners[lo..]
-            .iter()
-            .take_while(move |&&(q, _)| q == p)
-            .map(|&(_, i)| i)
-    }
-
-    /// Expand the current state: every connected step, each exactly once
-    /// (from the seed that is its lowest-index participant).
+    /// Expand the current state: every connected step, each exactly once,
+    /// in the enumerator's order ([`PortOwners::connected_steps`]).
     pub fn expand(&self) -> Result<Vec<Box<[Choice]>>, RuntimeError> {
-        let mut partial = Partial {
-            chosen: vec![None; self.automata.len()],
-            members: Vec::new(),
-            out: Vec::new(),
-        };
-        for seed in 0..self.automata.len() {
-            let from = self.automata[seed].transitions_from(self.states.get(seed));
-            for (k, t) in from.iter().enumerate() {
-                partial.join(seed, k);
-                self.grow(seed, &t.sync, &self.ports[seed], &mut partial)?;
-                partial.leave(seed);
-            }
-        }
-        Ok(partial.out)
-    }
-
-    /// Close the partial step under "every automaton touching a fired port
-    /// joins". `fired` is the union of the chosen labels, `joined` the
-    /// union of the chosen automata's signatures.
-    fn grow(
-        &self,
-        seed: usize,
-        fired: &PortSet,
-        joined: &PortSet,
-        partial: &mut Partial,
-    ) -> Result<(), RuntimeError> {
-        let next = fired
-            .iter()
-            .flat_map(|p| self.owners_of(p))
-            .filter(|&j| partial.chosen[j].is_none())
-            .min();
-        let Some(j) = next else {
-            let mut members = partial.members.clone();
-            members.sort_unstable();
-            let choice = members.into_iter().map(|i| {
-                let k = partial.chosen[i as usize].expect("members have chosen");
-                (i, self.states.get(i as usize), k)
-            });
-            partial.out.push(choice.collect());
-            if partial.out.len() > self.expansion_budget {
-                return Err(RuntimeError::ExpansionOverflow {
-                    state_transitions: partial.out.len(),
-                    budget: self.expansion_budget,
-                });
-            }
-            return Ok(());
-        };
-        if j < seed {
-            return Ok(()); // emitted from seed `j`
-        }
-        // `j` must fire exactly the fired ports it shares with the step so
-        // far, and no silent port of an automaton that already joined.
-        let required = fired.intersection(&self.ports[j]);
-        let with_j = joined.union(&self.ports[j]);
-        let from = self.automata[j].transitions_from(self.states.get(j));
-        for (k, u) in from.iter().enumerate() {
-            if u.sync.intersection(joined) != required {
-                continue;
-            }
-            partial.join(j, k);
-            self.grow(seed, &fired.union(&u.sync), &with_j, partial)?;
-            partial.leave(j);
-        }
-        Ok(())
+        let state = |i| self.states.get(i);
+        (self.owners)
+            .connected_steps(&self.automata, state, self.expansion_budget)
+            .map_err(|found| RuntimeError::ExpansionOverflow {
+                state_transitions: found,
+                budget: self.expansion_budget,
+            })
     }
 
     fn local(&self, (automaton, from, index): Choice) -> &Transition {
@@ -362,19 +253,12 @@ impl JitCore {
         (sync, moves.into_boxed_slice())
     }
 
-    /// Synthesize the composed transition of one choice vector — union
-    /// label, conjoined guard, concatenated assignments and pops (its
-    /// `target` is unused) — next to the moves of its outline.
+    /// The composed transition of one choice vector
+    /// ([`connected::compose`]; its `target` is unused) next to the moves
+    /// of its outline.
     pub fn compose_step(&self, choice: &[Choice]) -> (Transition, Box<[(u32, StateId)]>) {
-        let (sync, moves) = self.outline(choice);
-        let mut step = Transition::new(sync, StateId(0));
-        for &pick in choice {
-            let t = self.local(pick);
-            step.guard = std::mem::take(&mut step.guard).and(t.guard.clone());
-            step.assigns.extend(t.assigns.iter().cloned());
-            step.pops.extend(t.pops.iter().copied());
-        }
-        (step, moves)
+        let moves = self.outline(choice).1;
+        (connected::compose(&self.automata, choice), moves)
     }
 
     /// The step table entry of `choice`, made on first sight; counts one
@@ -608,14 +492,17 @@ impl JitCore {
             due.extend(
                 frontier
                     .iter()
-                    .flat_map(|p| self.owners_of(p))
+                    .flat_map(|p| self.owners.of(p))
                     .map(|i| i as u32),
             );
             due.sort_unstable();
             due.dedup();
             frontier = PortSet::new();
             for i in due.drain(..) {
-                let (ports, at) = (&self.ports[i as usize], self.states.get(i as usize));
+                let (ports, at) = (
+                    self.owners.signature(i as usize),
+                    self.states.get(i as usize),
+                );
                 if ports.is_disjoint(dead) || !walked.as_mut().is_none_or(|w| w.insert((i, at))) {
                     continue;
                 }

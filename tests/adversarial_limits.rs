@@ -146,3 +146,78 @@ fn eager_composition_past_its_budget_is_an_explosion_at_connect() {
         }
     }
 }
+
+/// The budgets bound the product that comes out, not a partial product on
+/// the way: these four families compose to 2n / n / n / 1 states, and under
+/// the default limits they connect — on one engine, partitioned, and in the
+/// existing approach over every primitive — and pass a value. (Folding
+/// binary products in declaration order, each of them ran out of the same
+/// budgets at these sizes on constituents only a later operand
+/// synchronises.)
+#[test]
+fn eager_budgets_bound_the_product_not_a_partial_one() {
+    use reo::automata::{PortAllocator, ProductOptions};
+    use reo::connectors::{families, Role};
+    use reo::core::{compile, compile_monolithic, Binding, MonolithicOptions};
+    use std::task::{Context, Waker};
+
+    let cells = [
+        ("ordered", 16, 32),
+        ("sequencer", 64, 64),
+        ("alternator", 64, 64),
+        ("barrier", 64, 1),
+    ];
+    for (name, n, states) in cells {
+        let family = families().into_iter().find(|f| f.name == name).unwrap();
+        let (program, sizes) = (family.program(), (family.sizes)(n));
+
+        let mut alloc = PortAllocator::new();
+        let width = |param: &str| sizes.iter().find(|(p, _)| *p == param).map_or(1, |s| s.1);
+        let binding: Binding = (compile(&program, family.def).unwrap().params())
+            .map(|p| (p.name.clone(), alloc.fresh_ports(width(&p.name))))
+            .collect();
+        let options = MonolithicOptions::default();
+        let existing = compile_monolithic(&program, family.def, &binding, &mut alloc, &options)
+            .unwrap_or_else(|e| panic!("{name} n={n}, existing: {e}"));
+        assert_eq!(existing.automata[0].state_count(), states, "{name} n={n}");
+
+        for mode in [Mode::compiled(), Mode::compiled_partitioned()] {
+            let connector = Connector::builder(&program, family.def)
+                .mode(mode)
+                .build()
+                .unwrap();
+            let report = connector.analyze(&sizes, &ProductOptions::default());
+            assert_eq!(report.unwrap().states, states, "{name} n={n}");
+            let mut session = (connector.session().replicate_all(&sizes).connect())
+                .unwrap_or_else(|e| panic!("{name} n={n}, {mode:?}: {e}"));
+
+            // Every task offers at once (the barrier needs them all); the
+            // value is through when a receiver has it — a sender, where
+            // the family has no receivers.
+            let mut cx = Context::from_waker(Waker::noop());
+            let (mut senders, mut receivers) = (Vec::new(), Vec::new());
+            for (param, role) in family.drivers {
+                match role {
+                    Role::Send => senders.extend(session.outports(param).unwrap()),
+                    Role::Recv => receivers.extend(session.inports(param).unwrap()),
+                }
+            }
+            let mut offers: Vec<_> = senders.iter().map(|_| Some(7i64.into())).collect();
+            let mut registered = vec![false; receivers.len()];
+            let (mut sent, mut received) = (vec![false; senders.len()], false);
+            for _ in 0..4 {
+                for ((tx, offer), done) in senders.iter().zip(&mut offers).zip(&mut sent) {
+                    *done = *done || tx.poll_send(&mut cx, offer).is_ready();
+                }
+                for (rx, reg) in receivers.iter().zip(&mut registered) {
+                    received = received || rx.poll_recv(&mut cx, reg).is_ready();
+                }
+                if received || receivers.is_empty() {
+                    break;
+                }
+            }
+            let passed = received || (receivers.is_empty() && sent.contains(&true));
+            assert!(passed, "{name} n={n}, {mode:?}: no value came through");
+        }
+    }
+}

@@ -1,10 +1,12 @@
-//! Connected-step expansion against the eager product.
+//! Connected-step expansion against Eq. 1, folded.
 //!
 //! `JitCore::expand` emits only steps whose participants are linked
-//! through fired shared ports; `product_all` (Eq. 1) also keeps the joint
-//! steps of independent constituents. The eager product is the oracle — no
-//! second enumerator exists. At every reachable state tuple of every
-//! connector below:
+//! through fired shared ports; × (Eq. 1) also keeps the joint steps of
+//! independent constituents. The oracle is the left fold of the binary
+//! product (`steps::fold` over `product_from`), which contains no
+//! connected-step enumerator: `product_all` is built on the one under test
+//! and is itself held to that fold by `product_nary.rs`. At every reachable
+//! state tuple of every connector below:
 //!
 //! (a) each product transition is a union of pairwise port-disjoint steps
 //!     of the expansion (nothing × can do is lost);
@@ -18,91 +20,17 @@
 //! Connectors: the eighteen Fig. 12 families at n ∈ {2,3,4}, the fuzzer's
 //! seven generated shapes, and every scenario in `tests/corpus/` — which is
 //! where a counterexample lands: the failure message is a ready `.case`
-//! file. See PROPERTY-TESTS.md.
+//! file — plus four hand-built lists whose neighbours share two vertices.
+//! See PROPERTY-TESTS.md.
 
-use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
+mod steps;
 
-use reo::automata::{
-    product_all_traced, Assign, Dst, Guard, MemId, PortAllocator, PortSet, ProductOptions, StateId,
-    Term, Transition,
-};
-use reo::core::{compile, instantiate, Binding};
+use std::collections::HashMap;
+
+use reo::automata::{Automaton, StateId};
 use reo::runtime::jit::JitCore;
-use reo::runtime::{CachePolicy, Driver, Scenario};
-use reo_fuzz::{Agreement, CorpusCase, GenCase};
-
-/// A step normalised for comparison: label and target tuple, plus guard
-/// conjuncts, assignments and pops as sorted multisets (× and the
-/// expansion conjoin and concatenate in different orders).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Step {
-    sync: PortSet,
-    targets: Vec<StateId>,
-    guard: Vec<String>,
-    assigns: Vec<String>,
-    pops: Vec<MemId>,
-    mems: BTreeSet<MemId>,
-}
-
-fn term_mems(t: &Term, out: &mut BTreeSet<MemId>) {
-    match t {
-        Term::Mem(m) => {
-            out.insert(*m);
-        }
-        Term::Apply(_, args) => args.iter().for_each(|a| term_mems(a, out)),
-        Term::Port(_) | Term::Const(_) => {}
-    }
-}
-
-fn conjuncts(g: &Guard, out: &mut Vec<String>, mems: &mut BTreeSet<MemId>) {
-    match g {
-        Guard::True => {}
-        Guard::And(a, b) => {
-            conjuncts(a, out, mems);
-            conjuncts(b, out, mems);
-        }
-        Guard::TermEq(a, b) | Guard::TermNe(a, b) => {
-            term_mems(a, mems);
-            term_mems(b, mems);
-            out.push(format!("{g:?}"));
-        }
-        Guard::MemLen(m, ..) => {
-            mems.insert(*m);
-            out.push(format!("{g:?}"));
-        }
-        Guard::Pred(_, t) | Guard::NotPred(_, t) => {
-            term_mems(t, mems);
-            out.push(format!("{g:?}"));
-        }
-    }
-}
-
-fn normalise(t: &Transition, targets: &[StateId]) -> Step {
-    let mut guard = Vec::new();
-    let mut mems = BTreeSet::new();
-    conjuncts(&t.guard, &mut guard, &mut mems);
-    for Assign { dst, src } in &t.assigns {
-        if let Dst::MemSet(m) | Dst::MemPush(m) = dst {
-            mems.insert(*m);
-        }
-        term_mems(src, &mut mems);
-    }
-    mems.extend(t.pops.iter().copied());
-    let mut assigns: Vec<String> = t.assigns.iter().map(|a| format!("{a:?}")).collect();
-    let mut pops = t.pops.clone();
-    guard.sort();
-    assigns.sort();
-    pops.sort();
-    Step {
-        sync: t.sync.clone(),
-        targets: targets.to_vec(),
-        guard,
-        assigns,
-        pops,
-        mems,
-    }
-}
+use reo::runtime::CachePolicy;
+use steps::{normalise, Step};
 
 /// The step that fires port-disjoint `a` and `b` (both leaving `from`)
 /// together: each tuple position moves with whichever part moves it.
@@ -157,39 +85,17 @@ fn same_action(a: &Step, b: &Step) -> bool {
     (&a.sync, &a.guard, &a.assigns, &a.pops) == (&b.sync, &b.guard, &b.assigns, &b.pops)
 }
 
-/// Check (a)–(c) on one connector. `Err` carries the violated clause;
-/// `Ok(None)` means the eager product exceeded its budget (no oracle).
-fn check_connector(scenario: &Scenario) -> Result<Option<usize>, String> {
-    let program = reo::dsl::parse_program(&scenario.source).map_err(|e| e.to_string())?;
-    let cc = compile(&program, &scenario.entry).map_err(|e| e.to_string())?;
-    let mut alloc = PortAllocator::new();
-    let binding: Binding = cc
-        .params()
-        .map(|p| {
-            let width = scenario.replicate.iter().find(|(name, _)| *name == p.name);
-            let n = if p.is_array {
-                width.map_or(1, |w| w.1)
-            } else {
-                1
-            };
-            (p.name.clone(), alloc.fresh_ports(n))
-        })
-        .collect();
-    let autos = instantiate(&cc, &binding, &mut alloc)
-        .map_err(|e| e.to_string())?
-        .automata;
+/// Check (a)–(c) on one list of constituents. `Err` carries the violated
+/// clause; `Ok(None)` means the fold exceeded its budget (no oracle).
+fn check_automata(autos: &[Automaton]) -> Result<Option<usize>, String> {
     let initial: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-    let opts = ProductOptions {
-        max_states: 1 << 12,
-        max_transitions: 1 << 16,
-    };
-    let Ok((prod, trace)) = product_all_traced(&autos, &initial, &opts) else {
+    let Ok((prod, trace)) = steps::fold(autos, &initial, &steps::ORACLE_BUDGET) else {
         return Ok(None);
     };
 
     let expand = |tuple: &[StateId]| -> Result<Vec<Step>, String> {
         let core = JitCore::with_states(
-            autos.clone(),
+            autos.to_vec(),
             tuple,
             CachePolicy::Unbounded.build(),
             1 << 16,
@@ -269,71 +175,22 @@ fn check_connector(scenario: &Scenario) -> Result<Option<usize>, String> {
     Ok(Some(trace.len()))
 }
 
-/// Run the check; a violation panics with the case as corpus-file text.
-fn assert_connected_steps_match_product(label: &str, case: &GenCase) -> Option<usize> {
-    match check_connector(&case.scenario) {
-        Ok(states) => states,
-        Err(why) => {
-            let mut bare = case.clone();
-            bare.scenario.steps.clear();
-            bare.expected = None;
-            panic!(
-                "{label}: {why}\n--- commit as tests/corpus/connected-{label}.case ---\n{}",
-                reo_fuzz::to_text(&CorpusCase::Diff(bare), &format!("connected_steps {label}"))
-            );
-        }
-    }
-}
-
-/// A script-less case around a connector.
-fn bare_case(source: &str, entry: &str, sizes: &[(&str, usize)]) -> GenCase {
-    let mut scenario = Scenario::new(source, entry);
-    scenario.replicate = sizes.iter().map(|(p, n)| (p.to_string(), *n)).collect();
-    GenCase {
-        scenario,
-        agreement: Agreement::Exact,
-        driver: Driver::Threads,
-        expected: None,
-        shape: "corpus",
-    }
-}
-
 #[test]
 fn fig12_families_expand_to_the_connected_steps_of_the_product() {
-    let mut with_oracle = 0;
-    for family in reo::connectors::families() {
-        for n in [2, 3, 4] {
-            let case = bare_case(family.source, family.def, &(family.sizes)(n));
-            let label = format!("{}-n{n}", family.name);
-            if assert_connected_steps_match_product(&label, &case).is_some() {
-                with_oracle += 1;
-            }
-        }
-    }
-    // A budget that silently skipped cells would prove nothing.
-    assert_eq!(with_oracle, 54, "cells whose eager product fit its budget");
+    steps::hold_on_fig12_families("connected_steps", check_automata);
 }
 
 #[test]
 fn fuzzer_shapes_expand_to_the_connected_steps_of_the_product() {
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    for index in 0..96 {
-        let case = reo_fuzz::generate(15, index);
-        let label = format!("{}-seed15-{index}", case.shape);
-        if assert_connected_steps_match_product(&label, &case).is_some() {
-            *seen.entry(case.shape).or_default() += 1;
-        }
-    }
-    assert!(seen.len() >= 7, "shapes with an oracle: {seen:?}");
+    steps::hold_on_fuzzer_shapes("connected_steps", check_automata);
 }
 
 #[test]
 fn corpus_connectors_expand_to_the_connected_steps_of_the_product() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    for (path, case) in reo_fuzz::load_dir(&dir).expect("corpus must load") {
-        if let CorpusCase::Diff(case) | CorpusCase::Fault(case) = &case {
-            let label = path.file_stem().unwrap().to_string_lossy().into_owned();
-            assert_connected_steps_match_product(&label, case);
-        }
-    }
+    steps::hold_on_corpus("connected_steps", check_automata);
+}
+
+#[test]
+fn neighbours_sharing_two_vertices_expand_to_the_connected_steps_of_the_product() {
+    steps::hold_on_two_vertex_neighbours(check_automata);
 }

@@ -16,9 +16,9 @@
 //!
 //! Tuples are enumerated by firing: a tuple is explored from the first
 //! store it is reached with, so the store always matches the control
-//! states (a full `Fifo1` has its value). The eager product's trace — the
-//! oracle of `tests/connected_steps.rs` — says what is reachable at all,
-//! and every tuple it lists must have been explored.
+//! states (a full `Fifo1` has its value). The eager product's trace says
+//! what is reachable at all, and every tuple it lists must have been
+//! explored.
 //!
 //! Connectors: the eighteen Fig. 12 families at n ∈ {2,3,4} and the
 //! Fig. 13 protocol at four slaves. See PROPERTY-TESTS.md.
