@@ -7,11 +7,11 @@
 //! of transitions exponential in the number of independent constituents
 //! (the paper's Fig. 13 finding 3).
 //!
-//! The eager product keeps those joint steps on purpose: it is Eq. 1, the
-//! Fig. 12 baseline and `Mode::compiled()`. The just-in-time engine
-//! (`reo_runtime::jit`) fires only steps connected through fired shared
-//! ports — a joint step of port-disjoint parts equals firing the parts in
-//! any order.
+//! The eager product keeps those joint steps on purpose: it is Eq. 1 and
+//! the Fig. 12 baseline. The runtime's other cores (`reo_runtime::jit`,
+//! whether it fills its rows lazily or at `connect`) fire only steps
+//! connected through fired shared ports — a joint step of port-disjoint
+//! parts equals firing the parts in any order.
 //!
 //! # A list of automata: one construction over state tuples
 //!
@@ -56,7 +56,10 @@ use crate::store::MemLayout;
 
 /// Options for product construction: how large the product that is
 /// returned may be. Both budgets are tested after every state and every
-/// transition of it; nothing else is ever built (module docs).
+/// transition of it; nothing else is ever built (module docs). The
+/// runtime's compiled modes, which fill the just-in-time core's rows at
+/// `connect` instead of composing, hold the same two budgets to reachable
+/// tuples and to connected steps summed over their rows.
 #[derive(Clone, Copy, Debug)]
 pub struct ProductOptions {
     /// Maximum number of (reachable) product states before giving up.

@@ -42,7 +42,7 @@ fn main() {
         },
     );
     if config.compiled {
-        println!("(+ compiled: the medium automata composed ahead of time)");
+        println!("(+ compiled: every reachable state expanded ahead of time)");
     }
     println!(
         "{:<16}{:>4}  {:>14}  {:>14}  {:>9}  bin",

@@ -34,10 +34,11 @@ pub struct Cell {
     pub existing: RunOutcome,
     pub new: RunOutcome,
     pub partitioned: Option<RunOutcome>,
-    /// `Mode::compiled()` — the medium automata composed ahead of time
-    /// (`--compiled`). Like the existing approach it composes the full
-    /// product, so Explosion failures at large N on fanout families are
-    /// expected and legitimate cells here.
+    /// `Mode::compiled()` — the JIT core with every reachable row filled
+    /// at `connect` (`--compiled`). It explodes only where the reachable
+    /// tuples or their connected steps outgrow the budget (`lossy_bcast`
+    /// at n ≥ 32, a single state with 2^n steps), not on the unions of
+    /// independent steps an eager product holds.
     pub compiled: Option<RunOutcome>,
 }
 

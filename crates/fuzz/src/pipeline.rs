@@ -67,10 +67,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The representative slice of [`Mode::grid`] for pipeline fuzzing: the
-/// three distinct compilation strategies (monolithic elaboration, lazy
-/// medium automata, their eager product). Running the rest would only
-/// compose the same automata again; the full grid belongs to the
-/// differential harness.
+/// three distinct compilation strategies (monolithic elaboration, medium
+/// automata expanded lazily, and every reachable state of them expanded at
+/// connect). Running the rest would only compose the same automata again;
+/// the full grid belongs to the differential harness.
 const BUILD_MODES: [&str; 3] = ["mono", "jit", "comp"];
 
 /// Push one source through parse → build → connect under every build

@@ -6,9 +6,10 @@
 //! against the pending table port by port (`op_enabled`) and evaluating
 //! its guard and assignment `Term`s through the valuation fixpoint
 //! (`fire_one`). It is the core that interprets; the other one
-//! ([`crate::jit`]) lowers each step on first use, whether it composes the
-//! medium automata just in time or steps their eager product (Sect. IV-D,
-//! first approach; [`crate::Mode::compiled`]), so `existing` differs from
+//! ([`crate::jit`]) lowers each step on first use, whether it expands the
+//! medium automata's states just in time or all reachable ones at
+//! `connect` (Sect. IV-D, first approach; [`crate::Mode::compiled`]), so
+//! `existing` differs from
 //! `jit` both in *when* the product is built and in *how* a step is fired
 //! — which is the comparison Fig. 12 makes.
 

@@ -244,6 +244,11 @@ impl StateCache {
         }
     }
 
+    /// Every resident row with its tuple, in no particular order.
+    pub fn resident(&self) -> impl Iterator<Item = (&TupleKey, &Row)> + '_ {
+        (self.map.iter()).map(|(key, &slot)| (key, &self.slots[slot as usize].row))
+    }
+
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,

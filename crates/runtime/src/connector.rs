@@ -9,8 +9,9 @@
 //!   Work that the existing Reo compiler did at compile time happens inside
 //!   `connect`; the harness times it separately.
 //! * [`Mode::Compiled`] — the *new* approach with ahead-of-time
-//!   composition of the medium automata at `connect` time; the product's
-//!   steps are lowered as they are first tried.
+//!   composition: the just-in-time core with every row reachable from the
+//!   initial states filled at `connect`; steps are lowered as they are
+//!   first tried.
 //! * [`Mode::Jit`] — the new approach with just-in-time composition.
 //! * [`Mode::JitPartitioned`] / [`Mode::CompiledPartitioned`] — either
 //!   composition per synchronous region, plus the partitioning
@@ -27,8 +28,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reo_automata::{
-    Automaton, FromValue, IntoValue, MemLayout, PortAllocator, PortId, PortSet, ProductOptions,
-    StateId, Store,
+    Automaton, FromValue, IntoValue, MemLayout, PortAllocator, PortId, ProductOptions, StateId,
+    Store,
 };
 use reo_core::{
     compile, compile_monolithic, instantiate, Binding, CompiledConnector, ConnectorInstance,
@@ -55,15 +56,14 @@ pub enum Mode {
     /// Partitioned JIT: one engine per synchronous region, cut fifos as
     /// links served by the calling task ([`crate::partition`]).
     JitPartitioned { cache: CachePolicy },
-    /// Ahead-of-time composition — compose and simplify the whole product
-    /// at `connect`, failing there with [`RuntimeError::Explosion`] if it
-    /// outgrows [`Limits::product`] — stepped by the same core as
-    /// [`Mode::Jit`], over that one automaton
-    /// ([`crate::jit::JitCore::compose_to`]).
+    /// Ahead-of-time composition: the [`Mode::Jit`] core with every
+    /// reachable row filled at `connect` ([`crate::jit::JitCore::eager`]),
+    /// failing there with [`RuntimeError::Explosion`] if the rows outgrow
+    /// [`Limits::product`].
     Compiled,
-    /// Partitioned execution with one eagerly composed product per
-    /// synchronous region; the regions exchange values over the same links
-    /// as [`Mode::JitPartitioned`].
+    /// Partitioned execution with every reachable row of each synchronous
+    /// region filled at `connect`; the regions exchange values over the
+    /// same links as [`Mode::JitPartitioned`].
     CompiledPartitioned,
 }
 
@@ -171,8 +171,10 @@ impl Mode {
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
-    /// Budget for any eager product (monolithic / AOT composition): the
-    /// size the product that comes out may have.
+    /// Budget for any eager composition. The monolithic mode's product
+    /// may have this many states and transitions; the compiled modes'
+    /// filled rows this many reachable tuples and connected steps summed
+    /// over rows — what the engine can fire.
     pub product: ProductOptions,
     /// Budget for JIT expansion of a single state.
     pub expansion_budget: usize,
@@ -187,40 +189,36 @@ impl Default for Limits {
     }
 }
 
-/// Which core steps `automata` from `starts` under `mode` — the one place
-/// that decides, for `connect`, both reconfiguration splices and the
-/// stepping microbench alike. The partitioned modes ask per region.
+/// Which core steps `automata` from `starts` for the engine serving
+/// `ports` under `mode` — the one place that decides, for `connect`, both
+/// reconfiguration splices and the stepping microbench alike. The
+/// partitioned modes ask per region.
 ///
-/// `keep` is given by sessions that are never spliced: they start at the
-/// initial states and nobody reads the state tuple back, so an eager
-/// composition may hide every port but these — the ones tasks hold — from
-/// its labels (and the monolithic mode, whose elaboration has composed and
-/// simplified already, arrives as one automaton). Without it the core keeps
-/// the constituent tuple readable ([`EngineCore::constituent_states`]) and
-/// label simplification is skipped.
+/// The monolithic mode is `traced` unless its elaboration has composed
+/// and simplified already, which it does for sessions that are never
+/// spliced: those arrive as one automaton. Every other core keeps the
+/// constituent tuple readable ([`EngineCore::constituent_states`]).
 pub(crate) fn core_for(
     mode: Mode,
     limits: &Limits,
     automata: Vec<Automaton>,
     starts: &[StateId],
-    keep: Option<&PortSet>,
+    ports: &PortMap,
+    traced: bool,
 ) -> Result<Box<dyn EngineCore>, RuntimeError> {
-    Ok(match (mode, keep) {
+    Ok(match (mode, traced) {
         (Mode::Jit { cache } | Mode::JitPartitioned { cache }, _) => Box::new(
             JitCore::with_states(automata, starts, cache.build(), limits.expansion_budget),
         ),
-        (Mode::Compiled | Mode::CompiledPartitioned, Some(_)) => {
-            Box::new(JitCore::compose_to(&automata, &limits.product, keep)?)
+        (Mode::Compiled | Mode::CompiledPartitioned, _) => {
+            Box::new(JitCore::eager(automata, starts, ports, &limits.product)?)
         }
-        (Mode::Compiled | Mode::CompiledPartitioned, None) => {
-            Box::new(JitCore::compose_from(&automata, starts, &limits.product)?)
-        }
-        (Mode::ExistingMonolithic { .. }, Some(_)) => {
+        (Mode::ExistingMonolithic { .. }, false) => {
             let [large] = <[_; 1]>::try_from(automata)
                 .expect("monolithic instance has exactly one automaton");
             Box::new(AotCore::from_automaton(large))
         }
-        (Mode::ExistingMonolithic { .. }, None) => {
+        (Mode::ExistingMonolithic { .. }, true) => {
             Box::new(AotCore::compose_traced(&automata, starts, &limits.product)?)
         }
     })
@@ -505,8 +503,7 @@ impl Connector {
     /// to the engine ([`RuntimeError::Detached`]) rather than a silent
     /// dead slot. The monolithic mode then runs its composition through
     /// the traced product — identical behaviour, splice-able artifact.
-    /// Untraced single-engine sessions get label simplification and dense
-    /// port maps.
+    /// Untraced single-engine sessions get dense port maps.
     fn backend(
         &self,
         instance: ConnectorInstance,
@@ -531,23 +528,16 @@ impl Connector {
             return Ok(Backend::Multi(parts));
         }
         let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-        let (keep, ports) = if traced {
-            let ports = instance.automata.iter().flat_map(|a| {
+        let ports = if traced {
+            PortMap::sparse(instance.automata.iter().flat_map(|a| {
                 let ps = a.ports();
                 ps.iter().collect::<Vec<_>>()
-            });
-            (None, PortMap::sparse(ports))
+            }))
         } else {
-            let keep: PortSet = instance.boundary.values().flatten().copied().collect();
-            (Some(keep), PortMap::dense(alloc.port_count()))
+            PortMap::dense(alloc.port_count())
         };
-        let core = core_for(
-            self.mode,
-            &self.limits,
-            instance.automata,
-            &starts,
-            keep.as_ref(),
-        )?;
+        let automata = instance.automata;
+        let core = core_for(self.mode, &self.limits, automata, &starts, &ports, traced)?;
         Ok(Backend::Single(Arc::new(Engine::new(
             core,
             ports,

@@ -191,6 +191,24 @@ impl PortMap {
             PortMap::Sparse(ids) => Box::new(ids.iter().copied()),
         }
     }
+
+    /// The [`Need`] of a transition labelled `sync`: a pending send on each
+    /// of its `inputs` ports, a pending receive on each of its `outputs`
+    /// ports (the rest of the label is internal).
+    pub fn need(&self, sync: &PortSet, inputs: &PortSet, outputs: &PortSet) -> Need {
+        let mut words: Vec<(u32, u64)> = Vec::new();
+        let sends = sync.iter().filter(|p| inputs.contains(*p));
+        let recvs = sync.iter().filter(|p| outputs.contains(*p));
+        for (p, half) in sends.map(|p| (p, 0)).chain(recvs.map(|p| (p, 1))) {
+            let i = self.slot(p);
+            let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
+            match words.iter_mut().find(|(w, _)| *w == word) {
+                Some((_, bits)) => *bits |= bit,
+                None => words.push((word, bit)),
+            }
+        }
+        Need(words.into_boxed_slice())
+    }
 }
 
 /// The pending-operation table of one engine, indexed by *global*
@@ -214,8 +232,9 @@ pub struct PendingTable {
 
 /// The operations a transition needs pending before it can fire, as
 /// `(word, bits)` pairs over one table's armed set. Built by
-/// [`PendingTable::need`]; only meaningful against tables sharing that
-/// table's [`PortMap`] (an engine swaps core and map together).
+/// [`PortMap::need`] — before any table exists, for a core that fills its
+/// rows at `connect` — and only meaningful against tables over that map
+/// (an engine swaps core and map together).
 #[derive(Clone, Debug, Default)]
 pub struct Need(Box<[(u32, u64)]>);
 
@@ -258,24 +277,6 @@ impl PendingTable {
             _ => {}
         }
         std::mem::replace(&mut self.slots[i], v)
-    }
-
-    /// The [`Need`] of a transition labelled `sync`: a pending send on each
-    /// of its `inputs` ports, a pending receive on each of its `outputs`
-    /// ports (the rest of the label is internal).
-    pub fn need(&self, sync: &PortSet, inputs: &PortSet, outputs: &PortSet) -> Need {
-        let mut words: Vec<(u32, u64)> = Vec::new();
-        let sends = sync.iter().filter(|p| inputs.contains(*p));
-        let recvs = sync.iter().filter(|p| outputs.contains(*p));
-        for (p, half) in sends.map(|p| (p, 0)).chain(recvs.map(|p| (p, 1))) {
-            let i = self.ports.slot(p);
-            let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
-            match words.iter_mut().find(|(w, _)| *w == word) {
-                Some((_, bits)) => *bits |= bit,
-                None => words.push((word, bit)),
-            }
-        }
-        Need(words.into_boxed_slice())
     }
 
     /// Whether every operation `need` names is pending right now.
@@ -386,11 +387,10 @@ pub trait EngineCore: Send {
 
     /// The constituent control-state tuple behind the current global state
     /// (one entry per medium automaton, in composition order), when this
-    /// core can recover it. The JIT core tracks the tuple natively and, over
-    /// an eager product, reads it from the product's *trace*; the
-    /// interpreting core has it only through a trace and returns `None`
-    /// without one — such an engine cannot take part in a dynamic
-    /// reconfiguration.
+    /// core can recover it. The JIT core tracks the tuple natively, its rows
+    /// filled lazily or eagerly; the interpreting core has it only through
+    /// a product's *trace* and returns `None` without one — such an engine
+    /// cannot take part in a dynamic reconfiguration.
     fn constituent_states(&self) -> Option<Vec<StateId>> {
         None
     }
@@ -1582,10 +1582,10 @@ impl Engine {
     }
 
     /// Single-engine reconfiguration: validate the removed ports, build
-    /// the replacement core *under the lock* (the builder reads the old
-    /// core's [`EngineCore::constituent_states`] and the store, which no
-    /// firing can move in the meantime), and install it. On any error the
-    /// engine is left exactly as it was.
+    /// the replacement core for `ports` *under the lock* (the builder reads
+    /// the old core's [`EngineCore::constituent_states`] and the store,
+    /// which no firing can move in the meantime), and install it. On any
+    /// error the engine is left exactly as it was.
     pub(crate) fn reconfigure<F>(
         &self,
         removed: &[PortId],
@@ -1594,12 +1594,12 @@ impl Engine {
         build: F,
     ) -> Result<(), RuntimeError>
     where
-        F: FnOnce(&EngineInner) -> Result<Box<dyn EngineCore>, RuntimeError>,
+        F: FnOnce(&EngineInner, &PortMap) -> Result<Box<dyn EngineCore>, RuntimeError>,
     {
         let mut inner = self.lock();
         Self::check_open(&inner)?;
         Self::removal_quiescent(&inner, removed)?;
-        let core = build(&inner)?;
+        let core = build(&inner, &ports)?;
         let mut nobody = LinkEvents::default(); // one engine: no link, no sibling
         self.install(&mut inner, core, ports, layout, &[], &mut nobody);
         Ok(())

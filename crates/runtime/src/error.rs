@@ -13,7 +13,8 @@ pub enum RuntimeError {
     /// The connector was shut down while the operation was pending.
     Closed,
     /// Ahead-of-time composition exceeded its state/transition budget —
-    /// the "existing approach fails" outcome of Fig. 12.
+    /// the "existing approach fails" outcome of Fig. 12, and the compiled
+    /// modes' rows outgrowing it at `connect`.
     Explosion(reo_automata::Explosion),
     /// Just-in-time expansion of a single state exceeded the transition
     /// budget. Expansion keeps only *connected* steps (`crate::jit`), so
@@ -30,7 +31,7 @@ pub enum RuntimeError {
     /// Lowering refused a step (the flat `u16` register/pool encoding
     /// overflowed). A step is lowered when it is first tried, in every mode
     /// but the interpreting baseline `Mode::existing()` — the compiled
-    /// modes compose eagerly but lower as lazily as `Mode::jit()` — so
+    /// modes fill their rows eagerly but lower as lazily as `Mode::jit()` — so
     /// this never comes from `connect`: the firing that tried the step
     /// fails, and the engine poisons itself with this error's text.
     Lower(reo_automata::LowerError),

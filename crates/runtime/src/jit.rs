@@ -50,22 +50,24 @@
 //! (`tests/lowered_steps.rs` holds each lowered step to the interpreter's
 //! verdict, deliveries, completion order and store).
 //!
-//! Over one automaton this is the paper's ahead-of-time core (Sect. IV-D,
-//! first approach; [`crate::Mode::compiled`]): [`JitCore::compose_to`] and
-//! [`JitCore::compose_from`] build the product eagerly and step it as a
-//! list of length one, whose rows are the product's own transition lists.
+//! With every row reachable from the start tuple filled up front this is
+//! the paper's ahead-of-time approach (Sect. IV-D, first approach;
+//! [`crate::Mode::compiled`], [`JitCore::eager`]): the same enumerator,
+//! step table and lowering, so each connected step is composed once and
+//! shared by every row naming it — never once per union of steps, as an
+//! eager product of the constituents would.
 
 use std::collections::{HashMap, HashSet};
 
 use reo_automata::lower::{ExecScratch, LowerOptions, LoweredTransition, Pools};
 use reo_automata::{
-    connected, product_all, product_all_traced, simplify, Automaton, Choice, PortId, PortOwners,
-    PortSet, ProductOptions, StateId, StateTrace, Store, Transition, Value,
+    connected, Automaton, Choice, Explosion, PortId, PortOwners, PortSet, ProductOptions, StateId,
+    Store, Transition, Value,
 };
 use reo_core::ConnectorInstance;
 
 use crate::cache::{CachePolicy, CacheStats, Link, Row, StateCache, TupleKey};
-use crate::engine::{unsynced_ports, EngineCore, Need, Pending, PendingTable};
+use crate::engine::{unsynced_ports, EngineCore, Need, Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
 /// One connected step, shared by every row naming it.
@@ -111,9 +113,6 @@ pub struct JitCore {
     /// Maximum global transitions per expanded state.
     expansion_budget: usize,
     rotation: usize,
-    /// Over a traced product ([`JitCore::compose_from`]): product state →
-    /// the constituent tuple it stands for, which a splice reads back.
-    trace: Option<StateTrace>,
     /// Hangup analysis ([`EngineCore::grow_dead`]). `moved`: the automata
     /// steps have moved since the last call, recorded only once a port is
     /// dead. `walked`: the (automaton, local state) pairs whose walk under
@@ -125,16 +124,27 @@ pub struct JitCore {
 /// Compute global boundary classes from a set of medium automata: a port
 /// that is input of one automaton and output of another is internal.
 pub fn boundary_classes(automata: &[Automaton]) -> (PortSet, PortSet) {
-    let mut all_inputs = PortSet::new();
-    let mut all_outputs = PortSet::new();
-    for a in automata {
-        all_inputs = all_inputs.union(a.inputs());
-        all_outputs = all_outputs.union(a.outputs());
-    }
-    (
-        all_inputs.difference(&all_outputs),
-        all_outputs.difference(&all_inputs),
-    )
+    let inputs: PortSet = automata.iter().flat_map(|a| a.inputs().iter()).collect();
+    let outputs: PortSet = automata.iter().flat_map(|a| a.outputs().iter()).collect();
+    (inputs.difference(&outputs), outputs.difference(&inputs))
+}
+
+/// An eager fill of `automata` ran out of `opts` at `states` tuples and
+/// `steps` row entries.
+fn explosion(
+    automata: &[Automaton],
+    opts: &ProductOptions,
+    states: usize,
+    steps: usize,
+) -> RuntimeError {
+    let names: Vec<&str> = automata.iter().map(|a| a.name()).collect();
+    RuntimeError::Explosion(Explosion {
+        automaton: format!("({})", names.join(" x ")),
+        states_built: states,
+        transitions_built: steps,
+        limit_states: opts.max_states,
+        limit_transitions: opts.max_transitions,
+    })
 }
 
 impl JitCore {
@@ -157,53 +167,73 @@ impl JitCore {
             outputs,
             expansion_budget,
             rotation: 0,
-            trace: None,
             moved: None,
             walked: HashSet::new(),
         }
     }
 
-    /// Ahead-of-time composition: compose `automata` now, label-simplify
-    /// down to the ports tasks hold if `keep` names them, and step the one
-    /// resulting automaton. The cache is unbounded and rows need no budget:
-    /// the product's own bounded them.
-    pub fn compose_to(
-        automata: &[Automaton],
+    /// Ahead-of-time composition (Sect. IV-D, first approach): the rows of
+    /// every tuple reachable from `starts`, filled now for the engine
+    /// serving `ports`. Breadth-first from `starts`, each row is the
+    /// enumerator's connected steps at its tuple, interned as a first
+    /// visit would; lowering and successor links stay lazy. `opts` bounds
+    /// the reachable tuples and the steps summed over rows, tested after
+    /// every row and within each enumeration: a breach is
+    /// [`RuntimeError::Explosion`].
+    pub fn eager(
+        automata: Vec<Automaton>,
+        starts: &[StateId],
+        ports: &PortMap,
         opts: &ProductOptions,
-        keep: Option<&PortSet>,
     ) -> Result<Self, RuntimeError> {
-        let mut large = product_all(automata, opts)?;
-        if let Some(keep) = keep {
-            large = simplify(&large, keep);
-        }
         let cache = CachePolicy::Unbounded.build();
-        Ok(Self::new(vec![large], cache, usize::MAX))
+        let mut core = Self::with_states(automata, starts, cache, opts.max_transitions);
+        let mut queue = vec![core.states.clone()];
+        let mut seen = HashSet::from([core.states.clone()]);
+        let (mut head, mut filled) = (0, 0);
+        while let Some(tuple) = queue.get(head).cloned() {
+            head += 1;
+            let left = opts.max_transitions - filled;
+            let choices = (core.owners)
+                .connected_steps(&core.automata, |i| tuple.get(i), left)
+                .map_err(|found| explosion(&core.automata, opts, seen.len(), filled + found))?;
+            filled += choices.len();
+            let steps: Box<[_]> = (choices.into_iter())
+                .map(|choice| (core.intern(choice, ports), None))
+                .collect();
+            for &(id, _) in steps.iter() {
+                let mut next = tuple.clone();
+                for &(i, target) in core.steps[id as usize].moves.iter() {
+                    next.set(i as usize, target);
+                }
+                if !seen.contains(&next) {
+                    seen.insert(next.clone());
+                    queue.push(next);
+                }
+            }
+            let (row, _) = core.cache.insert(&tuple, Row { steps });
+            core.current.get_or_insert(row);
+            if seen.len() > opts.max_states {
+                return Err(explosion(&core.automata, opts, seen.len(), filled));
+            }
+        }
+        Ok(core)
     }
 
-    /// [`compose_to`](Self::compose_to) the boundary of an instance.
+    /// [`eager`](Self::eager) over an instance from its initial states,
+    /// for a dense map over its ports: the shim `benchmark/` times as the
+    /// compiled core, until ROADMAP direction 1(a). `_simplify` is ignored:
+    /// rows range over the constituents, whose labels are never simplified.
     pub fn compose(
         instance: &ConnectorInstance,
         opts: &ProductOptions,
-        apply_simplify: bool,
+        _simplify: bool,
     ) -> Result<Self, RuntimeError> {
-        let keep: PortSet = instance.boundary.values().flatten().copied().collect();
-        Self::compose_to(&instance.automata, opts, apply_simplify.then_some(&keep))
-    }
-
-    /// Compose from an explicit constituent tuple, which stays readable
-    /// ([`EngineCore::constituent_states`]) from any later product state —
-    /// so no label simplification. The boundary classes are the
-    /// constituents' own: a region's link-facing ports keep their roles.
-    pub fn compose_from(
-        automata: &[Automaton],
-        starts: &[StateId],
-        opts: &ProductOptions,
-    ) -> Result<Self, RuntimeError> {
-        let (product, trace) = product_all_traced(automata, starts, opts)?;
-        let mut core = Self::new(vec![product], CachePolicy::Unbounded.build(), usize::MAX);
-        (core.inputs, core.outputs) = boundary_classes(automata);
-        core.trace = Some(trace);
-        Ok(core)
+        let automata = instance.automata.clone();
+        let starts: Vec<StateId> = automata.iter().map(|a| a.initial()).collect();
+        let last = (automata.iter()).filter_map(|a| a.ports().iter().max());
+        let ports = PortMap::dense(last.max().map_or(0, |p| p.index() + 1));
+        Self::eager(automata, &starts, &ports, opts)
     }
 
     /// Like [`new`](Self::new), but resume from an explicit constituent
@@ -231,6 +261,18 @@ impl JitCore {
                 state_transitions: found,
                 budget: self.expansion_budget,
             })
+    }
+
+    /// The resident rows, in no particular order: each tuple with its
+    /// steps' choice vectors in emission order (`tests/eager_rows.rs`).
+    pub fn rows(&self) -> impl Iterator<Item = (Vec<StateId>, Vec<&[Choice]>)> + '_ {
+        self.cache.resident().map(|(tuple, row)| {
+            let choice = |&(id, _): &(u32, _)| &*self.steps[id as usize].choice;
+            (
+                tuple.iter().collect(),
+                row.steps.iter().map(choice).collect(),
+            )
+        })
     }
 
     fn local(&self, (automaton, from, index): Choice) -> &Transition {
@@ -261,16 +303,16 @@ impl JitCore {
         (connected::compose(&self.automata, choice), moves)
     }
 
-    /// The step table entry of `choice`, made on first sight; counts one
-    /// more row naming it.
-    fn intern(&mut self, choice: Box<[Choice]>, pending: &PendingTable) -> u32 {
+    /// The step table entry of `choice`, made on first sight with its need
+    /// over `ports`; counts one more row naming it.
+    fn intern(&mut self, choice: Box<[Choice]>, ports: &PortMap) -> u32 {
         if let Some(&id) = self.step_ids.get(&choice) {
             self.steps[id as usize].rows += 1;
             return id;
         }
         let (sync, moves) = self.outline(&choice);
         let step = Step {
-            need: pending.need(&sync, &self.inputs, &self.outputs),
+            need: ports.need(&sync, &self.inputs, &self.outputs),
             choice: choice.clone(),
             program: None,
             moves,
@@ -329,9 +371,9 @@ impl JitCore {
 
     /// Expand the current state into a fresh row: intern its steps, cache
     /// it, and drop the steps only an evicted row named.
-    fn expand_row(&mut self, pending: &PendingTable) -> Result<Link, RuntimeError> {
+    fn expand_row(&mut self, ports: &PortMap) -> Result<Link, RuntimeError> {
         let steps = (self.expand()?.into_iter())
-            .map(|choice| (self.intern(choice, pending), None))
+            .map(|choice| (self.intern(choice, ports), None))
             .collect();
         let (row, evicted) = self.cache.insert(&self.states, Row { steps });
         for &(id, _) in evicted.iter().flat_map(|row| row.steps.iter()) {
@@ -356,7 +398,7 @@ impl EngineCore for JitCore {
     ) -> Result<bool, RuntimeError> {
         let row = match self.resident() {
             Some(row) => row,
-            None => self.expand_row(pending)?,
+            None => self.expand_row(pending.port_map())?,
         };
         let n = self.cache.row(row).steps.len();
         // `(k + rotation) % n` order, at one division per call, not per entry.
@@ -420,10 +462,7 @@ impl EngineCore for JitCore {
     }
 
     fn constituent_states(&self) -> Option<Vec<StateId>> {
-        Some(match &self.trace {
-            Some(trace) => trace[self.states.get(0).index()].to_vec(),
-            None => self.states.iter().collect(),
-        })
+        Some(self.states.iter().collect())
     }
 
     fn any_enabled(&mut self, pending: &PendingTable) -> bool {
@@ -711,22 +750,27 @@ mod tests {
     }
 
     #[test]
-    fn a_core_over_a_traced_product_answers_with_the_constituent_tuple() {
+    fn an_eagerly_filled_core_answers_with_the_constituent_tuple() {
         use crate::engine::PortMap;
         use reo_automata::ProductOptions;
-        // fifo1(0;1) · sync(1;2), composed with the buffer *full*: the
-        // product has its own state numbering, the splice wants the tuple.
-        let autos = [
+        // fifo1(0;1) · sync(1;2), filled with the buffer *full*: both
+        // reachable rows are resident before the first step, and the
+        // splice reads the tuple it is in.
+        let autos = vec![
             primitives::fifo1(p(0), p(1), MemId(0)),
             primitives::sync(p(1), p(2)),
         ];
         let full = StateId(1);
         let starts = [full, autos[1].initial()];
-        let mut core = JitCore::compose_from(&autos, &starts, &ProductOptions::default()).unwrap();
-        assert_eq!(core.states.iter().count(), 1, "one automaton: the product");
+        let empty = autos[0].initial();
+        let ports = PortMap::dense(3);
+        let opts = ProductOptions::default();
+        let mut core = JitCore::eager(autos, &starts, &ports, &opts).unwrap();
+        let stats = core.cache_stats().unwrap();
+        assert_eq!((stats.resident, stats.steps, stats.misses), (2, 2, 0));
         assert_eq!(core.constituent_states().unwrap(), starts);
 
-        let mut pending = PendingTable::new(std::sync::Arc::new(PortMap::dense(3)));
+        let mut pending = PendingTable::new(std::sync::Arc::new(ports));
         let mut store = Store::new(&MemLayout::cells(1));
         store.push(MemId(0), Value::Int(4));
         let mut step = |core: &mut JitCore, port: u32, op: Pending| {
@@ -736,7 +780,6 @@ mod tests {
                 .unwrap());
         };
         step(&mut core, 2, Pending::Recv);
-        let empty = autos[0].initial();
         assert_eq!(core.constituent_states().unwrap(), [empty, starts[1]]);
         step(&mut core, 0, Pending::Send(Value::Int(5)));
         assert_eq!(core.constituent_states().unwrap(), starts);
@@ -744,8 +787,8 @@ mod tests {
 
     #[test]
     fn composition_failure_reports_explosion() {
-        // Wide unsynchronized connector: the eager product must fail
-        // within budget, typed.
+        // Twenty independent buffers: 2^20 reachable tuples, so the eager
+        // fill must fail within budget, typed.
         use reo_automata::ProductOptions;
         use reo_core::ir::*;
         use reo_core::{compile, instantiate, Binding};

@@ -9,9 +9,10 @@
 //! * **ahead-of-time composition** of medium automata at `connect` time
 //!   ([`Mode::compiled`]),
 //! * **just-in-time composition** ([`Mode::jit`]) with an unbounded or
-//!   bounded-LRU state cache — one core ([`jit::JitCore`]) steps both, over
-//!   the eager product or over the medium automata, lowering each step to
-//!   a register program when it is first tried — and
+//!   bounded-LRU state cache — one core ([`jit::JitCore`]) steps both over
+//!   the medium automata, with every reachable row filled at `connect` or
+//!   each row on first visit, lowering each step to a register program
+//!   when it is first tried — and
 //! * either composition **partitioned** ([`Mode::partitioned`],
 //!   [`Mode::compiled_partitioned`] — the optimization of the paper's
 //!   reference \[32\], which fixes Fig. 13's finding 3): one engine per
@@ -107,7 +108,8 @@ pub use select::{select2, select_slice, Either, Select2, SelectSlice};
 pub use stepping::{stepping_run, SteppingMode, SteppingRun};
 pub use watchdog::{LinkReport, ParkedKind, ParkedOp, RegionReport, StallReport};
 
-/// The ahead-of-time core is [`jit::JitCore`] over one eagerly composed
-/// automaton ([`jit::JitCore::compose`]). The name is what `benchmark/`
-/// calls it by and goes with the benchmark re-base (ROADMAP direction 3(a)).
+/// The ahead-of-time core is [`jit::JitCore`] with every reachable row
+/// filled at `connect` ([`jit::JitCore::eager`]). The name and its
+/// [`compose`](jit::JitCore::compose) shim are what `benchmark/` calls it
+/// by, and go with the benchmark re-base (ROADMAP directions 1(a), 3(a)).
 pub type CompiledCore = jit::JitCore;

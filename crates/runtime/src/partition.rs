@@ -334,7 +334,7 @@ pub fn partition_with_opts(
         let autos: Vec<Automaton> = members.iter().map(|&i| automata[i].clone()).collect();
         let ports = region_port_map(&autos);
         let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-        let core = core_for(mode, &limits, autos, &starts, None)?;
+        let core = core_for(mode, &limits, autos, &starts, &ports, true)?;
         engines.push(new_region_engine(core, ports, mem_layout, &links, r));
     }
 
@@ -964,14 +964,16 @@ impl Partitioned {
                             None => new_automata[ni].initial(),
                         })
                         .collect();
-                    let core = splice_core(self.mode, &self.limits, &autos, &starts)?;
-                    installs.insert(or, (core, region_port_map(&autos)));
+                    let ports = region_port_map(&autos);
+                    let core = splice_core(self.mode, &self.limits, &autos, &starts, &ports)?;
+                    installs.insert(or, (core, ports));
                 }
                 Some(_) => {} // untouched: engine reused as-is
                 None => {
                     let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-                    let core = splice_core(self.mode, &self.limits, &autos, &starts)?;
-                    fresh.insert(nr, (core, region_port_map(&autos)));
+                    let ports = region_port_map(&autos);
+                    let core = splice_core(self.mode, &self.limits, &autos, &starts, &ports)?;
+                    fresh.insert(nr, (core, ports));
                 }
             }
         }

@@ -215,7 +215,7 @@ fn splice_single(
     removed_ports.dedup();
 
     let ports = PortMap::sparse(live.iter().copied());
-    engine.reconfigure(&removed_ports, ports, layout, |inner| {
+    engine.reconfigure(&removed_ports, ports, layout, |inner, ports| {
         let states = constituent_states_of(inner)?;
         for (oi, a) in st.automata.iter().enumerate() {
             if !kept_old[oi] {
@@ -231,25 +231,27 @@ fn splice_single(
                 None => a.initial(),
             })
             .collect();
-        splice_core(st.mode, &st.limits, &d.automata, &starts)
+        splice_core(st.mode, &st.limits, &d.automata, &starts, ports)
     })
 }
 
-/// The core a splice installs: [`core_for`] from the current constituent
-/// states, kept readable for the next splice. An eager re-composition that
-/// blows its product budget mid-run steps just-in-time for this epoch
-/// instead of failing the splice — `connect` reports the same explosion.
+/// The core a splice installs for the engine serving `ports`: [`core_for`]
+/// from the current constituent states, kept readable for the next splice.
+/// An eager fill that blows its budget mid-run steps just-in-time for this
+/// epoch instead of failing the splice — `connect` reports the same
+/// explosion.
 pub(crate) fn splice_core(
     mode: Mode,
     limits: &Limits,
     automata: &[Automaton],
     starts: &[StateId],
+    ports: &PortMap,
 ) -> Result<Box<dyn EngineCore>, RuntimeError> {
-    match core_for(mode, limits, automata.to_vec(), starts, None) {
+    match core_for(mode, limits, automata.to_vec(), starts, ports, true) {
         Err(RuntimeError::Explosion(_))
             if matches!(mode, Mode::Compiled | Mode::CompiledPartitioned) =>
         {
-            core_for(Mode::jit(), limits, automata.to_vec(), starts, None)
+            core_for(Mode::jit(), limits, automata.to_vec(), starts, ports, true)
         }
         core => core,
     }

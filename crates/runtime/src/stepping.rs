@@ -11,13 +11,11 @@
 //! with receives), and counts both `try_step` firings and **completed
 //! boundary operations** for a fixed window. Both modes run the same core
 //! ([`JitCore`](crate::jit::JitCore): lowered register programs behind the
-//! pending table's armed set); what differs is what it steps. Over the
-//! eager product, transitions include the joint firings of independent
-//! constituents; over the medium automata it fires connected steps only,
-//! so where the product moves several values in one firing it fires
-//! several times. Raw firing counts are therefore not comparable across
-//! modes. Completed operations per second is the granularity-independent
-//! throughput measure, and it is what the repo benchmark's
+//! pending table's armed set) over the same medium automata, firing the
+//! same connected steps; what differs is when a state's row is filled —
+//! on first visit, or for every reachable state before the first step.
+//! Completed operations per second is the throughput measure (a firing may
+//! complete several operations), and it is what the repo benchmark's
 //! `runtime.stepping.{jit,compiled}_ns_per_op` rows compare between
 //! [`SteppingMode::Jit`] and [`SteppingMode::Compiled`].
 //!
@@ -53,7 +51,8 @@ use crate::error::RuntimeError;
 pub enum SteppingMode {
     /// The medium automata, composed just in time ([`Mode::jit`]).
     Jit,
-    /// Their eager, label-simplified product ([`Mode::compiled`]).
+    /// The same, with every reachable row filled up front
+    /// ([`Mode::compiled`]).
     Compiled,
 }
 
@@ -109,12 +108,12 @@ pub fn stepping_run(
         SteppingMode::Compiled => Mode::compiled(),
     };
     let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-    let keep: PortSet = instance.boundary.values().flatten().copied().collect();
-    let mut core = core_for(mode, &limits, instance.automata, &starts, Some(&keep))?;
+    let ports = PortMap::dense(alloc.port_count());
+    let mut core = core_for(mode, &limits, instance.automata, &starts, &ports, false)?;
 
     let inputs: PortSet = core.boundary_inputs().clone();
     let outputs: PortSet = core.boundary_outputs().clone();
-    let mut pending = PendingTable::new(Arc::new(PortMap::dense(alloc.port_count())));
+    let mut pending = PendingTable::new(Arc::new(ports));
     let mut store = Store::new(&layout);
     let mut completed: Vec<PortId> = Vec::new();
 

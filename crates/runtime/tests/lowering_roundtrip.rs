@@ -1,7 +1,7 @@
 //! Differential test: every paper primitive must fire under the lowering
 //! [`JitCore`] exactly as under the interpreting [`AotCore`] — over one
-//! automaton (which is all `Mode::compiled` hands it) and over a region's
-//! traced product.
+//! automaton, over a product, and over a region's constituents with every
+//! row filled eagerly (what `Mode::compiled_partitioned` hands it).
 //!
 //! Both cores get the identical deterministic saturation protocol (arm all
 //! boundary inputs with sequential ints and all boundary outputs with
@@ -157,8 +157,8 @@ fn all_paper_primitives_roundtrip_through_lowering() {
     }
 }
 
-/// The cores must also agree on *composed* automata (what `Mode::compiled`
-/// steps), not just on primitives.
+/// The cores must also agree on *composed* automata, not just on
+/// primitives.
 #[test]
 fn composed_products_roundtrip_through_lowering() {
     use reo_automata::{product_all, ProductOptions};
@@ -174,9 +174,10 @@ fn composed_products_roundtrip_through_lowering() {
 /// A partition *region* under `Mode::compiled_partitioned`: the cut fifos
 /// are gone, so the ports that faced them — 0 and 1 as link heads, 3 and 6
 /// as link tails — are boundary ports no task holds, and a buffer that
-/// stays inside the region starts full. `JitCore` steps the traced product
-/// with the boundary classes of the *constituents*; it must agree with the
-/// interpreter on classes, events, store and the tuple read back.
+/// stays inside the region starts full. `JitCore` fills the region's rows
+/// eagerly with the boundary classes of the *constituents*; it must agree
+/// with the interpreter over the traced product on classes, events, store
+/// and the tuple read back.
 #[test]
 fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
     use reo_automata::{ProductOptions, StateId};
@@ -189,7 +190,8 @@ fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
     ];
     let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
     let opts = ProductOptions::default();
-    let mut jit = JitCore::compose_from(&autos, &starts, &opts).unwrap();
+    let ports = PortMap::dense(7);
+    let mut jit = JitCore::eager(autos.clone(), &starts, &ports, &opts).unwrap();
     let mut interpreting = AotCore::compose_traced(&autos, &starts, &opts).unwrap();
 
     let (inputs, outputs) = boundary_classes(&autos);
@@ -226,7 +228,7 @@ fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
 /// tried, which is when it is lowered (there is no interpreting fallback);
 /// the engine above poisons itself with the error's "use an interpreting
 /// mode" text. `Mode::compiled` sessions report it there too, not at
-/// `connect`: they run this core over their product.
+/// `connect`: their rows are filled up front, their steps lowered lazily.
 #[test]
 fn unencodable_automaton_is_a_typed_error() {
     use reo_automata::assign::Assign;

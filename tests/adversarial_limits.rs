@@ -147,6 +147,88 @@ fn eager_composition_past_its_budget_is_an_explosion_at_connect() {
     }
 }
 
+/// The compiled modes fill the rows of every reachable tuple at `connect`,
+/// each enumerated under what is left of the step budget. One replicator
+/// into 32 `Lossy`s has 2^32 connected steps in its one state: that is an
+/// explosion at `connect`, found before a single step past the budget is
+/// enumerated (a small budget, so a debug build keeps the time bound too).
+#[test]
+fn a_row_past_the_step_budget_is_an_explosion_at_connect() {
+    use reo::automata::ProductOptions;
+    use reo::runtime::Limits;
+    use std::time::{Duration, Instant};
+    let family = reo::connectors::families()
+        .into_iter()
+        .find(|f| f.name == "lossy_bcast")
+        .unwrap();
+    let (program, sizes) = (family.program(), (family.sizes)(32));
+    let product = ProductOptions {
+        max_transitions: 1 << 14,
+        ..ProductOptions::default()
+    };
+    let limits = Limits {
+        product,
+        ..Limits::default()
+    };
+    for mode in [Mode::compiled(), Mode::compiled_partitioned()] {
+        let connector = Connector::builder(&program, family.def)
+            .mode(mode)
+            .limits(limits)
+            .build()
+            .unwrap();
+        let start = Instant::now();
+        let err = connector.session().replicate_all(&sizes).connect().err();
+        let Some(RuntimeError::Explosion(e)) = err else {
+            panic!("{mode:?}: connect must explode, got {err:?}");
+        };
+        assert!(start.elapsed() < Duration::from_secs(10), "{mode:?}");
+        assert_eq!(e.transitions_built, product.max_transitions + 1, "{mode:?}");
+    }
+}
+
+/// What the engine can fire is what the budgets bound in the compiled
+/// modes, not the unions of independent steps an eager product would hold:
+/// 64 independent channels are one tuple of 64 steps, sixteen buffers 2^16
+/// tuples of 16, and under the default limits each of these connects and
+/// passes a value. (As a composed product, all four exploded at `connect`.)
+#[test]
+fn compiled_sessions_connect_what_their_product_could_not() {
+    use reo::connectors::{families, Role};
+    use std::task::{Context, Poll, Waker};
+    for (name, n) in [
+        ("channels", 64),
+        ("exchanger", 64),
+        ("token_ring", 16),
+        ("load_balancer", 8),
+    ] {
+        let family = families().into_iter().find(|f| f.name == name).unwrap();
+        let connector = Connector::builder(&family.program(), family.def)
+            .mode(Mode::compiled())
+            .build()
+            .unwrap();
+        let mut session = (connector
+            .session()
+            .replicate_all(&(family.sizes)(n))
+            .connect())
+        .unwrap_or_else(|e| panic!("{name} n={n}: {e}"));
+        let (mut senders, mut receivers) = (Vec::new(), Vec::new());
+        for &(param, role) in family.drivers {
+            match role {
+                Role::Send => senders.extend(session.outports(param).unwrap()),
+                Role::Recv => receivers.extend(session.inports(param).unwrap()),
+            }
+        }
+        // Every sender offers, then receivers poll until one has a value.
+        let mut cx = Context::from_waker(Waker::noop());
+        for tx in &senders {
+            let _ = tx.poll_send(&mut cx, &mut Some(7i64.into()));
+        }
+        let mut polls = receivers.iter().map(|rx| rx.poll_recv(&mut cx, &mut false));
+        let received = polls.any(|poll| matches!(poll, Poll::Ready(Ok(_))));
+        assert!(received, "{name} n={n}: no value came through");
+    }
+}
+
 /// The budgets bound the product that comes out, not a partial product on
 /// the way: these four families compose to 2n / n / n / 1 states, and under
 /// the default limits they connect — on one engine, partitioned, and in the
