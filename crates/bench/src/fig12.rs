@@ -93,9 +93,9 @@ pub struct Config {
     pub window: Duration,
     pub ns: Vec<usize>,
     pub family_filter: Option<Vec<String>>,
-    /// Also measure Mode::JitPartitioned (third series).
+    /// Also measure `Mode::partitioned()` (third series).
     pub partitioned: bool,
-    /// Also measure Mode::Compiled (fourth series).
+    /// Also measure `Mode::compiled()` (fourth series).
     pub compiled: bool,
     /// Budgets chosen so failure cells fail in milliseconds, not minutes.
     pub limits: Limits,

@@ -31,9 +31,7 @@ impl BackendKind {
     pub fn label(&self) -> String {
         match self {
             BackendKind::HandWritten => "original".into(),
-            BackendKind::Reo(Mode::Jit { .. }) => "reo-jit".into(),
-            BackendKind::Reo(Mode::JitPartitioned { .. }) => "reo-part".into(),
-            BackendKind::Reo(m) => format!("reo-{m:?}"),
+            BackendKind::Reo(mode) => format!("reo-{}", mode.name()),
         }
     }
 

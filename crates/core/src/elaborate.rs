@@ -101,36 +101,17 @@ fn walk(
     }
 }
 
-/// Options for the monolithic ("existing approach") compilation.
-#[derive(Clone, Debug)]
-pub struct MonolithicOptions {
-    /// Product construction budget; exceeding it is the "existing compiler
-    /// cannot handle this connector" failure of Fig. 12.
-    pub product: ProductOptions,
-    /// Apply the transition-label simplification of \[30\] on the large
-    /// automaton (the existing compiler always does; kept switchable for
-    /// the ablation benchmark).
-    pub simplify: bool,
-}
-
-impl Default for MonolithicOptions {
-    fn default() -> Self {
-        Self {
-            product: ProductOptions::default(),
-            simplify: true,
-        }
-    }
-}
-
 /// Compile with the existing approach: elaborate every primitive for the
 /// *fixed* connectee counts given by `binding`, compose all of them into one
-/// large automaton, and simplify its labels down to the boundary ports.
+/// large automaton within `product` (exceeding it is the "existing compiler
+/// cannot handle this connector" failure of Fig. 12), and simplify its
+/// labels down to the boundary ports, as the existing compiler does (\[30\]).
 pub fn compile_monolithic(
     program: &Program,
     name: &str,
     binding: &Binding,
     alloc: &mut PortAllocator,
-    opts: &MonolithicOptions,
+    product: &ProductOptions,
 ) -> Result<ConnectorInstance, CoreError> {
     let flat = flatten(program, name)?;
     let primitives = elaborate(&flat, program, binding, alloc)?;
@@ -140,13 +121,8 @@ pub fn compile_monolithic(
         return Err(CoreError::NoConstituents(flat.name.clone()));
     }
     crate::instantiate::check_vertex_arity(&primitives)?;
-    let large = product_all(&primitives, &opts.product)?;
-    let large = if opts.simplify {
-        let keep: PortSet = binding.values().flatten().copied().collect();
-        simp(&large, &keep)
-    } else {
-        large
-    };
+    let keep: PortSet = binding.values().flatten().copied().collect();
+    let large = simp(&product_all(&primitives, product)?, &keep);
     Ok(ConnectorInstance::from_automata(
         vec![large],
         binding.clone(),
@@ -193,7 +169,7 @@ mod tests {
             "ConnectorEx11N",
             &binding,
             &mut alloc,
-            &MonolithicOptions::default(),
+            &ProductOptions::default(),
         )
         .unwrap();
         assert_eq!(inst.automata.len(), 1);
@@ -233,12 +209,9 @@ mod tests {
         let prog = Program::new(vec![def]);
         let mut alloc = PortAllocator::new();
         let binding = bind(&mut alloc, &[("a", 16), ("b", 16)]);
-        let opts = MonolithicOptions {
-            product: ProductOptions {
-                max_states: 4096,        // 2^16 states exceeds this
-                max_transitions: 65_536, // 3^16 joint steps exceed this first
-            },
-            simplify: true,
+        let opts = ProductOptions {
+            max_states: 4096,        // 2^16 states exceeds this
+            max_transitions: 65_536, // 3^16 joint steps exceed this first
         };
         let err = compile_monolithic(&prog, "Buffers", &binding, &mut alloc, &opts).unwrap_err();
         assert!(matches!(err, CoreError::Explosion(_)));
@@ -254,7 +227,7 @@ mod tests {
             "ConnectorEx11N",
             &binding,
             &mut alloc,
-            &MonolithicOptions::default(),
+            &ProductOptions::default(),
         )
         .unwrap();
         let stats = space_stats(&inst.automata[0]);

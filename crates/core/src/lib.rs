@@ -37,7 +37,7 @@ pub mod normalize;
 pub mod resolve;
 
 pub use compile::{compile, CompiledConnector, CompiledNode, MediumTemplate};
-pub use elaborate::{compile_monolithic, elaborate, MonolithicOptions};
+pub use elaborate::{compile_monolithic, elaborate};
 pub use error::CoreError;
 pub use flat::{flatten, FlatDef};
 pub use instantiate::{instantiate, ConnectorInstance, INSTANTIATION_BUDGET};

@@ -11,9 +11,9 @@
 use reo_automata::explore::{deadlock_states, space_stats};
 use reo_automata::PortAllocator;
 use reo_automata::{product_all, PortId, PortSet, ProductOptions};
-use reo_core::{instantiate, Binding};
+use reo_core::instantiate;
 
-use crate::connector::Connector;
+use crate::connector::{bind, Connector};
 use crate::error::RuntimeError;
 
 /// What the analysis found.
@@ -60,16 +60,7 @@ impl Connector {
         let name = self.name();
         let cc = reo_core::compile(program, name)?;
         let mut alloc = PortAllocator::new();
-        let mut binding: Binding = Binding::new();
-        for p in cc.params() {
-            let n = sizes
-                .iter()
-                .find(|(s, _)| s == &p.name.as_str())
-                .map(|(_, n)| *n)
-                .unwrap_or(1);
-            let n = if p.is_array { n } else { 1 };
-            binding.insert(p.name.clone(), alloc.fresh_ports(n));
-        }
+        let binding = bind(cc.params(), sizes, &mut alloc)?;
         let instance = instantiate(&cc, &binding, &mut alloc)?;
         let medium_count = instance.automata.len();
         let composed = product_all(&instance.automata, opts)?;

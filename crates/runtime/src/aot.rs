@@ -166,7 +166,7 @@ mod tests {
     use reo_automata::{product_all, simplify, MemLayout, PortAllocator, PortId, Value};
     use reo_core::{compile, examples, instantiate, Binding};
 
-    fn build_ex11(n: usize, apply_simplify: bool) -> (Engine, Vec<PortId>, Vec<PortId>) {
+    fn build_ex11(n: usize, simplified: bool) -> (Engine, Vec<PortId>, Vec<PortId>) {
         let prog = examples::paper_program();
         let cc = compile(&prog, "ConnectorEx11N").unwrap();
         let mut alloc = PortAllocator::new();
@@ -179,7 +179,7 @@ mod tests {
         .into();
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
         let mut large = product_all(&inst.automata, &ProductOptions::default()).unwrap();
-        if apply_simplify {
+        if simplified {
             let boundary: PortSet = inst.boundary.values().flatten().copied().collect();
             large = simplify(&large, &boundary);
         }

@@ -2,42 +2,37 @@
 //! number of connectees chosen at `connect` time (the whole point of the
 //! paper).
 //!
-//! Execution modes mirror the paper's evaluation matrix:
+//! A [`Mode`] is one of the paper's two approaches:
 //!
-//! * [`Mode::ExistingMonolithic`] — the *existing* approach: elaborate every
-//!   primitive for the now-known N, compose one large automaton, run it.
-//!   Work that the existing Reo compiler did at compile time happens inside
-//!   `connect`; the harness times it separately.
-//! * [`Mode::Compiled`] — the *new* approach with ahead-of-time
-//!   composition: the just-in-time core with every row reachable from the
-//!   initial states filled at `connect`; steps are lowered as they are
-//!   first tried.
-//! * [`Mode::Jit`] — the new approach with just-in-time composition.
-//! * [`Mode::JitPartitioned`] / [`Mode::CompiledPartitioned`] — either
-//!   composition per synchronous region, plus the partitioning
-//!   optimization of reference \[32\]. Values cross links on the calling
-//!   task's own thread (see [`crate::partition`]) — as in the paper's
-//!   runtime, there are no helper threads.
+//! * [`Mode::Existing`] — elaborate every primitive for the now-known N,
+//!   compose one large automaton, run it. Work that the existing Reo
+//!   compiler did at compile time happens inside `connect`.
+//! * [`Mode::New`] — the medium automata, with two independent knobs: the
+//!   [`Placement`] (one engine, or one per synchronous region as in the
+//!   paper's reference \[32\], values crossing links on the calling task's
+//!   own thread, see [`crate::partition`]) and the [`Composition`] (each
+//!   row on first visit, or every reachable row at `connect`).
 //!
 //! [`Mode::grid`] is the one list of runtimes every test and the fuzzer
 //! iterate; `core_for` is the one place a mode becomes a stepping core.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use reo_automata::{
     Automaton, FromValue, IntoValue, MemLayout, PortAllocator, PortId, ProductOptions, StateId,
     Store,
 };
+use reo_core::ir::Param;
 use reo_core::{
     compile, compile_monolithic, instantiate, Binding, CompiledConnector, ConnectorInstance,
-    CoreError, MonolithicOptions, Program,
+    CoreError, Program, INSTANTIATION_BUDGET,
 };
 
 use crate::aot::AotCore;
-use crate::cache::{CachePolicy, CacheStats};
+use crate::cache::CacheStats;
 use crate::engine::{Engine, EngineCore, EngineStats, PortMap};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
@@ -48,43 +43,58 @@ use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
 /// Execution mode (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// The Fig. 12 baseline: one monolithic product, interpreted.
-    ExistingMonolithic { simplify: bool },
-    /// Just-in-time composition on one engine: states expanded, and their
-    /// connected steps lowered, on first use ([`crate::jit::JitCore`]).
-    Jit { cache: CachePolicy },
-    /// Partitioned JIT: one engine per synchronous region, cut fifos as
-    /// links served by the calling task ([`crate::partition`]).
-    JitPartitioned { cache: CachePolicy },
-    /// Ahead-of-time composition: the [`Mode::Jit`] core with every
-    /// reachable row filled at `connect` ([`crate::jit::JitCore::eager`]),
-    /// failing there with [`RuntimeError::Explosion`] if the rows outgrow
-    /// [`Limits::product`].
-    Compiled,
-    /// Partitioned execution with every reachable row of each synchronous
-    /// region filled at `connect`; the regions exchange values over the
-    /// same links as [`Mode::JitPartitioned`].
-    CompiledPartitioned,
+    /// The Fig. 12 baseline: one monolithic product, label-simplified and
+    /// interpreted ([`crate::aot::AotCore`]).
+    Existing,
+    /// The medium automata, stepped by [`crate::jit::JitCore`].
+    New {
+        placement: Placement,
+        composition: Composition,
+    },
+}
+
+/// Where [`Mode::New`] runs the medium automata.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Placement {
+    /// On one engine.
+    Single,
+    /// On one engine per synchronous region, cut fifos as links served by
+    /// the calling task ([`crate::partition`]).
+    Partitioned,
+}
+
+/// When [`Mode::New`] fills a state's row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Composition {
+    /// Just in time: on first visit (Sect. IV-D, second approach).
+    Lazy,
+    /// Ahead of time: every row reachable from the initial states at
+    /// `connect` ([`JitCore::eager`], Sect. IV-D, first approach), failing
+    /// there with [`RuntimeError::Explosion`] past [`Limits::product`].
+    Eager,
 }
 
 impl Mode {
-    /// The paper's default for the new approach.
-    pub fn jit() -> Self {
-        Mode::Jit {
-            cache: CachePolicy::Unbounded,
-        }
-    }
-
-    /// Partitioned JIT.
-    pub fn partitioned() -> Self {
-        Mode::JitPartitioned {
-            cache: CachePolicy::Unbounded,
+    fn new(placement: Placement, composition: Composition) -> Self {
+        Mode::New {
+            placement,
+            composition,
         }
     }
 
     /// The paper's baseline (existing approach, with its optimizations on).
     pub fn existing() -> Self {
-        Mode::ExistingMonolithic { simplify: true }
+        Mode::Existing
+    }
+
+    /// The paper's default for the new approach.
+    pub fn jit() -> Self {
+        Mode::new(Placement::Single, Composition::Lazy)
+    }
+
+    /// Partitioned JIT.
+    pub fn partitioned() -> Self {
+        Mode::new(Placement::Partitioned, Composition::Lazy)
     }
 
     /// The paper's ahead-of-time composition, on one engine.
@@ -104,47 +114,46 @@ impl Mode {
     /// assert_eq!(rx.recv().unwrap(), 7);
     /// ```
     pub fn compiled() -> Self {
-        Mode::Compiled
+        Mode::new(Placement::Single, Composition::Eager)
     }
 
     /// Ahead-of-time composition per synchronous region.
     pub fn compiled_partitioned() -> Self {
-        Mode::CompiledPartitioned
+        Mode::new(Placement::Partitioned, Composition::Eager)
     }
 
-    /// Every runtime there is to differ, with stable display names: the
-    /// five constructors plus the two non-default knob settings
-    /// (`mono-raw`: the baseline without label simplification; `jit-lru1`:
-    /// a one-entry state cache, so every revisit re-expands). The single
-    /// source for the differential fuzzer and the equivalence tests —
-    /// select a subset by name ([`Mode::grid_subset`]), never by copying
+    /// The mode's stable name in [`Mode::grid`].
+    pub fn name(self) -> &'static str {
+        use {Composition::*, Placement::*};
+        match self {
+            Mode::Existing => "mono",
+            Mode::New {
+                placement,
+                composition,
+            } => match (placement, composition) {
+                (Single, Lazy) => "jit",
+                (Partitioned, Lazy) => "part",
+                (Single, Eager) => "comp",
+                (Partitioned, Eager) => "comp-part",
+            },
+        }
+    }
+
+    /// Every runtime there is to differ, by [`name`](Mode::name):
+    /// [`Mode::Existing`], then every [`Placement`] × [`Composition`]. The
+    /// single source for the differential fuzzer and the equivalence tests
+    /// — select a subset by name ([`Mode::grid_subset`]), never by copying
     /// entries.
     pub fn grid() -> &'static [(&'static str, Mode)] {
-        const GRID: [(&str, Mode); 7] = [
-            ("mono", Mode::ExistingMonolithic { simplify: true }),
-            ("mono-raw", Mode::ExistingMonolithic { simplify: false }),
-            (
-                "jit",
-                Mode::Jit {
-                    cache: CachePolicy::Unbounded,
-                },
-            ),
-            (
-                "jit-lru1",
-                Mode::Jit {
-                    cache: CachePolicy::BoundedLru { capacity: 1 },
-                },
-            ),
-            (
-                "part",
-                Mode::JitPartitioned {
-                    cache: CachePolicy::Unbounded,
-                },
-            ),
-            ("comp", Mode::Compiled),
-            ("comp-part", Mode::CompiledPartitioned),
-        ];
-        &GRID
+        static GRID: OnceLock<Vec<(&str, Mode)>> = OnceLock::new();
+        GRID.get_or_init(|| {
+            let placements = [Placement::Single, Placement::Partitioned];
+            let new = [Composition::Lazy, Composition::Eager]
+                .into_iter()
+                .flat_map(|c| placements.map(|p| Mode::new(p, c)));
+            let modes = std::iter::once(Mode::Existing).chain(new);
+            modes.map(|mode| (mode.name(), mode)).collect()
+        })
     }
 
     /// The [`Mode::grid`] entries called `names`, in grid order. Panics on
@@ -164,7 +173,7 @@ impl Mode {
     }
 
     pub fn is_parametrized(&self) -> bool {
-        !matches!(self, Mode::ExistingMonolithic { .. })
+        !matches!(self, Mode::Existing)
     }
 }
 
@@ -189,6 +198,29 @@ impl Default for Limits {
     }
 }
 
+/// The binding of `params` for the array sizes `sizes` (scalar parameters
+/// and absent names get one port) — for `connect`, `analyze` and
+/// `stepping_run` alike. A replication count beyond the instantiation
+/// budget could never elaborate anyway: refuse it before allocating
+/// millions of ports (and long before the `u32` port-id space could wrap).
+pub(crate) fn bind<'p>(
+    params: impl IntoIterator<Item = &'p Param>,
+    sizes: &[(&str, usize)],
+    alloc: &mut PortAllocator,
+) -> Result<Binding, RuntimeError> {
+    let mut binding = Binding::new();
+    for p in params {
+        let given = sizes.iter().find(|(s, _)| *s == p.name);
+        let n = given.filter(|_| p.is_array).map_or(1, |&(_, n)| n);
+        if n > INSTANTIATION_BUDGET {
+            let budget = INSTANTIATION_BUDGET;
+            return Err(CoreError::InstantiationBudget { budget }.into());
+        }
+        binding.insert(p.name.clone(), alloc.fresh_ports(n));
+    }
+    Ok(binding)
+}
+
 /// Which core steps `automata` from `starts` for the engine serving
 /// `ports` under `mode` — the one place that decides, for `connect`, both
 /// reconfiguration splices and the stepping microbench alike. The
@@ -206,19 +238,20 @@ pub(crate) fn core_for(
     ports: &PortMap,
     traced: bool,
 ) -> Result<Box<dyn EngineCore>, RuntimeError> {
+    let budget = limits.expansion_budget;
     Ok(match (mode, traced) {
-        (Mode::Jit { cache } | Mode::JitPartitioned { cache }, _) => Box::new(
-            JitCore::with_states(automata, starts, cache.build(), limits.expansion_budget),
-        ),
-        (Mode::Compiled | Mode::CompiledPartitioned, _) => {
-            Box::new(JitCore::eager(automata, starts, ports, &limits.product)?)
-        }
-        (Mode::ExistingMonolithic { .. }, false) => {
+        (Mode::New { composition, .. }, _) => match composition {
+            Composition::Lazy => Box::new(JitCore::with_states(automata, starts, budget)),
+            Composition::Eager => {
+                Box::new(JitCore::eager(automata, starts, ports, &limits.product)?)
+            }
+        },
+        (Mode::Existing, false) => {
             let [large] = <[_; 1]>::try_from(automata)
                 .expect("monolithic instance has exactly one automaton");
             Box::new(AotCore::from_automaton(large))
         }
-        (Mode::ExistingMonolithic { .. }, true) => {
+        (Mode::Existing, true) => {
             Box::new(AotCore::compose_traced(&automata, starts, &limits.product)?)
         }
     })
@@ -351,53 +384,25 @@ impl Connector {
             }
             (None, false) => None,
         };
-        let (params, tail_names): (Vec<(String, bool)>, Vec<String>) = match compiled {
-            Some(cc) => (
-                cc.params().map(|p| (p.name.clone(), p.is_array)).collect(),
-                cc.tails.iter().map(|p| p.name.clone()).collect(),
-            ),
+        let flat;
+        let (binding, tails) = match compiled {
+            Some(cc) => (bind(cc.params(), sizes, &mut alloc)?, &cc.tails),
             None => {
-                let flat = reo_core::flatten(&self.program, &self.name)?;
-                (
-                    flat.params()
-                        .map(|p| (p.name.clone(), p.is_array))
-                        .collect(),
-                    flat.tails.iter().map(|p| p.name.clone()).collect(),
-                )
+                flat = reo_core::flatten(&self.program, &self.name)?;
+                (bind(flat.params(), sizes, &mut alloc)?, &flat.tails)
             }
         };
-        let mut binding: Binding = HashMap::new();
-        for (name, is_array) in &params {
-            let n = sizes
-                .iter()
-                .find(|(s, _)| s == name)
-                .map(|(_, n)| *n)
-                .unwrap_or(1);
-            let n = if *is_array { n } else { 1 };
-            // A replication count beyond the instantiation budget could
-            // never elaborate anyway; refuse before allocating millions of
-            // ports (and long before the `u32` port-id space could wrap).
-            if n > reo_core::INSTANTIATION_BUDGET {
-                return Err(RuntimeError::Core(CoreError::InstantiationBudget {
-                    budget: reo_core::INSTANTIATION_BUDGET,
-                }));
-            }
-            binding.insert(name.clone(), alloc.fresh_ports(n));
-        }
+        let tail_names: Vec<String> = tails.iter().map(|p| p.name.clone()).collect();
 
-        let instance: ConnectorInstance = match (compiled, self.mode) {
-            (None, Mode::ExistingMonolithic { simplify }) => compile_monolithic(
+        let instance: ConnectorInstance = match compiled {
+            None => compile_monolithic(
                 &self.program,
                 &self.name,
                 &binding,
                 &mut alloc,
-                &MonolithicOptions {
-                    product: self.limits.product,
-                    simplify,
-                },
+                &self.limits.product,
             )?,
-            (Some(cc), _) => instantiate(cc, &binding, &mut alloc)?,
-            (None, _) => unreachable!("parametrized modes always compile eagerly"),
+            Some(cc) => instantiate(cc, &binding, &mut alloc)?,
         };
 
         let mut layout = MemLayout::cells(alloc.mem_count());
@@ -511,10 +516,11 @@ impl Connector {
         layout: &MemLayout,
         traced: bool,
     ) -> Result<Backend, RuntimeError> {
-        if matches!(
-            self.mode,
-            Mode::JitPartitioned { .. } | Mode::CompiledPartitioned
-        ) {
+        if let Mode::New {
+            placement: Placement::Partitioned,
+            ..
+        } = self.mode
+        {
             let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
                 instance.automata,
                 alloc.port_count(),
@@ -981,28 +987,25 @@ mod tests {
 
     #[test]
     fn grid_names_are_unique_and_cover_every_constructor() {
-        let grid = Mode::grid();
-        for (i, (name, mode)) in grid.iter().enumerate() {
-            for (other_name, other_mode) in &grid[i + 1..] {
-                assert_ne!(name, other_name, "duplicate grid name");
-                assert_ne!(
-                    mode, other_mode,
-                    "`{name}` and `{other_name}` are one runtime"
-                );
-            }
-        }
-        for ctor in [
+        use {Composition::*, Placement::*};
+        // `existing()` plus each (placement, composition) pair exactly
+        // once, under the five stable names, each constructor among them.
+        let expected = [
+            ("mono", Mode::Existing),
+            ("jit", Mode::new(Single, Lazy)),
+            ("part", Mode::new(Partitioned, Lazy)),
+            ("comp", Mode::new(Single, Eager)),
+            ("comp-part", Mode::new(Partitioned, Eager)),
+        ];
+        assert_eq!(Mode::grid(), expected);
+        let constructors = [
             Mode::existing(),
             Mode::jit(),
             Mode::partitioned(),
             Mode::compiled(),
             Mode::compiled_partitioned(),
-        ] {
-            assert!(
-                grid.iter().any(|(_, m)| *m == ctor),
-                "{ctor:?} is missing from Mode::grid()"
-            );
-        }
+        ];
+        assert_eq!(constructors, expected.map(|(_, mode)| mode));
         // Subsets come back in grid order, whatever order they are named in.
         let subset: Vec<_> = Mode::grid_subset(&["comp", "jit"]).collect();
         assert_eq!(subset, [("jit", Mode::jit()), ("comp", Mode::compiled())]);

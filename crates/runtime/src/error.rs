@@ -105,7 +105,7 @@ impl fmt::Display for RuntimeError {
                 "just-in-time expansion overflow: a single state has more than {budget} \
                  connected global transitions ({state_transitions} built); the fan-out \
                  lies within one synchronous component, which partitioned execution \
-                 (Mode::JitPartitioned) splits only where a queue cuts it"
+                 (Mode::partitioned()) splits only where a queue cuts it"
             ),
             RuntimeError::Core(e) => write!(f, "{e}"),
             RuntimeError::Lower(e) => write!(f, "{e}"),
@@ -181,7 +181,7 @@ mod tests {
             state_transitions: 9999,
             budget: 1000,
         };
-        assert!(e.to_string().contains("JitPartitioned"));
+        assert!(e.to_string().contains("Mode::partitioned()"));
         assert!(RuntimeError::Closed.to_string().contains("closed"));
     }
 }

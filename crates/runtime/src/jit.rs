@@ -41,12 +41,10 @@
 //! with a memoised [`Link`] to its successor row. A steady-state
 //! `try_step` is: armed-set test per entry in `(k + rotation) % n` order →
 //! the step's program → patch the participants' states → follow the link.
-//! The tuple is hashed once per *edge* of the visited state graph (and on
-//! the lookups that follow an eviction), never per step. A step that
-//! cannot be lowered is [`RuntimeError::Lower`] and poisons the engine like
-//! an expansion overflow; there is no interpreting fallback. Evicting a row
-//! ([`CachePolicy::BoundedLru`](crate::cache::CachePolicy)) makes every
-//! link into it stale and drops the steps no resident row names any more
+//! The tuple is hashed once per *edge* of the visited state graph, never
+//! per step; rows and steps stay resident for the whole session. A step
+//! that cannot be lowered is [`RuntimeError::Lower`] and poisons the engine
+//! like an expansion overflow; there is no interpreting fallback
 //! (`tests/lowered_steps.rs` holds each lowered step to the interpreter's
 //! verdict, deliveries, completion order and store).
 //!
@@ -66,13 +64,13 @@ use reo_automata::{
 };
 use reo_core::ConnectorInstance;
 
-use crate::cache::{CachePolicy, CacheStats, Link, Row, StateCache, TupleKey};
+use crate::cache::{CacheStats, Link, Row, StateCache, TupleKey};
 use crate::engine::{unsynced_ports, EngineCore, Need, Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
 /// One connected step, shared by every row naming it.
 struct Step {
-    /// Its identity (what unlinks it from the table when its last row goes).
+    /// Its identity: the participants' local transitions.
     choice: Box<[Choice]>,
     /// The operations that must be pending for it to fire.
     need: Need,
@@ -82,8 +80,6 @@ struct Step {
     /// `(automaton, target)` per participant that changes state: the tuple
     /// patch of a firing.
     moves: Box<[(u32, StateId)]>,
-    /// Resident rows naming this step.
-    rows: u32,
 }
 
 /// Tuple-of-medium-automata state machine with memoized lazy expansion.
@@ -93,15 +89,13 @@ pub struct JitCore {
     states: TupleKey,
     cache: StateCache,
     /// The row of `states`, as the last step's link or lookup left it (a
-    /// stale or missing link falls back to a lookup).
+    /// missing link falls back to a lookup).
     current: Option<Link>,
     /// The row entry the last step fired, until its successor is memoised.
     edge: Option<(Link, usize)>,
-    /// The step table: `step_ids` interns by choice vector into `steps`,
-    /// whose freed slots `free_steps` recycles.
+    /// The step table: `step_ids` interns by choice vector into `steps`.
     step_ids: HashMap<Box<[Choice]>, u32>,
     steps: Vec<Step>,
-    free_steps: Vec<u32>,
     /// Constant/function/predicate pools of every lowered step.
     pools: Pools,
     scratch: ExecScratch,
@@ -148,18 +142,17 @@ fn explosion(
 }
 
 impl JitCore {
-    pub fn new(automata: Vec<Automaton>, cache: StateCache, expansion_budget: usize) -> Self {
+    pub fn new(automata: Vec<Automaton>, expansion_budget: usize) -> Self {
         let (inputs, outputs) = boundary_classes(&automata);
         JitCore {
             owners: PortOwners::new(&automata),
             states: automata.iter().map(|a| a.initial()).collect(),
             automata,
-            cache,
+            cache: StateCache::default(),
             current: None,
             edge: None,
             step_ids: HashMap::new(),
             steps: Vec::new(),
-            free_steps: Vec::new(),
             pools: Pools::default(),
             scratch: ExecScratch::default(),
             deliveries: Vec::new(),
@@ -186,8 +179,7 @@ impl JitCore {
         ports: &PortMap,
         opts: &ProductOptions,
     ) -> Result<Self, RuntimeError> {
-        let cache = CachePolicy::Unbounded.build();
-        let mut core = Self::with_states(automata, starts, cache, opts.max_transitions);
+        let mut core = Self::with_states(automata, starts, opts.max_transitions);
         let mut queue = vec![core.states.clone()];
         let mut seen = HashSet::from([core.states.clone()]);
         let (mut head, mut filled) = (0, 0);
@@ -211,7 +203,7 @@ impl JitCore {
                     queue.push(next);
                 }
             }
-            let (row, _) = core.cache.insert(&tuple, Row { steps });
+            let row = core.cache.insert(&tuple, Row { steps });
             core.current.get_or_insert(row);
             if seen.len() > opts.max_states {
                 return Err(explosion(&core.automata, opts, seen.len(), filled));
@@ -222,12 +214,12 @@ impl JitCore {
 
     /// [`eager`](Self::eager) over an instance from its initial states,
     /// for a dense map over its ports: the shim `benchmark/` times as the
-    /// compiled core, until ROADMAP direction 1(a). `_simplify` is ignored:
+    /// compiled core, until ROADMAP direction 1. `_simplified` is ignored:
     /// rows range over the constituents, whose labels are never simplified.
     pub fn compose(
         instance: &ConnectorInstance,
         opts: &ProductOptions,
-        _simplify: bool,
+        _simplified: bool,
     ) -> Result<Self, RuntimeError> {
         let automata = instance.automata.clone();
         let starts: Vec<StateId> = automata.iter().map(|a| a.initial()).collect();
@@ -242,11 +234,10 @@ impl JitCore {
     pub fn with_states(
         automata: Vec<Automaton>,
         states: &[StateId],
-        cache: StateCache,
         expansion_budget: usize,
     ) -> Self {
         assert_eq!(automata.len(), states.len(), "one state per automaton");
-        let mut core = Self::new(automata, cache, expansion_budget);
+        let mut core = Self::new(automata, expansion_budget);
         core.states = states.iter().copied().collect();
         core
     }
@@ -304,30 +295,19 @@ impl JitCore {
     }
 
     /// The step table entry of `choice`, made on first sight with its need
-    /// over `ports`; counts one more row naming it.
+    /// over `ports`.
     fn intern(&mut self, choice: Box<[Choice]>, ports: &PortMap) -> u32 {
         if let Some(&id) = self.step_ids.get(&choice) {
-            self.steps[id as usize].rows += 1;
             return id;
         }
         let (sync, moves) = self.outline(&choice);
-        let step = Step {
+        let id = self.steps.len() as u32;
+        self.steps.push(Step {
             need: ports.need(&sync, &self.inputs, &self.outputs),
             choice: choice.clone(),
             program: None,
             moves,
-            rows: 1,
-        };
-        let id = match self.free_steps.pop() {
-            Some(id) => {
-                self.steps[id as usize] = step;
-                id
-            }
-            None => {
-                self.steps.push(step);
-                (self.steps.len() - 1) as u32
-            }
-        };
+        });
         self.step_ids.insert(choice, id);
         id
     }
@@ -352,9 +332,8 @@ impl JitCore {
     /// last step left, else by lookup.
     fn resident(&mut self) -> Option<Link> {
         if let Some(link) = self.current {
-            if self.cache.follow(link, &self.states) {
-                return Some(link);
-            }
+            self.cache.hit();
+            return Some(link);
         }
         let found = self.cache.lookup(&self.states)?;
         self.arrive(found);
@@ -369,21 +348,13 @@ impl JitCore {
         self.current = Some(row);
     }
 
-    /// Expand the current state into a fresh row: intern its steps, cache
-    /// it, and drop the steps only an evicted row named.
+    /// Expand the current state into a fresh row: intern its steps and
+    /// cache it.
     fn expand_row(&mut self, ports: &PortMap) -> Result<Link, RuntimeError> {
         let steps = (self.expand()?.into_iter())
             .map(|choice| (self.intern(choice, ports), None))
             .collect();
-        let (row, evicted) = self.cache.insert(&self.states, Row { steps });
-        for &(id, _) in evicted.iter().flat_map(|row| row.steps.iter()) {
-            let step = &mut self.steps[id as usize];
-            step.rows -= 1;
-            if step.rows == 0 {
-                self.step_ids.remove(&step.choice);
-                self.free_steps.push(id);
-            }
-        }
+        let row = self.cache.insert(&self.states, Row { steps });
         self.arrive(row);
         Ok(row)
     }
@@ -456,7 +427,7 @@ impl EngineCore for JitCore {
 
     fn cache_stats(&self) -> Option<CacheStats> {
         Some(CacheStats {
-            steps: self.step_ids.len(),
+            steps: self.steps.len(),
             ..self.cache.stats()
         })
     }
@@ -561,18 +532,17 @@ impl JitCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachePolicy;
     use crate::engine::Engine;
     use reo_automata::{primitives, MemId, MemLayout, PortAllocator, PortId, Value};
 
-    fn engine_from(automata: Vec<Automaton>, ports: usize, policy: CachePolicy) -> Engine {
+    fn engine_from(automata: Vec<Automaton>, ports: usize) -> Engine {
         let mut layout = MemLayout::cells(0);
         for a in &automata {
             layout.merge(a.mem_layout());
         }
         let mut full = MemLayout::cells(ports); // ports >= mems in tests
         full.merge(&layout);
-        let core = JitCore::new(automata, policy.build(), 1 << 20);
+        let core = JitCore::new(automata, 1 << 20);
         Engine::new(
             Box::new(core),
             crate::engine::PortMap::dense(ports),
@@ -589,7 +559,7 @@ mod tests {
         // Two *separate* medium automata share vertex 1; the JIT engine must
         // synchronize them: the send completes only with the receive.
         let autos = vec![primitives::sync(p(0), p(1)), primitives::sync(p(1), p(2))];
-        let eng = std::sync::Arc::new(engine_from(autos, 3, CachePolicy::Unbounded));
+        let eng = std::sync::Arc::new(engine_from(autos, 3));
         let e2 = std::sync::Arc::clone(&eng);
         let rx = std::thread::spawn(move || e2.recv(p(2)).unwrap());
         eng.send(p(0), Value::Int(11)).unwrap();
@@ -603,7 +573,7 @@ mod tests {
             primitives::fifo1(p(0), p(1), MemId(0)),
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
-        let core = JitCore::new(autos, CachePolicy::Unbounded.build(), 1 << 20);
+        let core = JitCore::new(autos, 1 << 20);
         // One fill each and no joint fill: the eager product keeps the
         // third (`product.rs::independent_fifos_get_joint_and_interleaved_steps`),
         // which here is the two fills fired in either order.
@@ -618,7 +588,7 @@ mod tests {
             primitives::fifo1(p(0), p(1), MemId(0)),
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
-        let eng = engine_from(autos, 4, CachePolicy::Unbounded);
+        let eng = engine_from(autos, 4);
         let fill = |port| {
             eng.send(p(port), Value::Int(port as i64)).unwrap();
         };
@@ -651,7 +621,7 @@ mod tests {
             primitives::fifo1(p(0), p(1), MemId(0)),
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
-        let mut core = JitCore::new(autos, CachePolicy::Unbounded.build(), 1 << 20);
+        let mut core = JitCore::new(autos, 1 << 20);
         let mut pending = PendingTable::new(std::sync::Arc::new(PortMap::dense(4)));
         let mut store = Store::new(&MemLayout::cells(2));
         pending.set(p(0), Pending::Send(Value::Int(1)));
@@ -674,7 +644,7 @@ mod tests {
         for &h in &heads {
             autos.push(primitives::lossy(h, alloc.fresh_port()));
         }
-        let core = JitCore::new(autos, CachePolicy::Unbounded.build(), 1000);
+        let core = JitCore::new(autos, 1000);
         assert!(matches!(
             core.expand(),
             Err(RuntimeError::ExpansionOverflow { .. })
@@ -705,7 +675,7 @@ mod tests {
             .collect();
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
         assert_eq!(inst.automata.len(), 16);
-        let core = JitCore::new(inst.automata, CachePolicy::Unbounded.build(), 1 << 20);
+        let core = JitCore::new(inst.automata, 1 << 20);
         let fanout = core.expand().unwrap().len();
         assert!(fanout <= 16, "initial fan-out {fanout}");
     }
@@ -726,7 +696,7 @@ mod tests {
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
         let mut layout = MemLayout::cells(alloc.mem_count());
         layout.merge(&inst.mem_layout);
-        let core = JitCore::new(inst.automata, CachePolicy::Unbounded.build(), 1 << 20);
+        let core = JitCore::new(inst.automata, 1 << 20);
         let eng = Engine::new(
             Box::new(core),
             crate::engine::PortMap::dense(alloc.port_count()),
@@ -844,7 +814,7 @@ mod tests {
         builder.transition(s0, Transition::new(PortSet::from_iter([h, q]), s1));
         builder.transition(s0, Transition::new(PortSet::singleton(q), s0));
         builder.transition(s1, Transition::new(PortSet::singleton(live), s1));
-        let eng = engine_from(vec![builder.build()], 3, CachePolicy::Unbounded);
+        let eng = engine_from(vec![builder.build()], 3);
 
         assert!(eng.offer(h, Value::Unit).is_none());
         eng.hangup(&[h], None);
@@ -856,33 +826,5 @@ mod tests {
         assert!(matches!(eng.offer(live, Value::Unit), Some(Ok(()))));
         let refused = eng.offer(q, Value::Unit);
         assert!(matches!(refused, Some(Err(RuntimeError::Hangup(_)))));
-    }
-
-    #[test]
-    fn lru_cache_recomputes_after_eviction_with_same_behaviour() {
-        // Drive a sequencer-like ring long enough to cycle through states
-        // twice; with capacity 1 every revisit recomputes, yet behaviour is
-        // identical to the unbounded cache.
-        let mk = || {
-            vec![
-                primitives::fifo1_full(p(0), p(1), MemId(0), Value::Unit),
-                primitives::fifo1(p(2), p(3), MemId(1)),
-            ]
-        };
-        let run = |policy: CachePolicy| {
-            let eng = engine_from(mk(), 4, policy);
-            let mut log = Vec::new();
-            for round in 0..3 {
-                let v = eng.recv(p(1)).unwrap();
-                log.push(format!("{round}:{v}"));
-                eng.send(p(0), Value::Int(round)).unwrap();
-            }
-            (log, eng.cache_stats().unwrap())
-        };
-        let (log_u, stats_u) = run(CachePolicy::Unbounded);
-        let (log_b, stats_b) = run(CachePolicy::BoundedLru { capacity: 1 });
-        assert_eq!(log_u, log_b);
-        assert_eq!(stats_u.evictions, 0);
-        assert!(stats_b.evictions > 0, "capacity 1 must evict");
     }
 }

@@ -2,21 +2,19 @@
 //!
 //! Parametrized execution (Sect. IV-D of van Veen & Jongmans, IPDPSW 2018):
 //! blocking ports in the generalized Foster–Chandy model, a sequential
-//! protocol engine, and the paper's execution modes —
+//! protocol engine, and the paper's two approaches ([`Mode`]) —
 //!
 //! * the **existing approach** ([`Mode::existing`]: one large automaton
-//!   composed from fully elaborated primitives — the Fig. 12 baseline),
-//! * **ahead-of-time composition** of medium automata at `connect` time
-//!   ([`Mode::compiled`]),
-//! * **just-in-time composition** ([`Mode::jit`]) with an unbounded or
-//!   bounded-LRU state cache — one core ([`jit::JitCore`]) steps both over
-//!   the medium automata, with every reachable row filled at `connect` or
-//!   each row on first visit, lowering each step to a register program
-//!   when it is first tried — and
-//! * either composition **partitioned** ([`Mode::partitioned`],
-//!   [`Mode::compiled_partitioned`] — the optimization of the paper's
-//!   reference \[32\], which fixes Fig. 13's finding 3): one engine per
-//!   synchronous region, cut fifos as links.
+//!   composed from fully elaborated primitives — the Fig. 12 baseline), and
+//! * the **new approach** over the medium automata, stepped by one core
+//!   ([`jit::JitCore`]) that lowers each step to a register program when
+//!   it is first tried. Its [`Composition`] fills a state's row on first
+//!   visit ([`Mode::jit`]) or every reachable row at `connect`
+//!   ([`Mode::compiled`]); its [`Placement`] runs on one engine or
+//!   **partitioned** ([`Mode::partitioned`], [`Mode::compiled_partitioned`]
+//!   — the optimization of the paper's reference \[32\], which fixes
+//!   Fig. 13's finding 3): one engine per synchronous region, cut fifos as
+//!   links.
 //!
 //! There is one scheduler: as in the paper, the task that calls
 //! `send`/`recv` steps the connector itself. In the partitioned modes a
@@ -94,7 +92,8 @@ pub mod watchdog;
 
 pub use cache::{CachePolicy, CacheStats};
 pub use connector::{
-    Branch, Connector, ConnectorBuilder, ConnectorHandle, Limits, Mode, Session, SessionSpec,
+    Branch, Composition, Connector, ConnectorBuilder, ConnectorHandle, Limits, Mode, Placement,
+    Session, SessionSpec,
 };
 pub use engine::EngineStats;
 pub use error::RuntimeError;
@@ -109,7 +108,13 @@ pub use stepping::{stepping_run, SteppingMode, SteppingRun};
 pub use watchdog::{LinkReport, ParkedKind, ParkedOp, RegionReport, StallReport};
 
 /// The ahead-of-time core is [`jit::JitCore`] with every reachable row
-/// filled at `connect` ([`jit::JitCore::eager`]). The name and its
-/// [`compose`](jit::JitCore::compose) shim are what `benchmark/` calls it
-/// by, and go with the benchmark re-base (ROADMAP directions 1(a), 3(a)).
+/// filled at `connect` ([`jit::JitCore::eager`]).
+///
+/// Every name below survives only because `benchmark/` calls it, and goes
+/// once the benchmark is re-based (ROADMAP direction 1):
+/// * this alias and its [`compose`](jit::JitCore::compose) shim;
+/// * [`SteppingMode`] (the [`stepping_run`] argument);
+/// * [`reo_automata::lower::lower`] and its `Lowered`;
+/// * [`CachePolicy`], the ignored argument of [`partition::partition`];
+/// * the two budget fields of [`Limits`].
 pub type CompiledCore = jit::JitCore;

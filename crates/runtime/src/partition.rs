@@ -125,7 +125,6 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
 
-use crate::cache::CachePolicy;
 use crate::connector::{core_for, Limits, Mode};
 use crate::engine::{
     Engine, EngineCore, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Pending, PortMap,
@@ -283,20 +282,21 @@ struct Plan {
     router: Vec<u32>,
 }
 
-/// [`partition_with_opts`] with the defaults of [`crate::Mode::partitioned`]:
-/// a JIT core per region under the given state-cache policy.
+/// [`partition_with_opts`] under [`crate::Mode::partitioned`]: a JIT core
+/// per region. The cache argument is the one `benchmark/` passes
+/// ([`crate::cache::CachePolicy`]).
 pub fn partition(
     automata: Vec<Automaton>,
     port_count: usize,
     mem_layout: &MemLayout,
-    cache: CachePolicy,
+    _cache: crate::cache::CachePolicy,
     expansion_budget: usize,
 ) -> Result<Partitioned, RuntimeError> {
     let limits = Limits {
         expansion_budget,
         ..Limits::default()
     };
-    let mode = Mode::JitPartitioned { cache };
+    let mode = Mode::partitioned();
     partition_with_opts(automata, port_count, mem_layout, mode, limits)
 }
 
@@ -1210,6 +1210,7 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CachePolicy;
     use reo_automata::{primitives, MemId};
     use std::task::Waker;
 
@@ -1255,7 +1256,7 @@ mod tests {
             primitives::replicator(p(3), &[p(4), p(5)]),
         ];
         let layout = MemLayout::cells(1);
-        let part = partition(autos, 6, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+        let part = partition(autos, 6, &layout, CachePolicy, 1 << 20).unwrap();
         let t = part.topo();
         assert_eq!(t.engines.len(), 2);
         assert_eq!(t.links.len(), 1);
@@ -1275,7 +1276,7 @@ mod tests {
             primitives::replicator(p(2), &[p(3), p(4)]),
         ];
         let layout = MemLayout::cells(0);
-        let part = partition(autos, 5, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+        let part = partition(autos, 5, &layout, CachePolicy, 1 << 20).unwrap();
         assert_eq!(part.region_count(), 1);
         assert_eq!(part.link_count(), 0);
     }
@@ -1289,7 +1290,7 @@ mod tests {
             primitives::sync(p(1), p(2)),
         ];
         let layout = MemLayout::cells(1);
-        let part = partition(autos, 3, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+        let part = partition(autos, 3, &layout, CachePolicy, 1 << 20).unwrap();
         assert_eq!(part.region_count(), 1);
         assert_eq!(part.link_count(), 0);
     }
@@ -1301,7 +1302,7 @@ mod tests {
             primitives::sync(p(2), p(3)),
         ];
         let layout = MemLayout::cells(1);
-        partition(autos, 4, &layout, CachePolicy::Unbounded, 1 << 20).unwrap()
+        partition(autos, 4, &layout, CachePolicy, 1 << 20).unwrap()
     }
 
     /// Replicator → two parallel fifo links → merger: both regions border
@@ -1316,7 +1317,7 @@ mod tests {
             primitives::merger(&[p(3), p(4)], p(5)),
         ];
         let layout = MemLayout::cells(2);
-        let part = partition(autos, 6, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+        let part = partition(autos, 6, &layout, CachePolicy, 1 << 20).unwrap();
         assert_eq!(part.region_count(), 2);
         assert_eq!(part.link_count(), 2);
         part
@@ -1366,7 +1367,7 @@ mod tests {
             primitives::fifo1(p(1), p(2), MemId(0)),
         ];
         let layout = MemLayout::cells(1);
-        let part = partition(autos, 3, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+        let part = partition(autos, 3, &layout, CachePolicy, 1 << 20).unwrap();
         assert_eq!(part.link_count(), 0);
         part.pump();
         for k in 0..10 {
@@ -1390,7 +1391,7 @@ mod tests {
                 primitives::sync(p(4), p(5)),
             ];
             let layout = MemLayout::cells(1);
-            let part = partition(autos, 6, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+            let part = partition(autos, 6, &layout, CachePolicy, 1 << 20).unwrap();
             if armed_first {
                 part.pump();
             }
@@ -1458,7 +1459,7 @@ mod tests {
             primitives::sync(p(2), p(3)),
         ];
         let layout = MemLayout::cells(1);
-        let part = partition(autos, 4, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+        let part = partition(autos, 4, &layout, CachePolicy, 1 << 20).unwrap();
         part.pump();
         assert_eq!(recv(&part, p(3)), Some(99));
     }

@@ -286,7 +286,6 @@ impl Backend {
                     if let Some(s) = e.cache_stats() {
                         acc.hits += s.hits;
                         acc.misses += s.misses;
-                        acc.evictions += s.evictions;
                         acc.resident += s.resident;
                         acc.steps += s.steps;
                     }

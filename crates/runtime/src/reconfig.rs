@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use reo_automata::{remap::remap, Automaton, MemId, MemLayout, PortAllocator, PortId, StateId};
 use reo_core::{instantiate, Binding, CompiledConnector};
 
-use crate::connector::{core_for, Limits, Mode};
+use crate::connector::{core_for, Composition::Eager, Limits, Mode};
 use crate::engine::{EngineCore, PortMap};
 use crate::error::RuntimeError;
 use crate::partition::{constituent_at_rest, constituent_states_of};
@@ -247,10 +247,9 @@ pub(crate) fn splice_core(
     starts: &[StateId],
     ports: &PortMap,
 ) -> Result<Box<dyn EngineCore>, RuntimeError> {
+    let eager = matches!(mode, Mode::New { composition, .. } if composition == Eager);
     match core_for(mode, limits, automata.to_vec(), starts, ports, true) {
-        Err(RuntimeError::Explosion(_))
-            if matches!(mode, Mode::Compiled | Mode::CompiledPartitioned) =>
-        {
+        Err(RuntimeError::Explosion(_)) if eager => {
             core_for(Mode::jit(), limits, automata.to_vec(), starts, ports, true)
         }
         core => core,

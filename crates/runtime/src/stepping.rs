@@ -40,9 +40,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reo_automata::{MemLayout, PortAllocator, PortId, PortSet, StateId, Store, Value};
-use reo_core::{compile, instantiate, Binding, Program};
+use reo_core::{compile, instantiate, Program};
 
-use crate::connector::{core_for, Limits, Mode};
+use crate::connector::{bind, core_for, Limits, Mode};
 use crate::engine::{Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
@@ -88,17 +88,7 @@ pub fn stepping_run(
 ) -> Result<SteppingRun, RuntimeError> {
     let cc = compile(program, def)?;
     let mut alloc = PortAllocator::new();
-    let mut binding: Binding = std::collections::HashMap::new();
-    let params: Vec<(String, bool)> = cc.params().map(|p| (p.name.clone(), p.is_array)).collect();
-    for (name, is_array) in &params {
-        let n = sizes
-            .iter()
-            .find(|(s, _)| s == name)
-            .map(|(_, n)| *n)
-            .unwrap_or(1);
-        let n = if *is_array { n } else { 1 };
-        binding.insert(name.clone(), alloc.fresh_ports(n));
-    }
+    let binding = bind(cc.params(), sizes, &mut alloc)?;
     let instance = instantiate(&cc, &binding, &mut alloc)?;
     let mut layout = MemLayout::cells(alloc.mem_count());
     layout.merge(&instance.mem_layout);

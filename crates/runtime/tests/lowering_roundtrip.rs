@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use reo_automata::{primitives, Automaton, MemId, MemLayout, PortId, Pred, Store, Value};
 use reo_runtime::aot::AotCore;
-use reo_runtime::cache::CachePolicy;
 use reo_runtime::engine::{EngineCore, Pending, PendingTable, PortMap};
 use reo_runtime::jit::JitCore;
 
@@ -105,7 +104,7 @@ fn roundtrip(a: Automaton, port_count: usize) {
     layout.merge(a.mem_layout());
     let mem_ids: Vec<MemId> = a.mem_ids().to_vec();
     let name = a.name().to_string();
-    let mut jit = JitCore::new(vec![a.clone()], CachePolicy::Unbounded.build(), 1 << 20);
+    let mut jit = JitCore::new(vec![a.clone()], 1 << 20);
     let mut interpreting = AotCore::from_automaton(a);
     agree(
         &name,
@@ -247,7 +246,7 @@ fn unencodable_automaton_is_a_typed_error() {
     b.transition(s, t);
     let aut = b.build();
 
-    let mut jit = JitCore::new(vec![aut], CachePolicy::Unbounded.build(), 1 << 20);
+    let mut jit = JitCore::new(vec![aut], 1 << 20);
     let mut pending = PendingTable::new(Arc::new(PortMap::dense(1)));
     let mut store = Store::new(&MemLayout::cells(1));
     // A step is lowered when first tried: arm its send.

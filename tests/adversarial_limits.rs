@@ -13,18 +13,10 @@ fn build(src: &str, name: &str) -> Connector {
         .unwrap()
 }
 
-/// A replication count beyond the instantiation budget is refused before a
-/// single port is allocated.
-#[test]
-fn oversized_replication_is_a_typed_error() {
-    let connector = build("P(a[];b[]) = prod (i:1..#a) Sync(a[i];b[i])", "P");
-    let err = connector
-        .session()
-        .replicate("a", reo::core::INSTANTIATION_BUDGET + 1)
-        .replicate("b", 1)
-        .connect()
-        .err()
-        .expect("connect must fail");
+const WIDE: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];b[i])";
+
+fn assert_over_budget<T>(result: Result<T, RuntimeError>) {
+    let err = result.err().expect("must be refused");
     assert!(
         matches!(
             err,
@@ -32,6 +24,42 @@ fn oversized_replication_is_a_typed_error() {
         ),
         "got: {err}"
     );
+}
+
+/// A replication count beyond the instantiation budget is refused before a
+/// single port is allocated.
+#[test]
+fn oversized_replication_is_a_typed_error() {
+    let connector = build(WIDE, "P");
+    assert_over_budget(
+        (connector.session())
+            .replicate("a", reo::core::INSTANTIATION_BUDGET + 1)
+            .replicate("b", 1)
+            .connect(),
+    );
+}
+
+/// `analyze` binds ports as `connect` does, budget check included: a size
+/// past it is the same typed error, not a `capacity overflow` panic in the
+/// port allocator.
+#[test]
+fn oversized_replication_is_a_typed_error_in_analyze() {
+    let connector = build(WIDE, "P");
+    let opts = reo::automata::ProductOptions::default();
+    assert_over_budget(connector.analyze(&[("a", usize::MAX), ("b", 1)], &opts));
+}
+
+/// So does the stepping microbench.
+#[test]
+fn oversized_replication_is_a_typed_error_in_stepping_run() {
+    use reo::runtime::{stepping_run, Limits, SteppingMode};
+    let program = reo::dsl::parse_program(WIDE).unwrap();
+    let sizes = [("a", usize::MAX), ("b", 1)];
+    let window = std::time::Duration::from_millis(1);
+    for mode in [SteppingMode::Jit, SteppingMode::Compiled] {
+        let run = stepping_run(&program, "P", &sizes, mode, Limits::default(), window);
+        assert_over_budget(run);
+    }
 }
 
 /// A constant `prod` range far beyond any real workload terminates with the
@@ -240,7 +268,7 @@ fn compiled_sessions_connect_what_their_product_could_not() {
 fn eager_budgets_bound_the_product_not_a_partial_one() {
     use reo::automata::{PortAllocator, ProductOptions};
     use reo::connectors::{families, Role};
-    use reo::core::{compile, compile_monolithic, Binding, MonolithicOptions};
+    use reo::core::{compile, compile_monolithic, Binding};
     use std::task::{Context, Waker};
 
     let cells = [
@@ -258,7 +286,7 @@ fn eager_budgets_bound_the_product_not_a_partial_one() {
         let binding: Binding = (compile(&program, family.def).unwrap().params())
             .map(|p| (p.name.clone(), alloc.fresh_ports(width(&p.name))))
             .collect();
-        let options = MonolithicOptions::default();
+        let options = ProductOptions::default();
         let existing = compile_monolithic(&program, family.def, &binding, &mut alloc, &options)
             .unwrap_or_else(|e| panic!("{name} n={n}, existing: {e}"));
         assert_eq!(existing.automata[0].state_count(), states, "{name} n={n}");

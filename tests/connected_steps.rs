@@ -29,7 +29,6 @@ use std::collections::HashMap;
 
 use reo::automata::{Automaton, StateId};
 use reo::runtime::jit::JitCore;
-use reo::runtime::CachePolicy;
 use steps::{normalise, Step};
 
 /// The step that fires port-disjoint `a` and `b` (both leaving `from`)
@@ -94,12 +93,7 @@ fn check_automata(autos: &[Automaton]) -> Result<Option<usize>, String> {
     };
 
     let expand = |tuple: &[StateId]| -> Result<Vec<Step>, String> {
-        let core = JitCore::with_states(
-            autos.to_vec(),
-            tuple,
-            CachePolicy::Unbounded.build(),
-            1 << 16,
-        );
+        let core = JitCore::with_states(autos.to_vec(), tuple, 1 << 16);
         let expanded = core.expand().map_err(|e| e.to_string())?;
         Ok(expanded
             .iter()

@@ -32,7 +32,6 @@ use reo::automata::{
 };
 use reo::runtime::engine::{EngineCore, Pending, PendingTable, PortMap};
 use reo::runtime::jit::JitCore;
-use reo::runtime::CachePolicy;
 
 /// Rounds of the saturation script, and firings allowed per round (a
 /// connector may cycle internally without any boundary operation).
@@ -123,7 +122,7 @@ fn check_automata(autos: &[Automaton]) -> Result<Option<usize>, String> {
 
     let mut layout = MemLayout::cells(0);
     autos.iter().for_each(|a| layout.merge(a.mem_layout()));
-    let mut lazy = JitCore::new(autos.to_vec(), CachePolicy::Unbounded.build(), 1 << 20);
+    let mut lazy = JitCore::new(autos.to_vec(), 1 << 20);
     let (comp, jit) = (
         drive(&mut eager, &ports, &layout),
         drive(&mut lazy, &ports, &layout),

@@ -1,5 +1,5 @@
 //! Property tests on the substrate invariants: PortSet algebra, product
-//! laws, cache equivalence, and parametrized-vs-elaborated agreement.
+//! laws, cache-fill equivalence, and parametrized-vs-elaborated agreement.
 
 use proptest::prelude::*;
 
@@ -82,9 +82,9 @@ proptest! {
     #[test]
     fn parametrized_instance_matches_full_elaboration(n in 1usize..6) {
         // ConnectorEx11N: the medium-automata route must produce automata
-        // whose *composed* reachable space equals the monolithic one's.
-        use reo::core::{compile, compile_monolithic, instantiate, Binding,
-                        MonolithicOptions};
+        // whose *composed* reachable space equals that of the fully
+        // elaborated primitives, composed and not label-simplified.
+        use reo::core::{compile, elaborate, flatten, instantiate, Binding};
         use reo::automata::PortAllocator;
         let program = reo::core::examples::paper_program();
         let cc = compile(&program, "ConnectorEx11N").unwrap();
@@ -102,19 +102,18 @@ proptest! {
             ("tl".to_string(), alloc2.fresh_ports(n)),
             ("hd".to_string(), alloc2.fresh_ports(n)),
         ].into();
-        let mono = compile_monolithic(
-            &program, "ConnectorEx11N", &binding2, &mut alloc2,
-            &MonolithicOptions { simplify: false, ..Default::default() },
-        ).unwrap();
+        let flat = flatten(&program, "ConnectorEx11N").unwrap();
+        let primitives = elaborate(&flat, &program, &binding2, &mut alloc2).unwrap();
+        let mono = product_all(&primitives, &ProductOptions::default()).unwrap();
 
         let reach_a = reo::automata::explore::space_stats(&composed);
-        let reach_b = reo::automata::explore::space_stats(&mono.automata[0]);
+        let reach_b = reo::automata::explore::space_stats(&mono);
         prop_assert_eq!(reach_a.states, reach_b.states);
         // Same labels over the boundary: compare traces after hiding.
         let boundary1: PortSet = binding1.values().flatten().copied().collect();
         let boundary2: PortSet = binding2.values().flatten().copied().collect();
         let h1 = reo::automata::simplify(&composed, &boundary1);
-        let h2 = reo::automata::simplify(&mono.automata[0], &boundary2);
+        let h2 = reo::automata::simplify(&mono, &boundary2);
         // Port ids coincide across the two allocators (same allocation
         // order), so traces are directly comparable.
         prop_assert_eq!(
@@ -124,19 +123,21 @@ proptest! {
     }
 }
 
-/// LRU-bounded and unbounded caches must be observationally identical on a
-/// deterministic single-thread-drivable connector.
+/// The two ways of filling the state cache — each row on first visit
+/// (`jit`) and every reachable row at `connect` (`comp`) — must be
+/// observationally identical on a deterministic single-thread-drivable
+/// connector.
 #[test]
 fn cache_policies_observationally_equal_on_sequencer() {
-    use reo::runtime::{CachePolicy, Connector, Mode};
+    use reo::runtime::{Connector, Mode};
     let family = reo::connectors::families()
         .into_iter()
         .find(|f| f.name == "sequencer")
         .unwrap();
     let program = family.program();
-    let run = |cache: CachePolicy| -> u64 {
+    let run = |mode: Mode| -> u64 {
         let connector = Connector::builder(&program, family.def)
-            .mode(Mode::Jit { cache })
+            .mode(mode)
             .build()
             .unwrap();
         let mut connected = connector.session().replicate("t", 4).connect().unwrap();
@@ -148,7 +149,7 @@ fn cache_policies_observationally_equal_on_sequencer() {
         }
         connected.handle().steps()
     };
-    let unbounded = run(CachePolicy::Unbounded);
-    let lru = run(CachePolicy::BoundedLru { capacity: 1 });
-    assert_eq!(unbounded, lru, "same protocol, same step count");
+    let lazy = run(Mode::jit());
+    let eager = run(Mode::compiled());
+    assert_eq!(lazy, eager, "same protocol, same step count");
 }

@@ -33,7 +33,6 @@ use reo::automata::{
 use reo::core::{compile, instantiate, Binding};
 use reo::runtime::engine::EngineCore;
 use reo::runtime::jit::JitCore;
-use reo::runtime::CachePolicy;
 
 /// What one firing did, rendered for comparison (`Value: !PartialEq`).
 #[derive(Debug, PartialEq)]
@@ -72,14 +71,7 @@ fn check_connector(
     layout.merge(&instance.mem_layout);
 
     let initial: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-    let core_at = |tuple: &[StateId]| {
-        JitCore::with_states(
-            autos.clone(),
-            tuple,
-            CachePolicy::Unbounded.build(),
-            1 << 16,
-        )
-    };
+    let core_at = |tuple: &[StateId]| JitCore::with_states(autos.clone(), tuple, 1 << 16);
     let boundary = core_at(&initial);
     let (inputs, outputs) = (boundary.boundary_inputs(), boundary.boundary_outputs());
     let saturated = |p: PortId| inputs.contains(p).then_some(Value::Int(1000 + p.0 as i64));

@@ -534,60 +534,6 @@ fn wide_merger_delivers_every_value_in_per_port_order_under_jit() {
     }
 }
 
-/// A one-row cache recomputes every state it returns to, yet behaves like
-/// the unbounded one — and eviction frees what it evicts: at most one row
-/// resident, and a step table that stops growing after the first lap.
-#[test]
-fn one_row_lru_matches_unbounded_and_frees_rows_and_steps() {
-    use reo::runtime::CachePolicy;
-    const N: usize = 8;
-    const LAPS: usize = 4;
-    let family = (reo::connectors::families().into_iter())
-        .find(|f| f.name == "sequencer")
-        .unwrap();
-    // Every turn, offer on all ports from the last to the first: only the
-    // port whose turn it is accepts. The trace is who accepted when.
-    let run = |cache: CachePolicy| {
-        let mut session = family_session(&family, N, Mode::Jit { cache });
-        let txs = session.typed_outports::<i64>("t").unwrap();
-        let handle = session.handle();
-        let mut trace = Vec::new();
-        let mut steps_after_first_lap = 0;
-        for turn in 0..LAPS * N {
-            for (i, tx) in txs.iter().enumerate().rev() {
-                if tx.try_send(turn as i64).unwrap() {
-                    trace.push((turn, i));
-                }
-            }
-            if turn + 1 == N {
-                steps_after_first_lap = handle.cache_stats().unwrap().steps;
-            }
-        }
-        (trace, steps_after_first_lap, handle.cache_stats().unwrap())
-    };
-    let (reference, _, unbounded) = run(CachePolicy::Unbounded);
-    let accepted: Vec<usize> = reference.iter().map(|&(_, port)| port).collect();
-    let in_turn: Vec<usize> = (0..accepted.len()).map(|k| k % N).collect();
-    assert!(
-        accepted.len() >= LAPS * N && accepted == in_turn,
-        "{reference:?}"
-    );
-    assert_eq!(unbounded.evictions, 0);
-
-    let (trace, steps_after_first_lap, bounded) = run(CachePolicy::BoundedLru { capacity: 1 });
-    assert_eq!(trace, reference);
-    assert!(
-        bounded.resident <= 1 && bounded.evictions > 0,
-        "{bounded:?}"
-    );
-    assert!(bounded.misses > unbounded.misses, "revisits recompute");
-    assert!(
-        bounded.steps <= steps_after_first_lap && bounded.steps < unbounded.steps,
-        "the step table grew: {steps_after_first_lap} after one lap, {bounded:?} at the end \
-         ({unbounded:?} unbounded)"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12, // each case spins up the whole grid x threads; keep it lean

@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use reo::runtime::{Connector, Mode};
+use reo::automata::ProductOptions;
+use reo::runtime::{Connector, Limits, Mode};
 use reo::{RuntimeError, Value};
 
 /// One `Fifo1` per producer branch feeding a variadic stateless
@@ -314,6 +315,76 @@ fn detached_branch_port_reports_detached() {
             matches!(tx.try_send(Value::Int(2)), Err(RuntimeError::Detached(_))),
             "{mode:?}: stale port handle must fail Detached"
         );
+        handle.close();
+    }
+}
+
+/// A splice whose eager fill outgrows [`Limits::product`] steps its region
+/// just in time for that epoch instead of failing. The buffered merger has
+/// 2^n reachable tuples, so under a 64-tuple budget it fills at six
+/// branches and not at seven: growing from two to eight branches and back
+/// takes the fallback on every splice past six, yet each one succeeds and
+/// every value arrives exactly once.
+#[test]
+fn a_splice_past_the_eager_budget_steps_just_in_time() {
+    let product = ProductOptions {
+        max_states: 64,
+        ..ProductOptions::default()
+    };
+    let limits = Limits {
+        product,
+        ..Limits::default()
+    };
+    let program = reo::dsl::parse_program(MERGER).unwrap();
+    for (label, mode) in Mode::grid_subset(&["comp", "comp-part"]) {
+        let connector = (Connector::builder(&program, "M").mode(mode))
+            .limits(limits)
+            .build()
+            .unwrap();
+        let connect = |n| {
+            (connector.session().replicate("src", n))
+                .reconfigurable()
+                .connect()
+        };
+        assert!(connect(6).is_ok(), "{label}: six branches fit");
+        let seven = connect(7).err();
+        assert!(matches!(seven, Some(RuntimeError::Explosion(_))), "{label}");
+
+        let mut session = connect(2).unwrap();
+        let handle = session.handle();
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        let mut txs = session.outports("src").unwrap();
+        let mut branches = Vec::new();
+        let (mut sent, mut got) = (Vec::new(), Vec::new());
+        let mut round = |txs: &[reo::Outport], tag: i64| {
+            for (i, tx) in txs.iter().enumerate() {
+                tx.send(Value::Int(tag * 100 + i as i64)).unwrap();
+                sent.push(tag * 100 + i as i64);
+            }
+            for _ in txs {
+                got.push(rx.recv_timeout(Duration::from_secs(5)).unwrap());
+            }
+        };
+        for epoch in 1..=6 {
+            let mut branch = (handle.attach("src"))
+                .unwrap_or_else(|e| panic!("{label}: attach to {} branches: {e}", epoch + 2));
+            assert_eq!(handle.epoch(), epoch, "{label}");
+            txs.push(branch.outport().unwrap());
+            branches.push(branch);
+            round(&txs, epoch as i64);
+        }
+        for epoch in 7..=12 {
+            drop(txs.pop());
+            let branch = branches.pop().unwrap();
+            branch
+                .detach()
+                .unwrap_or_else(|e| panic!("{label}: detach: {e}"));
+            assert_eq!(handle.epoch(), epoch, "{label}");
+            round(&txs, epoch as i64);
+        }
+        sent.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, sent, "{label}: exactly once across every splice");
         handle.close();
     }
 }

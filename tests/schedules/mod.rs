@@ -136,7 +136,7 @@ impl World {
             .flat_map(|a| a.ports().iter().collect::<Vec<_>>());
         let port_count = ports.map(|p| p.index() + 1).max().unwrap_or(0);
         let layout = MemLayout::cells(cells);
-        let part = partition(autos, port_count, &layout, CachePolicy::Unbounded, 1 << 20).unwrap();
+        let part = partition(autos, port_count, &layout, CachePolicy, 1 << 20).unwrap();
         part.pump(); // connect-time arming
         let task = |script: &Vec<Op>| Task {
             script: script.clone(),

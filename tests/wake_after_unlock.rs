@@ -12,7 +12,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::Duration;
 
-use reo::runtime::{Connector, Mode};
+use reo::runtime::{Connector, Mode, Placement};
 use reo::Session;
 
 /// Generous: no operation below may ever see it.
@@ -92,7 +92,10 @@ fn rendezvous_and_turns_lose_no_wakeup_on_any_mode() {
         // signals before it unlocks, so a task can be woken once more.
         if !matches!(
             mode,
-            Mode::JitPartitioned { .. } | Mode::CompiledPartitioned
+            Mode::New {
+                placement: Placement::Partitioned,
+                ..
+            }
         ) {
             assert!(stats.wakeups <= OPS as u64, "{name}: {}", stats.wakeups);
         }
