@@ -10,6 +10,7 @@ use std::fmt;
 
 use crate::assign::{Assign, Dst};
 use crate::guard::Guard;
+use crate::name::Name;
 use crate::port::{MemId, PortId, PortSet};
 use crate::store::MemLayout;
 
@@ -94,7 +95,7 @@ pub struct QueueHint {
 /// A constraint automaton with memory.
 #[derive(Clone, Debug)]
 pub struct Automaton {
-    name: String,
+    name: Name,
     /// Transitions grouped per source state; indexed by `StateId`.
     states: Vec<Vec<Transition>>,
     initial: StateId,
@@ -105,6 +106,8 @@ pub struct Automaton {
     /// Ports internal to the automaton (matched input/output pairs from
     /// composition). They appear in labels until hidden by simplification.
     internals: PortSet,
+    /// inputs ∪ outputs ∪ internals, kept with the three classes.
+    ports: PortSet,
     /// This automaton's memory cells with initial contents (global ids).
     mems: MemLayout,
     /// Cells owned by this automaton, in allocation order.
@@ -116,16 +119,16 @@ pub struct Automaton {
 
 impl Automaton {
     /// All ports occurring in this automaton (inputs ∪ outputs ∪ internals).
-    pub fn ports(&self) -> PortSet {
-        self.inputs.union(&self.outputs).union(&self.internals)
-    }
-
-    /// Ports visible to tasks (inputs ∪ outputs).
-    pub fn boundary_ports(&self) -> PortSet {
-        self.inputs.union(&self.outputs)
+    pub fn ports(&self) -> &PortSet {
+        &self.ports
     }
 
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The name itself, to give another automaton without a copy.
+    pub(crate) fn shared_name(&self) -> &Name {
         &self.name
     }
 
@@ -202,6 +205,7 @@ impl Automaton {
         outputs: PortSet,
         internals: PortSet,
     ) {
+        self.ports = inputs.union(&outputs).union(&internals);
         self.inputs = inputs;
         self.outputs = outputs;
         self.internals = internals;
@@ -239,7 +243,7 @@ impl Automaton {
 
 /// Incremental construction of an [`Automaton`].
 pub struct AutomatonBuilder {
-    name: String,
+    name: Name,
     states: Vec<Vec<Transition>>,
     initial: StateId,
     inputs: PortSet,
@@ -251,7 +255,7 @@ pub struct AutomatonBuilder {
 }
 
 impl AutomatonBuilder {
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Name>) -> Self {
         Self {
             name: name.into(),
             states: Vec::new(),
@@ -320,6 +324,7 @@ impl AutomatonBuilder {
             "a port cannot be both input and output of one automaton"
         );
         Automaton {
+            ports: (self.inputs.union(&self.outputs)).union(&self.internals),
             name: self.name,
             states: self.states,
             initial: self.initial,

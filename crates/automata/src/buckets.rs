@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 #[derive(Default)]
-pub(crate) struct Buckets {
+pub struct Buckets {
     /// Hash → the last item pushed under it.
     heads: HashMap<u64, usize>,
     /// Per item, the one pushed under the same hash before it.
@@ -34,6 +34,10 @@ impl Buckets {
 
     pub fn len(&self) -> usize {
         self.chain.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.chain.is_empty()
     }
 
     pub fn clear(&mut self) {

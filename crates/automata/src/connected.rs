@@ -10,7 +10,10 @@
 //! A step is grown from a seed transition through the port → owner index
 //! and kept only when the seed is its lowest-index participant, so each
 //! appears once and growing it costs its own neighbourhood rather than all
-//! `n` automata.
+//! `n` automata. Growth keeps per-port counts — how often the partial step
+//! fires a port, how many participants own it — so a joiner is tested by
+//! counting, not by set algebra, and steps go end to end into one buffer
+//! ([`Steps`]) that the caller reuses from tuple to tuple.
 //!
 //! A step of × (Eq. 1) picks at most one local transition per automaton, so
 //! it falls apart into connected steps with pairwise disjoint participants;
@@ -19,7 +22,7 @@
 //! JIT fires their members one at a time.
 
 use crate::automaton::{Automaton, StateId, Transition};
-use crate::port::{PortId, PortSet};
+use crate::port::PortId;
 
 /// One participant's part in a connected step: the automaton, the local
 /// state it leaves, and which of that state's transitions it takes.
@@ -27,39 +30,70 @@ pub type Choice = (u32, StateId, u32);
 
 /// Who owns which port, over a list of automata.
 pub struct PortOwners {
-    /// Per-automaton port signatures.
-    ports: Vec<PortSet>,
     /// `(port, automaton)` pairs sorted by port, so a step grows through
     /// its own neighbourhood, not all `n` automata.
     owners: Vec<(PortId, usize)>,
 }
 
-/// The partial step an enumeration is growing, and the steps it has found.
+/// Connected steps laid end to end, and the scratch of the enumeration that
+/// found them. One value serves every tuple a caller enumerates at, so an
+/// enumeration allocates only while its buffers still grow.
+#[derive(Default)]
+pub struct Steps {
+    /// Step `k` is `choices[ends[k - 1]..ends[k]]` (from 0 for the first).
+    choices: Vec<Choice>,
+    ends: Vec<usize>,
+    /// Per port, how often the partial step fires it and how many of its
+    /// participants own it; all zero between enumerations.
+    counts: Vec<Count>,
+    /// Per automaton, which of its transitions it takes in the partial step.
+    chosen: Vec<Option<u32>>,
+    /// The automata that have one, in joining order.
+    members: Vec<u32>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct Count {
+    fired: i32,
+    joined: i32,
+}
+
+impl Steps {
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Step `k`: its participants in ascending automaton order.
+    pub fn get(&self, k: usize) -> &[Choice] {
+        let start = k.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.choices[start..self.ends[k]]
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &[Choice]> + '_ {
+        (0..self.len()).map(|k| self.get(k))
+    }
+}
+
+/// The partial step an enumeration is growing, and where its steps go.
 struct Partial<'a, S> {
     index: &'a PortOwners,
     automata: &'a [Automaton],
     state: S,
     budget: usize,
-    /// Per automaton, which of its transitions it takes in the partial step.
-    chosen: Vec<Option<u32>>,
-    /// The automata that have one, in joining order.
-    members: Vec<u32>,
-    out: Vec<Box<[Choice]>>,
+    steps: &'a mut Steps,
 }
 
 impl PortOwners {
     pub fn new(automata: &[Automaton]) -> Self {
-        let ports: Vec<PortSet> = automata.iter().map(|a| a.ports()).collect();
-        let mut owners: Vec<(PortId, usize)> = (ports.iter().enumerate())
-            .flat_map(|(i, ps)| ps.iter().map(move |p| (p, i)))
+        let mut owners: Vec<(PortId, usize)> = (automata.iter().enumerate())
+            .flat_map(|(i, a)| a.ports().iter().map(move |p| (p, i)))
             .collect();
         owners.sort_unstable();
-        PortOwners { ports, owners }
-    }
-
-    /// The port signature of automaton `i`.
-    pub fn signature(&self, i: usize) -> &PortSet {
-        &self.ports[i]
+        PortOwners { owners }
     }
 
     /// Automata whose signature contains `p` (index range into `owners`).
@@ -72,85 +106,149 @@ impl PortOwners {
     }
 
     /// Every connected step of `automata` (the list this index was built
-    /// over) at the tuple `state(i)`, each exactly once and sorted by
-    /// participant: by seed — its lowest-index participant — then by the
-    /// seed's transition, then depth-first. `Err(count)` as soon as more
-    /// than `budget` are found.
+    /// over) at the tuple `state(i)`, into `steps`, each exactly once and
+    /// sorted by participant: by seed — its lowest-index participant — then
+    /// by the seed's transition, then depth-first. `Err(count)` as soon as
+    /// more than `budget` are found.
+    pub fn enumerate(
+        &self,
+        automata: &[Automaton],
+        state: impl Fn(usize) -> StateId,
+        budget: usize,
+        steps: &mut Steps,
+    ) -> Result<(), usize> {
+        steps.choices.clear();
+        steps.ends.clear();
+        // Sized for the largest port and automaton seen; untouched entries
+        // stay zero and `None`.
+        let ports = self.owners.last().map_or(0, |&(p, _)| p.index() + 1);
+        steps
+            .counts
+            .resize(ports.max(steps.counts.len()), Count::default());
+        steps
+            .chosen
+            .resize(automata.len().max(steps.chosen.len()), None);
+        let mut partial = Partial {
+            index: self,
+            automata,
+            state,
+            budget,
+            steps,
+        };
+        let found = partial.seeds();
+        if found.is_err() {
+            // Abandoned mid-step: nothing left it.
+            partial.steps.counts.fill(Count::default());
+            partial.steps.chosen.fill(None);
+            partial.steps.members.clear();
+        }
+        found
+    }
+
+    /// [`enumerate`](Self::enumerate), one boxed choice vector per step.
     pub fn connected_steps(
         &self,
         automata: &[Automaton],
         state: impl Fn(usize) -> StateId,
         budget: usize,
     ) -> Result<Vec<Box<[Choice]>>, usize> {
-        let mut partial = Partial {
-            index: self,
-            automata,
-            state,
-            budget,
-            chosen: vec![None; automata.len()],
-            members: Vec::new(),
-            out: Vec::new(),
-        };
-        for (seed, automaton) in automata.iter().enumerate() {
-            let from = automaton.transitions_from((partial.state)(seed));
-            for (k, t) in from.iter().enumerate() {
-                partial.join(seed, k);
-                partial.grow(seed, &t.sync, &self.ports[seed])?;
-                partial.leave(seed);
-            }
-        }
-        Ok(partial.out)
+        let mut steps = Steps::default();
+        self.enumerate(automata, state, budget, &mut steps)?;
+        Ok(steps.iter().map(Box::from).collect())
     }
 }
 
 impl<S: Fn(usize) -> StateId> Partial<'_, S> {
-    fn join(&mut self, automaton: usize, transition: usize) {
-        self.chosen[automaton] = Some(transition as u32);
-        self.members.push(automaton as u32);
+    fn seeds(&mut self) -> Result<(), usize> {
+        let automata = self.automata;
+        for (seed, automaton) in automata.iter().enumerate() {
+            let from = automaton.transitions_from((self.state)(seed));
+            for (k, t) in from.iter().enumerate() {
+                self.join(seed, k, t);
+                self.grow(seed)?;
+                self.leave(seed, t);
+            }
+        }
+        Ok(())
     }
 
-    fn leave(&mut self, automaton: usize) {
-        self.chosen[automaton] = None;
-        self.members.pop();
+    fn join(&mut self, automaton: usize, transition: usize, t: &Transition) {
+        self.steps.chosen[automaton] = Some(transition as u32);
+        self.steps.members.push(automaton as u32);
+        self.tally(automaton, t, 1);
+    }
+
+    fn leave(&mut self, automaton: usize, t: &Transition) {
+        self.steps.chosen[automaton] = None;
+        self.steps.members.pop();
+        self.tally(automaton, t, -1);
+    }
+
+    /// Count the ports `t` fires and the ports `automaton` owns `delta`
+    /// times more.
+    fn tally(&mut self, automaton: usize, t: &Transition, delta: i32) {
+        let counts = &mut self.steps.counts;
+        t.sync.iter().for_each(|p| counts[p.index()].fired += delta);
+        let owned = self.automata[automaton].ports().iter();
+        owned.for_each(|p| counts[p.index()].joined += delta);
+    }
+
+    /// The transition automaton `i` takes in the partial step.
+    fn chosen(&self, i: usize) -> &Transition {
+        let k = self.steps.chosen[i].expect("members have chosen");
+        &self.automata[i].transitions_from((self.state)(i))[k as usize]
     }
 
     /// Close the partial step under "every automaton touching a fired port
-    /// joins". `fired` is the union of the chosen labels, `joined` the
-    /// union of the chosen automata's signatures.
-    fn grow(&mut self, seed: usize, fired: &PortSet, joined: &PortSet) -> Result<(), usize> {
-        let next = fired
-            .iter()
-            .flat_map(|p| self.index.of(p))
-            .filter(|&j| self.chosen[j].is_none())
-            .min();
+    /// joins".
+    fn grow(&mut self, seed: usize) -> Result<(), usize> {
+        let fired = (self.steps.members.iter()).flat_map(|&i| self.chosen(i as usize).sync.iter());
+        let outside = |&j: &usize| self.steps.chosen[j].is_none();
+        let next = fired.flat_map(|p| self.index.of(p)).filter(outside).min();
         let Some(j) = next else {
-            let mut members = self.members.clone();
-            members.sort_unstable();
-            let choice = members.into_iter().map(|i| {
-                let k = self.chosen[i as usize].expect("members have chosen");
-                (i, (self.state)(i as usize), k)
-            });
-            self.out.push(choice.collect());
-            if self.out.len() > self.budget {
-                return Err(self.out.len());
-            }
-            return Ok(());
+            return self.emit();
         };
         if j < seed {
             return Ok(()); // emitted from seed `j`
         }
         // `j` must fire exactly the fired ports it shares with the step so
-        // far, and no silent port of an automaton that already joined.
-        let required = fired.intersection(&self.index.ports[j]);
-        let with_j = joined.union(&self.index.ports[j]);
-        let from = self.automata[j].transitions_from((self.state)(j));
+        // far — as many as it owns — and no silent port of an automaton
+        // that already joined.
+        let automata = self.automata;
+        let count = |p: PortId| self.steps.counts[p.index()];
+        let owned = automata[j].ports().iter();
+        let required = owned.filter(|&p| count(p).fired > 0).count();
+        let from = automata[j].transitions_from((self.state)(j));
         for (k, u) in from.iter().enumerate() {
-            if u.sync.intersection(joined) != required {
+            let count = |p: PortId| self.steps.counts[p.index()];
+            let silent = |p: PortId| count(p).fired == 0 && count(p).joined > 0;
+            let shared = u.sync.iter().filter(|&p| count(p).fired > 0).count();
+            if u.sync.iter().any(silent) || shared != required {
                 continue;
             }
-            self.join(j, k);
-            self.grow(seed, &fired.union(&u.sync), &with_j)?;
-            self.leave(j);
+            self.join(j, k, u);
+            self.grow(seed)?;
+            self.leave(j, u);
+        }
+        Ok(())
+    }
+
+    /// The partial step is closed: its members in ascending order.
+    fn emit(&mut self) -> Result<(), usize> {
+        let (state, steps) = (&self.state, &mut *self.steps);
+        let start = steps.choices.len();
+        let chosen = |&i: &u32| {
+            (
+                i,
+                state(i as usize),
+                steps.chosen[i as usize].expect("chosen"),
+            )
+        };
+        steps.choices.extend(steps.members.iter().map(chosen));
+        steps.choices[start..].sort_unstable();
+        steps.ends.push(steps.choices.len());
+        if steps.len() > self.budget {
+            return Err(steps.len());
         }
         Ok(())
     }

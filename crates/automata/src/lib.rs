@@ -27,12 +27,13 @@
 
 pub mod assign;
 pub mod automaton;
-mod buckets;
+pub mod buckets;
 pub mod connected;
 pub mod explore;
 pub mod fire;
 pub mod guard;
 pub mod lower;
+pub mod name;
 pub mod port;
 pub mod primitives;
 pub mod product;
@@ -44,10 +45,12 @@ pub mod value;
 
 pub use assign::{Assign, Dst};
 pub use automaton::{Automaton, AutomatonBuilder, StateId, Transition};
-pub use connected::{Choice, PortOwners};
+pub use buckets::Buckets;
+pub use connected::{Choice, PortOwners, Steps};
 pub use fire::{try_fire, Firing};
 pub use guard::{Cmp, Guard, Pred};
 pub use lower::{lower, ExecScratch, LowerError, LowerOptions, Lowered, LoweredTransition};
+pub use name::Name;
 pub use port::{MemId, PortAllocator, PortId, PortSet};
 pub use product::{
     product, product_all, product_all_traced, product_from, Explosion, ProductOptions, StateTrace,

@@ -5,7 +5,8 @@
 //! transition of a constraint automaton is labelled with the set of vertices
 //! through which messages synchronously flow (Fig. 7 of the paper). We call
 //! those vertices *ports* and identify them by dense `u32` ids handed out by
-//! a [`PortAllocator`].
+//! a [`PortAllocator`]. A label is a [`PortSet`]: a sorted array, held
+//! inline up to five ports, since most labels have one to four.
 
 use std::fmt;
 
@@ -96,137 +97,151 @@ impl fmt::Debug for MemId {
     }
 }
 
+/// Ports a [`PortSet`] holds without the heap.
+const INLINE: usize = 5;
+
 /// A sorted, duplicate-free set of ports.
 ///
-/// Transition synchronization sets are small (rarely more than a few dozen
-/// ports), so a sorted `Vec` beats hash sets on every operation the engines
-/// perform: subset tests, intersection emptiness, and ordered iteration.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct PortSet {
-    items: Vec<PortId>,
+/// A sorted array beats hash sets on every operation the engines perform:
+/// subset tests, intersection emptiness, and ordered iteration. A set of at
+/// most five ports is always inline and results are built inline first, so
+/// an operation with a small result never allocates; a larger set is a heap
+/// slice. Either way the set is 24 bytes, a `Vec`'s size, so the transition
+/// tables stepping reads do not grow.
+#[derive(Clone)]
+pub struct PortSet(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `ports[..len]`; `len <= INLINE`.
+    Inline { len: u8, ports: [PortId; INLINE] },
+    /// More than `INLINE` ports.
+    Heap(Box<[PortId]>),
 }
 
 impl PortSet {
     pub fn new() -> Self {
-        Self::default()
+        Self::from_sorted(std::iter::empty())
     }
 
     pub fn singleton(p: PortId) -> Self {
-        Self { items: vec![p] }
+        Self::from_sorted(std::iter::once(p))
     }
 
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.as_slice().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.as_slice().is_empty()
     }
 
     pub fn contains(&self, p: PortId) -> bool {
-        self.items.binary_search(&p).is_ok()
+        self.as_slice().binary_search(&p).is_ok()
     }
 
     /// Insert a port, keeping the set sorted.
     pub fn insert(&mut self, p: PortId) {
-        if let Err(pos) = self.items.binary_search(&p) {
-            self.items.insert(pos, p);
+        let Err(at) = self.as_slice().binary_search(&p) else {
+            return;
+        };
+        if let Repr::Inline { len, ports } = &mut self.0 {
+            if usize::from(*len) < INLINE {
+                ports.copy_within(at..usize::from(*len), at + 1);
+                ports[at] = p;
+                *len += 1;
+                return;
+            }
         }
+        let (below, above) = self.as_slice().split_at(at);
+        *self = Self::from_sorted(below.iter().chain(&[p]).chain(above).copied());
     }
 
     /// Remove a port if present; returns whether it was present.
     pub fn remove(&mut self, p: PortId) -> bool {
-        match self.items.binary_search(&p) {
-            Ok(pos) => {
-                self.items.remove(pos);
-                true
-            }
-            Err(_) => false,
+        let found = self.contains(p);
+        if found {
+            self.retain(|q| q != p);
         }
+        found
     }
 
     pub fn iter(&self) -> impl Iterator<Item = PortId> + '_ {
-        self.items.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     pub fn as_slice(&self) -> &[PortId] {
-        &self.items
+        match &self.0 {
+            Repr::Inline { len, ports } => &ports[..usize::from(*len)],
+            Repr::Heap(ports) => ports,
+        }
+    }
+
+    /// The set of `ports`, which come sorted and distinct: inline unless a
+    /// sixth arrives.
+    fn from_sorted(mut ports: impl Iterator<Item = PortId>) -> Self {
+        let mut inline = [PortId(0); INLINE];
+        for len in 0..=INLINE {
+            match ports.next() {
+                None => {
+                    return PortSet(Repr::Inline {
+                        len: len as u8,
+                        ports: inline,
+                    })
+                }
+                Some(p) if len < INLINE => inline[len] = p,
+                Some(p) => {
+                    let all: Vec<PortId> = inline.into_iter().chain([p]).chain(ports).collect();
+                    return PortSet(Repr::Heap(all.into()));
+                }
+            }
+        }
+        unreachable!("the sixth port spills")
+    }
+
+    /// The ports of `self` and `other` that `keep(in self, in other)`
+    /// admits, in one merge of the two sorted runs.
+    fn merge(&self, other: &PortSet, keep: impl Fn(bool, bool) -> bool) -> PortSet {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let (mut i, mut j) = (0, 0);
+        Self::from_sorted(std::iter::from_fn(|| loop {
+            let (p, in_a, in_b) = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x == y => (x, true, true),
+                (Some(&x), Some(&y)) if x < y => (x, true, false),
+                (Some(&x), None) => (x, true, false),
+                (_, Some(&y)) => (y, false, true),
+                (None, None) => return None,
+            };
+            i += usize::from(in_a);
+            j += usize::from(in_b);
+            if keep(in_a, in_b) {
+                return Some(p);
+            }
+        }))
     }
 
     /// Set union (merge of two sorted runs).
     pub fn union(&self, other: &PortSet) -> PortSet {
-        let mut items = Vec::with_capacity(self.items.len() + other.items.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
-                std::cmp::Ordering::Less => {
-                    items.push(self.items[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    items.push(other.items[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    items.push(self.items[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        items.extend_from_slice(&self.items[i..]);
-        items.extend_from_slice(&other.items[j..]);
-        PortSet { items }
+        self.merge(other, |a, b| a || b)
     }
 
     /// Set intersection.
     pub fn intersection(&self, other: &PortSet) -> PortSet {
-        let mut items = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    items.push(self.items[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        PortSet { items }
+        self.merge(other, |a, b| a && b)
     }
 
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &PortSet) -> PortSet {
-        let mut items = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() {
-            if j >= other.items.len() {
-                items.extend_from_slice(&self.items[i..]);
-                break;
-            }
-            match self.items[i].cmp(&other.items[j]) {
-                std::cmp::Ordering::Less => {
-                    items.push(self.items[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        PortSet { items }
+        self.merge(other, |a, b| a && !b)
     }
 
     /// True iff the two sets have no port in common. The hot check of the
     /// product and of just-in-time expansion, so it avoids allocation.
     pub fn is_disjoint(&self, other: &PortSet) -> bool {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => return false,
@@ -237,12 +252,13 @@ impl PortSet {
 
     /// True iff every port of `self` is in `other`.
     pub fn is_subset(&self, other: &PortSet) -> bool {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j) = (0, 0);
-        while i < self.items.len() {
-            if j >= other.items.len() {
+        while i < a.len() {
+            if j >= b.len() {
                 return false;
             }
-            match self.items[i].cmp(&other.items[j]) {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => return false,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
@@ -254,34 +270,61 @@ impl PortSet {
         true
     }
 
-    /// Intersection equality without allocating: `self ∩ w == other ∩ w`.
-    ///
-    /// This is the compatibility condition of the synchronous product —
-    /// two transitions agree on a shared-port window `w`.
-    pub fn agrees_on(&self, other: &PortSet, window: &PortSet) -> bool {
-        // Walk the window; each window port must be in both or neither.
-        window.iter().all(|p| self.contains(p) == other.contains(p))
-    }
-
     /// Retain only ports satisfying the predicate.
     pub fn retain(&mut self, mut f: impl FnMut(PortId) -> bool) {
-        self.items.retain(|&p| f(p));
+        *self = Self::from_sorted(self.iter().filter(|&p| f(p)));
+    }
+}
+
+impl Default for PortSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PartialEq for PortSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for PortSet {}
+
+impl std::hash::Hash for PortSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
 impl fmt::Debug for PortSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.items.iter()).finish()
+        f.debug_set().entries(self.as_slice()).finish()
     }
 }
 
-/// Builds from any iterator; sorts and deduplicates.
+/// Builds from any iterator; sorts and deduplicates. Up to five ports
+/// never touch the heap.
 impl FromIterator<PortId> for PortSet {
     fn from_iter<I: IntoIterator<Item = PortId>>(iter: I) -> Self {
-        let mut items: Vec<PortId> = iter.into_iter().collect();
-        items.sort_unstable();
-        items.dedup();
-        Self { items }
+        let mut ports = iter.into_iter();
+        let (mut inline, mut len) = ([PortId(0); INLINE], 0);
+        for slot in &mut inline {
+            let Some(p) = ports.next() else { break };
+            (*slot, len) = (p, len + 1);
+        }
+        let Some(sixth) = ports.next() else {
+            let got = &mut inline[..len];
+            got.sort_unstable();
+            let mut last = None;
+            return Self::from_sorted(got.iter().copied().filter(|&p| last.replace(p) != Some(p)));
+        };
+        let mut all: Vec<PortId> = inline.into_iter().chain([sixth]).chain(ports).collect();
+        all.sort_unstable();
+        all.dedup();
+        match all.len() {
+            ..=INLINE => Self::from_sorted(all.into_iter()),
+            _ => PortSet(Repr::Heap(all.into())),
+        }
     }
 }
 
@@ -290,7 +333,7 @@ impl<'a> IntoIterator for &'a PortSet {
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, PortId>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.items.iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 
@@ -360,14 +403,21 @@ mod tests {
     }
 
     #[test]
-    fn agrees_on_window() {
-        let a = set(&[1, 2, 5]);
-        let b = set(&[2, 3, 5]);
-        // Window {2,5}: both contain 2 and 5 -> agree.
-        assert!(a.agrees_on(&b, &set(&[2, 5])));
-        // Window {1}: a contains 1, b does not -> disagree.
-        assert!(!a.agrees_on(&b, &set(&[1])));
-        // Empty window always agrees.
-        assert!(a.agrees_on(&b, &set(&[])));
+    fn sets_cross_the_inline_bound_both_ways() {
+        assert_eq!(std::mem::size_of::<PortSet>(), 24);
+        let mut s = set(&[9, 7, 5, 3, 1]);
+        s.insert(PortId(4));
+        assert_eq!(s, set(&[1, 3, 4, 5, 7, 9]));
+        assert!(s.remove(PortId(9)));
+        assert_eq!(s, set(&[1, 3, 4, 5, 7]));
+        let big = set(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(big.intersection(&s), set(&[1, 3, 4, 5, 7]));
+        assert_eq!(big.difference(&s), set(&[2, 6, 8]));
+        assert_eq!(big.union(&s), big);
+        assert_eq!(big.union(&set(&[0, 9])).len(), 10);
+        let mut odd = big.clone();
+        odd.retain(|p| p.0 % 2 == 1);
+        assert_eq!(odd.as_slice(), set(&[1, 3, 5, 7]).as_slice());
+        assert_eq!(set(&[6, 6, 5, 4, 3, 2, 1, 1]).len(), 6);
     }
 }

@@ -50,7 +50,7 @@ use std::collections::HashMap;
 
 use crate::automaton::{Automaton, AutomatonBuilder, StateId, Transition};
 use crate::buckets::Buckets;
-use crate::connected::{compose, Choice, PortOwners};
+use crate::connected::{compose, Choice, PortOwners, Steps};
 use crate::port::PortSet;
 use crate::store::MemLayout;
 
@@ -135,7 +135,7 @@ pub fn product_from(
 ) -> Result<(Automaton, Vec<(StateId, StateId)>), Explosion> {
     let ports_a = a.ports();
     let ports_b = b.ports();
-    let shared = ports_a.intersection(&ports_b);
+    let shared = ports_a.intersection(ports_b);
 
     // Precompute each transition's projection onto the shared ports.
     let proj = |aut: &Automaton| -> Vec<Vec<PortSet>> {
@@ -383,6 +383,9 @@ struct TupleSpace<'a> {
     /// so far move, and which steps those are.
     taken: Vec<bool>,
     picked: Vec<usize>,
+    /// Scratch of [`emit`](Self::emit): the choice vector and the tuple it
+    /// leads to.
+    scratch: (Vec<Choice>, Vec<StateId>),
 }
 
 impl<'a> TupleSpace<'a> {
@@ -405,9 +408,11 @@ impl<'a> TupleSpace<'a> {
             transitions: 0,
             taken: vec![false; n],
             picked: Vec::new(),
+            scratch: Default::default(),
         };
         let owners = PortOwners::new(autos);
         space.intern(starts)?;
+        let (mut steps, mut group_end) = (Steps::default(), Vec::new());
         let mut from = Vec::with_capacity(n);
         let mut s = 0;
         while s * n < space.tuples.len() {
@@ -416,14 +421,14 @@ impl<'a> TupleSpace<'a> {
             // A connected step is a product transition, so whatever of the
             // budget is left bounds the enumeration too.
             let left = opts.max_transitions - space.transitions;
-            let steps = owners
-                .connected_steps(autos, |i| from[i], left)
+            (owners.enumerate(autos, |i| from[i], left, &mut steps))
                 .map_err(|found| space.explosion(found))?;
             // Steps come sorted by lowest participant: `group_end[k]` is
             // where the steps that share step `k`'s end.
-            let mut group_end = vec![steps.len(); steps.len()];
+            group_end.clear();
+            group_end.resize(steps.len(), steps.len());
             for k in (0..steps.len().saturating_sub(1)).rev() {
-                let same = steps[k][0].0 == steps[k + 1][0].0;
+                let same = steps.get(k)[0].0 == steps.get(k + 1)[0].0;
                 group_end[k] = if same { group_end[k + 1] } else { k + 1 };
             }
             space.unions(StateId(s as u32), &from, &steps, &group_end, 0)?;
@@ -441,19 +446,19 @@ impl<'a> TupleSpace<'a> {
         &mut self,
         from: StateId,
         tuple: &[StateId],
-        steps: &[Box<[Choice]>],
+        steps: &Steps,
         group_end: &[usize],
         at: usize,
     ) -> Result<(), Explosion> {
         for k in at..steps.len() {
-            if steps[k].iter().any(|c| self.taken[c.0 as usize]) {
+            if steps.get(k).iter().any(|c| self.taken[c.0 as usize]) {
                 continue;
             }
             self.picked.push(k);
-            (steps[k].iter()).for_each(|c| self.taken[c.0 as usize] = true);
+            (steps.get(k).iter()).for_each(|c| self.taken[c.0 as usize] = true);
             self.emit(from, tuple, steps)?;
             self.unions(from, tuple, steps, group_end, group_end[k])?;
-            (steps[k].iter()).for_each(|c| self.taken[c.0 as usize] = false);
+            (steps.get(k).iter()).for_each(|c| self.taken[c.0 as usize] = false);
             self.picked.pop();
         }
         Ok(())
@@ -461,22 +466,24 @@ impl<'a> TupleSpace<'a> {
 
     /// The product transition that fires the picked steps together,
     /// composed once from its participants in ascending constituent order.
-    fn emit(
-        &mut self,
-        from: StateId,
-        tuple: &[StateId],
-        steps: &[Box<[Choice]>],
-    ) -> Result<(), Explosion> {
-        let mut choice: Vec<Choice> = (self.picked.iter())
-            .flat_map(|&k| steps[k].iter().copied())
-            .collect();
+    fn emit(&mut self, from: StateId, tuple: &[StateId], steps: &Steps) -> Result<(), Explosion> {
+        let (mut choice, mut target) = std::mem::take(&mut self.scratch);
+        choice.clear();
+        choice.extend(
+            self.picked
+                .iter()
+                .flat_map(|&k| steps.get(k).iter().copied()),
+        );
         choice.sort_unstable();
         let mut transition = compose(self.autos, &choice);
-        let mut target = tuple.to_vec();
+        target.clear();
+        target.extend_from_slice(tuple);
         for &(i, at, k) in &choice {
             target[i as usize] = self.autos[i as usize].transitions_from(at)[k as usize].target;
         }
-        transition.target = self.intern(&target)?;
+        let interned = self.intern(&target);
+        self.scratch = (choice, target);
+        transition.target = interned?;
         self.builder.transition(from, transition);
         self.transitions += 1;
         self.check()

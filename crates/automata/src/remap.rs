@@ -18,7 +18,7 @@ pub fn remap(
     pm: &dyn Fn(PortId) -> PortId,
     mm: &dyn Fn(MemId) -> MemId,
 ) -> Automaton {
-    let mut builder = AutomatonBuilder::new(aut.name().to_string());
+    let mut builder = AutomatonBuilder::new(aut.shared_name().clone());
     for _ in 0..aut.state_count() {
         builder.state();
     }

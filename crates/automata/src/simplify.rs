@@ -14,17 +14,18 @@
 //! large one.
 
 use crate::assign::{Assign, Dst};
-use crate::automaton::{Automaton, AutomatonBuilder, Transition};
+use crate::automaton::{Automaton, AutomatonBuilder, StateId, Transition};
 use crate::buckets::Buckets;
+use crate::name::Name;
 use crate::port::PortSet;
 
 /// Simplify every transition of `aut`, hiding all ports *not* in `keep`.
 ///
 /// `keep` must contain every port that other automata or tasks observe:
-/// typically `aut.boundary_ports()` for a fully composed connector, or the
+/// typically the inputs and outputs of a fully composed connector, or the
 /// boundary plus cross-template ports for a medium automaton.
 pub fn simplify(aut: &Automaton, keep: &PortSet) -> Automaton {
-    let mut builder = AutomatonBuilder::new(format!("{}*", aut.name()));
+    let mut builder = AutomatonBuilder::new(Name::format(format_args!("{}*", aut.name())));
     for _ in 0..aut.state_count() {
         builder.state();
     }
@@ -39,29 +40,14 @@ pub fn simplify(aut: &Automaton, keep: &PortSet) -> Automaton {
         for t in aut.transitions_from(s) {
             let new_t = simplify_transition(t, keep);
             // Drop no-op τ self-loops: they would make engines spin.
-            if new_t.is_internal()
-                && new_t.target == s
-                && new_t.assigns.is_empty()
-                && new_t.pops.is_empty()
-            {
+            if idles(&new_t, s) {
                 continue;
             }
             // Deduplicate transitions that became observably identical;
             // the first occurrence stays where it was.
             let ids = new_t.sync.iter().map(|p| p.0);
             let hash = Buckets::hash(new_t.target.0, ids.chain(new_t.pops.iter().map(|m| m.0)));
-            let duplicate = kept.under(hash).any(|i| {
-                let u = &simplified[i];
-                u.target == new_t.target
-                    && u.sync == new_t.sync
-                    && u.pops == new_t.pops
-                    && u.guard.structurally_eq(&new_t.guard)
-                    && u.assigns.len() == new_t.assigns.len()
-                    && u.assigns
-                        .iter()
-                        .zip(&new_t.assigns)
-                        .all(|(x, y)| x.structurally_eq(y))
-            });
+            let duplicate = kept.under(hash).any(|i| same_step(&simplified[i], &new_t));
             if !duplicate {
                 kept.push(hash);
                 simplified.push(new_t);
@@ -85,6 +71,35 @@ pub fn simplify(aut: &Automaton, keep: &PortSet) -> Automaton {
             .filter(|h| keep.contains(h.input) && keep.contains(h.output)),
     );
     result
+}
+
+/// Whether [`simplify`] hiding no port would return `aut` as it is but for
+/// its name: it has no internal port to hide, no no-op τ self-loop to drop
+/// and no two identical transitions out of one state.
+pub fn is_simplified(aut: &Automaton) -> bool {
+    aut.internals().is_empty()
+        && aut.all_states().all(|s| {
+            let from = aut.transitions_from(s);
+            let fresh = |(k, t): (usize, &Transition)| {
+                !idles(t, s) && !from[..k].iter().any(|u| same_step(u, t))
+            };
+            from.iter().enumerate().all(fresh)
+        })
+}
+
+/// A τ self-loop out of `s` that moves no data: firing it changes nothing.
+fn idles(t: &Transition, s: StateId) -> bool {
+    t.is_internal() && t.target == s && t.assigns.is_empty() && t.pops.is_empty()
+}
+
+/// Observably the same step: label, target, pops, guard and data moves.
+fn same_step(u: &Transition, t: &Transition) -> bool {
+    u.target == t.target
+        && u.sync == t.sync
+        && u.pops == t.pops
+        && u.guard.structurally_eq(&t.guard)
+        && u.assigns.len() == t.assigns.len()
+        && (u.assigns.iter().zip(&t.assigns)).all(|(x, y)| x.structurally_eq(y))
 }
 
 /// Contract dataflow chains through hidden ports in one transition.
@@ -238,6 +253,23 @@ mod tests {
             .map(|t| t.sync.as_slice())
             .collect();
         assert_eq!(labels, [&[p(0)][..], &[p(0), p(2)][..]]);
+    }
+
+    #[test]
+    fn a_primitive_is_simplified_unless_simplify_would_change_it() {
+        assert!(is_simplified(&fifo1(p(0), p(1), MemId(0))));
+        assert!(is_simplified(&router(p(0), &[p(1), p(2)])));
+        let mut twice = crate::automaton::AutomatonBuilder::new("twice");
+        let s = twice.state();
+        twice.input(p(0));
+        for _ in 0..2 {
+            twice.transition(s, Transition::new(PortSet::singleton(p(0)), s));
+        }
+        assert!(!is_simplified(&twice.build()));
+        let pair = vec![sync(p(0), p(1)), sync(p(1), p(2))];
+        assert!(!is_simplified(
+            &product_all(&pair, &ProductOptions::default()).unwrap()
+        ));
     }
 
     #[test]

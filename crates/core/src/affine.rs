@@ -13,6 +13,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
+use reo_automata::Name;
+
 use crate::error::CoreError;
 use crate::ir::{BExpr, IExpr};
 
@@ -20,9 +22,9 @@ use crate::ir::{BExpr, IExpr};
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Sym {
     /// Iteration variable or `main` parameter.
-    Var(String),
+    Var(Name),
     /// `#array` length.
-    Len(String),
+    Len(Name),
 }
 
 impl fmt::Display for Sym {
@@ -55,7 +57,7 @@ impl Affine {
     pub fn var(name: &str) -> Self {
         Self {
             constant: 0,
-            terms: vec![(Sym::Var(name.to_string()), 1)],
+            terms: vec![(Sym::Var(name.into()), 1)],
         }
     }
 
@@ -201,8 +203,8 @@ pub fn canon(e: &IExpr) -> Result<Affine, CoreError> {
 /// and lengths for array parameters.
 #[derive(Clone, Debug, Default)]
 pub struct Env {
-    vars: HashMap<String, i64>,
-    lens: HashMap<String, i64>,
+    vars: HashMap<Name, i64>,
+    lens: HashMap<Name, i64>,
 }
 
 impl Env {
@@ -211,17 +213,17 @@ impl Env {
     }
 
     pub fn with_var(mut self, name: &str, v: i64) -> Self {
-        self.vars.insert(name.to_string(), v);
+        self.set_var(name, v);
         self
     }
 
     pub fn with_len(mut self, name: &str, v: i64) -> Self {
-        self.lens.insert(name.to_string(), v);
+        self.set_len(name, v);
         self
     }
 
     pub fn set_var(&mut self, name: &str, v: i64) {
-        self.vars.insert(name.to_string(), v);
+        self.vars.insert(name.into(), v);
     }
 
     pub fn remove_var(&mut self, name: &str) {
@@ -229,7 +231,7 @@ impl Env {
     }
 
     pub fn set_len(&mut self, name: &str, v: i64) {
-        self.lens.insert(name.to_string(), v);
+        self.lens.insert(name.into(), v);
     }
 
     pub fn lookup(&self, sym: &Sym) -> Result<i64, CoreError> {
@@ -238,12 +240,12 @@ impl Env {
                 .vars
                 .get(v)
                 .copied()
-                .ok_or_else(|| CoreError::UnboundVar(v.clone())),
+                .ok_or_else(|| CoreError::UnboundVar(v.to_string())),
             Sym::Len(a) => self
                 .lens
                 .get(a)
                 .copied()
-                .ok_or_else(|| CoreError::UnboundLen(a.clone())),
+                .ok_or_else(|| CoreError::UnboundLen(a.to_string())),
         }
     }
 

@@ -4,16 +4,17 @@
 //! What can be composed at compile time, is: every constituents section of
 //! the normal form becomes one **medium automaton** (the `Automaton1..4`
 //! classes of Fig. 10), composed with × over *symbolic* ports and already
-//! label-simplified over ports provably private to the section. What depends
+//! label-simplified over ports provably private to the section; a lone
+//! primitive that both would return unchanged is its own template (most
+//! templates are one primitive, built once, not copied). What depends
 //! on the number of connectees — iteration bounds, conditional branches,
 //! the identity of the concrete vertices — is retained as a residual tree
 //! ([`CompiledNode`]) that [`crate::instantiate()`] walks at run time.
 
 use std::collections::HashMap;
 
-use reo_automata::{
-    product_all, simplify as simp, Automaton, MemId, PortId, PortSet, ProductOptions,
-};
+use reo_automata::simplify::{is_simplified, simplify};
+use reo_automata::{product_all, Automaton, MemId, Name, PortId, PortSet, ProductOptions};
 
 use crate::affine::{Affine, Sym};
 use crate::builtins;
@@ -45,7 +46,7 @@ pub enum CompiledNode {
     Seq(Vec<CompiledNode>),
     /// `for var in lo..=hi { body }`.
     For {
-        var: String,
+        var: Name,
         lo: Affine,
         hi: Affine,
         body: Box<CompiledNode>,
@@ -128,8 +129,8 @@ pub fn compile(program: &Program, name: &str) -> Result<CompiledConnector, CoreE
 struct BaseUsage {
     /// base -> (section ids, all index vectors identical?, the one index
     /// vector if identical)
-    map: HashMap<String, UsageEntry>,
-    formals: Vec<String>,
+    map: HashMap<Name, UsageEntry>,
+    formals: Vec<Name>,
     /// Counter for deferred-constituent pseudo-sections.
     pseudo: usize,
 }
@@ -144,7 +145,7 @@ impl BaseUsage {
     fn analyze(nf: &NormalForm, flat: &FlatDef) -> Self {
         let mut usage = BaseUsage {
             map: HashMap::new(),
-            formals: flat.params().map(|p| p.name.clone()).collect(),
+            formals: flat.params().map(|p| Name::new(&p.name)).collect(),
             pseudo: 0,
         };
         let mut next = 0usize;
@@ -187,15 +188,12 @@ impl BaseUsage {
         }
     }
 
-    fn record(&mut self, base: &str, section: usize, indices: Option<&Vec<Affine>>) {
-        let entry = self
-            .map
-            .entry(base.to_string())
-            .or_insert_with(|| UsageEntry {
-                sections: Vec::new(),
-                uniform_indices: indices.cloned(),
-                seen_many: false,
-            });
+    fn record(&mut self, base: &Name, section: usize, indices: Option<&Vec<Affine>>) {
+        let entry = self.map.entry(base.clone()).or_insert_with(|| UsageEntry {
+            sections: Vec::new(),
+            uniform_indices: indices.cloned(),
+            seen_many: false,
+        });
         if !entry.sections.contains(&section) {
             entry.sections.push(section);
         }
@@ -211,7 +209,7 @@ impl BaseUsage {
 
     /// Can `fr`, used in `section` under iteration variables
     /// `enclosing_vars`, be hidden inside that section's medium automaton?
-    fn hidable(&self, fr: &FlatRef, section: usize, enclosing_vars: &[String]) -> bool {
+    fn hidable(&self, fr: &FlatRef, section: usize, enclosing_vars: &[Name]) -> bool {
         if self.formals.iter().any(|f| f == &fr.base) {
             return false;
         }
@@ -243,7 +241,7 @@ struct Compiler<'p> {
 }
 
 impl<'p> Compiler<'p> {
-    fn build(&mut self, nf: &NormalForm, enclosing: &[String]) -> Result<CompiledNode, CoreError> {
+    fn build(&mut self, nf: &NormalForm, enclosing: &[Name]) -> Result<CompiledNode, CoreError> {
         let section = self.next_section;
         self.next_section += 1;
 
@@ -298,7 +296,7 @@ impl<'p> Compiler<'p> {
         &mut self,
         insts: &[FlatInst],
         section: usize,
-        enclosing: &[String],
+        enclosing: &[Name],
     ) -> Result<Vec<CompiledNode>, CoreError> {
         let mut nodes = Vec::new();
         let mut groups: Vec<(Vec<&FlatInst>, Vec<FlatRef>)> = Vec::new();
@@ -338,28 +336,16 @@ impl<'p> Compiler<'p> {
         &mut self,
         group: &[&FlatInst],
         section: usize,
-        enclosing: &[String],
+        enclosing: &[Name],
     ) -> Result<CompiledNode, CoreError> {
         let mut sym_ports: Vec<FlatRef> = Vec::new();
-        let mut interner: HashMap<FlatRef, PortId> = HashMap::new();
+        let mut interner: HashMap<&FlatRef, PortId> = HashMap::new();
         let mut mem_count = 0usize;
         let mut smalls: Vec<Automaton> = Vec::new();
 
-        for inst in group {
-            let mut resolve = |fr: &FlatRef| -> PortId {
-                *interner.entry(fr.clone()).or_insert_with(|| {
-                    sym_ports.push(fr.clone());
-                    PortId((sym_ports.len() - 1) as u32)
-                })
-            };
-            let one = |op: &FlatOperand, resolve: &mut dyn FnMut(&FlatRef) -> PortId| -> PortId {
-                match op {
-                    FlatOperand::One(fr) => resolve(fr),
-                    FlatOperand::Many(_) => unreachable!("fixed shape checked"),
-                }
-            };
-            let tails: Vec<PortId> = inst.tails.iter().map(|o| one(o, &mut resolve)).collect();
-            let heads: Vec<PortId> = inst.heads.iter().map(|o| one(o, &mut resolve)).collect();
+        for &inst in group {
+            let mut ports = |ops| sym_ports_of(ops, &mut interner, &mut sym_ports);
+            let (tails, heads) = (ports(&inst.tails), ports(&inst.heads));
             let iargs: Vec<i64> = inst
                 .iargs
                 .iter()
@@ -380,6 +366,17 @@ impl<'p> Compiler<'p> {
             smalls.push(automaton);
         }
 
+        // A lone primitive that composition, hiding and compaction would
+        // hand back as it is, is its own template.
+        if let [only] = smalls.as_slice() {
+            if only.ports().len() == sym_ports.len() && is_simplified(only) {
+                return Ok(CompiledNode::Medium(MediumTemplate {
+                    automaton: smalls.pop().expect("one primitive"),
+                    sym_ports,
+                    mem_count,
+                }));
+            }
+        }
         let medium = product_all(&smalls, &ProductOptions::default())?;
         // Hide only vertices that are (a) internal to this template (both
         // their writer and reader composed in) and (b) provably unused by
@@ -394,7 +391,7 @@ impl<'p> Compiler<'p> {
                         .hidable(&sym_ports[p.index()], section, enclosing)
             })
             .collect();
-        let medium = simp(&medium, &keep);
+        let medium = simplify(&medium, &keep);
         // Compact the symbolic id space to the surviving ports, so that
         // instantiation never materializes a hidden vertex.
         let surviving = medium.ports();
@@ -411,6 +408,25 @@ impl<'p> Compiler<'p> {
             mem_count,
         }))
     }
+}
+
+/// The symbolic ports of fixed-shape operands, each new vertex numbered in
+/// order of first use.
+fn sym_ports_of<'g>(
+    ops: &'g [FlatOperand],
+    interner: &mut HashMap<&'g FlatRef, PortId>,
+    sym_ports: &mut Vec<FlatRef>,
+) -> Vec<PortId> {
+    let mut port = |op: &'g FlatOperand| {
+        let FlatOperand::One(fr) = op else {
+            unreachable!("fixed shape checked")
+        };
+        *interner.entry(fr).or_insert_with(|| {
+            sym_ports.push(fr.clone());
+            PortId((sym_ports.len() - 1) as u32)
+        })
+    };
+    ops.iter().map(&mut port).collect()
 }
 
 /// Could `a` and `b` denote the same vertex for *some* assignment of

@@ -19,6 +19,8 @@
 
 use std::collections::HashMap;
 
+use reo_automata::Name;
+
 use crate::affine::{canon, Affine, Sym};
 use crate::builtins;
 use crate::error::CoreError;
@@ -27,7 +29,7 @@ use crate::ir::{BExpr, CExpr, ConnectorDef, IExpr, Inst, Param, PortRef, Program
 /// A reference to exactly one vertex, with canonical indices.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FlatRef {
-    pub base: String,
+    pub base: Name,
     pub indices: Vec<Affine>,
 }
 
@@ -45,7 +47,7 @@ impl std::fmt::Display for FlatRef {
 /// 1-based), each further indexed by `suffix`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatSlice {
-    pub base: String,
+    pub base: Name,
     pub lo: Affine,
     pub hi: Affine,
     pub suffix: Vec<Affine>,
@@ -74,7 +76,7 @@ impl FlatOperand {
 /// A primitive (builtin or custom) instance with resolved operands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatInst {
-    pub prim: String,
+    pub prim: Name,
     pub iargs: Vec<Affine>,
     pub tails: Vec<FlatOperand>,
     pub heads: Vec<FlatOperand>,
@@ -108,7 +110,7 @@ pub enum FlatExpr {
     Inst(FlatInst),
     Mult(Vec<FlatExpr>),
     Prod {
-        var: String,
+        var: Name,
         lo: Affine,
         hi: Affine,
         body: Box<FlatExpr>,
@@ -146,7 +148,7 @@ enum Binding {
     Scalar(FlatRef),
     /// `formal[k]` ↦ `base[k + offset, suffix…]`, `#formal` ↦ `len`.
     Array {
-        base: String,
+        base: Name,
         offset: Affine,
         len: Affine,
         suffix: Vec<Affine>,
@@ -161,27 +163,28 @@ pub fn flatten(program: &Program, def_name: &str) -> Result<FlatDef, CoreError> 
     let mut fl = Flattener {
         program,
         counter: 0,
-        stack: vec![def_name.to_string()],
+        stack: vec![def_name.into()],
     };
     let mut bindings = HashMap::new();
     for p in def.params() {
+        let name = Name::new(&p.name);
         let b = if p.is_array {
             Binding::Array {
-                base: p.name.clone(),
+                base: name.clone(),
                 offset: Affine::constant(0),
                 len: Affine {
                     constant: 0,
-                    terms: vec![(Sym::Len(p.name.clone()), 1)],
+                    terms: vec![(Sym::Len(name.clone()), 1)],
                 },
                 suffix: Vec::new(),
             }
         } else {
             Binding::Scalar(FlatRef {
-                base: p.name.clone(),
+                base: name.clone(),
                 indices: Vec::new(),
             })
         };
-        bindings.insert(p.name.clone(), b);
+        bindings.insert(name, b);
     }
     let body = fl.inline(def, bindings, Vec::new())?;
     Ok(FlatDef {
@@ -195,35 +198,35 @@ pub fn flatten(program: &Program, def_name: &str) -> Result<FlatDef, CoreError> 
 struct Flattener<'p> {
     program: &'p Program,
     counter: usize,
-    stack: Vec<String>,
+    stack: Vec<Name>,
 }
 
 /// Per-definition scope while inlining.
 struct Scope {
-    bindings: HashMap<String, Binding>,
+    bindings: HashMap<Name, Binding>,
     /// Renames of this definition's iteration variables (stacked).
-    varmap: HashMap<String, String>,
+    varmap: HashMap<Name, Name>,
     /// Renames of this definition's local vertex names.
-    localmap: HashMap<String, String>,
+    localmap: HashMap<Name, Name>,
     /// Renamed iteration variables enclosing the *inline site* — locals of
     /// this definition are arrays over exactly these.
-    inline_enclosing: Vec<String>,
+    inline_enclosing: Vec<Name>,
     /// `inline_enclosing` plus this definition's own in-scope prod
     /// variables — the enclosing context for *nested* inline sites.
-    here_enclosing: Vec<String>,
+    here_enclosing: Vec<Name>,
 }
 
 impl<'p> Flattener<'p> {
-    fn fresh(&mut self, base: &str) -> String {
+    fn fresh(&mut self, base: &str) -> Name {
         self.counter += 1;
-        format!("{base}~{}", self.counter)
+        Name::format(format_args!("{base}~{}", self.counter))
     }
 
     fn inline(
         &mut self,
         def: &ConnectorDef,
-        bindings: HashMap<String, Binding>,
-        enclosing: Vec<String>,
+        bindings: HashMap<Name, Binding>,
+        enclosing: Vec<Name>,
     ) -> Result<FlatExpr, CoreError> {
         let mut scope = Scope {
             bindings,
@@ -312,13 +315,13 @@ impl<'p> Flattener<'p> {
         let callee = self
             .program
             .def(&inst.name)
-            .ok_or_else(|| CoreError::UnknownPrimitive(inst.name.clone()))?;
+            .ok_or_else(|| CoreError::UnknownPrimitive(inst.name.to_string()))?;
         if self.stack.contains(&inst.name) {
-            return Err(CoreError::RecursiveDefinition(inst.name.clone()));
+            return Err(CoreError::RecursiveDefinition(inst.name.to_string()));
         }
         if callee.tails.len() != tails.len() || callee.heads.len() != heads.len() {
             return Err(CoreError::ArityMismatch {
-                name: inst.name.clone(),
+                name: inst.name.to_string(),
                 expected: format!("({};{})", callee.tails.len(), callee.heads.len()),
                 got: format!("({};{})", tails.len(), heads.len()),
             });
@@ -348,7 +351,7 @@ impl<'p> Flattener<'p> {
                     })
                 }
             };
-            callee_bindings.insert(param.name.clone(), binding);
+            callee_bindings.insert(Name::new(&param.name), binding);
         }
         self.stack.push(inst.name.clone());
         let result = self.inline(callee, callee_bindings, scope.here_enclosing.clone());
@@ -398,7 +401,7 @@ impl<'p> Flattener<'p> {
                 if let Some(binding) = scope.bindings.get(n).cloned() {
                     return match binding {
                         Binding::Scalar(_) => Err(CoreError::KindMismatch {
-                            name: n.clone(),
+                            name: n.to_string(),
                             expected_array: false,
                         }),
                         Binding::Array {
@@ -409,7 +412,7 @@ impl<'p> Flattener<'p> {
                         } => {
                             if idxs.len() != 1 {
                                 return Err(CoreError::KindMismatch {
-                                    name: n.clone(),
+                                    name: n.to_string(),
                                     expected_array: false,
                                 });
                             }
@@ -434,7 +437,7 @@ impl<'p> Flattener<'p> {
                 if let Some(binding) = scope.bindings.get(n).cloned() {
                     return match binding {
                         Binding::Scalar(_) => Err(CoreError::KindMismatch {
-                            name: n.clone(),
+                            name: n.to_string(),
                             expected_array: false,
                         }),
                         Binding::Array {
@@ -461,12 +464,12 @@ impl<'p> Flattener<'p> {
         }
     }
 
-    fn rename_local(&mut self, n: &str, scope: &mut Scope) -> String {
+    fn rename_local(&mut self, n: &Name, scope: &mut Scope) -> Name {
         if let Some(r) = scope.localmap.get(n) {
             return r.clone();
         }
         let renamed = self.fresh(n);
-        scope.localmap.insert(n.to_string(), renamed.clone());
+        scope.localmap.insert(n.clone(), renamed.clone());
         renamed
     }
 
@@ -492,11 +495,11 @@ impl<'p> Flattener<'p> {
                     Some(Binding::Array { len, .. }) => len.clone(),
                     Some(Binding::Scalar(_)) => {
                         return Err(CoreError::KindMismatch {
-                            name: a.clone(),
+                            name: a.to_string(),
                             expected_array: true,
                         })
                     }
-                    None => return Err(CoreError::UnboundLen(a.clone())),
+                    None => return Err(CoreError::UnboundLen(a.to_string())),
                 },
             };
             out = out.add(&replacement.scale(*c));
@@ -524,7 +527,7 @@ impl<'p> Flattener<'p> {
     }
 }
 
-fn enclosing_indices(vars: &[String]) -> Vec<Affine> {
+fn enclosing_indices(vars: &[Name]) -> Vec<Affine> {
     vars.iter()
         .map(|v| Affine {
             constant: 0,

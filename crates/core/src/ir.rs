@@ -13,16 +13,16 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use reo_automata::{Automaton, MemId, PortId};
+use reo_automata::{Automaton, MemId, Name, PortId};
 
 /// An integer index expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IExpr {
     Const(i64),
     /// An iteration variable or a `main` parameter (e.g. `N`).
-    Var(String),
+    Var(Name),
     /// `#arr`: the length of an array parameter.
-    Len(String),
+    Len(Name),
     Add(Box<IExpr>, Box<IExpr>),
     Sub(Box<IExpr>, Box<IExpr>),
     Mul(Box<IExpr>, Box<IExpr>),
@@ -30,11 +30,11 @@ pub enum IExpr {
 
 impl IExpr {
     pub fn var(name: &str) -> Self {
-        IExpr::Var(name.to_string())
+        IExpr::Var(name.into())
     }
 
     pub fn len(name: &str) -> Self {
-        IExpr::Len(name.to_string())
+        IExpr::Len(name.into())
     }
 }
 
@@ -93,26 +93,26 @@ impl fmt::Display for BExpr {
 pub enum PortRef {
     /// A scalar port variable, or a whole array used in argument position
     /// (shorthand for `name[1..#name]`); disambiguated by the declared kind.
-    Name(String),
+    Name(Name),
     /// `name[e1][e2]…`: one element of a (possibly multi-dimensional
     /// after flattening) array. Source syntax only ever writes one index;
     /// inlining under iterations appends further indices.
-    Indexed(String, Vec<IExpr>),
+    Indexed(Name, Vec<IExpr>),
     /// `name[a..b]` (inclusive on both ends, 1-based, as in `out[1..N]`).
-    Slice(String, IExpr, IExpr),
+    Slice(Name, IExpr, IExpr),
 }
 
 impl PortRef {
     pub fn name(n: &str) -> Self {
-        PortRef::Name(n.to_string())
+        PortRef::Name(n.into())
     }
 
     pub fn indexed(n: &str, idx: IExpr) -> Self {
-        PortRef::Indexed(n.to_string(), vec![idx])
+        PortRef::Indexed(n.into(), vec![idx])
     }
 
     pub fn slice(n: &str, lo: IExpr, hi: IExpr) -> Self {
-        PortRef::Slice(n.to_string(), lo, hi)
+        PortRef::Slice(n.into(), lo, hi)
     }
 
     /// The referenced base name.
@@ -143,7 +143,7 @@ impl fmt::Display for PortRef {
 /// connector definition, with tail and head operand lists.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Inst {
-    pub name: String,
+    pub name: Name,
     /// Integer arguments for parametrized builtins (e.g. `FifoN<3>`).
     pub iargs: Vec<IExpr>,
     pub tails: Vec<PortRef>,
@@ -153,7 +153,7 @@ pub struct Inst {
 impl Inst {
     pub fn new(name: &str, tails: Vec<PortRef>, heads: Vec<PortRef>) -> Self {
         Self {
-            name: name.to_string(),
+            name: name.into(),
             iargs: Vec::new(),
             tails,
             heads,
@@ -179,7 +179,7 @@ pub enum CExpr {
     /// `prod (var: lo..hi) body` — bodies are in-lined for every value of
     /// the (inclusive) range; an empty range contributes nothing.
     Prod {
-        var: String,
+        var: Name,
         lo: IExpr,
         hi: IExpr,
         body: Box<CExpr>,
@@ -199,7 +199,7 @@ impl CExpr {
 
     pub fn prod(var: &str, lo: IExpr, hi: IExpr, body: CExpr) -> CExpr {
         CExpr::Prod {
-            var: var.to_string(),
+            var: var.into(),
             lo,
             hi,
             body: Box::new(body),

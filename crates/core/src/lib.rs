@@ -46,4 +46,6 @@ pub use ir::{
     PrimRegistry, Program, TaskInst,
 };
 pub use normalize::{normalize, NormalForm};
+/// The identifiers of the IR (vertex, variable and primitive names).
+pub use reo_automata::Name;
 pub use resolve::{env_from_binding, Binding};

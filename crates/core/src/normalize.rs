@@ -7,6 +7,8 @@
 //! branches (Example 10). Reordering is sound because `mult` (the product ×)
 //! is associative and commutative.
 
+use reo_automata::Name;
+
 use crate::affine::Affine;
 use crate::flat::{FlatBool, FlatExpr, FlatInst};
 
@@ -23,7 +25,7 @@ pub struct NormalForm {
 
 #[derive(Clone, Debug)]
 pub struct ProdNF {
-    pub var: String,
+    pub var: Name,
     pub lo: Affine,
     pub hi: Affine,
     pub body: NormalForm,
@@ -135,11 +137,11 @@ mod tests {
                 prim: "Sync".into(),
                 iargs: vec![],
                 tails: vec![FlatOperand::One(FlatRef {
-                    base: format!("{n}a"),
+                    base: format!("{n}a").into(),
                     indices: vec![],
                 })],
                 heads: vec![FlatOperand::One(FlatRef {
-                    base: format!("{n}b"),
+                    base: format!("{n}b").into(),
                     indices: vec![],
                 })],
             })

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use reo_automata::{PortAllocator, PortId};
+use reo_automata::{Name, PortAllocator, PortId};
 
 use crate::affine::{Affine, Env};
 use crate::error::CoreError;
@@ -31,7 +31,7 @@ pub fn env_from_binding(binding: &Binding) -> Env {
 pub struct Resolver<'a> {
     binding: &'a Binding,
     alloc: &'a mut PortAllocator,
-    locals: HashMap<(String, Vec<i64>), PortId>,
+    locals: HashMap<(Name, Vec<i64>), PortId>,
 }
 
 impl<'a> Resolver<'a> {
@@ -59,17 +59,17 @@ impl<'a> Resolver<'a> {
             .iter()
             .map(|a| a.eval(env))
             .collect::<Result<Vec<i64>, _>>()?;
-        if let Some(ports) = self.binding.get(&fr.base) {
+        if let Some(ports) = self.binding.get(fr.base.as_str()) {
             return match indices.as_slice() {
                 [] if ports.len() == 1 => Ok(ports[0]),
                 [] => Err(CoreError::KindMismatch {
-                    name: fr.base.clone(),
+                    name: fr.base.to_string(),
                     expected_array: false,
                 }),
                 [k] => {
                     if *k < 1 || *k > ports.len() as i64 {
                         Err(CoreError::IndexOutOfBounds {
-                            name: fr.base.clone(),
+                            name: fr.base.to_string(),
                             index: *k,
                             len: ports.len() as i64,
                         })
@@ -78,7 +78,7 @@ impl<'a> Resolver<'a> {
                     }
                 }
                 _ => Err(CoreError::KindMismatch {
-                    name: fr.base.clone(),
+                    name: fr.base.to_string(),
                     expected_array: false,
                 }),
             };
@@ -98,7 +98,7 @@ impl<'a> Resolver<'a> {
         let lo = sl.lo.eval(env)?;
         let hi = sl.hi.eval(env)?;
         if hi < lo {
-            return Err(CoreError::EmptyArray(sl.base.clone()));
+            return Err(CoreError::EmptyArray(sl.base.to_string()));
         }
         // Bound the length *before* allocating: an adversarial constant
         // range (`a[1..4e14]`) must become a typed error, not an
@@ -109,10 +109,10 @@ impl<'a> Resolver<'a> {
             .checked_sub(lo)
             .and_then(|d| d.checked_add(1))
             .ok_or_else(|| CoreError::IndexOverflow(format!("{}[{lo}..{hi}]", sl.base)))?;
-        if let Some(ports) = self.binding.get(&sl.base) {
+        if let Some(ports) = self.binding.get(sl.base.as_str()) {
             if lo < 1 || hi > ports.len() as i64 {
                 return Err(CoreError::IndexOutOfBounds {
-                    name: sl.base.clone(),
+                    name: sl.base.to_string(),
                     index: if lo < 1 { lo } else { hi },
                     len: ports.len() as i64,
                 });

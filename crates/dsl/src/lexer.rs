@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use reo_core::Name;
+
 /// A token with its source position (for error messages).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Token {
@@ -13,7 +15,7 @@ pub struct Token {
 /// Token kinds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Tok {
-    Ident(String),
+    Ident(Name),
     Int(i64),
     // Keywords.
     Mult,
@@ -253,17 +255,20 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     "among" => Tok::Among,
                     "forall" => Tok::Forall,
                     "and" => Tok::And,
-                    _ => Tok::Ident(text.to_string()),
+                    _ => Tok::Ident(text.into()),
                 };
                 tokens.push(Token { kind, line, col });
                 col += (i - start) as u32;
             }
-            other => {
+            _ => {
+                // Every arm above steps over ASCII only, so `i` starts a
+                // character: name all of it, not its first byte.
+                let other = src[i..].chars().next().expect("`i` is in bounds");
                 return Err(LexError {
                     message: format!("unexpected character `{other}`"),
                     line,
                     col,
-                })
+                });
             }
         }
     }
@@ -358,6 +363,15 @@ mod tests {
         let err = lex("a @").unwrap_err();
         assert_eq!(err.line, 1);
         assert_eq!(err.col, 3);
+    }
+
+    #[test]
+    fn a_refused_character_is_named_whole() {
+        let err = lex("Fifo1(a;é)").unwrap_err();
+        assert_eq!(err.message, "unexpected character `é`");
+        assert_eq!((err.line, err.col), (1, 9));
+        let err = lex("a → b").unwrap_err();
+        assert_eq!(err.message, "unexpected character `→`");
     }
 
     #[test]

@@ -24,6 +24,7 @@ use std::fmt;
 use reo_core::ir::{
     BExpr, CExpr, Cmp, ConnectorDef, IExpr, Inst, MainDef, Param, PortRef, Program, TaskInst,
 };
+use reo_core::Name;
 
 use crate::lexer::{lex, LexError, Tok, Token};
 
@@ -158,7 +159,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<Name, ParseError> {
         match self.peek().clone() {
             Tok::Ident(s) => {
                 self.bump();
@@ -189,7 +190,7 @@ impl Parser {
     // ---- definitions -----------------------------------------------------
 
     fn parse_def(&mut self) -> Result<ConnectorDef, ParseError> {
-        let name = self.ident()?;
+        let name = self.ident()?.to_string();
         self.expect(&Tok::LParen)?;
         let tails = self.parse_params()?;
         self.expect(&Tok::Semi)?;
@@ -209,7 +210,7 @@ impl Parser {
         let mut params = Vec::new();
         if matches!(self.peek(), Tok::Ident(_)) {
             loop {
-                let name = self.ident()?;
+                let name = self.ident()?.to_string();
                 let is_array = if self.eat(&Tok::LBracket) {
                     self.expect(&Tok::RBracket)?;
                     true
@@ -486,7 +487,7 @@ impl Parser {
         if self.eat(&Tok::LParen) {
             if matches!(self.peek(), Tok::Ident(_)) {
                 loop {
-                    params.push(self.ident()?);
+                    params.push(self.ident()?.to_string());
                     if !self.eat(&Tok::Comma) {
                         break;
                     }
@@ -515,7 +516,7 @@ impl Parser {
     fn parse_task(&mut self) -> Result<TaskInst, ParseError> {
         let forall = if self.eat(&Tok::Forall) {
             self.expect(&Tok::LParen)?;
-            let var = self.ident()?;
+            let var = self.ident()?.to_string();
             self.expect(&Tok::Colon)?;
             let lo = self.parse_iexpr()?;
             self.expect(&Tok::DotDot)?;
@@ -526,7 +527,7 @@ impl Parser {
             None
         };
         // Dotted task names: Tasks.pro
-        let mut name = self.ident()?;
+        let mut name = self.ident()?.to_string();
         while self.eat(&Tok::Dot) {
             name.push('.');
             name.push_str(&self.ident()?);

@@ -111,9 +111,9 @@ fn pretty_inst(inst: &Inst) -> String {
 
 fn pretty_ref(r: &PortRef) -> String {
     match r {
-        PortRef::Name(n) => n.clone(),
+        PortRef::Name(n) => n.to_string(),
         PortRef::Indexed(n, idxs) => {
-            let mut s = n.clone();
+            let mut s = n.to_string();
             for i in idxs {
                 s.push_str(&format!("[{}]", pretty_iexpr(i)));
             }
@@ -128,7 +128,7 @@ pub fn pretty_iexpr(e: &IExpr) -> String {
     fn go(e: &IExpr, parent_prec: u8) -> String {
         let (s, prec) = match e {
             IExpr::Const(c) => (c.to_string(), 3),
-            IExpr::Var(v) => (v.clone(), 3),
+            IExpr::Var(v) => (v.to_string(), 3),
             IExpr::Len(a) => (format!("#{a}"), 3),
             IExpr::Add(a, b) => (format!("{}+{}", go(a, 1), go(b, 2)), 1),
             IExpr::Sub(a, b) => (format!("{}-{}", go(a, 1), go(b, 2)), 1),

@@ -535,10 +535,7 @@ impl Connector {
         }
         let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
         let ports = if traced {
-            PortMap::sparse(instance.automata.iter().flat_map(|a| {
-                let ps = a.ports();
-                ps.iter().collect::<Vec<_>>()
-            }))
+            PortMap::sparse(instance.automata.iter().flat_map(|a| a.ports().iter()))
         } else {
             PortMap::dense(alloc.port_count())
         };

@@ -196,12 +196,19 @@ impl PortMap {
     /// of its `inputs` ports, a pending receive on each of its `outputs`
     /// ports (the rest of the label is internal).
     pub fn need(&self, sync: &PortSet, inputs: &PortSet, outputs: &PortSet) -> Need {
-        let mut words: Vec<(u32, u64)> = Vec::new();
-        let sends = sync.iter().filter(|p| inputs.contains(*p));
-        let recvs = sync.iter().filter(|p| outputs.contains(*p));
-        for (p, half) in sends.map(|p| (p, 0)).chain(recvs.map(|p| (p, 1))) {
-            let i = self.slot(p);
-            let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
+        let bits = || {
+            let sends = sync.iter().filter(|p| inputs.contains(*p)).map(|p| (p, 0));
+            let recvs = sync.iter().filter(|p| outputs.contains(*p)).map(|p| (p, 1));
+            sends.chain(recvs).map(|(p, half)| {
+                let i = self.slot(p);
+                ((2 * (i / 64) + half) as u32, 1u64 << (i % 64))
+            })
+        };
+        // Sized first, so the table holds exactly its words.
+        let firsts = bits().enumerate();
+        let distinct = firsts.filter(|&(k, (word, _))| bits().take(k).all(|(w, _)| w != word));
+        let mut words: Vec<(u32, u64)> = Vec::with_capacity(distinct.count());
+        for (word, bit) in bits() {
             match words.iter_mut().find(|(w, _)| *w == word) {
                 Some((_, bits)) => *bits |= bit,
                 None => words.push((word, bit)),

@@ -28,7 +28,8 @@
 //!
 //! Nothing is interpreted while stepping. A connected step is identified by
 //! its [`Choice`] vector — which local transition each participant takes —
-//! and the step table interns it: the first row that contains it records
+//! and the step table interns it (choice vectors end to end in one arena,
+//! found through [`Buckets`]): the first row that contains it records
 //! the [`Need`] its label puts on the armed set and its participants'
 //! `(index, target)` pairs, and every later row that contains the same
 //! step shares the entry (`NpbComm` has O(N) distinct steps under its 2^N
@@ -55,12 +56,12 @@
 //! shared by every row naming it — never once per union of steps, as an
 //! eager product of the constituents would.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use reo_automata::lower::{ExecScratch, LowerOptions, LoweredTransition, Pools};
 use reo_automata::{
-    connected, Automaton, Choice, Explosion, PortId, PortOwners, PortSet, ProductOptions, StateId,
-    Store, Transition, Value,
+    connected, Automaton, Buckets, Choice, Explosion, PortId, PortOwners, PortSet, ProductOptions,
+    StateId, Steps, Store, Transition, Value,
 };
 use reo_core::ConnectorInstance;
 
@@ -70,8 +71,9 @@ use crate::error::RuntimeError;
 
 /// One connected step, shared by every row naming it.
 struct Step {
-    /// Its identity: the participants' local transitions.
-    choice: Box<[Choice]>,
+    /// Its identity, the participants' local transitions:
+    /// `choices[choice.0..choice.1]` of the core's arena.
+    choice: (u32, u32),
     /// The operations that must be pending for it to fire.
     need: Need,
     /// Composed and lowered the first time `need` is met: a state visited
@@ -93,9 +95,13 @@ pub struct JitCore {
     current: Option<Link>,
     /// The row entry the last step fired, until its successor is memoised.
     edge: Option<(Link, usize)>,
-    /// The step table: `step_ids` interns by choice vector into `steps`.
-    step_ids: HashMap<Box<[Choice]>, u32>,
+    /// The step table: `steps`, their choice vectors end to end in
+    /// `choices`, and `step_ids` over those to intern by choice vector.
     steps: Vec<Step>,
+    choices: Vec<Choice>,
+    step_ids: Buckets,
+    /// The enumerator's output and scratch, reused by every expansion.
+    found: Steps,
     /// Constant/function/predicate pools of every lowered step.
     pools: Pools,
     scratch: ExecScratch,
@@ -147,12 +153,14 @@ impl JitCore {
         JitCore {
             owners: PortOwners::new(&automata),
             states: automata.iter().map(|a| a.initial()).collect(),
+            cache: StateCache::new(automata.len()),
             automata,
-            cache: StateCache::default(),
             current: None,
             edge: None,
-            step_ids: HashMap::new(),
             steps: Vec::new(),
+            choices: Vec::new(),
+            step_ids: Buckets::default(),
+            found: Steps::default(),
             pools: Pools::default(),
             scratch: ExecScratch::default(),
             deliveries: Vec::new(),
@@ -180,34 +188,35 @@ impl JitCore {
         opts: &ProductOptions,
     ) -> Result<Self, RuntimeError> {
         let mut core = Self::with_states(automata, starts, opts.max_transitions);
-        let mut queue = vec![core.states.clone()];
-        let mut seen = HashSet::from([core.states.clone()]);
-        let (mut head, mut filled) = (0, 0);
-        while let Some(tuple) = queue.get(head).cloned() {
-            head += 1;
-            let left = opts.max_transitions - filled;
-            let choices = (core.owners)
-                .connected_steps(&core.automata, |i| tuple.get(i), left)
-                .map_err(|found| explosion(&core.automata, opts, seen.len(), filled + found))?;
-            filled += choices.len();
-            let steps: Box<[_]> = (choices.into_iter())
-                .map(|choice| (core.intern(choice, ports), None))
-                .collect();
+        // The cache is the queue: rows are filled in the order their tuples
+        // were first seen.
+        let (first, _) = core.cache.intern(core.states.ids());
+        core.current = Some(first);
+        let (mut found, mut tuple, mut next) = (Steps::default(), Vec::new(), Vec::new());
+        let (mut row, mut filled) = (0, 0);
+        while row < core.cache.len() {
+            let link = Link::nth(row);
+            tuple.clear();
+            tuple.extend_from_slice(core.cache.tuple(link));
+            let (state, left) = (|i: usize| StateId(tuple[i]), opts.max_transitions - filled);
+            let enumerated = (core.owners).enumerate(&core.automata, state, left, &mut found);
+            let states = core.cache.len();
+            enumerated.map_err(|more| explosion(&core.automata, opts, states, filled + more))?;
+            filled += found.len();
+            let steps = core.intern_all(&found, ports);
             for &(id, _) in steps.iter() {
-                let mut next = tuple.clone();
+                next.clear();
+                next.extend_from_slice(&tuple);
                 for &(i, target) in core.steps[id as usize].moves.iter() {
-                    next.set(i as usize, target);
+                    next[i as usize] = target.0;
                 }
-                if !seen.contains(&next) {
-                    seen.insert(next.clone());
-                    queue.push(next);
-                }
+                core.cache.intern(&next);
             }
-            let row = core.cache.insert(&tuple, Row { steps });
-            core.current.get_or_insert(row);
-            if seen.len() > opts.max_states {
-                return Err(explosion(&core.automata, opts, seen.len(), filled));
+            core.cache.fill(link, Row { steps });
+            if core.cache.len() > opts.max_states {
+                return Err(explosion(&core.automata, opts, core.cache.len(), filled));
             }
+            row += 1;
         }
         Ok(core)
     }
@@ -243,27 +252,41 @@ impl JitCore {
     }
 
     /// Expand the current state: every connected step, each exactly once,
-    /// in the enumerator's order ([`PortOwners::connected_steps`]).
+    /// in the enumerator's order ([`PortOwners::enumerate`]).
     pub fn expand(&self) -> Result<Vec<Box<[Choice]>>, RuntimeError> {
-        let state = |i| self.states.get(i);
-        (self.owners)
-            .connected_steps(&self.automata, state, self.expansion_budget)
-            .map_err(|found| RuntimeError::ExpansionOverflow {
-                state_transitions: found,
-                budget: self.expansion_budget,
-            })
+        let mut found = Steps::default();
+        self.enumerate_here(&mut found)?;
+        Ok(found.iter().map(Box::from).collect())
     }
 
-    /// The resident rows, in no particular order: each tuple with its
-    /// steps' choice vectors in emission order (`tests/eager_rows.rs`).
+    /// The connected steps of the current state, into `found`.
+    fn enumerate_here(&self, found: &mut Steps) -> Result<(), RuntimeError> {
+        let (state, budget) = (|i| self.states.get(i), self.expansion_budget);
+        (self.owners.enumerate(&self.automata, state, budget, found)).map_err(|found| {
+            RuntimeError::ExpansionOverflow {
+                state_transitions: found,
+                budget,
+            }
+        })
+    }
+
+    /// The resident rows, in the order their tuples were first seen: each
+    /// tuple with its steps' choice vectors in emission order
+    /// (`tests/eager_rows.rs`).
     pub fn rows(&self) -> impl Iterator<Item = (Vec<StateId>, Vec<&[Choice]>)> + '_ {
         self.cache.resident().map(|(tuple, row)| {
-            let choice = |&(id, _): &(u32, _)| &*self.steps[id as usize].choice;
+            let choice = |&(id, _): &(u32, _)| self.choice(id);
             (
-                tuple.iter().collect(),
+                tuple.iter().map(|&s| StateId(s)).collect(),
                 row.steps.iter().map(choice).collect(),
             )
         })
+    }
+
+    /// The choice vector of step `id`.
+    fn choice(&self, id: u32) -> &[Choice] {
+        let (start, end) = self.steps[id as usize].choice;
+        &self.choices[start as usize..end as usize]
     }
 
     fn local(&self, (automaton, from, index): Choice) -> &Transition {
@@ -296,27 +319,37 @@ impl JitCore {
 
     /// The step table entry of `choice`, made on first sight with its need
     /// over `ports`.
-    fn intern(&mut self, choice: Box<[Choice]>, ports: &PortMap) -> u32 {
-        if let Some(&id) = self.step_ids.get(&choice) {
-            return id;
+    fn intern(&mut self, choice: &[Choice], ports: &PortMap) -> u32 {
+        let ids = choice.iter().flat_map(|&(i, at, k)| [i, at.0, k]);
+        let hash = Buckets::hash(0, ids);
+        let known = (self.step_ids.under(hash)).find(|&id| self.choice(id as u32) == choice);
+        if let Some(id) = known {
+            return id as u32;
         }
-        let (sync, moves) = self.outline(&choice);
-        let id = self.steps.len() as u32;
+        let (sync, moves) = self.outline(choice);
+        let start = self.choices.len() as u32;
+        self.choices.extend_from_slice(choice);
         self.steps.push(Step {
             need: ports.need(&sync, &self.inputs, &self.outputs),
-            choice: choice.clone(),
+            choice: (start, self.choices.len() as u32),
             program: None,
             moves,
         });
-        self.step_ids.insert(choice, id);
-        id
+        self.step_ids.push(hash) as u32
+    }
+
+    /// The row of the steps `found`: each interned.
+    fn intern_all(&mut self, found: &Steps, ports: &PortMap) -> Box<[(u32, Option<Link>)]> {
+        (found.iter())
+            .map(|choice| (self.intern(choice, ports), None))
+            .collect()
     }
 
     /// Compose and lower step `id`: sends seed the program, only
     /// task-facing deliveries survive.
     fn lower(&mut self, id: u32) -> Result<(), RuntimeError> {
-        let choice = &self.steps[id as usize].choice;
-        let (composed, _) = self.compose_step(choice);
+        let choice = self.choice(id);
+        let composed = connected::compose(&self.automata, choice);
         let owner = self.automata[choice[0].0 as usize].name();
         let boundary = LowerOptions {
             seeds: &self.inputs,
@@ -335,7 +368,7 @@ impl JitCore {
             self.cache.hit();
             return Some(link);
         }
-        let found = self.cache.lookup(&self.states)?;
+        let found = self.cache.lookup(self.states.ids())?;
         self.arrive(found);
         Some(found)
     }
@@ -351,10 +384,11 @@ impl JitCore {
     /// Expand the current state into a fresh row: intern its steps and
     /// cache it.
     fn expand_row(&mut self, ports: &PortMap) -> Result<Link, RuntimeError> {
-        let steps = (self.expand()?.into_iter())
-            .map(|choice| (self.intern(choice, ports), None))
-            .collect();
-        let row = self.cache.insert(&self.states, Row { steps });
+        let mut found = std::mem::take(&mut self.found);
+        self.enumerate_here(&mut found)?;
+        let steps = self.intern_all(&found, ports);
+        self.found = found;
+        let row = self.cache.insert(self.states.ids(), Row { steps });
         self.arrive(row);
         Ok(row)
     }
@@ -510,7 +544,7 @@ impl JitCore {
             frontier = PortSet::new();
             for i in due.drain(..) {
                 let (ports, at) = (
-                    self.owners.signature(i as usize),
+                    self.automata[i as usize].ports(),
                     self.states.get(i as usize),
                 );
                 if ports.is_disjoint(dead) || !walked.as_mut().is_none_or(|w| w.insert((i, at))) {

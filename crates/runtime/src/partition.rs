@@ -330,8 +330,10 @@ pub fn partition_with_opts(
     // its link ends. The store still shares the global layout (regions
     // touch disjoint cells, so sharing it is safe and keeps ids global).
     let mut engines: Vec<Arc<Engine>> = Vec::with_capacity(plan.regions.len());
+    let mut unplaced: Vec<Option<Automaton>> = automata.into_iter().map(Some).collect();
     for (r, members) in plan.regions.iter().enumerate() {
-        let autos: Vec<Automaton> = members.iter().map(|&i| automata[i].clone()).collect();
+        let place = |&i: &usize| unplaced[i].take().expect("one region per constituent");
+        let autos: Vec<Automaton> = members.iter().map(place).collect();
         let ports = region_port_map(&autos);
         let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
         let core = core_for(mode, &limits, autos, &starts, &ports, true)?;
@@ -370,10 +372,7 @@ fn new_region_engine(
 
 /// Sparse port map over a region's automata (its own ports only).
 fn region_port_map(autos: &[Automaton]) -> PortMap {
-    PortMap::sparse(autos.iter().flat_map(|a| {
-        let ps = a.ports();
-        ps.iter().collect::<Vec<_>>()
-    }))
+    PortMap::sparse(autos.iter().flat_map(|a| a.ports().iter()))
 }
 
 /// The structural half of partitioning: regions as connected components
@@ -796,21 +795,13 @@ impl Partitioned {
         for oi in old_of_new.iter().flatten() {
             kept_old[*oi] = true;
         }
-        let live_ports: HashSet<PortId> = new_automata
-            .iter()
-            .flat_map(|a| {
-                let ps = a.ports();
-                ps.iter().collect::<Vec<_>>()
-            })
-            .collect();
+        let live_ports: HashSet<PortId> =
+            new_automata.iter().flat_map(|a| a.ports().iter()).collect();
         let mut removed_ports: Vec<PortId> = old_automata
             .iter()
             .enumerate()
             .filter(|(oi, _)| !kept_old[*oi])
-            .flat_map(|(_, a)| {
-                let ps = a.ports();
-                ps.iter().collect::<Vec<_>>()
-            })
+            .flat_map(|(_, a)| a.ports().iter())
             .filter(|p| !live_ports.contains(p))
             .collect();
         removed_ports.sort_unstable_by_key(|p| p.index());

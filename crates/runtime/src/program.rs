@@ -79,7 +79,7 @@ pub fn run_main(
     // `Conn(out[1..N]; in[1..N])` introduces arrays `out`, `in` of length N.
     let connector_def = program
         .def(&main.connector.name)
-        .ok_or_else(|| CoreError::UnknownConnector(main.connector.name.clone()))?;
+        .ok_or_else(|| CoreError::UnknownConnector(main.connector.name.to_string()))?;
 
     let mut array_lens: HashMap<String, i64> = HashMap::new();
     let mut spans: Vec<(String, String, i64, i64, bool)> = Vec::new(); // (param, array, lo, hi, is_tail)
@@ -95,11 +95,11 @@ pub fn run_main(
         .chain(main.connector.heads.iter());
     for ((param, is_tail), arg) in all_params.zip(all_args) {
         let (array, lo, hi) = match arg {
-            PortRef::Slice(a, lo, hi) => (a.clone(), env.eval(lo)?, env.eval(hi)?),
-            PortRef::Name(a) => (a.clone(), 1, 1),
+            PortRef::Slice(a, lo, hi) => (a.to_string(), env.eval(lo)?, env.eval(hi)?),
+            PortRef::Name(a) => (a.to_string(), 1, 1),
             PortRef::Indexed(a, idx) if idx.len() == 1 => {
                 let k = env.eval(&idx[0])?;
-                (a.clone(), k, k)
+                (a.to_string(), k, k)
             }
             _ => return Err(CoreError::SliceAsScalar(param.name.clone()).into()),
         };
@@ -214,7 +214,7 @@ pub fn run_main(
                     },
                     PortRef::Indexed(a, _) => {
                         return Err(CoreError::KindMismatch {
-                            name: a.clone(),
+                            name: a.to_string(),
                             expected_array: false,
                         }
                         .into())

@@ -188,14 +188,7 @@ fn splice_single(
     d: &Diff,
     layout: &MemLayout,
 ) -> Result<(), RuntimeError> {
-    let live: HashSet<PortId> = d
-        .automata
-        .iter()
-        .flat_map(|a| {
-            let ps = a.ports();
-            ps.iter().collect::<Vec<_>>()
-        })
-        .collect();
+    let live: HashSet<PortId> = d.automata.iter().flat_map(|a| a.ports().iter()).collect();
     let mut kept_old = vec![false; st.automata.len()];
     for oi in d.old_of_new.iter().flatten() {
         kept_old[*oi] = true;
@@ -205,10 +198,7 @@ fn splice_single(
         .iter()
         .enumerate()
         .filter(|(oi, _)| !kept_old[*oi])
-        .flat_map(|(_, a)| {
-            let ps = a.ports();
-            ps.iter().collect::<Vec<_>>()
-        })
+        .flat_map(|(_, a)| a.ports().iter())
         .filter(|p| !live.contains(p))
         .collect();
     removed_ports.sort_unstable_by_key(|p| p.index());
@@ -310,8 +300,9 @@ fn diff(
 /// order — the old and new instances of one constituent line up
 /// positionally.
 fn local_ports(a: &Automaton, boundary: &HashSet<PortId>) -> Vec<PortId> {
-    let ps = a.ports();
-    let mut locals: Vec<PortId> = ps.iter().filter(|p| !boundary.contains(p)).collect();
+    let mut locals: Vec<PortId> = (a.ports().iter())
+        .filter(|p| !boundary.contains(p))
+        .collect();
     locals.sort_unstable_by_key(|p| p.index());
     locals
 }
