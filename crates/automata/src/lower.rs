@@ -180,13 +180,13 @@ impl std::fmt::Display for LowerError {
             LowerError::RegisterOverflow { automaton } => write!(
                 f,
                 "cannot lower automaton `{automaton}`: one transition needs \
-                 more than {} registers; use an interpreting mode instead",
+                 more than the {} registers a `u16` register index addresses",
                 u16::MAX
             ),
             LowerError::PoolOverflow { automaton, pool } => write!(
                 f,
                 "cannot lower automaton `{automaton}`: the {pool} pool outgrew \
-                 its {}-entry index space; use an interpreting mode instead",
+                 the {} entries a `u16` pool index addresses",
                 u16::MAX
             ),
         }

@@ -9,11 +9,11 @@
 //!
 //! Modes are allowed to *refuse uniformly*: if every mode reports the
 //! same error the scenario is counted as [`CaseOutcome::Refused`], not a
-//! finding. A lowering mode may also individually refuse with the typed
-//! "cannot encode, use an interpreting mode" lowering error — that is a
-//! documented capability boundary, not a bug, and is skipped per mode.
-//! Steps are lowered when first tried, so that refusal arrives mid-run, as
-//! the poison of the firing that tried one, in every mode but `mono`.
+//! finding. A mode may also individually refuse with the typed "cannot
+//! lower" error (a step outgrew the `u16` register or pool encoding) —
+//! that is a documented capability boundary, not a bug, and is skipped per
+//! mode. Steps are lowered when first tried, so that refusal arrives
+//! mid-run, as the poison of the firing that tried one.
 
 use reo_runtime::{run_scenario, Mode, Observation, OpResult};
 
@@ -67,15 +67,14 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// A mode-legitimate individual refusal: the lowering modes may reject
-/// steps their u16 encoding cannot hold, pointing at the interpreter,
-/// and eager composition strategies may hit the state-space budget on
+/// A mode-legitimate individual refusal: lowering may reject steps the
+/// u16 encoding cannot hold, and eager composition strategies may hit the state-space budget on
 /// connectors the lazy modes handle fine. Budget messages embed the
 /// mode's own composition tree, so two modes refusing for the same
 /// reason do not produce byte-identical errors — they are matched by
 /// category, not text.
 fn is_capability_refusal(msg: &str) -> bool {
-    msg.contains("interpreting mode") || msg.contains("state-space explosion")
+    msg.contains("cannot lower automaton") || msg.contains("state-space explosion")
 }
 
 /// A run that a capability refusal cut short: some op resolved with the

@@ -5,7 +5,7 @@
 //! A [`Mode`] is one of the paper's two approaches:
 //!
 //! * [`Mode::Existing`] — elaborate every primitive for the now-known N,
-//!   compose one large automaton, run it. Work that the existing Reo
+//!   compose one large automaton, fill all its rows. Work that the existing Reo
 //!   compiler did at compile time happens inside `connect`.
 //! * [`Mode::New`] — the medium automata, with two independent knobs: the
 //!   [`Placement`] (one engine, or one per synchronous region as in the
@@ -31,9 +31,8 @@ use reo_core::{
     CoreError, Program, INSTANTIATION_BUDGET,
 };
 
-use crate::aot::AotCore;
 use crate::cache::CacheStats;
-use crate::engine::{Engine, EngineCore, EngineStats, PortMap};
+use crate::engine::{Engine, EngineStats, PortMap};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 use crate::partition::{partition_with_opts, Partitioned};
@@ -43,8 +42,8 @@ use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
 /// Execution mode (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// The Fig. 12 baseline: one monolithic product, label-simplified and
-    /// interpreted ([`crate::aot::AotCore`]).
+    /// The Fig. 12 baseline: one monolithic product, label-simplified,
+    /// with every row filled at `connect` ([`JitCore::eager`]).
     Existing,
     /// The medium automata, stepped by [`crate::jit::JitCore`].
     New {
@@ -221,40 +220,31 @@ pub(crate) fn bind<'p>(
     Ok(binding)
 }
 
-/// Which core steps `automata` from `starts` for the engine serving
-/// `ports` under `mode` — the one place that decides, for `connect`, both
+/// The core stepping `automata` from `starts` for the engine serving
+/// `ports` under `mode` — the one place that decides, for `connect`,
 /// reconfiguration splices and the stepping microbench alike. The
-/// partitioned modes ask per region.
-///
-/// The monolithic mode is `traced` unless its elaboration has composed
-/// and simplified already, which it does for sessions that are never
-/// spliced: those arrive as one automaton. Every other core keeps the
-/// constituent tuple readable ([`EngineCore::constituent_states`]).
+/// partitioned modes ask per region. Only the composition matters: rows on
+/// first visit, or all reachable rows now. The existing approach fills
+/// them for what its elaboration composed — one simplified automaton, or
+/// the primitives of a reconfigurable session.
 pub(crate) fn core_for(
     mode: Mode,
     limits: &Limits,
     automata: Vec<Automaton>,
     starts: &[StateId],
     ports: &PortMap,
-    traced: bool,
-) -> Result<Box<dyn EngineCore>, RuntimeError> {
-    let budget = limits.expansion_budget;
-    Ok(match (mode, traced) {
-        (Mode::New { composition, .. }, _) => match composition {
-            Composition::Lazy => Box::new(JitCore::with_states(automata, starts, budget)),
-            Composition::Eager => {
-                Box::new(JitCore::eager(automata, starts, ports, &limits.product)?)
-            }
-        },
-        (Mode::Existing, false) => {
-            let [large] = <[_; 1]>::try_from(automata)
-                .expect("monolithic instance has exactly one automaton");
-            Box::new(AotCore::from_automaton(large))
-        }
-        (Mode::Existing, true) => {
-            Box::new(AotCore::compose_traced(&automata, starts, &limits.product)?)
-        }
-    })
+) -> Result<JitCore, RuntimeError> {
+    match mode {
+        Mode::New {
+            composition: Composition::Lazy,
+            ..
+        } => Ok(JitCore::with_states(
+            automata,
+            starts,
+            limits.expansion_budget,
+        )),
+        _ => JitCore::eager(automata, starts, ports, &limits.product),
+    }
 }
 
 /// A compiled connector, ready to be connected for any number of tasks.
@@ -502,19 +492,15 @@ impl Connector {
 
     /// Build the engine(s) of a session.
     ///
-    /// `traced` is set for reconfigurable sessions: every core keeps its
-    /// constituent states readable for the next splice ([`core_for`]), and
-    /// single-engine port maps are sparse so a detached port is *unknown*
-    /// to the engine ([`RuntimeError::Detached`]) rather than a silent
-    /// dead slot. The monolithic mode then runs its composition through
-    /// the traced product — identical behaviour, splice-able artifact.
-    /// Untraced single-engine sessions get dense port maps.
+    /// A `reconfigurable` session's single-engine port map is sparse, so a
+    /// detached port is *unknown* to the engine ([`RuntimeError::Detached`])
+    /// rather than a silent dead slot; other sessions get a dense map.
     fn backend(
         &self,
         instance: ConnectorInstance,
         alloc: &PortAllocator,
         layout: &MemLayout,
-        traced: bool,
+        reconfigurable: bool,
     ) -> Result<Backend, RuntimeError> {
         if let Mode::New {
             placement: Placement::Partitioned,
@@ -534,13 +520,13 @@ impl Connector {
             return Ok(Backend::Multi(parts));
         }
         let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-        let ports = if traced {
+        let ports = if reconfigurable {
             PortMap::sparse(instance.automata.iter().flat_map(|a| a.ports().iter()))
         } else {
             PortMap::dense(alloc.port_count())
         };
         let automata = instance.automata;
-        let core = core_for(self.mode, &self.limits, automata, &starts, &ports, traced)?;
+        let core = core_for(self.mode, &self.limits, automata, &starts, &ports)?;
         Ok(Backend::Single(Arc::new(Engine::new(
             core,
             ports,
@@ -577,9 +563,9 @@ impl SessionSpec<'_> {
         self
     }
 
-    /// Allow runtime branch churn on this session: cores keep their
-    /// constituent states readable for later splices, at the cost of
-    /// skipping label simplification.
+    /// Allow runtime branch churn on this session. The existing approach
+    /// then steps the primitives instead of their simplified product, so
+    /// that a splice can read each one's state.
     pub fn reconfigurable(mut self) -> Self {
         self.reconfigurable = true;
         self
@@ -805,8 +791,10 @@ impl ConnectorHandle {
         self.watchdog.as_ref().is_some_and(|w| w.is_stalled())
     }
 
+    /// The state caches of this session's cores, summed over regions.
+    /// Always `Some`: every session runs on the one core.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.backend.cache_stats()
+        Some(self.backend.cache_stats())
     }
 
     /// Number of medium automata the instance consists of.

@@ -7,9 +7,9 @@
 //! transition, distributes messages …, and completes all operations
 //! involved. If not, \[it\] does nothing and awaits the next send or receive."
 //!
-//! The machine itself is pluggable ([`EngineCore`]): ahead-of-time
-//! composition drives one large automaton, just-in-time composition drives
-//! a tuple of medium automata with memoized expansion.
+//! The machine itself is [`JitCore`]: a tuple of automata — the medium
+//! automata, or the existing approach's one composed automaton — whose
+//! rows are filled on first visit or all at `connect`.
 //!
 //! # Locking model
 //!
@@ -66,7 +66,7 @@
 //! partitioned runtime gives each region engine a [`PortMap::Sparse`] over
 //! just that region's ports, so the pending and waker tables scale
 //! with the *region*, not with the whole connector. All public and
-//! [`EngineCore`] interfaces keep speaking global [`PortId`]s; the
+//! core interfaces keep speaking global [`PortId`]s; the
 //! [`PendingTable`] translates at the edge.
 //!
 //! # Example: reading the contention counters
@@ -90,16 +90,14 @@
 //! ```
 
 use parking_lot::{Mutex, MutexGuard};
-use reo_automata::{
-    automaton::Transition, fire::try_fire, Automaton, MemLayout, PortId, PortSet, StateId, Store,
-    Value,
-};
+use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 
 use crate::error::RuntimeError;
+use crate::jit::JitCore;
 
 /// The per-port pending-operation slot.
 #[derive(Clone, Debug, Default)]
@@ -220,8 +218,8 @@ impl PortMap {
 
 /// The pending-operation table of one engine, indexed by *global*
 /// [`PortId`] but stored in per-engine local slots (see [`PortMap`]).
-/// [`EngineCore`] implementations read and write operations through this
-/// interface only, so they stay oblivious to the sharding.
+/// The core reads and writes operations through this interface only, so
+/// it stays oblivious to the sharding.
 ///
 /// The table also keeps the **armed set**: per 64 slots one word of
 /// "holds a `Send`" bits and one of "holds a `Recv`" bits, updated by
@@ -347,7 +345,7 @@ pub struct EngineStats {
     /// drain theirs uncounted, regions bordering none raise no events.
     pub kicks: u64,
     /// Reachability walks the hangup analysis ran, one per constituent
-    /// examined (see [`EngineCore::grow_dead`]): 0 while nobody hangs up,
+    /// examined (see [`JitCore::grow_dead`]): 0 while nobody hangs up,
     /// and 0 for hangups whose answer nobody asked for.
     pub hangup_walks: u64,
 }
@@ -368,75 +366,7 @@ impl EngineStats {
     }
 }
 
-/// A pluggable state machine: fires at most one global step per call.
-pub trait EngineCore: Send {
-    /// Try to fire one enabled transition given the pending operations and
-    /// the store. `Ok(true)` iff something fired; the boundary ports whose
-    /// operations completed in that step are appended to `completed` (the
-    /// engine wakes exactly those ports' parked wakers).
-    fn try_step(
-        &mut self,
-        pending: &mut PendingTable,
-        store: &mut Store,
-        completed: &mut Vec<PortId>,
-    ) -> Result<bool, RuntimeError>;
-
-    /// Ports where tasks send (connector inputs).
-    fn boundary_inputs(&self) -> &PortSet;
-
-    /// Ports where tasks receive (connector outputs).
-    fn boundary_outputs(&self) -> &PortSet;
-
-    /// Optional cache statistics (JIT engines).
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        None
-    }
-
-    /// The constituent control-state tuple behind the current global state
-    /// (one entry per medium automaton, in composition order), when this
-    /// core can recover it. The JIT core tracks the tuple natively, its rows
-    /// filled lazily or eagerly; the interpreting core has it only through
-    /// a product's *trace* and returns `None` without one — such an engine
-    /// cannot take part in a dynamic reconfiguration.
-    fn constituent_states(&self) -> Option<Vec<StateId>> {
-        None
-    }
-
-    /// Diagnostic probe for the stall watchdog: whether any transition
-    /// out of the current state is *operationally* enabled right now
-    /// (guards not evaluated). `&mut self` because JIT cores consult
-    /// their expansion cache. The default pleads ignorance.
-    fn any_enabled(&mut self, _pending: &PendingTable) -> bool {
-        false
-    }
-
-    /// Hangup analysis, incremental. `dead` holds the ports that can never
-    /// take part in a firing again — no transition reachable from the
-    /// current state without crossing a dead port synchronizes them — as of
-    /// the last call, plus the `frontier` ports the engine has added since
-    /// (they hung up). Add what follows: from the frontier, and from the
-    /// local states this core's steps moved to since the last call (a
-    /// drained buffer may leave a port with no live transition). Deadness
-    /// only grows from there (where it may have shrunk, the engine starts
-    /// over from an empty set), so nothing else is re-examined, and a
-    /// (constituent, local state) pair is walked once per `dead` set.
-    /// Returns the ports added, the frontier included, and counts the
-    /// reachability walks it ran. The conservative default declares only
-    /// the departed ports dead (peers keep blocking); the real cores walk,
-    /// so peers resolve [`RuntimeError::Hangup`].
-    fn grow_dead(&mut self, _dead: &mut PortSet, frontier: PortSet, _walks: &mut u64) -> PortSet {
-        frontier
-    }
-
-    /// The same analysis from scratch and memo-free: the oracle every
-    /// [`grow_dead`](Self::grow_dead) answer is held to in debug builds.
-    #[cfg(debug_assertions)]
-    fn dead_ports(&self, hungup: &PortSet) -> PortSet {
-        hungup.clone()
-    }
-}
-
-/// The reachability walk of the hangup analysis, shared by both cores: visit
+/// The reachability walk of the hangup analysis, per constituent: visit
 /// the states of `a` reachable from `start` via *live* transitions — those
 /// whose sync set avoids every `dead` port — and return the ports of `scope`
 /// none of them synchronizes. No firing can involve those again.
@@ -645,7 +575,7 @@ impl LinkEnd {
 }
 
 pub(crate) struct EngineInner {
-    pub core: Box<dyn EngineCore>,
+    pub core: JitCore,
     pub pending: PendingTable,
     pub store: Store,
     /// Wait state per local port slot, remapped as one table by `install`.
@@ -708,7 +638,7 @@ impl EngineInner {
     /// operation on a newly dead port. Incremental: the analysis goes on
     /// from `dead` with the `unseen` ports as frontier, and looks again at
     /// the constituents the steps since the last call moved
-    /// ([`EngineCore::grow_dead`]) — nothing hung up and nothing moved,
+    /// ([`JitCore::grow_dead`]) — nothing hung up and nothing moved,
     /// nothing to do. Each link learns here whether its end on this engine
     /// is dead (`source_dead` for a tail, `sink_dead` for a head), and a
     /// flag that changed raises the peer's event: the other engine looks at
@@ -861,7 +791,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn new(core: Box<dyn EngineCore>, ports: PortMap, store: Store) -> Self {
+    pub fn new(core: JitCore, ports: PortMap, store: Store) -> Self {
         let ports = Arc::new(ports);
         let n = ports.len();
         Engine {
@@ -951,7 +881,7 @@ impl Engine {
         }
     }
 
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
+    pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.lock().core.cache_stats()
     }
 
@@ -1555,7 +1485,7 @@ impl Engine {
     pub(crate) fn install(
         &self,
         inner: &mut EngineInner,
-        core: Box<dyn EngineCore>,
+        core: JitCore,
         ports: PortMap,
         layout: &MemLayout,
         ends: &[(PortId, LinkEnd)],
@@ -1590,7 +1520,7 @@ impl Engine {
 
     /// Single-engine reconfiguration: validate the removed ports, build
     /// the replacement core for `ports` *under the lock* (the builder reads
-    /// the old core's [`EngineCore::constituent_states`] and the store,
+    /// the old core's [`JitCore::constituent_states`] and the store,
     /// which no firing can move in the meantime), and install it. On any
     /// error the engine is left exactly as it was.
     pub(crate) fn reconfigure<F>(
@@ -1601,7 +1531,7 @@ impl Engine {
         build: F,
     ) -> Result<(), RuntimeError>
     where
-        F: FnOnce(&EngineInner, &PortMap) -> Result<Box<dyn EngineCore>, RuntimeError>,
+        F: FnOnce(&EngineInner, &PortMap) -> Result<JitCore, RuntimeError>,
     {
         let mut inner = self.lock();
         Self::check_open(&inner)?;
@@ -1631,66 +1561,6 @@ impl crate::watchdog::StallSample for Engine {
             links: Vec::new(),
         }
     }
-}
-
-/// Operational enabledness: every fired port must carry the right pending
-/// operation (internal ports carry none).
-pub(crate) fn op_enabled(
-    t: &Transition,
-    inputs: &PortSet,
-    outputs: &PortSet,
-    pending: &PendingTable,
-) -> bool {
-    t.sync.iter().all(|p| {
-        if inputs.contains(p) {
-            matches!(pending.get(p), Pending::Send(_))
-        } else if outputs.contains(p) {
-            matches!(pending.get(p), Pending::Recv)
-        } else {
-            true
-        }
-    })
-}
-
-/// Fire `t` against the pending table: on success, complete the operations
-/// it involves and append the completed boundary ports to `completed`.
-/// `Ok(true)` iff the guard held and the step committed.
-pub(crate) fn fire_one(
-    t: &Transition,
-    inputs: &PortSet,
-    outputs: &PortSet,
-    pending: &mut PendingTable,
-    store: &mut Store,
-    completed: &mut Vec<PortId>,
-) -> Result<bool, RuntimeError> {
-    let input_value = |p: PortId| -> Option<Value> {
-        match pending.get(p) {
-            Pending::Send(v) => Some(v.clone()),
-            _ => None,
-        }
-    };
-    let firing = match try_fire(t, &input_value, store) {
-        Ok(Some(f)) => f,
-        Ok(None) => return Ok(false),
-        Err(e) => return Err(RuntimeError::Unresolved(e)),
-    };
-    for p in t.sync.iter() {
-        if inputs.contains(p) {
-            debug_assert!(matches!(pending.get(p), Pending::Send(_)));
-            pending.set(p, Pending::DoneSend);
-            completed.push(p);
-        }
-    }
-    for (p, v) in firing.deliveries {
-        if outputs.contains(p) {
-            debug_assert!(matches!(pending.get(p), Pending::Recv));
-            pending.set(p, Pending::DoneRecv(v));
-            completed.push(p);
-        }
-        // Internal deliveries evaporate: they only existed to carry data
-        // across the shared vertex within this instant.
-    }
-    Ok(true)
 }
 
 /// Port calls on a bare engine, for this crate's unit tests: the blocking
@@ -1743,58 +1613,13 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reo_automata::{primitives, Automaton, MemLayout, StateId};
+    use reo_automata::{primitives, Automaton, MemLayout};
     use std::time::Instant;
-
-    /// Minimal core stepping independent automata side by side, for engine
-    /// tests.
-    struct Autos {
-        auts: Vec<Automaton>,
-        states: Vec<StateId>,
-        inputs: PortSet,
-        outputs: PortSet,
-    }
-
-    impl EngineCore for Autos {
-        fn try_step(
-            &mut self,
-            pending: &mut PendingTable,
-            store: &mut Store,
-            completed: &mut Vec<PortId>,
-        ) -> Result<bool, RuntimeError> {
-            for (i, aut) in self.auts.iter().enumerate() {
-                let transitions = aut.transitions_from(self.states[i]).to_vec();
-                for t in &transitions {
-                    if op_enabled(t, &self.inputs, &self.outputs, pending)
-                        && fire_one(t, &self.inputs, &self.outputs, pending, store, completed)?
-                    {
-                        self.states[i] = t.target;
-                        return Ok(true);
-                    }
-                }
-            }
-            Ok(false)
-        }
-
-        fn boundary_inputs(&self) -> &PortSet {
-            &self.inputs
-        }
-
-        fn boundary_outputs(&self) -> &PortSet {
-            &self.outputs
-        }
-    }
 
     fn engine_of(auts: Vec<Automaton>, ports: PortMap) -> Engine {
         let mut layout = MemLayout::cells(0);
         auts.iter().for_each(|a| layout.merge(a.mem_layout()));
-        let core = Autos {
-            states: auts.iter().map(|a| a.initial()).collect(),
-            inputs: auts.iter().flat_map(|a| a.inputs().iter()).collect(),
-            outputs: auts.iter().flat_map(|a| a.outputs().iter()).collect(),
-            auts,
-        };
-        Engine::new(Box::new(core), ports, Store::new(&layout))
+        Engine::new(JitCore::new(auts, 1 << 20), ports, Store::new(&layout))
     }
 
     fn engine_for(aut: Automaton, ports: usize) -> Engine {

@@ -28,12 +28,13 @@ pub enum RuntimeError {
     },
     /// Compilation/instantiation failed.
     Core(reo_core::CoreError),
-    /// Lowering refused a step (the flat `u16` register/pool encoding
-    /// overflowed). A step is lowered when it is first tried, in every mode
-    /// but the interpreting baseline `Mode::existing()` — the compiled
-    /// modes fill their rows eagerly but lower as lazily as `Mode::jit()` — so
-    /// this never comes from `connect`: the firing that tried the step
-    /// fails, and the engine poisons itself with this error's text.
+    /// Lowering refused a step: it needs more registers than a `u16`
+    /// register index addresses, or a constant/function/predicate pool
+    /// outgrew its `u16` index space. A step is lowered when it is first
+    /// tried, in every mode — the eager ones fill their rows at `connect`
+    /// but lower as lazily as `Mode::jit()` — so this never comes from
+    /// `connect`: the firing that tried the step fails, and the engine
+    /// poisons itself with this error's text.
     Lower(reo_automata::LowerError),
     /// A port operation was issued on a port that already has one pending
     /// (ports are single-owner, one operation at a time).

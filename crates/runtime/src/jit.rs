@@ -54,7 +54,9 @@
 //! [`crate::Mode::compiled`], [`JitCore::eager`]): the same enumerator,
 //! step table and lowering, so each connected step is composed once and
 //! shared by every row naming it — never once per union of steps, as an
-//! eager product of the constituents would.
+//! eager product of the constituents would. The existing approach
+//! ([`crate::Mode::existing`]) runs here too, as a tuple of one: its
+//! composed and simplified automaton, every row filled at `connect`.
 
 use std::collections::HashSet;
 
@@ -66,7 +68,7 @@ use reo_automata::{
 use reo_core::ConnectorInstance;
 
 use crate::cache::{CacheStats, Link, Row, StateCache, TupleKey};
-use crate::engine::{unsynced_ports, EngineCore, Need, Pending, PendingTable, PortMap};
+use crate::engine::{unsynced_ports, Need, Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
 /// One connected step, shared by every row naming it.
@@ -84,7 +86,8 @@ struct Step {
     moves: Box<[(u32, StateId)]>,
 }
 
-/// Tuple-of-medium-automata state machine with memoized lazy expansion.
+/// The stepping core: a tuple of automata whose rows of connected steps are
+/// filled on first visit or all at `connect`, each step lowered on first try.
 pub struct JitCore {
     automata: Vec<Automaton>,
     /// Current local state per automaton.
@@ -113,7 +116,7 @@ pub struct JitCore {
     /// Maximum global transitions per expanded state.
     expansion_budget: usize,
     rotation: usize,
-    /// Hangup analysis ([`EngineCore::grow_dead`]). `moved`: the automata
+    /// Hangup analysis ([`JitCore::grow_dead`]). `moved`: the automata
     /// steps have moved since the last call, recorded only once a port is
     /// dead. `walked`: the (automaton, local state) pairs whose walk under
     /// the current dead set added nothing to it.
@@ -392,10 +395,12 @@ impl JitCore {
         self.arrive(row);
         Ok(row)
     }
-}
 
-impl EngineCore for JitCore {
-    fn try_step(
+    /// Try to fire one enabled step given the pending operations and the
+    /// store. `Ok(true)` iff something fired; the boundary ports whose
+    /// operations completed in that step are appended to `completed` (the
+    /// engine wakes exactly those ports' parked wakers).
+    pub fn try_step(
         &mut self,
         pending: &mut PendingTable,
         store: &mut Store,
@@ -451,29 +456,35 @@ impl EngineCore for JitCore {
         Ok(false)
     }
 
-    fn boundary_inputs(&self) -> &PortSet {
+    /// Ports where tasks send (connector inputs).
+    pub fn boundary_inputs(&self) -> &PortSet {
         &self.inputs
     }
 
-    fn boundary_outputs(&self) -> &PortSet {
+    /// Ports where tasks receive (connector outputs).
+    pub fn boundary_outputs(&self) -> &PortSet {
         &self.outputs
     }
 
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(CacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
+        CacheStats {
             steps: self.steps.len(),
             ..self.cache.stats()
-        })
+        }
     }
 
-    fn constituent_states(&self) -> Option<Vec<StateId>> {
-        Some(self.states.iter().collect())
+    /// The current local state per automaton, in composition order — what
+    /// a reconfiguration splice resumes from.
+    pub fn constituent_states(&self) -> Vec<StateId> {
+        self.states.iter().collect()
     }
 
-    fn any_enabled(&mut self, pending: &PendingTable) -> bool {
-        // Diagnostic only: consult the cache but do not expand — an
-        // unexpanded current state reports not-enabled rather than paying
-        // (or failing) an expansion inside a stall snapshot.
+    /// Diagnostic probe for the stall watchdog: whether any step out of the
+    /// current state is *operationally* enabled right now (guards not
+    /// evaluated). It consults the cache but does not expand: an unexpanded
+    /// current state reports not-enabled rather than paying (or failing)
+    /// an expansion inside a stall snapshot.
+    pub fn any_enabled(&mut self, pending: &PendingTable) -> bool {
         let Some(row) = self.resident() else {
             return false;
         };
@@ -481,7 +492,19 @@ impl EngineCore for JitCore {
         needs.any(|step| pending.armed(&step.need))
     }
 
-    fn grow_dead(&mut self, dead: &mut PortSet, frontier: PortSet, walks: &mut u64) -> PortSet {
+    /// Hangup analysis, incremental. `dead` holds the ports that can never
+    /// take part in a firing again — no step reachable from the current
+    /// state without crossing a dead port synchronizes them — as of the
+    /// last call, plus the `frontier` ports the engine has added since
+    /// (they hung up). Add what follows: from the frontier, and from the
+    /// local states steps moved to since the last call (a drained buffer
+    /// may leave a port with no live transition). Deadness only grows from
+    /// there (where it may have shrunk, the engine starts over from an
+    /// empty set), so nothing else is re-examined, and a (constituent,
+    /// local state) pair is walked once per `dead` set. Returns the ports
+    /// added, the frontier included, and counts the reachability walks it
+    /// ran.
+    pub fn grow_dead(&mut self, dead: &mut PortSet, frontier: PortSet, walks: &mut u64) -> PortSet {
         if frontier.is_empty() && self.moved.as_ref().is_none_or(Vec::is_empty) {
             return frontier; // nothing hung up, nothing moved
         }
@@ -493,15 +516,15 @@ impl EngineCore for JitCore {
         grown
     }
 
+    /// The same analysis from scratch and memo-free: the oracle every
+    /// [`grow_dead`](Self::grow_dead) answer is held to in debug builds.
     #[cfg(debug_assertions)]
-    fn dead_ports(&self, hungup: &PortSet) -> PortSet {
+    pub(crate) fn dead_ports(&self, hungup: &PortSet) -> PortSet {
         let mut dead = hungup.clone();
         self.spread_dead(&mut dead, hungup.clone(), Vec::new(), None, &mut 0);
         dead
     }
-}
 
-impl JitCore {
     /// Per-constituent reachability: a local transition is dead when it
     /// synchronizes a dead port, and local states reachable from the
     /// current one via live transitions over-approximate the global reach
@@ -578,7 +601,7 @@ mod tests {
         full.merge(&layout);
         let core = JitCore::new(automata, 1 << 20);
         Engine::new(
-            Box::new(core),
+            core,
             crate::engine::PortMap::dense(ports),
             Store::new(&full),
         )
@@ -635,7 +658,7 @@ mod tests {
             take(1);
             take(3);
         }
-        let lap = eng.cache_stats().unwrap();
+        let lap = eng.cache_stats();
         assert_eq!((lap.resident, lap.steps, lap.misses), (4, 4, 4));
         // Every edge is linked by now: another lap looks nothing up, and
         // each `try_step` call is still counted as served from a row.
@@ -643,7 +666,7 @@ mod tests {
         fill(2);
         take(1);
         take(3);
-        let again = eng.cache_stats().unwrap();
+        let again = eng.cache_stats();
         assert_eq!((again.resident, again.steps, again.misses), (4, 4, 4));
         assert!(again.hits >= lap.hits + 4);
     }
@@ -732,7 +755,7 @@ mod tests {
         layout.merge(&inst.mem_layout);
         let core = JitCore::new(inst.automata, 1 << 20);
         let eng = Engine::new(
-            Box::new(core),
+            core,
             crate::engine::PortMap::dense(alloc.port_count()),
             Store::new(&layout),
         );
@@ -748,7 +771,7 @@ mod tests {
         eng.send_until(tl[1], None, None).unwrap();
         eng.send_until(tl[2], None, None).unwrap();
         // States visited: a handful; the cache must have them resident.
-        let stats = eng.cache_stats().unwrap();
+        let stats = eng.cache_stats();
         assert!(stats.resident >= 2);
         assert!(stats.hits + stats.misses > 0);
     }
@@ -770,9 +793,9 @@ mod tests {
         let ports = PortMap::dense(3);
         let opts = ProductOptions::default();
         let mut core = JitCore::eager(autos, &starts, &ports, &opts).unwrap();
-        let stats = core.cache_stats().unwrap();
+        let stats = core.cache_stats();
         assert_eq!((stats.resident, stats.steps, stats.misses), (2, 2, 0));
-        assert_eq!(core.constituent_states().unwrap(), starts);
+        assert_eq!(core.constituent_states(), starts);
 
         let mut pending = PendingTable::new(std::sync::Arc::new(ports));
         let mut store = Store::new(&MemLayout::cells(1));
@@ -784,9 +807,9 @@ mod tests {
                 .unwrap());
         };
         step(&mut core, 2, Pending::Recv);
-        assert_eq!(core.constituent_states().unwrap(), [empty, starts[1]]);
+        assert_eq!(core.constituent_states(), [empty, starts[1]]);
         step(&mut core, 0, Pending::Send(Value::Int(5)));
-        assert_eq!(core.constituent_states().unwrap(), starts);
+        assert_eq!(core.constituent_states(), starts);
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //!
 //! Parametrized execution (Sect. IV-D of van Veen & Jongmans, IPDPSW 2018):
 //! blocking ports in the generalized Foster–Chandy model, a sequential
-//! protocol engine, and the paper's two approaches ([`Mode`]) —
+//! protocol engine, and the paper's two approaches ([`Mode`]), both stepped
+//! by one core ([`jit::JitCore`]) that lowers each step to a register
+//! program when it is first tried —
 //!
 //! * the **existing approach** ([`Mode::existing`]: one large automaton
-//!   composed from fully elaborated primitives — the Fig. 12 baseline), and
-//! * the **new approach** over the medium automata, stepped by one core
-//!   ([`jit::JitCore`]) that lowers each step to a register program when
-//!   it is first tried. Its [`Composition`] fills a state's row on first
-//!   visit ([`Mode::jit`]) or every reachable row at `connect`
-//!   ([`Mode::compiled`]); its [`Placement`] runs on one engine or
+//!   composed from fully elaborated primitives, every row filled at
+//!   `connect` — the Fig. 12 baseline), and
+//! * the **new approach** over the medium automata. Its [`Composition`]
+//!   fills a state's row on first visit ([`Mode::jit`]) or every reachable
+//!   row at `connect` ([`Mode::compiled`]); its [`Placement`] runs on one engine or
 //!   **partitioned** ([`Mode::partitioned`], [`Mode::compiled_partitioned`]
 //!   — the optimization of the paper's reference \[32\], which fixes
 //!   Fig. 13's finding 3): one engine per synchronous region, cut fifos as
@@ -75,7 +76,6 @@
 //! ```
 
 pub mod analyze;
-pub mod aot;
 pub mod cache;
 pub mod connector;
 pub mod engine;

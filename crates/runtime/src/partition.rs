@@ -127,10 +127,11 @@ use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value}
 
 use crate::connector::{core_for, Limits, Mode};
 use crate::engine::{
-    Engine, EngineCore, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Pending, PortMap,
+    Engine, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Pending, PortMap,
 };
 pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
+use crate::jit::JitCore;
 use crate::reconfig::splice_core;
 
 /// A cut fifo: an engine-to-engine queue.
@@ -306,12 +307,9 @@ pub fn partition(
 /// the connected components over shared ports. A queue automaton whose two
 /// sides touch different regions becomes a [`Link`]; one with both sides in
 /// the same region (or dangling sides) stays an ordinary automaton of that
-/// region. `mode` selects each region's stepping core (`connector::core_for`);
-/// `port_count` sizes the port router (ports beyond it still route: the
-/// table grows).
-///
-/// Every region core keeps its constituent states readable
-/// ([`EngineCore::constituent_states`]), so any partition can be spliced.
+/// region. `mode` selects how each region's core fills its rows
+/// (`connector::core_for`); `port_count` sizes the port router (ports
+/// beyond it still route: the table grows).
 pub fn partition_with_opts(
     automata: Vec<Automaton>,
     port_count: usize,
@@ -336,7 +334,7 @@ pub fn partition_with_opts(
         let autos: Vec<Automaton> = members.iter().map(place).collect();
         let ports = region_port_map(&autos);
         let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-        let core = core_for(mode, &limits, autos, &starts, &ports, true)?;
+        let core = core_for(mode, &limits, autos, &starts, &ports)?;
         engines.push(new_region_engine(core, ports, mem_layout, &links, r));
     }
 
@@ -359,7 +357,7 @@ pub fn partition_with_opts(
 
 /// A fresh engine for region `r`, told which of its ports end a link.
 fn new_region_engine(
-    core: Box<dyn EngineCore>,
+    core: JitCore,
     ports: PortMap,
     layout: &MemLayout,
     links: &[Link],
@@ -920,7 +918,7 @@ impl Partitioned {
                 .filter(|p| !own_ports.contains(*p))
                 .collect();
             Engine::removal_quiescent(g, &all_ports)?;
-            let states = constituent_states_of(g)?;
+            let states = g.core.constituent_states();
             for (pos, &oi) in old.region_constituents[r].iter().enumerate() {
                 constituent_at_rest(&old_automata[oi], states[pos], g, layout)?;
             }
@@ -928,15 +926,15 @@ impl Partitioned {
 
         // Affected kept regions: verify detaching members at rest, then
         // recompose from the live constituent states.
-        let mut installs: HashMap<usize, (Box<dyn EngineCore>, PortMap)> = HashMap::new();
-        let mut fresh: HashMap<usize, (Box<dyn EngineCore>, PortMap)> = HashMap::new();
+        let mut installs: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
+        let mut fresh: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
         for (nr, members) in plan.regions.iter().enumerate() {
             let autos: Vec<Automaton> =
                 members.iter().map(|&ni| new_automata[ni].clone()).collect();
             match old_region_of[nr] {
                 Some(or) if affected.contains(&or) => {
                     let g = &guards[&or];
-                    let states = constituent_states_of(g)?;
+                    let states = g.core.constituent_states();
                     for (pos, &oi) in old.region_constituents[or].iter().enumerate() {
                         if !kept_old[oi] {
                             constituent_at_rest(&old_automata[oi], states[pos], g, layout)?;
@@ -1129,18 +1127,6 @@ impl crate::watchdog::StallSample for Partitioned {
             links,
         }
     }
-}
-
-/// The per-constituent control states of a locked region engine, or the
-/// reconfiguration error explaining that its core is not state-traced.
-pub(crate) fn constituent_states_of(inner: &EngineInner) -> Result<Vec<StateId>, RuntimeError> {
-    inner.core.constituent_states().ok_or_else(|| {
-        RuntimeError::Reconfig(
-            "region core does not track constituent states (session was not connected \
-             as reconfigurable)"
-                .into(),
-        )
-    })
 }
 
 /// A detaching constituent must be *at rest*: initial control state and

@@ -276,21 +276,18 @@ impl Backend {
         }
     }
 
-    pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
+    pub(crate) fn cache_stats(&self) -> crate::cache::CacheStats {
         match self {
             Backend::Single(e) => e.cache_stats(),
             Backend::Multi(m) => {
                 let mut acc = crate::cache::CacheStats::default();
-                let t = m.topo();
-                for e in &t.engines {
-                    if let Some(s) = e.cache_stats() {
-                        acc.hits += s.hits;
-                        acc.misses += s.misses;
-                        acc.resident += s.resident;
-                        acc.steps += s.steps;
-                    }
+                for s in m.topo().engines.iter().map(|e| e.cache_stats()) {
+                    acc.hits += s.hits;
+                    acc.misses += s.misses;
+                    acc.resident += s.resident;
+                    acc.steps += s.steps;
                 }
-                Some(acc)
+                acc
             }
         }
     }

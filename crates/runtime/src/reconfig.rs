@@ -38,9 +38,10 @@ use reo_automata::{remap::remap, Automaton, MemId, MemLayout, PortAllocator, Por
 use reo_core::{instantiate, Binding, CompiledConnector};
 
 use crate::connector::{core_for, Composition::Eager, Limits, Mode};
-use crate::engine::{EngineCore, PortMap};
+use crate::engine::PortMap;
 use crate::error::RuntimeError;
-use crate::partition::{constituent_at_rest, constituent_states_of};
+use crate::jit::JitCore;
+use crate::partition::constituent_at_rest;
 use crate::port::Backend;
 
 /// The per-session reconfiguration record, shared by every
@@ -206,7 +207,7 @@ fn splice_single(
 
     let ports = PortMap::sparse(live.iter().copied());
     engine.reconfigure(&removed_ports, ports, layout, |inner, ports| {
-        let states = constituent_states_of(inner)?;
+        let states = inner.core.constituent_states();
         for (oi, a) in st.automata.iter().enumerate() {
             if !kept_old[oi] {
                 constituent_at_rest(a, states[oi], inner, layout)?;
@@ -226,7 +227,7 @@ fn splice_single(
 }
 
 /// The core a splice installs for the engine serving `ports`: [`core_for`]
-/// from the current constituent states, kept readable for the next splice.
+/// from the current constituent states.
 /// An eager fill that blows its budget mid-run steps just-in-time for this
 /// epoch instead of failing the splice — `connect` reports the same
 /// explosion.
@@ -236,11 +237,11 @@ pub(crate) fn splice_core(
     automata: &[Automaton],
     starts: &[StateId],
     ports: &PortMap,
-) -> Result<Box<dyn EngineCore>, RuntimeError> {
+) -> Result<JitCore, RuntimeError> {
     let eager = matches!(mode, Mode::New { composition, .. } if composition == Eager);
-    match core_for(mode, limits, automata.to_vec(), starts, ports, true) {
+    match core_for(mode, limits, automata.to_vec(), starts, ports) {
         Err(RuntimeError::Explosion(_)) if eager => {
-            core_for(Mode::jit(), limits, automata.to_vec(), starts, ports, true)
+            core_for(Mode::jit(), limits, automata.to_vec(), starts, ports)
         }
         core => core,
     }

@@ -1,4 +1,4 @@
-//! Raw stepping microbench: drive an [`EngineCore`](crate::engine::EngineCore)
+//! Raw stepping microbench: drive a [`JitCore`](crate::jit::JitCore)
 //! directly, no tasks.
 //!
 //! The task-driven harness (`reo-connectors`) measures the whole stack —
@@ -99,7 +99,7 @@ pub fn stepping_run(
     };
     let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
     let ports = PortMap::dense(alloc.port_count());
-    let mut core = core_for(mode, &limits, instance.automata, &starts, &ports, false)?;
+    let mut core = core_for(mode, &limits, instance.automata, &starts, &ports)?;
 
     let inputs: PortSet = core.boundary_inputs().clone();
     let outputs: PortSet = core.boundary_outputs().clone();

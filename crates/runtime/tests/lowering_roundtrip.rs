@@ -1,9 +1,10 @@
 //! Differential test: every paper primitive must fire under the lowering
-//! [`JitCore`] exactly as under the interpreting [`AotCore`] — over one
-//! automaton, over a product, and over a region's constituents with every
-//! row filled eagerly (what `Mode::compiled_partitioned` hands it).
+//! [`JitCore`] exactly as under an interpreter of its automaton
+//! ([`Interpreter`], over `fire::try_fire`) — over one automaton, over a
+//! product, and over a region's constituents with every row filled eagerly
+//! (what `Mode::compiled_partitioned` hands it).
 //!
-//! Both cores get the identical deterministic saturation protocol (arm all
+//! Both get the identical deterministic saturation protocol (arm all
 //! boundary inputs with sequential ints and all boundary outputs with
 //! receives, step to quiescence, repeat) and must produce the identical
 //! event trace — same ports completed in the same order with the same
@@ -11,10 +12,73 @@
 
 use std::sync::Arc;
 
-use reo_automata::{primitives, Automaton, MemId, MemLayout, PortId, Pred, Store, Value};
-use reo_runtime::aot::AotCore;
-use reo_runtime::engine::{EngineCore, Pending, PendingTable, PortMap};
+use reo_automata::fire::try_fire;
+use reo_automata::{
+    primitives, Automaton, MemId, MemLayout, PortId, PortSet, Pred, StateId, Store, Value,
+};
+use reo_runtime::engine::{Pending, PendingTable, PortMap};
 use reo_runtime::jit::JitCore;
+
+/// The reference: one automaton, its transitions tried in the lowered
+/// core's `(k + rotation) % n` order, each interpreted by `try_fire`.
+struct Interpreter {
+    automaton: Automaton,
+    state: StateId,
+    rotation: usize,
+}
+
+impl Interpreter {
+    fn new(automaton: Automaton) -> Self {
+        let state = automaton.initial();
+        Interpreter {
+            automaton,
+            state,
+            rotation: 0,
+        }
+    }
+
+    fn try_step(
+        &mut self,
+        pending: &mut PendingTable,
+        store: &mut Store,
+        done: &mut Vec<PortId>,
+    ) -> bool {
+        let (ins, outs) = (self.automaton.inputs(), self.automaton.outputs());
+        let from = self.automaton.transitions_from(self.state);
+        for k in 0..from.len() {
+            let t = &from[(k + self.rotation) % from.len()];
+            let armed = t
+                .sync
+                .iter()
+                .all(|p| match (ins.contains(p), outs.contains(p)) {
+                    (true, _) => matches!(pending.get(p), Pending::Send(_)),
+                    (_, true) => matches!(pending.get(p), Pending::Recv),
+                    _ => true, // internal: nobody's operation
+                });
+            let input = |p: PortId| match pending.get(p) {
+                Pending::Send(v) => Some(v.clone()),
+                _ => None,
+            };
+            let fired = armed.then(|| try_fire(t, &input, store).expect("resolved"));
+            let Some(Some(firing)) = fired else { continue };
+            for p in t.sync.iter().filter(|p| ins.contains(*p)) {
+                pending.set(p, Pending::DoneSend);
+                done.push(p);
+            }
+            for (p, v) in firing
+                .deliveries
+                .into_iter()
+                .filter(|(p, _)| outs.contains(*p))
+            {
+                pending.set(p, Pending::DoneRecv(v));
+                done.push(p);
+            }
+            (self.state, self.rotation) = (t.target, self.rotation + 1);
+            return true;
+        }
+        false
+    }
+}
 
 const ROUNDS: usize = 60;
 
@@ -26,10 +90,13 @@ enum Event {
     Recv(u32, String),
 }
 
-/// Drive one core with the saturation protocol; return the event trace.
-fn drive(core: &mut dyn EngineCore, port_count: usize, layout: &MemLayout) -> (Vec<Event>, Store) {
-    let inputs = core.boundary_inputs().clone();
-    let outputs = core.boundary_outputs().clone();
+/// Drive one side with the saturation protocol; return the event trace.
+fn drive(
+    (inputs, outputs): (&PortSet, &PortSet),
+    mut step: impl FnMut(&mut PendingTable, &mut Store, &mut Vec<PortId>) -> bool,
+    port_count: usize,
+    layout: &MemLayout,
+) -> (Vec<Event>, Store) {
     let mut pending = PendingTable::new(Arc::new(PortMap::dense(port_count)));
     let mut store = Store::new(layout);
     let mut completed: Vec<PortId> = Vec::new();
@@ -49,10 +116,7 @@ fn drive(core: &mut dyn EngineCore, port_count: usize, layout: &MemLayout) -> (V
                 pending.set(p, Pending::Recv);
             }
         }
-        while core
-            .try_step(&mut pending, &mut store, &mut completed)
-            .expect("no unresolved ports in the primitive set")
-        {
+        while step(&mut pending, &mut store, &mut completed) {
             for &p in completed.iter() {
                 match pending.get(p) {
                     Pending::DoneSend => trace.push(Event::Send(p.0, armed[p.index()])),
@@ -66,21 +130,32 @@ fn drive(core: &mut dyn EngineCore, port_count: usize, layout: &MemLayout) -> (V
     (trace, store)
 }
 
-/// Drive both cores and compare everything: event trace and final store.
+/// Drive both sides and compare everything: event trace and final store.
 fn agree(
     name: &str,
-    interpreting: &mut dyn EngineCore,
-    lowered: &mut dyn EngineCore,
+    interpreting: &mut Interpreter,
+    lowered: &mut JitCore,
     port_count: usize,
     layout: &MemLayout,
     mem_ids: &[MemId],
 ) {
-    let (trace_i, store_i) = drive(interpreting, port_count, layout);
+    let automaton = &interpreting.automaton;
+    let classes = (&automaton.inputs().clone(), &automaton.outputs().clone());
+    let interpret =
+        |pending: &mut _, store: &mut _, done: &mut _| interpreting.try_step(pending, store, done);
+    let (trace_i, store_i) = drive(classes, interpret, port_count, layout);
     assert!(
         !trace_i.is_empty(),
         "{name}: the saturation protocol must fire something"
     );
-    let (trace_l, store_l) = drive(lowered, port_count, layout);
+    let classes = (
+        &lowered.boundary_inputs().clone(),
+        &lowered.boundary_outputs().clone(),
+    );
+    let step = |pending: &mut _, store: &mut _, done: &mut _| {
+        (lowered.try_step(pending, store, done)).expect("no unresolved ports in the primitive set")
+    };
+    let (trace_l, store_l) = drive(classes, step, port_count, layout);
     assert_eq!(trace_l, trace_i, "{name}: event trace diverged");
     for &m in mem_ids {
         assert_eq!(
@@ -98,14 +173,14 @@ fn agree(
     }
 }
 
-/// Round-trip one automaton through both cores.
+/// Round-trip one automaton through both sides.
 fn roundtrip(a: Automaton, port_count: usize) {
     let mut layout = MemLayout::cells(0);
     layout.merge(a.mem_layout());
     let mem_ids: Vec<MemId> = a.mem_ids().to_vec();
     let name = a.name().to_string();
     let mut jit = JitCore::new(vec![a.clone()], 1 << 20);
-    let mut interpreting = AotCore::from_automaton(a);
+    let mut interpreting = Interpreter::new(a);
     agree(
         &name,
         &mut interpreting,
@@ -121,7 +196,7 @@ fn p(i: u32) -> PortId {
 }
 
 /// The 18 paper primitives (the 16 builders, with the parametrized ones at
-/// two arities) — every one must step identically under both cores.
+/// two arities) — every one must step identically under both sides.
 #[test]
 fn all_paper_primitives_roundtrip_through_lowering() {
     let even = || Pred::new("even", |v| v.as_int().is_some_and(|i| i % 2 == 0));
@@ -156,7 +231,7 @@ fn all_paper_primitives_roundtrip_through_lowering() {
     }
 }
 
-/// The cores must also agree on *composed* automata, not just on
+/// Both sides must also agree on *composed* automata, not just on
 /// primitives.
 #[test]
 fn composed_products_roundtrip_through_lowering() {
@@ -179,7 +254,7 @@ fn composed_products_roundtrip_through_lowering() {
 /// and the tuple read back.
 #[test]
 fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
-    use reo_automata::{ProductOptions, StateId};
+    use reo_automata::{product_all_traced, ProductOptions};
     use reo_runtime::jit::boundary_classes;
     let autos = vec![
         primitives::merger(&[p(0), p(1)], p(2)),
@@ -191,18 +266,21 @@ fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
     let opts = ProductOptions::default();
     let ports = PortMap::dense(7);
     let mut jit = JitCore::eager(autos.clone(), &starts, &ports, &opts).unwrap();
-    let mut interpreting = AotCore::compose_traced(&autos, &starts, &opts).unwrap();
+    let (product, trace) = product_all_traced(&autos, &starts, &opts).unwrap();
+    let mut interpreting = Interpreter::new(product);
 
     let (inputs, outputs) = boundary_classes(&autos);
     assert_eq!(inputs.iter().collect::<Vec<_>>(), [p(0), p(1)]);
     assert_eq!(outputs.iter().collect::<Vec<_>>(), [p(3), p(6)]);
-    for core in [&jit as &dyn EngineCore, &interpreting] {
-        assert_eq!(
-            (core.boundary_inputs(), core.boundary_outputs()),
-            (&inputs, &outputs)
-        );
+    let product = &interpreting.automaton;
+    let classes = [
+        (jit.boundary_inputs(), jit.boundary_outputs()),
+        (product.inputs(), product.outputs()),
+    ];
+    for classes in classes {
+        assert_eq!(classes, (&inputs, &outputs));
     }
-    assert_eq!(jit.constituent_states(), Some(starts));
+    assert_eq!(jit.constituent_states(), starts);
 
     let mut layout = MemLayout::cells(0);
     for a in &autos {
@@ -216,23 +294,26 @@ fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
         &layout,
         &[MemId(0)],
     );
-    // Saturation leaves the buffer empty or full; either way both cores
+    // Saturation leaves the buffer empty or full; either way both sides
     // stand in the same four local states.
-    assert_eq!(jit.constituent_states(), interpreting.constituent_states());
+    assert_eq!(
+        jit.constituent_states(),
+        &*trace[interpreting.state.index()]
+    );
 }
 
 /// An automaton whose stepping program cannot be encoded (one transition
 /// needing > u16::MAX registers) must surface as a typed `RuntimeError`,
 /// never a silently-wrapped register file — the first time the step is
 /// tried, which is when it is lowered (there is no interpreting fallback);
-/// the engine above poisons itself with the error's "use an interpreting
-/// mode" text. `Mode::compiled` sessions report it there too, not at
+/// the engine above poisons itself with the error's "cannot lower" text.
+/// `Mode::compiled` sessions report it there too, not at
 /// `connect`: their rows are filled up front, their steps lowered lazily.
 #[test]
 fn unencodable_automaton_is_a_typed_error() {
     use reo_automata::assign::Assign;
     use reo_automata::term::{Func, Term};
-    use reo_automata::{AutomatonBuilder, PortSet, StateId, Transition};
+    use reo_automata::{AutomatonBuilder, Transition};
     use reo_runtime::RuntimeError;
 
     let f = Func::new("sink", |_| Value::Unit);

@@ -30,7 +30,7 @@ use reo::automata::{
     product_all_traced, Automaton, MemLayout, PortId, PortOwners, ProductOptions, StateId, Store,
     Value,
 };
-use reo::runtime::engine::{EngineCore, Pending, PendingTable, PortMap};
+use reo::runtime::engine::{Pending, PendingTable, PortMap};
 use reo::runtime::jit::JitCore;
 
 /// Rounds of the saturation script, and firings allowed per round (a
@@ -71,7 +71,7 @@ fn drive(core: &mut JitCore, ports: &PortMap, layout: &MemLayout) -> Vec<Result<
                 Ok(true) => {
                     let ops = completed.drain(..);
                     let ops = ops.map(|p| format!("{p:?} {:?}", pending.get(p))).collect();
-                    log.push(Ok((core.constituent_states().unwrap(), ops)));
+                    log.push(Ok((core.constituent_states(), ops)));
                 }
                 Err(e) => {
                     log.push(Err(e.to_string()));

@@ -3,9 +3,9 @@
 //! peers, poison fans out across regions and reconfiguration splices, and
 //! the opt-in watchdog turns silent stalls into wait-for snapshots — all
 //! across the full runtime-mode grid (`Mode::grid()`: fault containment
-//! is a per-backend property — the interpreting cores, the partitioned
-//! link pumps and the compiled stepping programs each have their own
-//! firing path to protect).
+//! is a per-backend property — one engine or one per region, rows filled
+//! lazily or at `connect`, and in the partitioned modes the link events
+//! that carry a fault to the other regions).
 //!
 //! The containment contract under test: **no fault strands an
 //! operation**. Whatever goes wrong — a panicked firing, a vanished

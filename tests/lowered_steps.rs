@@ -20,8 +20,10 @@
 //! what is reachable at all, and every tuple it lists must have been
 //! explored.
 //!
-//! Connectors: the eighteen Fig. 12 families at n ∈ {2,3,4} and the
-//! Fig. 13 protocol at four slaves. See PROPERTY-TESTS.md.
+//! Connectors: the eighteen Fig. 12 families at n ∈ {2,3,4}, the Fig. 13
+//! protocol at four slaves, the differential fuzzer's generated connectors
+//! (fixed seeds, every shape) and those of the replay corpus. See
+//! PROPERTY-TESTS.md.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -31,8 +33,9 @@ use reo::automata::{
     Value,
 };
 use reo::core::{compile, instantiate, Binding};
-use reo::runtime::engine::EngineCore;
 use reo::runtime::jit::JitCore;
+use reo::runtime::Scenario;
+use reo_fuzz::CorpusCase;
 
 /// What one firing did, rendered for comparison (`Value: !PartialEq`).
 #[derive(Debug, PartialEq)]
@@ -229,4 +232,53 @@ fn npbcomm_at_four_slaves_lowers_to_what_the_interpreter_does() {
         fired > tuples * 8 && fired < compared,
         "{fired} of {compared}"
     );
+}
+
+/// The connector of a fuzz scenario, at its replication sizes.
+fn check_scenario(label: &str, scenario: &Scenario) -> (usize, usize, usize) {
+    let sizes: Vec<(&str, usize)> = (scenario.replicate.iter())
+        .map(|(name, n)| (name.as_str(), *n))
+        .collect();
+    check_connector(label, &scenario.source, &scenario.entry, &sizes)
+}
+
+/// The generator's connectors: 120 distinct ones from fixed seeds, every
+/// shape among them.
+#[test]
+fn generated_connectors_lower_to_what_the_interpreter_does() {
+    let mut seen = HashSet::new();
+    let mut shapes = HashSet::new();
+    let cases = (0..).map(|i| reo_fuzz::generate(7 + i % 3, i / 3));
+    for case in cases.take(2_000) {
+        let s = &case.scenario;
+        if !seen.insert((s.source.clone(), s.entry.clone(), s.replicate.clone())) {
+            continue;
+        }
+        let label = format!("{}#{}", case.shape, seen.len());
+        let (_, _, fired) = check_scenario(&label, s);
+        assert!(fired > 0, "{label}: nothing fired under saturation");
+        shapes.insert(case.shape);
+        if seen.len() == 120 {
+            break;
+        }
+    }
+    assert_eq!(seen.len(), 120, "distinct generated connectors");
+    assert_eq!(shapes.len(), 7, "shapes covered: {shapes:?}");
+}
+
+/// The replay corpus's connectors (the pipeline cases are sources that
+/// must not compile, so they have none).
+#[test]
+fn corpus_connectors_lower_to_what_the_interpreter_does() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut checked = 0;
+    for (path, case) in reo_fuzz::load_dir(&dir).unwrap() {
+        let (CorpusCase::Diff(case) | CorpusCase::Fault(case)) = case else {
+            continue;
+        };
+        let label = path.file_stem().unwrap().to_string_lossy();
+        check_scenario(&label, &case.scenario);
+        checked += 1;
+    }
+    assert!(checked >= 15, "only {checked} corpus connectors");
 }

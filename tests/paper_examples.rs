@@ -79,13 +79,19 @@ fn example8_parametrized_order_all_modes() {
             .mode(mode)
             .build()
             .unwrap();
-        for n in [1usize, 2, 5] {
-            let mut connected = connector
-                .session()
-                .replicate("tl", n)
-                .replicate("hd", n)
-                .connect()
-                .unwrap();
+        // Reconfigurable sessions step the existing approach's primitives
+        // instead of their simplified product.
+        for (n, reconfigurable) in [1usize, 2, 5]
+            .into_iter()
+            .flat_map(|n| [(n, false), (n, true)])
+        {
+            let spec = connector.session().replicate("tl", n).replicate("hd", n);
+            let spec = if reconfigurable {
+                spec.reconfigurable()
+            } else {
+                spec
+            };
+            let mut connected = spec.connect().unwrap();
             let producers = connected.outports("tl").unwrap();
             let consumers = connected.inports("hd").unwrap();
             let senders: Vec<_> = producers
@@ -101,7 +107,7 @@ fn example8_parametrized_order_all_modes() {
                 assert_eq!(
                     c.recv().unwrap().as_int(),
                     Some(i as i64),
-                    "mode {mode:?}, n={n}"
+                    "mode {mode:?}, n={n}, reconfigurable={reconfigurable}"
                 );
             }
             for s in senders {
