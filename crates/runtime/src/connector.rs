@@ -13,6 +13,11 @@
 //!   own thread, see [`crate::partition`]) and the [`Composition`] (each
 //!   row on first visit, or every reachable row at `connect`).
 //!
+//! There is one backend: every session is a [`Partitioned`], which its
+//! port handles, its [`ConnectorHandle`], its watchdog and its splices
+//! share. The placement only feeds the partition's plan — on one engine,
+//! and for the existing approach, that plan is one region with no links.
+//!
 //! [`Mode::grid`] is the one list of runtimes every test and the fuzzer
 //! iterate; `core_for` is the one place a mode becomes a stepping core.
 
@@ -23,7 +28,6 @@ use std::time::{Duration, Instant};
 
 use reo_automata::{
     Automaton, FromValue, IntoValue, MemLayout, PortAllocator, PortId, ProductOptions, StateId,
-    Store,
 };
 use reo_core::ir::Param;
 use reo_core::{
@@ -32,11 +36,11 @@ use reo_core::{
 };
 
 use crate::cache::CacheStats;
-use crate::engine::{Engine, EngineStats, PortMap};
+use crate::engine::{EngineStats, PortMap};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 use crate::partition::{partition_with_opts, Partitioned};
-use crate::port::{Backend, Inport, Outport};
+use crate::port::{Inport, Outport};
 use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
 
 /// Execution mode (see module docs).
@@ -400,7 +404,7 @@ impl Connector {
         let medium_count = instance.automata.len();
 
         // The reconfiguration record snapshots the constituents before
-        // the backend consumes them.
+        // the partition consumes them.
         let reconfig_seed = if reconfigurable {
             Some((
                 instance.automata.clone(),
@@ -412,25 +416,23 @@ impl Connector {
             None
         };
 
-        let backend = self.backend(instance, &alloc, &layout, reconfigurable)?;
+        let parts = Arc::new(partition_with_opts(
+            instance.automata,
+            alloc.port_count(),
+            &layout,
+            self.mode,
+            self.limits,
+            reconfigurable,
+        )?);
+        // Deterministic initial arming: tokens reach link heads before any
+        // task operates.
+        parts.pump();
 
         // Opt-in stall watchdog: a sampler thread holding only a `Weak`
-        // to the backend, so it can never keep a dropped session alive.
+        // to the partition, so it can never keep a dropped session alive.
         let watchdog = watchdog.map(|deadline| {
-            let state = match &backend {
-                Backend::Single(e) => crate::watchdog::spawn_watchdog(
-                    Arc::downgrade(e) as std::sync::Weak<dyn crate::watchdog::StallSample>,
-                    deadline,
-                ),
-                Backend::Multi(m) => crate::watchdog::spawn_watchdog(
-                    Arc::downgrade(m) as std::sync::Weak<dyn crate::watchdog::StallSample>,
-                    deadline,
-                ),
-            };
-            match &backend {
-                Backend::Single(e) => e.set_watchdog(Arc::clone(&state)),
-                Backend::Multi(m) => m.set_watchdog_state(Arc::clone(&state)),
-            }
+            let state = crate::watchdog::spawn_watchdog(Arc::downgrade(&parts), deadline);
+            parts.set_watchdog_state(Arc::clone(&state));
             state
         });
 
@@ -443,8 +445,6 @@ impl Connector {
                     automata,
                     layout: layout.clone(),
                     tails: tail_names.clone(),
-                    mode: self.mode,
-                    limits: self.limits,
                 }),
                 epoch: AtomicU64::new(0),
             })
@@ -461,7 +461,7 @@ impl Connector {
                     Some(
                         ports
                             .iter()
-                            .map(|&p| Outport::new(backend.clone(), p))
+                            .map(|&p| Outport::new(Arc::clone(&parts), p))
                             .collect(),
                     ),
                 );
@@ -471,7 +471,7 @@ impl Connector {
                     Some(
                         ports
                             .iter()
-                            .map(|&p| Inport::new(backend.clone(), p))
+                            .map(|&p| Inport::new(Arc::clone(&parts), p))
                             .collect(),
                     ),
                 );
@@ -482,56 +482,12 @@ impl Connector {
             outports,
             inports,
             handle: ConnectorHandle {
-                backend,
+                parts,
                 medium_count,
                 reconfig,
                 watchdog,
             },
         })
-    }
-
-    /// Build the engine(s) of a session.
-    ///
-    /// A `reconfigurable` session's single-engine port map is sparse, so a
-    /// detached port is *unknown* to the engine ([`RuntimeError::Detached`])
-    /// rather than a silent dead slot; other sessions get a dense map.
-    fn backend(
-        &self,
-        instance: ConnectorInstance,
-        alloc: &PortAllocator,
-        layout: &MemLayout,
-        reconfigurable: bool,
-    ) -> Result<Backend, RuntimeError> {
-        if let Mode::New {
-            placement: Placement::Partitioned,
-            ..
-        } = self.mode
-        {
-            let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
-                instance.automata,
-                alloc.port_count(),
-                layout,
-                self.mode,
-                self.limits,
-            )?);
-            // Deterministic initial arming: tokens reach link heads
-            // before any task operates.
-            parts.pump();
-            return Ok(Backend::Multi(parts));
-        }
-        let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-        let ports = if reconfigurable {
-            PortMap::sparse(instance.automata.iter().flat_map(|a| a.ports().iter()))
-        } else {
-            PortMap::dense(alloc.port_count())
-        };
-        let automata = instance.automata;
-        let core = core_for(self.mode, &self.limits, automata, &starts, &ports)?;
-        Ok(Backend::Single(Arc::new(Engine::new(
-            core,
-            ports,
-            Store::new(layout),
-        ))))
     }
 }
 
@@ -715,7 +671,7 @@ impl Session {
 /// reconfigurable sessions, branch churn ([`ConnectorHandle::attach`]).
 #[derive(Clone)]
 pub struct ConnectorHandle {
-    backend: Backend,
+    parts: Arc<Partitioned>,
     medium_count: usize,
     reconfig: Option<Arc<ReconfigShared>>,
     watchdog: Option<Arc<crate::watchdog::WatchdogState>>,
@@ -724,26 +680,26 @@ pub struct ConnectorHandle {
 impl ConnectorHandle {
     /// Global execution steps fired so far — the Fig. 12 metric.
     pub fn steps(&self) -> u64 {
-        self.backend.steps()
+        self.parts.steps()
     }
 
     /// Engine contention counters: steps, completions, targeted wakeups,
-    /// spurious wakeups, lock acquisitions — summed over all region
-    /// engines in partitioned mode. See [`EngineStats`].
+    /// spurious wakeups, lock acquisitions — summed over the session's
+    /// region engines. See [`EngineStats`].
     pub fn stats(&self) -> EngineStats {
-        self.backend.stats()
+        self.parts.stats()
     }
 
     /// Shut the connector down; all blocked tasks get `Closed` errors.
     pub fn close(&self) {
-        self.backend.close();
+        self.parts.close();
     }
 
     /// The message of the firing failure that poisoned the engine(s), if
     /// any — e.g. an expansion overflow mid-run. Harnesses use this to
     /// classify a run that kept its tasks alive but stopped progressing.
     pub fn poison_message(&self) -> Option<String> {
-        self.backend.poison_message()
+        self.parts.poison_message()
     }
 
     /// Poison every engine of this session directly, as a contained
@@ -752,7 +708,7 @@ impl ConnectorHandle {
     /// fault-injection hook for harnesses, not part of the stable API.
     #[doc(hidden)]
     pub fn poison(&self, msg: &str) {
-        self.backend.poison(msg);
+        self.parts.poison_all(msg);
     }
 
     /// Make the `n`-th step fired from now (0 = the very next one; counted
@@ -762,7 +718,9 @@ impl ConnectorHandle {
     /// A fault-injection hook for harnesses, not part of the stable API.
     #[doc(hidden)]
     pub fn arm_panic_after_steps(&self, n: u64) {
-        self.backend.arm_panic_after_steps(n);
+        for e in &self.parts.topo().engines {
+            e.arm_panic_after_steps(n);
+        }
     }
 
     /// A weak reference that dies with this session's engine(s): lets a
@@ -770,10 +728,7 @@ impl ConnectorHandle {
     /// A leak probe for tests, not part of the stable API.
     #[doc(hidden)]
     pub fn backend_probe(&self) -> std::sync::Weak<dyn std::any::Any + Send + Sync> {
-        match &self.backend {
-            Backend::Single(e) => Arc::downgrade(e) as _,
-            Backend::Multi(m) => Arc::downgrade(m) as _,
-        }
+        Arc::downgrade(&self.parts) as _
     }
 
     /// The most recent stall report assembled by this session's watchdog
@@ -794,7 +749,7 @@ impl ConnectorHandle {
     /// The state caches of this session's cores, summed over regions.
     /// Always `Some`: every session runs on the one core.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.backend.cache_stats())
+        Some(self.parts.cache_stats())
     }
 
     /// Number of medium automata the instance consists of.
@@ -804,18 +759,12 @@ impl ConnectorHandle {
 
     /// Number of synchronous regions (1 in the single-engine modes).
     pub fn region_count(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 1,
-            Backend::Multi(m) => m.region_count(),
-        }
+        self.parts.region_count()
     }
 
     /// Number of cross-region links (0 in the single-engine modes).
     pub fn link_count(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 0,
-            Backend::Multi(m) => m.link_count(),
-        }
+        self.parts.link_count()
     }
 
     /// Whether this session was connected with
@@ -840,11 +789,12 @@ impl ConnectorHandle {
             .reconfig
             .as_ref()
             .ok_or(RuntimeError::NotReconfigurable)?;
-        let r = reconfig::reconfigure(shared, &self.backend, name, Change::Attach)?;
+        let r = reconfig::reconfigure(shared, &self.parts, name, Change::Attach)?;
+        let parts = Arc::clone(&self.parts);
         let (outport, inport) = if r.is_tail {
-            (Some(Outport::new(self.backend.clone(), r.port)), None)
+            (Some(Outport::new(parts, r.port)), None)
         } else {
-            (None, Some(Inport::new(self.backend.clone(), r.port)))
+            (None, Some(Inport::new(parts, r.port)))
         };
         Ok(Branch {
             name: name.to_string(),
@@ -954,7 +904,7 @@ fn detach_blocking(
         .ok_or(RuntimeError::NotReconfigurable)?;
     let deadline = Instant::now() + budget;
     loop {
-        match reconfig::reconfigure(shared, &handle.backend, name, Change::Detach(port)) {
+        match reconfig::reconfigure(shared, &handle.parts, name, Change::Detach(port)) {
             Ok(_) => return Ok(()),
             Err(RuntimeError::Reconfig(_)) | Err(RuntimeError::ReconfigInFlight)
                 if Instant::now() < deadline =>

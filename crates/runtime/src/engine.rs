@@ -61,13 +61,15 @@
 //!
 //! # Port sharding
 //!
-//! An engine only allocates state for the ports it actually serves. The
-//! single-engine modes pass a [`PortMap::Dense`] covering every vertex; the
-//! partitioned runtime gives each region engine a [`PortMap::Sparse`] over
-//! just that region's ports, so the pending and waker tables scale
-//! with the *region*, not with the whole connector. All public and
-//! core interfaces keep speaking global [`PortId`]s; the
-//! [`PendingTable`] translates at the edge.
+//! An engine only allocates state for the ports it actually serves. Every
+//! engine is one region of a session's partition ([`crate::partition`]),
+//! and gets a [`PortMap::Sparse`] over just that region's ports, so the
+//! pending and waker tables scale with the *region*, not with the whole
+//! connector. The exception is the one region of a session on one engine
+//! that is not reconfigurable: it serves every vertex, through the
+//! identity map [`PortMap::Dense`]. All public and core interfaces keep
+//! speaking global [`PortId`]s; the [`PendingTable`] translates at the
+//! edge.
 //!
 //! # Example: reading the contention counters
 //!
@@ -123,7 +125,7 @@ pub enum Pending {
 /// `port_count` to the region size.
 #[derive(Clone, Debug)]
 pub enum PortMap {
-    /// The identity map over ports `0..n` (single-engine modes).
+    /// The identity map over ports `0..n` (one engine, not reconfigurable).
     Dense(usize),
     /// A sorted, deduplicated set of global port ids (one region).
     Sparse(Box<[PortId]>),
@@ -820,7 +822,7 @@ impl Engine {
     }
 
     /// Take the engine lock, counting the acquisition. `pub(crate)` for
-    /// the partitioned splice, which holds several affected engines' guards
+    /// the splice, which holds several affected engines' guards
     /// at once (the link protocol never nests engine locks, so no cycle
     /// exists).
     pub(crate) fn lock(&self) -> MutexGuard<'_, EngineInner> {
@@ -836,19 +838,14 @@ impl Engine {
     /// Run a port call that can fire: `f` under the engine lock, then — the
     /// lock released — the wake-ups it recorded. The link events raised,
     /// and the fault if the firing poisoned the engine, are added to
-    /// `events`, whose owner drains them (`Partitioned::drain`). A caller
-    /// outside a partition passes `None` and pays nothing for them.
-    fn firing<R>(
-        &self,
-        events: Option<&mut LinkEvents>,
-        f: impl FnOnce(&mut EngineInner) -> R,
-    ) -> R {
+    /// `events`, whose owner drains them (`Partitioned::drain`).
+    fn firing<R>(&self, events: &mut LinkEvents, f: impl FnOnce(&mut EngineInner) -> R) -> R {
         let mut inner = self.lock();
         let result = f(&mut inner);
         let wakes = std::mem::take(&mut inner.wakes);
-        if let Some(out) = events {
-            out.counted |= inner.multi_link && !inner.events.is_empty();
-            inner.events.drain_into(out);
+        if !inner.events.is_empty() {
+            events.counted |= inner.multi_link;
+            inner.events.drain_into(events);
         }
         drop(inner);
         wakes.deliver();
@@ -857,11 +854,12 @@ impl Engine {
 
     /// Deliver the wake list *before* releasing the guard: the exit of a
     /// cross-region service hold ([`Engine::serve`]) and of `install`
-    /// (under guards the partitioned splice holds several of at once).
+    /// (under guards the splice holds several of at once).
     /// Deferring in the service hold too measured worse on `links` — the
     /// consumer of a buffered link then drains one value per wake; the
     /// numbers are in docs/ARCHITECTURE.md, "wake protocol", and a
-    /// deliberate wake policy for buffered links is ROADMAP's move (c).
+    /// deliberate wake policy for buffered links is ROADMAP's "Spin-then-park
+    /// and a buffered-link wake policy" follow-on.
     fn deliver_under_lock(inner: &mut EngineInner) {
         std::mem::take(&mut inner.wakes).deliver();
     }
@@ -894,8 +892,8 @@ impl Engine {
         self.closing.store(true, Ordering::SeqCst);
         // An in-flight fire loop (or an earlier close) may have observed
         // the flag and closed already: the wakers it took are not here to
-        // be woken, or counted, twice.
-        self.firing(None, |inner| {
+        // be woken, or counted, twice. A close raises no link event.
+        self.firing(&mut LinkEvents::default(), |inner| {
             inner.closed = true;
             inner.wake_all();
         })
@@ -912,7 +910,7 @@ impl Engine {
     /// parked waker is woken. Idempotent; the first
     /// message wins, and an engine that is already closed stays closed.
     pub fn poison(&self, msg: &str) {
-        self.firing(None, |inner| {
+        self.firing(&mut LinkEvents::default(), |inner| {
             if inner.poisoned.is_none() && !inner.closed {
                 inner.poisoned = Some(msg.to_string());
                 inner.closed = true;
@@ -947,7 +945,7 @@ impl Engine {
     /// (`EngineInner::freshen`), and a teardown that drops every handle
     /// analyses nothing. No-op on closed or poisoned engines, where
     /// everything already resolves with a typed error.
-    pub fn hangup(&self, ports: &[PortId], events: Option<&mut LinkEvents>) {
+    pub fn hangup(&self, ports: &[PortId], events: &mut LinkEvents) {
         self.firing(events, |inner| inner.hang_up(ports))
     }
 
@@ -1238,15 +1236,14 @@ impl Engine {
     /// Returns `Some(result)` when the operation has an outcome, `None`
     /// when pending. After `Some`, the registration is consumed — there is
     /// nothing left to retract. The link events of the hold are added to
-    /// `events` whatever the outcome (a caller outside a partition passes
-    /// `None`: its engine raises none).
+    /// `events` whatever the outcome.
     pub fn poll_send(
         &self,
         p: PortId,
         value: &mut Option<Value>,
         waker: &Waker,
         thread: bool,
-        events: Option<&mut LinkEvents>,
+        events: &mut LinkEvents,
     ) -> Option<Result<(), RuntimeError>> {
         let arm = |inner: &mut EngineInner| match value.take() {
             Some(v) => Self::check_open(inner).and_then(|()| self.arm_send(inner, p, v)),
@@ -1267,7 +1264,7 @@ impl Engine {
         registered: &mut bool,
         waker: &Waker,
         thread: bool,
-        events: Option<&mut LinkEvents>,
+        events: &mut LinkEvents,
     ) -> Option<Result<Value, RuntimeError>> {
         let arm = |inner: &mut EngineInner| {
             if !*registered {
@@ -1288,7 +1285,7 @@ impl Engine {
         settle: impl FnOnce(&mut EngineInner, PortId) -> Option<Result<T, RuntimeError>>,
         waker: &Waker,
         thread: bool,
-        events: Option<&mut LinkEvents>,
+        events: &mut LinkEvents,
     ) -> Option<Result<T, RuntimeError>> {
         self.firing(events, |inner| {
             // A port this engine no longer serves was spliced out.
@@ -1480,7 +1477,7 @@ impl Engine {
     /// Fires whatever the new core enables and wakes every parked waker —
     /// under the lock, see `deliver_under_lock` — so every pending
     /// operation is polled again, against the new tables. What that firing
-    /// leaves for other engines goes onto `events`: the partitioned splice
+    /// leaves for other engines goes onto `events`: the splice
     /// drains them once its guards are dropped.
     pub(crate) fn install(
         &self,
@@ -1517,55 +1514,11 @@ impl Engine {
         inner.events.drain_into(events);
         Self::deliver_under_lock(inner);
     }
-
-    /// Single-engine reconfiguration: validate the removed ports, build
-    /// the replacement core for `ports` *under the lock* (the builder reads
-    /// the old core's [`JitCore::constituent_states`] and the store,
-    /// which no firing can move in the meantime), and install it. On any
-    /// error the engine is left exactly as it was.
-    pub(crate) fn reconfigure<F>(
-        &self,
-        removed: &[PortId],
-        ports: PortMap,
-        layout: &MemLayout,
-        build: F,
-    ) -> Result<(), RuntimeError>
-    where
-        F: FnOnce(&EngineInner, &PortMap) -> Result<JitCore, RuntimeError>,
-    {
-        let mut inner = self.lock();
-        Self::check_open(&inner)?;
-        Self::removal_quiescent(&inner, removed)?;
-        let core = build(&inner, &ports)?;
-        let mut nobody = LinkEvents::default(); // one engine: no link, no sibling
-        self.install(&mut inner, core, ports, layout, &[], &mut nobody);
-        Ok(())
-    }
-}
-
-impl crate::watchdog::StallSample for Engine {
-    fn progress_counter(&self) -> u64 {
-        self.sample_progress(&PortSet::new()).0
-    }
-
-    fn parked_count(&self) -> usize {
-        self.sample_progress(&PortSet::new()).1
-    }
-
-    fn stall_snapshot(&self, stalled_for: std::time::Duration) -> crate::watchdog::StallReport {
-        let (parked, region) = self.sample_region(0, &PortSet::new());
-        crate::watchdog::StallReport {
-            stalled_for,
-            parked,
-            regions: vec![region],
-            links: Vec::new(),
-        }
-    }
 }
 
 /// Port calls on a bare engine, for this crate's unit tests: the blocking
 /// ones are [`crate::port::block_on`] — the loop the port handles run —
-/// without a backend in between.
+/// without a partition in between.
 #[cfg(test)]
 impl Engine {
     pub(crate) fn send(&self, p: PortId, v: Value) -> Result<(), RuntimeError> {
@@ -1585,7 +1538,7 @@ impl Engine {
     ) -> Result<(), RuntimeError> {
         crate::port::block_on(
             deadline,
-            |waker| self.poll_send(p, &mut v, waker, true, None),
+            |waker| self.poll_send(p, &mut v, waker, true, &mut LinkEvents::default()),
             || self.retract_send(p),
         )
     }
@@ -1598,7 +1551,7 @@ impl Engine {
     ) -> Result<Value, RuntimeError> {
         crate::port::block_on(
             deadline,
-            |waker| self.poll_recv(p, &mut registered, waker, true, None),
+            |waker| self.poll_recv(p, &mut registered, waker, true, &mut LinkEvents::default()),
             || self.retract_recv(p),
         )
     }
@@ -1606,7 +1559,13 @@ impl Engine {
     /// The first poll of a send and no more: `None` leaves it registered,
     /// with nobody parked behind it.
     pub(crate) fn offer(&self, p: PortId, v: Value) -> Option<Result<(), RuntimeError>> {
-        self.poll_send(p, &mut Some(v), Waker::noop(), false, None)
+        self.poll_send(
+            p,
+            &mut Some(v),
+            Waker::noop(),
+            false,
+            &mut LinkEvents::default(),
+        )
     }
 }
 
@@ -1747,7 +1706,13 @@ mod tests {
         // The buffer is empty again: this receive is pending when its
         // deadline passes, a step completes it, and then it is retracted.
         assert!(eng
-            .poll_recv(PortId(1), &mut false, Waker::noop(), true, None)
+            .poll_recv(
+                PortId(1),
+                &mut false,
+                Waker::noop(),
+                true,
+                &mut LinkEvents::default()
+            )
             .is_none());
         eng.send(PortId(0), Value::Int(8)).unwrap();
         assert_eq!(eng.retract_recv(PortId(1)).unwrap().as_int(), Some(8));
@@ -1767,8 +1732,14 @@ mod tests {
                 .unwrap_or_else(|| eng.retract_send(PortId(0)))
         };
         let try_recv = || {
-            eng.poll_recv(PortId(1), &mut false, Waker::noop(), false, None)
-                .unwrap_or_else(|| eng.retract_recv(PortId(1)))
+            eng.poll_recv(
+                PortId(1),
+                &mut false,
+                Waker::noop(),
+                false,
+                &mut LinkEvents::default(),
+            )
+            .unwrap_or_else(|| eng.retract_recv(PortId(1)))
         };
         // Empty buffer: a recv probe retracts.
         assert!(matches!(try_recv(), Err(RuntimeError::Timeout)));
@@ -1868,10 +1839,22 @@ mod tests {
         });
         let waker = Waker::from(Arc::clone(&probe));
         let park = |thread| {
-            let first = eng.poll_recv(PortId(1), &mut false, &waker, thread, None);
+            let first = eng.poll_recv(
+                PortId(1),
+                &mut false,
+                &waker,
+                thread,
+                &mut LinkEvents::default(),
+            );
             assert!(first.is_none());
         };
-        let take = || match eng.poll_recv(PortId(1), &mut true, &waker, false, None) {
+        let take = || match eng.poll_recv(
+            PortId(1),
+            &mut true,
+            &waker,
+            false,
+            &mut LinkEvents::default(),
+        ) {
             Some(Ok(v)) => v.as_int(),
             other => panic!("no delivery: {other:?}"),
         };

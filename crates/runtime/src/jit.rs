@@ -874,7 +874,7 @@ mod tests {
         let eng = engine_from(vec![builder.build()], 3);
 
         assert!(eng.offer(h, Value::Unit).is_none());
-        eng.hangup(&[h], None);
+        eng.hangup(&[h], &mut Default::default());
         // From `s0` only `q` can still fire: `live` is beyond the dead step.
         let refused = eng.offer(live, Value::Unit);
         assert!(matches!(refused, Some(Err(RuntimeError::Hangup(_)))));

@@ -15,6 +15,12 @@
 //! ([`crate::engine::PortMap::Sparse`]), so memory also scales with the
 //! region, not with the whole connector.
 //!
+//! Every session is a [`Partitioned`]; the [`Placement`] only decides the
+//! plan. On one engine ([`Placement::Single`], and the existing approach)
+//! the plan is one region holding every constituent, with no links — the
+//! paper's one state machine — and port calls, stall reports and splices
+//! take the same paths as on many.
+//!
 //! # The link protocol
 //!
 //! A cut fifo is two ports with a queue between them ("Modularizing and
@@ -125,7 +131,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
 
-use crate::connector::{core_for, Limits, Mode};
+use crate::connector::{core_for, Limits, Mode, Placement};
 use crate::engine::{
     Engine, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Pending, PortMap,
 };
@@ -248,7 +254,7 @@ impl Topology {
 /// in a swappable [`Topology`] snapshot; the kick counter persists across
 /// reconfigurations.
 pub struct Partitioned {
-    topo: RwLock<Arc<Topology>>,
+    topo: Topo,
     /// What steps each region (needed again when a splice rebuilds one).
     mode: Mode,
     limits: Limits,
@@ -261,6 +267,16 @@ pub struct Partitioned {
     /// One-shot latch: a poisoned topology lock has already been reported
     /// (every engine poisoned), so recovery paths stay quiet afterwards.
     lock_poison_noted: AtomicBool,
+}
+
+/// Where a [`Partitioned`] keeps its topology. A session connected
+/// `reconfigurable` keeps it behind the lock a splice swaps it under;
+/// any other has one for life, which its port calls read without a lock
+/// (a lock read and an `Arc` clone per poll cost the `stepping` workload
+/// a sixth of its throughput on a shared 2-vCPU host).
+enum Topo {
+    Fixed(Arc<Topology>),
+    Live(RwLock<Arc<Topology>>),
 }
 
 /// A planned link: where a cut queue automaton will sit between regions.
@@ -281,6 +297,9 @@ struct Plan {
     automaton_region: Vec<Option<usize>>,
     links: Vec<LinkSpec>,
     router: Vec<u32>,
+    /// The one region serves every vertex through the identity map
+    /// ([`PortMap::Dense`]) instead of a sparse map of its own ports.
+    dense: bool,
 }
 
 /// [`partition_with_opts`] under [`crate::Mode::partitioned`]: a JIT core
@@ -298,55 +317,61 @@ pub fn partition(
         ..Limits::default()
     };
     let mode = Mode::partitioned();
-    partition_with_opts(automata, port_count, mem_layout, mode, limits)
+    partition_with_opts(automata, port_count, mem_layout, mode, limits, false)
 }
 
-/// Split `automata` into synchronous regions connected by queue links.
-///
-/// Every automaton *without* a queue hint goes into a region; regions are
-/// the connected components over shared ports. A queue automaton whose two
-/// sides touch different regions becomes a [`Link`]; one with both sides in
-/// the same region (or dangling sides) stays an ordinary automaton of that
-/// region. `mode` selects how each region's core fills its rows
-/// (`connector::core_for`); `port_count` sizes the port router (ports
-/// beyond it still route: the table grows).
+/// Build the engines of a session over `automata`: one per region of the
+/// plan `mode` makes (`plan_partition`), connected by queue links, each
+/// with the port map the plan chose. `mode` also selects how each
+/// region's core fills its rows (`connector::core_for`); `port_count`
+/// sizes the port router (ports beyond it still route: the table grows).
 pub fn partition_with_opts(
     automata: Vec<Automaton>,
     port_count: usize,
     mem_layout: &MemLayout,
     mode: Mode,
     limits: Limits,
+    reconfigurable: bool,
 ) -> Result<Partitioned, RuntimeError> {
-    let plan = plan_partition(&automata, port_count);
+    let plan = plan_partition(&automata, port_count, mode, reconfigurable);
     let links: Vec<Link> = plan
         .links
         .iter()
         .map(|spec| Link::from_spec(spec, None))
         .collect();
 
-    // One engine per region, sharded to the region's own ports and told
-    // its link ends. The store still shares the global layout (regions
-    // touch disjoint cells, so sharing it is safe and keeps ids global).
+    // One engine per region, told its link ends. The store still shares
+    // the global layout (regions touch disjoint cells, so sharing it is
+    // safe and keeps ids global).
     let mut engines: Vec<Arc<Engine>> = Vec::with_capacity(plan.regions.len());
     let mut unplaced: Vec<Option<Automaton>> = automata.into_iter().map(Some).collect();
     for (r, members) in plan.regions.iter().enumerate() {
         let place = |&i: &usize| unplaced[i].take().expect("one region per constituent");
         let autos: Vec<Automaton> = members.iter().map(place).collect();
-        let ports = region_port_map(&autos);
+        let ports = if plan.dense {
+            PortMap::dense(port_count)
+        } else {
+            region_port_map(&autos)
+        };
         let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
         let core = core_for(mode, &limits, autos, &starts, &ports)?;
         engines.push(new_region_engine(core, ports, mem_layout, &links, r));
     }
 
+    let topo = Arc::new(Topology {
+        engines,
+        links,
+        router: plan.router,
+        region_sizes: plan.regions.iter().map(Vec::len).collect(),
+        region_constituents: plan.regions,
+        automaton_region: plan.automaton_region,
+    });
     Ok(Partitioned {
-        topo: RwLock::new(Arc::new(Topology {
-            engines,
-            links,
-            router: plan.router,
-            region_sizes: plan.regions.iter().map(Vec::len).collect(),
-            region_constituents: plan.regions,
-            automaton_region: plan.automaton_region,
-        })),
+        topo: if reconfigurable {
+            Topo::Live(RwLock::new(topo))
+        } else {
+            Topo::Fixed(topo)
+        },
         mode,
         limits,
         kicks: AtomicU64::new(0),
@@ -373,12 +398,64 @@ fn region_port_map(autos: &[Automaton]) -> PortMap {
     PortMap::sparse(autos.iter().flat_map(|a| a.ports().iter()))
 }
 
-/// The structural half of partitioning: regions as connected components
-/// over shared ports, cut queues as links, the port router (at least
-/// `port_count` entries). Pure — no engines are built, so the splice path
-/// can re-plan a changed constituent list and diff the result against the
-/// live topology.
-fn plan_partition(automata: &[Automaton], port_count: usize) -> Plan {
+/// The structural half of partitioning, and the one place a [`Placement`]
+/// decides anything: the regions, the cut queues as links, the port router
+/// (at least `port_count` entries) and the port maps.
+/// [`Placement::Single`] and [`Mode::Existing`] plan one region holding
+/// every constituent in instantiation order, with no links, on the dense
+/// map unless the session is `reconfigurable` — a reconfigurable session's
+/// map stays sparse, so a detached port is *unknown* to its engine
+/// ([`RuntimeError::Detached`]) rather than a silent dead slot.
+/// [`Placement::Partitioned`] plans the synchronous regions
+/// ([`synchronous_regions`]), each sharded to its own ports. Pure — no
+/// engines are built, so the splice path can re-plan a changed
+/// constituent list and diff the result against the live topology.
+fn plan_partition(
+    automata: &[Automaton],
+    port_count: usize,
+    mode: Mode,
+    reconfigurable: bool,
+) -> Plan {
+    let n = automata.len();
+    let mut plan = match mode {
+        Mode::Existing
+        | Mode::New {
+            placement: Placement::Single,
+            ..
+        } => Plan {
+            regions: vec![(0..n).collect()],
+            automaton_region: vec![Some(0); n],
+            links: Vec::new(),
+            router: Vec::new(),
+            dense: !reconfigurable,
+        },
+        Mode::New {
+            placement: Placement::Partitioned,
+            ..
+        } => synchronous_regions(automata),
+    };
+    plan.router = vec![UNROUTED; port_count];
+    for (i, region) in plan.automaton_region.iter().enumerate() {
+        if let Some(r) = region {
+            for p in automata[i].ports().iter() {
+                if plan.router.len() <= p.index() {
+                    plan.router.resize(p.index() + 1, UNROUTED);
+                }
+                if plan.router[p.index()] == UNROUTED {
+                    plan.router[p.index()] = *r as u32;
+                }
+            }
+        }
+    }
+    plan
+}
+
+/// Regions as connected components over shared ports — every automaton
+/// *without* a queue hint goes into one — and cut queues as links: a queue
+/// automaton whose two sides touch different regions becomes a [`Link`];
+/// one with both sides in the same region (or dangling sides) stays an
+/// ordinary automaton of that region. The router is left to the caller.
+fn synchronous_regions(automata: &[Automaton]) -> Plan {
     let n = automata.len();
     let is_queue: Vec<bool> = automata.iter().map(|a| a.queue_hint().is_some()).collect();
 
@@ -477,26 +554,12 @@ fn plan_partition(automata: &[Automaton], port_count: usize) -> Plan {
             initial: hint.initial.clone(),
         });
     }
-
-    let mut router = vec![UNROUTED; port_count];
-    for (i, region) in automaton_region.iter().enumerate() {
-        if let Some(r) = region {
-            for p in automata[i].ports().iter() {
-                if router.len() <= p.index() {
-                    router.resize(p.index() + 1, UNROUTED);
-                }
-                if router[p.index()] == UNROUTED {
-                    router[p.index()] = *r as u32;
-                }
-            }
-        }
-    }
-
     Plan {
         regions,
         automaton_region,
         links,
-        router,
+        router: Vec::new(),
+        dense: false,
     }
 }
 
@@ -506,7 +569,11 @@ impl Partitioned {
     /// concurrent splice swaps in a successor snapshot without ever
     /// blocking readers for longer than the pointer swap.
     pub fn topo(&self) -> Arc<Topology> {
-        match self.topo.read() {
+        let live = match &self.topo {
+            Topo::Fixed(topo) => return Arc::clone(topo),
+            Topo::Live(live) => live,
+        };
+        match live.read() {
             Ok(g) => Arc::clone(&g),
             Err(poisoned) => {
                 // A thread panicked while holding the topology lock. The
@@ -523,6 +590,15 @@ impl Partitioned {
                 }
                 snap
             }
+        }
+    }
+
+    /// Run `f` against the live topology: the fixed one of a session that
+    /// cannot splice, else a snapshot ([`topo`](Self::topo)).
+    pub(crate) fn with_topo<R>(&self, f: impl FnOnce(&Topology) -> R) -> R {
+        match &self.topo {
+            Topo::Fixed(topo) => f(topo),
+            Topo::Live(_) => f(&self.topo()),
         }
     }
 
@@ -638,6 +714,18 @@ impl Partitioned {
         acc
     }
 
+    /// The region cores' state caches, summed.
+    pub fn cache_stats(&self) -> crate::cache::CacheStats {
+        let mut acc = crate::cache::CacheStats::default();
+        for s in self.topo().engines.iter().map(|e| e.cache_stats()) {
+            acc.hits += s.hits;
+            acc.misses += s.misses;
+            acc.resident += s.resident;
+            acc.steps += s.steps;
+        }
+        acc
+    }
+
     /// First poison message among the region engines, if any.
     pub fn poison_message(&self) -> Option<String> {
         self.topo().engines.iter().find_map(|e| e.poison_message())
@@ -671,8 +759,8 @@ impl Partitioned {
     }
 
     /// Splice the live topology from the `old_automata` constituent list
-    /// to `new_automata` — the partitioned half of a dynamic
-    /// reconfiguration (attach/leave of a replicated branch).
+    /// to `new_automata` — the engine half of a dynamic reconfiguration
+    /// (attach/leave of a replicated branch), on one region or many.
     ///
     /// `old_of_new[i]` names the old constituent that new constituent `i`
     /// continues (`None` = freshly attached); old constituents not named
@@ -687,7 +775,8 @@ impl Partitioned {
     ///
     /// 1. **Plan** the new partition and match it against the live
     ///    topology: a new region inherits an old region's engine iff they
-    ///    share a kept constituent or an end of a surviving link. Merges
+    ///    share a kept constituent or an end of a surviving link, or both
+    ///    plans have one region (always so on one engine). Merges
     ///    and splits of live regions are rejected
     ///    ([`RuntimeError::Reconfig`]) — v1 supports branch churn, not
     ///    arbitrary re-partitioning.
@@ -721,7 +810,9 @@ impl Partitioned {
     ///    install's own firing poisons every region.
     ///
     /// On any error the live topology and every engine are left exactly
-    /// as they were (all mutations happen after the last fallible step).
+    /// as they were (all mutations happen after the last fallible step). A
+    /// fixed topology has no lock to swap it under
+    /// ([`RuntimeError::NotReconfigurable`]).
     pub fn splice(
         &self,
         old_automata: &[Automaton],
@@ -730,8 +821,11 @@ impl Partitioned {
         layout: &MemLayout,
     ) -> Result<(), RuntimeError> {
         assert_eq!(new_automata.len(), old_of_new.len());
+        let Topo::Live(live) = &self.topo else {
+            return Err(RuntimeError::NotReconfigurable);
+        };
         let old = self.topo();
-        let plan = plan_partition(new_automata, old.router.len());
+        let plan = plan_partition(new_automata, old.router.len(), self.mode, true);
 
         // Kept constituents must keep their role: a queue that was a cut
         // link cannot re-enter a region mid-flight (its values live in
@@ -782,6 +876,11 @@ impl Partitioned {
                 bind(spec.from, ol.from)?;
                 bind(spec.to, ol.to)?;
             }
+        }
+        // One region before and after: it is the same region, whatever its
+        // members became, and its engine goes on.
+        if plan.regions.len() == 1 && old.engines.len() == 1 {
+            bind(0, 0)?;
         }
         let removed_regions: Vec<usize> = (0..old.engines.len())
             .filter(|&r| taken[r].is_none())
@@ -1026,7 +1125,7 @@ impl Partitioned {
         // itself is a pointer swap that cannot tear): recover the guard —
         // the swap below is still fully consistent — rather than aborting
         // a splice that already passed its point of no return.
-        *self.topo.write().unwrap_or_else(|p| p.into_inner()) = Arc::clone(&next);
+        *live.write().unwrap_or_else(|p| p.into_inner()) = Arc::clone(&next);
         drop(guards);
         // Detached regions' engines are shut so any straggling reference
         // fails with `Closed` instead of stepping a zombie core.
@@ -1080,8 +1179,12 @@ fn link_port_excludes(topo: &Topology) -> Vec<PortSet> {
     excludes
 }
 
-impl crate::watchdog::StallSample for Partitioned {
-    fn progress_counter(&self) -> u64 {
+/// What the stall watchdog samples; its thread holds only a `Weak` to the
+/// partition, so it never keeps a session alive.
+impl Partitioned {
+    /// A monotone counter that moves whenever the session does useful
+    /// work: steps fired plus operations completed, summed over regions.
+    pub(crate) fn progress_counter(&self) -> u64 {
         let topo = self.topo();
         topo.engines
             .iter()
@@ -1089,7 +1192,8 @@ impl crate::watchdog::StallSample for Partitioned {
             .sum()
     }
 
-    fn parked_count(&self) -> usize {
+    /// Operations parked on boundary ports, link-protocol ports excluded.
+    pub(crate) fn parked_count(&self) -> usize {
         let topo = self.topo();
         let excludes = link_port_excludes(&topo);
         topo.engines
@@ -1099,7 +1203,8 @@ impl crate::watchdog::StallSample for Partitioned {
             .sum()
     }
 
-    fn stall_snapshot(&self, stalled_for: Duration) -> crate::watchdog::StallReport {
+    /// The full wait-for snapshot.
+    pub(crate) fn stall_snapshot(&self, stalled_for: Duration) -> crate::watchdog::StallReport {
         let topo = self.topo();
         let excludes = link_port_excludes(&topo);
         let mut parked = Vec::new();
@@ -1132,7 +1237,7 @@ impl crate::watchdog::StallSample for Partitioned {
 /// A detaching constituent must be *at rest*: initial control state and
 /// initial memory contents. Anything else means user data is still inside
 /// the branch, and detaching would lose it.
-pub(crate) fn constituent_at_rest(
+fn constituent_at_rest(
     a: &Automaton,
     state: StateId,
     inner: &EngineInner,
@@ -1195,11 +1300,11 @@ mod tests {
         PortId(i)
     }
 
-    /// A blocking send through the partition, as `Backend::Multi` does it.
+    /// A blocking send through the partition, as a port handle does it.
     fn send(part: &Partitioned, port: PortId, v: i64) {
         let topo = part.topo();
         let (e, mut v) = (topo.engine_for(port), Some(Value::Int(v)));
-        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_send(port, &mut v, w, true, Some(ev)));
+        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_send(port, &mut v, w, true, ev));
         crate::port::block_on(None, poll, || unreachable!("no deadline")).unwrap()
     }
 
@@ -1207,8 +1312,7 @@ mod tests {
     fn recv(part: &Partitioned, port: PortId) -> Option<i64> {
         let topo = part.topo();
         let (e, mut reg) = (topo.engine_for(port), false);
-        let poll =
-            |w: &Waker| part.drain(&topo, |ev| e.poll_recv(port, &mut reg, w, true, Some(ev)));
+        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_recv(port, &mut reg, w, true, ev));
         let got = crate::port::block_on(None, poll, || unreachable!("no deadline"));
         got.unwrap().as_int()
     }
@@ -1218,7 +1322,7 @@ mod tests {
         let topo = part.topo();
         let (e, mut v) = (topo.engine_for(port), Some(Value::Int(v)));
         let first = part.drain(&topo, |ev| {
-            e.poll_send(port, &mut v, Waker::noop(), false, Some(ev))
+            e.poll_send(port, &mut v, Waker::noop(), false, ev)
         });
         first.map(Result::unwrap).is_some()
     }
@@ -1256,6 +1360,16 @@ mod tests {
         let part = partition(autos, 5, &layout, CachePolicy, 1 << 20).unwrap();
         assert_eq!(part.region_count(), 1);
         assert_eq!(part.link_count(), 0);
+    }
+
+    #[test]
+    fn a_fixed_topology_refuses_a_splice() {
+        let autos = vec![primitives::sync(p(0), p(1))];
+        let layout = MemLayout::cells(0);
+        let part = partition(autos.clone(), 2, &layout, CachePolicy, 1 << 20).unwrap();
+        let spliced = part.splice(&autos, &autos, &[Some(0)], &layout);
+        assert!(matches!(spliced, Err(RuntimeError::NotReconfigurable)));
+        assert_eq!(part.region_count(), 1);
     }
 
     #[test]
@@ -1422,7 +1536,13 @@ mod tests {
         tx.retract_send(p(0)).unwrap(); // already complete
         assert_eq!(part.unserved_links(), Vec::<String>::new());
         // …and on offer: the next receive completes in its own hold.
-        let got = rx.poll_recv(p(3), &mut false, Waker::noop(), false, None);
+        let got = rx.poll_recv(
+            p(3),
+            &mut false,
+            Waker::noop(),
+            false,
+            &mut LinkEvents::default(),
+        );
         assert_eq!(got.map(Result::unwrap), Some(Value::Int(1)));
     }
 

@@ -12,8 +12,11 @@
 //! registers the operation, fires what it enables and, if there is no
 //! outcome yet, parks a [`Waker`] in the port's slot — poll again once
 //! woken, and **retract** when giving up, which still completes if a step
-//! got there first, so nothing is ever lost or duplicated. What differs is
-//! who stands behind the waker:
+//! got there first, so nothing is ever lost or duplicated. Every hold goes
+//! through the session's one backend, a [`Partitioned`]
+//! ([`crate::partition`]): on one engine, a partition with one region and
+//! no links, whose drain finds nothing to serve. What differs is who stands
+//! behind the waker:
 //!
 //! * **blocking** [`Outport::send`]/[`Inport::recv`] run the protocol in
 //!   place (`block_on`): the waker unparks the calling thread, which parks
@@ -96,40 +99,24 @@ pub(crate) fn block_on<T>(
     })
 }
 
-/// How a port reaches its engine(s): [`Backend::hold`] is the one place
-/// that asks.
-#[derive(Clone)]
-pub(crate) enum Backend {
-    Single(Arc<Engine>),
-    Multi(Arc<Partitioned>),
-}
-
-impl Backend {
+/// The port calls, on the one backend every session has: a [`Partitioned`]
+/// — on one engine, a partition with one region and no links.
+impl Partitioned {
     /// Run `f` against the engine that serves `p` — every port operation
-    /// is made of these. On a partition the call takes one topology
-    /// snapshot, routes by it, and once `f` is through drains the link
-    /// events its holds raised against the same snapshot
-    /// ([`Partitioned::drain`]): one hold of the other engine per event;
-    /// regions that border no link raise none. With `sweep`, every link is
-    /// served first: a one-shot probe gets no second chance, so it must
-    /// see everything already in flight, including what another task's
-    /// drain has not served yet.
-    fn hold<R>(
-        &self,
-        p: PortId,
-        sweep: bool,
-        f: impl FnOnce(&Engine, Option<&mut LinkEvents>) -> R,
-    ) -> R {
-        match self {
-            Backend::Single(e) => f(e, None),
-            Backend::Multi(m) => {
-                let topo = m.topo();
-                if sweep {
-                    m.pump_on(&topo);
-                }
-                m.drain(&topo, |events| f(topo.engine_for(p), Some(events)))
+    /// is made of these. The call routes by one topology (`with_topo`), and
+    /// once `f` is through drains the link events its holds raised
+    /// against the same snapshot ([`Partitioned::drain`]): one hold of the
+    /// other engine per event; regions that border no link raise none.
+    /// With `sweep`, every link is served first: a one-shot probe gets no
+    /// second chance, so it must see everything already in flight,
+    /// including what another task's drain has not served yet.
+    fn hold<R>(&self, p: PortId, sweep: bool, f: impl FnOnce(&Engine, &mut LinkEvents) -> R) -> R {
+        self.with_topo(|topo| {
+            if sweep {
+                self.pump_on(topo);
             }
-        }
+            self.drain(topo, |events| f(topo.engine_for(p), events))
+        })
     }
 
     /// `send` is `send_async` run in place: polled with the thread's
@@ -139,31 +126,27 @@ impl Backend {
     /// succeeds if a step took the value first.
     fn send(&self, p: PortId, v: Value, deadline: Option<Instant>) -> Result<(), RuntimeError> {
         let mut value = Some(v);
-        let poll = |e: &Engine, w: &Waker, ev: Option<&mut LinkEvents>| {
-            e.poll_send(p, &mut value, w, true, ev)
-        };
+        let poll =
+            |e: &Engine, w: &Waker, ev: &mut LinkEvents| e.poll_send(p, &mut value, w, true, ev);
         self.block_on(p, deadline, poll, |e| e.retract_send(p))
     }
 
     fn recv(&self, p: PortId, deadline: Option<Instant>) -> Result<Value, RuntimeError> {
         let mut registered = false;
-        let poll = |e: &Engine, w: &Waker, ev: Option<&mut LinkEvents>| {
+        let poll = |e: &Engine, w: &Waker, ev: &mut LinkEvents| {
             e.poll_recv(p, &mut registered, w, true, ev)
         };
         self.block_on(p, deadline, poll, |e| e.retract_recv(p))
     }
 
-    /// [`block_on`] with every hold routed by [`Backend::hold`]; a deadline
-    /// that expires on a session the watchdog flags answers `Stalled`.
+    /// [`block_on`] with every hold routed by [`Partitioned::hold`]; a
+    /// deadline that expires on a session the watchdog flags answers
+    /// `Stalled`.
     fn block_on<T>(
         &self,
         p: PortId,
         deadline: Option<Instant>,
-        mut poll: impl FnMut(
-            &Engine,
-            &Waker,
-            Option<&mut LinkEvents>,
-        ) -> Option<Result<T, RuntimeError>>,
+        mut poll: impl FnMut(&Engine, &Waker, &mut LinkEvents) -> Option<Result<T, RuntimeError>>,
         retract: impl FnOnce(&Engine) -> Result<T, RuntimeError>,
     ) -> Result<T, RuntimeError> {
         let expire = |e: &Engine| retract(e).map_err(|err| e.upgrade_timeout(err));
@@ -211,7 +194,7 @@ impl Backend {
         .map_or(Poll::Pending, Poll::Ready)
     }
 
-    /// One poll of an async recv; as [`Backend::poll_send`].
+    /// One poll of an async recv; as [`Partitioned::poll_send`].
     fn poll_recv(
         &self,
         p: PortId,
@@ -228,68 +211,6 @@ impl Backend {
     /// the drain of what it raised — deadness crosses links like a value.
     fn hangup(&self, p: PortId) {
         self.hold(p, false, |e, ev| e.hangup(&[p], ev))
-    }
-
-    pub(crate) fn steps(&self) -> u64 {
-        match self {
-            Backend::Single(e) => e.steps(),
-            Backend::Multi(m) => m.steps(),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> crate::engine::EngineStats {
-        match self {
-            Backend::Single(e) => e.stats(),
-            Backend::Multi(m) => m.stats(),
-        }
-    }
-
-    pub(crate) fn poison_message(&self) -> Option<String> {
-        match self {
-            Backend::Single(e) => e.poison_message(),
-            Backend::Multi(m) => m.poison_message(),
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        match self {
-            Backend::Single(e) => e.close(),
-            Backend::Multi(m) => m.close(),
-        }
-    }
-
-    pub(crate) fn poison(&self, msg: &str) {
-        match self {
-            Backend::Single(e) => e.poison(msg),
-            Backend::Multi(m) => m.poison_all(msg),
-        }
-    }
-
-    pub(crate) fn arm_panic_after_steps(&self, n: u64) {
-        match self {
-            Backend::Single(e) => e.arm_panic_after_steps(n),
-            Backend::Multi(m) => {
-                for e in &m.topo().engines {
-                    e.arm_panic_after_steps(n);
-                }
-            }
-        }
-    }
-
-    pub(crate) fn cache_stats(&self) -> crate::cache::CacheStats {
-        match self {
-            Backend::Single(e) => e.cache_stats(),
-            Backend::Multi(m) => {
-                let mut acc = crate::cache::CacheStats::default();
-                for s in m.topo().engines.iter().map(|e| e.cache_stats()) {
-                    acc.hits += s.hits;
-                    acc.misses += s.misses;
-                    acc.resident += s.resident;
-                    acc.steps += s.steps;
-                }
-                acc
-            }
-        }
     }
 }
 
@@ -308,9 +229,9 @@ pub struct Outport<T = Value> {
 }
 
 impl<T: IntoValue> Outport<T> {
-    pub(crate) fn new(backend: Backend, port: PortId) -> Self {
+    pub(crate) fn new(parts: Arc<Partitioned>, port: PortId) -> Self {
         Outport {
-            reg: Registration { backend, port },
+            reg: Registration { parts, port },
             _payload: PhantomData,
         }
     }
@@ -318,7 +239,7 @@ impl<T: IntoValue> Outport<T> {
     /// Blocking send: returns once the connector has accepted the message.
     pub fn send(&self, v: impl Into<T>) -> Result<(), RuntimeError> {
         self.reg
-            .backend
+            .parts
             .send(self.reg.port, v.into().into_value(), None)
     }
 
@@ -330,7 +251,7 @@ impl<T: IntoValue> Outport<T> {
     /// ([`Value`] clones are cheap, bulk data is `Arc`-shared).
     pub fn try_send(&self, v: impl Into<T>) -> Result<bool, RuntimeError> {
         self.reg
-            .backend
+            .parts
             .try_send(self.reg.port, v.into().into_value())
     }
 
@@ -340,7 +261,7 @@ impl<T: IntoValue> Outport<T> {
     /// [`Outport::try_send`], retry with a clone or a fresh value.
     pub fn send_timeout(&self, v: impl Into<T>, timeout: Duration) -> Result<(), RuntimeError> {
         self.reg
-            .backend
+            .parts
             .send(self.reg.port, v.into().into_value(), deadline_in(timeout))
     }
 
@@ -355,7 +276,7 @@ impl<T: IntoValue> Outport<T> {
     /// already taken by a transition counts as delivered (exactly once).
     pub fn send_async(&self, v: impl Into<T>) -> SendFuture<'_> {
         SendFuture {
-            backend: &self.reg.backend,
+            parts: &self.reg.parts,
             port: self.reg.port,
             value: Some(v.into().into_value()),
             done: false,
@@ -376,14 +297,14 @@ impl<T: IntoValue> Outport<T> {
         cx: &mut Context<'_>,
         value: &mut Option<Value>,
     ) -> Poll<Result<(), RuntimeError>> {
-        self.reg.backend.poll_send(self.reg.port, value, cx)
+        self.reg.parts.poll_send(self.reg.port, value, cx)
     }
 
     /// Re-type the handle; the connector itself is data-agnostic, so this
     /// only changes what the `send` signature accepts.
     pub fn typed<U: IntoValue>(self) -> Outport<U> {
         // Re-typing is not a departure: the registration (and with it the
-        // one backend reference) moves into the new handle, so nothing is
+        // one partition reference) moves into the new handle, so nothing is
         // dropped and no hangup fires.
         Outport {
             reg: self.reg,
@@ -421,16 +342,16 @@ fn convert<T: FromValue>(v: Value) -> Result<T, RuntimeError> {
 }
 
 impl<T: FromValue> Inport<T> {
-    pub(crate) fn new(backend: Backend, port: PortId) -> Self {
+    pub(crate) fn new(parts: Arc<Partitioned>, port: PortId) -> Self {
         Inport {
-            reg: Registration { backend, port },
+            reg: Registration { parts, port },
             _payload: PhantomData,
         }
     }
 
     /// Blocking receive: returns the delivered message.
     pub fn recv(&self) -> Result<T, RuntimeError> {
-        convert(self.reg.backend.recv(self.reg.port, None)?)
+        convert(self.reg.parts.recv(self.reg.port, None)?)
     }
 
     /// Non-blocking receive: `Ok(Some(v))` if a delivery was ready within
@@ -438,7 +359,7 @@ impl<T: FromValue> Inport<T> {
     /// (it is retracted; the port is immediately reusable).
     pub fn try_recv(&self) -> Result<Option<T>, RuntimeError> {
         self.reg
-            .backend
+            .parts
             .try_recv(self.reg.port)?
             .map(convert)
             .transpose()
@@ -448,7 +369,7 @@ impl<T: FromValue> Inport<T> {
     /// returns [`RuntimeError::Timeout`]. A delivery that races the
     /// deadline is still handed out — never dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RuntimeError> {
-        convert(self.reg.backend.recv(self.reg.port, deadline_in(timeout))?)
+        convert(self.reg.parts.recv(self.reg.port, deadline_in(timeout))?)
     }
 
     /// Iterate over deliveries until the connector closes (or a typed
@@ -473,7 +394,7 @@ impl<T: FromValue> Inport<T> {
     /// the port's slot and satisfies the next receive on this port.
     pub fn recv_async(&self) -> RecvFuture<'_, T> {
         RecvFuture {
-            backend: &self.reg.backend,
+            parts: &self.reg.parts,
             port: self.reg.port,
             registered: false,
             done: false,
@@ -492,7 +413,7 @@ impl<T: FromValue> Inport<T> {
         cx: &mut Context<'_>,
         registered: &mut bool,
     ) -> Poll<Result<T, RuntimeError>> {
-        match self.reg.backend.poll_recv(self.reg.port, registered, cx) {
+        match self.reg.parts.poll_recv(self.reg.port, registered, cx) {
             Poll::Ready(r) => Poll::Ready(r.and_then(convert)),
             Poll::Pending => Poll::Pending,
         }
@@ -522,7 +443,7 @@ impl Inport<Value> {
     /// delivery into `U` without re-typing the port. Handy where handles
     /// arrive untyped (e.g. [`crate::TaskCtx`]) but payloads are known.
     pub fn recv_as<U: FromValue>(&self) -> Result<U, RuntimeError> {
-        convert(self.reg.backend.recv(self.reg.port, None)?)
+        convert(self.reg.parts.recv(self.reg.port, None)?)
     }
 }
 
@@ -588,7 +509,7 @@ impl<'a, T: FromValue> IntoIterator for &'a Inport<T> {
 /// once and the drop merely acknowledges.
 #[must_use = "futures do nothing unless polled"]
 pub struct SendFuture<'a> {
-    backend: &'a Backend,
+    parts: &'a Partitioned,
     port: PortId,
     /// `Some` until the first poll registers the operation.
     value: Option<Value>,
@@ -602,7 +523,7 @@ impl Future for SendFuture<'_> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         assert!(!this.done, "SendFuture polled after completion");
-        match this.backend.poll_send(this.port, &mut this.value, cx) {
+        match this.parts.poll_send(this.port, &mut this.value, cx) {
             Poll::Ready(r) => {
                 this.done = true;
                 Poll::Ready(r)
@@ -620,7 +541,7 @@ impl Drop for SendFuture<'_> {
         // unpolled future (value still Some) armed nothing.
         if !self.done && self.value.is_none() {
             let p = self.port;
-            let _ = self.backend.hold(p, false, |e, _| e.retract_send(p));
+            let _ = self.parts.hold(p, false, |e, _| e.retract_send(p));
         }
     }
 }
@@ -640,7 +561,7 @@ impl std::fmt::Debug for SendFuture<'_> {
 /// receives never lose values.
 #[must_use = "futures do nothing unless polled"]
 pub struct RecvFuture<'a, T = Value> {
-    backend: &'a Backend,
+    parts: &'a Partitioned,
     port: PortId,
     /// Set once the first poll registered the receive.
     registered: bool,
@@ -655,7 +576,7 @@ impl<T: FromValue> Future for RecvFuture<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         assert!(!this.done, "RecvFuture polled after completion");
-        match this.backend.poll_recv(this.port, &mut this.registered, cx) {
+        match this.parts.poll_recv(this.port, &mut this.registered, cx) {
             Poll::Ready(r) => {
                 this.done = true;
                 Poll::Ready(r.and_then(convert))
@@ -671,7 +592,7 @@ impl<T> Drop for RecvFuture<'_, T> {
         // next receive on the port (`Engine::abandon_recv`).
         if self.registered && !self.done {
             let p = self.port;
-            self.backend.hold(p, false, |e, _| e.abandon_recv(p));
+            self.parts.hold(p, false, |e, _| e.abandon_recv(p));
         }
     }
 }
@@ -682,10 +603,10 @@ impl<T> std::fmt::Debug for RecvFuture<'_, T> {
     }
 }
 
-/// A port handle's claim on its vertex: the route to the engine(s) plus
+/// A port handle's claim on its vertex: the route to its engine plus
 /// the hangup-on-drop duty. Typed handles wrap it and move it whole when
 /// re-typed, so exactly one hangup fires per port — when the last-typed
-/// handle is dropped — and a handle never holds more than one backend
+/// handle is dropped — and a handle never holds more than one partition
 /// reference.
 ///
 /// Hangup on drop is phaser-style deregistration: a departed producer can
@@ -697,13 +618,13 @@ impl<T> std::fmt::Debug for RecvFuture<'_, T> {
 /// returns. Values already *inside* the connector (buffers, link queues)
 /// still deliver — only after they drain does deadness go downstream.
 struct Registration {
-    backend: Backend,
+    parts: Arc<Partitioned>,
     port: PortId,
 }
 
 impl Drop for Registration {
     fn drop(&mut self) {
-        self.backend.hangup(self.port);
+        self.parts.hangup(self.port);
     }
 }
 

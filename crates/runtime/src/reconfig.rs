@@ -20,10 +20,10 @@
 //!    their *old* automata (ids, state, buffered data); unmatched new
 //!    constituents get their shared internals renamed onto the live ids
 //!    through the matched pairs.
-//! 3. **Splice** per backend: a single-engine session swaps its core
-//!    under the engine lock ([`Engine::reconfigure`]); a partitioned one
-//!    quiesces only the affected regions
-//!    ([`crate::partition::Partitioned::splice`]).
+//! 3. **Splice** the difference into the session's partition
+//!    ([`crate::partition::Partitioned::splice`]), which quiesces only the
+//!    affected regions — on one engine the one region, whose engine the
+//!    splice continues.
 //! 4. **Commit** the new state and bump the session epoch.
 //!
 //! Reconfigurations are serialized per session with `try_lock`
@@ -41,8 +41,7 @@ use crate::connector::{core_for, Composition::Eager, Limits, Mode};
 use crate::engine::PortMap;
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
-use crate::partition::constituent_at_rest;
-use crate::port::Backend;
+use crate::partition::Partitioned;
 
 /// The per-session reconfiguration record, shared by every
 /// [`crate::ConnectorHandle`] clone of a reconfigurable session.
@@ -68,8 +67,6 @@ pub(crate) struct ReconfigState {
     pub(crate) layout: MemLayout,
     /// Tail (sender-side) parameter names, to orient branch port handles.
     pub(crate) tails: Vec<String>,
-    pub(crate) mode: Mode,
-    pub(crate) limits: Limits,
 }
 
 /// What a reconfiguration does to the named replicated parameter.
@@ -89,7 +86,7 @@ pub(crate) struct Reconfigured {
 /// One attach/detach step: re-instantiate, diff, splice, commit.
 pub(crate) fn reconfigure(
     shared: &ReconfigShared,
-    backend: &Backend,
+    parts: &Partitioned,
     name: &str,
     change: Change,
 ) -> Result<Reconfigured, RuntimeError> {
@@ -160,12 +157,7 @@ pub(crate) fn reconfigure(
     layout.merge(&st.layout);
     layout.merge(&instance.mem_layout);
 
-    match backend {
-        Backend::Multi(m) => {
-            m.splice(&st.automata, &diffed.automata, &diffed.old_of_new, &layout)?
-        }
-        Backend::Single(e) => splice_single(e, &st, &diffed, &layout)?,
-    }
+    parts.splice(&st.automata, &diffed.automata, &diffed.old_of_new, &layout)?;
 
     // Point of no return: the engines run the new configuration.
     st.alloc = alloc;
@@ -178,52 +170,6 @@ pub(crate) fn reconfigure(
         .epoch
         .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     Ok(Reconfigured { port, is_tail })
-}
-
-/// The single-engine half of the splice: one lock *is* the whole-session
-/// quiesce. Mirrors [`crate::partition::Partitioned::splice`] with exactly
-/// one region.
-fn splice_single(
-    engine: &std::sync::Arc<crate::engine::Engine>,
-    st: &ReconfigState,
-    d: &Diff,
-    layout: &MemLayout,
-) -> Result<(), RuntimeError> {
-    let live: HashSet<PortId> = d.automata.iter().flat_map(|a| a.ports().iter()).collect();
-    let mut kept_old = vec![false; st.automata.len()];
-    for oi in d.old_of_new.iter().flatten() {
-        kept_old[*oi] = true;
-    }
-    let mut removed_ports: Vec<PortId> = st
-        .automata
-        .iter()
-        .enumerate()
-        .filter(|(oi, _)| !kept_old[*oi])
-        .flat_map(|(_, a)| a.ports().iter())
-        .filter(|p| !live.contains(p))
-        .collect();
-    removed_ports.sort_unstable_by_key(|p| p.index());
-    removed_ports.dedup();
-
-    let ports = PortMap::sparse(live.iter().copied());
-    engine.reconfigure(&removed_ports, ports, layout, |inner, ports| {
-        let states = inner.core.constituent_states();
-        for (oi, a) in st.automata.iter().enumerate() {
-            if !kept_old[oi] {
-                constituent_at_rest(a, states[oi], inner, layout)?;
-            }
-        }
-        let starts: Vec<StateId> = d
-            .automata
-            .iter()
-            .zip(&d.old_of_new)
-            .map(|(a, o)| match o {
-                Some(oi) => states[*oi],
-                None => a.initial(),
-            })
-            .collect();
-        splice_core(st.mode, &st.limits, &d.automata, &starts, ports)
-    })
 }
 
 /// The core a splice installs for the engine serving `ports`: [`core_for`]

@@ -2,7 +2,8 @@
 //! snapshot.
 //!
 //! Opt-in via [`SessionSpec::watchdog`](crate::SessionSpec::watchdog). A
-//! sampler thread holds only a [`Weak`] reference to the backend and
+//! sampler thread holds only a [`Weak`] reference to the session's
+//! [`Partitioned`] (one region on one engine) and
 //! periodically reads two cheap signals: a monotone **progress counter**
 //! (steps + completions across every region engine) and the number of
 //! **parked operations**. When operations are parked and the progress
@@ -25,6 +26,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
+
+use crate::partition::Partitioned;
 
 /// The pending operation a parked port is blocked on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +54,14 @@ pub struct ParkedOp {
     pub port: reo_automata::PortId,
     /// What the caller is blocked waiting for.
     pub kind: ParkedKind,
-    /// The region engine serving the port (0 for unpartitioned modes).
+    /// The region engine serving the port (0 on one engine).
     pub region: usize,
 }
 
 /// Per-region engine status at stall-detection time.
 #[derive(Debug, Clone)]
 pub struct RegionReport {
-    /// Region index (0 for unpartitioned modes).
+    /// Region index (0 on one engine).
     pub region: usize,
     /// Steps fired since connect.
     pub steps: u64,
@@ -100,7 +103,7 @@ pub struct StallReport {
     pub parked: Vec<ParkedOp>,
     /// Per-region engine status.
     pub regions: Vec<RegionReport>,
-    /// Cross-region link queues (empty for unpartitioned modes).
+    /// Cross-region link queues (empty on one engine).
     pub links: Vec<LinkReport>,
 }
 
@@ -144,19 +147,6 @@ impl fmt::Display for StallReport {
     }
 }
 
-/// What the watchdog samples. Implemented by both backends (the single
-/// engine and the partitioned topology); the sampler thread only ever
-/// holds a `Weak` to it, so the watchdog never keeps a session alive.
-pub(crate) trait StallSample: Send + Sync {
-    /// A monotone counter that moves whenever the session does useful
-    /// work (steps fired + operations completed, summed over regions).
-    fn progress_counter(&self) -> u64;
-    /// Number of operations currently parked on boundary ports.
-    fn parked_count(&self) -> usize;
-    /// Assemble the full wait-for snapshot.
-    fn stall_snapshot(&self, stalled_for: Duration) -> StallReport;
-}
-
 /// Shared state between the sampler thread and the error paths.
 pub(crate) struct WatchdogState {
     /// Set while the sampler considers the session stalled; wait paths
@@ -181,12 +171,9 @@ impl WatchdogState {
     }
 }
 
-/// Spawn the sampler thread. It exits on its own when the backend is
+/// Spawn the sampler thread. It exits on its own when the session is
 /// dropped (the `Weak` stops upgrading), so nothing needs to join it.
-pub(crate) fn spawn_watchdog(
-    target: Weak<dyn StallSample>,
-    deadline: Duration,
-) -> Arc<WatchdogState> {
+pub(crate) fn spawn_watchdog(target: Weak<Partitioned>, deadline: Duration) -> Arc<WatchdogState> {
     let state = Arc::new(WatchdogState {
         stalled: AtomicBool::new(false),
         latest: Mutex::new(None),

@@ -51,8 +51,9 @@
 //! [`runtime`] for the polling-loop example.
 
 /// The long-form architecture guide, rendered from the repository's
-/// `docs/ARCHITECTURE.md`: crate map, the jit → partitioned → workers →
-/// region-owned scheduler progression, and the paper-to-module table.
+/// `docs/ARCHITECTURE.md`: crate map, the one scheduler's progression
+/// from one engine to partitioned, reconfigurable and fault-contained
+/// sessions, and the paper-to-module table.
 /// Included here so its examples compile and run as doctests of the
 /// facade.
 #[doc = include_str!("../docs/ARCHITECTURE.md")]

@@ -349,13 +349,12 @@ fn poison_fans_out_to_spliced_branches() {
 /// deadline, an expiring `recv_timeout` upgrades its bare `Timeout` to
 /// `Stalled` carrying the wait-for snapshot, and the same report is
 /// pollable off the handle. A genuinely wait-blocked session reports no
-/// enabled transitions — distinguishing "nothing to do" from "lost kick".
+/// enabled transitions — distinguishing "nothing to do" from "lost kick" —
+/// and, in every mode, one entry per region and per link of the session.
 #[test]
 fn watchdog_turns_a_silent_stall_into_a_wait_for_snapshot() {
     let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
-    // One single-engine and one partitioned mode: the snapshot assembly
-    // differs (region array, link queues).
-    for mode in [Mode::jit(), Mode::partitioned()] {
+    for &(_, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "Buf")
             .mode(mode)
             .build()
@@ -367,8 +366,14 @@ fn watchdog_turns_a_silent_stall_into_a_wait_for_snapshot() {
             .unwrap();
         let _tx = session.typed_outport::<i64>("a").unwrap();
         let rx = session.typed_inport::<i64>("b").unwrap();
+        let handle = session.handle();
         match rx.recv_timeout(Duration::from_millis(400)) {
             Err(RuntimeError::Stalled(report)) => {
+                assert_eq!(
+                    (report.regions.len(), report.links.len()),
+                    (handle.region_count(), handle.link_count()),
+                    "{mode:?}: the report covers every region and link: {report}"
+                );
                 assert!(
                     report.stalled_for >= Duration::from_millis(25),
                     "{mode:?}: report predates the deadline: {report}"
@@ -385,7 +390,6 @@ fn watchdog_turns_a_silent_stall_into_a_wait_for_snapshot() {
             }
             other => panic!("{mode:?}: expected Stalled, got {other:?}"),
         }
-        let handle = session.handle();
         assert!(
             handle.is_stalled(),
             "{mode:?}: handle does not flag the stall"

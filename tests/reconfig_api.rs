@@ -13,6 +13,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -278,23 +279,25 @@ fn a_sender_attached_after_every_sender_left_revives_the_path() {
 /// drains: detach blocks, a late consumer frees it, and nothing is lost.
 #[test]
 fn detach_waits_for_the_branch_to_drain() {
-    let (mut session, handle) = connect_merger(MERGER, Mode::jit(), 1);
-    let rx = session.typed_inport::<i64>("c").unwrap();
+    for &(label, mode) in Mode::grid() {
+        let (mut session, handle) = connect_merger(MERGER, mode, 1);
+        let rx = session.typed_inport::<i64>("c").unwrap();
 
-    let mut branch = handle.attach("src").unwrap();
-    let tx = branch.outport().unwrap();
-    tx.send(Value::Int(7)).unwrap(); // parked in the branch's fifo
-    drop(tx);
+        let mut branch = handle.attach("src").unwrap();
+        let tx = branch.outport().unwrap();
+        tx.send(Value::Int(7)).unwrap(); // parked in the branch's fifo
+        drop(tx);
 
-    let drainer = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        rx.recv().unwrap()
-    });
-    // Blocks until the drainer empties the fifo, then succeeds.
-    branch.detach().unwrap();
-    assert_eq!(drainer.join().unwrap(), 7);
-    assert_eq!(handle.epoch(), 2);
-    handle.close();
+        let drainer = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            rx.recv().unwrap()
+        });
+        // Blocks until the drainer empties the fifo, then succeeds.
+        branch.detach().unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(drainer.join().unwrap(), 7, "{label}");
+        assert_eq!(handle.epoch(), 2, "{label}");
+        handle.close();
+    }
 }
 
 /// After a branch leaves, a surviving handle to its port reports
@@ -651,5 +654,33 @@ proptest! {
             }
             handle.close();
         }
+    }
+}
+
+/// A one-region splice continues that region's engine even when none of
+/// its constituents survives unchanged: a receive parked on the bare
+/// merger's output before a sender joins is served by the joiner.
+#[test]
+fn a_receive_parked_across_a_one_region_splice_is_served() {
+    const BARE: &str = "M(src[];c) = Merger(src[1..#src];c)";
+    for &(label, mode) in Mode::grid() {
+        let (mut session, handle) = connect_merger(BARE, mode, 1);
+        assert_eq!(handle.region_count(), 1, "{label}");
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        let (mut cx, mut registered) = (Context::from_waker(Waker::noop()), false);
+        assert!(
+            rx.poll_recv(&mut cx, &mut registered).is_pending(),
+            "{label}"
+        );
+
+        let mut branch = handle
+            .attach("src")
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        branch.outport().unwrap().send(Value::Int(7)).unwrap();
+        match rx.poll_recv(&mut cx, &mut registered) {
+            Poll::Ready(Ok(7)) => {}
+            other => panic!("{label}: {other:?}"),
+        }
+        handle.close();
     }
 }

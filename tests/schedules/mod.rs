@@ -200,7 +200,7 @@ impl World {
                 return;
             }
             Op::Hangup(port) => {
-                (topo.engine_for(port)).hangup(&[port], Some(&mut t.events));
+                (topo.engine_for(port)).hangup(&[port], &mut t.events);
                 self.drops += 1;
                 t.pc += 1;
                 return;
@@ -224,13 +224,13 @@ impl World {
             (None, true) => Some(engine.retract_recv(port).map(Some)),
             (Some(v), false) => {
                 let mut value = (!t.parked).then_some(Value::Int(v));
-                let ev = Some(&mut t.events);
+                let ev = &mut t.events;
                 let r = engine.poll_send(port, &mut value, &waker, op.timed(), ev);
                 r.map(|r| r.map(|()| None))
             }
             (None, false) => {
                 let mut registered = t.parked;
-                let ev = Some(&mut t.events);
+                let ev = &mut t.events;
                 let r = engine.poll_recv(port, &mut registered, &waker, op.timed(), ev);
                 r.map(|r| r.map(Some))
             }

@@ -16,7 +16,7 @@
 mod schedules;
 
 use reo::automata::{primitives, MemId};
-use reo::runtime::engine::Engine;
+use reo::runtime::engine::{Engine, LinkEvents};
 use schedules::{explore, p, Op, World};
 
 /// A synchronous channel has nowhere to keep a value: whatever the
@@ -74,9 +74,9 @@ fn fifo1_hand_over_every_schedule() {
         let (tx, rx) = (&w.tasks[0], &w.tasks[1]);
         let mut arrived = rx.got.clone();
         let engine: &Engine = &w.part.topo().engines[0];
-        while let Ok(v) =
-            (engine.poll_recv(p(1), &mut false, std::task::Waker::noop(), false, None))
-                .unwrap_or_else(|| engine.retract_recv(p(1)))
+        let ev = &mut LinkEvents::default();
+        while let Ok(v) = (engine.poll_recv(p(1), &mut false, std::task::Waker::noop(), false, ev))
+            .unwrap_or_else(|| engine.retract_recv(p(1)))
         {
             arrived.push(v.as_int().unwrap());
         }

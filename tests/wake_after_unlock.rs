@@ -12,7 +12,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::Duration;
 
-use reo::runtime::{Connector, Mode, Placement};
+use reo::runtime::{Connector, Mode};
 use reo::Session;
 
 /// Generous: no operation below may ever see it.
@@ -85,18 +85,13 @@ fn rendezvous_and_turns_lose_no_wakeup_on_any_mode() {
                 });
             }
         });
-        let stats = session.handle().stats();
+        let handle = session.handle();
+        let stats = handle.stats();
         assert_eq!(stats.spurious_wakeups, 0, "{name}: sequencer");
-        // The partitioned modes cut the sequencer's ring into links, and a
-        // cross-region link service hold is the documented exception: it
-        // signals before it unlocks, so a task can be woken once more.
-        if !matches!(
-            mode,
-            Mode::New {
-                placement: Placement::Partitioned,
-                ..
-            }
-        ) {
+        // A cross-region link service hold is the documented exception: it
+        // signals before it unlocks, so where the sequencer's ring is cut
+        // into links a task can be woken once more.
+        if handle.link_count() == 0 {
             assert!(stats.wakeups <= OPS as u64, "{name}: {}", stats.wakeups);
         }
     }
