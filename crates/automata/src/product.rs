@@ -348,10 +348,8 @@ pub type StateTrace = Vec<Box<[StateId]>>;
 ///
 /// The product's initial state corresponds exactly to `starts`. Label
 /// simplification must **not** be applied to a traced product — merging
-/// states would orphan the trace. This is the composition primitive of the
-/// dynamic-reconfiguration splice: a region is re-composed from its current
-/// tuple, and the tuple stays recoverable from whatever product state the
-/// region reaches later.
+/// states would orphan the trace. Only tests call it: the trace is the
+/// oracle that eager rows, lowered steps and the fold are held to.
 pub fn product_all_traced(
     autos: &[Automaton],
     starts: &[StateId],

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! With `--json` the per-cell results are also written as a JSON document
-//! (default path `BENCH_fig12.json`), the machine-readable datapoint the
-//! benchmark trajectory in ROADMAP.md builds on.
+//! (default path `BENCH_fig12.json`), the machine-readable datapoint
+//! `bench_check` gates on.
 
 use std::fmt::Write as _;
 use std::time::Duration;

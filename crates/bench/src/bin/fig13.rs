@@ -17,8 +17,7 @@
 //!
 //! With `--json` the per-cell measurements are also written as a JSON
 //! document (default path `BENCH_fig13.json`), the NPB twin of the
-//! `fig12 --json` datapoint the benchmark trajectory in ROADMAP.md
-//! builds on.
+//! `fig12 --json` datapoint.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

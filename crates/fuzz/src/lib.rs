@@ -1,6 +1,6 @@
 //! `reo-fuzz`: adversarial scenario generation for the connector runtime.
 //!
-//! Three pieces, layered on the scripted scenario driver
+//! Four pieces, layered on the scripted scenario driver
 //! ([`reo_runtime::run_scenario`]):
 //!
 //! 1. [`gen`] — a deterministic, seed-driven generator of structured

@@ -66,15 +66,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The representative slice of [`Mode::grid`] for pipeline fuzzing: the
-/// three distinct compilation strategies (monolithic elaboration, medium
-/// automata expanded lazily, and every reachable state of them expanded at
-/// connect). Running the rest would only compose the same automata again;
-/// the full grid belongs to the differential harness.
-const BUILD_MODES: [&str; 3] = ["mono", "jit", "comp"];
-
-/// Push one source through parse → build → connect under every build
-/// mode. Returns the first escaped panic, `None` when the pipeline
+/// Push one source through parse → build → connect under every mode of
+/// [`Mode::grid`] — the partitioned ones are the only `connect` that cuts
+/// links. Returns the first escaped panic, `None` when the pipeline
 /// either succeeded or refused with typed errors everywhere.
 pub fn check_source(src: &str) -> Option<PipeFinding> {
     let parsed = catch_unwind(AssertUnwindSafe(|| parse_program(src)));
@@ -92,7 +86,7 @@ pub fn check_source(src: &str) -> Option<PipeFinding> {
     // Every definition is an entry-point candidate; small programs only
     // have a few.
     for def in &program.defs {
-        for (mode_name, mode) in Mode::grid_subset(&BUILD_MODES) {
+        for &(mode_name, mode) in Mode::grid() {
             let built = catch_unwind(AssertUnwindSafe(|| {
                 Connector::builder(&program, &def.name).mode(mode).build()
             }));

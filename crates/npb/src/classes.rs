@@ -4,9 +4,8 @@
 //! values. The container this reproduction runs on cannot finish reference
 //! class C in reasonable time, so the Fig. 13 "size C" column is regenerated
 //! with `CgClass::c_scaled()` — class-A problem size with class-C-style
-//! iteration weight — documented as a substitution in DESIGN.md §2. The LU
-//! substitute (SSOR wavefront on a 2-D Poisson system) defines its own
-//! grid classes.
+//! iteration weight. The LU substitute (SSOR wavefront on a 2-D Poisson
+//! system) defines its own grid classes.
 
 /// One CG workload class.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,7 +70,7 @@ impl CgClass {
     };
 
     /// The Fig. 13 "size C" substitute: large enough that task compute
-    /// dominates connector overhead on this container (see DESIGN.md §2).
+    /// dominates connector overhead.
     pub fn c_scaled() -> CgClass {
         CgClass {
             name: "C-scaled",

@@ -3,7 +3,7 @@
 //! The NAS Parallel Benchmarks substrate of the paper's Fig. 13 evaluation:
 //! the CG kernel (faithful port, official verification values) and the LU
 //! application (SSOR wavefront substitute with the same master–slaves +
-//! pipeline communication structure — DESIGN.md §2), each runnable over a
+//! pipeline communication structure, see `lu`), each runnable over a
 //! hand-written crossbeam back end ("original program") or a Reo connector
 //! back end ("Reo-based program").
 

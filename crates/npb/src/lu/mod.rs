@@ -1,4 +1,4 @@
-//! The NPB LU application, substituted per DESIGN.md §2: an SSOR
+//! The NPB LU application, substituted: an SSOR
 //! (symmetric successive over-relaxation) wavefront solver for a 2-D
 //! Poisson system, with exactly the communication structure Fig. 13
 //! attributes to LU — "master–slaves and pipeline".

@@ -3,34 +3,35 @@
 //! model checking (e.g., to prove deadlock freedom …), fully
 //! automatically", Sect. II).
 //!
-//! Full temporal-logic checking is out of scope; this module provides the
-//! practically useful subset on the *instantiated* connector: reachable
-//! state-space statistics, deadlock detection, and dead-port detection
-//! (boundary ports no transition ever fires — a common wiring bug).
+//! Full temporal-logic checking is out of scope; this module checks the
+//! rows a compiled session fills at `connect`: reachable state counts,
+//! deadlocks, and dead ports (boundary ports no step fires — a wiring bug).
 
-use reo_automata::explore::{deadlock_states, space_stats};
-use reo_automata::PortAllocator;
-use reo_automata::{product_all, PortId, PortSet, ProductOptions};
+use reo_automata::{PortAllocator, PortId, PortSet, ProductOptions, StateId};
 use reo_core::instantiate;
 
 use crate::connector::{bind, Connector};
+use crate::engine::PortMap;
 use crate::error::RuntimeError;
+use crate::jit::JitCore;
 
 /// What the analysis found.
 #[derive(Clone, Debug)]
 pub struct AnalysisReport {
-    /// Reachable composed states.
+    /// Reachable state tuples: the resident rows.
     pub states: usize,
-    /// Reachable composed transitions.
+    /// Connected steps summed over rows.
     pub transitions: usize,
-    /// Largest per-state fan-out (the Fig. 13 finding-3 hazard metric).
-    pub max_fanout: usize,
-    /// Control states with no outgoing transition.
+    /// The longest row: the fan-out the engine scans in one state. × would
+    /// hold every union of its port-disjoint steps there, the exponential
+    /// fan-out of Fig. 13 finding 3 that connected-step expansion removed.
+    pub max_row_steps: usize,
+    /// Rows with no step: a × state has no transition iff it has none.
     pub deadlocks: usize,
-    /// Boundary ports that no reachable transition mentions: sends/receives
-    /// on them can never complete.
+    /// Boundary ports that no step's label names: sends/receives on them
+    /// can never complete.
     pub dead_ports: Vec<PortId>,
-    /// Number of medium automata before composition.
+    /// Number of medium automata.
     pub medium_count: usize,
 }
 
@@ -45,44 +46,33 @@ impl AnalysisReport {
 }
 
 impl Connector {
-    /// Statically analyse the connector at the given sizes: compose the
-    /// instance (within `opts` budgets) and inspect the reachable space.
-    ///
-    /// Uses the same instantiation path as
-    /// [`SessionSpec::connect`](crate::SessionSpec::connect), so the analysed
-    /// artifact is exactly what would run.
+    /// Statically analyse the connector at the given sizes: every reachable
+    /// row of the medium automata as one region, filled within `opts` from
+    /// the template and instantiation [`Mode::compiled`](crate::Mode::compiled)
+    /// connects, so the analysed artifact is exactly what would run.
     pub fn analyze(
         &self,
         sizes: &[(&str, usize)],
         opts: &ProductOptions,
     ) -> Result<AnalysisReport, RuntimeError> {
-        let program = self.program();
-        let name = self.name();
-        let cc = reo_core::compile(program, name)?;
+        let cc = self.template()?;
         let mut alloc = PortAllocator::new();
         let binding = bind(cc.params(), sizes, &mut alloc)?;
         let instance = instantiate(&cc, &binding, &mut alloc)?;
         let medium_count = instance.automata.len();
-        let composed = product_all(&instance.automata, opts)?;
-        let stats = space_stats(&composed);
-        let deadlocks = deadlock_states(&composed).len();
+        let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
+        let ports = PortMap::dense(alloc.port_count());
+        let core = JitCore::eager(instance.automata, &starts, &ports, opts)?;
 
+        let rows: Vec<usize> = core.rows().map(|(_, steps)| steps.len()).collect();
+        let named: PortSet = core.labels().fold(PortSet::new(), |all, l| all.union(&l));
         let boundary: PortSet = binding.values().flatten().copied().collect();
-        let mentioned: PortSet = (composed.all_states())
-            .flat_map(|s| composed.transitions_from(s))
-            .flat_map(|t| t.sync.iter())
-            .collect();
-        let dead_ports: Vec<PortId> = boundary
-            .iter()
-            .filter(|p| !mentioned.contains(*p))
-            .collect();
-
         Ok(AnalysisReport {
-            states: stats.states,
-            transitions: stats.transitions,
-            max_fanout: stats.max_fanout,
-            deadlocks,
-            dead_ports,
+            states: rows.len(),
+            transitions: rows.iter().sum(),
+            max_row_steps: rows.iter().copied().max().unwrap_or(0),
+            deadlocks: rows.iter().filter(|&&steps| steps == 0).count(),
+            dead_ports: boundary.iter().filter(|p| !named.contains(*p)).collect(),
             medium_count,
         })
     }
@@ -133,8 +123,9 @@ mod tests {
         let report = connector
             .analyze(&[("t", 10), ("h", 10)], &ProductOptions::default())
             .unwrap();
-        // × admits every nonempty subset of the 10 independent syncs.
-        assert_eq!(report.max_fanout, (1 << 10) - 1);
+        // One row of the 10 independent syncs, where × would hold every
+        // nonempty subset of them (1,023).
+        assert_eq!((report.states, report.max_row_steps), (1, 10));
         assert!(report.is_deadlock_free());
     }
 

@@ -13,14 +13,12 @@
 //!   own thread, see [`crate::partition`]) and the [`Composition`] (each
 //!   row on first visit, or every reachable row at `connect`).
 //!
-//! There is one backend: every session is a [`Partitioned`], which its
-//! port handles, its [`ConnectorHandle`], its watchdog and its splices
-//! share. The placement only feeds the partition's plan — on one engine,
-//! and for the existing approach, that plan is one region with no links.
-//!
-//! [`Mode::grid`] is the one list of runtimes every test and the fuzzer
-//! iterate; `core_for` is the one place a mode becomes a stepping core.
+//! Every session is a [`Partitioned`], whose plan is all the placement
+//! decides ([`crate::partition`]). [`Mode::grid`] is the one list of
+//! runtimes every test and the fuzzer iterate; `core_for` is the one place
+//! a mode becomes a stepping core.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -355,6 +353,15 @@ impl Connector {
         }
     }
 
+    /// The compiled template: cached for the new approach, compiled on
+    /// demand for the existing one.
+    pub(crate) fn template(&self) -> Result<Cow<'_, CompiledConnector>, RuntimeError> {
+        Ok(match &self.compiled {
+            Some(cc) => Cow::Borrowed(cc),
+            None => Cow::Owned(compile(&self.program, &self.name)?),
+        })
+    }
+
     /// Instantiate for concrete array sizes and build the engine(s).
     ///
     /// `sizes` gives the length per array parameter; scalar parameters
@@ -367,17 +374,10 @@ impl Connector {
     ) -> Result<Session, RuntimeError> {
         let mut alloc = PortAllocator::new();
         // Reconfiguration replays the instantiation walk at every splice,
-        // so it needs the compiled template even in the monolithic mode —
-        // compile it on demand there.
-        let compiled_on_demand;
-        let compiled: Option<&CompiledConnector> = match (&self.compiled, reconfigurable) {
-            (Some(cc), _) => Some(cc),
-            (None, true) => {
-                compiled_on_demand = compile(&self.program, &self.name)?;
-                Some(&compiled_on_demand)
-            }
-            (None, false) => None,
-        };
+        // so it needs the template even in the existing approach.
+        let wanted = self.compiled.is_some() || reconfigurable;
+        let template = wanted.then(|| self.template()).transpose()?;
+        let compiled = template.as_deref();
         let flat;
         let (binding, tails) = match compiled {
             Some(cc) => (bind(cc.params(), sizes, &mut alloc)?, &cc.tails),
@@ -683,9 +683,8 @@ impl ConnectorHandle {
         self.parts.steps()
     }
 
-    /// Engine contention counters: steps, completions, targeted wakeups,
-    /// spurious wakeups, lock acquisitions — summed over the session's
-    /// region engines. See [`EngineStats`].
+    /// The [`EngineStats`] counters, summed over the session's region
+    /// engines.
     pub fn stats(&self) -> EngineStats {
         self.parts.stats()
     }

@@ -45,19 +45,12 @@
 //!
 //! # Link ports
 //!
-//! A region engine of a partition is told which of its slots are the
-//! tails and heads of cut fifos (`LinkEnd`, with the link's shared
-//! `LinkShared` queue) and `fire_loop` serves such a port **in the hold
-//! that completed it**: a completed tail moves its delivery into the queue
-//! and re-arms the receive while credit remains, a completed head pops the
-//! acknowledged front and offers the next. The link mutex is a leaf, taken
-//! under this engine's lock for a push, a pop or a flag flip — whether
-//! the port is dead here is such a flag, written by the hangup analysis.
-//! What must happen on the *other* engine leaves the hold as
-//! [`LinkEvents`] next to the wake list ("look at your end again"; beside
-//! them the fault, if the firing poisoned this engine); the partition
-//! drains them, one hold each (`Engine::serve`). Engines without link
-//! ends pay one never-taken branch per completed port.
+//! A region engine of a partition knows which of its slots are the tails
+//! and heads of cut fifos (`LinkEnd`) and serves them in `fire_loop` by the
+//! link protocol of [`crate::partition`]. What the *other* engine must do
+//! leaves the hold as [`LinkEvents`] next to the wake list, beside the
+//! fault if the firing poisoned this engine. Engines without link ends pay
+//! one never-taken branch per completed port.
 //!
 //! # Port sharding
 //!
@@ -857,9 +850,9 @@ impl Engine {
     /// (under guards the splice holds several of at once).
     /// Deferring in the service hold too measured worse on `links` — the
     /// consumer of a buffered link then drains one value per wake; the
-    /// numbers are in docs/ARCHITECTURE.md, "wake protocol", and a
-    /// deliberate wake policy for buffered links is ROADMAP's "Spin-then-park
-    /// and a buffered-link wake policy" follow-on.
+    /// numbers are in CHANGES.md, "SIGNAL AFTER UNLOCK", and a deliberate
+    /// wake policy for buffered links is ROADMAP's "Spin-then-park and a
+    /// buffered-link wake policy" follow-on.
     fn deliver_under_lock(inner: &mut EngineInner) {
         std::mem::take(&mut inner.wakes).deliver();
     }
@@ -1407,7 +1400,7 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Dynamic reconfiguration (stage 8). The engine mutex *is* the region
+    // Dynamic reconfiguration (`crate::reconfig`). The engine mutex *is* the region
     // quiesce: transitions only fire inside `fire_loop` with it held, so
     // holding it guarantees no in-flight firing. A splice validates, swaps
     // the core/pending/store, and wakes everything; a woken task polls

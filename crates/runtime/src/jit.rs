@@ -286,6 +286,11 @@ impl JitCore {
         })
     }
 
+    /// The label of every step in the table.
+    pub(crate) fn labels(&self) -> impl Iterator<Item = PortSet> + '_ {
+        (0..self.steps.len() as u32).map(|id| self.outline(self.choice(id)).0)
+    }
+
     /// The choice vector of step `id`.
     fn choice(&self, id: u32) -> &[Choice] {
         let (start, end) = self.steps[id as usize].choice;

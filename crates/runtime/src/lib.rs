@@ -2,38 +2,15 @@
 //!
 //! Parametrized execution (Sect. IV-D of van Veen & Jongmans, IPDPSW 2018):
 //! blocking ports in the generalized Foster–Chandy model, a sequential
-//! protocol engine, and the paper's two approaches ([`Mode`]), both stepped
-//! by one core ([`jit::JitCore`]) that lowers each step to a register
-//! program when it is first tried —
-//!
-//! * the **existing approach** ([`Mode::existing`]: one large automaton
-//!   composed from fully elaborated primitives, every row filled at
-//!   `connect` — the Fig. 12 baseline), and
-//! * the **new approach** over the medium automata. Its [`Composition`]
-//!   fills a state's row on first visit ([`Mode::jit`]) or every reachable
-//!   row at `connect` ([`Mode::compiled`]); its [`Placement`] runs on one engine or
-//!   **partitioned** ([`Mode::partitioned`], [`Mode::compiled_partitioned`]
-//!   — the optimization of the paper's reference \[32\], which fixes
-//!   Fig. 13's finding 3): one engine per synchronous region, cut fifos as
-//!   links.
+//! protocol engine, and the paper's two approaches ([`Mode`], see
+//! [`connector`]), both stepped by one core ([`jit::JitCore`]).
 //!
 //! There is one scheduler: as in the paper, the task that calls
-//! `send`/`recv` steps the connector itself. In the partitioned modes a
-//! link port is finished in the engine-lock hold that completed it, and
-//! the two things that belong to the link's *other* engine leave that hold
-//! as events the calling port operation drains, one hold each — nobody
-//! polls a link (see [`partition`]). [`Mode::grid`] lists every runtime
-//! for the tests and the fuzzer.
-//!
-//! There is one wait protocol, too: a port operation is *polled* — one
-//! hold registers it, fires what it enables and, if it has no outcome yet,
-//! parks a waker in its port's slot — and a completed transition wakes
-//! only the ports that fired (no thundering herd). A blocking `send` is
-//! that protocol run in place under a waker that unparks the calling
-//! thread; `send_async` is the same under the task's waker (see [`engine`]
-//! and [`port`]). Contention counters come through
-//! [`ConnectorHandle::stats`] ([`EngineStats`]: steps, completions, woken
-//! threads and tasks, spurious wake-ups, lock acquisitions).
+//! `send`/`recv` steps the connector itself. Every port call runs the
+//! engine's one wait protocol ([`engine`], [`port`]), and values cross
+//! between synchronous regions by the link protocol ([`partition`]).
+//! [`ConnectorHandle::stats`] returns the counters of both
+//! ([`EngineStats`]).
 //!
 //! Compile with the builder, connect into a [`Session`], and take *typed*
 //! port handles — `recv()` returns `i64` here, not a raw `Value`:

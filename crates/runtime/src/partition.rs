@@ -9,11 +9,9 @@
 //! at queue automata ([`reo_automata::automaton::QueueHint`]): each
 //! synchronous region gets its own engine, and each cut fifo becomes a
 //! [`Link`] — an actual queue moving values from one engine's boundary to
-//! another's. Expansion work then scales with the largest *region*, not
-//! with the whole connector. Each region engine allocates its
-//! pending and waker tables only for its own ports
-//! ([`crate::engine::PortMap::Sparse`]), so memory also scales with the
-//! region, not with the whole connector.
+//! another's. Expansion work and, through port sharding
+//! ([`crate::engine`]), memory then scale with the largest *region*, not
+//! with the whole connector.
 //!
 //! Every session is a [`Partitioned`]; the [`Placement`] only decides the
 //! plan. On one engine ([`Placement::Single`], and the existing approach)
@@ -73,18 +71,11 @@
 //! offer/acknowledge pair apart or reorder two values of one link, and
 //! "dead and dry" is one look under one mutex, whoever comes last.
 //!
-//! **Counters.** [`EngineStats::batch_moves`] counts holds that moved a
-//! value across a link end and [`EngineStats::batched_values`] the values
-//! (each crossing counts once per side). [`EngineStats::kicks`] counts
-//! port operations on a region bordering two or more links that had
-//! events to drain; a single-link chain such as the `relay` family's
-//! `Sync – Fifo1 – Sync` keeps it at zero, and costs four engine-lock
-//! holds per value: the poll that completes the send and the `Offer` it
-//! raised; the poll that completes the receive and the `Rearm` it raised.
-//!
-//! [`EngineStats::batch_moves`]: crate::EngineStats::batch_moves
-//! [`EngineStats::batched_values`]: crate::EngineStats::batched_values
-//! [`EngineStats::kicks`]: crate::EngineStats::kicks
+//! **Cost.** A single-link chain such as the `relay` family's
+//! `Sync – Fifo1 – Sync` costs four engine-lock holds per value: the poll
+//! that completes the send and the `Offer` it raised; the poll that
+//! completes the receive and the `Rearm` it raised. The link counters are
+//! [`EngineStats`]'s.
 //!
 //! # Example
 //!

@@ -7,16 +7,9 @@
 //! nonblocking — Footnote 1), and a `recv` completes only when the
 //! connector delivers one.
 //!
-//! Every operation here is one protocol, the engine's
-//! ([`crate::engine`], "One wait protocol"): **poll** — one hold that
-//! registers the operation, fires what it enables and, if there is no
-//! outcome yet, parks a [`Waker`] in the port's slot — poll again once
-//! woken, and **retract** when giving up, which still completes if a step
-//! got there first, so nothing is ever lost or duplicated. Every hold goes
-//! through the session's one backend, a [`Partitioned`]
-//! ([`crate::partition`]): on one engine, a partition with one region and
-//! no links, whose drain finds nothing to serve. What differs is who stands
-//! behind the waker:
+//! Every operation here runs the engine's one wait protocol
+//! ([`crate::engine`], "One wait protocol") through the session's
+//! [`Partitioned`]. What differs is who stands behind the [`Waker`]:
 //!
 //! * **blocking** [`Outport::send`]/[`Inport::recv`] run the protocol in
 //!   place (`block_on`): the waker unparks the calling thread, which parks
@@ -30,9 +23,6 @@
 //!   required; any executor works, e.g. `reo-exec`) that park the task's
 //!   waker; dropping a pending future retracts it, so cancellation — e.g.
 //!   losing a [`crate::select::select2`] race — is safe.
-//!   [`crate::EngineStats`] counts woken threads as `wakeups` and woken
-//!   tasks as `waker_wakes`; either is woken exactly when its port
-//!   completes.
 //!
 //! Handles are **typed**: [`Outport<T>`]/[`Inport<T>`] over the
 //! [`IntoValue`]/[`FromValue`] conversion traits, so tasks send `i64`s or

@@ -1,4 +1,4 @@
-//! Dynamic reconfiguration (stage 8): epoch-based attach/detach of
+//! Dynamic reconfiguration: epoch-based attach/detach of
 //! replicated branches on a *running* session.
 //!
 //! A reconfigurable session keeps the ingredients of its own `connect` —

@@ -50,12 +50,10 @@
 //! and deadline-bounded (`send_timeout`/`recv_timeout`) operations; see
 //! [`runtime`] for the polling-loop example.
 
-/// The long-form architecture guide, rendered from the repository's
-/// `docs/ARCHITECTURE.md`: crate map, the one scheduler's progression
-/// from one engine to partitioned, reconfigurable and fault-contained
-/// sessions, and the paper-to-module table.
-/// Included here so its examples compile and run as doctests of the
-/// facade.
+/// The map of the workspace, rendered from the repository's
+/// `docs/ARCHITECTURE.md`: the crate table, the paper-to-module table, one
+/// paragraph per layer pointing at its module docs, and three guided
+/// examples, included here so they run as doctests of the facade.
 #[doc = include_str!("../docs/ARCHITECTURE.md")]
 pub mod architecture {}
 

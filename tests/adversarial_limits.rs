@@ -257,6 +257,34 @@ fn compiled_sessions_connect_what_their_product_could_not() {
     }
 }
 
+/// `analyze` inspects the rows a compiled session fills, so it succeeds on
+/// the same four cells (as a composed product, each exploded here too):
+/// the channels are one deadlock-free row of one step per channel.
+#[test]
+fn analysis_runs_where_compiled_sessions_connect() {
+    use reo::automata::ProductOptions;
+    use reo::connectors::families;
+    for (name, n) in [
+        ("channels", 64),
+        ("exchanger", 64),
+        ("token_ring", 16),
+        ("load_balancer", 8),
+    ] {
+        let family = families().into_iter().find(|f| f.name == name).unwrap();
+        let connector = Connector::builder(&family.program(), family.def)
+            .mode(Mode::compiled())
+            .build()
+            .unwrap();
+        let report = (connector.analyze(&(family.sizes)(n), &ProductOptions::default()))
+            .unwrap_or_else(|e| panic!("{name} n={n}: {e}"));
+        assert!(report.is_deadlock_free(), "{name} n={n}: {report:?}");
+        assert!(!report.has_dead_ports(), "{name} n={n}: {report:?}");
+        if name == "channels" {
+            assert_eq!((report.states, report.max_row_steps), (1, n));
+        }
+    }
+}
+
 /// The budgets bound the product that comes out, not a partial product on
 /// the way: these four families compose to 2n / n / n / 1 states, and under
 /// the default limits they connect — on one engine, partitioned, and in the

@@ -21,7 +21,8 @@
 //! seven generated shapes, and every scenario in `tests/corpus/` — which is
 //! where a counterexample lands: the failure message is a ready `.case`
 //! file — plus four hand-built lists whose neighbours share two vertices.
-//! See PROPERTY-TESTS.md.
+//! CHANGES.md records the mutations this fails under ("CONNECTED-STEP JIT
+//! EXPANSION", "AN EAGER PRODUCT COSTS WHAT COMES OUT OF IT").
 
 mod steps;
 

@@ -6,8 +6,8 @@
 //! value — is minimized and committed here, alongside hand-written seed
 //! scenarios promoted from the mode-equivalence suite. The corpus only
 //! grows; a replay failure means a past bug is back, and the message
-//! names the case file. See PROPERTY-TESTS.md for the file format and
-//! the discipline.
+//! names the case file. `reo_fuzz::corpus` has the file format and the
+//! discipline.
 
 use std::path::Path;
 

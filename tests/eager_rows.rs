@@ -16,7 +16,9 @@
 //!
 //! Connectors: the eighteen Fig. 12 families at n ∈ {2,3,4}, the fuzzer's
 //! seven shapes, every scenario in `tests/corpus/`, and the hand-built
-//! neighbours sharing two vertices. See PROPERTY-TESTS.md.
+//! neighbours sharing two vertices. CHANGES.md records the mutations this
+//! fails under ("A COMPILED SESSION IS THE JIT WITH EVERY REACHABLE ROW
+//! FILLED AT CONNECT").
 
 // Shared with `connected_steps.rs` and `product_nary.rs`, whose oracle is
 // the fold this file does not need.

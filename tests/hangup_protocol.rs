@@ -26,7 +26,8 @@
 //! operations parked in the other, and at the end of every schedule every
 //! engine is poisoned and nobody is left waiting.
 //!
-//! Mutation-checked (PROPERTY-TESTS.md has the runs): without `freshen` in
+//! Mutation-checked (CHANGES.md has the runs, under "HANGUP ANALYSIS COSTS
+//! WHAT CHANGED" and "ONE WAY OUT OF A HOLD"): without `freshen` in
 //! `Engine::poll` the first script parks a receive under a stale dead set,
 //! and without the eager branch of `Engine::hangup` a parked receive is
 //! never woken; not raising the peer's event when a flag changes, `serve`

@@ -22,8 +22,8 @@
 //!
 //! Connectors: the eighteen Fig. 12 families at n ∈ {2,3,4}, the Fig. 13
 //! protocol at four slaves, the differential fuzzer's generated connectors
-//! (fixed seeds, every shape) and those of the replay corpus. See
-//! PROPERTY-TESTS.md.
+//! (fixed seeds, every shape) and those of the replay corpus. CHANGES.md
+//! records the mutations this fails under ("ONE STEPPING CORE").
 
 use std::collections::{HashSet, VecDeque};
 

@@ -9,7 +9,8 @@
 //! the benchmark opens. It prints the per-phase means and holds the total
 //! to a budget, so that a change which brings back per-step, per-port-set
 //! or per-identifier heap traffic fails here rather than as a slower
-//! benchmark run. See PROPERTY-TESTS.md.
+//! benchmark run. CHANGES.md has the counts the budget was set at ("A COLD
+//! OPEN STOPS PAYING THE ALLOCATOR FOR WHAT IT THROWS AWAY").
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

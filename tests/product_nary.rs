@@ -13,8 +13,9 @@
 //!
 //! Connectors: the eighteen Fig. 12 families at n ∈ {2,3,4}, the fuzzer's
 //! seven generated shapes, every scenario in `tests/corpus/`, and four
-//! hand-built constituent lists whose neighbours share two vertices. See
-//! PROPERTY-TESTS.md for the mutations this fails under.
+//! hand-built constituent lists whose neighbours share two vertices.
+//! CHANGES.md records the mutations this fails under ("AN EAGER PRODUCT
+//! COSTS WHAT COMES OUT OF IT").
 
 mod steps;
 

@@ -1,6 +1,6 @@
 //! The engine records wake-ups under its mutex and delivers them after the
-//! unlock (docs/ARCHITECTURE.md, "wake protocol"; the one exception is the
-//! hold that serves a link event for another region, held by
+//! unlock (`reo::runtime::engine`, "One wait protocol"; the one exception
+//! is the hold that serves a link event for another region, held by
 //! `engine::tests::wakes_follow_the_unlock_except_in_serve`). These tests
 //! hold the two things that discipline could break: a wake-up lost or
 //! duplicated between two threads that park on each other, and a wake that
