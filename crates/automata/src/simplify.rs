@@ -10,8 +10,8 @@
 //! transitions that become identical. The paper reports 1.2×–48.9× speedups
 //! from this optimization in the existing compiler, and notes it is equally
 //! applicable (per medium automaton) in the new approach: `reo_core`'s
-//! `compile` simplifies each medium automaton, `compile_monolithic` the
-//! large one.
+//! `compile` simplifies each medium automaton, `ConnectorInstance::monolithic`
+//! the large one.
 
 use crate::assign::{Assign, Dst};
 use crate::automaton::{Automaton, AutomatonBuilder, StateId, Transition};

@@ -10,6 +10,10 @@
 //! on the number of connectees — iteration bounds, conditional branches,
 //! the identity of the concrete vertices — is retained as a residual tree
 //! ([`CompiledNode`]) that [`crate::instantiate()`] walks at run time.
+//!
+//! The existing approach composes nothing before N is known
+//! (Sect. III-B): [`compile_primitives`] keeps the flat definition's tree
+//! with every primitive deferred, and the same walk instantiates it.
 
 use std::collections::HashMap;
 
@@ -19,7 +23,7 @@ use reo_automata::{product_all, Automaton, MemId, Name, PortId, PortSet, Product
 use crate::affine::{Affine, Sym};
 use crate::builtins;
 use crate::error::CoreError;
-use crate::flat::{flatten, FlatBool, FlatDef, FlatInst, FlatOperand, FlatRef};
+use crate::flat::{flatten, FlatBool, FlatDef, FlatExpr, FlatInst, FlatOperand, FlatRef};
 use crate::ir::{Param, PrimRegistry, Program};
 use crate::normalize::{normalize, IfNF, NormalForm, ProdNF};
 
@@ -40,7 +44,8 @@ pub enum CompiledNode {
     /// Instantiate one medium automaton.
     Medium(MediumTemplate),
     /// A constituent whose shape depends on run-time values (slice operands
-    /// or non-constant integer arguments): built directly at instantiation.
+    /// or non-constant integer arguments), or any primitive of the existing
+    /// approach's template: built directly at instantiation.
     Deferred(FlatInst),
     /// Sequence of parts (the sections of one normal form).
     Seq(Vec<CompiledNode>),
@@ -89,14 +94,21 @@ pub struct CompiledConnector {
     pub heads: Vec<Param>,
     pub root: CompiledNode,
     pub registry: PrimRegistry,
-    /// The flattened definition, kept for full elaboration (the "existing
-    /// approach" baseline) and for debugging.
-    pub flat: FlatDef,
 }
 
 impl CompiledConnector {
     pub fn params(&self) -> impl Iterator<Item = &Param> {
         self.tails.iter().chain(self.heads.iter())
+    }
+
+    fn new(flat: FlatDef, root: CompiledNode, program: &Program) -> Self {
+        CompiledConnector {
+            name: flat.name,
+            tails: flat.tails,
+            heads: flat.heads,
+            root,
+            registry: program.registry.clone(),
+        }
     }
 }
 
@@ -115,14 +127,39 @@ pub fn compile(program: &Program, name: &str) -> Result<CompiledConnector, CoreE
         next_section: 0,
     };
     let root = compiler.build(&nf, &[])?;
-    Ok(CompiledConnector {
-        name: flat.name.clone(),
-        tails: flat.tails.clone(),
-        heads: flat.heads.clone(),
-        root,
-        registry: program.registry.clone(),
-        flat,
-    })
+    Ok(CompiledConnector::new(flat, root, program))
+}
+
+/// Compile `name` with the existing approach: a primitive-level template,
+/// the flat definition's tree with every primitive a
+/// [`CompiledNode::Deferred`] node, so that nothing is composed before the
+/// number of connectees is known.
+pub fn compile_primitives(program: &Program, name: &str) -> Result<CompiledConnector, CoreError> {
+    fn defer(expr: &FlatExpr) -> CompiledNode {
+        let boxed = |e: &FlatExpr| Box::new(defer(e));
+        match expr {
+            FlatExpr::Inst(inst) => CompiledNode::Deferred(inst.clone()),
+            FlatExpr::Mult(parts) => CompiledNode::Seq(parts.iter().map(defer).collect()),
+            FlatExpr::Prod { var, lo, hi, body } => CompiledNode::For {
+                var: var.clone(),
+                lo: lo.clone(),
+                hi: hi.clone(),
+                body: boxed(body),
+            },
+            FlatExpr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => CompiledNode::If {
+                cond: cond.clone(),
+                then_branch: boxed(then_branch),
+                else_branch: else_branch.as_deref().map(boxed),
+            },
+        }
+    }
+    let flat = flatten(program, name)?;
+    let root = defer(&flat.body);
+    Ok(CompiledConnector::new(flat, root, program))
 }
 
 /// Where each vertex base name is used, for hidability analysis.

@@ -5,11 +5,16 @@
 //! decided, iterations unrolled, and each medium-automaton template is
 //! stamped out with concrete ports and fresh memory cells — yielding the
 //! list of state machines that the execution engines then compose
-//! ahead-of-time or just-in-time (Sect. IV-D).
+//! ahead-of-time or just-in-time (Sect. IV-D). It is the one walk of both
+//! approaches: the existing one's template defers every primitive, and
+//! [`ConnectorInstance::monolithic`] composes what it stamps.
 
 use std::collections::{HashMap, HashSet};
 
-use reo_automata::{remap::remap, Automaton, MemId, MemLayout, PortAllocator, PortId};
+use reo_automata::{
+    product_all, remap::remap, simplify, Automaton, Explosion, MemId, MemLayout, PortAllocator,
+    PortId, PortSet, ProductOptions,
+};
 
 use crate::affine::Env;
 use crate::compile::{build_prim, CompiledConnector, CompiledNode, MediumTemplate};
@@ -21,7 +26,8 @@ use crate::resolve::{env_from_binding, Binding, Resolver};
 /// metadata, ready to hand to an execution engine.
 #[derive(Clone, Debug)]
 pub struct ConnectorInstance {
-    /// The concrete medium automata (one for the monolithic baseline).
+    /// The concrete constituents: medium automata, primitives, or the one
+    /// [`monolithic`](ConnectorInstance::monolithic) product.
     pub automata: Vec<Automaton>,
     /// Concrete ports per formal parameter name.
     pub boundary: Binding,
@@ -32,26 +38,14 @@ pub struct ConnectorInstance {
 }
 
 impl ConnectorInstance {
-    pub(crate) fn from_automata(
-        automata: Vec<Automaton>,
-        boundary: Binding,
-        alloc: &PortAllocator,
-    ) -> Self {
-        let mut mem_layout = MemLayout::cells(alloc.mem_count());
-        for a in &automata {
-            mem_layout.merge(a.mem_layout());
-        }
-        ConnectorInstance {
-            automata,
-            boundary,
-            port_count: alloc.port_count(),
-            mem_layout,
-        }
-    }
-
-    /// Total number of control states across the medium automata.
-    pub fn total_states(&self) -> usize {
-        self.automata.iter().map(|a| a.state_count()).sum()
+    /// The existing approach's composition: every constituent composed
+    /// into one large automaton within `product` (exceeding it is the
+    /// "existing compiler cannot handle this connector" failure of
+    /// Fig. 12), its labels simplified down to the boundary ports (\[30\]).
+    pub fn monolithic(mut self, product: &ProductOptions) -> Result<Self, Explosion> {
+        let keep: PortSet = self.boundary.values().flatten().copied().collect();
+        self.automata = vec![simplify(&product_all(&self.automata, product)?, &keep)];
+        Ok(self)
     }
 }
 
@@ -109,21 +103,25 @@ pub fn instantiate(
         return Err(CoreError::NoConstituents(cc.name.clone()));
     }
     check_vertex_arity(&automata)?;
-    Ok(ConnectorInstance::from_automata(
+    let mut mem_layout = MemLayout::cells(alloc.mem_count());
+    for a in &automata {
+        mem_layout.merge(a.mem_layout());
+    }
+    Ok(ConnectorInstance {
         automata,
-        binding.clone(),
-        alloc,
-    ))
+        boundary: binding.clone(),
+        port_count: alloc.port_count(),
+        mem_layout,
+    })
 }
 
 /// Every vertex joins at most one incoming and one outgoing channel end:
 /// a port may be the input of at most one constituent and the output of
 /// at most one (fan-in/fan-out are the explicit `Merger`/`Replicator`
 /// primitives). Violations composed unsoundly in release builds and
-/// tripped `debug_assert`s in the product in debug builds; both paths
-/// (lazy instantiation here, eager elaboration in `compile_monolithic`)
-/// now refuse with the same typed error.
-pub(crate) fn check_vertex_arity(automata: &[Automaton]) -> Result<(), CoreError> {
+/// tripped `debug_assert`s in the product in debug builds; the one walk
+/// refuses them with a typed error for either approach's template.
+fn check_vertex_arity(automata: &[Automaton]) -> Result<(), CoreError> {
     let mut as_input: HashSet<PortId> = HashSet::new();
     let mut as_output: HashSet<PortId> = HashSet::new();
     for a in automata {
@@ -220,7 +218,7 @@ fn walk(
     }
 }
 
-pub(crate) fn eval_cond(cond: &FlatBool, env: &Env) -> Result<bool, CoreError> {
+fn eval_cond(cond: &FlatBool, env: &Env) -> Result<bool, CoreError> {
     Ok(match cond {
         FlatBool::Cmp(op, a, b) => op.holds(a.eval(env)?, b.eval(env)?),
         FlatBool::And(a, b) => eval_cond(a, env)? && eval_cond(b, env)?,
@@ -277,24 +275,17 @@ fn build_deferred(
         .map(|a| a.eval(env))
         .collect::<Result<Vec<i64>, _>>()?;
     // The resolver's allocator hands out the fresh memory cells.
-    let mut mems = Vec::new();
-    {
-        let alloc = resolver.alloc();
-        // Reserve lazily: builtins ask for cells one at a time.
-        let mut fresh = || {
-            let m = alloc.fresh_mem();
-            mems.push(m);
-            m
-        };
-        build_prim(&cc.registry, &inst.prim, &iargs, &tails, &heads, &mut fresh)
-    }
+    let alloc = resolver.alloc();
+    let mut fresh = || alloc.fresh_mem();
+    build_prim(&cc.registry, &inst.prim, &iargs, &tails, &heads, &mut fresh)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile;
+    use crate::compile::{compile, compile_primitives};
     use crate::examples;
+    use crate::ir::Program;
 
     fn bind(alloc: &mut PortAllocator, spec: &[(&str, usize)]) -> Binding {
         spec.iter()
@@ -354,7 +345,7 @@ mod tests {
         // prod (i:1..10⁹) if (#tl == 2) { Sync(tl[1];hd[1]) } — the body
         // stamps nothing for #tl == 1, but every iteration still costs a
         // work unit, so connect returns a typed error instead of spinning.
-        use crate::ir::{BExpr, CExpr, Cmp, ConnectorDef, IExpr, Inst, Param, PortRef, Program};
+        use crate::ir::{BExpr, CExpr, Cmp, ConnectorDef, IExpr, Inst, Param, PortRef};
         let def = ConnectorDef {
             name: "Huge".into(),
             tails: vec![Param::array("tl")],
@@ -432,5 +423,87 @@ mod tests {
         for m in &mems1 {
             assert!(!mems2.contains(m));
         }
+    }
+
+    /// The existing approach at fixed sizes: the primitive-level template,
+    /// instantiated.
+    fn primitives(prog: &Program, name: &str, spec: &[(&str, usize)]) -> ConnectorInstance {
+        let cc = compile_primitives(prog, name).unwrap();
+        let mut alloc = PortAllocator::new();
+        let binding = bind(&mut alloc, spec);
+        instantiate(&cc, &binding, &mut alloc).unwrap()
+    }
+
+    #[test]
+    fn elaboration_counts_match_fig9() {
+        let prog = examples::paper_program();
+        for n in [1usize, 2, 5] {
+            let prims = primitives(&prog, "ConnectorEx11N", &[("tl", n), ("hd", n)]);
+            let expected = if n == 1 {
+                1 // single Fifo1
+            } else {
+                3 * n + (n - 1) + 1 // X expands to 3 prims each
+            };
+            assert_eq!(prims.automata.len(), expected, "n={n}");
+        }
+    }
+
+    #[test]
+    fn monolithic_ex11_is_small_and_deadlock_free() {
+        use reo_automata::explore::is_deadlock_free;
+        let prog = examples::paper_program();
+        let inst = primitives(&prog, "ConnectorEx11N", &[("tl", 2), ("hd", 2)]);
+        let boundary: PortSet = inst.boundary.values().flatten().copied().collect();
+        let inst = inst.monolithic(&ProductOptions::default()).unwrap();
+        assert_eq!(inst.automata.len(), 1);
+        let large = &inst.automata[0];
+        assert!(is_deadlock_free(large));
+        // After simplification, labels mention only boundary ports.
+        for s in large.all_states() {
+            for t in large.transitions_from(s) {
+                assert!(t.sync.is_subset(&boundary));
+            }
+        }
+    }
+
+    #[test]
+    fn monolithic_explodes_on_wide_unsynchronized_connectors() {
+        // N independent producer buffers: k disjoint Fifo1s via prod.
+        use crate::ir::*;
+        let def = ConnectorDef {
+            name: "Buffers".into(),
+            tails: vec![Param::array("a")],
+            heads: vec![Param::array("b")],
+            body: CExpr::prod(
+                "i",
+                IExpr::Const(1),
+                IExpr::len("a"),
+                CExpr::Inst(Inst::new(
+                    "Fifo1",
+                    vec![PortRef::indexed("a", IExpr::var("i"))],
+                    vec![PortRef::indexed("b", IExpr::var("i"))],
+                )),
+            ),
+        };
+        let prog = Program::new(vec![def]);
+        let inst = primitives(&prog, "Buffers", &[("a", 16), ("b", 16)]);
+        let opts = ProductOptions {
+            max_states: 4096,        // 2^16 states exceeds this
+            max_transitions: 65_536, // 3^16 joint steps exceed this first
+        };
+        let err = inst.monolithic(&opts).unwrap_err();
+        assert_eq!((err.limit_states, err.limit_transitions), (4096, 65_536));
+    }
+
+    #[test]
+    fn monolithic_matches_elaboration_reachability() {
+        let prog = examples::paper_program();
+        let inst = primitives(&prog, "ConnectorEx11N", &[("tl", 3), ("hd", 3)]);
+        let inst = inst.monolithic(&ProductOptions::default()).unwrap();
+        let stats = reo_automata::explore::space_stats(&inst.automata[0]);
+        // 3 fifo1 buffers x 3 seq2 phases... reachable subset only; just
+        // sanity-check the space is nontrivial yet far from exponential.
+        assert!(stats.states >= 4);
+        assert!(stats.states <= 64);
     }
 }

@@ -20,14 +20,13 @@
 //!    lengths known, the residual tree is walked and templates are stamped
 //!    out — the run-time share.
 //!
-//! [`mod@elaborate`] implements the *existing* approach (full elaboration for a
-//! fixed N and composition into one large automaton) as the baseline that
-//! Fig. 12 compares against.
+//! The *existing* approach, Fig. 12's baseline, takes the same walk over
+//! [`compile_primitives`]' template, which defers every primitive, and
+//! composes the result into one large automaton for the fixed N.
 
 pub mod affine;
 pub mod builtins;
 pub mod compile;
-pub mod elaborate;
 pub mod error;
 pub mod examples;
 pub mod flat;
@@ -36,8 +35,7 @@ pub mod ir;
 pub mod normalize;
 pub mod resolve;
 
-pub use compile::{compile, CompiledConnector, CompiledNode, MediumTemplate};
-pub use elaborate::{compile_monolithic, elaborate};
+pub use compile::{compile, compile_primitives, CompiledConnector, CompiledNode, MediumTemplate};
 pub use error::CoreError;
 pub use flat::{flatten, FlatDef};
 pub use instantiate::{instantiate, ConnectorInstance, INSTANTIATION_BUDGET};

@@ -7,10 +7,9 @@
 //! rows a compiled session fills at `connect`: reachable state counts,
 //! deadlocks, and dead ports (boundary ports no step fires — a wiring bug).
 
-use reo_automata::{PortAllocator, PortId, PortSet, ProductOptions, StateId};
-use reo_core::instantiate;
+use reo_automata::{PortId, PortSet, ProductOptions, StateId};
 
-use crate::connector::{bind, Connector};
+use crate::connector::Connector;
 use crate::engine::PortMap;
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
@@ -31,7 +30,7 @@ pub struct AnalysisReport {
     /// Boundary ports that no step's label names: sends/receives on them
     /// can never complete.
     pub dead_ports: Vec<PortId>,
-    /// Number of medium automata.
+    /// Number of constituents instantiated.
     pub medium_count: usize,
 }
 
@@ -47,18 +46,15 @@ impl AnalysisReport {
 
 impl Connector {
     /// Statically analyse the connector at the given sizes: every reachable
-    /// row of the medium automata as one region, filled within `opts` from
-    /// the template and instantiation [`Mode::compiled`](crate::Mode::compiled)
-    /// connects, so the analysed artifact is exactly what would run.
+    /// row of its instantiated template as one region, filled within
+    /// `opts` — the medium automata of the new approach, or the primitives
+    /// of the existing one, whose reachable states are the same.
     pub fn analyze(
         &self,
         sizes: &[(&str, usize)],
         opts: &ProductOptions,
     ) -> Result<AnalysisReport, RuntimeError> {
-        let cc = self.template()?;
-        let mut alloc = PortAllocator::new();
-        let binding = bind(cc.params(), sizes, &mut alloc)?;
-        let instance = instantiate(&cc, &binding, &mut alloc)?;
+        let (alloc, instance) = self.instantiate(sizes)?;
         let medium_count = instance.automata.len();
         let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
         let ports = PortMap::dense(alloc.port_count());
@@ -66,7 +62,7 @@ impl Connector {
 
         let rows: Vec<usize> = core.rows().map(|(_, steps)| steps.len()).collect();
         let named: PortSet = core.labels().fold(PortSet::new(), |all, l| all.union(&l));
-        let boundary: PortSet = binding.values().flatten().copied().collect();
+        let boundary: PortSet = instance.boundary.values().flatten().copied().collect();
         Ok(AnalysisReport {
             states: rows.len(),
             transitions: rows.iter().sum(),

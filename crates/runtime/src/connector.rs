@@ -4,7 +4,7 @@
 //!
 //! A [`Mode`] is one of the paper's two approaches:
 //!
-//! * [`Mode::Existing`] — elaborate every primitive for the now-known N,
+//! * [`Mode::Existing`] — instantiate every primitive for the now-known N,
 //!   compose one large automaton, fill all its rows. Work that the existing Reo
 //!   compiler did at compile time happens inside `connect`.
 //! * [`Mode::New`] — the medium automata, with two independent knobs: the
@@ -13,23 +13,24 @@
 //!   own thread, see [`crate::partition`]) and the [`Composition`] (each
 //!   row on first visit, or every reachable row at `connect`).
 //!
+//! Either way `build` compiles one template and every session, analysis
+//! and stepping run instantiates it through `reo_core::instantiate`.
 //! Every session is a [`Partitioned`], whose plan is all the placement
 //! decides ([`crate::partition`]). [`Mode::grid`] is the one list of
 //! runtimes every test and the fuzzer iterate; `core_for` is the one place
 //! a mode becomes a stepping core.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use reo_automata::{
-    Automaton, FromValue, IntoValue, MemLayout, PortAllocator, PortId, ProductOptions, StateId,
+    Automaton, FromValue, IntoValue, PortAllocator, PortId, ProductOptions, StateId,
 };
 use reo_core::ir::Param;
 use reo_core::{
-    compile, compile_monolithic, instantiate, Binding, CompiledConnector, ConnectorInstance,
+    compile, compile_primitives, instantiate, Binding, CompiledConnector, ConnectorInstance,
     CoreError, Program, INSTANTIATION_BUDGET,
 };
 
@@ -172,10 +173,6 @@ impl Mode {
             .copied()
             .filter(move |(name, _)| names.contains(name))
     }
-
-    pub fn is_parametrized(&self) -> bool {
-        !matches!(self, Mode::Existing)
-    }
 }
 
 /// Tuning knobs.
@@ -200,11 +197,11 @@ impl Default for Limits {
 }
 
 /// The binding of `params` for the array sizes `sizes` (scalar parameters
-/// and absent names get one port) — for `connect`, `analyze` and
-/// `stepping_run` alike. A replication count beyond the instantiation
-/// budget could never elaborate anyway: refuse it before allocating
-/// millions of ports (and long before the `u32` port-id space could wrap).
-pub(crate) fn bind<'p>(
+/// and absent names get one port). A replication count beyond the
+/// instantiation budget could never instantiate anyway: refuse it before
+/// allocating millions of ports (and long before the `u32` port-id space
+/// could wrap).
+fn bind<'p>(
     params: impl IntoIterator<Item = &'p Param>,
     sizes: &[(&str, usize)],
     alloc: &mut PortAllocator,
@@ -227,8 +224,8 @@ pub(crate) fn bind<'p>(
 /// reconfiguration splices and the stepping microbench alike. The
 /// partitioned modes ask per region. Only the composition matters: rows on
 /// first visit, or all reachable rows now. The existing approach fills
-/// them for what its elaboration composed — one simplified automaton, or
-/// the primitives of a reconfigurable session.
+/// them for what it composed — one simplified automaton, or the
+/// primitives of a reconfigurable session.
 pub(crate) fn core_for(
     mode: Mode,
     limits: &Limits,
@@ -251,12 +248,10 @@ pub(crate) fn core_for(
 
 /// A compiled connector, ready to be connected for any number of tasks.
 pub struct Connector {
-    program: Program,
-    name: String,
     mode: Mode,
     limits: Limits,
-    /// Present for parametrized modes (compiled once, independent of N).
-    compiled: Option<CompiledConnector>,
+    /// The one template every session instantiates, independent of N.
+    compiled: CompiledConnector,
 }
 
 /// Fluent entry point: `Connector::builder(&program, "Buf").mode(..)
@@ -283,26 +278,15 @@ impl ConnectorBuilder<'_> {
         self
     }
 
-    /// Shorthand for bounding JIT expansion of a single state.
-    pub fn expansion_budget(mut self, budget: usize) -> Self {
-        self.limits.expansion_budget = budget;
-        self
-    }
-
-    /// Compile. For parametrized modes this performs the compile-time
-    /// share now; for the existing approach compilation must wait for N
-    /// and happens in [`SessionSpec::connect`].
+    /// Compile the template every session instantiates: the medium
+    /// automata of the new approach, or for the existing one the
+    /// primitives, of which nothing is composed before N is known.
     pub fn build(self) -> Result<Connector, RuntimeError> {
-        let compiled = if self.mode.is_parametrized() {
-            Some(compile(self.program, &self.name)?)
-        } else {
-            // Validate the definition exists even though elaboration waits.
-            reo_core::flatten(self.program, &self.name)?;
-            None
+        let compiled = match self.mode {
+            Mode::Existing => compile_primitives(self.program, &self.name)?,
+            Mode::New { .. } => compile(self.program, &self.name)?,
         };
         Ok(Connector {
-            program: self.program.clone(),
-            name: self.name,
             mode: self.mode,
             limits: self.limits,
             compiled,
@@ -322,16 +306,11 @@ impl Connector {
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.compiled.name
     }
 
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// The program this connector was compiled from.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Start describing a session over this connector: the typed
@@ -353,69 +332,44 @@ impl Connector {
         }
     }
 
-    /// The compiled template: cached for the new approach, compiled on
-    /// demand for the existing one.
-    pub(crate) fn template(&self) -> Result<Cow<'_, CompiledConnector>, RuntimeError> {
-        Ok(match &self.compiled {
-            Some(cc) => Cow::Borrowed(cc),
-            None => Cow::Owned(compile(&self.program, &self.name)?),
-        })
+    /// The one front end of `connect`, `analyze` and `stepping_run`: the
+    /// template `build` compiled, bound for `sizes` (the length per array
+    /// parameter; scalar parameters default to 1 and may be omitted) and
+    /// instantiated. The instance's layout covers every allocated cell.
+    pub(crate) fn instantiate(
+        &self,
+        sizes: &[(&str, usize)],
+    ) -> Result<(PortAllocator, ConnectorInstance), RuntimeError> {
+        let mut alloc = PortAllocator::new();
+        let binding = bind(self.compiled.params(), sizes, &mut alloc)?;
+        let instance = instantiate(&self.compiled, &binding, &mut alloc)?;
+        Ok((alloc, instance))
     }
 
     /// Instantiate for concrete array sizes and build the engine(s).
-    ///
-    /// `sizes` gives the length per array parameter; scalar parameters
-    /// default to 1 and may be omitted.
     fn connect_impl(
         &self,
         sizes: &[(&str, usize)],
         reconfigurable: bool,
         watchdog: Option<Duration>,
     ) -> Result<Session, RuntimeError> {
-        let mut alloc = PortAllocator::new();
-        // Reconfiguration replays the instantiation walk at every splice,
-        // so it needs the template even in the existing approach.
-        let wanted = self.compiled.is_some() || reconfigurable;
-        let template = wanted.then(|| self.template()).transpose()?;
-        let compiled = template.as_deref();
-        let flat;
-        let (binding, tails) = match compiled {
-            Some(cc) => (bind(cc.params(), sizes, &mut alloc)?, &cc.tails),
-            None => {
-                flat = reo_core::flatten(&self.program, &self.name)?;
-                (bind(flat.params(), sizes, &mut alloc)?, &flat.tails)
-            }
-        };
-        let tail_names: Vec<String> = tails.iter().map(|p| p.name.clone()).collect();
-
-        let instance: ConnectorInstance = match compiled {
-            None => compile_monolithic(
-                &self.program,
-                &self.name,
-                &binding,
-                &mut alloc,
-                &self.limits.product,
-            )?,
-            Some(cc) => instantiate(cc, &binding, &mut alloc)?,
-        };
-
-        let mut layout = MemLayout::cells(alloc.mem_count());
-        layout.merge(&instance.mem_layout);
+        let (alloc, mut instance) = self.instantiate(sizes)?;
+        // A reconfigurable session steps the primitives themselves, so
+        // that a splice can read each one's state.
+        if self.mode == Mode::Existing && !reconfigurable {
+            instance = instance.monolithic(&self.limits.product)?;
+        }
+        let tail_names: Vec<String> = (self.compiled.tails.iter())
+            .map(|p| p.name.clone())
+            .collect();
         let medium_count = instance.automata.len();
 
         // The reconfiguration record snapshots the constituents before
         // the partition consumes them.
-        let reconfig_seed = if reconfigurable {
-            Some((
-                instance.automata.clone(),
-                compiled
-                    .expect("reconfigurable sessions compile the template")
-                    .clone(),
-            ))
-        } else {
-            None
-        };
+        let reconfig_seed = reconfigurable.then(|| instance.automata.clone());
 
+        let layout = instance.mem_layout;
+        let binding = instance.boundary;
         let parts = Arc::new(partition_with_opts(
             instance.automata,
             alloc.port_count(),
@@ -436,14 +390,14 @@ impl Connector {
             state
         });
 
-        let reconfig = reconfig_seed.map(|(automata, cc)| {
+        let reconfig = reconfig_seed.map(|automata| {
             Arc::new(ReconfigShared {
                 state: parking_lot::Mutex::new(ReconfigState {
-                    cc,
+                    cc: self.compiled.clone(),
                     binding: binding.clone(),
                     alloc,
                     automata,
-                    layout: layout.clone(),
+                    layout,
                     tails: tail_names.clone(),
                 }),
                 epoch: AtomicU64::new(0),

@@ -39,10 +39,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reo_automata::{MemLayout, PortAllocator, PortId, PortSet, StateId, Store, Value};
-use reo_core::{compile, instantiate, Program};
+use reo_automata::{PortId, PortSet, StateId, Store, Value};
+use reo_core::Program;
 
-use crate::connector::{bind, core_for, Limits, Mode};
+use crate::connector::{core_for, Connector, Limits, Mode};
 use crate::engine::{Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
@@ -86,17 +86,12 @@ pub fn stepping_run(
     limits: Limits,
     window: Duration,
 ) -> Result<SteppingRun, RuntimeError> {
-    let cc = compile(program, def)?;
-    let mut alloc = PortAllocator::new();
-    let binding = bind(cc.params(), sizes, &mut alloc)?;
-    let instance = instantiate(&cc, &binding, &mut alloc)?;
-    let mut layout = MemLayout::cells(alloc.mem_count());
-    layout.merge(&instance.mem_layout);
-
     let mode = match mode {
         SteppingMode::Jit => Mode::jit(),
         SteppingMode::Compiled => Mode::compiled(),
     };
+    let connector = Connector::builder(program, def).mode(mode).build()?;
+    let (alloc, instance) = connector.instantiate(sizes)?;
     let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
     let ports = PortMap::dense(alloc.port_count());
     let mut core = core_for(mode, &limits, instance.automata, &starts, &ports)?;
@@ -104,7 +99,7 @@ pub fn stepping_run(
     let inputs: PortSet = core.boundary_inputs().clone();
     let outputs: PortSet = core.boundary_outputs().clone();
     let mut pending = PendingTable::new(Arc::new(ports));
-    let mut store = Store::new(&layout);
+    let mut store = Store::new(&instance.mem_layout);
     let mut completed: Vec<PortId> = Vec::new();
 
     let mut run = SteppingRun::default();

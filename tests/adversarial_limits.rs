@@ -63,22 +63,41 @@ fn oversized_replication_is_a_typed_error_in_stepping_run() {
 }
 
 /// A constant `prod` range far beyond any real workload terminates with the
-/// budget error instead of unrolling forever at `connect`.
+/// budget error instead of unrolling forever at `connect`, in every mode:
+/// the existing approach instantiates through the same budgeted walk.
 #[test]
 fn huge_constant_prod_range_is_a_typed_error() {
-    let connector = build(
-        "P(a;b) = Sync(a;b) mult prod (i:1..999999999) if (1 == 2) { Sync(a;b) }",
-        "P",
-    );
-    let err = connector
-        .session()
-        .connect()
-        .err()
-        .expect("connect must fail");
-    assert!(
-        err.to_string().contains("budget"),
-        "expected a budget error, got: {err}"
-    );
+    use std::time::{Duration, Instant};
+    let src = "P(a;b) = Sync(a;b) mult prod (i:1..999999999) if (1 == 2) { Sync(a;b) }";
+    let program = reo::dsl::parse_program(src).unwrap();
+    for &(name, mode) in Mode::grid() {
+        let connector = Connector::builder(&program, "P")
+            .mode(mode)
+            .build()
+            .unwrap();
+        let start = Instant::now();
+        assert_over_budget(connector.session().connect());
+        assert!(start.elapsed() < Duration::from_secs(5), "{name}");
+    }
+}
+
+/// An empty replicated parameter is refused by name, the same way in
+/// every mode.
+#[test]
+fn empty_array_is_the_same_typed_error_in_every_mode() {
+    use reo::core::CoreError;
+    let program = reo::dsl::parse_program("P(a[];b) = Sync(a[1];b)").unwrap();
+    for &(name, mode) in Mode::grid() {
+        let connector = Connector::builder(&program, "P")
+            .mode(mode)
+            .build()
+            .unwrap();
+        let err = connector.session().replicate("a", 0).connect().err();
+        assert!(
+            matches!(&err, Some(RuntimeError::Core(CoreError::EmptyArray(a))) if a == "a"),
+            "{name}: got {err:?}"
+        );
+    }
 }
 
 /// `FifoN` materializes one control state per fill level; adversarial
@@ -135,9 +154,10 @@ fn deep_nesting_is_a_typed_parse_error() {
 
 /// Ahead-of-time composition that outgrows its product budget is refused at
 /// `connect`, typed, however the session is spelled: twenty buffers behind
-/// one merger are one synchronous region of 2^20 states, on one engine or
-/// partitioned, reconfigurable or not. (Only a *splice* of a running
-/// session steps just-in-time for the epoch instead of failing.)
+/// one merger are one synchronous region of 2^20 states, composed into one
+/// product or filled as rows, on one engine or partitioned, reconfigurable
+/// or not. (Only a *splice* of a running session steps just-in-time for
+/// the epoch instead of failing.)
 #[test]
 fn eager_composition_past_its_budget_is_an_explosion_at_connect() {
     use reo::automata::ProductOptions;
@@ -153,7 +173,11 @@ fn eager_composition_past_its_budget_is_an_explosion_at_connect() {
         },
         ..Limits::default()
     };
-    for mode in [Mode::compiled(), Mode::compiled_partitioned()] {
+    for mode in [
+        Mode::existing(),
+        Mode::compiled(),
+        Mode::compiled_partitioned(),
+    ] {
         let connector = Connector::builder(&program, "Gather")
             .mode(mode)
             .limits(limits)
@@ -287,16 +311,16 @@ fn analysis_runs_where_compiled_sessions_connect() {
 
 /// The budgets bound the product that comes out, not a partial product on
 /// the way: these four families compose to 2n / n / n / 1 states, and under
-/// the default limits they connect — on one engine, partitioned, and in the
-/// existing approach over every primitive — and pass a value. (Folding
+/// the default limits they connect — as rows on one engine or partitioned,
+/// and in the existing approach as the product of every primitive — and
+/// pass a value. (Folding
 /// binary products in declaration order, each of them ran out of the same
 /// budgets at these sizes on constituents only a later operand
 /// synchronises.)
 #[test]
 fn eager_budgets_bound_the_product_not_a_partial_one() {
-    use reo::automata::{PortAllocator, ProductOptions};
+    use reo::automata::ProductOptions;
     use reo::connectors::{families, Role};
-    use reo::core::{compile, compile_monolithic, Binding};
     use std::task::{Context, Waker};
 
     let cells = [
@@ -309,25 +333,24 @@ fn eager_budgets_bound_the_product_not_a_partial_one() {
         let family = families().into_iter().find(|f| f.name == name).unwrap();
         let (program, sizes) = (family.program(), (family.sizes)(n));
 
-        let mut alloc = PortAllocator::new();
-        let width = |param: &str| sizes.iter().find(|(p, _)| *p == param).map_or(1, |s| s.1);
-        let binding: Binding = (compile(&program, family.def).unwrap().params())
-            .map(|p| (p.name.clone(), alloc.fresh_ports(width(&p.name))))
-            .collect();
-        let options = ProductOptions::default();
-        let existing = compile_monolithic(&program, family.def, &binding, &mut alloc, &options)
-            .unwrap_or_else(|e| panic!("{name} n={n}, existing: {e}"));
-        assert_eq!(existing.automata[0].state_count(), states, "{name} n={n}");
-
-        for mode in [Mode::compiled(), Mode::compiled_partitioned()] {
+        for mode in [
+            Mode::existing(),
+            Mode::compiled(),
+            Mode::compiled_partitioned(),
+        ] {
             let connector = Connector::builder(&program, family.def)
                 .mode(mode)
                 .build()
                 .unwrap();
             let report = connector.analyze(&sizes, &ProductOptions::default());
-            assert_eq!(report.unwrap().states, states, "{name} n={n}");
+            assert_eq!(report.unwrap().states, states, "{name} n={n}, {mode:?}");
             let mut session = (connector.session().replicate_all(&sizes).connect())
                 .unwrap_or_else(|e| panic!("{name} n={n}, {mode:?}: {e}"));
+            if mode == Mode::existing() {
+                // One composed product on one engine, every row filled.
+                let resident = session.handle().cache_stats().unwrap().resident;
+                assert_eq!(resident, states, "{name} n={n}, existing");
+            }
 
             // Every task offers at once (the barrier needs them all); the
             // value is through when a receiver has it — a sender, where

@@ -84,7 +84,7 @@ proptest! {
         // ConnectorEx11N: the medium-automata route must produce automata
         // whose *composed* reachable space equals that of the fully
         // elaborated primitives, composed and not label-simplified.
-        use reo::core::{compile, elaborate, flatten, instantiate, Binding};
+        use reo::core::{compile, compile_primitives, instantiate, Binding};
         use reo::automata::PortAllocator;
         let program = reo::core::examples::paper_program();
         let cc = compile(&program, "ConnectorEx11N").unwrap();
@@ -102,8 +102,8 @@ proptest! {
             ("tl".to_string(), alloc2.fresh_ports(n)),
             ("hd".to_string(), alloc2.fresh_ports(n)),
         ].into();
-        let flat = flatten(&program, "ConnectorEx11N").unwrap();
-        let primitives = elaborate(&flat, &program, &binding2, &mut alloc2).unwrap();
+        let existing = compile_primitives(&program, "ConnectorEx11N").unwrap();
+        let primitives = instantiate(&existing, &binding2, &mut alloc2).unwrap().automata;
         let mono = product_all(&primitives, &ProductOptions::default()).unwrap();
 
         let reach_a = reo::automata::explore::space_stats(&composed);

@@ -534,6 +534,38 @@ fn wide_merger_delivers_every_value_in_per_port_order_under_jit() {
     }
 }
 
+/// `analyze` reads the template a session instantiates: the primitives in
+/// the existing approach, the medium automata in the new one. Both find
+/// the same reachable states, deadlocks and dead ports on every Fig. 12
+/// family and both link workloads at n = 1..4. (Not the steps per row: a
+/// medium automaton's step may be a union of its section's steps.)
+#[test]
+fn analysis_agrees_on_primitives_and_medium_automata() {
+    use reo::automata::ProductOptions;
+    use reo::runtime::analyze::AnalysisReport;
+    let mut families = reo::connectors::families();
+    families.extend([
+        reo::connectors::relay_family(),
+        reo::connectors::burst_family(),
+    ]);
+    let seen = |r: AnalysisReport| (r.states, r.deadlocks, r.dead_ports);
+    for family in &families {
+        let program = family.program();
+        for n in 1..=4 {
+            let analyze = |mode: Mode| {
+                let connector = Connector::builder(&program, family.def).mode(mode);
+                let report = connector
+                    .build()
+                    .unwrap()
+                    .analyze(&(family.sizes)(n), &ProductOptions::default());
+                report.unwrap_or_else(|e| panic!("{} n={n}, {mode:?}: {e}", family.name))
+            };
+            let (existing, new) = (analyze(Mode::existing()), analyze(Mode::compiled()));
+            assert_eq!(seen(existing), seen(new), "{} n={n}", family.name);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12, // each case spins up the whole grid x threads; keep it lean

@@ -10,7 +10,7 @@ use std::task::{Context, Poll, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use reo::runtime::{Connector, Mode};
+use reo::runtime::{Connector, Limits, Mode};
 use reo::{select2, select_slice, Either, RuntimeError, Value};
 
 /// A waker that records it fired — for polling port futures by hand.
@@ -423,7 +423,10 @@ fn poisoned_engine_surfaces_through_typed_ops() {
     let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
     let connector = Connector::builder(&program, "Buf")
         .mode(Mode::jit())
-        .expansion_budget(0)
+        .limits(Limits {
+            expansion_budget: 0,
+            ..Limits::default()
+        })
         .build()
         .unwrap();
     let mut session = connector.session().connect().unwrap();
