@@ -41,6 +41,7 @@ use crate::jit::JitCore;
 use crate::partition::{partition_with_opts, Partitioned};
 use crate::port::{Inport, Outport};
 use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
+use crate::watchdog::Watchdog;
 
 /// Execution mode (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -370,25 +371,19 @@ impl Connector {
 
         let layout = instance.mem_layout;
         let binding = instance.boundary;
-        let parts = Arc::new(partition_with_opts(
+        let mut parts = partition_with_opts(
             instance.automata,
             alloc.port_count(),
             &layout,
             self.mode,
             self.limits,
             reconfigurable,
-        )?);
+        )?;
+        parts.watchdog = watchdog.map(Watchdog::new);
+        let parts = Arc::new(parts);
         // Deterministic initial arming: tokens reach link heads before any
         // task operates.
         parts.pump();
-
-        // Opt-in stall watchdog: a sampler thread holding only a `Weak`
-        // to the partition, so it can never keep a dropped session alive.
-        let watchdog = watchdog.map(|deadline| {
-            let state = crate::watchdog::spawn_watchdog(Arc::downgrade(&parts), deadline);
-            parts.set_watchdog_state(Arc::clone(&state));
-            state
-        });
 
         let reconfig = reconfig_seed.map(|automata| {
             Arc::new(ReconfigShared {
@@ -439,7 +434,6 @@ impl Connector {
                 parts,
                 medium_count,
                 reconfig,
-                watchdog,
             },
         })
     }
@@ -481,17 +475,16 @@ impl SessionSpec<'_> {
         self
     }
 
-    /// Arm a stall watchdog on this session: an off-thread sampler that
-    /// flags the session as stalled when operations are parked but the
-    /// global progress counter has not moved for `deadline`. While the
-    /// flag is up, an expiring `send_timeout`/`recv_timeout` reports
-    /// [`RuntimeError::Stalled`] with a full wait-for snapshot
-    /// ([`crate::StallReport`]: parked ports, per-region
+    /// Arm a stall watchdog on this session, judged when asked
+    /// ([`crate::watchdog`]): the session is stalled when operations are
+    /// parked but the global progress counter has not moved for
+    /// `deadline`. An expiring `send_timeout`/`recv_timeout` on a stalled
+    /// session reports [`RuntimeError::Stalled`] with a full wait-for
+    /// snapshot ([`crate::StallReport`]: parked ports, per-region
     /// enabled-transition status, link queue depths) instead of a bare
-    /// `Timeout`; the latest report is also pulled via
-    /// [`ConnectorHandle::stall_report`]. Costs one sampler thread and
-    /// two relaxed reads per tick; sessions without a watchdog are
-    /// unaffected.
+    /// `Timeout`; [`ConnectorHandle::stall_report`] asks too. Costs one
+    /// hold per region engine per observation and nothing in between;
+    /// sessions without a watchdog are unaffected.
     pub fn watchdog(mut self, deadline: Duration) -> Self {
         self.watchdog = Some(deadline);
         self
@@ -628,7 +621,6 @@ pub struct ConnectorHandle {
     parts: Arc<Partitioned>,
     medium_count: usize,
     reconfig: Option<Arc<ReconfigShared>>,
-    watchdog: Option<Arc<crate::watchdog::WatchdogState>>,
 }
 
 impl ConnectorHandle {
@@ -684,19 +676,20 @@ impl ConnectorHandle {
         Arc::downgrade(&self.parts) as _
     }
 
-    /// The most recent stall report assembled by this session's watchdog
-    /// ([`SessionSpec::watchdog`]), or `None` without a watchdog or
-    /// before any stall was detected. The report is retained after
-    /// progress resumes, so post-mortems can still read what the stall
-    /// looked like.
+    /// Observe the session for its watchdog ([`SessionSpec::watchdog`])
+    /// and return the most recent stall report, or `None` without a
+    /// watchdog or while no stall was ever judged. The report is retained
+    /// after progress resumes, so post-mortems can still read what the
+    /// stall looked like.
     pub fn stall_report(&self) -> Option<crate::StallReport> {
-        self.watchdog.as_ref().and_then(|w| w.latest())
+        let watchdog = self.parts.watchdog.as_ref()?;
+        self.parts.observe().or_else(|| watchdog.latest())
     }
 
-    /// Whether the watchdog currently flags the session as stalled
+    /// Observe the session for its watchdog: whether it is stalled now
     /// (parked operations, no progress past the deadline).
     pub fn is_stalled(&self) -> bool {
-        self.watchdog.as_ref().is_some_and(|w| w.is_stalled())
+        self.parts.observe().is_some()
     }
 
     /// The state caches of this session's cores, summed over regions.

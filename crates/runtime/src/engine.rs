@@ -88,11 +88,12 @@ use parking_lot::{Mutex, MutexGuard};
 use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::task::Waker;
 
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
+use crate::watchdog::{ParkedKind, ParkedOp, RegionReport, Snapshot};
 
 /// The per-port pending-operation slot.
 #[derive(Clone, Debug, Default)]
@@ -780,9 +781,6 @@ pub struct Engine {
     /// `close()` can interrupt a long fire loop instead of queueing behind
     /// it (a fire loop may expand large states under the lock).
     closing: AtomicBool,
-    /// The session's stall watchdog, when armed (`SessionSpec::watchdog`):
-    /// deadline expiries consult it to upgrade `Timeout` to `Stalled`.
-    watchdog: OnceLock<Arc<crate::watchdog::WatchdogState>>,
 }
 
 impl Engine {
@@ -810,7 +808,6 @@ impl Engine {
             }),
             lock_acquisitions: AtomicU64::new(0),
             closing: AtomicBool::new(false),
-            watchdog: OnceLock::new(),
         }
     }
 
@@ -923,11 +920,6 @@ impl Engine {
         self.lock().panic_after = Some(n);
     }
 
-    /// Arm the stall watchdog (first caller wins).
-    pub(crate) fn set_watchdog(&self, w: Arc<crate::watchdog::WatchdogState>) {
-        let _ = self.watchdog.set(w);
-    }
-
     /// Phaser-style deregistration: mark `ports` hung up. When somebody
     /// may be waiting for the consequences — a waker is parked here, or
     /// the region borders a link and so a neighbour — the hangup analysis
@@ -942,80 +934,36 @@ impl Engine {
         self.firing(events, |inner| inner.hang_up(ports))
     }
 
-    /// With an armed watchdog that currently flags a stall, a deadline
-    /// expiry carries the wait-for snapshot instead of a bare timeout.
-    pub(crate) fn upgrade_timeout(&self, e: RuntimeError) -> RuntimeError {
-        if matches!(e, RuntimeError::Timeout) {
-            if let Some(w) = self.watchdog.get() {
-                if w.is_stalled() {
-                    if let Some(report) = w.latest() {
-                        return RuntimeError::Stalled(Box::new(report));
-                    }
-                }
-            }
-        }
-        e
-    }
-
-    /// Watchdog sampling: the monotone progress counter (steps +
-    /// completions) and the number of parked operations, excluding the
-    /// `exclude` ports (cross-region link ports, which the link protocol
-    /// keeps armed without any task behind them).
-    pub(crate) fn sample_progress(&self, exclude: &PortSet) -> (u64, usize) {
-        let inner = self.lock();
-        let mut parked = 0usize;
-        for p in inner.pending.port_map().iter() {
-            if exclude.contains(p) {
-                continue;
-            }
-            if matches!(inner.pending.get(p), Pending::Send(_) | Pending::Recv) {
-                parked += 1;
-            }
-        }
-        (inner.stats.steps + inner.stats.completions, parked)
-    }
-
-    /// Watchdog snapshot of this engine as one region of the wait-for
-    /// picture.
-    pub(crate) fn sample_region(
-        &self,
-        region: usize,
-        exclude: &PortSet,
-    ) -> (
-        Vec<crate::watchdog::ParkedOp>,
-        crate::watchdog::RegionReport,
-    ) {
-        use crate::watchdog::{ParkedKind, ParkedOp, RegionReport};
+    /// This engine's part of a session [`Snapshot`], as region `region`,
+    /// in one hold: each pending operation — a task's into the report, a
+    /// link port's into `armed_links` — its status, and its progress.
+    pub(crate) fn scan(&self, region: usize, snap: &mut Snapshot) {
         let mut inner = self.lock();
-        let mut parked = Vec::new();
-        for p in inner.pending.port_map().iter() {
-            if exclude.contains(p) {
-                continue;
-            }
-            let kind = match inner.pending.get(p) {
+        let parked = &mut snap.report.parked;
+        let before = parked.len();
+        for (slot, port) in inner.pending.port_map().iter().enumerate() {
+            let kind = match inner.pending.get(port) {
                 Pending::Send(_) => ParkedKind::Send,
                 Pending::Recv => ParkedKind::Recv,
                 _ => continue,
             };
-            parked.push(ParkedOp {
-                port: p,
-                kind,
-                region,
-            });
+            if inner.link_ends.get(slot).is_some_and(Option::is_some) {
+                snap.armed_links.insert(port);
+            } else {
+                parked.push(ParkedOp { port, kind, region });
+            }
         }
-        let enabled = {
-            let EngineInner { core, pending, .. } = &mut *inner;
-            core.any_enabled(pending)
-        };
-        let report = RegionReport {
+        let EngineInner { core, pending, .. } = &mut *inner;
+        let enabled = core.any_enabled(pending);
+        snap.report.regions.push(RegionReport {
             region,
             steps: inner.stats.steps,
-            parked_ops: parked.len(),
+            parked_ops: parked.len() - before,
             enabled,
             closed: inner.closed,
             poisoned: inner.poisoned.is_some(),
-        };
-        (parked, report)
+        });
+        snap.progress += inner.stats.steps + inner.stats.completions;
     }
 
     /// Fire transitions until quiescent, recording a wake-up for exactly

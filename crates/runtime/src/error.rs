@@ -85,11 +85,11 @@ pub enum RuntimeError {
     /// forever. The id is the *departed* port.
     Hangup(reo_automata::PortId),
     /// A watchdog-armed session made no progress past its deadline while
-    /// operations were parked; the report is a wait-for snapshot (parked
-    /// ports, per-region status, link queue depths) taken at detection
-    /// time. Only produced by sessions built with
-    /// `SessionSpec::watchdog`, and only on paths that would otherwise
-    /// report [`RuntimeError::Timeout`].
+    /// operations were parked, as judged when the expiring operation
+    /// asked; the report is a wait-for snapshot (parked ports, per-region
+    /// status, link queue depths) from the observation that judged it.
+    /// Only produced by sessions built with `SessionSpec::watchdog`, and
+    /// only on paths that would otherwise report [`RuntimeError::Timeout`].
     Stalled(Box<crate::watchdog::StallReport>),
 }
 

@@ -484,11 +484,11 @@ impl JitCore {
         self.states.iter().collect()
     }
 
-    /// Diagnostic probe for the stall watchdog: whether any step out of the
+    /// Diagnostic probe for a stall report: whether any step out of the
     /// current state is *operationally* enabled right now (guards not
     /// evaluated). It consults the cache but does not expand: an unexpanded
     /// current state reports not-enabled rather than paying (or failing)
-    /// an expansion inside a stall snapshot.
+    /// an expansion inside a session snapshot.
     pub fn any_enabled(&mut self, pending: &PendingTable) -> bool {
         let Some(row) = self.resident() else {
             return false;

@@ -90,7 +90,7 @@ pub use watchdog::{LinkReport, ParkedKind, ParkedOp, RegionReport, StallReport};
 /// Every name below survives only because `benchmark/` calls it, and goes
 /// once the benchmark is re-based (ROADMAP direction 1):
 /// * this alias and its [`compose`](jit::JitCore::compose) shim;
-/// * [`SteppingMode`] (the [`stepping_run`] argument);
+/// * [`SteppingMode`], which [`stepping_run`] accepts beside any [`Mode`];
 /// * [`reo_automata::lower::lower`] and its `Lowered`;
 /// * [`CachePolicy`], the ignored argument of [`partition::partition`];
 /// * the two budget fields of [`Limits`].

@@ -116,7 +116,7 @@
 
 use std::collections::{btree_map::Entry, BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -130,6 +130,7 @@ pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 use crate::reconfig::splice_core;
+use crate::watchdog::{LinkReport, Snapshot, StallReport, Watchdog};
 
 /// A cut fifo: an engine-to-engine queue.
 ///
@@ -214,7 +215,6 @@ pub struct Topology {
     /// Port index → engine index (boundary and internal ports of each
     /// region), [`UNROUTED`] for ports no region serves.
     router: Vec<u32>,
-    pub region_sizes: Vec<usize>,
     /// Region → constituent indices (into the automata list this topology
     /// was planned from), in composition order — the order of the region
     /// core's constituent state tuple.
@@ -252,9 +252,8 @@ pub struct Partitioned {
     /// Counted kicks: operations on a region bordering ≥ 2 links
     /// ([`EngineStats::kicks`]).
     kicks: AtomicU64,
-    /// Shared stall-watchdog state, mirrored into every region engine so
-    /// a deadline expiry anywhere can upgrade to [`RuntimeError::Stalled`].
-    watchdog_state: OnceLock<Arc<crate::watchdog::WatchdogState>>,
+    /// The session's stall watchdog, if armed (`SessionSpec::watchdog`).
+    pub(crate) watchdog: Option<Watchdog>,
     /// One-shot latch: a poisoned topology lock has already been reported
     /// (every engine poisoned), so recovery paths stay quiet afterwards.
     lock_poison_noted: AtomicBool,
@@ -353,7 +352,6 @@ pub fn partition_with_opts(
         engines,
         links,
         router: plan.router,
-        region_sizes: plan.regions.iter().map(Vec::len).collect(),
         region_constituents: plan.regions,
         automaton_region: plan.automaton_region,
     });
@@ -366,7 +364,7 @@ pub fn partition_with_opts(
         mode,
         limits,
         kicks: AtomicU64::new(0),
-        watchdog_state: OnceLock::new(),
+        watchdog: None,
         lock_poison_noted: AtomicBool::new(false),
     })
 }
@@ -644,21 +642,16 @@ impl Partitioned {
     }
 
     /// Test support: what the link protocol promises whenever no event is
-    /// outstanding, checked on every link — a queue front is on offer at
-    /// its head, a tail with credit is armed unless its head is dead. One
-    /// line per violation.
+    /// outstanding, checked on every link of one `Snapshot` — a queue
+    /// front is on offer at its head, a tail with credit is armed unless
+    /// its head is dead. One line per violation.
     pub fn unserved_links(&self) -> Vec<String> {
         let topo = self.topo();
+        let armed = self.snapshot(&topo).armed_links;
         let mut faults = Vec::new();
         for (i, link) in topo.links.iter().enumerate() {
-            let parked = |r: usize, p: PortId| {
-                let (ops, _) = topo.engines[r].sample_region(r, &PortSet::new());
-                ops.iter().any(|op| op.port == p)
-            };
-            let (tail_armed, head_armed) = (
-                parked(link.from, link.in_port),
-                parked(link.to, link.out_port),
-            );
+            let tail_armed = armed.contains(link.in_port);
+            let head_armed = armed.contains(link.out_port);
             let st = link.shared.state.lock();
             if st.offered != head_armed || st.offered == st.queue.is_empty() {
                 faults.push(format!(
@@ -730,16 +723,6 @@ impl Partitioned {
     pub fn poison_all(&self, msg: &str) {
         for e in &self.topo().engines {
             e.poison(msg);
-        }
-    }
-
-    /// Arm the shared stall watchdog: every region engine gets the same
-    /// state handle so a deadline expiry on any port can upgrade to
-    /// [`RuntimeError::Stalled`] with the full cross-region report.
-    pub(crate) fn set_watchdog_state(&self, w: Arc<crate::watchdog::WatchdogState>) {
-        let _ = self.watchdog_state.set(Arc::clone(&w));
-        for e in &self.topo().engines {
-            e.set_watchdog(Arc::clone(&w));
         }
     }
 
@@ -1094,12 +1077,7 @@ impl Partitioned {
                 Some(or) => Arc::clone(&old.engines[or]),
                 None => {
                     let (core, ports) = fresh.remove(&nr).expect("fresh region core built");
-                    let engine = new_region_engine(core, ports, layout, &links, nr);
-                    // Fresh regions share the stall watchdog.
-                    if let Some(w) = self.watchdog_state.get() {
-                        engine.set_watchdog(Arc::clone(w));
-                    }
-                    engine
+                    new_region_engine(core, ports, layout, &links, nr)
                 }
             })
             .collect();
@@ -1107,7 +1085,6 @@ impl Partitioned {
             engines,
             links,
             router: plan.router,
-            region_sizes: plan.regions.iter().map(Vec::len).collect(),
             region_constituents: plan.regions,
             automaton_region: plan.automaton_region,
         };
@@ -1157,71 +1134,40 @@ fn raise_all(topo: &Topology, work: &mut LinkEvents) {
     }
 }
 
-/// Per-region sets of link-protocol ports: the protocol keeps a receive armed
-/// on every tail and offers fronts on every head, so these show up as
-/// pending operations with no task behind them — the watchdog must not
-/// count them as parked work.
-fn link_port_excludes(topo: &Topology) -> Vec<PortSet> {
-    let mut excludes = vec![PortSet::new(); topo.engines.len()];
-    for link in &topo.links {
-        excludes[link.from].insert(link.in_port);
-        excludes[link.to].insert(link.out_port);
-    }
-    excludes
-}
-
-/// What the stall watchdog samples; its thread holds only a `Weak` to the
-/// partition, so it never keeps a session alive.
+/// What the stall watchdog observes ([`crate::watchdog`]).
 impl Partitioned {
-    /// A monotone counter that moves whenever the session does useful
-    /// work: steps fired plus operations completed, summed over regions.
-    pub(crate) fn progress_counter(&self) -> u64 {
-        let topo = self.topo();
-        topo.engines
-            .iter()
-            .map(|e| e.sample_progress(&PortSet::new()).0)
-            .sum()
-    }
-
-    /// Operations parked on boundary ports, link-protocol ports excluded.
-    pub(crate) fn parked_count(&self) -> usize {
-        let topo = self.topo();
-        let excludes = link_port_excludes(&topo);
-        topo.engines
-            .iter()
-            .zip(&excludes)
-            .map(|(e, ex)| e.sample_progress(ex).1)
-            .sum()
-    }
-
-    /// The full wait-for snapshot.
-    pub(crate) fn stall_snapshot(&self, stalled_for: Duration) -> crate::watchdog::StallReport {
-        let topo = self.topo();
-        let excludes = link_port_excludes(&topo);
-        let mut parked = Vec::new();
-        let mut regions = Vec::new();
+    /// One look at every region engine of `topo`, one hold each, and at
+    /// every link queue.
+    pub(crate) fn snapshot(&self, topo: &Topology) -> Snapshot {
+        let mut snap = Snapshot {
+            progress: 0,
+            armed_links: PortSet::new(),
+            report: StallReport {
+                stalled_for: Duration::ZERO,
+                parked: Vec::new(),
+                regions: Vec::with_capacity(topo.engines.len()),
+                links: Vec::with_capacity(topo.links.len()),
+            },
+        };
         for (r, e) in topo.engines.iter().enumerate() {
-            let (ops, report) = e.sample_region(r, &excludes[r]);
-            parked.extend(ops);
-            regions.push(report);
+            e.scan(r, &mut snap);
         }
-        let links = topo
-            .links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| crate::watchdog::LinkReport {
-                link: i,
+        for (link, l) in topo.links.iter().enumerate() {
+            snap.report.links.push(LinkReport {
+                link,
                 from: l.from,
                 to: l.to,
                 depth: l.depth(),
-            })
-            .collect();
-        crate::watchdog::StallReport {
-            stalled_for,
-            parked,
-            regions,
-            links,
+            });
         }
+        snap
+    }
+
+    /// Observe the session for its watchdog: the standing report if it is
+    /// stalled; `None` without a watchdog.
+    pub(crate) fn observe(&self) -> Option<StallReport> {
+        let watchdog = self.watchdog.as_ref()?;
+        watchdog.judge(self.snapshot(&self.topo()))
     }
 }
 
@@ -1332,7 +1278,7 @@ mod tests {
         let t = part.topo();
         assert_eq!(t.engines.len(), 2);
         assert_eq!(t.links.len(), 1);
-        assert_eq!(t.region_sizes, vec![1, 1]);
+        assert_eq!(t.region_constituents, vec![vec![0], vec![2]]);
         assert_ne!(t.links[0].from, t.links[0].to);
         // The router covers both regions, link ports included.
         assert_eq!(t.region_of(p(2)), Some(t.links[0].from));

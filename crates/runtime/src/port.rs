@@ -129,9 +129,11 @@ impl Partitioned {
         self.block_on(p, deadline, poll, |e| e.retract_recv(p))
     }
 
-    /// [`block_on`] with every hold routed by [`Partitioned::hold`]; a
-    /// deadline that expires on a session the watchdog flags answers
-    /// `Stalled`.
+    /// [`block_on`] with every hold routed by [`Partitioned::hold`]. On a
+    /// session with a watchdog, a timed operation observes it
+    /// ([`crate::watchdog`]) once it is pending and again before it
+    /// retracts, no engine lock held; a deadline that expires on a stalled
+    /// session answers `Stalled`.
     fn block_on<T>(
         &self,
         p: PortId,
@@ -139,11 +141,26 @@ impl Partitioned {
         mut poll: impl FnMut(&Engine, &Waker, &mut LinkEvents) -> Option<Result<T, RuntimeError>>,
         retract: impl FnOnce(&Engine) -> Result<T, RuntimeError>,
     ) -> Result<T, RuntimeError> {
-        let expire = |e: &Engine| retract(e).map_err(|err| e.upgrade_timeout(err));
+        let watched = deadline.is_some() && self.watchdog.is_some();
+        let mut unobserved = watched;
         block_on(
             deadline,
-            |waker| self.hold(p, false, |e, ev| poll(e, waker, ev)),
-            || self.hold(p, false, |e, _| expire(e)),
+            |waker| {
+                let outcome = self.hold(p, false, |e, ev| poll(e, waker, ev));
+                if outcome.is_none() && std::mem::take(&mut unobserved) {
+                    self.observe();
+                }
+                outcome
+            },
+            || {
+                let stall = watched.then(|| self.observe()).flatten();
+                match (self.hold(p, false, |e, _| retract(e)), stall) {
+                    (Err(RuntimeError::Timeout), Some(report)) => {
+                        Err(RuntimeError::Stalled(Box::new(report)))
+                    }
+                    (outcome, _) => outcome,
+                }
+            },
         )
     }
 

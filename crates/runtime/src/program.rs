@@ -114,7 +114,7 @@ pub fn run_main(
         .build()?;
     let mut spec = connector.session();
     for (param, _, lo, hi, _) in &spans {
-        spec = spec.replicate(param, ((hi - lo + 1).max(1)) as usize);
+        spec = spec.replicate(param, (hi - lo + 1).max(0) as usize);
     }
     let mut session: Session = spec.connect()?;
     let handle = session.handle();
@@ -286,6 +286,22 @@ mod tests {
         });
         let report = run_main(&program, &[("N", 1)], &registry, Mode::jit()).unwrap();
         assert_eq!(report.tasks, 2);
+    }
+
+    /// `out[1..N]` with N ≤ 0 is an empty array: the typed error, in every
+    /// mode, not an index out of bounds.
+    #[test]
+    fn an_empty_main_array_is_a_typed_error() {
+        let program = parse_program(reo_dsl::stdlib::FIG9_SOURCE).unwrap();
+        for &(name, mode) in Mode::grid() {
+            for n in [0, -3] {
+                let err = run_main(&program, &[("N", n)], &TaskRegistry::new(), mode).err();
+                assert!(
+                    matches!(&err, Some(RuntimeError::Core(CoreError::EmptyArray(a))) if a == "tl"),
+                    "{name}, N = {n}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

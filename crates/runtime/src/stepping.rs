@@ -9,26 +9,28 @@
 //! thread owns the core, its pending table and its store, keeps every
 //! boundary port saturated (inputs armed with fresh sends, outputs armed
 //! with receives), and counts both `try_step` firings and **completed
-//! boundary operations** for a fixed window. Both modes run the same core
-//! ([`JitCore`](crate::jit::JitCore): lowered register programs behind the
-//! pending table's armed set) over the same medium automata, firing the
-//! same connected steps; what differs is when a state's row is filled —
-//! on first visit, or for every reachable state before the first step.
-//! Completed operations per second is the throughput measure (a firing may
-//! complete several operations), and it is what the repo benchmark's
+//! boundary operations** for a fixed window. Every [`Mode`] runs the same
+//! core ([`JitCore`](crate::jit::JitCore): lowered register programs behind
+//! the pending table's armed set), firing the same connected steps; what
+//! differs is what it steps — the medium automata, or the existing
+//! approach's composed automaton — and when a state's row is filled: on
+//! first visit, or for every reachable state before the first step. The
+//! placement does not apply: the run steps one core. Completed operations
+//! per second is the throughput measure (a firing may complete several
+//! operations), and it is what the repo benchmark's
 //! `runtime.stepping.{jit,compiled}_ns_per_op` rows compare between
-//! [`SteppingMode::Jit`] and [`SteppingMode::Compiled`].
+//! [`Mode::jit`] and [`Mode::compiled`] (named by [`SteppingMode`]).
 //!
 //! ```
 //! use std::time::Duration;
-//! use reo_runtime::{stepping_run, Limits, SteppingMode};
+//! use reo_runtime::{stepping_run, Limits, Mode};
 //!
 //! let program = reo_dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
 //! let run = stepping_run(
 //!     &program,
 //!     "Buf",
 //!     &[],
-//!     SteppingMode::Compiled,
+//!     Mode::compiled(),
 //!     Limits::default(),
 //!     Duration::from_millis(10),
 //! )
@@ -46,7 +48,7 @@ use crate::connector::{core_for, Connector, Limits, Mode};
 use crate::engine::{Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
-/// What the microbench's core steps.
+/// The two modes the repo benchmark's `stepping` cells name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SteppingMode {
     /// The medium automata, composed just in time ([`Mode::jit`]).
@@ -54,6 +56,15 @@ pub enum SteppingMode {
     /// The same, with every reachable row filled up front
     /// ([`Mode::compiled`]).
     Compiled,
+}
+
+impl From<SteppingMode> for Mode {
+    fn from(mode: SteppingMode) -> Mode {
+        match mode {
+            SteppingMode::Jit => Mode::jit(),
+            SteppingMode::Compiled => Mode::compiled(),
+        }
+    }
 }
 
 /// Counters of one saturated stepping window.
@@ -68,9 +79,10 @@ pub struct SteppingRun {
     pub ops: u64,
 }
 
-/// Instantiate `def` from `program` for the given array `sizes`, then step
-/// its core flat-out for `window`, keeping every boundary port
-/// saturated. Returns the firing and completed-operation counts.
+/// Instantiate `def` from `program` for the given array `sizes` — and
+/// under [`Mode::Existing`] compose it, as `connect` does — then step its
+/// core flat-out for `window`, keeping every boundary port saturated.
+/// Returns the firing and completed-operation counts.
 ///
 /// Saturation protocol, applied whenever the core stops progressing: every
 /// boundary input holding `None`/`DoneSend` is re-armed with a fresh
@@ -82,16 +94,16 @@ pub fn stepping_run(
     program: &Program,
     def: &str,
     sizes: &[(&str, usize)],
-    mode: SteppingMode,
+    mode: impl Into<Mode>,
     limits: Limits,
     window: Duration,
 ) -> Result<SteppingRun, RuntimeError> {
-    let mode = match mode {
-        SteppingMode::Jit => Mode::jit(),
-        SteppingMode::Compiled => Mode::compiled(),
-    };
+    let mode = mode.into();
     let connector = Connector::builder(program, def).mode(mode).build()?;
-    let (alloc, instance) = connector.instantiate(sizes)?;
+    let (alloc, mut instance) = connector.instantiate(sizes)?;
+    if mode == Mode::Existing {
+        instance = instance.monolithic(&limits.product)?;
+    }
     let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
     let ports = PortMap::dense(alloc.port_count());
     let mut core = core_for(mode, &limits, instance.automata, &starts, &ports)?;
@@ -146,7 +158,7 @@ pub fn stepping_run(
 mod tests {
     use super::*;
 
-    fn run(def_src: &str, name: &str, sizes: &[(&str, usize)], mode: SteppingMode) -> SteppingRun {
+    fn run(def_src: &str, name: &str, sizes: &[(&str, usize)], mode: Mode) -> SteppingRun {
         let program = reo_dsl::parse_program(def_src).unwrap();
         stepping_run(
             &program,
@@ -160,14 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn both_cores_step_a_buffer_under_saturation() {
+    fn every_mode_steps_a_buffer_under_saturation() {
         let src = "Buf(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])";
-        for mode in [SteppingMode::Jit, SteppingMode::Compiled] {
+        for &(name, mode) in Mode::grid() {
             let r = run(src, "Buf", &[("a", 2), ("b", 2)], mode);
-            assert!(r.firings > 100, "{mode:?} made only {} firings", r.firings);
+            assert!(r.firings > 100, "{name} made only {} firings", r.firings);
             assert!(
                 r.ops >= r.firings,
-                "{mode:?}: every firing completes at least one op"
+                "{name}: every firing completes at least one op"
             );
         }
     }
@@ -183,12 +195,12 @@ mod tests {
         let src = "Once(a,c;b) = Repl2(a;b,t) mult SyncDrain(t,k;) mult Fifo1Full(j;k)
                      mult Repl3(c;x,y,j) mult Fifo1(x;z) mult SyncDrain(y,z;)";
         let program = reo_dsl::parse_program(src).unwrap();
-        for mode in [SteppingMode::Jit, SteppingMode::Compiled] {
+        for &(name, mode) in Mode::grid() {
             let window = Duration::from_secs(30);
             let start = Instant::now();
             let r = stepping_run(&program, "Once", &[], mode, Limits::default(), window).unwrap();
-            assert_eq!((r.firings, r.ops), (1, 2), "{mode:?}");
-            assert!(start.elapsed() < window / 2, "{mode:?} ran its window out");
+            assert_eq!((r.firings, r.ops), (1, 2), "{name}");
+            assert!(start.elapsed() < window / 2, "{name} ran its window out");
         }
     }
 }

@@ -1,32 +1,34 @@
-//! The stall watchdog: off-thread no-progress detection with a wait-for
+//! The stall watchdog: no-progress judged on demand, with a wait-for
 //! snapshot.
 //!
-//! Opt-in via [`SessionSpec::watchdog`](crate::SessionSpec::watchdog). A
-//! sampler thread holds only a [`Weak`] reference to the session's
-//! [`Partitioned`] (one region on one engine) and
-//! periodically reads two cheap signals: a monotone **progress counter**
-//! (steps + completions across every region engine) and the number of
-//! **parked operations**. When operations are parked and the progress
-//! counter has not moved for longer than the configured deadline, the
-//! watchdog assembles a [`StallReport`] — parked ports with their pending
-//! op kinds, per-region engine status (steps, parked ops, whether a
-//! transition is enabled right now, closed/poisoned flags), and
-//! cross-region link queue depths — a wait-for picture of the stuck
-//! session.
+//! Opt-in via [`SessionSpec::watchdog`](crate::SessionSpec::watchdog). As
+//! the engine only reacts to tasks, the watchdog only reacts to someone
+//! asking: there is no sampler thread. An **observation** is one
+//! `Snapshot` of the session's [`Partitioned`] — one hold per region
+//! engine — judged at once. A session is **stalled** when some operation
+//! a task stands behind is parked (link-protocol ports do not count) and
+//! the **progress counter** (steps + completions over every region) has
+//! not moved for the deadline, counted from the first observation that
+//! saw its current value. A judged stall stands until the counter moves.
 //!
-//! The report is exposed two ways: pulled via
-//! [`ConnectorHandle::stall_report`](crate::ConnectorHandle::stall_report),
-//! and attached to deadline expiries — a `send_timeout`/`recv_timeout`
-//! that expires *while the watchdog has flagged a stall* reports
-//! [`RuntimeError::Stalled`](crate::RuntimeError::Stalled) (carrying the
-//! report) instead of a bare `Timeout`. Sessions without a watchdog are
-//! byte-for-byte unaffected.
+//! Who observes: a `send_timeout`/`recv_timeout` once it is registered
+//! and pending, and again just before it retracts (no engine lock held);
+//! and [`ConnectorHandle::is_stalled`](crate::ConnectorHandle::is_stalled)
+//! and [`stall_report`](crate::ConnectorHandle::stall_report), each call.
+//! A timed operation that expires on a stalled session reports
+//! [`RuntimeError::Stalled`](crate::RuntimeError::Stalled), carrying the
+//! [`StallReport`] — parked ports with their pending op kinds, per-region
+//! engine status, and link queue depths — instead of a bare `Timeout`. A
+//! session nobody asks costs nothing; sessions without a watchdog are
+//! unaffected.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+use reo_automata::PortSet;
+
+#[cfg(doc)]
 use crate::partition::Partitioned;
 
 /// The pending operation a parked port is blocked on.
@@ -147,67 +149,70 @@ impl fmt::Display for StallReport {
     }
 }
 
-/// Shared state between the sampler thread and the error paths.
-pub(crate) struct WatchdogState {
-    /// Set while the sampler considers the session stalled; wait paths
-    /// upgrade an expiring deadline to `Stalled` only while this is set.
-    stalled: AtomicBool,
-    latest: Mutex<Option<StallReport>>,
+/// One look at a session, one hold per region engine
+/// ([`Partitioned::snapshot`]): what the stall judgment and
+/// [`Partitioned::unserved_links`] read.
+pub(crate) struct Snapshot {
+    /// Steps plus completions, summed over the regions.
+    pub progress: u64,
+    /// Link ports with an operation pending: the link protocol's own.
+    pub armed_links: PortSet,
+    /// The wait-for picture, `stalled_for` still zero.
+    pub report: StallReport,
 }
 
-impl WatchdogState {
-    pub(crate) fn is_stalled(&self) -> bool {
-        self.stalled.load(Ordering::Acquire)
+/// A session's watchdog, held once on its [`Partitioned`].
+pub(crate) struct Watchdog {
+    deadline: Duration,
+    judged: Mutex<Judged>,
+}
+
+struct Judged {
+    /// The progress counter last observed, and when an observation first
+    /// saw that value.
+    progress: u64,
+    since: Instant,
+    /// A stall was judged at `progress`; it stands until the counter moves.
+    stalled: bool,
+    /// The latest report, kept after progress resumes for post-mortems.
+    latest: Option<StallReport>,
+}
+
+impl Watchdog {
+    pub(crate) fn new(deadline: Duration) -> Self {
+        let judged = Judged {
+            progress: u64::MAX,
+            since: Instant::now(),
+            stalled: false,
+            latest: None,
+        };
+        Watchdog {
+            deadline,
+            judged: Mutex::new(judged),
+        }
     }
 
-    /// The most recent report, if a stall was ever detected. Reports are
-    /// retained after progress resumes (the flag clears, the report
-    /// stays) so post-mortems can read what the stall looked like.
+    /// Judge one observation: the standing report if the session is
+    /// stalled.
+    pub(crate) fn judge(&self, snap: Snapshot) -> Option<StallReport> {
+        let mut j = self.judged.lock();
+        let now = Instant::now();
+        if snap.progress != j.progress {
+            (j.progress, j.since, j.stalled) = (snap.progress, now, false);
+        }
+        let flat = now - j.since;
+        if !snap.report.parked.is_empty() && flat >= self.deadline {
+            j.stalled = true;
+            j.latest = Some(StallReport {
+                stalled_for: flat,
+                ..snap.report
+            });
+        }
+        j.stalled.then(|| j.latest.clone()).flatten()
+    }
+
+    /// The most recent report, if a stall was ever judged.
     pub(crate) fn latest(&self) -> Option<StallReport> {
-        self.latest
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        self.judged.lock().latest.clone()
     }
-}
-
-/// Spawn the sampler thread. It exits on its own when the session is
-/// dropped (the `Weak` stops upgrading), so nothing needs to join it.
-pub(crate) fn spawn_watchdog(target: Weak<Partitioned>, deadline: Duration) -> Arc<WatchdogState> {
-    let state = Arc::new(WatchdogState {
-        stalled: AtomicBool::new(false),
-        latest: Mutex::new(None),
-    });
-    let shared = Arc::clone(&state);
-    // Sample several times per deadline so detection lag stays a fraction
-    // of the configured window, but never busier than 10ms.
-    let tick = (deadline / 4).max(Duration::from_millis(10));
-    std::thread::Builder::new()
-        .name("reo-watchdog".into())
-        .spawn(move || {
-            let mut last_progress = u64::MAX;
-            let mut flat_since = Instant::now();
-            loop {
-                std::thread::sleep(tick);
-                let Some(sample) = target.upgrade() else {
-                    return;
-                };
-                let progress = sample.progress_counter();
-                let parked = sample.parked_count();
-                if progress != last_progress || parked == 0 {
-                    last_progress = progress;
-                    flat_since = Instant::now();
-                    shared.stalled.store(false, Ordering::Release);
-                    continue;
-                }
-                let flat = flat_since.elapsed();
-                if flat >= deadline {
-                    let report = sample.stall_snapshot(flat);
-                    *shared.latest.lock().unwrap_or_else(|p| p.into_inner()) = Some(report);
-                    shared.stalled.store(true, Ordering::Release);
-                }
-            }
-        })
-        .expect("spawning the watchdog thread must succeed");
-    state
 }

@@ -22,7 +22,7 @@ use std::task::{Context, Poll, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use reo::runtime::{Connector, Mode};
+use reo::runtime::{Connector, Mode, ParkedKind};
 use reo::RuntimeError;
 
 /// A waker that records it fired — for polling port futures by hand.
@@ -351,10 +351,101 @@ fn poison_fans_out_to_spliced_branches() {
 /// pollable off the handle. A genuinely wait-blocked session reports no
 /// enabled transitions — distinguishing "nothing to do" from "lost kick" —
 /// and, in every mode, one entry per region and per link of the session.
+/// Two `Sync – Fifo1 – Sync` channels make four regions and two links under
+/// the partitioned modes: the ports the link protocol keeps armed are no
+/// task's, and stay out of the report.
 #[test]
 fn watchdog_turns_a_silent_stall_into_a_wait_for_snapshot() {
-    let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
+    let two_channels = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i])
+        mult prod (i:1..#a) Fifo1(m[i];n[i]) mult prod (i:1..#a) Sync(n[i];b[i])";
+    let inputs = [("Buf(a;b) = Fifo1(a;b)", "Buf", 1), (two_channels, "P", 2)];
     for &(_, mode) in Mode::grid() {
+        for (src, def, n) in inputs {
+            let program = reo::dsl::parse_program(src).unwrap();
+            let connector = Connector::builder(&program, def)
+                .mode(mode)
+                .build()
+                .unwrap();
+            let mut session = connector
+                .session()
+                .replicate("a", n)
+                .replicate("b", n)
+                .watchdog(Duration::from_millis(25))
+                .connect()
+                .unwrap();
+            let _tx = session.typed_outports::<i64>("a").unwrap();
+            let rx = session.typed_inports::<i64>("b").unwrap().remove(0);
+            let handle = session.handle();
+            match rx.recv_timeout(Duration::from_millis(400)) {
+                Err(RuntimeError::Stalled(report)) => {
+                    assert_eq!(
+                        (report.regions.len(), report.links.len()),
+                        (handle.region_count(), handle.link_count()),
+                        "{mode:?}: the report covers every region and link: {report}"
+                    );
+                    assert!(
+                        report.stalled_for >= Duration::from_millis(25),
+                        "{mode:?}: report predates the deadline: {report}"
+                    );
+                    assert_eq!(
+                        report.parked.len(),
+                        1,
+                        "{mode:?}: expected exactly the parked recv: {report}"
+                    );
+                    assert!(
+                        report.regions.iter().all(|r| !r.enabled),
+                        "{mode:?}: wait-blocked session claims enabled transitions: {report}"
+                    );
+                }
+                other => panic!("{mode:?}: expected Stalled, got {other:?}"),
+            }
+            assert!(
+                handle.is_stalled(),
+                "{mode:?}: handle does not flag the stall"
+            );
+            assert!(
+                handle.stall_report().is_some(),
+                "{mode:?}: no report pollable off the handle"
+            );
+        }
+    }
+}
+
+/// A watchdog is judged when asked, by nobody in between: an idle session
+/// takes no engine hold but those of the `stats()` call that reads the
+/// counter (one per region).
+#[test]
+fn an_idle_watched_session_takes_no_engine_holds() {
+    let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
+    for &(name, mode) in Mode::grid() {
+        let connector = Connector::builder(&program, "Buf")
+            .mode(mode)
+            .build()
+            .unwrap();
+        let session = connector
+            .session()
+            .watchdog(Duration::from_millis(25))
+            .connect()
+            .unwrap();
+        let handle = session.handle();
+        let before = handle.stats().lock_acquisitions;
+        thread::sleep(Duration::from_millis(200));
+        let held = handle.stats().lock_acquisitions - before;
+        assert_eq!(
+            held,
+            handle.region_count() as u64,
+            "{name}: an idle session took engine holds nobody asked for"
+        );
+    }
+}
+
+/// A supervisor asks for an untimed operation, which never observes: a
+/// task blocked in `recv()` is judged stalled by a thread polling
+/// `is_stalled()`, and the report lists exactly that receive.
+#[test]
+fn a_supervisor_polling_the_handle_judges_an_untimed_stall() {
+    let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
+    for &(name, mode) in Mode::grid() {
         let connector = Connector::builder(&program, "Buf")
             .mode(mode)
             .build()
@@ -367,37 +458,21 @@ fn watchdog_turns_a_silent_stall_into_a_wait_for_snapshot() {
         let _tx = session.typed_outport::<i64>("a").unwrap();
         let rx = session.typed_inport::<i64>("b").unwrap();
         let handle = session.handle();
-        match rx.recv_timeout(Duration::from_millis(400)) {
-            Err(RuntimeError::Stalled(report)) => {
-                assert_eq!(
-                    (report.regions.len(), report.links.len()),
-                    (handle.region_count(), handle.link_count()),
-                    "{mode:?}: the report covers every region and link: {report}"
-                );
-                assert!(
-                    report.stalled_for >= Duration::from_millis(25),
-                    "{mode:?}: report predates the deadline: {report}"
-                );
-                assert_eq!(
-                    report.parked.len(),
-                    1,
-                    "{mode:?}: expected exactly the parked recv: {report}"
-                );
-                assert!(
-                    report.regions.iter().all(|r| !r.enabled),
-                    "{mode:?}: wait-blocked session claims enabled transitions: {report}"
-                );
-            }
-            other => panic!("{mode:?}: expected Stalled, got {other:?}"),
+        let task = thread::spawn(move || rx.recv());
+        let started = Instant::now();
+        while !handle.is_stalled() {
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "{name}: no stall judged within 2 s"
+            );
+            thread::sleep(Duration::from_millis(5));
         }
-        assert!(
-            handle.is_stalled(),
-            "{mode:?}: handle does not flag the stall"
-        );
-        assert!(
-            handle.stall_report().is_some(),
-            "{mode:?}: no report pollable off the handle"
-        );
+        let report = handle.stall_report().expect("a judged stall has a report");
+        let kinds: Vec<ParkedKind> = report.parked.iter().map(|op| op.kind).collect();
+        assert_eq!(kinds, [ParkedKind::Recv], "{name}: {report}");
+        handle.close();
+        let got = task.join().unwrap();
+        assert!(matches!(got, Err(RuntimeError::Closed)), "{name}: {got:?}");
     }
 }
 
