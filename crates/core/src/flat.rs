@@ -135,10 +135,6 @@ impl FlatDef {
     pub fn params(&self) -> impl Iterator<Item = &Param> {
         self.tails.iter().chain(self.heads.iter())
     }
-
-    pub fn is_formal(&self, base: &str) -> bool {
-        self.params().any(|p| p.name == base)
-    }
 }
 
 /// How a formal parameter of an inlined definition maps into the caller's

@@ -417,13 +417,29 @@ fn gen_sequencer(rng: &mut Rng) -> GenCase {
     }
 }
 
-/// Fan-in with churn: branches join and leave the merger at runtime via
-/// the reconfiguration API, across every mode.
+/// Fig. 12's `merger` family behind one `Fifo1` per source: a chain of
+/// binary mergers that every attach grows at its tail.
+const MERGER_CHAIN: &str = "\
+M(src[];c) = prod (i:1..#src) Fifo1(src[i];f[i]) mult MergerN(f[1..#src];c)
+MergerN(tl[];hd) =
+  if (#tl == 1) { Sync(tl[1];hd) }
+  else {
+    Merg2(tl[1],tl[2];m[2])
+    mult prod (i:3..#tl) Merg2(m[i-1],tl[i];m[i])
+    mult Sync(m[#tl];hd)
+  }";
+
+/// Fan-in with churn: branches join and leave the merger — the variadic
+/// primitive or [`MERGER_CHAIN`] — at runtime via the reconfiguration
+/// API, across every mode.
 fn gen_churn_merger(rng: &mut Rng) -> GenCase {
     let channels = rng.range(1, 2);
-    let source =
-        "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) mult Merger(m[1..#src];c)".to_string();
-    let mut scenario = Scenario::new(source, "M");
+    let source = if rng.chance(1, 2) {
+        "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) mult Merger(m[1..#src];c)"
+    } else {
+        MERGER_CHAIN
+    };
+    let mut scenario = Scenario::new(source.to_string(), "M");
     scenario.replicate = vec![("src".into(), channels)];
     scenario.reconfigurable = true;
     let mut value = 1i64;

@@ -360,9 +360,6 @@ impl Connector {
         if self.mode == Mode::Existing && !reconfigurable {
             instance = instance.monolithic(&self.limits.product)?;
         }
-        let tail_names: Vec<String> = (self.compiled.tails.iter())
-            .map(|p| p.name.clone())
-            .collect();
         let medium_count = instance.automata.len();
 
         // The reconfiguration record snapshots the constituents before
@@ -393,7 +390,6 @@ impl Connector {
                     alloc,
                     automata,
                     layout,
-                    tails: tail_names.clone(),
                 }),
                 epoch: AtomicU64::new(0),
             })
@@ -403,7 +399,7 @@ impl Connector {
         let mut outports = HashMap::new();
         let mut inports = HashMap::new();
         for (name, ports) in &binding {
-            let is_tail = tail_names.iter().any(|t| t == name);
+            let is_tail = self.compiled.tails.iter().any(|t| &t.name == name);
             if is_tail {
                 outports.insert(
                     name.clone(),

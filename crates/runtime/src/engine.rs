@@ -1395,27 +1395,14 @@ impl Engine {
         inner.multi_link = ends.len() >= 2;
     }
 
-    /// A splice changed no more than this locked engine's border: new link
-    /// ends, and the hangup analysis over, which writes every end's flag.
-    pub(crate) fn reborder(
-        inner: &mut EngineInner,
-        ends: &[(PortId, LinkEnd)],
-        events: &mut LinkEvents,
-    ) {
-        Self::set_link_ends(inner, ends);
-        inner.rebuild_dead();
-        inner.events.drain_into(events);
-        Self::deliver_under_lock(inner);
-    }
-
-    /// Swap in a new core and port map under an already-held engine lock,
-    /// carrying pending operations and each port's [`PortSlot`] **per
-    /// global port** so blocked tasks survive the slot renumbering; the
-    /// link-end table is rebuilt from `ends` against the new slots; the
-    /// store grows to `layout` (new constituents
-    /// bring fresh cells, surviving cells never move). Ports only in the
-    /// old map must have passed [`removal_quiescent`](Self::removal_quiescent).
-    /// Fires whatever the new core enables and wakes every parked waker —
+    /// Splice a held engine: swap in the `recomposed` core and port map, if
+    /// its members changed, carrying pending operations and each port's
+    /// [`PortSlot`] **per global port** so blocked tasks survive the slot
+    /// renumbering; rebuild the link-end table from `ends`; grow the store
+    /// to `layout` (new constituents bring fresh cells, surviving cells
+    /// never move). Ports only in the old map must have passed
+    /// [`removal_quiescent`](Self::removal_quiescent).
+    /// Fires whatever the core enables and wakes every parked waker —
     /// under the lock, see `deliver_under_lock` — so every pending
     /// operation is polled again, against the new tables. What that firing
     /// leaves for other engines goes onto `events`: the splice
@@ -1423,28 +1410,30 @@ impl Engine {
     pub(crate) fn install(
         &self,
         inner: &mut EngineInner,
-        core: JitCore,
-        ports: PortMap,
+        recomposed: Option<(JitCore, PortMap)>,
         layout: &MemLayout,
         ends: &[(PortId, LinkEnd)],
         events: &mut LinkEvents,
     ) {
-        let new_ports = Arc::new(ports);
-        let mut pending = PendingTable::new(Arc::clone(&new_ports));
-        let mut slots: Vec<PortSlot> = (0..new_ports.len()).map(|_| PortSlot::default()).collect();
-        let old_ports = Arc::clone(inner.pending.port_map());
-        for (old_slot, p) in old_ports.iter().enumerate() {
-            let Some(new_slot) = new_ports.try_slot(p) else {
-                continue; // removed port: verified idle by the caller
-            };
-            pending.set(p, inner.pending.take(p));
-            std::mem::swap(&mut slots[new_slot], &mut inner.slots[old_slot]);
+        if let Some((core, ports)) = recomposed {
+            let new_ports = Arc::new(ports);
+            let mut pending = PendingTable::new(Arc::clone(&new_ports));
+            let mut slots: Vec<PortSlot> =
+                (0..new_ports.len()).map(|_| PortSlot::default()).collect();
+            let old_ports = Arc::clone(inner.pending.port_map());
+            for (old_slot, p) in old_ports.iter().enumerate() {
+                let Some(new_slot) = new_ports.try_slot(p) else {
+                    continue; // removed port: verified idle by the caller
+                };
+                pending.set(p, inner.pending.take(p));
+                std::mem::swap(&mut slots[new_slot], &mut inner.slots[old_slot]);
+            }
+            inner.pending = pending;
+            inner.slots = slots;
+            inner.core = core;
         }
-        inner.pending = pending;
-        inner.slots = slots;
         Self::set_link_ends(inner, ends);
         inner.store.grow(layout);
-        inner.core = core;
         // `hungup` holds global ids and survives the splice as-is; the
         // dead set depends on the (new) core and state, so recompute it —
         // a splice can revive a port (a fresh branch replaces a departed

@@ -69,9 +69,9 @@ pub enum RuntimeError {
     /// after it finishes. Reconfigurations are serialized per session.
     ReconfigInFlight,
     /// A reconfiguration splice could not be carried out — e.g. a branch
-    /// slated for removal was not quiescent, the template diff was
-    /// ambiguous, or the new partition would merge or split live regions
-    /// (unsupported). The session is left exactly as it was.
+    /// slated for removal was not quiescent, or the new partition would
+    /// merge or split live regions (unsupported). The session is left
+    /// exactly as it was.
     Reconfig(String),
     /// The session was not created with
     /// `SessionSpec::reconfigurable`, or the parameter is not replicated,

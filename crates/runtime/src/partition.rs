@@ -114,7 +114,7 @@
 //! assert!(stats.batched_values > 0, "the value crossed the link, counted at both ends");
 //! ```
 
-use std::collections::{btree_map::Entry, BTreeMap, HashMap, HashSet};
+use std::collections::{btree_map::Entry, BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -748,9 +748,9 @@ impl Partitioned {
     /// reconfig lock):
     ///
     /// 1. **Plan** the new partition and match it against the live
-    ///    topology: a new region inherits an old region's engine iff they
-    ///    share a kept constituent or an end of a surviving link, or both
-    ///    plans have one region (always so on one engine). Merges
+    ///    topology through the two routers: a new region continues the
+    ///    engine of the old region that served any of its ports, and a
+    ///    port only the old router routes leaves the session. Merges
     ///    and splits of live regions are rejected
     ///    ([`RuntimeError::Reconfig`]) — v1 supports branch churn, not
     ///    arbitrary re-partitioning.
@@ -814,18 +814,10 @@ impl Partitioned {
             }
         }
 
-        // Match regions old ↔ new: through their kept constituents, and
-        // through the ends of surviving links (same port pair) — a region
-        // whose only member was re-shaped (a variadic node gaining an
-        // input) is still the region at that end of the link, and the
-        // receive armed on the tail moves with it instead of reading as
-        // traffic on a region that leaves.
-        let carried: Vec<Option<usize>> = (plan.links.iter())
-            .map(|spec| {
-                let same = |ol: &Link| ol.in_port == spec.in_port && ol.out_port == spec.out_port;
-                old.links.iter().position(same)
-            })
-            .collect();
+        // Match regions old ↔ new through the ports they serve: a new
+        // region continues the old region that served any of its ports,
+        // whatever its members became. A port routed only by the old
+        // router leaves the session.
         let mut old_region_of: Vec<Option<usize>> = vec![None; plan.regions.len()];
         let mut taken: Vec<Option<usize>> = vec![None; old.engines.len()];
         let mut bind = |nr: usize, or: usize| {
@@ -840,56 +832,44 @@ impl Partitioned {
             }
             Ok(())
         };
-        for (nr, members) in plan.regions.iter().enumerate() {
-            for oi in members.iter().filter_map(|&ni| old_of_new[ni]) {
-                bind(nr, old.automaton_region[oi].expect("role checked above"))?;
+        let mut removed_ports: Vec<PortId> = Vec::new();
+        for (p, (&or, &nr)) in old.router.iter().zip(&plan.router).enumerate() {
+            match (or, nr) {
+                (UNROUTED, _) => {}
+                (_, UNROUTED) => removed_ports.push(PortId(p as u32)),
+                _ => bind(nr as usize, or as usize)?,
             }
-        }
-        for (spec, oli) in plan.links.iter().zip(&carried) {
-            if let Some(ol) = oli.map(|oli| &old.links[oli]) {
-                bind(spec.from, ol.from)?;
-                bind(spec.to, ol.to)?;
-            }
-        }
-        // One region before and after: it is the same region, whatever its
-        // members became, and its engine goes on.
-        if plan.regions.len() == 1 && old.engines.len() == 1 {
-            bind(0, 0)?;
         }
         let removed_regions: Vec<usize> = (0..old.engines.len())
             .filter(|&r| taken[r].is_none())
             .collect();
 
-        // Ports leaving the session: ports of detached constituents that
-        // no surviving constituent still uses.
-        let mut kept_old = vec![false; old_automata.len()];
-        for oi in old_of_new.iter().flatten() {
-            kept_old[*oi] = true;
-        }
-        let live_ports: HashSet<PortId> =
-            new_automata.iter().flat_map(|a| a.ports().iter()).collect();
-        let mut removed_ports: Vec<PortId> = old_automata
-            .iter()
-            .enumerate()
-            .filter(|(oi, _)| !kept_old[*oi])
-            .flat_map(|(_, a)| a.ports().iter())
-            .filter(|p| !live_ports.contains(p))
-            .collect();
-        removed_ports.sort_unstable_by_key(|p| p.index());
-        removed_ports.dedup();
-
         // Surviving links keep their queue (matched by port pair — kept
-        // constituents keep their ports, fresh ones get fresh ports).
+        // constituents keep their ports, fresh ones get fresh ports). A
+        // kept region whose border changes — it borders a link that comes
+        // or one that goes — is held, whatever its constituents do.
         let mut old_link_kept = vec![false; old.links.len()];
-        let links: Vec<Link> = (plan.links.iter().zip(&carried))
-            .map(|(spec, oli)| {
-                let shared = oli.map(|oli| {
+        let mut rebordered: Vec<usize> = Vec::new();
+        let links: Vec<Link> = (plan.links.iter())
+            .map(|spec| {
+                let same = |ol: &Link| ol.in_port == spec.in_port && ol.out_port == spec.out_port;
+                let shared = old.links.iter().position(same).map(|oli| {
                     old_link_kept[oli] = true;
                     Arc::clone(&old.links[oli].shared)
                 });
+                if shared.is_none() {
+                    let ends = [spec.from, spec.to].map(|nr| old_region_of[nr]);
+                    rebordered.extend(ends.into_iter().flatten());
+                }
                 Link::from_spec(spec, shared)
             })
             .collect();
+        let leaving: Vec<&Link> = (old.links.iter().zip(&old_link_kept))
+            .filter_map(|(ol, kept)| (!kept).then_some(ol))
+            .collect();
+        for ol in &leaving {
+            rebordered.extend([ol.from, ol.to]);
+        }
 
         // Affected kept regions: constituent list (or its order, which is
         // the state-tuple order) changed. Identical regions are reused
@@ -906,28 +886,6 @@ impl Partitioned {
                     .all(|(&ni, &oi)| old_of_new[ni] == Some(oi));
             if !same {
                 affected.push(or);
-            }
-        }
-
-        // Kept regions whose border changes: they border a link that goes
-        // or a link that comes, whatever happens to their constituents.
-        let mut rebordered: Vec<usize> = Vec::new();
-        for (oli, ol) in old.links.iter().enumerate() {
-            if !old_link_kept[oli] {
-                rebordered.extend([ol.from, ol.to]);
-            }
-        }
-        for link in &links {
-            if !old
-                .links
-                .iter()
-                .any(|ol| Arc::ptr_eq(&ol.shared, &link.shared))
-            {
-                rebordered.extend(
-                    [link.from, link.to]
-                        .iter()
-                        .filter_map(|&nr| old_region_of[nr]),
-                );
             }
         }
 
@@ -962,12 +920,8 @@ impl Partitioned {
         // not traffic: no task ever holds a link port. Those ports pass the
         // quiescence checks unseen and are cleared past the point of no
         // return, so a refused splice still leaves the link served.
-        let leaving = || {
-            let kept = old.links.iter().zip(&old_link_kept);
-            kept.filter_map(|(ol, kept)| (!kept).then_some(ol))
-        };
         let mut own_ports = PortSet::new();
-        for ol in leaving() {
+        for ol in &leaving {
             if ol.depth() > 0 {
                 return Err(RuntimeError::Reconfig(format!(
                     "link {} → {} of the detaching branch still holds {} undelivered value(s)",
@@ -979,26 +933,28 @@ impl Partitioned {
             own_ports.insert(ol.in_port);
             own_ports.insert(ol.out_port);
         }
+        // A removed region's ports are removed ports or a leaving link's,
+        // so this one check covers it too.
         removed_ports.retain(|p| !own_ports.contains(*p));
         for g in guards.values() {
             Engine::removal_quiescent(g, &removed_ports)?;
         }
-
-        // Removed regions: *every* port idle, every constituent at rest.
-        for &r in &removed_regions {
-            let g = &guards[&r];
-            let all_ports: Vec<PortId> = (g.pending.port_map().iter())
-                .filter(|p| !own_ports.contains(*p))
-                .collect();
-            Engine::removal_quiescent(g, &all_ports)?;
+        // Every detaching constituent a region served is at rest: its
+        // region changes its members or leaves, so it is held.
+        let mut kept_old = vec![false; old_automata.len()];
+        for &oi in old_of_new.iter().flatten() {
+            kept_old[oi] = true;
+        }
+        for (&r, g) in &guards {
             let states = g.core.constituent_states();
             for (pos, &oi) in old.region_constituents[r].iter().enumerate() {
-                constituent_at_rest(&old_automata[oi], states[pos], g, layout)?;
+                if !kept_old[oi] {
+                    constituent_at_rest(&old_automata[oi], states[pos], g, layout)?;
+                }
             }
         }
 
-        // Affected kept regions: verify detaching members at rest, then
-        // recompose from the live constituent states.
+        // Affected kept regions recompose from the live constituent states.
         let mut installs: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
         let mut fresh: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
         for (nr, members) in plan.regions.iter().enumerate() {
@@ -1006,13 +962,7 @@ impl Partitioned {
                 members.iter().map(|&ni| new_automata[ni].clone()).collect();
             match old_region_of[nr] {
                 Some(or) if affected.contains(&or) => {
-                    let g = &guards[&or];
-                    let states = g.core.constituent_states();
-                    for (pos, &oi) in old.region_constituents[or].iter().enumerate() {
-                        if !kept_old[oi] {
-                            constituent_at_rest(&old_automata[oi], states[pos], g, layout)?;
-                        }
-                    }
+                    let states = guards[&or].core.constituent_states();
                     let starts: Vec<StateId> = members
                         .iter()
                         .map(|&ni| match old_of_new[ni] {
@@ -1041,7 +991,7 @@ impl Partitioned {
         }
 
         // ---- Point of no return: disarm, install, assemble, swap. ----
-        for ol in leaving() {
+        for ol in &leaving {
             for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
                 let g = guards
                     .get_mut(&r)
@@ -1065,12 +1015,7 @@ impl Partitioned {
                 continue; // a removed region
             };
             let ends = link_ends(&links, nr);
-            match installs.remove(&or) {
-                Some((core, ports)) => {
-                    old.engines[or].install(g, core, ports, layout, &ends, &mut work)
-                }
-                None => Engine::reborder(g, &ends, &mut work),
-            }
+            old.engines[or].install(g, installs.remove(&or), layout, &ends, &mut work);
         }
         let engines: Vec<Arc<Engine>> = (0..plan.regions.len())
             .map(|nr| match old_region_of[nr] {

@@ -16,14 +16,16 @@
 //!    signature (boundary ports concrete, local ports and memory cells
 //!    normalized away) via an order-preserving longest-common-subsequence
 //!    — valid because instantiation is a deterministic walk, so surviving
-//!    constituents keep their relative order. Matched constituents keep
-//!    their *old* automata (ids, state, buffered data); unmatched new
-//!    constituents get their shared internals renamed onto the live ids
-//!    through the matched pairs.
+//!    constituents keep their relative order. A matched pair stands only
+//!    if its local ports and cells extend one renaming of new ids onto
+//!    live ones *one-to-one*; otherwise both sides count as unmatched.
+//!    Matched constituents keep their *old* automata (ids, state,
+//!    buffered data); unmatched new ones get their shared internals
+//!    renamed onto the live ids through that renaming.
 //! 3. **Splice** the difference into the session's partition
 //!    ([`crate::partition::Partitioned::splice`]), which quiesces only the
-//!    affected regions — on one engine the one region, whose engine the
-//!    splice continues.
+//!    affected regions; a new region continues the engine of the region
+//!    that served its ports.
 //! 4. **Commit** the new state and bump the session epoch.
 //!
 //! Reconfigurations are serialized per session with `try_lock`
@@ -65,8 +67,6 @@ pub(crate) struct ReconfigState {
     /// earlier epoch's layout, so retired cells keep their ids and
     /// initial contents).
     pub(crate) layout: MemLayout,
-    /// Tail (sender-side) parameter names, to orient branch port handles.
-    pub(crate) tails: Vec<String>,
 }
 
 /// What a reconfiguration does to the named replicated parameter.
@@ -148,7 +148,7 @@ pub(crate) fn reconfigure(
         .flatten()
         .copied()
         .collect();
-    let diffed = diff(&st.automata, &instance.automata, &boundary)?;
+    let diffed = diff(&st.automata, &instance.automata, &boundary);
 
     // The new global layout is a superset of the old: surviving and
     // retired cells keep their ids and initial contents, fresh
@@ -164,7 +164,7 @@ pub(crate) fn reconfigure(
     st.binding = binding;
     st.automata = diffed.automata;
     st.layout = layout;
-    let is_tail = st.tails.iter().any(|t| t == name);
+    let is_tail = st.cc.tails.iter().any(|t| t.name == name);
     drop(st);
     shared
         .epoch
@@ -201,27 +201,21 @@ struct Diff {
 }
 
 /// Match the re-instantiated constituent list against the live one.
-fn diff(
-    old: &[Automaton],
-    new: &[Automaton],
-    boundary: &HashSet<PortId>,
-) -> Result<Diff, RuntimeError> {
+fn diff(old: &[Automaton], new: &[Automaton], boundary: &HashSet<PortId>) -> Diff {
     let old_sig: Vec<String> = old.iter().map(|a| canonical(a, boundary)).collect();
     let new_sig: Vec<String> = new.iter().map(|a| canonical(a, boundary)).collect();
-    let matched = lcs(&old_sig, &new_sig);
 
-    // A global local-id renaming (new instance → live ids), accumulated
-    // over the matched pairs. A conflict means the canonical matching was
-    // ambiguous; refuse rather than mis-wire.
+    // A global local-id renaming (new instance → live ids), grown over the
+    // matched pairs while it stays one-to-one. A pair that would break it
+    // (two new ports onto one live port) stays unmatched: the new
+    // constituent is fresh, and the old one detaches, so it must be at rest.
     let mut pm: HashMap<PortId, PortId> = HashMap::new();
     let mut mm: HashMap<MemId, MemId> = HashMap::new();
-    for &(oi, ni) in &matched {
-        align(&old[oi], &new[ni], boundary, &mut pm, &mut mm)?;
-    }
-
     let mut old_of_new = vec![None; new.len()];
-    for &(oi, ni) in &matched {
-        old_of_new[ni] = Some(oi);
+    for (oi, ni) in lcs(&old_sig, &new_sig) {
+        if align(&old[oi], &new[ni], boundary, &mut pm, &mut mm) {
+            old_of_new[ni] = Some(oi);
+        }
     }
     let automata = new
         .iter()
@@ -236,10 +230,10 @@ fn diff(
             }),
         })
         .collect();
-    Ok(Diff {
+    Diff {
         automata,
         old_of_new,
-    })
+    }
 }
 
 /// Non-boundary ports of `a`, sorted by id. Instantiation allocates ids
@@ -254,44 +248,37 @@ fn local_ports(a: &Automaton, boundary: &HashSet<PortId>) -> Vec<PortId> {
     locals
 }
 
-/// Record the local-id renaming `new → old` implied by a matched pair.
+/// Record the local-id renaming `new → old` implied by a matched pair, if
+/// it extends `pm` and `mm` one-to-one; `false`, with both untouched,
+/// otherwise. Equal signatures have equal local port and cell counts.
 fn align(
     old: &Automaton,
     new: &Automaton,
     boundary: &HashSet<PortId>,
     pm: &mut HashMap<PortId, PortId>,
     mm: &mut HashMap<MemId, MemId>,
-) -> Result<(), RuntimeError> {
-    let ol = local_ports(old, boundary);
-    let nl = local_ports(new, boundary);
-    if ol.len() != nl.len() || old.mem_ids().len() != new.mem_ids().len() {
-        return Err(RuntimeError::Reconfig(format!(
-            "template diff is ambiguous: matched instances of `{}` differ in local \
-             port or memory-cell counts",
-            old.name()
-        )));
+) -> bool {
+    let ports: Vec<_> = local_ports(new, boundary)
+        .into_iter()
+        .zip(local_ports(old, boundary))
+        .collect();
+    let mems: Vec<_> = (new.mem_ids().iter().copied())
+        .zip(old.mem_ids().iter().copied())
+        .collect();
+    let fits = one_to_one(pm, &ports) && one_to_one(mm, &mems);
+    if fits {
+        pm.extend(ports);
+        mm.extend(mems);
     }
-    for (&np, &op) in nl.iter().zip(&ol) {
-        if let Some(prev) = pm.insert(np, op) {
-            if prev != op {
-                return Err(RuntimeError::Reconfig(format!(
-                    "template diff is ambiguous: port {np} of the new instance maps to \
-                     both {prev} and {op}"
-                )));
-            }
-        }
-    }
-    for (&nm, &om) in new.mem_ids().iter().zip(old.mem_ids()) {
-        if let Some(prev) = mm.insert(nm, om) {
-            if prev != om {
-                return Err(RuntimeError::Reconfig(format!(
-                    "template diff is ambiguous: memory cell {nm:?} of the new instance \
-                     maps to both {prev:?} and {om:?}"
-                )));
-            }
-        }
-    }
-    Ok(())
+    fits
+}
+
+/// Whether renaming `map` stays one-to-one with `pairs` (new → old) added.
+fn one_to_one<T: Copy + Eq + std::hash::Hash>(map: &HashMap<T, T>, pairs: &[(T, T)]) -> bool {
+    pairs.iter().all(|&(n, o)| match map.get(&n) {
+        Some(&prev) => prev == o,
+        None => !map.values().any(|&v| v == o),
+    })
 }
 
 /// A structural signature that is invariant under local-id renaming:
@@ -429,12 +416,40 @@ mod tests {
             primitives::sync(p(3), p(50)), // fresh branch
             primitives::sync(p(50), p(1)),
         ];
-        let d = diff(&old, &new, &boundary).unwrap();
+        let d = diff(&old, &new, &boundary);
         assert_eq!(d.old_of_new, vec![Some(0), Some(1), None, Some(2)]);
         // The fresh branch's internal side was renamed onto the live p5.
         let fresh = &d.automata[2];
         let ps = fresh.ports();
         assert!(ps.contains(p(5)), "fresh branch rewired to live internal");
         assert!(!ps.contains(p(50)), "no fresh duplicate of the internal");
+    }
+
+    #[test]
+    fn diff_never_renames_two_new_ports_onto_one_live_port() {
+        // Fig. 12's merger chain grown from two tails to three: the final
+        // sync has the same signature at every width, but pairing it would
+        // rename both the new m[2] (p50) and m[3] (p51) onto the live p5.
+        let boundary: HashSet<PortId> = [p(0), p(1), p(2), p(9)].into_iter().collect();
+        let old = vec![
+            primitives::merger(&[p(0), p(1)], p(5)),
+            primitives::sync(p(5), p(9)),
+        ];
+        let new = vec![
+            primitives::merger(&[p(0), p(1)], p(50)),
+            primitives::merger(&[p(50), p(2)], p(51)),
+            primitives::sync(p(51), p(9)),
+        ];
+        let d = diff(&old, &new, &boundary);
+        assert_eq!(d.old_of_new, vec![Some(0), None, None], "the sync detaches");
+        let grown = d.automata[1].ports();
+        assert!(
+            grown.contains(p(5)) && grown.contains(p(51)),
+            "fed by m[2], feeds m[3]"
+        );
+        assert!(
+            d.automata[2].ports().contains(p(51)),
+            "a fresh sync drains m[3]"
+        );
     }
 }

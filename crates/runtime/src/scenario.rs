@@ -209,16 +209,6 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// A do-nothing waker: the polled driver never sleeps on a wake — it
-/// polls round-robin, yielding between full passes.
-fn noop_waker() -> Waker {
-    struct Noop;
-    impl std::task::Wake for Noop {
-        fn wake(self: std::sync::Arc<Self>) {}
-    }
-    Waker::from(std::sync::Arc::new(Noop))
-}
-
 /// An attached branch plus its (single-owner) port handle.
 struct BranchSlot {
     branch: Option<Branch>,
@@ -570,8 +560,9 @@ fn run_batch_polled(
     let mut outcomes: Vec<Option<OpResult>> = vec![None; ops.len()];
     let need = quorum.unwrap_or(ops.len()).min(ops.len());
     let mut completed = 0usize;
-    let waker = noop_waker();
-    let mut cx = Context::from_waker(&waker);
+    // The polled driver never sleeps on a wake: it polls round-robin,
+    // yielding between full passes.
+    let mut cx = Context::from_waker(Waker::noop());
     let deadline = Instant::now() + timeout;
     while completed < need {
         let mut progressed = false;

@@ -27,9 +27,9 @@ use reo::{RuntimeError, Value};
 /// without a rendezvous partner), and the merger delivers buffered values
 /// to `c` one at a time. Churn reshapes the merger itself — a
 /// variable-shape *deferred* constituent — while the matched fifos carry
-/// their buffered state across the splice. Under the partitioned modes
-/// every fifo is a cut link, so the splice also grows/shrinks the link
-/// set and its kick routing.
+/// their buffered state across the splice. Every fifo's tail faces a task,
+/// so no fifo is cut: the connector is one region without links in every
+/// mode, and churn reshapes that region.
 const MERGER: &str = "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) \
     mult Merger(m[1..#src];c)";
 
@@ -682,5 +682,103 @@ fn a_receive_parked_across_a_one_region_splice_is_served() {
             other => panic!("{label}: {other:?}"),
         }
         handle.close();
+    }
+}
+
+/// The merger is re-shaped by the attach and the `Sync` beside it is not:
+/// the partitioned modes plan them as two regions, so no region has one
+/// member before and after and no link borders the merger's. It is still
+/// the region serving `c`, keeps its engine, and a receive parked on `c`
+/// is served by the joiner (the partitioned modes refused the attach, the
+/// parked receive reading as traffic on a region that leaves).
+#[test]
+fn a_reshaped_region_without_links_keeps_its_engine() {
+    const LONE: &str = "M(src[],x;c,y) = Merger(src[1..#src];c) mult Sync(x;y)";
+    for &(label, mode) in Mode::grid() {
+        let (mut session, handle) = connect_merger(LONE, mode, 2);
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        let (mut cx, mut registered) = (Context::from_waker(Waker::noop()), false);
+        assert!(
+            rx.poll_recv(&mut cx, &mut registered).is_pending(),
+            "{label}"
+        );
+
+        let mut branch = handle
+            .attach("src")
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        branch.outport().unwrap().send(Value::Int(7)).unwrap();
+        match rx.poll_recv(&mut cx, &mut registered) {
+            Poll::Ready(Ok(7)) => {}
+            other => panic!("{label}: {other:?}"),
+        }
+        handle.close();
+    }
+}
+
+/// One value from every sender at once, each on its own thread: the
+/// values `rx` received, sorted, after every send returned `Ok`.
+fn send_all_at_once(txs: &[&reo::Outport], rx: &reo::Inport<i64>, label: &str) -> Vec<i64> {
+    const WAIT: Duration = Duration::from_secs(5);
+    std::thread::scope(|s| {
+        let sends: Vec<_> = (txs.iter().enumerate())
+            .map(|(i, tx)| s.spawn(move || tx.send_timeout(Value::Int(i as i64), WAIT)))
+            .collect();
+        let mut got: Vec<i64> = (0..txs.len())
+            .filter_map(|_| rx.recv_timeout(WAIT).ok())
+            .collect();
+        for (i, send) in sends.into_iter().enumerate() {
+            let sent = send.join().unwrap();
+            assert!(sent.is_ok(), "{label}: sender {i}: {sent:?}");
+        }
+        got.sort_unstable();
+        got
+    })
+}
+
+/// Fig. 12's `merger` and `alternator` chain binary mergers and end in
+/// `Sync(m[#tl];hd)`, whose signature is the same at every width: a
+/// grown chain must not rename two new ports onto the live `m[n]`. After
+/// an attach, the n + 1 senders deliver as on a fresh connect; after the
+/// detach, the n old ones still do.
+#[test]
+fn fig12_chains_attach_like_a_fresh_connect() {
+    let families = reo::connectors::families();
+    for name in ["merger", "alternator"] {
+        let family = families.iter().find(|f| f.name == name).unwrap();
+        let program = family.program();
+        let (param, _) = (family.sizes)(1)[0];
+        for n in 2..=4 {
+            for &(mode_label, mode) in Mode::grid() {
+                let label = format!("{name} n={n} {mode_label}");
+                let connector = Connector::builder(&program, family.def)
+                    .mode(mode)
+                    .build()
+                    .unwrap();
+                let mut session = (connector.session().replicate(param, n))
+                    .reconfigurable()
+                    .connect()
+                    .unwrap();
+                let handle = session.handle();
+                let txs = session.outports(param).unwrap();
+                let rx = session.typed_inport::<i64>("hd").unwrap();
+
+                let mut branch = handle
+                    .attach(param)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let tx = branch.outport().unwrap();
+                let all: Vec<&reo::Outport> = txs.iter().chain([&tx]).collect();
+                let got = send_all_at_once(&all, &rx, &label);
+                assert_eq!(got, (0..=n as i64).collect::<Vec<_>>(), "{label}");
+
+                drop(tx);
+                branch
+                    .detach()
+                    .unwrap_or_else(|e| panic!("{label}: detach: {e}"));
+                let old: Vec<&reo::Outport> = txs.iter().collect();
+                let got = send_all_at_once(&old, &rx, &label);
+                assert_eq!(got, (0..n as i64).collect::<Vec<_>>(), "{label}");
+                handle.close();
+            }
+        }
     }
 }
