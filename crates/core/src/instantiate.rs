@@ -29,12 +29,32 @@ pub struct ConnectorInstance {
     /// The concrete constituents: medium automata, primitives, or the one
     /// [`monolithic`](ConnectorInstance::monolithic) product.
     pub automata: Vec<Automaton>,
+    /// Where each constituent came from, parallel to `automata` (empty
+    /// once [`monolithic`](ConnectorInstance::monolithic) composed them).
+    pub origins: Vec<Origin>,
     /// Concrete ports per formal parameter name.
     pub boundary: Binding,
-    /// Total ports allocated (sizes engine tables).
-    pub port_count: usize,
     /// Merged initial memory layout of all automata.
     pub mem_layout: MemLayout,
+}
+
+/// The instantiation address of one constituent: the template node that
+/// stamped it, and what it was stamped with. Two instantiations of one
+/// template stamp the same constituent where their origins agree up to a
+/// renaming of ports and cells.
+#[derive(Clone, Debug)]
+pub struct Origin {
+    /// The stamping [`CompiledNode`]'s address inside its template (stable
+    /// for as long as the template is not moved).
+    pub node: usize,
+    /// The integer arguments; a deferred node's tail count is appended,
+    /// so a variadic primitive at two widths has two keys.
+    pub iargs: Vec<i64>,
+    /// The ports, in template-slot order (a deferred node's tails, then
+    /// its heads).
+    pub ports: Vec<PortId>,
+    /// The memory cells, in slot order.
+    pub mems: Vec<MemId>,
 }
 
 impl ConnectorInstance {
@@ -45,6 +65,7 @@ impl ConnectorInstance {
     pub fn monolithic(mut self, product: &ProductOptions) -> Result<Self, Explosion> {
         let keep: PortSet = self.boundary.values().flatten().copied().collect();
         self.automata = vec![simplify(&product_all(&self.automata, product)?, &keep)];
+        self.origins.clear();
         Ok(self)
     }
 }
@@ -84,18 +105,12 @@ pub fn instantiate(
     }
     let mut env = env_from_binding(binding);
     let mut resolver = Resolver::new(binding, alloc);
-    let mut automata = Vec::new();
+    let mut out = Vec::new();
     let mut work = Work {
         left: INSTANTIATION_BUDGET,
     };
-    walk(
-        &cc.root,
-        cc,
-        &mut env,
-        &mut resolver,
-        &mut automata,
-        &mut work,
-    )?;
+    walk(&cc.root, cc, &mut env, &mut resolver, &mut out, &mut work)?;
+    let (automata, origins): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     if automata.is_empty() {
         // A connector with boundary ports but no constituents has no
         // behaviour at all; refuse here so every backend (including the
@@ -109,8 +124,8 @@ pub fn instantiate(
     }
     Ok(ConnectorInstance {
         automata,
+        origins,
         boundary: binding.clone(),
-        port_count: alloc.port_count(),
         mem_layout,
     })
 }
@@ -169,18 +184,19 @@ fn walk(
     cc: &CompiledConnector,
     env: &mut Env,
     resolver: &mut Resolver<'_>,
-    out: &mut Vec<Automaton>,
+    out: &mut Vec<(Automaton, Origin)>,
     work: &mut Work,
 ) -> Result<(), CoreError> {
+    let address = node as *const CompiledNode as usize;
     match node {
         CompiledNode::Medium(template) => {
             work.spend()?;
-            out.push(stamp(template, env, resolver)?);
+            out.push(stamp(template, address, env, resolver)?);
             Ok(())
         }
         CompiledNode::Deferred(inst) => {
             work.spend()?;
-            out.push(build_deferred(inst, cc, env, resolver)?);
+            out.push(build_deferred(inst, address, cc, env, resolver)?);
             Ok(())
         }
         CompiledNode::Seq(parts) => {
@@ -231,9 +247,10 @@ fn eval_cond(cond: &FlatBool, env: &Env) -> Result<bool, CoreError> {
 /// ports, symbolic memory cells to fresh cells.
 fn stamp(
     template: &MediumTemplate,
+    node: usize,
     env: &Env,
     resolver: &mut Resolver<'_>,
-) -> Result<Automaton, CoreError> {
+) -> Result<(Automaton, Origin), CoreError> {
     let mut port_map: Vec<PortId> = Vec::with_capacity(template.sym_ports.len());
     let mut seen: HashMap<PortId, usize> = HashMap::new();
     for (k, fr) in template.sym_ports.iter().enumerate() {
@@ -249,18 +266,26 @@ fn stamp(
     let mem_map: Vec<MemId> = (0..template.mem_count)
         .map(|_| resolver.alloc().fresh_mem())
         .collect();
-    Ok(remap(&template.automaton, &|p| port_map[p.index()], &|m| {
+    let a = remap(&template.automaton, &|p| port_map[p.index()], &|m| {
         mem_map[m.index()]
-    }))
+    });
+    let origin = Origin {
+        node,
+        iargs: Vec::new(),
+        ports: port_map,
+        mems: mem_map,
+    };
+    Ok((a, origin))
 }
 
 /// Build a deferred (variable-shape) constituent directly.
 fn build_deferred(
     inst: &FlatInst,
+    node: usize,
     cc: &CompiledConnector,
     env: &Env,
     resolver: &mut Resolver<'_>,
-) -> Result<Automaton, CoreError> {
+) -> Result<(Automaton, Origin), CoreError> {
     let mut tails = Vec::new();
     for op in &inst.tails {
         tails.extend(resolver.resolve_operand(op, env)?);
@@ -269,15 +294,30 @@ fn build_deferred(
     for op in &inst.heads {
         heads.extend(resolver.resolve_operand(op, env)?);
     }
-    let iargs = inst
+    let mut iargs = inst
         .iargs
         .iter()
         .map(|a| a.eval(env))
         .collect::<Result<Vec<i64>, _>>()?;
     // The resolver's allocator hands out the fresh memory cells.
     let alloc = resolver.alloc();
-    let mut fresh = || alloc.fresh_mem();
-    build_prim(&cc.registry, &inst.prim, &iargs, &tails, &heads, &mut fresh)
+    let mut mems = Vec::new();
+    let mut fresh = || {
+        let m = alloc.fresh_mem();
+        mems.push(m);
+        m
+    };
+    let a = build_prim(&cc.registry, &inst.prim, &iargs, &tails, &heads, &mut fresh)?;
+    iargs.push(tails.len() as i64);
+    let mut ports = tails;
+    ports.extend(heads);
+    let origin = Origin {
+        node,
+        iargs,
+        ports,
+        mems,
+    };
+    Ok((a, origin))
 }
 
 #[cfg(test)]
@@ -315,7 +355,7 @@ mod tests {
             // Fig. 10: 1 Seq2(prev[1];next[N]) + N X-instances + (N-1) Seq2.
             assert_eq!(inst.automata.len(), 1 + n + (n - 1), "n={n}");
             // Private vertices allocated: prev[i], next[i] for each i.
-            assert!(inst.port_count > 2 * n);
+            assert!(alloc.port_count() > 2 * n);
             // Each X carries one buffer cell.
             assert_eq!(inst.mem_layout.len(), n);
         }
@@ -331,11 +371,11 @@ mod tests {
         let binding = bind(&mut alloc, &[("tl", 3), ("hd", 3)]);
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
         // Boundary 6 + locals: prev[1..3] and next[1..3] = 6 more.
-        assert_eq!(inst.port_count, 12);
+        assert_eq!(alloc.port_count(), 12);
         // Every automaton's ports are within the allocated range.
         for a in &inst.automata {
             for p in a.ports().iter() {
-                assert!(p.index() < inst.port_count);
+                assert!(p.index() < alloc.port_count());
             }
         }
     }

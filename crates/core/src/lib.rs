@@ -38,7 +38,7 @@ pub mod resolve;
 pub use compile::{compile, compile_primitives, CompiledConnector, CompiledNode, MediumTemplate};
 pub use error::CoreError;
 pub use flat::{flatten, FlatDef};
-pub use instantiate::{instantiate, ConnectorInstance, INSTANTIATION_BUDGET};
+pub use instantiate::{instantiate, ConnectorInstance, Origin, INSTANTIATION_BUDGET};
 pub use ir::{
     Arity, BExpr, CExpr, Cmp, ConnectorDef, CustomPrim, IExpr, Inst, MainDef, Param, PortRef,
     PrimRegistry, Program, TaskInst,

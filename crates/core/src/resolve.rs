@@ -47,11 +47,6 @@ impl<'a> Resolver<'a> {
         self.alloc
     }
 
-    /// Number of distinct local vertices materialized so far.
-    pub fn local_count(&self) -> usize {
-        self.locals.len()
-    }
-
     /// Resolve a single-vertex reference.
     pub fn resolve_one(&mut self, fr: &FlatRef, env: &Env) -> Result<PortId, CoreError> {
         let indices = fr
@@ -192,7 +187,7 @@ mod tests {
         let a2 = r.resolve_one(&fr("v~1", &[1]), &env).unwrap();
         assert_ne!(a, b);
         assert_eq!(a, a2);
-        assert_eq!(r.local_count(), 2);
+        assert_eq!(alloc.port_count(), 2);
     }
 
     #[test]

@@ -251,8 +251,10 @@ pub(crate) fn core_for(
 pub struct Connector {
     mode: Mode,
     limits: Limits,
-    /// The one template every session instantiates, independent of N.
-    compiled: CompiledConnector,
+    /// The one template every session instantiates, independent of N,
+    /// shared with every reconfigurable session: a constituent's
+    /// [`reo_core::Origin`] names a node by its address in it.
+    compiled: Arc<CompiledConnector>,
 }
 
 /// Fluent entry point: `Connector::builder(&program, "Buf").mode(..)
@@ -290,7 +292,7 @@ impl ConnectorBuilder<'_> {
         Ok(Connector {
             mode: self.mode,
             limits: self.limits,
-            compiled,
+            compiled: Arc::new(compiled),
         })
     }
 }
@@ -364,7 +366,7 @@ impl Connector {
 
         // The reconfiguration record snapshots the constituents before
         // the partition consumes them.
-        let reconfig_seed = reconfigurable.then(|| instance.automata.clone());
+        let reconfig_seed = reconfigurable.then(|| (instance.automata.clone(), instance.origins));
 
         let layout = instance.mem_layout;
         let binding = instance.boundary;
@@ -382,13 +384,14 @@ impl Connector {
         // task operates.
         parts.pump();
 
-        let reconfig = reconfig_seed.map(|automata| {
+        let reconfig = reconfig_seed.map(|(automata, origins)| {
             Arc::new(ReconfigShared {
                 state: parking_lot::Mutex::new(ReconfigState {
-                    cc: self.compiled.clone(),
+                    cc: Arc::clone(&self.compiled),
                     binding: binding.clone(),
                     alloc,
                     automata,
+                    origins,
                     layout,
                 }),
                 epoch: AtomicU64::new(0),

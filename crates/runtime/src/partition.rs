@@ -147,11 +147,19 @@ pub struct Link {
     pub from: usize,
     pub to: usize,
     shared: Arc<LinkShared>,
+    /// What the queue held when its constituent was stamped.
+    initial: Vec<Value>,
 }
 
 impl Link {
     pub fn depth(&self) -> usize {
         self.shared.state.lock().queue.len()
+    }
+
+    /// The queue holds what it started with: the one at-rest rule a link
+    /// shares with a region constituent (initial state and memory).
+    fn at_rest(&self) -> bool {
+        self.shared.state.lock().queue.iter().eq(&self.initial)
     }
 
     /// Deadness has crossed this link, in either direction.
@@ -175,6 +183,7 @@ impl Link {
                     }),
                 })
             }),
+            initial: spec.initial.clone(),
         }
     }
 
@@ -760,13 +769,16 @@ impl Partitioned {
     ///    constituent list), and both regions of every link that deadness
     ///    has crossed — and only then look at the removed links:
     ///    the link mutex is a leaf under the engine locks, and with both
-    ///    ends' engines held nothing can push or pop. Verify removed links
-    ///    empty, removed ports idle (`Engine::removal_quiescent` — but for
-    ///    the ports of an empty link that leaves: the receive its protocol
-    ///    keeps armed on the tail is not traffic), and every detaching
-    ///    constituent at rest (initial control state, initial memory) —
-    ///    the zero-loss guarantee: a branch with an undelivered value
-    ///    refuses to detach.
+    ///    ends' engines held nothing can push or pop. Verify every
+    ///    detaching constituent at rest, under one rule for both roles: a
+    ///    leaving link's queue holds what its constituent was stamped with
+    ///    (`QueueHint::initial`), a region constituent is in its initial
+    ///    control state and memory. Verify removed ports idle
+    ///    (`Engine::removal_quiescent` — but for the ports of a leaving
+    ///    link at rest: the receive its protocol keeps armed on the tail
+    ///    is not traffic). This is the zero-loss guarantee: a branch with
+    ///    an undelivered value, or a ring whose token is away, refuses to
+    ///    splice.
     /// 3. **Splice**: recompose each region whose constituents changed
     ///    *from the current constituent states* (kept constituents resume
     ///    exactly where they were) and install it, with its re-derived
@@ -914,20 +926,22 @@ impl Partitioned {
                 break;
             }
         }
-        // Both engines of a link that leaves are held, so its depth is
-        // final. Once it is empty, what is pending at its two ports is the
-        // link protocol's own — the receive it keeps armed on the tail — and
-        // not traffic: no task ever holds a link port. Those ports pass the
-        // quiescence checks unseen and are cleared past the point of no
-        // return, so a refused splice still leaves the link served.
+        // Both engines of a link that leaves are held, so its queue is
+        // final. Once it is at rest, what is pending at its two ports is
+        // the link protocol's own — the receive it keeps armed on the tail
+        // — and not traffic: no task ever holds a link port. Those ports
+        // pass the quiescence checks unseen and are cleared past the point
+        // of no return, so a refused splice still leaves the link served.
         let mut own_ports = PortSet::new();
         for ol in &leaving {
-            if ol.depth() > 0 {
+            if !ol.at_rest() {
                 return Err(RuntimeError::Reconfig(format!(
-                    "link {} → {} of the detaching branch still holds {} undelivered value(s)",
+                    "link {} → {} of the detaching branch holds {} value(s), not the {} it \
+                     started with",
                     ol.in_port,
                     ol.out_port,
-                    ol.depth()
+                    ol.depth(),
+                    ol.initial.len()
                 )));
             }
             own_ports.insert(ol.in_port);

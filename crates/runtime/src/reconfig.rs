@@ -8,20 +8,18 @@
 //! replays the deterministic instantiation walk against the *changed*
 //! binding and splices the difference into the running engines:
 //!
-//! 1. **Re-instantiate** the template with the grown/shrunk binding,
-//!    using a clone of the live allocator so fresh internals cannot
-//!    collide with live ids (and so a failed splice discards them).
-//! 2. **Diff** the new constituent list against the live one
-//!    ([`diff`]): constituents are matched by a canonical structural
-//!    signature (boundary ports concrete, local ports and memory cells
-//!    normalized away) via an order-preserving longest-common-subsequence
-//!    — valid because instantiation is a deterministic walk, so surviving
-//!    constituents keep their relative order. A matched pair stands only
-//!    if its local ports and cells extend one renaming of new ids onto
-//!    live ones *one-to-one*; otherwise both sides count as unmatched.
-//!    Matched constituents keep their *old* automata (ids, state,
-//!    buffered data); unmatched new ones get their shared internals
-//!    renamed onto the live ids through that renaming.
+//! 1. **Re-instantiate** the template with the grown/shrunk binding on a
+//!    scratch clone of the live allocator: its ids are only names until
+//!    step 2 settles them, and a failed splice discards them.
+//! 2. **Join** the new constituents to the live ones on their
+//!    instantiation addresses ([`reo_core::Origin`], see [`join`]),
+//!    anchored at the ports: a new constituent continues the live one
+//!    the same template node stamped with the same port in the same slot,
+//!    if the renaming of new ports onto live ones stays one-to-one.
+//!    Matched constituents keep their *live* automata (ids, state,
+//!    buffered data); the rest are fresh, their known ports renamed onto
+//!    live ids and their other ports and cells drawn from the live
+//!    allocator, so the id space grows by what the splice adds.
 //! 3. **Splice** the difference into the session's partition
 //!    ([`crate::partition::Partitioned::splice`]), which quiesces only the
 //!    affected regions; a new region continues the engine of the region
@@ -32,12 +30,13 @@
 //! ([`RuntimeError::ReconfigInFlight`]); on any error the session is left
 //! exactly as it was.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use reo_automata::{remap::remap, Automaton, MemId, MemLayout, PortAllocator, PortId, StateId};
-use reo_core::{instantiate, Binding, CompiledConnector};
+use reo_automata::{remap::remap, Automaton, MemLayout, PortAllocator, PortId, StateId};
+use reo_core::{instantiate, Binding, CompiledConnector, ConnectorInstance, Origin};
 
 use crate::connector::{core_for, Composition::Eager, Limits, Mode};
 use crate::engine::PortMap;
@@ -56,13 +55,21 @@ pub(crate) struct ReconfigShared {
 
 /// Everything `connect` knew, kept live so attach/detach can replay it.
 pub(crate) struct ReconfigState {
-    pub(crate) cc: CompiledConnector,
+    /// The connector's template, shared with it: origins name its nodes
+    /// by address.
+    pub(crate) cc: Arc<CompiledConnector>,
+    /// The live binding: the concrete ports of every parameter.
     pub(crate) binding: Binding,
+    /// The live allocator: every id a live or retired constituent holds
+    /// is below its counts.
     pub(crate) alloc: PortAllocator,
     /// The live constituents, in instantiation order. Splices keep the
     /// *old* automaton objects for matched constituents, so ids and
     /// buffered data survive across epochs.
     pub(crate) automata: Vec<Automaton>,
+    /// Where each live constituent came from, parallel to `automata`, in
+    /// live ids.
+    pub(crate) origins: Vec<Origin>,
     /// Global memory layout; grows monotonically (a superset of every
     /// earlier epoch's layout, so retired cells keep their ids and
     /// initial contents).
@@ -83,7 +90,7 @@ pub(crate) struct Reconfigured {
     pub(crate) is_tail: bool,
 }
 
-/// One attach/detach step: re-instantiate, diff, splice, commit.
+/// One attach/detach step: re-instantiate, join, splice, commit.
 pub(crate) fn reconfigure(
     shared: &ReconfigShared,
     parts: &Partitioned,
@@ -137,32 +144,25 @@ pub(crate) fn reconfigure(
         }
     };
 
-    let instance = instantiate(&st.cc, &binding, &mut alloc)?;
-
-    // Boundary ports stay concrete through canonicalization: every port
-    // ever bound to a parameter (old and new binding alike).
-    let boundary: HashSet<PortId> = st
-        .binding
-        .values()
-        .chain(binding.values())
-        .flatten()
-        .copied()
-        .collect();
-    let diffed = diff(&st.automata, &instance.automata, &boundary);
+    let instance = instantiate(&st.cc, &binding, &mut alloc.clone())?;
+    let joined = join(&st.automata, &st.origins, instance, &mut alloc);
 
     // The new global layout is a superset of the old: surviving and
     // retired cells keep their ids and initial contents, fresh
     // constituents append theirs.
     let mut layout = MemLayout::cells(alloc.mem_count());
     layout.merge(&st.layout);
-    layout.merge(&instance.mem_layout);
+    for (a, _) in (joined.automata.iter().zip(&joined.old_of_new)).filter(|(_, m)| m.is_none()) {
+        layout.merge(a.mem_layout());
+    }
 
-    parts.splice(&st.automata, &diffed.automata, &diffed.old_of_new, &layout)?;
+    parts.splice(&st.automata, &joined.automata, &joined.old_of_new, &layout)?;
 
     // Point of no return: the engines run the new configuration.
     st.alloc = alloc;
     st.binding = binding;
-    st.automata = diffed.automata;
+    st.automata = joined.automata;
+    st.origins = joined.origins;
     st.layout = layout;
     let is_tail = st.cc.tails.iter().any(|t| t.name == name);
     drop(st);
@@ -193,263 +193,266 @@ pub(crate) fn splice_core(
     }
 }
 
-/// The template diff: the new constituent list with live identities
-/// restored, plus the old-index of every matched entry.
-struct Diff {
+/// The join's result: the new constituent list with live identities
+/// kept, its origins in live ids, and the live index of every match.
+struct Joined {
     automata: Vec<Automaton>,
+    origins: Vec<Origin>,
     old_of_new: Vec<Option<usize>>,
 }
 
-/// Match the re-instantiated constituent list against the live one.
-fn diff(old: &[Automaton], new: &[Automaton], boundary: &HashSet<PortId>) -> Diff {
-    let old_sig: Vec<String> = old.iter().map(|a| canonical(a, boundary)).collect();
-    let new_sig: Vec<String> = new.iter().map(|a| canonical(a, boundary)).collect();
-
-    // A global local-id renaming (new instance → live ids), grown over the
-    // matched pairs while it stays one-to-one. A pair that would break it
-    // (two new ports onto one live port) stays unmatched: the new
-    // constituent is fresh, and the old one detaches, so it must be at rest.
-    let mut pm: HashMap<PortId, PortId> = HashMap::new();
-    let mut mm: HashMap<MemId, MemId> = HashMap::new();
-    let mut old_of_new = vec![None; new.len()];
-    for (oi, ni) in lcs(&old_sig, &new_sig) {
-        if align(&old[oi], &new[ni], boundary, &mut pm, &mut mm) {
-            old_of_new[ni] = Some(oi);
+/// Join a scratch instance of the template to the live constituents on
+/// their instantiation addresses.
+///
+/// A renaming from the instance's ports to live ports starts with every
+/// bound port mapped to itself. A new constituent's candidate is the live
+/// one the same template node stamped with the renamed port in the same
+/// slot — at most one, as a port has one input side and one output side.
+/// It matches if their integer arguments and slot counts agree and its
+/// ports extend the renaming one-to-one; the ports it maps are then
+/// known, and the constituents touching them queue again, in
+/// instantiation order, behind those already waiting. So a constituent
+/// nearer the bound ports claims its live ids first, and a ring's closing
+/// `Fifo1Full` cannot take the live vertex its last stage keeps.
+/// Matched constituents keep their live automaton.
+/// The others are fresh: their known ports are renamed onto live ids,
+/// and their other ports and cells take the next ids of `alloc`.
+fn join(
+    live: &[Automaton],
+    live_origins: &[Origin],
+    new: ConnectorInstance,
+    alloc: &mut PortAllocator,
+) -> Joined {
+    let live_at: HashMap<(usize, usize, PortId), usize> = (live_origins.iter().enumerate())
+        .flat_map(|(oi, o)| (o.ports.iter().enumerate()).map(move |(k, &p)| ((o.node, k, p), oi)))
+        .collect();
+    let mut touching: HashMap<PortId, Vec<usize>> = HashMap::new();
+    for (ni, o) in new.origins.iter().enumerate() {
+        for &p in &o.ports {
+            touching.entry(p).or_default().push(ni);
         }
     }
-    let automata = new
-        .iter()
-        .enumerate()
-        .map(|(ni, a)| match old_of_new[ni] {
-            // Matched: keep the live automaton object (ids, hint, state).
-            Some(oi) => old[oi].clone(),
-            // Fresh: rename the internals it shares with matched
-            // neighbours onto their live ids; its own fresh ids stay.
-            None => remap(a, &|p| pm.get(&p).copied().unwrap_or(p), &|m| {
-                mm.get(&m).copied().unwrap_or(m)
-            }),
+    let mut rename: HashMap<PortId, PortId> =
+        new.boundary.values().flatten().map(|&p| (p, p)).collect();
+    let mut image: HashSet<PortId> = rename.values().copied().collect();
+    let mut old_of_new: Vec<Option<usize>> = vec![None; new.origins.len()];
+    let mut taken = vec![false; live.len()];
+    let mut queue: VecDeque<usize> = (0..new.origins.len()).collect();
+    while let Some(ni) = queue.pop_front() {
+        let o = &new.origins[ni];
+        let candidate = (o.ports.iter().enumerate())
+            .find_map(|(k, p)| live_at.get(&(o.node, k, *rename.get(p)?)).copied());
+        let Some(oi) = candidate.filter(|&oi| !taken[oi]) else {
+            continue;
+        };
+        let lo = &live_origins[oi];
+        let fits = lo.iargs == o.iargs
+            && lo.ports.len() == o.ports.len()
+            && (o.ports.iter().zip(&lo.ports)).all(|(p, l)| match rename.get(p) {
+                Some(r) => r == l,
+                None => !image.contains(l),
+            });
+        if !fits {
+            continue;
+        }
+        taken[oi] = true;
+        old_of_new[ni] = Some(oi);
+        for (&p, &l) in o.ports.iter().zip(&lo.ports) {
+            if rename.insert(p, l).is_none() {
+                image.insert(l);
+                queue.extend(touching[&p].iter().filter(|&&nj| old_of_new[nj].is_none()));
+            }
+        }
+    }
+
+    let (automata, origins) = (new.automata.into_iter().zip(new.origins))
+        .zip(&old_of_new)
+        .map(|((a, o), m)| match *m {
+            Some(oi) => (live[oi].clone(), live_origins[oi].clone()),
+            None => {
+                let ports: Vec<PortId> = (o.ports.iter())
+                    .map(|p| *rename.entry(*p).or_insert_with(|| alloc.fresh_port()))
+                    .collect();
+                let mems: Vec<_> = o.mems.iter().map(|_| alloc.fresh_mem()).collect();
+                let mm: HashMap<_, _> = o.mems.iter().copied().zip(mems.iter().copied()).collect();
+                let a = remap(&a, &|p| rename[&p], &|c| mm[&c]);
+                (a, Origin { ports, mems, ..o })
+            }
         })
-        .collect();
-    Diff {
+        .unzip();
+    Joined {
         automata,
+        origins,
         old_of_new,
     }
-}
-
-/// Non-boundary ports of `a`, sorted by id. Instantiation allocates ids
-/// monotonically along a deterministic walk, so sorted order is stamping
-/// order — the old and new instances of one constituent line up
-/// positionally.
-fn local_ports(a: &Automaton, boundary: &HashSet<PortId>) -> Vec<PortId> {
-    let mut locals: Vec<PortId> = (a.ports().iter())
-        .filter(|p| !boundary.contains(p))
-        .collect();
-    locals.sort_unstable_by_key(|p| p.index());
-    locals
-}
-
-/// Record the local-id renaming `new → old` implied by a matched pair, if
-/// it extends `pm` and `mm` one-to-one; `false`, with both untouched,
-/// otherwise. Equal signatures have equal local port and cell counts.
-fn align(
-    old: &Automaton,
-    new: &Automaton,
-    boundary: &HashSet<PortId>,
-    pm: &mut HashMap<PortId, PortId>,
-    mm: &mut HashMap<MemId, MemId>,
-) -> bool {
-    let ports: Vec<_> = local_ports(new, boundary)
-        .into_iter()
-        .zip(local_ports(old, boundary))
-        .collect();
-    let mems: Vec<_> = (new.mem_ids().iter().copied())
-        .zip(old.mem_ids().iter().copied())
-        .collect();
-    let fits = one_to_one(pm, &ports) && one_to_one(mm, &mems);
-    if fits {
-        pm.extend(ports);
-        mm.extend(mems);
-    }
-    fits
-}
-
-/// Whether renaming `map` stays one-to-one with `pairs` (new → old) added.
-fn one_to_one<T: Copy + Eq + std::hash::Hash>(map: &HashMap<T, T>, pairs: &[(T, T)]) -> bool {
-    pairs.iter().all(|&(n, o)| match map.get(&n) {
-        Some(&prev) => prev == o,
-        None => !map.values().any(|&v| v == o),
-    })
-}
-
-/// A structural signature that is invariant under local-id renaming:
-/// boundary ports stay concrete (they pin a constituent to *its* branch),
-/// local ports are replaced by their rank in stamping order, memory cells
-/// by theirs. Two instantiations of the same template stamped against the
-/// same boundary ports canonicalize identically.
-fn canonical(a: &Automaton, boundary: &HashSet<PortId>) -> String {
-    use std::fmt::Write;
-    // Rank locals into an id band no real allocation reaches, so a
-    // canonical id can never collide with a concrete boundary id.
-    const BAND: u32 = 1 << 30;
-    let prank: HashMap<PortId, u32> = local_ports(a, boundary)
-        .into_iter()
-        .enumerate()
-        .map(|(r, p)| (p, BAND + r as u32))
-        .collect();
-    let mrank: HashMap<MemId, u32> = a
-        .mem_ids()
-        .iter()
-        .enumerate()
-        .map(|(r, &m)| (m, r as u32))
-        .collect();
-    let c = remap(
-        a,
-        &|p| prank.get(&p).map(|&r| PortId(r)).unwrap_or(p),
-        &|m| MemId(mrank[&m]),
-    );
-    // The name is deliberately excluded: primitive builders embed
-    // concrete port ids in it ("Fifo1(p0;p7)"), which would defeat the
-    // local-id normalization. Structure + boundary ports pin identity.
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "init={:?}|in={:?}|out={:?}|internal={:?}",
-        c.initial(),
-        c.inputs(),
-        c.outputs(),
-        c.internals()
-    );
-    for state in c.all_states() {
-        for t in c.transitions_from(state) {
-            let _ = write!(s, "|{state:?}:{t:?}");
-        }
-    }
-    for &m in c.mem_ids() {
-        let _ = write!(s, "|{m:?}={:?}", c.mem_layout().initial_contents(m));
-    }
-    let _ = write!(
-        s,
-        "|hint={:?}",
-        c.queue_hint()
-            .map(|h| (h.input, h.output, h.capacity, h.initial.clone()))
-    );
-    s
-}
-
-/// Longest common subsequence over canonical signatures — the
-/// order-preserving matching. Instantiation is a deterministic walk, so a
-/// grown/shrunk binding inserts/removes contiguous runs and never
-/// reorders survivors.
-fn lcs(old: &[String], new: &[String]) -> Vec<(usize, usize)> {
-    let (n, m) = (old.len(), new.len());
-    let mut dp = vec![vec![0u32; m + 1]; n + 1];
-    for i in (0..n).rev() {
-        for j in (0..m).rev() {
-            dp[i][j] = if old[i] == new[j] {
-                dp[i + 1][j + 1] + 1
-            } else {
-                dp[i + 1][j].max(dp[i][j + 1])
-            };
-        }
-    }
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < n && j < m {
-        if old[i] == new[j] {
-            out.push((i, j));
-            i += 1;
-            j += 1;
-        } else if dp[i + 1][j] >= dp[i][j + 1] {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reo_automata::primitives;
+    use reo_automata::{primitives, MemId, Value};
 
     fn p(i: u32) -> PortId {
         PortId(i)
     }
-    fn m(i: u32) -> MemId {
-        MemId(i)
+
+    /// Constituents as `(template node, automaton)`, with the origins a
+    /// deferred primitive gets: no integer arguments but its tail count,
+    /// tails then heads.
+    fn stamped(parts: Vec<(usize, Automaton)>) -> (Vec<Automaton>, Vec<Origin>) {
+        parts
+            .into_iter()
+            .map(|(node, a)| {
+                let origin = Origin {
+                    node,
+                    iargs: vec![a.inputs().len() as i64],
+                    ports: a.inputs().iter().chain(a.outputs().iter()).collect(),
+                    mems: a.mem_ids().to_vec(),
+                };
+                (a, origin)
+            })
+            .unzip()
+    }
+
+    /// Join `new`, bound at `bound`, to `live`, with every id below
+    /// `live_ids` taken.
+    fn join_at(
+        live: Vec<(usize, Automaton)>,
+        new: Vec<(usize, Automaton)>,
+        bound: &[u32],
+        live_ids: usize,
+    ) -> Joined {
+        let (live, live_origins) = stamped(live);
+        let (automata, origins) = stamped(new);
+        let instance = ConnectorInstance {
+            automata,
+            origins,
+            boundary: [("b".to_string(), bound.iter().map(|&i| p(i)).collect())].into(),
+            mem_layout: MemLayout::cells(0),
+        };
+        let mut alloc = PortAllocator::new();
+        alloc.fresh_ports(live_ids);
+        join(&live, &live_origins, instance, &mut alloc)
     }
 
     #[test]
-    fn canonicalization_erases_local_ids_but_keeps_boundary_ids() {
-        let boundary: HashSet<PortId> = [p(0)].into_iter().collect();
-        // Same shape, different local/mem ids: canonically equal.
-        let a = primitives::fifo1(p(0), p(7), m(3));
-        let b = primitives::fifo1(p(0), p(9), m(5));
-        assert_eq!(canonical(&a, &boundary), canonical(&b, &boundary));
-        // Different boundary port: canonically distinct.
-        let c = primitives::fifo1(p(1), p(9), m(5));
-        assert_ne!(canonical(&a, &boundary), canonical(&c, &boundary));
-    }
-
-    #[test]
-    fn lcs_matches_the_surviving_run() {
-        let old = vec!["a".into(), "b".into(), "c".into(), "d".into()];
-        let new = vec!["a".into(), "c".into(), "d".into(), "e".into()];
-        assert_eq!(lcs(&old, &new), vec![(0, 0), (2, 1), (3, 2)]);
-    }
-
-    #[test]
-    fn diff_renames_shared_internals_onto_live_ids() {
-        // Live: two branches feeding an internal node p5; the "merger"
-        // side is a sync p5 -> p1 (boundary). Re-instantiated with a
-        // third branch, the internal node got the fresh id p50.
-        let boundary: HashSet<PortId> = [p(0), p(1), p(2), p(3)].into_iter().collect();
-        let old = vec![
-            primitives::sync(p(0), p(5)),
-            primitives::sync(p(2), p(5)),
-            primitives::sync(p(5), p(1)),
+    fn join_renames_shared_internals_onto_live_ids() {
+        // Live: two branches feeding an internal node p5, which a sync of
+        // its own drains into p1 (bound). Re-instantiated with a third
+        // branch, the internal node got the scratch id p50.
+        const BRANCH: usize = 1;
+        const SINK: usize = 2;
+        let live = vec![
+            (BRANCH, primitives::sync(p(0), p(5))),
+            (BRANCH, primitives::sync(p(2), p(5))),
+            (SINK, primitives::sync(p(5), p(1))),
         ];
         let new = vec![
-            primitives::sync(p(0), p(50)),
-            primitives::sync(p(2), p(50)),
-            primitives::sync(p(3), p(50)), // fresh branch
-            primitives::sync(p(50), p(1)),
+            (BRANCH, primitives::sync(p(0), p(50))),
+            (BRANCH, primitives::sync(p(2), p(50))),
+            (BRANCH, primitives::sync(p(3), p(50))), // fresh branch
+            (SINK, primitives::sync(p(50), p(1))),
         ];
-        let d = diff(&old, &new, &boundary);
-        assert_eq!(d.old_of_new, vec![Some(0), Some(1), None, Some(2)]);
+        let j = join_at(live, new, &[0, 1, 2, 3], 6);
+        assert_eq!(j.old_of_new, vec![Some(0), Some(1), None, Some(2)]);
         // The fresh branch's internal side was renamed onto the live p5.
-        let fresh = &d.automata[2];
-        let ps = fresh.ports();
+        let ps = j.automata[2].ports();
         assert!(ps.contains(p(5)), "fresh branch rewired to live internal");
         assert!(!ps.contains(p(50)), "no fresh duplicate of the internal");
+        assert_eq!(j.origins[2].ports, vec![p(3), p(5)]);
     }
 
     #[test]
-    fn diff_never_renames_two_new_ports_onto_one_live_port() {
+    fn join_never_renames_two_new_ports_onto_one_live_port() {
         // Fig. 12's merger chain grown from two tails to three: the final
-        // sync has the same signature at every width, but pairing it would
+        // sync is the same node at every width, but matching it would
         // rename both the new m[2] (p50) and m[3] (p51) onto the live p5.
-        let boundary: HashSet<PortId> = [p(0), p(1), p(2), p(9)].into_iter().collect();
-        let old = vec![
-            primitives::merger(&[p(0), p(1)], p(5)),
-            primitives::sync(p(5), p(9)),
+        const FIRST: usize = 1;
+        const CHAINED: usize = 2;
+        const SINK: usize = 3;
+        let live = vec![
+            (FIRST, primitives::merger(&[p(0), p(1)], p(5))),
+            (SINK, primitives::sync(p(5), p(9))),
         ];
         let new = vec![
-            primitives::merger(&[p(0), p(1)], p(50)),
-            primitives::merger(&[p(50), p(2)], p(51)),
-            primitives::sync(p(51), p(9)),
+            (FIRST, primitives::merger(&[p(0), p(1)], p(50))),
+            (CHAINED, primitives::merger(&[p(50), p(2)], p(51))),
+            (SINK, primitives::sync(p(51), p(9))),
         ];
-        let d = diff(&old, &new, &boundary);
-        assert_eq!(d.old_of_new, vec![Some(0), None, None], "the sync detaches");
-        let grown = d.automata[1].ports();
+        let j = join_at(live, new, &[0, 1, 2, 9], 10);
+        assert_eq!(j.old_of_new, vec![Some(0), None, None], "the sync detaches");
+        // m[3] takes the next live id, not its scratch one.
+        let grown = j.automata[1].ports();
         assert!(
-            grown.contains(p(5)) && grown.contains(p(51)),
+            grown.contains(p(5)) && grown.contains(p(10)),
             "fed by m[2], feeds m[3]"
         );
         assert!(
-            d.automata[2].ports().contains(p(51)),
+            j.automata[2].ports().contains(p(10)),
             "a fresh sync drains m[3]"
         );
+    }
+
+    #[test]
+    fn join_matches_all_local_stages_by_address() {
+        // Fig. 12's sequencer grown from two stages to three. Every
+        // `Repl2(y[i];u[i],z[i])` stage has only local ports and the same
+        // shape; each is found through the drain that binds it to t[i]
+        // and keeps its live ids, while the ring's closing full fifo is
+        // re-stamped behind the new last stage.
+        const STAGE: usize = 1;
+        const DRAIN: usize = 2;
+        const FIFO: usize = 3;
+        const CLOSE: usize = 4;
+        let stage = |y, u, z| (STAGE, primitives::replicator(p(y), &[p(u), p(z)]));
+        let drain = |t, u| (DRAIN, primitives::sync_drain(p(t), p(u)));
+        let fifo = |z, y, m| (FIFO, primitives::fifo1(p(z), p(y), MemId(m)));
+        let close = |z, y, m| {
+            let full = primitives::fifo1_full(p(z), p(y), MemId(m), Value::Int(0));
+            (CLOSE, full)
+        };
+        // t = p0, p1 (and p2 joins); stage i has y, u, z = 10i, 10i+1, 10i+2.
+        let live = vec![
+            stage(10, 11, 12),
+            stage(20, 21, 22),
+            drain(0, 11),
+            drain(1, 21),
+            fifo(12, 20, 0),
+            close(22, 10, 1),
+        ];
+        let new = vec![
+            stage(110, 111, 112),
+            stage(120, 121, 122),
+            stage(130, 131, 132),
+            drain(0, 111),
+            drain(1, 121),
+            drain(2, 131),
+            fifo(112, 120, 10),
+            fifo(122, 130, 11),
+            close(132, 110, 12),
+        ];
+        let j = join_at(live, new, &[0, 1, 2], 30);
+        let kept = [
+            Some(0),
+            Some(1),
+            None,
+            Some(2),
+            Some(3),
+            None,
+            Some(4),
+            None,
+            None,
+        ];
+        assert_eq!(j.old_of_new, kept);
+        // The fresh fifo leaves the live z[2]; the new ring closes on the
+        // live y[1].
+        assert_eq!(j.origins[7].ports[0], p(22));
+        assert_eq!(j.origins[8].ports[1], p(10));
+        // Only the new stage's three vertices are allocated.
+        let fresh: HashSet<PortId> = (j.origins.iter())
+            .flat_map(|o| o.ports.iter().copied())
+            .filter(|q| q.index() >= 30)
+            .collect();
+        assert_eq!(fresh, [p(30), p(31), p(32)].into_iter().collect());
     }
 }

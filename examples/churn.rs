@@ -5,8 +5,9 @@
 //! While the consumer drains, the main thread attaches new branches
 //! (`handle.attach("src")`) and detaches retiring ones
 //! (`branch.detach()`); each splice quiesces only the affected region,
-//! diffs the constituent list against the new shape, carries buffered
-//! `Fifo1` state across, and bumps the epoch counter.
+//! joins the new constituents to the live ones on their instantiation
+//! addresses, carries buffered `Fifo1` state across, and bumps the epoch
+//! counter.
 //!
 //! Every producer tags its values with its own id, so the consumer can
 //! prove exactly-once delivery across all splices: no value a producer

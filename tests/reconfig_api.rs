@@ -782,3 +782,102 @@ fn fig12_chains_attach_like_a_fresh_connect() {
         }
     }
 }
+
+/// Fig. 12's `sequencer` passes one token around a ring of `Fifo1`s that
+/// a `Fifo1Full` closes; its `Repl2(y[i];u[i],z[i])` stages have only
+/// local ports and one shape, so only their instantiation addresses tell
+/// them apart. Attached with the token at home, the n + 1 senders take
+/// their turns in order. Attached with the token away, the splice is
+/// refused in every mode — the re-stamped `Fifo1Full` would put a second
+/// token in the ring — and the old turn order still holds.
+#[test]
+fn a_sequencer_ring_grows_in_every_mode() {
+    const WAIT: Duration = Duration::from_secs(5);
+    let families = reo::connectors::families();
+    let family = families.iter().find(|f| f.name == "sequencer").unwrap();
+    let program = family.program();
+    // One round: each sender in turn, and the next one is refused first.
+    let round = |ring: &[&reo::Outport], label: &str| {
+        for (i, t) in ring.iter().enumerate() {
+            let next = ring[(i + 1) % ring.len()];
+            let early = next.try_send(Value::Int(-1));
+            assert!(matches!(early, Ok(false)), "{label}: t{} early", i + 2);
+            let sent = t.send_timeout(Value::Int(i as i64), WAIT);
+            assert!(sent.is_ok(), "{label}: t{}: {sent:?}", i + 1);
+        }
+    };
+    for n in 2..=3 {
+        for &(mode_label, mode) in Mode::grid() {
+            let label = format!("sequencer n={n} {mode_label}");
+            let connector = Connector::builder(&program, family.def)
+                .mode(mode)
+                .build()
+                .unwrap();
+            let mut session = (connector.session().replicate("t", n))
+                .reconfigurable()
+                .connect()
+                .unwrap();
+            let handle = session.handle();
+            let ts = session.outports("t").unwrap();
+
+            let mut branch = handle
+                .attach("t")
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let tx = branch.outport().unwrap();
+            let ring: Vec<&reo::Outport> = ts.iter().chain([&tx]).collect();
+            round(&ring, &label);
+            round(&ring, &label);
+
+            // The token leaves home with t1's turn.
+            ring[0].send_timeout(Value::Int(0), WAIT).unwrap();
+            let away = handle.attach("t");
+            assert!(
+                matches!(away, Err(RuntimeError::Reconfig(_))),
+                "{label}: token-away attach: {:?}",
+                away.map(|b| b.port())
+            );
+            for (i, t) in ring.iter().enumerate().skip(1) {
+                let sent = t.send_timeout(Value::Int(i as i64), WAIT);
+                assert!(sent.is_ok(), "{label}: after refusal, t{}: {sent:?}", i + 1);
+            }
+            round(&ring, &label);
+            handle.close();
+        }
+    }
+}
+
+/// A splice allocates only what it adds: on the buffered merger, an
+/// attach takes the branch port and its `m[i]` vertex and a detach takes
+/// none, so the branch port index grows by at most two per pair however
+/// wide the merger is. The lazy modes only: at this width an eager
+/// splice spends its whole product budget before it falls back.
+#[test]
+fn a_churning_session_keeps_its_id_space() {
+    const N: usize = 16;
+    for (label, mode) in Mode::grid_subset(&["jit", "part"]) {
+        let (mut session, handle) = connect_merger(MERGER, mode, N);
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        let mut first = None;
+        for pair in 0..50 {
+            let mut branch = handle
+                .attach("src")
+                .unwrap_or_else(|e| panic!("{label}: pair {pair}: {e}"));
+            let port = branch.port().index();
+            let first = *first.get_or_insert(port);
+            assert!(
+                port <= first + 2 * pair,
+                "{label}: pair {pair}: branch port p{port}, first p{first}"
+            );
+            branch
+                .outport()
+                .unwrap()
+                .send(Value::Int(pair as i64))
+                .unwrap();
+            assert_eq!(rx.recv().unwrap(), pair as i64, "{label}");
+            branch
+                .detach()
+                .unwrap_or_else(|e| panic!("{label}: pair {pair}: detach: {e}"));
+        }
+        handle.close();
+    }
+}
