@@ -10,10 +10,12 @@
 //! A step is grown from a seed transition through the port → owner index
 //! and kept only when the seed is its lowest-index participant, so each
 //! appears once and growing it costs its own neighbourhood rather than all
-//! `n` automata. Growth keeps per-port counts — how often the partial step
-//! fires a port, how many participants own it — so a joiner is tested by
-//! counting, not by set algebra, and steps go end to end into one buffer
-//! ([`Steps`]) that the caller reuses from tuple to tuple.
+//! `n` automata. The index is looked up by port id, not searched: offsets
+//! per id into one owner list, so a port's owners are one slice. Growth
+//! keeps per-port counts — how often the partial step fires a port, how
+//! many participants own it — so a joiner is tested by counting, not by set
+//! algebra, and steps go end to end into one buffer ([`Steps`]) that the
+//! caller reuses from tuple to tuple.
 //!
 //! A step of × (Eq. 1) picks at most one local transition per automaton, so
 //! it falls apart into connected steps with pairwise disjoint participants;
@@ -28,11 +30,12 @@ use crate::port::PortId;
 /// state it leaves, and which of that state's transitions it takes.
 pub type Choice = (u32, StateId, u32);
 
-/// Who owns which port, over a list of automata.
+/// Who owns which port, over a list of automata: an index by port id, so
+/// a step grows through its own neighbourhood, not all `n` automata.
 pub struct PortOwners {
-    /// `(port, automaton)` pairs sorted by port, so a step grows through
-    /// its own neighbourhood, not all `n` automata.
-    owners: Vec<(PortId, usize)>,
+    /// Port `p`'s owners are `owners[starts[p]..starts[p + 1]]`, ascending.
+    starts: Vec<u32>,
+    owners: Vec<u32>,
 }
 
 /// Connected steps laid end to end, and the scratch of the enumeration that
@@ -89,20 +92,24 @@ struct Partial<'a, S> {
 
 impl PortOwners {
     pub fn new(automata: &[Automaton]) -> Self {
-        let mut owners: Vec<(PortId, usize)> = (automata.iter().enumerate())
-            .flat_map(|(i, a)| a.ports().iter().map(move |p| (p, i)))
+        let mut pairs: Vec<(PortId, u32)> = (automata.iter().enumerate())
+            .flat_map(|(i, a)| a.ports().iter().map(move |p| (p, i as u32)))
             .collect();
-        owners.sort_unstable();
-        PortOwners { owners }
+        pairs.sort_unstable();
+        // Counted one port up and summed, `starts[p]` is where `p` begins.
+        let mut starts = vec![0u32; pairs.last().map_or(1, |&(p, _)| p.index() + 2)];
+        pairs.iter().for_each(|&(p, _)| starts[p.index() + 1] += 1);
+        (1..starts.len()).for_each(|k| starts[k] += starts[k - 1]);
+        let owners = pairs.into_iter().map(|(_, i)| i).collect();
+        PortOwners { starts, owners }
     }
 
-    /// Automata whose signature contains `p` (index range into `owners`).
-    pub fn of(&self, p: PortId) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.owners.partition_point(|&(q, _)| q < p);
-        self.owners[lo..]
-            .iter()
-            .take_while(move |&&(q, _)| q == p)
-            .map(|&(_, i)| i)
+    /// The automata owning `p`, ascending; none past the table.
+    pub fn of(&self, p: PortId) -> &[u32] {
+        match self.starts.get(p.index()..p.index() + 2) {
+            Some(&[lo, hi]) => &self.owners[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// Every connected step of `automata` (the list this index was built
@@ -121,7 +128,7 @@ impl PortOwners {
         steps.ends.clear();
         // Sized for the largest port and automaton seen; untouched entries
         // stay zero and `None`.
-        let ports = self.owners.last().map_or(0, |&(p, _)| p.index() + 1);
+        let ports = self.starts.len() - 1;
         steps
             .counts
             .resize(ports.max(steps.counts.len()), Count::default());
@@ -204,7 +211,8 @@ impl<S: Fn(usize) -> StateId> Partial<'_, S> {
     fn grow(&mut self, seed: usize) -> Result<(), usize> {
         let fired = (self.steps.members.iter()).flat_map(|&i| self.chosen(i as usize).sync.iter());
         let outside = |&j: &usize| self.steps.chosen[j].is_none();
-        let next = fired.flat_map(|p| self.index.of(p)).filter(outside).min();
+        let owners = fired.flat_map(|p| self.index.of(p).iter().map(|&j| j as usize));
+        let next = owners.filter(outside).min();
         let Some(j) = next else {
             return self.emit();
         };
@@ -267,4 +275,35 @@ pub fn compose(automata: &[Automaton], choice: &[Choice]) -> Transition {
         step.pops.extend(t.pops.iter().copied());
     }
     step
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::port::MemId;
+    use crate::primitives;
+
+    /// The owner index answers what a filter over all automata does, for
+    /// every port id up to two past the largest: shared ports, ports with
+    /// one owner, ids no automaton has and ids past the table.
+    #[test]
+    fn the_owner_index_is_a_filter_over_the_automata() {
+        let p = PortId;
+        let automata = [
+            primitives::merger(&[p(0), p(3)], p(5)),
+            primitives::fifo1(p(5), p(9), MemId(0)),
+            primitives::replicator(p(9), &[p(2), p(11), p(12)]),
+            primitives::sync(p(12), p(14)),
+            primitives::seq_k(&[p(0), p(14), p(3)]),
+            primitives::router(p(20), &[p(21)]),
+        ];
+        let owners = PortOwners::new(&automata);
+        for id in 0..=22 {
+            let filtered: Vec<u32> = (0..automata.len() as u32)
+                .filter(|&i| automata[i as usize].ports().contains(p(id)))
+                .collect();
+            assert_eq!(owners.of(p(id)), filtered, "port {id}");
+        }
+        assert!(PortOwners::new(&[]).of(p(0)).is_empty());
+    }
 }

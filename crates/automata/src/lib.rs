@@ -45,7 +45,7 @@ pub mod value;
 
 pub use assign::{Assign, Dst};
 pub use automaton::{Automaton, AutomatonBuilder, StateId, Transition};
-pub use buckets::Buckets;
+pub use buckets::{Buckets, IdHasher, IdMap};
 pub use connected::{Choice, PortOwners, Steps};
 pub use fire::{try_fire, Firing};
 pub use guard::{Cmp, Guard, Pred};

@@ -7,7 +7,8 @@
 //! from the lexer into a medium-automaton template. A [`Name`] keeps up to
 //! 22 bytes in place and shares anything longer behind an `Arc`, so a clone
 //! never allocates either way; it is 24 bytes, like the `String` it
-//! replaces, and compares, orders and hashes as its `str`.
+//! replaces, and compares, orders and hashes as its `str` does, from the
+//! bytes (never validated again after [`Name::new`] copied them in).
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -34,7 +35,12 @@ enum Repr {
 
 impl Name {
     pub fn new(text: &str) -> Name {
-        Name::format(format_args!("{text}"))
+        let (len, mut bytes) = (text.len() as u8, [0; INLINE]);
+        let Some(inline) = bytes.get_mut(..text.len()) else {
+            return Name(Repr::Shared(text.into()));
+        };
+        inline.copy_from_slice(text.as_bytes());
+        Name(Repr::Inline { len, bytes })
     }
 
     /// Format straight into a name: no intermediate `String` unless the
@@ -52,10 +58,14 @@ impl Name {
     }
 
     pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.bytes()).expect("inline bytes are whole `str`s")
+    }
+
+    /// The text's bytes: what equality, order and hashing read.
+    fn bytes(&self) -> &[u8] {
         match &self.0 {
-            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
-                .expect("inline bytes are whole `str`s"),
-            Repr::Shared(text) => text,
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(text) => text.as_bytes(),
         }
     }
 }
@@ -101,7 +111,7 @@ impl Borrow<str> for Name {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Name) -> bool {
-        self.as_str() == other.as_str()
+        self.bytes() == other.bytes()
     }
 }
 
@@ -109,13 +119,13 @@ impl Eq for Name {}
 
 impl PartialEq<str> for Name {
     fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
+        self.bytes() == other.as_bytes()
     }
 }
 
 impl PartialEq<&str> for Name {
     fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
+        self.bytes() == other.as_bytes()
     }
 }
 
@@ -127,14 +137,15 @@ impl PartialOrd for Name {
 
 impl Ord for Name {
     fn cmp(&self, other: &Name) -> std::cmp::Ordering {
-        self.as_str().cmp(other.as_str())
+        self.bytes().cmp(other.bytes())
     }
 }
 
-/// As its `str`, so a map keyed by names answers `&str` queries.
+/// What its `str` writes, so a map keyed by names answers `&str` queries.
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
+        state.write(self.bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -188,16 +199,66 @@ mod tests {
         assert!(matches!(wide.0, Repr::Shared(_)));
     }
 
+    /// Equality, order and the hash read bytes and agree with `str`'s, on
+    /// ASCII and non-ASCII text, inline (22 bytes) and shared (23) alike,
+    /// so a map keyed by names answers `&str` queries under either hasher.
     #[test]
     fn names_compare_order_and_hash_as_their_text() {
+        use crate::buckets::{IdHasher, IdMap};
+        use std::collections::hash_map::DefaultHasher;
         use std::collections::HashMap;
-        let mut by_name: HashMap<Name, u32> = HashMap::new();
-        by_name.insert(Name::new("tl"), 1);
-        by_name.insert(Name::from("x".repeat(30)), 2);
-        assert_eq!(by_name.get("tl"), Some(&1));
-        assert_eq!(by_name.get("x".repeat(30).as_str()), Some(&2));
-        assert!(Name::new("a") < Name::new("b"));
-        assert!(Name::new("ab") > Name::new("a"));
+        fn hash<H: Hasher + Default>(x: &(impl Hash + ?Sized)) -> u64 {
+            let mut h = H::default();
+            x.hash(&mut h);
+            h.finish()
+        }
+        let texts = [
+            "",
+            "a",
+            "b",
+            "ab",
+            "tl",
+            "v~12",
+            "v~13",
+            "Fifo1",
+            "é",
+            "élément",
+            "ü~1",
+            "abcdefghijklmnopqrstuv",  // 22: the longest inline
+            "abcdefghijklmnopqrstuvw", // 23: the shortest shared
+            "abcdefghijklmnopqrstuvx",
+            "ééééééééééé",
+            "éééééééééééa",
+            "éééééééééééé",
+        ];
+        for a in texts {
+            let name = Name::new(a);
+            assert_eq!(
+                matches!(name.0, Repr::Inline { .. }),
+                a.len() <= INLINE,
+                "{a}"
+            );
+            assert_eq!(
+                hash::<DefaultHasher>(&name),
+                hash::<DefaultHasher>(a),
+                "{a}"
+            );
+            assert_eq!(hash::<IdHasher>(&name), hash::<IdHasher>(a), "{a}");
+            for b in texts {
+                let other = Name::new(b);
+                assert_eq!(name == other, a == b, "{a} == {b}");
+                assert_eq!(name == *b, a == b, "{a} == {b}");
+                assert_eq!(name.cmp(&other), a.cmp(b), "{a} cmp {b}");
+            }
+        }
+        let std_map: HashMap<Name, usize> =
+            texts.iter().map(|&t| (Name::new(t), t.len())).collect();
+        let id_map: IdMap<Name, usize> = texts.iter().map(|&t| (Name::new(t), t.len())).collect();
+        for t in texts {
+            assert_eq!(std_map.get(t), Some(&t.len()), "{t}");
+            assert_eq!(id_map.get(t), Some(&t.len()), "{t}");
+        }
+        assert_eq!(id_map.get("abcdefghijklmnopqrstuvy"), None);
         assert_eq!(format!("{:?}", Name::new("a")), "\"a\"");
     }
 }

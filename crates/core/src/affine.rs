@@ -8,12 +8,12 @@
 //! lengths); syntactic equality on canonical forms then decides unification.
 //!
 //! Non-affine indices (products of two symbols) are rejected at compile
-//! time — the paper's syntax never produces them.
+//! time — the paper's syntax never produces them. Forms add and subtract
+//! by one merge of their sorted term lists.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use reo_automata::Name;
+use reo_automata::{IdMap, Name};
 
 use crate::error::CoreError;
 use crate::ir::{BExpr, IExpr};
@@ -70,17 +70,32 @@ impl Affine {
     // deterministic (identical in debug and release) on adversarial
     // constants; any *concrete* number that reaches a range or index goes
     // through the checked [`Affine::eval`]/[`Env::eval`] instead.
+    //
+    // `self + sign·other` is one merge of the two sorted term lists.
     fn combine(&self, other: &Affine, sign: i64) -> Affine {
-        let mut map: BTreeMap<Sym, i64> = self.terms.iter().cloned().collect();
-        for (sym, c) in &other.terms {
-            let e = map.entry(sym.clone()).or_insert(0);
-            *e = e.wrapping_add(sign.wrapping_mul(*c));
+        let (a, b) = (&self.terms, &other.terms);
+        let (mut i, mut j) = (0, 0);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        while i < a.len() || j < b.len() {
+            let ((sym, c), (di, dj)) = match (a.get(i), b.get(j)) {
+                (Some((x, c)), Some((y, d))) if x == y => {
+                    ((x, c.wrapping_add(sign.wrapping_mul(*d))), (1, 1))
+                }
+                (Some((x, c)), Some((y, _))) if x < y => ((x, *c), (1, 0)),
+                (Some((x, c)), None) => ((x, *c), (1, 0)),
+                (_, Some((y, d))) => ((y, sign.wrapping_mul(*d)), (0, 1)),
+                (None, None) => unreachable!("one list has a term left"),
+            };
+            (i, j) = (i + di, j + dj);
+            if c != 0 {
+                terms.push((sym.clone(), c));
+            }
         }
         Affine {
             constant: self
                 .constant
                 .wrapping_add(sign.wrapping_mul(other.constant)),
-            terms: map.into_iter().filter(|(_, c)| *c != 0).collect(),
+            terms,
         }
     }
 
@@ -203,8 +218,8 @@ pub fn canon(e: &IExpr) -> Result<Affine, CoreError> {
 /// and lengths for array parameters.
 #[derive(Clone, Debug, Default)]
 pub struct Env {
-    vars: HashMap<Name, i64>,
-    lens: HashMap<Name, i64>,
+    vars: IdMap<Name, i64>,
+    lens: IdMap<Name, i64>,
 }
 
 impl Env {
@@ -361,6 +376,62 @@ mod tests {
         assert!(env.eval_bool(&cond).unwrap());
         let not = BExpr::Not(Box::new(cond));
         assert!(!env.eval_bool(&not).unwrap());
+    }
+
+    /// `Affine::combine` against the sorted-map sum it replaced, on
+    /// random sorted term lists over few symbols, so that terms collide and
+    /// cancel.
+    #[test]
+    fn merging_term_lists_is_the_sorted_map_sum() {
+        use std::collections::BTreeMap;
+        let reference = |a: &Affine, b: &Affine, sign: i64| {
+            let mut map: BTreeMap<Sym, i64> = a.terms.iter().cloned().collect();
+            for (sym, c) in &b.terms {
+                let e = map.entry(sym.clone()).or_insert(0);
+                *e = e.wrapping_add(sign.wrapping_mul(*c));
+            }
+            let terms = map.into_iter().filter(|(_, c)| *c != 0).collect();
+            let constant = a.constant.wrapping_add(sign.wrapping_mul(b.constant));
+            Affine { constant, terms }
+        };
+        fn next(seed: &mut u64, n: u64) -> u64 {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            *seed % n
+        }
+        let syms = [
+            Sym::Var("i".into()),
+            Sym::Var("j".into()),
+            Sym::Len("tl".into()),
+        ];
+        let random = |seed: &mut u64| {
+            let mut terms = Vec::new();
+            for sym in &syms {
+                let c = next(seed, 5) as i64 - 2;
+                if next(seed, 2) == 0 && c != 0 {
+                    terms.push((sym.clone(), c));
+                }
+            }
+            if next(seed, 8) == 0 {
+                terms = vec![(syms[0].clone(), i64::MAX)]; // wraps
+            }
+            Affine {
+                constant: next(seed, 7) as i64 - 3,
+                terms,
+            }
+        };
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let (mut cancelled, mut cases) = (0, 0);
+        while cases < 2000 {
+            let (a, b) = (random(&mut seed), random(&mut seed));
+            for (sign, got) in [(1, a.add(&b)), (-1, a.sub(&b))] {
+                assert_eq!(got, reference(&a, &b, sign), "{a} {sign:+} ({b})");
+                cancelled += usize::from(got.terms.len() < a.terms.len().max(b.terms.len()));
+            }
+            cases += 1;
+        }
+        assert!(cancelled > 100, "only {cancelled} cases cancelled a term");
     }
 
     use crate::ir::Cmp;

@@ -15,10 +15,8 @@
 //! (Sect. III-B): [`compile_primitives`] keeps the flat definition's tree
 //! with every primitive deferred, and the same walk instantiates it.
 
-use std::collections::HashMap;
-
 use reo_automata::simplify::{is_simplified, simplify};
-use reo_automata::{product_all, Automaton, MemId, Name, PortId, PortSet, ProductOptions};
+use reo_automata::{product_all, Automaton, IdMap, MemId, Name, PortId, PortSet, ProductOptions};
 
 use crate::affine::{Affine, Sym};
 use crate::builtins;
@@ -114,8 +112,8 @@ impl CompiledConnector {
 
 /// Compile `name` with the parametrized (new) approach.
 pub fn compile(program: &Program, name: &str) -> Result<CompiledConnector, CoreError> {
-    let flat = flatten(program, name)?;
-    let nf = normalize(&flat.body);
+    let mut flat = flatten(program, name)?;
+    let nf = normalize(flat.take_body());
 
     // Pre-pass: which local bases are private to exactly one section and
     // indexed injectively by that section's enclosing iteration variables?
@@ -126,7 +124,7 @@ pub fn compile(program: &Program, name: &str) -> Result<CompiledConnector, CoreE
         usage: &usage,
         next_section: 0,
     };
-    let root = compiler.build(&nf, &[])?;
+    let root = compiler.build(nf, &[])?;
     Ok(CompiledConnector::new(flat, root, program))
 }
 
@@ -135,15 +133,15 @@ pub fn compile(program: &Program, name: &str) -> Result<CompiledConnector, CoreE
 /// [`CompiledNode::Deferred`] node, so that nothing is composed before the
 /// number of connectees is known.
 pub fn compile_primitives(program: &Program, name: &str) -> Result<CompiledConnector, CoreError> {
-    fn defer(expr: &FlatExpr) -> CompiledNode {
-        let boxed = |e: &FlatExpr| Box::new(defer(e));
+    fn defer(expr: FlatExpr) -> CompiledNode {
+        let boxed = |e: Box<FlatExpr>| Box::new(defer(*e));
         match expr {
-            FlatExpr::Inst(inst) => CompiledNode::Deferred(inst.clone()),
-            FlatExpr::Mult(parts) => CompiledNode::Seq(parts.iter().map(defer).collect()),
+            FlatExpr::Inst(inst) => CompiledNode::Deferred(inst),
+            FlatExpr::Mult(parts) => CompiledNode::Seq(parts.into_iter().map(defer).collect()),
             FlatExpr::Prod { var, lo, hi, body } => CompiledNode::For {
-                var: var.clone(),
-                lo: lo.clone(),
-                hi: hi.clone(),
+                var,
+                lo,
+                hi,
                 body: boxed(body),
             },
             FlatExpr::If {
@@ -151,14 +149,14 @@ pub fn compile_primitives(program: &Program, name: &str) -> Result<CompiledConne
                 then_branch,
                 else_branch,
             } => CompiledNode::If {
-                cond: cond.clone(),
+                cond,
                 then_branch: boxed(then_branch),
-                else_branch: else_branch.as_deref().map(boxed),
+                else_branch: else_branch.map(boxed),
             },
         }
     }
-    let flat = flatten(program, name)?;
-    let root = defer(&flat.body);
+    let mut flat = flatten(program, name)?;
+    let root = defer(flat.take_body());
     Ok(CompiledConnector::new(flat, root, program))
 }
 
@@ -166,7 +164,7 @@ pub fn compile_primitives(program: &Program, name: &str) -> Result<CompiledConne
 struct BaseUsage {
     /// base -> (section ids, all index vectors identical?, the one index
     /// vector if identical)
-    map: HashMap<Name, UsageEntry>,
+    map: IdMap<Name, UsageEntry>,
     formals: Vec<Name>,
     /// Counter for deferred-constituent pseudo-sections.
     pseudo: usize,
@@ -181,7 +179,7 @@ struct UsageEntry {
 impl BaseUsage {
     fn analyze(nf: &NormalForm, flat: &FlatDef) -> Self {
         let mut usage = BaseUsage {
-            map: HashMap::new(),
+            map: IdMap::default(),
             formals: flat.params().map(|p| Name::new(&p.name)).collect(),
             pseudo: 0,
         };
@@ -278,29 +276,28 @@ struct Compiler<'p> {
 }
 
 impl<'p> Compiler<'p> {
-    fn build(&mut self, nf: &NormalForm, enclosing: &[Name]) -> Result<CompiledNode, CoreError> {
+    /// The tree of `nf`, which it consumes: constituents move into
+    /// deferred nodes and templates, bounds and conditions into their
+    /// nodes.
+    fn build(&mut self, nf: NormalForm, enclosing: &[Name]) -> Result<CompiledNode, CoreError> {
         let section = self.next_section;
         self.next_section += 1;
 
         let mut parts: Vec<CompiledNode> = Vec::new();
         if !nf.insts.is_empty() {
-            parts.extend(self.compile_section(&nf.insts, section, enclosing)?);
+            parts.extend(self.compile_section(nf.insts, section, enclosing)?);
         }
-        for ProdNF { var, lo, hi, body } in &nf.prods {
+        for ProdNF { var, lo, hi, body } in nf.prods {
             let mut inner = enclosing.to_vec();
             inner.push(var.clone());
-            parts.push(CompiledNode::For {
-                var: var.clone(),
-                lo: lo.clone(),
-                hi: hi.clone(),
-                body: Box::new(self.build(body, &inner)?),
-            });
+            let body = Box::new(self.build(body, &inner)?);
+            parts.push(CompiledNode::For { var, lo, hi, body });
         }
         for IfNF {
             cond,
             then_branch,
             else_branch,
-        } in &nf.conds
+        } in nf.conds
         {
             let then_branch = Box::new(self.build(then_branch, enclosing)?);
             let else_branch = match else_branch {
@@ -308,7 +305,7 @@ impl<'p> Compiler<'p> {
                 None => None,
             };
             parts.push(CompiledNode::If {
-                cond: cond.clone(),
+                cond,
                 then_branch,
                 else_branch,
             });
@@ -331,34 +328,35 @@ impl<'p> Compiler<'p> {
     /// medium automata.
     fn compile_section(
         &mut self,
-        insts: &[FlatInst],
+        insts: Vec<FlatInst>,
         section: usize,
         enclosing: &[Name],
     ) -> Result<Vec<CompiledNode>, CoreError> {
         let mut nodes = Vec::new();
-        let mut groups: Vec<(Vec<&FlatInst>, Vec<FlatRef>)> = Vec::new();
-
+        let mut fixed = Vec::with_capacity(insts.len());
         for inst in insts {
-            if !inst.is_fixed_shape() {
-                nodes.push(CompiledNode::Deferred(inst.clone()));
-                continue;
+            match inst.is_fixed_shape() {
+                true => fixed.push(inst),
+                false => nodes.push(CompiledNode::Deferred(inst)),
             }
-            let refs: Vec<FlatRef> = inst
-                .operands()
-                .map(|op| match op {
-                    FlatOperand::One(fr) => fr.clone(),
+        }
+        let mut groups: Vec<(Vec<&FlatInst>, Vec<&FlatRef>)> = Vec::new();
+        for inst in &fixed {
+            let refs = || {
+                inst.operands().map(|op| match op {
+                    FlatOperand::One(fr) => fr,
                     FlatOperand::Many(_) => unreachable!("fixed shape checked"),
                 })
-                .collect();
+            };
             let slot = groups
                 .iter()
-                .position(|(_, seen)| !refs.iter().any(|r| seen.iter().any(|g| may_alias(r, g))));
+                .position(|(_, seen)| !refs().any(|r| seen.iter().any(|g| may_alias(r, g))));
             match slot {
                 Some(k) => {
                     groups[k].0.push(inst);
-                    groups[k].1.extend(refs);
+                    groups[k].1.extend(refs());
                 }
-                None => groups.push((vec![inst], refs)),
+                None => groups.push((vec![inst], refs().collect())),
             }
         }
 
@@ -376,7 +374,7 @@ impl<'p> Compiler<'p> {
         enclosing: &[Name],
     ) -> Result<CompiledNode, CoreError> {
         let mut sym_ports: Vec<FlatRef> = Vec::new();
-        let mut interner: HashMap<&FlatRef, PortId> = HashMap::new();
+        let mut interner: IdMap<&FlatRef, PortId> = IdMap::default();
         let mut mem_count = 0usize;
         let mut smalls: Vec<Automaton> = Vec::new();
 
@@ -433,11 +431,13 @@ impl<'p> Compiler<'p> {
         // instantiation never materializes a hidden vertex.
         let surviving = medium.ports();
         let mut compact_map = vec![PortId(u32::MAX); sym_ports.len()];
-        let mut compact_syms = Vec::with_capacity(surviving.len());
-        for p in surviving.iter() {
-            compact_map[p.index()] = PortId(compact_syms.len() as u32);
-            compact_syms.push(sym_ports[p.index()].clone());
+        for (k, p) in surviving.iter().enumerate() {
+            compact_map[p.index()] = PortId(k as u32);
         }
+        let compact_syms = (sym_ports.into_iter().enumerate())
+            .filter(|&(k, _)| compact_map[k] != PortId(u32::MAX))
+            .map(|(_, fr)| fr)
+            .collect();
         let medium = reo_automata::remap::remap(&medium, &|p| compact_map[p.index()], &|m| m);
         Ok(CompiledNode::Medium(MediumTemplate {
             automaton: medium,
@@ -451,7 +451,7 @@ impl<'p> Compiler<'p> {
 /// order of first use.
 fn sym_ports_of<'g>(
     ops: &'g [FlatOperand],
-    interner: &mut HashMap<&'g FlatRef, PortId>,
+    interner: &mut IdMap<&'g FlatRef, PortId>,
     sym_ports: &mut Vec<FlatRef>,
 ) -> Vec<PortId> {
     let mut port = |op: &'g FlatOperand| {

@@ -17,9 +17,7 @@
 //! constituents, with all indices in affine canonical form — ready for
 //! normalization and template composition.
 
-use std::collections::HashMap;
-
-use reo_automata::Name;
+use reo_automata::{IdMap, Name};
 
 use crate::affine::{canon, Affine, Sym};
 use crate::builtins;
@@ -135,6 +133,11 @@ impl FlatDef {
     pub fn params(&self) -> impl Iterator<Item = &Param> {
         self.tails.iter().chain(self.heads.iter())
     }
+
+    /// The body, moved out for compilation (an empty `mult` stays behind).
+    pub fn take_body(&mut self) -> FlatExpr {
+        std::mem::replace(&mut self.body, FlatExpr::Mult(Vec::new()))
+    }
 }
 
 /// How a formal parameter of an inlined definition maps into the caller's
@@ -161,7 +164,7 @@ pub fn flatten(program: &Program, def_name: &str) -> Result<FlatDef, CoreError> 
         counter: 0,
         stack: vec![def_name.into()],
     };
-    let mut bindings = HashMap::new();
+    let mut bindings = IdMap::default();
     for p in def.params() {
         let name = Name::new(&p.name);
         let b = if p.is_array {
@@ -199,11 +202,11 @@ struct Flattener<'p> {
 
 /// Per-definition scope while inlining.
 struct Scope {
-    bindings: HashMap<Name, Binding>,
+    bindings: IdMap<Name, Binding>,
     /// Renames of this definition's iteration variables (stacked).
-    varmap: HashMap<Name, Name>,
+    varmap: IdMap<Name, Name>,
     /// Renames of this definition's local vertex names.
-    localmap: HashMap<Name, Name>,
+    localmap: IdMap<Name, Name>,
     /// Renamed iteration variables enclosing the *inline site* — locals of
     /// this definition are arrays over exactly these.
     inline_enclosing: Vec<Name>,
@@ -221,13 +224,13 @@ impl<'p> Flattener<'p> {
     fn inline(
         &mut self,
         def: &ConnectorDef,
-        bindings: HashMap<Name, Binding>,
+        bindings: IdMap<Name, Binding>,
         enclosing: Vec<Name>,
     ) -> Result<FlatExpr, CoreError> {
         let mut scope = Scope {
             bindings,
-            varmap: HashMap::new(),
-            localmap: HashMap::new(),
+            varmap: IdMap::default(),
+            localmap: IdMap::default(),
             inline_enclosing: enclosing.clone(),
             here_enclosing: enclosing,
         };
@@ -322,7 +325,7 @@ impl<'p> Flattener<'p> {
                 got: format!("({};{})", tails.len(), heads.len()),
             });
         }
-        let mut callee_bindings = HashMap::new();
+        let mut callee_bindings = IdMap::default();
         for (param, operand) in callee
             .tails
             .iter()

@@ -9,8 +9,6 @@
 //! approaches: the existing one's template defers every primitive, and
 //! [`ConnectorInstance::monolithic`] composes what it stamps.
 
-use std::collections::{HashMap, HashSet};
-
 use reo_automata::{
     product_all, remap::remap, simplify, Automaton, Explosion, MemId, MemLayout, PortAllocator,
     PortId, PortSet, ProductOptions,
@@ -136,24 +134,23 @@ pub fn instantiate(
 /// primitives). Violations composed unsoundly in release builds and
 /// tripped `debug_assert`s in the product in debug builds; the one walk
 /// refuses them with a typed error for either approach's template.
+///
+/// Two bitmaps over the port ids mark each port as some constituent's
+/// input, and as some constituent's output, so far.
 fn check_vertex_arity(automata: &[Automaton]) -> Result<(), CoreError> {
-    let mut as_input: HashSet<PortId> = HashSet::new();
-    let mut as_output: HashSet<PortId> = HashSet::new();
+    let last = automata.iter().filter_map(|a| a.ports().as_slice().last());
+    let words = last.max().map_or(0, |p| p.index() / 64 + 1);
+    let mut marked = [vec![0u64; words], vec![0u64; words]];
     for a in automata {
-        for p in a.inputs().iter() {
-            if !as_input.insert(p) {
-                return Err(CoreError::MultipleArcs {
-                    port: p.to_string(),
-                    tail: true,
-                });
-            }
-        }
-        for p in a.outputs().iter() {
-            if !as_output.insert(p) {
-                return Err(CoreError::MultipleArcs {
-                    port: p.to_string(),
-                    tail: false,
-                });
+        for (tail, ports) in [(true, a.inputs()), (false, a.outputs())] {
+            let marked = &mut marked[usize::from(!tail)];
+            for p in ports.iter() {
+                let (word, bit) = (p.index() / 64, 1u64 << (p.index() % 64));
+                if marked[word] & bit != 0 {
+                    let port = p.to_string();
+                    return Err(CoreError::MultipleArcs { port, tail });
+                }
+                marked[word] |= bit;
             }
         }
     }
@@ -252,10 +249,9 @@ fn stamp(
     resolver: &mut Resolver<'_>,
 ) -> Result<(Automaton, Origin), CoreError> {
     let mut port_map: Vec<PortId> = Vec::with_capacity(template.sym_ports.len());
-    let mut seen: HashMap<PortId, usize> = HashMap::new();
-    for (k, fr) in template.sym_ports.iter().enumerate() {
+    for fr in &template.sym_ports {
         let concrete = resolver.resolve_one(fr, env)?;
-        if let Some(_prev) = seen.insert(concrete, k) {
+        if port_map.contains(&concrete) {
             return Err(CoreError::AliasedPorts {
                 section: template.automaton.name().to_string(),
                 port: concrete.to_string(),

@@ -6,6 +6,11 @@
 //! expressions — recursively inside iteration bodies and conditional
 //! branches (Example 10). Reordering is sound because `mult` (the product ×)
 //! is associative and commutative.
+//!
+//! Normalization consumes the flat body: every constituent, bound and
+//! condition moves into the normal form, which compilation consumes in
+//! turn (`compile::Compiler::build`), so nothing on the way from the
+//! flattener to a template is copied.
 
 use reo_automata::Name;
 
@@ -59,31 +64,31 @@ impl NormalForm {
     }
 }
 
-/// Normalize a flat expression.
-pub fn normalize(expr: &FlatExpr) -> NormalForm {
+/// Normalize a flat expression, moving its parts into the normal form.
+pub fn normalize(expr: FlatExpr) -> NormalForm {
     let mut nf = NormalForm::default();
     gather(expr, &mut nf);
     nf
 }
 
-fn gather(expr: &FlatExpr, nf: &mut NormalForm) {
+fn gather(expr: FlatExpr, nf: &mut NormalForm) {
     match expr {
-        FlatExpr::Inst(i) => nf.insts.push(i.clone()),
-        FlatExpr::Mult(parts) => parts.iter().for_each(|p| gather(p, nf)),
+        FlatExpr::Inst(i) => nf.insts.push(i),
+        FlatExpr::Mult(parts) => parts.into_iter().for_each(|p| gather(p, nf)),
         FlatExpr::Prod { var, lo, hi, body } => nf.prods.push(ProdNF {
-            var: var.clone(),
-            lo: lo.clone(),
-            hi: hi.clone(),
-            body: normalize(body),
+            var,
+            lo,
+            hi,
+            body: normalize(*body),
         }),
         FlatExpr::If {
             cond,
             then_branch,
             else_branch,
         } => nf.conds.push(IfNF {
-            cond: cond.clone(),
-            then_branch: normalize(then_branch),
-            else_branch: else_branch.as_deref().map(normalize),
+            cond,
+            then_branch: normalize(*then_branch),
+            else_branch: else_branch.map(|e| normalize(*e)),
         }),
     }
 }
@@ -98,7 +103,7 @@ mod tests {
     fn ex11a_is_one_constituent_section() {
         let prog = examples::paper_program();
         let flat = flatten(&prog, "ConnectorEx11a").unwrap();
-        let nf = normalize(&flat.body);
+        let nf = normalize(flat.body);
         assert_eq!(nf.insts.len(), 8);
         assert!(nf.prods.is_empty());
         assert!(nf.conds.is_empty());
@@ -110,7 +115,7 @@ mod tests {
         // [Seq2(prev[1];next[#tl])] ++ [prod X-section, prod Seq2-section].
         let prog = examples::paper_program();
         let flat = flatten(&prog, "ConnectorEx11N").unwrap();
-        let nf = normalize(&flat.body);
+        let nf = normalize(flat.body);
         assert!(nf.insts.is_empty());
         assert!(nf.prods.is_empty());
         assert_eq!(nf.conds.len(), 1);
@@ -150,7 +155,7 @@ mod tests {
             inst("x"),
             FlatExpr::Mult(vec![inst("y"), FlatExpr::Mult(vec![inst("z")])]),
         ]);
-        let nf = normalize(&e);
+        let nf = normalize(e);
         assert_eq!(nf.insts.len(), 3);
         assert_eq!(nf.section_count(), 1);
     }

@@ -4,10 +4,18 @@
 //! local vertex names resolve into fresh ports, allocated once per distinct
 //! concrete index vector (this is what makes `prod`-replicated constituents
 //! share exactly the vertices their index expressions say they share).
+//!
+//! Nothing is allocated per lookup. A resolver is built once per
+//! instantiation, with a table of the formals by name; a reference's
+//! indices are evaluated into one scratch vector, and a new local copies
+//! them to the end of one arena: a local is its name, its run of that
+//! arena and its port, found through [`Buckets`].
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
+use std::ops::Range;
 
-use reo_automata::{Name, PortAllocator, PortId};
+use reo_automata::{Buckets, IdHasher, IdMap, Name, PortAllocator, PortId};
 
 use crate::affine::{Affine, Env};
 use crate::error::CoreError;
@@ -29,17 +37,29 @@ pub fn env_from_binding(binding: &Binding) -> Env {
 
 /// Run-time resolver: formals via the binding, locals via a memo table.
 pub struct Resolver<'a> {
-    binding: &'a Binding,
+    formals: IdMap<Name, &'a [PortId]>,
     alloc: &'a mut PortAllocator,
-    locals: HashMap<(Name, Vec<i64>), PortId>,
+    /// One entry per local vertex: its name, its run of `indices` and its
+    /// port, found through `index` by a hash of name and indices.
+    locals: Vec<(Name, Range<usize>, PortId)>,
+    indices: Vec<i64>,
+    index: Buckets,
+    /// The indices of the reference being resolved.
+    at: Vec<i64>,
 }
 
 impl<'a> Resolver<'a> {
     pub fn new(binding: &'a Binding, alloc: &'a mut PortAllocator) -> Self {
+        let formals = binding
+            .iter()
+            .map(|(name, ports)| (Name::new(name), &ports[..]));
         Self {
-            binding,
+            formals: formals.collect(),
             alloc,
-            locals: HashMap::new(),
+            locals: Vec::new(),
+            indices: Vec::new(),
+            index: Buckets::default(),
+            at: Vec::new(),
         }
     }
 
@@ -49,43 +69,39 @@ impl<'a> Resolver<'a> {
 
     /// Resolve a single-vertex reference.
     pub fn resolve_one(&mut self, fr: &FlatRef, env: &Env) -> Result<PortId, CoreError> {
-        let indices = fr
-            .indices
-            .iter()
-            .map(|a| a.eval(env))
-            .collect::<Result<Vec<i64>, _>>()?;
-        if let Some(ports) = self.binding.get(fr.base.as_str()) {
-            return match indices.as_slice() {
-                [] if ports.len() == 1 => Ok(ports[0]),
-                [] => Err(CoreError::KindMismatch {
-                    name: fr.base.to_string(),
-                    expected_array: false,
-                }),
-                [k] => {
-                    if *k < 1 || *k > ports.len() as i64 {
-                        Err(CoreError::IndexOutOfBounds {
-                            name: fr.base.to_string(),
-                            index: *k,
-                            len: ports.len() as i64,
-                        })
-                    } else {
-                        Ok(ports[(*k - 1) as usize])
-                    }
-                }
-                _ => Err(CoreError::KindMismatch {
-                    name: fr.base.to_string(),
-                    expected_array: false,
-                }),
-            };
+        self.resolve(&fr.base, None, &fr.indices, env)
+    }
+
+    /// The port of `base[first, rest…]` (`first` left out when `None`).
+    fn resolve(
+        &mut self,
+        base: &Name,
+        first: Option<i64>,
+        rest: &[Affine],
+        env: &Env,
+    ) -> Result<PortId, CoreError> {
+        self.at.clear();
+        self.at.extend(first);
+        for a in rest {
+            self.at.push(a.eval(env)?);
         }
-        // Local vertex: one fresh port per distinct (base, indices).
-        let key = (fr.base.clone(), indices);
-        if let Some(&p) = self.locals.get(&key) {
-            return Ok(p);
+        if let Some(ports) = self.formals.get(base) {
+            return formal(base, ports, &self.at);
         }
-        let p = self.alloc.fresh_port();
-        self.locals.insert(key, p);
-        Ok(p)
+        let hash = BuildHasherDefault::<IdHasher>::default().hash_one((base, &self.at));
+        let same = |&k: &usize| {
+            let (name, run, _) = &self.locals[k];
+            name == base && self.indices[run.clone()] == self.at
+        };
+        if let Some(k) = self.index.under(hash).find(same) {
+            return Ok(self.locals[k].2);
+        }
+        let port = self.alloc.fresh_port();
+        let run = self.indices.len()..self.indices.len() + self.at.len();
+        self.indices.extend_from_slice(&self.at);
+        self.locals.push((base.clone(), run, port));
+        self.index.push(hash);
+        Ok(port)
     }
 
     /// Resolve a slice to its element ports, in order.
@@ -104,7 +120,7 @@ impl<'a> Resolver<'a> {
             .checked_sub(lo)
             .and_then(|d| d.checked_add(1))
             .ok_or_else(|| CoreError::IndexOverflow(format!("{}[{lo}..{hi}]", sl.base)))?;
-        if let Some(ports) = self.binding.get(sl.base.as_str()) {
+        if let Some(ports) = self.formals.get(&sl.base) {
             if lo < 1 || hi > ports.len() as i64 {
                 return Err(CoreError::IndexOutOfBounds {
                     name: sl.base.to_string(),
@@ -119,15 +135,7 @@ impl<'a> Resolver<'a> {
         }
         let mut out = Vec::with_capacity(len as usize);
         for k in lo..=hi {
-            let mut indices = vec![Affine::constant(k)];
-            indices.extend(sl.suffix.iter().cloned());
-            out.push(self.resolve_one(
-                &FlatRef {
-                    base: sl.base.clone(),
-                    indices,
-                },
-                env,
-            )?);
+            out.push(self.resolve(&sl.base, Some(k), &sl.suffix, env)?);
         }
         Ok(out)
     }
@@ -142,6 +150,24 @@ impl<'a> Resolver<'a> {
             FlatOperand::One(fr) => Ok(vec![self.resolve_one(fr, env)?]),
             FlatOperand::Many(sl) => self.resolve_slice(sl, env),
         }
+    }
+}
+
+/// The port of formal `name[at]` among `ports` (1-based; a scalar formal
+/// is one port, indexed by nothing).
+fn formal(name: &Name, ports: &[PortId], at: &[i64]) -> Result<PortId, CoreError> {
+    match *at {
+        [] if ports.len() == 1 => Ok(ports[0]),
+        [k] if k < 1 || k > ports.len() as i64 => Err(CoreError::IndexOutOfBounds {
+            name: name.to_string(),
+            index: k,
+            len: ports.len() as i64,
+        }),
+        [k] => Ok(ports[(k - 1) as usize]),
+        _ => Err(CoreError::KindMismatch {
+            name: name.to_string(),
+            expected_array: false,
+        }),
     }
 }
 

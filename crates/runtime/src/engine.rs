@@ -185,31 +185,6 @@ impl PortMap {
             PortMap::Sparse(ids) => Box::new(ids.iter().copied()),
         }
     }
-
-    /// The [`Need`] of a transition labelled `sync`: a pending send on each
-    /// of its `inputs` ports, a pending receive on each of its `outputs`
-    /// ports (the rest of the label is internal).
-    pub fn need(&self, sync: &PortSet, inputs: &PortSet, outputs: &PortSet) -> Need {
-        let bits = || {
-            let sends = sync.iter().filter(|p| inputs.contains(*p)).map(|p| (p, 0));
-            let recvs = sync.iter().filter(|p| outputs.contains(*p)).map(|p| (p, 1));
-            sends.chain(recvs).map(|(p, half)| {
-                let i = self.slot(p);
-                ((2 * (i / 64) + half) as u32, 1u64 << (i % 64))
-            })
-        };
-        // Sized first, so the table holds exactly its words.
-        let firsts = bits().enumerate();
-        let distinct = firsts.filter(|&(k, (word, _))| bits().take(k).all(|(w, _)| w != word));
-        let mut words: Vec<(u32, u64)> = Vec::with_capacity(distinct.count());
-        for (word, bit) in bits() {
-            match words.iter_mut().find(|(w, _)| *w == word) {
-                Some((_, bits)) => *bits |= bit,
-                None => words.push((word, bit)),
-            }
-        }
-        Need(words.into_boxed_slice())
-    }
 }
 
 /// The pending-operation table of one engine, indexed by *global*
@@ -232,12 +207,13 @@ pub struct PendingTable {
 }
 
 /// The operations a transition needs pending before it can fire, as
-/// `(word, bits)` pairs over one table's armed set. Built by
-/// [`PortMap::need`] — before any table exists, for a core that fills its
-/// rows at `connect` — and only meaningful against tables over that map
-/// (an engine swaps core and map together).
+/// `(word, bits)` pairs over one table's armed set. Built by the core as it
+/// interns a step ([`crate::jit`], "Lowered steps") from a [`PortMap`] —
+/// before any table exists, for a core that fills its rows at `connect` —
+/// and only meaningful against tables over that map (an engine swaps core
+/// and map together).
 #[derive(Clone, Debug, Default)]
-pub struct Need(Box<[(u32, u64)]>);
+pub struct Need(pub(crate) Box<[(u32, u64)]>);
 
 impl PendingTable {
     pub fn new(ports: Arc<PortMap>) -> Self {

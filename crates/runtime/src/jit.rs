@@ -33,9 +33,13 @@
 //! the [`Need`] its label puts on the armed set and its participants'
 //! `(index, target)` pairs, and every later row that contains the same
 //! step shares the entry (`NpbComm` has O(N) distinct steps under its 2^N
-//! tuples). The first time its need is met the step is composed and
-//! lowered ([`Pools::lower`]) into a register program — once, for every
-//! row: "compile each module once, link at use". A state that is visited
+//! tuples). Both come from one walk over the participants' labels: `new`
+//! fills a table of each port id's role (send, receive, internal) from the
+//! boundary classes, and a boundary port's bit goes into its slot's word of
+//! that role. No label is built and no set is searched. The first time its
+//! need is met the step is composed and lowered ([`Pools::lower`]) into a
+//! register program — once, for every row: "compile each module once, link
+//! at use". A state that is visited
 //! once therefore pays for the steps it tries, not for its whole row.
 //!
 //! An expanded state is then a [`Row`]: step ids in emission order, each
@@ -113,6 +117,12 @@ pub struct JitCore {
     owners: PortOwners,
     inputs: PortSet,
     outputs: PortSet,
+    /// Per port id, what `inputs` and `outputs` make it; internal past the
+    /// end. A step's need reads it once per port of its label.
+    roles: Box<[Role]>,
+    /// Scratch of `intern`: the need's words and the moves of a new step.
+    words: Vec<(u32, u64)>,
+    moves: Vec<(u32, StateId)>,
     /// Maximum global transitions per expanded state.
     expansion_budget: usize,
     rotation: usize,
@@ -122,6 +132,16 @@ pub struct JitCore {
     /// the current dead set added nothing to it.
     moved: Option<Vec<u32>>,
     walked: HashSet<(u32, StateId)>,
+}
+
+/// What a port is to the tasks: where they send, where they receive, or
+/// neither. A boundary role is also the half of the armed set's word pair
+/// its bit lives in.
+#[derive(Clone, Copy)]
+enum Role {
+    Send = 0,
+    Recv = 1,
+    Internal,
 }
 
 /// Compute global boundary classes from a set of medium automata: a port
@@ -153,6 +173,10 @@ fn explosion(
 impl JitCore {
     pub fn new(automata: Vec<Automaton>, expansion_budget: usize) -> Self {
         let (inputs, outputs) = boundary_classes(&automata);
+        let last = inputs.as_slice().last().max(outputs.as_slice().last());
+        let mut roles = vec![Role::Internal; last.map_or(0, |p| p.index() + 1)];
+        inputs.iter().for_each(|p| roles[p.index()] = Role::Send);
+        outputs.iter().for_each(|p| roles[p.index()] = Role::Recv);
         JitCore {
             owners: PortOwners::new(&automata),
             states: automata.iter().map(|a| a.initial()).collect(),
@@ -169,6 +193,9 @@ impl JitCore {
             deliveries: Vec::new(),
             inputs,
             outputs,
+            roles: roles.into(),
+            words: Vec::new(),
+            moves: Vec::new(),
             expansion_budget,
             rotation: 0,
             moved: None,
@@ -288,7 +315,8 @@ impl JitCore {
 
     /// The label of every step in the table.
     pub(crate) fn labels(&self) -> impl Iterator<Item = PortSet> + '_ {
-        (0..self.steps.len() as u32).map(|id| self.outline(self.choice(id)).0)
+        let label = |id| connected::compose(&self.automata, self.choice(id)).sync;
+        (0..self.steps.len() as u32).map(label)
     }
 
     /// The choice vector of step `id`.
@@ -301,32 +329,25 @@ impl JitCore {
         &self.automata[automaton as usize].transitions_from(from)[index as usize]
     }
 
-    /// The label of one choice vector — the union of its participants'
-    /// sync sets — and the `(automaton, target)` pairs of the participants
-    /// it moves to another state; everyone else stays.
-    fn outline(&self, choice: &[Choice]) -> (PortSet, Box<[(u32, StateId)]>) {
-        let mut sync = PortSet::new();
-        let mut moves = Vec::new();
-        for &pick in choice {
-            let t = self.local(pick);
-            sync = sync.union(&t.sync);
-            if t.target != pick.1 {
-                moves.push((pick.0, t.target));
-            }
-        }
-        (sync, moves.into_boxed_slice())
+    /// `(automaton, target)` if `pick` moves its participant to another
+    /// state; everyone else stays.
+    fn moved(&self, pick: Choice) -> Option<(u32, StateId)> {
+        let target = self.local(pick).target;
+        (target != pick.1).then_some((pick.0, target))
     }
 
     /// The composed transition of one choice vector
-    /// ([`connected::compose`]; its `target` is unused) next to the moves
-    /// of its outline.
+    /// ([`connected::compose`]; its `target` is unused) next to the
+    /// participants it moves.
     pub fn compose_step(&self, choice: &[Choice]) -> (Transition, Box<[(u32, StateId)]>) {
-        let moves = self.outline(choice).1;
-        (connected::compose(&self.automata, choice), moves)
+        let moves = choice.iter().filter_map(|&pick| self.moved(pick));
+        (connected::compose(&self.automata, choice), moves.collect())
     }
 
-    /// The step table entry of `choice`, made on first sight with its need
-    /// over `ports`.
+    /// The step table entry of `choice`, made on first sight in one walk
+    /// over its participants: the moves, and the need over `ports` — per
+    /// port of a label, its role, and for a boundary port its slot's bit
+    /// in the word of that role (no label is ever built).
     fn intern(&mut self, choice: &[Choice], ports: &PortMap) -> u32 {
         let ids = choice.iter().flat_map(|&(i, at, k)| [i, at.0, k]);
         let hash = Buckets::hash(0, ids);
@@ -334,15 +355,36 @@ impl JitCore {
         if let Some(id) = known {
             return id as u32;
         }
-        let (sync, moves) = self.outline(choice);
+        let (mut words, mut moves) = (
+            std::mem::take(&mut self.words),
+            std::mem::take(&mut self.moves),
+        );
+        words.clear();
+        moves.clear();
+        for &pick in choice {
+            moves.extend(self.moved(pick));
+            for p in self.local(pick).sync.iter() {
+                let half = match self.roles.get(p.index()) {
+                    Some(&role @ (Role::Send | Role::Recv)) => role as usize,
+                    _ => continue,
+                };
+                let i = ports.slot(p);
+                let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
+                match words.iter_mut().find(|(w, _)| *w == word) {
+                    Some((_, bits)) => *bits |= bit,
+                    None => words.push((word, bit)),
+                }
+            }
+        }
         let start = self.choices.len() as u32;
         self.choices.extend_from_slice(choice);
         self.steps.push(Step {
-            need: ports.need(&sync, &self.inputs, &self.outputs),
+            need: Need(words.as_slice().into()),
             choice: (start, self.choices.len() as u32),
             program: None,
-            moves,
+            moves: moves.as_slice().into(),
         });
+        (self.words, self.moves) = (words, moves);
         self.step_ids.push(hash) as u32
     }
 
@@ -561,12 +603,7 @@ impl JitCore {
             if let (Some(walked), false) = (walked.as_mut(), frontier.is_empty()) {
                 walked.clear();
             }
-            due.extend(
-                frontier
-                    .iter()
-                    .flat_map(|p| self.owners.of(p))
-                    .map(|i| i as u32),
-            );
+            due.extend(frontier.iter().flat_map(|p| self.owners.of(p)).copied());
             due.sort_unstable();
             due.dedup();
             frontier = PortSet::new();
@@ -596,6 +633,106 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use reo_automata::{primitives, MemId, MemLayout, PortAllocator, PortId, Value};
+
+    /// The need a step's label used to be resolved to, by set searches over
+    /// the label: a pending send on each of its `inputs` ports, a pending
+    /// receive on each of its `outputs` ports.
+    fn need_of_label(
+        ports: &PortMap,
+        sync: &PortSet,
+        inputs: &PortSet,
+        outputs: &PortSet,
+    ) -> Vec<(u32, u64)> {
+        let sends = sync.iter().filter(|p| inputs.contains(*p)).map(|p| (p, 0));
+        let recvs = sync.iter().filter(|p| outputs.contains(*p)).map(|p| (p, 1));
+        let mut words: Vec<(u32, u64)> = Vec::new();
+        for (p, half) in sends.chain(recvs) {
+            let i = ports.slot(p);
+            let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
+            match words.iter_mut().find(|(w, _)| *w == word) {
+                Some((_, bits)) => *bits |= bit,
+                None => words.push((word, bit)),
+            }
+        }
+        words.sort_unstable();
+        words
+    }
+
+    /// Every step a core interned has the need its union label gives under
+    /// [`need_of_label`]: over the Fig. 12 families, `relay` and `burst` at
+    /// n ∈ {2, 4, 8}, in every mode of [`Mode::grid`] that connects within
+    /// small product limits, after each region core was driven with every
+    /// boundary operation pending (a lazy core interns what it visits).
+    #[test]
+    fn a_need_from_the_role_table_is_the_need_of_the_label() {
+        use crate::connector::{Connector, Limits, Mode};
+        use crate::partition::Partitioned;
+        use std::sync::Arc;
+
+        let mut families = reo_connectors::families();
+        families.extend([
+            reo_connectors::relay_family(),
+            reo_connectors::burst_family(),
+        ]);
+        let limits = Limits {
+            product: ProductOptions {
+                max_states: 1 << 12,
+                max_transitions: 1 << 14,
+            },
+            ..Limits::default()
+        };
+        let (mut sessions, mut checked) = (0, 0);
+        for family in &families {
+            let program = reo_dsl::parse_program(family.source).unwrap();
+            for n in [2, 4, 8] {
+                for &(mode_name, mode) in Mode::grid() {
+                    let built = Connector::builder(&program, family.def).mode(mode);
+                    let connector = built.limits(limits).build().unwrap();
+                    let sizes = (family.sizes)(n);
+                    let Ok(session) = connector.session().replicate_all(&sizes).connect() else {
+                        continue;
+                    };
+                    sessions += 1;
+                    let parts = session.handle().backend_probe().upgrade().unwrap();
+                    let parts = parts.downcast_ref::<Partitioned>().unwrap();
+                    for engine in &parts.topo().engines {
+                        let mut inner = engine.lock();
+                        let map = Arc::clone(inner.pending.port_map());
+                        let mut store = inner.store.clone();
+                        let core = &mut inner.core;
+                        let (inputs, outputs) = (core.inputs.clone(), core.outputs.clone());
+                        let mut pending = PendingTable::new(Arc::clone(&map));
+                        for _ in 0..8 {
+                            for p in inputs.iter() {
+                                pending.set(p, Pending::Send(Value::Int(1)));
+                            }
+                            outputs.iter().for_each(|p| pending.set(p, Pending::Recv));
+                            for _ in 0..32 {
+                                if !matches!(
+                                    core.try_step(&mut pending, &mut store, &mut vec![]),
+                                    Ok(true)
+                                ) {
+                                    break;
+                                }
+                            }
+                        }
+                        for (id, label) in core.labels().enumerate() {
+                            let mut need = core.steps[id].need.0.to_vec();
+                            need.sort_unstable();
+                            let want = need_of_label(&map, &label, &inputs, &outputs);
+                            let at = format!("{} n={n} {mode_name}, step {id}", family.name);
+                            assert_eq!(need, want, "{at}");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            sessions >= 280 && checked >= 20_000,
+            "{sessions} sessions, {checked} steps"
+        );
+    }
 
     fn engine_from(automata: Vec<Automaton>, ports: usize) -> Engine {
         let mut layout = MemLayout::cells(0);

@@ -120,7 +120,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
+use reo_automata::{Automaton, MemLayout, PortId, PortOwners, PortSet, StateId, Store, Value};
 
 use crate::connector::{core_for, Limits, Mode, Placement};
 use crate::engine::{
@@ -459,16 +459,13 @@ fn synchronous_regions(automata: &[Automaton]) -> Plan {
 
     // Union-find over non-queue automata sharing ports.
     let mut uf = UnionFind::new(n);
-    let mut port_owner: HashMap<PortId, Vec<usize>> = HashMap::new();
-    for (i, a) in automata.iter().enumerate() {
+    let owners = PortOwners::new(automata);
+    let owners = |p: PortId| owners.of(p).iter().map(|&j| j as usize);
+    for (i, a) in automata.iter().enumerate().filter(|&(i, _)| !is_queue[i]) {
         for p in a.ports().iter() {
-            port_owner.entry(p).or_default().push(i);
-        }
-    }
-    for owners in port_owner.values() {
-        let solid: Vec<usize> = owners.iter().copied().filter(|&i| !is_queue[i]).collect();
-        for w in solid.windows(2) {
-            uf.union(w[0], w[1]);
+            owners(p)
+                .filter(|&j| !is_queue[j])
+                .for_each(|j| uf.union(i, j));
         }
     }
 
@@ -477,13 +474,7 @@ fn synchronous_regions(automata: &[Automaton]) -> Plan {
     let mut cut: Vec<bool> = vec![false; n];
     for (i, a) in automata.iter().enumerate() {
         let Some(hint) = a.queue_hint() else { continue };
-        let neighbor = |p: PortId| -> Option<usize> {
-            port_owner
-                .get(&p)?
-                .iter()
-                .copied()
-                .find(|&j| j != i && !is_queue[j])
-        };
+        let neighbor = |p: PortId| owners(p).find(|&j| j != i && !is_queue[j]);
         let up = neighbor(hint.input);
         let down = neighbor(hint.output);
         match (up, down) {
@@ -502,7 +493,7 @@ fn synchronous_regions(automata: &[Automaton]) -> Plan {
 
     // Build regions: roots of non-queue automata + kept queues + singleton
     // queues.
-    let mut region_of_root: HashMap<usize, usize> = HashMap::new();
+    let mut region_of_root: Vec<Option<usize>> = vec![None; n];
     let mut regions: Vec<Vec<usize>> = Vec::new();
     let mut automaton_region: Vec<Option<usize>> = vec![None; n];
     for i in 0..n {
@@ -515,7 +506,7 @@ fn synchronous_regions(automata: &[Automaton]) -> Plan {
             keep_in_region[i]
         };
         let region = match root {
-            Some(r) => *region_of_root.entry(r).or_insert_with(|| {
+            Some(r) => *region_of_root[r].get_or_insert_with(|| {
                 regions.push(Vec::new());
                 regions.len() - 1
             }),
@@ -536,9 +527,7 @@ fn synchronous_regions(automata: &[Automaton]) -> Plan {
         }
         let hint = a.queue_hint().expect("cut implies hint");
         let owner_region = |p: PortId| -> usize {
-            port_owner[&p]
-                .iter()
-                .copied()
+            owners(p)
                 .filter(|&j| j != i)
                 .find_map(|j| automaton_region[j])
                 .expect("cut queue has solid neighbors")

@@ -51,14 +51,11 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Mean heap allocations per open over [`cells`]: 475 in a debug build
-/// (470 in release) — parse 34, build 226, connect 158, first value 45,
-/// drop 12 (6) — plus 5 %. A connector used to keep its own copy of the
-/// program, which cost the build phase 32 more (508 in all). Before port
-/// sets and identifiers went inline, one-primitive templates stopped
-/// being copied and connected steps were interned from one buffer, the
-/// same cells made 1,161 (1,149).
-const BUDGET: f64 = 500.0;
+/// Mean heap allocations per open over [`cells`]: 400 in a debug build
+/// (395 in release) — parse 34, build 177, connect 135, first value 42,
+/// drop 12 (6) — plus 5 %. CHANGES.md has the counts of every earlier
+/// budget (the last: 475, with build 226 and connect 158).
+const BUDGET: f64 = 420.0;
 
 const PHASES: [&str; 5] = ["parse", "build", "connect", "first value", "drop"];
 
