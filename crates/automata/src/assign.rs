@@ -123,9 +123,10 @@ mod tests {
     #[test]
     fn sources_see_pre_state() {
         // Swap two cells in one transition: both reads happen before writes.
-        let mut layout = MemLayout::cells(0);
-        let a = layout.push(vec![Value::Int(1)]);
-        let b = layout.push(vec![Value::Int(2)]);
+        let (a, b) = (MemId(0), MemId(1));
+        let mut layout = MemLayout::default();
+        layout.add(a, vec![Value::Int(1)]);
+        layout.add(b, vec![Value::Int(2)]);
         let mut store = Store::new(&layout);
         let swap = [
             Assign::set_mem(a, Term::Mem(b)),
@@ -138,8 +139,9 @@ mod tests {
 
     #[test]
     fn pop_after_read_models_fifo_take() {
-        let mut layout = MemLayout::cells(0);
-        let m = layout.push(vec![Value::Int(7), Value::Int(8)]);
+        let m = MemId(0);
+        let mut layout = MemLayout::default();
+        layout.add(m, vec![Value::Int(7), Value::Int(8)]);
         let mut store = Store::new(&layout);
         let take = [Assign::to_port(PortId(9), Term::Mem(m))];
         let d = execute(&take, &[m], &|_| panic!(), &mut store);

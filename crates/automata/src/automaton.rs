@@ -108,10 +108,9 @@ pub struct Automaton {
     internals: PortSet,
     /// inputs ∪ outputs ∪ internals, kept with the three classes.
     ports: PortSet,
-    /// This automaton's memory cells with initial contents (global ids).
+    /// The memory cells this automaton owns, with their initial contents
+    /// (global ids, in allocation order).
     mems: MemLayout,
-    /// Cells owned by this automaton, in allocation order.
-    mem_ids: Vec<MemId>,
     /// Set by the fifo builders; lost under composition (a composite is no
     /// longer a plain queue).
     queue_hint: Option<QueueHint>,
@@ -180,7 +179,7 @@ impl Automaton {
     }
 
     pub fn mem_ids(&self) -> &[MemId] {
-        &self.mem_ids
+        self.mems.ids()
     }
 
     /// Queue metadata, if this automaton is a plain fifo (see [`QueueHint`]).
@@ -192,11 +191,10 @@ impl Automaton {
         self.queue_hint = hint;
     }
 
-    /// Replace memory metadata wholesale (used by product construction,
-    /// which merges the operands' global-id layouts).
-    pub(crate) fn replace_mems(&mut self, mems: MemLayout, mem_ids: Vec<MemId>) {
+    /// Replace the memory cells wholesale (renaming, product and
+    /// simplification carry their operands' cells over).
+    pub(crate) fn replace_mems(&mut self, mems: MemLayout) {
         self.mems = mems;
-        self.mem_ids = mem_ids;
     }
 
     pub(crate) fn set_port_classes(
@@ -205,6 +203,10 @@ impl Automaton {
         outputs: PortSet,
         internals: PortSet,
     ) {
+        debug_assert!(
+            inputs.is_disjoint(&outputs),
+            "a port cannot be both input and output of one automaton"
+        );
         self.ports = inputs.union(&outputs).union(&internals);
         self.inputs = inputs;
         self.outputs = outputs;
@@ -241,16 +243,16 @@ impl Automaton {
     }
 }
 
-/// Incremental construction of an [`Automaton`].
+/// Incremental construction of an [`Automaton`]. Ports are collected and
+/// each class is built as a set once, so declaring `n` ports costs one sort.
 pub struct AutomatonBuilder {
     name: Name,
     states: Vec<Vec<Transition>>,
     initial: StateId,
-    inputs: PortSet,
-    outputs: PortSet,
-    internals: PortSet,
+    inputs: Vec<PortId>,
+    outputs: Vec<PortId>,
+    internals: Vec<PortId>,
     mems: MemLayout,
-    mem_ids: Vec<MemId>,
     queue_hint: Option<QueueHint>,
 }
 
@@ -260,11 +262,10 @@ impl AutomatonBuilder {
             name: name.into(),
             states: Vec::new(),
             initial: StateId(0),
-            inputs: PortSet::new(),
-            outputs: PortSet::new(),
-            internals: PortSet::new(),
-            mems: MemLayout::cells(0),
-            mem_ids: Vec::new(),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            internals: Vec::new(),
+            mems: MemLayout::default(),
             queue_hint: None,
         }
     }
@@ -290,23 +291,22 @@ impl AutomatonBuilder {
 
     /// Declare a port where the connector accepts data (task sends here).
     pub fn input(&mut self, p: PortId) {
-        self.inputs.insert(p);
+        self.inputs.push(p);
     }
 
     /// Declare a port where the connector offers data (task receives here).
     pub fn output(&mut self, p: PortId) {
-        self.outputs.insert(p);
+        self.outputs.push(p);
     }
 
     /// Declare an internal port.
     pub fn internal(&mut self, p: PortId) {
-        self.internals.insert(p);
+        self.internals.push(p);
     }
 
     /// Register a memory cell (global id) with initial contents.
     pub fn mem(&mut self, m: MemId, init: Vec<crate::value::Value>) {
-        self.mems.set_init(m, init);
-        self.mem_ids.push(m);
+        self.mems.add(m, init);
     }
 
     pub fn transition(&mut self, from: StateId, t: Transition) {
@@ -319,22 +319,23 @@ impl AutomatonBuilder {
             !self.states.is_empty(),
             "automaton must have at least one state"
         );
-        debug_assert!(
-            self.inputs.is_disjoint(&self.outputs),
-            "a port cannot be both input and output of one automaton"
-        );
-        Automaton {
-            ports: (self.inputs.union(&self.outputs)).union(&self.internals),
+        let mut a = Automaton {
             name: self.name,
             states: self.states,
             initial: self.initial,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            internals: self.internals,
+            inputs: PortSet::new(),
+            outputs: PortSet::new(),
+            internals: PortSet::new(),
+            ports: PortSet::new(),
             mems: self.mems,
-            mem_ids: self.mem_ids,
             queue_hint: self.queue_hint,
-        }
+        };
+        a.set_port_classes(
+            PortSet::from_iter(self.inputs),
+            PortSet::from_iter(self.outputs),
+            PortSet::from_iter(self.internals),
+        );
+        a
     }
 }
 

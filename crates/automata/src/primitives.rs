@@ -254,10 +254,7 @@ pub fn replicator(tail: PortId, heads: &[PortId]) -> Automaton {
     for &h in heads {
         builder.output(h);
     }
-    let mut sync = PortSet::singleton(tail);
-    for &h in heads {
-        sync.insert(h);
-    }
+    let sync = std::iter::once(tail).chain(heads.iter().copied()).collect();
     let mut t = Transition::new(sync, s);
     for &h in heads {
         t = t.with_assign(Assign::to_port(h, Term::Port(tail)));

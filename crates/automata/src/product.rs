@@ -52,7 +52,6 @@ use crate::automaton::{Automaton, AutomatonBuilder, StateId, Transition};
 use crate::buckets::Buckets;
 use crate::connected::{compose, Choice, PortOwners, Steps};
 use crate::port::PortSet;
-use crate::store::MemLayout;
 
 /// Options for product construction: how large the product that is
 /// returned may be. Both budgets are tested after every state and every
@@ -174,11 +173,6 @@ pub fn product_from(
     let outputs = a.outputs().union(b.outputs()).difference(&matched);
     let internals = a.internals().union(b.internals()).union(&matched);
 
-    // Memory layouts use the same global id space; merge them.
-    let mut mems = MemLayout::cells(0);
-    mems.merge(a.mem_layout());
-    mems.merge(b.mem_layout());
-
     // Reachable-only BFS over state pairs, from the requested start pair.
     let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
     let mut queue: Vec<(StateId, StateId)> = Vec::new();
@@ -295,32 +289,13 @@ pub fn product_from(
         builder.transition(from, t);
     }
     builder.set_initial(first);
-    for p in &inputs {
-        builder.input(p);
-    }
-    for p in &outputs {
-        builder.output(p);
-    }
-    for p in &internals {
-        builder.internal(p);
-    }
     let mut result = builder.build();
-    copy_mems(&mut result, &mems, a, b);
+    result.set_port_classes(inputs, outputs, internals);
+    result.replace_mems(a.mem_layout().iter().chain(b.mem_layout().iter()).collect());
     // `queue` was pushed in lockstep with `builder.state()` (one entry per
     // interned pair, never popped — `head` is a cursor), so it doubles as
     // the product-state → constituent-pair trace.
     Ok((result, queue))
-}
-
-fn copy_mems(result: &mut Automaton, _mems: &MemLayout, a: &Automaton, b: &Automaton) {
-    // `AutomatonBuilder::mem` also records ownership order; redo it here
-    // from both operands so `mem_ids` stays complete.
-    let mut ids: Vec<_> = a.mem_ids().to_vec();
-    ids.extend_from_slice(b.mem_ids());
-    let mut layout = MemLayout::cells(0);
-    layout.merge(a.mem_layout());
-    layout.merge(b.mem_layout());
-    result.replace_mems(layout, ids);
 }
 
 /// Compose a list of automata with × in one n-ary construction (module
@@ -551,10 +526,7 @@ fn finish(builder: AutomatonBuilder, autos: &[Automaton]) -> Automaton {
         outputs.difference(&matched),
         class(Automaton::internals).union(&matched),
     );
-    let mut layout = MemLayout::cells(0);
-    autos.iter().for_each(|a| layout.merge(a.mem_layout()));
-    let ids = autos.iter().flat_map(|a| a.mem_ids()).copied().collect();
-    result.replace_mems(layout, ids);
+    result.replace_mems(autos.iter().flat_map(|a| a.mem_layout().iter()).collect());
     result
 }
 

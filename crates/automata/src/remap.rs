@@ -9,7 +9,6 @@ use crate::assign::{Assign, Dst};
 use crate::automaton::{Automaton, AutomatonBuilder, Transition};
 use crate::guard::Guard;
 use crate::port::{MemId, PortId, PortSet};
-use crate::store::MemLayout;
 use crate::term::Term;
 
 /// Rename every port with `pm` and every memory cell with `mm`.
@@ -28,24 +27,19 @@ pub fn remap(
             builder.transition(s, remap_transition(t, pm, mm));
         }
     }
-    for p in aut.inputs() {
-        builder.input(pm(p));
-    }
-    for p in aut.outputs() {
-        builder.output(pm(p));
-    }
-    for p in aut.internals() {
-        builder.internal(pm(p));
-    }
     let mut result = builder.build();
-    let mut layout = MemLayout::cells(0);
-    let mut ids = Vec::with_capacity(aut.mem_ids().len());
-    for &m in aut.mem_ids() {
-        let new_m = mm(m);
-        layout.set_init(new_m, aut.mem_layout().initial_contents(m).to_vec());
-        ids.push(new_m);
-    }
-    result.replace_mems(layout, ids);
+    let class = |ports: &PortSet| ports.iter().map(pm).collect();
+    result.set_port_classes(
+        class(aut.inputs()),
+        class(aut.outputs()),
+        class(aut.internals()),
+    );
+    result.replace_mems(
+        aut.mem_layout()
+            .iter()
+            .map(|(m, init)| (mm(m), init))
+            .collect(),
+    );
     result.set_queue_hint(aut.queue_hint().map(|h| crate::automaton::QueueHint {
         input: pm(h.input),
         output: pm(h.output),

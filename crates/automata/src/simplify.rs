@@ -63,7 +63,7 @@ pub fn simplify(aut: &Automaton, keep: &PortSet) -> Automaton {
     let outputs = aut.outputs().intersection(keep);
     let internals = aut.internals().intersection(keep);
     result.set_port_classes(inputs, outputs, internals);
-    result.replace_mems(aut.mem_layout().clone(), aut.mem_ids().to_vec());
+    result.replace_mems(aut.mem_layout().clone());
     // A simplified queue is still a queue, provided its ends survive.
     result.set_queue_hint(
         aut.queue_hint()

@@ -2,9 +2,10 @@
 //!
 //! Constraint automata stay finite-state by keeping *data* out of the control
 //! state: a fifo1's control state only records whether its buffer is empty or
-//! full, while the buffered value itself lives in a memory cell. The store
-//! holds every memory cell of a running connector, indexed densely by
-//! [`MemId`].
+//! full, while the buffered value itself lives in a memory cell. An
+//! automaton's [`MemLayout`] lists only the cells it owns, so stamping `n`
+//! constituents costs what they hold; only a session's layout
+//! ([`MemLayout::cells`]) and its [`Store`] are dense, indexed by [`MemId`].
 //!
 //! Every cell is a queue; a plain cell is simply a queue used at depth ≤ 1.
 //! Unbounded fifos use deeper queues together with [`crate::guard::Guard`]
@@ -15,64 +16,83 @@ use std::collections::VecDeque;
 use crate::port::MemId;
 use crate::value::Value;
 
-/// Initial contents for each memory cell of an automaton or engine.
+/// Memory cells (global ids) with their initial contents, in order: the
+/// cells one automaton owns, or a session's table of every cell.
 #[derive(Clone, Debug, Default)]
 pub struct MemLayout {
-    /// `init[m]` = initial queue contents of cell `m`.
+    ids: Vec<MemId>,
+    /// `init[i]` = initial queue contents of cell `ids[i]`.
     init: Vec<Vec<Value>>,
 }
 
 impl MemLayout {
-    /// `n` empty cells.
+    /// The table of cells `0..n`, all empty, each at its own index.
     pub fn cells(n: usize) -> Self {
         Self {
+            ids: (0..n as u32).map(MemId).collect(),
             init: vec![Vec::new(); n],
         }
     }
 
-    /// Extend with one cell with the given initial contents; returns its id
-    /// *relative to this layout* (callers allocating globally should use
-    /// [`crate::port::PortAllocator`] and [`MemLayout::ensure`] instead).
-    pub fn push(&mut self, init: Vec<Value>) -> MemId {
+    /// List cell `m` last, with initial contents `init`.
+    pub(crate) fn add(&mut self, m: MemId, init: Vec<Value>) {
+        self.ids.push(m);
         self.init.push(init);
-        MemId((self.init.len() - 1) as u32)
-    }
-
-    /// Make sure cell `m` exists (empty-initialized), growing as needed.
-    pub fn ensure(&mut self, m: MemId) {
-        if self.init.len() <= m.index() {
-            self.init.resize(m.index() + 1, Vec::new());
-        }
-    }
-
-    /// Set the initial contents of cell `m`, growing as needed.
-    pub fn set_init(&mut self, m: MemId, init: Vec<Value>) {
-        self.ensure(m);
-        self.init[m.index()] = init;
     }
 
     pub fn len(&self) -> usize {
-        self.init.len()
+        self.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.init.is_empty()
+        self.ids.is_empty()
     }
 
-    pub fn initial_contents(&self, m: MemId) -> &[Value] {
-        &self.init[m.index()]
+    /// The cells, in order.
+    pub(crate) fn ids(&self) -> &[MemId] {
+        &self.ids
     }
 
-    /// Merge another layout indexed by the *same global* id space.
-    pub fn merge(&mut self, other: &MemLayout) {
-        if other.init.len() > self.init.len() {
-            self.init.resize(other.init.len(), Vec::new());
+    /// Each cell with its initial contents, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (MemId, &[Value])> {
+        self.ids
+            .iter()
+            .copied()
+            .zip(self.init.iter().map(Vec::as_slice))
+    }
+
+    /// Where cell `m` is listed: at its own index in a table built by
+    /// [`MemLayout::cells`], found by a scan otherwise.
+    fn position(&self, m: MemId) -> Option<usize> {
+        match self.ids.get(m.index()) {
+            Some(&at) if at == m => Some(m.index()),
+            _ => self.ids.iter().position(|&c| c == m),
         }
-        for (i, contents) in other.init.iter().enumerate() {
-            if !contents.is_empty() {
-                self.init[i] = contents.clone();
+    }
+
+    /// The initial contents of cell `m`; a cell not listed starts empty.
+    pub fn initial_contents(&self, m: MemId) -> &[Value] {
+        self.position(m).map_or(&[], |i| &self.init[i])
+    }
+
+    /// Merge another layout of the *same global* id space: the cells this
+    /// one lacks are listed after its own, and non-empty contents win.
+    pub fn merge(&mut self, other: &MemLayout) {
+        for (m, init) in other.iter() {
+            match self.position(m) {
+                Some(i) if !init.is_empty() => self.init[i] = init.to_vec(),
+                Some(_) => {}
+                None => self.add(m, init.to_vec()),
             }
         }
+    }
+}
+
+/// The cells in iteration order, as listed (no merge).
+impl<'a> FromIterator<(MemId, &'a [Value])> for MemLayout {
+    fn from_iter<I: IntoIterator<Item = (MemId, &'a [Value])>>(iter: I) -> Self {
+        let (ids, init) = iter.into_iter().map(|(m, v)| (m, v.to_vec())).unzip();
+        Self { ids, init }
     }
 }
 
@@ -83,15 +103,12 @@ pub struct Store {
 }
 
 impl Store {
-    /// Build a store with the layout's initial contents.
+    /// A store of one cell per id up to the layout's highest, each listed
+    /// cell holding its initial contents, the others empty.
     pub fn new(layout: &MemLayout) -> Self {
-        Self {
-            cells: layout
-                .init
-                .iter()
-                .map(|init| init.iter().cloned().collect())
-                .collect(),
-        }
+        let mut store = Self { cells: Vec::new() };
+        store.grow(layout);
+        store
     }
 
     pub fn cell_count(&self) -> usize {
@@ -139,16 +156,17 @@ impl Store {
         self.cells[m.index()].clear();
     }
 
-    /// Extend the store with cells `cell_count()..layout.len()`, each
+    /// Extend the store up to the layout's highest id, each new cell
     /// initialized from the layout. Existing cells keep their current
     /// contents — this is the memory-growth half of a dynamic
     /// reconfiguration splice, where new constituents bring fresh cells
     /// while the surviving constituents' state must not move.
     pub fn grow(&mut self, layout: &MemLayout) {
-        for i in self.cells.len()..layout.len() {
-            let m = MemId(i as u32);
-            self.cells
-                .push(layout.initial_contents(m).iter().cloned().collect());
+        let old = self.cells.len();
+        let end = layout.iter().map(|(m, _)| m.index() + 1).max().unwrap_or(0);
+        self.cells.resize_with(old.max(end), VecDeque::new);
+        for (m, init) in layout.iter().filter(|(m, _)| m.index() >= old) {
+            self.cells[m.index()] = init.iter().cloned().collect();
         }
     }
 
@@ -169,7 +187,8 @@ mod tests {
     #[test]
     fn layout_initializes_store() {
         let mut layout = MemLayout::cells(1);
-        let m = layout.push(vec![Value::Int(1), Value::Int(2)]);
+        let m = MemId(1);
+        layout.add(m, vec![Value::Int(1), Value::Int(2)]);
         let store = Store::new(&layout);
         assert_eq!(store.cell_count(), 2);
         assert!(store.is_cell_empty(MemId(0)));
@@ -200,14 +219,41 @@ mod tests {
     }
 
     #[test]
-    fn ensure_and_merge_grow_layouts() {
-        let mut a = MemLayout::cells(0);
-        a.ensure(MemId(2));
-        assert_eq!(a.len(), 3);
-        let mut b = MemLayout::cells(0);
-        b.set_init(MemId(1), vec![Value::Unit]);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.initial_contents(MemId(1)).len(), 1);
+    fn a_layout_lists_its_own_cells_and_merges_into_a_table() {
+        let mut a = MemLayout::default();
+        a.add(MemId(7), Vec::new());
+        a.add(MemId(3), vec![Value::Unit]);
+        assert_eq!(a.ids(), &[MemId(7), MemId(3)]);
+        assert!(a.initial_contents(MemId(5)).is_empty());
+        let store = Store::new(&a);
+        assert_eq!(store.cell_count(), 8);
+        assert_eq!(store.len(MemId(3)), 1);
+
+        let mut table = MemLayout::cells(8);
+        table.merge(&a);
+        assert_eq!(table.len(), 8);
+        assert_eq!(table.initial_contents(MemId(3)).len(), 1);
+        let mut b = MemLayout::default();
+        b.add(MemId(3), Vec::new());
+        b.add(MemId(9), vec![Value::Int(4)]);
+        table.merge(&b);
+        assert_eq!(table.len(), 9);
+        assert_eq!(
+            table.initial_contents(MemId(3)).len(),
+            1,
+            "empty contents do not win"
+        );
+        assert_eq!(table.initial_contents(MemId(9)).len(), 1);
+
+        let mut grown = Store::new(&MemLayout::cells(4));
+        grown.push(MemId(3), Value::Int(1));
+        grown.grow(&table);
+        assert_eq!(grown.cell_count(), 10);
+        assert_eq!(
+            grown.len(MemId(3)),
+            1,
+            "an existing cell keeps its contents"
+        );
+        assert_eq!(grown.len(MemId(9)), 1);
     }
 }

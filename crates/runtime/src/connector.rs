@@ -368,12 +368,11 @@ impl Connector {
         // the partition consumes them.
         let reconfig_seed = reconfigurable.then(|| (instance.automata.clone(), instance.origins));
 
-        let layout = instance.mem_layout;
         let binding = instance.boundary;
         let mut parts = partition_with_opts(
             instance.automata,
             alloc.port_count(),
-            &layout,
+            &instance.mem_layout,
             self.mode,
             self.limits,
             reconfigurable,
@@ -392,7 +391,7 @@ impl Connector {
                     alloc,
                     automata,
                     origins,
-                    layout,
+                    phases: [Duration::ZERO; 3],
                 }),
                 epoch: AtomicU64::new(0),
             })
@@ -726,6 +725,12 @@ impl ConnectorHandle {
             .as_ref()
             .map(|r| r.epoch.load(Ordering::SeqCst))
             .unwrap_or(0)
+    }
+
+    /// The wall time of the last attach or detach, split into
+    /// re-instantiation, join and splice (zero before the first).
+    pub fn splice_phases(&self) -> [Duration; 3] {
+        (self.reconfig.as_ref()).map_or([Duration::ZERO; 3], |r| r.state.lock().phases)
     }
 
     /// [`Session::attach`], callable from any clone of the handle.

@@ -736,10 +736,9 @@ impl Partitioned {
     ///
     /// `old_of_new[i]` names the old constituent that new constituent `i`
     /// continues (`None` = freshly attached); old constituents not named
-    /// by any entry are being detached. `layout` is the new global memory
-    /// layout and **must be a superset of the old one** (memory ids are
-    /// allocated monotonically; kept and removed cells retain their ids
-    /// and initial contents).
+    /// by any entry are being detached. `layout` is the session's table of
+    /// every cell (memory ids are allocated monotonically): fresh cells
+    /// start from it, kept cells keep their contents.
     ///
     /// The protocol, in lock order (reconfig serialization is the
     /// caller's job — [`crate::Session::attach`] holds the session's
@@ -952,7 +951,7 @@ impl Partitioned {
             let states = g.core.constituent_states();
             for (pos, &oi) in old.region_constituents[r].iter().enumerate() {
                 if !kept_old[oi] {
-                    constituent_at_rest(&old_automata[oi], states[pos], g, layout)?;
+                    constituent_at_rest(&old_automata[oi], states[pos], g)?;
                 }
             }
         }
@@ -1126,7 +1125,6 @@ fn constituent_at_rest(
     a: &Automaton,
     state: StateId,
     inner: &EngineInner,
-    layout: &MemLayout,
 ) -> Result<(), RuntimeError> {
     if state != a.initial() {
         return Err(RuntimeError::Reconfig(format!(
@@ -1136,7 +1134,7 @@ fn constituent_at_rest(
         )));
     }
     for &m in a.mem_ids() {
-        if !inner.store.matches_initial(m, layout) {
+        if !inner.store.matches_initial(m, a.mem_layout()) {
             return Err(RuntimeError::Reconfig(format!(
                 "constituent `{}` of the detaching branch still buffers data in memory \
                  cell {m:?}",

@@ -1,12 +1,11 @@
 //! Dynamic reconfiguration: epoch-based attach/detach of
 //! replicated branches on a *running* session.
 //!
-//! A reconfigurable session keeps the ingredients of its own `connect` —
-//! the compiled template, the parameter binding, the port allocator, the
-//! live constituent list and the global memory layout — in a
-//! [`ReconfigState`] behind a per-session mutex. An attach or detach then
-//! replays the deterministic instantiation walk against the *changed*
-//! binding and splices the difference into the running engines:
+//! A reconfigurable session keeps its template, binding, port allocator
+//! and live constituents in a [`ReconfigState`] behind a per-session
+//! mutex. An attach or detach then replays the deterministic
+//! instantiation walk against the *changed* binding and splices the
+//! difference into the running engines:
 //!
 //! 1. **Re-instantiate** the template with the grown/shrunk binding on a
 //!    scratch clone of the live allocator: its ids are only names until
@@ -33,6 +32,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use reo_automata::{remap::remap, Automaton, MemLayout, PortAllocator, PortId, StateId};
@@ -70,10 +70,8 @@ pub(crate) struct ReconfigState {
     /// Where each live constituent came from, parallel to `automata`, in
     /// live ids.
     pub(crate) origins: Vec<Origin>,
-    /// Global memory layout; grows monotonically (a superset of every
-    /// earlier epoch's layout, so retired cells keep their ids and
-    /// initial contents).
-    pub(crate) layout: MemLayout,
+    /// The last splice's re-instantiation, join and splice times.
+    pub(crate) phases: [Duration; 3],
 }
 
 /// What a reconfiguration does to the named replicated parameter.
@@ -144,15 +142,15 @@ pub(crate) fn reconfigure(
         }
     };
 
+    let t0 = Instant::now();
     let instance = instantiate(&st.cc, &binding, &mut alloc.clone())?;
+    let t1 = Instant::now();
     let joined = join(&st.automata, &st.origins, instance, &mut alloc);
+    let t2 = Instant::now();
 
-    // The new global layout is a superset of the old: surviving and
-    // retired cells keep their ids and initial contents, fresh
-    // constituents append theirs.
+    // The session's table of every cell, each constituent's initialized.
     let mut layout = MemLayout::cells(alloc.mem_count());
-    layout.merge(&st.layout);
-    for (a, _) in (joined.automata.iter().zip(&joined.old_of_new)).filter(|(_, m)| m.is_none()) {
+    for a in &joined.automata {
         layout.merge(a.mem_layout());
     }
 
@@ -163,7 +161,7 @@ pub(crate) fn reconfigure(
     st.binding = binding;
     st.automata = joined.automata;
     st.origins = joined.origins;
-    st.layout = layout;
+    st.phases = [t1 - t0, t2 - t1, t2.elapsed()];
     let is_tail = st.cc.tails.iter().any(|t| t.name == name);
     drop(st);
     shared

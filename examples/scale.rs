@@ -1,0 +1,168 @@
+//! How an open and a splice grow with the number of branches.
+//!
+//! The connector is the reconfigurable merger of the churn example, `n`
+//! producers wide. Each of five rounds opens it from source text, connects
+//! it and passes one value through; the example prints the median connect
+//! time, the process's peak resident set (`VmHWM`) and the bytes one open
+//! allocates per constituent, from source text to the first value. Run one
+//! process per `n`: the peak is the process's.
+//!
+//! With `--pairs K` it also connects a reconfigurable session and times
+//! `K` attach/detach pairs, each split into re-instantiation, join and
+//! splice ([`reo::runtime::ConnectorHandle::splice_phases`]), next to that
+//! session's connect.
+//!
+//! Run: `cargo run --release --example scale -- <n> <jit|part|…> [--pairs K]`.
+//! It ends with an `ok:` line, and panics if a value does not come
+//! through or a splice fails.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+use reo::runtime::{Connector, Mode};
+
+const SRC: &str = "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) \
+                   mult Merger(m[1..#src];c)";
+
+/// Counts the bytes every allocation asks for (a moving `realloc` asks
+/// anew: the default `realloc` allocates).
+struct Counting;
+
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded to `System` with the caller's arguments.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, with the same contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+fn median(mut xs: Vec<Duration>) -> Duration {
+    xs.sort();
+    xs[xs.len() / 2]
+}
+
+/// Peak resident set of this process in MiB, from `/proc/self/status`.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// One open from source text to the first value: its connect time and
+/// the bytes it allocated per constituent (the ports' drop, a hangup of
+/// every producer, is not counted).
+fn open(n: usize, mode: Mode) -> (Duration, f64) {
+    let before = BYTES.load(Ordering::Relaxed);
+    let program = reo::dsl::parse_program(SRC).unwrap();
+    let connector = Connector::builder(&program, "M")
+        .mode(mode)
+        .build()
+        .unwrap();
+    let spec = connector.session().replicate("src", n);
+    let start = Instant::now();
+    let mut session = spec.connect().unwrap();
+    let connect = start.elapsed();
+    let txs = session.typed_outports::<i64>("src").unwrap();
+    let rx = session.typed_inport::<i64>("c").unwrap();
+    txs[0].send(7).unwrap();
+    assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
+    let bytes = BYTES.load(Ordering::Relaxed) - before;
+    (
+        connect,
+        bytes as f64 / session.handle().medium_count() as f64,
+    )
+}
+
+/// `pairs` attach/detach pairs on a reconfigurable session; prints the
+/// medians of each and of their phases.
+fn churn(n: usize, mode: Mode, pairs: usize) {
+    let program = reo::dsl::parse_program(SRC).unwrap();
+    let connector = Connector::builder(&program, "M")
+        .mode(mode)
+        .build()
+        .unwrap();
+    let spec = connector.session().replicate("src", n).reconfigurable();
+    let start = Instant::now();
+    let mut session = spec.connect().unwrap();
+    let connect = start.elapsed();
+    let handle = session.handle();
+    let rx = session.typed_inport::<i64>("c").unwrap();
+    let (mut attach, mut detach) = (Vec::new(), Vec::new());
+    let mut last = String::new();
+    for k in 0..pairs {
+        let start = Instant::now();
+        let mut branch = handle.attach("src").unwrap();
+        let [i, j, s] = handle.splice_phases();
+        attach.push([start.elapsed(), i, j, s]);
+        let tx = branch.outport().unwrap().typed::<i64>();
+        tx.send(k as i64).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), k as i64);
+        drop(tx);
+        last = branch.port().to_string();
+        let start = Instant::now();
+        branch.detach().unwrap();
+        let [i, j, s] = handle.splice_phases();
+        detach.push([start.elapsed(), i, j, s]);
+    }
+    // Each run is its total, then its three phases.
+    let report = |runs: &[[Duration; 4]]| {
+        let column = |c: usize| ms(median(runs.iter().map(|r| r[c]).collect()));
+        format!(
+            "{:.2} ms (instantiate {:.2}, join {:.2}, splice {:.2})",
+            column(0),
+            column(1),
+            column(2),
+            column(3),
+        )
+    };
+    println!(
+        "  attach {}, detach {}, reconfigurable connect {:.2} ms; \
+         median of {pairs} pairs, last port {last}",
+        report(&attach),
+        report(&detach),
+        ms(connect),
+    );
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = "usage: scale <n> <mode> [--pairs K]";
+    let n: usize = args.first().and_then(|a| a.parse().ok()).expect(usage);
+    let name = args.get(1).expect(usage);
+    let (_, mode) = Mode::grid_subset(&[name.as_str()]).next().expect(usage);
+    let pairs: usize = match args.get(2).map(String::as_str) {
+        Some("--pairs") => args.get(3).and_then(|a| a.parse().ok()).expect(usage),
+        _ => 0,
+    };
+
+    let rounds: Vec<(Duration, f64)> = (0..5).map(|_| open(n, mode)).collect();
+    let bytes = rounds[rounds.len() - 1].1;
+    let connect = median(rounds.into_iter().map(|(d, _)| d).collect());
+    println!(
+        "merger n={n} {name}: connect {:.2} ms (median of 5), peak RSS {:.1} MiB, \
+         {bytes:.0} B per constituent",
+        ms(connect),
+        peak_rss_mib().unwrap_or(f64::NAN),
+    );
+    if pairs > 0 {
+        churn(n, mode, pairs);
+    }
+    println!("ok: merger n={n} {name} passed a value in every round");
+}
