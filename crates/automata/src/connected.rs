@@ -9,13 +9,15 @@
 //! participates and fires exactly those of its ports; everyone else idles.
 //! A step is grown from a seed transition through the port → owner index
 //! and kept only when the seed is its lowest-index participant, so each
-//! appears once and growing it costs its own neighbourhood rather than all
-//! `n` automata. The index is looked up by port id, not searched: offsets
+//! appears once. The index is looked up by port id, not searched: offsets
 //! per id into one owner list, so a port's owners are one slice. Growth
-//! keeps per-port counts — how often the partial step fires a port, how
-//! many participants own it — so a joiner is tested by counting, not by set
-//! algebra, and steps go end to end into one buffer ([`Steps`]) that the
-//! caller reuses from tuple to tuple.
+//! counts per port how often the partial step fires it; a port a joiner
+//! would fire is silent when it is unfired and one of its owners in the
+//! index has already joined. A join or a leave touches only the ports its
+//! transition fires, so a step costs its own neighbourhood at any width: a
+//! row of a merger of `n` inputs costs its `n` transitions, not `n²`.
+//! Steps go end to end into one buffer ([`Steps`]) that the caller reuses
+//! from tuple to tuple.
 //!
 //! A step of × (Eq. 1) picks at most one local transition per automaton, so
 //! it falls apart into connected steps with pairwise disjoint participants;
@@ -46,19 +48,13 @@ pub struct Steps {
     /// Step `k` is `choices[ends[k - 1]..ends[k]]` (from 0 for the first).
     choices: Vec<Choice>,
     ends: Vec<usize>,
-    /// Per port, how often the partial step fires it and how many of its
-    /// participants own it; all zero between enumerations.
-    counts: Vec<Count>,
+    /// Per port, how often the partial step fires it; all zero between
+    /// enumerations.
+    fired: Vec<u32>,
     /// Per automaton, which of its transitions it takes in the partial step.
     chosen: Vec<Option<u32>>,
     /// The automata that have one, in joining order.
     members: Vec<u32>,
-}
-
-#[derive(Clone, Copy, Default)]
-struct Count {
-    fired: i32,
-    joined: i32,
 }
 
 impl Steps {
@@ -129,9 +125,7 @@ impl PortOwners {
         // Sized for the largest port and automaton seen; untouched entries
         // stay zero and `None`.
         let ports = self.starts.len() - 1;
-        steps
-            .counts
-            .resize(ports.max(steps.counts.len()), Count::default());
+        steps.fired.resize(ports.max(steps.fired.len()), 0);
         steps
             .chosen
             .resize(automata.len().max(steps.chosen.len()), None);
@@ -145,7 +139,7 @@ impl PortOwners {
         let found = partial.seeds();
         if found.is_err() {
             // Abandoned mid-step: nothing left it.
-            partial.steps.counts.fill(Count::default());
+            partial.steps.fired.fill(0);
             partial.steps.chosen.fill(None);
             partial.steps.members.clear();
         }
@@ -182,22 +176,13 @@ impl<S: Fn(usize) -> StateId> Partial<'_, S> {
     fn join(&mut self, automaton: usize, transition: usize, t: &Transition) {
         self.steps.chosen[automaton] = Some(transition as u32);
         self.steps.members.push(automaton as u32);
-        self.tally(automaton, t, 1);
+        t.sync.iter().for_each(|p| self.steps.fired[p.index()] += 1);
     }
 
     fn leave(&mut self, automaton: usize, t: &Transition) {
         self.steps.chosen[automaton] = None;
         self.steps.members.pop();
-        self.tally(automaton, t, -1);
-    }
-
-    /// Count the ports `t` fires and the ports `automaton` owns `delta`
-    /// times more.
-    fn tally(&mut self, automaton: usize, t: &Transition, delta: i32) {
-        let counts = &mut self.steps.counts;
-        t.sync.iter().for_each(|p| counts[p.index()].fired += delta);
-        let owned = self.automata[automaton].ports().iter();
-        owned.for_each(|p| counts[p.index()].joined += delta);
+        t.sync.iter().for_each(|p| self.steps.fired[p.index()] -= 1);
     }
 
     /// The transition automaton `i` takes in the partial step.
@@ -223,14 +208,14 @@ impl<S: Fn(usize) -> StateId> Partial<'_, S> {
         // far — as many as it owns — and no silent port of an automaton
         // that already joined.
         let automata = self.automata;
-        let count = |p: PortId| self.steps.counts[p.index()];
-        let owned = automata[j].ports().iter();
-        let required = owned.filter(|&p| count(p).fired > 0).count();
+        let fired = |p: PortId| self.steps.fired[p.index()] > 0;
+        let required = automata[j].ports().iter().filter(|&p| fired(p)).count();
         let from = automata[j].transitions_from((self.state)(j));
         for (k, u) in from.iter().enumerate() {
-            let count = |p: PortId| self.steps.counts[p.index()];
-            let silent = |p: PortId| count(p).fired == 0 && count(p).joined > 0;
-            let shared = u.sync.iter().filter(|&p| count(p).fired > 0).count();
+            let fired = |p: PortId| self.steps.fired[p.index()] > 0;
+            let member = |&i: &u32| self.steps.chosen[i as usize].is_some();
+            let silent = |p: PortId| !fired(p) && self.index.of(p).iter().any(member);
+            let shared = u.sync.iter().filter(|&p| fired(p)).count();
             if u.sync.iter().any(silent) || shared != required {
                 continue;
             }

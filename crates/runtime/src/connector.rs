@@ -895,4 +895,35 @@ mod tests {
         let subset: Vec<_> = Mode::grid_subset(&["comp", "jit"]).collect();
         assert_eq!(subset, [("jit", Mode::jit()), ("comp", Mode::compiled())]);
     }
+
+    /// A detached branch's port leaves its engine's hangup sets: after 20
+    /// attach/detach pairs, each branch sending one value and hanging up
+    /// before it leaves, no engine's `hungup` or `dead` holds a port its
+    /// map does not serve.
+    #[test]
+    fn a_detached_branch_leaves_its_engines_hangup_sets() {
+        let program = reo_dsl::parse_program(
+            "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) mult Merger(m[1..#src];c)",
+        )
+        .unwrap();
+        for mode in [Mode::jit(), Mode::partitioned()] {
+            let connector = Connector::builder(&program, "M")
+                .mode(mode)
+                .build()
+                .unwrap();
+            let spec = connector.session().replicate("src", 2).reconfigurable();
+            let mut session = spec.connect().unwrap();
+            let handle = session.handle();
+            let rx = session.typed_inport::<i64>("c").unwrap();
+            for k in 0..20 {
+                let mut branch = handle.attach("src").unwrap();
+                branch.outport().unwrap().typed::<i64>().send(k).unwrap();
+                assert_eq!(rx.recv().unwrap(), k);
+                branch.detach().unwrap();
+            }
+            for e in &handle.parts.topo().engines {
+                assert_eq!(e.unserved_hangups(), [], "{mode:?}");
+            }
+        }
+    }
 }

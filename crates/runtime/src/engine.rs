@@ -1407,13 +1407,15 @@ impl Engine {
             inner.pending = pending;
             inner.slots = slots;
             inner.core = core;
+            // A port the new map does not serve left with its branch.
+            inner.hungup.retain(|p| new_ports.try_slot(p).is_some());
         }
         Self::set_link_ends(inner, ends);
         inner.store.grow(layout);
-        // `hungup` holds global ids and survives the splice as-is; the
-        // dead set depends on the (new) core and state, so recompute it —
-        // a splice can revive a port (a fresh branch replaces a departed
-        // peer) or kill one (its last live transition left with a branch).
+        // `hungup` holds global ids of the ports still served; the dead set
+        // depends on the (new) core and state, so recompute it — a splice
+        // can revive a port (a fresh branch replaces a departed peer) or
+        // kill one (its last live transition left with a branch).
         inner.rebuild_dead();
         self.fire_loop(inner);
         inner.wake_all();
@@ -1472,6 +1474,15 @@ impl Engine {
             false,
             &mut LinkEvents::default(),
         )
+    }
+
+    /// The ports in `hungup` or `dead` that the port map does not serve.
+    pub(crate) fn unserved_hangups(&self) -> Vec<PortId> {
+        let inner = self.lock();
+        let served = |p: PortId| inner.pending.port_map().try_slot(p).is_some();
+        (inner.hungup.iter().chain(inner.dead.iter()))
+            .filter(|&p| !served(p))
+            .collect()
     }
 }
 

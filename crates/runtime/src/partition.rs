@@ -769,14 +769,16 @@ impl Partitioned {
     ///    splice.
     /// 3. **Splice**: recompose each region whose constituents changed
     ///    *from the current constituent states* (kept constituents resume
-    ///    exactly where they were) and install it, with its re-derived
-    ///    link ends, into the same engine — `Arc<Engine>` identity is
-    ///    preserved, so tasks parked in kept regions wake in the engine
-    ///    the new topology routes to. A region that only changed its
-    ///    border gets the new link-end table. Hangups that crossed a link
-    ///    are derived, so forgotten here and recomputed from the task
-    ///    hangups alone. Fresh regions get fresh engines; untouched
-    ///    regions are not even locked.
+    ///    exactly where they were, fresh ones start initial). Those states
+    ///    come from one table by old constituent, read once from each held
+    ///    core, that the at-rest check of step 2 reads too. Install the
+    ///    region, with its re-derived link ends, into the same engine —
+    ///    `Arc<Engine>` identity is preserved, so tasks parked in kept
+    ///    regions wake in the engine the new topology routes to. A region
+    ///    that only changed its border gets the new link-end table.
+    ///    Hangups that crossed a link are derived, so forgotten here and
+    ///    recomputed from the task hangups alone. Fresh regions get fresh
+    ///    engines; untouched regions are not even locked.
     /// 4. **Swap** in the successor [`Topology`]: surviving links carry
     ///    their in-flight values over via the shared link state.
     /// 5. **Re-pump** everything once, inline — nothing enabled by the
@@ -871,23 +873,21 @@ impl Partitioned {
             rebordered.extend([ol.from, ol.to]);
         }
 
-        // Affected kept regions: constituent list (or its order, which is
-        // the state-tuple order) changed. Identical regions are reused
-        // untouched — they are never even locked.
-        let mut affected: Vec<usize> = Vec::new();
-        for (nr, members) in plan.regions.iter().enumerate() {
-            let Some(or) = old_region_of[nr] else {
-                continue;
-            };
-            let same = members.len() == old.region_constituents[or].len()
-                && members
-                    .iter()
-                    .zip(&old.region_constituents[or])
-                    .all(|(&ni, &oi)| old_of_new[ni] == Some(oi));
-            if !same {
-                affected.push(or);
-            }
-        }
+        // A new region is rebuilt when it is fresh or its kept region's
+        // constituent list (or its order, which is the state-tuple order)
+        // changed; those kept regions are affected. Identical regions are
+        // reused untouched — they are never even locked.
+        let rebuilt: Vec<bool> = (plan.regions.iter().zip(&old_region_of))
+            .map(|(members, &or)| {
+                let continued = members.iter().map(|&ni| old_of_new[ni]);
+                let same =
+                    |or: usize| continued.eq(old.region_constituents[or].iter().copied().map(Some));
+                !or.is_some_and(same)
+            })
+            .collect();
+        let affected: Vec<usize> = (rebuilt.iter().zip(&old_region_of))
+            .filter_map(|(&rebuilt, &or)| or.filter(|_| rebuilt))
+            .collect();
 
         // ---- Quiesce (lock order: engines, then the leaf link locks). ----
         let mut guards = BTreeMap::new();
@@ -941,55 +941,45 @@ impl Partitioned {
         for g in guards.values() {
             Engine::removal_quiescent(g, &removed_ports)?;
         }
-        // Every detaching constituent a region served is at rest: its
+        // The live state of every constituent a held region serves, read
+        // once. Every detaching constituent a region served is at rest: its
         // region changes its members or leaves, so it is held.
         let mut kept_old = vec![false; old_automata.len()];
         for &oi in old_of_new.iter().flatten() {
             kept_old[oi] = true;
         }
+        let mut live_state: Vec<Option<StateId>> = vec![None; old_automata.len()];
         for (&r, g) in &guards {
             let states = g.core.constituent_states();
-            for (pos, &oi) in old.region_constituents[r].iter().enumerate() {
+            for (&oi, state) in old.region_constituents[r].iter().zip(states) {
                 if !kept_old[oi] {
-                    constituent_at_rest(&old_automata[oi], states[pos], g)?;
+                    constituent_at_rest(&old_automata[oi], state, g)?;
                 }
+                live_state[oi] = Some(state);
             }
         }
 
-        // Affected kept regions recompose from the live constituent states.
+        // Rebuilt regions recompose: a fresh member from its initial state,
+        // a kept one from its live state.
         let mut installs: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
         let mut fresh: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
         for (nr, members) in plan.regions.iter().enumerate() {
+            if !rebuilt[nr] {
+                continue; // untouched: engine reused as-is
+            }
+            let start = |&ni: &usize| match old_of_new[ni] {
+                Some(oi) => live_state[oi].expect("a kept member's region is held"),
+                None => new_automata[ni].initial(),
+            };
+            let starts: Vec<StateId> = members.iter().map(start).collect();
             let autos: Vec<Automaton> =
                 members.iter().map(|&ni| new_automata[ni].clone()).collect();
+            let ports = region_port_map(&autos);
+            let core = splice_core(self.mode, &self.limits, autos, &starts, &ports)?;
             match old_region_of[nr] {
-                Some(or) if affected.contains(&or) => {
-                    let states = guards[&or].core.constituent_states();
-                    let starts: Vec<StateId> = members
-                        .iter()
-                        .map(|&ni| match old_of_new[ni] {
-                            Some(oi) => {
-                                let pos = old.region_constituents[or]
-                                    .iter()
-                                    .position(|&c| c == oi)
-                                    .expect("kept member belongs to its matched region");
-                                states[pos]
-                            }
-                            None => new_automata[ni].initial(),
-                        })
-                        .collect();
-                    let ports = region_port_map(&autos);
-                    let core = splice_core(self.mode, &self.limits, &autos, &starts, &ports)?;
-                    installs.insert(or, (core, ports));
-                }
-                Some(_) => {} // untouched: engine reused as-is
-                None => {
-                    let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-                    let ports = region_port_map(&autos);
-                    let core = splice_core(self.mode, &self.limits, &autos, &starts, &ports)?;
-                    fresh.insert(nr, (core, ports));
-                }
-            }
+                Some(or) => installs.insert(or, (core, ports)),
+                None => fresh.insert(nr, (core, ports)),
+            };
         }
 
         // ---- Point of no return: disarm, install, assemble, swap. ----

@@ -174,20 +174,21 @@ pub(crate) fn reconfigure(
 /// from the current constituent states.
 /// An eager fill that blows its budget mid-run steps just-in-time for this
 /// epoch instead of failing the splice — `connect` reports the same
-/// explosion.
+/// explosion. Only that fallback keeps a second copy of the constituents.
 pub(crate) fn splice_core(
     mode: Mode,
     limits: &Limits,
-    automata: &[Automaton],
+    automata: Vec<Automaton>,
     starts: &[StateId],
     ports: &PortMap,
 ) -> Result<JitCore, RuntimeError> {
     let eager = matches!(mode, Mode::New { composition, .. } if composition == Eager);
-    match core_for(mode, limits, automata.to_vec(), starts, ports) {
-        Err(RuntimeError::Explosion(_)) if eager => {
-            core_for(Mode::jit(), limits, automata.to_vec(), starts, ports)
+    let spare = eager.then(|| automata.clone());
+    match (core_for(mode, limits, automata, starts, ports), spare) {
+        (Err(RuntimeError::Explosion(_)), Some(automata)) => {
+            core_for(Mode::jit(), limits, automata, starts, ports)
         }
-        core => core,
+        (core, _) => core,
     }
 }
 

@@ -2,10 +2,12 @@
 //!
 //! The connector is the reconfigurable merger of the churn example, `n`
 //! producers wide. Each of five rounds opens it from source text, connects
-//! it and passes one value through; the example prints the median connect
-//! time, the process's peak resident set (`VmHWM`) and the bytes one open
-//! allocates per constituent, from source text to the first value. Run one
-//! process per `n`: the peak is the process's.
+//! it, passes one value through and drops the `n` producer handles; the
+//! example prints the medians of the connect, of what comes after it up to
+//! the first value and of the drop, the process's peak resident set
+//! (`VmHWM`) and the bytes one open allocates per constituent, from source
+//! text to the first value. Run one process per `n`: the peak is the
+//! process's.
 //!
 //! With `--pairs K` it also connects a reconfigurable session and times
 //! `K` attach/detach pairs, each split into re-instantiation, join and
@@ -65,10 +67,19 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-/// One open from source text to the first value: its connect time and
-/// the bytes it allocated per constituent (the ports' drop, a hangup of
-/// every producer, is not counted).
-fn open(n: usize, mode: Mode) -> (Duration, f64) {
+/// What one open measured.
+struct Open {
+    connect: Duration,
+    /// From the end of the connect to the first value received.
+    first_value: Duration,
+    /// Dropping the `n` producer handles: a hangup of every producer.
+    drop: Duration,
+    /// Allocated from source text to the first value, per constituent.
+    bytes: f64,
+}
+
+/// One open from source text to the first value, then the producers' drop.
+fn open(n: usize, mode: Mode) -> Open {
     let before = BYTES.load(Ordering::Relaxed);
     let program = reo::dsl::parse_program(SRC).unwrap();
     let connector = Connector::builder(&program, "M")
@@ -83,11 +94,16 @@ fn open(n: usize, mode: Mode) -> (Duration, f64) {
     let rx = session.typed_inport::<i64>("c").unwrap();
     txs[0].send(7).unwrap();
     assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
+    let first_value = start.elapsed() - connect;
     let bytes = BYTES.load(Ordering::Relaxed) - before;
-    (
+    let start = Instant::now();
+    drop(txs);
+    Open {
         connect,
-        bytes as f64 / session.handle().medium_count() as f64,
-    )
+        first_value,
+        drop: start.elapsed(),
+        bytes: bytes as f64 / session.handle().medium_count() as f64,
+    }
 }
 
 /// `pairs` attach/detach pairs on a reconfigurable session; prints the
@@ -152,13 +168,15 @@ fn main() {
         _ => 0,
     };
 
-    let rounds: Vec<(Duration, f64)> = (0..5).map(|_| open(n, mode)).collect();
-    let bytes = rounds[rounds.len() - 1].1;
-    let connect = median(rounds.into_iter().map(|(d, _)| d).collect());
+    let rounds: Vec<Open> = (0..5).map(|_| open(n, mode)).collect();
+    let bytes = rounds[rounds.len() - 1].bytes;
+    let column = |f: fn(&Open) -> Duration| ms(median(rounds.iter().map(f).collect()));
     println!(
-        "merger n={n} {name}: connect {:.2} ms (median of 5), peak RSS {:.1} MiB, \
-         {bytes:.0} B per constituent",
-        ms(connect),
+        "merger n={n} {name}: connect {:.2} ms, first value {:.2} ms, drop {:.2} ms \
+         (medians of 5), peak RSS {:.1} MiB, {bytes:.0} B per constituent",
+        column(|o| o.connect),
+        column(|o| o.first_value),
+        column(|o| o.drop),
         peak_rss_mib().unwrap_or(f64::NAN),
     );
     if pairs > 0 {
