@@ -46,11 +46,10 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use reo_runtime::{Op, PortRef, Scenario, Step};
-
 use crate::diff::{diff_case, fault_case};
 use crate::gen::{Agreement, GenCase};
 use crate::pipeline::check_source;
+use crate::scenario::{Driver, Op, PortRef, Scenario, Step};
 
 /// One parsed corpus file.
 #[derive(Clone, Debug)]
@@ -124,8 +123,8 @@ pub fn to_text(case: &CorpusCase, provenance: &str) -> String {
             out.push_str(&format!(
                 "driver: {}\n",
                 match gen.driver {
-                    reo_runtime::Driver::Threads => "threads",
-                    reo_runtime::Driver::Polled => "polled",
+                    Driver::Threads => "threads",
+                    Driver::Polled => "polled",
                 }
             ));
             out.push_str(&format!(
@@ -265,7 +264,7 @@ pub fn from_text(text: &str) -> Result<CorpusCase, String> {
     let mut kind = None;
     let mut shape = String::from("corpus");
     let mut entry = String::new();
-    let mut driver = reo_runtime::Driver::Threads;
+    let mut driver = Driver::Threads;
     let mut agreement = Agreement::Exact;
     let mut replicate = Vec::new();
     let mut reconfigurable = false;
@@ -294,8 +293,8 @@ pub fn from_text(text: &str) -> Result<CorpusCase, String> {
             "entry" => entry = value.to_string(),
             "driver" => {
                 driver = match value {
-                    "threads" => reo_runtime::Driver::Threads,
-                    "polled" => reo_runtime::Driver::Polled,
+                    "threads" => Driver::Threads,
+                    "polled" => Driver::Polled,
                     other => return Err(format!("unknown driver `{other}`")),
                 }
             }

@@ -15,9 +15,10 @@
 //! mode. Steps are lowered when first tried, so that refusal arrives
 //! mid-run, as the poison of the firing that tried one.
 
-use reo_runtime::{run_scenario, Mode, Observation, OpResult};
+use reo_runtime::Mode;
 
 use crate::gen::{Agreement, GenCase};
+use crate::scenario::{run_scenario, Observation, OpResult};
 
 /// What the differential check concluded about one case.
 #[derive(Clone, Debug, PartialEq, Eq)]

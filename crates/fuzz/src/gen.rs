@@ -1,6 +1,6 @@
 //! Structured scenario generation.
 //!
-//! Each generated case is a [`reo_runtime::Scenario`] drawn from one of
+//! Each generated case is a [`Scenario`] drawn from one of
 //! the connector *shapes* below — random compositions of the paper's
 //! primitives whose driving script is constructed together with the
 //! connector, so every send is guaranteed absorbable (the generator
@@ -27,9 +27,8 @@
 
 use std::time::Duration;
 
-use reo_runtime::{Driver, Op, PortRef, Scenario, Step};
-
 use crate::rng::Rng;
+use crate::scenario::{Driver, Op, PortRef, Scenario, Step};
 
 /// How strictly two observations of this scenario must agree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! `reo-fuzz`: adversarial scenario generation for the connector runtime.
 //!
 //! Four pieces, layered on the scripted scenario driver
-//! ([`reo_runtime::run_scenario`]):
+//! ([`scenario`], [`run_scenario`]):
 //!
 //! 1. [`gen`] — a deterministic, seed-driven generator of structured
 //!    connector scenarios: random compositions of the paper's primitives
@@ -36,6 +36,7 @@ pub mod gen;
 pub mod minimize;
 pub mod pipeline;
 pub mod rng;
+pub mod scenario;
 
 pub use corpus::{from_text, load_dir, replay, to_text, CorpusCase};
 pub use diff::{diff_case, fault_case, CaseOutcome, Finding, FindingKind};
@@ -43,3 +44,6 @@ pub use gen::{generate, generate_fault, Agreement, GenCase};
 pub use minimize::{minimize_case, minimize_source};
 pub use pipeline::{check_source, hostile_source, PipeFinding, PipeStage};
 pub use rng::Rng;
+pub use scenario::{
+    run_scenario, Driver, Observation, Op, OpResult, PortRef, Scenario, ScenarioError, Step,
+};

@@ -16,9 +16,8 @@
 //! Both are bounded: the predicate is invoked at most a few hundred
 //! times, so minimizing never dominates a fuzzing run.
 
-use reo_runtime::{Scenario, Step};
-
 use crate::gen::GenCase;
+use crate::scenario::{Scenario, Step};
 
 /// Greedy ddmin over `items`: try removing chunks at granularity
 /// `len/2, len/4, …, 1`, keeping any removal that still reproduces.
@@ -161,7 +160,7 @@ mod tests {
                 .filter_map(|s| match s {
                     Step::Batch { ops, .. } => Some(
                         ops.iter()
-                            .filter(|o| matches!(o, reo_runtime::Op::Send { .. }))
+                            .filter(|o| matches!(o, crate::scenario::Op::Send { .. }))
                             .count(),
                     ),
                     _ => None,

@@ -8,8 +8,8 @@
 //! op, in script order, plus the values left buffered in the connector at
 //! the end.
 //!
-//! This is the common substrate of the differential test harness: the
-//! `reo-fuzz` crate generates scenarios, runs them across the whole
+//! This is the common substrate of the differential test harness: this
+//! crate generates scenarios, runs them across the whole
 //! [`Mode::grid`] and diffs the observations; the corpus replay tests
 //! re-run checked-in scenarios the same way. Everything here is
 //! single-process and timeout-protected — a scenario can *report* a hang
@@ -37,10 +37,7 @@ use std::time::{Duration, Instant};
 
 use reo_automata::Value;
 use reo_dsl::parse_program;
-
-use crate::connector::{Branch, Connector, Mode};
-use crate::error::RuntimeError;
-use crate::port::{Inport, Outport, RecvFuture, SendFuture};
+use reo_runtime::{Branch, Connector, Inport, Mode, Outport, RecvFuture, RuntimeError, SendFuture};
 
 /// Which port front-end drives the script (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

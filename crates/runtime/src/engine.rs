@@ -87,7 +87,7 @@
 use parking_lot::{Mutex, MutexGuard};
 use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
 
@@ -259,7 +259,25 @@ impl PendingTable {
     /// Whether every operation `need` names is pending right now.
     #[inline(always)]
     pub fn armed(&self, need: &Need) -> bool {
-        (need.0.iter()).all(|&(word, bits)| self.armed[word as usize] & bits == bits)
+        self.all_armed(&need.0)
+    }
+
+    /// Whether every bit of the `(word, bits)` pairs `words` is set.
+    #[inline(always)]
+    pub fn all_armed(&self, words: &[(u32, u64)]) -> bool {
+        (words.iter()).all(|&(word, bits)| self.armed[word as usize] & bits == bits)
+    }
+
+    /// Whether armed-set bit `bit` (word × 64 + bit) is set.
+    #[inline(always)]
+    pub fn armed_bit(&self, bit: u32) -> bool {
+        self.armed[bit as usize / 64] & 1 << (bit % 64) != 0
+    }
+
+    /// Whether any bit of the `(word, bits)` pairs `words` is set.
+    #[inline(always)]
+    pub fn any_armed(&self, words: &[(u32, u64)]) -> bool {
+        (words.iter()).any(|&(word, bits)| self.armed[word as usize] & bits != 0)
     }
 
     /// The global → local port map this table is sharded by.
@@ -295,10 +313,11 @@ pub struct EngineStats {
     /// Polls that found the operation still pending although the engine
     /// had taken and woken its parked waker (thread or task).
     pub spurious_wakeups: u64,
-    /// Acquisitions of the engine mutex: every poll, retraction and stat
-    /// call and every serviced link event takes it exactly once; fire
-    /// loops and link-port service run under the caller's acquisition. An
-    /// operation that completes in its first poll costs one.
+    /// Acquisitions of the engine mutex, counted under it: every poll,
+    /// retraction and stat call and every serviced link event takes it
+    /// exactly once; fire loops and link-port service run under the
+    /// caller's acquisition. An operation that completes in its first poll
+    /// costs one.
     pub lock_acquisitions: u64,
     /// Link protocol (see `crate::partition`; 0 on a single engine): holds
     /// whose fire loop moved at least one value across a link end of this
@@ -560,8 +579,8 @@ pub(crate) struct EngineInner {
     events: LinkEvents,
     /// Scratch buffer for the ports completed by one step (reused).
     completed: Vec<PortId>,
-    /// The counters this engine keeps under its lock (`lock_acquisitions`
-    /// is counted outside it, `kicks` by the partition).
+    /// The counters this engine keeps under its lock (all but `kicks`,
+    /// which the partition counts).
     stats: EngineStats,
     /// At least two link ends: port calls that raise events count as kicks.
     multi_link: bool,
@@ -751,8 +770,6 @@ impl EngineInner {
 /// One sequential protocol engine, shared by all ports it serves.
 pub struct Engine {
     inner: Mutex<EngineInner>,
-    /// Engine-mutex acquisitions (outside the lock, hence atomic).
-    lock_acquisitions: AtomicU64,
     /// Mirrors `inner.closed`, but settable without the engine lock so that
     /// `close()` can interrupt a long fire loop instead of queueing behind
     /// it (a fire loop may expand large states under the lock).
@@ -782,22 +799,21 @@ impl Engine {
                 unseen: PortSet::new(),
                 panic_after: None,
             }),
-            lock_acquisitions: AtomicU64::new(0),
             closing: AtomicBool::new(false),
         }
     }
 
-    /// Take the engine lock, counting the acquisition. `pub(crate)` for
-    /// the splice, which holds several affected engines' guards
-    /// at once (the link protocol never nests engine locks, so no cycle
-    /// exists).
+    /// Take the engine lock and count the acquisition under it: no atomic
+    /// per hold. `pub(crate)` for the splice, which holds several affected
+    /// engines' guards at once (the link protocol never nests engine locks,
+    /// so no cycle exists).
     pub(crate) fn lock(&self) -> MutexGuard<'_, EngineInner> {
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         debug_assert!(
             inner.wakes.first.is_none(),
             "a fire site released the engine lock without delivering its wake list"
         );
+        inner.stats.lock_acquisitions += 1;
         inner
     }
 
@@ -838,11 +854,7 @@ impl Engine {
     /// Contention counters (see [`EngineStats`]). Reading the stats itself
     /// takes the engine lock once and is counted.
     pub fn stats(&self) -> EngineStats {
-        let inner = self.lock();
-        EngineStats {
-            lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            ..inner.stats
-        }
+        self.lock().stats
     }
 
     pub fn cache_stats(&self) -> crate::cache::CacheStats {

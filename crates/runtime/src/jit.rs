@@ -42,10 +42,14 @@
 //! at use". A state that is visited
 //! once therefore pays for the steps it tries, not for its whole row.
 //!
-//! An expanded state is then a [`Row`]: step ids in emission order, each
-//! with a memoised [`Link`] to its successor row. A steady-state
-//! `try_step` is: armed-set test per entry in `(k + rotation) % n` order →
-//! the step's program → patch the participants' states → follow the link.
+//! An expanded state is then a [`Row`](crate::cache::Row): step ids in
+//! emission order, each with the need bit that watches it (set on the
+//! row's first try) and a memoised [`Link`] to its successor row. A
+//! steady-state `try_step` is: the row's watches against the armed set
+//! (none armed, or a bit every entry needs unarmed: no step is read) → per
+//! entry in `(k + rotation) % n` order, its watch bit (unless every watch
+//! is armed), then its step's need → the step's program → patch the
+//! participants' states → follow the link.
 //! The tuple is hashed once per *edge* of the visited state graph, never
 //! per step; rows and steps stay resident for the whole session. A step
 //! that cannot be lowered is [`RuntimeError::Lower`] and poisons the engine
@@ -71,7 +75,7 @@ use reo_automata::{
 };
 use reo_core::ConnectorInstance;
 
-use crate::cache::{CacheStats, Link, Row, StateCache, TupleKey};
+use crate::cache::{CacheStats, Entry, Link, StateCache, TupleKey, WordBits};
 use crate::engine::{unsynced_ports, Need, Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
@@ -123,6 +127,7 @@ pub struct JitCore {
     /// Scratch of `intern`: the need's words and the moves of a new step.
     words: Vec<(u32, u64)>,
     moves: Vec<(u32, StateId)>,
+    watches: Watches,
     /// Maximum global transitions per expanded state.
     expansion_budget: usize,
     rotation: usize,
@@ -142,6 +147,88 @@ enum Role {
     Send = 0,
     Recv = 1,
     Internal,
+}
+
+/// The scratch rows are watched with, reused by every row: per armed-set
+/// bit, how many of the row's entries need it; per armed-set word the
+/// watches so far, with the words touched; and the last row's watches and
+/// the bits all its entries need, per word, `None` if an entry of it needs
+/// nothing.
+#[derive(Default)]
+struct Watches {
+    tally: Vec<u32>,
+    watched: Vec<u64>,
+    touched: Vec<u32>,
+    row: Vec<(u32, u64)>,
+    common: Vec<(u32, u64)>,
+    always: bool,
+}
+
+/// Call `f` with each bit of `need`, as armed-set word × 64 + bit.
+#[inline(always)]
+fn need_bits(need: &Need, mut f: impl FnMut(u32)) {
+    for &(word, mut bits) in need.0.iter() {
+        while bits != 0 {
+            f(word * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
+impl Watches {
+    /// Watch each of `steps` (entries over the step table `table`) by the
+    /// bit of its need the fewest of them share, the lowest such bit on a
+    /// tie, and note the bits all of them share: one pass tallies every
+    /// need bit, one picks, one clears.
+    fn watch(&mut self, table: &[Step], steps: &mut [Entry], ports: &PortMap) {
+        let words = 2 * ports.len().div_ceil(64);
+        self.tally.resize(64 * words, 0);
+        self.watched.resize(words, 0);
+        let (tally, watched) = (&mut self.tally, &mut self.watched);
+        let need = |entry: &Entry| &table[entry.step as usize].need;
+        for entry in steps.iter() {
+            need_bits(need(entry), |bit| tally[bit as usize] += 1);
+        }
+        self.always = false;
+        for entry in steps.iter_mut() {
+            let mut fewest = (u32::MAX, u32::MAX);
+            need_bits(need(entry), |bit| {
+                fewest = fewest.min((tally[bit as usize], bit))
+            });
+            if fewest.1 == u32::MAX {
+                self.always = true;
+                continue;
+            }
+            entry.watch = fewest.1;
+            let word = &mut watched[entry.watch as usize / 64];
+            if *word == 0 {
+                self.touched.push(entry.watch / 64);
+            }
+            *word |= 1 << (entry.watch % 64);
+        }
+        self.common.clear();
+        let (all, common, none) = (steps.len() as u32, &mut self.common, Need::default());
+        need_bits(steps.first().map_or(&none, need), |bit| {
+            if tally[bit as usize] == all {
+                match common.last_mut() {
+                    Some((word, bits)) if *word == bit / 64 => *bits |= 1 << (bit % 64),
+                    _ => common.push((bit / 64, 1 << (bit % 64))),
+                }
+            }
+        });
+        for entry in steps.iter() {
+            need_bits(need(entry), |bit| tally[bit as usize] = 0);
+        }
+        self.row.clear();
+        let take = |w: u32| (w, std::mem::take(&mut watched[w as usize]));
+        self.row.extend(self.touched.drain(..).map(take));
+    }
+
+    /// The last row's watches per armed-set word and the bits all its
+    /// entries need, as [`StateCache::watched`] takes them.
+    fn row(&self) -> Option<(&WordBits, &WordBits)> {
+        (!self.always).then_some((&self.row, &self.common))
+    }
 }
 
 /// Compute global boundary classes from a set of medium automata: a port
@@ -196,6 +283,7 @@ impl JitCore {
             roles: roles.into(),
             words: Vec::new(),
             moves: Vec::new(),
+            watches: Watches::default(),
             expansion_budget,
             rotation: 0,
             moved: None,
@@ -233,16 +321,16 @@ impl JitCore {
             let states = core.cache.len();
             enumerated.map_err(|more| explosion(&core.automata, opts, states, filled + more))?;
             filled += found.len();
-            let steps = core.intern_all(&found, ports);
-            for &(id, _) in steps.iter() {
+            let steps = core.entries(&found, ports);
+            for entry in steps.iter() {
                 next.clear();
                 next.extend_from_slice(&tuple);
-                for &(i, target) in core.steps[id as usize].moves.iter() {
+                for &(i, target) in core.steps[entry.step as usize].moves.iter() {
                     next[i as usize] = target.0;
                 }
                 core.cache.intern(&next);
             }
-            core.cache.fill(link, Row { steps });
+            core.cache.fill(link, steps);
             if core.cache.len() > opts.max_states {
                 return Err(explosion(&core.automata, opts, core.cache.len(), filled));
             }
@@ -304,11 +392,11 @@ impl JitCore {
     /// tuple with its steps' choice vectors in emission order
     /// (`tests/eager_rows.rs`).
     pub fn rows(&self) -> impl Iterator<Item = (Vec<StateId>, Vec<&[Choice]>)> + '_ {
-        self.cache.resident().map(|(tuple, row)| {
-            let choice = |&(id, _): &(u32, _)| self.choice(id);
+        self.cache.resident().map(|link| {
+            let choice = |entry: &Entry| self.choice(entry.step);
             (
-                tuple.iter().map(|&s| StateId(s)).collect(),
-                row.steps.iter().map(choice).collect(),
+                self.cache.tuple(link).iter().map(|&s| StateId(s)).collect(),
+                self.cache.row(link).steps.iter().map(choice).collect(),
             )
         })
     }
@@ -388,11 +476,25 @@ impl JitCore {
         self.step_ids.push(hash) as u32
     }
 
-    /// The row of the steps `found`: each interned.
-    fn intern_all(&mut self, found: &Steps, ports: &PortMap) -> Box<[(u32, Option<Link>)]> {
+    /// The row entries of the steps `found`, each interned.
+    fn entries(&mut self, found: &Steps, ports: &PortMap) -> Box<[Entry]> {
+        let entry = |step| Entry {
+            step,
+            watch: 0,
+            next: None,
+        };
         (found.iter())
-            .map(|choice| (self.intern(choice, ports), None))
+            .map(|choice| entry(self.intern(choice, ports)))
             .collect()
+    }
+
+    /// Watch the entries of `row` ([`Watches`]), if no poll has tried it.
+    fn watch(&mut self, row: Link, ports: &PortMap) {
+        let Some(steps) = self.cache.unwatched(row) else {
+            return;
+        };
+        self.watches.watch(&self.steps, steps, ports);
+        self.cache.watched(row, self.watches.row());
     }
 
     /// Compose and lower step `id`: sends seed the program, only
@@ -436,9 +538,9 @@ impl JitCore {
     fn expand_row(&mut self, ports: &PortMap) -> Result<Link, RuntimeError> {
         let mut found = std::mem::take(&mut self.found);
         self.enumerate_here(&mut found)?;
-        let steps = self.intern_all(&found, ports);
+        let steps = self.entries(&found, ports);
         self.found = found;
-        let row = self.cache.insert(self.states.ids(), Row { steps });
+        let row = self.cache.insert(self.states.ids(), steps);
         self.arrive(row);
         Ok(row)
     }
@@ -457,14 +559,21 @@ impl JitCore {
             Some(row) => row,
             None => self.expand_row(pending.port_map())?,
         };
+        self.watch(row, pending.port_map());
+        let Some(filter) = self.cache.scan(row, pending) else {
+            return Ok(false);
+        };
         let n = self.cache.row(row).steps.len();
         // `(k + rotation) % n` order, at one division per call, not per entry.
         let start = self.rotation % n.max(1);
         for at in (start..n).chain(0..start) {
-            let (id, next) = self.cache.row(row).steps[at];
-            if !pending.armed(&self.steps[id as usize].need) {
+            let entry = self.cache.row(row).steps[at];
+            if filter && !pending.armed_bit(entry.watch)
+                || !pending.armed(&self.steps[entry.step as usize].need)
+            {
                 continue;
             }
+            let (id, next) = (entry.step, entry.next);
             if self.steps[id as usize].program.is_none() {
                 self.lower(id)?;
             }
@@ -535,8 +644,14 @@ impl JitCore {
         let Some(row) = self.resident() else {
             return false;
         };
-        let mut needs = (self.cache.row(row).steps.iter()).map(|&(id, _)| &self.steps[id as usize]);
-        needs.any(|step| pending.armed(&step.need))
+        self.watch(row, pending.port_map());
+        let Some(filter) = self.cache.scan(row, pending) else {
+            return false;
+        };
+        let need = |entry: &Entry| &self.steps[entry.step as usize].need;
+        let watched = |entry: &Entry| !filter || pending.armed_bit(entry.watch);
+        let enabled = |entry: &Entry| watched(entry) && pending.armed(need(entry));
+        self.cache.row(row).steps.iter().any(enabled)
     }
 
     /// Hangup analysis, incremental. `dead` holds the ports that can never
@@ -731,6 +846,113 @@ mod tests {
         assert!(
             sessions >= 280 && checked >= 20_000,
             "{sessions} sessions, {checked} steps"
+        );
+    }
+
+    /// A watch never hides an enabled entry. Every row of the Fig. 12
+    /// families at n ∈ {2, 3, 4} that fill under `Limits::default()`, and
+    /// of a two-`Fifo1` chain (its transfer needs nothing): each watch lies
+    /// in its entry's need, a row with an entry that needs nothing is
+    /// always scanned, and under 64 seeded random armed sets and rotations
+    /// per row, the entries a watched scan finds armed are exactly those
+    /// whose need is armed, in rotation order.
+    #[test]
+    fn a_watch_never_hides_an_enabled_entry() {
+        use crate::connector::Limits;
+        use reo_core::{compile, instantiate, Binding};
+        use std::sync::Arc;
+
+        let mut connectors = Vec::new();
+        for family in reo_connectors::families() {
+            let program = reo_dsl::parse_program(family.source).unwrap();
+            let cc = compile(&program, family.def).unwrap();
+            for n in [2, 3, 4] {
+                let sizes = (family.sizes)(n);
+                let mut alloc = PortAllocator::new();
+                let width = |name: &str| sizes.iter().find(|(s, _)| *s == name).map_or(1, |w| w.1);
+                let binding: Binding = (cc.params())
+                    .map(|q| (q.name.clone(), alloc.fresh_ports(width(&q.name))))
+                    .collect();
+                let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
+                connectors.push((format!("{} n={n}", family.name), inst.automata));
+            }
+        }
+        let chain = vec![
+            primitives::fifo1(p(0), p(1), MemId(0)),
+            primitives::fifo1(p(1), p(2), MemId(1)),
+        ];
+        connectors.push(("two-Fifo1 chain".into(), chain));
+
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (mut filled, mut rows, mut always, mut found) = (0, 0, 0, 0);
+        for (name, autos) in connectors {
+            let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
+            let last = (autos.iter()).filter_map(|a| a.ports().iter().max()).max();
+            let ports = PortMap::dense(last.map_or(0, |q| q.index() + 1));
+            let opts = Limits::default().product;
+            let Ok(mut core) = JitCore::eager(autos, &starts, &ports, &opts) else {
+                continue;
+            };
+            filled += 1;
+            let links: Vec<Link> = core.cache.resident().collect();
+            links.iter().for_each(|&link| core.watch(link, &ports));
+            let nothing = PendingTable::new(Arc::new(ports.clone()));
+            let mut pending = PendingTable::new(Arc::new(ports));
+            let need = |entry: &Entry| &core.steps[entry.step as usize].need;
+            for link in links {
+                let row = core.cache.row(link);
+                let at = format!("{name} at {:?}", core.cache.tuple(link));
+                rows += 1;
+                let mut needs_nothing = false;
+                for entry in row.steps.iter() {
+                    let bits = need(entry).0.iter().flat_map(|&(word, bits)| {
+                        (0..64)
+                            .filter(move |b| bits >> b & 1 != 0)
+                            .map(move |b| word * 64 + b)
+                    });
+                    match bits.collect::<Vec<_>>() {
+                        bits if bits.is_empty() => needs_nothing = true,
+                        bits => assert!(bits.contains(&entry.watch), "{at}: {entry:?}"),
+                    }
+                }
+                let idle = core.cache.scan(link, &nothing).is_some();
+                assert_eq!(idle, needs_nothing, "{at}: scanned with nothing pending");
+                always += usize::from(needs_nothing);
+                for density in (0..64).map(|k| k % 4) {
+                    for q in core.inputs.iter() {
+                        let op = (next() % 4 <= density).then_some(Pending::Send(Value::Unit));
+                        pending.set(q, op.unwrap_or_default());
+                    }
+                    for q in core.outputs.iter() {
+                        let op = (next() % 4 <= density).then_some(Pending::Recv);
+                        pending.set(q, op.unwrap_or_default());
+                    }
+                    let (n, armed) = (row.steps.len(), |e: &&Entry| pending.armed(need(e)));
+                    let start = next() as usize % n.max(1);
+                    let order = || (start..n).chain(0..start).map(|k| &row.steps[k]);
+                    let full: Vec<&Entry> = order().filter(armed).collect();
+                    let scan = core.cache.scan(link, &pending);
+                    let tested = |e: &&Entry| !scan.unwrap() || pending.armed_bit(e.watch);
+                    let watched = order().filter(|e| scan.is_some() && tested(e));
+                    let watched: Vec<&Entry> = watched.filter(armed).collect();
+                    assert_eq!(
+                        watched.iter().map(|e| e.step).collect::<Vec<_>>(),
+                        full.iter().map(|e| e.step).collect::<Vec<_>>(),
+                        "{at}, rotation {start}"
+                    );
+                    found += full.len();
+                }
+            }
+        }
+        assert!(
+            filled == 55 && rows >= 900 && always >= 1 && found >= 100_000,
+            "{filled} connectors, {rows} rows ({always} always scanned), {found} armed entries"
         );
     }
 

@@ -62,7 +62,6 @@ pub mod partition;
 pub mod port;
 pub mod program;
 mod reconfig;
-pub mod scenario;
 pub mod select;
 pub mod stepping;
 pub mod watchdog;
@@ -77,9 +76,6 @@ pub use error::RuntimeError;
 pub use port::{Inport, Messages, Outport, RecvFuture, SendFuture};
 pub use program::{run_main, RunReport, TaskCtx, TaskRegistry};
 pub use reo_automata::{FromValue, IntoValue};
-pub use scenario::{
-    run_scenario, Driver, Observation, Op, OpResult, PortRef, Scenario, ScenarioError, Step,
-};
 pub use select::{select2, select_slice, Either, Select2, SelectSlice};
 pub use stepping::{stepping_run, SteppingMode, SteppingRun};
 pub use watchdog::{LinkReport, ParkedKind, ParkedOp, RegionReport, StallReport};

@@ -20,6 +20,10 @@
 //! operations), and it is what the repo benchmark's
 //! `runtime.stepping.{jit,compiled}_ns_per_op` rows compare between
 //! [`Mode::jit`] and [`Mode::compiled`] (named by [`SteppingMode`]).
+//! A saturated boundary keeps nearly every row watch
+//! ([`crate::cache::Row`]) armed, so these rows see a poll reject a row
+//! whose common need is unarmed but hardly the per-entry skip; that shows
+//! in `runtime.port.poll_ns_per_op` and `runtime.engine.lock_port_ns`.
 //!
 //! ```
 //! use std::time::Duration;

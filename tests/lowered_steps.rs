@@ -34,8 +34,7 @@ use reo::automata::{
 };
 use reo::core::{compile, instantiate, Binding};
 use reo::runtime::jit::JitCore;
-use reo::runtime::Scenario;
-use reo_fuzz::CorpusCase;
+use reo_fuzz::{CorpusCase, Scenario};
 
 /// What one firing did, rendered for comparison (`Value: !PartialEq`).
 #[derive(Debug, PartialEq)]

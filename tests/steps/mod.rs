@@ -12,8 +12,7 @@ use reo::automata::{
     ProductOptions, StateId, StateTrace, Term, Transition,
 };
 use reo::core::{compile, instantiate, Binding};
-use reo::runtime::{Driver, Scenario};
-use reo_fuzz::{Agreement, CorpusCase, GenCase};
+use reo_fuzz::{Agreement, CorpusCase, Driver, GenCase, Scenario};
 
 /// The budget the oracle gets; every Fig. 12 family fits it at n ≤ 4.
 pub const ORACLE_BUDGET: ProductOptions = ProductOptions {
