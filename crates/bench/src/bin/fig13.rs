@@ -3,7 +3,8 @@
 //! ```text
 //! cargo run --release -p reo-bench --bin fig13 -- \
 //!     [--prog cg|lu|both] [--classes S,C-scaled] [--ns 2,4,8] \
-//!     [--timeout 120] [--large-n] [--json [BENCH_fig13.json]]
+//!     [--timeout 120] [--large-n] [--backends original,reo-jit,reo-part] \
+//!     [--json [BENCH_fig13.json]]
 //! ```
 //!
 //! `--large-n` moves to N ∈ {16,32,64}, class S, 30 s timeout — the range
@@ -14,6 +15,9 @@
 //! N=64 can still run into the timeout on a busy host. Before steps were
 //! interned and lowered N=32 and N=64 were DNF, and before connected-step
 //! expansion every `reo-jit` cell from N=8 up was.
+//!
+//! `--backends` runs only the named columns of the table (all three by
+//! default), so one backend's wall time and peak RSS are its own process's.
 //!
 //! With `--json` the per-cell measurements are also written as a JSON
 //! document (default path `BENCH_fig13.json`), the NPB twin of the
@@ -51,7 +55,7 @@ fn main() {
     let ns = args.usize_list("ns", default_ns);
     let classes = args.list("classes", if large_n { &["S"] } else { &["S", "C-scaled"] });
     let timeout = Duration::from_secs_f64(args.f64("timeout", if large_n { 30.0 } else { 600.0 }));
-    let backends = standard_backends();
+    let backends = select_backends(&args.list("backends", &[]));
 
     println!(
         "Fig. 13 reproduction: programs {progs:?}, classes {classes:?}, N {ns:?} \
@@ -134,6 +138,18 @@ fn main() {
         std::fs::write(path, to_json(&rows, timeout, large_n)).expect("write JSON report");
         println!("wrote {path} ({} cells)", rows.len());
     }
+}
+
+/// The standard backends whose table labels are `names`, in table order;
+/// all of them when `names` is empty. Panics on a name no column has.
+fn select_backends(names: &[String]) -> Vec<BackendKind> {
+    let all = standard_backends();
+    let labels: Vec<String> = all.iter().map(BackendKind::label).collect();
+    if let Some(unknown) = names.iter().find(|name| !labels.contains(name)) {
+        panic!("--backends: no backend {unknown}; the columns are {labels:?}");
+    }
+    let named = |b: &BackendKind| names.is_empty() || names.contains(&b.label());
+    all.into_iter().filter(named).collect()
 }
 
 fn header(backends: &[BackendKind]) {

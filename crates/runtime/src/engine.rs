@@ -359,30 +359,24 @@ impl EngineStats {
 
 /// The reachability walk of the hangup analysis, per constituent: visit
 /// the states of `a` reachable from `start` via *live* transitions — those
-/// whose sync set avoids every `dead` port — and return the ports of `scope`
+/// whose sync set avoids every `dead` port — and return the ports of `a`
 /// none of them synchronizes. No firing can involve those again.
-pub(crate) fn unsynced_ports(
-    a: &Automaton,
-    start: StateId,
-    dead: &PortSet,
-    scope: &PortSet,
-) -> PortSet {
+pub(crate) fn unsynced_ports(a: &Automaton, start: StateId, dead: &PortSet) -> PortSet {
     let mut seen = vec![false; a.state_count()];
-    let mut stack = vec![start];
+    let (mut stack, mut synced) = (vec![start], Vec::new());
     seen[start.index()] = true;
-    let mut synced = PortSet::new();
     while let Some(s) = stack.pop() {
         for t in a.transitions_from(s) {
-            if !t.sync.is_disjoint(dead) {
+            if t.sync.iter().any(|p| dead.contains(p)) {
                 continue; // dead transition: requires a departed port
             }
-            t.sync.iter().for_each(|p| synced.insert(p));
+            synced.extend(t.sync.iter());
             if !std::mem::replace(&mut seen[t.target.index()], true) {
                 stack.push(t.target);
             }
         }
     }
-    scope.difference(&synced)
+    a.ports().difference(&PortSet::from_iter(synced))
 }
 
 /// Best-effort extraction of a panic payload's message for poison text.
@@ -413,6 +407,9 @@ struct PortSlot {
     /// it. Without this bit a new registrant could steal a delivery that a
     /// still-blocked receiver owns, leaving it waiting on an empty slot.
     abandoned: bool,
+    /// A dropped handle deregistered this port (phaser-style hangup);
+    /// `install` carries the mark across a splice with the rest of the slot.
+    hungup: bool,
 }
 
 /// The wakers one critical section took out of their slots. The first is
@@ -587,20 +584,21 @@ pub(crate) struct EngineInner {
     pub closed: bool,
     /// Set when a fire failed irrecoverably; all operations then error.
     pub poisoned: Option<String>,
-    /// Ports deregistered by a dropped handle (phaser-style hangup).
-    pub(crate) hungup: PortSet,
+    /// Slots holding a waker, counted where one is parked or taken: whether
+    /// a hangup has somebody waiting for its consequences.
+    parked: usize,
     /// Ports the core's hangup analysis proved can never fire again;
     /// operations on them resolve
     /// [`RuntimeError::Hangup`](crate::RuntimeError::Hangup) instead of
-    /// blocking forever. A superset of `hungup` when fresh, and stale while
+    /// blocking forever. Holds every hung-up port when fresh, and stale while
     /// `unseen` is not empty. **Stale ⇒ no waker is parked on this engine**
     /// (nor does it border a link): a hangup that finds one runs the
     /// analysis in its own hold and wakes whom it kills, and every hold
     /// that reads `dead` — so every poll, before it can park — starts with
     /// [`freshen`](Self::freshen).
     dead: PortSet,
-    /// Hung up since `dead` was last brought up to date.
-    unseen: PortSet,
+    /// Hung up since `dead` was last brought up to date, each port once.
+    unseen: Vec<PortId>,
     /// Fault injection ([`Engine::arm_panic_after_steps`]): fired steps
     /// left before a firing panics. `None` (always, outside harnesses) is
     /// disarmed.
@@ -612,9 +610,7 @@ impl EngineInner {
     /// paths: a pending operation polled after close must resolve to
     /// `Closed`, not hang).
     fn wake_all(&mut self) {
-        for slot in 0..self.slots.len() {
-            self.record_wakes(slot);
-        }
+        (0..self.slots.len()).for_each(|slot| self.record_wakes(slot));
     }
 
     /// What a hold that reads `dead` starts with: the analysis of every
@@ -635,12 +631,11 @@ impl EngineInner {
     /// flag that changed raises the peer's event: the other engine looks at
     /// its end again and hangs it up when there is nothing left to wait for.
     fn refresh_dead(&mut self) {
-        let frontier = std::mem::take(&mut self.unseen);
-        frontier.iter().for_each(|p| self.dead.insert(p));
+        let frontier = PortSet::from_iter(self.unseen.drain(..));
         let walks = &mut self.stats.hangup_walks;
         let newly = self.core.grow_dead(&mut self.dead, frontier, walks);
         #[cfg(debug_assertions)]
-        assert_eq!(self.dead, self.core.dead_ports(&self.hungup), "the oracle");
+        assert_eq!(self.dead, self.core.dead_ports(self.hungup()), "the oracle");
         if newly.is_empty() {
             return;
         }
@@ -664,20 +659,31 @@ impl EngineInner {
     }
 
     /// [`Engine::hangup`] under the lock; `serve` hangs up link ports by it.
-    fn hang_up(&mut self, ports: &[PortId]) {
-        if self.closed {
+    fn hang_up(&mut self, p: PortId) {
+        if self.closed || self.pending.port_map().try_slot(p).is_none() {
             return;
         }
-        for &p in ports {
-            if self.pending.port_map().try_slot(p).is_some() && !self.hungup.contains(p) {
-                self.hungup.insert(p);
-                self.unseen.insert(p);
-            }
-        }
-        let awaited = || !self.link_ends.is_empty() || self.slots.iter().any(|s| s.waker.is_some());
-        if !self.unseen.is_empty() && awaited() {
+        self.mark_hungup(p, true);
+        let scan = || self.slots.iter().filter(|s| s.waker.is_some()).count();
+        debug_assert_eq!(self.parked, scan(), "the count of slots holding a waker");
+        if !self.unseen.is_empty() && (self.parked > 0 || !self.link_ends.is_empty()) {
             self.refresh_dead();
         }
+    }
+
+    /// Mark `p` hung up, or forget that it did (a splice took away the
+    /// cause). A new mark is the next analysis's frontier.
+    pub(crate) fn mark_hungup(&mut self, p: PortId, hungup: bool) {
+        let slot = self.pending.port_map().slot(p);
+        if !std::mem::replace(&mut self.slots[slot].hungup, hungup) && hungup {
+            self.unseen.push(p);
+        }
+    }
+
+    /// The ports whose slots are marked hung up.
+    fn hungup(&self) -> impl Iterator<Item = PortId> + '_ {
+        let marked = self.pending.port_map().iter().zip(&self.slots);
+        marked.filter(|(_, s)| s.hungup).map(|(p, _)| p)
     }
 
     /// The analysis from scratch, where deadness may have *shrunk*: a
@@ -686,7 +692,7 @@ impl EngineInner {
     /// may have left the states the last answer reasoned about.
     fn rebuild_dead(&mut self) {
         self.dead = PortSet::new();
-        self.unseen = self.hungup.clone();
+        self.unseen = self.hungup().collect();
         self.refresh_dead();
     }
 
@@ -720,8 +726,7 @@ impl EngineInner {
         drop(st);
         self.pending.set(p, next.unwrap_or_default());
         if dried {
-            self.hungup.insert(p);
-            self.unseen.insert(p);
+            self.mark_hungup(p, true);
         }
     }
 
@@ -730,6 +735,7 @@ impl EngineInner {
     fn record_wakes(&mut self, slot: usize) {
         let s = &mut self.slots[slot];
         if let Some(w) = s.waker.take() {
+            self.parked -= 1;
             s.woken = true;
             if s.thread {
                 self.stats.wakeups += 1;
@@ -754,7 +760,7 @@ impl EngineInner {
         if outcome.is_none() {
             debug_assert!(self.unseen.is_empty(), "a waker parks under a stale `dead`");
             self.stats.spurious_wakeups += u64::from(woken);
-            s.waker = Some(waker.clone());
+            self.parked += usize::from(s.waker.replace(waker.clone()).is_none());
             s.thread = thread;
         }
         outcome
@@ -763,7 +769,8 @@ impl EngineInner {
     /// The end of every retraction: nobody waits on `slot` any more.
     fn unpark(&mut self, slot: usize) {
         let s = &mut self.slots[slot];
-        (s.waker, s.woken) = (None, false);
+        self.parked -= usize::from(s.waker.take().is_some());
+        s.woken = false;
     }
 }
 
@@ -794,9 +801,9 @@ impl Engine {
                 multi_link: false,
                 closed: false,
                 poisoned: None,
-                hungup: PortSet::new(),
+                parked: 0,
                 dead: PortSet::new(),
-                unseen: PortSet::new(),
+                unseen: Vec::new(),
                 panic_after: None,
             }),
             closing: AtomicBool::new(false),
@@ -908,18 +915,18 @@ impl Engine {
         self.lock().panic_after = Some(n);
     }
 
-    /// Phaser-style deregistration: mark `ports` hung up. When somebody
-    /// may be waiting for the consequences — a waker is parked here, or
-    /// the region borders a link and so a neighbour — the hangup analysis
-    /// runs in this hold and every operation parked on a port it kills is
-    /// woken (the woken paths translate to [`RuntimeError::Hangup`]); a
-    /// link end it kills leaves as the neighbour's event. Otherwise the
-    /// ports are only noted: the next hold that reads `dead` analyses them
-    /// (`EngineInner::freshen`), and a teardown that drops every handle
-    /// analyses nothing. No-op on closed or poisoned engines, where
-    /// everything already resolves with a typed error.
-    pub fn hangup(&self, ports: &[PortId], events: &mut LinkEvents) {
-        self.firing(events, |inner| inner.hang_up(ports))
+    /// Phaser-style deregistration: mark `p` hung up, in its slot. When
+    /// somebody may be waiting for the consequences — the count of slots
+    /// holding a waker is not 0, or the region borders a link and so a
+    /// neighbour — the hangup analysis runs in this hold and every operation
+    /// parked on a port it kills is woken (the woken paths translate to
+    /// [`RuntimeError::Hangup`]); a link end it kills leaves as the
+    /// neighbour's event. Otherwise the port is only noted: the next hold
+    /// that reads `dead` analyses it (`EngineInner::freshen`), and a teardown
+    /// that drops every handle analyses nothing. No-op on closed or poisoned
+    /// engines, where everything already resolves with a typed error.
+    pub fn hangup(&self, p: PortId, events: &mut LinkEvents) {
+        self.firing(events, |inner| inner.hang_up(p))
     }
 
     /// This engine's part of a session [`Snapshot`], as region `region`,
@@ -1014,8 +1021,8 @@ impl Engine {
                     inner.stats.completions += inner.completed.len() as u64;
                     for i in 0..inner.completed.len() {
                         let p = inner.completed[i];
-                        revived |= inner.hungup.contains(p);
                         let slot = inner.pending.port_map().slot(p);
+                        revived |= inner.slots[slot].hungup;
                         if inner.link_ends.get(slot).is_some_and(Option::is_some) {
                             inner.serve_completed(slot, p);
                             inner.stats.batch_moves += u64::from(!moved);
@@ -1040,7 +1047,7 @@ impl Engine {
         // blocking.
         if revived {
             inner.rebuild_dead();
-        } else if fired_any && !inner.hungup.is_empty() {
+        } else if fired_any && !(inner.dead.is_empty() && inner.unseen.is_empty()) {
             inner.refresh_dead();
         }
     }
@@ -1326,7 +1333,7 @@ impl Engine {
         let arm = idle.then(|| end.arm(&mut st)).flatten();
         drop(st);
         if gone {
-            inner.hang_up(&[p]);
+            inner.hang_up(p);
         } else if let Some(op) = arm {
             inner.pending.set(p, op);
             self.fire_loop(inner);
@@ -1419,13 +1426,11 @@ impl Engine {
             inner.pending = pending;
             inner.slots = slots;
             inner.core = core;
-            // A port the new map does not serve left with its branch.
-            inner.hungup.retain(|p| new_ports.try_slot(p).is_some());
         }
         Self::set_link_ends(inner, ends);
         inner.store.grow(layout);
-        // `hungup` holds global ids of the ports still served; the dead set
-        // depends on the (new) core and state, so recompute it — a splice
+        // The hangup marks came along in the slots; the dead set depends
+        // on the (new) core and state, so recompute it — a splice
         // can revive a port (a fresh branch replaces a departed peer) or
         // kill one (its last live transition left with a branch).
         inner.rebuild_dead();
@@ -1488,11 +1493,11 @@ impl Engine {
         )
     }
 
-    /// The ports in `hungup` or `dead` that the port map does not serve.
+    /// The ports in `dead` or `unseen` that the port map does not serve.
     pub(crate) fn unserved_hangups(&self) -> Vec<PortId> {
         let inner = self.lock();
         let served = |p: PortId| inner.pending.port_map().try_slot(p).is_some();
-        (inner.hungup.iter().chain(inner.dead.iter()))
+        (inner.unseen.iter().copied().chain(inner.dead.iter()))
             .filter(|&p| !served(p))
             .collect()
     }

@@ -657,15 +657,14 @@ impl JitCore {
     /// Hangup analysis, incremental. `dead` holds the ports that can never
     /// take part in a firing again — no step reachable from the current
     /// state without crossing a dead port synchronizes them — as of the
-    /// last call, plus the `frontier` ports the engine has added since
-    /// (they hung up). Add what follows: from the frontier, and from the
-    /// local states steps moved to since the last call (a drained buffer
-    /// may leave a port with no live transition). Deadness only grows from
-    /// there (where it may have shrunk, the engine starts over from an
-    /// empty set), so nothing else is re-examined, and a (constituent,
-    /// local state) pair is walked once per `dead` set. Returns the ports
-    /// added, the frontier included, and counts the reachability walks it
-    /// ran.
+    /// last call; `frontier` holds the ports hung up since. Add those and
+    /// what follows: from the frontier, and from the local states steps
+    /// moved to since the last call (a drained buffer may leave a port with
+    /// no live transition). Deadness only grows from there (where it may
+    /// have shrunk, the engine starts over from an empty set), so nothing
+    /// else is re-examined, and a (constituent, local state) pair is walked
+    /// once per `dead` set. Returns the ports added, the frontier included,
+    /// and counts the reachability walks it ran.
     pub fn grow_dead(&mut self, dead: &mut PortSet, frontier: PortSet, walks: &mut u64) -> PortSet {
         if frontier.is_empty() && self.moved.as_ref().is_none_or(Vec::is_empty) {
             return frontier; // nothing hung up, nothing moved
@@ -681,9 +680,9 @@ impl JitCore {
     /// The same analysis from scratch and memo-free: the oracle every
     /// [`grow_dead`](Self::grow_dead) answer is held to in debug builds.
     #[cfg(debug_assertions)]
-    pub(crate) fn dead_ports(&self, hungup: &PortSet) -> PortSet {
-        let mut dead = hungup.clone();
-        self.spread_dead(&mut dead, hungup.clone(), Vec::new(), None, &mut 0);
+    pub(crate) fn dead_ports(&self, hungup: impl Iterator<Item = PortId>) -> PortSet {
+        let mut dead = PortSet::new();
+        self.spread_dead(&mut dead, hungup.collect(), Vec::new(), None, &mut 0);
         dead
     }
 
@@ -713,31 +712,28 @@ impl JitCore {
         mut walked: Option<&mut HashSet<(u32, StateId)>>,
         walks: &mut u64,
     ) -> PortSet {
-        let mut grown = frontier.clone();
+        let (mut grown, mut next) = (PortSet::new(), Vec::new());
         while !(due.is_empty() && frontier.is_empty()) {
-            if let (Some(walked), false) = (walked.as_mut(), frontier.is_empty()) {
-                walked.clear();
+            // One merge per round grows the sets; an empty round allocates nothing.
+            if !frontier.is_empty() {
+                *dead = dead.union(&frontier);
+                grown = grown.union(&frontier);
+                walked.iter_mut().for_each(|w| w.clear());
             }
             due.extend(frontier.iter().flat_map(|p| self.owners.of(p)).copied());
             due.sort_unstable();
             due.dedup();
-            frontier = PortSet::new();
             for i in due.drain(..) {
-                let (ports, at) = (
-                    self.automata[i as usize].ports(),
-                    self.states.get(i as usize),
-                );
-                if ports.is_disjoint(dead) || !walked.as_mut().is_none_or(|w| w.insert((i, at))) {
+                let (a, at) = (&self.automata[i as usize], self.states.get(i as usize));
+                let touched = a.ports().iter().any(|p| dead.contains(p));
+                if !touched || !walked.as_mut().is_none_or(|w| w.insert((i, at))) {
                     continue;
                 }
                 *walks += 1;
-                let local = unsynced_ports(&self.automata[i as usize], at, dead, ports);
-                (local.iter().filter(|p| !dead.contains(*p))).for_each(|p| frontier.insert(p));
+                let local = unsynced_ports(a, at, dead);
+                next.extend(local.iter().filter(|p| !dead.contains(*p)));
             }
-            for p in frontier.iter() {
-                dead.insert(p);
-                grown.insert(p);
-            }
+            frontier = PortSet::from_iter(next.drain(..));
         }
         grown
     }
@@ -1238,7 +1234,7 @@ mod tests {
         let eng = engine_from(vec![builder.build()], 3);
 
         assert!(eng.offer(h, Value::Unit).is_none());
-        eng.hangup(&[h], &mut Default::default());
+        eng.hangup(h, &mut Default::default());
         // From `s0` only `q` can still fire: `live` is beyond the dead step.
         let refused = eng.offer(live, Value::Unit);
         assert!(matches!(refused, Some(Err(RuntimeError::Hangup(_)))));

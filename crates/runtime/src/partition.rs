@@ -899,7 +899,7 @@ impl Partitioned {
         // sender joins a merger all of whose senders had left). So it is
         // recomputed, not inherited: both engines of every link deadness
         // has crossed are held too, and past the point of no return those
-        // flags are cleared and the ports leave the engines' `hungup`.
+        // flags are cleared and so are the ports' hangup marks.
         let mut derived: Vec<&Link> = Vec::new();
         loop {
             let found = derived.len(); // a held engine's flags are final
@@ -996,7 +996,7 @@ impl Partitioned {
             (st.source_dead, st.sink_dead) = (false, false);
             for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
                 let g = guards.get_mut(&r).expect("held above");
-                g.hungup.remove(port);
+                g.mark_hungup(port, false);
             }
         }
         // Every held engine redoes its hangup analysis against its new link

@@ -217,7 +217,7 @@ impl Partitioned {
     /// The hangup a dropped handle owes (see `Registration`): one hold, and
     /// the drain of what it raised — deadness crosses links like a value.
     fn hangup(&self, p: PortId) {
-        self.hold(p, false, |e, ev| e.hangup(&[p], ev))
+        self.hold(p, false, |e, ev| e.hangup(p, ev))
     }
 }
 

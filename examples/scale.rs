@@ -2,12 +2,16 @@
 //!
 //! The connector is the reconfigurable merger of the churn example, `n`
 //! producers wide. Each of five rounds opens it from source text, connects
-//! it, passes one value through and drops the `n` producer handles; the
+//! it, passes one value through, drops the `n` producer handles and has the
+//! consumer's next `recv` learn of it; then it opens it again and drops the
+//! producers while the consumer is parked in `recv` on a second thread. The
 //! example prints the medians of the connect, of what comes after it up to
-//! the first value and of the drop, the process's peak resident set
+//! the first value, of the drop, of that first `recv` and of the parked
+//! drop (until the parked `recv` returns), the process's peak resident set
 //! (`VmHWM`) and the bytes one open allocates per constituent, from source
 //! text to the first value. Run one process per `n`: the peak is the
-//! process's.
+//! process's. The parked drop re-walks the merger at every hangup, so it is
+//! still quadratic in `n`: at n = 16,384 it takes tens of seconds.
 //!
 //! With `--pairs K` it also connects a reconfigurable session and times
 //! `K` attach/detach pairs, each split into re-instantiation, join and
@@ -22,7 +26,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use reo::runtime::{Connector, Mode};
+use reo::runtime::{Connector, Mode, RuntimeError};
 
 const SRC: &str = "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) \
                    mult Merger(m[1..#src];c)";
@@ -74,11 +78,21 @@ struct Open {
     first_value: Duration,
     /// Dropping the `n` producer handles: a hangup of every producer.
     drop: Duration,
+    /// The consumer's first `recv` after the drop, which answers `Hangup`.
+    first_recv: Duration,
+    /// The same drop in another open, with the consumer parked in `recv`
+    /// on a second thread, until that `recv` answers `Hangup`.
+    parked: Duration,
     /// Allocated from source text to the first value, per constituent.
     bytes: f64,
 }
 
-/// One open from source text to the first value, then the producers' drop.
+fn assert_hangup<T: std::fmt::Debug>(got: Result<T, RuntimeError>) {
+    assert!(matches!(got, Err(RuntimeError::Hangup(_))), "{got:?}");
+}
+
+/// One open from source text to the first value, then the producers' drop
+/// and the consumer's first `recv` after it; then the parked drop.
 fn open(n: usize, mode: Mode) -> Open {
     let before = BYTES.load(Ordering::Relaxed);
     let program = reo::dsl::parse_program(SRC).unwrap();
@@ -96,14 +110,40 @@ fn open(n: usize, mode: Mode) -> Open {
     assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
     let first_value = start.elapsed() - connect;
     let bytes = BYTES.load(Ordering::Relaxed) - before;
+    let bytes = bytes as f64 / session.handle().medium_count() as f64;
     let start = Instant::now();
     drop(txs);
+    let (drop, start) = (start.elapsed(), Instant::now());
+    assert_hangup(rx.recv());
+    let first_recv = start.elapsed();
+    std::mem::drop((rx, session)); // one session at a time: the peak is one open's
     Open {
         connect,
         first_value,
-        drop: start.elapsed(),
-        bytes: bytes as f64 / session.handle().medium_count() as f64,
+        drop,
+        first_recv,
+        parked: parked(&connector, n),
+        bytes,
     }
+}
+
+/// Drop the producers of a fresh session while its consumer is parked in
+/// `recv` (a zero-deadline watchdog sees it parked), and time the drop
+/// until that `recv` returns.
+fn parked(connector: &Connector, n: usize) -> Duration {
+    let spec = connector.session().replicate("src", n);
+    let mut session = spec.watchdog(Duration::ZERO).connect().unwrap();
+    let txs = session.typed_outports::<i64>("src").unwrap();
+    let rx = session.typed_inport::<i64>("c").unwrap();
+    let consumer = std::thread::spawn(move || (rx.recv(), Instant::now()));
+    while !session.handle().is_stalled() {
+        std::thread::yield_now();
+    }
+    let start = Instant::now();
+    drop(txs);
+    let (got, end) = consumer.join().unwrap();
+    assert_hangup(got);
+    end - start
 }
 
 /// `pairs` attach/detach pairs on a reconfigurable session; prints the
@@ -172,11 +212,14 @@ fn main() {
     let bytes = rounds[rounds.len() - 1].bytes;
     let column = |f: fn(&Open) -> Duration| ms(median(rounds.iter().map(f).collect()));
     println!(
-        "merger n={n} {name}: connect {:.2} ms, first value {:.2} ms, drop {:.2} ms \
-         (medians of 5), peak RSS {:.1} MiB, {bytes:.0} B per constituent",
+        "merger n={n} {name}: connect {:.2} ms, first value {:.2} ms, drop {:.2} ms, \
+         first recv after it {:.2} ms, parked drop {:.2} ms (medians of 5), \
+         peak RSS {:.1} MiB, {bytes:.0} B per constituent",
         column(|o| o.connect),
         column(|o| o.first_value),
         column(|o| o.drop),
+        column(|o| o.first_recv),
+        column(|o| o.parked),
         peak_rss_mib().unwrap_or(f64::NAN),
     );
     if pairs > 0 {

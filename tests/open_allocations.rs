@@ -215,8 +215,9 @@ const MERGER: &str = "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) \
                       mult Merger(m[1..#src];c)";
 
 /// Bytes one open of [`MERGER`] `n` wide allocates per constituent, from
-/// source text to the first value (the drop is not counted).
-fn bytes_per_constituent(n: usize, mode: Mode) -> f64 {
+/// source text to the first value, and then bytes per handle that dropping
+/// the `n` producer handles allocates.
+fn bytes_per_constituent(n: usize, mode: Mode) -> (f64, f64) {
     let mark = bytes();
     let program = reo::dsl::parse_program(MERGER).unwrap();
     let connector = Connector::builder(&program, "M")
@@ -229,26 +230,40 @@ fn bytes_per_constituent(n: usize, mode: Mode) -> f64 {
     txs[n / 2].send(7).unwrap();
     assert_eq!(rx.recv().unwrap(), 7);
     let allocated = bytes() - mark;
-    allocated as f64 / session.handle().medium_count() as f64
+    let mark = bytes();
+    drop(txs);
+    let dropped = bytes() - mark;
+    (
+        allocated as f64 / session.handle().medium_count() as f64,
+        dropped as f64 / n as f64,
+    )
 }
 
 /// Each automaton's memory layout lists only the cells it owns, and a
 /// variadic primitive builds its port sets once: at n = 2,048 an open
 /// allocates per constituent what it does at n = 256 (about 6,000 B). With
 /// layouts dense up to the highest global cell id, the same opens took
-/// 9,454 and 34,472 B per constituent on `jit`.
+/// 9,454 and 34,472 B per constituent on `jit`. A hangup marks its port's
+/// slot and lists it once, so the drop allocates about 8 B per handle at
+/// either width; with the marks kept in port sets rebuilt on every insert,
+/// it took 1,028 and 8,196 B.
 #[test]
 fn an_open_allocates_the_same_bytes_per_constituent_at_any_width() {
     for (label, mode) in [("jit", Mode::jit()), ("partitioned", Mode::partitioned())] {
         bytes_per_constituent(2, mode);
-        let (narrow, wide) = (
+        let ((narrow, narrow_drop), (wide, wide_drop)) = (
             bytes_per_constituent(256, mode),
             bytes_per_constituent(2048, mode),
         );
-        println!("{label}: {narrow:.0} B per constituent at n = 256, {wide:.0} B at n = 2,048");
-        assert!(
-            wide <= 1.5 * narrow && narrow <= 1.5 * wide,
-            "{label}: {narrow:.0} B per constituent at n = 256, {wide:.0} B at n = 2,048"
+        println!(
+            "{label}: {narrow:.0} B per constituent at n = 256, {wide:.0} B at n = 2,048; \
+             drop {narrow_drop:.0} and {wide_drop:.0} B per handle"
         );
+        for (phase, narrow, wide) in [("open", narrow, wide), ("drop", narrow_drop, wide_drop)] {
+            assert!(
+                wide <= 1.5 * narrow && narrow <= 1.5 * wide,
+                "{label} {phase}: {narrow:.0} B at n = 256, {wide:.0} B at n = 2,048"
+            );
+        }
     }
 }

@@ -200,7 +200,7 @@ impl World {
                 return;
             }
             Op::Hangup(port) => {
-                (topo.engine_for(port)).hangup(&[port], &mut t.events);
+                (topo.engine_for(port)).hangup(port, &mut t.events);
                 self.drops += 1;
                 t.pc += 1;
                 return;
