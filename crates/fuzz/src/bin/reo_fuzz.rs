@@ -26,19 +26,61 @@
 //! `.case` file; the process then exits nonzero so CI surfaces it and
 //! uploads the file as an artifact.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use reo_bench::cli::Args;
 use reo_fuzz::{
     check_source, diff_case, fault_case, generate, generate_fault, hostile_source, load_dir,
     minimize_case, minimize_source, replay, to_text, CaseOutcome, CorpusCase, Rng,
 };
 
+/// `--key value` flags (a bare `--key` is `true`) and positionals.
+#[derive(Default)]
+struct Args {
+    flags: HashMap<String, String>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    fn from_env() -> Args {
+        let mut args = Args::default();
+        let mut argv = std::env::args().skip(1).peekable();
+        while let Some(a) = argv.next() {
+            let Some(key) = a.strip_prefix("--") else {
+                args.positional.push(a);
+                continue;
+            };
+            let value = argv.next_if(|v| !v.starts_with("--"));
+            args.flags
+                .insert(key.to_string(), value.unwrap_or("true".into()));
+        }
+        args
+    }
+
+    fn get(&self, key: &str) -> Option<&str> {
+        self.flags.get(key).map(String::as_str)
+    }
+
+    /// The number `--key` gives, `default` without it; a bad one panics.
+    fn num<T: FromStr>(&self, key: &str, default: T) -> T {
+        let parse = |s: &str| {
+            s.parse()
+                .unwrap_or_else(|_| panic!("--{key} expects a number"))
+        };
+        self.get(key).map_or(default, parse)
+    }
+
+    fn bool(&self, key: &str) -> bool {
+        matches!(self.get(key), Some("true" | "1" | "yes"))
+    }
+}
+
 fn main() {
     let args = Args::from_env();
     let corpus_dir = PathBuf::from(args.get("corpus").unwrap_or("tests/corpus"));
-    let seed = args.usize("seed", 1) as u64;
+    let seed = args.num("seed", 1u64);
     let ok = match args.positional.first().map(String::as_str) {
         Some("diff") => run_diff(&args, seed, &corpus_dir),
         Some("faults") => run_faults(&args, seed, &corpus_dir),
@@ -61,8 +103,8 @@ fn write_case(dir: &PathBuf, name: &str, case: &CorpusCase, provenance: &str) ->
 
 /// Differential fuzzing: the tentpole loop.
 fn run_diff(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
-    let deadline = Instant::now() + Duration::from_secs_f64(args.f64("seconds", 60.0));
-    let budget = args.usize("scenarios", usize::MAX);
+    let deadline = Instant::now() + Duration::from_secs_f64(args.num("seconds", 60.0));
+    let budget = args.num("scenarios", usize::MAX);
     let grid = reo_runtime::Mode::grid().len();
     let mut executed = 0usize; // scenario-runs: cases × modes
     let mut agreed = 0usize;
@@ -116,8 +158,8 @@ fn run_diff(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
 
 /// Fault-injection fuzzing: graceful degradation across the grid.
 fn run_faults(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
-    let deadline = Instant::now() + Duration::from_secs_f64(args.f64("seconds", 60.0));
-    let budget = args.usize("scenarios", usize::MAX);
+    let deadline = Instant::now() + Duration::from_secs_f64(args.num("seconds", 60.0));
+    let budget = args.num("scenarios", usize::MAX);
     let grid = reo_runtime::Mode::grid().len();
     let mut executed = 0usize;
     let mut graceful = 0usize;
@@ -177,8 +219,8 @@ fn run_faults(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
 
 /// Pipeline fuzzing: parse/build/connect must never panic.
 fn run_pipeline(args: &Args, seed: u64, corpus_dir: &PathBuf) -> bool {
-    let deadline = Instant::now() + Duration::from_secs_f64(args.f64("seconds", 30.0));
-    let budget = args.usize("sources", usize::MAX);
+    let deadline = Instant::now() + Duration::from_secs_f64(args.num("seconds", 30.0));
+    let budget = args.num("sources", usize::MAX);
     // Seed pool: well-formed generated sources to mutate.
     let seeds: Vec<String> = (0..64).map(|i| generate(seed, i).scenario.source).collect();
     let mut rng = Rng::new(seed ^ 0x5eed_f00d);

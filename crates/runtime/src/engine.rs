@@ -85,12 +85,13 @@
 //! ```
 
 use parking_lot::{Mutex, MutexGuard};
-use reo_automata::{Automaton, MemLayout, PortId, PortSet, StateId, Store, Value};
+use reo_automata::{MemLayout, PortId, Store, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
 
+use crate::dead::Dead;
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 use crate::watchdog::{ParkedKind, ParkedOp, RegionReport, Snapshot};
@@ -113,10 +114,10 @@ pub enum Pending {
 
 /// Which global ports one engine serves, and their dense local slots.
 ///
-/// Lookups are identity for [`PortMap::Dense`] and a binary search over
-/// the sorted id list for [`PortMap::Sparse`]; regions are small, so the
-/// search stays cheap while the per-engine tables shrink from
-/// `port_count` to the region size.
+/// Lookups are identity for [`PortMap::Dense`]; [`PortMap::Sparse`] probes
+/// the offset from its first id (the ports of a region allocated in one
+/// run are all found there), then binary-searches its sorted ids. The
+/// per-engine tables shrink from `port_count` to the region size.
 #[derive(Clone, Debug)]
 pub enum PortMap {
     /// The identity map over ports `0..n` (one engine, not reconfigurable).
@@ -155,15 +156,7 @@ impl PortMap {
     /// serve — that is a routing bug, never a user error.
     #[inline]
     pub fn slot(&self, p: PortId) -> usize {
-        match self {
-            PortMap::Dense(n) => {
-                debug_assert!(p.index() < *n, "port {p} outside dense map of {n}");
-                p.index()
-            }
-            PortMap::Sparse(ids) => ids
-                .binary_search_by_key(&p.index(), |q| q.index())
-                .unwrap_or_else(|_| panic!("port {p} not served by this engine")),
-        }
+        (self.try_slot(p)).unwrap_or_else(|| panic!("port {p} not served by this engine"))
     }
 
     /// Local slot of a served port, or `None` when this engine does not
@@ -174,7 +167,12 @@ impl PortMap {
     pub fn try_slot(&self, p: PortId) -> Option<usize> {
         match self {
             PortMap::Dense(n) => (p.index() < *n).then(|| p.index()),
-            PortMap::Sparse(ids) => ids.binary_search_by_key(&p.index(), |q| q.index()).ok(),
+            PortMap::Sparse(ids) => {
+                // A port in the run of ids the map starts with is at its offset.
+                let at = p.index().wrapping_sub(ids.first().map_or(0, |q| q.index()));
+                let run = (ids.get(at) == Some(&p)).then_some(at);
+                run.or_else(|| ids.binary_search(&p).ok())
+            }
         }
     }
 
@@ -336,7 +334,7 @@ pub struct EngineStats {
     /// drain theirs uncounted, regions bordering none raise no events.
     pub kicks: u64,
     /// Reachability walks the hangup analysis ran, one per constituent
-    /// examined (see [`JitCore::grow_dead`]): 0 while nobody hangs up,
+    /// examined: 0 while nobody hangs up,
     /// and 0 for hangups whose answer nobody asked for.
     pub hangup_walks: u64,
 }
@@ -357,28 +355,6 @@ impl EngineStats {
     }
 }
 
-/// The reachability walk of the hangup analysis, per constituent: visit
-/// the states of `a` reachable from `start` via *live* transitions — those
-/// whose sync set avoids every `dead` port — and return the ports of `a`
-/// none of them synchronizes. No firing can involve those again.
-pub(crate) fn unsynced_ports(a: &Automaton, start: StateId, dead: &PortSet) -> PortSet {
-    let mut seen = vec![false; a.state_count()];
-    let (mut stack, mut synced) = (vec![start], Vec::new());
-    seen[start.index()] = true;
-    while let Some(s) = stack.pop() {
-        for t in a.transitions_from(s) {
-            if t.sync.iter().any(|p| dead.contains(p)) {
-                continue; // dead transition: requires a departed port
-            }
-            synced.extend(t.sync.iter());
-            if !std::mem::replace(&mut seen[t.target.index()], true) {
-                stack.push(t.target);
-            }
-        }
-    }
-    a.ports().difference(&PortSet::from_iter(synced))
-}
-
 /// Best-effort extraction of a panic payload's message for poison text.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
@@ -390,7 +366,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// The wait state of one served port.
 #[derive(Default)]
-struct PortSlot {
+pub(crate) struct PortSlot {
     /// Whoever polled this port's operation while it was still pending
     /// parks a `Waker` here; completing the port takes and wakes it. At
     /// most one pending operation exists per port (`PortBusy` otherwise),
@@ -409,7 +385,9 @@ struct PortSlot {
     abandoned: bool,
     /// A dropped handle deregistered this port (phaser-style hangup);
     /// `install` carries the mark across a splice with the rest of the slot.
-    hungup: bool,
+    pub(crate) hungup: bool,
+    /// The hangup analysis ([`crate::dead`]) proved it can never fire again.
+    pub(crate) dead: bool,
 }
 
 /// The wakers one critical section took out of their slots. The first is
@@ -567,7 +545,7 @@ pub(crate) struct EngineInner {
     pub pending: PendingTable,
     pub store: Store,
     /// Wait state per local port slot, remapped as one table by `install`.
-    slots: Vec<PortSlot>,
+    pub(crate) slots: Vec<PortSlot>,
     /// Wake-ups decided in this critical section and not yet delivered.
     wakes: WakeList,
     /// The link end at each local slot; empty on an engine without links.
@@ -587,18 +565,8 @@ pub(crate) struct EngineInner {
     /// Slots holding a waker, counted where one is parked or taken: whether
     /// a hangup has somebody waiting for its consequences.
     parked: usize,
-    /// Ports the core's hangup analysis proved can never fire again;
-    /// operations on them resolve
-    /// [`RuntimeError::Hangup`](crate::RuntimeError::Hangup) instead of
-    /// blocking forever. Holds every hung-up port when fresh, and stale while
-    /// `unseen` is not empty. **Stale ⇒ no waker is parked on this engine**
-    /// (nor does it border a link): a hangup that finds one runs the
-    /// analysis in its own hold and wakes whom it kills, and every hold
-    /// that reads `dead` — so every poll, before it can park — starts with
-    /// [`freshen`](Self::freshen).
-    dead: PortSet,
-    /// Hung up since `dead` was last brought up to date, each port once.
-    unseen: Vec<PortId>,
+    /// The hangup analysis of `slots`' marks, brought up to date by [`freshen`](Self::freshen).
+    pub(crate) dead: Dead,
     /// Fault injection ([`Engine::arm_panic_after_steps`]): fired steps
     /// left before a firing panics. `None` (always, outside harnesses) is
     /// disarmed.
@@ -613,40 +581,34 @@ impl EngineInner {
         (0..self.slots.len()).for_each(|slot| self.record_wakes(slot));
     }
 
-    /// What a hold that reads `dead` starts with: the analysis of every
-    /// hangup nobody has asked about yet, once for all of them.
+    /// What a hold that reads a `dead` bit starts with: the analysis of
+    /// every hangup nobody has asked about yet, once for all of them.
     fn freshen(&mut self) {
-        if !self.unseen.is_empty() {
+        if self.dead.stale() {
             self.refresh_dead();
         }
     }
 
-    /// Bring `dead` up to date and record a wake-up for every parked
-    /// operation on a newly dead port. Incremental: the analysis goes on
-    /// from `dead` with the `unseen` ports as frontier, and looks again at
-    /// the constituents the steps since the last call moved
-    /// ([`JitCore::grow_dead`]) — nothing hung up and nothing moved,
-    /// nothing to do. Each link learns here whether its end on this engine
-    /// is dead (`source_dead` for a tail, `sink_dead` for a head), and a
-    /// flag that changed raises the peer's event: the other engine looks at
-    /// its end again and hangs it up when there is nothing left to wait for.
+    /// Whether the analysis proved `p` dead: no lookup while no port is.
+    fn is_dead(&self, p: PortId) -> bool {
+        self.dead.count > 0 && self.slots[self.pending.port_map().slot(p)].dead
+    }
+
+    /// Bring the `dead` bits up to date ([`Dead::grow`]), wake whom they
+    /// kill, and tell each link whether its end here is dead (`sink_dead`,
+    /// `source_dead`): a flag that changed raises the peer's event.
     fn refresh_dead(&mut self) {
-        let frontier = PortSet::from_iter(self.unseen.drain(..));
-        let walks = &mut self.stats.hangup_walks;
-        let newly = self.core.grow_dead(&mut self.dead, frontier, walks);
-        #[cfg(debug_assertions)]
-        assert_eq!(self.dead, self.core.dead_ports(self.hungup()), "the oracle");
-        if newly.is_empty() {
+        let map = self.pending.port_map();
+        self.stats.hangup_walks += self.dead.grow(&self.core, map, &mut self.slots);
+        for i in 0..self.dead.newly.len() {
+            self.record_wakes(self.dead.newly[i]);
+        }
+        if self.dead.newly.is_empty() {
             return;
         }
-        for p in newly.iter() {
-            if let Some(slot) = self.pending.port_map().try_slot(p) {
-                self.record_wakes(slot);
-            }
-        }
-        for (p, end) in self.pending.port_map().iter().zip(&self.link_ends) {
+        for (slot, end) in self.link_ends.iter().enumerate() {
             let Some(end) = end else { continue };
-            let dead = self.dead.contains(p);
+            let dead = self.slots[slot].dead;
             let mut st = end.shared.state.lock();
             let (flag, peer) = match end.head {
                 true => (&mut st.sink_dead, LinkEvent::Rearm(end.peer)),
@@ -663,37 +625,12 @@ impl EngineInner {
         if self.closed || self.pending.port_map().try_slot(p).is_none() {
             return;
         }
-        self.mark_hungup(p, true);
+        (self.dead).mark(self.pending.port_map(), &mut self.slots, p, true);
         let scan = || self.slots.iter().filter(|s| s.waker.is_some()).count();
         debug_assert_eq!(self.parked, scan(), "the count of slots holding a waker");
-        if !self.unseen.is_empty() && (self.parked > 0 || !self.link_ends.is_empty()) {
+        if self.dead.due(self.parked, !self.link_ends.is_empty()) {
             self.refresh_dead();
         }
-    }
-
-    /// Mark `p` hung up, or forget that it did (a splice took away the
-    /// cause). A new mark is the next analysis's frontier.
-    pub(crate) fn mark_hungup(&mut self, p: PortId, hungup: bool) {
-        let slot = self.pending.port_map().slot(p);
-        if !std::mem::replace(&mut self.slots[slot].hungup, hungup) && hungup {
-            self.unseen.push(p);
-        }
-    }
-
-    /// The ports whose slots are marked hung up.
-    fn hungup(&self) -> impl Iterator<Item = PortId> + '_ {
-        let marked = self.pending.port_map().iter().zip(&self.slots);
-        marked.filter(|(_, s)| s.hungup).map(|(p, _)| p)
-    }
-
-    /// The analysis from scratch, where deadness may have *shrunk*: a
-    /// splice can revive a port, and a step that completed a hung-up port
-    /// (the stale operation of a departed task let a dead transition fire)
-    /// may have left the states the last answer reasoned about.
-    fn rebuild_dead(&mut self) {
-        self.dead = PortSet::new();
-        self.unseen = self.hungup().collect();
-        self.refresh_dead();
     }
 
     /// Serve the link end at `slot` in the hold whose step completed its
@@ -726,7 +663,7 @@ impl EngineInner {
         drop(st);
         self.pending.set(p, next.unwrap_or_default());
         if dried {
-            self.mark_hungup(p, true);
+            (self.dead).mark(self.pending.port_map(), &mut self.slots, p, true);
         }
     }
 
@@ -758,7 +695,7 @@ impl EngineInner {
         let s = &mut self.slots[slot];
         let woken = std::mem::take(&mut s.woken);
         if outcome.is_none() {
-            debug_assert!(self.unseen.is_empty(), "a waker parks under a stale `dead`");
+            debug_assert!(!self.dead.stale(), "a waker parks under stale `dead` bits");
             self.stats.spurious_wakeups += u64::from(woken);
             self.parked += usize::from(s.waker.replace(waker.clone()).is_none());
             s.thread = thread;
@@ -802,8 +739,7 @@ impl Engine {
                 closed: false,
                 poisoned: None,
                 parked: 0,
-                dead: PortSet::new(),
-                unseen: Vec::new(),
+                dead: Dead::default(),
                 panic_after: None,
             }),
             closing: AtomicBool::new(false),
@@ -915,16 +851,9 @@ impl Engine {
         self.lock().panic_after = Some(n);
     }
 
-    /// Phaser-style deregistration: mark `p` hung up, in its slot. When
-    /// somebody may be waiting for the consequences — the count of slots
-    /// holding a waker is not 0, or the region borders a link and so a
-    /// neighbour — the hangup analysis runs in this hold and every operation
-    /// parked on a port it kills is woken (the woken paths translate to
-    /// [`RuntimeError::Hangup`]); a link end it kills leaves as the
-    /// neighbour's event. Otherwise the port is only noted: the next hold
-    /// that reads `dead` analyses it (`EngineInner::freshen`), and a teardown
-    /// that drops every handle analyses nothing. No-op on closed or poisoned
-    /// engines, where everything already resolves with a typed error.
+    /// Phaser-style deregistration: mark `p` hung up; if somebody may wait
+    /// for it, the analysis (`crate::dead`) runs in this hold and wakes
+    /// whom it kills, to [`RuntimeError::Hangup`]. No-op once closed.
     pub fn hangup(&self, p: PortId, events: &mut LinkEvents) {
         self.firing(events, |inner| inner.hang_up(p))
     }
@@ -1017,6 +946,7 @@ impl Engine {
             match step {
                 Ok(Ok(true)) => {
                     fired_any = true;
+                    inner.dead.stepped(&inner.core);
                     inner.stats.steps += 1;
                     inner.stats.completions += inner.completed.len() as u64;
                     for i in 0..inner.completed.len() {
@@ -1046,8 +976,9 @@ impl Engine {
         // what moved, so their parked peers resolve `Hangup` instead of
         // blocking.
         if revived {
-            inner.rebuild_dead();
-        } else if fired_any && !(inner.dead.is_empty() && inner.unseen.is_empty()) {
+            (inner.dead).rebuild(inner.pending.port_map(), &mut inner.slots);
+        }
+        if fired_any && (inner.dead.count > 0 || inner.dead.stale()) {
             inner.refresh_dead();
         }
     }
@@ -1080,7 +1011,7 @@ impl Engine {
         if !matches!(inner.pending.get(p), Pending::None) {
             return Err(RuntimeError::PortBusy(p));
         }
-        if inner.dead.contains(p) {
+        if inner.is_dead(p) {
             return Err(RuntimeError::Hangup(p));
         }
         inner.pending.set(p, Pending::Send(v));
@@ -1103,7 +1034,7 @@ impl Engine {
     fn arm_recv(&self, inner: &mut EngineInner, p: PortId) -> Result<(), RuntimeError> {
         match inner.pending.get(p) {
             Pending::None => {
-                if inner.dead.contains(p) {
+                if inner.is_dead(p) {
                     return Err(RuntimeError::Hangup(p));
                 }
                 inner.pending.set(p, Pending::Recv)
@@ -1148,7 +1079,7 @@ impl Engine {
         if let Err(e) = Self::check_open(inner) {
             return Some(e);
         }
-        if inner.dead.contains(p) {
+        if inner.is_dead(p) {
             // A peer hung up and no reachable transition can ever complete
             // this operation: retract it and report it.
             inner.pending.set(p, Pending::None);
@@ -1429,11 +1360,12 @@ impl Engine {
         }
         Self::set_link_ends(inner, ends);
         inner.store.grow(layout);
-        // The hangup marks came along in the slots; the dead set depends
-        // on the (new) core and state, so recompute it — a splice
-        // can revive a port (a fresh branch replaces a departed peer) or
-        // kill one (its last live transition left with a branch).
-        inner.rebuild_dead();
+        // The hangup marks came along in the slots; deadness depends on the
+        // (new) core and state, so recompute the bits — a splice can revive
+        // a port (a fresh branch replaces a departed peer) or kill one (its
+        // last live transition left with a branch).
+        (inner.dead).rebuild(inner.pending.port_map(), &mut inner.slots);
+        inner.refresh_dead();
         self.fire_loop(inner);
         inner.wake_all();
         inner.events.drain_into(events);
@@ -1493,11 +1425,12 @@ impl Engine {
         )
     }
 
-    /// The ports in `dead` or `unseen` that the port map does not serve.
+    /// The hangups not analysed yet of ports the port map does not serve
+    /// (a `dead` bit cannot outlive its slot).
     pub(crate) fn unserved_hangups(&self) -> Vec<PortId> {
         let inner = self.lock();
         let served = |p: PortId| inner.pending.port_map().try_slot(p).is_some();
-        (inner.unseen.iter().copied().chain(inner.dead.iter()))
+        (inner.dead.unseen.iter().copied())
             .filter(|&p| !served(p))
             .collect()
     }

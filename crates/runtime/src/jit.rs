@@ -66,8 +66,6 @@
 //! ([`crate::Mode::existing`]) runs here too, as a tuple of one: its
 //! composed and simplified automaton, every row filled at `connect`.
 
-use std::collections::HashSet;
-
 use reo_automata::lower::{ExecScratch, LowerOptions, LoweredTransition, Pools};
 use reo_automata::{
     connected, Automaton, Buckets, Choice, Explosion, PortId, PortOwners, PortSet, ProductOptions,
@@ -76,7 +74,7 @@ use reo_automata::{
 use reo_core::ConnectorInstance;
 
 use crate::cache::{CacheStats, Entry, Link, StateCache, TupleKey, WordBits};
-use crate::engine::{unsynced_ports, Need, Pending, PendingTable, PortMap};
+use crate::engine::{Need, Pending, PendingTable, PortMap};
 use crate::error::RuntimeError;
 
 /// One connected step, shared by every row naming it.
@@ -97,9 +95,9 @@ struct Step {
 /// The stepping core: a tuple of automata whose rows of connected steps are
 /// filled on first visit or all at `connect`, each step lowered on first try.
 pub struct JitCore {
-    automata: Vec<Automaton>,
+    pub(crate) automata: Vec<Automaton>,
     /// Current local state per automaton.
-    states: TupleKey,
+    pub(crate) states: TupleKey,
     cache: StateCache,
     /// The row of `states`, as the last step's link or lookup left it (a
     /// missing link falls back to a lookup).
@@ -118,7 +116,7 @@ pub struct JitCore {
     scratch: ExecScratch,
     deliveries: Vec<(PortId, Value)>,
     /// Port signatures and the port → owner index steps grow through.
-    owners: PortOwners,
+    pub(crate) owners: PortOwners,
     inputs: PortSet,
     outputs: PortSet,
     /// Per port id, what `inputs` and `outputs` make it; internal past the
@@ -131,12 +129,6 @@ pub struct JitCore {
     /// Maximum global transitions per expanded state.
     expansion_budget: usize,
     rotation: usize,
-    /// Hangup analysis ([`JitCore::grow_dead`]). `moved`: the automata
-    /// steps have moved since the last call, recorded only once a port is
-    /// dead. `walked`: the (automaton, local state) pairs whose walk under
-    /// the current dead set added nothing to it.
-    moved: Option<Vec<u32>>,
-    walked: HashSet<(u32, StateId)>,
 }
 
 /// What a port is to the tasks: where they send, where they receive, or
@@ -286,8 +278,6 @@ impl JitCore {
             watches: Watches::default(),
             expansion_budget,
             rotation: 0,
-            moved: None,
-            walked: HashSet::new(),
         }
     }
 
@@ -601,9 +591,6 @@ impl JitCore {
             for &(i, target) in step.moves.iter() {
                 self.states.set(i as usize, target);
             }
-            if let Some(moved) = &mut self.moved {
-                moved.extend(step.moves.iter().map(|&(i, _)| i));
-            }
             self.rotation = self.rotation.wrapping_add(1);
             self.current = next;
             self.edge = Some((row, at));
@@ -654,88 +641,10 @@ impl JitCore {
         self.cache.row(row).steps.iter().any(enabled)
     }
 
-    /// Hangup analysis, incremental. `dead` holds the ports that can never
-    /// take part in a firing again — no step reachable from the current
-    /// state without crossing a dead port synchronizes them — as of the
-    /// last call; `frontier` holds the ports hung up since. Add those and
-    /// what follows: from the frontier, and from the local states steps
-    /// moved to since the last call (a drained buffer may leave a port with
-    /// no live transition). Deadness only grows from there (where it may
-    /// have shrunk, the engine starts over from an empty set), so nothing
-    /// else is re-examined, and a (constituent, local state) pair is walked
-    /// once per `dead` set. Returns the ports added, the frontier included,
-    /// and counts the reachability walks it ran.
-    pub fn grow_dead(&mut self, dead: &mut PortSet, frontier: PortSet, walks: &mut u64) -> PortSet {
-        if frontier.is_empty() && self.moved.as_ref().is_none_or(Vec::is_empty) {
-            return frontier; // nothing hung up, nothing moved
-        }
-        let due = self.moved.take().unwrap_or_default();
-        let mut walked = std::mem::take(&mut self.walked);
-        let grown = self.spread_dead(dead, frontier, due, Some(&mut walked), walks);
-        self.walked = walked;
-        self.moved = (!dead.is_empty()).then(Vec::new);
-        grown
-    }
-
-    /// The same analysis from scratch and memo-free: the oracle every
-    /// [`grow_dead`](Self::grow_dead) answer is held to in debug builds.
-    #[cfg(debug_assertions)]
-    pub(crate) fn dead_ports(&self, hungup: impl Iterator<Item = PortId>) -> PortSet {
-        let mut dead = PortSet::new();
-        self.spread_dead(&mut dead, hungup.collect(), Vec::new(), None, &mut 0);
-        dead
-    }
-
-    /// Per-constituent reachability: a local transition is dead when it
-    /// synchronizes a dead port, and local states reachable from the
-    /// current one via live transitions over-approximate the global reach
-    /// (every global step either idles a constituent or takes one of its
-    /// local transitions). So a port that *some* constituent can no longer
-    /// synchronize on any reachable live local transition is dead for the
-    /// whole product — sound, and it never builds the product the JIT
-    /// exists to avoid.
-    ///
-    /// Deadness crosses internal vertices (a `Merg2` chain's `m[i]`): a
-    /// port proved dead in one constituent kills the transitions of its
-    /// neighbour, so iterate to a fixpoint, feeding newly dead ports back
-    /// in. Only the `due` constituents and the owners of a `frontier` port
-    /// are examined, and of those only the ones touching a dead port — a
-    /// port drop costs its own neighbourhood, not the whole connector.
-    /// `walked` (none for the oracle) spares the walk of a pair that added
-    /// nothing under this very `dead`. Returns every port added to `dead`,
-    /// `frontier` included.
-    fn spread_dead(
-        &self,
-        dead: &mut PortSet,
-        mut frontier: PortSet,
-        mut due: Vec<u32>,
-        mut walked: Option<&mut HashSet<(u32, StateId)>>,
-        walks: &mut u64,
-    ) -> PortSet {
-        let (mut grown, mut next) = (PortSet::new(), Vec::new());
-        while !(due.is_empty() && frontier.is_empty()) {
-            // One merge per round grows the sets; an empty round allocates nothing.
-            if !frontier.is_empty() {
-                *dead = dead.union(&frontier);
-                grown = grown.union(&frontier);
-                walked.iter_mut().for_each(|w| w.clear());
-            }
-            due.extend(frontier.iter().flat_map(|p| self.owners.of(p)).copied());
-            due.sort_unstable();
-            due.dedup();
-            for i in due.drain(..) {
-                let (a, at) = (&self.automata[i as usize], self.states.get(i as usize));
-                let touched = a.ports().iter().any(|p| dead.contains(p));
-                if !touched || !walked.as_mut().is_none_or(|w| w.insert((i, at))) {
-                    continue;
-                }
-                *walks += 1;
-                let local = unsynced_ports(a, at, dead);
-                next.extend(local.iter().filter(|p| !dead.contains(*p)));
-            }
-            frontier = PortSet::from_iter(next.drain(..));
-        }
-        grown
+    /// `(automaton, target)` per participant the last fired step moved.
+    pub(crate) fn fired_moves(&self) -> &[(u32, StateId)] {
+        let step = |(row, at): (Link, usize)| self.cache.row(row).steps[at].step as usize;
+        self.edge.map_or(&[], |edge| &self.steps[step(edge)].moves)
     }
 }
 
@@ -1217,8 +1126,8 @@ mod tests {
     /// registered. A hung-up port that then completes let a dead transition
     /// fire, and the state it leads to may revive a port: `live` below is dead
     /// while the automaton sits in `s0` and alive in `s1`, which only the
-    /// departed `h` leads to. The dead set is rebuilt, not grown (in debug
-    /// builds `refresh_dead` also holds it to the from-scratch analysis).
+    /// departed `h` leads to. The dead bits are rebuilt, not grown (in debug
+    /// builds `Dead::grow` also holds them to the from-scratch analysis).
     #[test]
     fn a_hung_up_port_that_completes_rebuilds_the_dead_set() {
         use reo_automata::automaton::AutomatonBuilder;

@@ -55,6 +55,7 @@
 pub mod analyze;
 pub mod cache;
 pub mod connector;
+mod dead;
 pub mod engine;
 pub mod error;
 pub mod jit;

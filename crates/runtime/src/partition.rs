@@ -995,8 +995,8 @@ impl Partitioned {
             let mut st = ol.shared.state.lock();
             (st.source_dead, st.sink_dead) = (false, false);
             for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
-                let g = guards.get_mut(&r).expect("held above");
-                g.mark_hungup(port, false);
+                let g = &mut **guards.get_mut(&r).expect("held above");
+                g.dead.mark(g.pending.port_map(), &mut g.slots, port, false);
             }
         }
         // Every held engine redoes its hangup analysis against its new link

@@ -12,8 +12,9 @@
 //! its own hold — no fixpoint pass, no latch, nothing read outside a lock.
 //! `schedules::explore` takes a drop through **every** interleaving with a
 //! parked, a timed and a probing receive on a rendezvous, with a buffered
-//! value on its way, with a receiver parked on the far side of a cut link,
-//! and — forwards and backwards — through a chain of two links. On top of
+//! value on its way, two drops against one receive on a merger, with a
+//! receiver parked on the far side of a cut link, and — forwards and
+//! backwards — through a chain of two links. On top of
 //! what `explore` holds for every script (nobody stuck or left un-woken,
 //! every link served, wake counters equal to the parked operations that
 //! were resolved), every answer is the one the eager analysis gives:
@@ -32,7 +33,9 @@
 //! and without the eager branch of `Engine::hangup` a parked receive is
 //! never woken; not raising the peer's event when a flag changes, `serve`
 //! ignoring `sink_dead`, and the drain ignoring the fault each leave a task
-//! stuck in the scripts over links.
+//! stuck in the scripts over links; and with the walk memo of
+//! `crate::dead` kept when deadness grows, the merger's consumer is stuck
+//! ("DEADNESS HAS ONE HOME").
 
 mod schedules;
 
@@ -92,6 +95,35 @@ fn a_drop_after_a_buffered_fifo1_value() {
         // Whatever timed out before, the third receive waits for the value
         // and the fifth for the drop.
         assert!(rx.answers[4].hangup, "after {}", schedule());
+    });
+}
+
+/// Two producers of a `Merger` each send once and leave, one hangup after
+/// the other against the same receive: the first drop leaves the consumer
+/// a live transition, the second kills its port. The analysis grows
+/// deadness from each drop in turn and walks the merger again once more of
+/// it is dead, so the third receive answers `Hangup` exactly when both
+/// drops came before it, parked or not.
+#[test]
+fn two_drops_against_one_parked_receive_on_a_merger() {
+    let build = || {
+        let scripts = [
+            vec![Op::Send(p(0), 1), Op::Hangup(p(0))],
+            vec![Op::Send(p(1), 2), Op::Hangup(p(1))],
+            vec![Op::Recv(p(2)), Op::Recv(p(2)), Op::Recv(p(2))],
+        ];
+        World::new(vec![primitives::merger(&[p(0), p(1)], p(2))], 0, &scripts)
+    };
+    explore("two drops on a Merger", build, |w, schedule| {
+        let rx = &w.tasks[2];
+        let mut got = rx.got.clone();
+        got.sort_unstable();
+        assert_eq!(got, [1, 2], "after {}", schedule());
+        for (i, a) in rx.answers.iter().enumerate() {
+            let dead = !a.ok && a.drops_before == 2;
+            assert_eq!(a.hangup, dead, "receive {i}, after {}", schedule());
+        }
+        assert!(rx.answers[2].hangup, "after {}", schedule());
     });
 }
 
