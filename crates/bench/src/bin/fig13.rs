@@ -76,11 +76,12 @@ fn main() {
                         class.name, class.na, class.nonzer, class.niter
                     );
                     let a = Arc::new(cg::class_matrix(&class));
+                    let reference = cg::sequential::run_on_matrix(&a, &class).zeta;
                     header(&backends);
                     for &n in &ns {
                         print!("{n:>4}  ");
                         for backend in &backends {
-                            let m = measure_cg(&a, &class, n, *backend, timeout);
+                            let m = measure_cg(&a, &class, reference, n, *backend, timeout);
                             print!("{:>24}  ", render(&m));
                             rows.push(Row {
                                 prog,

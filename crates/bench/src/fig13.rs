@@ -52,8 +52,9 @@ pub struct Measurement {
     pub dnf: Option<String>,
     /// Connector steps (0 for the hand-written backend).
     pub steps: u64,
-    /// Whether the run computed the right thing. CG: the zeta check, when
-    /// the class has an official value. LU: agreement with the sequential
+    /// Whether the run computed the right thing. CG: the zeta check when
+    /// the class has an official value, else bitwise agreement with the
+    /// class's sequential zeta. LU: agreement with the sequential
     /// reference of the class ([`lu::LuResult::agrees_with`]).
     pub verified: Option<bool>,
 }
@@ -87,10 +88,15 @@ fn run_guarded<R: Send + 'static>(
     }
 }
 
-/// Measure one CG cell.
+/// Measure one CG cell, and check its zeta: against the official value
+/// when the class has one, else against `reference`, the zeta of the
+/// class's [`cg::sequential::run_on_matrix`], which callers compute once
+/// per class. Parallel CG adds in the sequential order, so the two agree
+/// bit for bit.
 pub fn measure_cg(
     a: &Arc<Csr>,
     class: &CgClass,
+    reference: f64,
     n: usize,
     backend: BackendKind,
     timeout: Duration,
@@ -117,7 +123,11 @@ pub fn measure_cg(
             secs: Some(start.elapsed().as_secs_f64()),
             dnf: None,
             steps: comm.steps(),
-            verified: result.verified,
+            verified: Some(
+                result
+                    .verified
+                    .unwrap_or(result.zeta.to_bits() == reference.to_bits()),
+            ),
         },
         Err(reason) => Measurement {
             secs: None,
@@ -210,9 +220,14 @@ mod tests {
             zeta_verify: None,
         };
         let a = Arc::new(cg::class_matrix(&class));
+        let reference = cg::sequential::run_on_matrix(&a, &class).zeta;
+        let timeout = Duration::from_secs(30);
         for backend in standard_backends() {
-            let m = measure_cg(&a, &class, 2, backend, Duration::from_secs(30));
+            let m = measure_cg(&a, &class, reference, 2, backend, timeout);
             assert!(m.secs.is_some(), "{}: {:?}", backend.label(), m.dnf);
+            assert_eq!(m.verified, Some(true), "{}", backend.label());
+            let wrong = measure_cg(&a, &class, -reference, 2, backend, timeout);
+            assert_eq!(wrong.verified, Some(false), "{}", backend.label());
         }
     }
 
@@ -248,6 +263,7 @@ mod tests {
         let m = measure_cg(
             &a,
             &class,
+            0.0,
             2,
             BackendKind::Reo(Mode::jit()),
             Duration::from_secs(30),

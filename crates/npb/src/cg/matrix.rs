@@ -23,7 +23,8 @@ pub struct Csr {
     pub n: usize,
     /// Row start offsets, length `n + 1`.
     pub rowstr: Vec<usize>,
-    pub colidx: Vec<usize>,
+    /// Column of each nonzero, row by row, sorted within a row.
+    pub colidx: Vec<u32>,
     pub values: Vec<f64>,
 }
 
@@ -32,21 +33,56 @@ impl Csr {
         self.values.len()
     }
 
+    /// Row `row`'s columns and values.
+    fn row(&self, row: usize) -> (&[u32], &[f64]) {
+        let span = self.rowstr[row]..self.rowstr[row + 1];
+        (&self.colidx[span.clone()], &self.values[span])
+    }
+
     /// `y = A·x` over the full matrix.
     pub fn mul(&self, x: &[f64], y: &mut [f64]) {
         self.mul_rows(0, self.n, x, &mut y[..self.n]);
     }
 
     /// `y[0..hi-lo] = (A·x)[lo..hi]` — the row strip a slave owns.
+    ///
+    /// Each row is summed from zero in column order, one add per nonzero,
+    /// so every strip split and every backend gives the same bits. The
+    /// strip is walked two rows at a time: their independent sums overlap,
+    /// and cutting both rows to the shorter one's length leaves only the
+    /// `x[col]` bounds checks in the inner loop. The longer row's tail, and
+    /// an odd strip's last row, are summed alone. On the class-S matrix,
+    /// pinned to one CPU of a 2-vCPU Xeon host, a product took 72 µs one
+    /// row at a time with `usize` columns, 62 µs with `u32` columns, 44 µs
+    /// two rows at a time and 57–60 µs at 3, 4 or 8 rows.
     pub fn mul_rows(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
-        for (out, row) in y.iter_mut().zip(lo..hi) {
-            let mut sum = 0.0;
-            for k in self.rowstr[row]..self.rowstr[row + 1] {
-                sum += self.values[k] * x[self.colidx[k]];
+        let mut outs = y[..hi - lo].chunks_exact_mut(2);
+        for (out, row) in (&mut outs).zip((lo..).step_by(2)) {
+            let (cols0, vals0) = self.row(row);
+            let (cols1, vals1) = self.row(row + 1);
+            let len = cols0.len().min(cols1.len());
+            let head0 = cols0[..len].iter().zip(&vals0[..len]);
+            let head1 = cols1[..len].iter().zip(&vals1[..len]);
+            let (mut sum0, mut sum1) = (0.0, 0.0);
+            for ((&col0, &val0), (&col1, &val1)) in head0.zip(head1) {
+                sum0 += val0 * x[col0 as usize];
+                sum1 += val1 * x[col1 as usize];
             }
-            *out = sum;
+            out[0] = dot(sum0, &cols0[len..], &vals0[len..], x);
+            out[1] = dot(sum1, &cols1[len..], &vals1[len..], x);
+        }
+        if let [out] = outs.into_remainder() {
+            let (cols, vals) = self.row(hi - 1);
+            *out = dot(0.0, cols, vals, x);
         }
     }
+}
+
+/// `sum` plus `vals · x[cols]`, added in order.
+fn dot(sum: f64, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+    cols.iter()
+        .zip(vals)
+        .fold(sum, |sum, (&col, &val)| sum + val * x[col as usize])
 }
 
 /// NPB `sprnvc`: a sparse random vector with `nz` distinct locations.
@@ -121,7 +157,7 @@ pub fn makea(rng: &mut Randlc, n: usize, nonzer: usize, rcond: f64, shift: f64) 
     rowstr.push(0);
     for row in rows {
         for (c, val) in row {
-            colidx.push(c);
+            colidx.push(u32::try_from(c).expect("column fits in u32"));
             values.push(val);
         }
         rowstr.push(colidx.len());
@@ -158,11 +194,11 @@ mod tests {
         let a = tiny_matrix();
         for row in 0..a.n {
             for k in a.rowstr[row]..a.rowstr[row + 1] {
-                let col = a.colidx[k];
+                let col = a.colidx[k] as usize;
                 let v = a.values[k];
                 // Find (col, row).
                 let mirror = (a.rowstr[col]..a.rowstr[col + 1])
-                    .find(|&m| a.colidx[m] == row)
+                    .find(|&m| a.colidx[m] as usize == row)
                     .expect("symmetric pattern");
                 assert!((a.values[mirror] - v).abs() < 1e-12);
             }
@@ -186,10 +222,62 @@ mod tests {
         let a = tiny_matrix();
         for row in 0..a.n {
             assert!(
-                (a.rowstr[row]..a.rowstr[row + 1]).any(|k| a.colidx[k] == row),
+                (a.rowstr[row]..a.rowstr[row + 1]).any(|k| a.colidx[k] as usize == row),
                 "row {row} lost its diagonal"
             );
         }
+    }
+
+    /// The one-row-at-a-time product `mul_rows` must equal bit for bit.
+    fn oracle(a: &Csr, lo: usize, hi: usize, x: &[f64]) -> Vec<f64> {
+        (lo..hi)
+            .map(|row| {
+                let mut sum = 0.0;
+                for k in a.rowstr[row]..a.rowstr[row + 1] {
+                    sum += a.values[k] * x[a.colidx[k] as usize];
+                }
+                sum
+            })
+            .collect()
+    }
+
+    /// A vector spanning seven decades, so that summing a row in another
+    /// order rounds differently.
+    fn spread_vector(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| (i as f64 * 0.7).sin() * 10f64.powi(i as i32 % 7 - 3))
+            .collect()
+    }
+
+    fn assert_bitwise(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}, row {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn every_strip_matches_one_row_at_a_time() {
+        let a = tiny_matrix();
+        let lens: Vec<usize> = a.rowstr.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(lens.iter().any(|&l| l != lens[0]), "rows of unequal length");
+        let x = spread_vector(a.n);
+        for lo in 0..=a.n {
+            for hi in lo..=a.n {
+                let mut y = vec![f64::NAN; hi - lo];
+                a.mul_rows(lo, hi, &x, &mut y);
+                assert_bitwise(&y, &oracle(&a, lo, hi, &x), &format!("strip {lo}..{hi}"));
+            }
+        }
+    }
+
+    #[test]
+    fn class_s_product_matches_one_row_at_a_time() {
+        let a = crate::cg::class_matrix(&crate::CgClass::S);
+        let x = spread_vector(a.n);
+        let mut y = vec![f64::NAN; a.n];
+        a.mul(&x, &mut y);
+        assert_bitwise(&y, &oracle(&a, 0, a.n, &x), "class S");
     }
 
     #[test]

@@ -54,6 +54,7 @@ fn main() {
         steps.steps()
     );
 
+    assert_eq!(seq.verified, Some(true), "class S has an official zeta");
     assert_eq!(seq.zeta.to_bits(), par.zeta.to_bits());
     assert_eq!(seq.zeta.to_bits(), reo.zeta.to_bits());
     println!("ok: all three agree bit-for-bit and verify against NPB");

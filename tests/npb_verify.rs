@@ -67,6 +67,7 @@ fn randlc_stream_feeding_makea_is_stable() {
     assert_eq!(a.n, 1400);
     let nnz = a.nnz();
     // The exact count is a structural fingerprint of the RNG stream.
+    assert_eq!(nnz, 78_148);
     let row0 = &a.colidx[a.rowstr[0]..a.rowstr[1]];
     assert!(row0.contains(&0), "diagonal present in row 0");
     let again = cg::class_matrix(&CgClass::S);
