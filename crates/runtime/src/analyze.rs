@@ -10,9 +10,9 @@
 use reo_automata::{PortId, PortSet, ProductOptions, StateId};
 
 use crate::connector::Connector;
-use crate::engine::PortMap;
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
+use crate::partition::region_port_map;
 
 /// What the analysis found.
 #[derive(Clone, Debug)]
@@ -54,10 +54,10 @@ impl Connector {
         sizes: &[(&str, usize)],
         opts: &ProductOptions,
     ) -> Result<AnalysisReport, RuntimeError> {
-        let (alloc, instance) = self.instantiate(sizes)?;
+        let (_, instance) = self.instantiate(sizes)?;
         let medium_count = instance.automata.len();
         let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-        let ports = PortMap::dense(alloc.port_count());
+        let ports = region_port_map(&instance.automata);
         let core = JitCore::eager(instance.automata, &starts, &ports, opts)?;
 
         let rows: Vec<usize> = core.rows().map(|(_, steps)| steps.len()).collect();

@@ -4,17 +4,18 @@
 //! phaser. A port is *dead* once no step reachable without a dead port
 //! synchronizes it; its operations then answer
 //! [`RuntimeError::Hangup`](crate::RuntimeError::Hangup). That answer is a
-//! `dead` bit in the same slot, grown from what hung up or moved since the
-//! analysis last ran; the engine wakes whom it kills and tells its links.
+//! `dead` bit at the same slot of the port table, grown from what hung up
+//! or moved since the analysis last ran; the engine wakes whom it kills
+//! and tells its links.
 
 use std::collections::HashSet;
 
 use reo_automata::{Automaton, PortId, StateId};
 
-use crate::engine::{PortMap, PortSlot};
+use crate::engine::PendingTable;
 use crate::jit::JitCore;
 
-/// One engine's hangup analysis, besides the bits in its slots.
+/// One engine's hangup analysis, besides the bits in its port table.
 #[derive(Default)]
 pub(crate) struct Dead {
     /// Slots whose `dead` bit is set: while 0, no port needs a lookup.
@@ -28,14 +29,16 @@ pub(crate) struct Dead {
     walked: HashSet<(u32, StateId)>,
     /// The slots the last analysis killed.
     pub(crate) newly: Vec<usize>,
-    /// Walk scratch, reused: a state is seen, a slot marked, at the stamp.
+    /// Walk scratch, reused: a state is seen, a slot marked, at the stamp;
+    /// `sync` holds one transition's slots.
     stamp: u64,
     seen: Vec<u64>,
     marks: Vec<u64>,
     stack: Vec<StateId>,
-    /// The oracle's own analysis and slots, reused from check to check.
+    sync: Vec<usize>,
+    /// The oracle's own analysis and table, reused from check to check.
     #[cfg(debug_assertions)]
-    oracle: Option<Box<(Dead, Vec<PortSlot>)>>,
+    oracle: Option<Box<(Dead, PendingTable)>>,
 }
 
 impl Dead {
@@ -50,11 +53,11 @@ impl Dead {
         self.stale() && (parked > 0 || links)
     }
 
-    /// Mark `p` hung up, or forget that it did (a splice took away the
+    /// Mark slot `i` hung up, or forget that it did (a splice took away the
     /// cause). A new mark is the next analysis's frontier.
-    pub(crate) fn mark(&mut self, map: &PortMap, slots: &mut [PortSlot], p: PortId, on: bool) {
-        if !std::mem::replace(&mut slots[map.slot(p)].hungup, on) && on {
-            self.unseen.push(p);
+    pub(crate) fn mark(&mut self, table: &mut PendingTable, i: usize, on: bool) {
+        if !std::mem::replace(&mut table.slots[i].hungup, on) && on {
+            self.unseen.push(table.port_map().ids()[i]);
         }
     }
 
@@ -69,16 +72,20 @@ impl Dead {
     /// Bring the bits up to date, leaving the slots killed in `newly` and
     /// returning the walks; in debug builds, held to the oracle: the same
     /// analysis from scratch and memo-free, over a table of its own.
-    pub(crate) fn grow(&mut self, core: &JitCore, map: &PortMap, slots: &mut [PortSlot]) -> u64 {
-        let walks = self.spread(core, map, slots, true);
+    pub(crate) fn grow(&mut self, core: &JitCore, table: &mut PendingTable) -> u64 {
+        let walks = self.spread(core, table, true);
         #[cfg(debug_assertions)]
         {
-            let (fresh, own) = &mut **self.oracle.get_or_insert_default();
-            own.resize_with(slots.len(), PortSlot::default);
-            (own.iter_mut().zip(&*slots)).for_each(|(o, s)| o.hungup = s.hungup);
-            fresh.rebuild(map, own);
-            fresh.spread(core, map, own, false);
-            let wrong = own.iter().zip(&*slots).position(|(o, s)| o.dead != s.dead);
+            let map = table.port_map();
+            let new = || Box::new((Dead::default(), PendingTable::new(map.clone())));
+            let (fresh, own) = &mut **self.oracle.get_or_insert_with(new);
+            if own.port_map().ids() != map.ids() {
+                *own = PendingTable::new(map.clone()); // a splice changed the map
+            }
+            (own.slots.iter_mut().zip(&*table.slots)).for_each(|(o, s)| o.hungup = s.hungup);
+            fresh.rebuild(own);
+            fresh.spread(core, own, false);
+            let wrong = (own.dead.iter().zip(&*table.dead)).position(|(o, t)| o != t);
             assert_eq!((wrong, self.count), (None, fresh.count), "the oracle");
         }
         walks
@@ -86,12 +93,12 @@ impl Dead {
 
     /// Start over where deadness may have *shrunk* (a splice, or a dead step
     /// a departed task's stale operation fired): every hung-up port is next.
-    pub(crate) fn rebuild(&mut self, map: &PortMap, slots: &mut [PortSlot]) {
+    pub(crate) fn rebuild(&mut self, table: &mut PendingTable) {
         self.unseen.clear();
-        for (p, slot) in map.iter().zip(slots) {
-            slot.dead = false;
-            self.unseen.extend(slot.hungup.then_some(p));
-        }
+        table.dead.fill(0);
+        let ports = table.port_map().ids().iter().zip(&*table.slots);
+        self.unseen
+            .extend(ports.filter_map(|(&p, s)| s.hungup.then_some(p)));
         self.count = 0;
         self.moved.clear();
         self.walked.clear();
@@ -102,7 +109,7 @@ impl Dead {
     /// global reach, so a port some constituent no longer synchronizes there
     /// is dead. A round kills the frontier, then walks the moved constituents
     /// and the frontier's owners that touch a dead port (`memo`: once each).
-    fn spread(&mut self, core: &JitCore, map: &PortMap, bits: &mut [PortSlot], memo: bool) -> u64 {
+    fn spread(&mut self, core: &JitCore, table: &mut PendingTable, memo: bool) -> u64 {
         let (mut walks, mut due) = (0, std::mem::take(&mut self.moved));
         self.newly.clear();
         while !(due.is_empty() && self.unseen.is_empty()) {
@@ -110,22 +117,23 @@ impl Dead {
                 self.walked.clear();
             }
             for &p in &self.unseen {
-                let slot = map.slot(p);
-                if !std::mem::replace(&mut bits[slot].dead, true) {
+                let i = table.port_map().slot(p);
+                if !table.kill(i) {
                     self.count += 1;
-                    self.newly.push(slot);
+                    self.newly.push(i);
                 }
                 due.extend(core.owners.of(p));
             }
             self.unseen.clear();
             due.sort_unstable();
             due.dedup();
-            for i in due.drain(..) {
-                let (a, at) = (&core.automata[i as usize], core.states.get(i as usize));
-                let touched = a.ports().iter().any(|p| bits[map.slot(p)].dead);
-                if touched && (!memo || self.walked.insert((i, at))) {
+            for c in due.drain(..) {
+                let (a, at) = (&core.automata[c as usize], core.states.get(c as usize));
+                let map = table.port_map();
+                let touched = a.ports().iter().any(|p| table.is_dead(map.slot(p)));
+                if touched && (!memo || self.walked.insert((c, at))) {
                     walks += 1;
-                    self.unsynced(a, at, map, bits);
+                    self.unsynced(a, at, table);
                 }
             }
         }
@@ -134,9 +142,11 @@ impl Dead {
     }
 
     /// Visit the states of `a` reachable from `start` via live transitions,
-    /// marking the ports they synchronize, and add each port of `a` left
+    /// marking the slots they synchronize, and add each port of `a` left
     /// unmarked and not dead yet to the frontier: no firing can involve it.
-    fn unsynced(&mut self, a: &Automaton, start: StateId, map: &PortMap, bits: &[PortSlot]) {
+    /// Each port of a transition is looked up once.
+    fn unsynced(&mut self, a: &Automaton, start: StateId, table: &PendingTable) {
+        let map = table.port_map();
         self.stamp += 1;
         self.seen.resize(self.seen.len().max(a.state_count()), 0);
         self.marks.resize(self.marks.len().max(map.len()), 0);
@@ -144,17 +154,19 @@ impl Dead {
         self.stack.push(start);
         while let Some(s) = self.stack.pop() {
             for t in a.transitions_from(s) {
-                if t.sync.iter().any(|p| bits[map.slot(p)].dead) {
+                self.sync.clear();
+                self.sync.extend(t.sync.iter().map(|p| map.slot(p)));
+                if self.sync.iter().any(|&i| table.is_dead(i)) {
                     continue; // dead transition: requires a departed port
                 }
-                (t.sync.iter()).for_each(|p| self.marks[map.slot(p)] = self.stamp);
+                self.sync.iter().for_each(|&i| self.marks[i] = self.stamp);
                 if std::mem::replace(&mut self.seen[t.target.index()], self.stamp) != self.stamp {
                     self.stack.push(t.target);
                 }
             }
         }
         let ports = a.ports().iter().map(|p| (p, map.slot(p)));
-        let left = ports.filter(|&(_, s)| self.marks[s] != self.stamp && !bits[s].dead);
+        let left = ports.filter(|&(_, i)| self.marks[i] != self.stamp && !table.is_dead(i));
         self.unseen.extend(left.map(|(p, _)| p));
     }
 }

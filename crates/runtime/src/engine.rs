@@ -56,13 +56,11 @@
 //!
 //! An engine only allocates state for the ports it actually serves. Every
 //! engine is one region of a session's partition ([`crate::partition`]),
-//! and gets a [`PortMap::Sparse`] over just that region's ports, so the
-//! pending and waker tables scale with the *region*, not with the whole
-//! connector. The exception is the one region of a session on one engine
-//! that is not reconfigurable: it serves every vertex, through the
-//! identity map [`PortMap::Dense`]. All public and core interfaces keep
-//! speaking global [`PortId`]s; the [`PendingTable`] translates at the
-//! edge.
+//! and gets a [`PortMap`] over just that region's ports, so its one
+//! per-port table scales with the *region*, not with the whole connector.
+//! All public and core interfaces keep speaking global [`PortId`]s; the
+//! [`PendingTable`] translates at the edge, and a port the map lacks
+//! answers [`RuntimeError::Detached`].
 //!
 //! # Example: reading the contention counters
 //!
@@ -112,44 +110,42 @@ pub enum Pending {
     DoneRecv(Value),
 }
 
-/// Which global ports one engine serves, and their dense local slots.
-///
-/// Lookups are identity for [`PortMap::Dense`]; [`PortMap::Sparse`] probes
-/// the offset from its first id (the ports of a region allocated in one
-/// run are all found there), then binary-searches its sorted ids. The
-/// per-engine tables shrink from `port_count` to the region size.
+/// Which global ports one engine serves, and their local slots: a sorted,
+/// deduplicated id list. A lookup probes the offset from the first id (the
+/// ports of a region allocated in one run are all found there, with no read
+/// of the list), then binary-searches. The per-engine table is as long as
+/// the region.
 #[derive(Clone, Debug)]
-pub enum PortMap {
-    /// The identity map over ports `0..n` (one engine, not reconfigurable).
-    Dense(usize),
-    /// A sorted, deduplicated set of global port ids (one region).
-    Sparse(Box<[PortId]>),
+pub struct PortMap {
+    ids: Box<[PortId]>,
+    /// `ids[..run]` are consecutive: each is at its offset from `ids[0]`.
+    run: usize,
 }
 
 impl PortMap {
-    /// Identity map over `0..n`.
-    pub fn dense(n: usize) -> Self {
-        PortMap::Dense(n)
-    }
-
     /// Map over exactly the given ports (sorted and deduplicated here).
-    pub fn sparse(ports: impl IntoIterator<Item = PortId>) -> Self {
+    pub fn new(ports: impl IntoIterator<Item = PortId>) -> Self {
         let mut ids: Vec<PortId> = ports.into_iter().collect();
         ids.sort_unstable_by_key(|p| p.index());
         ids.dedup();
-        PortMap::Sparse(ids.into_boxed_slice())
+        let run = ids.iter().zip(ids.first().map_or(0, |p| p.0)..);
+        let run = run.take_while(|&(p, at)| p.0 == at).count();
+        let ids = ids.into_boxed_slice();
+        PortMap { ids, run }
+    }
+
+    /// Map over the ids `0..n`, for a table outside any session.
+    pub fn dense(n: usize) -> Self {
+        Self::new((0..n as u32).map(PortId))
     }
 
     /// Number of ports served.
     pub fn len(&self) -> usize {
-        match self {
-            PortMap::Dense(n) => *n,
-            PortMap::Sparse(ids) => ids.len(),
-        }
+        self.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ids.is_empty()
     }
 
     /// Local slot of a served port. Panics on a port this engine does not
@@ -160,48 +156,46 @@ impl PortMap {
     }
 
     /// Local slot of a served port, or `None` when this engine does not
-    /// serve `p` — the graceful twin of [`slot`](Self::slot) for callers
-    /// that may legitimately hold a stale port after a reconfiguration
-    /// detached it.
+    /// serve `p` — the graceful twin of [`slot`](Self::slot) for a port
+    /// that no constituent wires, or that a reconfiguration detached.
     #[inline]
     pub fn try_slot(&self, p: PortId) -> Option<usize> {
-        match self {
-            PortMap::Dense(n) => (p.index() < *n).then(|| p.index()),
-            PortMap::Sparse(ids) => {
-                // A port in the run of ids the map starts with is at its offset.
-                let at = p.index().wrapping_sub(ids.first().map_or(0, |q| q.index()));
-                let run = (ids.get(at) == Some(&p)).then_some(at);
-                run.or_else(|| ids.binary_search(&p).ok())
-            }
-        }
+        let at = p
+            .index()
+            .wrapping_sub(self.ids.first().map_or(0, |q| q.index()));
+        let run = (at < self.run).then_some(at);
+        run.or_else(|| self.ids.binary_search(&p).ok())
     }
 
     /// The served global ports, in local slot order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = PortId> + '_> {
-        match self {
-            PortMap::Dense(n) => Box::new((0..*n as u32).map(PortId)),
-            PortMap::Sparse(ids) => Box::new(ids.iter().copied()),
-        }
+    pub fn ids(&self) -> &[PortId] {
+        &self.ids
     }
 }
 
-/// The pending-operation table of one engine, indexed by *global*
-/// [`PortId`] but stored in per-engine local slots (see [`PortMap`]).
-/// The core reads and writes operations through this interface only, so
-/// it stays oblivious to the sharding.
+/// The per-port table of one engine: each served port's `PortSlot` —
+/// its pending operation and its wait state — indexed by *global*
+/// [`PortId`] but stored in local slots (see [`PortMap`]). The core reads
+/// and writes operations through [`get`](Self::get) and [`set`](Self::set)
+/// only, so it stays oblivious to the sharding; the engine resolves a port
+/// once per call and works on its slot.
 ///
 /// The table also keeps the **armed set**: per 64 slots one word of
 /// "holds a `Send`" bits and one of "holds a `Recv`" bits, updated by
-/// every [`set`](Self::set) / [`take`](Self::take). A core resolves each
+/// every change of an operation. A core resolves each
 /// transition's sync set into a [`Need`] once and tests operational
 /// enabledness with [`armed`](Self::armed) — a few word compares at any
 /// boundary width, with no per-step rescan of the ports.
 pub struct PendingTable {
-    ports: Arc<PortMap>,
-    slots: Box<[Pending]>,
+    ports: PortMap,
+    /// In local order; an operation changes by [`replace`](Self::replace) only.
+    pub(crate) slots: Box<[PortSlot]>,
     /// Word `2w` holds the send bits of slots `64w..64w+64`, word `2w + 1`
     /// their receive bits.
     armed: Box<[u64]>,
+    /// One bit per slot: the hangup analysis ([`crate::dead`]) proved the
+    /// port can never fire again. Its walks read these words, not the slots.
+    pub(crate) dead: Box<[u64]>,
 }
 
 /// The operations a transition needs pending before it can fire, as
@@ -214,35 +208,32 @@ pub struct PendingTable {
 pub struct Need(pub(crate) Box<[(u32, u64)]>);
 
 impl PendingTable {
-    pub fn new(ports: Arc<PortMap>) -> Self {
-        let slots = vec![Pending::None; ports.len()].into_boxed_slice();
+    pub fn new(ports: PortMap) -> Self {
+        let slots = (0..ports.len()).map(|_| PortSlot::default()).collect();
         let armed = vec![0; 2 * ports.len().div_ceil(64)].into_boxed_slice();
+        let dead = vec![0; ports.len().div_ceil(64)].into_boxed_slice();
         PendingTable {
             ports,
             slots,
             armed,
+            dead,
         }
     }
 
     #[inline(always)]
     pub fn get(&self, p: PortId) -> &Pending {
-        &self.slots[self.ports.slot(p)]
+        &self.slots[self.ports.slot(p)].op
     }
 
     #[inline(always)]
     pub fn set(&mut self, p: PortId, v: Pending) {
-        self.replace(p, v);
+        self.replace(self.ports.slot(p), v);
     }
 
-    /// Replace the slot with `Pending::None`, returning the old value.
+    /// Replace the operation of local slot `i`, keeping the armed set in
+    /// step: the one place an operation changes.
     #[inline(always)]
-    pub fn take(&mut self, p: PortId) -> Pending {
-        self.replace(p, Pending::None)
-    }
-
-    #[inline(always)]
-    fn replace(&mut self, p: PortId, v: Pending) -> Pending {
-        let i = self.ports.slot(p);
+    pub(crate) fn replace(&mut self, i: usize, v: Pending) -> Pending {
         let (word, bit) = (2 * (i / 64), 1u64 << (i % 64));
         self.armed[word] &= !bit;
         self.armed[word + 1] &= !bit;
@@ -251,7 +242,36 @@ impl PendingTable {
             Pending::Recv => self.armed[word + 1] |= bit,
             _ => {}
         }
-        std::mem::replace(&mut self.slots[i], v)
+        std::mem::replace(&mut self.slots[i].op, v)
+    }
+
+    /// Whether slot `i`'s dead bit is set.
+    #[inline]
+    pub(crate) fn is_dead(&self, i: usize) -> bool {
+        self.dead[i / 64] & 1 << (i % 64) != 0
+    }
+
+    /// Set slot `i`'s dead bit, returning whether it was set already.
+    pub(crate) fn kill(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.dead[i / 64], 1u64 << (i % 64));
+        std::mem::replace(word, *word | bit) & bit != 0
+    }
+
+    /// Swap in a table over `ports`, moving each port both maps serve with
+    /// its whole slot; a port only in the old map is dropped (a splice
+    /// checked it idle first). The dead bits start clear: the splice
+    /// analyses its new core afresh.
+    pub(crate) fn carry(&mut self, ports: PortMap) {
+        let mut next = PendingTable::new(ports);
+        let old = std::mem::take(&mut self.slots).into_vec();
+        for (&p, mut slot) in self.ports.ids().iter().zip(old) {
+            if let Some(i) = next.ports.try_slot(p) {
+                let op = std::mem::take(&mut slot.op);
+                next.slots[i] = slot;
+                next.replace(i, op);
+            }
+        }
+        *self = next;
     }
 
     /// Whether every operation `need` names is pending right now.
@@ -279,7 +299,7 @@ impl PendingTable {
     }
 
     /// The global → local port map this table is sharded by.
-    pub fn port_map(&self) -> &Arc<PortMap> {
+    pub fn port_map(&self) -> &PortMap {
         &self.ports
     }
 }
@@ -364,9 +384,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// The wait state of one served port.
+/// One served port: its pending operation and its wait state.
 #[derive(Default)]
 pub(crate) struct PortSlot {
+    /// Changed only by [`PendingTable::replace`], which keeps the armed set.
+    op: Pending,
     /// Whoever polled this port's operation while it was still pending
     /// parks a `Waker` here; completing the port takes and wakes it. At
     /// most one pending operation exists per port (`PortBusy` otherwise),
@@ -386,8 +408,6 @@ pub(crate) struct PortSlot {
     /// A dropped handle deregistered this port (phaser-style hangup);
     /// `install` carries the mark across a splice with the rest of the slot.
     pub(crate) hungup: bool,
-    /// The hangup analysis ([`crate::dead`]) proved it can never fire again.
-    pub(crate) dead: bool,
 }
 
 /// The wakers one critical section took out of their slots. The first is
@@ -542,10 +562,9 @@ impl LinkEnd {
 
 pub(crate) struct EngineInner {
     pub core: JitCore,
+    /// Each served port's operation and wait state, remapped by `install`.
     pub pending: PendingTable,
     pub store: Store,
-    /// Wait state per local port slot, remapped as one table by `install`.
-    pub(crate) slots: Vec<PortSlot>,
     /// Wake-ups decided in this critical section and not yet delivered.
     wakes: WakeList,
     /// The link end at each local slot; empty on an engine without links.
@@ -565,7 +584,7 @@ pub(crate) struct EngineInner {
     /// Slots holding a waker, counted where one is parked or taken: whether
     /// a hangup has somebody waiting for its consequences.
     parked: usize,
-    /// The hangup analysis of `slots`' marks, brought up to date by [`freshen`](Self::freshen).
+    /// The hangup analysis of the slots' marks, brought up to date by [`freshen`](Self::freshen).
     pub(crate) dead: Dead,
     /// Fault injection ([`Engine::arm_panic_after_steps`]): fired steps
     /// left before a firing panics. `None` (always, outside harnesses) is
@@ -578,7 +597,7 @@ impl EngineInner {
     /// paths: a pending operation polled after close must resolve to
     /// `Closed`, not hang).
     fn wake_all(&mut self) {
-        (0..self.slots.len()).for_each(|slot| self.record_wakes(slot));
+        (0..self.pending.slots.len()).for_each(|i| self.record_wakes(i));
     }
 
     /// What a hold that reads a `dead` bit starts with: the analysis of
@@ -589,26 +608,30 @@ impl EngineInner {
         }
     }
 
-    /// Whether the analysis proved `p` dead: no lookup while no port is.
-    fn is_dead(&self, p: PortId) -> bool {
-        self.dead.count > 0 && self.slots[self.pending.port_map().slot(p)].dead
+    /// The global id of slot `i`, for an error that names it.
+    fn port(&self, i: usize) -> PortId {
+        self.pending.port_map().ids()[i]
+    }
+
+    /// Whether the analysis proved slot `i` dead: no read while no port is.
+    fn is_dead(&self, i: usize) -> bool {
+        self.dead.count > 0 && self.pending.is_dead(i)
     }
 
     /// Bring the `dead` bits up to date ([`Dead::grow`]), wake whom they
     /// kill, and tell each link whether its end here is dead (`sink_dead`,
     /// `source_dead`): a flag that changed raises the peer's event.
     fn refresh_dead(&mut self) {
-        let map = self.pending.port_map();
-        self.stats.hangup_walks += self.dead.grow(&self.core, map, &mut self.slots);
+        self.stats.hangup_walks += self.dead.grow(&self.core, &mut self.pending);
         for i in 0..self.dead.newly.len() {
             self.record_wakes(self.dead.newly[i]);
         }
         if self.dead.newly.is_empty() {
             return;
         }
-        for (slot, end) in self.link_ends.iter().enumerate() {
+        for (i, end) in self.link_ends.iter().enumerate() {
             let Some(end) = end else { continue };
-            let dead = self.slots[slot].dead;
+            let dead = self.pending.is_dead(i);
             let mut st = end.shared.state.lock();
             let (flag, peer) = match end.head {
                 true => (&mut st.sink_dead, LinkEvent::Rearm(end.peer)),
@@ -620,27 +643,26 @@ impl EngineInner {
         }
     }
 
-    /// [`Engine::hangup`] under the lock; `serve` hangs up link ports by it.
-    fn hang_up(&mut self, p: PortId) {
-        if self.closed || self.pending.port_map().try_slot(p).is_none() {
-            return;
-        }
-        (self.dead).mark(self.pending.port_map(), &mut self.slots, p, true);
-        let scan = || self.slots.iter().filter(|s| s.waker.is_some()).count();
+    /// [`Engine::hangup`] of the port at slot `i` under the lock; `serve`
+    /// hangs up link ports by it.
+    fn hang_up(&mut self, i: usize) {
+        self.dead.mark(&mut self.pending, i, true);
+        let slots = &self.pending.slots;
+        let scan = || slots.iter().filter(|s| s.waker.is_some()).count();
         debug_assert_eq!(self.parked, scan(), "the count of slots holding a waker");
         if self.dead.due(self.parked, !self.link_ends.is_empty()) {
             self.refresh_dead();
         }
     }
 
-    /// Serve the link end at `slot` in the hold whose step completed its
-    /// port `p`. A tail moves its delivery into the link queue and re-arms
+    /// Serve the link end at slot `i` in the hold whose step completed its
+    /// port. A tail moves its delivery into the link queue and re-arms
     /// the receive while credit remains; a head pops the acknowledged front
     /// and offers the next — or, its tail dead and the queue now dry, hangs
     /// up: nothing will cross this link again (the end of the fire loop
     /// analyses it). The caller's fire loop goes on from there.
-    fn serve_completed(&mut self, slot: usize, p: PortId) {
-        let end = self.link_ends[slot].as_ref().expect("a link end");
+    fn serve_completed(&mut self, i: usize) {
+        let end = self.link_ends[i].as_ref().expect("a link end");
         let mut st = end.shared.state.lock();
         let mut dried = false;
         if end.head {
@@ -651,7 +673,7 @@ impl EngineInner {
                 self.events.push(LinkEvent::Rearm(end.peer));
             }
         } else {
-            let Pending::DoneRecv(v) = self.pending.take(p) else {
+            let Pending::DoneRecv(v) = self.pending.replace(i, Pending::None) else {
                 unreachable!("a completed link tail holds its delivery");
             };
             st.queue.push_back(v);
@@ -661,16 +683,16 @@ impl EngineInner {
         }
         let next = end.arm(&mut st);
         drop(st);
-        self.pending.set(p, next.unwrap_or_default());
+        self.pending.replace(i, next.unwrap_or_default());
         if dried {
-            (self.dead).mark(self.pending.port_map(), &mut self.slots, p, true);
+            self.dead.mark(&mut self.pending, i, true);
         }
     }
 
-    /// Take the waker parked on local slot `slot`, if any, to be woken
-    /// once the lock is released.
-    fn record_wakes(&mut self, slot: usize) {
-        let s = &mut self.slots[slot];
+    /// Take the waker parked on slot `i`, if any, to be woken once the
+    /// lock is released.
+    fn record_wakes(&mut self, i: usize) {
+        let s = &mut self.pending.slots[i];
         if let Some(w) = s.waker.take() {
             self.parked -= 1;
             s.woken = true;
@@ -685,14 +707,8 @@ impl EngineInner {
 
     /// The end of every poll: an outcome leaves the slot clean, `None`
     /// parks `waker` in it (replacing any staler one).
-    fn park<T>(
-        &mut self,
-        slot: usize,
-        outcome: Option<T>,
-        waker: &Waker,
-        thread: bool,
-    ) -> Option<T> {
-        let s = &mut self.slots[slot];
+    fn park<T>(&mut self, i: usize, outcome: Option<T>, waker: &Waker, thread: bool) -> Option<T> {
+        let s = &mut self.pending.slots[i];
         let woken = std::mem::take(&mut s.woken);
         if outcome.is_none() {
             debug_assert!(!self.dead.stale(), "a waker parks under stale `dead` bits");
@@ -703,9 +719,9 @@ impl EngineInner {
         outcome
     }
 
-    /// The end of every retraction: nobody waits on `slot` any more.
-    fn unpark(&mut self, slot: usize) {
-        let s = &mut self.slots[slot];
+    /// The end of every retraction: nobody waits on slot `i` any more.
+    fn unpark(&mut self, i: usize) {
+        let s = &mut self.pending.slots[i];
         self.parked -= usize::from(s.waker.take().is_some());
         s.woken = false;
     }
@@ -722,14 +738,11 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(core: JitCore, ports: PortMap, store: Store) -> Self {
-        let ports = Arc::new(ports);
-        let n = ports.len();
         Engine {
             inner: Mutex::new(EngineInner {
                 core,
-                pending: PendingTable::new(Arc::clone(&ports)),
+                pending: PendingTable::new(ports),
                 store,
-                slots: (0..n).map(|_| PortSlot::default()).collect(),
                 wakes: WakeList::default(),
                 link_ends: Vec::new(),
                 events: LinkEvents::default(),
@@ -855,7 +868,10 @@ impl Engine {
     /// for it, the analysis (`crate::dead`) runs in this hold and wakes
     /// whom it kills, to [`RuntimeError::Hangup`]. No-op once closed.
     pub fn hangup(&self, p: PortId, events: &mut LinkEvents) {
-        self.firing(events, |inner| inner.hang_up(p))
+        self.firing(events, |inner| match inner.pending.port_map().try_slot(p) {
+            Some(i) if !inner.closed => inner.hang_up(i),
+            _ => {}
+        })
     }
 
     /// This engine's part of a session [`Snapshot`], as region `region`,
@@ -865,13 +881,14 @@ impl Engine {
         let mut inner = self.lock();
         let parked = &mut snap.report.parked;
         let before = parked.len();
-        for (slot, port) in inner.pending.port_map().iter().enumerate() {
-            let kind = match inner.pending.get(port) {
+        let ports = inner.pending.port_map().ids().iter();
+        for (i, (&port, s)) in ports.zip(&*inner.pending.slots).enumerate() {
+            let kind = match s.op {
                 Pending::Send(_) => ParkedKind::Send,
                 Pending::Recv => ParkedKind::Recv,
                 _ => continue,
             };
-            if inner.link_ends.get(slot).is_some_and(Option::is_some) {
+            if inner.link_ends.get(i).is_some_and(Option::is_some) {
                 snap.armed_links.insert(port);
             } else {
                 parked.push(ParkedOp { port, kind, region });
@@ -950,11 +967,10 @@ impl Engine {
                     inner.stats.steps += 1;
                     inner.stats.completions += inner.completed.len() as u64;
                     for i in 0..inner.completed.len() {
-                        let p = inner.completed[i];
-                        let slot = inner.pending.port_map().slot(p);
-                        revived |= inner.slots[slot].hungup;
+                        let slot = inner.pending.port_map().slot(inner.completed[i]);
+                        revived |= inner.pending.slots[slot].hungup;
                         if inner.link_ends.get(slot).is_some_and(Option::is_some) {
-                            inner.serve_completed(slot, p);
+                            inner.serve_completed(slot);
                             inner.stats.batch_moves += u64::from(!moved);
                             inner.stats.batched_values += 1;
                             moved = true;
@@ -976,7 +992,7 @@ impl Engine {
         // what moved, so their parked peers resolve `Hangup` instead of
         // blocking.
         if revived {
-            (inner.dead).rebuild(inner.pending.port_map(), &mut inner.slots);
+            inner.dead.rebuild(&mut inner.pending);
         }
         if fired_any && (inner.dead.count > 0 || inner.dead.stale()) {
             inner.refresh_dead();
@@ -1005,16 +1021,16 @@ impl Engine {
         Ok(())
     }
 
-    /// Register a send on an open engine that serves `p` and fire what it
+    /// Register a send at slot `i` of an open engine and fire what it
     /// enables.
-    fn arm_send(&self, inner: &mut EngineInner, p: PortId, v: Value) -> Result<(), RuntimeError> {
-        if !matches!(inner.pending.get(p), Pending::None) {
-            return Err(RuntimeError::PortBusy(p));
+    fn arm_send(&self, inner: &mut EngineInner, i: usize, v: Value) -> Result<(), RuntimeError> {
+        if !matches!(inner.pending.slots[i].op, Pending::None) {
+            return Err(RuntimeError::PortBusy(inner.port(i)));
         }
-        if inner.is_dead(p) {
-            return Err(RuntimeError::Hangup(p));
+        if inner.is_dead(i) {
+            return Err(RuntimeError::Hangup(inner.port(i)));
         }
-        inner.pending.set(p, Pending::Send(v));
+        inner.pending.replace(i, Pending::Send(v));
         self.fire_loop(inner);
         Ok(())
     }
@@ -1031,22 +1047,21 @@ impl Engine {
     /// an empty slot.
     ///
     /// [`abandon_recv`]: Engine::abandon_recv
-    fn arm_recv(&self, inner: &mut EngineInner, p: PortId) -> Result<(), RuntimeError> {
-        match inner.pending.get(p) {
+    fn arm_recv(&self, inner: &mut EngineInner, i: usize) -> Result<(), RuntimeError> {
+        match inner.pending.slots[i].op {
             Pending::None => {
-                if inner.is_dead(p) {
-                    return Err(RuntimeError::Hangup(p));
+                if inner.is_dead(i) {
+                    return Err(RuntimeError::Hangup(inner.port(i)));
                 }
-                inner.pending.set(p, Pending::Recv)
+                inner.pending.replace(i, Pending::Recv);
             }
             Pending::DoneRecv(_) => {
-                let slot = inner.pending.port_map().slot(p);
-                if !std::mem::take(&mut inner.slots[slot].abandoned) {
-                    return Err(RuntimeError::PortBusy(p));
+                if !std::mem::take(&mut inner.pending.slots[i].abandoned) {
+                    return Err(RuntimeError::PortBusy(inner.port(i)));
                 }
                 return Ok(()); // abandoned delivery: settled right away
             }
-            _ => return Err(RuntimeError::PortBusy(p)),
+            _ => return Err(RuntimeError::PortBusy(inner.port(i))),
         }
         self.fire_loop(inner);
         Ok(())
@@ -1055,35 +1070,35 @@ impl Engine {
     /// The outcome of a registered send, once it has one: completed, or
     /// failed by poison, close or hangup. Shared by polling and retraction
     /// so the two cannot drift apart.
-    fn settle_send(inner: &mut EngineInner, p: PortId) -> Option<Result<(), RuntimeError>> {
-        if matches!(inner.pending.get(p), Pending::DoneSend) {
-            inner.pending.set(p, Pending::None);
+    fn settle_send(inner: &mut EngineInner, i: usize) -> Option<Result<(), RuntimeError>> {
+        if matches!(inner.pending.slots[i].op, Pending::DoneSend) {
+            inner.pending.replace(i, Pending::None);
             return Some(Ok(()));
         }
-        Self::settle_failed(inner, p).map(Err)
+        Self::settle_failed(inner, i).map(Err)
     }
 
     /// Recv twin of [`Engine::settle_send`].
-    fn settle_recv(inner: &mut EngineInner, p: PortId) -> Option<Result<Value, RuntimeError>> {
-        if matches!(inner.pending.get(p), Pending::DoneRecv(_)) {
-            let Pending::DoneRecv(v) = inner.pending.take(p) else {
+    fn settle_recv(inner: &mut EngineInner, i: usize) -> Option<Result<Value, RuntimeError>> {
+        if matches!(inner.pending.slots[i].op, Pending::DoneRecv(_)) {
+            let Pending::DoneRecv(v) = inner.pending.replace(i, Pending::None) else {
                 unreachable!("matched above");
             };
             return Some(Ok(v));
         }
-        Self::settle_failed(inner, p).map(Err)
+        Self::settle_failed(inner, i).map(Err)
     }
 
-    /// Why a still-incomplete operation at `p` never will complete, if so.
-    fn settle_failed(inner: &mut EngineInner, p: PortId) -> Option<RuntimeError> {
+    /// Why a still-incomplete operation at slot `i` never will complete, if so.
+    fn settle_failed(inner: &mut EngineInner, i: usize) -> Option<RuntimeError> {
         if let Err(e) = Self::check_open(inner) {
             return Some(e);
         }
-        if inner.is_dead(p) {
+        if inner.is_dead(i) {
             // A peer hung up and no reachable transition can ever complete
             // this operation: retract it and report it.
-            inner.pending.set(p, Pending::None);
-            return Some(RuntimeError::Hangup(p));
+            inner.pending.replace(i, Pending::None);
+            return Some(RuntimeError::Hangup(inner.port(i)));
         }
         None
     }
@@ -1112,8 +1127,8 @@ impl Engine {
         thread: bool,
         events: &mut LinkEvents,
     ) -> Option<Result<(), RuntimeError>> {
-        let arm = |inner: &mut EngineInner| match value.take() {
-            Some(v) => Self::check_open(inner).and_then(|()| self.arm_send(inner, p, v)),
+        let arm = |inner: &mut EngineInner, i| match value.take() {
+            Some(v) => Self::check_open(inner).and_then(|()| self.arm_send(inner, i, v)),
             None => Ok(()),
         };
         self.poll(p, arm, Self::settle_send, waker, thread, events)
@@ -1133,9 +1148,9 @@ impl Engine {
         thread: bool,
         events: &mut LinkEvents,
     ) -> Option<Result<Value, RuntimeError>> {
-        let arm = |inner: &mut EngineInner| {
+        let arm = |inner: &mut EngineInner, i| {
             if !*registered {
-                Self::check_open(inner).and_then(|()| self.arm_recv(inner, p))?;
+                Self::check_open(inner).and_then(|()| self.arm_recv(inner, i))?;
                 *registered = true;
             }
             Ok(())
@@ -1143,28 +1158,27 @@ impl Engine {
         self.poll(p, arm, Self::settle_recv, waker, thread, events)
     }
 
-    /// What the two polls share: register if that is still to do, settle,
-    /// and park the waker if there is no outcome yet.
+    /// What the two polls share: resolve the port, register if that is
+    /// still to do, settle, and park the waker if there is no outcome yet.
     fn poll<T>(
         &self,
         p: PortId,
-        arm: impl FnOnce(&mut EngineInner) -> Result<(), RuntimeError>,
-        settle: impl FnOnce(&mut EngineInner, PortId) -> Option<Result<T, RuntimeError>>,
+        arm: impl FnOnce(&mut EngineInner, usize) -> Result<(), RuntimeError>,
+        settle: impl FnOnce(&mut EngineInner, usize) -> Option<Result<T, RuntimeError>>,
         waker: &Waker,
         thread: bool,
         events: &mut LinkEvents,
     ) -> Option<Result<T, RuntimeError>> {
         self.firing(events, |inner| {
-            // A port this engine no longer serves was spliced out.
-            let Some(slot) = inner.pending.port_map().try_slot(p) else {
+            let Some(i) = inner.pending.port_map().try_slot(p) else {
                 return Some(Err(RuntimeError::Detached(p)));
             };
             inner.freshen();
-            if let Err(e) = arm(inner) {
+            if let Err(e) = arm(inner, i) {
                 return Some(Err(e));
             }
-            let outcome = settle(inner, p);
-            inner.park(slot, outcome, waker, thread)
+            let outcome = settle(inner, i);
+            inner.park(i, outcome, waker, thread)
         })
     }
 
@@ -1191,16 +1205,16 @@ impl Engine {
     fn retract<T>(
         &self,
         p: PortId,
-        settle: impl FnOnce(&mut EngineInner, PortId) -> Option<Result<T, RuntimeError>>,
+        settle: impl FnOnce(&mut EngineInner, usize) -> Option<Result<T, RuntimeError>>,
     ) -> Result<T, RuntimeError> {
         let mut inner = self.lock();
-        let Some(slot) = inner.pending.port_map().try_slot(p) else {
+        let Some(i) = inner.pending.port_map().try_slot(p) else {
             return Err(RuntimeError::Detached(p));
         };
-        inner.unpark(slot);
+        inner.unpark(i);
         inner.freshen();
-        settle(&mut inner, p).unwrap_or_else(|| {
-            inner.pending.set(p, Pending::None);
+        settle(&mut inner, i).unwrap_or_else(|| {
+            inner.pending.replace(i, Pending::None);
             Err(RuntimeError::Timeout)
         })
     }
@@ -1216,17 +1230,17 @@ impl Engine {
     /// [`poll_recv`]: Engine::poll_recv
     pub fn abandon_recv(&self, p: PortId) {
         let mut inner = self.lock();
-        let Some(slot) = inner.pending.port_map().try_slot(p) else {
-            return; // detached by a reconfiguration: nothing to retract
+        let Some(i) = inner.pending.port_map().try_slot(p) else {
+            return; // not served: nothing to retract
         };
-        match inner.pending.get(p) {
-            Pending::Recv => inner.pending.set(p, Pending::None),
+        match inner.pending.slots[i].op {
+            Pending::Recv => _ = inner.pending.replace(i, Pending::None),
             // Mark the parked delivery orphaned so the next registration
             // may absorb it.
-            Pending::DoneRecv(_) => inner.slots[slot].abandoned = true,
+            Pending::DoneRecv(_) => inner.pending.slots[i].abandoned = true,
             _ => {}
         }
-        inner.unpark(slot);
+        inner.unpark(i);
     }
 
     /// Serve one link event in a hold of its own — the cross-region half
@@ -1248,10 +1262,10 @@ impl Engine {
         };
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let Some(slot) = inner.pending.port_map().try_slot(p) else {
+        let Some(i) = inner.pending.port_map().try_slot(p) else {
             return;
         };
-        let end = match inner.link_ends.get(slot) {
+        let end = match inner.link_ends.get(i) {
             Some(Some(end)) if end.head == head && !inner.closed => end,
             _ => return,
         };
@@ -1260,13 +1274,13 @@ impl Engine {
             true => st.source_dead && st.queue.is_empty(),
             false => st.sink_dead,
         };
-        let idle = !gone && matches!(inner.pending.get(p), Pending::None);
+        let idle = !gone && matches!(inner.pending.slots[i].op, Pending::None);
         let arm = idle.then(|| end.arm(&mut st)).flatten();
         drop(st);
         if gone {
-            inner.hang_up(p);
+            inner.hang_up(i);
         } else if let Some(op) = arm {
-            inner.pending.set(p, op);
+            inner.pending.replace(i, op);
             self.fire_loop(inner);
         }
         inner.events.drain_into(events);
@@ -1291,15 +1305,16 @@ impl Engine {
         removed: &[PortId],
     ) -> Result<(), RuntimeError> {
         for &p in removed {
-            let Some(slot) = inner.pending.port_map().try_slot(p) else {
+            let Some(i) = inner.pending.port_map().try_slot(p) else {
                 continue; // not served here: nothing to check
             };
-            if !matches!(inner.pending.get(p), Pending::None) {
+            let slot = &inner.pending.slots[i];
+            if !matches!(slot.op, Pending::None) {
                 return Err(RuntimeError::Reconfig(format!(
                     "port {p} of the detaching branch has a pending operation"
                 )));
             }
-            if inner.slots[slot].waker.is_some() {
+            if slot.waker.is_some() {
                 return Err(RuntimeError::Reconfig(format!(
                     "port {p} of the detaching branch has a blocked task"
                 )));
@@ -1322,12 +1337,12 @@ impl Engine {
     }
 
     /// Splice a held engine: swap in the `recomposed` core and port map, if
-    /// its members changed, carrying pending operations and each port's
-    /// [`PortSlot`] **per global port** so blocked tasks survive the slot
-    /// renumbering; rebuild the link-end table from `ends`; grow the store
-    /// to `layout` (new constituents bring fresh cells, surviving cells
-    /// never move). Ports only in the old map must have passed
-    /// [`removal_quiescent`](Self::removal_quiescent).
+    /// its members changed, moving each port's [`PortSlot`] — its pending
+    /// operation and wait state — **per global port** so blocked tasks
+    /// survive the slot renumbering; rebuild the link-end table from
+    /// `ends`; grow the store to `layout` (new constituents bring fresh
+    /// cells, surviving cells never move). Ports only in the old map must
+    /// have passed [`removal_quiescent`](Self::removal_quiescent).
     /// Fires whatever the core enables and wakes every parked waker —
     /// under the lock, see `deliver_under_lock` — so every pending
     /// operation is polled again, against the new tables. What that firing
@@ -1342,20 +1357,7 @@ impl Engine {
         events: &mut LinkEvents,
     ) {
         if let Some((core, ports)) = recomposed {
-            let new_ports = Arc::new(ports);
-            let mut pending = PendingTable::new(Arc::clone(&new_ports));
-            let mut slots: Vec<PortSlot> =
-                (0..new_ports.len()).map(|_| PortSlot::default()).collect();
-            let old_ports = Arc::clone(inner.pending.port_map());
-            for (old_slot, p) in old_ports.iter().enumerate() {
-                let Some(new_slot) = new_ports.try_slot(p) else {
-                    continue; // removed port: verified idle by the caller
-                };
-                pending.set(p, inner.pending.take(p));
-                std::mem::swap(&mut slots[new_slot], &mut inner.slots[old_slot]);
-            }
-            inner.pending = pending;
-            inner.slots = slots;
+            inner.pending.carry(ports);
             inner.core = core;
         }
         Self::set_link_ends(inner, ends);
@@ -1364,7 +1366,7 @@ impl Engine {
         // (new) core and state, so recompute the bits — a splice can revive
         // a port (a fresh branch replaces a departed peer) or kill one (its
         // last live transition left with a branch).
-        (inner.dead).rebuild(inner.pending.port_map(), &mut inner.slots);
+        inner.dead.rebuild(&mut inner.pending);
         inner.refresh_dead();
         self.fire_loop(inner);
         inner.wake_all();
@@ -1475,7 +1477,7 @@ mod tests {
         // The same fifo behaviour, but through a sparse map over global
         // ids {3, 17} — the allocation is 2 slots, not 18.
         let aut = primitives::fifo1(PortId(3), PortId(17), reo_automata::MemId(0));
-        let map = PortMap::sparse([PortId(17), PortId(3)]);
+        let map = PortMap::new([PortId(17), PortId(3)]);
         assert_eq!(map.len(), 2);
         assert_eq!(map.slot(PortId(3)), 0);
         assert_eq!(map.slot(PortId(17)), 1);
@@ -1631,7 +1633,7 @@ mod tests {
             e2.recv(PortId(3))
         });
         // Wait until the B-receiver is actually blocked.
-        while eng.lock().slots[3].waker.is_none() {
+        while eng.lock().pending.slots[3].waker.is_none() {
             std::thread::yield_now();
         }
         let before = eng.stats();
@@ -1664,6 +1666,7 @@ mod tests {
             .collect();
         while eng
             .lock()
+            .pending
             .slots
             .iter()
             .filter(|s| s.waker.is_some())

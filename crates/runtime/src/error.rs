@@ -61,9 +61,8 @@ pub enum RuntimeError {
         expected: &'static str,
         found: reo_automata::Value,
     },
-    /// The operation named a port whose branch has been detached from the
-    /// connector by a reconfiguration (or the engine no longer serves it
-    /// after a splice).
+    /// The operation named a port that no engine of the session serves:
+    /// no constituent wires it, or a reconfiguration detached its branch.
     Detached(reo_automata::PortId),
     /// Another attach/detach is currently splicing this session; retry
     /// after it finishes. Reconfigurations are serialized per session.
@@ -131,9 +130,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::TypeMismatch { expected, found } => {
                 write!(f, "typed receive expected {expected}, got {found}")
             }
-            RuntimeError::Detached(p) => {
-                write!(f, "port {p} was detached by a reconfiguration")
-            }
+            RuntimeError::Detached(p) => write!(
+                f,
+                "port {p} is not served by this session: never wired, or detached by a reconfiguration"
+            ),
             RuntimeError::ReconfigInFlight => {
                 write!(f, "another reconfiguration is in flight; retry")
             }

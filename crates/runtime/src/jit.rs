@@ -687,7 +687,6 @@ mod tests {
     fn a_need_from_the_role_table_is_the_need_of_the_label() {
         use crate::connector::{Connector, Limits, Mode};
         use crate::partition::Partitioned;
-        use std::sync::Arc;
 
         let mut families = reo_connectors::families();
         families.extend([
@@ -717,11 +716,11 @@ mod tests {
                     let parts = parts.downcast_ref::<Partitioned>().unwrap();
                     for engine in &parts.topo().engines {
                         let mut inner = engine.lock();
-                        let map = Arc::clone(inner.pending.port_map());
+                        let map = inner.pending.port_map().clone();
                         let mut store = inner.store.clone();
                         let core = &mut inner.core;
                         let (inputs, outputs) = (core.inputs.clone(), core.outputs.clone());
-                        let mut pending = PendingTable::new(Arc::clone(&map));
+                        let mut pending = PendingTable::new(map.clone());
                         for _ in 0..8 {
                             for p in inputs.iter() {
                                 pending.set(p, Pending::Send(Value::Int(1)));
@@ -765,7 +764,6 @@ mod tests {
     fn a_watch_never_hides_an_enabled_entry() {
         use crate::connector::Limits;
         use reo_core::{compile, instantiate, Binding};
-        use std::sync::Arc;
 
         let mut connectors = Vec::new();
         for family in reo_connectors::families() {
@@ -807,8 +805,8 @@ mod tests {
             filled += 1;
             let links: Vec<Link> = core.cache.resident().collect();
             links.iter().for_each(|&link| core.watch(link, &ports));
-            let nothing = PendingTable::new(Arc::new(ports.clone()));
-            let mut pending = PendingTable::new(Arc::new(ports));
+            let nothing = PendingTable::new(ports.clone());
+            let mut pending = PendingTable::new(ports);
             let need = |entry: &Entry| &core.steps[entry.step as usize].need;
             for link in links {
                 let row = core.cache.row(link);
@@ -948,7 +946,7 @@ mod tests {
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
         let mut core = JitCore::new(autos, 1 << 20);
-        let mut pending = PendingTable::new(std::sync::Arc::new(PortMap::dense(4)));
+        let mut pending = PendingTable::new(PortMap::dense(4));
         let mut store = Store::new(&MemLayout::cells(2));
         pending.set(p(0), Pending::Send(Value::Int(1)));
         let fired = core.try_step(&mut pending, &mut store, &mut Vec::new());
@@ -1066,7 +1064,7 @@ mod tests {
         assert_eq!((stats.resident, stats.steps, stats.misses), (2, 2, 0));
         assert_eq!(core.constituent_states(), starts);
 
-        let mut pending = PendingTable::new(std::sync::Arc::new(ports));
+        let mut pending = PendingTable::new(ports);
         let mut store = Store::new(&MemLayout::cells(1));
         store.push(MemId(0), Value::Int(4));
         let mut step = |core: &mut JitCore, port: u32, op: Pending| {

@@ -241,10 +241,9 @@ impl Topology {
 
     /// Which engine serves port `p` (boundary ports of cut links route to
     /// the engine that owns the surviving side). A port this topology does
-    /// not route (detached by a splice) falls back to an arbitrary engine,
-    /// whose port map then rejects the operation with
-    /// [`RuntimeError::Detached`] — detached handles fail, they don't
-    /// panic.
+    /// not route (never wired, or detached by a splice) falls back to an
+    /// arbitrary engine, whose port map then rejects the operation with
+    /// [`RuntimeError::Detached`] — such handles fail, they don't panic.
     pub fn engine_for(&self, p: PortId) -> &Arc<Engine> {
         &self.engines[self.region_of(p).unwrap_or(0)]
     }
@@ -296,9 +295,6 @@ struct Plan {
     automaton_region: Vec<Option<usize>>,
     links: Vec<LinkSpec>,
     router: Vec<u32>,
-    /// The one region serves every vertex through the identity map
-    /// ([`PortMap::Dense`]) instead of a sparse map of its own ports.
-    dense: bool,
 }
 
 /// [`partition_with_opts`] under [`crate::Mode::partitioned`]: a JIT core
@@ -321,7 +317,7 @@ pub fn partition(
 
 /// Build the engines of a session over `automata`: one per region of the
 /// plan `mode` makes (`plan_partition`), connected by queue links, each
-/// with the port map the plan chose. `mode` also selects how each
+/// with the port map of its own constituents. `mode` also selects how each
 /// region's core fills its rows (`connector::core_for`); `port_count`
 /// sizes the port router (ports beyond it still route: the table grows).
 pub fn partition_with_opts(
@@ -332,7 +328,7 @@ pub fn partition_with_opts(
     limits: Limits,
     reconfigurable: bool,
 ) -> Result<Partitioned, RuntimeError> {
-    let plan = plan_partition(&automata, port_count, mode, reconfigurable);
+    let plan = plan_partition(&automata, port_count, mode);
     let links: Vec<Link> = plan
         .links
         .iter()
@@ -347,11 +343,7 @@ pub fn partition_with_opts(
     for (r, members) in plan.regions.iter().enumerate() {
         let place = |&i: &usize| unplaced[i].take().expect("one region per constituent");
         let autos: Vec<Automaton> = members.iter().map(place).collect();
-        let ports = if plan.dense {
-            PortMap::dense(port_count)
-        } else {
-            region_port_map(&autos)
-        };
+        let ports = region_port_map(&autos);
         let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
         let core = core_for(mode, &limits, autos, &starts, &ports)?;
         engines.push(new_region_engine(core, ports, mem_layout, &links, r));
@@ -391,29 +383,24 @@ fn new_region_engine(
     Arc::new(engine)
 }
 
-/// Sparse port map over a region's automata (its own ports only).
-fn region_port_map(autos: &[Automaton]) -> PortMap {
-    PortMap::sparse(autos.iter().flat_map(|a| a.ports().iter()))
+/// The port map over a region's automata (its own ports only).
+pub(crate) fn region_port_map(autos: &[Automaton]) -> PortMap {
+    PortMap::new(autos.iter().flat_map(|a| a.ports().iter()))
 }
 
 /// The structural half of partitioning, and the one place a [`Placement`]
-/// decides anything: the regions, the cut queues as links, the port router
-/// (at least `port_count` entries) and the port maps.
+/// decides anything: the regions, the cut queues as links and the port
+/// router (at least `port_count` entries).
 /// [`Placement::Single`] and [`Mode::Existing`] plan one region holding
-/// every constituent in instantiation order, with no links, on the dense
-/// map unless the session is `reconfigurable` — a reconfigurable session's
-/// map stays sparse, so a detached port is *unknown* to its engine
-/// ([`RuntimeError::Detached`]) rather than a silent dead slot.
+/// every constituent in instantiation order, with no links;
 /// [`Placement::Partitioned`] plans the synchronous regions
-/// ([`synchronous_regions`]), each sharded to its own ports. Pure — no
+/// ([`synchronous_regions`]). Either way each region is sharded to its own
+/// ports ([`region_port_map`]), so a port no constituent wires, or one a
+/// splice detached, is *unknown* to every engine
+/// ([`RuntimeError::Detached`]) rather than a silent dead slot. Pure — no
 /// engines are built, so the splice path can re-plan a changed
 /// constituent list and diff the result against the live topology.
-fn plan_partition(
-    automata: &[Automaton],
-    port_count: usize,
-    mode: Mode,
-    reconfigurable: bool,
-) -> Plan {
+fn plan_partition(automata: &[Automaton], port_count: usize, mode: Mode) -> Plan {
     let n = automata.len();
     let mut plan = match mode {
         Mode::Existing
@@ -425,7 +412,6 @@ fn plan_partition(
             automaton_region: vec![Some(0); n],
             links: Vec::new(),
             router: Vec::new(),
-            dense: !reconfigurable,
         },
         Mode::New {
             placement: Placement::Partitioned,
@@ -546,7 +532,6 @@ fn synchronous_regions(automata: &[Automaton]) -> Plan {
         automaton_region,
         links,
         router: Vec::new(),
-        dense: false,
     }
 }
 
@@ -801,7 +786,7 @@ impl Partitioned {
             return Err(RuntimeError::NotReconfigurable);
         };
         let old = self.topo();
-        let plan = plan_partition(new_automata, old.router.len(), self.mode, true);
+        let plan = plan_partition(new_automata, old.router.len(), self.mode);
 
         // Kept constituents must keep their role: a queue that was a cut
         // link cannot re-enter a region mid-flight (its values live in
@@ -996,7 +981,8 @@ impl Partitioned {
             (st.source_dead, st.sink_dead) = (false, false);
             for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
                 let g = &mut **guards.get_mut(&r).expect("held above");
-                g.dead.mark(g.pending.port_map(), &mut g.slots, port, false);
+                let i = g.pending.port_map().slot(port);
+                g.dead.mark(&mut g.pending, i, false);
             }
         }
         // Every held engine redoes its hangup analysis against its new link

@@ -42,15 +42,15 @@
 //! assert!(run.firings > 0 && run.ops >= run.firings);
 //! ```
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reo_automata::{PortId, PortSet, StateId, Store, Value};
 use reo_core::Program;
 
 use crate::connector::{core_for, Connector, Limits, Mode};
-use crate::engine::{Pending, PendingTable, PortMap};
+use crate::engine::{Pending, PendingTable};
 use crate::error::RuntimeError;
+use crate::partition::region_port_map;
 
 /// The two modes the repo benchmark's `stepping` cells name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,17 +104,17 @@ pub fn stepping_run(
 ) -> Result<SteppingRun, RuntimeError> {
     let mode = mode.into();
     let connector = Connector::builder(program, def).mode(mode).build()?;
-    let (alloc, mut instance) = connector.instantiate(sizes)?;
+    let (_, mut instance) = connector.instantiate(sizes)?;
     if mode == Mode::Existing {
         instance = instance.monolithic(&limits.product)?;
     }
     let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-    let ports = PortMap::dense(alloc.port_count());
+    let ports = region_port_map(&instance.automata);
     let mut core = core_for(mode, &limits, instance.automata, &starts, &ports)?;
 
     let inputs: PortSet = core.boundary_inputs().clone();
     let outputs: PortSet = core.boundary_outputs().clone();
-    let mut pending = PendingTable::new(Arc::new(ports));
+    let mut pending = PendingTable::new(ports);
     let mut store = Store::new(&instance.mem_layout);
     let mut completed: Vec<PortId> = Vec::new();
 

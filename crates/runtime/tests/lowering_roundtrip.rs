@@ -10,8 +10,6 @@
 //! event trace — same ports completed in the same order with the same
 //! values — and the identical final store.
 
-use std::sync::Arc;
-
 use reo_automata::fire::try_fire;
 use reo_automata::{
     primitives, Automaton, MemId, MemLayout, PortId, PortSet, Pred, StateId, Store, Value,
@@ -97,7 +95,7 @@ fn drive(
     port_count: usize,
     layout: &MemLayout,
 ) -> (Vec<Event>, Store) {
-    let mut pending = PendingTable::new(Arc::new(PortMap::dense(port_count)));
+    let mut pending = PendingTable::new(PortMap::dense(port_count));
     let mut store = Store::new(layout);
     let mut completed: Vec<PortId> = Vec::new();
     let mut trace = Vec::new();
@@ -328,7 +326,7 @@ fn unencodable_automaton_is_a_typed_error() {
     let aut = b.build();
 
     let mut jit = JitCore::new(vec![aut], 1 << 20);
-    let mut pending = PendingTable::new(Arc::new(PortMap::dense(1)));
+    let mut pending = PendingTable::new(PortMap::dense(1));
     let mut store = Store::new(&MemLayout::cells(1));
     // A step is lowered when first tried: arm its send.
     pending.set(p(0), Pending::Send(Value::Int(1)));

@@ -26,7 +26,6 @@
 mod steps;
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use reo::automata::{
     product_all_traced, Automaton, MemLayout, PortId, PortOwners, ProductOptions, StateId, Store,
@@ -51,7 +50,7 @@ fn drive(core: &mut JitCore, ports: &PortMap, layout: &MemLayout) -> Vec<Result<
         core.boundary_inputs().clone(),
         core.boundary_outputs().clone(),
     );
-    let mut pending = PendingTable::new(Arc::new(ports.clone()));
+    let mut pending = PendingTable::new(ports.clone());
     let mut store = Store::new(layout);
     let mut completed: Vec<PortId> = Vec::new();
     let (mut log, mut next) = (Vec::new(), 0i64);

@@ -685,6 +685,39 @@ fn a_receive_parked_across_a_one_region_splice_is_served() {
     }
 }
 
+/// A splice carries each port's whole slot into the region's new table: a
+/// delivery that a dropped receive future left parked on the merger's
+/// consumer — an abandoned `DoneRecv` — crosses an `attach` that rebuilds
+/// the region's core and port table, and the next receive absorbs it
+/// exactly once.
+#[test]
+fn an_abandoned_delivery_crosses_a_splice_exactly_once() {
+    for (label, mode) in Mode::grid_subset(&["jit", "part"]) {
+        let (mut session, handle) = connect_merger(MERGER, mode, 1);
+        let tx = session.outports("src").unwrap().remove(0);
+        let rx = session.typed_inport::<i64>("c").unwrap();
+        let mut fut = Box::pin(rx.recv_async());
+        let mut cx = Context::from_waker(Waker::noop());
+        let first = std::future::Future::poll(fut.as_mut(), &mut cx);
+        assert!(first.is_pending(), "{label}");
+        tx.send(Value::Int(7)).unwrap(); // its hold commits the delivery to `c`
+        drop(fut); // abandoned: the delivery stays parked in `c`'s slot
+
+        let mut branch = handle
+            .attach("src")
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(rx.recv().unwrap(), 7, "{label}: the parked delivery");
+        branch.outport().unwrap().send(Value::Int(8)).unwrap();
+        assert_eq!(
+            rx.recv().unwrap(),
+            8,
+            "{label}: the parked delivery came twice"
+        );
+        assert!(matches!(rx.try_recv(), Ok(None)), "{label}");
+        handle.close();
+    }
+}
+
 /// The merger is re-shaped by the attach and the `Sync` beside it is not:
 /// the partitioned modes plan them as two regions, so no region has one
 /// member before and after and no link borders the merger's. It is still

@@ -366,6 +366,47 @@ fn try_recv_on_closed_connector_returns_closed_not_a_hang() {
     ));
 }
 
+/// A port that no constituent wires is served by no engine, so every call
+/// on it answers [`RuntimeError::Detached`] at once — in every mode, fixed
+/// or reconfigurable — not a timeout, an empty probe or a hang.
+#[test]
+fn an_unwired_port_answers_detached_at_once_in_every_mode() {
+    let program = reo::dsl::parse_program("Oops(a,a2;b1,b2) = Sync(a;b1)").unwrap();
+    let patience = Duration::from_secs(2);
+    for &(label, mode) in Mode::grid() {
+        for reconfigurable in [false, true] {
+            let connector = Connector::builder(&program, "Oops")
+                .mode(mode)
+                .build()
+                .unwrap();
+            let spec = connector.session();
+            let spec = if reconfigurable {
+                spec.reconfigurable()
+            } else {
+                spec
+            };
+            let mut session = spec.connect().unwrap();
+            let tx = session.typed_outport::<i64>("a2").unwrap();
+            let rx = session.typed_inport::<i64>("b2").unwrap();
+            let at = format!("{label}, reconfigurable: {reconfigurable}");
+            let (out, inp) = (tx.id(), rx.id());
+            let start = Instant::now();
+            let detached = |r: Result<(), RuntimeError>, p| match r {
+                Err(RuntimeError::Detached(q)) if q == p => {}
+                other => panic!("{at}: {other:?} on port {p}"),
+            };
+            detached(rx.recv_timeout(patience).map(drop), inp);
+            detached(rx.try_recv().map(drop), inp);
+            detached(tx.try_send(1).map(drop), out);
+            detached(tx.send_timeout(1, patience), out);
+            assert!(start.elapsed() < patience, "{at}: waited for a deadline");
+            let shown = RuntimeError::Detached(inp).to_string();
+            assert!(shown.contains("not served by this session"), "{shown}");
+            session.handle().close();
+        }
+    }
+}
+
 /// The async sibling of the test above: `close()` must wake the wakers
 /// *tasks* parked as well as those of blocked threads, and a pending
 /// future polled after the close resolves to [`RuntimeError::Closed`]
