@@ -126,11 +126,6 @@ impl Automaton {
         &self.name
     }
 
-    /// The name itself, to give another automaton without a copy.
-    pub(crate) fn shared_name(&self) -> &Name {
-        &self.name
-    }
-
     pub fn initial(&self) -> StateId {
         self.initial
     }
@@ -191,8 +186,24 @@ impl Automaton {
         self.queue_hint = hint;
     }
 
-    /// Replace the memory cells wholesale (renaming, product and
-    /// simplification carry their operands' cells over).
+    /// Rename every port with `pm` and every cell with `mm`, in place
+    /// ([`crate::remap`]): port sets of up to five ports stay inline, so
+    /// a small automaton is renamed without touching the heap.
+    pub fn rename(&mut self, pm: &dyn Fn(PortId) -> PortId, mm: &dyn Fn(MemId) -> MemId) {
+        for t in self.states.iter_mut().flatten() {
+            crate::remap::rename_transition(t, pm, mm);
+        }
+        let class = |ports: &PortSet| ports.iter().map(pm).collect();
+        let classes = (class(&self.inputs), class(&self.outputs));
+        self.set_port_classes(classes.0, classes.1, class(&self.internals));
+        self.mems.rename(mm);
+        if let Some(h) = &mut self.queue_hint {
+            (h.input, h.output) = (pm(h.input), pm(h.output));
+        }
+    }
+
+    /// Replace the memory cells wholesale (product and simplification
+    /// carry their operands' cells over).
     pub(crate) fn replace_mems(&mut self, mems: MemLayout) {
         self.mems = mems;
     }

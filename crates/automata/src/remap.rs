@@ -5,10 +5,10 @@
 //! renaming symbolic ids to freshly allocated concrete ids (Sect. IV-C/D of
 //! the paper — the `new Automaton3(i)` constructor calls of Fig. 10).
 
-use crate::assign::{Assign, Dst};
-use crate::automaton::{Automaton, AutomatonBuilder, Transition};
+use crate::assign::Dst;
+use crate::automaton::{Automaton, Transition};
 use crate::guard::Guard;
-use crate::port::{MemId, PortId, PortSet};
+use crate::port::{MemId, PortId};
 use crate::term::Term;
 
 /// Rename every port with `pm` and every memory cell with `mm`.
@@ -17,87 +17,52 @@ pub fn remap(
     pm: &dyn Fn(PortId) -> PortId,
     mm: &dyn Fn(MemId) -> MemId,
 ) -> Automaton {
-    let mut builder = AutomatonBuilder::new(aut.shared_name().clone());
-    for _ in 0..aut.state_count() {
-        builder.state();
-    }
-    builder.set_initial(aut.initial());
-    for s in aut.all_states() {
-        for t in aut.transitions_from(s) {
-            builder.transition(s, remap_transition(t, pm, mm));
-        }
-    }
-    let mut result = builder.build();
-    let class = |ports: &PortSet| ports.iter().map(pm).collect();
-    result.set_port_classes(
-        class(aut.inputs()),
-        class(aut.outputs()),
-        class(aut.internals()),
-    );
-    result.replace_mems(
-        aut.mem_layout()
-            .iter()
-            .map(|(m, init)| (mm(m), init))
-            .collect(),
-    );
-    result.set_queue_hint(aut.queue_hint().map(|h| crate::automaton::QueueHint {
-        input: pm(h.input),
-        output: pm(h.output),
-        capacity: h.capacity,
-        initial: h.initial.clone(),
-    }));
-    result
+    let mut renamed = aut.clone();
+    renamed.rename(pm, mm);
+    renamed
 }
 
-fn remap_transition(
-    t: &Transition,
+/// [`remap`] one transition in place.
+pub(crate) fn rename_transition(
+    t: &mut Transition,
     pm: &dyn Fn(PortId) -> PortId,
     mm: &dyn Fn(MemId) -> MemId,
-) -> Transition {
-    Transition {
-        sync: PortSet::from_iter(t.sync.iter().map(pm)),
-        guard: remap_guard(&t.guard, pm, mm),
-        assigns: t
-            .assigns
-            .iter()
-            .map(|a| Assign {
-                dst: match a.dst {
-                    Dst::Port(p) => Dst::Port(pm(p)),
-                    Dst::MemSet(m) => Dst::MemSet(mm(m)),
-                    Dst::MemPush(m) => Dst::MemPush(mm(m)),
-                },
-                src: remap_term(&a.src, pm, mm),
-            })
-            .collect(),
-        pops: t.pops.iter().map(|&m| mm(m)).collect(),
-        target: t.target,
+) {
+    t.sync = t.sync.iter().map(pm).collect();
+    rename_guard(&mut t.guard, pm, mm);
+    for a in &mut t.assigns {
+        a.dst = match a.dst {
+            Dst::Port(p) => Dst::Port(pm(p)),
+            Dst::MemSet(m) => Dst::MemSet(mm(m)),
+            Dst::MemPush(m) => Dst::MemPush(mm(m)),
+        };
+        rename_term(&mut a.src, pm, mm);
     }
+    t.pops.iter_mut().for_each(|m| *m = mm(*m));
 }
 
-fn remap_term(term: &Term, pm: &dyn Fn(PortId) -> PortId, mm: &dyn Fn(MemId) -> MemId) -> Term {
+fn rename_term(term: &mut Term, pm: &dyn Fn(PortId) -> PortId, mm: &dyn Fn(MemId) -> MemId) {
     match term {
-        Term::Port(p) => Term::Port(pm(*p)),
-        Term::Mem(m) => Term::Mem(mm(*m)),
-        Term::Const(v) => Term::Const(v.clone()),
-        Term::Apply(f, args) => Term::Apply(
-            f.clone(),
-            args.iter().map(|a| remap_term(a, pm, mm)).collect(),
-        ),
+        Term::Port(p) => *p = pm(*p),
+        Term::Mem(m) => *m = mm(*m),
+        Term::Const(_) => {}
+        Term::Apply(_, args) => args.iter_mut().for_each(|a| rename_term(a, pm, mm)),
     }
 }
 
-fn remap_guard(g: &Guard, pm: &dyn Fn(PortId) -> PortId, mm: &dyn Fn(MemId) -> MemId) -> Guard {
+fn rename_guard(g: &mut Guard, pm: &dyn Fn(PortId) -> PortId, mm: &dyn Fn(MemId) -> MemId) {
     match g {
-        Guard::True => Guard::True,
-        Guard::TermEq(a, b) => Guard::TermEq(remap_term(a, pm, mm), remap_term(b, pm, mm)),
-        Guard::TermNe(a, b) => Guard::TermNe(remap_term(a, pm, mm), remap_term(b, pm, mm)),
-        Guard::MemLen(m, c, n) => Guard::MemLen(mm(*m), *c, *n),
-        Guard::Pred(p, t) => Guard::Pred(p.clone(), remap_term(t, pm, mm)),
-        Guard::NotPred(p, t) => Guard::NotPred(p.clone(), remap_term(t, pm, mm)),
-        Guard::And(a, b) => Guard::And(
-            Box::new(remap_guard(a, pm, mm)),
-            Box::new(remap_guard(b, pm, mm)),
-        ),
+        Guard::True => {}
+        Guard::TermEq(a, b) | Guard::TermNe(a, b) => {
+            rename_term(a, pm, mm);
+            rename_term(b, pm, mm);
+        }
+        Guard::MemLen(m, _, _) => *m = mm(*m),
+        Guard::Pred(_, t) | Guard::NotPred(_, t) => rename_term(t, pm, mm),
+        Guard::And(a, b) => {
+            rename_guard(a, pm, mm);
+            rename_guard(b, pm, mm);
+        }
     }
 }
 

@@ -53,6 +53,11 @@ impl MemLayout {
         &self.ids
     }
 
+    /// Rename every cell with `mm`.
+    pub(crate) fn rename(&mut self, mm: &dyn Fn(MemId) -> MemId) {
+        self.ids.iter_mut().for_each(|m| *m = mm(*m));
+    }
+
     /// Each cell with its initial contents, in order.
     pub fn iter(&self) -> impl Iterator<Item = (MemId, &[Value])> {
         self.ids
@@ -106,9 +111,18 @@ impl Store {
     /// A store of one cell per id up to the layout's highest, each listed
     /// cell holding its initial contents, the others empty.
     pub fn new(layout: &MemLayout) -> Self {
-        let mut store = Self { cells: Vec::new() };
-        store.grow(layout);
-        store
+        Self::of(std::iter::once(layout))
+    }
+
+    /// [`Store::new`] over the cells of every layout of `layouts` (the
+    /// store of the automata owning them).
+    pub fn of<'a>(layouts: impl Iterator<Item = &'a MemLayout> + Clone) -> Self {
+        let ids = layouts.clone().flat_map(|l| l.ids.iter());
+        let mut cells = vec![VecDeque::new(); ids.map(|m| m.index() + 1).max().unwrap_or(0)];
+        for (m, init) in layouts.flat_map(MemLayout::iter) {
+            cells[m.index()] = init.iter().cloned().collect();
+        }
+        Self { cells }
     }
 
     pub fn cell_count(&self) -> usize {

@@ -12,7 +12,6 @@ use reo_automata::{PortId, PortSet, ProductOptions, StateId};
 use crate::connector::Connector;
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
-use crate::partition::region_port_map;
 
 /// What the analysis found.
 #[derive(Clone, Debug)]
@@ -57,8 +56,7 @@ impl Connector {
         let (_, instance) = self.instantiate(sizes)?;
         let medium_count = instance.automata.len();
         let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-        let ports = region_port_map(&instance.automata);
-        let core = JitCore::eager(instance.automata, &starts, &ports, opts)?;
+        let core = JitCore::eager(instance.automata, &starts, opts)?;
 
         let rows: Vec<usize> = core.rows().map(|(_, steps)| steps.len()).collect();
         let named: PortSet = core.labels().fold(PortSet::new(), |all, l| all.union(&l));

@@ -35,7 +35,7 @@ use reo_core::{
 };
 
 use crate::cache::CacheStats;
-use crate::engine::{EngineStats, PortMap};
+use crate::engine::EngineStats;
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 use crate::partition::{partition_with_opts, Partitioned};
@@ -220,8 +220,8 @@ fn bind<'p>(
     Ok(binding)
 }
 
-/// The core stepping `automata` from `starts` for the engine serving
-/// `ports` under `mode` — the one place that decides, for `connect`,
+/// The core stepping `automata` from `starts` under `mode` — the one place
+/// that decides, for `connect`,
 /// reconfiguration splices and the stepping microbench alike. The
 /// partitioned modes ask per region. Only the composition matters: rows on
 /// first visit, or all reachable rows now. The existing approach fills
@@ -232,7 +232,6 @@ pub(crate) fn core_for(
     limits: &Limits,
     automata: Vec<Automaton>,
     starts: &[StateId],
-    ports: &PortMap,
 ) -> Result<JitCore, RuntimeError> {
     match mode {
         Mode::New {
@@ -243,7 +242,7 @@ pub(crate) fn core_for(
             starts,
             limits.expansion_budget,
         )),
-        _ => JitCore::eager(automata, starts, ports, &limits.product),
+        _ => JitCore::eager(automata, starts, &limits.product),
     }
 }
 
@@ -356,12 +355,14 @@ impl Connector {
         reconfigurable: bool,
         watchdog: Option<Duration>,
     ) -> Result<Session, RuntimeError> {
+        let start = Instant::now();
         let (alloc, mut instance) = self.instantiate(sizes)?;
         // A reconfigurable session steps the primitives themselves, so
         // that a splice can read each one's state.
         if self.mode == Mode::Existing && !reconfigurable {
             instance = instance.monolithic(&self.limits.product)?;
         }
+        let instantiated = Instant::now();
         let medium_count = instance.automata.len();
 
         // The reconfiguration record snapshots the constituents before
@@ -372,16 +373,17 @@ impl Connector {
         let mut parts = partition_with_opts(
             instance.automata,
             alloc.port_count(),
-            &instance.mem_layout,
             self.mode,
             self.limits,
             reconfigurable,
         )?;
         parts.watchdog = watchdog.map(Watchdog::new);
         let parts = Arc::new(parts);
+        let planned = Instant::now();
         // Deterministic initial arming: tokens reach link heads before any
         // task operates.
         parts.pump();
+        let marks = [start, instantiated, planned, Instant::now()];
 
         let reconfig = reconfig_seed.map(|(automata, origins)| {
             Arc::new(ReconfigShared {
@@ -432,6 +434,7 @@ impl Connector {
                 parts,
                 medium_count,
                 reconfig,
+                connect_phases: std::array::from_fn(|k| marks[k + 1] - marks[k]),
             },
         })
     }
@@ -619,6 +622,7 @@ pub struct ConnectorHandle {
     parts: Arc<Partitioned>,
     medium_count: usize,
     reconfig: Option<Arc<ReconfigShared>>,
+    connect_phases: [Duration; 3],
 }
 
 impl ConnectorHandle {
@@ -731,6 +735,12 @@ impl ConnectorHandle {
     /// re-instantiation, join and splice (zero before the first).
     pub fn splice_phases(&self) -> [Duration; 3] {
         (self.reconfig.as_ref()).map_or([Duration::ZERO; 3], |r| r.state.lock().phases)
+    }
+
+    /// The wall time of `connect`: instantiation (and the existing approach's
+    /// composition), regions (plan, renaming, cores, engines), first pump.
+    pub fn connect_phases(&self) -> [Duration; 3] {
+        self.connect_phases
     }
 
     /// [`Session::attach`], callable from any clone of the handle.

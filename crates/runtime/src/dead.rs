@@ -6,7 +6,8 @@
 //! [`RuntimeError::Hangup`](crate::RuntimeError::Hangup). That answer is a
 //! `dead` bit at the same slot of the port table, grown from what hung up
 //! or moved since the analysis last ran; the engine wakes whom it kills
-//! and tells its links.
+//! and tells its links. Ports are the region's ids, so a port of a
+//! transition is its own slot.
 
 use std::collections::HashSet;
 
@@ -22,6 +23,7 @@ pub(crate) struct Dead {
     pub(crate) count: usize,
     /// Hung up since the last analysis, each port once; in `spread`, the
     /// frontier. **Stale ⇒ no waker is parked** (see [`due`](Self::due)).
+    /// In the region's ids.
     pub(crate) unseen: Vec<PortId>,
     /// The constituents steps moved while a port was dead: a drained buffer may kill a port.
     moved: Vec<u32>,
@@ -29,13 +31,11 @@ pub(crate) struct Dead {
     walked: HashSet<(u32, StateId)>,
     /// The slots the last analysis killed.
     pub(crate) newly: Vec<usize>,
-    /// Walk scratch, reused: a state is seen, a slot marked, at the stamp;
-    /// `sync` holds one transition's slots.
+    /// Walk scratch, reused: a state is seen, a slot marked, at the stamp.
     stamp: u64,
     seen: Vec<u64>,
     marks: Vec<u64>,
     stack: Vec<StateId>,
-    sync: Vec<usize>,
     /// The oracle's own analysis and table, reused from check to check.
     #[cfg(debug_assertions)]
     oracle: Option<Box<(Dead, PendingTable)>>,
@@ -57,7 +57,7 @@ impl Dead {
     /// cause). A new mark is the next analysis's frontier.
     pub(crate) fn mark(&mut self, table: &mut PendingTable, i: usize, on: bool) {
         if !std::mem::replace(&mut table.slots[i].hungup, on) && on {
-            self.unseen.push(table.port_map().ids()[i]);
+            self.unseen.push(PortId(i as u32));
         }
     }
 
@@ -76,12 +76,9 @@ impl Dead {
         let walks = self.spread(core, table, true);
         #[cfg(debug_assertions)]
         {
-            let map = table.port_map();
-            let new = || Box::new((Dead::default(), PendingTable::new(map.clone())));
+            let new = || Box::new((Dead::default(), PendingTable::new(table.len())));
             let (fresh, own) = &mut **self.oracle.get_or_insert_with(new);
-            if own.port_map().ids() != map.ids() {
-                *own = PendingTable::new(map.clone()); // a splice changed the map
-            }
+            own.grow(table.len()); // a splice widened the table
             (own.slots.iter_mut().zip(&*table.slots)).for_each(|(o, s)| o.hungup = s.hungup);
             fresh.rebuild(own);
             fresh.spread(core, own, false);
@@ -96,9 +93,8 @@ impl Dead {
     pub(crate) fn rebuild(&mut self, table: &mut PendingTable) {
         self.unseen.clear();
         table.dead.fill(0);
-        let ports = table.port_map().ids().iter().zip(&*table.slots);
-        self.unseen
-            .extend(ports.filter_map(|(&p, s)| s.hungup.then_some(p)));
+        let hungup = (table.slots.iter().enumerate()).filter(|(_, s)| s.hungup);
+        self.unseen.extend(hungup.map(|(i, _)| PortId(i as u32)));
         self.count = 0;
         self.moved.clear();
         self.walked.clear();
@@ -117,10 +113,9 @@ impl Dead {
                 self.walked.clear();
             }
             for &p in &self.unseen {
-                let i = table.port_map().slot(p);
-                if !table.kill(i) {
+                if !table.kill(p.index()) {
                     self.count += 1;
-                    self.newly.push(i);
+                    self.newly.push(p.index());
                 }
                 due.extend(core.owners.of(p));
             }
@@ -129,8 +124,7 @@ impl Dead {
             due.dedup();
             for c in due.drain(..) {
                 let (a, at) = (&core.automata[c as usize], core.states.get(c as usize));
-                let map = table.port_map();
-                let touched = a.ports().iter().any(|p| table.is_dead(map.slot(p)));
+                let touched = a.ports().iter().any(|p| table.is_dead(p.index()));
                 if touched && (!memo || self.walked.insert((c, at))) {
                     walks += 1;
                     self.unsynced(a, at, table);
@@ -144,29 +138,26 @@ impl Dead {
     /// Visit the states of `a` reachable from `start` via live transitions,
     /// marking the slots they synchronize, and add each port of `a` left
     /// unmarked and not dead yet to the frontier: no firing can involve it.
-    /// Each port of a transition is looked up once.
     fn unsynced(&mut self, a: &Automaton, start: StateId, table: &PendingTable) {
-        let map = table.port_map();
         self.stamp += 1;
         self.seen.resize(self.seen.len().max(a.state_count()), 0);
-        self.marks.resize(self.marks.len().max(map.len()), 0);
+        self.marks.resize(self.marks.len().max(table.len()), 0);
         self.seen[start.index()] = self.stamp;
         self.stack.push(start);
         while let Some(s) = self.stack.pop() {
             for t in a.transitions_from(s) {
-                self.sync.clear();
-                self.sync.extend(t.sync.iter().map(|p| map.slot(p)));
-                if self.sync.iter().any(|&i| table.is_dead(i)) {
+                if t.sync.iter().any(|p| table.is_dead(p.index())) {
                     continue; // dead transition: requires a departed port
                 }
-                self.sync.iter().for_each(|&i| self.marks[i] = self.stamp);
+                t.sync
+                    .iter()
+                    .for_each(|p| self.marks[p.index()] = self.stamp);
                 if std::mem::replace(&mut self.seen[t.target.index()], self.stamp) != self.stamp {
                     self.stack.push(t.target);
                 }
             }
         }
-        let ports = a.ports().iter().map(|p| (p, map.slot(p)));
-        let left = ports.filter(|&(_, i)| self.marks[i] != self.stamp && !table.is_dead(i));
-        self.unseen.extend(left.map(|(p, _)| p));
+        let left = |p: &PortId| self.marks[p.index()] != self.stamp && !table.is_dead(p.index());
+        self.unseen.extend(a.ports().iter().filter(left));
     }
 }

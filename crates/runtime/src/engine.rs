@@ -54,13 +54,12 @@
 //!
 //! # Port sharding
 //!
-//! An engine only allocates state for the ports it actually serves. Every
-//! engine is one region of a session's partition ([`crate::partition`]),
-//! and gets a [`PortMap`] over just that region's ports, so its one
-//! per-port table scales with the *region*, not with the whole connector.
-//! All public and core interfaces keep speaking global [`PortId`]s; the
-//! [`PendingTable`] translates at the edge, and a port the map lacks
-//! answers [`RuntimeError::Detached`].
+//! Every engine is one region of a session's partition
+//! ([`crate::partition`]) and speaks the region's ids: a port is its slot
+//! in the one per-port table, a cell its place in the store, so the table,
+//! the store and the core scale with the *region*, and nothing inside a
+//! hold looks a port up. Its `Names` give errors and stall reports the
+//! session's ids back.
 //!
 //! # Example: reading the contention counters
 //!
@@ -83,7 +82,8 @@
 //! ```
 
 use parking_lot::{Mutex, MutexGuard};
-use reo_automata::{MemLayout, PortId, Store, Value};
+use reo_automata::fire::UnresolvedPort;
+use reo_automata::{Automaton, MemId, MemLayout, PortId, Store, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -110,75 +110,19 @@ pub enum Pending {
     DoneRecv(Value),
 }
 
-/// Which global ports one engine serves, and their local slots: a sorted,
-/// deduplicated id list. A lookup probes the offset from the first id (the
-/// ports of a region allocated in one run are all found there, with no read
-/// of the list), then binary-searches. The per-engine table is as long as
-/// the region.
-#[derive(Clone, Debug)]
-pub struct PortMap {
-    ids: Box<[PortId]>,
-    /// `ids[..run]` are consecutive: each is at its offset from `ids[0]`.
-    run: usize,
+/// The session's id of each of a region's ports and cells, in the
+/// region's order (both empty while it speaks the session's ids).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Names {
+    pub ports: Vec<PortId>,
+    pub cells: Vec<MemId>,
 }
 
-impl PortMap {
-    /// Map over exactly the given ports (sorted and deduplicated here).
-    pub fn new(ports: impl IntoIterator<Item = PortId>) -> Self {
-        let mut ids: Vec<PortId> = ports.into_iter().collect();
-        ids.sort_unstable_by_key(|p| p.index());
-        ids.dedup();
-        let run = ids.iter().zip(ids.first().map_or(0, |p| p.0)..);
-        let run = run.take_while(|&(p, at)| p.0 == at).count();
-        let ids = ids.into_boxed_slice();
-        PortMap { ids, run }
-    }
-
-    /// Map over the ids `0..n`, for a table outside any session.
-    pub fn dense(n: usize) -> Self {
-        Self::new((0..n as u32).map(PortId))
-    }
-
-    /// Number of ports served.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Local slot of a served port. Panics on a port this engine does not
-    /// serve — that is a routing bug, never a user error.
-    #[inline]
-    pub fn slot(&self, p: PortId) -> usize {
-        (self.try_slot(p)).unwrap_or_else(|| panic!("port {p} not served by this engine"))
-    }
-
-    /// Local slot of a served port, or `None` when this engine does not
-    /// serve `p` — the graceful twin of [`slot`](Self::slot) for a port
-    /// that no constituent wires, or that a reconfiguration detached.
-    #[inline]
-    pub fn try_slot(&self, p: PortId) -> Option<usize> {
-        let at = p
-            .index()
-            .wrapping_sub(self.ids.first().map_or(0, |q| q.index()));
-        let run = (at < self.run).then_some(at);
-        run.or_else(|| self.ids.binary_search(&p).ok())
-    }
-
-    /// The served global ports, in local slot order.
-    pub fn ids(&self) -> &[PortId] {
-        &self.ids
-    }
-}
-
-/// The per-port table of one engine: each served port's `PortSlot` —
-/// its pending operation and its wait state — indexed by *global*
-/// [`PortId`] but stored in local slots (see [`PortMap`]). The core reads
-/// and writes operations through [`get`](Self::get) and [`set`](Self::set)
-/// only, so it stays oblivious to the sharding; the engine resolves a port
-/// once per call and works on its slot.
+/// The per-port table of one engine: each port's `PortSlot` — its pending
+/// operation and its wait state — at its id in the region
+/// ([`crate::partition`] renames a region's ports `0..k`), so the core and
+/// the engine index it directly. The core reads and writes operations
+/// through [`op`](Self::op) and [`replace`](Self::replace) only.
 ///
 /// The table also keeps the **armed set**: per 64 slots one word of
 /// "holds a `Send`" bits and one of "holds a `Recv`" bits, updated by
@@ -186,54 +130,49 @@ impl PortMap {
 /// transition's sync set into a [`Need`] once and tests operational
 /// enabledness with [`armed`](Self::armed) — a few word compares at any
 /// boundary width, with no per-step rescan of the ports.
+#[derive(Default)]
 pub struct PendingTable {
-    ports: PortMap,
-    /// In local order; an operation changes by [`replace`](Self::replace) only.
+    /// An operation changes by [`replace`](Self::replace) only.
     pub(crate) slots: Box<[PortSlot]>,
     /// Word `2w` holds the send bits of slots `64w..64w+64`, word `2w + 1`
     /// their receive bits.
-    armed: Box<[u64]>,
+    armed: Vec<u64>,
     /// One bit per slot: the hangup analysis ([`crate::dead`]) proved the
     /// port can never fire again. Its walks read these words, not the slots.
-    pub(crate) dead: Box<[u64]>,
+    pub(crate) dead: Vec<u64>,
 }
 
 /// The operations a transition needs pending before it can fire, as
 /// `(word, bits)` pairs over one table's armed set. Built by the core as it
-/// interns a step ([`crate::jit`], "Lowered steps") from a [`PortMap`] —
-/// before any table exists, for a core that fills its rows at `connect` —
-/// and only meaningful against tables over that map (an engine swaps core
-/// and map together).
+/// interns a step ([`crate::jit`], "Lowered steps") from the ids of its
+/// label — before any table exists, for a core that fills its rows at
+/// `connect`.
 #[derive(Clone, Debug, Default)]
 pub struct Need(pub(crate) Box<[(u32, u64)]>);
 
 impl PendingTable {
-    pub fn new(ports: PortMap) -> Self {
-        let slots = (0..ports.len()).map(|_| PortSlot::default()).collect();
-        let armed = vec![0; 2 * ports.len().div_ceil(64)].into_boxed_slice();
-        let dead = vec![0; ports.len().div_ceil(64)].into_boxed_slice();
-        PendingTable {
-            ports,
-            slots,
-            armed,
-            dead,
-        }
+    /// A table of `width` idle ports, `0..width`.
+    pub fn new(width: usize) -> Self {
+        let mut table = Self::default();
+        table.grow(width);
+        table
     }
 
-    #[inline(always)]
-    pub fn get(&self, p: PortId) -> &Pending {
-        &self.slots[self.ports.slot(p)].op
+    /// Number of ports.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 
+    /// The operation pending at port `i`.
     #[inline(always)]
-    pub fn set(&mut self, p: PortId, v: Pending) {
-        self.replace(self.ports.slot(p), v);
+    pub fn op(&self, i: usize) -> &Pending {
+        &self.slots[i].op
     }
 
-    /// Replace the operation of local slot `i`, keeping the armed set in
-    /// step: the one place an operation changes.
+    /// Replace the operation of port `i`, keeping the armed set in step:
+    /// the one place an operation changes.
     #[inline(always)]
-    pub(crate) fn replace(&mut self, i: usize, v: Pending) -> Pending {
+    pub fn replace(&mut self, i: usize, v: Pending) -> Pending {
         let (word, bit) = (2 * (i / 64), 1u64 << (i % 64));
         self.armed[word] &= !bit;
         self.armed[word + 1] &= !bit;
@@ -257,21 +196,15 @@ impl PendingTable {
         std::mem::replace(word, *word | bit) & bit != 0
     }
 
-    /// Swap in a table over `ports`, moving each port both maps serve with
-    /// its whole slot; a port only in the old map is dropped (a splice
-    /// checked it idle first). The dead bits start clear: the splice
-    /// analyses its new core afresh.
-    pub(crate) fn carry(&mut self, ports: PortMap) {
-        let mut next = PendingTable::new(ports);
-        let old = std::mem::take(&mut self.slots).into_vec();
-        for (&p, mut slot) in self.ports.ids().iter().zip(old) {
-            if let Some(i) = next.ports.try_slot(p) {
-                let op = std::mem::take(&mut slot.op);
-                next.slots[i] = slot;
-                next.replace(i, op);
-            }
-        }
-        *self = next;
+    /// Widen to at least `width` ports, every port keeping its slot: a
+    /// splice adds a region's new ports past its old ones.
+    pub(crate) fn grow(&mut self, width: usize) {
+        let mut slots = std::mem::take(&mut self.slots).into_vec();
+        slots.reserve_exact(width.saturating_sub(slots.len()));
+        slots.resize_with(width.max(slots.len()), PortSlot::default);
+        self.slots = slots.into();
+        self.armed.resize(2 * self.len().div_ceil(64), 0);
+        self.dead.resize(self.len().div_ceil(64), 0);
     }
 
     /// Whether every operation `need` names is pending right now.
@@ -296,11 +229,6 @@ impl PendingTable {
     #[inline(always)]
     pub fn any_armed(&self, words: &[(u32, u64)]) -> bool {
         (words.iter()).any(|&(word, bits)| self.armed[word as usize] & bits != 0)
-    }
-
-    /// The global → local port map this table is sharded by.
-    pub fn port_map(&self) -> &PortMap {
-        &self.ports
     }
 }
 
@@ -473,15 +401,19 @@ impl LinkEvents {
     /// Add `ev` unless it is already listed (one hold may complete a link
     /// port several times).
     pub(crate) fn push(&mut self, ev: LinkEvent) {
-        if self
+        if !self
             .head
             .iter()
             .flatten()
             .chain(&self.rest)
             .any(|e| *e == ev)
         {
-            return;
+            self.raise(ev);
         }
+    }
+
+    /// Add `ev`, which the caller knows is not listed yet.
+    pub(crate) fn raise(&mut self, ev: LinkEvent) {
         match self.head.iter_mut().find(|slot| slot.is_none()) {
             Some(slot) => *slot = Some(ev),
             None => self.rest.push(ev),
@@ -536,7 +468,7 @@ pub(crate) struct LinkEnd {
     /// Head (an input of this engine, fed from the queue) or tail (an
     /// output of this engine, drained into the queue).
     pub head: bool,
-    /// The link's port on the other engine.
+    /// The link's port on the other engine, in the session's ids.
     pub peer: PortId,
     pub shared: Arc<LinkShared>,
 }
@@ -562,16 +494,18 @@ impl LinkEnd {
 
 pub(crate) struct EngineInner {
     pub core: JitCore,
-    /// Each served port's operation and wait state, remapped by `install`.
+    /// Each port's operation and wait state; `install` widens it.
     pub pending: PendingTable,
     pub store: Store,
+    pub names: Names,
     /// Wake-ups decided in this critical section and not yet delivered.
     wakes: WakeList,
     /// The link end at each local slot; empty on an engine without links.
     link_ends: Vec<Option<LinkEnd>>,
     /// Link events raised in this critical section and not yet handed out.
     events: LinkEvents,
-    /// Scratch buffer for the ports completed by one step (reused).
+    /// Scratch buffer for the ports completed by one step (reused), in the
+    /// region's ids.
     completed: Vec<PortId>,
     /// The counters this engine keeps under its lock (all but `kicks`,
     /// which the partition counts).
@@ -608,9 +542,9 @@ impl EngineInner {
         }
     }
 
-    /// The global id of slot `i`, for an error that names it.
+    /// The session's id of slot `i`, for an error that names it.
     fn port(&self, i: usize) -> PortId {
-        self.pending.port_map().ids()[i]
+        self.names.ports.get(i).copied().unwrap_or(PortId(i as u32))
     }
 
     /// Whether the analysis proved slot `i` dead: no read while no port is.
@@ -737,12 +671,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn new(core: JitCore, ports: PortMap, store: Store) -> Self {
+    /// An engine stepping `core`, named by `names`, its table and store as
+    /// wide as the ports and cells of the core's automata.
+    pub(crate) fn new(core: JitCore, names: Names) -> Self {
         Engine {
             inner: Mutex::new(EngineInner {
+                pending: PendingTable::new(core.owners.span().max(names.ports.len())),
+                store: Store::of(core.automata.iter().map(Automaton::mem_layout)),
                 core,
-                pending: PendingTable::new(ports),
-                store,
+                names,
                 wakes: WakeList::default(),
                 link_ends: Vec::new(),
                 events: LinkEvents::default(),
@@ -868,9 +805,10 @@ impl Engine {
     /// for it, the analysis (`crate::dead`) runs in this hold and wakes
     /// whom it kills, to [`RuntimeError::Hangup`]. No-op once closed.
     pub fn hangup(&self, p: PortId, events: &mut LinkEvents) {
-        self.firing(events, |inner| match inner.pending.port_map().try_slot(p) {
-            Some(i) if !inner.closed => inner.hang_up(i),
-            _ => {}
+        self.firing(events, |inner| {
+            if !inner.closed {
+                inner.hang_up(p.index());
+            }
         })
     }
 
@@ -881,13 +819,13 @@ impl Engine {
         let mut inner = self.lock();
         let parked = &mut snap.report.parked;
         let before = parked.len();
-        let ports = inner.pending.port_map().ids().iter();
-        for (i, (&port, s)) in ports.zip(&*inner.pending.slots).enumerate() {
+        for (i, s) in inner.pending.slots.iter().enumerate() {
             let kind = match s.op {
                 Pending::Send(_) => ParkedKind::Send,
                 Pending::Recv => ParkedKind::Recv,
                 _ => continue,
             };
+            let port = inner.port(i);
             if inner.link_ends.get(i).is_some_and(Option::is_some) {
                 snap.armed_links.insert(port);
             } else {
@@ -967,7 +905,7 @@ impl Engine {
                     inner.stats.steps += 1;
                     inner.stats.completions += inner.completed.len() as u64;
                     for i in 0..inner.completed.len() {
-                        let slot = inner.pending.port_map().slot(inner.completed[i]);
+                        let slot = inner.completed[i].index();
                         revived |= inner.pending.slots[slot].hungup;
                         if inner.link_ends.get(slot).is_some_and(Option::is_some) {
                             inner.serve_completed(slot);
@@ -980,6 +918,10 @@ impl Engine {
                     }
                 }
                 Ok(Ok(false)) => break,
+                Ok(Err(RuntimeError::Unresolved(UnresolvedPort(p)))) => {
+                    let p = UnresolvedPort(inner.port(p.index()));
+                    return Self::poison_locked(inner, RuntimeError::Unresolved(p).to_string());
+                }
                 Ok(Err(e)) => return Self::poison_locked(inner, e.to_string()),
                 Err(payload) => {
                     let msg = format!("panic in firing: {}", panic_message(payload.as_ref()));
@@ -1118,7 +1060,8 @@ impl Engine {
     /// Returns `Some(result)` when the operation has an outcome, `None`
     /// when pending. After `Some`, the registration is consumed — there is
     /// nothing left to retract. The link events of the hold are added to
-    /// `events` whatever the outcome.
+    /// `events` whatever the outcome. `p`, in every port call of an engine,
+    /// is the port's id in its region ([`crate::partition::Topology`]).
     pub fn poll_send(
         &self,
         p: PortId,
@@ -1158,8 +1101,8 @@ impl Engine {
         self.poll(p, arm, Self::settle_recv, waker, thread, events)
     }
 
-    /// What the two polls share: resolve the port, register if that is
-    /// still to do, settle, and park the waker if there is no outcome yet.
+    /// What the two polls share: register if that is still to do, settle,
+    /// and park the waker if there is no outcome yet.
     fn poll<T>(
         &self,
         p: PortId,
@@ -1170,9 +1113,7 @@ impl Engine {
         events: &mut LinkEvents,
     ) -> Option<Result<T, RuntimeError>> {
         self.firing(events, |inner| {
-            let Some(i) = inner.pending.port_map().try_slot(p) else {
-                return Some(Err(RuntimeError::Detached(p)));
-            };
+            let i = p.index();
             inner.freshen();
             if let Err(e) = arm(inner, i) {
                 return Some(Err(e));
@@ -1207,10 +1148,7 @@ impl Engine {
         p: PortId,
         settle: impl FnOnce(&mut EngineInner, usize) -> Option<Result<T, RuntimeError>>,
     ) -> Result<T, RuntimeError> {
-        let mut inner = self.lock();
-        let Some(i) = inner.pending.port_map().try_slot(p) else {
-            return Err(RuntimeError::Detached(p));
-        };
+        let (mut inner, i) = (self.lock(), p.index());
         inner.unpark(i);
         inner.freshen();
         settle(&mut inner, i).unwrap_or_else(|| {
@@ -1229,10 +1167,7 @@ impl Engine {
     ///
     /// [`poll_recv`]: Engine::poll_recv
     pub fn abandon_recv(&self, p: PortId) {
-        let mut inner = self.lock();
-        let Some(i) = inner.pending.port_map().try_slot(p) else {
-            return; // not served: nothing to retract
-        };
+        let (mut inner, i) = (self.lock(), p.index());
         match inner.pending.slots[i].op {
             Pending::Recv => _ = inner.pending.replace(i, Pending::None),
             // Mark the parked delivery orphaned so the next registration
@@ -1245,7 +1180,8 @@ impl Engine {
 
     /// Serve one link event in a hold of its own — the cross-region half
     /// of the link protocol, run by whoever drains the event: look at this
-    /// end of the link again. A head whose tail is dead and whose queue is
+    /// end of the link, the head (`Offer`) or tail (`Rearm`) at `p`, again.
+    /// A head whose tail is dead and whose queue is
     /// dry, and a tail whose head is dead, hang up, which may kill this
     /// engine's other link ends and so raise the next events. Otherwise an
     /// `Offer` puts the queue front at this head port, a `Rearm` arms this
@@ -1255,16 +1191,9 @@ impl Engine {
     /// or repeated event (the port spliced out, already armed or hung up,
     /// the engine closed) changes nothing. Wake-ups are delivered before
     /// the lock is released (see `deliver_under_lock`).
-    pub(crate) fn serve(&self, ev: LinkEvent, events: &mut LinkEvents) {
-        let (p, head) = match ev {
-            LinkEvent::Offer(p) => (p, true),
-            LinkEvent::Rearm(p) => (p, false),
-        };
+    pub(crate) fn serve(&self, p: PortId, head: bool, events: &mut LinkEvents) {
         let mut guard = self.lock();
-        let inner = &mut *guard;
-        let Some(i) = inner.pending.port_map().try_slot(p) else {
-            return;
-        };
+        let (inner, i) = (&mut *guard, p.index());
         let end = match inner.link_ends.get(i) {
             Some(Some(end)) if end.head == head && !inner.closed => end,
             _ => return,
@@ -1295,54 +1224,41 @@ impl Engine {
     // again, against the new tables.
     // ------------------------------------------------------------------
 
-    /// Every port in `removed` must be idle before a splice may drop it:
-    /// no pending operation, no parked waker. The port
-    /// handles of a detaching branch are consumed before this runs, so a
-    /// violation means the branch still has traffic — refuse, leave the
-    /// engine untouched.
-    pub(crate) fn removal_quiescent(
-        inner: &EngineInner,
-        removed: &[PortId],
-    ) -> Result<(), RuntimeError> {
-        for &p in removed {
-            let Some(i) = inner.pending.port_map().try_slot(p) else {
-                continue; // not served here: nothing to check
-            };
-            let slot = &inner.pending.slots[i];
-            if !matches!(slot.op, Pending::None) {
-                return Err(RuntimeError::Reconfig(format!(
-                    "port {p} of the detaching branch has a pending operation"
-                )));
-            }
-            if slot.waker.is_some() {
-                return Err(RuntimeError::Reconfig(format!(
-                    "port {p} of the detaching branch has a blocked task"
-                )));
-            }
-        }
-        Ok(())
+    /// A port a splice removes must be idle — no pending operation, no
+    /// parked waker: the port handles of a detaching branch are consumed
+    /// before this runs, so anything else is traffic, and refuses.
+    pub(crate) fn removal_quiescent(inner: &EngineInner, i: usize) -> Result<(), RuntimeError> {
+        let (slot, p) = (&inner.pending.slots[i], inner.port(i));
+        let busy = match (&slot.op, &slot.waker) {
+            (Pending::None, None) => return Ok(()),
+            (Pending::None, Some(_)) => "a blocked task",
+            _ => "a pending operation",
+        };
+        let msg = format!("port {p} of the detaching branch has {busy}");
+        Err(RuntimeError::Reconfig(msg))
     }
 
-    /// Tell a locked engine which of its ports are link ends (all of them:
-    /// the table is replaced). A partition does this when it builds a
-    /// region and when a splice changes the region's border.
+    /// Tell a locked engine which of its ports (in the region's ids) are
+    /// link ends (all of them: the table is replaced). A partition does
+    /// this when it builds a region and when a splice changes its border.
     pub(crate) fn set_link_ends(inner: &mut EngineInner, ends: &[(PortId, LinkEnd)]) {
-        let ports = inner.pending.port_map();
-        let mut table = vec![None; if ends.is_empty() { 0 } else { ports.len() }];
+        let (width, any) = (inner.pending.len(), !ends.is_empty());
+        let mut table = vec![None; if any { width } else { 0 }];
         for (p, end) in ends {
-            table[ports.slot(*p)] = Some(end.clone());
+            table[p.index()] = Some(end.clone());
         }
         inner.link_ends = table;
         inner.multi_link = ends.len() >= 2;
     }
 
-    /// Splice a held engine: swap in the `recomposed` core and port map, if
-    /// its members changed, moving each port's [`PortSlot`] — its pending
-    /// operation and wait state — **per global port** so blocked tasks
-    /// survive the slot renumbering; rebuild the link-end table from
-    /// `ends`; grow the store to `layout` (new constituents bring fresh
-    /// cells, surviving cells never move). Ports only in the old map must
-    /// have passed [`removal_quiescent`](Self::removal_quiescent).
+    /// Splice a held engine: swap in the `recomposed` core and names, if
+    /// its members changed, widening the port table and the store to the
+    /// ports and cells that came with them (the cells past the store's end
+    /// start from their layouts). A port keeps its slot and a cell its
+    /// place, so blocked tasks and buffered values stay where they are; a
+    /// port the splice removed was cleared by it, after
+    /// [`removal_quiescent`](Self::removal_quiescent). Rebuild the
+    /// link-end table from `ends`.
     /// Fires whatever the core enables and wakes every parked waker —
     /// under the lock, see `deliver_under_lock` — so every pending
     /// operation is polled again, against the new tables. What that firing
@@ -1351,17 +1267,21 @@ impl Engine {
     pub(crate) fn install(
         &self,
         inner: &mut EngineInner,
-        recomposed: Option<(JitCore, PortMap)>,
-        layout: &MemLayout,
+        recomposed: Option<(JitCore, Names)>,
         ends: &[(PortId, LinkEnd)],
         events: &mut LinkEvents,
     ) {
-        if let Some((core, ports)) = recomposed {
-            inner.pending.carry(ports);
+        if let Some((core, names)) = recomposed {
+            inner
+                .pending
+                .grow(core.owners.span().max(names.ports.len()));
+            let layouts = core.automata.iter().map(Automaton::mem_layout);
+            let cells: MemLayout = layouts.flat_map(MemLayout::iter).collect();
+            inner.store.grow(&cells);
             inner.core = core;
+            inner.names = names;
         }
         Self::set_link_ends(inner, ends);
-        inner.store.grow(layout);
         // The hangup marks came along in the slots; deadness depends on the
         // (new) core and state, so recompute the bits — a splice can revive
         // a port (a fresh branch replaces a departed peer) or kill one (its
@@ -1427,13 +1347,14 @@ impl Engine {
         )
     }
 
-    /// The hangups not analysed yet of ports the port map does not serve
-    /// (a `dead` bit cannot outlive its slot).
+    /// The hangups not analysed yet of ports no constituent of the core
+    /// owns, by the session's ids (a splice clears what it removes).
     pub(crate) fn unserved_hangups(&self) -> Vec<PortId> {
         let inner = self.lock();
-        let served = |p: PortId| inner.pending.port_map().try_slot(p).is_some();
+        let served = |p: PortId| !inner.core.owners.of(p).is_empty();
         (inner.dead.unseen.iter().copied())
             .filter(|&p| !served(p))
+            .map(|p| inner.port(p.index()))
             .collect()
     }
 }
@@ -1441,23 +1362,21 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reo_automata::{primitives, Automaton, MemLayout};
+    use reo_automata::primitives;
     use std::time::Instant;
 
-    fn engine_of(auts: Vec<Automaton>, ports: PortMap) -> Engine {
-        let mut layout = MemLayout::cells(0);
-        auts.iter().for_each(|a| layout.merge(a.mem_layout()));
-        Engine::new(JitCore::new(auts, 1 << 20), ports, Store::new(&layout))
+    fn engine_of(auts: Vec<Automaton>, names: Names) -> Engine {
+        Engine::new(JitCore::new(auts, 1 << 20), names)
     }
 
-    fn engine_for(aut: Automaton, ports: usize) -> Engine {
-        engine_of(vec![aut], PortMap::dense(ports))
+    fn engine_for(aut: Automaton, _ports: usize) -> Engine {
+        engine_of(vec![aut], Names::default())
     }
 
     /// `n` independent fifo1s in one engine (disjoint ports 2i -> 2i+1).
     fn fifos_engine(n: u32) -> Engine {
         let fifo = |i| primitives::fifo1(PortId(2 * i), PortId(2 * i + 1), reo_automata::MemId(i));
-        engine_of((0..n).map(fifo).collect(), PortMap::dense(2 * n as usize))
+        engine_of((0..n).map(fifo).collect(), Names::default())
     }
 
     #[test]
@@ -1474,16 +1393,22 @@ mod tests {
 
     #[test]
     fn sparse_port_map_serves_non_contiguous_ids() {
-        // The same fifo behaviour, but through a sparse map over global
-        // ids {3, 17} — the allocation is 2 slots, not 18.
-        let aut = primitives::fifo1(PortId(3), PortId(17), reo_automata::MemId(0));
-        let map = PortMap::new([PortId(17), PortId(3)]);
-        assert_eq!(map.len(), 2);
-        assert_eq!(map.slot(PortId(3)), 0);
-        assert_eq!(map.slot(PortId(17)), 1);
-        let eng = engine_of(vec![aut], map);
-        eng.send(PortId(3), Value::Int(9)).unwrap();
-        assert_eq!(eng.recv(PortId(17)).unwrap().as_int(), Some(9));
+        // The same fifo behaviour, but over session ids {3, 17} renamed to
+        // the region's own ids — the allocation is 2 slots, not 18, and an
+        // error names the session's id.
+        let aut = primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0));
+        let names = Names {
+            ports: vec![PortId(3), PortId(17)],
+            cells: vec![reo_automata::MemId(5)],
+        };
+        let eng = engine_of(vec![aut], names);
+        assert_eq!(eng.lock().pending.len(), 2);
+        eng.send(PortId(0), Value::Int(9)).unwrap();
+        assert_eq!(eng.recv(PortId(1)).unwrap().as_int(), Some(9));
+        eng.send(PortId(0), Value::Int(1)).unwrap();
+        assert!(eng.offer(PortId(0), Value::Int(2)).is_none());
+        let busy = eng.offer(PortId(0), Value::Int(3));
+        assert!(matches!(busy, Some(Err(RuntimeError::PortBusy(PortId(3))))));
     }
 
     #[test]
@@ -1750,7 +1675,7 @@ mod tests {
         };
         Engine::set_link_ends(&mut eng.lock(), &[(PortId(0), head)]);
         let mut events = LinkEvents::default();
-        eng.serve(LinkEvent::Offer(PortId(0)), &mut events);
+        eng.serve(PortId(0), true, &mut events);
         assert_eq!(take(), Some(2));
         // The same hold acknowledged the front it offered.
         assert!(shared.state.lock().queue.is_empty() && events.is_empty());

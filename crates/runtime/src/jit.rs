@@ -74,7 +74,7 @@ use reo_automata::{
 use reo_core::ConnectorInstance;
 
 use crate::cache::{CacheStats, Entry, Link, StateCache, TupleKey, WordBits};
-use crate::engine::{Need, Pending, PendingTable, PortMap};
+use crate::engine::{Need, Pending, PendingTable};
 use crate::error::RuntimeError;
 
 /// One connected step, shared by every row naming it.
@@ -171,9 +171,9 @@ impl Watches {
     /// Watch each of `steps` (entries over the step table `table`) by the
     /// bit of its need the fewest of them share, the lowest such bit on a
     /// tie, and note the bits all of them share: one pass tallies every
-    /// need bit, one picks, one clears.
-    fn watch(&mut self, table: &[Step], steps: &mut [Entry], ports: &PortMap) {
-        let words = 2 * ports.len().div_ceil(64);
+    /// need bit, one picks, one clears; `boundary` bounds their ports.
+    fn watch(&mut self, table: &[Step], steps: &mut [Entry], boundary: usize) {
+        let words = 2 * boundary.div_ceil(64);
         self.tally.resize(64 * words, 0);
         self.watched.resize(words, 0);
         let (tally, watched) = (&mut self.tally, &mut self.watched);
@@ -282,8 +282,8 @@ impl JitCore {
     }
 
     /// Ahead-of-time composition (Sect. IV-D, first approach): the rows of
-    /// every tuple reachable from `starts`, filled now for the engine
-    /// serving `ports`. Breadth-first from `starts`, each row is the
+    /// every tuple reachable from `starts`, filled now. Breadth-first from
+    /// `starts`, each row is the
     /// enumerator's connected steps at its tuple, interned as a first
     /// visit would; lowering and successor links stay lazy. `opts` bounds
     /// the reachable tuples and the steps summed over rows, tested after
@@ -292,7 +292,6 @@ impl JitCore {
     pub fn eager(
         automata: Vec<Automaton>,
         starts: &[StateId],
-        ports: &PortMap,
         opts: &ProductOptions,
     ) -> Result<Self, RuntimeError> {
         let mut core = Self::with_states(automata, starts, opts.max_transitions);
@@ -311,7 +310,7 @@ impl JitCore {
             let states = core.cache.len();
             enumerated.map_err(|more| explosion(&core.automata, opts, states, filled + more))?;
             filled += found.len();
-            let steps = core.entries(&found, ports);
+            let steps = core.entries(&found);
             for entry in steps.iter() {
                 next.clear();
                 next.extend_from_slice(&tuple);
@@ -329,10 +328,10 @@ impl JitCore {
         Ok(core)
     }
 
-    /// [`eager`](Self::eager) over an instance from its initial states,
-    /// for a dense map over its ports: the shim `benchmark/` times as the
-    /// compiled core, until ROADMAP direction 1. `_simplified` is ignored:
-    /// rows range over the constituents, whose labels are never simplified.
+    /// [`eager`](Self::eager) over an instance from its initial states:
+    /// the shim `benchmark/` times as the compiled core, until ROADMAP
+    /// direction 1. `_simplified` is ignored: rows range over the
+    /// constituents, whose labels are never simplified.
     pub fn compose(
         instance: &ConnectorInstance,
         opts: &ProductOptions,
@@ -340,9 +339,7 @@ impl JitCore {
     ) -> Result<Self, RuntimeError> {
         let automata = instance.automata.clone();
         let starts: Vec<StateId> = automata.iter().map(|a| a.initial()).collect();
-        let last = (automata.iter()).filter_map(|a| a.ports().iter().max());
-        let ports = PortMap::dense(last.max().map_or(0, |p| p.index() + 1));
-        Self::eager(automata, &starts, &ports, opts)
+        Self::eager(automata, &starts, opts)
     }
 
     /// Like [`new`](Self::new), but resume from an explicit constituent
@@ -423,10 +420,10 @@ impl JitCore {
     }
 
     /// The step table entry of `choice`, made on first sight in one walk
-    /// over its participants: the moves, and the need over `ports` — per
-    /// port of a label, its role, and for a boundary port its slot's bit
-    /// in the word of that role (no label is ever built).
-    fn intern(&mut self, choice: &[Choice], ports: &PortMap) -> u32 {
+    /// over its participants: the moves, and the need — per port of a
+    /// label, its role, and for a boundary port its slot's bit in the word
+    /// of that role (no label is ever built).
+    fn intern(&mut self, choice: &[Choice]) -> u32 {
         let ids = choice.iter().flat_map(|&(i, at, k)| [i, at.0, k]);
         let hash = Buckets::hash(0, ids);
         let known = (self.step_ids.under(hash)).find(|&id| self.choice(id as u32) == choice);
@@ -446,7 +443,7 @@ impl JitCore {
                     Some(&role @ (Role::Send | Role::Recv)) => role as usize,
                     _ => continue,
                 };
-                let i = ports.slot(p);
+                let i = p.index();
                 let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
                 match words.iter_mut().find(|(w, _)| *w == word) {
                     Some((_, bits)) => *bits |= bit,
@@ -467,23 +464,23 @@ impl JitCore {
     }
 
     /// The row entries of the steps `found`, each interned.
-    fn entries(&mut self, found: &Steps, ports: &PortMap) -> Box<[Entry]> {
+    fn entries(&mut self, found: &Steps) -> Box<[Entry]> {
         let entry = |step| Entry {
             step,
             watch: 0,
             next: None,
         };
         (found.iter())
-            .map(|choice| entry(self.intern(choice, ports)))
+            .map(|choice| entry(self.intern(choice)))
             .collect()
     }
 
     /// Watch the entries of `row` ([`Watches`]), if no poll has tried it.
-    fn watch(&mut self, row: Link, ports: &PortMap) {
+    fn watch(&mut self, row: Link) {
         let Some(steps) = self.cache.unwatched(row) else {
             return;
         };
-        self.watches.watch(&self.steps, steps, ports);
+        self.watches.watch(&self.steps, steps, self.roles.len());
         self.cache.watched(row, self.watches.row());
     }
 
@@ -525,10 +522,10 @@ impl JitCore {
 
     /// Expand the current state into a fresh row: intern its steps and
     /// cache it.
-    fn expand_row(&mut self, ports: &PortMap) -> Result<Link, RuntimeError> {
+    fn expand_row(&mut self) -> Result<Link, RuntimeError> {
         let mut found = std::mem::take(&mut self.found);
         self.enumerate_here(&mut found)?;
-        let steps = self.entries(&found, ports);
+        let steps = self.entries(&found);
         self.found = found;
         let row = self.cache.insert(self.states.ids(), steps);
         self.arrive(row);
@@ -538,7 +535,8 @@ impl JitCore {
     /// Try to fire one enabled step given the pending operations and the
     /// store. `Ok(true)` iff something fired; the boundary ports whose
     /// operations completed in that step are appended to `completed` (the
-    /// engine wakes exactly those ports' parked wakers).
+    /// engine wakes exactly those ports' parked wakers). A port is its slot
+    /// in `pending`.
     pub fn try_step(
         &mut self,
         pending: &mut PendingTable,
@@ -547,9 +545,9 @@ impl JitCore {
     ) -> Result<bool, RuntimeError> {
         let row = match self.resident() {
             Some(row) => row,
-            None => self.expand_row(pending.port_map())?,
+            None => self.expand_row()?,
         };
-        self.watch(row, pending.port_map());
+        self.watch(row);
         let Some(filter) = self.cache.scan(row, pending) else {
             return Ok(false);
         };
@@ -569,7 +567,7 @@ impl JitCore {
             }
             let step = &self.steps[id as usize];
             let program = step.program.as_ref().expect("lowered above");
-            let input = |p: PortId| match pending.get(p) {
+            let input = |p: PortId| match pending.op(p.index()) {
                 Pending::Send(v) => Some(v.clone()),
                 _ => None,
             };
@@ -581,11 +579,11 @@ impl JitCore {
                 continue;
             }
             for &p in program.send_ports.iter() {
-                pending.set(p, Pending::DoneSend);
+                pending.replace(p.index(), Pending::DoneSend);
                 completed.push(p);
             }
             for (p, v) in self.deliveries.drain(..) {
-                pending.set(p, Pending::DoneRecv(v));
+                pending.replace(p.index(), Pending::DoneRecv(v));
                 completed.push(p);
             }
             for &(i, target) in step.moves.iter() {
@@ -631,7 +629,7 @@ impl JitCore {
         let Some(row) = self.resident() else {
             return false;
         };
-        self.watch(row, pending.port_map());
+        self.watch(row);
         let Some(filter) = self.cache.scan(row, pending) else {
             return false;
         };
@@ -657,17 +655,12 @@ mod tests {
     /// The need a step's label used to be resolved to, by set searches over
     /// the label: a pending send on each of its `inputs` ports, a pending
     /// receive on each of its `outputs` ports.
-    fn need_of_label(
-        ports: &PortMap,
-        sync: &PortSet,
-        inputs: &PortSet,
-        outputs: &PortSet,
-    ) -> Vec<(u32, u64)> {
+    fn need_of_label(sync: &PortSet, inputs: &PortSet, outputs: &PortSet) -> Vec<(u32, u64)> {
         let sends = sync.iter().filter(|p| inputs.contains(*p)).map(|p| (p, 0));
         let recvs = sync.iter().filter(|p| outputs.contains(*p)).map(|p| (p, 1));
         let mut words: Vec<(u32, u64)> = Vec::new();
         for (p, half) in sends.chain(recvs) {
-            let i = ports.slot(p);
+            let i = p.index();
             let (word, bit) = ((2 * (i / 64) + half) as u32, 1u64 << (i % 64));
             match words.iter_mut().find(|(w, _)| *w == word) {
                 Some((_, bits)) => *bits |= bit,
@@ -716,16 +709,18 @@ mod tests {
                     let parts = parts.downcast_ref::<Partitioned>().unwrap();
                     for engine in &parts.topo().engines {
                         let mut inner = engine.lock();
-                        let map = inner.pending.port_map().clone();
+                        let width = inner.pending.len();
                         let mut store = inner.store.clone();
                         let core = &mut inner.core;
                         let (inputs, outputs) = (core.inputs.clone(), core.outputs.clone());
-                        let mut pending = PendingTable::new(map.clone());
+                        let mut pending = PendingTable::new(width);
                         for _ in 0..8 {
                             for p in inputs.iter() {
-                                pending.set(p, Pending::Send(Value::Int(1)));
+                                pending.replace(p.index(), Pending::Send(Value::Int(1)));
                             }
-                            outputs.iter().for_each(|p| pending.set(p, Pending::Recv));
+                            for p in outputs.iter() {
+                                pending.replace(p.index(), Pending::Recv);
+                            }
                             for _ in 0..32 {
                                 if !matches!(
                                     core.try_step(&mut pending, &mut store, &mut vec![]),
@@ -738,7 +733,7 @@ mod tests {
                         for (id, label) in core.labels().enumerate() {
                             let mut need = core.steps[id].need.0.to_vec();
                             need.sort_unstable();
-                            let want = need_of_label(&map, &label, &inputs, &outputs);
+                            let want = need_of_label(&label, &inputs, &outputs);
                             let at = format!("{} n={n} {mode_name}, step {id}", family.name);
                             assert_eq!(need, want, "{at}");
                             checked += 1;
@@ -796,17 +791,15 @@ mod tests {
         let (mut filled, mut rows, mut always, mut found) = (0, 0, 0, 0);
         for (name, autos) in connectors {
             let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-            let last = (autos.iter()).filter_map(|a| a.ports().iter().max()).max();
-            let ports = PortMap::dense(last.map_or(0, |q| q.index() + 1));
             let opts = Limits::default().product;
-            let Ok(mut core) = JitCore::eager(autos, &starts, &ports, &opts) else {
+            let Ok(mut core) = JitCore::eager(autos, &starts, &opts) else {
                 continue;
             };
             filled += 1;
             let links: Vec<Link> = core.cache.resident().collect();
-            links.iter().for_each(|&link| core.watch(link, &ports));
-            let nothing = PendingTable::new(ports.clone());
-            let mut pending = PendingTable::new(ports);
+            links.iter().for_each(|&link| core.watch(link));
+            let nothing = PendingTable::new(core.owners.span());
+            let mut pending = PendingTable::new(core.owners.span());
             let need = |entry: &Entry| &core.steps[entry.step as usize].need;
             for link in links {
                 let row = core.cache.row(link);
@@ -830,11 +823,11 @@ mod tests {
                 for density in (0..64).map(|k| k % 4) {
                     for q in core.inputs.iter() {
                         let op = (next() % 4 <= density).then_some(Pending::Send(Value::Unit));
-                        pending.set(q, op.unwrap_or_default());
+                        pending.replace(q.index(), op.unwrap_or_default());
                     }
                     for q in core.outputs.iter() {
                         let op = (next() % 4 <= density).then_some(Pending::Recv);
-                        pending.set(q, op.unwrap_or_default());
+                        pending.replace(q.index(), op.unwrap_or_default());
                     }
                     let (n, armed) = (row.steps.len(), |e: &&Entry| pending.armed(need(e)));
                     let start = next() as usize % n.max(1);
@@ -859,19 +852,9 @@ mod tests {
         );
     }
 
-    fn engine_from(automata: Vec<Automaton>, ports: usize) -> Engine {
-        let mut layout = MemLayout::cells(0);
-        for a in &automata {
-            layout.merge(a.mem_layout());
-        }
-        let mut full = MemLayout::cells(ports); // ports >= mems in tests
-        full.merge(&layout);
+    fn engine_from(automata: Vec<Automaton>, _ports: usize) -> Engine {
         let core = JitCore::new(automata, 1 << 20);
-        Engine::new(
-            core,
-            crate::engine::PortMap::dense(ports),
-            Store::new(&full),
-        )
+        Engine::new(core, Default::default())
     }
 
     fn p(i: u32) -> PortId {
@@ -940,15 +923,14 @@ mod tests {
 
     #[test]
     fn a_step_is_lowered_when_first_tried_not_when_its_row_is_expanded() {
-        use crate::engine::PortMap;
         let autos = vec![
             primitives::fifo1(p(0), p(1), MemId(0)),
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
         let mut core = JitCore::new(autos, 1 << 20);
-        let mut pending = PendingTable::new(PortMap::dense(4));
+        let mut pending = PendingTable::new(4);
         let mut store = Store::new(&MemLayout::cells(2));
-        pending.set(p(0), Pending::Send(Value::Int(1)));
+        pending.replace(0, Pending::Send(Value::Int(1)));
         let fired = core.try_step(&mut pending, &mut store, &mut Vec::new());
         assert!(fired.unwrap());
         // Both fills are in the row; only the one that was armed has a program.
@@ -1018,14 +1000,8 @@ mod tests {
         ]
         .into();
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
-        let mut layout = MemLayout::cells(alloc.mem_count());
-        layout.merge(&inst.mem_layout);
         let core = JitCore::new(inst.automata, 1 << 20);
-        let eng = Engine::new(
-            core,
-            crate::engine::PortMap::dense(alloc.port_count()),
-            Store::new(&layout),
-        );
+        let eng = Engine::new(core, Default::default());
 
         // All three producers offer; only the first can complete.
         for (i, &t) in tl.iter().enumerate() {
@@ -1045,7 +1021,6 @@ mod tests {
 
     #[test]
     fn an_eagerly_filled_core_answers_with_the_constituent_tuple() {
-        use crate::engine::PortMap;
         use reo_automata::ProductOptions;
         // fifo1(0;1) · sync(1;2), filled with the buffer *full*: both
         // reachable rows are resident before the first step, and the
@@ -1057,18 +1032,17 @@ mod tests {
         let full = StateId(1);
         let starts = [full, autos[1].initial()];
         let empty = autos[0].initial();
-        let ports = PortMap::dense(3);
         let opts = ProductOptions::default();
-        let mut core = JitCore::eager(autos, &starts, &ports, &opts).unwrap();
+        let mut core = JitCore::eager(autos, &starts, &opts).unwrap();
         let stats = core.cache_stats();
         assert_eq!((stats.resident, stats.steps, stats.misses), (2, 2, 0));
         assert_eq!(core.constituent_states(), starts);
 
-        let mut pending = PendingTable::new(ports);
+        let mut pending = PendingTable::new(3);
         let mut store = Store::new(&MemLayout::cells(1));
         store.push(MemId(0), Value::Int(4));
-        let mut step = |core: &mut JitCore, port: u32, op: Pending| {
-            pending.set(p(port), op);
+        let mut step = |core: &mut JitCore, port: usize, op: Pending| {
+            pending.replace(port, op);
             assert!(core
                 .try_step(&mut pending, &mut store, &mut Vec::new())
                 .unwrap());

@@ -9,9 +9,12 @@
 //! at queue automata ([`reo_automata::automaton::QueueHint`]): each
 //! synchronous region gets its own engine, and each cut fifo becomes a
 //! [`Link`] — an actual queue moving values from one engine's boundary to
-//! another's. Expansion work and, through port sharding
-//! ([`crate::engine`]), memory then scale with the largest *region*, not
-//! with the whole connector.
+//! another's. With more than one region, each region's members are renamed
+//! to the region's own ids (`rename`, over [`reo_automata::remap`]):
+//! a port is its slot in its engine's table, a cell its place in the
+//! region's store, and the router sends a session port to its engine and
+//! slot once per port call. Expansion work and memory then scale with the
+//! largest *region*, not with the whole connector.
 //!
 //! Every session is a [`Partitioned`]; the [`Placement`] only decides the
 //! plan. On one engine ([`Placement::Single`], and the existing approach)
@@ -120,11 +123,11 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use reo_automata::{Automaton, MemLayout, PortId, PortOwners, PortSet, StateId, Store, Value};
+use reo_automata::{Automaton, MemId, MemLayout, PortId, PortOwners, PortSet, StateId, Value};
 
 use crate::connector::{core_for, Limits, Mode, Placement};
 use crate::engine::{
-    Engine, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Pending, PortMap,
+    Engine, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Names, Pending,
 };
 pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
@@ -186,28 +189,35 @@ impl Link {
             initial: spec.initial.clone(),
         }
     }
+}
 
-    /// This link's end at region `r`, if it borders it.
-    fn end_at(&self, r: usize) -> Option<(PortId, LinkEnd)> {
-        let (port, head, peer) = if r == self.from {
-            (self.in_port, false, self.out_port)
-        } else if r == self.to {
-            (self.out_port, true, self.in_port)
-        } else {
-            return None;
-        };
-        let shared = Arc::clone(&self.shared);
-        Some((port, LinkEnd { head, peer, shared }))
+/// The link-end table of every region, in one pass over `links`: each
+/// link hands its tail to region `from` and its head to region `to`, at
+/// their ids there.
+fn region_ends(links: &[Link], router: &[Router], regions: usize) -> Vec<Vec<(PortId, LinkEnd)>> {
+    let mut ends = vec![Vec::new(); regions];
+    for l in links {
+        for (r, port, head, peer) in [
+            (l.from, l.in_port, false, l.out_port),
+            (l.to, l.out_port, true, l.in_port),
+        ] {
+            let local = PortId(router[port.index()].expect("a link's ports route").local);
+            let shared = Arc::clone(&l.shared);
+            ends[r].push((local, LinkEnd { head, peer, shared }));
+        }
     }
+    ends
 }
 
-/// The link-end table of region `r`: what its engine is told.
-fn link_ends(links: &[Link], r: usize) -> Vec<(PortId, LinkEnd)> {
-    links.iter().filter_map(|l| l.end_at(r)).collect()
+/// Where a session port is served: its region, and its id there.
+#[derive(Clone, Copy, Debug)]
+struct Route {
+    region: u32,
+    local: u32,
 }
 
-/// Router entry of a port no region serves.
-const UNROUTED: u32 = u32::MAX;
+/// A router entry: `None` for a port no region serves.
+type Router = Option<Route>;
 
 /// One immutable snapshot of the partition's structure: regions, links,
 /// routing. A port call clones an `Arc<Topology>` out of
@@ -218,12 +228,12 @@ const UNROUTED: u32 = u32::MAX;
 /// tasks hold `Arc<Engine>` clones, so the engine they sleep in must be
 /// the engine the new topology routes to.
 pub struct Topology {
-    /// One engine per synchronous region, each sharded to its own ports.
+    /// One engine per synchronous region, each over its own ports.
     pub engines: Vec<Arc<Engine>>,
     pub links: Vec<Link>,
-    /// Port index → engine index (boundary and internal ports of each
-    /// region), [`UNROUTED`] for ports no region serves.
-    router: Vec<u32>,
+    /// Session port → its region and its id there (boundary and internal
+    /// ports of each region).
+    router: Vec<Router>,
     /// Region → constituent indices (into the automata list this topology
     /// was planned from), in composition order — the order of the region
     /// core's constituent state tuple.
@@ -235,17 +245,15 @@ pub struct Topology {
 impl Topology {
     /// The region serving port `p`, if any.
     pub fn region_of(&self, p: PortId) -> Option<usize> {
-        let r = *self.router.get(p.index())?;
-        (r != UNROUTED).then_some(r as usize)
+        Some((*self.router.get(p.index())?)?.region as usize)
     }
 
-    /// Which engine serves port `p` (boundary ports of cut links route to
-    /// the engine that owns the surviving side). A port this topology does
-    /// not route (never wired, or detached by a splice) falls back to an
-    /// arbitrary engine, whose port map then rejects the operation with
-    /// [`RuntimeError::Detached`] — such handles fail, they don't panic.
-    pub fn engine_for(&self, p: PortId) -> &Arc<Engine> {
-        &self.engines[self.region_of(p).unwrap_or(0)]
+    /// The engine serving port `p` (a cut link's port, the side that owns
+    /// it) and `p`'s id there, which its port calls take; `None` for a port
+    /// never wired or detached by a splice ([`RuntimeError::Detached`]).
+    pub fn engine_for(&self, p: PortId) -> Option<(&Arc<Engine>, PortId)> {
+        let route = (*self.router.get(p.index())?)?;
+        Some((&self.engines[route.region as usize], PortId(route.local)))
     }
 }
 
@@ -294,16 +302,16 @@ struct Plan {
     regions: Vec<Vec<usize>>,
     automaton_region: Vec<Option<usize>>,
     links: Vec<LinkSpec>,
-    router: Vec<u32>,
+    router: Vec<Router>,
 }
 
 /// [`partition_with_opts`] under [`crate::Mode::partitioned`]: a JIT core
-/// per region. The cache argument is the one `benchmark/` passes
-/// ([`crate::cache::CachePolicy`]).
+/// per region. The layout and cache arguments are the ones `benchmark/`
+/// passes, unused: each region's store holds its own members' cells.
 pub fn partition(
     automata: Vec<Automaton>,
     port_count: usize,
-    mem_layout: &MemLayout,
+    _mem_layout: &MemLayout,
     _cache: crate::cache::CachePolicy,
     expansion_budget: usize,
 ) -> Result<Partitioned, RuntimeError> {
@@ -311,43 +319,46 @@ pub fn partition(
         expansion_budget,
         ..Limits::default()
     };
-    let mode = Mode::partitioned();
-    partition_with_opts(automata, port_count, mem_layout, mode, limits, false)
+    partition_with_opts(automata, port_count, Mode::partitioned(), limits, false)
 }
 
 /// Build the engines of a session over `automata`: one per region of the
 /// plan `mode` makes (`plan_partition`), connected by queue links, each
-/// with the port map of its own constituents. `mode` also selects how each
-/// region's core fills its rows (`connector::core_for`); `port_count`
-/// sizes the port router (ports beyond it still route: the table grows).
+/// region renamed to its own ids (`rename`) if there are several.
+/// `mode` also selects how each region's core fills its rows
+/// (`connector::core_for`); `port_count` sizes the port router (ports
+/// beyond it still route: the table grows).
 pub fn partition_with_opts(
     automata: Vec<Automaton>,
     port_count: usize,
-    mem_layout: &MemLayout,
     mode: Mode,
     limits: Limits,
     reconfigurable: bool,
 ) -> Result<Partitioned, RuntimeError> {
-    let plan = plan_partition(&automata, port_count, mode);
+    let mut plan = plan_partition(&automata, port_count, mode);
     let links: Vec<Link> = plan
         .links
         .iter()
         .map(|spec| Link::from_spec(spec, None))
         .collect();
 
-    // One engine per region, told its link ends. The store still shares
-    // the global layout (regions touch disjoint cells, so sharing it is
-    // safe and keeps ids global).
-    let mut engines: Vec<Arc<Engine>> = Vec::with_capacity(plan.regions.len());
+    let mut maps = Default::default();
+    let mut cores = Vec::with_capacity(plan.regions.len());
     let mut unplaced: Vec<Option<Automaton>> = automata.into_iter().map(Some).collect();
     for (r, members) in plan.regions.iter().enumerate() {
         let place = |&i: &usize| unplaced[i].take().expect("one region per constituent");
-        let autos: Vec<Automaton> = members.iter().map(place).collect();
-        let ports = region_port_map(&autos);
+        let mut autos: Vec<Automaton> = members.iter().map(place).collect();
+        let mut names = Names::default();
+        if plan.regions.len() > 1 {
+            rename(&mut maps, &mut autos, &mut names, r, &mut plan.router);
+        }
         let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-        let core = core_for(mode, &limits, autos, &starts, &ports)?;
-        engines.push(new_region_engine(core, ports, mem_layout, &links, r));
+        cores.push((core_for(mode, &limits, autos, &starts)?, names));
     }
+    let ends = region_ends(&links, &plan.router, cores.len());
+    let engines = (cores.into_iter().zip(ends))
+        .map(|((core, names), ends)| region_engine(core, names, &ends))
+        .collect();
 
     let topo = Arc::new(Topology {
         engines,
@@ -370,33 +381,75 @@ pub fn partition_with_opts(
     })
 }
 
-/// A fresh engine for region `r`, told which of its ports end a link.
-fn new_region_engine(
-    core: JitCore,
-    ports: PortMap,
-    layout: &MemLayout,
-    links: &[Link],
-    r: usize,
-) -> Arc<Engine> {
-    let engine = Engine::new(core, ports, Store::new(layout));
-    Engine::set_link_ends(&mut engine.lock(), &link_ends(links, r));
+/// A fresh engine for a region, told which of its ports end a link.
+fn region_engine(core: JitCore, names: Names, ends: &[(PortId, LinkEnd)]) -> Arc<Engine> {
+    let engine = Engine::new(core, names);
+    Engine::set_link_ends(&mut engine.lock(), ends);
     Arc::new(engine)
 }
 
-/// The port map over a region's automata (its own ports only).
-pub(crate) fn region_port_map(autos: &[Automaton]) -> PortMap {
-    PortMap::new(autos.iter().flat_map(|a| a.ports().iter()))
+/// Keep the ids past `names[..known]` that it lacks, in ascending order
+/// and once each, and point `map` (session id → region id) at every name.
+/// An entry of `map` is valid while `names` lists the id back at it.
+fn name<T: Copy + Ord>(map: &mut Vec<u32>, names: &mut Vec<T>, known: usize, at: fn(T) -> usize) {
+    names[known..].sort_unstable();
+    let end = names.iter().map(|&id| at(id) + 1).max().unwrap_or(0);
+    map.resize(map.len().max(end), u32::MAX);
+    for (i, &id) in names[..known].iter().enumerate() {
+        map[at(id)] = i as u32;
+    }
+    let mut named = known;
+    for k in known..names.len() {
+        let (id, i) = (names[k], map[at(names[k])] as usize);
+        if i >= named || names[i] != id {
+            (map[at(id)], names[named]) = (named as u32, id);
+            named += 1;
+        }
+    }
+    names.truncate(named);
+}
+
+/// Rename `autos` into the ids of region `region`, named by `names` so
+/// far: a port or cell it lacks is named next — so a fresh region's ports
+/// are `0..k` in session order, and a kept port keeps its slot and a kept
+/// cell its place. Every router entry into `region` learns its port's id.
+/// `maps` (session id → region id, ports and cells) is scratch shared by
+/// every region of one build or splice.
+fn rename(
+    maps: &mut [Vec<u32>; 2],
+    autos: &mut [Automaton],
+    names: &mut Names,
+    region: usize,
+    router: &mut [Router],
+) {
+    let ([ports, cells], known) = (maps, (names.ports.len(), names.cells.len()));
+    names
+        .ports
+        .extend(autos.iter().flat_map(|a| a.ports().iter()));
+    names
+        .cells
+        .extend(autos.iter().flat_map(|a| a.mem_ids().iter().copied()));
+    name(ports, &mut names.ports, known.0, PortId::index);
+    name(cells, &mut names.cells, known.1, MemId::index);
+    for (i, p) in names.ports.iter().enumerate() {
+        let route = router[p.index()].as_mut();
+        if let Some(route) = route.filter(|r| r.region == region as u32) {
+            route.local = i as u32;
+        }
+    }
+    for a in autos {
+        a.rename(&|p| PortId(ports[p.index()]), &|m| MemId(cells[m.index()]));
+    }
 }
 
 /// The structural half of partitioning, and the one place a [`Placement`]
 /// decides anything: the regions, the cut queues as links and the port
-/// router (at least `port_count` entries).
+/// router (at least `port_count` entries; each port at its session id).
 /// [`Placement::Single`] and [`Mode::Existing`] plan one region holding
 /// every constituent in instantiation order, with no links;
 /// [`Placement::Partitioned`] plans the synchronous regions
-/// ([`synchronous_regions`]). Either way each region is sharded to its own
-/// ports ([`region_port_map`]), so a port no constituent wires, or one a
-/// splice detached, is *unknown* to every engine
+/// ([`synchronous_regions`]). Either way only the regions' ports route, so
+/// a port no constituent wires, or one a splice detached, is *unknown*
 /// ([`RuntimeError::Detached`]) rather than a silent dead slot. Pure — no
 /// engines are built, so the splice path can re-plan a changed
 /// constituent list and diff the result against the live topology.
@@ -418,16 +471,15 @@ fn plan_partition(automata: &[Automaton], port_count: usize, mode: Mode) -> Plan
             ..
         } => synchronous_regions(automata),
     };
-    plan.router = vec![UNROUTED; port_count];
+    plan.router = vec![None; port_count];
     for (i, region) in plan.automaton_region.iter().enumerate() {
         if let Some(r) = region {
             for p in automata[i].ports().iter() {
                 if plan.router.len() <= p.index() {
-                    plan.router.resize(p.index() + 1, UNROUTED);
+                    plan.router.resize(p.index() + 1, None);
                 }
-                if plan.router[p.index()] == UNROUTED {
-                    plan.router[p.index()] = *r as u32;
-                }
+                let (region, local) = (*r as u32, p.0);
+                plan.router[p.index()].get_or_insert(Route { region, local });
             }
         }
     }
@@ -470,12 +522,9 @@ fn synchronous_regions(automata: &[Automaton]) -> Plan {
             (None, None) => keep_in_region[i] = None, // its own region
         }
     }
-    // Two queue automata chained back to back: if either side's neighbor is
-    // itself a queue that got cut, the inner one keeps a dangling side —
-    // treat conservatively by keeping (not cutting) chained queues.
-    // (`neighbor` above only looks at non-queue automata, so a fifo chain
-    // collapses into per-fifo singleton regions linked pairwise — correct,
-    // if not maximally clever.)
+    // `neighbor` looks at non-queue automata only: two queues chained back
+    // to back become two singleton regions that share their middle port,
+    // and no link joins them.
 
     // Build regions: roots of non-queue automata + kept queues + singleton
     // queues.
@@ -587,10 +636,11 @@ impl Partitioned {
         let (LinkEvent::Offer(p) | LinkEvent::Rearm(p)) = ev;
         // A hold that follows a splice can name a port younger than the
         // caller's snapshot: look again before giving the event up (a port
-        // that is gone routes to an engine that does not serve it).
+        // that is gone is not routed, or no link end any more).
         let fresh = topo.region_of(p).is_none().then(|| self.topo());
-        let topo = fresh.as_deref().unwrap_or(topo);
-        topo.engine_for(p).serve(ev, work);
+        if let Some((engine, at)) = fresh.as_deref().unwrap_or(topo).engine_for(p) {
+            engine.serve(at, matches!(ev, LinkEvent::Offer(_)), work);
+        }
         true
     }
 
@@ -715,15 +765,14 @@ impl Partitioned {
         }
     }
 
-    /// Splice the live topology from the `old_automata` constituent list
-    /// to `new_automata` — the engine half of a dynamic reconfiguration
-    /// (attach/leave of a replicated branch), on one region or many.
+    /// Splice the live topology to the constituent list `new_automata` —
+    /// the engine half of a dynamic reconfiguration (attach/leave of a
+    /// replicated branch), on one region or many.
     ///
-    /// `old_of_new[i]` names the old constituent that new constituent `i`
-    /// continues (`None` = freshly attached); old constituents not named
-    /// by any entry are being detached. `layout` is the session's table of
-    /// every cell (memory ids are allocated monotonically): fresh cells
-    /// start from it, kept cells keep their contents.
+    /// `old_of_new[i]` names the live constituent that new constituent `i`
+    /// continues (`None` = freshly attached); live constituents not named
+    /// by any entry are being detached. Fresh cells start from their
+    /// constituents' layouts, kept cells keep their contents.
     ///
     /// The protocol, in lock order (reconfig serialization is the
     /// caller's job — [`crate::Session::attach`] holds the session's
@@ -756,11 +805,13 @@ impl Partitioned {
     ///    *from the current constituent states* (kept constituents resume
     ///    exactly where they were, fresh ones start initial). Those states
     ///    come from one table by old constituent, read once from each held
-    ///    core, that the at-rest check of step 2 reads too. Install the
-    ///    region, with its re-derived link ends, into the same engine —
-    ///    `Arc<Engine>` identity is preserved, so tasks parked in kept
-    ///    regions wake in the engine the new topology routes to. A region
-    ///    that only changed its border gets the new link-end table.
+    ///    core, that the at-rest check of step 2 reads too. A region with
+    ///    ids of its own names what joins it after what it keeps, so no
+    ///    port moves. Install the region, with its re-derived link ends,
+    ///    into the same engine — `Arc<Engine>` identity is preserved, so
+    ///    tasks parked in kept regions wake in the engine (and the slot)
+    ///    the new topology routes to; a removed port's slot is cleared. A
+    ///    region that only changed its border gets the new link-end table.
     ///    Hangups that crossed a link are derived, so forgotten here and
     ///    recomputed from the task hangups alone. Fresh regions get fresh
     ///    engines; untouched regions are not even locked.
@@ -776,17 +827,15 @@ impl Partitioned {
     /// ([`RuntimeError::NotReconfigurable`]).
     pub fn splice(
         &self,
-        old_automata: &[Automaton],
         new_automata: &[Automaton],
         old_of_new: &[Option<usize>],
-        layout: &MemLayout,
     ) -> Result<(), RuntimeError> {
         assert_eq!(new_automata.len(), old_of_new.len());
         let Topo::Live(live) = &self.topo else {
             return Err(RuntimeError::NotReconfigurable);
         };
         let old = self.topo();
-        let plan = plan_partition(new_automata, old.router.len(), self.mode);
+        let mut plan = plan_partition(new_automata, old.router.len(), self.mode);
 
         // Kept constituents must keep their role: a queue that was a cut
         // link cannot re-enter a region mid-flight (its values live in
@@ -820,11 +869,14 @@ impl Partitioned {
             Ok(())
         };
         let mut removed_ports: Vec<PortId> = Vec::new();
-        for (p, (&or, &nr)) in old.router.iter().zip(&plan.router).enumerate() {
+        for (p, (or, nr)) in old.router.iter().zip(&mut plan.router).enumerate() {
             match (or, nr) {
-                (UNROUTED, _) => {}
-                (_, UNROUTED) => removed_ports.push(PortId(p as u32)),
-                _ => bind(nr as usize, or as usize)?,
+                (None, _) => {}
+                (_, None) => removed_ports.push(PortId(p as u32)),
+                (Some(or), Some(nr)) => {
+                    nr.local = or.local; // a kept port keeps its slot
+                    bind(nr.region as usize, or.region as usize)?;
+                }
             }
         }
         let removed_regions: Vec<usize> = (0..old.engines.len())
@@ -922,85 +974,98 @@ impl Partitioned {
         }
         // A removed region's ports are removed ports or a leaving link's,
         // so this one check covers it too.
-        removed_ports.retain(|p| !own_ports.contains(*p));
-        for g in guards.values() {
-            Engine::removal_quiescent(g, &removed_ports)?;
+        let route =
+            |p: PortId| old.router[p.index()].map(|r| (r.region as usize, r.local as usize));
+        let traffic = removed_ports.iter().filter(|p| !own_ports.contains(**p));
+        for (r, at) in traffic.filter_map(|&p| route(p)) {
+            guards
+                .get(&r)
+                .map_or(Ok(()), |g| Engine::removal_quiescent(g, at))?;
         }
         // The live state of every constituent a held region serves, read
         // once. Every detaching constituent a region served is at rest: its
         // region changes its members or leaves, so it is held.
-        let mut kept_old = vec![false; old_automata.len()];
+        let mut kept_old = vec![false; old.automaton_region.len()];
         for &oi in old_of_new.iter().flatten() {
             kept_old[oi] = true;
         }
-        let mut live_state: Vec<Option<StateId>> = vec![None; old_automata.len()];
+        let mut live_state: Vec<Option<StateId>> = vec![None; kept_old.len()];
         for (&r, g) in &guards {
-            let states = g.core.constituent_states();
-            for (&oi, state) in old.region_constituents[r].iter().zip(states) {
+            let states = g.core.constituent_states().into_iter().enumerate();
+            for (&oi, (k, state)) in old.region_constituents[r].iter().zip(states) {
                 if !kept_old[oi] {
-                    constituent_at_rest(&old_automata[oi], state, g)?;
+                    constituent_at_rest(&g.core.automata[k], state, g)?;
                 }
                 live_state[oi] = Some(state);
             }
         }
 
-        // Rebuilt regions recompose: a fresh member from its initial state,
-        // a kept one from its live state.
-        let mut installs: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
-        let mut fresh: HashMap<usize, (JitCore, PortMap)> = HashMap::new();
+        // Rebuilt regions recompose: a kept member from its live state, a
+        // fresh one from its initial state, renamed into the region's ids
+        // if it has its own (a fresh region does when the plan has several).
+        let mut maps = Default::default();
+        let (mut installs, mut fresh) = (HashMap::new(), HashMap::new());
         for (nr, members) in plan.regions.iter().enumerate() {
             if !rebuilt[nr] {
                 continue; // untouched: engine reused as-is
+            }
+            let or = old_region_of[nr];
+            let held = or.map(|or| &guards[&or]);
+            let mut names = held.map_or_else(Names::default, |g| g.names.clone());
+            let mut autos: Vec<Automaton> =
+                members.iter().map(|&ni| new_automata[ni].clone()).collect();
+            if held.map_or(plan.regions.len() > 1, |_| !names.ports.is_empty()) {
+                rename(&mut maps, &mut autos, &mut names, nr, &mut plan.router);
             }
             let start = |&ni: &usize| match old_of_new[ni] {
                 Some(oi) => live_state[oi].expect("a kept member's region is held"),
                 None => new_automata[ni].initial(),
             };
             let starts: Vec<StateId> = members.iter().map(start).collect();
-            let autos: Vec<Automaton> =
-                members.iter().map(|&ni| new_automata[ni].clone()).collect();
-            let ports = region_port_map(&autos);
-            let core = splice_core(self.mode, &self.limits, autos, &starts, &ports)?;
-            match old_region_of[nr] {
-                Some(or) => installs.insert(or, (core, ports)),
-                None => fresh.insert(nr, (core, ports)),
+            let core = splice_core(self.mode, &self.limits, autos, &starts)?;
+            match or {
+                Some(or) => installs.insert(or, (core, names)),
+                None => fresh.insert(nr, (core, names)),
             };
         }
 
         // ---- Point of no return: disarm, install, assemble, swap. ----
-        for ol in &leaving {
-            for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
-                let g = guards
-                    .get_mut(&r)
-                    .expect("a leaving link's regions are locked");
-                g.pending.set(port, Pending::None);
-            }
+        for port in leaving.iter().flat_map(|ol| [ol.in_port, ol.out_port]) {
+            let (r, at) = route(port).expect("a link's ports are routed");
+            let g = guards.get_mut(&r).expect("held above");
+            g.pending.replace(at, Pending::None);
         }
         for ol in derived {
             let mut st = ol.shared.state.lock();
             (st.source_dead, st.sink_dead) = (false, false);
-            for (r, port) in [(ol.from, ol.in_port), (ol.to, ol.out_port)] {
+            for (r, at) in [ol.in_port, ol.out_port].into_iter().filter_map(route) {
                 let g = &mut **guards.get_mut(&r).expect("held above");
-                let i = g.pending.port_map().slot(port);
-                g.dead.mark(&mut g.pending, i, false);
+                g.dead.mark(&mut g.pending, at, false);
+            }
+        }
+        for (r, at) in removed_ports.iter().copied().filter_map(route) {
+            if let Some(g) = guards.get_mut(&r) {
+                g.pending.replace(at, Pending::None);
+                g.pending.slots[at] = Default::default(); // idle, no mark
             }
         }
         // Every held engine redoes its hangup analysis against its new link
         // ends; what it leaves for others (a fault first) is drained below.
+        let ends = region_ends(&links, &plan.router, plan.regions.len());
         let mut work = LinkEvents::default();
         for (&or, g) in guards.iter_mut() {
             let Some(nr) = taken[or] else {
                 continue; // a removed region
             };
-            let ends = link_ends(&links, nr);
-            old.engines[or].install(g, installs.remove(&or), layout, &ends, &mut work);
+            let ends = &ends[nr];
+            old.engines[or].install(g, installs.remove(&or), ends, &mut work);
         }
         let engines: Vec<Arc<Engine>> = (0..plan.regions.len())
             .map(|nr| match old_region_of[nr] {
                 Some(or) => Arc::clone(&old.engines[or]),
                 None => {
-                    let (core, ports) = fresh.remove(&nr).expect("fresh region core built");
-                    new_region_engine(core, ports, layout, &links, nr)
+                    let (core, names) = fresh.remove(&nr).expect("fresh region core built");
+                    region_engine(core, names, &ends[nr])
                 }
             })
             .collect();
@@ -1049,11 +1114,12 @@ fn hold_region<'a>(
     Ok(())
 }
 
-/// Raise both events on every link of `topo`.
+/// Raise both events on every link of `topo`: distinct by construction,
+/// so listed without a search of what `work` holds.
 fn raise_all(topo: &Topology, work: &mut LinkEvents) {
     for link in &topo.links {
-        work.push(LinkEvent::Rearm(link.in_port));
-        work.push(LinkEvent::Offer(link.out_port));
+        work.raise(LinkEvent::Rearm(link.in_port));
+        work.raise(LinkEvent::Offer(link.out_port));
     }
 }
 
@@ -1094,9 +1160,10 @@ impl Partitioned {
     }
 }
 
-/// A detaching constituent must be *at rest*: initial control state and
-/// initial memory contents. Anything else means user data is still inside
-/// the branch, and detaching would lose it.
+/// A detaching constituent — `a`, in its region's ids — must be *at
+/// rest*: initial control state and initial memory contents. Anything else
+/// means user data is still inside the branch, and detaching would lose
+/// it.
 fn constituent_at_rest(
     a: &Automaton,
     state: StateId,
@@ -1113,8 +1180,9 @@ fn constituent_at_rest(
         if !inner.store.matches_initial(m, a.mem_layout()) {
             return Err(RuntimeError::Reconfig(format!(
                 "constituent `{}` of the detaching branch still buffers data in memory \
-                 cell {m:?}",
-                a.name()
+                 cell {:?}",
+                a.name(),
+                inner.names.cells.get(m.index()).copied().unwrap_or(m)
             )));
         }
     }
@@ -1162,16 +1230,16 @@ mod tests {
     /// A blocking send through the partition, as a port handle does it.
     fn send(part: &Partitioned, port: PortId, v: i64) {
         let topo = part.topo();
-        let (e, mut v) = (topo.engine_for(port), Some(Value::Int(v)));
-        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_send(port, &mut v, w, true, ev));
+        let ((e, at), mut v) = (topo.engine_for(port).unwrap(), Some(Value::Int(v)));
+        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_send(at, &mut v, w, true, ev));
         crate::port::block_on(None, poll, || unreachable!("no deadline")).unwrap()
     }
 
     /// The receiving twin of [`send`].
     fn recv(part: &Partitioned, port: PortId) -> Option<i64> {
         let topo = part.topo();
-        let (e, mut reg) = (topo.engine_for(port), false);
-        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_recv(port, &mut reg, w, true, ev));
+        let ((e, at), mut reg) = (topo.engine_for(port).unwrap(), false);
+        let poll = |w: &Waker| part.drain(&topo, |ev| e.poll_recv(at, &mut reg, w, true, ev));
         let got = crate::port::block_on(None, poll, || unreachable!("no deadline"));
         got.unwrap().as_int()
     }
@@ -1179,9 +1247,9 @@ mod tests {
     /// The first poll of a send and its drain; whether that completed it.
     fn offer(part: &Partitioned, port: PortId, v: i64) -> bool {
         let topo = part.topo();
-        let (e, mut v) = (topo.engine_for(port), Some(Value::Int(v)));
+        let ((e, at), mut v) = (topo.engine_for(port).unwrap(), Some(Value::Int(v)));
         let first = part.drain(&topo, |ev| {
-            e.poll_send(port, &mut v, Waker::noop(), false, ev)
+            e.poll_send(at, &mut v, Waker::noop(), false, ev)
         });
         first.map(Result::unwrap).is_some()
     }
@@ -1226,7 +1294,7 @@ mod tests {
         let autos = vec![primitives::sync(p(0), p(1))];
         let layout = MemLayout::cells(0);
         let part = partition(autos.clone(), 2, &layout, CachePolicy, 1 << 20).unwrap();
-        let spliced = part.splice(&autos, &autos, &[Some(0)], &layout);
+        let spliced = part.splice(&autos, &[Some(0)]);
         assert!(matches!(spliced, Err(RuntimeError::NotReconfigurable)));
         assert_eq!(part.region_count(), 1);
     }
@@ -1278,7 +1346,8 @@ mod tests {
         let part = Arc::new(two_region_pipeline());
         part.pump(); // initial arming
         let topo = part.topo();
-        assert!(!Arc::ptr_eq(topo.engine_for(p(0)), topo.engine_for(p(3))));
+        let engine = |port| topo.engine_for(port).unwrap().0;
+        assert!(!Arc::ptr_eq(engine(p(0)), engine(p(3))));
 
         let part2 = Arc::clone(&part);
         let rx = std::thread::spawn(move || recv(&part2, p(3)));
@@ -1362,9 +1431,9 @@ mod tests {
         let part = backlog(false);
         let t = part.topo();
         assert_eq!(t.links[0].depth(), 0, "tail un-armed: all three pend");
-        let before = t.engine_for(p(0)).stats();
+        let before = t.engine_for(p(0)).unwrap().0.stats();
         part.pump();
-        let after = t.engine_for(p(0)).stats();
+        let after = t.engine_for(p(0)).unwrap().0.stats();
         assert_eq!(after.batched_values - before.batched_values, 3, "{after:?}");
         assert_eq!(after.batch_moves - before.batch_moves, 1, "in one hold");
         for expect in 0..3 {
@@ -1381,7 +1450,8 @@ mod tests {
         let part = Arc::new(two_region_pipeline()); // fifo1 link: capacity 1
         part.pump();
         let t = part.topo();
-        let (tx, rx) = (t.engine_for(p(0)), t.engine_for(p(3)));
+        let ((tx, sent), (rx, received)) =
+            (t.engine_for(p(0)).unwrap(), t.engine_for(p(3)).unwrap());
 
         send(&part, p(0), 0);
         assert_eq!(t.links[0].depth(), 1, "link full");
@@ -1392,11 +1462,11 @@ mod tests {
 
         assert_eq!(recv(&part, p(3)), Some(0));
         assert_eq!(t.links[0].depth(), 1, "freed slot refilled by the recv");
-        tx.retract_send(p(0)).unwrap(); // already complete
+        tx.retract_send(sent).unwrap(); // already complete
         assert_eq!(part.unserved_links(), Vec::<String>::new());
         // …and on offer: the next receive completes in its own hold.
         let got = rx.poll_recv(
-            p(3),
+            received,
             &mut false,
             Waker::noop(),
             false,

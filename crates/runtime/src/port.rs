@@ -92,20 +92,27 @@ pub(crate) fn block_on<T>(
 /// The port calls, on the one backend every session has: a [`Partitioned`]
 /// — on one engine, a partition with one region and no links.
 impl Partitioned {
-    /// Run `f` against the engine that serves `p` — every port operation
-    /// is made of these. The call routes by one topology (`with_topo`), and
-    /// once `f` is through drains the link events its holds raised
-    /// against the same snapshot ([`Partitioned::drain`]): one hold of the
-    /// other engine per event; regions that border no link raise none.
-    /// With `sweep`, every link is served first: a one-shot probe gets no
-    /// second chance, so it must see everything already in flight,
-    /// including what another task's drain has not served yet.
-    fn hold<R>(&self, p: PortId, sweep: bool, f: impl FnOnce(&Engine, &mut LinkEvents) -> R) -> R {
+    /// Run `f` against the engine that serves `p`, with `p`'s id there
+    /// (`detached` if none does) — every port operation is made of these.
+    /// The call routes by one topology (`with_topo`), and once `f` is
+    /// through drains the link events its holds raised against the same
+    /// snapshot ([`Partitioned::drain`]): one hold of the other engine per
+    /// event; regions that border no link raise none. With `sweep`, every
+    /// link is served first: a one-shot probe gets no second chance, so it
+    /// must see everything already in flight, including what another
+    /// task's drain has not served yet.
+    fn hold<R, F>(&self, p: PortId, sweep: bool, detached: R, f: F) -> R
+    where
+        F: FnOnce(&Engine, PortId, &mut LinkEvents) -> R,
+    {
         self.with_topo(|topo| {
             if sweep {
                 self.pump_on(topo);
             }
-            self.drain(topo, |events| f(topo.engine_for(p), events))
+            let Some((engine, at)) = topo.engine_for(p) else {
+                return detached;
+            };
+            self.drain(topo, |events| f(engine, at, events))
         })
     }
 
@@ -116,17 +123,18 @@ impl Partitioned {
     /// succeeds if a step took the value first.
     fn send(&self, p: PortId, v: Value, deadline: Option<Instant>) -> Result<(), RuntimeError> {
         let mut value = Some(v);
-        let poll =
-            |e: &Engine, w: &Waker, ev: &mut LinkEvents| e.poll_send(p, &mut value, w, true, ev);
-        self.block_on(p, deadline, poll, |e| e.retract_send(p))
+        let poll = |e: &Engine, at, w: &Waker, ev: &mut LinkEvents| {
+            e.poll_send(at, &mut value, w, true, ev)
+        };
+        self.block_on(p, deadline, poll, |e, at| e.retract_send(at))
     }
 
     fn recv(&self, p: PortId, deadline: Option<Instant>) -> Result<Value, RuntimeError> {
         let mut registered = false;
-        let poll = |e: &Engine, w: &Waker, ev: &mut LinkEvents| {
-            e.poll_recv(p, &mut registered, w, true, ev)
+        let poll = |e: &Engine, at, w: &Waker, ev: &mut LinkEvents| {
+            e.poll_recv(at, &mut registered, w, true, ev)
         };
-        self.block_on(p, deadline, poll, |e| e.retract_recv(p))
+        self.block_on(p, deadline, poll, |e, at| e.retract_recv(at))
     }
 
     /// [`block_on`] with every hold routed by [`Partitioned::hold`]. On a
@@ -138,15 +146,16 @@ impl Partitioned {
         &self,
         p: PortId,
         deadline: Option<Instant>,
-        mut poll: impl FnMut(&Engine, &Waker, &mut LinkEvents) -> Option<Result<T, RuntimeError>>,
-        retract: impl FnOnce(&Engine) -> Result<T, RuntimeError>,
+        mut poll: impl FnMut(&Engine, PortId, &Waker, &mut LinkEvents) -> Polled<T>,
+        retract: impl FnOnce(&Engine, PortId) -> Result<T, RuntimeError>,
     ) -> Result<T, RuntimeError> {
         let watched = deadline.is_some() && self.watchdog.is_some();
         let mut unobserved = watched;
         block_on(
             deadline,
             |waker| {
-                let outcome = self.hold(p, false, |e, ev| poll(e, waker, ev));
+                let detached = Some(detached(p));
+                let outcome = self.hold(p, false, detached, |e, at, ev| poll(e, at, waker, ev));
                 if outcome.is_none() && std::mem::take(&mut unobserved) {
                     self.observe();
                 }
@@ -154,7 +163,8 @@ impl Partitioned {
             },
             || {
                 let stall = watched.then(|| self.observe()).flatten();
-                match (self.hold(p, false, |e, _| retract(e)), stall) {
+                let retracted = self.hold(p, false, detached(p), |e, at, _| retract(e, at));
+                match (retracted, stall) {
                     (Err(RuntimeError::Timeout), Some(report)) => {
                         Err(RuntimeError::Stalled(Box::new(report)))
                     }
@@ -167,9 +177,9 @@ impl Partitioned {
     /// One poll, and a retraction if it is pending: nobody parks behind a
     /// probe, so the waker is a no-op.
     fn try_send(&self, p: PortId, v: Value) -> Result<bool, RuntimeError> {
-        let sent = self.hold(p, true, |e, ev| {
-            e.poll_send(p, &mut Some(v), Waker::noop(), false, ev)
-                .unwrap_or_else(|| e.retract_send(p))
+        let sent = self.hold(p, true, detached(p), |e, at, ev| {
+            e.poll_send(at, &mut Some(v), Waker::noop(), false, ev)
+                .unwrap_or_else(|| e.retract_send(at))
         });
         match sent {
             Err(RuntimeError::Timeout) => Ok(false),
@@ -178,9 +188,9 @@ impl Partitioned {
     }
 
     fn try_recv(&self, p: PortId) -> Result<Option<Value>, RuntimeError> {
-        let got = self.hold(p, true, |e, ev| {
-            e.poll_recv(p, &mut false, Waker::noop(), false, ev)
-                .unwrap_or_else(|| e.retract_recv(p))
+        let got = self.hold(p, true, detached(p), |e, at, ev| {
+            e.poll_recv(at, &mut false, Waker::noop(), false, ev)
+                .unwrap_or_else(|| e.retract_recv(at))
         });
         match got {
             Err(RuntimeError::Timeout) => Ok(None),
@@ -195,8 +205,8 @@ impl Partitioned {
         value: &mut Option<Value>,
         cx: &mut Context<'_>,
     ) -> Poll<Result<(), RuntimeError>> {
-        self.hold(p, false, |e, ev| {
-            e.poll_send(p, value, cx.waker(), false, ev)
+        self.hold(p, false, Some(detached(p)), |e, at, ev| {
+            e.poll_send(at, value, cx.waker(), false, ev)
         })
         .map_or(Poll::Pending, Poll::Ready)
     }
@@ -208,8 +218,8 @@ impl Partitioned {
         registered: &mut bool,
         cx: &mut Context<'_>,
     ) -> Poll<Result<Value, RuntimeError>> {
-        self.hold(p, false, |e, ev| {
-            e.poll_recv(p, registered, cx.waker(), false, ev)
+        self.hold(p, false, Some(detached(p)), |e, at, ev| {
+            e.poll_recv(at, registered, cx.waker(), false, ev)
         })
         .map_or(Poll::Pending, Poll::Ready)
     }
@@ -217,8 +227,16 @@ impl Partitioned {
     /// The hangup a dropped handle owes (see `Registration`): one hold, and
     /// the drain of what it raised — deadness crosses links like a value.
     fn hangup(&self, p: PortId) {
-        self.hold(p, false, |e, ev| e.hangup(p, ev))
+        self.hold(p, false, (), |e, at, ev| e.hangup(at, ev))
     }
+}
+
+/// What a poll answers: `None` while the operation is pending.
+type Polled<T> = Option<Result<T, RuntimeError>>;
+
+/// The answer of a call on a port no region serves.
+fn detached<T>(p: PortId) -> Result<T, RuntimeError> {
+    Err(RuntimeError::Detached(p))
 }
 
 fn deadline_in(timeout: Duration) -> Option<Instant> {
@@ -548,7 +566,9 @@ impl Drop for SendFuture<'_> {
         // unpolled future (value still Some) armed nothing.
         if !self.done && self.value.is_none() {
             let p = self.port;
-            let _ = self.parts.hold(p, false, |e, _| e.retract_send(p));
+            let _ = self
+                .parts
+                .hold(p, false, detached(p), |e, at, _| e.retract_send(at));
         }
     }
 }
@@ -599,7 +619,7 @@ impl<T> Drop for RecvFuture<'_, T> {
         // next receive on the port (`Engine::abandon_recv`).
         if self.registered && !self.done {
             let p = self.port;
-            self.parts.hold(p, false, |e, _| e.abandon_recv(p));
+            self.parts.hold(p, false, (), |e, at, _| e.abandon_recv(at));
         }
     }
 }

@@ -35,11 +35,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use reo_automata::{remap::remap, Automaton, MemLayout, PortAllocator, PortId, StateId};
+use reo_automata::{remap::remap, Automaton, PortAllocator, PortId, StateId};
 use reo_core::{instantiate, Binding, CompiledConnector, ConnectorInstance, Origin};
 
 use crate::connector::{core_for, Composition::Eager, Limits, Mode};
-use crate::engine::PortMap;
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
 use crate::partition::Partitioned;
@@ -148,13 +147,7 @@ pub(crate) fn reconfigure(
     let joined = join(&st.automata, &st.origins, instance, &mut alloc);
     let t2 = Instant::now();
 
-    // The session's table of every cell, each constituent's initialized.
-    let mut layout = MemLayout::cells(alloc.mem_count());
-    for a in &joined.automata {
-        layout.merge(a.mem_layout());
-    }
-
-    parts.splice(&st.automata, &joined.automata, &joined.old_of_new, &layout)?;
+    parts.splice(&joined.automata, &joined.old_of_new)?;
 
     // Point of no return: the engines run the new configuration.
     st.alloc = alloc;
@@ -170,8 +163,8 @@ pub(crate) fn reconfigure(
     Ok(Reconfigured { port, is_tail })
 }
 
-/// The core a splice installs for the engine serving `ports`: [`core_for`]
-/// from the current constituent states.
+/// The core a splice installs: [`core_for`] from the current constituent
+/// states.
 /// An eager fill that blows its budget mid-run steps just-in-time for this
 /// epoch instead of failing the splice — `connect` reports the same
 /// explosion. Only that fallback keeps a second copy of the constituents.
@@ -180,13 +173,12 @@ pub(crate) fn splice_core(
     limits: &Limits,
     automata: Vec<Automaton>,
     starts: &[StateId],
-    ports: &PortMap,
 ) -> Result<JitCore, RuntimeError> {
     let eager = matches!(mode, Mode::New { composition, .. } if composition == Eager);
     let spare = eager.then(|| automata.clone());
-    match (core_for(mode, limits, automata, starts, ports), spare) {
+    match (core_for(mode, limits, automata, starts), spare) {
         (Err(RuntimeError::Explosion(_)), Some(automata)) => {
-            core_for(Mode::jit(), limits, automata, starts, ports)
+            core_for(Mode::jit(), limits, automata, starts)
         }
         (core, _) => core,
     }
@@ -289,7 +281,7 @@ fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reo_automata::{primitives, MemId, Value};
+    use reo_automata::{primitives, MemId, MemLayout, Value};
 
     fn p(i: u32) -> PortId {
         PortId(i)

@@ -50,7 +50,6 @@ use reo_core::Program;
 use crate::connector::{core_for, Connector, Limits, Mode};
 use crate::engine::{Pending, PendingTable};
 use crate::error::RuntimeError;
-use crate::partition::region_port_map;
 
 /// The two modes the repo benchmark's `stepping` cells name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,12 +108,11 @@ pub fn stepping_run(
         instance = instance.monolithic(&limits.product)?;
     }
     let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
-    let ports = region_port_map(&instance.automata);
-    let mut core = core_for(mode, &limits, instance.automata, &starts, &ports)?;
+    let mut core = core_for(mode, &limits, instance.automata, &starts)?;
 
     let inputs: PortSet = core.boundary_inputs().clone();
     let outputs: PortSet = core.boundary_outputs().clone();
-    let mut pending = PendingTable::new(ports);
+    let mut pending = PendingTable::new(core.owners.span());
     let mut store = Store::new(&instance.mem_layout);
     let mut completed: Vec<PortId> = Vec::new();
 
@@ -124,16 +122,16 @@ pub fn stepping_run(
     loop {
         // Saturate the boundary.
         let mut armed_any = false;
-        for p in inputs.iter() {
-            if matches!(pending.get(p), Pending::None | Pending::DoneSend) {
-                pending.set(p, Pending::Send(Value::Int(next_value)));
+        for p in inputs.iter().map(PortId::index) {
+            if matches!(pending.op(p), Pending::None | Pending::DoneSend) {
+                pending.replace(p, Pending::Send(Value::Int(next_value)));
                 next_value += 1;
                 armed_any = true;
             }
         }
-        for p in outputs.iter() {
-            if matches!(pending.get(p), Pending::None | Pending::DoneRecv(_)) {
-                pending.set(p, Pending::Recv);
+        for p in outputs.iter().map(PortId::index) {
+            if matches!(pending.op(p), Pending::None | Pending::DoneRecv(_)) {
+                pending.replace(p, Pending::Recv);
                 armed_any = true;
             }
         }

@@ -14,7 +14,7 @@ use reo_automata::fire::try_fire;
 use reo_automata::{
     primitives, Automaton, MemId, MemLayout, PortId, PortSet, Pred, StateId, Store, Value,
 };
-use reo_runtime::engine::{Pending, PendingTable, PortMap};
+use reo_runtime::engine::{Pending, PendingTable};
 use reo_runtime::jit::JitCore;
 
 /// The reference: one automaton, its transitions tried in the lowered
@@ -49,18 +49,18 @@ impl Interpreter {
                 .sync
                 .iter()
                 .all(|p| match (ins.contains(p), outs.contains(p)) {
-                    (true, _) => matches!(pending.get(p), Pending::Send(_)),
-                    (_, true) => matches!(pending.get(p), Pending::Recv),
+                    (true, _) => matches!(pending.op(p.index()), Pending::Send(_)),
+                    (_, true) => matches!(pending.op(p.index()), Pending::Recv),
                     _ => true, // internal: nobody's operation
                 });
-            let input = |p: PortId| match pending.get(p) {
+            let input = |p: PortId| match pending.op(p.index()) {
                 Pending::Send(v) => Some(v.clone()),
                 _ => None,
             };
             let fired = armed.then(|| try_fire(t, &input, store).expect("resolved"));
             let Some(Some(firing)) = fired else { continue };
             for p in t.sync.iter().filter(|p| ins.contains(*p)) {
-                pending.set(p, Pending::DoneSend);
+                pending.replace(p.index(), Pending::DoneSend);
                 done.push(p);
             }
             for (p, v) in firing
@@ -68,7 +68,7 @@ impl Interpreter {
                 .into_iter()
                 .filter(|(p, _)| outs.contains(*p))
             {
-                pending.set(p, Pending::DoneRecv(v));
+                pending.replace(p.index(), Pending::DoneRecv(v));
                 done.push(p);
             }
             (self.state, self.rotation) = (t.target, self.rotation + 1);
@@ -95,7 +95,7 @@ fn drive(
     port_count: usize,
     layout: &MemLayout,
 ) -> (Vec<Event>, Store) {
-    let mut pending = PendingTable::new(PortMap::dense(port_count));
+    let mut pending = PendingTable::new(port_count);
     let mut store = Store::new(layout);
     let mut completed: Vec<PortId> = Vec::new();
     let mut trace = Vec::new();
@@ -103,20 +103,20 @@ fn drive(
     let mut next = 0i64;
     for _ in 0..ROUNDS {
         for p in inputs.iter() {
-            if matches!(pending.get(p), Pending::None | Pending::DoneSend) {
-                pending.set(p, Pending::Send(Value::Int(next)));
+            if matches!(pending.op(p.index()), Pending::None | Pending::DoneSend) {
+                pending.replace(p.index(), Pending::Send(Value::Int(next)));
                 armed[p.index()] = next;
                 next += 1;
             }
         }
         for p in outputs.iter() {
-            if matches!(pending.get(p), Pending::None | Pending::DoneRecv(_)) {
-                pending.set(p, Pending::Recv);
+            if matches!(pending.op(p.index()), Pending::None | Pending::DoneRecv(_)) {
+                pending.replace(p.index(), Pending::Recv);
             }
         }
         while step(&mut pending, &mut store, &mut completed) {
             for &p in completed.iter() {
-                match pending.get(p) {
+                match pending.op(p.index()) {
                     Pending::DoneSend => trace.push(Event::Send(p.0, armed[p.index()])),
                     Pending::DoneRecv(v) => trace.push(Event::Recv(p.0, format!("{v:?}"))),
                     other => panic!("completed port {p:?} in state {other:?}"),
@@ -262,8 +262,7 @@ fn a_composed_region_keeps_its_link_facing_ports_and_its_tuple() {
     ];
     let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
     let opts = ProductOptions::default();
-    let ports = PortMap::dense(7);
-    let mut jit = JitCore::eager(autos.clone(), &starts, &ports, &opts).unwrap();
+    let mut jit = JitCore::eager(autos.clone(), &starts, &opts).unwrap();
     let (product, trace) = product_all_traced(&autos, &starts, &opts).unwrap();
     let mut interpreting = Interpreter::new(product);
 
@@ -326,10 +325,10 @@ fn unencodable_automaton_is_a_typed_error() {
     let aut = b.build();
 
     let mut jit = JitCore::new(vec![aut], 1 << 20);
-    let mut pending = PendingTable::new(PortMap::dense(1));
+    let mut pending = PendingTable::new(1);
     let mut store = Store::new(&MemLayout::cells(1));
     // A step is lowered when first tried: arm its send.
-    pending.set(p(0), Pending::Send(Value::Int(1)));
+    pending.replace(p(0).index(), Pending::Send(Value::Int(1)));
     let err = jit
         .try_step(&mut pending, &mut store, &mut Vec::new())
         .expect_err("must refuse");

@@ -18,11 +18,21 @@
 //! With `--pairs K` it also connects a reconfigurable session and times
 //! `K` attach/detach pairs, each split into re-instantiation, join and
 //! splice ([`reo::runtime::ConnectorHandle::splice_phases`]), next to that
-//! session's connect.
+//! session's connect. Every connect is also split into instantiation,
+//! regions and the first pump
+//! ([`reo::runtime::ConnectorHandle::connect_phases`]).
 //!
-//! Run: `cargo run --release --example scale -- <n> <jit|part|…> [--pairs K]`.
-//! It ends with an `ok:` line, and panics if a value does not come
-//! through or a splice fails.
+//! With `--shape relay` the connector is the `relay` family instead: `n`
+//! independent `Sync – Fifo1 – Sync` channels, so `2n` regions and `n`
+//! links under `part`. Each of five rounds connects it, probes an idle
+//! receiver once (`try_recv`, which serves every link first) and passes
+//! one value through the middle channel; the example prints the medians
+//! of the connect, its phases, the probe and the first value, the peak
+//! resident set and the bytes per constituent.
+//!
+//! Run: `cargo run --release --example scale -- <n> <jit|part|…> [--pairs K]
+//! [--shape merger|relay]`. It ends with an `ok:` line, and panics if a
+//! value does not come through or a splice fails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,6 +86,7 @@ fn peak_rss_mib() -> Option<f64> {
 /// What one open measured.
 struct Open {
     connect: Duration,
+    connect_phases: [Duration; 3],
     /// From the end of the connect to the first value received.
     first_value: Duration,
     /// Dropping the `n` producer handles: a hangup of every producer.
@@ -93,6 +104,79 @@ fn assert_hangup<T: std::fmt::Debug>(got: Result<T, RuntimeError>) {
     assert!(matches!(got, Err(RuntimeError::Hangup(_))), "{got:?}");
 }
 
+/// A connect's phases, as milliseconds.
+fn phases(p: [Duration; 3]) -> String {
+    format!(
+        "instantiate {:.2}, regions {:.2}, pump {:.2}",
+        ms(p[0]),
+        ms(p[1]),
+        ms(p[2])
+    )
+}
+
+/// What one open of the relay measured.
+struct RelayOpen {
+    connect: Duration,
+    phases: [Duration; 3],
+    /// One `try_recv` on a receiver nothing was sent to.
+    idle_probe: Duration,
+    /// A value through the middle channel, sent and received.
+    first_value: Duration,
+    /// Allocated from source text to the first value, per constituent.
+    bytes: f64,
+}
+
+/// One open of the relay from source text to the first value.
+fn open_relay(n: usize, mode: Mode) -> RelayOpen {
+    let before = BYTES.load(Ordering::Relaxed);
+    let family = reo::connectors::relay_family();
+    let program = family.program();
+    let connector = Connector::builder(&program, family.def)
+        .mode(mode)
+        .build()
+        .unwrap();
+    let spec = connector.session().replicate_all(&(family.sizes)(n));
+    let start = Instant::now();
+    let mut session = spec.connect().unwrap();
+    let connect = start.elapsed();
+    let txs = session.typed_outports::<i64>("t").unwrap();
+    let rxs = session.typed_inports::<i64>("hd").unwrap();
+    let start = Instant::now();
+    assert_eq!(rxs[0].try_recv().unwrap(), None);
+    let idle_probe = start.elapsed();
+    let start = Instant::now();
+    txs[n / 2].send(7).unwrap();
+    assert_eq!(rxs[n / 2].recv_timeout(Duration::from_secs(10)).unwrap(), 7);
+    let first_value = start.elapsed();
+    let bytes = BYTES.load(Ordering::Relaxed) - before;
+    let handle = session.handle();
+    RelayOpen {
+        connect,
+        phases: handle.connect_phases(),
+        idle_probe,
+        first_value,
+        bytes: bytes as f64 / handle.medium_count() as f64,
+    }
+}
+
+/// Five opens of the relay; prints their medians.
+fn relay(n: usize, name: &str, mode: Mode) {
+    let rounds: Vec<RelayOpen> = (0..5).map(|_| open_relay(n, mode)).collect();
+    let column = |f: fn(&RelayOpen) -> Duration| median(rounds.iter().map(f).collect());
+    let phase = |k: usize| median(rounds.iter().map(|o| o.phases[k]).collect());
+    println!(
+        "relay n={n} {name}: connect {:.2} ms ({}), idle try_recv {:.3} ms, first value \
+         {:.3} ms (medians of 5), peak RSS {:.1} MiB, {:.0} B per constituent",
+        ms(column(|o| o.connect)),
+        phases([0, 1, 2].map(phase)),
+        ms(column(|o| o.idle_probe)),
+        ms(column(|o| o.first_value)),
+        peak_rss_mib().unwrap_or(f64::NAN),
+        rounds[rounds.len() - 1].bytes,
+    );
+    println!("ok: relay n={n} {name} passed a value in every round");
+}
+
 /// One open from source text to the first value, then the producers' drop
 /// and the consumer's first `recv` after it; then the parked drop.
 fn open(n: usize, mode: Mode) -> Open {
@@ -106,6 +190,7 @@ fn open(n: usize, mode: Mode) -> Open {
     let start = Instant::now();
     let mut session = spec.connect().unwrap();
     let connect = start.elapsed();
+    let connect_phases = session.handle().connect_phases();
     let txs = session.typed_outports::<i64>("src").unwrap();
     let rx = session.typed_inport::<i64>("c").unwrap();
     txs[0].send(7).unwrap();
@@ -121,6 +206,7 @@ fn open(n: usize, mode: Mode) -> Open {
     std::mem::drop((rx, session)); // one session at a time: the peak is one open's
     Open {
         connect,
+        connect_phases,
         first_value,
         drop,
         first_recv,
@@ -201,23 +287,31 @@ fn churn(n: usize, mode: Mode, pairs: usize) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: scale <n> <mode> [--pairs K]";
+    let usage = "usage: scale <n> <mode> [--pairs K] [--shape merger|relay]";
     let n: usize = args.first().and_then(|a| a.parse().ok()).expect(usage);
     let name = args.get(1).expect(usage);
     let (_, mode) = Mode::grid_subset(&[name.as_str()]).next().expect(usage);
-    let pairs: usize = match args.get(2).map(String::as_str) {
-        Some("--pairs") => args.get(3).and_then(|a| a.parse().ok()).expect(usage),
-        _ => 0,
+    let flag = |name: &str| {
+        let at = args.iter().position(|a| a == name)?;
+        Some(args.get(at + 1).expect(usage).as_str())
     };
+    let pairs: usize = flag("--pairs").map_or(0, |k| k.parse().expect(usage));
+    match flag("--shape") {
+        None | Some("merger") => {}
+        Some("relay") => return relay(n, name, mode),
+        Some(_) => panic!("{usage}"),
+    }
 
     let rounds: Vec<Open> = (0..5).map(|_| open(n, mode)).collect();
     let bytes = rounds[rounds.len() - 1].bytes;
     let column = |f: fn(&Open) -> Duration| ms(median(rounds.iter().map(f).collect()));
+    let phase = |k: usize| median(rounds.iter().map(|o| o.connect_phases[k]).collect());
     println!(
-        "merger n={n} {name}: connect {:.2} ms, first value {:.2} ms, drop {:.2} ms, \
+        "merger n={n} {name}: connect {:.2} ms ({}), first value {:.2} ms, drop {:.2} ms, \
          first recv after it {:.2} ms, parked drop {:.2} ms (medians of 5), \
          peak RSS {:.1} MiB, {bytes:.0} B per constituent",
         column(|o| o.connect),
+        phases([0, 1, 2].map(phase)),
         column(|o| o.first_value),
         column(|o| o.drop),
         column(|o| o.first_recv),

@@ -31,7 +31,7 @@ use reo::automata::{
     product_all_traced, Automaton, MemLayout, PortId, PortOwners, ProductOptions, StateId, Store,
     Value,
 };
-use reo::runtime::engine::{Pending, PendingTable, PortMap};
+use reo::runtime::engine::{Pending, PendingTable};
 use reo::runtime::jit::JitCore;
 
 /// Rounds of the saturation script, and firings allowed per round (a
@@ -45,25 +45,25 @@ type Firing = (Vec<StateId>, Vec<String>);
 
 /// Arm every boundary input with a fresh send and every boundary output
 /// with a receive, step until nothing fires, repeat.
-fn drive(core: &mut JitCore, ports: &PortMap, layout: &MemLayout) -> Vec<Result<Firing, String>> {
+fn drive(core: &mut JitCore, ports: usize, layout: &MemLayout) -> Vec<Result<Firing, String>> {
     let (inputs, outputs) = (
         core.boundary_inputs().clone(),
         core.boundary_outputs().clone(),
     );
-    let mut pending = PendingTable::new(ports.clone());
+    let mut pending = PendingTable::new(ports);
     let mut store = Store::new(layout);
     let mut completed: Vec<PortId> = Vec::new();
     let (mut log, mut next) = (Vec::new(), 0i64);
     for _ in 0..ROUNDS {
         for p in inputs.iter() {
-            if matches!(pending.get(p), Pending::None | Pending::DoneSend) {
-                pending.set(p, Pending::Send(Value::Int(next)));
+            if matches!(pending.op(p.index()), Pending::None | Pending::DoneSend) {
+                pending.replace(p.index(), Pending::Send(Value::Int(next)));
                 next += 1;
             }
         }
         for p in outputs.iter() {
-            if matches!(pending.get(p), Pending::None | Pending::DoneRecv(_)) {
-                pending.set(p, Pending::Recv);
+            if matches!(pending.op(p.index()), Pending::None | Pending::DoneRecv(_)) {
+                pending.replace(p.index(), Pending::Recv);
             }
         }
         for _ in 0..FIRINGS_PER_ROUND {
@@ -71,7 +71,9 @@ fn drive(core: &mut JitCore, ports: &PortMap, layout: &MemLayout) -> Vec<Result<
                 Ok(false) => break,
                 Ok(true) => {
                     let ops = completed.drain(..);
-                    let ops = ops.map(|p| format!("{p:?} {:?}", pending.get(p))).collect();
+                    let ops = ops
+                        .map(|p| format!("{p:?} {:?}", pending.op(p.index())))
+                        .collect();
                     log.push(Ok((core.constituent_states(), ops)));
                 }
                 Err(e) => {
@@ -92,9 +94,9 @@ fn check_automata(autos: &[Automaton]) -> Result<Option<usize>, String> {
         return Ok(None);
     };
     let last = autos.iter().filter_map(|a| a.ports().iter().max());
-    let ports = PortMap::dense(last.max().map_or(0, |p| p.index() + 1));
+    let ports = last.max().map_or(0, |p| p.index() + 1);
     let opts = ProductOptions::default();
-    let mut eager = JitCore::eager(autos.to_vec(), &starts, &ports, &opts)
+    let mut eager = JitCore::eager(autos.to_vec(), &starts, &opts)
         .map_err(|e| format!("the product fits its budget, the fill does not: {e}"))?;
 
     let owners = PortOwners::new(autos);
@@ -125,8 +127,8 @@ fn check_automata(autos: &[Automaton]) -> Result<Option<usize>, String> {
     autos.iter().for_each(|a| layout.merge(a.mem_layout()));
     let mut lazy = JitCore::new(autos.to_vec(), 1 << 20);
     let (comp, jit) = (
-        drive(&mut eager, &ports, &layout),
-        drive(&mut lazy, &ports, &layout),
+        drive(&mut eager, ports, &layout),
+        drive(&mut lazy, ports, &layout),
     );
     if let Some(at) = (0..comp.len().max(jit.len())).find(|&k| comp.get(k) != jit.get(k)) {
         return Err(format!(

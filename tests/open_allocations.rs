@@ -254,6 +254,26 @@ fn bytes_per_constituent(n: usize, mode: Mode) -> [f64; 3] {
     ]
 }
 
+/// Bytes one open of the `relay` family `n` channels wide allocates per
+/// constituent under `part` — `2n` regions and `n` links —, from source
+/// text to a value through the middle channel.
+fn relay_bytes_per_constituent(n: usize) -> f64 {
+    let mark = bytes();
+    let family = reo::connectors::relay_family();
+    let program = family.program();
+    let connector = Connector::builder(&program, family.def)
+        .mode(Mode::partitioned())
+        .build()
+        .unwrap();
+    let spec = connector.session().replicate_all(&(family.sizes)(n));
+    let mut session = spec.connect().unwrap();
+    let txs = session.typed_outports::<i64>("t").unwrap();
+    let rxs = session.typed_inports::<i64>("hd").unwrap();
+    txs[n / 2].send(7).unwrap();
+    assert_eq!(rxs[n / 2].recv().unwrap(), 7);
+    (bytes() - mark) as f64 / session.handle().medium_count() as f64
+}
+
 /// Each automaton's memory layout lists only the cells it owns, and a
 /// variadic primitive builds its port sets once: at n = 2,048 an open
 /// allocates per constituent what it does at n = 256 (about 6,000 B). With
@@ -265,6 +285,11 @@ fn bytes_per_constituent(n: usize, mode: Mode) -> [f64; 3] {
 /// analysed in its own hold, and a port's deadness is a bit in its slot,
 /// so that drop too is flat; with a dead set merged anew each round and
 /// the ports a walk saw collected and sorted, it took 14.5 and 116 KB.
+/// Under `part` the relay's `2n` regions speak their own ids, so each
+/// region's port table, core and store are as wide as the region and its
+/// open too is flat (about 4,800 B per constituent); with every region's
+/// store and port-width tables sized by the whole connector, it took
+/// 13,958 and 76,028 B.
 #[test]
 fn an_open_allocates_the_same_bytes_per_constituent_at_any_width() {
     for (label, mode) in [("jit", Mode::jit()), ("partitioned", Mode::partitioned())] {
@@ -286,4 +311,16 @@ fn an_open_allocates_the_same_bytes_per_constituent_at_any_width() {
             );
         }
     }
+    relay_bytes_per_constituent(2);
+    let (narrow, wide) = (
+        relay_bytes_per_constituent(256),
+        relay_bytes_per_constituent(2048),
+    );
+    println!(
+        "relay partitioned: {narrow:.0} B per constituent at n = 256, {wide:.0} B at n = 2,048"
+    );
+    assert!(
+        wide <= 1.5 * narrow && narrow <= 1.5 * wide,
+        "relay partitioned open: {narrow:.0} B at n = 256, {wide:.0} B at n = 2,048"
+    );
 }

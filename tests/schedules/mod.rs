@@ -200,18 +200,20 @@ impl World {
                 return;
             }
             Op::Hangup(port) => {
-                (topo.engine_for(port)).hangup(port, &mut t.events);
+                let (engine, at) = topo.engine_for(port).expect("a routed port");
+                engine.hangup(at, &mut t.events);
                 self.drops += 1;
                 t.pc += 1;
                 return;
             }
             Op::Poison(port) => {
-                topo.engine_for(port).arm_panic_after_steps(0);
+                let (engine, _) = topo.engine_for(port).expect("a routed port");
+                engine.arm_panic_after_steps(0);
                 t.pc += 1;
                 return;
             }
         };
-        let engine = topo.engine_for(port);
+        let (engine, at) = topo.engine_for(port).expect("a routed port");
         let retract = mv == Move::Expire || (op.probe() && t.parked);
         t.woken.0.store(false, Ordering::SeqCst);
         let waker = match op.probe() {
@@ -220,18 +222,18 @@ impl World {
         };
         // `None`: pending. A send that went through answers `Ok(None)`.
         let answer = match (sending, retract) {
-            (Some(_), true) => Some(engine.retract_send(port).map(|()| None)),
-            (None, true) => Some(engine.retract_recv(port).map(Some)),
+            (Some(_), true) => Some(engine.retract_send(at).map(|()| None)),
+            (None, true) => Some(engine.retract_recv(at).map(Some)),
             (Some(v), false) => {
                 let mut value = (!t.parked).then_some(Value::Int(v));
                 let ev = &mut t.events;
-                let r = engine.poll_send(port, &mut value, &waker, op.timed(), ev);
+                let r = engine.poll_send(at, &mut value, &waker, op.timed(), ev);
                 r.map(|r| r.map(|()| None))
             }
             (None, false) => {
                 let mut registered = t.parked;
                 let ev = &mut t.events;
-                let r = engine.poll_recv(port, &mut registered, &waker, op.timed(), ev);
+                let r = engine.poll_recv(at, &mut registered, &waker, op.timed(), ev);
                 r.map(|r| r.map(Some))
             }
         };

@@ -352,6 +352,32 @@ fn dropped_pending_futures_retract_atomically_with_no_loss_or_duplication() {
     }
 }
 
+/// A connect is timed once, in three phases — instantiation, the regions
+/// (plan, renaming, cores, engines) and the first pump of the links —:
+/// each phase where work happened took time, and together they took no
+/// more than the connect did. Over the relay, in every mode.
+#[test]
+fn a_connect_reports_its_three_phases() {
+    let family = reo::connectors::relay_family();
+    let program = family.program();
+    for &(label, mode) in Mode::grid() {
+        let connector = Connector::builder(&program, family.def)
+            .mode(mode)
+            .build()
+            .unwrap();
+        let spec = connector.session().replicate_all(&(family.sizes)(4));
+        let start = Instant::now();
+        let session = spec.connect().unwrap();
+        let wall = start.elapsed();
+        let handle = session.handle();
+        let [instantiate, regions, pump] = handle.connect_phases();
+        assert!(!instantiate.is_zero() && !regions.is_zero(), "{label}");
+        assert!(handle.link_count() == 0 || !pump.is_zero(), "{label}");
+        assert!(instantiate + regions + pump <= wall, "{label}");
+        assert_eq!(handle.connect_phases(), [instantiate, regions, pump]);
+    }
+}
+
 #[test]
 fn try_recv_on_closed_connector_returns_closed_not_a_hang() {
     let mut session = fifo_session();
