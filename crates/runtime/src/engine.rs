@@ -412,7 +412,7 @@ impl LinkEvents {
         }
     }
 
-    /// Add `ev`, which the caller knows is not listed yet.
+    /// Add `ev` unsearched: a repeat is served as a no-op (`Engine::serve`).
     pub(crate) fn raise(&mut self, ev: LinkEvent) {
         match self.head.iter_mut().find(|slot| slot.is_none()) {
             Some(slot) => *slot = Some(ev),

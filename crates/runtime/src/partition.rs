@@ -1114,8 +1114,8 @@ fn hold_region<'a>(
     Ok(())
 }
 
-/// Raise both events on every link of `topo`: distinct by construction,
-/// so listed without a search of what `work` holds.
+/// Raise both events on every link of `topo`, all distinct, so with no
+/// search of what `work` holds.
 fn raise_all(topo: &Topology, work: &mut LinkEvents) {
     for link in &topo.links {
         work.raise(LinkEvent::Rearm(link.in_port));
