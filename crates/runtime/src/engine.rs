@@ -672,28 +672,29 @@ pub struct Engine {
 
 impl Engine {
     /// An engine stepping `core`, named by `names`, its table and store as
-    /// wide as the ports and cells of the core's automata.
-    pub(crate) fn new(core: JitCore, names: Names) -> Self {
-        Engine {
-            inner: Mutex::new(EngineInner {
-                pending: PendingTable::new(core.owners.span().max(names.ports.len())),
-                store: Store::of(core.automata.iter().map(Automaton::mem_layout)),
-                core,
-                names,
-                wakes: WakeList::default(),
-                link_ends: Vec::new(),
-                events: LinkEvents::default(),
-                completed: Vec::new(),
-                stats: EngineStats::default(),
-                multi_link: false,
-                closed: false,
-                poisoned: None,
-                parked: 0,
-                dead: Dead::default(),
-                panic_after: None,
-            }),
-            closing: AtomicBool::new(false),
-        }
+    /// wide as the ports and cells of the core's automata, told which of
+    /// its ports end a link.
+    pub(crate) fn new(core: JitCore, names: Names, ends: &[(PortId, LinkEnd)]) -> Self {
+        let mut inner = EngineInner {
+            pending: PendingTable::new(core.owners.span().max(names.ports.len())),
+            store: Store::of(core.automata.iter().map(Automaton::mem_layout)),
+            core,
+            names,
+            wakes: WakeList::default(),
+            link_ends: Vec::new(),
+            events: LinkEvents::default(),
+            completed: Vec::new(),
+            stats: EngineStats::default(),
+            multi_link: false,
+            closed: false,
+            poisoned: None,
+            parked: 0,
+            dead: Dead::default(),
+            panic_after: None,
+        };
+        Self::set_link_ends(&mut inner, ends);
+        let (inner, closing) = (Mutex::new(inner), AtomicBool::new(false));
+        Engine { inner, closing }
     }
 
     /// Take the engine lock and count the acquisition under it: no atomic
@@ -1366,7 +1367,7 @@ mod tests {
     use std::time::Instant;
 
     fn engine_of(auts: Vec<Automaton>, names: Names) -> Engine {
-        Engine::new(JitCore::new(auts, 1 << 20), names)
+        Engine::new(JitCore::new(auts, 1 << 20), names, &[])
     }
 
     fn engine_for(aut: Automaton, _ports: usize) -> Engine {

@@ -854,7 +854,7 @@ mod tests {
 
     fn engine_from(automata: Vec<Automaton>, _ports: usize) -> Engine {
         let core = JitCore::new(automata, 1 << 20);
-        Engine::new(core, Default::default())
+        Engine::new(core, Default::default(), &[])
     }
 
     fn p(i: u32) -> PortId {
@@ -1001,7 +1001,7 @@ mod tests {
         .into();
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
         let core = JitCore::new(inst.automata, 1 << 20);
-        let eng = Engine::new(core, Default::default());
+        let eng = Engine::new(core, Default::default(), &[]);
 
         // All three producers offer; only the first can complete.
         for (i, &t) in tl.iter().enumerate() {

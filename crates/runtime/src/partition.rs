@@ -131,7 +131,6 @@ use crate::engine::{
 };
 pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
-use crate::jit::JitCore;
 use crate::reconfig::splice_core;
 use crate::watchdog::{LinkReport, Snapshot, StallReport, Watchdog};
 
@@ -357,7 +356,7 @@ pub fn partition_with_opts(
     }
     let ends = region_ends(&links, &plan.router, cores.len());
     let engines = (cores.into_iter().zip(ends))
-        .map(|((core, names), ends)| region_engine(core, names, &ends))
+        .map(|((core, names), ends)| Arc::new(Engine::new(core, names, &ends)))
         .collect();
 
     let topo = Arc::new(Topology {
@@ -379,13 +378,6 @@ pub fn partition_with_opts(
         watchdog: None,
         lock_poison_noted: AtomicBool::new(false),
     })
-}
-
-/// A fresh engine for a region, told which of its ports end a link.
-fn region_engine(core: JitCore, names: Names, ends: &[(PortId, LinkEnd)]) -> Arc<Engine> {
-    let engine = Engine::new(core, names);
-    Engine::set_link_ends(&mut engine.lock(), ends);
-    Arc::new(engine)
 }
 
 /// Keep the ids past `names[..known]` that it lacks, in ascending order
@@ -1065,7 +1057,7 @@ impl Partitioned {
                 Some(or) => Arc::clone(&old.engines[or]),
                 None => {
                     let (core, names) = fresh.remove(&nr).expect("fresh region core built");
-                    region_engine(core, names, &ends[nr])
+                    Arc::new(Engine::new(core, names, &ends[nr]))
                 }
             })
             .collect();

@@ -93,7 +93,7 @@ pub(crate) fn block_on<T>(
 /// — on one engine, a partition with one region and no links.
 impl Partitioned {
     /// Run `f` against the engine that serves `p`, with `p`'s id there
-    /// (`detached` if none does) — every port operation is made of these.
+    /// (`detached(p)` if none does) — every port operation is made of these.
     /// The call routes by one topology (`with_topo`), and once `f` is
     /// through drains the link events its holds raised against the same
     /// snapshot ([`Partitioned::drain`]): one hold of the other engine per
@@ -101,7 +101,7 @@ impl Partitioned {
     /// link is served first: a one-shot probe gets no second chance, so it
     /// must see everything already in flight, including what another
     /// task's drain has not served yet.
-    fn hold<R, F>(&self, p: PortId, sweep: bool, detached: R, f: F) -> R
+    fn hold<R, F>(&self, p: PortId, sweep: bool, detached: fn(PortId) -> R, f: F) -> R
     where
         F: FnOnce(&Engine, PortId, &mut LinkEvents) -> R,
     {
@@ -110,7 +110,7 @@ impl Partitioned {
                 self.pump_on(topo);
             }
             let Some((engine, at)) = topo.engine_for(p) else {
-                return detached;
+                return detached(p);
             };
             self.drain(topo, |events| f(engine, at, events))
         })
@@ -154,8 +154,8 @@ impl Partitioned {
         block_on(
             deadline,
             |waker| {
-                let detached = Some(detached(p));
-                let outcome = self.hold(p, false, detached, |e, at, ev| poll(e, at, waker, ev));
+                let outcome =
+                    self.hold(p, false, detached_poll, |e, at, ev| poll(e, at, waker, ev));
                 if outcome.is_none() && std::mem::take(&mut unobserved) {
                     self.observe();
                 }
@@ -163,7 +163,7 @@ impl Partitioned {
             },
             || {
                 let stall = watched.then(|| self.observe()).flatten();
-                let retracted = self.hold(p, false, detached(p), |e, at, _| retract(e, at));
+                let retracted = self.hold(p, false, detached, |e, at, _| retract(e, at));
                 match (retracted, stall) {
                     (Err(RuntimeError::Timeout), Some(report)) => {
                         Err(RuntimeError::Stalled(Box::new(report)))
@@ -177,7 +177,7 @@ impl Partitioned {
     /// One poll, and a retraction if it is pending: nobody parks behind a
     /// probe, so the waker is a no-op.
     fn try_send(&self, p: PortId, v: Value) -> Result<bool, RuntimeError> {
-        let sent = self.hold(p, true, detached(p), |e, at, ev| {
+        let sent = self.hold(p, true, detached, |e, at, ev| {
             e.poll_send(at, &mut Some(v), Waker::noop(), false, ev)
                 .unwrap_or_else(|| e.retract_send(at))
         });
@@ -188,7 +188,7 @@ impl Partitioned {
     }
 
     fn try_recv(&self, p: PortId) -> Result<Option<Value>, RuntimeError> {
-        let got = self.hold(p, true, detached(p), |e, at, ev| {
+        let got = self.hold(p, true, detached, |e, at, ev| {
             e.poll_recv(at, &mut false, Waker::noop(), false, ev)
                 .unwrap_or_else(|| e.retract_recv(at))
         });
@@ -205,7 +205,7 @@ impl Partitioned {
         value: &mut Option<Value>,
         cx: &mut Context<'_>,
     ) -> Poll<Result<(), RuntimeError>> {
-        self.hold(p, false, Some(detached(p)), |e, at, ev| {
+        self.hold(p, false, detached_poll, |e, at, ev| {
             e.poll_send(at, value, cx.waker(), false, ev)
         })
         .map_or(Poll::Pending, Poll::Ready)
@@ -218,7 +218,7 @@ impl Partitioned {
         registered: &mut bool,
         cx: &mut Context<'_>,
     ) -> Poll<Result<Value, RuntimeError>> {
-        self.hold(p, false, Some(detached(p)), |e, at, ev| {
+        self.hold(p, false, detached_poll, |e, at, ev| {
             e.poll_recv(at, registered, cx.waker(), false, ev)
         })
         .map_or(Poll::Pending, Poll::Ready)
@@ -227,16 +227,20 @@ impl Partitioned {
     /// The hangup a dropped handle owes (see `Registration`): one hold, and
     /// the drain of what it raised — deadness crosses links like a value.
     fn hangup(&self, p: PortId) {
-        self.hold(p, false, (), |e, at, ev| e.hangup(at, ev))
+        self.hold(p, false, |_| (), |e, at, ev| e.hangup(at, ev))
     }
 }
 
 /// What a poll answers: `None` while the operation is pending.
 type Polled<T> = Option<Result<T, RuntimeError>>;
 
-/// The answer of a call on a port no region serves.
+/// The answer of a call on a port no region serves, and of a poll on it.
 fn detached<T>(p: PortId) -> Result<T, RuntimeError> {
     Err(RuntimeError::Detached(p))
+}
+
+fn detached_poll<T>(p: PortId) -> Polled<T> {
+    Some(detached(p))
 }
 
 fn deadline_in(timeout: Duration) -> Option<Instant> {
@@ -568,7 +572,7 @@ impl Drop for SendFuture<'_> {
             let p = self.port;
             let _ = self
                 .parts
-                .hold(p, false, detached(p), |e, at, _| e.retract_send(at));
+                .hold(p, false, detached, |e, at, _| e.retract_send(at));
         }
     }
 }
@@ -619,7 +623,8 @@ impl<T> Drop for RecvFuture<'_, T> {
         // next receive on the port (`Engine::abandon_recv`).
         if self.registered && !self.done {
             let p = self.port;
-            self.parts.hold(p, false, (), |e, at, _| e.abandon_recv(at));
+            self.parts
+                .hold(p, false, |_| (), |e, at, _| e.abandon_recv(at));
         }
     }
 }
