@@ -100,11 +100,6 @@ impl PortOwners {
         PortOwners { starts, owners }
     }
 
-    /// One past the highest port id the index knows.
-    pub fn span(&self) -> usize {
-        self.starts.len() - 1
-    }
-
     /// The automata owning `p`, ascending; none past the table.
     pub fn of(&self, p: PortId) -> &[u32] {
         match self.starts.get(p.index()..p.index() + 2) {

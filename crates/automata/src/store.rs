@@ -170,16 +170,16 @@ impl Store {
         self.cells[m.index()].clear();
     }
 
-    /// Extend the store up to the layout's highest id, each new cell
-    /// initialized from the layout. Existing cells keep their current
-    /// contents — this is the memory-growth half of a dynamic
+    /// Extend the store up to the layout's highest id and initialize from
+    /// the layout each of its cells that `kept` does not claim. A kept cell
+    /// keeps its current contents — this is the memory half of a dynamic
     /// reconfiguration splice, where new constituents bring fresh cells
     /// while the surviving constituents' state must not move.
-    pub fn grow(&mut self, layout: &MemLayout) {
-        let old = self.cells.len();
+    pub fn grow(&mut self, layout: &MemLayout, kept: impl Fn(MemId) -> bool) {
         let end = layout.iter().map(|(m, _)| m.index() + 1).max().unwrap_or(0);
-        self.cells.resize_with(old.max(end), VecDeque::new);
-        for (m, init) in layout.iter().filter(|(m, _)| m.index() >= old) {
+        self.cells
+            .resize_with(self.cells.len().max(end), VecDeque::new);
+        for (m, init) in layout.iter().filter(|&(m, _)| !kept(m)) {
             self.cells[m.index()] = init.iter().cloned().collect();
         }
     }
@@ -261,7 +261,7 @@ mod tests {
 
         let mut grown = Store::new(&MemLayout::cells(4));
         grown.push(MemId(3), Value::Int(1));
-        grown.grow(&table);
+        grown.grow(&table, |m| m.index() < 4);
         assert_eq!(grown.cell_count(), 10);
         assert_eq!(
             grown.len(MemId(3)),

@@ -111,12 +111,17 @@ pub enum Pending {
 }
 
 /// The session's id of each of a region's ports and cells, in the
-/// region's order (both empty while it speaks the session's ids).
+/// region's order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Names {
     pub ports: Vec<PortId>,
     pub cells: Vec<MemId>,
 }
+
+/// A port's id in its engine's region, which only the router hands out
+/// ([`crate::partition::Topology::engine_for`]): never a session's id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot(pub(crate) u32);
 
 /// The per-port table of one engine: each port's `PortSlot` — its pending
 /// operation and its wait state — at its id in the region
@@ -542,11 +547,6 @@ impl EngineInner {
         }
     }
 
-    /// The session's id of slot `i`, for an error that names it.
-    fn port(&self, i: usize) -> PortId {
-        self.names.ports.get(i).copied().unwrap_or(PortId(i as u32))
-    }
-
     /// Whether the analysis proved slot `i` dead: no read while no port is.
     fn is_dead(&self, i: usize) -> bool {
         self.dead.count > 0 && self.pending.is_dead(i)
@@ -676,7 +676,7 @@ impl Engine {
     /// its ports end a link.
     pub(crate) fn new(core: JitCore, names: Names, ends: &[(PortId, LinkEnd)]) -> Self {
         let mut inner = EngineInner {
-            pending: PendingTable::new(core.owners.span().max(names.ports.len())),
+            pending: PendingTable::new(names.ports.len()),
             store: Store::of(core.automata.iter().map(Automaton::mem_layout)),
             core,
             names,
@@ -805,10 +805,10 @@ impl Engine {
     /// Phaser-style deregistration: mark `p` hung up; if somebody may wait
     /// for it, the analysis (`crate::dead`) runs in this hold and wakes
     /// whom it kills, to [`RuntimeError::Hangup`]. No-op once closed.
-    pub fn hangup(&self, p: PortId, events: &mut LinkEvents) {
+    pub fn hangup(&self, p: Slot, events: &mut LinkEvents) {
         self.firing(events, |inner| {
             if !inner.closed {
-                inner.hang_up(p.index());
+                inner.hang_up(p.0 as usize);
             }
         })
     }
@@ -826,7 +826,7 @@ impl Engine {
                 Pending::Recv => ParkedKind::Recv,
                 _ => continue,
             };
-            let port = inner.port(i);
+            let port = inner.names.ports[i];
             if inner.link_ends.get(i).is_some_and(Option::is_some) {
                 snap.armed_links.insert(port);
             } else {
@@ -920,7 +920,7 @@ impl Engine {
                 }
                 Ok(Ok(false)) => break,
                 Ok(Err(RuntimeError::Unresolved(UnresolvedPort(p)))) => {
-                    let p = UnresolvedPort(inner.port(p.index()));
+                    let p = UnresolvedPort(inner.names.ports[p.index()]);
                     return Self::poison_locked(inner, RuntimeError::Unresolved(p).to_string());
                 }
                 Ok(Err(e)) => return Self::poison_locked(inner, e.to_string()),
@@ -968,10 +968,10 @@ impl Engine {
     /// enables.
     fn arm_send(&self, inner: &mut EngineInner, i: usize, v: Value) -> Result<(), RuntimeError> {
         if !matches!(inner.pending.slots[i].op, Pending::None) {
-            return Err(RuntimeError::PortBusy(inner.port(i)));
+            return Err(RuntimeError::PortBusy(inner.names.ports[i]));
         }
         if inner.is_dead(i) {
-            return Err(RuntimeError::Hangup(inner.port(i)));
+            return Err(RuntimeError::Hangup(inner.names.ports[i]));
         }
         inner.pending.replace(i, Pending::Send(v));
         self.fire_loop(inner);
@@ -994,17 +994,17 @@ impl Engine {
         match inner.pending.slots[i].op {
             Pending::None => {
                 if inner.is_dead(i) {
-                    return Err(RuntimeError::Hangup(inner.port(i)));
+                    return Err(RuntimeError::Hangup(inner.names.ports[i]));
                 }
                 inner.pending.replace(i, Pending::Recv);
             }
             Pending::DoneRecv(_) => {
                 if !std::mem::take(&mut inner.pending.slots[i].abandoned) {
-                    return Err(RuntimeError::PortBusy(inner.port(i)));
+                    return Err(RuntimeError::PortBusy(inner.names.ports[i]));
                 }
                 return Ok(()); // abandoned delivery: settled right away
             }
-            _ => return Err(RuntimeError::PortBusy(inner.port(i))),
+            _ => return Err(RuntimeError::PortBusy(inner.names.ports[i])),
         }
         self.fire_loop(inner);
         Ok(())
@@ -1041,7 +1041,7 @@ impl Engine {
             // A peer hung up and no reachable transition can ever complete
             // this operation: retract it and report it.
             inner.pending.replace(i, Pending::None);
-            return Some(RuntimeError::Hangup(inner.port(i)));
+            return Some(RuntimeError::Hangup(inner.names.ports[i]));
         }
         None
     }
@@ -1061,11 +1061,10 @@ impl Engine {
     /// Returns `Some(result)` when the operation has an outcome, `None`
     /// when pending. After `Some`, the registration is consumed — there is
     /// nothing left to retract. The link events of the hold are added to
-    /// `events` whatever the outcome. `p`, in every port call of an engine,
-    /// is the port's id in its region ([`crate::partition::Topology`]).
+    /// `events` whatever the outcome.
     pub fn poll_send(
         &self,
-        p: PortId,
+        p: Slot,
         value: &mut Option<Value>,
         waker: &Waker,
         thread: bool,
@@ -1086,7 +1085,7 @@ impl Engine {
     /// [`poll_send`]: Engine::poll_send
     pub fn poll_recv(
         &self,
-        p: PortId,
+        p: Slot,
         registered: &mut bool,
         waker: &Waker,
         thread: bool,
@@ -1106,7 +1105,7 @@ impl Engine {
     /// and park the waker if there is no outcome yet.
     fn poll<T>(
         &self,
-        p: PortId,
+        p: Slot,
         arm: impl FnOnce(&mut EngineInner, usize) -> Result<(), RuntimeError>,
         settle: impl FnOnce(&mut EngineInner, usize) -> Option<Result<T, RuntimeError>>,
         waker: &Waker,
@@ -1114,7 +1113,7 @@ impl Engine {
         events: &mut LinkEvents,
     ) -> Option<Result<T, RuntimeError>> {
         self.firing(events, |inner| {
-            let i = p.index();
+            let i = p.0 as usize;
             inner.freshen();
             if let Err(e) = arm(inner, i) {
                 return Some(Err(e));
@@ -1133,23 +1132,23 @@ impl Engine {
     /// withdrawn operation can never be half-consumed. An expired
     /// deadline, a `try_send` that found no taker and a dropped
     /// [`SendFuture`](crate::port::SendFuture) all end here.
-    pub fn retract_send(&self, p: PortId) -> Result<(), RuntimeError> {
+    pub fn retract_send(&self, p: Slot) -> Result<(), RuntimeError> {
         self.retract(p, Self::settle_send)
     }
 
     /// Recv twin of [`retract_send`](Engine::retract_send): a delivery that
     /// raced the retraction is handed out, never dropped. A caller with
     /// nowhere to hand it uses [`abandon_recv`](Engine::abandon_recv).
-    pub fn retract_recv(&self, p: PortId) -> Result<Value, RuntimeError> {
+    pub fn retract_recv(&self, p: Slot) -> Result<Value, RuntimeError> {
         self.retract(p, Self::settle_recv)
     }
 
     fn retract<T>(
         &self,
-        p: PortId,
+        p: Slot,
         settle: impl FnOnce(&mut EngineInner, usize) -> Option<Result<T, RuntimeError>>,
     ) -> Result<T, RuntimeError> {
-        let (mut inner, i) = (self.lock(), p.index());
+        let (mut inner, i) = (self.lock(), p.0 as usize);
         inner.unpark(i);
         inner.freshen();
         settle(&mut inner, i).unwrap_or_else(|| {
@@ -1167,8 +1166,8 @@ impl Engine {
     /// registration): no loss, no duplication.
     ///
     /// [`poll_recv`]: Engine::poll_recv
-    pub fn abandon_recv(&self, p: PortId) {
-        let (mut inner, i) = (self.lock(), p.index());
+    pub fn abandon_recv(&self, p: Slot) {
+        let (mut inner, i) = (self.lock(), p.0 as usize);
         match inner.pending.slots[i].op {
             Pending::Recv => _ = inner.pending.replace(i, Pending::None),
             // Mark the parked delivery orphaned so the next registration
@@ -1192,9 +1191,9 @@ impl Engine {
     /// or repeated event (the port spliced out, already armed or hung up,
     /// the engine closed) changes nothing. Wake-ups are delivered before
     /// the lock is released (see `deliver_under_lock`).
-    pub(crate) fn serve(&self, p: PortId, head: bool, events: &mut LinkEvents) {
+    pub(crate) fn serve(&self, p: Slot, head: bool, events: &mut LinkEvents) {
         let mut guard = self.lock();
-        let (inner, i) = (&mut *guard, p.index());
+        let (inner, i) = (&mut *guard, p.0 as usize);
         let end = match inner.link_ends.get(i) {
             Some(Some(end)) if end.head == head && !inner.closed => end,
             _ => return,
@@ -1229,7 +1228,7 @@ impl Engine {
     /// parked waker: the port handles of a detaching branch are consumed
     /// before this runs, so anything else is traffic, and refuses.
     pub(crate) fn removal_quiescent(inner: &EngineInner, i: usize) -> Result<(), RuntimeError> {
-        let (slot, p) = (&inner.pending.slots[i], inner.port(i));
+        let (slot, p) = (&inner.pending.slots[i], inner.names.ports[i]);
         let busy = match (&slot.op, &slot.waker) {
             (Pending::None, None) => return Ok(()),
             (Pending::None, Some(_)) => "a blocked task",
@@ -1254,10 +1253,11 @@ impl Engine {
 
     /// Splice a held engine: swap in the `recomposed` core and names, if
     /// its members changed, widening the port table and the store to the
-    /// ports and cells that came with them (the cells past the store's end
-    /// start from their layouts). A port keeps its slot and a cell its
-    /// place, so blocked tasks and buffered values stay where they are; a
-    /// port the splice removed was cleared by it, after
+    /// ports and cells that came with them. A port keeps its slot and a
+    /// cell its place, so blocked tasks and buffered values stay where
+    /// they are; a cell that came starts from its layout, past the store's
+    /// end or in the place of one the splice removed. A port the splice
+    /// removed was cleared by it, after
     /// [`removal_quiescent`](Self::removal_quiescent). Rebuild the
     /// link-end table from `ends`.
     /// Fires whatever the core enables and wakes every parked waker —
@@ -1273,14 +1273,13 @@ impl Engine {
         events: &mut LinkEvents,
     ) {
         if let Some((core, names)) = recomposed {
-            inner
-                .pending
-                .grow(core.owners.span().max(names.ports.len()));
+            inner.pending.grow(names.ports.len());
             let layouts = core.automata.iter().map(Automaton::mem_layout);
             let cells: MemLayout = layouts.flat_map(MemLayout::iter).collect();
-            inner.store.grow(&cells);
+            let old = std::mem::replace(&mut inner.names, names);
+            let kept = |m: MemId| old.cells.get(m.index()) == inner.names.cells.get(m.index());
+            inner.store.grow(&cells, kept);
             inner.core = core;
-            inner.names = names;
         }
         Self::set_link_ends(inner, ends);
         // The hangup marks came along in the slots; deadness depends on the
@@ -1296,9 +1295,9 @@ impl Engine {
     }
 }
 
-/// Port calls on a bare engine, for this crate's unit tests: the blocking
-/// ones are [`crate::port::block_on`] — the loop the port handles run —
-/// without a partition in between.
+/// Port calls on a bare engine, for this crate's unit tests, by the
+/// region's ids: the blocking ones are [`crate::port::block_on`] — the
+/// loop the port handles run — without a partition in between.
 #[cfg(test)]
 impl Engine {
     pub(crate) fn send(&self, p: PortId, v: Value) -> Result<(), RuntimeError> {
@@ -1316,6 +1315,7 @@ impl Engine {
         mut v: Option<Value>,
         deadline: Option<std::time::Instant>,
     ) -> Result<(), RuntimeError> {
+        let p = Slot(p.0);
         crate::port::block_on(
             deadline,
             |waker| self.poll_send(p, &mut v, waker, true, &mut LinkEvents::default()),
@@ -1329,6 +1329,7 @@ impl Engine {
         mut registered: bool,
         deadline: Option<std::time::Instant>,
     ) -> Result<Value, RuntimeError> {
+        let p = Slot(p.0);
         crate::port::block_on(
             deadline,
             |waker| self.poll_recv(p, &mut registered, waker, true, &mut LinkEvents::default()),
@@ -1340,7 +1341,7 @@ impl Engine {
     /// with nobody parked behind it.
     pub(crate) fn offer(&self, p: PortId, v: Value) -> Option<Result<(), RuntimeError>> {
         self.poll_send(
-            p,
+            Slot(p.0),
             &mut Some(v),
             Waker::noop(),
             false,
@@ -1355,8 +1356,26 @@ impl Engine {
         let served = |p: PortId| !inner.core.owners.of(p).is_empty();
         (inner.dead.unseen.iter().copied())
             .filter(|&p| !served(p))
-            .map(|p| inner.port(p.index()))
+            .map(|p| inner.names.ports[p.index()])
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl Names {
+    /// Each port and cell of `automata` named by itself, up to the highest:
+    /// a unit test's automata are in their region's ids already.
+    pub(crate) fn dense(automata: &[Automaton]) -> Names {
+        let ports = automata
+            .iter()
+            .flat_map(|a| a.ports().iter().map(|p| p.0 + 1));
+        let cells = automata
+            .iter()
+            .flat_map(|a| a.mem_ids().iter().map(|m| m.0 + 1));
+        Names {
+            ports: (0..ports.max().unwrap_or(0)).map(PortId).collect(),
+            cells: (0..cells.max().unwrap_or(0)).map(MemId).collect(),
+        }
     }
 }
 
@@ -1366,26 +1385,21 @@ mod tests {
     use reo_automata::primitives;
     use std::time::Instant;
 
-    fn engine_of(auts: Vec<Automaton>, names: Names) -> Engine {
+    /// An engine over `auts`, in their own ids.
+    fn engine_of(auts: Vec<Automaton>) -> Engine {
+        let names = Names::dense(&auts);
         Engine::new(JitCore::new(auts, 1 << 20), names, &[])
-    }
-
-    fn engine_for(aut: Automaton, _ports: usize) -> Engine {
-        engine_of(vec![aut], Names::default())
     }
 
     /// `n` independent fifo1s in one engine (disjoint ports 2i -> 2i+1).
     fn fifos_engine(n: u32) -> Engine {
         let fifo = |i| primitives::fifo1(PortId(2 * i), PortId(2 * i + 1), reo_automata::MemId(i));
-        engine_of((0..n).map(fifo).collect(), Names::default())
+        engine_of((0..n).map(fifo).collect())
     }
 
     #[test]
     fn fifo_send_completes_immediately_recv_after() {
-        let eng = engine_for(
-            primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
-            2,
-        );
+        let eng = fifos_engine(1);
         eng.send(PortId(0), Value::Int(7)).unwrap();
         let v = eng.recv(PortId(1)).unwrap();
         assert_eq!(v.as_int(), Some(7));
@@ -1402,7 +1416,7 @@ mod tests {
             ports: vec![PortId(3), PortId(17)],
             cells: vec![reo_automata::MemId(5)],
         };
-        let eng = engine_of(vec![aut], names);
+        let eng = Engine::new(JitCore::new(vec![aut], 1 << 20), names, &[]);
         assert_eq!(eng.lock().pending.len(), 2);
         eng.send(PortId(0), Value::Int(9)).unwrap();
         assert_eq!(eng.recv(PortId(1)).unwrap().as_int(), Some(9));
@@ -1415,7 +1429,7 @@ mod tests {
     #[test]
     fn sync_blocks_until_both_sides_arrive() {
         use std::sync::Arc;
-        let eng = Arc::new(engine_for(primitives::sync(PortId(0), PortId(1)), 2));
+        let eng = Arc::new(engine_of(vec![primitives::sync(PortId(0), PortId(1))]));
         let e2 = Arc::clone(&eng);
         let receiver = std::thread::spawn(move || e2.recv(PortId(1)).unwrap());
         // Give the receiver a chance to block first (not strictly needed).
@@ -1428,10 +1442,7 @@ mod tests {
 
     #[test]
     fn double_operation_on_port_rejected() {
-        let eng = engine_for(
-            primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
-            2,
-        );
+        let eng = fifos_engine(1);
         // Fill the buffer, then a second send is *pending* (buffer full);
         // a third register on the same port must be refused.
         eng.send(PortId(0), Value::Int(1)).unwrap();
@@ -1444,7 +1455,7 @@ mod tests {
 
     #[test]
     fn lossy_completes_send_even_without_receiver() {
-        let eng = engine_for(primitives::lossy(PortId(0), PortId(1)), 2);
+        let eng = engine_of(vec![primitives::lossy(PortId(0), PortId(1))]);
         eng.send(PortId(0), Value::Int(9)).unwrap();
         assert_eq!(eng.steps(), 1);
     }
@@ -1452,7 +1463,7 @@ mod tests {
     #[test]
     fn timed_out_send_is_retracted_and_port_reusable() {
         use std::time::Duration;
-        let eng = engine_for(primitives::sync(PortId(0), PortId(1)), 2);
+        let eng = engine_of(vec![primitives::sync(PortId(0), PortId(1))]);
         let deadline = Some(Instant::now() + Duration::from_millis(20));
         assert!(matches!(
             eng.send_until(PortId(0), Some(Value::Int(1)), deadline),
@@ -1470,10 +1481,7 @@ mod tests {
     #[test]
     fn timed_out_recv_is_retracted_and_port_reusable() {
         use std::time::Duration;
-        let eng = engine_for(
-            primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
-            2,
-        );
+        let eng = fifos_engine(1);
         let deadline = Some(Instant::now() + Duration::from_millis(20));
         assert!(matches!(
             eng.recv_until(PortId(1), false, deadline),
@@ -1488,10 +1496,7 @@ mod tests {
     fn done_at_expiry_still_completes() {
         // A completion that lands exactly as (or before) the deadline
         // expires must win over the retraction.
-        let eng = engine_for(
-            primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
-            2,
-        );
+        let eng = fifos_engine(1);
         // The fifo accepts in the first poll: an already-expired deadline
         // must still report success.
         let past = Some(Instant::now() - std::time::Duration::from_millis(1));
@@ -1502,7 +1507,7 @@ mod tests {
         // deadline passes, a step completes it, and then it is retracted.
         assert!(eng
             .poll_recv(
-                PortId(1),
+                Slot(1),
                 &mut false,
                 Waker::noop(),
                 true,
@@ -1510,31 +1515,28 @@ mod tests {
             )
             .is_none());
         eng.send(PortId(0), Value::Int(8)).unwrap();
-        assert_eq!(eng.retract_recv(PortId(1)).unwrap().as_int(), Some(8));
+        assert_eq!(eng.retract_recv(Slot(1)).unwrap().as_int(), Some(8));
         let stats = eng.stats();
         assert_eq!((stats.wakeups, stats.spurious_wakeups), (1, 0));
     }
 
     #[test]
     fn try_probes_complete_or_retract() {
-        let eng = engine_for(
-            primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0)),
-            2,
-        );
+        let eng = fifos_engine(1);
         // A probe is one poll and, if that is pending, a retraction.
         let try_send = |v| {
             eng.offer(PortId(0), Value::Int(v))
-                .unwrap_or_else(|| eng.retract_send(PortId(0)))
+                .unwrap_or_else(|| eng.retract_send(Slot(0)))
         };
         let try_recv = || {
             eng.poll_recv(
-                PortId(1),
+                Slot(1),
                 &mut false,
                 Waker::noop(),
                 false,
                 &mut LinkEvents::default(),
             )
-            .unwrap_or_else(|| eng.retract_recv(PortId(1)))
+            .unwrap_or_else(|| eng.retract_recv(Slot(1)))
         };
         // Empty buffer: a recv probe retracts.
         assert!(matches!(try_recv(), Err(RuntimeError::Timeout)));
@@ -1628,7 +1630,7 @@ mod tests {
     #[test]
     fn wakes_follow_the_unlock_except_in_serve() {
         use std::sync::Arc;
-        let eng = Arc::new(engine_for(primitives::sync(PortId(0), PortId(1)), 2));
+        let eng = Arc::new(engine_of(vec![primitives::sync(PortId(0), PortId(1))]));
         let probe = Arc::new(LockProbe {
             eng: Arc::clone(&eng),
             free: Mutex::new(Vec::new()),
@@ -1636,7 +1638,7 @@ mod tests {
         let waker = Waker::from(Arc::clone(&probe));
         let park = |thread| {
             let first = eng.poll_recv(
-                PortId(1),
+                Slot(1),
                 &mut false,
                 &waker,
                 thread,
@@ -1645,7 +1647,7 @@ mod tests {
             assert!(first.is_none());
         };
         let take = || match eng.poll_recv(
-            PortId(1),
+            Slot(1),
             &mut true,
             &waker,
             false,
@@ -1676,7 +1678,7 @@ mod tests {
         };
         Engine::set_link_ends(&mut eng.lock(), &[(PortId(0), head)]);
         let mut events = LinkEvents::default();
-        eng.serve(PortId(0), true, &mut events);
+        eng.serve(Slot(0), true, &mut events);
         assert_eq!(take(), Some(2));
         // The same hold acknowledged the front it offered.
         assert!(shared.state.lock().queue.is_empty() && events.is_empty());

@@ -649,7 +649,7 @@ impl JitCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{Engine, Names, Slot};
     use reo_automata::{primitives, MemId, MemLayout, PortAllocator, PortId, Value};
 
     /// The need a step's label used to be resolved to, by set searches over
@@ -791,15 +791,15 @@ mod tests {
         let (mut filled, mut rows, mut always, mut found) = (0, 0, 0, 0);
         for (name, autos) in connectors {
             let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
-            let opts = Limits::default().product;
+            let (opts, width) = (Limits::default().product, Names::dense(&autos).ports.len());
             let Ok(mut core) = JitCore::eager(autos, &starts, &opts) else {
                 continue;
             };
             filled += 1;
             let links: Vec<Link> = core.cache.resident().collect();
             links.iter().for_each(|&link| core.watch(link));
-            let nothing = PendingTable::new(core.owners.span());
-            let mut pending = PendingTable::new(core.owners.span());
+            let nothing = PendingTable::new(width);
+            let mut pending = PendingTable::new(width);
             let need = |entry: &Entry| &core.steps[entry.step as usize].need;
             for link in links {
                 let row = core.cache.row(link);
@@ -852,9 +852,9 @@ mod tests {
         );
     }
 
-    fn engine_from(automata: Vec<Automaton>, _ports: usize) -> Engine {
-        let core = JitCore::new(automata, 1 << 20);
-        Engine::new(core, Default::default(), &[])
+    fn engine_from(automata: Vec<Automaton>) -> Engine {
+        let names = Names::dense(&automata);
+        Engine::new(JitCore::new(automata, 1 << 20), names, &[])
     }
 
     fn p(i: u32) -> PortId {
@@ -866,7 +866,7 @@ mod tests {
         // Two *separate* medium automata share vertex 1; the JIT engine must
         // synchronize them: the send completes only with the receive.
         let autos = vec![primitives::sync(p(0), p(1)), primitives::sync(p(1), p(2))];
-        let eng = std::sync::Arc::new(engine_from(autos, 3));
+        let eng = std::sync::Arc::new(engine_from(autos));
         let e2 = std::sync::Arc::clone(&eng);
         let rx = std::thread::spawn(move || e2.recv(p(2)).unwrap());
         eng.send(p(0), Value::Int(11)).unwrap();
@@ -895,7 +895,7 @@ mod tests {
             primitives::fifo1(p(0), p(1), MemId(0)),
             primitives::fifo1(p(2), p(3), MemId(1)),
         ];
-        let eng = engine_from(autos, 4);
+        let eng = engine_from(autos);
         let fill = |port| {
             eng.send(p(port), Value::Int(port as i64)).unwrap();
         };
@@ -1000,8 +1000,7 @@ mod tests {
         ]
         .into();
         let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
-        let core = JitCore::new(inst.automata, 1 << 20);
-        let eng = Engine::new(core, Default::default(), &[]);
+        let eng = engine_from(inst.automata);
 
         // All three producers offer; only the first can complete.
         for (i, &t) in tl.iter().enumerate() {
@@ -1112,10 +1111,10 @@ mod tests {
         builder.transition(s0, Transition::new(PortSet::from_iter([h, q]), s1));
         builder.transition(s0, Transition::new(PortSet::singleton(q), s0));
         builder.transition(s1, Transition::new(PortSet::singleton(live), s1));
-        let eng = engine_from(vec![builder.build()], 3);
+        let eng = engine_from(vec![builder.build()]);
 
         assert!(eng.offer(h, Value::Unit).is_none());
-        eng.hangup(h, &mut Default::default());
+        eng.hangup(Slot(h.0), &mut Default::default());
         // From `s0` only `q` can still fire: `live` is beyond the dead step.
         let refused = eng.offer(live, Value::Unit);
         assert!(matches!(refused, Some(Err(RuntimeError::Hangup(_)))));

@@ -9,12 +9,12 @@
 //! at queue automata ([`reo_automata::automaton::QueueHint`]): each
 //! synchronous region gets its own engine, and each cut fifo becomes a
 //! [`Link`] — an actual queue moving values from one engine's boundary to
-//! another's. With more than one region, each region's members are renamed
-//! to the region's own ids (`rename`, over [`reo_automata::remap`]):
-//! a port is its slot in its engine's table, a cell its place in the
-//! region's store, and the router sends a session port to its engine and
-//! slot once per port call. Expansion work and memory then scale with the
-//! largest *region*, not with the whole connector.
+//! another's. Each region's members are renamed to the region's own ids
+//! (`rename`, over [`reo_automata::remap`]): a port is its slot in its
+//! engine's table, a cell its place in the region's store, and the router
+//! sends a session port to its engine and slot once per port call.
+//! Expansion work and memory then scale with the largest *region*, not
+//! with the whole connector.
 //!
 //! Every session is a [`Partitioned`]; the [`Placement`] only decides the
 //! plan. On one engine ([`Placement::Single`], and the existing approach)
@@ -127,7 +127,7 @@ use reo_automata::{Automaton, MemId, MemLayout, PortId, PortOwners, PortSet, Sta
 
 use crate::connector::{core_for, Limits, Mode, Placement};
 use crate::engine::{
-    Engine, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Names, Pending,
+    Engine, EngineInner, EngineStats, LinkEnd, LinkShared, LinkState, Names, Pending, Slot,
 };
 pub use crate::engine::{LinkEvent, LinkEvents};
 use crate::error::RuntimeError;
@@ -248,11 +248,11 @@ impl Topology {
     }
 
     /// The engine serving port `p` (a cut link's port, the side that owns
-    /// it) and `p`'s id there, which its port calls take; `None` for a port
-    /// never wired or detached by a splice ([`RuntimeError::Detached`]).
-    pub fn engine_for(&self, p: PortId) -> Option<(&Arc<Engine>, PortId)> {
+    /// it) and `p`'s slot there, which its port calls take; `None` for a
+    /// port never wired or detached by a splice ([`RuntimeError::Detached`]).
+    pub fn engine_for(&self, p: PortId) -> Option<(&Arc<Engine>, Slot)> {
         let route = (*self.router.get(p.index())?)?;
-        Some((&self.engines[route.region as usize], PortId(route.local)))
+        Some((&self.engines[route.region as usize], Slot(route.local)))
     }
 }
 
@@ -323,7 +323,7 @@ pub fn partition(
 
 /// Build the engines of a session over `automata`: one per region of the
 /// plan `mode` makes (`plan_partition`), connected by queue links, each
-/// region renamed to its own ids (`rename`) if there are several.
+/// region renamed to its own ids (`rename`).
 /// `mode` also selects how each region's core fills its rows
 /// (`connector::core_for`); `port_count` sizes the port router (ports
 /// beyond it still route: the table grows).
@@ -348,9 +348,7 @@ pub fn partition_with_opts(
         let place = |&i: &usize| unplaced[i].take().expect("one region per constituent");
         let mut autos: Vec<Automaton> = members.iter().map(place).collect();
         let mut names = Names::default();
-        if plan.regions.len() > 1 {
-            rename(&mut maps, &mut autos, &mut names, r, &mut plan.router);
-        }
+        rename(&mut maps, &mut autos, &mut names, r, &mut plan.router);
         let starts: Vec<StateId> = autos.iter().map(|a| a.initial()).collect();
         cores.push((core_for(mode, &limits, autos, &starts)?, names));
     }
@@ -380,9 +378,10 @@ pub fn partition_with_opts(
     })
 }
 
-/// Keep the ids past `names[..known]` that it lacks, in ascending order
-/// and once each, and point `map` (session id → region id) at every name.
-/// An entry of `map` is valid while `names` lists the id back at it.
+/// Name the ids past `names[..known]`, the region's names so far: one
+/// named already keeps its place, the others (ascending, once each) take
+/// the places of names gone from the list, then places past its end. An
+/// entry of `map` (session id → region id) is valid where `names` lists the id back.
 fn name<T: Copy + Ord>(map: &mut Vec<u32>, names: &mut Vec<T>, known: usize, at: fn(T) -> usize) {
     names[known..].sort_unstable();
     let end = names.iter().map(|&id| at(id) + 1).max().unwrap_or(0);
@@ -390,23 +389,25 @@ fn name<T: Copy + Ord>(map: &mut Vec<u32>, names: &mut Vec<T>, known: usize, at:
     for (i, &id) in names[..known].iter().enumerate() {
         map[at(id)] = i as u32;
     }
-    let mut named = known;
+    let gone = |&i: &usize| names[known..].binary_search(&names[i]).is_err();
+    let free: Vec<usize> = (0..known).filter(gone).collect();
+    let (mut free, mut named) = (free.into_iter(), known);
     for k in known..names.len() {
         let (id, i) = (names[k], map[at(names[k])] as usize);
         if i >= named || names[i] != id {
-            (map[at(id)], names[named]) = (named as u32, id);
-            named += 1;
+            let place = free.next().unwrap_or(named);
+            named += usize::from(place == named);
+            (map[at(id)], names[place]) = (place as u32, id);
         }
     }
     names.truncate(named);
 }
 
 /// Rename `autos` into the ids of region `region`, named by `names` so
-/// far: a port or cell it lacks is named next — so a fresh region's ports
-/// are `0..k` in session order, and a kept port keeps its slot and a kept
-/// cell its place. Every router entry into `region` learns its port's id.
-/// `maps` (session id → region id, ports and cells) is scratch shared by
-/// every region of one build or splice.
+/// far (`name`): a fresh region's ports are `0..k` in session order; a
+/// kept port or cell keeps its place. Every router entry into `region`
+/// learns its port's id. `maps` (session id → region id, ports and cells)
+/// is scratch shared by every region of one build or splice.
 fn rename(
     maps: &mut [Vec<u32>; 2],
     autos: &mut [Automaton],
@@ -415,12 +416,10 @@ fn rename(
     router: &mut [Router],
 ) {
     let ([ports, cells], known) = (maps, (names.ports.len(), names.cells.len()));
-    names
-        .ports
-        .extend(autos.iter().flat_map(|a| a.ports().iter()));
-    names
-        .cells
-        .extend(autos.iter().flat_map(|a| a.mem_ids().iter().copied()));
+    let port_ids = autos.iter().flat_map(|a| a.ports().iter());
+    names.ports.extend(port_ids);
+    let cell_ids = autos.iter().flat_map(|a| a.mem_ids().iter().copied());
+    names.cells.extend(cell_ids);
     name(ports, &mut names.ports, known.0, PortId::index);
     name(cells, &mut names.cells, known.1, MemId::index);
     for (i, p) in names.ports.iter().enumerate() {
@@ -429,8 +428,12 @@ fn rename(
             route.local = i as u32;
         }
     }
-    for a in autos {
-        a.rename(&|p| PortId(ports[p.index()]), &|m| MemId(cells[m.index()]));
+    // A region over its whole session names each id by itself: no rename.
+    let same = names.ports.iter().enumerate().all(|(i, p)| p.index() == i);
+    if !(same && names.cells.iter().enumerate().all(|(i, m)| m.index() == i)) {
+        for a in autos {
+            a.rename(&|p| PortId(ports[p.index()]), &|m| MemId(cells[m.index()]));
+        }
     }
 }
 
@@ -797,9 +800,9 @@ impl Partitioned {
     ///    *from the current constituent states* (kept constituents resume
     ///    exactly where they were, fresh ones start initial). Those states
     ///    come from one table by old constituent, read once from each held
-    ///    core, that the at-rest check of step 2 reads too. A region with
-    ///    ids of its own names what joins it after what it keeps, so no
-    ///    port moves. Install the region, with its re-derived link ends,
+    ///    core, that the at-rest check of step 2 reads too. A region names
+    ///    what joins it in the slots and places of what left, then past
+    ///    its end, so no kept port moves. Install the region, with its re-derived link ends,
     ///    into the same engine — `Arc<Engine>` identity is preserved, so
     ///    tasks parked in kept regions wake in the engine (and the slot)
     ///    the new topology routes to; a removed port's slot is cleared. A
@@ -993,8 +996,7 @@ impl Partitioned {
         }
 
         // Rebuilt regions recompose: a kept member from its live state, a
-        // fresh one from its initial state, renamed into the region's ids
-        // if it has its own (a fresh region does when the plan has several).
+        // fresh one from its initial state, renamed into the region's ids.
         let mut maps = Default::default();
         let (mut installs, mut fresh) = (HashMap::new(), HashMap::new());
         for (nr, members) in plan.regions.iter().enumerate() {
@@ -1006,9 +1008,7 @@ impl Partitioned {
             let mut names = held.map_or_else(Names::default, |g| g.names.clone());
             let mut autos: Vec<Automaton> =
                 members.iter().map(|&ni| new_automata[ni].clone()).collect();
-            if held.map_or(plan.regions.len() > 1, |_| !names.ports.is_empty()) {
-                rename(&mut maps, &mut autos, &mut names, nr, &mut plan.router);
-            }
+            rename(&mut maps, &mut autos, &mut names, nr, &mut plan.router);
             let start = |&ni: &usize| match old_of_new[ni] {
                 Some(oi) => live_state[oi].expect("a kept member's region is held"),
                 None => new_automata[ni].initial(),
@@ -1174,7 +1174,7 @@ fn constituent_at_rest(
                 "constituent `{}` of the detaching branch still buffers data in memory \
                  cell {:?}",
                 a.name(),
-                inner.names.cells.get(m.index()).copied().unwrap_or(m)
+                inner.names.cells[m.index()]
             )));
         }
     }
@@ -1279,6 +1279,38 @@ mod tests {
         let part = partition(autos, 5, &layout, CachePolicy, 1 << 20).unwrap();
         assert_eq!(part.region_count(), 1);
         assert_eq!(part.link_count(), 0);
+    }
+
+    #[test]
+    fn a_splice_names_what_joins_in_the_places_of_what_left() {
+        // Branch k is fifo1(2k+1; 2k+2) into merger(2, 2k+2; 0); each splice
+        // swaps the last branch for a fresh one, with fresh session ids.
+        let autos = |k: u32| {
+            vec![
+                primitives::merger(&[p(2), p(2 * k + 2)], p(0)),
+                primitives::fifo1(p(1), p(2), MemId(0)),
+                primitives::fifo1(p(2 * k + 1), p(2 * k + 2), MemId(k)),
+            ]
+        };
+        let limits = Limits::default();
+        let part = partition_with_opts(autos(1), 5, Mode::partitioned(), limits, true).unwrap();
+        let width = || {
+            let engine = part.with_topo(|t| Arc::clone(&t.engines[0]));
+            let g = engine.lock();
+            (g.pending.len(), g.store.cell_count())
+        };
+        assert_eq!(width(), (5, 2));
+        for k in 2..12 {
+            part.splice(&autos(k), &[None, Some(1), None]).unwrap();
+            assert_eq!(width(), (5, 2), "splice {k}");
+            send(&part, p(2 * k + 1), k.into());
+            assert_eq!(recv(&part, p(0)), Some(k.into()));
+        }
+        // A cell that takes a freed place starts from its own layout.
+        let mut full = autos(12);
+        full[2] = primitives::fifo1_full(p(25), p(26), MemId(12), Value::Int(-1));
+        part.splice(&full, &[None, Some(1), None]).unwrap();
+        assert_eq!(recv(&part, p(0)), Some(-1));
     }
 
     #[test]

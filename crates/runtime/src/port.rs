@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use reo_automata::{FromValue, IntoValue, PortId, Value};
 
-use crate::engine::{Engine, LinkEvents};
+use crate::engine::{Engine, LinkEvents, Slot};
 use crate::error::RuntimeError;
 use crate::partition::Partitioned;
 
@@ -103,7 +103,7 @@ impl Partitioned {
     /// task's drain has not served yet.
     fn hold<R, F>(&self, p: PortId, sweep: bool, detached: fn(PortId) -> R, f: F) -> R
     where
-        F: FnOnce(&Engine, PortId, &mut LinkEvents) -> R,
+        F: FnOnce(&Engine, Slot, &mut LinkEvents) -> R,
     {
         self.with_topo(|topo| {
             if sweep {
@@ -146,8 +146,8 @@ impl Partitioned {
         &self,
         p: PortId,
         deadline: Option<Instant>,
-        mut poll: impl FnMut(&Engine, PortId, &Waker, &mut LinkEvents) -> Polled<T>,
-        retract: impl FnOnce(&Engine, PortId) -> Result<T, RuntimeError>,
+        mut poll: impl FnMut(&Engine, Slot, &Waker, &mut LinkEvents) -> Polled<T>,
+        retract: impl FnOnce(&Engine, Slot) -> Result<T, RuntimeError>,
     ) -> Result<T, RuntimeError> {
         let watched = deadline.is_some() && self.watchdog.is_some();
         let mut unobserved = watched;

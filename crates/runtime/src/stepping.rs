@@ -103,7 +103,7 @@ pub fn stepping_run(
 ) -> Result<SteppingRun, RuntimeError> {
     let mode = mode.into();
     let connector = Connector::builder(program, def).mode(mode).build()?;
-    let (_, mut instance) = connector.instantiate(sizes)?;
+    let (alloc, mut instance) = connector.instantiate(sizes)?;
     if mode == Mode::Existing {
         instance = instance.monolithic(&limits.product)?;
     }
@@ -112,7 +112,7 @@ pub fn stepping_run(
 
     let inputs: PortSet = core.boundary_inputs().clone();
     let outputs: PortSet = core.boundary_outputs().clone();
-    let mut pending = PendingTable::new(core.owners.span());
+    let mut pending = PendingTable::new(alloc.port_count());
     let mut store = Store::new(&instance.mem_layout);
     let mut completed: Vec<PortId> = Vec::new();
 

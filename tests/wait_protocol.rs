@@ -16,7 +16,7 @@
 mod schedules;
 
 use reo::automata::{primitives, MemId};
-use reo::runtime::engine::{Engine, LinkEvents};
+use reo::runtime::engine::LinkEvents;
 use schedules::{explore, p, Op, World};
 
 /// A synchronous channel has nowhere to keep a value: whatever the
@@ -73,10 +73,11 @@ fn fifo1_hand_over_every_schedule() {
     explore("Fifo1 hand-over", build, |w, schedule| {
         let (tx, rx) = (&w.tasks[0], &w.tasks[1]);
         let mut arrived = rx.got.clone();
-        let engine: &Engine = &w.part.topo().engines[0];
+        let topo = w.part.topo();
+        let (engine, at) = topo.engine_for(p(1)).expect("a routed port");
         let ev = &mut LinkEvents::default();
-        while let Ok(v) = (engine.poll_recv(p(1), &mut false, std::task::Waker::noop(), false, ev))
-            .unwrap_or_else(|| engine.retract_recv(p(1)))
+        while let Ok(v) = (engine.poll_recv(at, &mut false, std::task::Waker::noop(), false, ev))
+            .unwrap_or_else(|| engine.retract_recv(at))
         {
             arrived.push(v.as_int().unwrap());
         }
